@@ -13,7 +13,7 @@ use crate::query::{ObfuscatedPathQuery, PathQuery};
 use crate::service::cache::{CachePolicy, TreeCache};
 use pathsearch::{
     AltPreprocessing, Goal, MsmdResult, Path, SearchArena, SearchStats, SharingPolicy,
-    msmd_in_guided, msmd_in_guided_cached, run_in, run_in_cached,
+    msmd_in_guided, msmd_in_guided_cached, run_tree,
 };
 use roadnet::{EdgeId, GraphView, NodeId};
 use std::sync::Arc;
@@ -284,21 +284,29 @@ impl<G: GraphView> DirectionsServer<G> {
         self.stats = ServerStats::default();
     }
 
+    /// The attached cache's cumulative `(hits, misses)`; `(0, 0)` without
+    /// one, so the fold below is a no-op under [`CachePolicy::Off`].
+    fn cache_counters(&self) -> (u64, u64) {
+        self.cache.as_ref().map_or((0, 0), TreeCache::counters)
+    }
+
+    /// Fold the cache's hit/miss growth since `before` into the load
+    /// counters — the one place a query's adoptions are accounted.
+    fn account_cache_since(&mut self, (hits, misses): (u64, u64)) {
+        let (h, m) = self.cache_counters();
+        self.stats.tree_cache_hits += h - hits;
+        self.stats.tree_cache_misses += m - misses;
+    }
+
     /// Evaluate a *plain* path query — what an unprotected client would
-    /// send. Returns the shortest path, or `None` when disconnected.
+    /// send — through the adopt-or-grow tree cache when one is attached.
+    /// Returns the shortest path, or `None` when disconnected.
     pub fn process_plain(&mut self, q: &PathQuery) -> Option<Path> {
         let goal = Goal::Single(q.destination);
-        let run = match &mut self.cache {
-            Some(cache) => {
-                let (h0, m0) = cache.counters();
-                let run = run_in_cached(&mut self.arena, &self.graph, q.source, &goal, cache);
-                let (h1, m1) = cache.counters();
-                self.stats.tree_cache_hits += h1 - h0;
-                self.stats.tree_cache_misses += m1 - m0;
-                run
-            }
-            None => run_in(&mut self.arena, &self.graph, q.source, &goal),
-        };
+        let before = self.cache_counters();
+        let run =
+            run_tree(&mut self.arena, &self.graph, q.source, &goal, None, self.cache.as_mut());
+        self.account_cache_since(before);
         self.stats.plain_queries += 1;
         self.stats.pairs_evaluated += 1;
         self.stats.trees_grown += 1;
@@ -316,33 +324,14 @@ impl<G: GraphView> DirectionsServer<G> {
     /// ([`DirectionsServer::with_heuristic`]). The full candidate matrix
     /// goes back to the obfuscator.
     pub fn process(&mut self, q: &ObfuscatedPathQuery) -> MsmdResult {
-        let pre = self.heuristic.as_deref();
+        let before = self.cache_counters();
+        let (arena, g, pre) = (&mut self.arena, &self.graph, self.heuristic.as_deref());
+        let (s, t) = (q.sources(), q.targets());
         let result = match &mut self.cache {
-            Some(cache) => {
-                let (h0, m0) = cache.counters();
-                let result = msmd_in_guided_cached(
-                    &mut self.arena,
-                    &self.graph,
-                    q.sources(),
-                    q.targets(),
-                    self.policy,
-                    pre,
-                    cache,
-                );
-                let (h1, m1) = cache.counters();
-                self.stats.tree_cache_hits += h1 - h0;
-                self.stats.tree_cache_misses += m1 - m0;
-                result
-            }
-            None => msmd_in_guided(
-                &mut self.arena,
-                &self.graph,
-                q.sources(),
-                q.targets(),
-                self.policy,
-                pre,
-            ),
+            Some(cache) => msmd_in_guided_cached(arena, g, s, t, self.policy, pre, cache),
+            None => msmd_in_guided(arena, g, s, t, self.policy, pre),
         };
+        self.account_cache_since(before);
         self.stats.obfuscated_queries += 1;
         self.stats.pairs_evaluated += q.num_pairs() as u64;
         self.stats.paths_returned += result.num_paths() as u64;

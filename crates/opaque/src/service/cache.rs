@@ -7,7 +7,8 @@
 //! is the capacity-bounded, exact-LRU store of recorded sweeps
 //! ([`pathsearch::SweepTrace`]) a [`crate::server::DirectionsServer`]
 //! consults through the adopt-or-grow entry point
-//! ([`pathsearch::msmd_in_cached`]): a query whose root already has a
+//! ([`pathsearch::run_tree`], once per tree of
+//! [`pathsearch::msmd_in_guided_cached`]): a query whose root already has a
 //! cached tree deep enough for its goal skips the Dijkstra sweep
 //! entirely; partial trees carry their settled radius implicitly (the
 //! recorded prefix) and are only reused when the early-termination rule
@@ -146,7 +147,7 @@ const _: () = {
 /// single-tree sweep machine may share cache entries.
 fn sweep_class(policy: SharingPolicy) -> u8 {
     match policy {
-        // All three are sequences of plain `run_in` sweeps.
+        // All three are sequences of single-tree `run_tree` sweeps.
         SharingPolicy::None | SharingPolicy::PerSource | SharingPolicy::Auto => 0,
         // The interleaved MSMD engine does not decompose into per-root
         // traces and never consults the cache — but *plain* queries on a
@@ -263,9 +264,13 @@ impl TreeStore for TreeCache {
         self.tick += 1;
         let key = self.key(root, direction);
         if let Some(e) = self.entries.get_mut(&key) {
-            // Sweeps from one root are prefixes of each other: keep the
-            // deeper one, it answers strictly more goals.
-            if trace.len() >= e.trace.len() {
+            // Sweeps from one root *under one potential* are prefixes of
+            // each other: keep the deeper one, it answers strictly more
+            // goals. Across potentials (ALT potentials are per target
+            // set) depth compares nothing, and keeping the old trace
+            // would make this goal set miss on every repeat — the newer
+            // trace replaces it.
+            if trace.potential() != e.trace.potential() || trace.len() >= e.trace.len() {
                 e.trace = trace;
             }
             e.last_used = self.tick;
@@ -357,6 +362,46 @@ mod tests {
         cache.store(NodeId(0), SweepDirection::Forward, shallow);
         let kept = cache.lookup(NodeId(0), SweepDirection::Forward).unwrap();
         assert_eq!(kept.len(), deep.len(), "a shallower re-store must not clobber a deeper tree");
+    }
+
+    #[test]
+    fn store_compares_depth_only_under_one_potential() {
+        use pathsearch::{AltPreprocessing, msmd_in_guided_cached, run_tree};
+        let g = grid_network(&GridConfig { width: 40, height: 40, seed: 4, ..Default::default() })
+            .unwrap();
+        let alt = AltPreprocessing::try_build(&g, 4).unwrap();
+        let mut arena = SearchArena::new();
+        let (root, far, near) = (NodeId(0), NodeId(1599), NodeId(45));
+
+        // ALT potentials are per target set: a far set's long guided trace
+        // must not pin the slot against a near set at the same root, or
+        // the near set re-grows its tree on every repeat.
+        let mut cache = TreeCache::new(4, SharingPolicy::PerSource);
+        let (policy, pre) = (SharingPolicy::PerSource, Some(&alt));
+        for targets in [[far], [near], [near], [near], [near], [near]] {
+            msmd_in_guided_cached(&mut arena, &g, &[root], &targets, policy, pre, &mut cache);
+        }
+        let (hits, misses) = cache.counters();
+        assert!(hits >= 4, "near repeats must adopt their own trace: {hits} hits, {misses} misses");
+
+        // Under ONE potential the plain-sweep rule holds unweakened: a
+        // shallower re-store never clobbers the deeper trace.
+        let pot = alt.goal_potential(&[far]);
+        let mut guided_trace = |goal: Goal| {
+            let mut scratch = TreeCache::new(1, SharingPolicy::PerSource);
+            run_tree(&mut arena, &g, root, &goal, Some(&pot), Some(&mut scratch));
+            scratch.lookup(root, SweepDirection::Forward).unwrap().clone()
+        };
+        // (A goal one diagonal step towards `far` settles early under
+        // `far`'s potential.)
+        let (deep, shallow) =
+            (guided_trace(Goal::Single(far)), guided_trace(Goal::Single(NodeId(41))));
+        assert_eq!(deep.potential(), shallow.potential());
+        assert!(shallow.len() < deep.len());
+        let mut cache = TreeCache::new(4, SharingPolicy::PerSource);
+        cache.store(root, SweepDirection::Forward, deep.clone());
+        cache.store(root, SweepDirection::Forward, shallow);
+        assert_eq!(cache.lookup(root, SweepDirection::Forward).unwrap().len(), deep.len());
     }
 
     #[test]

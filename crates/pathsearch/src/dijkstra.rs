@@ -9,15 +9,17 @@
 //! same network pay no per-query `O(n)` initialization *or allocation* —
 //! the cost of a query is proportional to the area it actually explores,
 //! which is the quantity Lemma 1 reasons about. [`Searcher`] is the
-//! single-tree facade over an owned arena; [`run_in`] runs inside a
-//! caller-provided arena (e.g. the one a `DirectionsServer` shares with
-//! its MSMD processor).
+//! single-tree facade over an owned arena; [`run_tree`] — the one
+//! adopt-or-grow entry, with the goal potential and the tree store as
+//! optional parameters — runs inside a caller-provided arena (e.g. the one
+//! a `DirectionsServer` shares with its MSMD processor), and [`run_in`] /
+//! [`run_in_traced`] are its plain arities.
 
 use crate::alt::GoalPotential;
 use crate::arena::SearchArena;
 use crate::path::Path;
 use crate::stats::SearchStats;
-use crate::trace::{SettleEvent, SweepTrace};
+use crate::trace::{SettleEvent, SweepDirection, SweepTrace, TreeStore};
 use roadnet::{GraphView, NodeId};
 
 /// Search termination condition.
@@ -166,10 +168,47 @@ fn zero_pot(_: NodeId) -> f64 {
     0.0
 }
 
+/// Grow one tree for real, selecting the loop's instantiation **once per
+/// tree**: the zero potential monomorphizes away (no `Option` test per
+/// relaxed arc), a [`GoalPotential`] keys the heap by `dist + π(node)`.
+fn grow<G: GraphView, K: SettleSink>(
+    arena: &mut SearchArena,
+    g: &G,
+    root: NodeId,
+    goal: &Goal,
+    pot: Option<&GoalPotential<'_>>,
+    sink: &mut K,
+) -> SearchStats {
+    match pot {
+        Some(p) => run_in_sink(arena, g, root, goal, &|n| p.eval(n), sink),
+        None => run_in_sink(arena, g, root, goal, &zero_pot, sink),
+    }
+}
+
+/// [`grow`], recording the sweep as a [`SweepTrace`] stamped with the
+/// potential's parameters — guided and plain settle orders (and thus
+/// counter snapshots) differ and must never be adopted across.
+fn grow_traced<G: GraphView>(
+    arena: &mut SearchArena,
+    g: &G,
+    root: NodeId,
+    goal: &Goal,
+    pot: Option<&GoalPotential<'_>>,
+) -> (SearchStats, SweepTrace) {
+    // Reserve for the common deep-sweep case: one settle event per node
+    // keeps recording out of the reallocator on the misses a cache pays.
+    let mut rec = Recorder { events: Vec::with_capacity(g.num_nodes()), exhausted: false };
+    let stats = grow(arena, g, root, goal, pot, &mut rec);
+    let potential = pot.map(|p| p.params().clone());
+    let trace =
+        SweepTrace::from_parts(root, g.num_nodes(), rec.events, stats, rec.exhausted, potential);
+    (stats, trace)
+}
+
 /// Run one Dijkstra sweep from `source` inside `arena` (tree 0) until
 /// `goal` is met. Returns per-run counters; the labels stay readable via
 /// [`SearchArena::distance`] / [`SearchArena::path_to`] until the arena's
-/// next search begins.
+/// next search begins. This is [`run_tree`] with no potential and no store.
 ///
 /// # Panics
 /// Panics if `source` is out of range for `g`.
@@ -179,29 +218,7 @@ pub fn run_in<G: GraphView>(
     source: NodeId,
     goal: &Goal,
 ) -> SearchStats {
-    run_in_sink(arena, g, source, goal, &zero_pot, &mut NoRecord)
-}
-
-/// [`run_in`] with an optional goal-directed potential: `Some(π)` keys the
-/// heap by `dist + π(node)` (A*-style goal direction with exact settled
-/// labels, provided π is consistent — [`GoalPotential`] is), `None` is
-/// plain Dijkstra, byte-identical to [`run_in`]. Settled labels, parents,
-/// and paths are identical either way whenever shortest paths are unique;
-/// only the settle order and the settled/relaxed/heap counters shrink.
-///
-/// # Panics
-/// Panics if `source` is out of range for `g`.
-pub fn run_in_guided<G: GraphView>(
-    arena: &mut SearchArena,
-    g: &G,
-    source: NodeId,
-    goal: &Goal,
-    pot: Option<&GoalPotential<'_>>,
-) -> SearchStats {
-    match pot {
-        Some(p) => run_in_sink(arena, g, source, goal, &|n| p.eval(n), &mut NoRecord),
-        None => run_in(arena, g, source, goal),
-    }
+    grow(arena, g, source, goal, None, &mut NoRecord)
 }
 
 /// [`run_in`], additionally recording the sweep as a reusable
@@ -218,93 +235,54 @@ pub fn run_in_traced<G: GraphView>(
     source: NodeId,
     goal: &Goal,
 ) -> (SearchStats, SweepTrace) {
-    // Reserve for the common deep-sweep case: one settle event per node
-    // keeps recording out of the reallocator on the misses a cache pays.
-    let mut rec = Recorder { events: Vec::with_capacity(g.num_nodes()), exhausted: false };
-    let stats = run_in_sink(arena, g, source, goal, &zero_pot, &mut rec);
-    let trace = SweepTrace::from_parts(source, g.num_nodes(), rec.events, stats, rec.exhausted);
-    (stats, trace)
+    grow_traced(arena, g, source, goal, None)
 }
 
-/// [`run_in_traced`] under an optional potential. The recorded trace is
-/// stamped with the potential's parameters, so the cached runners can tell
-/// guided sweeps from plain ones — their settle orders (and thus counter
-/// snapshots) differ and must never be adopted across.
+/// The **adopt-or-grow** single-tree sweep — the one entry every MSMD
+/// policy and the server's plain queries drive, with both policy axes as
+/// parameters:
+///
+/// * `pot` — `Some(π)` keys the heap by `dist + π(node)` (A*-style goal
+///   direction with exact settled labels, provided π is consistent —
+///   [`GoalPotential`] is); `None` is plain Dijkstra, byte-identical to
+///   [`run_in`]. Settled labels, parents, and paths are identical either
+///   way whenever shortest paths are unique; only the settle order and the
+///   settled/relaxed/heap counters shrink.
+/// * `store` — `Some` consults it for a recorded sweep from `root` and
+///   adopts it when `goal` is provably inside the recorded prefix
+///   (skipping Dijkstra entirely, replaying byte-identical counters);
+///   otherwise the tree is grown for real, recorded, and re-stored. Hit or
+///   miss is reported through the store's counters. `None` grows the tree
+///   unrecorded — nothing beyond the sweep itself is allocated.
+///
+/// A stored trace is only adopted when it ran under *this* potential
+/// (parameters compared via [`SweepTrace::potential`]; plain sweeps carry
+/// `None`): a sweep's counter snapshots replay its settle order, which the
+/// potential shapes. A mismatch is a miss like any other, so the cache
+/// stays byte-identical to cache-off under whichever heuristic the caller
+/// fixed.
 ///
 /// # Panics
-/// Panics if `source` is out of range for `g`.
-pub fn run_in_guided_traced<G: GraphView>(
+/// Panics if `root` is out of range for `g`.
+pub fn run_tree<G: GraphView, S: TreeStore + ?Sized>(
     arena: &mut SearchArena,
     g: &G,
-    source: NodeId,
+    root: NodeId,
     goal: &Goal,
     pot: Option<&GoalPotential<'_>>,
-) -> (SearchStats, SweepTrace) {
-    match pot {
-        Some(p) => {
-            let mut rec = Recorder { events: Vec::with_capacity(g.num_nodes()), exhausted: false };
-            let stats = run_in_sink(arena, g, source, goal, &|n| p.eval(n), &mut rec);
-            let trace =
-                SweepTrace::from_parts(source, g.num_nodes(), rec.events, stats, rec.exhausted)
-                    .with_potential(Some(p.params().clone()));
-            (stats, trace)
-        }
-        None => run_in_traced(arena, g, source, goal),
-    }
-}
-
-/// The **adopt-or-grow** single-tree sweep: consult `store` for a
-/// recorded sweep from `source` and adopt it when `goal` is provably
-/// inside the recorded prefix (skipping Dijkstra entirely, replaying
-/// byte-identical counters); otherwise grow the tree for real, record
-/// it, and re-store it (the deeper sweep replaces the shallower one).
-/// Hit or miss is reported through the store's counters.
-///
-/// This is the cached form of [`run_in`]; [`crate::multi::msmd_in_cached`]
-/// drives it once per tree of an MSMD evaluation.
-///
-/// # Panics
-/// Panics if `source` is out of range for `g`.
-pub fn run_in_cached<G: GraphView, S: crate::trace::TreeStore>(
-    arena: &mut SearchArena,
-    g: &G,
-    source: NodeId,
-    goal: &Goal,
-    store: &mut S,
+    store: Option<&mut S>,
 ) -> SearchStats {
-    run_in_guided_cached(arena, g, source, goal, None, store)
-}
-
-/// [`run_in_cached`] under an optional potential — the guided
-/// adopt-or-grow. A stored trace is only adopted when it ran under *this*
-/// potential (parameters compared via [`SweepTrace::potential`]; plain
-/// sweeps carry `None`): a sweep's counter snapshots replay its settle
-/// order, which the potential shapes. On a mismatch the tree is grown for
-/// real under the requested potential and re-stored, exactly like any
-/// other miss — so the cache stays byte-identical to cache-off under
-/// whichever heuristic the caller fixed.
-///
-/// # Panics
-/// Panics if `source` is out of range for `g`.
-pub fn run_in_guided_cached<G: GraphView, S: crate::trace::TreeStore>(
-    arena: &mut SearchArena,
-    g: &G,
-    source: NodeId,
-    goal: &Goal,
-    pot: Option<&GoalPotential<'_>>,
-    store: &mut S,
-) -> SearchStats {
-    use crate::trace::SweepDirection;
-    assert!(source.index() < g.num_nodes(), "source out of range");
+    let Some(store) = store else {
+        return grow(arena, g, root, goal, pot, &mut NoRecord);
+    };
     let want = pot.map(|p| p.params());
-    let adopted = store.lookup(source, SweepDirection::Forward).and_then(|trace| {
-        // A different node count can only mean a stale entry for another
-        // map; the store's epoch keying should already prevent this. The
-        // potential check keeps guided and plain sweeps from aliasing.
-        (trace.nodes() == g.num_nodes() && trace.potential() == want)
-            .then(|| trace.adopt_into(arena, goal))
-            .flatten()
-    });
+    // A different node count can only mean a stale entry for another map;
+    // the store's epoch keying should already prevent this. The potential
+    // check keeps guided and plain sweeps from aliasing.
+    let adopted = store
+        .lookup(root, SweepDirection::Forward)
+        .filter(|trace| trace.nodes() == g.num_nodes() && trace.potential() == want)
+        .and_then(|trace| trace.adopt_into(arena, goal));
     match adopted {
         Some(stats) => {
             store.note_hit();
@@ -312,8 +290,8 @@ pub fn run_in_guided_cached<G: GraphView, S: crate::trace::TreeStore>(
         }
         None => {
             store.note_miss();
-            let (stats, trace) = run_in_guided_traced(arena, g, source, goal, pot);
-            store.store(source, SweepDirection::Forward, trace);
+            let (stats, trace) = grow_traced(arena, g, root, goal, pot);
+            store.store(root, SweepDirection::Forward, trace);
             stats
         }
     }
@@ -344,12 +322,6 @@ impl Searcher {
         Self::default()
     }
 
-    /// The underlying arena (e.g. to hand to [`crate::multi::msmd_in`] so
-    /// plain and MSMD queries share one set of buffers).
-    pub fn arena_mut(&mut self) -> &mut SearchArena {
-        &mut self.arena
-    }
-
     /// Run Dijkstra from `source` until `goal` is met. Returns per-run
     /// counters; query labels afterwards via [`Searcher::distance`] and
     /// [`Searcher::path_to`].
@@ -366,14 +338,6 @@ impl Searcher {
         goal: &Goal,
     ) -> (SearchStats, SweepTrace) {
         run_in_traced(&mut self.arena, g, source, goal)
-    }
-
-    /// Adopt a recorded sweep as this searcher's current search (skipping
-    /// Dijkstra entirely), when `goal` is provably inside the trace — see
-    /// [`SweepTrace::adopt_into`]. Afterwards [`Searcher::distance`] /
-    /// [`Searcher::path_to`] read the adopted tree.
-    pub fn adopt(&mut self, trace: &SweepTrace, goal: &Goal) -> Option<SearchStats> {
-        trace.adopt_into(&mut self.arena, goal)
     }
 
     /// Final distance to `n` from the last run's source, if `n` was

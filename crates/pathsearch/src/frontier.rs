@@ -34,28 +34,18 @@ use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
 
 /// Evaluate `sources × targets` with the shared-frontier engine inside
-/// `arena`. Inputs are validated by [`crate::multi::msmd_in`].
-pub(crate) fn shared_frontier<G: GraphView>(
-    arena: &mut SearchArena,
-    g: &G,
-    sources: &[NodeId],
-    targets: &[NodeId],
-) -> MsmdResult {
-    shared_frontier_guided(arena, g, sources, targets, None)
-}
-
-/// [`shared_frontier`] with an optional ALT potential pair: forward trees
-/// are keyed by `dist + pf(n)`, backward trees by `dist − pf(n)` — a
-/// feasible pair (the two tree-side potentials sum to zero), so reduced
+/// `arena`, under an optional ALT potential pair: forward trees are keyed
+/// by `dist + pf(n)`, backward trees by `dist − pf(n)` — a feasible pair
+/// (the two tree-side potentials sum to zero), so reduced
 /// forward/backward lengths still add up to true path lengths and the
 /// per-pair stopping rule is unchanged. With `None` (or the all-zero
-/// `pf`) the keys equal the raw distances bit-for-bit and the sweep is
-/// byte-identical to the unguided engine.
+/// `pf`) the keys equal the raw distances bit-for-bit. Inputs are
+/// validated by the caller (`multi::evaluate`).
 ///
 /// The directed fallback ignores the potential: ALT tables require a
 /// symmetric graph, and [`crate::alt::AltPreprocessing::try_build`]
 /// refuses to produce one for directed views.
-pub(crate) fn shared_frontier_guided<G: GraphView>(
+pub(crate) fn shared_frontier<G: GraphView>(
     arena: &mut SearchArena,
     g: &G,
     sources: &[NodeId],

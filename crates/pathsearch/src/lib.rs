@@ -22,8 +22,9 @@
 //!   baseline;
 //! * [`multi`] — the MSMD processor with selectable sharing policies,
 //!   including the shared-frontier interleaved sweep (`frontier.rs`
-//!   internals) and the adopt-or-grow cached entry point
-//!   ([`msmd_in_cached`]);
+//!   internals); every tree goes through the one adopt-or-grow entry
+//!   ([`run_tree`]), with or without a tree store
+//!   ([`msmd_in_guided_cached`]);
 //! * [`trace`] — recorded, reusable sweeps ([`SweepTrace`]): extraction
 //!   and adoption of settled shortest-path trees with byte-identical
 //!   counter replay, the substrate of the service layer's shard-local
@@ -67,11 +68,11 @@ pub use astar::{astar, astar_scaled, astar_with};
 pub use bidirectional::bidirectional;
 pub use cost::{CostModel, CostObservation};
 pub use dijkstra::{
-    Goal, Searcher, multi_destination, run_in, run_in_cached, run_in_guided, run_in_guided_cached,
-    run_in_guided_traced, run_in_traced, shortest_distance, shortest_path,
+    Goal, Searcher, multi_destination, run_in, run_in_traced, run_tree, shortest_distance,
+    shortest_path,
 };
 pub use multi::{
-    MsmdResult, SharingPolicy, TreeSide, TreeStats, msmd, msmd_in, msmd_in_cached, msmd_in_guided,
+    MsmdResult, SharingPolicy, TreeSide, TreeStats, msmd, msmd_in, msmd_in_guided,
     msmd_in_guided_cached,
 };
 pub use path::Path;

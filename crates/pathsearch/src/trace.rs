@@ -10,8 +10,10 @@
 //! a recorded sweep into a [`SearchArena`] without touching the heap at
 //! all — and, because Dijkstra from a fixed root is deterministic and its
 //! goal only ever decides *when to stop*, any two sweeps from the same
-//! root are prefixes of one another. That gives the two guarantees the
-//! cache needs:
+//! root *under one heap potential* are prefixes of one another (a
+//! goal-directed potential reshapes the settle order, so traces are
+//! stamped with it — [`SweepTrace::potential`] — and never adopted
+//! across). That gives the two guarantees the cache needs:
 //!
 //! * **answers** — adopted labels are settled, hence exact; paths read
 //!   back identically to a fresh run;
@@ -29,7 +31,7 @@
 //! grows a fresh, deeper sweep and should re-store it.
 //!
 //! [`TreeStore`] is the minimal storage interface the adopt-or-grow entry
-//! point ([`crate::multi::msmd_in_cached`]) drives; the capacity-bounded
+//! point ([`crate::dijkstra::run_tree`]) drives; the capacity-bounded
 //! LRU over it lives in the service layer (`opaque::service::cache`),
 //! which also owns the `(map_epoch, root, direction, policy-bits)` keying
 //! and invalidation story.
@@ -93,19 +95,22 @@ pub struct SweepTrace {
     /// The goal-directed potential the sweep ran under (`None` for plain
     /// Dijkstra). Guided sweeps settle in potential-key order, so their
     /// counter snapshots only replay a sweep under the *same* potential;
-    /// the cached runners compare this before adopting.
+    /// [`crate::dijkstra::run_tree`] compares this before adopting.
     potential: Option<PotentialParams>,
 }
 
 impl SweepTrace {
-    /// Assemble a trace from a finished sweep's parts (crate-internal:
-    /// only [`crate::dijkstra::run_in_traced`] produces consistent ones).
+    /// Assemble a trace from a finished sweep's parts, stamped with the
+    /// potential it ran under (crate-internal: only the recording sweep
+    /// behind [`crate::dijkstra::run_tree`] and
+    /// [`crate::dijkstra::run_in_traced`] produces consistent ones).
     pub(crate) fn from_parts(
         root: NodeId,
         nodes: usize,
         mut events: Vec<SettleEvent>,
         final_stats: SearchStats,
         complete: bool,
+        potential: Option<PotentialParams>,
     ) -> Self {
         // The recorder reserves one slot per node up front; a trace can
         // live in a cache for a long time, so give back the unused tail —
@@ -115,15 +120,7 @@ impl SweepTrace {
         let mut positions: Vec<(u32, u32)> =
             events.iter().enumerate().map(|(i, e)| (e.node, i as u32)).collect();
         positions.sort_unstable();
-        SweepTrace { root, nodes, events, positions, final_stats, complete, potential: None }
-    }
-
-    /// Stamp the trace with the potential its sweep ran under
-    /// (crate-internal: set by the guided traced runner right after
-    /// [`SweepTrace::from_parts`]).
-    pub(crate) fn with_potential(mut self, potential: Option<PotentialParams>) -> Self {
-        self.potential = potential;
-        self
+        SweepTrace { root, nodes, events, positions, final_stats, complete, potential }
     }
 
     /// The goal-directed potential the recorded sweep ran under, if any.
@@ -287,7 +284,7 @@ enum Stop {
 }
 
 /// Storage interface the adopt-or-grow entry point
-/// ([`crate::multi::msmd_in_cached`]) drives. One implementation lives in
+/// ([`crate::dijkstra::run_tree`]) drives. One implementation lives in
 /// the service layer (`opaque::service::cache::TreeCache` — the
 /// capacity-bounded, epoch-keyed LRU); tests use ad-hoc map-backed
 /// stores.
@@ -300,10 +297,12 @@ pub trait TreeStore {
     /// recency-based eviction.
     fn lookup(&mut self, root: NodeId, direction: SweepDirection) -> Option<&SweepTrace>;
 
-    /// Store `trace` for `root`, replacing any previous entry (stores
-    /// should keep the *deeper* of the two — sweeps from one root are
-    /// prefixes of each other, so the longer one answers strictly more
-    /// goals).
+    /// Store `trace` for `root`, replacing any previous entry. Between
+    /// two traces under the same [`SweepTrace::potential`] stores should
+    /// keep the *deeper* — such sweeps are prefixes of each other, so the
+    /// longer one answers strictly more goals. Depth says nothing across
+    /// potentials: there the newer trace should win, or the goal set that
+    /// just missed would miss again on every repeat.
     fn store(&mut self, root: NodeId, direction: SweepDirection, trace: SweepTrace);
 
     /// A lookup whose trace satisfied the goal (the sweep was skipped).

@@ -70,6 +70,9 @@ impl<G: GraphView + ?Sized> GraphView for &G {
     fn point(&self, n: NodeId) -> Point {
         (**self).point(n)
     }
+    // Forwarders must inline so the sweep loop's arc closure is
+    // devirtualized through the wrapper, as it is on the bare map.
+    #[inline]
     fn for_each_arc(&self, n: NodeId, f: &mut dyn FnMut(NodeId, f64)) {
         (**self).for_each_arc(n, f)
     }
@@ -87,6 +90,9 @@ impl<G: GraphView + ?Sized> GraphView for std::sync::Arc<G> {
     fn point(&self, n: NodeId) -> Point {
         (**self).point(n)
     }
+    // Inlined for the same reason as the `&G` forwarder: every service
+    // shard sweeps through an `Arc` of the shared map.
+    #[inline]
     fn for_each_arc(&self, n: NodeId, f: &mut dyn FnMut(NodeId, f64)) {
         (**self).for_each_arc(n, f)
     }
