@@ -5,23 +5,34 @@
 //! experiments e3 e6                # run a subset
 //! experiments --quick              # CI-sized inputs
 //! experiments --json out.json      # also dump machine-readable results
-//! experiments --perf-json out.json # also dump the CI perf trajectory
-//!                                  # (experiment → wall_ms/trees/hit rate)
 //! ```
 
-use bench::experiments::{ALL_IDS, run_by_id};
-use bench::{ExperimentTable, PerfPoint, PerfTrajectory, Scale};
+use bench::experiments::{REGISTRY, RunFn, lookup};
+use bench::{ExperimentTable, Scale};
 use std::io::Write;
-use std::time::Instant;
+
+/// Resolve every requested id (none = the whole registry) before anything
+/// runs, so a typo in the last id does not cost the experiments before it.
+fn resolve(ids: &[String]) -> Result<Vec<RunFn>, String> {
+    if ids.is_empty() {
+        return Ok(REGISTRY.iter().map(|&(_, run)| run).collect());
+    }
+    ids.iter()
+        .map(|id| {
+            lookup(id).ok_or_else(|| {
+                let known: Vec<&str> = REGISTRY.iter().map(|&(known, _)| known).collect();
+                format!("unknown experiment id: {id} (known: {})", known.join(", "))
+            })
+        })
+        .collect()
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::full();
     let mut json_path: Option<String> = None;
-    let mut perf_path: Option<String> = None;
     let mut ids: Vec<String> = Vec::new();
 
-    let mut it = args.into_iter();
+    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => scale = Scale::quick(),
@@ -31,40 +42,28 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--perf-json" => {
-                perf_path = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--perf-json needs a path");
-                    std::process::exit(2);
-                }));
-            }
             "--help" | "-h" => {
-                eprintln!("usage: experiments [--quick] [--json PATH] [--perf-json PATH] [e1 ..]");
+                eprintln!("usage: experiments [--quick] [--json PATH] [e1 ..]");
                 return;
+            }
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown argument: {flag}");
+                std::process::exit(2);
             }
             id => ids.push(id.to_ascii_lowercase()),
         }
     }
-    if ids.is_empty() {
-        ids = ALL_IDS.iter().map(|s| s.to_string()).collect();
-    }
+    let runs = resolve(&ids).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
 
     let mut stdout = std::io::stdout().lock();
     let mut results: Vec<ExperimentTable> = Vec::new();
-    let mut perf = PerfTrajectory::default();
-    for id in &ids {
-        let t0 = Instant::now();
-        match run_by_id(id, &scale) {
-            Some(table) => {
-                let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-                writeln!(stdout, "{}", table.render()).expect("stdout");
-                perf.record(PerfPoint::from_table(&table, wall_ms));
-                results.push(table);
-            }
-            None => {
-                eprintln!("unknown experiment id: {id} (known: {})", ALL_IDS.join(", "));
-                std::process::exit(2);
-            }
-        }
+    for run in runs {
+        let table = run(&scale);
+        writeln!(stdout, "{}", table.render()).expect("stdout");
+        results.push(table);
     }
 
     if let Some(path) = json_path {
@@ -75,11 +74,24 @@ fn main() {
         });
         eprintln!("wrote {} experiment tables to {path}", results.len());
     }
-    if let Some(path) = perf_path {
-        std::fs::write(&path, perf.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote perf trajectory ({} experiments) to {path}", perf.points.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    // None of these runs an experiment: `resolve` only reads the registry.
+    #[test]
+    fn ids_are_checked_up_front() {
+        assert_eq!(resolve(&[]).unwrap().len(), REGISTRY.len(), "no ids = everything");
+        assert_eq!(resolve(&ids(&["e3", "e20", "e3"])).unwrap().len(), 3, "repeats are allowed");
+        // A bad id anywhere in the list refuses the whole request.
+        let err = resolve(&ids(&["e3", "e99"])).unwrap_err();
+        assert!(err.starts_with("unknown experiment id: e99 (known: e1, e2, "), "{err}");
+        assert!(err.ends_with(", e20)"), "{err}");
     }
 }

@@ -59,7 +59,7 @@ fn mixes() -> [(&'static str, ArrivalProcess); 3] {
 /// Run E17 at the scale-implied fleet size.
 pub fn run(scale: &Scale) -> ExperimentTable {
     // 10⁵ simulated clients at quick (the CI acceptance floor), 10⁶ at
-    // the full scale EXPERIMENTS.md records.
+    // full scale.
     let clients = if scale.trials >= Scale::full().trials { 1_000_000 } else { 100_000 };
     run_with(clients, scale)
 }

@@ -1,6 +1,5 @@
-//! The experiment suite — one module per paper artifact (see DESIGN.md §3),
-//! plus the `lint` pseudo-experiment that trends the workspace's
-//! invariant surfaces (unsafe census, allow markers) in the perf artifact.
+//! The experiment suite — one module per paper artifact (see
+//! `docs/paper_map.md` for the section-by-section index).
 
 pub mod e10_scaling;
 pub mod e11_intersection;
@@ -22,44 +21,43 @@ pub mod e6_collusion;
 pub mod e7_strategies;
 pub mod e8_clustering;
 pub mod e9_storage;
-pub mod lint;
 
 use crate::setup::Scale;
 use crate::table::ExperimentTable;
 
-/// All experiment ids, in run order (`lint` last: it audits the tree,
-/// not the paper).
-pub const ALL_IDS: [&str; 21] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "e20", "lint",
+/// An experiment's entry point (its module's `run`).
+pub type RunFn = fn(&Scale) -> ExperimentTable;
+
+/// Every experiment as `(id, entry point)`, in run order. Adding one is
+/// its `mod` line above and one row here: the `experiments` binary reads
+/// its default id list, its id check and its "known:" message from this
+/// table.
+pub const REGISTRY: &[(&str, RunFn)] = &[
+    ("e1", e1_algorithms::run),
+    ("e2", e2_techniques::run),
+    ("e3", e3_breach::run),
+    ("e4", e4_cost_model::run),
+    ("e5", e5_shared::run),
+    ("e6", e6_collusion::run),
+    ("e7", e7_strategies::run),
+    ("e8", e8_clustering::run),
+    ("e9", e9_storage::run),
+    ("e10", e10_scaling::run),
+    ("e11", e11_intersection::run),
+    ("e12", e12_batching::run),
+    ("e13", e13_frontier::run),
+    ("e14", e14_parallel::run),
+    ("e15", e15_cache::run),
+    ("e16", e16_gateway::run),
+    ("e17", e17_netload::run),
+    ("e18", e18_partition::run),
+    ("e19", e19_livemap::run),
+    ("e20", e20_continent::run),
 ];
 
-/// Run one experiment by id.
-pub fn run_by_id(id: &str, scale: &Scale) -> Option<ExperimentTable> {
-    match id {
-        "e1" => Some(e1_algorithms::run(scale)),
-        "e2" => Some(e2_techniques::run(scale)),
-        "e3" => Some(e3_breach::run(scale)),
-        "e4" => Some(e4_cost_model::run(scale)),
-        "e5" => Some(e5_shared::run(scale)),
-        "e6" => Some(e6_collusion::run(scale)),
-        "e7" => Some(e7_strategies::run(scale)),
-        "e8" => Some(e8_clustering::run(scale)),
-        "e9" => Some(e9_storage::run(scale)),
-        "e10" => Some(e10_scaling::run(scale)),
-        "e11" => Some(e11_intersection::run(scale)),
-        "e12" => Some(e12_batching::run(scale)),
-        "e13" => Some(e13_frontier::run(scale)),
-        "e14" => Some(e14_parallel::run(scale)),
-        "e15" => Some(e15_cache::run(scale)),
-        "e16" => Some(e16_gateway::run(scale)),
-        "e17" => Some(e17_netload::run(scale)),
-        "e18" => Some(e18_partition::run(scale)),
-        "e19" => Some(e19_livemap::run(scale)),
-        "e20" => Some(e20_continent::run(scale)),
-        "lint" => Some(lint::run(scale)),
-        _ => None,
-    }
+/// The entry point registered under `id`, if any.
+pub fn lookup(id: &str) -> Option<RunFn> {
+    REGISTRY.iter().find(|&&(known, _)| known == id).map(|&(_, run)| run)
 }
 
 #[cfg(test)]
@@ -68,6 +66,16 @@ mod tests {
 
     #[test]
     fn unknown_id_is_none() {
-        assert!(run_by_id("e99", &Scale::quick()).is_none());
+        assert!(lookup("e99").is_none());
+        assert!(lookup("E3").is_none(), "ids are lower-case; the binary folds case");
+    }
+
+    // Pins the table's shape without running any experiment.
+    #[test]
+    fn registry_ids_are_sequential_and_resolve() {
+        for (i, &(id, _)) in REGISTRY.iter().enumerate() {
+            assert_eq!(id, format!("e{}", i + 1), "row {i}: unique, lower-case, in run order");
+            assert!(lookup(id).is_some(), "{id} resolves");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! # bench — experiment harness for the OPAQUE reproduction
 //!
-//! Regenerates every paper artifact as a table (see DESIGN.md §3 for the
-//! experiment index). Run the whole suite with:
+//! Regenerates every paper artifact as a table (`docs/paper_map.md` maps
+//! paper sections to experiments). Run the whole suite with:
 //!
 //! ```text
 //! cargo run -p bench --release --bin experiments
@@ -9,14 +9,12 @@
 //! cargo run -p bench --release --bin experiments -- --quick # CI scale
 //! ```
 //!
-//! Criterion micro-benchmarks (timings rather than operation counts) live
-//! in `crates/bench/benches/`, one per experiment family.
+//! Performance is measured elsewhere: `BENCHMARK.json` and `benchmark/`
+//! at the repository root.
 
 pub mod experiments;
-pub mod json;
 pub mod setup;
 pub mod table;
 
-pub use json::{PerfPoint, PerfTrajectory};
 pub use setup::Scale;
 pub use table::{ExperimentTable, f3};

@@ -4,8 +4,8 @@ use roadnet::generators::NetworkClass;
 use roadnet::{RoadNetwork, SpatialIndex};
 
 /// Experiment scale: `quick` keeps the full suite under a couple of seconds
-/// (used by tests and smoke runs), `full` is the scale EXPERIMENTS.md
-/// records.
+/// (used by tests and smoke runs), `full` is the scale a write-up
+/// quotes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Scale {
     /// Target node count for generated networks.
@@ -22,7 +22,7 @@ impl Scale {
         Scale { network_nodes: 400, queries: 8, trials: 20_000 }
     }
 
-    /// The scale used to produce the numbers in EXPERIMENTS.md.
+    /// The scale a quoted run uses (`experiments` without `--quick`).
     pub fn full() -> Self {
         Scale { network_nodes: 4_000, queries: 40, trials: 200_000 }
     }

@@ -2,7 +2,8 @@
 //!
 //! Every experiment produces an [`ExperimentTable`]: a title, column
 //! headers, and string rows. Tables render with aligned columns for the
-//! terminal and serialize to JSON so EXPERIMENTS.md can quote exact runs.
+//! terminal and serialize to JSON (`experiments --json`) so a write-up can
+//! quote exact runs.
 
 /// One experiment's tabular output.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
@@ -20,8 +21,8 @@ pub struct ExperimentTable {
     /// Free-form observations recorded by the harness.
     pub notes: Vec<String>,
     /// Named machine-readable summary values (`trees_grown`,
-    /// `cache_hit_rate`, …) — what the CI perf-trajectory emitter
-    /// (`crate::json`) reads, so trend lines never parse formatted rows.
+    /// `cache_hit_rate`, …): what the experiment tests assert on and what
+    /// `--json` consumers read, so neither parses formatted rows.
     pub metrics: Vec<(String, f64)>,
 }
 
@@ -86,7 +87,7 @@ impl ExperimentTable {
         };
         out.push_str(&fmt_row(&self.headers, &widths));
         out.push('\n');
-        let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
+        let total: usize = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
         out.push_str(&"-".repeat(total));
         out.push('\n');
         for row in &self.rows {
@@ -102,8 +103,9 @@ impl ExperimentTable {
 
 /// Format a float with 3 significant decimals, compactly.
 pub fn f3(x: f64) -> String {
-    if x.is_infinite() {
-        "inf".to_string()
+    if !x.is_finite() {
+        // `{}` keeps the sign of -inf.
+        format!("{x}")
     } else if x == 0.0 {
         "0".to_string()
     } else if x.abs() >= 1000.0 {
@@ -131,6 +133,9 @@ mod tests {
         assert!(s.contains("note: hello"));
         // Columns right-aligned to the widest cell.
         assert!(s.lines().any(|l| l.trim_start().starts_with("name")));
+        // A header-less table still renders (title, empty header, empty rule).
+        let bare = ExperimentTable::new("E0", "demo", "none", &[]).render();
+        assert_eq!(bare.lines().count(), 4, "{bare:?}");
     }
 
     #[test]
@@ -150,9 +155,17 @@ mod tests {
         assert_eq!(t.metric_value("trees_grown"), Some(14.0));
         assert_eq!(t.metric_value("cache_hit_rate"), Some(0.5));
         assert_eq!(t.metrics.len(), 2, "overwrite, not append");
-        // Metrics ride along in the serialized table.
+        // Metrics ride along in the serialized table: the `--json` form
+        // round-trips names, values and order.
         let json = serde_json::to_string(&t).unwrap();
-        assert!(json.contains("cache_hit_rate"), "{json}");
+        let back: ExperimentTable = serde_json::from_str(&json).unwrap();
+        assert_eq!(
+            back.metrics[0],
+            ("trees_grown".to_string(), 14.0),
+            "first recorded stays first"
+        );
+        assert_eq!(back.metrics, t.metrics);
+        assert_eq!((back.id, back.headers, back.rows), (t.id, t.headers, t.rows));
     }
 
     #[test]
@@ -162,5 +175,7 @@ mod tests {
         assert_eq!(f3(7.38905), "7.39");
         assert_eq!(f3(1234.4), "1234");
         assert_eq!(f3(f64::INFINITY), "inf");
+        assert_eq!(f3(f64::NEG_INFINITY), "-inf");
+        assert_eq!(f3(f64::NAN), "NaN");
     }
 }

@@ -27,10 +27,14 @@ struct Args {
     smoke: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str =
+    "usage: opaque-server [--addr HOST:PORT] [--nodes N] [--seed S] [--shards K] [--smoke]";
+
+/// Parse the command line (program name already skipped). `Ok(None)` is
+/// `--help`; `Err` is a usage error.
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
     let mut args =
         Args { addr: "127.0.0.1:4650".to_string(), nodes: 1024, seed: 7, shards: 1, smoke: false };
-    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} expects a value"));
         match flag.as_str() {
@@ -45,34 +49,33 @@ fn parse_args() -> Result<Args, String> {
                 args.shards = value("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?;
             }
             "--smoke" => args.smoke = true,
-            "--help" | "-h" => {
-                return Err("usage: opaque-server [--addr HOST:PORT] [--nodes N] [--seed S] \
-                     [--shards K] [--smoke]"
-                    .to_string());
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
-fn build_server(args: &Args, addr: &str) -> NetServer {
+/// Operator input decides every failure here (`--nodes`, `--shards`,
+/// `--addr`), so each comes back as the typed error's message, not a panic.
+fn build_server(args: &Args, addr: &str) -> Result<NetServer, String> {
     let side = (args.nodes as f64).sqrt().ceil().max(4.0) as usize;
     let map =
         grid_network(&GridConfig { width: side, height: side, seed: 5, ..Default::default() })
-            .expect("grid generates");
+            .map_err(|e| e.to_string())?;
     let service = ServiceBuilder::new()
         .map(map)
         .seed(args.seed)
         .shards(args.shards)
         .batch_policy(BatchPolicy { max_batch: 64, max_delay: 0.05 })
         .build()
-        .expect("valid service configuration");
-    NetServer::bind(addr, service, ServerConfig::default()).expect("bind")
+        .map_err(|e| e.to_string())?;
+    NetServer::bind(addr, service, ServerConfig::default())
+        .map_err(|e| format!("cannot bind {addr}: {e}"))
 }
 
 fn smoke(args: &Args) -> Result<(), String> {
-    let mut server = build_server(args, "127.0.0.1:0");
+    let mut server = build_server(args, "127.0.0.1:0")?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     let side = (args.nodes as f64).sqrt().ceil().max(4.0) as u32;
     let n = side * side; // NodeId space of the generated grid
@@ -123,7 +126,7 @@ fn smoke(args: &Args) -> Result<(), String> {
 }
 
 fn serve(args: &Args) -> Result<(), String> {
-    let mut server = build_server(args, &args.addr);
+    let mut server = build_server(args, &args.addr)?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     eprintln!("opaque-server listening on {addr} ({} nodes, seed {})", args.nodes, args.seed);
     let stop = AtomicBool::new(false);
@@ -131,8 +134,12 @@ fn serve(args: &Args) -> Result<(), String> {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             std::process::exit(2);
@@ -142,5 +149,33 @@ fn main() {
     if let Err(msg) = result {
         eprintln!("opaque-server: {msg}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &[&str]) -> Result<Option<Args>, String> {
+        parse_args(line.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn bad_operator_input_is_an_error_not_a_panic() {
+        assert!(parse(&["--help"]).unwrap().is_none(), "--help is not an error");
+        assert_eq!(parse(&["--shards"]).err().unwrap(), "--shards expects a value");
+        assert_eq!(parse(&["--bogus"]).err().unwrap(), "unknown flag --bogus");
+        assert!(parse(&["--nodes", "many"]).err().unwrap().starts_with("--nodes: "));
+
+        // `--shards 0` parses; the service builder refuses it, by message.
+        let zero = parse(&["--shards", "0", "--nodes", "16", "--smoke"]).unwrap().unwrap();
+        assert!(zero.smoke && zero.shards == 0 && zero.nodes == 16);
+        let err = build_server(&zero, "127.0.0.1:0").err().unwrap();
+        assert!(err.contains("shards must be >= 1"), "{err}");
+
+        let ok = parse(&["--nodes", "16"]).unwrap().unwrap();
+        let err = build_server(&ok, "nonsense").err().unwrap();
+        assert!(err.starts_with("cannot bind nonsense: "), "{err}");
+        assert!(build_server(&ok, "127.0.0.1:0").is_ok());
     }
 }

@@ -134,15 +134,23 @@ impl LruBuffer {
     /// Access `page`: returns `true` if the access faulted (page was not
     /// resident and a simulated disk read happened).
     pub fn touch(&mut self, page: u32) -> bool {
+        self.touch_evicting(page).0
+    }
+
+    /// [`LruBuffer::touch`], also reporting the page a fault displaced —
+    /// for callers that keep per-page data beside the buffer and must drop
+    /// the victim's.
+    pub(crate) fn touch_evicting(&mut self, page: u32) -> (bool, Option<u32>) {
         self.stats.accesses += 1;
         if let Some(&slot) = self.map.get(&page) {
             if self.head != slot {
                 self.unlink(slot);
                 self.push_front(slot);
             }
-            return false;
+            return (false, None);
         }
         self.stats.faults += 1;
+        let mut evicted = None;
         let slot = if self.map.len() < self.capacity {
             let slot = self.slots.len() as u32;
             self.slots.push(Slot { page, prev: NIL, next: NIL });
@@ -156,11 +164,12 @@ impl LruBuffer {
             self.map.remove(&old_page);
             self.stats.evictions += 1;
             self.slots[victim as usize].page = page;
+            evicted = Some(old_page);
             victim
         };
         self.map.insert(page, slot);
         self.push_front(slot);
-        true
+        (true, evicted)
     }
 
     /// Pages from most- to least-recently used (test/debug helper).
@@ -199,7 +208,7 @@ mod tests {
         b.touch(1);
         b.touch(2);
         b.touch(1); // order now [1, 2]
-        assert!(b.touch(3)); // evicts 2
+        assert_eq!(b.touch_evicting(3), (true, Some(2)));
         assert!(b.contains(1));
         assert!(!b.contains(2));
         assert!(b.contains(3));
