@@ -558,43 +558,54 @@ mod tests {
 
     #[test]
     fn malformed_frame_draining_closes_only_that_connection() {
-        let mut srv = server(1);
-        let addr = srv.local_addr().unwrap();
-        let mut bad = TcpStream::connect(addr).unwrap();
-        let mut good = TcpStream::connect(addr).unwrap();
+        // Three hostile frames, one per run: a bad version byte, a nesting
+        // flood aimed at the JSON parser's recursion, and a well-formed
+        // request whose client id is not an integer.
+        let mut bad_version = frame_vec(b"{}").unwrap();
+        bad_version[4] = 0xEE;
+        let nested = frame_vec(&vec![b'['; 100_000]).unwrap();
+        let fractional_id = frame_vec(
+            br#"{"request":{"client":1.9,"query":{"source":0,"destination":5},"protection":{"f_s":2,"f_t":2}},"priority":"Interactive"}"#,
+        )
+        .unwrap();
+        for evil in [bad_version, nested, fractional_id] {
+            let mut srv = server(1);
+            let addr = srv.local_addr().unwrap();
+            let mut bad = TcpStream::connect(addr).unwrap();
+            let mut good = TcpStream::connect(addr).unwrap();
 
-        // The bad client sends a frame with a hostile version byte.
-        let mut evil = frame_vec(b"{}").unwrap();
-        evil[4] = 0xEE;
-        bad.write_all(&evil).unwrap();
-        let bad_reader = std::thread::spawn(move || {
-            let mut bytes = Vec::new();
-            bad.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
-            bad.read_to_end(&mut bytes).unwrap();
-            bytes
-        });
+            let bad_peer = std::thread::spawn(move || {
+                bad.write_all(&evil).unwrap();
+                let mut bytes = Vec::new();
+                bad.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+                bad.read_to_end(&mut bytes).unwrap();
+                bytes
+            });
 
-        // The good client's request must still be served.
-        good.write_all(&wire_request(3, 0, 143)).unwrap();
-        let good_reader = std::thread::spawn(move || read_replies(&mut good, 1));
+            // The good client's request must still be served.
+            good.write_all(&wire_request(3, 0, 143)).unwrap();
+            let good_reader = std::thread::spawn(move || read_replies(&mut good, 1));
 
-        for _ in 0..3_000 {
-            srv.poll_once().unwrap();
-            if srv.stats().replies_sent >= 1 && srv.open_conns() <= 1 {
-                break;
+            for _ in 0..3_000 {
+                srv.poll_once().unwrap();
+                // The hostile peer returns once the server closes on it.
+                if srv.stats().replies_sent >= 1 && bad_peer.is_finished() {
+                    break;
+                }
             }
-        }
-        let bad_bytes = bad_reader.join().unwrap();
-        let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
-        dec.push(&bad_bytes);
-        let notice: WireReply = decode_message(&dec.next_frame().unwrap().unwrap()).unwrap();
-        assert!(matches!(notice, WireReply::Error { .. }), "got {notice:?}");
+            let bad_bytes = bad_peer.join().unwrap();
+            let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
+            dec.push(&bad_bytes);
+            let notice: WireReply = decode_message(&dec.next_frame().unwrap().unwrap()).unwrap();
+            assert!(matches!(notice, WireReply::Error { .. }), "got {notice:?}");
+            assert_eq!(srv.stats().submitted, 1, "the hostile frame never reached the gateway");
 
-        let good_replies = good_reader.join().unwrap();
-        assert!(
-            matches!(&good_replies[0], WireReply::Result { result, .. }
-                if result.client == ClientId(3)),
-            "healthy connection starved by a hostile peer: {good_replies:?}"
-        );
+            let good_replies = good_reader.join().unwrap();
+            assert!(
+                matches!(&good_replies[0], WireReply::Result { result, .. }
+                    if result.client == ClientId(3)),
+                "healthy connection starved by a hostile peer: {good_replies:?}"
+            );
+        }
     }
 }

@@ -182,10 +182,31 @@ mod tests {
 
     #[test]
     fn malformed_payloads_are_typed_errors_not_panics() {
-        for bad in [&b"\xff\xfe"[..], b"not json", b"{\"request\":3}"] {
+        // Nesting floods (the parser recurses per level) and numbers that
+        // are not an integer of the field's type: a fraction, a negative,
+        // an overflow, and an id that would alias onto u32::MAX.
+        let flood = vec![b'['; 100_000];
+        let object_flood = br#"{"a":"#.repeat(50_000);
+        let request = |client: &str, source: &str, f_s: &str| {
+            format!(
+                r#"{{"request":{{"client":{client},"query":{{"source":{source},"destination":5}},"protection":{{"f_s":{f_s},"f_t":3}}}},"priority":"Interactive"}}"#
+            )
+        };
+        assert!(decode_message::<WireRequest>(request("1", "0", "3").as_bytes()).is_ok());
+        let bad_integers = [
+            request("1.9", "0", "3"),
+            request("1", "-3", "3"),
+            request("1", "0", "1e300"),
+            request("4294967297", "0", "3"),
+        ];
+        let hostile = [&b"\xff\xfe"[..], b"not json", b"{\"request\":3}", &flood, &object_flood];
+        for bad in hostile.into_iter().chain(bad_integers.iter().map(String::as_bytes)) {
             match decode_message::<WireRequest>(bad) {
                 Err(NetError::Malformed { .. }) => {}
-                other => panic!("expected Malformed for {bad:?}, got {other:?}"),
+                other => {
+                    let shown = String::from_utf8_lossy(&bad[..bad.len().min(120)]);
+                    panic!("expected Malformed for {shown:?}, got {other:?}")
+                }
             }
         }
     }

@@ -209,9 +209,8 @@ impl Obfuscator {
     }
 
     /// Validate a request against this obfuscator's map: endpoints must be
-    /// known nodes and the protection sizes positive. Shared with the
-    /// service layer's admission path.
-    pub(crate) fn check_request(&self, r: &ClientRequest) -> Result<()> {
+    /// known nodes and the protection sizes positive.
+    fn check_request(&self, r: &ClientRequest) -> Result<()> {
         let n = self.map.num_nodes();
         for node in [r.query.source, r.query.destination] {
             if node.index() >= n {

@@ -5,15 +5,17 @@
 //! behind the wire — a single in-memory server, a paged-storage server, or
 //! a fleet of shards. [`DirectionsBackend`] is that protocol boundary: the
 //! exact operation surface the obfuscator needs from "the server side",
-//! and nothing more. [`crate::service::OpaqueService`] is generic over it,
-//! so later transports (async, remote) only need a new impl.
+//! and nothing more. Two things are generic over it: the worker pool in
+//! [`crate::service::parallel`], which drives any `Send` shard type, and
+//! [`crate::service::OpaqueService`], so a test can put a fake server
+//! behind the service (the tampering wrapper in `service/mod.rs`'s tests).
 
 use crate::error::{OpaqueError, Result};
-use crate::query::{ObfuscatedPathQuery, PathQuery};
+use crate::query::ObfuscatedPathQuery;
 use crate::server::{DirectionsServer, ServerStats};
 use crate::service::parallel::{self, ExecutionPolicy};
 use crate::service::partition::Partition;
-use pathsearch::{MsmdResult, Path};
+use pathsearch::MsmdResult;
 use roadnet::GraphView;
 
 /// Anything that can answer directions queries for the OPAQUE pipeline.
@@ -47,19 +49,8 @@ pub trait DirectionsBackend {
         queries.iter().map(|q| self.process(q)).collect()
     }
 
-    /// Answer a plain, unprotected path query.
-    fn process_plain(&mut self, query: &PathQuery) -> Option<Path>;
-
     /// Cumulative load counters across every query served.
     fn stats(&self) -> ServerStats;
-
-    /// Zero the load counters.
-    fn reset_stats(&mut self);
-
-    /// Human-readable description for logs and reports.
-    fn label(&self) -> String {
-        "directions-backend".to_string()
-    }
 }
 
 impl<G: GraphView> DirectionsBackend for DirectionsServer<G> {
@@ -67,50 +58,8 @@ impl<G: GraphView> DirectionsBackend for DirectionsServer<G> {
         DirectionsServer::process(self, query)
     }
 
-    fn process_plain(&mut self, query: &PathQuery) -> Option<Path> {
-        DirectionsServer::process_plain(self, query)
-    }
-
     fn stats(&self) -> ServerStats {
         DirectionsServer::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        DirectionsServer::reset_stats(self)
-    }
-
-    fn label(&self) -> String {
-        format!("directions-server({})", self.policy().name())
-    }
-}
-
-impl<B: DirectionsBackend + ?Sized> DirectionsBackend for Box<B> {
-    fn process(&mut self, query: &ObfuscatedPathQuery) -> MsmdResult {
-        (**self).process(query)
-    }
-
-    fn process_many(
-        &mut self,
-        queries: &[ObfuscatedPathQuery],
-        execution: ExecutionPolicy,
-    ) -> Vec<MsmdResult> {
-        (**self).process_many(queries, execution)
-    }
-
-    fn process_plain(&mut self, query: &PathQuery) -> Option<Path> {
-        (**self).process_plain(query)
-    }
-
-    fn stats(&self) -> ServerStats {
-        (**self).stats()
-    }
-
-    fn reset_stats(&mut self) {
-        (**self).reset_stats()
-    }
-
-    fn label(&self) -> String {
-        (**self).label()
     }
 }
 
@@ -292,39 +241,12 @@ impl<B: DirectionsBackend + Send> DirectionsBackend for ShardedBackend<B> {
         }
     }
 
-    fn process_plain(&mut self, query: &PathQuery) -> Option<Path> {
-        let picked = match &self.router {
-            // Plain queries grow their tree from the source: route by the
-            // source side so repeats of a popular origin hit one cache.
-            Some(partition) => partition.route_endpoints(&[query.source], &[query.destination]).0,
-            None => {
-                let picked = self.cursor;
-                self.cursor = (self.cursor + 1) % self.shards.len();
-                picked
-            }
-        };
-        self.shards[picked].process_plain(query)
-    }
-
     fn stats(&self) -> ServerStats {
         let mut total = ServerStats::default();
         for shard in &self.shards {
             total.merge(&shard.stats());
         }
         total
-    }
-
-    fn reset_stats(&mut self) {
-        for shard in &mut self.shards {
-            shard.reset_stats();
-        }
-    }
-
-    fn label(&self) -> String {
-        match &self.router {
-            Some(p) => format!("sharded({}x, region-owned halo={})", self.shards.len(), p.halo()),
-            None => format!("sharded({}x)", self.shards.len()),
-        }
     }
 }
 
@@ -353,8 +275,6 @@ mod tests {
         assert_eq!(sharded.load_per_shard(), vec![2, 2, 2]);
         assert_eq!(sharded.stats().obfuscated_queries, 6);
         assert_eq!(sharded.stats().pairs_evaluated, 6);
-        sharded.reset_stats();
-        assert_eq!(sharded.stats(), ServerStats::default());
     }
 
     #[test]
@@ -427,14 +347,5 @@ mod tests {
             assert_eq!(shard.map_epoch(), 1);
             assert!(shard.tree_cache().unwrap().is_empty());
         }
-    }
-
-    #[test]
-    fn boxed_backends_dispatch_dynamically() {
-        let mut backend: Box<dyn DirectionsBackend> = Box::new(server());
-        let p = backend.process_plain(&PathQuery::new(NodeId(0), NodeId(99))).unwrap();
-        assert_eq!(p.source(), NodeId(0));
-        assert_eq!(backend.stats().plain_queries, 1);
-        assert!(backend.label().contains("directions-server"));
     }
 }

@@ -56,8 +56,7 @@ pub struct ServiceConfig {
     /// How query units are placed on the shard fleet: the historical
     /// [`PartitionPolicy::RoundRobin`] rotation, or
     /// [`PartitionPolicy::RegionOwned`] routing to the shard owning each
-    /// unit's obfuscation region (deserializes from absent/`null` as
-    /// round-robin, so configs predating the field keep their meaning).
+    /// unit's obfuscation region.
     pub partition: PartitionPolicy,
     /// How each batch's obfuscated queries are executed against the shard
     /// fleet — sequentially or across a pinned-worker pool.
@@ -76,8 +75,7 @@ pub struct ServiceConfig {
     /// [`SearchHeuristic::Alt`] builds one shared ALT landmark table at
     /// [`ServiceBuilder::build`] and attaches it to every shard, pruning
     /// settled nodes with answers and reports byte-identical to
-    /// [`SearchHeuristic::None`] (deserializes from absent/`null` as
-    /// `None`, so configs predating the field keep their meaning).
+    /// [`SearchHeuristic::None`].
     pub heuristic: SearchHeuristic,
 }
 
@@ -313,7 +311,7 @@ impl ServiceBuilder {
     }
 
     /// Validate and assemble around a caller-supplied backend (paged
-    /// storage, custom shard fleets, mocks). The map still seeds the
+    /// storage, custom shard fleets, test fakes). The map still seeds the
     /// obfuscator; the backend is used as given and
     /// [`ServiceConfig::shards`] / [`ServiceConfig::sharing`] are ignored.
     pub fn build_with_backend<B: DirectionsBackend>(self, backend: B) -> Result<OpaqueService<B>> {
@@ -357,7 +355,6 @@ impl ServiceBuilder {
             mode: config.mode,
             batcher: Batcher::new(config.batch, config.admission)?,
             verify_results: config.verify_results,
-            strict_delivery: false,
             execution: config.execution,
         })
     }
@@ -502,13 +499,6 @@ mod tests {
             let back: ServiceConfig = serde_json::from_str(&json).unwrap();
             assert_eq!(back, config, "{partition:?}");
         }
-        // A config serialized before the partition field existed (no
-        // "partition" key at all) must still parse, as round-robin.
-        let mut legacy = serde_json::to_string(&ServiceConfig::default()).unwrap();
-        legacy = legacy.replace("\"partition\":\"RoundRobin\",", "");
-        assert!(!legacy.contains("partition"), "{legacy}");
-        let back: ServiceConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back, ServiceConfig::default());
         // Defaults stay round-robin (the historical placement).
         assert_eq!(ServiceConfig::default().partition, PartitionPolicy::RoundRobin);
     }
@@ -527,13 +517,6 @@ mod tests {
             let back: ServiceConfig = serde_json::from_str(&json).unwrap();
             assert_eq!(back, config, "{heuristic:?}");
         }
-        // A config serialized before the heuristic field existed (no
-        // "heuristic" key at all) must still parse, as unguided.
-        let mut legacy = serde_json::to_string(&ServiceConfig::default()).unwrap();
-        legacy = legacy.replace(",\"heuristic\":\"None\"", "");
-        assert!(!legacy.contains("heuristic"), "{legacy}");
-        let back: ServiceConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back, ServiceConfig::default());
         // Defaults stay unguided (the historical behavior).
         assert_eq!(ServiceConfig::default().heuristic, SearchHeuristic::None);
     }

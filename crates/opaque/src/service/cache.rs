@@ -14,7 +14,7 @@
 //! recorded prefix) and are only reused when the early-termination rule
 //! is provably unaffected.
 //!
-//! Entries are keyed by `(map_epoch, root, direction, policy bits)`:
+//! Entries are keyed by `(map_epoch, root, policy bits)`:
 //!
 //! * **map_epoch** — bumped by [`crate::server::DirectionsServer::swap_map`];
 //!   entries of older epochs can never be returned (and the swap clears
@@ -23,9 +23,6 @@
 //!   keeps the epoch (the topology did not change) and surgically evicts
 //!   only the traces whose recorded sweep touched an updated edge;
 //! * **root** — the node the sweep grew from;
-//! * **direction** — the sweep's arc orientation
-//!   ([`pathsearch::SweepDirection`]; always `Forward` today, `Backward`
-//!   reserved for reverse-arc sweeps on directed views);
 //! * **policy bits** — the sweep class of the server's
 //!   [`pathsearch::SharingPolicy`]: `None`/`PerSource`/`Auto` all drive
 //!   the same single-tree sweep machine and share entries; a future
@@ -49,14 +46,14 @@
 //! so each root is grown (and stored) once fleet-wide and the per-shard
 //! LRU holds its own region's hot roots instead of a shuffled sample of
 //! everyone's. The `e18_partition` experiment and the partition stress
-//! test measure exactly that gap; the hit/miss counters stay off the
-//! serialized report, so placement remains report-byte-invisible while
-//! the physical hit rate moves.
+//! test measure exactly that gap; the hit/miss counters are on
+//! [`crate::ServerStats`], not in the report, so placement remains
+//! report-byte-invisible while the physical hit rate moves.
 //!
 //! [`DirectionsServer`]: crate::server::DirectionsServer
 
 use crate::error::{OpaqueError, Result};
-use pathsearch::{SharingPolicy, SweepDirection, SweepTrace, TreeStore};
+use pathsearch::{SharingPolicy, SweepTrace, TreeStore};
 use roadnet::NodeId;
 use std::collections::HashMap;
 
@@ -106,7 +103,6 @@ impl CachePolicy {
 struct TreeKey {
     map_epoch: u64,
     root: u32,
-    direction: SweepDirection,
     policy_bits: u8,
 }
 
@@ -236,21 +232,16 @@ impl TreeCache {
         self.entries.retain(|_, e| !e.trace.touches_any(endpoints));
     }
 
-    fn key(&self, root: NodeId, direction: SweepDirection) -> TreeKey {
-        TreeKey {
-            map_epoch: self.map_epoch,
-            root: root.0,
-            direction,
-            policy_bits: self.policy_bits,
-        }
+    fn key(&self, root: NodeId) -> TreeKey {
+        TreeKey { map_epoch: self.map_epoch, root: root.0, policy_bits: self.policy_bits }
     }
 }
 
 impl TreeStore for TreeCache {
-    fn lookup(&mut self, root: NodeId, direction: SweepDirection) -> Option<&SweepTrace> {
+    fn lookup(&mut self, root: NodeId) -> Option<&SweepTrace> {
         self.tick += 1;
         let tick = self.tick;
-        let key = self.key(root, direction);
+        let key = self.key(root);
         match self.entries.get_mut(&key) {
             Some(e) => {
                 e.last_used = tick;
@@ -260,9 +251,9 @@ impl TreeStore for TreeCache {
         }
     }
 
-    fn store(&mut self, root: NodeId, direction: SweepDirection, trace: SweepTrace) {
+    fn store(&mut self, root: NodeId, trace: SweepTrace) {
         self.tick += 1;
-        let key = self.key(root, direction);
+        let key = self.key(root);
         if let Some(e) = self.entries.get_mut(&key) {
             // Sweeps from one root *under one potential* are prefixes of
             // each other: keep the deeper one, it answers strictly more
@@ -339,15 +330,15 @@ mod tests {
     fn lru_evicts_the_least_recently_used_tree() {
         let g = grid();
         let mut cache = TreeCache::new(2, SharingPolicy::PerSource);
-        cache.store(NodeId(0), SweepDirection::Forward, trace_from(&g, 0));
-        cache.store(NodeId(1), SweepDirection::Forward, trace_from(&g, 1));
+        cache.store(NodeId(0), trace_from(&g, 0));
+        cache.store(NodeId(1), trace_from(&g, 1));
         // Touch 0 so 1 becomes the LRU victim.
-        assert!(cache.lookup(NodeId(0), SweepDirection::Forward).is_some());
-        cache.store(NodeId(2), SweepDirection::Forward, trace_from(&g, 2));
+        assert!(cache.lookup(NodeId(0)).is_some());
+        cache.store(NodeId(2), trace_from(&g, 2));
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(NodeId(0), SweepDirection::Forward).is_some());
-        assert!(cache.lookup(NodeId(1), SweepDirection::Forward).is_none(), "evicted");
-        assert!(cache.lookup(NodeId(2), SweepDirection::Forward).is_some());
+        assert!(cache.lookup(NodeId(0)).is_some());
+        assert!(cache.lookup(NodeId(1)).is_none(), "evicted");
+        assert!(cache.lookup(NodeId(2)).is_some());
     }
 
     #[test]
@@ -358,9 +349,9 @@ mod tests {
         let (_, shallow) = run_in_traced(&mut arena, &g, NodeId(0), &Goal::Single(NodeId(11)));
         let deep = trace_from(&g, 0);
         assert!(shallow.len() < deep.len());
-        cache.store(NodeId(0), SweepDirection::Forward, deep.clone());
-        cache.store(NodeId(0), SweepDirection::Forward, shallow);
-        let kept = cache.lookup(NodeId(0), SweepDirection::Forward).unwrap();
+        cache.store(NodeId(0), deep.clone());
+        cache.store(NodeId(0), shallow);
+        let kept = cache.lookup(NodeId(0)).unwrap();
         assert_eq!(kept.len(), deep.len(), "a shallower re-store must not clobber a deeper tree");
     }
 
@@ -390,7 +381,7 @@ mod tests {
         let mut guided_trace = |goal: Goal| {
             let mut scratch = TreeCache::new(1, SharingPolicy::PerSource);
             run_tree(&mut arena, &g, root, &goal, Some(&pot), Some(&mut scratch));
-            scratch.lookup(root, SweepDirection::Forward).unwrap().clone()
+            scratch.lookup(root).unwrap().clone()
         };
         // (A goal one diagonal step towards `far` settles early under
         // `far`'s potential.)
@@ -399,26 +390,26 @@ mod tests {
         assert_eq!(deep.potential(), shallow.potential());
         assert!(shallow.len() < deep.len());
         let mut cache = TreeCache::new(4, SharingPolicy::PerSource);
-        cache.store(root, SweepDirection::Forward, deep.clone());
-        cache.store(root, SweepDirection::Forward, shallow);
-        assert_eq!(cache.lookup(root, SweepDirection::Forward).unwrap().len(), deep.len());
+        cache.store(root, deep.clone());
+        cache.store(root, shallow);
+        assert_eq!(cache.lookup(root).unwrap().len(), deep.len());
     }
 
     #[test]
     fn invalidation_moves_the_epoch_and_drops_entries() {
         let g = grid();
         let mut cache = TreeCache::new(4, SharingPolicy::PerSource);
-        cache.store(NodeId(0), SweepDirection::Forward, trace_from(&g, 0));
+        cache.store(NodeId(0), trace_from(&g, 0));
         cache.note_hit();
         assert_eq!(cache.map_epoch(), 0);
         cache.invalidate(1);
         assert_eq!(cache.map_epoch(), 1);
         assert!(cache.is_empty());
-        assert!(cache.lookup(NodeId(0), SweepDirection::Forward).is_none());
+        assert!(cache.lookup(NodeId(0)).is_none());
         assert_eq!(cache.counters(), (1, 0), "lifetime counters survive invalidation");
         // New entries land under the new epoch and resolve normally.
-        cache.store(NodeId(0), SweepDirection::Forward, trace_from(&g, 0));
-        assert!(cache.lookup(NodeId(0), SweepDirection::Forward).is_some());
+        cache.store(NodeId(0), trace_from(&g, 0));
+        assert!(cache.lookup(NodeId(0)).is_some());
     }
 
     #[test]
@@ -448,8 +439,8 @@ mod tests {
         let mut arena = SearchArena::new();
         let (_, partial) = run_in_traced(&mut arena, &g, NodeId(50), &Goal::Single(NodeId(51)));
         assert!(!partial.is_complete());
-        cache.store(NodeId(0), SweepDirection::Forward, full);
-        cache.store(NodeId(50), SweepDirection::Forward, partial.clone());
+        cache.store(NodeId(0), full);
+        cache.store(NodeId(50), partial.clone());
 
         // An edge both of whose endpoints lie outside the partial sweep's
         // settled prefix: only the complete trace is touched.
@@ -460,11 +451,8 @@ mod tests {
             .copied()
             .expect("a shallow sweep leaves most edges unsettled");
         cache.invalidate_edges(&[(far_edge.a, far_edge.b)]);
-        assert!(cache.lookup(NodeId(0), SweepDirection::Forward).is_none(), "full trace touched");
-        assert!(
-            cache.lookup(NodeId(50), SweepDirection::Forward).is_some(),
-            "untouched partial trace survives"
-        );
+        assert!(cache.lookup(NodeId(0)).is_none(), "full trace touched");
+        assert!(cache.lookup(NodeId(50)).is_some(), "untouched partial trace survives");
 
         // Epoch never moves: this is a weight update, not a topology swap.
         assert_eq!(cache.map_epoch(), 0);
@@ -480,22 +468,22 @@ mod tests {
         let edge = g.edge(roadnet::EdgeId(0));
         for round in 0..5u64 {
             // Surgical cycle: store, evict via a touched edge, re-store.
-            cache.store(NodeId(0), SweepDirection::Forward, trace_from(&g, 0));
-            assert!(cache.lookup(NodeId(0), SweepDirection::Forward).is_some());
+            cache.store(NodeId(0), trace_from(&g, 0));
+            assert!(cache.lookup(NodeId(0)).is_some());
             cache.invalidate_edges(&[(edge.a, edge.b)]);
             assert!(
-                cache.lookup(NodeId(0), SweepDirection::Forward).is_none(),
+                cache.lookup(NodeId(0)).is_none(),
                 "round {round}: evicted trace must not resurrect"
             );
             // Whole-map cycle interleaved: epoch bump also clears.
-            cache.store(NodeId(0), SweepDirection::Forward, trace_from(&g, 0));
+            cache.store(NodeId(0), trace_from(&g, 0));
             cache.invalidate(round + 1);
-            assert!(cache.lookup(NodeId(0), SweepDirection::Forward).is_none());
+            assert!(cache.lookup(NodeId(0)).is_none());
             assert_eq!(cache.map_epoch(), round + 1);
         }
         // The cache still works after the churn.
-        cache.store(NodeId(3), SweepDirection::Forward, trace_from(&g, 3));
-        assert!(cache.lookup(NodeId(3), SweepDirection::Forward).is_some());
+        cache.store(NodeId(3), trace_from(&g, 3));
+        assert!(cache.lookup(NodeId(3)).is_some());
     }
 
     #[test]
@@ -503,14 +491,14 @@ mod tests {
         let g = grid();
         let mut cache = TreeCache::new(2, SharingPolicy::PerSource);
         // Two stores back-to-back: stamps are adjacent ticks (1 and 2).
-        cache.store(NodeId(0), SweepDirection::Forward, trace_from(&g, 0));
-        cache.store(NodeId(1), SweepDirection::Forward, trace_from(&g, 1));
+        cache.store(NodeId(0), trace_from(&g, 0));
+        cache.store(NodeId(1), trace_from(&g, 1));
         // A third store at capacity must evict the *strictly* older stamp
         // even though the two differ by a single tick.
-        cache.store(NodeId(2), SweepDirection::Forward, trace_from(&g, 2));
-        assert!(cache.lookup(NodeId(0), SweepDirection::Forward).is_none(), "oldest tick evicted");
-        assert!(cache.lookup(NodeId(1), SweepDirection::Forward).is_some());
-        assert!(cache.lookup(NodeId(2), SweepDirection::Forward).is_some());
+        cache.store(NodeId(2), trace_from(&g, 2));
+        assert!(cache.lookup(NodeId(0)).is_none(), "oldest tick evicted");
+        assert!(cache.lookup(NodeId(1)).is_some());
+        assert!(cache.lookup(NodeId(2)).is_some());
 
         // After surgical eviction the survivor's stamp still orders
         // correctly against new entries: the lookups above re-stamped 1
@@ -518,11 +506,11 @@ mod tests {
         let edge = g.edge(roadnet::EdgeId(0));
         cache.invalidate_edges(&[(edge.a, edge.b)]);
         assert!(cache.is_empty(), "complete traces touch every edge");
-        cache.store(NodeId(4), SweepDirection::Forward, trace_from(&g, 4));
-        cache.store(NodeId(5), SweepDirection::Forward, trace_from(&g, 5));
-        cache.store(NodeId(6), SweepDirection::Forward, trace_from(&g, 6));
-        assert!(cache.lookup(NodeId(4), SweepDirection::Forward).is_none());
-        assert!(cache.lookup(NodeId(5), SweepDirection::Forward).is_some());
-        assert!(cache.lookup(NodeId(6), SweepDirection::Forward).is_some());
+        cache.store(NodeId(4), trace_from(&g, 4));
+        cache.store(NodeId(5), trace_from(&g, 5));
+        cache.store(NodeId(6), trace_from(&g, 6));
+        assert!(cache.lookup(NodeId(4)).is_none());
+        assert!(cache.lookup(NodeId(5)).is_some());
+        assert!(cache.lookup(NodeId(6)).is_some());
     }
 }

@@ -20,10 +20,8 @@ use std::sync::Arc;
 /// How backend shards guide their Dijkstra sweeps.
 ///
 /// Serialized in the externally-tagged enum form (`"None"` /
-/// `{"Alt":{"landmarks":8}}`); a missing or `null` config field reads as
-/// [`SearchHeuristic::None`], so configs written before this knob existed
-/// keep their meaning.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// `{"Alt":{"landmarks":8}}`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum SearchHeuristic {
     /// Unguided sweeps — the historical behavior and the oracle the
     /// guided regime is proven against.
@@ -80,42 +78,6 @@ impl SearchHeuristic {
                 })?;
                 Ok(Some(Arc::new(pre)))
             }
-        }
-    }
-}
-
-// Hand-written (instead of derived) for one reason: absent config fields
-// deserialize from `Null`, and `Null` must read as the unguided default
-// so pre-heuristic `ServiceConfig` JSON still parses.
-impl serde::Serialize for SearchHeuristic {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            SearchHeuristic::None => serde::Value::Str("None".to_string()),
-            SearchHeuristic::Alt { landmarks } => serde::Value::Object(vec![(
-                "Alt".to_string(),
-                serde::Value::Object(vec![("landmarks".to_string(), landmarks.to_value())]),
-            )]),
-        }
-    }
-}
-
-impl serde::Deserialize for SearchHeuristic {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        match v {
-            serde::Value::Null => Ok(SearchHeuristic::None),
-            serde::Value::Str(s) if s == "None" => Ok(SearchHeuristic::None),
-            serde::Value::Object(entries) => match entries.as_slice() {
-                [(tag, inner)] if tag == "Alt" => {
-                    let fields = inner
-                        .as_object()
-                        .ok_or_else(|| serde::DeError::expected("object for variant Alt"))?;
-                    let landmarks =
-                        serde::Deserialize::from_value(serde::__field(fields, "landmarks"))?;
-                    Ok(SearchHeuristic::Alt { landmarks })
-                }
-                _ => Err(serde::DeError::expected("SearchHeuristic variant")),
-            },
-            _ => Err(serde::DeError::expected("string or map for enum SearchHeuristic")),
         }
     }
 }
@@ -184,9 +146,6 @@ mod tests {
             serde_json::to_string(&SearchHeuristic::Alt { landmarks: 3 }).unwrap(),
             r#"{"Alt":{"landmarks":3}}"#
         );
-        // Null (an absent config field) reads as the unguided default.
-        let back: SearchHeuristic = serde_json::from_str("null").unwrap();
-        assert_eq!(back, SearchHeuristic::None);
         assert!(serde_json::from_str::<SearchHeuristic>(r#""Alt""#).is_err());
         assert!(serde_json::from_str::<SearchHeuristic>("3").is_err());
     }

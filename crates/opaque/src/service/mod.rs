@@ -101,13 +101,6 @@ pub struct OpaqueService<B> {
     /// Re-verify delivered paths against the obfuscator's map, turning
     /// tampering into [`OpaqueError::CorruptResult`].
     pub verify_results: bool,
-    /// Strict delivery (the original all-or-error pipeline contract):
-    /// any unreachable pair or invalid request fails the whole
-    /// batch with an error. When `false` (the service default), such
-    /// requests get per-client [`ClientOutcome::Unreachable`] /
-    /// [`ClientOutcome::Rejected`] outcomes and the rest of the batch is
-    /// still served.
-    pub strict_delivery: bool,
     /// How each batch's obfuscated queries are executed against the
     /// backend: sequentially (the default) or fanned out across a worker
     /// pool of pinned shards — with byte-identical results and reports
@@ -121,7 +114,6 @@ impl<B> std::fmt::Debug for OpaqueService<B> {
             .field("mode", &self.mode)
             .field("pending", &self.batcher.len())
             .field("verify_results", &self.verify_results)
-            .field("strict_delivery", &self.strict_delivery)
             .field("execution", &self.execution)
             .finish_non_exhaustive()
     }
@@ -142,7 +134,6 @@ impl<B: DirectionsBackend> OpaqueService<B> {
                 // the batcher's own tests.
                 .expect("default policies are valid"),
             verify_results: false,
-            strict_delivery: false,
             execution: ExecutionPolicy::Sequential,
         }
     }
@@ -371,14 +362,13 @@ impl<B: DirectionsBackend> OpaqueService<B> {
     ///   queue-driven path never produces such a batch — duplicates are
     ///   deferred at [`OpaqueService::submit`]);
     /// * [`OpaqueError::CorruptResult`] — a backend answer failed
-    ///   verification (always fatal: it indicates tampering);
-    /// * in strict mode only: [`OpaqueError::MissingResult`],
-    ///   [`OpaqueError::NotEnoughFakes`], and the request-validation
-    ///   errors, instead of per-client outcomes. In service mode every
-    ///   feasibility failure — including strategy-level and collective
-    ///   shared-group infeasibility — is attributed to individual clients
-    ///   as [`ClientOutcome::Rejected`] (see
-    ///   `reject_infeasible_members`).
+    ///   verification (always fatal: it indicates tampering).
+    ///
+    /// Every feasibility failure — an invalid request, and strategy-level
+    /// or collective shared-group infeasibility — is attributed to
+    /// individual clients as [`ClientOutcome::Rejected`] (see
+    /// `reject_infeasible_members`), and a disconnected true pair as
+    /// [`ClientOutcome::Unreachable`]; the rest of the batch is served.
     pub fn process_batch_with_mode(
         &mut self,
         requests: &[ClientRequest],
@@ -407,29 +397,19 @@ impl<B: DirectionsBackend> OpaqueService<B> {
             });
         }
 
-        // Admission validation: in service mode invalid requests become
-        // `Rejected` outcomes and the rest proceed; in strict mode the
-        // first invalid request fails the batch (historical contract).
+        // Admission validation: invalid requests become `Rejected`
+        // outcomes and the rest proceed. The screen covers count-level
+        // feasibility, so one greedy client cannot fail the whole batch
+        // during obfuscation.
         let mut outcomes: Vec<(ClientId, ClientOutcome)> = Vec::with_capacity(requests.len());
         let mut admitted: Vec<ClientRequest> = Vec::with_capacity(requests.len());
         for r in requests {
-            // Service mode screens full count-level feasibility so one
-            // greedy client cannot fail the whole batch during
-            // obfuscation; strict mode only validates the request shape
-            // and leaves infeasibility to the obfuscator, which reports
-            // the historical batch-level NotEnoughFakes.
-            let verdict = if self.strict_delivery {
-                self.obfuscator.check_request(r)
-            } else {
-                self.obfuscator.can_satisfy(r)
-            };
-            match verdict {
+            match self.obfuscator.can_satisfy(r) {
                 Ok(()) => {
                     // Placeholder; refined after delivery below.
                     outcomes.push((r.client, ClientOutcome::Delivered));
                     admitted.push(*r);
                 }
-                Err(e) if self.strict_delivery => return Err(e),
                 Err(e) => {
                     outcomes.push((r.client, ClientOutcome::Rejected { reason: e.to_string() }));
                 }
@@ -500,12 +480,6 @@ impl<B: DirectionsBackend> OpaqueService<B> {
                             });
                             results.push(ClientResult { client: request.client, path });
                         }
-                        None if self.strict_delivery => {
-                            return Err(OpaqueError::MissingResult {
-                                source: request.query.source,
-                                destination: request.query.destination,
-                            });
-                        }
                         None => {
                             set_outcome(
                                 &mut outcomes,
@@ -527,8 +501,6 @@ impl<B: DirectionsBackend> OpaqueService<B> {
             report.server_settled = delta.search.settled;
             report.server_relaxed = delta.search.relaxed;
             report.server_trees_grown = delta.trees_grown;
-            report.tree_cache_hits = delta.tree_cache_hits;
-            report.tree_cache_misses = delta.tree_cache_misses;
         }
 
         // Restore request order for the caller. `outcome_slot` maps each
@@ -543,23 +515,21 @@ impl<B: DirectionsBackend> OpaqueService<B> {
     }
 
     /// Obfuscate the admitted requests, attributing
-    /// [`OpaqueError::NotEnoughFakes`] failures to individual clients in
-    /// service mode.
+    /// [`OpaqueError::NotEnoughFakes`] failures to individual clients.
     ///
     /// The count screen at admission cannot see strategy constraints —
     /// e.g. [`crate::obfuscator::FakeSelection::NetworkRing`] on a
     /// disconnected map can only draw fakes from the anchor's component —
     /// nor *collective* infeasibility, where a shared group's maximum
-    /// `f_S`/`f_T` demands jointly exceed the map. In service mode both
-    /// become per-client [`ClientOutcome::Rejected`] outcomes (see
-    /// `reject_infeasible_members`), attributed within
-    /// the failing shared group — for [`ObfuscationMode::SharedClustered`]
-    /// that is the individual cluster, so clients in healthy clusters are
-    /// never blamed for another cluster's infeasibility. Strict mode
-    /// propagates the obfuscator's first error untouched (historical
-    /// contract). Failure handling draws probe samples from the
-    /// obfuscator's RNG, so lenient-mode streams diverge from strict-mode
-    /// ones after a rejection (the all-feasible path is identical).
+    /// `f_S`/`f_T` demands jointly exceed the map. Both become per-client
+    /// [`ClientOutcome::Rejected`] outcomes (see
+    /// `reject_infeasible_members`), attributed within the failing shared
+    /// group — for [`ObfuscationMode::SharedClustered`] that is the
+    /// individual cluster, so clients in healthy clusters are never
+    /// blamed for another cluster's infeasibility. Failure handling draws
+    /// probe samples from the obfuscator's RNG, so after a rejection the
+    /// stream diverges from [`Obfuscator::obfuscate_batch`]'s (the
+    /// all-feasible path is identical).
     fn obfuscate_admitted(
         &mut self,
         admitted: &[ClientRequest],
@@ -567,9 +537,6 @@ impl<B: DirectionsBackend> OpaqueService<B> {
         outcomes: &mut [(ClientId, ClientOutcome)],
         outcome_slot: &HashMap<ClientId, usize>,
     ) -> Result<Vec<ObfuscationUnit>> {
-        if self.strict_delivery {
-            return self.obfuscator.obfuscate_batch(admitted, mode);
-        }
         match mode {
             ObfuscationMode::Independent => {
                 // Per-request obfuscation: failures are individually
@@ -874,10 +841,6 @@ mod tests {
                 }
                 other => panic!("expected rejection for f = {greedy_f}, got {other:?}"),
             }
-            // Strict mode keeps the historical batch-level NotEnoughFakes.
-            svc.strict_delivery = true;
-            let err = svc.process_batch(&[good, greedy]).unwrap_err();
-            assert!(matches!(err, OpaqueError::NotEnoughFakes { .. }), "f = {greedy_f}");
         }
     }
 
@@ -916,11 +879,6 @@ mod tests {
             .collect();
         assert_eq!(rejected.len(), 1, "exactly one eviction: {:?}", resp.outcomes);
         assert!(rejected[0] == ClientId(0) || rejected[0] == ClientId(1));
-
-        // Strict mode keeps the historical batch-level error.
-        svc.strict_delivery = true;
-        let err = svc.process_batch(&reqs).unwrap_err();
-        assert!(matches!(err, OpaqueError::NotEnoughFakes { .. }));
     }
 
     #[test]
@@ -1042,19 +1000,6 @@ mod tests {
             "culprit attributed, not the whole batch failed: {:?}",
             resp.outcomes[1]
         );
-
-        // Strict mode keeps the historical batch-level error.
-        svc.strict_delivery = true;
-        let err = svc.process_batch(&[good, stuck]).unwrap_err();
-        assert!(matches!(err, OpaqueError::NotEnoughFakes { .. }));
-    }
-
-    #[test]
-    fn invalid_request_fails_batch_in_strict_mode() {
-        let mut svc = service();
-        svc.strict_delivery = true;
-        let err = svc.process_batch(&[request(0, 9999, 255, 2)]).unwrap_err();
-        assert!(matches!(err, OpaqueError::UnknownNode { .. }));
     }
 
     /// Tickets of the per-request events, in emission order.
@@ -1316,22 +1261,50 @@ mod tests {
         assert!(report.redundancy_ratio() > 1.0);
     }
 
+    /// A dishonest server: every candidate path comes back reversed, so
+    /// its endpoints no longer match the pair it answers and any window
+    /// served through it fails with [`OpaqueError::CorruptResult`].
+    struct Tampering(DirectionsServer<roadnet::RoadNetwork>);
+
+    impl DirectionsBackend for Tampering {
+        fn process(&mut self, query: &ObfuscatedPathQuery) -> pathsearch::MsmdResult {
+            let mut answer = self.0.process(query);
+            for path in answer.paths.iter_mut().flatten().flatten() {
+                path.reverse();
+            }
+            answer
+        }
+
+        fn stats(&self) -> crate::server::ServerStats {
+            self.0.stats()
+        }
+    }
+
+    fn tampered_service() -> OpaqueService<Tampering> {
+        let g = map();
+        OpaqueService::from_parts(
+            Obfuscator::new(g.clone(), FakeSelection::default_ring(), 11),
+            Tampering(DirectionsServer::new(g, SharingPolicy::PerSource)),
+            ObfuscationMode::Independent,
+        )
+    }
+
     #[test]
     fn acks_survive_a_failed_batch() {
         // A batch-processing error discards the window's events, but the
         // cancellation/shedding acknowledgements taken for that event
         // list are unrelated to the failed batch: they must re-emit on
         // the next tick so every ticket still resolves exactly once.
-        let mut svc = service();
-        svc.strict_delivery = true; // any invalid request fails the batch
+        let mut svc = tampered_service(); // any served window fails
         svc.set_admission_policy(AdmissionPolicy { queue_depth: 16, deadline: Some(2.0) }).unwrap();
         let cancelled = svc.submit(request(0, 0, 255, 2), 0.0).ticket().unwrap();
         let overdue = svc.submit(request(1, 16, 240, 2), 0.0).ticket().unwrap();
         assert!(svc.cancel(cancelled));
-        // An expired straggler plus a poison request for the next window.
-        let _poison = svc.submit(request(2, 9999, 255, 2), 5.0).ticket().unwrap();
+        // An expired straggler plus a request whose window the server
+        // tampers with.
+        let _poison = svc.submit(request(2, 32, 200, 2), 5.0).ticket().unwrap();
         let err = svc.flush(5.0).unwrap_err();
-        assert!(matches!(err, OpaqueError::UnknownNode { .. }));
+        assert!(matches!(err, OpaqueError::CorruptResult { .. }));
         // The poison batch is gone; the acks were restored and re-emit.
         let events = svc.flush(6.0).unwrap();
         assert_eq!(
@@ -1353,20 +1326,19 @@ mod tests {
         // tick that re-emits the restored acks *itself* fails on a fresh
         // poison window, the acks must be restored again — and still emit
         // exactly once when a clean tick finally lands.
-        let mut svc = service();
-        svc.strict_delivery = true;
+        let mut svc = tampered_service();
         svc.set_admission_policy(AdmissionPolicy { queue_depth: 16, deadline: Some(2.0) }).unwrap();
         let cancelled = svc.submit(request(0, 0, 255, 2), 0.0).ticket().unwrap();
         let overdue = svc.submit(request(1, 16, 240, 2), 0.0).ticket().unwrap();
         assert!(svc.cancel(cancelled));
-        let _poison_a = svc.submit(request(2, 9999, 255, 2), 5.0).ticket().unwrap();
+        let _poison_a = svc.submit(request(2, 32, 200, 2), 5.0).ticket().unwrap();
         let first = svc.flush(5.0).unwrap_err();
-        assert!(matches!(first, OpaqueError::UnknownNode { .. }));
+        assert!(matches!(first, OpaqueError::CorruptResult { .. }));
         // The re-emitting tick fails too: a second poison window drains
         // alongside the restored acks.
-        let _poison_b = svc.submit(request(3, 9999, 255, 2), 6.0).ticket().unwrap();
+        let _poison_b = svc.submit(request(3, 48, 180, 2), 6.0).ticket().unwrap();
         let second = svc.flush(6.0).unwrap_err();
-        assert!(matches!(second, OpaqueError::UnknownNode { .. }));
+        assert!(matches!(second, OpaqueError::CorruptResult { .. }));
         // Third time clean: the acks emit once each, in order, no dupes.
         let events = svc.flush(7.0).unwrap();
         assert_eq!(

@@ -52,10 +52,8 @@ use roadnet::{GraphView, NodeId};
 /// How a [`crate::ShardedBackend`] places query units on shards.
 ///
 /// Serialized in the externally-tagged enum form
-/// (`"RoundRobin"` / `{"RegionOwned":{"halo":2}}`); a missing or `null`
-/// config field reads as [`PartitionPolicy::RoundRobin`], so configs
-/// written before this policy existed keep their meaning.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// (`"RoundRobin"` / `{"RegionOwned":{"halo":2}}`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum PartitionPolicy {
     /// The historical placement: rotate units across shards.
     #[default]
@@ -75,41 +73,6 @@ impl PartitionPolicy {
         match self {
             PartitionPolicy::RoundRobin => "round-robin".to_string(),
             PartitionPolicy::RegionOwned { halo } => format!("region-owned(halo={halo})"),
-        }
-    }
-}
-
-// Hand-written (instead of derived) for one reason: absent config fields
-// deserialize from `Null`, and `Null` must read as the round-robin
-// default so pre-partition `ServiceConfig` JSON still parses.
-impl serde::Serialize for PartitionPolicy {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            PartitionPolicy::RoundRobin => serde::Value::Str("RoundRobin".to_string()),
-            PartitionPolicy::RegionOwned { halo } => serde::Value::Object(vec![(
-                "RegionOwned".to_string(),
-                serde::Value::Object(vec![("halo".to_string(), halo.to_value())]),
-            )]),
-        }
-    }
-}
-
-impl serde::Deserialize for PartitionPolicy {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        match v {
-            serde::Value::Null => Ok(PartitionPolicy::RoundRobin),
-            serde::Value::Str(s) if s == "RoundRobin" => Ok(PartitionPolicy::RoundRobin),
-            serde::Value::Object(entries) => match entries.as_slice() {
-                [(tag, inner)] if tag == "RegionOwned" => {
-                    let fields = inner.as_object().ok_or_else(|| {
-                        serde::DeError::expected("object for variant RegionOwned")
-                    })?;
-                    let halo = serde::Deserialize::from_value(serde::__field(fields, "halo"))?;
-                    Ok(PartitionPolicy::RegionOwned { halo })
-                }
-                _ => Err(serde::DeError::expected("PartitionPolicy variant")),
-            },
-            _ => Err(serde::DeError::expected("string or map for enum PartitionPolicy")),
         }
     }
 }
@@ -631,10 +594,6 @@ mod tests {
             let back: PartitionPolicy = serde_json::from_str(&json).unwrap();
             assert_eq!(back, policy, "{json}");
         }
-        // The back-compat contract: a config written before the field
-        // existed (the field reads as Null) means round-robin.
-        let legacy: PartitionPolicy = serde::Deserialize::from_value(&serde::Value::Null).unwrap();
-        assert_eq!(legacy, PartitionPolicy::RoundRobin);
         let err = serde_json::from_str::<PartitionPolicy>("42");
         assert!(err.is_err());
     }

@@ -8,10 +8,9 @@
 //! included) rather than a display string, and every client of a
 //! *successfully processed* batch gets an explicit [`ClientOutcome`] —
 //! nothing is silently dropped. The exception is a batch-fatal error
-//! (verification caught a tampered result, or strict mode hit any
-//! failure): processing aborts with the typed error instead of outcomes,
-//! and a queue-drained batch is discarded with it (see
-//! `OpaqueService::tick`).
+//! (verification caught a tampered result): processing aborts with the
+//! typed error instead of outcomes, and a queue-drained batch is
+//! discarded with it (see `OpaqueService::tick`).
 
 use crate::obfuscator::ObfuscationMode;
 use crate::protocol::HopTraffic;
@@ -35,22 +34,11 @@ pub enum ClientOutcome {
 
 /// Accounting for one processed batch.
 ///
-/// # Serialization and the determinism oracle
-///
-/// The serialized report is the repository's cross-policy determinism
-/// oracle: neither [`crate::ExecutionPolicy`] nor
-/// [`crate::service::CachePolicy`] may change a single report byte
-/// (`tests/parallel_equivalence.rs`, `tests/cache_equivalence.rs`). Every
-/// *logical* counter honors that by construction — cache hits replay the
-/// skipped sweep's counters exactly. The two *physical* observability
-/// fields ([`BatchReport::tree_cache_hits`] /
-/// [`BatchReport::tree_cache_misses`]) necessarily differ across cache
-/// policies (and across worker-pool schedules, which move units between
-/// shard-local caches), so the hand-written `Serialize` impl below
-/// deliberately keeps them **off the wire**; read them from the struct or
-/// from the backend's [`crate::ServerStats`]. Deserialized reports carry
-/// them as 0.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// The serialized report is the cross-policy determinism oracle
+/// (`tests/*_equivalence.rs`), so it carries logical counters only — a
+/// cache hit replays the skipped sweep's counters exactly; the physical
+/// cache hit/miss counters are on the backend's [`crate::ServerStats`].
+#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BatchReport {
     /// Obfuscation mode used, with its parameters.
     pub mode: ObfuscationMode,
@@ -80,15 +68,6 @@ pub struct BatchReport {
     /// *not* a cumulative reading — the per-batch accounting tests pin
     /// this distinction.
     pub server_trees_grown: u64,
-    /// Backend trees served by cache adoption this batch (a per-batch
-    /// delta like the `server_*` fields; 0 under
-    /// [`crate::service::CachePolicy::Off`]). **Not serialized** — see the
-    /// type-level docs.
-    pub tree_cache_hits: u64,
-    /// Backend trees grown for real after a cache consultation this batch
-    /// (per-batch delta; 0 when no cache is attached). **Not
-    /// serialized** — see the type-level docs.
-    pub tree_cache_misses: u64,
     /// Per-client breach probability (Definition 2 applied to the unit the
     /// client was embedded in). Clients rejected at admission do not
     /// appear — they were never embedded in a query.
@@ -97,79 +76,6 @@ pub struct BatchReport {
     /// candidate results, delivered results), in the protocol's wire
     /// encoding.
     pub traffic: HopTraffic,
-}
-
-// Hand-written (the vendored serde derive has no `#[serde(skip)]`): the
-// wire form carries every logical field in declaration order — matching
-// what the derive produced before the cache fields existed — and omits
-// the two physical cache counters on purpose (see the type-level docs).
-impl serde::Serialize for BatchReport {
-    fn to_value(&self) -> serde::Value {
-        // Exhaustive destructuring (no `..`): adding a field to
-        // BatchReport must fail to compile here, so a new logical counter
-        // can never silently fall off the wire; only the two cache
-        // counters are consciously discarded.
-        let BatchReport {
-            mode,
-            num_requests,
-            num_units,
-            total_pairs,
-            fakes_added,
-            candidate_paths,
-            candidate_path_nodes,
-            delivered_path_nodes,
-            server_settled,
-            server_relaxed,
-            server_trees_grown,
-            tree_cache_hits: _,
-            tree_cache_misses: _,
-            per_client_breach,
-            traffic,
-        } = self;
-        serde::Value::Object(vec![
-            ("mode".to_string(), mode.to_value()),
-            ("num_requests".to_string(), num_requests.to_value()),
-            ("num_units".to_string(), num_units.to_value()),
-            ("total_pairs".to_string(), total_pairs.to_value()),
-            ("fakes_added".to_string(), fakes_added.to_value()),
-            ("candidate_paths".to_string(), candidate_paths.to_value()),
-            ("candidate_path_nodes".to_string(), candidate_path_nodes.to_value()),
-            ("delivered_path_nodes".to_string(), delivered_path_nodes.to_value()),
-            ("server_settled".to_string(), server_settled.to_value()),
-            ("server_relaxed".to_string(), server_relaxed.to_value()),
-            ("server_trees_grown".to_string(), server_trees_grown.to_value()),
-            ("per_client_breach".to_string(), per_client_breach.to_value()),
-            ("traffic".to_string(), traffic.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for BatchReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let entries = match v {
-            serde::Value::Object(e) => e.as_slice(),
-            _ => return Err(serde::DeError::expected("object for struct BatchReport")),
-        };
-        let field = |name: &str| serde::__field(entries, name);
-        Ok(BatchReport {
-            mode: serde::Deserialize::from_value(field("mode"))?,
-            num_requests: serde::Deserialize::from_value(field("num_requests"))?,
-            num_units: serde::Deserialize::from_value(field("num_units"))?,
-            total_pairs: serde::Deserialize::from_value(field("total_pairs"))?,
-            fakes_added: serde::Deserialize::from_value(field("fakes_added"))?,
-            candidate_paths: serde::Deserialize::from_value(field("candidate_paths"))?,
-            candidate_path_nodes: serde::Deserialize::from_value(field("candidate_path_nodes"))?,
-            delivered_path_nodes: serde::Deserialize::from_value(field("delivered_path_nodes"))?,
-            server_settled: serde::Deserialize::from_value(field("server_settled"))?,
-            server_relaxed: serde::Deserialize::from_value(field("server_relaxed"))?,
-            server_trees_grown: serde::Deserialize::from_value(field("server_trees_grown"))?,
-            // Off the wire by design; a deserialized report reads 0.
-            tree_cache_hits: 0,
-            tree_cache_misses: 0,
-            per_client_breach: serde::Deserialize::from_value(field("per_client_breach"))?,
-            traffic: serde::Deserialize::from_value(field("traffic"))?,
-        })
-    }
 }
 
 impl BatchReport {
@@ -208,43 +114,73 @@ mod tests {
         let report = BatchReport { mode: ObfuscationMode::SharedGlobal, ..Default::default() };
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("\"mode\":\"SharedGlobal\""), "{json}");
+        assert!(!json.contains("tree_cache"), "{json}");
         let back: BatchReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.mode, ObfuscationMode::SharedGlobal);
     }
 
     #[test]
-    fn cache_counters_stay_off_the_wire() {
-        // The physical hit/miss pair must never reach the serialized
-        // report — it is the one thing that distinguishes cache policies,
-        // and the serialized report is the cross-policy determinism
-        // oracle.
-        let report = BatchReport {
-            server_trees_grown: 7,
-            tree_cache_hits: 5,
-            tree_cache_misses: 2,
+    fn serialized_reports_and_configs_match_the_recorded_bytes() {
+        // Reports are the determinism oracle and are parsed positionally
+        // downstream, so field order and every byte are pinned. The
+        // strings were recorded before these types derived their serde
+        // impls: derive output == the hand-written output it replaced.
+        use crate::obfuscator::ClusteringConfig;
+        use crate::service::{PartitionPolicy, SearchHeuristic, ServiceConfig};
+
+        let json = serde_json::to_string(&BatchReport::default()).unwrap();
+        assert_eq!(
+            json,
+            r#"{"mode":"Independent","num_requests":0,"num_units":0,"total_pairs":0,"fakes_added":0,"candidate_paths":0,"candidate_path_nodes":0,"delivered_path_nodes":0,"server_settled":0,"server_relaxed":0,"server_trees_grown":0,"per_client_breach":[],"traffic":{"requests_bytes":0,"queries_bytes":0,"candidates_bytes":0,"results_bytes":0}}"#
+        );
+
+        let populated = BatchReport {
+            mode: ObfuscationMode::SharedClustered(ClusteringConfig {
+                radius_scale: 0.75,
+                max_cluster_size: 8,
+            }),
+            num_requests: 3,
+            num_units: 2,
+            total_pairs: 18,
+            fakes_added: 7,
+            candidate_paths: 17,
+            candidate_path_nodes: 240,
+            delivered_path_nodes: 41,
+            server_settled: 1234,
+            server_relaxed: 5678,
+            server_trees_grown: 6,
+            per_client_breach: vec![(ClientId(10), 0.125), (ClientId(11), 1.0 / 9.0)],
+            traffic: HopTraffic {
+                requests_bytes: 300,
+                queries_bytes: 410,
+                candidates_bytes: 9000,
+                results_bytes: 650,
+            },
+        };
+        let json = serde_json::to_string(&populated).unwrap();
+        assert_eq!(
+            json,
+            r#"{"mode":{"SharedClustered":{"radius_scale":0.75,"max_cluster_size":8}},"num_requests":3,"num_units":2,"total_pairs":18,"fakes_added":7,"candidate_paths":17,"candidate_path_nodes":240,"delivered_path_nodes":41,"server_settled":1234,"server_relaxed":5678,"server_trees_grown":6,"per_client_breach":[[10,0.125],[11,0.1111111111111111]],"traffic":{"requests_bytes":300,"queries_bytes":410,"candidates_bytes":9000,"results_bytes":650}}"#
+        );
+        assert_eq!(serde_json::from_str::<BatchReport>(&json).unwrap(), populated);
+
+        let json = serde_json::to_string(&ServiceConfig::default()).unwrap();
+        assert_eq!(
+            json,
+            r#"{"strategy":{"Ring":{"lo":0.3,"hi":1.2}},"seed":0,"sharing":"PerSource","mode":"Independent","verify_results":false,"consistent_fakes":false,"shards":1,"partition":"RoundRobin","execution":"Sequential","cache":"Off","batch":{"max_batch":32,"max_delay":5},"admission":{"queue_depth":1024,"deadline":null},"heuristic":"None"}"#
+        );
+
+        let config = ServiceConfig {
+            shards: 4,
+            partition: PartitionPolicy::RegionOwned { halo: 2 },
+            heuristic: SearchHeuristic::Alt { landmarks: 16 },
             ..Default::default()
         };
-        let json = serde_json::to_string(&report).unwrap();
-        assert!(!json.contains("tree_cache"), "{json}");
-        // Two reports differing only in cache counters serialize
-        // byte-identically.
-        let other = BatchReport { server_trees_grown: 7, ..Default::default() };
-        assert_eq!(json, serde_json::to_string(&other).unwrap());
-        // Round-tripping keeps every logical field and zeroes the pair.
-        let back: BatchReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.server_trees_grown, 7);
-        assert_eq!((back.tree_cache_hits, back.tree_cache_misses), (0, 0));
-    }
-
-    #[test]
-    fn wire_field_order_matches_the_historical_derive() {
-        // Consumers parse reports positionally in spreadsheets; keep the
-        // hand-written impl aligned with the old derive layout.
-        let json = serde_json::to_string(&BatchReport::default()).unwrap();
-        let mode = json.find("\"mode\"").unwrap();
-        let first = json.find("\"num_requests\"").unwrap();
-        let last = json.find("\"traffic\"").unwrap();
-        assert!(mode < first && first < last, "{json}");
+        let json = serde_json::to_string(&config).unwrap();
+        assert_eq!(
+            json,
+            r#"{"strategy":{"Ring":{"lo":0.3,"hi":1.2}},"seed":0,"sharing":"PerSource","mode":"Independent","verify_results":false,"consistent_fakes":false,"shards":4,"partition":{"RegionOwned":{"halo":2}},"execution":"Sequential","cache":"Off","batch":{"max_batch":32,"max_delay":5},"admission":{"queue_depth":1024,"deadline":null},"heuristic":{"Alt":{"landmarks":16}}}"#
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::alt::GoalPotential;
 use crate::arena::SearchArena;
 use crate::path::Path;
 use crate::stats::SearchStats;
-use crate::trace::{SettleEvent, SweepDirection, SweepTrace, TreeStore};
+use crate::trace::{SettleEvent, SweepTrace, TreeStore};
 use roadnet::{GraphView, NodeId};
 
 /// Search termination condition.
@@ -280,7 +280,7 @@ pub fn run_tree<G: GraphView, S: TreeStore + ?Sized>(
     // the store's epoch keying should already prevent this. The potential
     // check keeps guided and plain sweeps from aliasing.
     let adopted = store
-        .lookup(root, SweepDirection::Forward)
+        .lookup(root)
         .filter(|trace| trace.nodes() == g.num_nodes() && trace.potential() == want)
         .and_then(|trace| trace.adopt_into(arena, goal));
     match adopted {
@@ -291,7 +291,7 @@ pub fn run_tree<G: GraphView, S: TreeStore + ?Sized>(
         None => {
             store.note_miss();
             let (stats, trace) = grow_traced(arena, g, root, goal, pot);
-            store.store(root, SweepDirection::Forward, trace);
+            store.store(root, trace);
             stats
         }
     }

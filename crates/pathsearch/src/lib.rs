@@ -78,4 +78,4 @@ pub use multi::{
 pub use path::Path;
 pub use range::{range_search, ring_search};
 pub use stats::SearchStats;
-pub use trace::{SettleEvent, SweepDirection, SweepTrace, TreeStore};
+pub use trace::{SettleEvent, SweepTrace, TreeStore};

@@ -350,7 +350,7 @@ fn transpose(r: MsmdResult, num_sources: usize, num_targets: usize) -> MsmdResul
 #[allow(clippy::needless_range_loop)] // (i, j) index the result matrix and both sets in lockstep
 mod tests {
     use super::*;
-    use crate::trace::{SweepDirection, TreeStore};
+    use crate::trace::TreeStore;
     use roadnet::generators::{GridConfig, NetworkClass, grid_network};
 
     fn net() -> roadnet::RoadNetwork {
@@ -595,28 +595,18 @@ mod tests {
     /// Unbounded map-backed [`TreeStore`] for cache-equivalence tests.
     #[derive(Default)]
     struct MapStore {
-        map: std::collections::HashMap<(u32, SweepDirection), crate::trace::SweepTrace>,
+        map: std::collections::HashMap<u32, crate::trace::SweepTrace>,
         hits: u64,
         misses: u64,
     }
 
     impl TreeStore for MapStore {
-        fn lookup(
-            &mut self,
-            root: NodeId,
-            direction: SweepDirection,
-        ) -> Option<&crate::trace::SweepTrace> {
-            self.map.get(&(root.0, direction))
+        fn lookup(&mut self, root: NodeId) -> Option<&crate::trace::SweepTrace> {
+            self.map.get(&root.0)
         }
 
-        fn store(
-            &mut self,
-            root: NodeId,
-            direction: SweepDirection,
-            trace: crate::trace::SweepTrace,
-        ) {
-            let entry = self.map.entry((root.0, direction));
-            match entry {
+        fn store(&mut self, root: NodeId, trace: crate::trace::SweepTrace) {
+            match self.map.entry(root.0) {
                 std::collections::hash_map::Entry::Occupied(mut o) => {
                     // Depth only orders sweeps under one potential.
                     if trace.potential() != o.get().potential() || trace.len() >= o.get().len() {

@@ -33,7 +33,7 @@
 //! [`TreeStore`] is the minimal storage interface the adopt-or-grow entry
 //! point ([`crate::dijkstra::run_tree`]) drives; the capacity-bounded
 //! LRU over it lives in the service layer (`opaque::service::cache`),
-//! which also owns the `(map_epoch, root, direction, policy-bits)` keying
+//! which also owns the `(map_epoch, root, policy-bits)` keying
 //! and invalidation story.
 
 use crate::alt::PotentialParams;
@@ -41,21 +41,6 @@ use crate::arena::{NIL, SearchArena};
 use crate::dijkstra::Goal;
 use crate::stats::SearchStats;
 use roadnet::NodeId;
-
-/// Arc orientation of a recorded sweep.
-///
-/// Every sweep the MSMD processor caches today follows forward arcs
-/// (`Auto` transposition only happens on symmetric views, where forward
-/// and backward sweeps coincide). `Backward` is reserved for reverse-arc
-/// sweeps on directed views so cache keys can never alias them onto
-/// forward trees.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SweepDirection {
-    /// The sweep relaxed forward arcs out of its root.
-    Forward,
-    /// Reserved: a sweep over reversed arcs (no current producer).
-    Backward,
-}
 
 /// One settle event of a recorded sweep: the final label plus the sweep's
 /// counter snapshot at the moment a goal check could have stopped there.
@@ -295,7 +280,7 @@ enum Stop {
 pub trait TreeStore {
     /// Borrow the stored trace for `root`, if any. Counts as a use for
     /// recency-based eviction.
-    fn lookup(&mut self, root: NodeId, direction: SweepDirection) -> Option<&SweepTrace>;
+    fn lookup(&mut self, root: NodeId) -> Option<&SweepTrace>;
 
     /// Store `trace` for `root`, replacing any previous entry. Between
     /// two traces under the same [`SweepTrace::potential`] stores should
@@ -303,7 +288,7 @@ pub trait TreeStore {
     /// longer one answers strictly more goals. Depth says nothing across
     /// potentials: there the newer trace should win, or the goal set that
     /// just missed would miss again on every repeat.
-    fn store(&mut self, root: NodeId, direction: SweepDirection, trace: SweepTrace);
+    fn store(&mut self, root: NodeId, trace: SweepTrace);
 
     /// A lookup whose trace satisfied the goal (the sweep was skipped).
     fn note_hit(&mut self);

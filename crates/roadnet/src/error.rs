@@ -59,12 +59,6 @@ pub enum RoadNetError {
         /// Path destination.
         to: NodeId,
     },
-    /// A region description (membership flags, node list) does not fit
-    /// the graph it was applied to.
-    InvalidRegion {
-        /// Why the region was rejected.
-        reason: String,
-    },
 }
 
 impl fmt::Display for RoadNetError {
@@ -95,9 +89,6 @@ impl fmt::Display for RoadNetError {
             RoadNetError::Io(e) => write!(f, "i/o error: {e}"),
             RoadNetError::Disconnected { from, to } => {
                 write!(f, "no path connects {from} to {to}")
-            }
-            RoadNetError::InvalidRegion { reason } => {
-                write!(f, "invalid region: {reason}")
             }
         }
     }

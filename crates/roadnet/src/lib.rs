@@ -43,7 +43,6 @@ pub mod geo;
 pub mod graph;
 pub mod ids;
 pub mod io;
-pub mod region;
 pub mod spatial;
 pub mod storage;
 
@@ -51,7 +50,6 @@ pub use error::{Result, RoadNetError};
 pub use geo::{BoundingBox, Point};
 pub use graph::{Arc, Edge, GraphBuilder, GraphView, RoadNetwork};
 pub use ids::{EdgeId, NodeId};
-pub use region::RegionView;
 pub use spatial::SpatialIndex;
 pub use storage::{
     ChunkConfig, ChunkedCsr, IoStats, LruBuffer, PageLayout, PagePlacement, PagedGraph,

@@ -16,52 +16,17 @@
 //!   and cancelled tickets appear only as `Cancelled` — never in a
 //!   batch, a report, or a delivery.
 
+mod common;
+
+use common::arb_map;
 use opaque::{
     CachePolicy, ClientId, ClientOutcome, ClientRequest, ExecutionPolicy, ObfuscationMode,
     PathQuery, Priority, ProtectionSettings, ServiceBuilder, ServiceEvent, SubmitOutcome, Ticket,
 };
 use pathsearch::SharingPolicy;
 use proptest::prelude::*;
-use roadnet::{GraphBuilder, NodeId, Point, RoadNetwork};
+use roadnet::{NodeId, RoadNetwork};
 use std::collections::{HashMap, HashSet};
-
-/// Random connected road map: a random spanning tree plus extra random
-/// edges (parallel roads allowed), positive weights.
-fn arb_map(max_nodes: usize) -> impl Strategy<Value = RoadNetwork> {
-    (4..max_nodes)
-        .prop_flat_map(|n| {
-            let coords = proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), n);
-            let parents = proptest::collection::vec(proptest::num::u32::ANY, n - 1);
-            let extra = proptest::collection::vec((0..n as u32, 0..n as u32, 1.0f64..3.0), 0..n);
-            (coords, parents, extra)
-        })
-        .prop_map(|(coords, parents, extra)| {
-            let mut b = GraphBuilder::new();
-            for (x, y) in &coords {
-                b.add_node(Point::new(*x, *y)).expect("finite coords");
-            }
-            let n = coords.len();
-            let euclid = |a: usize, c: usize| {
-                Point::new(coords[a].0, coords[a].1).distance(Point::new(coords[c].0, coords[c].1))
-            };
-            for (i, p) in parents.iter().enumerate() {
-                let child = i + 1;
-                let parent = (*p as usize) % child;
-                let w = euclid(parent, child).max(f64::EPSILON) * 1.1;
-                b.add_edge(NodeId::from_index(parent), NodeId::from_index(child), w)
-                    .expect("valid tree edge");
-            }
-            for (a, c, factor) in extra {
-                let (a, c) = (a as usize % n, c as usize % n);
-                if a != c {
-                    let w = euclid(a, c).max(f64::EPSILON) * factor;
-                    b.add_edge(NodeId::from_index(a), NodeId::from_index(c), w)
-                        .expect("valid extra edge");
-                }
-            }
-            b.build().expect("non-empty graph")
-        })
-}
 
 /// One scripted submission: client pick (small range → duplicates are
 /// common), endpoints, protection sizes, lane flag (odd = bulk), and a

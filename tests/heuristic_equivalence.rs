@@ -16,6 +16,9 @@
 //! bound overestimating a true distance, a guided trace adopted under the
 //! wrong potential, a transposed sweep keyed by the wrong goal set.
 
+mod common;
+
+use common::{arb_batch, arb_map, requests_on};
 use opaque::{
     BatchReport, CachePolicy, ClientId, ClientRequest, DirectionsBackend, ExecutionPolicy,
     ObfuscationMode, PartitionPolicy, PathQuery, ProtectionSettings, SearchHeuristic,
@@ -23,70 +26,7 @@ use opaque::{
 };
 use pathsearch::SharingPolicy;
 use proptest::prelude::*;
-use roadnet::{GraphBuilder, NodeId, Point, RoadNetwork};
-
-/// Random connected road map: a random spanning tree plus extra random
-/// edges (parallel roads allowed), weights ≥ Euclidean distance so the
-/// landmark bounds have nontrivial pruning room.
-fn arb_map(max_nodes: usize) -> impl Strategy<Value = RoadNetwork> {
-    (4..max_nodes)
-        .prop_flat_map(|n| {
-            let coords = proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), n);
-            let parents = proptest::collection::vec(proptest::num::u32::ANY, n - 1);
-            let extra = proptest::collection::vec((0..n as u32, 0..n as u32, 1.0f64..3.0), 0..n);
-            (coords, parents, extra)
-        })
-        .prop_map(|(coords, parents, extra)| {
-            let mut b = GraphBuilder::new();
-            for (x, y) in &coords {
-                b.add_node(Point::new(*x, *y)).expect("finite coords");
-            }
-            let n = coords.len();
-            let euclid = |a: usize, c: usize| {
-                Point::new(coords[a].0, coords[a].1).distance(Point::new(coords[c].0, coords[c].1))
-            };
-            for (i, p) in parents.iter().enumerate() {
-                let child = i + 1;
-                let parent = (*p as usize) % child;
-                let w = euclid(parent, child).max(f64::EPSILON) * 1.1;
-                b.add_edge(NodeId::from_index(parent), NodeId::from_index(child), w)
-                    .expect("valid tree edge");
-            }
-            for (a, c, factor) in extra {
-                let (a, c) = (a as usize % n, c as usize % n);
-                if a != c {
-                    let w = euclid(a, c).max(f64::EPSILON) * factor;
-                    b.add_edge(NodeId::from_index(a), NodeId::from_index(c), w)
-                        .expect("valid extra edge");
-                }
-            }
-            b.build().expect("non-empty graph")
-        })
-}
-
-/// A batch of requests with unique client ids; endpoints and protection
-/// demands are arbitrary (including infeasible ones — rejections must be
-/// identical across heuristics too).
-fn arb_batch(max_requests: usize) -> impl Strategy<Value = Vec<(u32, u32, u32, u32)>> {
-    proptest::collection::vec(
-        (proptest::num::u32::ANY, proptest::num::u32::ANY, 1u32..5, 1u32..5),
-        1..max_requests,
-    )
-}
-
-fn requests_on(map: &RoadNetwork, raw: &[(u32, u32, u32, u32)]) -> Vec<ClientRequest> {
-    let n = map.num_nodes() as u32;
-    raw.iter()
-        .enumerate()
-        .map(|(i, &(s, t, f_s, f_t))| {
-            ClientRequest::new(
-                ClientId(i as u32),
-                PathQuery::new(NodeId(s % n), NodeId(t % n)),
-                ProtectionSettings::new(f_s, f_t).expect("nonzero by construction"),
-            )
-        })
-        .collect()
-}
+use roadnet::{NodeId, RoadNetwork};
 
 struct Composition {
     sharing: SharingPolicy,
