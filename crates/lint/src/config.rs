@@ -43,6 +43,7 @@ impl Default for Config {
                 "crates/opaque-net/src/frame.rs".into(),
                 "crates/opaque-net/src/server.rs".into(),
                 "crates/opaque-net/src/wire.rs".into(),
+                "crates/opaque/src/protocol.rs".into(),
                 "crates/opaque/src/service/mod.rs".into(),
                 "crates/opaque/src/service/batcher.rs".into(),
                 "crates/opaque/src/service/gateway.rs".into(),

@@ -10,9 +10,9 @@
 //! server without 10⁵ file descriptors.
 
 use crate::error::{NetError, Result};
-use crate::frame::{DEFAULT_MAX_FRAME, FrameDecoder, frame_vec};
+use crate::frame::{DEFAULT_MAX_FRAME, FrameDecoder};
 use crate::reactor::{POLLIN, POLLOUT, PollFd, poll};
-use crate::wire::{WireReply, WireRequest, decode_message, encode_message};
+use crate::wire::{WireReply, WireRequest, decode_message, frame_message};
 use opaque::{ClientId, Priority, RequestMsg};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -44,7 +44,8 @@ impl NetClient {
     /// [`NetError::PayloadTooLarge`] for an unframeable request (nothing
     /// is written), and socket errors from the write.
     pub fn send(&mut self, request: &WireRequest) -> Result<()> {
-        let frame = frame_vec(&encode_message(request)?)?;
+        let mut frame = Vec::new();
+        frame_message(request, &mut frame)?;
         self.stream.write_all(&frame)?;
         Ok(())
     }
@@ -159,8 +160,7 @@ pub fn run_fleet(
             }
             let wire = WireRequest { request, priority };
             let conn = &mut streams[next % connections];
-            let frame = frame_vec(&encode_message(&wire)?)?;
-            conn.outbox.extend_from_slice(&frame);
+            frame_message(&wire, &mut conn.outbox)?;
             next += 1;
             outcome.sent += 1;
         }

@@ -18,8 +18,8 @@
 //! slow consumer instead of buffering for it without bound.
 
 use crate::error::{NetError, Result};
-use crate::frame::{FrameDecoder, encode_frame};
-use crate::wire::{WireReply, encode_message};
+use crate::frame::FrameDecoder;
+use crate::wire::{WireReply, frame_message};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -166,8 +166,8 @@ impl Connection {
         Ok(frames)
     }
 
-    /// Frame and buffer one reply; terminal replies settle an in-flight
-    /// request.
+    /// Serialize one reply into the outbound buffer, framed in place;
+    /// terminal replies settle an in-flight request.
     ///
     /// # Errors
     /// [`NetError::Malformed`] when the reply fails to serialize and
@@ -179,8 +179,7 @@ impl Connection {
         if reply.is_terminal() {
             self.in_flight = self.in_flight.saturating_sub(1);
         }
-        let payload = encode_message(reply)?;
-        encode_frame(&payload, &mut self.outbound)
+        frame_message(reply, &mut self.outbound)
     }
 
     /// Queue the fatal error notice and switch to Draining: pending

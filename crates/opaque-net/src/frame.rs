@@ -55,6 +55,37 @@ pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) -> Result<()> {
     Ok(())
 }
 
+/// Append one frame whose payload `write` appends to `out` itself: the
+/// header goes in first with a zero length, the payload is written
+/// straight behind it, and the length is patched in once it is known —
+/// no intermediate payload buffer.
+///
+/// # Errors
+/// Whatever `write` returns, and [`NetError::PayloadTooLarge`] as in
+/// [`encode_frame`]. `out` is truncated back to its old length on error,
+/// so it is untouched here too.
+pub(crate) fn encode_frame_with(
+    out: &mut Vec<u8>,
+    write: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+) -> Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0, 0, 0, 0, PROTOCOL_VERSION]);
+    let len =
+        write(out).and_then(|()| payload_len_prefix(out.len().saturating_sub(start + HEADER_LEN)));
+    match len {
+        Ok(len) => {
+            for (slot, byte) in out.iter_mut().skip(start).zip(len.to_le_bytes()) {
+                *slot = byte;
+            }
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
+    }
+}
+
 /// One framed payload as a fresh buffer.
 ///
 /// # Errors
@@ -271,6 +302,28 @@ mod tests {
         assert_eq!(payload_len_prefix(0).unwrap(), 0);
         // And the public entry points propagate it.
         assert!(frame_vec(b"ok").is_ok());
+    }
+
+    #[test]
+    fn frames_written_in_place_match_and_vanish_on_error() {
+        let mut out = frame_vec(b"first").unwrap();
+        let mut expected = out.clone();
+        for payload in [&b"second, written in place"[..], b""] {
+            encode_frame(payload, &mut expected).unwrap();
+            encode_frame_with(&mut out, |o| {
+                o.extend_from_slice(payload);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(out, expected);
+        }
+        // A writer that fails part-way leaves nothing of its frame behind.
+        let failed = encode_frame_with(&mut out, |o| {
+            o.extend_from_slice(b"half a payl");
+            Err(NetError::PayloadTooLarge { len: 11 })
+        });
+        assert!(matches!(failed, Err(NetError::PayloadTooLarge { len: 11 })), "{failed:?}");
+        assert_eq!(out, expected, "`out` is untouched on error");
     }
 
     #[test]

@@ -95,6 +95,12 @@ pub struct NetServer {
     reports: Vec<String>,
     stats: NetStats,
     started: Instant,
+    /// This iteration's poll(2) registrations — the listener, then every
+    /// watched connection — cleared and refilled by each
+    /// [`NetServer::poll_once`] rather than allocated by it.
+    fds: Vec<PollFd>,
+    /// The connection behind `fds[i + 1]`.
+    ids: Vec<u64>,
 }
 
 impl NetServer {
@@ -119,6 +125,8 @@ impl NetServer {
             reports: Vec::new(),
             stats: NetStats::default(),
             started: Instant::now(),
+            fds: Vec::new(),
+            ids: Vec::new(),
         })
     }
 
@@ -160,8 +168,9 @@ impl NetServer {
     pub fn poll_once(&mut self) -> Result<()> {
         // Register interest: listener first, then connections in a
         // stable order alongside their ids.
-        let mut fds = vec![PollFd::new(self.listener.as_raw_fd(), POLLIN)];
-        let mut ids = Vec::with_capacity(self.conns.len());
+        self.fds.clear();
+        self.ids.clear();
+        self.fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
         for (&id, conn) in &self.conns {
             let mut events = 0i16;
             if conn.wants_read() {
@@ -171,47 +180,35 @@ impl NetServer {
                 events |= POLLOUT;
             }
             if events != 0 {
-                fds.push(PollFd::new(conn.stream().as_raw_fd(), events));
-                ids.push(id);
+                self.fds.push(PollFd::new(conn.stream().as_raw_fd(), events));
+                self.ids.push(id);
             }
         }
-        match poll(&mut fds, self.config.poll_timeout_ms) {
+        match poll(&mut self.fds, self.config.poll_timeout_ms) {
             Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
         }
 
-        if fds.first().is_some_and(PollFd::readable) {
+        if self.fds.first().is_some_and(PollFd::readable) {
             self.accept_ready()?;
         }
-        // fds[0] is the listener; entries 1.. pair up with `ids` by
-        // construction above, and zip makes that pairing panic-free.
-        let ready: Vec<(bool, bool, u64)> = fds
-            .iter()
-            .skip(1)
-            .zip(&ids)
-            .map(|(fd, &id)| (fd.readable(), fd.writable(), id))
-            .collect();
-        for &(readable, _, id) in &ready {
-            if readable {
+        for i in 0..self.ids.len() {
+            if let Some((id, _)) = self.watched(i).filter(|(_, fd)| fd.readable()) {
                 self.read_conn(id);
             }
         }
 
         self.pump_gateway();
 
-        for &(_, writable, id) in &ready {
-            if writable {
+        for i in 0..self.ids.len() {
+            if let Some((id, _)) = self.watched(i).filter(|(_, fd)| fd.writable()) {
                 self.flush_conn(id);
             }
         }
         // Replies queued by this iteration's events get an eager flush
         // attempt too — loopback sockets are almost always writable.
-        let pending: Vec<u64> =
-            self.conns.iter().filter(|(_, c)| c.wants_write()).map(|(&id, _)| id).collect();
-        for id in pending {
-            self.flush_conn(id);
-        }
+        self.flush_pending();
 
         self.conns.retain(|_, c| !c.is_closed());
         Ok(())
@@ -241,11 +238,7 @@ impl NetServer {
                 Ok(events) => self.route_events(events),
                 Err(_) => self.stats.batch_failures += 1,
             }
-            let pending: Vec<u64> =
-                self.conns.iter().filter(|(_, c)| c.wants_write()).map(|(&id, _)| id).collect();
-            for id in pending {
-                self.flush_conn(id);
-            }
+            self.flush_pending();
             self.conns.retain(|_, c| !c.is_closed());
             let quiet =
                 self.service.pending() == 0 && self.conns.values().all(|c| !c.wants_write());
@@ -413,10 +406,25 @@ impl NetServer {
         }
     }
 
+    /// The `i`-th watched connection and what poll(2) reported for it:
+    /// `fds[0]` is the listener, so `ids[i]` pairs with `fds[i + 1]` by
+    /// construction in [`NetServer::poll_once`].
+    fn watched(&self, i: usize) -> Option<(u64, PollFd)> {
+        Some((*self.ids.get(i)?, *self.fds.get(i + 1)?))
+    }
+
     fn flush_conn(&mut self, id: u64) {
         if let Some(conn) = self.conns.get_mut(&id) {
             // Flush errors mark the connection closed; the reaper
             // removes it and later replies count as dropped.
+            let _ = conn.flush();
+        }
+    }
+
+    /// Flush every connection with bytes waiting (errors as in
+    /// [`NetServer::flush_conn`]).
+    fn flush_pending(&mut self) {
+        for conn in self.conns.values_mut().filter(|c| c.wants_write()) {
             let _ = conn.flush();
         }
     }

@@ -9,6 +9,7 @@
 //! them from [`crate::server::NetServer::reports`]).
 
 use crate::error::{NetError, Result};
+use crate::frame::encode_frame_with;
 use opaque::{ClientId, Priority, RejectReason, RequestMsg, ResultMsg, Ticket};
 
 /// Client → server: one directions request, routed into a gateway lane.
@@ -107,7 +108,22 @@ impl WireReply {
 /// connection-level fault rather than asserting, because an assert here
 /// would be process-fatal.
 pub fn encode_message<M: serde::Serialize>(msg: &M) -> Result<Vec<u8>> {
-    serde_json::to_vec(msg).map_err(|e| NetError::Malformed { reason: format!("encode: {e:?}") })
+    serde_json::to_vec(msg).map_err(encode_error)
+}
+
+fn encode_error(e: serde_json::Error) -> NetError {
+    NetError::Malformed { reason: format!("encode: {e:?}") }
+}
+
+/// Serialize a message straight into `out` as one frame — what
+/// [`encode_message`] + [`crate::frame::encode_frame`] append, without
+/// the payload buffer in between.
+///
+/// # Errors
+/// As [`encode_message`] and [`crate::frame::encode_frame`]; `out` is
+/// untouched on error.
+pub(crate) fn frame_message<M: serde::Serialize>(msg: &M, out: &mut Vec<u8>) -> Result<()> {
+    encode_frame_with(out, |payload| serde_json::to_writer(payload, msg).map_err(encode_error))
 }
 
 /// Decode a frame payload into a message.
@@ -124,6 +140,7 @@ pub fn decode_message<M: serde::Deserialize>(payload: &[u8]) -> Result<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::encode_frame;
     use opaque::{PathQuery, ProtectionSettings};
     use roadnet::NodeId;
 
@@ -169,6 +186,20 @@ mod tests {
             assert_eq!(back, reply);
             assert_eq!(back.is_terminal(), !matches!(reply, WireReply::Error { .. }));
         }
+    }
+
+    #[test]
+    fn messages_framed_in_place_are_the_bytes_of_encode_then_frame() {
+        let json = br#"{"Result":{"ticket":3,"result":{"client":7,"path":{"nodes":[1,8,2],"distance":2.25}},"waited":0.125}}"#;
+        let reply: WireReply = decode_message(json).unwrap();
+        assert_eq!(encode_message(&reply).unwrap(), json);
+        let mut in_place = b"already queued".to_vec();
+        let mut two_step = in_place.clone();
+        frame_message(&request(), &mut in_place).unwrap();
+        frame_message(&reply, &mut in_place).unwrap();
+        encode_frame(&encode_message(&request()).unwrap(), &mut two_step).unwrap();
+        encode_frame(&encode_message(&reply).unwrap(), &mut two_step).unwrap();
+        assert_eq!(in_place, two_step);
     }
 
     #[test]

@@ -16,8 +16,13 @@
 //!    by batch.
 //!
 //! Messages serialize with serde; [`wire_size`] measures their JSON
-//! encoding so experiments can report real bytes per hop rather than
-//! node-count proxies. The secure channel itself is modelled, not
+//! encoding *without producing it* (the JSON writer over an output that
+//! only counts), so experiments can report real bytes per hop rather than
+//! node-count proxies and the service can afford to do so on every
+//! request. The obfuscator–server hops are in-process calls, so
+//! [`HopTraffic`] measures them through borrowed views of what the
+//! service already holds — same bytes as the owned messages, nothing
+//! cloned to be counted. The secure channel itself is modelled, not
 //! implemented — the paper assumes it (§IV); what the experiments observe
 //! is *what* crosses each hop and *how big* it is, which is exactly what
 //! [`HopTraffic`] accumulates.
@@ -75,11 +80,34 @@ pub struct ResultMsg {
     pub path: Path,
 }
 
+/// [`ObfuscatedQueryMsg`] over a borrowed query.
+#[derive(serde::Serialize)]
+struct ObfuscatedQueryView<'a> {
+    query_id: u64,
+    query: &'a ObfuscatedPathQuery,
+}
+
+/// [`CandidateResultsMsg`] over borrowed candidate rows.
+#[derive(serde::Serialize)]
+struct CandidateResultsView<'a> {
+    query_id: u64,
+    paths: &'a [Vec<Option<Path>>],
+}
+
+/// [`ResultMsg`] over a borrowed path.
+#[derive(serde::Serialize)]
+struct ResultView<'a> {
+    client: ClientId,
+    path: &'a Path,
+}
+
 /// Serialized size of a message in bytes (compact JSON encoding — a
 /// reasonable stand-in for any self-describing wire format; experiments
-/// compare hops, not codecs).
+/// compare hops, not codecs). Measures the encoding without producing it:
+/// the message streams through the JSON writer into a byte counter, so
+/// nothing is allocated and nothing can fail.
 pub fn wire_size<M: Serialize>(msg: &M) -> usize {
-    serde_json::to_vec(msg).map(|v| v.len()).unwrap_or(0)
+    serde_json::serialized_len(msg)
 }
 
 /// Byte counters for the four hops of Figure 5 (both secure-channel legs
@@ -102,19 +130,22 @@ impl HopTraffic {
         self.requests_bytes += wire_size(m) as u64;
     }
 
-    /// Record one obfuscated query message.
-    pub fn record_query(&mut self, m: &ObfuscatedQueryMsg) {
-        self.queries_bytes += wire_size(m) as u64;
+    /// Record one obfuscated query: the bytes of the
+    /// [`ObfuscatedQueryMsg`] carrying `query` under `query_id`.
+    pub fn record_query(&mut self, query_id: u64, query: &ObfuscatedPathQuery) {
+        self.queries_bytes += wire_size(&ObfuscatedQueryView { query_id, query }) as u64;
     }
 
-    /// Record one candidate-results message.
-    pub fn record_candidates(&mut self, m: &CandidateResultsMsg) {
-        self.candidates_bytes += wire_size(m) as u64;
+    /// Record one candidate-results answer: the bytes of the
+    /// [`CandidateResultsMsg`] carrying `paths` under `query_id`.
+    pub fn record_candidates(&mut self, query_id: u64, paths: &[Vec<Option<Path>>]) {
+        self.candidates_bytes += wire_size(&CandidateResultsView { query_id, paths }) as u64;
     }
 
-    /// Record one delivered result.
-    pub fn record_result(&mut self, m: &ResultMsg) {
-        self.results_bytes += wire_size(m) as u64;
+    /// Record one delivered result: the bytes of the [`ResultMsg`]
+    /// delivering `path` to `client`.
+    pub fn record_result(&mut self, client: ClientId, path: &Path) {
+        self.results_bytes += wire_size(&ResultView { client, path }) as u64;
     }
 
     /// Download amplification at the obfuscator: candidate bytes received
@@ -181,6 +212,32 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_views_print_the_bytes_of_their_owned_messages() {
+        let path = |nodes: &[u32], d: f64| Path::new(nodes.iter().map(|&n| NodeId(n)).collect(), d);
+        let query = ObfuscatedPathQuery::new(vec![NodeId(3), NodeId(1)], vec![NodeId(2)]);
+        let owned = ObfuscatedQueryMsg { query_id: u64::MAX, query: query.clone() };
+        let view = ObfuscatedQueryView { query_id: u64::MAX, query: &query };
+        assert_eq!(serde_json::to_vec(&view).unwrap(), serde_json::to_vec(&owned).unwrap());
+
+        // Rows with a disconnected pair, an empty row, a one-node path.
+        let rows = vec![
+            vec![Some(path(&[1, 5, 2], 2.5)), None],
+            vec![],
+            vec![None, Some(path(&[3], 0.0))],
+        ];
+        for paths in [rows, vec![]] {
+            let view = CandidateResultsView { query_id: 7, paths: &paths };
+            let owned = CandidateResultsMsg { query_id: 7, paths: paths.clone() };
+            assert_eq!(serde_json::to_vec(&view).unwrap(), serde_json::to_vec(&owned).unwrap());
+        }
+
+        let delivered = path(&[4, 9], 1e-3);
+        let owned = ResultMsg { client: ClientId(u32::MAX), path: delivered.clone() };
+        let view = ResultView { client: ClientId(u32::MAX), path: &delivered };
+        assert_eq!(serde_json::to_vec(&view).unwrap(), serde_json::to_vec(&owned).unwrap());
+    }
+
+    #[test]
     fn wire_sizes_scale_with_content() {
         let small = ObfuscatedQueryMsg {
             query_id: 1,
@@ -217,18 +274,13 @@ mod tests {
         });
 
         let unit = ob.obfuscate_independent(&req).unwrap();
-        let qmsg = ObfuscatedQueryMsg { query_id: 1, query: unit.query.clone() };
-        traffic.record_query(&qmsg);
+        traffic.record_query(1, &unit.query);
 
         let result = server.process(&unit.query);
-        let cmsg = CandidateResultsMsg::from_result(1, &result);
-        traffic.record_candidates(&cmsg);
+        traffic.record_candidates(1, &result.paths);
 
         let delivered = crate::filter::filter_candidates(&unit, &result, None).unwrap();
-        traffic.record_result(&ResultMsg {
-            client: delivered[0].client,
-            path: delivered[0].path.clone(),
-        });
+        traffic.record_result(delivered[0].client, &delivered[0].path);
 
         assert!(traffic.requests_bytes > 0);
         assert!(traffic.queries_bytes > 0);

@@ -61,7 +61,7 @@ pub use report::{BatchReport, ClientOutcome};
 use crate::error::{OpaqueError, Result};
 use crate::filter::{ClientResult, extract_path};
 use crate::obfuscator::{ObfuscationMode, ObfuscationUnit, Obfuscator, cluster_requests};
-use crate::protocol::{CandidateResultsMsg, ObfuscatedQueryMsg, RequestMsg, ResultMsg};
+use crate::protocol::{RequestMsg, ResultMsg};
 use crate::query::{ClientId, ClientRequest, ObfuscatedPathQuery};
 use roadnet::NodeId;
 use std::collections::{HashMap, HashSet};
@@ -446,10 +446,7 @@ impl<B: DirectionsBackend> OpaqueService<B> {
             for ((query_id, unit), candidates) in units.iter().enumerate().zip(&answers) {
                 report.total_pairs += unit.query.num_pairs() as u64;
                 report.fakes_added += count_fakes(unit);
-                report.traffic.record_query(&ObfuscatedQueryMsg {
-                    query_id: query_id as u64,
-                    query: unit.query.clone(),
-                });
+                report.traffic.record_query(query_id as u64, &unit.query);
 
                 report.candidate_paths += candidates.num_paths() as u64;
                 report.candidate_path_nodes += candidates
@@ -459,10 +456,7 @@ impl<B: DirectionsBackend> OpaqueService<B> {
                     .flatten()
                     .map(|p| p.nodes().len() as u64)
                     .sum::<u64>();
-                report.traffic.record_candidates(&CandidateResultsMsg::from_result(
-                    query_id as u64,
-                    candidates,
-                ));
+                report.traffic.record_candidates(query_id as u64, &candidates.paths);
 
                 let verify_on = self.verify_results.then(|| self.obfuscator.map());
                 for request in &unit.requests {
@@ -474,10 +468,7 @@ impl<B: DirectionsBackend> OpaqueService<B> {
                     match extract_path(unit, request, candidates, verify_on)? {
                         Some(path) => {
                             report.delivered_path_nodes += path.nodes().len() as u64;
-                            report.traffic.record_result(&ResultMsg {
-                                client: request.client,
-                                path: path.clone(),
-                            });
+                            report.traffic.record_result(request.client, &path);
                             results.push(ClientResult { client: request.client, path });
                         }
                         None => {

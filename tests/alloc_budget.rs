@@ -1,0 +1,221 @@
+//! An allocation budget for the per-request accounting and encoding
+//! paths: counts, not timings, so it reads the same on every host.
+//!
+//! The JSON writer streams a message's events into its output; it builds
+//! no `serde::Value` tree and formats no intermediate `String`. Over a
+//! counting output (`wire_size`) or a buffer that already has room
+//! (`Connection::queue_reply`) that means **zero** allocations — so a
+//! tree, a `format!` or a clone-to-count coming back fails here by name,
+//! long before it shows as a few microseconds on the benchmark.
+//!
+//! This file is its own test binary because it installs a counting
+//! `#[global_allocator]`; no other test pays for it. The counter is per
+//! thread and every `#[test]` runs on its own thread, so the tests do not
+//! see each other's (or the harness's) allocations.
+
+use opaque::{
+    AdmissionPolicy, BatchPolicy, CandidateResultsMsg, ClientId, ClientRequest, HopTraffic,
+    ObfuscatedPathQuery, ObfuscatedQueryMsg, OpaqueService, PathQuery, ProtectionSettings,
+    RequestMsg, ResultMsg, ServiceBuilder, ServiceEvent, Ticket, wire_size,
+};
+use opaque_net::{Connection, DEFAULT_MAX_FRAME, WireReply};
+use pathsearch::Path;
+use roadnet::NodeId;
+use roadnet::generators::{GridConfig, grid_network};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::net::{TcpListener, TcpStream};
+
+thread_local! {
+    /// Allocations (and growing reallocations) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+impl CountingAlloc {
+    fn count() {
+        // `try_with`: a thread's last frees can run after its locals are
+        // gone. The cell is const-initialised and has no destructor, so
+        // touching it never allocates.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// `GlobalAlloc` contract the caller already upholds; the counter is a
+// thread-local `Cell` touched only before the forwarded call, and touching
+// it neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator (i.e. from `System`) with
+        // this layout, per the caller's contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count();
+        // SAFETY: `ptr`/`layout` describe a live `System` block and
+        // `new_size` is the caller-checked new size.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations `work` makes on this thread.
+fn allocations<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = work();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+fn path(nodes: &[u32], distance: f64) -> Path {
+    Path::new(nodes.iter().map(|&n| NodeId(n)).collect(), distance)
+}
+
+fn request_msg() -> RequestMsg {
+    RequestMsg {
+        client: ClientId(7),
+        query: PathQuery::new(NodeId(12), NodeId(88)),
+        protection: ProtectionSettings::new(3, 3).unwrap(),
+    }
+}
+
+fn query() -> ObfuscatedPathQuery {
+    ObfuscatedPathQuery::new((0..3).map(NodeId).collect(), (90..93).map(NodeId).collect())
+}
+
+/// Candidate rows with a disconnected pair, a fractional distance (the
+/// `Display` branch of the number writer) and an empty row.
+fn candidate_rows() -> Vec<Vec<Option<Path>>> {
+    vec![vec![Some(path(&[0, 1, 11, 90], 3.75)), None], vec![], vec![Some(path(&[2], 0.0))]]
+}
+
+#[test]
+fn the_counter_counts() {
+    let (n, v) = allocations(|| vec![1u8; 64]);
+    assert_eq!(n, 1, "a fresh Vec is one allocation");
+    drop(v);
+    let (n, _) = allocations(|| serde_json::to_vec(&request_msg()).unwrap());
+    assert!(n >= 1, "producing the bytes must allocate the buffer");
+}
+
+#[test]
+fn wire_size_of_every_hop_message_allocates_nothing() {
+    let request = request_msg();
+    let query_msg = ObfuscatedQueryMsg { query_id: 41, query: query() };
+    let candidates_msg = CandidateResultsMsg { query_id: 41, paths: candidate_rows() };
+    let result_msg = ResultMsg { client: ClientId(7), path: path(&[12, 13, 23, 88], 1e-3) };
+    let (n, sizes) = allocations(|| {
+        [
+            wire_size(&request),
+            wire_size(&query_msg),
+            wire_size(&candidates_msg),
+            wire_size(&result_msg),
+        ]
+    });
+    assert_eq!(n, 0, "wire_size counts bytes without producing them");
+    let produced = [
+        serde_json::to_vec(&request).unwrap().len(),
+        serde_json::to_vec(&query_msg).unwrap().len(),
+        serde_json::to_vec(&candidates_msg).unwrap().len(),
+        serde_json::to_vec(&result_msg).unwrap().len(),
+    ];
+    assert_eq!(sizes, produced);
+}
+
+#[test]
+fn by_reference_records_allocate_nothing() {
+    let (query, rows, delivered) = (query(), candidate_rows(), path(&[12, 13, 23, 88], 4.5));
+    let mut traffic = HopTraffic::default();
+    let (n, ()) = allocations(|| {
+        traffic.record_query(41, &query);
+        traffic.record_candidates(41, &rows);
+        traffic.record_result(ClientId(7), &delivered);
+    });
+    assert_eq!(n, 0, "recording a hop borrows what it measures");
+    assert!(traffic.queries_bytes > 0 && traffic.candidates_bytes > traffic.results_bytes);
+}
+
+#[test]
+fn queue_reply_into_a_warm_outbound_buffer_allocates_nothing() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (accepted, _) = listener.accept().unwrap();
+    let mut conn = Connection::new(accepted, DEFAULT_MAX_FRAME, 256 * 1024).unwrap();
+    let reply = |ticket: u64| WireReply::Result {
+        ticket: Ticket(ticket),
+        result: ResultMsg { client: ClientId(7), path: path(&[12, 13, 23, 88], 4.5) },
+        waited: 0.25,
+    };
+    let (first, second) = (reply(1), reply(2));
+    // The first reply sizes the buffer; flushing empties it, capacity kept.
+    conn.queue_reply(&first).unwrap();
+    conn.flush().unwrap();
+    assert_eq!(conn.pending_out(), 0);
+    let (n, queued) = allocations(|| conn.queue_reply(&second));
+    queued.unwrap();
+    assert_eq!(n, 0, "a reply is serialised in place behind its header");
+    assert!(conn.pending_out() > 0);
+}
+
+/// The `wire_bare` deployment of the benchmark, in process: 10×10 grid,
+/// 1×1 protection (no fakes), one shard, no cache.
+fn bare_service() -> OpaqueService<opaque::DefaultBackend> {
+    let map =
+        grid_network(&GridConfig { width: 10, height: 10, seed: 3, ..Default::default() }).unwrap();
+    ServiceBuilder::new()
+        .map(map)
+        .seed(14)
+        .verify_results(false)
+        .batch_policy(BatchPolicy { max_batch: 1, max_delay: 3600.0 })
+        .admission_policy(AdmissionPolicy { queue_depth: 4, deadline: None })
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn one_warm_request_stays_under_its_allocation_ceiling() {
+    // What one 1×1 request costs end to end, submit to delivered event,
+    // once arenas and queues are warm. This test measured 129 at the
+    // parent commit — the `Value` tree `wire_size` built four times per
+    // request, and the query, candidate rows and delivered path cloned to
+    // be counted — and 30 once counting stopped allocating (what remains
+    // is the request's own unit, candidate rows, path and report). The
+    // ceiling leaves room for std-version drift, not for a tree.
+    const CEILING: u64 = 40;
+    let mut service = bare_service();
+    let request = |i: u32| {
+        ClientRequest::new(
+            ClientId(i),
+            PathQuery::new(NodeId(i % 100), NodeId((i * 37 + 55) % 100)),
+            ProtectionSettings::new(1, 1).unwrap(),
+        )
+    };
+    let mut serve = |i: u32| {
+        let now = f64::from(i);
+        let _ = service.submit(request(i), now);
+        let events = service.tick(now).expect("a valid request is no batch-fatal error");
+        assert!(
+            matches!(events.first(), Some(ServiceEvent::ResponseReady { .. })),
+            "request {i} was not delivered: {events:?}"
+        );
+    };
+    (0..8).for_each(&mut serve);
+    let (n, ()) = allocations(|| serve(8));
+    assert!(n <= CEILING, "one warm 1x1 request made {n} allocations (ceiling {CEILING})");
+}
