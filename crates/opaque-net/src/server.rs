@@ -155,11 +155,6 @@ impl NetServer {
         self.stats
     }
 
-    /// Live connections (for tests and the smoke binary).
-    pub fn open_conns(&self) -> usize {
-        self.conns.len()
-    }
-
     /// One reactor iteration; see the module docs for the pipeline.
     ///
     /// # Errors

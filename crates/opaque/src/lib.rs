@@ -97,7 +97,6 @@
 #![warn(missing_docs)]
 
 pub mod attack;
-pub mod audit;
 pub mod baselines;
 pub mod error;
 pub mod filter;
@@ -109,7 +108,6 @@ pub mod server;
 pub mod service;
 
 pub use attack::{AttackReport, CollusionReport, InformedAttackReport, IntersectionReport};
-pub use audit::{ExposureReport, PrivacyLedger};
 pub use baselines::{Technique, TechniqueReport, run_technique};
 pub use error::{OpaqueError, Result};
 pub use filter::{ClientResult, filter_candidates};

@@ -15,6 +15,7 @@
 //! Three strategies span this trade-off; E7 measures all of them.
 
 use crate::error::{OpaqueError, Result};
+use pathsearch::{Goal, SearchArena, ring_search_in, run_in};
 use rand::Rng;
 use rand::rngs::StdRng;
 use roadnet::{NodeId, Point, RoadNetwork, SpatialIndex};
@@ -175,31 +176,26 @@ fn uniform(
     Ok(out)
 }
 
-fn ring(
-    ctx: &SelectionContext<'_>,
+/// The widen → filter → sort → sample loop both ring strategies share.
+/// `band(r_lo, r_hi)` lists the nodes in the current annulus and says
+/// whether it already covers every node a wider one could reach — the
+/// only way out with [`OpaqueError::NotEnoughFakes`]. While short, the
+/// inner radius halves and the outer doubles, clamped to `cap` on the way
+/// up; reaching `cap` drops the inner radius to zero, and an annulus that
+/// still does not cover everything there keeps doubling.
+fn widen_and_sample(
     exclude: &HashSet<NodeId>,
     count: usize,
-    lo: f64,
-    hi: f64,
+    (mut r_lo, mut r_hi): (f64, f64),
+    cap: f64,
     rng: &mut StdRng,
+    mut band: impl FnMut(f64, f64) -> (Vec<NodeId>, bool),
 ) -> Result<Vec<NodeId>> {
-    let center = ctx.anchor_point();
-    let d = ctx.scale();
-    let mut r_lo = lo * d;
-    let mut r_hi = hi * d;
-    let diag = ctx.map.bbox().diagonal();
-
     let mut picked: HashSet<NodeId> = HashSet::with_capacity(count);
     let mut out = Vec::with_capacity(count);
-    // Widen the annulus until enough candidates exist; the map diagonal
-    // bounds the number of rounds.
     loop {
-        let mut candidates: Vec<NodeId> = ctx
-            .index
-            .in_ring(center, r_lo, r_hi)
-            .into_iter()
-            .filter(|c| !exclude.contains(c) && !picked.contains(c))
-            .collect();
+        let (mut candidates, covers_all) = band(r_lo, r_hi);
+        candidates.retain(|c| !exclude.contains(c) && !picked.contains(c));
         // Deterministic candidate order before sampling keeps runs
         // reproducible per seed.
         candidates.sort_unstable();
@@ -212,18 +208,35 @@ fn ring(
         if out.len() == count {
             return Ok(out);
         }
-        if r_hi >= diag && r_lo <= 0.0 {
-            // Annulus covers the whole map and still not enough nodes —
-            // availability pre-check makes this unreachable, but keep a
-            // defensive error rather than an infinite loop.
+        if covers_all {
             return Err(OpaqueError::NotEnoughFakes { requested: count, available: out.len() });
         }
-        r_lo = (r_lo * 0.5).max(0.0);
-        r_hi = (r_hi * 2.0).min(diag.max(r_hi + 1.0));
-        if r_hi >= diag {
-            r_lo = 0.0;
-        }
+        r_hi = if r_lo <= 0.0 && r_hi >= cap {
+            r_hi * 2.0
+        } else {
+            (r_hi * 2.0).min(cap.max(r_hi + 1.0))
+        };
+        r_lo = if r_hi >= cap { 0.0 } else { r_lo * 0.5 };
     }
+}
+
+fn ring(
+    ctx: &SelectionContext<'_>,
+    exclude: &HashSet<NodeId>,
+    count: usize,
+    lo: f64,
+    hi: f64,
+    rng: &mut StdRng,
+) -> Result<Vec<NodeId>> {
+    let center = ctx.anchor_point();
+    let d = ctx.scale();
+    // A Euclidean annulus `[0, diagonal]` holds the whole map; the
+    // availability pre-check makes running dry there unreachable, but it
+    // is an error rather than an infinite loop.
+    let diag = ctx.map.bbox().diagonal();
+    widen_and_sample(exclude, count, (lo * d, hi * d), diag, rng, |r_lo, r_hi| {
+        (ctx.index.in_ring(center, r_lo, r_hi), r_lo <= 0.0 && r_hi >= diag)
+    })
 }
 
 fn network_ring(
@@ -234,44 +247,25 @@ fn network_ring(
     hi: f64,
     rng: &mut StdRng,
 ) -> Result<Vec<NodeId>> {
+    // One search space for the scale query and every band sweep.
+    let mut arena = SearchArena::new();
     // Scale by the true query's *network* length when available; the
     // Euclidean length is a lower bound and good enough to seed the radius
     // (the annulus widens on shortage anyway).
-    let d = pathsearch::shortest_distance(ctx.map, ctx.anchor, ctx.counterpart)
+    run_in(&mut arena, ctx.map, ctx.anchor, &Goal::Single(ctx.counterpart));
+    let d = arena
+        .distance(0, ctx.counterpart)
         .unwrap_or_else(|| ctx.map.euclidean(ctx.anchor, ctx.counterpart))
         .max(f64::EPSILON);
-    let mut r_lo = lo * d;
-    let mut r_hi = hi * d;
-    let diag = ctx.map.bbox().diagonal() * 2.0; // network dist can exceed the diagonal
-
-    let mut picked: HashSet<NodeId> = HashSet::with_capacity(count);
-    let mut out = Vec::with_capacity(count);
-    loop {
-        let (band, _) = pathsearch::ring_search(ctx.map, ctx.anchor, r_lo, r_hi);
-        let mut candidates: Vec<NodeId> = band
-            .into_iter()
-            .map(|(n, _)| n)
-            .filter(|c| !exclude.contains(c) && !picked.contains(c))
-            .collect();
-        candidates.sort_unstable();
-        while out.len() < count && !candidates.is_empty() {
-            let i = rng.gen_range(0..candidates.len());
-            let cand = candidates.swap_remove(i);
-            picked.insert(cand);
-            out.push(cand);
-        }
-        if out.len() == count {
-            return Ok(out);
-        }
-        if r_lo <= 0.0 && r_hi >= diag {
-            return Err(OpaqueError::NotEnoughFakes { requested: count, available: out.len() });
-        }
-        r_lo = (r_lo * 0.5).max(0.0);
-        r_hi = (r_hi * 2.0).min(diag.max(r_hi + 1.0));
-        if r_hi >= diag {
-            r_lo = 0.0;
-        }
-    }
+    // Network radii are not bounded by any coordinate length (travel-time
+    // weights over lon/lat), so the diagonal only paces the widening; the
+    // band covers everything once it starts at the anchor and its sweep
+    // has exhausted the anchor's component.
+    let pace = ctx.map.bbox().diagonal() * 2.0;
+    widen_and_sample(exclude, count, (lo * d, hi * d), pace, rng, |r_lo, r_hi| {
+        let (band, _, drained) = ring_search_in(&mut arena, ctx.map, ctx.anchor, r_lo, r_hi);
+        (band.into_iter().map(|(n, _)| n).collect(), r_lo <= 0.0 && drained)
+    })
 }
 
 fn weighted(
@@ -560,6 +554,73 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fakes.len(), 40);
+    }
+
+    /// A chain of `n` nodes on a 0.5 × 0.4 lattice whose every edge
+    /// weighs 100: network distances dwarf every coordinate length, as
+    /// travel-time weights over lon/lat do.
+    fn heavy_chain(n: u32) -> (RoadNetwork, SpatialIndex) {
+        let mut b = roadnet::GraphBuilder::new();
+        for i in 0..n {
+            b.add_node(Point::new((i % 6) as f64 * 0.1, (i / 6) as f64 * 0.1)).unwrap();
+        }
+        for i in 0..n - 1 {
+            b.add_edge(NodeId(i), NodeId(i + 1), 100.0).unwrap();
+        }
+        let g = b.build().unwrap();
+        let idx = SpatialIndex::build(&g);
+        (g, idx)
+    }
+
+    #[test]
+    fn network_ring_widens_past_the_coordinate_diagonal() {
+        let (g, idx) = heavy_chain(30);
+        assert!(g.bbox().diagonal() < 1.0);
+        let c = SelectionContext {
+            map: &g,
+            index: &idx,
+            weights: None,
+            anchor: NodeId(0),
+            counterpart: NodeId(2),
+        };
+        let exclude: HashSet<NodeId> = [NodeId(0), NodeId(2)].into_iter().collect();
+        let mut rng = StdRng::seed_from_u64(1);
+        // The initial band [60, 240] holds one eligible node and 2 × the
+        // diagonal is under 2; the ninth lies 1000 away.
+        let fakes =
+            select_fakes(FakeSelection::default_network_ring(), &c, &exclude, 9, &mut rng).unwrap();
+        assert_eq!(fakes.iter().collect::<HashSet<_>>().len(), 9);
+        assert!(fakes.iter().all(|f| !exclude.contains(f)));
+    }
+
+    #[test]
+    fn network_ring_gives_up_once_the_anchors_component_is_exhausted() {
+        // Two components: a heavy chain of 4 and, unreachable from it,
+        // plenty of nodes the count-level pre-check is satisfied by.
+        let mut b = roadnet::GraphBuilder::new();
+        for i in 0..20u32 {
+            b.add_node(Point::new(i as f64 * 0.1, 0.0)).unwrap();
+        }
+        for i in (0..3u32).chain(4..19) {
+            b.add_edge(NodeId(i), NodeId(i + 1), 100.0).unwrap();
+        }
+        let g = b.build().unwrap();
+        let idx = SpatialIndex::build(&g);
+        let c = SelectionContext {
+            map: &g,
+            index: &idx,
+            weights: None,
+            anchor: NodeId(0),
+            counterpart: NodeId(1),
+        };
+        let exclude: HashSet<NodeId> = [NodeId(0), NodeId(1)].into_iter().collect();
+        let mut rng = StdRng::seed_from_u64(1);
+        let err = select_fakes(FakeSelection::default_network_ring(), &c, &exclude, 5, &mut rng)
+            .unwrap_err();
+        assert!(
+            matches!(err, OpaqueError::NotEnoughFakes { requested: 5, available: 2 }),
+            "{err:?}"
+        );
     }
 
     #[test]

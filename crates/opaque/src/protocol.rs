@@ -28,7 +28,7 @@
 //! [`HopTraffic`] accumulates.
 
 use crate::query::{ClientId, ObfuscatedPathQuery, PathQuery, ProtectionSettings};
-use pathsearch::{MsmdResult, Path};
+use pathsearch::Path;
 use serde::Serialize;
 
 /// Client → obfuscator (secure channel): one directions request.
@@ -62,13 +62,6 @@ pub struct CandidateResultsMsg {
     /// `paths[i][j]` answers `(sources[i], targets[j])`; `None` when
     /// disconnected.
     pub paths: Vec<Vec<Option<Path>>>,
-}
-
-impl CandidateResultsMsg {
-    /// Package an MSMD evaluation for the wire.
-    pub fn from_result(query_id: u64, result: &MsmdResult) -> Self {
-        CandidateResultsMsg { query_id, paths: result.paths.clone() }
-    }
 }
 
 /// Obfuscator → client (secure channel): the requested path.

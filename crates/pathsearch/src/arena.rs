@@ -81,8 +81,7 @@ pub(crate) struct FrontierScratch {
     pub meet: Vec<u32>,
     /// Largest settled key per tree (a lower bound on future settles).
     pub radius: Vec<f64>,
-    /// Open pairs (or unsettled targets) remaining per tree; a tree
-    /// retires at zero.
+    /// Open pairs remaining per tree; a tree retires at zero.
     pub open: Vec<u32>,
     /// Whether a pair's shortest distance is finalized.
     pub done: Vec<bool>,
@@ -204,8 +203,8 @@ impl SearchArena {
     /// Write a label: tentative distance `dist` reached via `parent`
     /// (`None` for roots).
     ///
-    /// The raw label/heap operations (`label`, `settle`, `relax`, `push`,
-    /// `pop`, `is_fresh`) are crate-internal: they index by
+    /// The raw label/heap operations (`label`, `settle`, `relax_keyed`,
+    /// `push`, `pop`, `is_fresh`) are crate-internal: they index by
     /// `tree * nodes + node` with debug-only bounds checks, so exposing
     /// them would let out-of-range trees silently alias other trees'
     /// slots in release builds. External callers drive searches through
@@ -267,18 +266,11 @@ impl SearchArena {
 
     /// Relax the arc `from → to` in `tree` with candidate distance `cand`:
     /// labels `to` and pushes a frontier entry when `cand` improves on the
-    /// current label (or none exists). Returns whether it did.
-    #[inline]
-    pub(crate) fn relax(&mut self, tree: usize, from: NodeId, to: NodeId, cand: f64) -> bool {
-        self.relax_keyed(tree, from, to, cand, cand)
-    }
-
-    /// [`SearchArena::relax`] with an explicit heap priority: the label
+    /// current label (or none exists). Returns whether it did. The label
     /// comparison and storage use the *raw* distance `cand` (improvement
     /// stays a statement about real path lengths), while the frontier entry
     /// is prioritized by `key` — a goal-directed sweep passes
-    /// `key = cand ± potential(to)`. Plain relaxation is the `key == cand`
-    /// special case.
+    /// `key = cand ± potential(to)`, a plain one `key == cand`.
     #[inline]
     pub(crate) fn relax_keyed(
         &mut self,
@@ -301,8 +293,9 @@ impl SearchArena {
     }
 
     /// Push a frontier entry (used to seed roots; relaxation goes through
-    /// [`SearchArena::relax`]). `key` is the heap priority, `dist` the raw
-    /// root distance (they coincide except under a goal-directed potential).
+    /// [`SearchArena::relax_keyed`]). `key` is the heap priority, `dist` the
+    /// raw root distance (they coincide except under a goal-directed
+    /// potential).
     #[inline]
     pub(crate) fn push(&mut self, key: f64, dist: f64, tree: usize, node: NodeId) {
         self.heap.push(FrontierEntry { key, dist, tree: tree as u32, node });

@@ -9,118 +9,38 @@
 //! cannot aim at many destinations at once, which is exactly the trade-off
 //! obfuscated query processing faces).
 
+use crate::arena::SearchArena;
+use crate::dijkstra::{Goal, NoRecord, run_in_sink};
 use crate::path::Path;
 use crate::stats::SearchStats;
-use roadnet::{GraphView, NodeId, Point};
-use std::collections::BinaryHeap;
-
-const NIL: u32 = u32::MAX;
-
-#[derive(Clone, Copy, Debug)]
-struct HeapEntry {
-    f: f64,
-    node: NodeId,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.f == other.f && self.node == other.node
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.f.total_cmp(&self.f).then_with(|| other.node.0.cmp(&self.node.0))
-    }
-}
+use roadnet::{GraphView, NodeId};
 
 /// A* from `s` to `t` with an arbitrary heuristic `h(n)` estimating the
-/// remaining distance from `n` to `t`.
+/// remaining distance from `n` to `t`: the crate's one single-tree loop
+/// (the one behind [`crate::run_tree`]) keyed by `dist + h(node)`, in a
+/// throwaway arena.
 ///
-/// Exact iff `h` is admissible (never overestimates); the stale-entry check
-/// additionally assumes consistency, which all heuristics in this crate
-/// (Euclidean, scaled Euclidean, ALT) satisfy. Returns the path (or `None`
-/// if unreachable) and the run's counters.
+/// Exact iff `h` is consistent (1-Lipschitz along edges, hence
+/// admissible), which all heuristics in this crate (Euclidean, ALT)
+/// satisfy. Returns the path (or `None` if unreachable) and the run's
+/// counters.
 pub fn astar_with<G, H>(g: &G, s: NodeId, t: NodeId, h: H) -> (Option<Path>, SearchStats)
 where
     G: GraphView,
     H: Fn(NodeId) -> f64,
 {
-    let n = g.num_nodes();
-    assert!(s.index() < n && t.index() < n, "endpoint out of range");
-    let mut stats = SearchStats::one_run();
-
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent = vec![NIL; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new();
-
-    dist[s.index()] = 0.0;
-    heap.push(HeapEntry { f: h(s), node: s });
-    stats.heap_pushes += 1;
-
-    while let Some(HeapEntry { f, node }) = heap.pop() {
-        stats.heap_pops += 1;
-        if settled[node.index()] {
-            continue;
-        }
-        // Stale check: recomputing f from the current g-value is cheaper
-        // than storing g in the heap entry and is exact for consistent h.
-        if f > dist[node.index()] + h(node) + 1e-12 {
-            continue;
-        }
-        settled[node.index()] = true;
-        stats.settled += 1;
-        if node == t {
-            let mut nodes = vec![t];
-            let mut cur = t;
-            while parent[cur.index()] != NIL {
-                cur = NodeId(parent[cur.index()]);
-                nodes.push(cur);
-            }
-            nodes.reverse();
-            return (Some(Path::new(nodes, dist[t.index()])), stats);
-        }
-        let d_node = dist[node.index()];
-        g.for_each_arc(node, &mut |to, w| {
-            stats.relaxed += 1;
-            let cand = d_node + w;
-            if cand < dist[to.index()] {
-                dist[to.index()] = cand;
-                parent[to.index()] = node.0;
-                heap.push(HeapEntry { f: cand + h(to), node: to });
-                stats.heap_pushes += 1;
-            }
-        });
-    }
-    (None, stats)
+    assert!(t.index() < g.num_nodes(), "endpoint out of range");
+    let mut arena = SearchArena::new();
+    let stats = run_in_sink(&mut arena, g, s, &Goal::Single(t), &h, &mut NoRecord);
+    (arena.path_to(0, t), stats)
 }
 
-/// A* using the Euclidean heuristic scaled by `h_scale`.
-///
-/// `h_scale = 1.0` is admissible whenever edge weights are at least the
-/// Euclidean distance between their endpoints
-/// ([`roadnet::RoadNetwork::euclidean_admissible`]); larger scales trade
-/// exactness for speed (weighted A*).
-pub fn astar_scaled<G: GraphView>(
-    g: &G,
-    s: NodeId,
-    t: NodeId,
-    h_scale: f64,
-) -> (Option<Path>, SearchStats) {
-    assert!(h_scale >= 0.0 && h_scale.is_finite(), "invalid heuristic scale");
-    let goal: Point = g.point(t);
-    astar_with(g, s, t, |node| g.point(node).distance(goal) * h_scale)
-}
-
-/// Exact A* (`h_scale = 1.0`).
+/// A* with the Euclidean heuristic — admissible whenever edge weights are
+/// at least the Euclidean distance between their endpoints
+/// ([`roadnet::RoadNetwork::euclidean_admissible`]).
 pub fn astar<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>, SearchStats) {
-    astar_scaled(g, s, t, 1.0)
+    let goal = g.point(t);
+    astar_with(g, s, t, |node| g.point(node).distance(goal))
 }
 
 #[cfg(test)]
@@ -171,7 +91,8 @@ mod tests {
             .unwrap();
         let (s, t) = (NodeId(0), NodeId(624));
         let (exact, exact_stats) = astar(&g, s, t);
-        let (greedy, greedy_stats) = astar_scaled(&g, s, t, 2.0);
+        let goal = g.point(t);
+        let (greedy, greedy_stats) = astar_with(&g, s, t, |n| g.point(n).distance(goal) * 2.0);
         let exact = exact.unwrap();
         let greedy = greedy.unwrap();
         // Weighted A* with scale w is w-suboptimal at worst.
@@ -184,9 +105,11 @@ mod tests {
     fn zero_scale_degenerates_to_dijkstra() {
         let g = grid_network(&GridConfig { width: 10, height: 10, seed: 2, ..Default::default() })
             .unwrap();
-        let (p, _) = astar_scaled(&g, NodeId(0), NodeId(99), 0.0);
-        let d = shortest_path(&g, NodeId(0), NodeId(99)).unwrap();
-        assert!((p.unwrap().distance() - d.distance()).abs() < 1e-9);
+        let (p, stats) = astar_with(&g, NodeId(0), NodeId(99), |_| 0.0);
+        let mut searcher = crate::dijkstra::Searcher::new();
+        let d_stats = searcher.run(&g, NodeId(0), &crate::dijkstra::Goal::Single(NodeId(99)));
+        assert_eq!(p, searcher.path_to(NodeId(99)));
+        assert_eq!(stats, d_stats);
     }
 
     #[test]
@@ -194,5 +117,15 @@ mod tests {
         let g = grid_network(&GridConfig { width: 4, height: 4, ..Default::default() }).unwrap();
         let (p, _) = astar(&g, NodeId(5), NodeId(5));
         assert!(p.unwrap().is_trivial());
+
+        let mut b = roadnet::GraphBuilder::new();
+        for i in 0..3 {
+            b.add_node(roadnet::Point::new(i as f64, 0.0)).unwrap();
+        }
+        b.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
+        let island = b.build().unwrap();
+        let (p, stats) = astar(&island, NodeId(0), NodeId(2));
+        assert!(p.is_none());
+        assert_eq!(stats.settled, 2, "the source's component is swept, then the heap drains");
     }
 }

@@ -11,64 +11,19 @@
 //! network), which holds for every generator in `roadnet`; the backward
 //! search then uses the same adjacency as the forward one.
 
+use crate::arena::SearchArena;
+use crate::frontier::shared_frontier;
 use crate::path::Path;
 use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
-use std::collections::BinaryHeap;
 
-const NIL: u32 = u32::MAX;
-
-#[derive(Clone, Copy)]
-struct HeapEntry {
-    d: f64,
-    node: NodeId,
-}
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.d == other.d && self.node == other.node
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.d.total_cmp(&self.d).then_with(|| other.node.0.cmp(&self.node.0))
-    }
-}
-
-struct Side {
-    dist: Vec<f64>,
-    parent: Vec<u32>,
-    settled: Vec<bool>,
-    heap: BinaryHeap<HeapEntry>,
-}
-
-impl Side {
-    fn new(n: usize, start: NodeId) -> Self {
-        let mut s = Side {
-            dist: vec![f64::INFINITY; n],
-            parent: vec![NIL; n],
-            settled: vec![false; n],
-            heap: BinaryHeap::new(),
-        };
-        s.dist[start.index()] = 0.0;
-        s.heap.push(HeapEntry { d: 0.0, node: start });
-        s
-    }
-
-    fn min_key(&self) -> f64 {
-        self.heap.peek().map_or(f64::INFINITY, |e| e.d)
-    }
-}
-
-/// Bidirectional Dijkstra from `s` to `t` on a symmetric graph.
+/// Bidirectional Dijkstra from `s` to `t` on a symmetric graph: the 1×1
+/// case of the shared-frontier sweep behind
+/// [`SharingPolicy::SharedFrontier`](crate::multi::SharingPolicy), in a
+/// throwaway arena.
 ///
 /// Returns the shortest path (or `None` if disconnected) and combined
-/// counters for both directions.
+/// counters for both directions (`runs == 2`, one per tree).
 pub fn bidirectional<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>, SearchStats) {
     let n = g.num_nodes();
     assert!(s.index() < n && t.index() < n, "endpoint out of range");
@@ -77,93 +32,8 @@ pub fn bidirectional<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>
         "bidirectional search uses forward arcs for the backward tree and is \
          only exact on symmetric (undirected) graph views"
     );
-    let mut stats = SearchStats::one_run();
-    stats.heap_pushes += 2;
-
-    if s == t {
-        stats.settled = 1;
-        return (Some(Path::trivial(s)), stats);
-    }
-
-    let mut fwd = Side::new(n, s);
-    let mut bwd = Side::new(n, t);
-    let mut best = f64::INFINITY;
-    let mut meet: Option<NodeId> = None;
-
-    loop {
-        // Standard stopping criterion: no better connection can appear once
-        // the sum of the minimum keys reaches the best found so far.
-        let (kf, kb) = (fwd.min_key(), bwd.min_key());
-        if kf + kb >= best || (kf.is_infinite() && kb.is_infinite()) {
-            break;
-        }
-        // Expand the side with the smaller frontier radius (balanced growth).
-        let forward = kf <= kb;
-        let (this, other) = if forward { (&mut fwd, &mut bwd) } else { (&mut bwd, &mut fwd) };
-
-        let Some(HeapEntry { d, node }) = this.heap.pop() else { break };
-        stats.heap_pops += 1;
-        if this.settled[node.index()] || d > this.dist[node.index()] {
-            continue;
-        }
-        this.settled[node.index()] = true;
-        stats.settled += 1;
-
-        let d_node = this.dist[node.index()];
-        let this_dist = &mut this.dist;
-        let this_parent = &mut this.parent;
-        let this_settled = &this.settled;
-        let this_heap = &mut this.heap;
-        let other_dist = &other.dist;
-        g.for_each_arc(node, &mut |to, w| {
-            stats.relaxed += 1;
-            let cand = d_node + w;
-            if cand < this_dist[to.index()] && !this_settled[to.index()] {
-                this_dist[to.index()] = cand;
-                this_parent[to.index()] = node.0;
-                this_heap.push(HeapEntry { d: cand, node: to });
-                stats.heap_pushes += 1;
-            }
-            // A connection exists whenever the other side has labelled `to`.
-            let through = cand + other_dist[to.index()];
-            if through < best {
-                best = through;
-                meet = Some(to);
-            }
-        });
-        // The settled node itself may close a connection.
-        let through = d_node + other.dist[node.index()];
-        if through < best {
-            best = through;
-            meet = Some(node);
-        }
-    }
-
-    let Some(m) = meet else { return (None, stats) };
-
-    // Stitch: s → … → m from the forward tree, then m → … → t reversed from
-    // the backward tree.
-    let mut nodes = Vec::new();
-    let mut cur = m;
-    loop {
-        nodes.push(cur);
-        let p = fwd.parent[cur.index()];
-        if p == NIL {
-            break;
-        }
-        cur = NodeId(p);
-    }
-    nodes.reverse();
-    let mut cur = m;
-    loop {
-        let p = bwd.parent[cur.index()];
-        if p == NIL {
-            break;
-        }
-        cur = NodeId(p);
-        nodes.push(cur);
-    }
-    (Some(Path::new(nodes, best)), stats)
+    let mut r = shared_frontier(&mut SearchArena::new(), g, &[s], &[t], None);
+    (r.paths[0][0].take(), r.stats)
 }
 
 #[cfg(test)]
@@ -254,5 +124,16 @@ mod tests {
         let p = p.unwrap();
         let d = shortest_path(&g, NodeId(0), NodeId(1)).unwrap();
         assert!((p.distance() - d.distance()).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "only exact on symmetric")]
+    fn directed_view_panics() {
+        let mut b = GraphBuilder::directed();
+        b.add_node(Point::new(0.0, 0.0)).unwrap();
+        b.add_node(Point::new(1.0, 0.0)).unwrap();
+        b.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
+        let g = b.build().unwrap();
+        let _ = bidirectional(&g, NodeId(0), NodeId(1));
     }
 }

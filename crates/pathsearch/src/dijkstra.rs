@@ -36,8 +36,18 @@ pub enum Goal {
 
 /// Observer of a sweep's settle events — the seam [`run_in_traced`] uses
 /// to record a [`SweepTrace`] without taxing the untraced hot path
-/// ([`run_in`] instantiates the no-op sink, which monomorphizes away).
-trait SettleSink {
+/// ([`run_in`] instantiates the no-op sink, which monomorphizes away), and
+/// the seam [`crate::range`] uses to stop a sweep at a radius.
+pub(crate) trait SettleSink {
+    /// Whether the sweep may settle a label at raw distance `dist`; `false`
+    /// ends it there (sound under the zero potential, where labels pop in
+    /// ascending distance). The constant default compiles out of the plain
+    /// and recording instantiations.
+    #[inline]
+    fn admits(&self, _dist: f64) -> bool {
+        true
+    }
+
     /// Called right after `node` settles, **before** the goal check and
     /// before the node expands its arcs, with the sweep's counters at
     /// that instant — exactly what a sweep stopping here would report.
@@ -49,7 +59,7 @@ trait SettleSink {
 }
 
 /// The zero-cost sink behind [`run_in`].
-struct NoRecord;
+pub(crate) struct NoRecord;
 
 impl SettleSink for NoRecord {
     #[inline]
@@ -93,7 +103,7 @@ impl SettleSink for Recorder {
 /// still exact, and the goal checks below stop at the same (now
 /// earlier-reached) conditions — only the settle *order* and the explored
 /// region change.
-fn run_in_sink<G: GraphView, S: SettleSink, F: Fn(NodeId) -> f64>(
+pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, F: Fn(NodeId) -> f64>(
     arena: &mut SearchArena,
     g: &G,
     source: NodeId,
@@ -124,6 +134,10 @@ fn run_in_sink<G: GraphView, S: SettleSink, F: Fn(NodeId) -> f64>(
         // that a shorter one has since overwritten.
         if !arena.is_fresh(&e) {
             continue;
+        }
+        if !sink.admits(e.dist) {
+            stopped = true;
+            break;
         }
         arena.settle(0, e.node);
         stats.settled += 1;
@@ -164,7 +178,7 @@ fn run_in_sink<G: GraphView, S: SettleSink, F: Fn(NodeId) -> f64>(
 
 /// The zero potential behind the plain entry points — inlines to nothing.
 #[inline]
-fn zero_pot(_: NodeId) -> f64 {
+pub(crate) fn zero_pot(_: NodeId) -> f64 {
     0.0
 }
 

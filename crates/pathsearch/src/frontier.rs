@@ -1,5 +1,8 @@
 //! The shared-frontier MSMD engine behind
-//! [`SharingPolicy::SharedFrontier`](crate::multi::SharingPolicy).
+//! [`SharingPolicy::SharedFrontier`](crate::multi::SharingPolicy) — one of
+//! the crate's two label-setting loops (the other is the single-tree loop
+//! in `dijkstra.rs`), called by `multi::evaluate` for `|S|×|T|` queries and
+//! by [`crate::bidirectional()`] as its 1×1 case.
 //!
 //! All spanning trees of an obfuscated query grow in **one interleaved
 //! sweep**: every tree's tentative labels live in one [`SearchArena`] and
@@ -7,7 +10,7 @@
 //! regardless of which tree owns it — the multi-tree generalization of
 //! balanced bidirectional growth.
 //!
-//! On **symmetric** (undirected) graph views the engine grows `|S|`
+//! The engine grows `|S|`
 //! forward trees *and* `|T|` backward trees and resolves each pair
 //! `(s, t)` by the bidirectional meeting rule: track the best connecting
 //! distance `μ(s,t)` seen through any commonly-labelled node, and finalize
@@ -20,11 +23,10 @@
 //! maps (two half-radius balls cover about half the area of one
 //! full-radius ball).
 //!
-//! On **directed** views the backward adjacency is unavailable, so the
-//! engine degrades to the same interleaved sweep over forward trees only,
-//! with each tree retiring when its last unsettled target settles —
-//! exactly `PerSource`'s per-tree cost, still allocation-free and
-//! single-pass.
+//! Backward trees reuse the forward adjacency, so the view must be
+//! **symmetric** (undirected); both callers check that before they get
+//! here, and `multi::evaluate` answers a directed view with its
+//! per-source evaluator instead.
 
 use crate::alt::BiPotential;
 use crate::arena::{FrontierScratch, NIL, SearchArena};
@@ -39,12 +41,8 @@ use roadnet::{GraphView, NodeId};
 /// (the two tree-side potentials sum to zero), so reduced
 /// forward/backward lengths still add up to true path lengths and the
 /// per-pair stopping rule is unchanged. With `None` (or the all-zero
-/// `pf`) the keys equal the raw distances bit-for-bit. Inputs are
-/// validated by the caller (`multi::evaluate`).
-///
-/// The directed fallback ignores the potential: ALT tables require a
-/// symmetric graph, and [`crate::alt::AltPreprocessing::try_build`]
-/// refuses to produce one for directed views.
+/// `pf`) the keys equal the raw distances bit-for-bit. Inputs, and that
+/// the view is symmetric, are validated by the callers.
 pub(crate) fn shared_frontier<G: GraphView>(
     arena: &mut SearchArena,
     g: &G,
@@ -52,20 +50,17 @@ pub(crate) fn shared_frontier<G: GraphView>(
     targets: &[NodeId],
     pot: Option<&BiPotential<'_>>,
 ) -> MsmdResult {
-    if g.is_symmetric() {
-        match pot {
-            Some(p) => bidirectional_sweep(arena, g, sources, targets, &|n| p.pf(n)),
-            None => bidirectional_sweep(arena, g, sources, targets, &|_| 0.0),
-        }
-    } else {
-        forward_sweep(arena, g, sources, targets)
+    debug_assert!(g.is_symmetric(), "backward trees reuse forward arcs");
+    match pot {
+        Some(p) => bidirectional_sweep(arena, g, sources, targets, &|n| p.pf(n)),
+        None => bidirectional_sweep(arena, g, sources, targets, &|_| 0.0),
     }
 }
 
-/// Symmetric case: `|S|` forward + `|T|` backward trees, one heap,
-/// per-pair bidirectional termination. `pf` is the forward-tree potential
-/// (backward trees subtract it); keys live in *reduced* space while labels
-/// and meeting distances stay raw.
+/// `|S|` forward + `|T|` backward trees, one heap, per-pair bidirectional
+/// termination. `pf` is the forward-tree potential (backward trees
+/// subtract it); keys live in *reduced* space while labels and meeting
+/// distances stay raw.
 fn bidirectional_sweep<G: GraphView, F: Fn(NodeId) -> f64>(
     arena: &mut SearchArena,
     g: &G,
@@ -283,74 +278,4 @@ fn record_meetings(
             }
         }
     }
-}
-
-/// Directed fallback: forward trees only, interleaved through one heap,
-/// each retiring when its last unsettled target settles.
-fn forward_sweep<G: GraphView>(
-    arena: &mut SearchArena,
-    g: &G,
-    sources: &[NodeId],
-    targets: &[NodeId],
-) -> MsmdResult {
-    let ns = sources.len();
-    let n = g.num_nodes();
-    arena.begin(n, ns);
-
-    let mut goal = arena.take_goal_scratch();
-    goal.extend_from_slice(targets);
-    goal.sort_unstable();
-    goal.dedup();
-    let goals_per_tree = goal.len() as u32;
-
-    let mut fs = arena.take_frontier_scratch();
-    fs.open.clear();
-    fs.open.resize(ns, goals_per_tree);
-
-    let mut per_tree: Vec<TreeStats> = sources
-        .iter()
-        .map(|&s| TreeStats { root: s, side: TreeSide::Source, stats: SearchStats::one_run() })
-        .collect();
-
-    for (tree, &s) in sources.iter().enumerate() {
-        arena.label(tree, s, 0.0, None);
-        arena.push(0.0, 0.0, tree, s);
-        per_tree[tree].stats.heap_pushes += 1;
-    }
-
-    let mut live = ns;
-    while live > 0 {
-        let Some(e) = arena.pop() else { break };
-        let tree = e.tree as usize;
-        per_tree[tree].stats.heap_pops += 1;
-        if fs.open[tree] == 0 || !arena.is_fresh(&e) {
-            continue;
-        }
-        arena.settle(tree, e.node);
-        per_tree[tree].stats.settled += 1;
-
-        if goal.binary_search(&e.node).is_ok() {
-            fs.open[tree] -= 1;
-            if fs.open[tree] == 0 {
-                live -= 1;
-                continue; // tree done: no need to expand this node
-            }
-        }
-
-        let d_node = e.dist;
-        let stats = &mut per_tree[tree].stats;
-        g.for_each_arc(e.node, &mut |to, w| {
-            stats.relaxed += 1;
-            if arena.relax(tree, e.node, to, d_node + w) {
-                stats.heap_pushes += 1;
-            }
-        });
-    }
-    arena.put_goal_scratch(goal);
-    arena.put_frontier_scratch(fs);
-
-    let paths: Vec<Vec<Option<Path>>> =
-        (0..ns).map(|i| targets.iter().map(|&t| arena.path_to(i, t)).collect()).collect();
-    let stats = per_tree.iter().map(|t| t.stats).sum();
-    MsmdResult { paths, stats, per_tree }
 }

@@ -10,21 +10,29 @@
 //! by the storage layer:
 //!
 //! * [`arena`] — the reusable, generation-stamped [`SearchArena`] every
-//!   Dijkstra-family algorithm runs in, so a query stream touches no
-//!   allocator;
-//! * [`dijkstra`] — lazy-deletion Dijkstra over the arena;
-//!   single-destination, full-tree, and the paper's multi-destination
-//!   early-termination variant;
-//! * [`mod@astar`] — exact and weighted A* with the Euclidean heuristic;
+//!   algorithm here runs in, and the only search heap in the crate;
+//! * [`dijkstra`] — the **single-tree loop**: lazy-deletion Dijkstra over
+//!   the arena, keyed by an optional consistent potential and observed by
+//!   a settle sink; single-destination, full-tree, and the paper's
+//!   multi-destination early-termination variant;
+//! * `frontier.rs` (internal) — the **interleaved loop**: all trees of an
+//!   `S×T` query in one heap with per-pair bidirectional termination.
+//!
+//! Those two loops are the only label-setting code; the rest call them:
+//!
+//! * [`mod@astar`] — A* is the single-tree loop under the caller's potential
+//!   (Euclidean by default);
 //! * [`mod@alt`] — ALT (A* with landmarks + triangle inequality), an extension
 //!   whose heuristic reasons in network distance;
 //! * [`mod@bidirectional`] — bidirectional Dijkstra, the strongest single-pair
-//!   baseline;
-//! * [`multi`] — the MSMD processor with selectable sharing policies,
-//!   including the shared-frontier interleaved sweep (`frontier.rs`
-//!   internals); every tree goes through the one adopt-or-grow entry
+//!   baseline, is the interleaved loop's 1×1 case;
+//! * [`range`] — network-distance balls and bands: the single-tree loop
+//!   stopped at a radius by its sink;
+//! * [`multi`] — the MSMD processor with selectable sharing policies:
+//!   per-pair and per-source trees through the one adopt-or-grow entry
 //!   ([`run_tree`]), with or without a tree store
-//!   ([`msmd_in_guided_cached`]);
+//!   ([`msmd_in_guided_cached`]), or the interleaved loop on symmetric
+//!   views;
 //! * [`trace`] — recorded, reusable sweeps ([`SweepTrace`]): extraction
 //!   and adoption of settled shortest-path trees with byte-identical
 //!   counter replay, the substrate of the service layer's shard-local
@@ -64,7 +72,7 @@ pub mod trace;
 
 pub use alt::{AltError, AltPreprocessing, BiPotential, GoalPotential, PotentialParams, alt};
 pub use arena::SearchArena;
-pub use astar::{astar, astar_scaled, astar_with};
+pub use astar::{astar, astar_with};
 pub use bidirectional::bidirectional;
 pub use cost::{CostModel, CostObservation};
 pub use dijkstra::{
@@ -76,6 +84,6 @@ pub use multi::{
     msmd_in_guided_cached,
 };
 pub use path::Path;
-pub use range::{range_search, ring_search};
+pub use range::{range_search, ring_search, ring_search_in};
 pub use stats::SearchStats;
 pub use trace::{SettleEvent, SweepTrace, TreeStore};

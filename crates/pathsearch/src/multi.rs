@@ -19,11 +19,11 @@
 //!   reducing the spanning-tree count from `|S|` to `min(|S|, |T|)`;
 //! * [`SharingPolicy::SharedFrontier`] — all trees grow in **one
 //!   interleaved sweep** through one shared heap (`frontier.rs`):
-//!   on symmetric views, forward and backward trees resolve each pair by
-//!   the bidirectional meeting rule and every tree retires the moment its
-//!   last open pair resolves, settling strictly fewer nodes than
-//!   `PerSource` on planar maps; on directed views it degrades to the
-//!   interleaved forward-only sweep with `PerSource`'s per-tree cost.
+//!   forward and backward trees resolve each pair by the bidirectional
+//!   meeting rule and every tree retires the moment its last open pair
+//!   resolves, settling strictly fewer nodes than `PerSource` on planar
+//!   maps. Backward trees need a symmetric view; on a directed one the
+//!   policy *is* `PerSource` — same evaluator, same trees, same counters.
 //!
 //! Every policy can run inside a caller-provided [`SearchArena`] via
 //! [`msmd_in`], so a server evaluating a query stream touches no allocator
@@ -50,8 +50,8 @@ pub enum SharingPolicy {
     /// safely degrades to [`SharingPolicy::PerSource`].
     Auto,
     /// One interleaved sweep growing all trees from a shared heap with
-    /// per-pair bidirectional termination (symmetric views) or per-source
-    /// target termination (directed views).
+    /// per-pair bidirectional termination; on directed views, where no
+    /// backward tree can grow, [`SharingPolicy::PerSource`].
     SharedFrontier,
 }
 
@@ -176,9 +176,7 @@ pub fn msmd_in<G: GraphView>(
 /// this *is* [`msmd_in`], byte-for-byte.
 ///
 /// The preprocessing must come from this graph — landmark tables built on
-/// a symmetric view ([`AltPreprocessing::try_build`] enforces that), which
-/// also guarantees the guided shared-frontier sweep never meets the
-/// directed fallback.
+/// a symmetric view ([`AltPreprocessing::try_build`] enforces that).
 ///
 /// # Panics
 /// Panics if `sources` or `targets` is empty or contains an out-of-range
@@ -213,8 +211,9 @@ pub fn msmd_in_guided<G: GraphView>(
 /// root never alias.
 ///
 /// [`SharingPolicy::SharedFrontier`] grows all trees in one interleaved
-/// sweep that does not decompose into per-root traces; under it the store
-/// is not consulted and the call degrades to [`msmd_in_guided`].
+/// sweep that does not decompose into per-root traces; under it (on the
+/// symmetric views where it is its own engine) the store is not consulted
+/// and the call degrades to [`msmd_in_guided`].
 ///
 /// # Panics
 /// Panics if `sources` or `targets` is empty or contains an out-of-range
@@ -260,12 +259,14 @@ fn evaluate<G: GraphView>(
             sources.len(),
             targets.len(),
         ),
-        SharingPolicy::PerSource | SharingPolicy::Auto => {
-            per_source(arena, g, sources, targets, pre, store)
-        }
-        SharingPolicy::SharedFrontier => {
+        SharingPolicy::SharedFrontier if g.is_symmetric() => {
             let pot = pre.map(|p| p.bi_potential(sources, targets));
             frontier::shared_frontier(arena, g, sources, targets, pot.as_ref())
+        }
+        // A directed view has no backward adjacency to grow target trees
+        // from, so there `SharedFrontier` is per-source sharing.
+        SharingPolicy::PerSource | SharingPolicy::Auto | SharingPolicy::SharedFrontier => {
+            per_source(arena, g, sources, targets, pre, store)
         }
     }
 }
@@ -875,8 +876,8 @@ mod tests {
     #[test]
     fn shared_frontier_is_exact_on_directed_graphs() {
         use roadnet::{GraphBuilder, Point};
-        // Same asymmetric diamond: the frontier engine must fall back to
-        // forward-only trees rather than assume symmetric arcs.
+        // Same asymmetric diamond: the policy must fall back to per-source
+        // trees rather than assume symmetric arcs.
         let mut b = GraphBuilder::directed();
         for i in 0..4 {
             b.add_node(Point::new(i as f64, 0.0)).unwrap();
@@ -901,7 +902,8 @@ mod tests {
                 }
             }
         }
-        // Forward-only fallback: one tree per source.
-        assert_eq!(r.per_tree.len(), 2);
+        // The fallback's contract: `PerSource`'s trees, counter for counter.
+        let per_source = msmd(&g, &sources, &targets, SharingPolicy::PerSource);
+        assert_eq!(r.per_tree, per_source.per_tree);
     }
 }

@@ -5,31 +5,41 @@
 //! proxy — Lemma 1's cost bound is in network distance, and on networks
 //! with detours the two can disagree badly. Range search gives the
 //! obfuscator the exact tool: the set of candidate fakes whose network
-//! distance from the anchor lies in a chosen band.
+//! distance from the anchor lies in a chosen band. It is the crate's
+//! single-tree Dijkstra loop in a [`SearchArena`], with the radius stop
+//! supplied by the settle sink.
 
+use crate::arena::SearchArena;
+use crate::dijkstra::{Goal, SettleSink, run_in_sink, zero_pot};
 use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
-use std::collections::BinaryHeap;
 
-#[derive(Clone, Copy)]
-struct HeapEntry {
-    d: f64,
-    node: NodeId,
+/// Turns the single-tree loop into a band search: ends the sweep at the
+/// first label beyond `hi`, keeps every settled node at `lo` or more.
+struct Band {
+    lo: f64,
+    hi: f64,
+    out: Vec<(NodeId, f64)>,
+    exhausted: bool,
 }
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.d == other.d && self.node == other.node
+
+impl SettleSink for Band {
+    #[inline]
+    fn admits(&self, dist: f64) -> bool {
+        dist <= self.hi
     }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    #[inline]
+    fn on_settle(&mut self, arena: &SearchArena, node: NodeId, _: &SearchStats) {
+        let d = arena.dist_raw(0, node);
+        if d >= self.lo {
+            self.out.push((node, d));
+        }
     }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.d.total_cmp(&self.d).then_with(|| other.node.0.cmp(&self.node.0))
+
+    #[inline]
+    fn on_exhausted(&mut self) {
+        self.exhausted = true;
     }
 }
 
@@ -37,51 +47,13 @@ impl Ord for HeapEntry {
 /// source at distance 0), in ascending distance order, plus run counters.
 ///
 /// Cost is proportional to the ball's area — `O(radius²)` on road networks —
-/// independent of total network size.
+/// plus a throwaway arena's `O(n)` label slabs ([`ring_search_in`] reuses one).
 pub fn range_search<G: GraphView>(
     g: &G,
     source: NodeId,
     radius: f64,
 ) -> (Vec<(NodeId, f64)>, SearchStats) {
-    assert!(source.index() < g.num_nodes(), "source out of range");
-    assert!(radius >= 0.0 && radius.is_finite(), "radius must be finite and non-negative");
-    let mut stats = SearchStats::one_run();
-
-    // Local hash-based labels keep the cost output-sensitive: no O(n)
-    // allocation for what is usually a small ball.
-    let mut dist: std::collections::HashMap<NodeId, f64> = std::collections::HashMap::new();
-    let mut settled: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-    let mut heap = BinaryHeap::new();
-    let mut out = Vec::new();
-
-    dist.insert(source, 0.0);
-    heap.push(HeapEntry { d: 0.0, node: source });
-    stats.heap_pushes += 1;
-
-    while let Some(HeapEntry { d, node }) = heap.pop() {
-        stats.heap_pops += 1;
-        if d > radius {
-            break; // every remaining label is farther
-        }
-        if !settled.insert(node) {
-            continue;
-        }
-        stats.settled += 1;
-        out.push((node, d));
-        g.for_each_arc(node, &mut |to, w| {
-            stats.relaxed += 1;
-            let cand = d + w;
-            if cand <= radius {
-                let better = dist.get(&to).is_none_or(|&old| cand < old);
-                if better && !settled.contains(&to) {
-                    dist.insert(to, cand);
-                    heap.push(HeapEntry { d: cand, node: to });
-                    stats.heap_pushes += 1;
-                }
-            }
-        });
-    }
-    (out, stats)
+    ring_search(g, source, 0.0, radius)
 }
 
 /// Nodes whose network distance from `source` lies in `[lo, hi]`, ascending
@@ -92,10 +64,29 @@ pub fn ring_search<G: GraphView>(
     lo: f64,
     hi: f64,
 ) -> (Vec<(NodeId, f64)>, SearchStats) {
-    assert!(lo >= 0.0 && hi >= lo, "invalid ring bounds");
-    let (ball, stats) = range_search(g, source, hi);
-    let ring = ball.into_iter().filter(|&(_, d)| d >= lo).collect();
+    let (ring, stats, _) = ring_search_in(&mut SearchArena::new(), g, source, lo, hi);
     (ring, stats)
+}
+
+/// [`ring_search`] inside a caller-provided arena (tree 0). The third value
+/// is whether the sweep drained its heap before meeting a label beyond
+/// `hi`: `source`'s whole component lies within `hi`, so no wider band can
+/// hold a node that `[0, hi]` does not.
+///
+/// # Panics
+/// Panics unless `0 <= lo <= hi < ∞`, or if `source` is out of range.
+pub fn ring_search_in<G: GraphView>(
+    arena: &mut SearchArena,
+    g: &G,
+    source: NodeId,
+    lo: f64,
+    hi: f64,
+) -> (Vec<(NodeId, f64)>, SearchStats, bool) {
+    assert!(lo >= 0.0 && hi >= lo, "invalid ring bounds");
+    assert!(hi.is_finite(), "radius must be finite");
+    let mut band = Band { lo, hi, out: Vec::new(), exhausted: false };
+    let stats = run_in_sink(arena, g, source, &Goal::AllNodes, &zero_pot, &mut band);
+    (band.out, stats, band.exhausted)
 }
 
 #[cfg(test)]

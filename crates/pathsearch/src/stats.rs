@@ -36,11 +36,6 @@ impl SearchStats {
         self.heap_pops += other.heap_pops;
         self.runs += other.runs;
     }
-
-    /// Mean settled nodes per run (0 when empty).
-    pub fn settled_per_run(&self) -> f64 {
-        if self.runs == 0 { 0.0 } else { self.settled as f64 / self.runs as f64 }
-    }
 }
 
 impl std::ops::Add for SearchStats {
@@ -73,7 +68,6 @@ mod tests {
         assert_eq!(c.settled, 15);
         assert_eq!(c.relaxed, 42);
         assert_eq!(c.runs, 2);
-        assert!((c.settled_per_run() - 7.5).abs() < 1e-12);
     }
 
     #[test]
@@ -86,10 +80,5 @@ mod tests {
         let total: SearchStats = parts.into_iter().sum();
         assert_eq!(total.settled, 6);
         assert_eq!(total.runs, 3);
-    }
-
-    #[test]
-    fn settled_per_run_handles_zero() {
-        assert_eq!(SearchStats::default().settled_per_run(), 0.0);
     }
 }

@@ -417,11 +417,6 @@ impl RoadNetwork {
         Ok((b.build()?, old_of_new))
     }
 
-    /// Total weight of all edges.
-    pub fn total_edge_weight(&self) -> f64 {
-        self.edges.iter().map(|e| e.weight).sum()
-    }
-
     /// Apply live-traffic weight updates in place, keeping the topology
     /// fixed. Returns the edges whose weight actually changed, sorted and
     /// deduplicated — the set a cache layer must invalidate against.
@@ -607,12 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn total_edge_weight_sums() {
-        let g = triangle();
-        assert!((g.total_edge_weight() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn update_weights_rewrites_both_arc_directions() {
         let mut g = triangle();
         let changed = g.update_weights(&[(EdgeId(0), 5.0)]).unwrap();
@@ -624,7 +613,7 @@ mod tests {
         assert_eq!(rev.weight, 5.0);
         // Untouched edges keep their weights.
         assert_eq!(g.edge(EdgeId(1)).weight, 2.0);
-        assert!((g.total_edge_weight() - 8.0).abs() < 1e-12);
+        assert_eq!(g.edge(EdgeId(2)).weight, 1.0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Temporal request arrivals and batching windows.
+//! Temporal request arrivals.
 //!
 //! The paper's obfuscator receives a *stream* of requests and clusters
 //! "the received queries" (§IV) — which implicitly requires collecting
 //! requests for some window before obfuscating them together. This module
-//! models that: arrival processes over a time horizon, and a windowing
-//! function turning the stream into batches. Experiment E12 sweeps the
+//! models the stream: arrival processes over a time horizon, which
+//! `opaque::service::Batcher` cuts into batches. Experiment E12 sweeps the
 //! window length to expose the deployment trade-off (bigger windows →
 //! bigger batches → better sharing and breach probability, but higher
 //! answer latency).
@@ -215,58 +215,6 @@ fn sample_protection(workload: &WorkloadConfig, rng: &mut StdRng) -> opaque::Pro
     }
 }
 
-/// One batch cut from the stream, with its latency accounting.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WindowBatch {
-    /// Requests that arrived within the window, in arrival order.
-    pub requests: Vec<ClientRequest>,
-    /// Time the batch is released to the obfuscator (window close).
-    pub release_at: f64,
-    /// Mean time the batch's requests waited from arrival to release.
-    pub mean_wait: f64,
-}
-
-/// Cut a stream into fixed-length windows. Empty windows produce no batch.
-///
-/// This is the *offline* (whole-stream, fixed-grid) windowing used for
-/// workload analysis; a live deployment batches through
-/// `opaque::service::Batcher`, whose deadline is measured from each
-/// batch's oldest request rather than a global grid. Experiment E12 used
-/// this function before the service layer existed and now drives the
-/// `Batcher` directly; this one is kept as the pure-function reference for
-/// stream post-processing.
-pub fn window_batches(stream: &[TimedRequest], window_secs: f64) -> Vec<WindowBatch> {
-    assert!(window_secs > 0.0, "window must be positive");
-    let mut batches: Vec<WindowBatch> = Vec::new();
-    let mut current: Vec<&TimedRequest> = Vec::new();
-    let mut window_end = window_secs;
-
-    let flush =
-        |current: &mut Vec<&TimedRequest>, window_end: f64, batches: &mut Vec<WindowBatch>| {
-            if current.is_empty() {
-                return;
-            }
-            let mean_wait =
-                current.iter().map(|r| window_end - r.arrival).sum::<f64>() / current.len() as f64;
-            batches.push(WindowBatch {
-                requests: current.iter().map(|r| r.request).collect(),
-                release_at: window_end,
-                mean_wait,
-            });
-            current.clear();
-        };
-
-    for tr in stream {
-        while tr.arrival >= window_end {
-            flush(&mut current, window_end, &mut batches);
-            window_end += window_secs;
-        }
-        current.push(tr);
-    }
-    flush(&mut current, window_end, &mut batches);
-    batches
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,44 +251,6 @@ mod tests {
         // Client ids dense in arrival order.
         for (i, tr) in s.iter().enumerate() {
             assert_eq!(tr.request.client, ClientId(i as u32));
-        }
-    }
-
-    #[test]
-    fn windowing_partitions_the_stream() {
-        let s = stream(3.0, 50.0, 2);
-        let batches = window_batches(&s, 5.0);
-        let total: usize = batches.iter().map(|b| b.requests.len()).sum();
-        assert_eq!(total, s.len(), "every request lands in exactly one batch");
-        for b in &batches {
-            assert!(b.mean_wait >= 0.0 && b.mean_wait <= 5.0 + 1e-9);
-            assert!((b.release_at / 5.0).fract().abs() < 1e-9, "release on window boundary");
-        }
-    }
-
-    #[test]
-    fn bigger_windows_mean_bigger_batches_and_longer_waits() {
-        let s = stream(4.0, 100.0, 3);
-        let small = window_batches(&s, 1.0);
-        let large = window_batches(&s, 10.0);
-        let mean_size = |b: &[WindowBatch]| {
-            b.iter().map(|x| x.requests.len()).sum::<usize>() as f64 / b.len() as f64
-        };
-        let mean_wait = |b: &[WindowBatch]| {
-            b.iter().map(|x| x.mean_wait * x.requests.len() as f64).sum::<f64>()
-                / b.iter().map(|x| x.requests.len()).sum::<usize>() as f64
-        };
-        assert!(mean_size(&large) > mean_size(&small) * 5.0);
-        assert!(mean_wait(&large) > mean_wait(&small));
-    }
-
-    #[test]
-    fn sparse_stream_skips_empty_windows() {
-        let s = stream(0.05, 100.0, 4); // ~5 requests over 100s
-        let batches = window_batches(&s, 1.0);
-        assert_eq!(batches.iter().map(|b| b.requests.len()).sum::<usize>(), s.len());
-        for b in &batches {
-            assert!(!b.requests.is_empty(), "no empty batches emitted");
         }
     }
 

@@ -92,7 +92,10 @@ proptest! {
     }
 
     #[test]
-    fn astar_and_bidirectional_match_dijkstra(g in arb_graph(40), s_raw in 0u32..40, t_raw in 0u32..40) {
+    fn astar_and_bidirectional_match_dijkstra(
+        g in arb_graph(40), s_raw in 0u32..40, t_raw in 0u32..40,
+        (lo_frac, hi_frac) in (0.0f64..1.0, 0.0f64..1.2),
+    ) {
         let n = g.num_nodes() as u32;
         let (s, t) = (NodeId(s_raw % n), NodeId(t_raw % n));
         let d = pathsearch::shortest_distance(&g, s, t);
@@ -112,6 +115,30 @@ proptest! {
                 prop_assert!(bi.is_none());
             }
         }
+
+        // Range and ring search ride the same loop; their reference is the
+        // oracle's ball `{n : bellman_ford[n] <= hi}`. The two sum weights
+        // in different orders, so membership is only checked 1e-9 away
+        // from the rim.
+        let oracle = bellman_ford(&g, s);
+        let reach = oracle.iter().copied().filter(|d| d.is_finite()).fold(0.0, f64::max);
+        let hi = reach * hi_frac;
+        let lo = hi * lo_frac;
+        let (ball, _) = pathsearch::range_search(&g, s, hi);
+        prop_assert!(ball.windows(2).all(|w| w[0].1 <= w[1].1), "ball not ascending: {ball:?}");
+        let mut seen = std::collections::HashSet::new();
+        for &(node, d) in &ball {
+            prop_assert!(seen.insert(node), "{node} listed twice");
+            prop_assert!(d <= hi && (d - oracle[node.index()]).abs() < 1e-9,
+                "{node}: {d} vs oracle {} (radius {hi})", oracle[node.index()]);
+        }
+        for node in g.nodes() {
+            prop_assert!(oracle[node.index()] > hi - 1e-9 || seen.contains(&node),
+                "{node} at {} missing from ball({hi})", oracle[node.index()]);
+        }
+        let (ring, _) = pathsearch::ring_search(&g, s, lo, hi);
+        let want: Vec<(NodeId, f64)> = ball.into_iter().filter(|&(_, d)| d >= lo).collect();
+        prop_assert_eq!(ring, want);
     }
 
     #[test]
