@@ -19,58 +19,25 @@
 //!   single-core host the pool degrades to sequential-with-overhead and
 //!   no amount of software can manufacture parallel speedup.
 
-use crate::setup::{Scale, network_with_index};
+use crate::setup::{Measured, Scale, drive, network_with_index};
 use crate::table::{ExperimentTable, f3};
 use opaque::{ExecutionPolicy, ObfuscationMode, ServiceBuilder};
 use roadnet::generators::NetworkClass;
-use std::time::Instant;
 use workload::{ProtectionDistribution, QueryDistribution, WorkloadConfig, generate_requests};
 
 const SHARDS: usize = 4;
 
-/// Per-policy measurement: total wall time and the serialized report of
-/// every processed batch (the determinism oracle).
-struct Measured {
-    elapsed_secs: f64,
-    total_pairs: u64,
-    trees_grown: u64,
-    report_json: Vec<String>,
-}
-
-fn drive(
-    g: &roadnet::RoadNetwork,
-    batches: &[Vec<opaque::ClientRequest>],
-    execution: ExecutionPolicy,
-) -> Measured {
-    let mut svc = ServiceBuilder::new()
+/// The four-shard fleet under one execution policy.
+fn fleet(g: &roadnet::RoadNetwork, execution: ExecutionPolicy) -> ServiceBuilder {
+    ServiceBuilder::new()
         .map(g.clone())
         .seed(0xE14)
         .shards(SHARDS)
         .sharing_policy(pathsearch::SharingPolicy::PerSource)
         // Independent mode: one obfuscated query per request keeps the
-        // injector queue full for every batch.
+        // shared work queue full for every batch.
         .obfuscation_mode(ObfuscationMode::Independent)
         .execution_policy(execution)
-        .build()
-        .expect("valid configuration");
-
-    let mut measured = Measured {
-        elapsed_secs: 0.0,
-        total_pairs: 0,
-        trees_grown: 0,
-        report_json: Vec::with_capacity(batches.len()),
-    };
-    for batch in batches {
-        let t0 = Instant::now();
-        let response = svc.process_batch(batch).expect("batch succeeds");
-        measured.elapsed_secs += t0.elapsed().as_secs_f64();
-        measured.total_pairs += response.report.total_pairs;
-        measured.trees_grown += response.report.server_trees_grown;
-        measured
-            .report_json
-            .push(serde_json::to_string(&response.report).expect("report serializes"));
-    }
-    measured
 }
 
 /// Run E14.
@@ -106,7 +73,7 @@ pub fn run(scale: &Scale) -> ExperimentTable {
         })
         .collect();
 
-    let baseline = drive(&g, &batches, ExecutionPolicy::Sequential);
+    let baseline = drive(fleet(&g, ExecutionPolicy::Sequential), &batches, |_, _| {});
     let speedup_at = |threads: usize, m: &Measured| {
         assert_eq!(
             m.report_json, baseline.report_json,
@@ -131,7 +98,7 @@ pub fn run(scale: &Scale) -> ExperimentTable {
 
     let mut speedup4 = None;
     for threads in [2usize, 4] {
-        let m = drive(&g, &batches, ExecutionPolicy::WorkerPool { threads });
+        let m = drive(fleet(&g, ExecutionPolicy::WorkerPool { threads }), &batches, |_, _| {});
         let s = speedup_at(threads, &m);
         if threads == 4 {
             speedup4 = Some(s);

@@ -23,30 +23,16 @@
 //!   per-batch overheads dwarf the microseconds of search the cache
 //!   saves, and no assertion on timing noise is meaningful.
 
-use crate::setup::{Scale, network_with_index};
+use crate::setup::{Measured, Scale, drive, network_with_index};
 use crate::table::{ExperimentTable, f3};
-use opaque::{CachePolicy, DirectionsBackend, FakeSelection, ObfuscationMode, ServiceBuilder};
+use opaque::{CachePolicy, FakeSelection, ObfuscationMode, ServiceBuilder};
 use pathsearch::SharingPolicy;
 use roadnet::generators::NetworkClass;
-use std::time::Instant;
 use workload::{ProtectionDistribution, QueryDistribution, WorkloadConfig, generate_requests};
 
-/// Per-policy measurement over one replayed batch stream.
-struct Measured {
-    elapsed_secs: f64,
-    total_pairs: u64,
-    trees_grown: u64,
-    hit_rate: f64,
-    report_json: Vec<String>,
-    delivered: Vec<(opaque::ClientId, Vec<roadnet::NodeId>)>,
-}
-
-fn drive(
-    g: &roadnet::RoadNetwork,
-    batches: &[Vec<opaque::ClientRequest>],
-    cache: CachePolicy,
-) -> Measured {
-    let mut svc = ServiceBuilder::new()
+/// One server under one cache policy.
+fn server(g: &roadnet::RoadNetwork, cache: CachePolicy) -> ServiceBuilder {
+    ServiceBuilder::new()
         .map(g.clone())
         .seed(0xE15)
         // Auto transposition roots one tree at the (hotspot) destination
@@ -57,35 +43,6 @@ fn drive(
         .fake_selection(FakeSelection::Uniform)
         .obfuscation_mode(ObfuscationMode::Independent)
         .cache_policy(cache)
-        .build()
-        .expect("valid configuration");
-
-    let mut measured = Measured {
-        elapsed_secs: 0.0,
-        total_pairs: 0,
-        trees_grown: 0,
-        hit_rate: 0.0,
-        report_json: Vec::with_capacity(batches.len()),
-        delivered: Vec::new(),
-    };
-    for batch in batches {
-        let t0 = Instant::now();
-        let response = svc.process_batch(batch).expect("batch succeeds");
-        measured.elapsed_secs += t0.elapsed().as_secs_f64();
-        measured.total_pairs += response.report.total_pairs;
-        measured
-            .report_json
-            .push(serde_json::to_string(&response.report).expect("report serializes"));
-        measured
-            .delivered
-            .extend(response.results.iter().map(|r| (r.client, r.path.nodes().to_vec())));
-    }
-    let stats = svc.backend().stats();
-    measured.trees_grown = stats.trees_grown;
-    let consulted = stats.tree_cache_hits + stats.tree_cache_misses;
-    measured.hit_rate =
-        if consulted == 0 { 0.0 } else { stats.tree_cache_hits as f64 / consulted as f64 };
-    measured
 }
 
 /// Run E15.
@@ -129,8 +86,8 @@ pub fn run(scale: &Scale) -> ExperimentTable {
         })
         .collect();
 
-    let off = drive(&g, &batches, CachePolicy::Off);
-    let lru = drive(&g, &batches, CachePolicy::Lru { trees: 64 });
+    let off = drive(server(&g, CachePolicy::Off), &batches, |_, _| {});
+    let lru = drive(server(&g, CachePolicy::Lru { trees: 64 }), &batches, |_, _| {});
 
     // Determinism, re-proven at this scale: byte-identical reports and
     // identical deliveries, batch by batch.

@@ -23,15 +23,14 @@
 //!   serving shard's owned+halo coverage under region routing than under
 //!   round-robin (asserted at bench scale, reported always).
 
-use crate::setup::{Scale, network_with_index};
+use crate::setup::{Measured, Scale, drive, network_with_index};
 use crate::table::{ExperimentTable, f3};
 use opaque::{
-    CachePolicy, DirectionsBackend, FakeSelection, ObfuscationMode, Obfuscator, Partition,
-    PartitionPolicy, RouteKind, ServiceBuilder,
+    CachePolicy, FakeSelection, ObfuscationMode, Obfuscator, Partition, PartitionPolicy, RouteKind,
+    ServiceBuilder,
 };
 use pathsearch::{Goal, Searcher, SharingPolicy};
 use roadnet::generators::NetworkClass;
-use std::time::Instant;
 use workload::{ProtectionDistribution, QueryDistribution, WorkloadConfig, generate_requests};
 
 const SHARDS: usize = 4;
@@ -39,21 +38,9 @@ const HALO: u32 = 2;
 /// Cap on the units replayed for the settled-node locality probe.
 const LOCALITY_SAMPLE: usize = 64;
 
-/// Per-placement measurement over one replayed batch stream.
-struct Measured {
-    elapsed_secs: f64,
-    total_pairs: u64,
-    hit_rate: f64,
-    report_json: Vec<String>,
-    delivered: Vec<(opaque::ClientId, Vec<roadnet::NodeId>)>,
-}
-
-fn drive(
-    g: &roadnet::RoadNetwork,
-    batches: &[Vec<opaque::ClientRequest>],
-    partition: PartitionPolicy,
-) -> Measured {
-    let mut svc = ServiceBuilder::new()
+/// The cached four-shard fleet under one placement policy.
+fn fleet(g: &roadnet::RoadNetwork, partition: PartitionPolicy) -> ServiceBuilder {
+    ServiceBuilder::new()
         .map(g.clone())
         .seed(0xE18)
         .shards(SHARDS)
@@ -64,33 +51,6 @@ fn drive(
         .fake_selection(FakeSelection::Uniform)
         .obfuscation_mode(ObfuscationMode::Independent)
         .cache_policy(CachePolicy::Lru { trees: 64 })
-        .build()
-        .expect("valid configuration");
-
-    let mut measured = Measured {
-        elapsed_secs: 0.0,
-        total_pairs: 0,
-        hit_rate: 0.0,
-        report_json: Vec::with_capacity(batches.len()),
-        delivered: Vec::new(),
-    };
-    for batch in batches {
-        let t0 = Instant::now();
-        let response = svc.process_batch(batch).expect("batch succeeds");
-        measured.elapsed_secs += t0.elapsed().as_secs_f64();
-        measured.total_pairs += response.report.total_pairs;
-        measured
-            .report_json
-            .push(serde_json::to_string(&response.report).expect("report serializes"));
-        measured
-            .delivered
-            .extend(response.results.iter().map(|r| (r.client, r.path.nodes().to_vec())));
-    }
-    let stats = svc.backend().stats();
-    let consulted = stats.tree_cache_hits + stats.tree_cache_misses;
-    measured.hit_rate =
-        if consulted == 0 { 0.0 } else { stats.tree_cache_hits as f64 / consulted as f64 };
-    measured
 }
 
 /// Replay a sample of obfuscated units as traced sweeps and report, per
@@ -170,8 +130,8 @@ pub fn run(scale: &Scale) -> ExperimentTable {
         })
         .collect();
 
-    let rr = drive(&g, &batches, PartitionPolicy::RoundRobin);
-    let region = drive(&g, &batches, PartitionPolicy::RegionOwned { halo: HALO });
+    let rr = drive(fleet(&g, PartitionPolicy::RoundRobin), &batches, |_, _| {});
+    let region = drive(fleet(&g, PartitionPolicy::RegionOwned { halo: HALO }), &batches, |_, _| {});
 
     // Determinism, re-proven at this scale: placement never changes a
     // report byte or a delivered path.

@@ -28,18 +28,17 @@
 //! * **updates agree** — `update_weights` reports the same changed-edge
 //!   set to the fleet and to the obfuscator's trust-domain copy.
 
-use crate::setup::{Scale, network_with_index};
+use crate::setup::{Measured, Scale, drive, network_with_index};
 use crate::table::{ExperimentTable, f3};
 use opaque::{
-    CachePolicy, ClientId, ClientRequest, DirectionsBackend, FakeSelection, ObfuscationMode,
-    PartitionPolicy, PathQuery, ProtectionSettings, ServiceBuilder,
+    CachePolicy, ClientId, ClientRequest, FakeSelection, ObfuscationMode, PartitionPolicy,
+    PathQuery, ProtectionSettings, ServiceBuilder,
 };
 use pathsearch::SharingPolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use roadnet::generators::NetworkClass;
 use roadnet::{NodeId, RoadNetwork, SpatialIndex};
-use std::time::Instant;
 use workload::{ChurnConfig, rush_hour_schedule};
 
 const SHARDS: usize = 4;
@@ -58,23 +57,16 @@ enum Refresh {
     DropAll,
 }
 
-/// One service's measurement over the interleaved batch/churn replay.
-struct Measured {
-    elapsed_secs: f64,
-    total_pairs: u64,
-    hit_rate: f64,
-    report_json: Vec<String>,
-    delivered: Vec<(ClientId, Vec<NodeId>)>,
-}
-
-fn drive(
+/// Replay `batches` through the region-owned fleet, applying one churn
+/// round of `schedule` after each batch the way `refresh` says.
+fn replay(
     g: &RoadNetwork,
     batches: &[Vec<ClientRequest>],
     schedule: &[Vec<(roadnet::EdgeId, f64)>],
     cache: CachePolicy,
     refresh: Refresh,
 ) -> Measured {
-    let mut svc = ServiceBuilder::new()
+    let fleet = ServiceBuilder::new()
         .map(g.clone())
         .seed(0xE19)
         .shards(SHARDS)
@@ -86,48 +78,23 @@ fn drive(
         // obfuscation never forces a district tree to span the map.
         .fake_selection(FakeSelection::default_ring())
         .obfuscation_mode(ObfuscationMode::Independent)
-        .cache_policy(cache)
-        .build()
-        .expect("valid configuration");
+        .cache_policy(cache);
 
     // The drop-all baseline rebuilds the reweighted map on the side, as a
     // pre-`update_weights` operator would have had to.
     let mut live = g.clone();
-    let mut measured = Measured {
-        elapsed_secs: 0.0,
-        total_pairs: 0,
-        hit_rate: 0.0,
-        report_json: Vec::with_capacity(batches.len()),
-        delivered: Vec::new(),
-    };
-    for (b, batch) in batches.iter().enumerate() {
-        let t0 = Instant::now();
-        let response = svc.process_batch(batch).expect("batch succeeds");
-        measured.elapsed_secs += t0.elapsed().as_secs_f64();
-        measured.total_pairs += response.report.total_pairs;
-        measured
-            .report_json
-            .push(serde_json::to_string(&response.report).expect("report serializes"));
-        measured
-            .delivered
-            .extend(response.results.iter().map(|r| (r.client, r.path.nodes().to_vec())));
-        if let Some(round) = schedule.get(b) {
-            match refresh {
-                Refresh::Surgical => {
-                    svc.update_weights(round).expect("schedule updates are valid");
-                }
-                Refresh::DropAll => {
-                    live.update_weights(round).expect("schedule updates are valid");
-                    svc.swap_map(live.clone());
-                }
+    drive(fleet, batches, |svc, b| {
+        let Some(round) = schedule.get(b) else { return };
+        match refresh {
+            Refresh::Surgical => {
+                svc.update_weights(round).expect("schedule updates are valid");
+            }
+            Refresh::DropAll => {
+                live.update_weights(round).expect("schedule updates are valid");
+                svc.swap_map(live.clone());
             }
         }
-    }
-    let stats = svc.backend().stats();
-    let consulted = stats.tree_cache_hits + stats.tree_cache_misses;
-    measured.hit_rate =
-        if consulted == 0 { 0.0 } else { stats.tree_cache_hits as f64 / consulted as f64 };
-    measured
+    })
 }
 
 /// District errand batches: every trip ends at its district's mall, so
@@ -194,10 +161,10 @@ pub fn run(scale: &Scale) -> ExperimentTable {
         churn.zone_fraction * 100.0
     ));
 
-    let reference = drive(&g, &batches, &schedule, CachePolicy::Off, Refresh::Surgical);
+    let reference = replay(&g, &batches, &schedule, CachePolicy::Off, Refresh::Surgical);
     let surgical =
-        drive(&g, &batches, &schedule, CachePolicy::Lru { trees: 64 }, Refresh::Surgical);
-    let dropall = drive(&g, &batches, &schedule, CachePolicy::Lru { trees: 64 }, Refresh::DropAll);
+        replay(&g, &batches, &schedule, CachePolicy::Lru { trees: 64 }, Refresh::Surgical);
+    let dropall = replay(&g, &batches, &schedule, CachePolicy::Lru { trees: 64 }, Refresh::DropAll);
 
     // Correctness under churn: neither refresh strategy may change a
     // report byte or a delivered path relative to the uncached reference.

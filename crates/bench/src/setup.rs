@@ -1,7 +1,11 @@
 //! Shared scaffolding for the experiment harness.
 
+use opaque::{
+    ClientId, ClientRequest, DefaultBackend, DirectionsBackend, OpaqueService, ServiceBuilder,
+};
 use roadnet::generators::NetworkClass;
-use roadnet::{RoadNetwork, SpatialIndex};
+use roadnet::{NodeId, RoadNetwork, SpatialIndex};
+use std::time::Instant;
 
 /// Experiment scale: `quick` keeps the full suite under a couple of seconds
 /// (used by tests and smoke runs), `full` is the scale a write-up
@@ -38,6 +42,61 @@ pub fn network_with_index(class: NetworkClass, scale: &Scale) -> (RoadNetwork, S
     let g = network(class, scale);
     let idx = SpatialIndex::build(&g);
     (g, idx)
+}
+
+/// One service's measurement over a replayed batch stream — what the
+/// fleet experiments (`e14`, `e15`, `e18`, `e19`) tabulate and compare.
+pub struct Measured {
+    /// Wall time spent inside `process_batch`, summed over the stream.
+    pub elapsed_secs: f64,
+    /// Σ `total_pairs` over the stream's reports.
+    pub total_pairs: u64,
+    /// Trees the fleet grew (or adopted) over the whole stream.
+    pub trees_grown: u64,
+    /// Tree-cache hits over consultations, fleet-wide (0 without a cache).
+    pub hit_rate: f64,
+    /// Every batch's serialized report, in order: the determinism oracle.
+    pub report_json: Vec<String>,
+    /// Every delivered path, in delivery order.
+    pub delivered: Vec<(ClientId, Vec<NodeId>)>,
+}
+
+/// Build `builder`'s service and replay `batches` through it, timing each
+/// `process_batch`; `between_batches(service, b)` runs (untimed) after
+/// batch `b`, for experiments that change the map mid-stream.
+pub fn drive(
+    builder: ServiceBuilder,
+    batches: &[Vec<ClientRequest>],
+    mut between_batches: impl FnMut(&mut OpaqueService<DefaultBackend>, usize),
+) -> Measured {
+    let mut svc = builder.build().expect("valid configuration");
+    let mut measured = Measured {
+        elapsed_secs: 0.0,
+        total_pairs: 0,
+        trees_grown: 0,
+        hit_rate: 0.0,
+        report_json: Vec::with_capacity(batches.len()),
+        delivered: Vec::new(),
+    };
+    for (b, batch) in batches.iter().enumerate() {
+        let t0 = Instant::now();
+        let response = svc.process_batch(batch).expect("batch succeeds");
+        measured.elapsed_secs += t0.elapsed().as_secs_f64();
+        measured.total_pairs += response.report.total_pairs;
+        measured
+            .report_json
+            .push(serde_json::to_string(&response.report).expect("report serializes"));
+        measured
+            .delivered
+            .extend(response.results.iter().map(|r| (r.client, r.path.nodes().to_vec())));
+        between_batches(&mut svc, b);
+    }
+    let stats = svc.backend().stats();
+    measured.trees_grown = stats.trees_grown;
+    let consulted = stats.tree_cache_hits + stats.tree_cache_misses;
+    measured.hit_rate =
+        if consulted == 0 { 0.0 } else { stats.tree_cache_hits as f64 / consulted as f64 };
+    measured
 }
 
 #[cfg(test)]

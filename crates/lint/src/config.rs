@@ -26,38 +26,11 @@ pub struct Config {
 }
 
 impl Default for Config {
-    /// The shipped baseline, mirrored in `lint.toml`. Keeping a compiled
-    /// default means the self-check test cannot be defeated by deleting
-    /// the baseline file.
+    /// The shipped baseline: the repo's `lint.toml` itself, compiled in.
+    /// The scopes exist once, and the self-check still cannot be defeated
+    /// by deleting the baseline file — this crate would stop compiling.
     fn default() -> Self {
-        Config {
-            determinism_scopes: vec![
-                "crates/pathsearch/src".into(),
-                "crates/opaque/src".into(),
-                "crates/roadnet/src".into(),
-                "crates/workload/src".into(),
-            ],
-            panic_path_files: vec![
-                "crates/opaque-net/src/reactor.rs".into(),
-                "crates/opaque-net/src/conn.rs".into(),
-                "crates/opaque-net/src/frame.rs".into(),
-                "crates/opaque-net/src/server.rs".into(),
-                "crates/opaque-net/src/wire.rs".into(),
-                "crates/opaque/src/protocol.rs".into(),
-                "crates/opaque/src/service/mod.rs".into(),
-                "crates/opaque/src/service/batcher.rs".into(),
-                "crates/opaque/src/service/gateway.rs".into(),
-            ],
-            unsafe_scopes: vec!["crates".into(), "src".into()],
-            doc_files: vec![
-                "docs/paper_map.md".into(),
-                "docs/scaling.md".into(),
-                "docs/formats.md".into(),
-                "docs/static_analysis.md".into(),
-                "ARCHITECTURE.md".into(),
-                "README.md".into(),
-            ],
-        }
+        Config::parse(include_str!("../../../lint.toml")).expect("the shipped lint.toml parses")
     }
 }
 
@@ -81,8 +54,7 @@ impl std::error::Error for ConfigError {}
 impl Config {
     /// Parse a baseline file. Starts from an *empty* config — the file
     /// is the whole truth, so a missing section scopes that rule to
-    /// nothing (and the self-check test pins the shipped file against
-    /// [`Config::default`] drift).
+    /// nothing.
     pub fn parse(text: &str) -> Result<Config, ConfigError> {
         let mut cfg = Config {
             determinism_scopes: Vec::new(),

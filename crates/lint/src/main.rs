@@ -61,7 +61,7 @@ fn main() -> ExitCode {
     };
 
     // Baseline: the given file, else `<root>/lint.toml` if present, else
-    // the compiled default (identical to the shipped file).
+    // the compiled default (the shipped file, included at build time).
     let baseline_path = args.baseline.clone().unwrap_or_else(|| args.root.join("lint.toml"));
     let cfg = if baseline_path.is_file() {
         let text = match std::fs::read_to_string(&baseline_path) {

@@ -12,14 +12,9 @@ fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2).map(Path::to_path_buf).unwrap()
 }
 
-fn baseline() -> Config {
-    let text = std::fs::read_to_string(repo_root().join("lint.toml")).expect("lint.toml exists");
-    Config::parse(&text).expect("lint.toml parses")
-}
-
 #[test]
 fn workspace_has_zero_unallowlisted_violations() {
-    let report = run(&repo_root(), &baseline()).expect("lint run succeeds");
+    let report = run(&repo_root(), &Config::default()).expect("lint run succeeds");
     assert!(
         report.is_clean(),
         "opaque-lint found violations — fix them or add a justified allow marker:\n{}",
@@ -29,7 +24,7 @@ fn workspace_has_zero_unallowlisted_violations() {
 
 #[test]
 fn every_unsafe_site_is_censused_with_a_justification() {
-    let report = run(&repo_root(), &baseline()).expect("lint run succeeds");
+    let report = run(&repo_root(), &Config::default()).expect("lint run succeeds");
     // The workspace's unsafe surface is intentionally tiny: the raw
     // poll(2) syscall in the reactor. Growing it is allowed — but only
     // with written justification, which a clean run already implies.
@@ -52,7 +47,7 @@ fn every_unsafe_site_is_censused_with_a_justification() {
 
 #[test]
 fn the_exception_surface_is_nonempty_and_accounted() {
-    let report = run(&repo_root(), &baseline()).expect("lint run succeeds");
+    let report = run(&repo_root(), &Config::default()).expect("lint run succeeds");
     // The repo carries real, justified exceptions (commutative hash
     // folds, locally-proven bounds). If this ever drops to zero the
     // markers were probably broken, not removed — investigate before

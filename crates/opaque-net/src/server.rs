@@ -19,8 +19,9 @@
 //!
 //! Failure domains stay separate: a protocol error drains and closes
 //! *one* connection (its queued batches still run); a batch-fatal
-//! gateway error discards *one* window (connections stay up, acks
-//! re-emit next tick, [`NetStats::batch_failures`] counts it); a reply
+//! gateway error discards *one* window (connections stay up; the next
+//! tick re-emits the acks and answers the window's own requests with
+//! `Rejected`, and [`NetStats::batch_failures`] counts it); a reply
 //! whose connection died is dropped and counted
 //! ([`NetStats::dropped_replies`]), never redirected.
 
@@ -76,7 +77,8 @@ pub struct NetStats {
     pub dropped_replies: u64,
     /// Batch windows flushed.
     pub batches_flushed: u64,
-    /// Batch-fatal gateway errors (window discarded, acks restored).
+    /// Batch-fatal gateway errors (window discarded; its requests are
+    /// answered `Rejected` on the next tick).
     pub batch_failures: u64,
 }
 
@@ -224,14 +226,20 @@ impl NetServer {
     /// shutdown honors the one-terminal-reply-per-request contract.
     ///
     /// # Errors
-    /// Listener-level failures; batch-fatal errors are counted and
-    /// retried (acks re-emit) up to a bounded number of rounds.
+    /// Listener-level failures; batch-fatal errors are counted and the
+    /// failed window's rejections collected by the next round, up to a
+    /// bounded number of rounds.
     pub fn drain(&mut self) -> Result<()> {
         for _ in 0..64 {
             let now = self.now();
             match self.service.flush(now) {
                 Ok(events) => self.route_events(events),
-                Err(_) => self.stats.batch_failures += 1,
+                Err(_) => {
+                    // The gateway parked this window's rejections for
+                    // its next flush: not quiet yet, whatever is pending.
+                    self.stats.batch_failures += 1;
+                    continue;
+                }
             }
             self.flush_pending();
             self.conns.retain(|_, c| !c.is_closed());
@@ -330,9 +338,9 @@ impl NetServer {
         match self.service.tick(now) {
             Ok(events) => self.route_events(events),
             Err(_) => {
-                // Batch-fatal: the window is discarded and cancellation /
-                // shedding acks were restored inside the gateway — they
-                // re-emit on the next tick. Connections are unaffected.
+                // Batch-fatal: the window is discarded; the gateway parked
+                // its tickets (and the acks taken with it) and emits them
+                // on the next tick. Connections are unaffected.
                 self.stats.batch_failures += 1;
             }
         }
@@ -441,12 +449,14 @@ mod tests {
     use crate::frame::{DEFAULT_MAX_FRAME, FrameDecoder, frame_vec};
     use crate::wire::encode_message;
     use opaque::{
-        BatchPolicy, ClientId, PathQuery, Priority, ProtectionSettings, RequestMsg, ServiceBuilder,
+        BatchPolicy, ClientId, DirectionsServer, PathQuery, Priority, ProtectionSettings,
+        RejectReason, RequestMsg, ServiceBuilder, ServiceConfig, ShardedBackend,
     };
-    use roadnet::NodeId;
     use roadnet::generators::{GridConfig, grid_network};
+    use roadnet::{EdgeId, NodeId};
     use std::io::{Read, Write};
     use std::net::TcpStream;
+    use std::sync::Arc;
 
     fn server(max_batch: usize) -> NetServer {
         let map =
@@ -524,6 +534,53 @@ mod tests {
         assert_eq!(stats.dropped_replies, 0);
         assert_eq!(srv.reports().len(), 1);
         assert!(srv.reports()[0].contains("\"num_requests\""), "{}", srv.reports()[0]);
+    }
+
+    #[test]
+    fn a_failed_window_still_answers_its_clients() {
+        // A dishonest fleet: it serves a map whose every road is twice as
+        // long as on the obfuscator's copy, so with verification on every
+        // delivered path fails its re-walk and the window is batch-fatal.
+        let map =
+            grid_network(&GridConfig { width: 12, height: 12, seed: 5, ..Default::default() })
+                .unwrap();
+        let mut longer = map.clone();
+        let doubled: Vec<(EdgeId, f64)> = (0..map.num_edges())
+            .map(|i| (EdgeId::from_index(i), 2.0 * map.edge(EdgeId::from_index(i)).weight))
+            .collect();
+        longer.update_weights(&doubled).unwrap();
+        let fleet = vec![DirectionsServer::new(Arc::new(longer), ServiceConfig::default().sharing)];
+        let service = ServiceBuilder::new()
+            .map(map)
+            .verify_results(true)
+            .batch_policy(BatchPolicy { max_batch: 2, max_delay: 3600.0 })
+            .build_with_backend(ShardedBackend::new(fleet).unwrap())
+            .unwrap();
+        let mut srv = NetServer::bind("127.0.0.1:0", service, ServerConfig::default()).unwrap();
+        let mut client = TcpStream::connect(srv.local_addr().unwrap()).unwrap();
+        client.write_all(&wire_request(1, 0, 143)).unwrap();
+        client.write_all(&wire_request(2, 11, 132)).unwrap();
+
+        let reader = std::thread::spawn(move || read_replies(&mut client, 2));
+        for _ in 0..3_000 {
+            srv.poll_once().unwrap();
+            if srv.stats().replies_sent == 2 {
+                break;
+            }
+        }
+        for reply in reader.join().unwrap() {
+            match reply {
+                WireReply::Rejected {
+                    ticket: Some(_),
+                    reason: RejectReason::Infeasible { reason },
+                    ..
+                } => assert!(reason.contains("failed verification"), "{reason}"),
+                other => panic!("expected the failed window's rejection, got {other:?}"),
+            }
+        }
+        assert_eq!(srv.stats().batch_failures, 1);
+        assert_eq!(srv.stats().batches_flushed, 0);
+        assert!(srv.routes.is_empty(), "every ticket resolved: {:?}", srv.routes);
     }
 
     #[test]

@@ -112,8 +112,8 @@ pub use baselines::{Technique, TechniqueReport, run_technique};
 pub use error::{OpaqueError, Result};
 pub use filter::{ClientResult, filter_candidates};
 pub use obfuscator::{
-    Cluster, ClusteringConfig, FakeSelection, ObfuscationMode, ObfuscationUnit, Obfuscator,
-    cluster_requests,
+    Cluster, ClusteringConfig, FakeSelection, ObfuscatedBatch, ObfuscationMode, ObfuscationUnit,
+    Obfuscator, Rejection, cluster_requests,
 };
 pub use protocol::{
     CandidateResultsMsg, HopTraffic, ObfuscatedQueryMsg, RequestMsg, ResultMsg, wire_size,
@@ -122,7 +122,7 @@ pub use query::{ClientId, ClientRequest, ObfuscatedPathQuery, PathQuery, Protect
 pub use server::{DirectionsServer, ServerStats};
 pub use service::{
     AdmissionPolicy, BatchPolicy, BatchReport, Batcher, CachePolicy, ClientOutcome, DefaultBackend,
-    DirectionsBackend, DrainedBatch, ExecutionPolicy, ExpiredRequest, OpaqueService, Partition,
-    PartitionPolicy, Priority, RejectReason, RouteKind, SearchHeuristic, ServiceBuilder,
-    ServiceConfig, ServiceEvent, ServiceResponse, ShardedBackend, SubmitOutcome, Ticket, TreeCache,
+    DirectionsBackend, DrainedBatch, ExecutionPolicy, OpaqueService, Partition, PartitionPolicy,
+    Priority, RejectReason, RouteKind, SearchHeuristic, ServiceBuilder, ServiceConfig,
+    ServiceEvent, ServiceResponse, ShardedBackend, ShedRequest, SubmitOutcome, Ticket, TreeCache,
 };

@@ -11,8 +11,14 @@
 //! * [`Obfuscator::obfuscate_shared`] — one `Q(S,T)` for a group of
 //!   requests with `{sᵢ} ⊆ S`, `{tᵢ} ⊆ T`, `|S| ≥ max f_Sᵢ`,
 //!   `|T| ≥ max f_Tᵢ` (Figure 4);
-//! * [`Obfuscator::obfuscate_batch`] — the full §IV pipeline: cluster the
-//!   batch ([`clustering`]), then obfuscate each cluster.
+//! * [`Obfuscator::obfuscate_attributed`] — the full §IV pipeline, and the
+//!   only copy of it: one mode dispatch forms the groups (singletons, the
+//!   whole batch, or [`clustering`]'s partition), obfuscates each, and
+//!   attributes every [`OpaqueError::NotEnoughFakes`] to individual
+//!   clients as a [`Rejection`] so the rest of the batch is still served.
+//!   [`crate::OpaqueService`] consumes its units and rejections;
+//!   [`Obfuscator::obfuscate_batch`] is the same call with any rejection
+//!   turned into `Err`.
 
 pub mod clustering;
 pub mod strategy;
@@ -21,7 +27,7 @@ pub use clustering::{Cluster, ClusteringConfig, cluster_requests};
 pub use strategy::{FakeSelection, SelectionContext, select_fakes};
 
 use crate::error::{OpaqueError, Result};
-use crate::query::{ClientRequest, ObfuscatedPathQuery};
+use crate::query::{ClientId, ClientRequest, ObfuscatedPathQuery};
 use rand::SeedableRng;
 use rand::rngs::StdRng;
 use roadnet::{NodeId, RoadNetwork, SpatialIndex};
@@ -73,6 +79,43 @@ impl ObfuscationUnit {
             .iter()
             .all(|r| self.query.covers(&r.query) && self.query.satisfies(&r.protection))
     }
+}
+
+/// A request the §IV pipeline could not obfuscate, and why.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Rejection {
+    /// The client whose request was ruled out.
+    pub client: ClientId,
+    /// The [`OpaqueError::NotEnoughFakes`] that ruled it out.
+    pub cause: OpaqueError,
+    /// `true` when the request was feasible on its own and was evicted
+    /// because it held a binding maximum of an infeasible shared group.
+    pub collective: bool,
+}
+
+impl Rejection {
+    /// The verdict as the client reads it.
+    pub fn reason(&self) -> String {
+        if self.collective {
+            format!(
+                "{} (group protections jointly unsatisfiable; this request's \
+                 demand bound the shared query size)",
+                self.cause
+            )
+        } else {
+            self.cause.to_string()
+        }
+    }
+}
+
+/// What one pass of the §IV pipeline produced: the units to send to the
+/// server, and the requests no unit carries.
+#[derive(Clone, Debug, Default)]
+pub struct ObfuscatedBatch {
+    /// Obfuscated queries in group order, each with the requests it hides.
+    pub units: Vec<ObfuscationUnit>,
+    /// Requests left out, in the order they were ruled out.
+    pub rejected: Vec<Rejection>,
 }
 
 /// The trusted obfuscator. Owns its map copy, a spatial index over it, the
@@ -300,30 +343,24 @@ impl Obfuscator {
         targets.sort_unstable();
         targets.dedup();
 
-        let need_s = requests.iter().map(|r| r.protection.f_s).max().expect("non-empty") as usize;
-        let need_t = requests.iter().map(|r| r.protection.f_t).max().expect("non-empty") as usize;
+        let need_s = requests.iter().map(|r| r.protection.f_s).max().unwrap_or(0) as usize;
+        let need_t = requests.iter().map(|r| r.protection.f_t).max().unwrap_or(0) as usize;
 
         let mut exclude: HashSet<NodeId> = sources.iter().chain(targets.iter()).copied().collect();
 
         // Anchor each fake on a member request round-robin, so fakes are
         // plausible for every participant rather than clustering around one.
-        if sources.len() < need_s {
-            let missing = need_s - sources.len();
-            for k in 0..missing {
-                let r = &requests[k % requests.len()];
-                let fake = self.pick(r.query.source, r.query.destination, &exclude, 1)?;
-                exclude.extend(fake.iter().copied());
-                sources.extend(fake);
-            }
+        let missing = need_s.saturating_sub(sources.len());
+        for r in requests.iter().cycle().take(missing) {
+            let fake = self.pick(r.query.source, r.query.destination, &exclude, 1)?;
+            exclude.extend(fake.iter().copied());
+            sources.extend(fake);
         }
-        if targets.len() < need_t {
-            let missing = need_t - targets.len();
-            for k in 0..missing {
-                let r = &requests[k % requests.len()];
-                let fake = self.pick(r.query.destination, r.query.source, &exclude, 1)?;
-                exclude.extend(fake.iter().copied());
-                targets.extend(fake);
-            }
+        let missing = need_t.saturating_sub(targets.len());
+        for r in requests.iter().cycle().take(missing) {
+            let fake = self.pick(r.query.destination, r.query.source, &exclude, 1)?;
+            exclude.extend(fake.iter().copied());
+            targets.extend(fake);
         }
 
         let unit = ObfuscationUnit {
@@ -334,31 +371,143 @@ impl Obfuscator {
         Ok(unit)
     }
 
-    /// The full §IV obfuscation pipeline for a batch of requests.
+    /// The full §IV obfuscation pipeline for a batch of requests, as the
+    /// "any rejection is `Err`" view of
+    /// [`Obfuscator::obfuscate_attributed`]: the first rejection's cause
+    /// is returned and the units are dropped.
     pub fn obfuscate_batch(
         &mut self,
         requests: &[ClientRequest],
         mode: ObfuscationMode,
     ) -> Result<Vec<ObfuscationUnit>> {
+        let batch = self.obfuscate_attributed(requests, mode)?;
+        match batch.rejected.into_iter().next() {
+            Some(rejection) => Err(rejection.cause),
+            None => Ok(batch.units),
+        }
+    }
+
+    /// The full §IV obfuscation pipeline: form the mode's groups, obfuscate
+    /// each, and attribute [`OpaqueError::NotEnoughFakes`] failures to
+    /// individual clients instead of failing the batch.
+    ///
+    /// [`Obfuscator::can_satisfy`] cannot see strategy constraints — e.g.
+    /// [`FakeSelection::NetworkRing`] on a disconnected map can only draw
+    /// fakes from the anchor's component — nor *collective* infeasibility,
+    /// where a shared group's maximum `f_S`/`f_T` demands jointly exceed
+    /// the map. Both become [`Rejection`]s, attributed within the failing
+    /// group — for [`ObfuscationMode::SharedClustered`] that is the
+    /// individual cluster, so clients in healthy clusters are never blamed
+    /// for another cluster's infeasibility. Failure handling draws probe
+    /// samples from the RNG; a batch with no rejection draws exactly what
+    /// the groups' own obfuscation draws.
+    ///
+    /// # Errors
+    /// [`OpaqueError::EmptyBatch`], and any request error other than
+    /// `NotEnoughFakes` (unknown node, zero protection).
+    pub fn obfuscate_attributed(
+        &mut self,
+        requests: &[ClientRequest],
+        mode: ObfuscationMode,
+    ) -> Result<ObfuscatedBatch> {
         if requests.is_empty() {
             return Err(OpaqueError::EmptyBatch);
         }
+        let mut batch = ObfuscatedBatch::default();
         match mode {
+            // Singletons: failures are individually attributable by
+            // construction.
             ObfuscationMode::Independent => {
-                requests.iter().map(|r| self.obfuscate_independent(r)).collect()
+                batch.units = Vec::with_capacity(requests.len());
+                for r in requests {
+                    match self.obfuscate_independent(r) {
+                        Ok(unit) => batch.units.push(unit),
+                        Err(cause @ OpaqueError::NotEnoughFakes { .. }) => {
+                            batch.rejected.push(Rejection {
+                                client: r.client,
+                                cause,
+                                collective: false,
+                            });
+                        }
+                        Err(e) => return Err(e),
+                    }
+                }
             }
-            ObfuscationMode::SharedGlobal => Ok(vec![self.obfuscate_shared(requests)?]),
+            ObfuscationMode::SharedGlobal => self.obfuscate_group(requests.to_vec(), &mut batch)?,
             ObfuscationMode::SharedClustered(cfg) => {
-                let clusters = cluster_requests(&self.map, requests, &cfg);
-                clusters
-                    .into_iter()
-                    .map(|c| {
-                        let members: Vec<ClientRequest> =
-                            c.members.iter().map(|&i| requests[i]).collect();
-                        self.obfuscate_shared(&members)
-                    })
-                    .collect()
+                for cluster in cluster_requests(&self.map, requests, &cfg) {
+                    let members =
+                        cluster.members.iter().filter_map(|&i| requests.get(i).copied()).collect();
+                    self.obfuscate_group(members, &mut batch)?;
+                }
             }
+        }
+        Ok(batch)
+    }
+
+    /// Obfuscate one shared group into `batch`, rejecting infeasible
+    /// members until the rest succeed (no unit when every member had to be
+    /// rejected).
+    fn obfuscate_group(
+        &mut self,
+        mut members: Vec<ClientRequest>,
+        batch: &mut ObfuscatedBatch,
+    ) -> Result<()> {
+        while !members.is_empty() {
+            match self.obfuscate_shared(&members) {
+                Ok(unit) => {
+                    batch.units.push(unit);
+                    break;
+                }
+                Err(cause @ OpaqueError::NotEnoughFakes { .. }) => {
+                    self.shrink_infeasible_group(&mut members, cause, &mut batch.rejected);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Shrink a shared group that failed with `cause`.
+    ///
+    /// Members that fail an *individual* obfuscation probe are rejected
+    /// first (strategy-level infeasibility, e.g. a disconnected island).
+    /// If all members are individually fine, the infeasibility is
+    /// collective — a shared query must meet the group's maximum `f_S` and
+    /// `f_T` at once, demanded possibly by different members — so the
+    /// member whose removal shrinks `max f_S + max f_T` the most (a holder
+    /// of a binding max, not merely the largest sum) is rejected.
+    fn shrink_infeasible_group(
+        &mut self,
+        members: &mut Vec<ClientRequest>,
+        cause: OpaqueError,
+        rejected: &mut Vec<Rejection>,
+    ) {
+        let before = rejected.len();
+        members.retain(|r| match self.obfuscate_independent(r) {
+            Ok(_) => true,
+            Err(probe) => {
+                rejected.push(Rejection { client: r.client, cause: probe, collective: false });
+                false
+            }
+        });
+        if rejected.len() > before {
+            return;
+        }
+        let joint_without = |skip: usize| {
+            let mut max_s = 0u32;
+            let mut max_t = 0u32;
+            for (j, r) in members.iter().enumerate() {
+                if j != skip {
+                    max_s = max_s.max(r.protection.f_s);
+                    max_t = max_t.max(r.protection.f_t);
+                }
+            }
+            max_s as u64 + max_t as u64
+        };
+        if let Some(binding) = (0..members.len()).min_by_key(|&i| joint_without(i)) {
+            let evicted = members.remove(binding);
+            rejected.push(Rejection { client: evicted.client, cause, collective: true });
         }
     }
 }

@@ -72,32 +72,6 @@ impl ProtectionSettings {
     pub fn breach_probability(&self) -> f64 {
         1.0 / (self.f_s as f64 * self.f_t as f64)
     }
-
-    /// The smallest *balanced* setting whose breach probability does not
-    /// exceed `max_breach`: users think in terms of "at most a 5% chance",
-    /// not set sizes. Balanced sizes (`f_S = f_T = ⌈1/√p⌉`) also minimize
-    /// `f_S + f_T` — the number of endpoints, and hence fakes, the
-    /// obfuscator must produce — for a given product.
-    ///
-    /// # Panics
-    /// Panics unless `0 < max_breach <= 1`.
-    pub fn for_breach(max_breach: f64) -> Self {
-        assert!(
-            max_breach > 0.0 && max_breach <= 1.0,
-            "breach bound must be in (0, 1], got {max_breach}"
-        );
-        let f = (1.0 / max_breach).sqrt().ceil() as u32;
-        let mut setting = ProtectionSettings { f_s: f.max(1), f_t: f.max(1) };
-        // Ceiling on the square root can overshoot: (f-1)·f may already
-        // satisfy the bound, saving one fake.
-        if f >= 2 {
-            let slim = ProtectionSettings { f_s: f - 1, f_t: f };
-            if slim.breach_probability() <= max_breach {
-                setting = slim;
-            }
-        }
-        setting
-    }
 }
 
 /// A client request `⟨u_i, (s_i, t_i), (f_Si, f_Ti)⟩` as sent to the
@@ -276,37 +250,6 @@ mod tests {
     fn settings_breach_matches_query_breach() {
         let p = ProtectionSettings::new(4, 5).unwrap();
         assert!((p.breach_probability() - 1.0 / 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn for_breach_meets_the_bound_minimally() {
-        for &(bound, f_s, f_t) in
-            &[(1.0, 1, 1), (0.5, 1, 2), (0.25, 2, 2), (0.1, 3, 4), (0.05, 4, 5), (0.01, 10, 10)]
-        {
-            let p = ProtectionSettings::for_breach(bound);
-            assert_eq!((p.f_s, p.f_t), (f_s, f_t), "bound {bound}");
-            assert!(p.breach_probability() <= bound + 1e-12);
-        }
-        // Minimality: dropping one from either side must violate the bound
-        // (when possible).
-        for bound in [0.3, 0.07, 0.02, 0.003] {
-            let p = ProtectionSettings::for_breach(bound);
-            assert!(p.breach_probability() <= bound);
-            if p.f_s > 1 {
-                let fewer = ProtectionSettings::new(p.f_s - 1, p.f_t).unwrap();
-                assert!(
-                    fewer.breach_probability() > bound,
-                    "bound {bound}: {:?} not minimal",
-                    (p.f_s, p.f_t)
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "breach bound")]
-    fn for_breach_rejects_zero() {
-        let _ = ProtectionSettings::for_breach(0.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use pathsearch::{
     AltPreprocessing, Goal, MsmdResult, Path, SearchArena, SearchStats, SharingPolicy,
     msmd_in_guided, msmd_in_guided_cached, run_tree,
 };
-use roadnet::{EdgeId, GraphView, NodeId};
+use roadnet::{GraphView, NodeId};
 use std::sync::Arc;
 
 /// Cumulative server-side load counters.
@@ -242,37 +242,6 @@ impl<G: GraphView> DirectionsServer<G> {
     }
 }
 
-impl DirectionsServer<roadnet::RoadNetwork> {
-    /// Apply live-traffic weight updates to an *owned* map in place and
-    /// surgically invalidate the affected cached trees — the single-server
-    /// form of [`DirectionsServer::apply_weight_update`] (fleets sharing a
-    /// map via `Arc` go through `ShardedBackend::update_weights` instead).
-    /// Returns the edges whose weight actually changed.
-    ///
-    /// # Errors
-    /// Propagates [`roadnet::RoadNetError`] from
-    /// [`roadnet::RoadNetwork::update_weights`]; the map and cache are
-    /// untouched on error.
-    pub fn update_weights(&mut self, updates: &[(EdgeId, f64)]) -> roadnet::Result<Vec<EdgeId>> {
-        let changed = self.graph.update_weights(updates)?;
-        if let Some(cache) = &mut self.cache {
-            let endpoints: Vec<(NodeId, NodeId)> = changed
-                .iter()
-                .map(|&e| {
-                    let edge = self.graph.edge(e);
-                    (edge.a, edge.b)
-                })
-                .collect();
-            cache.invalidate_edges(&endpoints);
-        }
-        if !changed.is_empty() {
-            // Same admissibility reasoning as `apply_weight_update`.
-            self.heuristic = None;
-        }
-        Ok(changed)
-    }
-}
-
 impl<G: GraphView> DirectionsServer<G> {
     /// Cumulative counters since construction (or the last reset).
     pub fn stats(&self) -> ServerStats {
@@ -344,13 +313,27 @@ impl<G: GraphView> DirectionsServer<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roadnet::NodeId;
     use roadnet::generators::{GridConfig, grid_network};
+    use roadnet::{EdgeId, NodeId};
 
     fn server() -> DirectionsServer<roadnet::RoadNetwork> {
         let g = grid_network(&GridConfig { width: 12, height: 12, seed: 9, ..Default::default() })
             .unwrap();
         DirectionsServer::new(g, SharingPolicy::PerSource)
+    }
+
+    /// One shard's share of a fleet-wide weight update: install the
+    /// reweighted map and name the changed edges by their endpoints.
+    fn reweight(
+        sv: &mut DirectionsServer<roadnet::RoadNetwork>,
+        updates: &[(EdgeId, f64)],
+    ) -> Vec<EdgeId> {
+        let mut map = sv.graph().clone();
+        let changed = map.update_weights(updates).unwrap();
+        let endpoints: Vec<(NodeId, NodeId)> =
+            changed.iter().map(|&e| (map.edge(e).a, map.edge(e).b)).collect();
+        sv.apply_weight_update(map, &endpoints);
+        changed
     }
 
     #[test]
@@ -610,7 +593,7 @@ mod tests {
         let mut sv =
             DirectionsServer::new(g.clone(), SharingPolicy::PerSource).with_heuristic(Some(pre));
         let edge = EdgeId::from_index(0);
-        sv.update_weights(&[(edge, 0.5)]).unwrap();
+        reweight(&mut sv, &[(edge, 0.5)]);
         assert!(sv.heuristic().is_none(), "weight updates must drop the heuristic");
     }
 
@@ -673,7 +656,7 @@ mod tests {
             .find(|(_, e)| (e.a == pa && e.b == pb) || (e.a == pb && e.b == pa))
             .map(|(i, _)| EdgeId::from_index(i))
             .unwrap();
-        let changed = sv.update_weights(&[(edge, 1000.0)]).unwrap();
+        let changed = reweight(&mut sv, &[(edge, 1000.0)]);
         assert_eq!(changed, vec![edge]);
         assert_eq!(sv.map_epoch(), 0, "weight updates do not bump the epoch");
 
@@ -708,7 +691,7 @@ mod tests {
             .find(|(_, e)| e.a.0 > 100 && e.b.0 > 100)
             .map(|(i, _)| EdgeId::from_index(i))
             .unwrap();
-        sv.update_weights(&[(far_edge, 999.0)]).unwrap();
+        reweight(&mut sv, &[(far_edge, 999.0)]);
         sv.process(&near);
         let (hits, _) = sv.tree_cache().unwrap().counters();
         assert!(hits > trace_len.0, "untouched tree survived the far update and hit");

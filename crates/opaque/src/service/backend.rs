@@ -5,15 +5,17 @@
 //! behind the wire — a single in-memory server, a paged-storage server, or
 //! a fleet of shards. [`DirectionsBackend`] is that protocol boundary: the
 //! exact operation surface the obfuscator needs from "the server side",
-//! and nothing more. Two things are generic over it: the worker pool in
-//! [`crate::service::parallel`], which drives any `Send` shard type, and
+//! and nothing more. Two things are generic over it: the worker-pool loop
+//! in [`crate::service::parallel`], which drives any `Send` shard type
+//! from whatever queues [`ShardedBackend::process_many`] binds the shards
+//! to, and
 //! [`crate::service::OpaqueService`], so a test can put a fake server
 //! behind the service (the tampering wrapper in `service/mod.rs`'s tests).
 
 use crate::error::{OpaqueError, Result};
 use crate::query::ObfuscatedPathQuery;
 use crate::server::{DirectionsServer, ServerStats};
-use crate::service::parallel::{self, ExecutionPolicy};
+use crate::service::parallel::{self, ExecutionPolicy, Queue};
 use crate::service::partition::Partition;
 use pathsearch::MsmdResult;
 use roadnet::GraphView;
@@ -72,14 +74,14 @@ impl<G: GraphView> DirectionsBackend for DirectionsServer<G> {
 ///
 /// * **Round-robin** ([`ShardedBackend::new`]): single queries
 ///   ([`DirectionsBackend::process`]) balance load by simple rotation,
-///   and [`ExecutionPolicy::WorkerPool`] batches are fanned out with one
-///   worker per shard pulling units from a shared injector queue.
+///   and [`ExecutionPolicy::WorkerPool`] batches bind every shard to one
+///   shared queue of units, so workers claim work until it is gone.
 /// * **Region-owned** ([`ShardedBackend::with_partition`]): a
 ///   [`Partition`] routes every query to the shard owning its
 ///   obfuscation region (halo fallback → any-owner fallback), so each
 ///   shard's tree cache sees spatially clustered roots. Worker-pool
-///   batches pull from **per-shard queues** instead of the global
-///   cursor — see [`parallel`].
+///   batches bind each shard to **its own queue** — the units routed to
+///   it — in the same pool loop; see [`parallel`].
 ///
 /// Either way the fleet's backend impl requires `B: Send`, and cumulative
 /// [`ServerStats`] aggregate over all shards via the commutative
@@ -225,19 +227,22 @@ impl<B: DirectionsBackend + Send> DirectionsBackend for ShardedBackend<B> {
             ExecutionPolicy::Sequential => {
                 queries.iter().map(|q| DirectionsBackend::process(self, q)).collect()
             }
-            ExecutionPolicy::WorkerPool { threads } => match &self.router {
-                Some(partition) => {
-                    let assignment: Vec<usize> =
-                        queries.iter().map(|q| partition.route(q)).collect();
-                    parallel::process_routed_on_shards(
-                        &mut self.shards,
-                        queries,
-                        &assignment,
-                        threads,
-                    )
-                }
-                None => parallel::process_on_shards(&mut self.shards, queries, threads),
-            },
+            ExecutionPolicy::WorkerPool { threads } => {
+                // The binding, computed once per batch: region-owned
+                // fleets give every shard the units routed to it,
+                // round-robin fleets share one queue of everything.
+                let queues: Vec<Queue> = match &self.router {
+                    Some(partition) => {
+                        let mut routed = vec![Vec::new(); self.shards.len()];
+                        for (i, q) in queries.iter().enumerate() {
+                            routed[partition.route(q)].push(i);
+                        }
+                        routed.into_iter().map(Queue::new).collect()
+                    }
+                    None => vec![Queue::new((0..queries.len()).collect())],
+                };
+                parallel::run_pool(&mut self.shards, queries, &queues, threads)
+            }
         }
     }
 

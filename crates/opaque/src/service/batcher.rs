@@ -86,15 +86,21 @@ struct Pending {
     priority: Priority,
 }
 
-/// A request shed from the queue by [`Batcher::expire`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ExpiredRequest {
+/// A ticketed request that will never be served: shed from the queue by
+/// [`Batcher::expire`], or drained into a window whose processing failed
+/// (the gateway parks those through [`Batcher::restore_acks`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct ShedRequest {
     /// The shed request's ticket.
     pub ticket: Ticket,
     /// The client whose request was shed.
     pub client: ClientId,
     /// Seconds it had waited when it was shed.
     pub waited: f64,
+    /// Why: [`RejectReason::DeadlineExpired`] from [`Batcher::expire`],
+    /// [`RejectReason::Infeasible`] with the error text for a failed
+    /// window.
+    pub reason: RejectReason,
 }
 
 /// One drained batch: the requests in drain order (interactive lane
@@ -108,16 +114,6 @@ pub struct DrainedBatch {
     pub tickets: Vec<Ticket>,
     /// `arrivals[i]` is the submission clock of `requests[i]`.
     pub arrivals: Vec<f64>,
-}
-
-impl DrainedBatch {
-    /// Mean seconds the batch's requests waited, measured at `flush_time`.
-    pub fn mean_wait(&self, flush_time: f64) -> f64 {
-        if self.arrivals.is_empty() {
-            return 0.0;
-        }
-        self.arrivals.iter().map(|a| flush_time - a).sum::<f64>() / self.arrivals.len() as f64
-    }
 }
 
 /// The request queue in front of the obfuscator: two priority lanes, a
@@ -138,9 +134,10 @@ pub struct Batcher {
     /// [`Batcher::take_cancelled`], restored by [`Batcher::restore_acks`]
     /// when a batch failure discards the events built from them).
     cancelled: Vec<(Ticket, ClientId)>,
-    /// Sheddings whose events a failed tick discarded; re-emitted ahead
-    /// of fresh expiries (see [`Batcher::restore_acks`]).
-    shed_backlog: Vec<ExpiredRequest>,
+    /// Sheddings whose events a failed tick discarded, and the failed
+    /// window's own requests; re-emitted with the fresh expiries (see
+    /// [`Batcher::restore_acks`]).
+    shed_backlog: Vec<ShedRequest>,
     /// Tracked minimum arrival over the two lanes (`INFINITY` when both
     /// are empty): min-updated on insertion, recomputed after removals,
     /// so the per-tick trigger checks stay O(1) even for non-monotonic
@@ -171,16 +168,6 @@ impl Batcher {
             oldest_lane: f64::INFINITY,
             next_ticket: 0,
         })
-    }
-
-    /// The active flush policy.
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
-    }
-
-    /// The active admission policy.
-    pub fn admission(&self) -> AdmissionPolicy {
-        self.admission
     }
 
     /// Number of requests queued (both lanes plus the deferred set).
@@ -281,8 +268,10 @@ impl Batcher {
     /// gateway calls this when a batch-processing error discards a
     /// tick's event list: the cancellations and sheddings taken for that
     /// list are unrelated to the failed batch and must re-emit on the
-    /// next tick, or their tickets would never resolve.
-    pub fn restore_acks(&mut self, cancelled: Vec<(Ticket, ClientId)>, shed: Vec<ExpiredRequest>) {
+    /// next tick, or their tickets would never resolve. The failed
+    /// window's own requests ride along in `shed` (reason
+    /// [`RejectReason::Infeasible`]), so they resolve the same way.
+    pub fn restore_acks(&mut self, cancelled: Vec<(Ticket, ClientId)>, shed: Vec<ShedRequest>) {
         if !cancelled.is_empty() {
             let newer = std::mem::replace(&mut self.cancelled, cancelled);
             self.cancelled.extend(newer);
@@ -298,7 +287,7 @@ impl Batcher {
     /// the deferred set. Returns restored-then-fresh sheddings in ticket
     /// order; empty when no deadline is configured and nothing was
     /// restored.
-    pub fn expire(&mut self, now: f64) -> Vec<ExpiredRequest> {
+    pub fn expire(&mut self, now: f64) -> Vec<ShedRequest> {
         let mut shed = std::mem::take(&mut self.shed_backlog);
         let Some(deadline) = self.admission.deadline else {
             return shed;
@@ -313,10 +302,11 @@ impl Batcher {
                     let waited = now - p.arrival;
                     if waited > deadline {
                         self.pending_clients.remove(&p.request.client);
-                        shed.push(ExpiredRequest {
+                        shed.push(ShedRequest {
                             ticket: p.ticket,
                             client: p.request.client,
                             waited,
+                            reason: RejectReason::DeadlineExpired { waited },
                         });
                         false
                     } else {
@@ -327,10 +317,11 @@ impl Batcher {
             self.deferred.retain(|p| {
                 let waited = now - p.arrival;
                 if waited > deadline {
-                    shed.push(ExpiredRequest {
+                    shed.push(ShedRequest {
                         ticket: p.ticket,
                         client: p.request.client,
                         waited,
+                        reason: RejectReason::DeadlineExpired { waited },
                     });
                     false
                 } else {
@@ -377,31 +368,6 @@ impl Batcher {
             .chain(self.bulk.iter())
             .map(|p| p.arrival)
             .fold(f64::INFINITY, f64::min);
-    }
-
-    /// Replace the flush policy in place (tickets and pending requests
-    /// are untouched; the new policy applies from the next trigger
-    /// check).
-    ///
-    /// # Errors
-    /// [`OpaqueError::InvalidConfig`] when the policy is unsatisfiable.
-    pub fn set_policy(&mut self, policy: BatchPolicy) -> Result<()> {
-        policy.validate()?;
-        self.policy = policy;
-        Ok(())
-    }
-
-    /// Replace the admission policy in place. Already-queued requests
-    /// are kept even if they exceed a newly shrunk depth (the bound
-    /// applies to new submissions); a newly set deadline applies from
-    /// the next [`Batcher::expire`].
-    ///
-    /// # Errors
-    /// [`OpaqueError::InvalidConfig`] when the policy is unsatisfiable.
-    pub fn set_admission(&mut self, admission: AdmissionPolicy) -> Result<()> {
-        admission.validate()?;
-        self.admission = admission;
-        Ok(())
     }
 
     /// Oldest arrival across the drainable lanes (`INFINITY` when both
@@ -539,7 +505,7 @@ mod tests {
         assert!(b.tick(14.9).is_none(), "oldest waited 4.9s < 5s");
         let batch = b.tick(15.0).expect("deadline trigger");
         assert_eq!(batch.requests.len(), 2);
-        assert!((batch.mean_wait(15.0) - 4.0).abs() < 1e-12, "waits 5s and 3s");
+        assert_eq!(batch.arrivals, vec![10.0, 12.0], "waits 5s and 3s");
     }
 
     #[test]
@@ -591,12 +557,12 @@ mod tests {
         // Interactive first despite arriving last; bulk keeps FIFO order.
         assert_eq!(batch.tickets, vec![Ticket(2), Ticket(0), Ticket(1)]);
         // The size cap still limits mixed drains: 1 interactive + 1 bulk.
+        let mut b = batcher(BatchPolicy { max_batch: 2, max_delay: 100.0 });
         assert!(b.submit(request(3), Priority::Bulk, 1.0).is_accepted());
         assert!(b.submit(request(4), Priority::Bulk, 1.1).is_accepted());
         assert!(b.submit(request(5), Priority::Interactive, 1.2).is_accepted());
-        b.set_policy(BatchPolicy { max_batch: 2, max_delay: 100.0 }).unwrap();
         let batch = b.tick(1.2).expect("size trigger");
-        assert_eq!(batch.tickets, vec![Ticket(5), Ticket(3)]);
+        assert_eq!(batch.tickets, vec![Ticket(2), Ticket(0)]);
     }
 
     #[test]
@@ -825,7 +791,7 @@ mod tests {
         assert!(b.tick(104.9).is_none(), "not due before its own window");
         let batch = b.tick(105.0).expect("deadline keyed on the new arrival");
         assert_eq!(batch.tickets, vec![t]);
-        assert!((batch.mean_wait(105.0) - 5.0).abs() < 1e-12);
+        assert_eq!(batch.arrivals, vec![100.0]);
     }
 
     #[test]

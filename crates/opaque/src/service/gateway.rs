@@ -131,7 +131,9 @@ pub enum RejectReason {
     },
     /// The pipeline could not serve the request (validation or
     /// obfuscation infeasibility) — the event form of
-    /// [`crate::ClientOutcome::Rejected`], carrying the same message.
+    /// [`crate::ClientOutcome::Rejected`], carrying the same message —
+    /// or the request's whole window failed, and the message is the
+    /// batch-fatal error.
     Infeasible {
         /// The rejecting error's message.
         reason: String,
@@ -200,13 +202,14 @@ impl SubmitOutcome {
 /// request order* (interactive lane before bulk), closed by a trailing
 /// [`ServiceEvent::BatchFlushed`]. Every ticketed request resolves to
 /// exactly one terminal event — `ResponseReady`, `Unreachable`,
-/// `Rejected`, or `Cancelled` — with one exception: a *batch-fatal*
-/// processing error (result verification caught tampering, or a strict
-/// mode failure) discards the drained window, so its tickets resolve
-/// through the returned error instead of events; cancellation and
-/// shedding acknowledgements are restored and re-emitted on the next
-/// tick even then — and re-restored if that tick fails too, so
-/// consecutive failed windows never consume an ack.
+/// `Rejected`, or `Cancelled` — even through a *batch-fatal* processing
+/// error (result verification caught tampering): the failing tick
+/// returns the error and discards the drained window, and the next tick
+/// emits one `Rejected` per ticket of that window
+/// ([`RejectReason::Infeasible`] carrying the error text) along with the
+/// cancellation and shedding acknowledgements taken by the failed tick —
+/// all parked again if that tick fails too, so consecutive failed
+/// windows never consume a ticket.
 ///
 /// Batch-fatal errors are distinct from **connection-level** failures,
 /// which the gateway never sees: when a transport endpoint vanishes

@@ -19,10 +19,10 @@
 //!   trailing [`BatchFlushed`](ServiceEvent::BatchFlushed) report, and
 //!   explicit cancellation via [`OpaqueService::cancel`];
 //! * [`parallel`] / [`ExecutionPolicy`] — the execution layer: obfuscated
-//!   queries of a batch run sequentially or across a worker pool with one
-//!   pinned search arena per worker, with the guarantee (proven by the
-//!   equivalence proptest) that parallelism never changes a single answer
-//!   or report byte;
+//!   queries of a batch run sequentially or through the one worker-pool
+//!   loop (every shard bound to a queue of units, one pinned search arena
+//!   per shard), with the guarantee (proven by the equivalence proptest)
+//!   that parallelism never changes a single answer or report byte;
 //! * [`cache`] / [`CachePolicy`] — the shard-local shortest-path-tree
 //!   cache: recorded Dijkstra sweeps adopted instead of regrown when a
 //!   query's root recurs, under the same guarantee (`Lru` is
@@ -33,7 +33,13 @@
 //!   shard while staying report-byte-identical to round-robin
 //!   (`tests/partition_equivalence.rs`);
 //! * [`OpaqueService`] — the assembled deployment, built from a typed
-//!   [`ServiceBuilder`] / [`ServiceConfig`];
+//!   [`ServiceBuilder`] / [`ServiceConfig`]. Its batch pass owns no
+//!   obfuscation logic: it screens requests, hands the admitted ones to
+//!   [`Obfuscator::obfuscate_attributed`] (the §IV pipeline, mode dispatch
+//!   and per-client infeasibility attribution included), executes the
+//!   units, and writes every path, breach and outcome into a slot at its
+//!   request's position — so both views below read request order
+//!   straight off the slots;
 //! * [`BatchReport`] / [`ClientOutcome`] — typed accounting: serde-tagged
 //!   obfuscation modes and an explicit per-client outcome (delivered /
 //!   unreachable / rejected) instead of silent drops.
@@ -49,7 +55,7 @@ pub mod partition;
 mod report;
 
 pub use backend::{DirectionsBackend, ShardedBackend};
-pub use batcher::{BatchPolicy, Batcher, DrainedBatch, ExpiredRequest, Ticket};
+pub use batcher::{BatchPolicy, Batcher, DrainedBatch, ShedRequest, Ticket};
 pub use builder::{DefaultBackend, ServiceBuilder, ServiceConfig};
 pub use cache::{CachePolicy, TreeCache};
 pub use gateway::{AdmissionPolicy, Priority, RejectReason, ServiceEvent, SubmitOutcome};
@@ -60,9 +66,9 @@ pub use report::{BatchReport, ClientOutcome};
 
 use crate::error::{OpaqueError, Result};
 use crate::filter::{ClientResult, extract_path};
-use crate::obfuscator::{ObfuscationMode, ObfuscationUnit, Obfuscator, cluster_requests};
+use crate::obfuscator::{ObfuscationMode, ObfuscationUnit, Obfuscator};
 use crate::protocol::{RequestMsg, ResultMsg};
-use crate::query::{ClientId, ClientRequest, ObfuscatedPathQuery};
+use crate::query::{ClientId, ClientRequest};
 use roadnet::NodeId;
 use std::collections::{HashMap, HashSet};
 
@@ -85,6 +91,27 @@ pub struct ServiceResponse {
     pub outcomes: Vec<(ClientId, ClientOutcome)>,
     /// Aggregate accounting for the batch.
     pub report: BatchReport,
+}
+
+/// Everything one batch pass knows about one request, kept at the
+/// request's position in the batch: units come back in group order and
+/// write into their requests' slots, so request order never has to be
+/// restored afterwards.
+struct Slot {
+    client: ClientId,
+    /// Breach probability of the unit that embedded the request; `None`
+    /// for a request no unit carried.
+    breach: Option<f64>,
+    fate: Fate,
+}
+
+/// A slot's terminal state — [`ClientOutcome`] with the delivered path
+/// attached, so "delivered without a path" cannot be represented.
+enum Fate {
+    Delivered(pathsearch::Path),
+    /// Also the state of an admitted request until its path comes back.
+    Unreachable,
+    Rejected(String),
 }
 
 /// The assembled OPAQUE deployment: trusted obfuscator, pluggable
@@ -136,25 +163,6 @@ impl<B: DirectionsBackend> OpaqueService<B> {
             verify_results: false,
             execution: ExecutionPolicy::Sequential,
         }
-    }
-
-    /// Replace the queue's flush policy in place. Safe on a live queue:
-    /// pending requests and issued tickets are untouched, and the new
-    /// triggers apply from the next [`OpaqueService::tick`].
-    ///
-    /// # Errors
-    /// [`OpaqueError::InvalidConfig`] when the policy is unsatisfiable.
-    pub fn set_batch_policy(&mut self, policy: BatchPolicy) -> Result<()> {
-        self.batcher.set_policy(policy)
-    }
-
-    /// Replace the gateway's admission policy in place (see
-    /// [`Batcher::set_admission`] for the live-queue semantics).
-    ///
-    /// # Errors
-    /// [`OpaqueError::InvalidConfig`] when the policy is unsatisfiable.
-    pub fn set_admission_policy(&mut self, admission: AdmissionPolicy) -> Result<()> {
-        self.batcher.set_admission(admission)
     }
 
     /// The trusted obfuscator (e.g. to inspect its map).
@@ -236,11 +244,11 @@ impl<B: DirectionsBackend> OpaqueService<B> {
     ///
     /// On a processing error the drained requests are *not* re-queued
     /// (re-queueing would re-trigger the same failure on every tick) and
-    /// the caller sees the error; the cancellation/shedding
-    /// acknowledgements collected for the discarded event list are
-    /// restored to the queue's ledgers and re-emitted by the next tick —
-    /// they are unrelated to the failed batch, and every ticket must
-    /// still resolve exactly once.
+    /// the caller sees the error. Every ticket must still resolve exactly
+    /// once, so nothing taken for the discarded event list is lost: the
+    /// cancellation/shedding acknowledgements go back to the queue's
+    /// ledgers, the failed window's own tickets join them as sheddings
+    /// carrying the error text, and the next tick emits them all.
     pub fn tick(&mut self, now: f64) -> Result<Vec<ServiceEvent>> {
         // Acks and expiry first: an overdue request must be shed, never
         // drained into the batch.
@@ -263,13 +271,14 @@ impl<B: DirectionsBackend> OpaqueService<B> {
     }
 
     /// Build one tick's event list: cancellation acknowledgements, then
-    /// deadline sheddings, then the drained window's events (if any). On
-    /// a batch failure the acknowledgements are restored for the next
-    /// tick before the error propagates.
+    /// sheddings, then the drained window's events (if any). On a batch
+    /// failure the acknowledgements — and the failed window's tickets,
+    /// as sheddings — are parked for the next tick before the error
+    /// propagates.
     fn emit(
         &mut self,
         cancelled: Vec<(Ticket, ClientId)>,
-        shed: Vec<batcher::ExpiredRequest>,
+        mut shed: Vec<batcher::ShedRequest>,
         batch: Option<DrainedBatch>,
         now: f64,
     ) -> Result<Vec<ServiceEvent>> {
@@ -281,12 +290,25 @@ impl<B: DirectionsBackend> OpaqueService<B> {
             events.push(ServiceEvent::Rejected {
                 ticket: e.ticket,
                 client: e.client,
-                reason: RejectReason::DeadlineExpired { waited: e.waited },
+                reason: e.reason.clone(),
                 waited: e.waited,
             });
         }
         if let Some(batch) = batch {
-            if let Err(error) = self.batch_events(&mut events, batch, now) {
+            if let Err(error) = self.batch_events(&mut events, &batch, now) {
+                let reason = RejectReason::Infeasible { reason: error.to_string() };
+                // tickets / requests / arrivals are parallel by
+                // construction (one entry per drained request).
+                for ((&ticket, r), &arrival) in
+                    batch.tickets.iter().zip(&batch.requests).zip(&batch.arrivals)
+                {
+                    shed.push(batcher::ShedRequest {
+                        ticket,
+                        client: r.client,
+                        waited: now - arrival,
+                        reason: reason.clone(),
+                    });
+                }
                 self.batcher.restore_acks(cancelled, shed);
                 return Err(error);
             }
@@ -300,45 +322,34 @@ impl<B: DirectionsBackend> OpaqueService<B> {
     fn batch_events(
         &mut self,
         events: &mut Vec<ServiceEvent>,
-        batch: DrainedBatch,
+        batch: &DrainedBatch,
         now: f64,
     ) -> Result<()> {
-        let response = self.process_batch(&batch.requests)?;
-        let mut path_by_client: HashMap<ClientId, pathsearch::Path> =
-            response.results.into_iter().map(|r| (r.client, r.path)).collect();
-        // tickets / arrivals / outcomes are parallel by construction
-        // (one entry per drained request, same order); zip keeps the
-        // pairing panic-free even if that invariant ever breaks.
-        for ((client, outcome), (&ticket, &arrival)) in
-            response.outcomes.iter().zip(batch.tickets.iter().zip(&batch.arrivals))
+        let (slots, report) = self.run_batch(&batch.requests, self.mode)?;
+        // slots / tickets / arrivals are parallel by construction (one
+        // entry per drained request, same order); zip keeps the pairing
+        // panic-free even if that invariant ever breaks.
+        for (slot, (&ticket, &arrival)) in
+            slots.into_iter().zip(batch.tickets.iter().zip(&batch.arrivals))
         {
-            let waited = now - arrival;
-            events.push(match outcome {
-                // A Delivered outcome always carries a path (process_batch
-                // records both from the same extraction); if that pairing
-                // ever broke, degrading to Unreachable keeps the ticket
-                // accounted without putting an abort on the tick path.
-                ClientOutcome::Delivered => match path_by_client.remove(client) {
-                    Some(path) => ServiceEvent::ResponseReady {
-                        ticket,
-                        client: *client,
-                        result: ResultMsg { client: *client, path },
-                        waited,
-                    },
-                    None => ServiceEvent::Unreachable { ticket, client: *client, waited },
-                },
-                ClientOutcome::Unreachable => {
-                    ServiceEvent::Unreachable { ticket, client: *client, waited }
-                }
-                ClientOutcome::Rejected { reason } => ServiceEvent::Rejected {
+            let (client, waited) = (slot.client, now - arrival);
+            events.push(match slot.fate {
+                Fate::Delivered(path) => ServiceEvent::ResponseReady {
                     ticket,
-                    client: *client,
-                    reason: RejectReason::Infeasible { reason: reason.clone() },
+                    client,
+                    result: ResultMsg { client, path },
+                    waited,
+                },
+                Fate::Unreachable => ServiceEvent::Unreachable { ticket, client, waited },
+                Fate::Rejected(reason) => ServiceEvent::Rejected {
+                    ticket,
+                    client,
+                    reason: RejectReason::Infeasible { reason },
                     waited,
                 },
             });
         }
-        events.push(ServiceEvent::BatchFlushed(response.report));
+        events.push(ServiceEvent::BatchFlushed(report));
         Ok(())
     }
 
@@ -367,85 +378,111 @@ impl<B: DirectionsBackend> OpaqueService<B> {
     /// Every feasibility failure — an invalid request, and strategy-level
     /// or collective shared-group infeasibility — is attributed to
     /// individual clients as [`ClientOutcome::Rejected`] (see
-    /// `reject_infeasible_members`), and a disconnected true pair as
-    /// [`ClientOutcome::Unreachable`]; the rest of the batch is served.
+    /// [`Obfuscator::obfuscate_attributed`]), and a disconnected true pair
+    /// as [`ClientOutcome::Unreachable`]; the rest of the batch is served.
     pub fn process_batch_with_mode(
         &mut self,
         requests: &[ClientRequest],
         mode: ObfuscationMode,
     ) -> Result<ServiceResponse> {
+        let (slots, report) = self.run_batch(requests, mode)?;
+        let mut results = Vec::with_capacity(slots.len());
+        let mut outcomes = Vec::with_capacity(slots.len());
+        for Slot { client, fate, .. } in slots {
+            let outcome = match fate {
+                Fate::Delivered(path) => {
+                    results.push(ClientResult { client, path });
+                    ClientOutcome::Delivered
+                }
+                Fate::Unreachable => ClientOutcome::Unreachable,
+                Fate::Rejected(reason) => ClientOutcome::Rejected { reason },
+            };
+            outcomes.push((client, outcome));
+        }
+        Ok(ServiceResponse { results, outcomes, report })
+    }
+
+    /// The one batch pass behind both views: admission, the obfuscator's
+    /// §IV pipeline, backend execution, filtering and accounting. Returns
+    /// one [`Slot`] per request, in request order, and the batch's report.
+    fn run_batch(
+        &mut self,
+        requests: &[ClientRequest],
+        mode: ObfuscationMode,
+    ) -> Result<(Vec<Slot>, BatchReport)> {
         if requests.is_empty() {
             return Err(OpaqueError::EmptyBatch);
         }
-
-        // Admission: duplicate client ids make result routing ambiguous
-        // (the order-restore and delivery maps key on ClientId).
-        let mut seen: HashSet<ClientId> = HashSet::with_capacity(requests.len());
-        for r in requests {
-            if !seen.insert(r.client) {
-                return Err(OpaqueError::DuplicateClient { client: r.client });
-            }
-        }
-
         let mut report =
             BatchReport { mode, num_requests: requests.len(), ..BatchReport::default() };
-        for r in requests {
+
+        // Admission. Each request gets the slot at its own position; the
+        // client → slot map is how units find their way back, which is
+        // also why a duplicate client id is an error here (routing would
+        // be ambiguous). Invalid requests become `Rejected` slots and the
+        // rest proceed: the screen covers count-level feasibility, so one
+        // greedy client cannot fail the whole batch during obfuscation.
+        let mut slot_of: HashMap<ClientId, usize> = HashMap::with_capacity(requests.len());
+        let mut slots: Vec<Slot> = Vec::with_capacity(requests.len());
+        let mut admitted: Vec<ClientRequest> = Vec::with_capacity(requests.len());
+        for (i, r) in requests.iter().enumerate() {
+            if slot_of.insert(r.client, i).is_some() {
+                return Err(OpaqueError::DuplicateClient { client: r.client });
+            }
             report.traffic.record_request(&RequestMsg {
                 client: r.client,
                 query: r.query,
                 protection: r.protection,
             });
-        }
-
-        // Admission validation: invalid requests become `Rejected`
-        // outcomes and the rest proceed. The screen covers count-level
-        // feasibility, so one greedy client cannot fail the whole batch
-        // during obfuscation.
-        let mut outcomes: Vec<(ClientId, ClientOutcome)> = Vec::with_capacity(requests.len());
-        let mut admitted: Vec<ClientRequest> = Vec::with_capacity(requests.len());
-        for r in requests {
-            match self.obfuscator.can_satisfy(r) {
+            let fate = match self.obfuscator.can_satisfy(r) {
                 Ok(()) => {
-                    // Placeholder; refined after delivery below.
-                    outcomes.push((r.client, ClientOutcome::Delivered));
                     admitted.push(*r);
+                    Fate::Unreachable
                 }
-                Err(e) => {
-                    outcomes.push((r.client, ClientOutcome::Rejected { reason: e.to_string() }));
-                }
-            }
+                Err(e) => Fate::Rejected(e.to_string()),
+            };
+            slots.push(Slot { client: r.client, breach: None, fate });
         }
-
-        let outcome_slot: HashMap<ClientId, usize> =
-            outcomes.iter().enumerate().map(|(i, (c, _))| (*c, i)).collect();
-
-        let mut results: Vec<ClientResult> = Vec::with_capacity(admitted.len());
         if !admitted.is_empty() {
             let before = self.backend.stats();
-            let units = self.obfuscate_admitted(&admitted, mode, &mut outcomes, &outcome_slot)?;
-            report.num_units = units.len();
+            let batch = self.obfuscator.obfuscate_attributed(&admitted, mode)?;
+            for rejection in &batch.rejected {
+                if let Some(slot) = slot_mut(&slot_of, &mut slots, rejection.client) {
+                    slot.fate = Fate::Rejected(rejection.reason());
+                }
+            }
+            report.num_units = batch.units.len();
 
             // Execution: every unit is answered before any accounting, so
             // the backend may evaluate them in any order (worker pool) or
             // in unit order (sequential) — the accounting loop below
             // always runs in unit order either way, which is what makes
             // the two execution policies byte-identical in every report.
-            let unit_queries: Vec<ObfuscatedPathQuery> =
-                units.iter().map(|u| u.query.clone()).collect();
-            let answers = self.backend.process_many(&unit_queries, self.execution);
+            // The backend takes the queries as one slice, so the units
+            // are taken apart for the call and put back together after.
+            let mut queries = Vec::with_capacity(batch.units.len());
+            let mut carried = Vec::with_capacity(batch.units.len());
+            for unit in batch.units {
+                queries.push(unit.query);
+                carried.push(unit.requests);
+            }
+            let answers = self.backend.process_many(&queries, self.execution);
             // Hard contract, not a debug check: a backend returning the
             // wrong count would otherwise be silently truncated by the
-            // zip below, leaving clients with placeholder Delivered
-            // outcomes and no result.
+            // zip below, leaving clients unreachable with no search run.
             assert_eq!(
                 answers.len(),
-                units.len(),
+                queries.len(),
                 "backend process_many must answer every query exactly once"
             );
 
-            for ((query_id, unit), candidates) in units.iter().enumerate().zip(&answers) {
+            let verify_on = self.verify_results.then(|| self.obfuscator.map());
+            for ((query_id, (query, members)), candidates) in
+                queries.into_iter().zip(carried).enumerate().zip(&answers)
+            {
+                let unit = ObfuscationUnit { query, requests: members };
                 report.total_pairs += unit.query.num_pairs() as u64;
-                report.fakes_added += count_fakes(unit);
+                report.fakes_added += count_fakes(&unit);
                 report.traffic.record_query(query_id as u64, &unit.query);
 
                 report.candidate_paths += candidates.num_paths() as u64;
@@ -458,27 +495,18 @@ impl<B: DirectionsBackend> OpaqueService<B> {
                     .sum::<u64>();
                 report.traffic.record_candidates(query_id as u64, &candidates.paths);
 
-                let verify_on = self.verify_results.then(|| self.obfuscator.map());
                 for request in &unit.requests {
+                    let path = extract_path(&unit, request, candidates, verify_on)?;
+                    let Some(slot) = slot_mut(&slot_of, &mut slots, request.client) else {
+                        continue;
+                    };
                     // Embedded clients are exposed whether or not a path
                     // comes back: record the unit's breach either way.
-                    report
-                        .per_client_breach
-                        .push((request.client, unit.query.breach_probability()));
-                    match extract_path(unit, request, candidates, verify_on)? {
-                        Some(path) => {
-                            report.delivered_path_nodes += path.nodes().len() as u64;
-                            report.traffic.record_result(request.client, &path);
-                            results.push(ClientResult { client: request.client, path });
-                        }
-                        None => {
-                            set_outcome(
-                                &mut outcomes,
-                                &outcome_slot,
-                                request.client,
-                                ClientOutcome::Unreachable,
-                            );
-                        }
+                    slot.breach = Some(unit.query.breach_probability());
+                    if let Some(path) = path {
+                        report.delivered_path_nodes += path.nodes().len() as u64;
+                        report.traffic.record_result(request.client, &path);
+                        slot.fate = Fate::Delivered(path);
                     }
                 }
             }
@@ -494,169 +522,9 @@ impl<B: DirectionsBackend> OpaqueService<B> {
             report.server_trees_grown = delta.trees_grown;
         }
 
-        // Restore request order for the caller. `outcome_slot` maps each
-        // client to its request position (outcomes were pushed once per
-        // request, in order; ids are unique past admission).
-        results.sort_by_key(|r| outcome_slot.get(&r.client).copied().unwrap_or(usize::MAX));
-        report
-            .per_client_breach
-            .sort_by_key(|(c, _)| outcome_slot.get(c).copied().unwrap_or(usize::MAX));
-
-        Ok(ServiceResponse { results, outcomes, report })
-    }
-
-    /// Obfuscate the admitted requests, attributing
-    /// [`OpaqueError::NotEnoughFakes`] failures to individual clients.
-    ///
-    /// The count screen at admission cannot see strategy constraints —
-    /// e.g. [`crate::obfuscator::FakeSelection::NetworkRing`] on a
-    /// disconnected map can only draw fakes from the anchor's component —
-    /// nor *collective* infeasibility, where a shared group's maximum
-    /// `f_S`/`f_T` demands jointly exceed the map. Both become per-client
-    /// [`ClientOutcome::Rejected`] outcomes (see
-    /// `reject_infeasible_members`), attributed within the failing shared
-    /// group — for [`ObfuscationMode::SharedClustered`] that is the
-    /// individual cluster, so clients in healthy clusters are never
-    /// blamed for another cluster's infeasibility. Failure handling draws
-    /// probe samples from the obfuscator's RNG, so after a rejection the
-    /// stream diverges from [`Obfuscator::obfuscate_batch`]'s (the
-    /// all-feasible path is identical).
-    fn obfuscate_admitted(
-        &mut self,
-        admitted: &[ClientRequest],
-        mode: ObfuscationMode,
-        outcomes: &mut [(ClientId, ClientOutcome)],
-        outcome_slot: &HashMap<ClientId, usize>,
-    ) -> Result<Vec<ObfuscationUnit>> {
-        match mode {
-            ObfuscationMode::Independent => {
-                // Per-request obfuscation: failures are individually
-                // attributable by construction.
-                let mut units = Vec::with_capacity(admitted.len());
-                for r in admitted {
-                    match self.obfuscator.obfuscate_independent(r) {
-                        Ok(unit) => units.push(unit),
-                        Err(e @ OpaqueError::NotEnoughFakes { .. }) => {
-                            set_outcome(
-                                outcomes,
-                                outcome_slot,
-                                r.client,
-                                ClientOutcome::Rejected { reason: e.to_string() },
-                            );
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(units)
-            }
-            ObfuscationMode::SharedGlobal => {
-                let group = admitted.to_vec();
-                Ok(self
-                    .obfuscate_shared_group(group, outcomes, outcome_slot)?
-                    .into_iter()
-                    .collect())
-            }
-            ObfuscationMode::SharedClustered(cfg) => {
-                // Mirror obfuscate_batch's clustering exactly (same
-                // partition, same order), but retry each cluster on its
-                // own so infeasibility stays cluster-local.
-                let clusters = cluster_requests(self.obfuscator.map(), admitted, &cfg);
-                let mut units = Vec::with_capacity(clusters.len());
-                for cluster in clusters {
-                    let members: Vec<ClientRequest> =
-                        cluster.members.iter().filter_map(|&i| admitted.get(i).copied()).collect();
-                    if let Some(unit) =
-                        self.obfuscate_shared_group(members, outcomes, outcome_slot)?
-                    {
-                        units.push(unit);
-                    }
-                }
-                Ok(units)
-            }
-        }
-    }
-
-    /// Obfuscate one shared group, rejecting infeasible members until the
-    /// rest succeed (`None` when every member had to be rejected).
-    ///
-    /// On [`OpaqueError::NotEnoughFakes`]: members that fail an
-    /// *individual* obfuscation probe are rejected first (strategy-level
-    /// infeasibility, e.g. a disconnected island). If all members are
-    /// individually fine, the infeasibility is collective — a shared query
-    /// must meet the group's maximum `f_S` and `f_T` at once, demanded
-    /// possibly by different members — so the member whose removal shrinks
-    /// `max f_S + max f_T` the most (a holder of a binding max, not merely
-    /// the largest sum) is rejected, and the group retried.
-    fn reject_infeasible_members(
-        &mut self,
-        members: &mut Vec<ClientRequest>,
-        cause: &OpaqueError,
-        outcomes: &mut [(ClientId, ClientOutcome)],
-        outcome_slot: &HashMap<ClientId, usize>,
-    ) {
-        let mut culprits: HashSet<ClientId> = HashSet::new();
-        for r in members.iter() {
-            if let Err(probe) = self.obfuscator.obfuscate_independent(r) {
-                culprits.insert(r.client);
-                set_outcome(
-                    outcomes,
-                    outcome_slot,
-                    r.client,
-                    ClientOutcome::Rejected { reason: probe.to_string() },
-                );
-            }
-        }
-        if !culprits.is_empty() {
-            members.retain(|r| !culprits.contains(&r.client));
-            return;
-        }
-        let joint_without = |skip: usize| {
-            let mut max_s = 0u32;
-            let mut max_t = 0u32;
-            for (j, r) in members.iter().enumerate() {
-                if j != skip {
-                    max_s = max_s.max(r.protection.f_s);
-                    max_t = max_t.max(r.protection.f_t);
-                }
-            }
-            max_s as u64 + max_t as u64
-        };
-        let Some(binding) = (0..members.len()).min_by_key(|&i| joint_without(i)) else {
-            return; // no members left: the caller's loop terminates on empty
-        };
-        let evicted = members.remove(binding);
-        set_outcome(
-            outcomes,
-            outcome_slot,
-            evicted.client,
-            ClientOutcome::Rejected {
-                reason: format!(
-                    "{cause} (group protections jointly unsatisfiable; this request's \
-                     demand bound the shared query size)"
-                ),
-            },
-        );
-    }
-
-    /// See `reject_infeasible_members`; the driving loop.
-    fn obfuscate_shared_group(
-        &mut self,
-        mut members: Vec<ClientRequest>,
-        outcomes: &mut [(ClientId, ClientOutcome)],
-        outcome_slot: &HashMap<ClientId, usize>,
-    ) -> Result<Option<ObfuscationUnit>> {
-        loop {
-            if members.is_empty() {
-                return Ok(None);
-            }
-            match self.obfuscator.obfuscate_shared(&members) {
-                Ok(unit) => return Ok(Some(unit)),
-                Err(e @ OpaqueError::NotEnoughFakes { .. }) => {
-                    self.reject_infeasible_members(&mut members, &e, outcomes, outcome_slot);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        report.per_client_breach =
+            slots.iter().filter_map(|s| s.breach.map(|b| (s.client, b))).collect();
+        Ok((slots, report))
     }
 }
 
@@ -706,20 +574,16 @@ impl OpaqueService<DefaultBackend> {
     }
 }
 
-/// Record a terminal outcome for `client` in its reserved slot. Every
-/// admitted client has a slot by construction (the slot map is built
-/// from the same admitted list), so the lookups cannot miss — but the
-/// batch path must degrade, not abort, if that invariant ever breaks,
-/// so an unknown id is simply a no-op.
-fn set_outcome(
-    outcomes: &mut [(ClientId, ClientOutcome)],
-    outcome_slot: &HashMap<ClientId, usize>,
+/// The slot reserved for `client`. Every client a unit or a rejection
+/// names came out of the batch's own requests, so the lookup cannot miss
+/// — but the batch path must degrade, not abort, if that invariant ever
+/// breaks, so callers skip an unknown id.
+fn slot_mut<'a>(
+    slot_of: &HashMap<ClientId, usize>,
+    slots: &'a mut [Slot],
     client: ClientId,
-    outcome: ClientOutcome,
-) {
-    if let Some(entry) = outcome_slot.get(&client).and_then(|&slot| outcomes.get_mut(slot)) {
-        entry.1 = outcome;
-    }
+) -> Option<&'a mut Slot> {
+    slot_of.get(&client).and_then(|&i| slots.get_mut(i))
 }
 
 /// Number of endpoints in the unit's sets that are not true endpoints of
@@ -736,7 +600,7 @@ pub(crate) fn count_fakes(unit: &ObfuscationUnit) -> u64 {
 mod tests {
     use super::*;
     use crate::obfuscator::{ClusteringConfig, FakeSelection};
-    use crate::query::{PathQuery, ProtectionSettings};
+    use crate::query::{ObfuscatedPathQuery, PathQuery, ProtectionSettings};
     use crate::server::DirectionsServer;
     use pathsearch::SharingPolicy;
     use roadnet::generators::{GridConfig, grid_network};
@@ -752,6 +616,22 @@ mod tests {
             DirectionsServer::new(g, SharingPolicy::PerSource),
             ObfuscationMode::Independent,
         )
+    }
+
+    /// [`service`] (or any backend over [`map`]) behind explicit queue
+    /// policies.
+    fn queued<B: DirectionsBackend>(
+        backend: B,
+        batch: BatchPolicy,
+        admission: AdmissionPolicy,
+    ) -> OpaqueService<B> {
+        ServiceBuilder::new()
+            .map(map())
+            .seed(11)
+            .batch_policy(batch)
+            .admission_policy(admission)
+            .build_with_backend(backend)
+            .unwrap()
     }
 
     fn request(i: u32, s: u32, t: u32, f: u32) -> ClientRequest {
@@ -1000,8 +880,11 @@ mod tests {
 
     #[test]
     fn queue_flushes_by_size_and_deadline() {
-        let mut svc = service();
-        svc.set_batch_policy(BatchPolicy { max_batch: 2, max_delay: 10.0 }).unwrap();
+        let mut svc = queued(
+            DirectionsServer::new(map(), SharingPolicy::PerSource),
+            BatchPolicy { max_batch: 2, max_delay: 10.0 },
+            AdmissionPolicy::default(),
+        );
         let t0 = svc.submit(request(0, 0, 255, 2), 0.0).ticket().unwrap();
         assert!(svc.tick(0.0).unwrap().is_empty(), "one pending, no trigger");
         let t1 = svc.submit(request(1, 16, 240, 2), 1.0).ticket().unwrap();
@@ -1093,9 +976,11 @@ mod tests {
 
     #[test]
     fn deadline_expiry_sheds_with_a_rejected_event() {
-        let mut svc = service();
-        svc.set_batch_policy(BatchPolicy { max_batch: 100, max_delay: 50.0 }).unwrap();
-        svc.set_admission_policy(AdmissionPolicy { queue_depth: 16, deadline: Some(3.0) }).unwrap();
+        let mut svc = queued(
+            DirectionsServer::new(map(), SharingPolicy::PerSource),
+            BatchPolicy { max_batch: 100, max_delay: 50.0 },
+            AdmissionPolicy { queue_depth: 16, deadline: Some(3.0) },
+        );
         let t0 = svc.submit(request(0, 0, 255, 2), 0.0).ticket().unwrap();
         let events = svc.tick(10.0).unwrap();
         assert_eq!(events.len(), 1, "{events:?}");
@@ -1113,30 +998,6 @@ mod tests {
             other => panic!("expected deadline shedding, got {other:?}"),
         }
         assert_eq!(svc.pending(), 0);
-    }
-
-    #[test]
-    fn batch_policy_swaps_live_without_losing_state() {
-        let mut svc = service();
-        let t0 = svc.submit(request(0, 0, 255, 2), 0.0).ticket().unwrap();
-        // Live swap: the pending request and its ticket survive, and the
-        // new (shorter) deadline applies from the next tick.
-        svc.set_batch_policy(BatchPolicy { max_batch: 100, max_delay: 1.0 }).unwrap();
-        assert_eq!(svc.pending(), 1);
-        let events = svc.tick(1.0).unwrap();
-        assert_eq!(event_tickets(&events), vec![t0], "new 1s deadline applies");
-        // Unsatisfiable policies are still rejected.
-        let err = svc.set_batch_policy(BatchPolicy { max_batch: 0, max_delay: 1.0 }).unwrap_err();
-        assert!(matches!(err, OpaqueError::InvalidConfig { .. }));
-        let err = svc
-            .set_admission_policy(AdmissionPolicy { queue_depth: 0, deadline: None })
-            .unwrap_err();
-        assert!(matches!(err, OpaqueError::InvalidConfig { .. }));
-        // The ticket sequence continues across swaps — receipts stay
-        // unique for the service's lifetime.
-        svc.set_batch_policy(BatchPolicy { max_batch: 5, max_delay: 1.0 }).unwrap();
-        let t1 = svc.submit(request(1, 16, 240, 2), 2.0).ticket().unwrap();
-        assert_ne!(t0, t1, "ticket reused across policy change");
     }
 
     fn sharded_service(
@@ -1271,12 +1132,13 @@ mod tests {
         }
     }
 
+    /// Any window served through [`Tampering`] fails; requests overdue by
+    /// more than 2 s are shed instead.
     fn tampered_service() -> OpaqueService<Tampering> {
-        let g = map();
-        OpaqueService::from_parts(
-            Obfuscator::new(g.clone(), FakeSelection::default_ring(), 11),
-            Tampering(DirectionsServer::new(g, SharingPolicy::PerSource)),
-            ObfuscationMode::Independent,
+        queued(
+            Tampering(DirectionsServer::new(map(), SharingPolicy::PerSource)),
+            BatchPolicy::default(),
+            AdmissionPolicy { queue_depth: 16, deadline: Some(2.0) },
         )
     }
 
@@ -1286,21 +1148,21 @@ mod tests {
         // cancellation/shedding acknowledgements taken for that event
         // list are unrelated to the failed batch: they must re-emit on
         // the next tick so every ticket still resolves exactly once.
-        let mut svc = tampered_service(); // any served window fails
-        svc.set_admission_policy(AdmissionPolicy { queue_depth: 16, deadline: Some(2.0) }).unwrap();
+        let mut svc = tampered_service();
         let cancelled = svc.submit(request(0, 0, 255, 2), 0.0).ticket().unwrap();
         let overdue = svc.submit(request(1, 16, 240, 2), 0.0).ticket().unwrap();
         assert!(svc.cancel(cancelled));
         // An expired straggler plus a request whose window the server
         // tampers with.
-        let _poison = svc.submit(request(2, 32, 200, 2), 5.0).ticket().unwrap();
+        let poison = svc.submit(request(2, 32, 200, 2), 4.0).ticket().unwrap();
         let err = svc.flush(5.0).unwrap_err();
         assert!(matches!(err, OpaqueError::CorruptResult { .. }));
-        // The poison batch is gone; the acks were restored and re-emit.
+        // The poison batch is gone; the acks were restored and re-emit,
+        // and the poison window's own ticket resolves with them.
         let events = svc.flush(6.0).unwrap();
         assert_eq!(
             events.iter().filter_map(ServiceEvent::ticket).collect::<Vec<_>>(),
-            vec![cancelled, overdue],
+            vec![cancelled, overdue, poison],
             "{events:?}"
         );
         assert!(matches!(events[0], ServiceEvent::Cancelled { .. }));
@@ -1308,7 +1170,21 @@ mod tests {
             events[1],
             ServiceEvent::Rejected { reason: RejectReason::DeadlineExpired { .. }, .. }
         ));
+        match &events[2] {
+            ServiceEvent::Rejected {
+                client,
+                reason: RejectReason::Infeasible { reason },
+                waited,
+                ..
+            } => {
+                assert_eq!(*client, ClientId(2));
+                assert_eq!(*reason, err.to_string(), "the window's error is the verdict");
+                assert!((waited - 1.0).abs() < 1e-12, "queued at 4.0, failed at 5.0");
+            }
+            other => panic!("the failed window's ticket must be rejected, got {other:?}"),
+        }
         assert_eq!(svc.pending(), 0);
+        assert!(svc.flush(7.0).unwrap().is_empty(), "every ticket resolves exactly once");
     }
 
     #[test]
@@ -1318,23 +1194,23 @@ mod tests {
         // poison window, the acks must be restored again — and still emit
         // exactly once when a clean tick finally lands.
         let mut svc = tampered_service();
-        svc.set_admission_policy(AdmissionPolicy { queue_depth: 16, deadline: Some(2.0) }).unwrap();
         let cancelled = svc.submit(request(0, 0, 255, 2), 0.0).ticket().unwrap();
         let overdue = svc.submit(request(1, 16, 240, 2), 0.0).ticket().unwrap();
         assert!(svc.cancel(cancelled));
-        let _poison_a = svc.submit(request(2, 32, 200, 2), 5.0).ticket().unwrap();
+        let poison_a = svc.submit(request(2, 32, 200, 2), 5.0).ticket().unwrap();
         let first = svc.flush(5.0).unwrap_err();
         assert!(matches!(first, OpaqueError::CorruptResult { .. }));
         // The re-emitting tick fails too: a second poison window drains
         // alongside the restored acks.
-        let _poison_b = svc.submit(request(3, 48, 180, 2), 6.0).ticket().unwrap();
+        let poison_b = svc.submit(request(3, 48, 180, 2), 6.0).ticket().unwrap();
         let second = svc.flush(6.0).unwrap_err();
         assert!(matches!(second, OpaqueError::CorruptResult { .. }));
-        // Third time clean: the acks emit once each, in order, no dupes.
+        // Third time clean: the acks and both failed windows' tickets
+        // emit once each, in order, no dupes.
         let events = svc.flush(7.0).unwrap();
         assert_eq!(
             events.iter().filter_map(ServiceEvent::ticket).collect::<Vec<_>>(),
-            vec![cancelled, overdue],
+            vec![cancelled, overdue, poison_a, poison_b],
             "{events:?}"
         );
         assert!(matches!(events[0], ServiceEvent::Cancelled { .. }));
@@ -1342,6 +1218,10 @@ mod tests {
             events[1],
             ServiceEvent::Rejected { reason: RejectReason::DeadlineExpired { .. }, .. }
         ));
+        assert!(events[2..].iter().all(|e| matches!(
+            e,
+            ServiceEvent::Rejected { reason: RejectReason::Infeasible { .. }, .. }
+        )));
         assert_eq!(svc.pending(), 0);
         assert!(svc.flush(8.0).unwrap().is_empty(), "acks must not emit a second time");
     }

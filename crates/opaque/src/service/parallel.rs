@@ -4,15 +4,18 @@
 //! work — the server answers each independently (Definition 1), so the
 //! server-side cost the paper analyzes in §V is embarrassingly parallel
 //! across queries. This module is the execution layer that exploits that:
-//! a [`std::thread`] worker pool where each worker is **pinned to one
-//! backend shard** (and therefore to that shard's
-//! [`pathsearch::SearchArena`] — arenas are `Send` but never shared), and
-//! workers pull unit indices from a shared injector queue until the batch
-//! is drained. Under region-owned placement
-//! ([`crate::PartitionPolicy::RegionOwned`]) the injector is replaced by
-//! **per-shard queues** (`process_routed_on_shards`): each unit is
-//! pinned to the shard owning its region, and worker `w` drains the
-//! queues of every shard `s` with `s % workers == w`.
+//! one [`std::thread`] pool loop (`run_pool`) in which every
+//! backend shard (and therefore that shard's [`pathsearch::SearchArena`]
+//! — arenas are `Send` but never shared) is bound to a **queue** of unit
+//! indices behind one atomic cursor, and is served by exactly one worker
+//! thread. The two placements differ only in the binding:
+//!
+//! * round-robin binds every shard to one shared queue, so workers claim
+//!   units until the batch is drained and a straggler never idles the
+//!   rest of the pool;
+//! * region-owned ([`crate::PartitionPolicy::RegionOwned`]) binds shard
+//!   `s` to its own queue — the units the partition routed to it — so
+//!   placement never depends on the pool's width.
 //!
 //! Determinism is the design constraint, not an afterthought:
 //!
@@ -44,10 +47,10 @@ pub enum ExecutionPolicy {
     /// and the reference the determinism harness compares against.
     #[default]
     Sequential,
-    /// A worker pool of `threads` OS threads. Each worker owns one backend
-    /// shard (every shard holds a view of the whole map, so any shard can
-    /// answer any unit) and pulls work from a shared injector queue, so a
-    /// straggler unit never idles the rest of the pool.
+    /// A worker pool of `threads` OS threads, each owning the backend
+    /// shards it serves (every shard holds a view of the whole map, so
+    /// any shard can answer any unit) — see the module docs for how
+    /// units reach shards under each placement.
     WorkerPool {
         /// Number of worker threads; capped at the backend's shard count
         /// (a worker without a shard of its own would have no arena).
@@ -87,140 +90,83 @@ impl ExecutionPolicy {
     }
 }
 
+/// One work queue of a batch: unit indices in unit order, claimed one
+/// `fetch_add` at a time, so work stays balanced between the shards
+/// sharing a queue even when unit costs are skewed — exactly the
+/// situation obfuscated batches produce, where one large shared query can
+/// dwarf the independent ones.
+pub(crate) struct Queue {
+    units: Vec<usize>,
+    cursor: AtomicUsize,
+}
+
+impl Queue {
+    pub(crate) fn new(units: Vec<usize>) -> Self {
+        Queue { units, cursor: AtomicUsize::new(0) }
+    }
+
+    fn claim(&self) -> Option<usize> {
+        self.units.get(self.cursor.fetch_add(1, Ordering::Relaxed)).copied()
+    }
+}
+
 /// Fan `queries` out over `shards` with a pool of at most `threads`
 /// workers; returns one result per query, **in query order**.
 ///
-/// Worker `w` owns `shards[w]` exclusively for the whole batch (shards
-/// beyond the worker count sit this batch out). The injector is a single
-/// atomic cursor over the query slice: claiming a unit is one
-/// `fetch_add`, so work stays balanced even when unit costs are skewed —
-/// exactly the situation obfuscated batches produce, where one large
-/// shared query can dwarf the independent ones.
+/// `queues` is either one queue shared by the whole fleet or one queue
+/// per shard; between them they must name every unit exactly once. Shard
+/// `s` drains the queue it is bound to (`s % queues.len()`) and worker
+/// `w` serves every shard `s` with `s % workers == w`, one after the
+/// other — each shard (and its arena and tree cache) stays owned by
+/// exactly one thread even when the pool is narrower than the fleet, and
+/// a shard that finds its queue already drained sits the batch out. One
+/// worker runs on the calling thread and skips the spawn/join overhead.
 ///
 /// A worker panic (a poisoned graph view, an out-of-range query) is
 /// re-raised on the calling thread once the scope joins, so errors are
 /// never silently swallowed into a missing result.
-pub(crate) fn process_on_shards<B: DirectionsBackend + Send>(
+pub(crate) fn run_pool<B: DirectionsBackend + Send>(
     shards: &mut [B],
     queries: &[ObfuscatedPathQuery],
+    queues: &[Queue],
     threads: usize,
 ) -> Vec<MsmdResult> {
-    debug_assert!(!shards.is_empty(), "backend fleets are non-empty by construction");
-    let workers = threads.clamp(1, shards.len().max(1)).min(queries.len().max(1));
-    if workers <= 1 {
-        // One worker is a plain sequential sweep on the first shard; do it
-        // on the calling thread and skip the spawn/join overhead.
-        let shard = &mut shards[0];
-        return queries.iter().map(|q| shard.process(q)).collect();
-    }
-
-    let injector = AtomicUsize::new(0);
-    let mut slots: Vec<Option<MsmdResult>> = (0..queries.len()).map(|_| None).collect();
-    let collected: Vec<Vec<(usize, MsmdResult)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter_mut()
-            .take(workers)
-            .map(|shard| {
-                let injector = &injector;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = injector.fetch_add(1, Ordering::Relaxed);
-                        let Some(query) = queries.get(i) else { break };
-                        local.push((i, shard.process(query)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect()
-    });
-
-    for (i, result) in collected.into_iter().flatten() {
-        debug_assert!(slots[i].is_none(), "injector handed unit {i} out twice");
-        slots[i] = Some(result);
-    }
-    slots.into_iter().map(|r| r.expect("injector covers every unit exactly once")).collect()
-}
-
-/// Routed variant of [`process_on_shards`]: `assignment[i]` names the
-/// shard that must serve unit `i` (region ownership), so workers pull
-/// from **per-shard queues** instead of the global injector cursor.
-///
-/// Worker `w` serves every shard `s` with `s % workers == w` — each shard
-/// (and its arena and tree cache) stays owned by exactly one thread, even
-/// when the pool is narrower than the fleet. There is deliberately no
-/// work stealing: clustered placement is the point of region routing, and
-/// determinism never depended on scheduling anyway (results land in their
-/// unit's slot, stats merge commutatively). Returns one result per query,
-/// **in query order**, with worker panics re-raised on the caller.
-pub(crate) fn process_routed_on_shards<B: DirectionsBackend + Send>(
-    shards: &mut [B],
-    queries: &[ObfuscatedPathQuery],
-    assignment: &[usize],
-    threads: usize,
-) -> Vec<MsmdResult> {
-    debug_assert_eq!(assignment.len(), queries.len(), "one shard per unit");
     debug_assert!(
-        assignment.iter().all(|&s| s < shards.len()),
-        "router must only name real shards"
+        queues.len() == 1 || queues.len() == shards.len(),
+        "one queue for the fleet, or one per shard"
     );
-    // Per-shard queues, each in unit order.
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); shards.len()];
-    for (i, &s) in assignment.iter().enumerate() {
-        queues[s].push(i);
-    }
-
     let workers = threads.clamp(1, shards.len().max(1)).min(queries.len().max(1));
-    let mut slots: Vec<Option<MsmdResult>> = (0..queries.len()).map(|_| None).collect();
-    if workers <= 1 {
-        // One worker still honors the assignment — placement (and the
-        // per-shard cache state it builds) must not depend on pool width.
-        for (shard, queue) in shards.iter_mut().zip(&queues) {
-            for &i in queue {
-                slots[i] = Some(shard.process(&queries[i]));
+    let mut buckets: Vec<Vec<(&mut B, &Queue)>> = (0..workers).map(|_| Vec::new()).collect();
+    for (s, shard) in shards.iter_mut().enumerate() {
+        buckets[s % workers].push((shard, &queues[s % queues.len()]));
+    }
+    let serve = |bucket: Vec<(&mut B, &Queue)>| {
+        let mut local = Vec::new();
+        for (shard, queue) in bucket {
+            while let Some(i) = queue.claim() {
+                local.push((i, shard.process(&queries[i])));
             }
         }
-        return finish(slots);
-    }
+        local
+    };
+    let collected: Vec<Vec<(usize, MsmdResult)>> = if workers == 1 {
+        buckets.into_iter().map(serve).collect()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> =
+                buckets.into_iter().map(|bucket| scope.spawn(move || serve(bucket))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
+        })
+    };
 
-    // Bucket shards (with their queues) by serving worker.
-    let mut buckets: Vec<Vec<(&mut B, Vec<usize>)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (s, (shard, queue)) in shards.iter_mut().zip(queues).enumerate() {
-        buckets[s % workers].push((shard, queue));
-    }
-    let collected: Vec<Vec<(usize, MsmdResult)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    for (shard, queue) in bucket {
-                        for i in queue {
-                            local.push((i, shard.process(&queries[i])));
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect()
-    });
+    let mut slots: Vec<Option<MsmdResult>> = (0..queries.len()).map(|_| None).collect();
     for (i, result) in collected.into_iter().flatten() {
-        debug_assert!(slots[i].is_none(), "unit {i} queued on two shards");
+        debug_assert!(slots[i].is_none(), "unit {i} was queued twice");
         slots[i] = Some(result);
     }
-    finish(slots)
-}
-
-/// Unwrap the slot vector, panicking on any unit no queue covered.
-fn finish(slots: Vec<Option<MsmdResult>>) -> Vec<MsmdResult> {
     slots.into_iter().map(|r| r.expect("every unit is queued exactly once")).collect()
 }
 
@@ -228,6 +174,8 @@ fn finish(slots: Vec<Option<MsmdResult>>) -> Vec<MsmdResult> {
 mod tests {
     use super::*;
     use crate::server::DirectionsServer;
+    use crate::service::backend::ShardedBackend;
+    use crate::service::partition::Partition;
     use pathsearch::SharingPolicy;
     use roadnet::NodeId;
     use roadnet::generators::{GridConfig, grid_network};
@@ -249,32 +197,45 @@ mod tests {
             .collect()
     }
 
+    /// The round-robin binding: one queue of every unit.
+    fn shared(units: usize) -> Vec<Queue> {
+        vec![Queue::new((0..units).collect())]
+    }
+
     #[test]
     fn pool_results_land_in_query_order_and_match_sequential() {
         let qs = queries(17);
         let mut seq_fleet = fleet(1);
         let sequential: Vec<MsmdResult> = qs.iter().map(|q| seq_fleet[0].process(q)).collect();
+        let partition = Partition::build(seq_fleet[0].graph(), 4, 1).unwrap();
 
-        for threads in [2usize, 3, 4] {
-            let mut shards = fleet(threads);
-            let pooled = process_on_shards(&mut shards, &qs, threads);
-            assert_eq!(pooled.len(), qs.len());
-            for (i, (p, s)) in pooled.iter().zip(&sequential).enumerate() {
-                assert_eq!(p.num_paths(), s.num_paths(), "unit {i} at {threads} threads");
-                for r in 0..p.paths.len() {
-                    for c in 0..p.paths[r].len() {
-                        assert_eq!(p.paths[r][c], s.paths[r][c], "unit {i} pair ({r},{c})");
-                    }
+        for region_owned in [false, true] {
+            let mut load_at_first_width = None;
+            for threads in [1usize, 2, 4] {
+                let mut backend = if region_owned {
+                    ShardedBackend::with_partition(fleet(4), partition.clone())
+                } else {
+                    ShardedBackend::new(fleet(4))
                 }
-                assert_eq!(p.stats, s.stats, "unit {i}: per-unit counters are assignment-free");
+                .unwrap();
+                let pooled = backend.process_many(&qs, ExecutionPolicy::WorkerPool { threads });
+                assert_eq!(pooled.len(), qs.len());
+                for (i, (p, s)) in pooled.iter().zip(&sequential).enumerate() {
+                    assert_eq!(p.paths, s.paths, "unit {i} at {threads} threads");
+                    assert_eq!(p.stats, s.stats, "unit {i}: per-unit counters are assignment-free");
+                }
+                // Fleet-merged load equals the sequential single server's
+                // load: assignment moves counters between shards, never
+                // changes sums.
+                assert_eq!(backend.stats(), seq_fleet[0].stats(), "{threads} threads");
+                // Region-owned placement is pinned by the partition, not
+                // by the pool's width.
+                if region_owned {
+                    let load = backend.load_per_shard();
+                    assert!(load.iter().filter(|&&pairs| pairs > 0).count() > 1, "{load:?}");
+                    assert_eq!(*load_at_first_width.get_or_insert(load.clone()), load);
+                }
             }
-            // Fleet-merged load equals the sequential single server's load:
-            // assignment moves counters between shards, never changes sums.
-            let merged = shards.iter().fold(crate::server::ServerStats::default(), |mut acc, s| {
-                acc.merge(&s.stats());
-                acc
-            });
-            assert_eq!(merged, seq_fleet[0].stats(), "{threads} threads");
         }
     }
 
@@ -283,14 +244,14 @@ mod tests {
         let qs = queries(3);
         // More threads than shards: capped at the fleet size.
         let mut shards = fleet(2);
-        let r = process_on_shards(&mut shards, &qs, 16);
+        let r = run_pool(&mut shards, &qs, &shared(3), 16);
         assert_eq!(r.len(), 3);
         // More threads than queries: never spawns idle workers.
         let mut shards = fleet(8);
-        let r = process_on_shards(&mut shards, &qs, 8);
+        let r = run_pool(&mut shards, &qs, &shared(3), 8);
         assert_eq!(r.len(), 3);
         // Zero queries is a no-op.
-        let r = process_on_shards(&mut shards, &[], 8);
+        let r = run_pool(&mut shards, &[], &shared(0), 8);
         assert!(r.is_empty());
     }
 
@@ -300,12 +261,17 @@ mod tests {
         let mut seq_fleet = fleet(1);
         let sequential: Vec<MsmdResult> = qs.iter().map(|q| seq_fleet[0].process(q)).collect();
         let assignment: Vec<usize> = (0..qs.len()).map(|i| (i * 3) % 4).collect();
+        let per_shard = || -> Vec<Queue> {
+            (0..4)
+                .map(|s| Queue::new((0..qs.len()).filter(|&i| assignment[i] == s).collect()))
+                .collect()
+        };
 
         // Any pool width — including narrower than the fleet and a single
         // worker — serves each unit on its assigned shard.
         for threads in [1usize, 2, 4, 7] {
             let mut shards = fleet(4);
-            let routed = process_routed_on_shards(&mut shards, &qs, &assignment, threads);
+            let routed = run_pool(&mut shards, &qs, &per_shard(), threads);
             assert_eq!(routed.len(), qs.len());
             for (i, (p, s)) in routed.iter().zip(&sequential).enumerate() {
                 assert_eq!(p.paths, s.paths, "unit {i} at {threads} threads");
@@ -323,7 +289,8 @@ mod tests {
         }
         // Zero queries is a no-op.
         let mut shards = fleet(4);
-        assert!(process_routed_on_shards(&mut shards, &[], &[], 4).is_empty());
+        let empty: Vec<Queue> = (0..4).map(|_| Queue::new(Vec::new())).collect();
+        assert!(run_pool(&mut shards, &[], &empty, 4).is_empty());
     }
 
     #[test]

@@ -99,10 +99,6 @@ pub struct Partition {
     owner: Vec<u32>,
     /// Per shard: owned ∪ halo membership, one flag per node id.
     covers: Vec<Vec<bool>>,
-    /// Per shard: number of owned nodes.
-    owned_counts: Vec<usize>,
-    /// The halo width the coverage was built with.
-    halo: u32,
 }
 
 impl Partition {
@@ -129,24 +125,19 @@ impl Partition {
         }
 
         let seeds = select_seeds(graph, shards);
-        let (owner, owned_counts) = flood_fill(graph, &seeds);
+        let owner = flood_fill(graph, &seeds);
         let covers = (0..shards)
             .map(|s| {
                 let owned: Vec<bool> = owner.iter().map(|&o| o as usize == s).collect();
                 expand_hops(graph, owned, halo)
             })
             .collect();
-        Ok(Partition { owner, covers, owned_counts, halo })
+        Ok(Partition { owner, covers })
     }
 
     /// Number of shards the map is partitioned into.
     pub fn shards(&self) -> usize {
         self.covers.len()
-    }
-
-    /// The halo width (BFS hops) the coverage was built with.
-    pub fn halo(&self) -> u32 {
-        self.halo
     }
 
     /// The shard owning node `n`, or `None` for an out-of-range id.
@@ -157,11 +148,6 @@ impl Partition {
     /// Whether shard `s`'s owned-plus-halo coverage includes node `n`.
     pub fn covers(&self, s: usize, n: NodeId) -> bool {
         self.covers.get(s).and_then(|c| c.get(n.index())).copied().unwrap_or(false)
-    }
-
-    /// Number of nodes shard `s` owns outright (halo excluded).
-    pub fn owned_count(&self, s: usize) -> usize {
-        self.owned_counts.get(s).copied().unwrap_or(0)
     }
 
     /// The owning shard per node id, for inspection and tests.
@@ -177,12 +163,7 @@ impl Partition {
     /// The shard that should serve `query`, plus why — the `Owner → Halo
     /// → Fallback` chain described in the module docs.
     pub fn route_explain(&self, query: &ObfuscatedPathQuery) -> (usize, RouteKind) {
-        self.route_endpoints(query.sources(), query.targets())
-    }
-
-    /// Route an explicit source/target endpoint split (the plain-query
-    /// case routes a single pair through this).
-    pub fn route_endpoints(&self, sources: &[NodeId], targets: &[NodeId]) -> (usize, RouteKind) {
+        let (sources, targets) = (query.sources(), query.targets());
         // Tree roots grow from the smaller side (the MSMD transposition
         // rule), so that side's owners are the cache-relevant votes.
         // Ties keep the source side, matching the search layer.
@@ -294,8 +275,8 @@ fn select_seeds<G: GraphView>(graph: &G, shards: usize) -> Vec<NodeId> {
 
 /// Synchronized multi-source BFS flood fill from one seed per shard; ties
 /// go to the lowest shard id. Components no seed reaches are attached
-/// whole to the smallest shard. Returns `(owner, owned_counts)`.
-fn flood_fill<G: GraphView>(graph: &G, seeds: &[NodeId]) -> (Vec<u32>, Vec<usize>) {
+/// whole to the smallest shard. Returns the owning shard per node id.
+fn flood_fill<G: GraphView>(graph: &G, seeds: &[NodeId]) -> Vec<u32> {
     let n = graph.num_nodes();
     const UNOWNED: u32 = u32::MAX;
     let mut owner = vec![UNOWNED; n];
@@ -358,7 +339,7 @@ fn flood_fill<G: GraphView>(graph: &G, seeds: &[NodeId]) -> (Vec<u32>, Vec<usize
             });
         }
     }
-    (owner, counts)
+    owner
 }
 
 /// Expand a membership set by `hops` BFS levels (forward arcs).
@@ -405,7 +386,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn check_invariants(p: &Partition, g: &RoadNetwork) {
+    fn check_invariants(p: &Partition, g: &RoadNetwork, halo: u32) {
         let n = g.num_nodes();
         assert_eq!(p.owners().len(), n);
         // Every node owned exactly once, by a real shard.
@@ -416,7 +397,6 @@ mod tests {
         }
         assert_eq!(counts.iter().sum::<usize>(), n);
         for (s, &owned) in counts.iter().enumerate() {
-            assert_eq!(owned, p.owned_count(s));
             assert!(owned > 0, "shard {s} owns no nodes");
             // Coverage ⊇ owned; the excess is the halo, which must sit in
             // *other* shards' regions (halos ⊆ neighbor regions).
@@ -425,7 +405,7 @@ mod tests {
                 if p.owner_of(node) == Some(s) {
                     assert!(p.covers(s, node), "shard {s} does not cover owned node {i}");
                 } else if p.covers(s, node) {
-                    assert!(p.halo() > 0, "halo node with zero halo width");
+                    assert!(halo > 0, "halo node with zero halo width");
                     let other = p.owner_of(node).unwrap();
                     assert_ne!(other, s);
                 }
@@ -443,8 +423,8 @@ mod tests {
         ));
         // One shard owns everything and covers everything.
         let p = Partition::build(&g, 1, 0).unwrap();
-        assert_eq!(p.owned_count(0), g.num_nodes());
-        check_invariants(&p, &g);
+        assert!(p.owners().iter().all(|&o| o == 0));
+        check_invariants(&p, &g, 0);
     }
 
     #[test]
@@ -463,7 +443,7 @@ mod tests {
                         assert_eq!(a.covers(s, node), b.covers(s, node));
                     }
                 }
-                check_invariants(&a, &g);
+                check_invariants(&a, &g, halo);
             }
         }
     }
@@ -505,15 +485,13 @@ mod tests {
         let g = disconnected();
         for shards in [1usize, 2, 3] {
             let p = Partition::build(&g, shards, 1).unwrap();
-            check_invariants(&p, &g);
+            check_invariants(&p, &g, 1);
         }
         // shards == components: farthest-point seeding lands one seed per
         // component (unreached reads as infinitely far), so no shard is
         // starved even though the components have very different sizes.
         let p = Partition::build(&g, 3, 0).unwrap();
-        for s in 0..3 {
-            assert!(p.owned_count(s) > 0, "shard {s} empty on a 3-component map");
-        }
+        check_invariants(&p, &g, 0);
     }
 
     #[test]
@@ -575,7 +553,7 @@ mod tests {
         }
         let g = b.build().unwrap();
         let p = Partition::build(&g, 2, 1).unwrap();
-        check_invariants(&p, &g);
+        check_invariants(&p, &g, 1);
         for s in 0..6u32 {
             for t in 0..6u32 {
                 let q = ObfuscatedPathQuery::new(vec![NodeId(s)], vec![NodeId(t)]);

@@ -10,7 +10,8 @@
 //! nothing is silently dropped. The exception is a batch-fatal error
 //! (verification caught a tampered result): processing aborts with the
 //! typed error instead of outcomes, and a queue-drained batch is
-//! discarded with it (see `OpaqueService::tick`).
+//! discarded with it — its tickets are rejected on the next tick (see
+//! `OpaqueService::tick`).
 
 use crate::obfuscator::ObfuscationMode;
 use crate::protocol::HopTraffic;

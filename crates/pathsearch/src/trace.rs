@@ -143,12 +143,6 @@ impl SweepTrace {
         self.complete
     }
 
-    /// The settled radius: distance of the last (farthest) settled node.
-    /// Labels are exact for every node within it.
-    pub fn settled_radius(&self) -> f64 {
-        self.events.last().map_or(0.0, |e| e.dist)
-    }
-
     /// The settled nodes in settle order (nearest-first). Lets callers
     /// measure a sweep's *spatial footprint* — e.g. how much of it falls
     /// inside one shard's region under region-owned placement — without
@@ -362,7 +356,7 @@ mod tests {
             assert_eq!(e.node, full.events[i].node, "settle order diverged at {i}");
             assert_eq!(e.dist, full.events[i].dist);
         }
-        assert!(partial.settled_radius() <= full.settled_radius());
+        assert!(partial.events.last().unwrap().dist <= full.events.last().unwrap().dist);
 
         // Inside the radius: adoptable, byte-identical to a fresh run.
         let inside = partial.events[partial.len() / 2].node;
@@ -462,7 +456,7 @@ mod tests {
         assert_eq!(trace.nodes(), g.num_nodes());
         assert!(!trace.is_empty());
         assert_eq!(trace.position(NodeId(60)), Some(0), "the root settles first");
-        let r = trace.settled_radius();
+        let r = trace.events.last().unwrap().dist;
         for e in &trace.events {
             assert!(e.dist <= r + 1e-12, "settle order is nondecreasing in distance");
             assert_eq!(trace.position(NodeId(e.node)).map(|i| trace.events[i].node), Some(e.node));

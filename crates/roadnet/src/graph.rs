@@ -366,15 +366,10 @@ impl RoadNetwork {
         label
     }
 
-    /// Number of connected components (by arc reachability).
-    pub fn num_components(&self) -> usize {
-        self.component_labels().iter().copied().max().map_or(0, |m| m as usize + 1)
-    }
-
     /// True if every node is reachable from every other (undirected case) /
     /// the arc structure forms one component.
     pub fn is_connected(&self) -> bool {
-        self.num_components() <= 1
+        self.component_labels().iter().all(|&label| label == 0)
     }
 
     /// Restrict to the largest connected component, renumbering nodes
@@ -574,7 +569,6 @@ mod tests {
         b.add_edge(NodeId(1), NodeId(2), 1.0).unwrap();
         b.add_edge(NodeId(3), NodeId(4), 1.0).unwrap();
         let g = b.build().unwrap();
-        assert_eq!(g.num_components(), 2);
         assert!(!g.is_connected());
         let (sub, mapping) = g.largest_component().unwrap();
         assert_eq!(sub.num_nodes(), 3);

@@ -142,11 +142,6 @@ impl ChunkedCsr {
         self.num_arcs
     }
 
-    /// Number of chunks the arc array spans.
-    pub fn num_chunks(&self) -> usize {
-        (self.num_arcs as usize).div_ceil(self.arcs_per_chunk).max(1)
-    }
-
     /// Configured arcs per chunk.
     pub fn arcs_per_chunk(&self) -> usize {
         self.arcs_per_chunk
@@ -166,13 +161,6 @@ impl ChunkedCsr {
     /// Zero the counters, keeping resident chunks (warm cache).
     pub fn reset_io_stats(&self) {
         self.cache.borrow_mut().lru.reset_stats();
-    }
-
-    /// Drop every resident chunk and zero the counters (cold cache).
-    pub fn clear_cache(&self) {
-        let mut c = self.cache.borrow_mut();
-        c.lru.clear();
-        c.data.clear();
     }
 
     /// Bytes of arc data currently resident.
@@ -295,7 +283,8 @@ mod tests {
             c.for_each_arc(n, &mut |_, _| {});
         }
         let s = c.io_stats();
-        assert!(s.faults >= c.num_chunks() as u64, "every chunk read at least once");
+        let chunks = |c: &ChunkedCsr| c.num_arcs().div_ceil(c.arcs_per_chunk() as u64);
+        assert!(s.faults >= chunks(&c), "every chunk read at least once");
         assert!(s.accesses > s.faults, "sequential scan re-touches resident chunks");
         assert!(c.resident_bytes() <= 3 * 16 * RECORD_BYTES);
         // Two chunks, node 0's chunk re-touched after every node: recency,
@@ -317,7 +306,7 @@ mod tests {
             warm.for_each_arc(n, &mut |_, _| {});
         }
         let first = warm.io_stats().faults;
-        assert_eq!(first, warm.num_chunks() as u64);
+        assert_eq!(first, chunks(&warm));
         for n in g.nodes() {
             warm.for_each_arc(n, &mut |_, _| {});
         }
@@ -325,17 +314,13 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_reset_behave() {
+    fn stats_reset_keeps_the_cache_warm() {
         let g = net();
         let c = ChunkedCsr::spill_temp(&g, tiny_chunks()).unwrap();
         c.for_each_arc(NodeId(0), &mut |_, _| {});
         c.reset_io_stats();
         c.for_each_arc(NodeId(0), &mut |_, _| {});
         assert_eq!(c.io_stats().faults, 0, "warm cache after stats reset");
-        c.clear_cache();
-        assert_eq!(c.resident_bytes(), 0);
-        c.for_each_arc(NodeId(0), &mut |_, _| {});
-        assert_eq!(c.io_stats().faults, 1, "cold cache after clear");
     }
 
     #[test]

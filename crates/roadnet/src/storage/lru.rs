@@ -96,15 +96,6 @@ impl LruBuffer {
         self.stats = IoStats::default();
     }
 
-    /// Evict everything and zero the counters.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.map.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.stats = IoStats::default();
-    }
-
     fn unlink(&mut self, slot: u32) {
         let Slot { prev, next, .. } = self.slots[slot as usize];
         if prev != NIL {
@@ -248,17 +239,6 @@ mod tests {
             }
         }
         assert_eq!(b.stats().faults, 16);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut b = LruBuffer::new(2);
-        b.touch(1);
-        b.touch(2);
-        b.clear();
-        assert_eq!(b.resident(), 0);
-        assert_eq!(b.stats(), IoStats::default());
-        assert!(b.touch(1), "post-clear touch faults again");
     }
 
     #[test]

@@ -289,11 +289,6 @@ impl<'g> PagedGraph<'g> {
     pub fn reset_io_stats(&self) {
         self.buffer.borrow_mut().reset_stats();
     }
-
-    /// Drop all buffered pages and zero the counters (cold buffer).
-    pub fn clear_buffer(&self) {
-        self.buffer.borrow_mut().clear();
-    }
 }
 
 impl GraphView for PagedGraph<'_> {
@@ -426,16 +421,13 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_reset_behave() {
+    fn stats_reset_keeps_the_buffer_warm() {
         let g = net();
         let pg = PagedGraph::ccam(&g, 16);
         pg.for_each_arc(NodeId(0), &mut |_, _| {});
         pg.reset_io_stats();
         pg.for_each_arc(NodeId(0), &mut |_, _| {});
         assert_eq!(pg.io_stats().faults, 0, "warm buffer after stats reset");
-        pg.clear_buffer();
-        pg.for_each_arc(NodeId(0), &mut |_, _| {});
-        assert_eq!(pg.io_stats().faults, 1, "cold buffer after clear");
     }
 
     #[test]

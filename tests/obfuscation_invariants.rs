@@ -4,10 +4,11 @@
 //! modes.
 
 use opaque::{
-    ClientId, ClientRequest, ClusteringConfig, FakeSelection, ObfuscationMode, Obfuscator,
-    PathQuery, ProtectionSettings, ServiceBuilder,
+    ClientId, ClientRequest, ClusteringConfig, DirectionsBackend, DirectionsServer, FakeSelection,
+    ObfuscatedPathQuery, ObfuscationMode, Obfuscator, PathQuery, ProtectionSettings, ServerStats,
+    ServiceBuilder,
 };
-use pathsearch::SharingPolicy;
+use pathsearch::{MsmdResult, SharingPolicy};
 use proptest::prelude::*;
 use roadnet::NodeId;
 use roadnet::generators::{GridConfig, grid_network};
@@ -15,6 +16,23 @@ use roadnet::generators::{GridConfig, grid_network};
 fn map() -> roadnet::RoadNetwork {
     grid_network(&GridConfig { width: 15, height: 15, seed: 77, ..Default::default() })
         .expect("valid network")
+}
+
+/// An honest server that remembers every obfuscated query it was sent.
+struct Recording {
+    server: DirectionsServer<roadnet::RoadNetwork>,
+    seen: Vec<ObfuscatedPathQuery>,
+}
+
+impl DirectionsBackend for Recording {
+    fn process(&mut self, query: &ObfuscatedPathQuery) -> MsmdResult {
+        self.seen.push(query.clone());
+        self.server.process(query)
+    }
+
+    fn stats(&self) -> ServerStats {
+        self.server.stats()
+    }
 }
 
 fn arb_requests(max: usize) -> impl Strategy<Value = Vec<ClientRequest>> {
@@ -88,6 +106,20 @@ proptest! {
                 prop_assert!(w[0] < w[1]);
             }
         }
+
+        // The service runs this very pipeline: built from the same map,
+        // strategy and seed, it sends its backend exactly these units.
+        let server = DirectionsServer::new(map(), SharingPolicy::PerSource);
+        let mut svc = ServiceBuilder::new()
+            .map(map())
+            .fake_selection(strategy)
+            .seed(seed)
+            .build_with_backend(Recording { server, seen: Vec::new() })
+            .expect("valid configuration");
+        let response = svc.process_batch_with_mode(&requests, mode).expect("pipeline ok");
+        prop_assert_eq!(response.results.len(), requests.len());
+        let sent: Vec<ObfuscatedPathQuery> = units.into_iter().map(|u| u.query).collect();
+        prop_assert_eq!(&svc.backend().seen, &sent);
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn ten_thousand_queries_lose_nothing_and_count_monotonically() {
         .shards(SHARDS)
         .execution_policy(ExecutionPolicy::WorkerPool { threads: THREADS })
         // Independent mode: one obfuscated query per request, so the
-        // injector queue sees all 100 units of every batch.
+        // shared work queue holds all 100 units of every batch.
         .obfuscation_mode(ObfuscationMode::Independent)
         .build()
         .expect("valid configuration");
@@ -109,7 +109,7 @@ fn ten_thousand_queries_lose_nothing_and_count_monotonically() {
     assert_eq!(total.obfuscated_queries, (BATCHES * BATCH_SIZE) as u64);
     assert_eq!(total.search.settled, delta_settled);
     assert_eq!(total.trees_grown, delta_trees);
-    // Work actually spread beyond one shard: with a shared injector and
+    // Work actually spread beyond one shard: with one shared queue and
     // 100-unit batches, a single shard hogging everything means the pool
     // never ran.
     let busy_shards = svc.backend().load_per_shard().iter().filter(|&&p| p > 0).count();
