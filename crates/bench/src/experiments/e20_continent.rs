@@ -19,13 +19,16 @@
 //!   larger-than-RAM serving mode;
 //! * ALT goal-directed pruning ([`pathsearch::AltPreprocessing`] via
 //!   `DirectionsServer::with_heuristic`): cross-continent obfuscated
-//!   units evaluated guided vs unguided.
+//!   units evaluated guided vs unguided, for two shapes of target set —
+//!   clustered in a small block (nearby fakes) and spread over the whole
+//!   far province (ring fakes).
 //!
 //! Claims checked on every run: guided, unguided, and paged-guided
 //! evaluations return **identical candidate paths** for every pair of
 //! every unit; and on maps ≥10⁵ nodes the guided batch settles **≤ 1/3**
-//! of the nodes the unguided batch settles (the `continent_settled_ratio`
-//! metric CI trends).
+//! of the nodes the unguided batch settles, for both target shapes (the
+//! `continent_settled_ratio` and `continent_spread_settled_ratio` metrics
+//! CI trends).
 
 use crate::setup::Scale;
 use crate::table::{ExperimentTable, f3};
@@ -42,12 +45,10 @@ use std::time::Instant;
 const LANDMARKS: usize = 16;
 /// Obfuscation-set size per side of each unit (the paper's `f = 3`).
 const SET_SIZE: usize = 3;
-/// Side length of the block each unit's target set clusters inside —
-/// matching the obfuscator's nearby-fake strategies, which pick fakes in
-/// the true destination's vicinity. A tight target set keeps the
-/// max-over-targets potential's final settle key close to the true trip
-/// distance (a widely spread set would pad it by the set's own diameter,
-/// admitting every near-tie on a grid-like map).
+/// Side length of the block the *clustered* units' target sets fall
+/// inside — matching the obfuscator's nearby-fake strategies, which pick
+/// fakes in the true destination's vicinity. The *spread* units draw their
+/// targets from the whole far province instead, the shape ring fakes give.
 const TARGET_PATCH: usize = 10;
 
 /// Weight jitter for the continent: per-edge factor in `[1.0, 3.0]` over
@@ -93,13 +94,19 @@ fn tier(scale: &Scale) -> (ContinentConfig, usize, usize) {
 }
 
 /// Cross-continent obfuscated units: each unit's sources sit anywhere in
-/// one corner province, its targets cluster in a [`TARGET_PATCH`]-wide
-/// block of the diagonally opposite one — the longest trips the map
-/// offers, where goal direction has the most waste to cut.
-fn cross_continent_units(cfg: &ContinentConfig, count: usize) -> Vec<ObfuscatedPathQuery> {
+/// one corner province, its targets fall in a `patch`-wide block of the
+/// diagonally opposite one ([`TARGET_PATCH`] for clustered sets, anything
+/// at least the province side for sets spread over all of it) — the
+/// longest trips the map offers, where goal direction has the most waste
+/// to cut.
+fn cross_continent_units(
+    cfg: &ContinentConfig,
+    count: usize,
+    patch: usize,
+) -> Vec<ObfuscatedPathQuery> {
     let mut rng = StdRng::seed_from_u64(0xE20);
     let per_province = cfg.province_width * cfg.province_height;
-    let patch = TARGET_PATCH.min(cfg.province_width).min(cfg.province_height);
+    let patch = patch.min(cfg.province_width).min(cfg.province_height);
     (0..count)
         .map(|i| {
             // Alternate the diagonal so both sweep directions are measured.
@@ -215,11 +222,13 @@ pub fn run(scale: &Scale) -> ExperimentTable {
         ));
     }
 
-    let units = cross_continent_units(&cfg, unit_count);
+    let units = cross_continent_units(&cfg, unit_count, TARGET_PATCH);
+    let spread_units = cross_continent_units(&cfg, unit_count, usize::MAX);
     let pairs: usize = units.iter().map(|u| u.num_pairs()).sum();
     t.note(format!(
         "{unit_count} cross-continent units ({SET_SIZE}x{SET_SIZE} obfuscation sets, {pairs} pairs), \
-         {LANDMARKS} farthest-point landmarks, PerSource sharing, {reps} reps"
+         {LANDMARKS} farthest-point landmarks, PerSource sharing, {reps} reps; targets clustered \
+         in a {TARGET_PATCH}x{TARGET_PATCH} block, or (spread T) anywhere in the far province"
     ));
 
     let t0 = Instant::now();
@@ -232,6 +241,8 @@ pub fn run(scale: &Scale) -> ExperimentTable {
 
     let plain = drive(&g, &units, None, reps);
     let guided = drive(&g, &units, Some(Arc::clone(&pre)), reps);
+    let spread_plain = drive(&g, &spread_units, None, reps);
+    let spread_guided = drive(&g, &spread_units, Some(Arc::clone(&pre)), reps);
 
     // Paged leg: the identical guided batch over the spilled CSR with a
     // bounded chunk buffer — the serving mode for maps larger than RAM.
@@ -242,14 +253,22 @@ pub fn run(scale: &Scale) -> ExperimentTable {
     // The equivalence claims this experiment rides on.
     assert_eq!(plain.paths, guided.paths, "guided candidate paths must be identical to plain");
     assert_eq!(plain.paths, paged.paths, "paged-guided candidate paths must be identical to plain");
+    assert_eq!(spread_plain.paths, spread_guided.paths, "spread T: guided paths must be plain's");
     let ratio = guided.settled as f64 / plain.settled as f64;
-    if nodes >= 100_000 {
-        assert!(
-            ratio <= 1.0 / 3.0,
-            "at continent scale ALT must settle <= 1/3 of plain Dijkstra's nodes, got {ratio:.3}"
-        );
-    } else {
-        assert!(ratio < 0.9, "even the reduced tier must show real pruning, got {ratio:.3}");
+    let spread_ratio = spread_guided.settled as f64 / spread_plain.settled as f64;
+    for (shape, ratio) in [("clustered", ratio), ("spread", spread_ratio)] {
+        if nodes >= 100_000 {
+            assert!(
+                ratio <= 1.0 / 3.0,
+                "at continent scale ALT must settle <= 1/3 of plain Dijkstra's nodes, \
+                 got {ratio:.3} on {shape} targets"
+            );
+        } else {
+            assert!(
+                ratio < 0.9,
+                "even the reduced tier must show real pruning, got {ratio:.3} on {shape} targets"
+            );
+        }
     }
 
     let row = |t: &mut ExperimentTable, name: &str, m: &Measured| {
@@ -265,15 +284,18 @@ pub fn run(scale: &Scale) -> ExperimentTable {
     row(&mut t, "plain dijkstra", &plain);
     row(&mut t, "alt-guided", &guided);
     row(&mut t, "alt-guided, paged csr", &paged);
+    row(&mut t, "plain dijkstra, spread T", &spread_plain);
+    row(&mut t, "alt-guided, spread T", &spread_guided);
     t.note(format!(
-        "settled ratio {ratio:.3} (guided/plain); paged leg: {} chunk faults over {} accesses \
-         ({} resident bytes cap)",
+        "settled ratio (guided/plain) {ratio:.3} clustered, {spread_ratio:.3} spread; \
+         paged leg: {} chunk faults over {} accesses ({} resident bytes cap)",
         io.faults,
         io.accesses,
         csr.resident_bytes(),
     ));
 
     t.metric("continent_settled_ratio", ratio);
+    t.metric("continent_spread_settled_ratio", spread_ratio);
     t.metric("continent_ms_per_batch", guided.ms_per_batch);
     t
 }
@@ -288,12 +310,15 @@ mod tests {
         // debug-mode CI fast; run() itself asserts path identity across
         // plain/guided/paged and the pruning bound for the tier.
         let t = run(&Scale { network_nodes: 100, queries: 4, trials: 1 });
-        assert_eq!(t.rows.len(), 3, "plain + guided + paged rows");
+        assert_eq!(t.rows.len(), 5, "plain + guided + paged rows, then plain + guided on spread T");
         let ratio = t.metric_value("continent_settled_ratio").unwrap();
         assert!(ratio > 0.0 && ratio < 0.9, "ratio recorded: {ratio}");
         assert!(t.metric_value("continent_ms_per_batch").unwrap() > 0.0);
         // All three engines delivered every pair.
         assert_eq!(t.rows[0][4], t.rows[1][4]);
         assert_eq!(t.rows[0][4], t.rows[2][4]);
+        assert_eq!(t.rows[3][4], t.rows[4][4]);
+        let spread = t.metric_value("continent_spread_settled_ratio").unwrap();
+        assert!(spread > 0.0 && spread < 0.9, "spread ratio recorded: {spread}");
     }
 }

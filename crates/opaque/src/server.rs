@@ -230,16 +230,38 @@ impl<G: GraphView> DirectionsServer<G> {
     /// [`pathsearch::SweepTrace::touches_any`]), so dropping them would
     /// just re-cool the cache. Topology changes must keep going through
     /// [`DirectionsServer::swap_map`].
+    ///
+    /// Attached ALT tables survive the update iff no affected edge got
+    /// cheaper: a landmark potential is 1-Lipschitz under the weights it
+    /// was measured on, hence under any weights at least as large, and
+    /// zero at its goals — consistent and admissible on the new map, by
+    /// induction over successive rising updates. One lowered edge drops
+    /// the tables, as [`DirectionsServer::swap_map`] always does.
     pub fn apply_weight_update(&mut self, graph: G, affected: &[(NodeId, NodeId)]) {
+        let fell = |&(a, b): &(NodeId, NodeId)| {
+            cheapest_arc(&graph, a, b) < cheapest_arc(&self.graph, a, b)
+                || cheapest_arc(&graph, b, a) < cheapest_arc(&self.graph, b, a)
+        };
+        if self.heuristic.is_some() && affected.iter().any(fell) {
+            self.heuristic = None;
+        }
         self.graph = graph;
         if let Some(cache) = &mut self.cache {
             cache.invalidate_edges(affected);
         }
-        // A cheaper edge can break the old landmark tables' admissibility
-        // (cached trees are checked per edge; lower bounds cannot be).
-        // Drop guidance until tables for the reweighted map are attached.
-        self.heuristic = None;
     }
+}
+
+/// Weight of the cheapest arc `a → b` (`∞` when there is none) — what any
+/// shortest-path sweep relaxes across parallel arcs.
+fn cheapest_arc<G: GraphView>(g: &G, a: NodeId, b: NodeId) -> f64 {
+    let mut best = f64::INFINITY;
+    g.for_each_arc(a, &mut |to, w| {
+        if to == b && w < best {
+            best = w;
+        }
+    });
+    best
 }
 
 impl<G: GraphView> DirectionsServer<G> {
@@ -585,16 +607,35 @@ mod tests {
         }
         assert!(cached.stats().tree_cache_hits > 0, "repeat round adopts guided traces");
 
-        // Map mutations drop the (now unprovably admissible) tables.
+        // A new map drops the (now unprovably admissible) tables.
         let mut sv = DirectionsServer::new(g.clone(), SharingPolicy::PerSource)
             .with_heuristic(Some(Arc::clone(&pre)));
         sv.swap_map(g.clone());
         assert!(sv.heuristic().is_none(), "swap_map must drop the heuristic");
+
+        // Congestion only raises weights: the tables stay attached, and
+        // the guided answers are a fresh unguided server's on the
+        // reweighted map.
         let mut sv =
             DirectionsServer::new(g.clone(), SharingPolicy::PerSource).with_heuristic(Some(pre));
-        let edge = EdgeId::from_index(0);
-        reweight(&mut sv, &[(edge, 0.5)]);
-        assert!(sv.heuristic().is_none(), "weight updates must drop the heuristic");
+        let rising: Vec<(EdgeId, f64)> = (0..g.num_edges())
+            .step_by(7)
+            .map(EdgeId::from_index)
+            .map(|e| (e, g.edge(e).weight * 3.0))
+            .collect();
+        assert_eq!(reweight(&mut sv, &rising).len(), rising.len());
+        assert!(sv.heuristic().is_some(), "a rising-only round keeps the heuristic");
+        let mut fresh = DirectionsServer::new(sv.graph().clone(), SharingPolicy::PerSource);
+        let before = sv.stats().search.settled;
+        for (i, q) in queries.iter().enumerate() {
+            assert_eq!(sv.process(q).paths, fresh.process(q).paths, "query {i} after congestion");
+        }
+        assert!(sv.stats().search.settled - before <= fresh.stats().search.settled);
+
+        // One lowered edge among rising ones drops them.
+        let lowered = [(EdgeId::from_index(1), 1e3), (EdgeId::from_index(0), 0.5)];
+        reweight(&mut sv, &lowered);
+        assert!(sv.heuristic().is_none(), "a lowered weight must drop the heuristic");
     }
 
     #[test]

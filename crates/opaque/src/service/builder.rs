@@ -504,7 +504,7 @@ mod tests {
     }
 
     #[test]
-    fn config_round_trips_search_heuristics_and_legacy_json_still_parses() {
+    fn config_round_trips_search_heuristics() {
         for heuristic in [SearchHeuristic::None, SearchHeuristic::Alt { landmarks: 8 }] {
             let config = ServiceConfig { heuristic, ..Default::default() };
             let json = serde_json::to_string(&config).unwrap();

@@ -396,6 +396,41 @@ mod tests {
     }
 
     #[test]
+    fn guided_traces_are_adopted_by_goal_set_not_goal_order() {
+        use pathsearch::{AltPreprocessing, msmd_in_guided, msmd_in_guided_cached};
+        let g = grid_network(&GridConfig { width: 40, height: 40, seed: 4, ..Default::default() })
+            .unwrap();
+        let alt = AltPreprocessing::try_build(&g, 4).unwrap();
+        let (policy, pre) = (SharingPolicy::PerSource, Some(&alt));
+        let (root, a, b, c) = (NodeId(820), NodeId(39), NodeId(1560), NodeId(1599));
+        let mut arena = SearchArena::new();
+        let mut cache = TreeCache::new(4, policy);
+
+        let recorded =
+            msmd_in_guided_cached(&mut arena, &g, &[root], &[a, b, c], policy, pre, &mut cache);
+        assert_eq!(cache.counters(), (0, 1));
+        // The same set in another order is the same potential: adopted,
+        // with the counters a fresh guided sweep reports, byte for byte.
+        let adopted =
+            msmd_in_guided_cached(&mut arena, &g, &[root], &[c, a, b], policy, pre, &mut cache);
+        assert_eq!(cache.counters(), (1, 1));
+        let fresh = msmd_in_guided(&mut arena, &g, &[root], &[c, a, b], policy, pre);
+        assert_eq!(adopted.stats, fresh.stats);
+        assert_eq!(adopted.stats, recorded.stats);
+        assert_eq!(adopted.paths, fresh.paths);
+        // A subset aims elsewhere once `c` is out of the potential: its
+        // settle order is not a prefix of the recorded one, so it misses
+        // even though the recorded sweep settled both goals.
+        let subset =
+            msmd_in_guided_cached(&mut arena, &g, &[root], &[a, b], policy, pre, &mut cache);
+        assert_eq!(cache.counters(), (1, 2));
+        assert_eq!(
+            subset.stats,
+            msmd_in_guided(&mut arena, &g, &[root], &[a, b], policy, pre).stats
+        );
+    }
+
+    #[test]
     fn invalidation_moves_the_epoch_and_drops_entries() {
         let g = grid();
         let mut cache = TreeCache::new(4, SharingPolicy::PerSource);

@@ -4,13 +4,17 @@
 //! is reached; on a continent-scale map most of that work is wasted on
 //! nodes that could never lie on a shortest path to any target. ALT
 //! landmarks ([`pathsearch::AltPreprocessing`]) give every sweep an
-//! admissible, consistent lower bound to its goal set, pruning the
-//! settled region while keeping answers — paths, costs, outcomes,
-//! reports — byte-identical to the unguided evaluation (the
-//! `tests/heuristic_equivalence.rs` guarantee). [`SearchHeuristic`] is
-//! the serializable knob selecting between the two regimes; the actual
-//! landmark tables are built once in [`crate::ServiceBuilder::build`] and
-//! shared across the whole shard fleet behind an `Arc`.
+//! admissible, consistent lower bound to the nearest target it has not
+//! reached yet — the sweep aims at each target in turn, so the pruning
+//! holds for the spread-out sets the obfuscator produces — while keeping
+//! answers — paths, costs, outcomes, reports — byte-identical to the
+//! unguided evaluation (the `tests/heuristic_equivalence.rs` guarantee).
+//! [`SearchHeuristic`] is the serializable knob selecting between the two
+//! regimes; the actual landmark tables are built once in
+//! [`crate::ServiceBuilder::build`] and shared across the whole shard
+//! fleet behind an `Arc`. They outlive traffic updates that only raise
+//! weights and are dropped by one that lowers any
+//! ([`crate::DirectionsServer::apply_weight_update`]) or by a map swap.
 
 use crate::error::{OpaqueError, Result};
 use pathsearch::AltPreprocessing;
@@ -29,11 +33,12 @@ pub enum SearchHeuristic {
     None,
     /// ALT goal-directed pruning: `landmarks` farthest-point landmarks
     /// are preprocessed once per map and every sweep is keyed by an
-    /// admissible max-over-targets triangle-inequality bound.
+    /// admissible triangle-inequality bound to its nearest unsettled
+    /// target.
     Alt {
         /// Number of landmarks (≥ 1, ≤ the map's node count). More
         /// landmarks tighten the bound at `O(landmarks)` extra work per
-        /// settled node; 8–16 is the usual sweet spot.
+        /// improved label and live target; 8–16 is the usual sweet spot.
         landmarks: usize,
     },
 }
@@ -136,7 +141,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trips_and_null_back_compat() {
+    fn serde_round_trips_in_the_externally_tagged_form() {
         for h in [SearchHeuristic::None, SearchHeuristic::Alt { landmarks: 12 }] {
             let json = serde_json::to_string(&h).unwrap();
             let back: SearchHeuristic = serde_json::from_str(&json).unwrap();

@@ -20,16 +20,30 @@
 //! enforces the contract with a typed error for directed views.
 //!
 //! Beyond the single-pair [`alt`] search, the tables drive the obfuscated
-//! batch engines: [`AltPreprocessing::goal_potential`] folds a target set
-//! into per-landmark bounds so `π(n) = max_t lb(n, t)` evaluates in
-//! `O(|landmarks|)` per node, and [`AltPreprocessing::bi_potential`] forms
-//! the feasible pair `(pf, −pf)` the shared-frontier engine keys its
-//! bidirectional trees with. Both potentials are *consistent*
-//! (1-Lipschitz along edges), which is what lets the guided sweeps keep
-//! settled labels exact and replayable through `SweepTrace`.
+//! batch engines through one potential, [`GoalPotential`]: for a goal set
+//! `R`, `π_R(n) = min_{t ∈ R} max_L |d(L,t) − d(L,n)|` — the bound to the
+//! *nearest-looking* goal. It is consistent (1-Lipschitz along edges) for
+//! every non-empty `R`, because each `lb(·, t)` is and a min of
+//! 1-Lipschitz functions is 1-Lipschitz, and it is zero at every goal in
+//! `R`. A per-source sweep keeps `R` **live**: when a goal settles the
+//! potential retires it and the arena re-keys its open frontier under the
+//! smaller set ([`crate::arena::SearchArena`]'s `rekey`, at most `|T| − 1`
+//! times per tree). Any settled set with exact labels and fully relaxed
+//! out-arcs is a valid label-setting prefix under *any* consistent
+//! potential, so labels, parents and paths are what plain Dijkstra gives,
+//! and because every settle key is at most the farthest goal's plain
+//! distance, a guided tree settles a subset of the plain one however far
+//! apart the obfuscator scattered the goals.
+//! [`AltPreprocessing::bi_potential`] pairs two such potentials (nothing
+//! retired) into the feasible `(pf, −pf)` the shared-frontier engine keys
+//! its bidirectional trees with.
+//!
+//! The tables are stored **node-major** (`flat[n·L + l]`): one evaluation
+//! reads the node's `L` contiguous entries — two cache lines for 16
+//! landmarks — against goal rows the potential copied out once.
 
 use crate::astar::astar_with;
-use crate::dijkstra::{Goal, Searcher};
+use crate::dijkstra::{Goal, Potential, Searcher};
 use crate::path::Path;
 use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
@@ -74,9 +88,33 @@ impl std::error::Error for AltError {}
 #[derive(Clone, Debug)]
 pub struct AltPreprocessing {
     landmarks: Vec<NodeId>,
-    /// `dist[l][n]` = network distance from `landmarks[l]` to node `n`
-    /// (infinite for unreachable nodes).
-    dist: Vec<Vec<f64>>,
+    /// Node-major slab: `flat[n * L + l]` = network distance from
+    /// `landmarks[l]` to node `n` (infinite for unreachable nodes), with
+    /// `L = landmarks.len()`.
+    flat: Vec<f64>,
+}
+
+/// `max_L |goal[L] − node[L]|` over the landmarks that reach both rows.
+/// A landmark that misses either endpoint yields `∞` or `NaN` here and
+/// contributes nothing — on the symmetric graphs the preprocessing accepts
+/// it lies in another component and bounds nothing anyway.
+#[inline]
+fn row_bound(goal: &[f64], node: &[f64]) -> f64 {
+    let mut best = 0.0f64;
+    for (&dt, &dn) in goal.iter().zip(node) {
+        let bound = (dt - dn).abs();
+        if bound < f64::INFINITY && bound > best {
+            best = bound;
+        }
+    }
+    best
+}
+
+/// The bound to the nearest-looking of `goals`' rows: `min` of
+/// [`row_bound`] over them (an empty set bounds nothing: `0`).
+#[inline]
+fn nearest_bound<'r>(goals: impl Iterator<Item = &'r [f64]>, node: &[f64]) -> f64 {
+    goals.map(|goal| row_bound(goal, node)).reduce(f64::min).unwrap_or(0.0)
 }
 
 impl AltPreprocessing {
@@ -136,22 +174,23 @@ impl AltPreprocessing {
             }
         }
 
+        // Each landmark's sweep is written straight into its column of the
+        // one `n × L` slab; `min_dist` is the only other `O(n)` buffer.
         let mut landmarks = Vec::with_capacity(num_landmarks);
-        let mut dist: Vec<Vec<f64>> = Vec::with_capacity(num_landmarks);
+        let mut flat = vec![f64::INFINITY; n * num_landmarks];
         let mut min_dist = vec![f64::INFINITY; n];
         let mut current = first;
-        for _ in 0..num_landmarks {
+        for l in 0..num_landmarks {
             landmarks.push(current);
             searcher.run(g, current, &Goal::AllNodes);
-            let table: Vec<f64> = (0..n)
-                .map(|i| searcher.distance(NodeId::from_index(i)).unwrap_or(f64::INFINITY))
-                .collect();
-            for (m, &d) in min_dist.iter_mut().zip(&table) {
+            for (i, (row, m)) in flat.chunks_exact_mut(num_landmarks).zip(&mut min_dist).enumerate()
+            {
+                let d = searcher.distance(NodeId::from_index(i)).unwrap_or(f64::INFINITY);
+                row[l] = d;
                 if d < *m {
                     *m = d;
                 }
             }
-            dist.push(table);
             // Next landmark: farthest from the chosen set (finite only,
             // lowest id on ties).
             let mut best_d = f64::NEG_INFINITY;
@@ -162,12 +201,19 @@ impl AltPreprocessing {
                 }
             }
         }
-        AltPreprocessing { landmarks, dist }
+        AltPreprocessing { landmarks, flat }
     }
 
     /// The selected landmark nodes.
     pub fn landmarks(&self) -> &[NodeId] {
         &self.landmarks
+    }
+
+    /// Node `n`'s distances to every landmark, in landmark order.
+    #[inline]
+    fn row(&self, n: NodeId) -> &[f64] {
+        let l = self.landmarks.len();
+        &self.flat[n.index() * l..(n.index() + 1) * l]
     }
 
     /// Triangle-inequality lower bound on the network distance `‖n, t‖`.
@@ -177,61 +223,39 @@ impl AltPreprocessing {
     /// contribute nothing.
     #[inline]
     pub fn lower_bound(&self, n: NodeId, t: NodeId) -> f64 {
-        let mut best = 0.0f64;
-        for table in &self.dist {
-            let (dn, dt) = (table[n.index()], table[t.index()]);
-            if dn.is_finite() && dt.is_finite() {
-                let bound = (dt - dn).abs();
-                if bound > best {
-                    best = bound;
-                }
-            }
-        }
-        best
+        row_bound(self.row(t), self.row(n))
     }
 
     /// Memory footprint of the tables, in entries (nodes × landmarks).
     pub fn table_entries(&self) -> usize {
-        self.dist.iter().map(Vec::len).sum()
+        self.flat.len()
     }
 
-    /// Fold `targets` into a max-over-targets potential
-    /// `π(n) = max_t lb(n, t)`, evaluated in `O(|landmarks|)` per node:
-    /// for each landmark only the extremes `lo = min_t d(L,t)` and
-    /// `hi = max_t d(L,t)` over finite entries matter, because
-    /// `max_t |d(L,t) − d(L,n)| = max(hi − d(L,n), d(L,n) − lo)`.
+    /// The potential toward the goal set `targets`,
+    /// `π(n) = min_t lb(n, t)`: a lower bound on the distance from `n` to
+    /// its *nearest* goal, evaluated in `O(|targets| · |landmarks|)` from
+    /// the node's one table row and the goals' rows, copied out here.
     ///
-    /// The result is admissible for *every* target in the set and
-    /// consistent (each landmark's term is 1-Lipschitz along edges of a
-    /// symmetric graph; a max of 1-Lipschitz functions is 1-Lipschitz), so
-    /// a sweep keyed by `dist + π` settles exact labels in every prefix —
-    /// the property the trace/adopt layer relies on.
+    /// Each `lb(·, t)` is 1-Lipschitz along the edges of a symmetric graph
+    /// and so is their min, for every non-empty goal set: a sweep keyed by
+    /// `dist + π` settles exact labels in every prefix — the property the
+    /// trace/adopt layer relies on — and stays exact when a per-source
+    /// sweep narrows the set to the goals it has not settled yet (see the
+    /// module docs). Duplicate targets and their order do not matter: the
+    /// potential, and the [`PotentialParams`] identifying it, are functions
+    /// of the goal *set*.
     ///
     /// # Panics
     /// Panics if a target is out of range for the preprocessed graph.
     pub fn goal_potential(&self, targets: &[NodeId]) -> GoalPotential<'_> {
-        let bounds: Vec<(f64, f64)> = self
-            .dist
-            .iter()
-            .map(|table| {
-                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                for &t in targets {
-                    let d = table[t.index()];
-                    if d.is_finite() {
-                        if d < lo {
-                            lo = d;
-                        }
-                        if d > hi {
-                            hi = d;
-                        }
-                    }
-                }
-                (lo, hi)
-            })
-            .collect();
+        let mut goals = targets.to_vec();
+        goals.sort_unstable();
+        goals.dedup();
+        let rows = goals.iter().flat_map(|&t| self.row(t)).copied().collect();
         GoalPotential {
             pre: self,
-            params: PotentialParams { landmarks: self.landmarks.clone(), bounds },
+            rows,
+            params: PotentialParams { landmarks: self.landmarks.clone(), goals },
         }
     }
 
@@ -256,50 +280,76 @@ impl AltPreprocessing {
 /// The parameters a [`GoalPotential`] was built from — the identity a
 /// cached [`crate::trace::SweepTrace`] carries so adoption can insist the
 /// stored sweep used *the same* heuristic (guided and plain sweeps from
-/// one root settle in different orders and must never alias).
-#[derive(Clone, Debug, PartialEq)]
+/// one root settle in different orders and must never alias; so do guided
+/// sweeps toward different goal sets).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PotentialParams {
     /// The landmark set of the preprocessing the potential came from.
     landmarks: Vec<NodeId>,
-    /// Per-landmark `(lo, hi)` extremes over the goal set's finite table
-    /// entries (`(+∞, −∞)` when no target is reachable from a landmark).
-    bounds: Vec<(f64, f64)>,
+    /// The goal set, sorted and deduplicated.
+    goals: Vec<NodeId>,
 }
 
-/// A max-over-targets ALT lower bound `π(n) = max_t lb(n, t)`, prepared by
-/// [`AltPreprocessing::goal_potential`] for one goal set and evaluated in
-/// `O(|landmarks|)` per node.
+/// The ALT lower bound to the nearest goal of a set,
+/// `π(n) = min_t max_L |d(L,t) − d(L,n)|`, prepared by
+/// [`AltPreprocessing::goal_potential`].
 #[derive(Clone, Debug)]
 pub struct GoalPotential<'a> {
     pre: &'a AltPreprocessing,
+    /// The goals' table rows, goal-major, in `params.goals` order.
+    rows: Vec<f64>,
     params: PotentialParams,
 }
 
 impl GoalPotential<'_> {
-    /// Evaluate `π(n)`. Landmarks that cannot reach `n` (or reach no
-    /// target) contribute nothing — on the symmetric graphs the
-    /// preprocessing accepts, such landmarks lie in another component and
-    /// bound nothing anyway.
+    /// Evaluate `π(n)` with every goal of the set live (an empty set
+    /// bounds nothing: `0`).
     #[inline]
     pub fn eval(&self, n: NodeId) -> f64 {
-        let mut best = 0.0f64;
-        for (table, &(lo, hi)) in self.pre.dist.iter().zip(&self.params.bounds) {
-            let d = table[n.index()];
-            if !d.is_finite() || !hi.is_finite() {
-                continue;
-            }
-            let bound = (hi - d).max(d - lo);
-            if bound > best {
-                best = bound;
-            }
-        }
-        best
+        let node = self.pre.row(n);
+        nearest_bound(self.rows.chunks_exact(node.len()), node)
     }
 
     /// The parameters identifying this potential (for trace adoption
     /// checks).
     pub fn params(&self) -> &PotentialParams {
         &self.params
+    }
+
+    /// This potential as one per-source sweep consumes it: all goals live,
+    /// retired one by one as the sweep settles them.
+    pub(crate) fn live(&self) -> LivePotential<'_> {
+        LivePotential { pot: self, live: (0..self.params.goals.len()).collect() }
+    }
+}
+
+/// One sweep's view of a [`GoalPotential`]: `π_R` over the goals `R` the
+/// sweep has not settled yet.
+pub(crate) struct LivePotential<'a> {
+    pot: &'a GoalPotential<'a>,
+    /// Indices into `pot.params.goals` of the goals still live, ascending.
+    live: Vec<usize>,
+}
+
+impl Potential for LivePotential<'_> {
+    #[inline]
+    fn eval(&self, n: NodeId) -> f64 {
+        let node = self.pot.pre.row(n);
+        let l = node.len();
+        nearest_bound(self.live.iter().map(|&i| &self.pot.rows[i * l..(i + 1) * l]), node)
+    }
+
+    /// Drop `settled` from the live set if it is a goal and not the last
+    /// one: the last live goal keeps aiming the sweep (a sweep whose stop
+    /// rule is the potential's own goal set ends there anyway).
+    fn retire(&mut self, settled: NodeId) -> bool {
+        if self.live.len() < 2 {
+            return false;
+        }
+        let goals = &self.pot.params.goals;
+        let Some(at) = self.live.iter().position(|&i| goals[i] == settled) else { return false };
+        self.live.remove(at);
+        true
     }
 }
 
@@ -465,7 +515,7 @@ mod tests {
 
     impl PartialEq for AltPreprocessing {
         fn eq(&self, other: &Self) -> bool {
-            self.landmarks == other.landmarks && self.dist == other.dist
+            self.landmarks == other.landmarks && self.flat == other.flat
         }
     }
 
@@ -478,40 +528,72 @@ mod tests {
     }
 
     #[test]
-    fn goal_potential_matches_max_over_targets() {
+    fn goal_potential_matches_min_over_live_targets() {
         let g = grid_network(&GridConfig { width: 12, height: 12, seed: 4, ..Default::default() })
             .unwrap();
         let pre = AltPreprocessing::build(&g, 5);
-        let targets = [NodeId(143), NodeId(7), NodeId(60)];
+        // Unsorted, with a duplicate: the potential is a function of the set.
+        let targets = [NodeId(143), NodeId(7), NodeId(60), NodeId(7)];
         let pot = pre.goal_potential(&targets);
+        let mut live = pot.live();
+        assert!(!live.retire(NodeId(8)), "not a goal");
+        assert!(live.retire(NodeId(60)));
+        assert!(!live.retire(NodeId(60)), "already retired");
         for n in (0..144).step_by(5).map(NodeId) {
-            let explicit = targets.iter().map(|&t| pre.lower_bound(n, t)).fold(0.0f64, f64::max);
-            let folded = pot.eval(n);
-            assert!(
-                (explicit - folded).abs() < 1e-12,
-                "π({n}) folded {folded} vs explicit max {explicit}"
-            );
+            let all = targets.iter().map(|&t| pre.lower_bound(n, t)).fold(f64::INFINITY, f64::min);
+            assert_eq!(pot.eval(n), all, "π({n}) with every goal live");
+            let rest = pre.lower_bound(n, NodeId(143)).min(pre.lower_bound(n, NodeId(7)));
+            assert_eq!(live.eval(n), rest, "π({n}) after retiring 60");
         }
+        assert!(live.retire(NodeId(7)));
+        assert!(!live.retire(NodeId(143)), "the last live goal keeps aiming the sweep");
+        assert_eq!(live.eval(NodeId(20)), pre.lower_bound(NodeId(20), NodeId(143)));
+        assert_eq!(pre.goal_potential(&[]).eval(NodeId(20)), 0.0, "no goal bounds nothing");
     }
 
     #[test]
     fn goal_potential_is_consistent_along_edges() {
         use roadnet::GraphView;
-        // |π(u) − π(v)| ≤ w(u,v) for every edge: the invariant that keeps
-        // guided sweeps settling exact labels.
-        let g = NetworkClass::Radial.generate(400, 9).unwrap();
-        let pre = AltPreprocessing::build(&g, 6);
-        let pot = pre.goal_potential(&[NodeId(3), NodeId(200)]);
-        for u in (0..g.num_nodes() as u32).map(NodeId) {
-            let pu = pot.eval(u);
-            g.for_each_arc(u, &mut |v, w| {
-                let pv = pot.eval(v);
-                assert!(
-                    (pu - pv).abs() <= w + 1e-9,
-                    "potential jump {} over edge ({u},{v}) of weight {w}",
-                    (pu - pv).abs()
-                );
-            });
+        // |π_R(u) − π_R(v)| ≤ w(u,v) on every edge, for every non-empty
+        // subset R of the goal set: the invariant that keeps a guided sweep
+        // settling exact labels before and after each re-key.
+        for class in NetworkClass::ALL {
+            let g = class.generate(400, 9).unwrap();
+            let n = g.num_nodes() as u32;
+            let pre = AltPreprocessing::build(&g, 6);
+            let goals = [NodeId(3), NodeId(n / 2), NodeId(n - 2)];
+            let full = pre.goal_potential(&goals);
+            for mask in 1u32..8 {
+                let mut live = full.live();
+                for (i, &t) in goals.iter().enumerate() {
+                    if mask & (1 << i) == 0 {
+                        assert!(live.retire(t));
+                    }
+                }
+                let kept: Vec<NodeId> = goals
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| mask & (1 << i) != 0)
+                    .map(|(_, &t)| t)
+                    .collect();
+                let direct = pre.goal_potential(&kept);
+                for &t in &kept {
+                    assert_eq!(live.eval(t), 0.0, "{}: π_R({t}) at a live goal", class.name());
+                }
+                for u in (0..n).map(NodeId) {
+                    let pu = live.eval(u);
+                    assert_eq!(pu, direct.eval(u), "retiring down to R is the potential of R");
+                    g.for_each_arc(u, &mut |v, w| {
+                        let pv = live.eval(v);
+                        assert!(
+                            (pu - pv).abs() <= w + 1e-9,
+                            "{} R={kept:?}: potential jump {} over edge ({u},{v}) of weight {w}",
+                            class.name(),
+                            (pu - pv).abs()
+                        );
+                    });
+                }
+            }
         }
     }
 
@@ -543,5 +625,13 @@ mod tests {
         let c = pre.goal_potential(&[NodeId(42)]);
         assert_eq!(a.params(), b.params());
         assert_ne!(a.params(), c.params());
+        // Identity is the goal *set*: order and repeats do not matter, a
+        // subset does.
+        let abc = pre.goal_potential(&[NodeId(5), NodeId(42), NodeId(99)]);
+        assert_eq!(
+            abc.params(),
+            pre.goal_potential(&[NodeId(99), NodeId(5), NodeId(42), NodeId(5)]).params()
+        );
+        assert_ne!(abc.params(), pre.goal_potential(&[NodeId(5), NodeId(42)]).params());
     }
 }

@@ -204,7 +204,7 @@ impl SearchArena {
     /// (`None` for roots).
     ///
     /// The raw label/heap operations (`label`, `settle`, `relax_keyed`,
-    /// `push`, `pop`, `is_fresh`) are crate-internal: they index by
+    /// `rekey`, `push`, `pop`, `is_fresh`) are crate-internal: they index by
     /// `tree * nodes + node` with debug-only bounds checks, so exposing
     /// them would let out-of-range trees silently alias other trees'
     /// slots in release builds. External callers drive searches through
@@ -269,8 +269,10 @@ impl SearchArena {
     /// current label (or none exists). Returns whether it did. The label
     /// comparison and storage use the *raw* distance `cand` (improvement
     /// stays a statement about real path lengths), while the frontier entry
-    /// is prioritized by `key` — a goal-directed sweep passes
-    /// `key = cand ± potential(to)`, a plain one `key == cand`.
+    /// is prioritized by `key()` — a goal-directed sweep passes
+    /// `cand ± potential(to)`, a plain one `cand`. The key is computed only
+    /// when the label improves: most relaxations improve nothing, and a
+    /// landmark potential is a table read per call.
     #[inline]
     pub(crate) fn relax_keyed(
         &mut self,
@@ -278,18 +280,34 @@ impl SearchArena {
         from: NodeId,
         to: NodeId,
         cand: f64,
-        key: f64,
+        key: impl FnOnce() -> f64,
     ) -> bool {
         let i = self.slot(tree, to);
         if self.labelled[i] != self.epoch || cand < self.dist[i] {
             self.dist[i] = cand;
             self.parent[i] = from.0;
             self.labelled[i] = self.epoch;
-            self.heap.push(FrontierEntry { key, dist: cand, tree: tree as u32, node: to });
+            self.heap.push(FrontierEntry { key: key(), dist: cand, tree: tree as u32, node: to });
             true
         } else {
             false
         }
+    }
+
+    /// Re-key the open frontier after the sweep's potential changed: drop
+    /// the lazy-deletion residue, give every surviving entry the key
+    /// `dist + potential(node)`, and heapify — `O(frontier)`, in place.
+    /// Sound for any *consistent* new potential: the settled labels are
+    /// exact and their out-arcs relaxed, which is all a label-setting sweep
+    /// assumes of its past. Forward keys only — the single-tree loop is
+    /// the one caller.
+    pub(crate) fn rekey(&mut self, potential: impl Fn(NodeId) -> f64) {
+        let mut open = std::mem::take(&mut self.heap).into_vec();
+        open.retain(|e| self.is_fresh(e));
+        for e in &mut open {
+            e.key = e.dist + potential(e.node);
+        }
+        self.heap = BinaryHeap::from(open);
     }
 
     /// Push a frontier entry (used to seed roots; relaxation goes through

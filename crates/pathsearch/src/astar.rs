@@ -24,14 +24,14 @@ use roadnet::{GraphView, NodeId};
 /// admissible), which all heuristics in this crate (Euclidean, ALT)
 /// satisfy. Returns the path (or `None` if unreachable) and the run's
 /// counters.
-pub fn astar_with<G, H>(g: &G, s: NodeId, t: NodeId, h: H) -> (Option<Path>, SearchStats)
+pub fn astar_with<G, H>(g: &G, s: NodeId, t: NodeId, mut h: H) -> (Option<Path>, SearchStats)
 where
     G: GraphView,
     H: Fn(NodeId) -> f64,
 {
     assert!(t.index() < g.num_nodes(), "endpoint out of range");
     let mut arena = SearchArena::new();
-    let stats = run_in_sink(&mut arena, g, s, &Goal::Single(t), &h, &mut NoRecord);
+    let stats = run_in_sink(&mut arena, g, s, &Goal::Single(t), &mut h, &mut NoRecord);
     (arena.path_to(0, t), stats)
 }
 

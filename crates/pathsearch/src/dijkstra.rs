@@ -93,6 +93,29 @@ impl SettleSink for Recorder {
     }
 }
 
+/// The heap potential of one sweep: keys are `dist + eval(node)`. Closures
+/// are potentials that never change (the zero potential, `astar_with`'s
+/// heuristic), so those instantiations carry no `retire` at all.
+pub(crate) trait Potential {
+    /// The potential at `n`.
+    fn eval(&self, n: NodeId) -> f64;
+
+    /// `settled` has just been settled by the sweep; returns whether the
+    /// potential changed because of it (the open frontier must then be
+    /// re-keyed). Whatever it changes to must stay consistent.
+    #[inline]
+    fn retire(&mut self, _settled: NodeId) -> bool {
+        false
+    }
+}
+
+impl<F: Fn(NodeId) -> f64> Potential for F {
+    #[inline]
+    fn eval(&self, n: NodeId) -> f64 {
+        self(n)
+    }
+}
+
 /// The one Dijkstra loop, parameterized over the settle observer and the
 /// heap potential. With the zero potential (`|_| 0.0`) every key equals
 /// its raw distance bit-for-bit (`x + 0.0 == x` for the non-negative
@@ -102,13 +125,15 @@ impl SettleSink for Recorder {
 /// `dist + π(node)` pop in nondecreasing order, every settled label is
 /// still exact, and the goal checks below stop at the same (now
 /// earlier-reached) conditions — only the settle *order* and the explored
-/// region change.
-pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, F: Fn(NodeId) -> f64>(
+/// region change. A potential that narrows as its goals settle
+/// ([`Potential::retire`]) has the open frontier re-keyed on the spot; the
+/// settled prefix needs nothing (see [`SearchArena`]'s `rekey`).
+pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
     arena: &mut SearchArena,
     g: &G,
     source: NodeId,
     goal: &Goal,
-    pot: &F,
+    pot: &mut P,
     sink: &mut S,
 ) -> SearchStats {
     let n = g.num_nodes();
@@ -124,7 +149,7 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, F: Fn(NodeId) -> f64>(
         remaining.dedup();
     }
     arena.label(0, source, 0.0, None);
-    arena.push(0.0 + pot(source), 0.0, 0, source);
+    arena.push(0.0 + pot.eval(source), 0.0, 0, source);
     stats.heap_pushes += 1;
 
     let mut stopped = false;
@@ -159,12 +184,15 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, F: Fn(NodeId) -> f64>(
             }
             _ => {}
         }
+        if pot.retire(e.node) {
+            arena.rekey(|node| pot.eval(node));
+        }
 
         let d_node = arena.dist_raw(0, e.node);
         g.for_each_arc(e.node, &mut |to, w| {
             stats.relaxed += 1;
             let cand = d_node + w;
-            if arena.relax_keyed(0, e.node, to, cand, cand + pot(to)) {
+            if arena.relax_keyed(0, e.node, to, cand, || cand + pot.eval(to)) {
                 stats.heap_pushes += 1;
             }
         });
@@ -184,7 +212,8 @@ pub(crate) fn zero_pot(_: NodeId) -> f64 {
 
 /// Grow one tree for real, selecting the loop's instantiation **once per
 /// tree**: the zero potential monomorphizes away (no `Option` test per
-/// relaxed arc), a [`GoalPotential`] keys the heap by `dist + π(node)`.
+/// relaxed arc), a [`GoalPotential`] keys the heap by `dist + π_R(node)`
+/// over the goals `R` this tree has not settled yet.
 fn grow<G: GraphView, K: SettleSink>(
     arena: &mut SearchArena,
     g: &G,
@@ -194,8 +223,8 @@ fn grow<G: GraphView, K: SettleSink>(
     sink: &mut K,
 ) -> SearchStats {
     match pot {
-        Some(p) => run_in_sink(arena, g, root, goal, &|n| p.eval(n), sink),
-        None => run_in_sink(arena, g, root, goal, &zero_pot, sink),
+        Some(p) => run_in_sink(arena, g, root, goal, &mut p.live(), sink),
+        None => run_in_sink(arena, g, root, goal, &mut zero_pot, sink),
     }
 }
 

@@ -147,7 +147,7 @@ fn bidirectional_sweep<G: GraphView, F: Fn(NodeId) -> f64>(
         g.for_each_arc(e.node, &mut |to, w| {
             stats.relaxed += 1;
             let cand = d_node + w;
-            let key = if forward { cand + pf(to) } else { cand - pf(to) };
+            let key = || if forward { cand + pf(to) } else { cand - pf(to) };
             if arena.relax_keyed(tree, e.node, to, cand, key) {
                 stats.heap_pushes += 1;
                 record_meetings(arena, &mut fs.mu, &mut fs.meet, ns, nt, tree, to);

@@ -166,14 +166,17 @@ pub fn msmd_in<G: GraphView>(
 }
 
 /// [`msmd_in`] with optional goal-directed (ALT) pruning: when `pre` is
-/// `Some`, every tree is keyed by a max-over-its-targets landmark
-/// potential ([`AltPreprocessing::goal_potential`]; the shared-frontier
-/// engine uses the bidirectional pair from
-/// [`AltPreprocessing::bi_potential`]). Paths, distances, and per-pair
-/// answers are identical to the unguided evaluation whenever shortest
-/// paths are unique (relaxation still compares raw distances); only the
-/// settle order and the settled/relaxed/heap counters change. With `None`
-/// this *is* [`msmd_in`], byte-for-byte.
+/// `Some`, every tree is keyed by the landmark potential toward the
+/// nearest of its targets it has not settled yet
+/// ([`AltPreprocessing::goal_potential`], narrowed as goals settle — so a
+/// tree aims at each target in turn and settles a subset of the unguided
+/// tree however far apart the targets lie; the shared-frontier engine
+/// uses the bidirectional pair from [`AltPreprocessing::bi_potential`]).
+/// Paths, distances, and per-pair answers are identical to the unguided
+/// evaluation whenever shortest paths are unique (relaxation still
+/// compares raw distances); only the settle order and the
+/// settled/relaxed/heap counters change. With `None` this *is*
+/// [`msmd_in`], byte-for-byte.
 ///
 /// The preprocessing must come from this graph — landmark tables built on
 /// a symmetric view ([`AltPreprocessing::try_build`] enforces that).
@@ -206,9 +209,9 @@ pub fn msmd_in_guided<G: GraphView>(
 /// never change a report byte. Only hit/miss counts (reported through
 /// [`TreeStore::note_hit`] / [`TreeStore::note_miss`]) reveal that a cache
 /// was present. Stored traces are stamped with the potential they ran
-/// under and only adopted on an exact parameter match (see
-/// [`crate::dijkstra::run_tree`]), so guided and plain traces sharing a
-/// root never alias.
+/// under — landmarks and goal set — and only adopted on an exact match
+/// (see [`crate::dijkstra::run_tree`]), so guided and plain traces sharing
+/// a root never alias, nor do guided traces toward different goal sets.
 ///
 /// [`SharingPolicy::SharedFrontier`] grows all trees in one interleaved
 /// sweep that does not decompose into per-root traces; under it (on the
@@ -302,8 +305,10 @@ fn naive<G: GraphView>(
     MsmdResult { paths, stats, per_tree }
 }
 
-/// One (possibly adopted) multi-destination tree per source, all guided
-/// by one max-over-targets potential.
+/// One (possibly adopted) multi-destination tree per source. All share
+/// one [`GoalPotential`] over the target set; each tree retires from its
+/// own live copy the targets it settles, so the sweep that has reached the
+/// near targets aims at the far ones instead of at their spread.
 fn per_source<G: GraphView>(
     arena: &mut SearchArena,
     g: &G,

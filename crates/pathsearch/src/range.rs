@@ -85,7 +85,7 @@ pub fn ring_search_in<G: GraphView>(
     assert!(lo >= 0.0 && hi >= lo, "invalid ring bounds");
     assert!(hi.is_finite(), "radius must be finite");
     let mut band = Band { lo, hi, out: Vec::new(), exhausted: false };
-    let stats = run_in_sink(arena, g, source, &Goal::AllNodes, &zero_pot, &mut band);
+    let stats = run_in_sink(arena, g, source, &Goal::AllNodes, &mut zero_pot, &mut band);
     (band.out, stats, band.exhausted)
 }
 

@@ -77,8 +77,9 @@ pub struct SweepTrace {
     /// i.e. every reachable node is settled and absence proves
     /// unreachability.
     complete: bool,
-    /// The goal-directed potential the sweep ran under (`None` for plain
-    /// Dijkstra). Guided sweeps settle in potential-key order, so their
+    /// The goal-directed potential the sweep ran under — its landmarks and
+    /// goal set (`None` for plain Dijkstra). Guided sweeps settle in
+    /// potential-key order, re-keyed as goals of that set settle, so their
     /// counter snapshots only replay a sweep under the *same* potential;
     /// [`crate::dijkstra::run_tree`] compares this before adopting.
     potential: Option<PotentialParams>,

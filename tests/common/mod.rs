@@ -70,14 +70,20 @@ pub fn requests_on(map: &RoadNetwork, raw: &[(u32, u32, u32, u32)]) -> Vec<Clien
         .collect()
 }
 
-/// The equivalence oracle: every observable piece of a batch's output.
-pub fn assert_identical(a: &ServiceResponse, b: &ServiceResponse, ctx: &str) {
+/// What the clients see: per-client outcomes and the delivered paths, in
+/// delivery order.
+pub fn assert_same_deliveries(a: &ServiceResponse, b: &ServiceResponse, ctx: &str) {
     assert_eq!(a.outcomes, b.outcomes, "{ctx}: per-client outcomes diverged");
     assert_eq!(a.results.len(), b.results.len(), "{ctx}: delivery count diverged");
     for (x, y) in a.results.iter().zip(&b.results) {
         assert_eq!(x.client, y.client, "{ctx}: delivery order diverged");
         assert_eq!(x.path, y.path, "{ctx}: delivered path diverged for {:?}", x.client);
     }
+}
+
+/// The equivalence oracle: every observable piece of a batch's output.
+pub fn assert_identical(a: &ServiceResponse, b: &ServiceResponse, ctx: &str) {
+    assert_same_deliveries(a, b, ctx);
     let a_json = serde_json::to_string(&a.report).expect("report serializes");
     let b_json = serde_json::to_string(&b.report).expect("report serializes");
     assert_eq!(a_json, b_json, "{ctx}: BatchReport not byte-identical");

@@ -15,16 +15,20 @@
 //! out of lockstep with the fleet's (path verification re-walks delivered
 //! paths against the obfuscator's copy, so drift turns into rejections).
 //!
-//! The deterministic regression at the bottom pins the stale-adoption
+//! The first deterministic regression below pins the stale-adoption
 //! case on a ring where the weight update flips the shortest side: a
 //! warm cache must deliver the *new* detour, not the cached short way.
+//! The second drives an `Alt{8}` fleet through a rising-then-falling
+//! schedule: landmark tables measured before the congestion keep guiding
+//! — with the unguided answers — while weights only rise, and are gone
+//! after the first round that lowers one.
 
 mod common;
 
-use common::{arb_batch, arb_map, assert_identical, requests_on};
+use common::{arb_batch, arb_map, assert_identical, assert_same_deliveries, requests_on};
 use opaque::{
     CachePolicy, ClientId, ClientRequest, DirectionsBackend, ExecutionPolicy, ObfuscationMode,
-    PartitionPolicy, PathQuery, ProtectionSettings, ServiceBuilder,
+    PartitionPolicy, PathQuery, ProtectionSettings, SearchHeuristic, ServiceBuilder,
 };
 use pathsearch::SharingPolicy;
 use proptest::prelude::*;
@@ -207,4 +211,83 @@ fn a_trace_touching_an_updated_edge_is_never_adopted() {
         after.tree_cache_hits, warmed.tree_cache_hits,
         "the touched tree was evicted, so the post-churn batch cannot hit"
     );
+}
+
+/// Landmark tables across live traffic. Bounds measured under smaller
+/// weights stay admissible and consistent, so two rising rounds keep the
+/// `Alt{8}` fleet guided (fewer settled nodes, the unguided fleet's
+/// deliveries); the round that lowers an edge drops the tables and the
+/// fleet is the unguided one from then on, report bytes included.
+#[test]
+fn landmark_tables_survive_rising_weights_and_drop_with_a_falling_one() {
+    use roadnet::generators::{GridConfig, grid_network};
+    let mut map =
+        grid_network(&GridConfig { width: 14, height: 14, seed: 6, ..Default::default() }).unwrap();
+    let requests: Vec<ClientRequest> = (0..6)
+        .map(|i| {
+            ClientRequest::new(
+                ClientId(i),
+                PathQuery::new(NodeId(i * 13), NodeId(195 - i * 17)),
+                ProtectionSettings::new(3, 3).unwrap(),
+            )
+        })
+        .collect();
+    let build = |heuristic, cache| {
+        ServiceBuilder::new()
+            .map(map.clone())
+            .seed(11)
+            .shards(2)
+            .sharing_policy(SharingPolicy::PerSource)
+            .cache_policy(cache)
+            .search_heuristic(heuristic)
+            .verify_results(true)
+            .build()
+            .expect("valid configuration")
+    };
+    let mut plain = build(SearchHeuristic::None, CachePolicy::Off);
+    let mut guided = build(SearchHeuristic::Alt { landmarks: 8 }, CachePolicy::Lru { trees: 16 });
+
+    let edges = map.edges().len();
+    let scaled = |map: &RoadNetwork, step: usize, factor: f64| -> Vec<(EdgeId, f64)> {
+        (0..edges)
+            .step_by(step)
+            .map(EdgeId::from_index)
+            .map(|e| (e, map.edge(e).weight * factor))
+            .collect()
+    };
+    let rising_a = scaled(&map, 5, 2.5);
+    map.update_weights(&rising_a).unwrap();
+    let rising_b = scaled(&map, 3, 1.5);
+    map.update_weights(&rising_b).unwrap();
+    let mut falling = scaled(&map, 7, 1.25);
+    falling[1].1 = map.edge(falling[1].0).weight * 0.5;
+    // (updates, whether the tables must survive them)
+    let schedule = [(rising_a, true), (rising_b, true), (falling, false)];
+
+    for (round, (updates, keeps_tables)) in schedule.iter().enumerate() {
+        let before = (plain.backend().stats().search, guided.backend().stats().search);
+        for repeat in 0..2 {
+            let a = plain.process_batch(&requests).unwrap();
+            let b = guided.process_batch(&requests).unwrap();
+            assert_same_deliveries(&a, &b, &format!("round {round} repeat {repeat}"));
+        }
+        let (p, g) = (plain.backend().stats().search, guided.backend().stats().search);
+        assert!(
+            g.settled - before.1.settled < p.settled - before.0.settled,
+            "round {round}: the fleet must still be guided"
+        );
+        assert_eq!(
+            plain.update_weights(updates).unwrap(),
+            guided.update_weights(updates).unwrap(),
+            "round {round}: changed-edge sets diverged"
+        );
+        for shard in guided.backend().shards() {
+            assert_eq!(shard.heuristic().is_some(), *keeps_tables, "after round {round}");
+        }
+    }
+    // Unguided from here on: the whole response, report bytes included,
+    // is the reference fleet's (the cache only ever adopts exact replays).
+    let a = plain.process_batch(&requests).unwrap();
+    let b = guided.process_batch(&requests).unwrap();
+    assert_identical(&a, &b, "after the falling round");
 }

@@ -250,3 +250,97 @@ proptest! {
         }
     }
 }
+
+/// Keeps the last sweep `run_tree` recorded and never offers one back, so
+/// every tree is grown for real and the test can read what it settled.
+#[derive(Default)]
+struct LastTrace(Option<pathsearch::SweepTrace>);
+
+impl pathsearch::TreeStore for LastTrace {
+    fn lookup(&mut self, _: NodeId) -> Option<&pathsearch::SweepTrace> {
+        None
+    }
+    fn store(&mut self, _: NodeId, trace: pathsearch::SweepTrace) {
+        self.0 = Some(trace);
+    }
+    fn note_hit(&mut self) {}
+    fn note_miss(&mut self) {}
+}
+
+/// Grow `root`'s tree toward `goals` under the live ALT potential and
+/// check it against plain Dijkstra: every settled node carries the plain
+/// label and parent chain, every goal reads the plain path (or `None`),
+/// and the guided sweep settled no more than the plain one stopping on the
+/// same goals. Returns the recorded sweep.
+fn assert_guided_tree_is_plain(
+    g: &RoadNetwork,
+    landmarks: usize,
+    root: NodeId,
+    goals: &[NodeId],
+    ctx: &str,
+) -> pathsearch::SweepTrace {
+    use pathsearch::{AltPreprocessing, Goal, SearchArena, run_in, run_tree};
+    let pre = AltPreprocessing::try_build(g, landmarks).unwrap();
+    let goal = Goal::Set(goals.to_vec());
+    let mut full = SearchArena::new();
+    run_in(&mut full, g, root, &Goal::AllNodes);
+    let plain = run_in(&mut SearchArena::new(), g, root, &goal);
+
+    let pot = pre.goal_potential(goals);
+    let (mut arena, mut store) = (SearchArena::new(), LastTrace::default());
+    let guided = run_tree(&mut arena, g, root, &goal, Some(&pot), Some(&mut store));
+    let trace = store.0.expect("a grown tree is recorded");
+    assert_eq!(guided.settled as usize, trace.len(), "{ctx}");
+    assert!(guided.settled <= plain.settled, "{ctx}: {} > {}", guided.settled, plain.settled);
+    for n in trace.settled() {
+        assert_eq!(arena.path_to(0, n), full.path_to(0, n), "{ctx}: settled label of {n}");
+    }
+    for &t in goals {
+        assert_eq!(arena.path_to(0, t), full.path_to(0, t), "{ctx}: path to goal {t}");
+    }
+    trace
+}
+
+#[test]
+fn guided_per_source_trees_equal_plain_dijkstra_on_spread_goal_sets() {
+    use roadnet::generators::NetworkClass;
+    for class in NetworkClass::ALL {
+        let g = class.generate(600, 5).unwrap();
+        let n = g.num_nodes() as u32;
+        for root in [NodeId(0), NodeId(n / 2)] {
+            for goals in [
+                vec![NodeId(n - 1), NodeId(n / 3), NodeId(n / 7)],
+                // A goal listed twice retires once.
+                vec![NodeId(n - 1), NodeId(n / 3), NodeId(n - 1)],
+                // The root is its own first goal: retired at the first settle.
+                vec![root, NodeId(n - 1), NodeId(n / 4)],
+            ] {
+                let ctx = format!("{} root={root} goals={goals:?}", class.name());
+                let trace = assert_guided_tree_is_plain(&g, 6, root, &goals, &ctx);
+                assert!(!trace.is_complete(), "{ctx}: stops at its last goal");
+            }
+        }
+    }
+
+    // A goal in another component is never settled, so it is never retired
+    // and bounds nothing: the heap drains, the sweep reports exhaustion,
+    // and the reachable goals still read their plain paths.
+    let mut b = GraphBuilder::new();
+    for i in 0..30 {
+        b.add_node(Point::new((i % 5) as f64, (i / 5) as f64)).unwrap();
+    }
+    for i in 0..25u32 {
+        if i % 5 != 4 {
+            b.add_edge(NodeId(i), NodeId(i + 1), 1.0 + 0.01 * f64::from(i)).unwrap();
+        }
+        if i < 20 {
+            b.add_edge(NodeId(i), NodeId(i + 5), 1.5 + 0.01 * f64::from(i)).unwrap();
+        }
+    }
+    b.add_edge(NodeId(26), NodeId(27), 1.0).unwrap();
+    let islands = b.build().unwrap();
+    let goals = [NodeId(24), NodeId(27), NodeId(4)];
+    let trace = assert_guided_tree_is_plain(&islands, 3, NodeId(0), &goals, "islands");
+    assert!(trace.is_complete(), "an unreachable goal exhausts the component");
+    assert_eq!(trace.len(), 25);
+}
