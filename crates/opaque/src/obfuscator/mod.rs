@@ -24,7 +24,7 @@ pub mod clustering;
 pub mod strategy;
 
 pub use clustering::{Cluster, ClusteringConfig, cluster_requests};
-pub use strategy::{FakeSelection, SelectionContext, select_fakes};
+pub use strategy::{FakeSelection, Plausibility, SelectionContext, select_fakes};
 
 use crate::error::{OpaqueError, Result};
 use crate::query::{ClientId, ClientRequest, ObfuscatedPathQuery};
@@ -125,7 +125,7 @@ pub struct Obfuscator {
     map: RoadNetwork,
     index: SpatialIndex,
     strategy: FakeSelection,
-    weights: Option<Vec<f64>>,
+    weights: Option<Plausibility>,
     rng: StdRng,
     /// Memo of independently obfuscated queries, keyed by the true query
     /// and its protection sizes. See [`Obfuscator::with_consistent_fakes`].
@@ -171,13 +171,14 @@ impl Obfuscator {
 
     /// Attach per-node plausibility weights (enables
     /// [`FakeSelection::Weighted`] and lets experiments model the
-    /// background-knowledge adversary).
+    /// background-knowledge adversary). Their cumulative table is built
+    /// here, once, not per fake batch.
     ///
     /// # Panics
     /// Panics if `weights.len()` differs from the map's node count.
     pub fn with_weights(mut self, weights: Vec<f64>) -> Self {
         assert_eq!(weights.len(), self.map.num_nodes(), "one weight per node");
-        self.weights = Some(weights);
+        self.weights = Some(Plausibility::new(weights));
         self
     }
 
@@ -213,10 +214,14 @@ impl Obfuscator {
     /// counterpart of [`Obfuscator::update_weights`], mirroring the
     /// serving side's `swap_map`. The spatial index is rebuilt and the
     /// consistency memo cleared: old fake sets may reference nodes that no
-    /// longer exist.
+    /// longer exist. Plausibility weights are dropped for the same reason
+    /// — they describe the old map's node ids — so
+    /// [`FakeSelection::Weighted`] falls back to uniform until
+    /// [`Obfuscator::with_weights`] supplies weights for the new map.
     pub fn swap_map(&mut self, map: RoadNetwork) {
         self.index = SpatialIndex::build(&map);
         self.map = map;
+        self.weights = None;
         if let Some(cache) = &mut self.consistency_cache {
             cache.clear();
         }
@@ -229,7 +234,7 @@ impl Obfuscator {
 
     /// Plausibility weights, if attached.
     pub fn weights(&self) -> Option<&[f64]> {
-        self.weights.as_deref()
+        self.weights.as_ref().map(Plausibility::weights)
     }
 
     /// Count-level feasibility check: everything `check_request`
@@ -279,7 +284,7 @@ impl Obfuscator {
         let ctx = SelectionContext {
             map: &self.map,
             index: &self.index,
-            weights: self.weights.as_deref(),
+            weights: self.weights.as_ref(),
             anchor,
             counterpart,
         };

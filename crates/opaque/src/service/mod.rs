@@ -566,8 +566,11 @@ impl OpaqueService<DefaultBackend> {
 
     /// Replace the map in both trust domains — the topology-change path.
     /// The fleet bumps its epoch and drops every cached tree; the
-    /// obfuscator rebuilds its spatial index and clears its consistency
-    /// memo. Use [`OpaqueService::update_weights`] for traffic.
+    /// obfuscator rebuilds its spatial index, clears its consistency memo
+    /// and drops its plausibility weights (they describe the old map's
+    /// node ids), so [`FakeSelection::Weighted`](crate::FakeSelection::Weighted)
+    /// falls back to uniform fakes on the new map. Use
+    /// [`OpaqueService::update_weights`] for traffic.
     pub fn swap_map(&mut self, map: roadnet::RoadNetwork) {
         self.obfuscator.swap_map(map.clone());
         self.backend.swap_map(map);
@@ -1111,6 +1114,41 @@ mod tests {
         assert!(t.candidates_bytes > t.results_bytes);
         assert!(t.candidate_amplification() > 1.0);
         assert!(report.redundancy_ratio() > 1.0);
+    }
+
+    #[test]
+    fn weighted_fakes_survive_a_swap_to_a_smaller_map() {
+        // Weights for the 16×16 map describe ids the 10×10 map does not
+        // have: the swap drops them, and `Weighted` falls back to uniform
+        // fakes on the new map instead of panicking on the next pick.
+        let mut svc = ServiceBuilder::new()
+            .map(map())
+            .seed(11)
+            .fake_selection(FakeSelection::Weighted)
+            .weights((0..256u32).map(|i| 1.0 + f64::from(i % 5)).collect())
+            .verify_results(true)
+            .build()
+            .unwrap();
+        let small =
+            grid_network(&GridConfig { width: 10, height: 10, seed: 2, ..Default::default() })
+                .unwrap();
+        svc.swap_map(small);
+        assert!(svc.obfuscator.weights().is_none(), "stale weights survived the swap");
+
+        let reqs = vec![request(0, 0, 99, 3), request(1, 12, 87, 3)];
+        let resp = svc.process_batch(&reqs).unwrap();
+        assert_eq!(
+            resp.outcomes,
+            reqs.iter().map(|r| (r.client, ClientOutcome::Delivered)).collect::<Vec<_>>()
+        );
+        assert_eq!(resp.report.fakes_added, 8);
+        for &(client, breach) in &resp.report.per_client_breach {
+            assert!((breach - 1.0 / 9.0).abs() < 1e-12, "{client:?} breach {breach}");
+        }
+        let unit = svc.obfuscator.obfuscate_independent(&reqs[0]).unwrap();
+        assert!(unit.is_well_formed());
+        let nodes = unit.query.sources().iter().chain(unit.query.targets());
+        assert!(nodes.into_iter().all(|n| n.index() < 100), "{:?}", unit.query);
     }
 
     /// A dishonest server: every candidate path comes back reversed, so

@@ -50,7 +50,7 @@ pub use error::{Result, RoadNetError};
 pub use geo::{BoundingBox, Point};
 pub use graph::{Arc, Edge, GraphBuilder, GraphView, RoadNetwork};
 pub use ids::{EdgeId, NodeId};
-pub use spatial::SpatialIndex;
+pub use spatial::{RingCover, SpatialIndex};
 pub use storage::{
     ChunkConfig, ChunkedCsr, IoStats, LruBuffer, PageLayout, PagePlacement, PagedGraph,
 };

@@ -5,7 +5,10 @@
 //! requires the knowledge of the underlying road network"): nearest node to
 //! a point, all nodes within a radius, and — the workhorse of the cost-aware
 //! fake-selection strategy — sampling nodes from a distance ring around a
-//! true endpoint.
+//! true endpoint ([`SpatialIndex::ring_cover`]: the ring's outer disk as one
+//! contiguous slice of the cell-ordered node list per cell row, so a
+//! uniform position over the cover is one binary search over at most
+//! `⌈2·r/cell⌉ + 1` spans, and nothing is listed).
 //!
 //! A uniform grid is the right tool here: node distributions from the
 //! generators are roughly uniform, queries are local, and build time is
@@ -172,8 +175,7 @@ impl SpatialIndex {
         for d in 0..=d_max.min(max_d) {
             self.for_ring_cells(cx, cy, d, &mut |ids| {
                 for &id in ids {
-                    let dist = p.distance(self.points[id.index()]);
-                    if dist >= r_min && dist <= r_max {
+                    if in_band(p, self.points[id.index()], r_min, r_max) {
                         out.push(id);
                     }
                 }
@@ -185,6 +187,46 @@ impl SpatialIndex {
     /// All nodes within `radius` of `p`.
     pub fn within_radius(&self, p: Point, radius: f64) -> Vec<NodeId> {
         self.in_ring(p, 0.0, radius)
+    }
+
+    /// A cover of the ring `[r_min, r_max]` around `p` that can be drawn
+    /// from without listing it: the nodes of every cell that meets the
+    /// disk of radius `r_max`. Cells are stored row-major, so the cells of
+    /// one row inside the disk's chord are one contiguous slice of the
+    /// cell-ordered node list, found in O(1) from the CSR offsets; the
+    /// cover is at most `⌈2·r_max/cell⌉ + 1` such slices. It holds every node
+    /// [`SpatialIndex::in_ring`] returns (exactly once) and some that lie
+    /// outside the ring, which [`RingCover::contains`] tells apart.
+    pub fn ring_cover(&self, p: Point, r_min: f64, r_max: f64) -> RingCover<'_> {
+        assert!(r_min >= 0.0 && r_max >= r_min, "invalid ring radii");
+        // In cell units, with a slack far above rounding and far below a
+        // cell, so a node at exactly `r_max` is never cut off by a
+        // rounded chord end.
+        let u = (p.x - self.bbox.min.x) / self.cell;
+        let v = (p.y - self.bbox.min.y) / self.cell;
+        let rho = r_max / self.cell;
+        let rho = rho + 1e-9 * (1.0 + rho + u.abs() + v.abs());
+        // Same flooring as `build`'s cell assignment (nodes past the last
+        // row or column were clamped into it, so the ranges clamp too).
+        let clamp = |x: f64, n: usize| (x.floor().max(0.0) as usize).min(n - 1);
+        let (row_lo, row_hi) = (clamp(v - rho, self.rows), clamp(v + rho, self.rows));
+        let mut spans = Vec::with_capacity(row_hi - row_lo + 1);
+        let mut end = 0u32;
+        for row in row_lo..=row_hi {
+            let dy = (row as f64 - v).max(v - (row + 1) as f64).max(0.0);
+            if dy > rho {
+                continue;
+            }
+            let half = (rho * rho - dy * dy).sqrt();
+            let first = row * self.cols + clamp(u - half, self.cols);
+            let last = row * self.cols + clamp(u + half, self.cols);
+            let (lo, hi) = (self.starts[first], self.starts[last + 1]);
+            if hi > lo {
+                end += hi - lo;
+                spans.push(Span { end, lo, hi });
+            }
+        }
+        RingCover { index: self, center: p, r_min, r_max, spans }
     }
 
     /// The `k` nearest nodes to `p`, closest first.
@@ -220,6 +262,68 @@ impl SpatialIndex {
             d += 1;
         }
         best.into_iter().map(|(_, id)| id).collect()
+    }
+}
+
+/// The ring membership test [`SpatialIndex::in_ring`] lists by and
+/// [`RingCover::contains`] draws by: one expression, so the two agree on
+/// every boundary node.
+fn in_band(center: Point, q: Point, r_min: f64, r_max: f64) -> bool {
+    let dist = center.distance(q);
+    dist >= r_min && dist <= r_max
+}
+
+/// The row-span cover of a distance ring, from [`SpatialIndex::ring_cover`]:
+/// a superset of the ring addressable by position, so a uniform position
+/// drawn in `0..len()` is a uniform node of the cover, and rejecting what
+/// [`RingCover::contains`] refuses leaves a uniform node of the ring.
+#[derive(Clone, Debug)]
+pub struct RingCover<'a> {
+    index: &'a SpatialIndex,
+    center: Point,
+    r_min: f64,
+    r_max: f64,
+    spans: Vec<Span>,
+}
+
+/// One row's slice `entries[lo..hi]`, and the cover position just past it.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    end: u32,
+    lo: u32,
+    hi: u32,
+}
+
+impl RingCover<'_> {
+    /// Number of cover positions (nodes of the cover, ring or not).
+    pub fn len(&self) -> usize {
+        self.spans.last().map_or(0, |s| s.end as usize)
+    }
+
+    /// True if no cell the outer disk meets holds a node.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// The node at cover position `i`: one binary search over the spans.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    pub fn node(&self, i: usize) -> NodeId {
+        let i = u32::try_from(i).expect("cover position fits the index");
+        let s = self.spans[self.spans.partition_point(|s| s.end <= i)];
+        self.index.entries[(s.hi - (s.end - i)) as usize]
+    }
+
+    /// Whether `n` lies in the ring — the distance filter
+    /// [`SpatialIndex::in_ring`] applies.
+    pub fn contains(&self, n: NodeId) -> bool {
+        in_band(self.center, self.index.points[n.index()], self.r_min, self.r_max)
+    }
+
+    /// Every node of the cover, in position order.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + Clone + '_ {
+        self.spans.iter().flat_map(|s| &self.index.entries[s.lo as usize..s.hi as usize]).copied()
     }
 }
 
@@ -285,6 +389,46 @@ mod tests {
         want.sort();
         assert_eq!(got, want);
         assert!(!got.is_empty());
+    }
+
+    #[test]
+    fn ring_cover_holds_the_ring_once_and_addresses_it_by_position() {
+        let idx = SpatialIndex::from_points(grid_points(12));
+        for (center, rmin, rmax) in [
+            (Point::new(5.5, 5.5), 2.0, 4.0),
+            // Lattice nodes at exactly `r_max` (chord ends on a cell edge).
+            (Point::new(5.0, 5.0), 3.0, 3.0),
+            (Point::new(0.0, 0.0), 0.0, 3.0),
+            (Point::new(11.0, 3.0), 1.0, 100.0),
+            // Centre off the map: rows and columns clamp.
+            (Point::new(-4.0, 20.0), 0.0, 9.0),
+            (Point::new(30.0, 5.0), 0.0, 1.0),
+        ] {
+            let cover = idx.ring_cover(center, rmin, rmax);
+            let listed: Vec<NodeId> = cover.nodes().collect();
+            let by_position: Vec<NodeId> = (0..cover.len()).map(|i| cover.node(i)).collect();
+            assert_eq!(listed, by_position, "{center}");
+            assert_eq!(cover.is_empty(), listed.is_empty());
+            let mut unique = listed.clone();
+            unique.sort();
+            unique.dedup();
+            assert_eq!(unique.len(), listed.len(), "{center}: a node covered twice");
+            let mut ring: Vec<NodeId> = listed.into_iter().filter(|&n| cover.contains(n)).collect();
+            ring.sort();
+            let mut want = idx.in_ring(center, rmin, rmax);
+            want.sort();
+            assert_eq!(ring, want, "{center} [{rmin}, {rmax}]");
+        }
+    }
+
+    #[test]
+    fn ring_cover_stays_within_the_outer_disk_rows() {
+        // 40×40 lattice, ~2 points per cell: a radius-3 disk spans at
+        // most ⌈2·3/cell⌉ + 1 rows and far fewer nodes than the map.
+        let idx = SpatialIndex::from_points(grid_points(40));
+        let cover = idx.ring_cover(Point::new(20.0, 20.0), 1.0, 3.0);
+        assert!(cover.spans.len() as f64 <= (2.0 * 3.0 / idx.cell).ceil() + 1.0);
+        assert!(cover.len() < 100, "{} covered", cover.len());
     }
 
     #[test]

@@ -131,6 +131,29 @@ proptest! {
     }
 
     #[test]
+    fn spatial_ring_cover_holds_the_ring_exactly_once(
+        points in proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 1..80),
+        center in (-60.0f64..60.0, -60.0f64..60.0),
+        radii in (0.0f64..30.0, 0.0f64..40.0),
+    ) {
+        let pts: Vec<Point> = points.iter().map(|(x, y)| Point::new(*x, *y)).collect();
+        let index = SpatialIndex::from_points(pts.clone());
+        let c = Point::new(center.0, center.1);
+        let (lo, hi) = (radii.0.min(radii.1), radii.0.max(radii.1));
+        let cover = index.ring_cover(c, lo, hi);
+        let listed: Vec<NodeId> = (0..cover.len()).map(|i| cover.node(i)).collect();
+        let mut unique = listed.clone();
+        unique.sort();
+        unique.dedup();
+        prop_assert_eq!(unique.len(), listed.len());
+        let mut got: Vec<NodeId> = listed.into_iter().filter(|&n| cover.contains(n)).collect();
+        got.sort();
+        let mut want = index.in_ring(c, lo, hi);
+        want.sort();
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
     fn lru_matches_reference_model(
         capacity in 1usize..8,
         accesses in proptest::collection::vec(0u32..16, 1..200),

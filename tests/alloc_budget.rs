@@ -14,9 +14,9 @@
 //! see each other's (or the harness's) allocations.
 
 use opaque::{
-    AdmissionPolicy, BatchPolicy, CandidateResultsMsg, ClientId, ClientRequest, HopTraffic,
-    ObfuscatedPathQuery, ObfuscatedQueryMsg, OpaqueService, PathQuery, ProtectionSettings,
-    RequestMsg, ResultMsg, ServiceBuilder, ServiceEvent, Ticket, wire_size,
+    AdmissionPolicy, BatchPolicy, CandidateResultsMsg, ClientId, ClientRequest, FakeSelection,
+    HopTraffic, ObfuscatedPathQuery, ObfuscatedQueryMsg, Obfuscator, OpaqueService, PathQuery,
+    ProtectionSettings, RequestMsg, ResultMsg, ServiceBuilder, ServiceEvent, Ticket, wire_size,
 };
 use opaque_net::{Connection, DEFAULT_MAX_FRAME, WireReply};
 use pathsearch::Path;
@@ -221,4 +221,34 @@ fn one_warm_request_stays_under_its_allocation_ceiling() {
     (0..8).for_each(&mut serve);
     let (n, ()) = allocations(|| serve(8));
     assert!(n <= CEILING, "one warm 1x1 request made {n} allocations (ceiling {CEILING})");
+}
+
+/// Allocations one independent 3×3 ring obfuscation makes on a
+/// `side × side` grid, for a trip from a third to two thirds of the way
+/// across it — so the annulus holds ~100× more nodes on a 10× wider map.
+fn ring_obfuscation_allocations(side: usize) -> u64 {
+    let map =
+        grid_network(&GridConfig { width: side, height: side, seed: 3, ..Default::default() })
+            .unwrap();
+    let mut obfuscator = Obfuscator::new(map, FakeSelection::default_ring(), 14);
+    let node = |x: usize, y: usize| NodeId::from_index(y * side + x);
+    let request = ClientRequest::new(
+        ClientId(1),
+        PathQuery::new(node(side / 3, side / 3), node(2 * side / 3, 2 * side / 3)),
+        ProtectionSettings::new(3, 3).unwrap(),
+    );
+    let (n, unit) = allocations(|| obfuscator.obfuscate_independent(&request));
+    assert!(unit.unwrap().is_well_formed());
+    n
+}
+
+#[test]
+fn ring_fakes_allocate_the_same_on_any_map_size() {
+    // Ring fakes are drawn from a row-span cover of the annulus, never
+    // listed: one span buffer per draw set-up, whatever the band holds.
+    // The materialised annulus this replaced grew its `Vec` O(log band)
+    // times, so it made more allocations on the larger map.
+    let small = ring_obfuscation_allocations(30);
+    let large = ring_obfuscation_allocations(300);
+    assert_eq!(small, large, "a 300x300 grid made {large} allocations, a 30x30 one {small}");
 }
