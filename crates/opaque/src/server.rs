@@ -32,9 +32,7 @@ pub struct ServerStats {
     /// Spanning trees actually grown, as attributed by
     /// [`pathsearch::MsmdResult::per_tree`] — under
     /// [`SharingPolicy::Auto`] transposition this counts the smaller-side
-    /// trees really grown, not `|S|`, and under
-    /// [`SharingPolicy::SharedFrontier`] it includes the backward trees.
-    /// Plain queries count one tree each.
+    /// trees really grown, not `|S|`. Plain queries count one tree each.
     pub trees_grown: u64,
     /// Trees served by adopting a cached sweep from the shard's
     /// [`TreeCache`] instead of growing them (always 0 under
@@ -428,20 +426,6 @@ mod tests {
         // A plain query counts one more tree.
         sv.process_plain(&PathQuery::new(NodeId(0), NodeId(1)));
         assert_eq!(sv.stats().trees_grown, 3);
-    }
-
-    #[test]
-    fn tree_count_includes_backward_trees_under_shared_frontier() {
-        let g = grid_network(&GridConfig { width: 12, height: 12, seed: 9, ..Default::default() })
-            .unwrap();
-        let mut sv = DirectionsServer::new(g, SharingPolicy::SharedFrontier);
-        let q = ObfuscatedPathQuery::new(
-            vec![NodeId(0), NodeId(11)],
-            vec![NodeId(143), NodeId(132), NodeId(70)],
-        );
-        let r = sv.process(&q);
-        assert_eq!(r.num_paths(), 6);
-        assert_eq!(sv.stats().trees_grown, 2 + 3, "forward + backward trees");
     }
 
     #[test]

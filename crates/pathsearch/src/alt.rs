@@ -34,9 +34,6 @@
 //! and because every settle key is at most the farthest goal's plain
 //! distance, a guided tree settles a subset of the plain one however far
 //! apart the obfuscator scattered the goals.
-//! [`AltPreprocessing::bi_potential`] pairs two such potentials (nothing
-//! retired) into the feasible `(pf, −pf)` the shared-frontier engine keys
-//! its bidirectional trees with.
 //!
 //! The tables are stored **node-major** (`flat[n·L + l]`): one evaluation
 //! reads the node's `L` contiguous entries — two cache lines for 16
@@ -258,23 +255,6 @@ impl AltPreprocessing {
             params: PotentialParams { landmarks: self.landmarks.clone(), goals },
         }
     }
-
-    /// The feasible potential *pair* for a bidirectional shared-frontier
-    /// sweep over `sources × targets`: forward trees are keyed by
-    /// `dist + pf(n)`, backward trees by `dist − pf(n)`, with
-    /// `pf = (π_T − π_S) / 2` (π_T toward the targets, π_S toward the
-    /// sources). The two tree-side potentials sum to zero, so forward and
-    /// backward reduced lengths add up to true path lengths and the
-    /// per-pair stopping rule `μ ≤ r_f + r_b` stays exact.
-    ///
-    /// # Panics
-    /// Panics if an endpoint is out of range for the preprocessed graph.
-    pub fn bi_potential(&self, sources: &[NodeId], targets: &[NodeId]) -> BiPotential<'_> {
-        BiPotential {
-            to_targets: self.goal_potential(targets),
-            to_sources: self.goal_potential(sources),
-        }
-    }
 }
 
 /// The parameters a [`GoalPotential`] was built from — the identity a
@@ -350,24 +330,6 @@ impl Potential for LivePotential<'_> {
         let Some(at) = self.live.iter().position(|&i| goals[i] == settled) else { return false };
         self.live.remove(at);
         true
-    }
-}
-
-/// The `(pf, −pf)` potential pair for bidirectional shared-frontier
-/// sweeps — see [`AltPreprocessing::bi_potential`].
-#[derive(Clone, Debug)]
-pub struct BiPotential<'a> {
-    to_targets: GoalPotential<'a>,
-    to_sources: GoalPotential<'a>,
-}
-
-impl BiPotential<'_> {
-    /// The forward-tree potential `pf(n) = (π_T(n) − π_S(n)) / 2`.
-    /// Backward trees use its negation, applied by subtraction
-    /// (`dist − pf`) so the zero potential stays bitwise inert.
-    #[inline]
-    pub fn pf(&self, n: NodeId) -> f64 {
-        0.5 * (self.to_targets.eval(n) - self.to_sources.eval(n))
     }
 }
 
@@ -594,24 +556,6 @@ mod tests {
                     });
                 }
             }
-        }
-    }
-
-    #[test]
-    fn bi_potential_pair_sums_to_zero_and_is_half_lipschitz() {
-        use roadnet::GraphView;
-        let g = grid_network(&GridConfig { width: 14, height: 14, seed: 6, ..Default::default() })
-            .unwrap();
-        let pre = AltPreprocessing::build(&g, 4);
-        let bi = pre.bi_potential(&[NodeId(0), NodeId(50)], &[NodeId(195), NodeId(100)]);
-        // pf and the backward potential −pf cancel by construction; check
-        // pf itself is (1/2+1/2)-Lipschitz so both keyed trees stay
-        // consistent: |pf(u) − pf(v)| ≤ w.
-        for u in (0..g.num_nodes() as u32).map(NodeId) {
-            let pu = bi.pf(u);
-            g.for_each_arc(u, &mut |v, w| {
-                assert!((pu - bi.pf(v)).abs() <= w + 1e-9);
-            });
         }
     }
 

@@ -10,11 +10,11 @@
 //!   **epoch stamp**, so starting a new search is `O(1)` — stale labels
 //!   from earlier queries are simply never current;
 //! * the arrays are laid out as `trees × nodes` slabs, so one arena hosts
-//!   any number of simultaneously growing trees (the shared-frontier MSMD
-//!   engine interleaves them all through one heap);
-//! * the binary heap and the goal/frontier scratch buffers are owned by
-//!   the arena and reused, so repeated queries on the same graph touch no
-//!   allocator once the high-water capacity is reached.
+//!   several simultaneously growing trees (bidirectional search
+//!   interleaves its forward and backward tree through one heap);
+//! * the binary heap and the goal scratch buffer are owned by the arena
+//!   and reused, so repeated queries on the same graph touch no allocator
+//!   once the high-water capacity is reached.
 //!
 //! [`crate::dijkstra::Searcher`] is the single-tree facade over an arena;
 //! [`crate::multi::msmd_in`] runs whole MSMD queries inside a
@@ -33,7 +33,7 @@ pub(crate) const NIL: u32 = u32::MAX;
 /// like the raw heap operations that produce and consume it.
 ///
 /// `key` and `dist` coincide for plain Dijkstra; a goal-directed sweep
-/// orders the heap by `key = dist ± potential(node)` while `dist` keeps the
+/// orders the heap by `key = dist + potential(node)` while `dist` keeps the
 /// raw label the entry was pushed with. The ordering ignores `dist` on
 /// purpose: the potential is a pure function of `(tree, node)`, so within
 /// one slot key and dist determine each other.
@@ -70,23 +70,6 @@ impl Ord for FrontierEntry {
     }
 }
 
-/// Reusable scratch buffers for the shared-frontier MSMD engine — per-pair
-/// meeting state and per-tree bookkeeping, pooled here so the engine
-/// allocates nothing per query.
-#[derive(Debug, Default)]
-pub(crate) struct FrontierScratch {
-    /// Best connecting distance found per (forward, backward) pair.
-    pub mu: Vec<f64>,
-    /// Meeting node realizing `mu` (`NIL` when none found yet).
-    pub meet: Vec<u32>,
-    /// Largest settled key per tree (a lower bound on future settles).
-    pub radius: Vec<f64>,
-    /// Open pairs remaining per tree; a tree retires at zero.
-    pub open: Vec<u32>,
-    /// Whether a pair's shortest distance is finalized.
-    pub done: Vec<bool>,
-}
-
 /// Generation-stamped multi-tree search space with a shared frontier heap.
 ///
 /// After a search finishes, the labels of the *last* search stay readable
@@ -109,8 +92,6 @@ pub struct SearchArena {
     heap: BinaryHeap<FrontierEntry>,
     /// Reusable goal-set buffer (sorted, deduplicated target lists).
     goal_scratch: Vec<NodeId>,
-    /// Reusable shared-frontier bookkeeping.
-    frontier_scratch: FrontierScratch,
     /// Nodes per tree of the current search.
     nodes: usize,
     /// Number of trees of the current search.
@@ -270,7 +251,7 @@ impl SearchArena {
     /// comparison and storage use the *raw* distance `cand` (improvement
     /// stays a statement about real path lengths), while the frontier entry
     /// is prioritized by `key()` — a goal-directed sweep passes
-    /// `cand ± potential(to)`, a plain one `cand`. The key is computed only
+    /// `cand + potential(to)`, a plain one `cand`. The key is computed only
     /// when the label improves: most relaxations improve nothing, and a
     /// landmark potential is a table read per call.
     #[inline]
@@ -299,8 +280,7 @@ impl SearchArena {
     /// `dist + potential(node)`, and heapify — `O(frontier)`, in place.
     /// Sound for any *consistent* new potential: the settled labels are
     /// exact and their out-arcs relaxed, which is all a label-setting sweep
-    /// assumes of its past. Forward keys only — the single-tree loop is
-    /// the one caller.
+    /// assumes of its past. The single-tree loop is the one caller.
     pub(crate) fn rekey(&mut self, potential: impl Fn(NodeId) -> f64) {
         let mut open = std::mem::take(&mut self.heap).into_vec();
         open.retain(|e| self.is_fresh(e));
@@ -343,23 +323,15 @@ impl SearchArena {
             return None;
         }
         let mut nodes = vec![t];
-        let mut cur = t;
-        loop {
-            let p = self.parent[self.slot(tree, cur)];
-            if p == NIL {
-                break;
-            }
-            cur = NodeId(p);
-            nodes.push(cur);
-            debug_assert!(nodes.len() <= self.nodes, "parent cycle");
-        }
+        self.walk_parents(tree, t, &mut nodes);
         nodes.reverse();
         Some(Path::new(nodes, self.dist[self.slot(tree, t)]))
     }
 
     /// Walk `tree`'s parent chain from `t` to the root, appending every
-    /// node *after* `t` itself to `out` (root last). Used by the
-    /// shared-frontier engine to stitch bidirectional meetings.
+    /// node *after* `t` itself to `out` (root last). Used by
+    /// [`SearchArena::path_to`] and by bidirectional search to stitch its
+    /// two trees at their meeting node.
     pub(crate) fn walk_parents(&self, tree: usize, t: NodeId, out: &mut Vec<NodeId>) {
         let mut cur = t;
         loop {
@@ -383,18 +355,6 @@ impl SearchArena {
     pub(crate) fn put_goal_scratch(&mut self, mut buf: Vec<NodeId>) {
         buf.clear();
         self.goal_scratch = buf;
-    }
-
-    /// Take the shared-frontier scratch (restore with
-    /// [`SearchArena::put_frontier_scratch`]).
-    pub(crate) fn take_frontier_scratch(&mut self) -> FrontierScratch {
-        std::mem::take(&mut self.frontier_scratch)
-    }
-
-    /// Return the scratch taken by
-    /// [`SearchArena::take_frontier_scratch`].
-    pub(crate) fn put_frontier_scratch(&mut self, s: FrontierScratch) {
-        self.frontier_scratch = s;
     }
 
     /// Test hook: jump the generation counter to exercise epoch
@@ -503,7 +463,6 @@ mod tests {
 
     #[test]
     fn multi_tree_slots_are_independent() {
-        let g = line(6);
         let mut a = SearchArena::new();
         a.begin(6, 2);
         a.label(0, NodeId(0), 0.0, None);
@@ -515,7 +474,6 @@ mod tests {
         assert!(a.settle(0, NodeId(0)));
         assert!(!a.settle(0, NodeId(0)), "second settle is stale");
         assert!(a.settle(1, NodeId(0)), "tree 1 settles independently");
-        let _ = g;
     }
 
     #[test]

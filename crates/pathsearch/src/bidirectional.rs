@@ -1,6 +1,10 @@
-//! Bidirectional Dijkstra.
+//! Bidirectional Dijkstra — the crate's **interleaved loop**, the second of
+//! its two label-setting loops (the other is the single-tree loop in
+//! `dijkstra.rs`).
 //!
-//! Two spanning trees grow from `s` and `t` simultaneously; the search stops
+//! Two spanning trees grow from `s` and `t` simultaneously, their labels in
+//! one [`SearchArena`] competing in its one heap (the globally closest
+//! frontier node settles next, whichever tree owns it); the search stops
 //! when the sum of the two frontier radii reaches the best connecting
 //! distance found. On road networks this roughly halves the searched area
 //! (two circles of radius `d/2` instead of one of radius `d`), which makes
@@ -12,14 +16,11 @@
 //! search then uses the same adjacency as the forward one.
 
 use crate::arena::SearchArena;
-use crate::frontier::shared_frontier;
-use crate::path::Path;
+use crate::path::{Path, arc_sum};
 use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
 
-/// Bidirectional Dijkstra from `s` to `t` on a symmetric graph: the 1×1
-/// case of the shared-frontier sweep behind
-/// [`SharingPolicy::SharedFrontier`](crate::multi::SharingPolicy), in a
+/// Bidirectional Dijkstra from `s` to `t` on a symmetric graph, in a
 /// throwaway arena.
 ///
 /// Returns the shortest path (or `None` if disconnected) and combined
@@ -32,8 +33,88 @@ pub fn bidirectional<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>
         "bidirectional search uses forward arcs for the backward tree and is \
          only exact on symmetric (undirected) graph views"
     );
-    let mut r = shared_frontier(&mut SearchArena::new(), g, &[s], &[t], None);
-    (r.paths[0][0].take(), r.stats)
+    let mut arena = SearchArena::new();
+    arena.begin(n, 2);
+    let mut stats = [SearchStats::one_run(); 2];
+    for (tree, root) in [s, t].into_iter().enumerate() {
+        arena.label(tree, root, 0.0, None);
+        arena.push(0.0, 0.0, tree, root);
+        stats[tree].heap_pushes += 1;
+    }
+
+    // `mu` is the best connecting distance seen through any node both trees
+    // have labelled, `meet` the node realizing it; `radius[tree]` is the
+    // tree's largest settled distance (a lower bound on its future settles).
+    let (mut mu, mut meet) = (f64::INFINITY, s);
+    let mut radius = [0.0f64; 2];
+    while let Some(e) = arena.pop() {
+        let tree = e.tree as usize;
+        stats[tree].heap_pops += 1;
+        if !arena.is_fresh(&e) {
+            continue; // lazy-deletion residue
+        }
+        arena.settle(tree, e.node);
+        stats[tree].settled += 1;
+        radius[tree] = e.dist;
+
+        // Settle-time meeting check: the settled node may already carry a
+        // label in the opposite tree.
+        record_meeting(&arena, tree, e.node, &mut mu, &mut meet);
+
+        // Expand. Label-time meeting checks are what make the stopping rule
+        // exact: every label creation or improvement is a successful relax
+        // (roots excepted — the settle-time check above covers those), so
+        // checking only on success keeps `mu` equal to the min over *final*
+        // labels while skipping the check on the majority of arcs whose
+        // relaxation changes nothing.
+        let tree_stats = &mut stats[tree];
+        g.for_each_arc(e.node, &mut |to, w| {
+            tree_stats.relaxed += 1;
+            let cand = e.dist + w;
+            if arena.relax_keyed(tree, e.node, to, cand, || cand) {
+                tree_stats.heap_pushes += 1;
+                record_meeting(&arena, tree, to, &mut mu, &mut meet);
+            }
+        });
+
+        // Once the two radii sum to at least `mu`, no unexplored label can
+        // improve it (every future settle in either tree carries a distance
+        // at least its current radius).
+        if mu <= radius[0] + radius[1] {
+            break;
+        }
+    }
+
+    // Stitch at the meeting node: the forward chain s … meet, then the
+    // backward chain out to t (its parents lead *to* t; weights are
+    // symmetric). The distance is re-summed source→target, not taken from
+    // `mu`: `mu` adds two half-distances at whichever meeting node was found
+    // first and can differ from the single-tree Dijkstra sum in the last ulp;
+    // the forward re-sum matches that sum bit-for-bit.
+    let path = mu.is_finite().then(|| {
+        let mut nodes = vec![meet];
+        arena.walk_parents(0, meet, &mut nodes); // meet … s
+        nodes.reverse(); // s … meet
+        arena.walk_parents(1, meet, &mut nodes); // … t
+        let d = arc_sum(g, &nodes);
+        Path::new(nodes, d)
+    });
+    (path, stats.into_iter().sum())
+}
+
+/// Record a meeting through `node`, which just gained (or already carries)
+/// a label in `tree`: if the opposite tree has labelled `node` too, the sum
+/// of the two labels is a connecting-path length.
+#[inline]
+fn record_meeting(arena: &SearchArena, tree: usize, node: NodeId, mu: &mut f64, meet: &mut NodeId) {
+    let other = 1 - tree;
+    if arena.is_labelled(other, node) {
+        let through = arena.dist_raw(tree, node) + arena.dist_raw(other, node);
+        if through < *mu {
+            *mu = through;
+            *meet = node;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -102,17 +183,49 @@ mod tests {
         );
     }
 
-    #[test]
-    fn disconnected_pair_returns_none() {
+    fn two_components() -> roadnet::RoadNetwork {
         let mut b = GraphBuilder::new();
         for i in 0..4 {
             b.add_node(Point::new(i as f64, 0.0)).unwrap();
         }
         b.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
         b.add_edge(NodeId(2), NodeId(3), 1.0).unwrap();
-        let g = b.build().unwrap();
-        let (p, _) = bidirectional(&g, NodeId(0), NodeId(3));
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn disconnected_pair_returns_none() {
+        let (p, _) = bidirectional(&two_components(), NodeId(0), NodeId(3));
         assert!(p.is_none());
+    }
+
+    #[test]
+    fn counters_are_pinned() {
+        // Settle order, heap traffic and the stopping rule, pinned case by
+        // case: one long and one mid-range pair per network class, a
+        // trivial pair, and a disconnected one (both trees exhaust). Each
+        // row is (settled, relaxed, heap_pushes, heap_pops); runs is 2.
+        let counters = |g: &roadnet::RoadNetwork, s, t| {
+            let (_, st) = bidirectional(g, NodeId(s), NodeId(t));
+            assert_eq!(st.runs, 2, "one run per tree");
+            [st.settled, st.relaxed, st.heap_pushes, st.heap_pops]
+        };
+        let pinned = [
+            (NetworkClass::Grid, [[545, 2013, 690, 632], [44, 154, 73, 50]]),
+            (NetworkClass::Geometric, [[340, 1287, 425, 380], [100, 374, 134, 116]]),
+            (NetworkClass::Radial, [[361, 1198, 482, 425], [52, 183, 101, 57]]),
+        ];
+        for (class, want) in pinned {
+            let g = class.generate(600, 13).unwrap();
+            let n = g.num_nodes() as u32;
+            for ((s, t), want) in [(0, n - 1), (n / 3, 2 * n / 3)].into_iter().zip(want) {
+                assert_eq!(counters(&g, s, t), want, "{} ({s},{t})", class.name());
+            }
+        }
+        let g = grid_network(&GridConfig { width: 14, height: 14, seed: 5, ..Default::default() })
+            .unwrap();
+        assert_eq!(counters(&g, 100, 100), [1, 3, 5, 1], "s == t");
+        assert_eq!(counters(&two_components(), 0, 3), [4, 4, 4, 4], "disconnected");
     }
 
     #[test]

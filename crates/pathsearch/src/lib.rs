@@ -15,24 +15,24 @@
 //!   the arena, keyed by an optional consistent potential and observed by
 //!   a settle sink; single-destination, full-tree, and the paper's
 //!   multi-destination early-termination variant;
-//! * `frontier.rs` (internal) — the **interleaved loop**: all trees of an
-//!   `S×T` query in one heap with per-pair bidirectional termination.
+//! * [`mod@bidirectional`] — the **interleaved loop**: bidirectional
+//!   Dijkstra, the strongest single-pair baseline, growing a forward and a
+//!   backward tree in one heap until their radii cover the best meeting.
 //!
-//! Those two loops are the only label-setting code; the rest call them:
+//! Those two loops are the only label-setting code; the rest call the
+//! single-tree loop:
 //!
 //! * [`mod@astar`] — A* is the single-tree loop under the caller's potential
 //!   (Euclidean by default);
 //! * [`mod@alt`] — ALT (A* with landmarks + triangle inequality), an extension
 //!   whose heuristic reasons in network distance;
-//! * [`mod@bidirectional`] — bidirectional Dijkstra, the strongest single-pair
-//!   baseline, is the interleaved loop's 1×1 case;
 //! * [`range`] — network-distance balls and bands: the single-tree loop
 //!   stopped at a radius by its sink;
-//! * [`multi`] — the MSMD processor with selectable sharing policies:
-//!   per-pair and per-source trees through the one adopt-or-grow entry
+//! * [`multi`] — the MSMD processor with the paper's three sharing
+//!   policies: per-pair and per-source trees (the latter transposed to the
+//!   smaller side under `Auto`) through the one adopt-or-grow entry
 //!   ([`run_tree`]), with or without a tree store
-//!   ([`msmd_in_guided_cached`]), or the interleaved loop on symmetric
-//!   views;
+//!   ([`msmd_in_guided_cached`]);
 //! * [`trace`] — recorded, reusable sweeps ([`SweepTrace`]): extraction
 //!   and adoption of settled shortest-path trees with byte-identical
 //!   counter replay, the substrate of the service layer's shard-local
@@ -63,14 +63,13 @@ pub mod astar;
 pub mod bidirectional;
 pub mod cost;
 pub mod dijkstra;
-mod frontier;
 pub mod multi;
 pub mod path;
 pub mod range;
 pub mod stats;
 pub mod trace;
 
-pub use alt::{AltError, AltPreprocessing, BiPotential, GoalPotential, PotentialParams, alt};
+pub use alt::{AltError, AltPreprocessing, GoalPotential, PotentialParams, alt};
 pub use arena::SearchArena;
 pub use astar::{astar, astar_with};
 pub use bidirectional::bidirectional;

@@ -5,8 +5,8 @@
 //!
 //! An obfuscated path query `Q(S, T)` stands for the set of path queries
 //! `{Q(s,t) : s ∈ S, t ∈ T}` and the server must answer *all* of them
-//! (Definition 1 — it cannot know which is real). Four evaluation policies
-//! are provided:
+//! (Definition 1 — it cannot know which is real). The paper's three
+//! evaluation policies are provided:
 //!
 //! * [`SharingPolicy::None`] — `|S|·|T|` independent single-pair Dijkstra
 //!   runs; the naive baseline whose cost obfuscation must beat;
@@ -16,23 +16,16 @@
 //! * [`SharingPolicy::Auto`] — per-source sharing over the smaller of the
 //!   two sides: when `|T| < |S|` and the network is symmetric (undirected),
 //!   run one multi-destination search per *target* instead and transpose,
-//!   reducing the spanning-tree count from `|S|` to `min(|S|, |T|)`;
-//! * [`SharingPolicy::SharedFrontier`] — all trees grow in **one
-//!   interleaved sweep** through one shared heap (`frontier.rs`):
-//!   forward and backward trees resolve each pair by the bidirectional
-//!   meeting rule and every tree retires the moment its last open pair
-//!   resolves, settling strictly fewer nodes than `PerSource` on planar
-//!   maps. Backward trees need a symmetric view; on a directed one the
-//!   policy *is* `PerSource` — same evaluator, same trees, same counters.
+//!   reducing the spanning-tree count from `|S|` to `min(|S|, |T|)`.
 //!
-//! Every policy can run inside a caller-provided [`SearchArena`] via
-//! [`msmd_in`], so a server evaluating a query stream touches no allocator
-//! beyond the result paths themselves.
+//! Every tree of every policy is one sweep of the adopt-or-grow entry
+//! [`run_tree`], so each can be guided by ALT and served from a tree store,
+//! inside a caller-provided [`SearchArena`] ([`msmd_in`]): a server
+//! evaluating a query stream touches no allocator beyond the result paths.
 
 use crate::alt::{AltPreprocessing, GoalPotential};
 use crate::arena::SearchArena;
 use crate::dijkstra::{Goal, run_tree};
-use crate::frontier;
 use crate::path::Path;
 use crate::stats::SearchStats;
 use crate::trace::TreeStore;
@@ -49,10 +42,6 @@ pub enum SharingPolicy {
     /// itself symmetric ([`GraphView::is_symmetric`]); on directed views it
     /// safely degrades to [`SharingPolicy::PerSource`].
     Auto,
-    /// One interleaved sweep growing all trees from a shared heap with
-    /// per-pair bidirectional termination; on directed views, where no
-    /// backward tree can grow, [`SharingPolicy::PerSource`].
-    SharedFrontier,
 }
 
 impl SharingPolicy {
@@ -62,17 +51,12 @@ impl SharingPolicy {
             SharingPolicy::None => "naive",
             SharingPolicy::PerSource => "per-source",
             SharingPolicy::Auto => "auto",
-            SharingPolicy::SharedFrontier => "shared-frontier",
         }
     }
 
     /// All policies, in the order experiment tables report them.
-    pub const ALL: [SharingPolicy; 4] = [
-        SharingPolicy::None,
-        SharingPolicy::PerSource,
-        SharingPolicy::Auto,
-        SharingPolicy::SharedFrontier,
-    ];
+    pub const ALL: [SharingPolicy; 3] =
+        [SharingPolicy::None, SharingPolicy::PerSource, SharingPolicy::Auto];
 }
 
 /// Which endpoint set a spanning tree grew from.
@@ -80,14 +64,13 @@ impl SharingPolicy {
 pub enum TreeSide {
     /// Rooted at a source (forward tree).
     Source,
-    /// Rooted at a target (backward tree on a symmetric view, or the
-    /// smaller side of an [`SharingPolicy::Auto`] transposition).
+    /// Rooted at a target: the smaller side of an [`SharingPolicy::Auto`]
+    /// transposition.
     Target,
 }
 
 /// Counters for one spanning tree actually grown, attributed to its root —
-/// so transposed ([`SharingPolicy::Auto`]) and backward
-/// ([`SharingPolicy::SharedFrontier`]) trees are never mistaken for
+/// so transposed ([`SharingPolicy::Auto`]) trees are never mistaken for
 /// source-rooted ones.
 #[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TreeStats {
@@ -111,8 +94,8 @@ pub struct MsmdResult {
     pub stats: SearchStats,
     /// Counters per spanning tree actually grown, attributed to each
     /// tree's root (one per source for `PerSource`, per pair for `None`,
-    /// per smaller-side element for `Auto`, per source *and* target for
-    /// `SharedFrontier` on symmetric views).
+    /// per smaller-side element for `Auto` — the only policy that grows
+    /// target-rooted trees).
     pub per_tree: Vec<TreeStats>,
 }
 
@@ -170,12 +153,10 @@ pub fn msmd_in<G: GraphView>(
 /// nearest of its targets it has not settled yet
 /// ([`AltPreprocessing::goal_potential`], narrowed as goals settle — so a
 /// tree aims at each target in turn and settles a subset of the unguided
-/// tree however far apart the targets lie; the shared-frontier engine
-/// uses the bidirectional pair from [`AltPreprocessing::bi_potential`]).
-/// Paths, distances, and per-pair answers are identical to the unguided
-/// evaluation whenever shortest paths are unique (relaxation still
-/// compares raw distances); only the settle order and the
-/// settled/relaxed/heap counters change. With `None` this *is*
+/// tree however far apart the targets lie). Paths, distances, and
+/// per-pair answers are identical to the unguided evaluation whenever
+/// shortest paths are unique (relaxation still compares raw distances);
+/// only the settle order and the settled/relaxed/heap counters change. With `None` this *is*
 /// [`msmd_in`], byte-for-byte.
 ///
 /// The preprocessing must come from this graph — landmark tables built on
@@ -212,11 +193,6 @@ pub fn msmd_in_guided<G: GraphView>(
 /// under — landmarks and goal set — and only adopted on an exact match
 /// (see [`crate::dijkstra::run_tree`]), so guided and plain traces sharing
 /// a root never alias, nor do guided traces toward different goal sets.
-///
-/// [`SharingPolicy::SharedFrontier`] grows all trees in one interleaved
-/// sweep that does not decompose into per-root traces; under it (on the
-/// symmetric views where it is its own engine) the store is not consulted
-/// and the call degrades to [`msmd_in_guided`].
 ///
 /// # Panics
 /// Panics if `sources` or `targets` is empty or contains an out-of-range
@@ -262,13 +238,7 @@ fn evaluate<G: GraphView>(
             sources.len(),
             targets.len(),
         ),
-        SharingPolicy::SharedFrontier if g.is_symmetric() => {
-            let pot = pre.map(|p| p.bi_potential(sources, targets));
-            frontier::shared_frontier(arena, g, sources, targets, pot.as_ref())
-        }
-        // A directed view has no backward adjacency to grow target trees
-        // from, so there `SharedFrontier` is per-source sharing.
-        SharingPolicy::PerSource | SharingPolicy::Auto | SharingPolicy::SharedFrontier => {
+        SharingPolicy::PerSource | SharingPolicy::Auto => {
             per_source(arena, g, sources, targets, pre, store)
         }
     }
@@ -374,8 +344,7 @@ mod tests {
         let g = net();
         let (s, t) = sample_sets(256);
         let naive = msmd(&g, &s, &t, SharingPolicy::None);
-        for policy in [SharingPolicy::PerSource, SharingPolicy::Auto, SharingPolicy::SharedFrontier]
-        {
+        for policy in [SharingPolicy::PerSource, SharingPolicy::Auto] {
             let r = msmd(&g, &s, &t, policy);
             for i in 0..s.len() {
                 for j in 0..t.len() {
@@ -425,43 +394,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_frontier_settles_fewer_than_per_source() {
-        let g = net();
-        let (s, t) = sample_sets(256);
-        let per_source = msmd(&g, &s, &t, SharingPolicy::PerSource);
-        let frontier = msmd(&g, &s, &t, SharingPolicy::SharedFrontier);
-        assert!(
-            frontier.stats.settled < per_source.stats.settled,
-            "frontier {} vs per-source {}",
-            frontier.stats.settled,
-            per_source.stats.settled
-        );
-        // One tree per source and per target, attributed to its root.
-        assert_eq!(frontier.per_tree.len(), s.len() + t.len());
-        for (k, tree) in frontier.per_tree.iter().enumerate() {
-            if k < s.len() {
-                assert_eq!((tree.root, tree.side), (s[k], TreeSide::Source));
-            } else {
-                assert_eq!((tree.root, tree.side), (t[k - s.len()], TreeSide::Target));
-            }
-        }
-    }
-
-    #[test]
-    fn shared_frontier_reuses_one_arena_across_queries() {
+    fn per_source_reuses_one_arena_across_queries() {
         let g = net();
         let (s, t) = sample_sets(256);
         let mut arena = SearchArena::new();
-        let first = msmd_in(&mut arena, &g, &s, &t, SharingPolicy::SharedFrontier);
+        let first = msmd_in(&mut arena, &g, &s, &t, SharingPolicy::PerSource);
         let cap = arena.capacity();
         for _ in 0..10 {
-            let again = msmd_in(&mut arena, &g, &s, &t, SharingPolicy::SharedFrontier);
-            assert_eq!(again.stats.settled, first.stats.settled, "runs must be deterministic");
-            for i in 0..s.len() {
-                for j in 0..t.len() {
-                    assert_eq!(again.paths[i][j], first.paths[i][j]);
-                }
-            }
+            let again = msmd_in(&mut arena, &g, &s, &t, SharingPolicy::PerSource);
+            assert_eq!(again.stats, first.stats, "runs must be deterministic");
+            assert_eq!(again.paths, first.paths);
         }
         assert_eq!(arena.capacity(), cap, "steady-state queries must not regrow the arena");
     }
@@ -500,7 +442,7 @@ mod tests {
             let n = g.num_nodes() as u32;
             let s = vec![NodeId(0), NodeId(n / 2)];
             let t = vec![NodeId(n - 1), NodeId(n / 3), NodeId(2 * n / 5)];
-            for policy in [SharingPolicy::Auto, SharingPolicy::SharedFrontier] {
+            for policy in SharingPolicy::ALL {
                 let r = msmd(&g, &s, &t, policy);
                 assert_eq!(r.num_paths(), 6, "{} under {}", class.name(), policy.name());
             }
@@ -512,41 +454,13 @@ mod tests {
         let g = net();
         let s = vec![NodeId(10), NodeId(20)];
         let t = vec![NodeId(20), NodeId(10)];
-        for policy in [SharingPolicy::PerSource, SharingPolicy::SharedFrontier] {
+        for policy in SharingPolicy::ALL {
             let r = msmd(&g, &s, &t, policy);
             // Q(10,10) and Q(20,20) are trivial paths.
             assert!(r.paths[0][1].as_ref().unwrap().is_trivial(), "{}", policy.name());
             assert!(r.paths[1][0].as_ref().unwrap().is_trivial(), "{}", policy.name());
             assert!(r.paths[0][0].as_ref().unwrap().distance() > 0.0, "{}", policy.name());
         }
-    }
-
-    #[test]
-    fn shared_frontier_handles_disconnected_pairs() {
-        use roadnet::{GraphBuilder, Point};
-        // Two components: a 4-node square and an isolated edge.
-        let mut b = GraphBuilder::new();
-        for i in 0..6 {
-            b.add_node(Point::new(i as f64, 0.0)).unwrap();
-        }
-        b.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
-        b.add_edge(NodeId(1), NodeId(2), 1.0).unwrap();
-        b.add_edge(NodeId(2), NodeId(3), 1.0).unwrap();
-        b.add_edge(NodeId(4), NodeId(5), 1.0).unwrap();
-        let g = b.build().unwrap();
-        let r = msmd(
-            &g,
-            &[NodeId(0), NodeId(4)],
-            &[NodeId(3), NodeId(5)],
-            SharingPolicy::SharedFrontier,
-        );
-        assert!(r.paths[0][0].is_some());
-        assert!(r.paths[0][1].is_none(), "cross-component pair must be None");
-        assert!(r.paths[1][0].is_none());
-        assert!(r.paths[1][1].is_some());
-        let naive = msmd(&g, &[NodeId(0), NodeId(4)], &[NodeId(3), NodeId(5)], SharingPolicy::None);
-        assert_eq!(r.distance(0, 0), naive.distance(0, 0));
-        assert_eq!(r.distance(1, 1), naive.distance(1, 1));
     }
 
     #[test]
@@ -561,8 +475,7 @@ mod tests {
         assert_eq!(SharingPolicy::None.name(), "naive");
         assert_eq!(SharingPolicy::PerSource.name(), "per-source");
         assert_eq!(SharingPolicy::Auto.name(), "auto");
-        assert_eq!(SharingPolicy::SharedFrontier.name(), "shared-frontier");
-        assert_eq!(SharingPolicy::ALL.len(), 4);
+        assert_eq!(SharingPolicy::ALL.len(), 3);
     }
 
     #[test]
@@ -642,7 +555,7 @@ mod tests {
         let mut plain_arena = SearchArena::new();
         let mut cached_arena = SearchArena::new();
         for pre in [None, Some(&alt)] {
-            for policy in [SharingPolicy::None, SharingPolicy::PerSource, SharingPolicy::Auto] {
+            for policy in SharingPolicy::ALL {
                 let tag = format!("{} guided={}", policy.name(), pre.is_some());
                 let mut store = MapStore::default();
                 // Round 1: cold cache — everything misses but must still
@@ -733,27 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_shared_frontier_bypasses_the_store() {
-        let g = net();
-        let (s, t) = sample_sets(256);
-        let mut arena = SearchArena::new();
-        let mut store = MapStore::default();
-        let reference = msmd(&g, &s, &t, SharingPolicy::SharedFrontier);
-        let r = msmd_in_guided_cached(
-            &mut arena,
-            &g,
-            &s,
-            &t,
-            SharingPolicy::SharedFrontier,
-            None,
-            &mut store,
-        );
-        assert_eq!(r.stats, reference.stats);
-        assert_eq!((store.hits, store.misses), (0, 0), "frontier sweeps are not cacheable");
-        assert!(store.map.is_empty());
-    }
-
-    #[test]
     fn cached_msmd_handles_disconnected_pairs() {
         use roadnet::{GraphBuilder, Point};
         let mut b = GraphBuilder::new();
@@ -831,7 +723,7 @@ mod tests {
         let pre = AltPreprocessing::try_build(&g, 5).unwrap();
         let mut arena = SearchArena::new();
         let mut cached_arena = SearchArena::new();
-        for policy in [SharingPolicy::None, SharingPolicy::PerSource, SharingPolicy::Auto] {
+        for policy in SharingPolicy::ALL {
             let mut store = MapStore::default();
             // Seed the store with PLAIN traces for the same roots: the
             // guided runner must refuse them all (potential mismatch).
@@ -876,39 +768,5 @@ mod tests {
             }
             assert!(store.misses > plain_misses, "{}: guided round 1 must miss", policy.name());
         }
-    }
-
-    #[test]
-    fn shared_frontier_is_exact_on_directed_graphs() {
-        use roadnet::{GraphBuilder, Point};
-        // Same asymmetric diamond: the policy must fall back to per-source
-        // trees rather than assume symmetric arcs.
-        let mut b = GraphBuilder::directed();
-        for i in 0..4 {
-            b.add_node(Point::new(i as f64, 0.0)).unwrap();
-        }
-        b.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
-        b.add_edge(NodeId(1), NodeId(2), 1.0).unwrap();
-        b.add_edge(NodeId(2), NodeId(3), 10.0).unwrap();
-        b.add_edge(NodeId(3), NodeId(0), 10.0).unwrap();
-        let g = b.build().unwrap();
-
-        let sources = vec![NodeId(0), NodeId(2)];
-        let targets = vec![NodeId(2), NodeId(0)];
-        let r = msmd(&g, &sources, &targets, SharingPolicy::SharedFrontier);
-        let naive = msmd(&g, &sources, &targets, SharingPolicy::None);
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_eq!(r.distance(i, j), naive.distance(i, j), "({i},{j})");
-                if let Some(p) = &r.paths[i][j] {
-                    assert_eq!(p.source(), sources[i]);
-                    assert_eq!(p.destination(), targets[j]);
-                    assert!(p.verify(&g, 1e-9));
-                }
-            }
-        }
-        // The fallback's contract: `PerSource`'s trees, counter for counter.
-        let per_source = msmd(&g, &sources, &targets, SharingPolicy::PerSource);
-        assert_eq!(r.per_tree, per_source.per_tree);
     }
 }

@@ -66,27 +66,32 @@ impl Path {
     /// Used by tests and by the candidate-result-path filter as a defence
     /// against a faulty (or tampering) server.
     pub fn verify<G: GraphView>(&self, g: &G, eps: f64) -> bool {
-        let mut total = 0.0;
-        for w in self.nodes.windows(2) {
-            let (u, v) = (w[0], w[1]);
-            let mut best = f64::INFINITY;
-            g.for_each_arc(u, &mut |to, weight| {
-                if to == v && weight < best {
-                    best = weight;
-                }
-            });
-            if !best.is_finite() {
-                return false; // consecutive nodes not adjacent
-            }
-            total += best;
-        }
-        (total - self.distance).abs() <= eps * (1.0 + self.distance)
+        // Non-adjacent consecutive nodes sum to ∞, which no distance meets.
+        (arc_sum(g, &self.nodes) - self.distance).abs() <= eps * (1.0 + self.distance)
     }
 
     /// Reverse the path in place (valid on undirected networks).
     pub fn reverse(&mut self) {
         self.nodes.reverse();
     }
+}
+
+/// Left-to-right sum of the cheapest arc of every hop along `nodes` —
+/// exactly the sum a forward Dijkstra sweep produces for the same path
+/// (parallel arcs resolve to the cheapest, as any shortest-path sweep
+/// would relax); `∞` when two consecutive nodes are not adjacent.
+pub(crate) fn arc_sum<G: GraphView>(g: &G, nodes: &[NodeId]) -> f64 {
+    let mut total = 0.0;
+    for hop in nodes.windows(2) {
+        let mut best = f64::INFINITY;
+        g.for_each_arc(hop[0], &mut |to, w| {
+            if to == hop[1] && w < best {
+                best = w;
+            }
+        });
+        total += best;
+    }
+    total
 }
 
 impl std::fmt::Display for Path {

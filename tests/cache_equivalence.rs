@@ -78,8 +78,6 @@ proptest! {
             1 => ObfuscationMode::SharedGlobal,
             _ => ObfuscationMode::SharedClustered(ClusteringConfig::default()),
         };
-        // The three policies the cache actually serves (SharedFrontier
-        // bypasses it and is pinned separately below).
         let sharing = match sharing_pick {
             0 => SharingPolicy::None,
             1 => SharingPolicy::PerSource,
@@ -200,46 +198,4 @@ fn repeated_batches_actually_hit_the_cache() {
     // And the warm batch on its own: every tree adopted, none regrown.
     let warm = stats_warm.delta_since(&stats_cold);
     assert_eq!((warm.tree_cache_hits, warm.tree_cache_misses), (6, 0));
-}
-
-/// SharedFrontier does not decompose into per-root sweeps; the cache must
-/// stay inert under it rather than corrupt anything.
-#[test]
-fn shared_frontier_ignores_the_cache_but_stays_identical() {
-    use roadnet::generators::{GridConfig, grid_network};
-    let map =
-        grid_network(&GridConfig { width: 12, height: 12, seed: 5, ..Default::default() }).unwrap();
-    let requests: Vec<ClientRequest> = (0..4)
-        .map(|i| {
-            ClientRequest::new(
-                ClientId(i),
-                PathQuery::new(NodeId(i * 30), NodeId(143 - i * 7)),
-                ProtectionSettings::new(3, 3).unwrap(),
-            )
-        })
-        .collect();
-    let build = |cache| {
-        ServiceBuilder::new()
-            .map(map.clone())
-            .seed(7)
-            .sharing_policy(SharingPolicy::SharedFrontier)
-            .obfuscation_mode(ObfuscationMode::SharedGlobal)
-            .cache_policy(cache)
-            .verify_results(true)
-            .build()
-            .unwrap()
-    };
-    let mut off = build(CachePolicy::Off);
-    let mut lru = build(CachePolicy::Lru { trees: 16 });
-    for round in 0..2 {
-        let a = off.process_batch(&requests).unwrap();
-        let b = lru.process_batch(&requests).unwrap();
-        assert_identical(&a, &b, &format!("shared-frontier round {round}"));
-    }
-    let stats = lru.backend().stats();
-    assert_eq!(
-        (stats.tree_cache_hits, stats.tree_cache_misses),
-        (0, 0),
-        "frontier sweeps never consult the cache"
-    );
 }

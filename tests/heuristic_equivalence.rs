@@ -4,7 +4,7 @@
 //! RegionOwned × Lru/Off), `SearchHeuristic::Alt` produces the **same
 //! answers** as `SearchHeuristic::None` — the same delivered paths and
 //! costs, the same per-client outcomes, the same hop-4 payload bytes —
-//! while settling **no more** nodes in aggregate.
+//! while settling **no more** nodes, case by case.
 //!
 //! ALT pruning is allowed to change exactly one thing: the amount of
 //! work. The serialized `BatchReport` carries that work in its
@@ -123,7 +123,7 @@ proptest! {
         raw_batch in arb_batch(10),
         seed in proptest::num::u64::ANY,
         landmarks in 1usize..4,
-        sharing_pick in 0u8..4,
+        sharing_pick in 0u8..3,
         execution_pick in 0u8..2,
         partition_pick in 0u8..2,
         cache_pick in 0u8..2,
@@ -132,8 +132,7 @@ proptest! {
         let sharing = match sharing_pick {
             0 => SharingPolicy::None,
             1 => SharingPolicy::PerSource,
-            2 => SharingPolicy::Auto,
-            _ => SharingPolicy::SharedFrontier,
+            _ => SharingPolicy::Auto,
         };
         let (shards, execution) = match execution_pick {
             0 => (1, ExecutionPolicy::Sequential),
@@ -194,18 +193,9 @@ proptest! {
         // plain distance of the tree's farthest goal, and the plain sweep
         // settles everything within that distance before it stops. The
         // fleet total is a sum over the same trees, so it is held to the
-        // strict inequality case by case. The shared-frontier engine's
-        // `(pf, −pf)` pair bounds no single tree — its trees stop on
-        // per-pair meetings in reduced space — so on adversarial tiny maps
-        // a guided sweep can overshoot the plain one by a few boundary
-        // nodes; that arm keeps a small margin, and the cumulative totals
-        // across the whole run (below) are strict for it too.
-        let margin = match sharing {
-            SharingPolicy::SharedFrontier => p.search.settled / 4 + 16,
-            SharingPolicy::None | SharingPolicy::PerSource | SharingPolicy::Auto => 0,
-        };
+        // strict inequality case by case.
         prop_assert!(
-            a.search.settled <= p.search.settled + margin,
+            a.search.settled <= p.search.settled,
             "guided fleet settled more than unguided: {} vs {} \
              (sharing={:?} execution={:?} partition={:?} cache={:?} mode={:?} n={})",
             a.search.settled,
@@ -217,21 +207,6 @@ proptest! {
             mode,
             map.num_nodes()
         );
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static PLAIN_TOTAL: AtomicU64 = AtomicU64::new(0);
-        static ALT_TOTAL: AtomicU64 = AtomicU64::new(0);
-        let plain_total = PLAIN_TOTAL.fetch_add(p.search.settled, Ordering::Relaxed)
-            + p.search.settled;
-        let alt_total = ALT_TOTAL.fetch_add(a.search.settled, Ordering::Relaxed)
-            + a.search.settled;
-        if plain_total >= 5_000 {
-            prop_assert!(
-                alt_total <= plain_total,
-                "aggregate: guided settled {} vs unguided {}",
-                alt_total,
-                plain_total
-            );
-        }
     }
 }
 

@@ -171,6 +171,9 @@ proptest! {
         }
     }
 
+    /// The name is historical: the property began as the check of the
+    /// retired shared-frontier engine. It now runs every policy through
+    /// `msmd_in` against the fresh-arena pair-by-pair (`None`) answer.
     #[test]
     fn shared_frontier_matches_naive_costs_on_a_reused_arena(
         g in arb_graph(30),
@@ -178,8 +181,9 @@ proptest! {
         dst_raw in proptest::collection::vec(0u32..30, 1..5),
     ) {
         // One arena lives across *all* proptest cases (each a different
-        // random graph), so this property doubles as the regression that
-        // arena reuse never leaks labels between search generations.
+        // random graph) and policies, so this property doubles as the
+        // regression that arena reuse never leaks labels between search
+        // generations.
         use std::cell::RefCell;
         thread_local! {
             static ARENA: RefCell<pathsearch::SearchArena> =
@@ -194,24 +198,25 @@ proptest! {
         targets.dedup();
 
         let naive = pathsearch::msmd(&g, &sources, &targets, pathsearch::SharingPolicy::None);
-        let frontier = ARENA.with(|a| {
-            pathsearch::msmd_in(
-                &mut a.borrow_mut(), &g, &sources, &targets,
-                pathsearch::SharingPolicy::SharedFrontier,
-            )
-        });
-        for (i, &s) in sources.iter().enumerate() {
-            for (j, &t) in targets.iter().enumerate() {
-                match (frontier.distance(i, j), naive.distance(i, j)) {
-                    (Some(a), Some(b)) => {
-                        prop_assert!((a - b).abs() < 1e-9, "({i},{j}): {a} vs {b}");
-                        let p = frontier.paths[i][j].as_ref().expect("distance implies path");
-                        prop_assert_eq!(p.source(), s);
-                        prop_assert_eq!(p.destination(), t);
-                        prop_assert!(p.verify(&g, 1e-9), "stitched path inconsistent at ({i},{j})");
+        for policy in pathsearch::SharingPolicy::ALL {
+            let r = ARENA.with(|a| {
+                pathsearch::msmd_in(&mut a.borrow_mut(), &g, &sources, &targets, policy)
+            });
+            for (i, &s) in sources.iter().enumerate() {
+                for (j, &t) in targets.iter().enumerate() {
+                    match (r.distance(i, j), naive.distance(i, j)) {
+                        (Some(a), Some(b)) => {
+                            prop_assert!((a - b).abs() < 1e-9,
+                                "{}: ({i},{j}) {a} vs {b}", policy.name());
+                            let p = r.paths[i][j].as_ref().expect("distance implies path");
+                            prop_assert_eq!(p.source(), s);
+                            prop_assert_eq!(p.destination(), t);
+                            prop_assert!(p.verify(&g, 1e-9),
+                                "{}: path inconsistent at ({i},{j})", policy.name());
+                        }
+                        (None, None) => {}
+                        other => prop_assert!(false, "{}: reachability mismatch {other:?}", policy.name()),
                     }
-                    (None, None) => {}
-                    other => prop_assert!(false, "reachability mismatch at ({i},{j}): {other:?}"),
                 }
             }
         }
