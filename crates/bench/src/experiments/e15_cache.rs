@@ -51,7 +51,17 @@ pub fn run(scale: &Scale) -> ExperimentTable {
         "E15",
         "shard-local tree cache on the hotspot workload",
         "reusable spanning trees under the Lemma 1 cost model (extends §V)",
-        &["cache", "batches", "pairs", "trees", "ms/batch", "pairs/s", "hit rate", "speedup"],
+        &[
+            "cache",
+            "batches",
+            "pairs",
+            "trees",
+            "ms/batch",
+            "pairs/s",
+            "hit rate",
+            "speedup",
+            "shallow misses",
+        ],
     );
     let (g, idx) = network_with_index(NetworkClass::Geometric, scale);
     let bench_scale = scale.network_nodes >= 2_000;
@@ -111,6 +121,7 @@ pub fn run(scale: &Scale) -> ExperimentTable {
             f3(m.total_pairs as f64 / m.elapsed_secs.max(f64::MIN_POSITIVE)),
             f3(m.hit_rate),
             f3(speedup),
+            m.shallow_misses.to_string(),
         ]);
     };
     row(&mut t, CachePolicy::Off.name(), &off, 1.0);
@@ -156,5 +167,10 @@ mod tests {
         assert!(t.metric_value("trees_grown").unwrap() > 0.0);
         let hit_rate: f64 = t.rows[1][6].parse().unwrap();
         assert!(hit_rate > 0.0, "lru row reports its hit rate");
+        // Every tree consults the cache once, so shallow misses are a
+        // share of the trees.
+        let shallow: u64 = t.rows[1][8].parse().unwrap();
+        assert!(shallow < t.rows[1][3].parse().unwrap());
+        assert_eq!(t.rows[0][8], "0", "no cache, no misses");
     }
 }

@@ -55,6 +55,9 @@ pub struct Measured {
     pub trees_grown: u64,
     /// Tree-cache hits over consultations, fleet-wide (0 without a cache).
     pub hit_rate: f64,
+    /// Tree-cache misses that found an entry too shallow for their goal,
+    /// fleet-wide (see `TreeCache::miss_causes`).
+    pub shallow_misses: u64,
     /// Every batch's serialized report, in order: the determinism oracle.
     pub report_json: Vec<String>,
     /// Every delivered path, in delivery order.
@@ -75,6 +78,7 @@ pub fn drive(
         total_pairs: 0,
         trees_grown: 0,
         hit_rate: 0.0,
+        shallow_misses: 0,
         report_json: Vec::with_capacity(batches.len()),
         delivered: Vec::new(),
     };
@@ -96,6 +100,13 @@ pub fn drive(
     let consulted = stats.tree_cache_hits + stats.tree_cache_misses;
     measured.hit_rate =
         if consulted == 0 { 0.0 } else { stats.tree_cache_hits as f64 / consulted as f64 };
+    measured.shallow_misses = svc
+        .backend()
+        .shards()
+        .iter()
+        .filter_map(|shard| shard.tree_cache())
+        .map(|cache| cache.miss_causes().1)
+        .sum();
     measured
 }
 

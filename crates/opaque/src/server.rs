@@ -45,7 +45,11 @@ pub struct ServerStats {
     pub tree_cache_hits: u64,
     /// Trees grown for real after consulting the cache (entry absent, or
     /// the goal lay beyond the recorded prefix). 0 under
-    /// [`CachePolicy::Off`] — with no cache there are no lookups.
+    /// [`CachePolicy::Off`] — with no cache there are no lookups. A plain
+    /// miss records its sweep to twice the depth its goal needed before
+    /// storing it, but `search` counts only the logical, goal-stop work,
+    /// as it does for a hit ([`TreeCache::miss_causes`] splits the misses
+    /// by cause).
     pub tree_cache_misses: u64,
     /// Aggregated search counters.
     pub search: SearchStats,

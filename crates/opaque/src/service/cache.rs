@@ -12,7 +12,13 @@
 //! cached tree deep enough for its goal skips the Dijkstra sweep
 //! entirely; partial trees carry their settled radius implicitly (the
 //! recorded prefix) and are only reused when the early-termination rule
-//! is provably unaffected.
+//! is provably unaffected. A plain (unguided) miss records its sweep to
+//! twice the depth its goal needed, or to exhaustion, before storing it,
+//! so the next goal from that root up to twice as deep adopts instead of
+//! regrowing; [`crate::ServerStats`]`.search` still counts the logical,
+//! goal-stop work for it, exactly as it does for an adoption.
+//! [`TreeCache::miss_causes`] splits misses into *absent* (no entry) and
+//! *shallow* (an entry that could not answer the goal).
 //!
 //! Entries are keyed by `(map_epoch, root)`:
 //!
@@ -127,6 +133,11 @@ pub struct TreeCache {
     tick: u64,
     hits: u64,
     misses: u64,
+    /// Misses whose lookup found an entry that could not answer the goal.
+    shallow_misses: u64,
+    /// Whether the last [`TreeStore::lookup`] found an entry — what
+    /// [`TreeStore::note_miss`] reads to tell the two miss causes apart.
+    last_found: bool,
 }
 
 // The parallel service layer moves one cache per worker thread; like the
@@ -156,6 +167,8 @@ impl TreeCache {
             tick: 0,
             hits: 0,
             misses: 0,
+            shallow_misses: 0,
+            last_found: false,
         }
     }
 
@@ -183,6 +196,14 @@ impl TreeCache {
     /// wanting per-query counts take deltas around the call.
     pub fn counters(&self) -> (u64, u64) {
         (self.hits, self.misses)
+    }
+
+    /// The misses of [`TreeCache::counters`] split by cause, cumulative:
+    /// `(absent, shallow)` — no entry for the root, or an entry that could
+    /// not answer the goal (it stopped short of a goal node, or ran under
+    /// another potential). Observability only; reports never see it.
+    pub fn miss_causes(&self) -> (u64, u64) {
+        (self.misses - self.shallow_misses, self.shallow_misses)
     }
 
     /// Fraction of lookups served from the cache (0 when untouched).
@@ -227,13 +248,12 @@ impl TreeStore for TreeCache {
         self.tick += 1;
         let tick = self.tick;
         let key = self.key(root);
-        match self.entries.get_mut(&key) {
-            Some(e) => {
-                e.last_used = tick;
-                Some(&e.trace)
-            }
-            None => None,
-        }
+        let entry = self.entries.get_mut(&key);
+        self.last_found = entry.is_some();
+        entry.map(|e| {
+            e.last_used = tick;
+            &e.trace
+        })
     }
 
     fn store(&mut self, root: NodeId, trace: SweepTrace) {
@@ -271,6 +291,7 @@ impl TreeStore for TreeCache {
 
     fn note_miss(&mut self) {
         self.misses += 1;
+        self.shallow_misses += u64::from(self.last_found);
     }
 }
 
@@ -442,6 +463,24 @@ mod tests {
         cache.note_hit();
         assert!((cache.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(cache.counters(), (3, 1));
+    }
+
+    #[test]
+    fn miss_causes_split_absent_from_shallow() {
+        use pathsearch::run_tree;
+        let g = grid();
+        let mut arena = SearchArena::new();
+        let mut cache = TreeCache::new(4, SharingPolicy::PerSource);
+        let mut query = |cache: &mut TreeCache, root: u32, target: u32| {
+            let goal = Goal::Single(NodeId(target));
+            run_tree(&mut arena, &g, NodeId(root), &goal, None, Some(cache));
+        };
+        query(&mut cache, 0, 1); // absent: cold root
+        query(&mut cache, 0, 1); // hit
+        query(&mut cache, 0, 99); // shallow: 0's short trace stops well before 99
+        query(&mut cache, 50, 51); // absent: another cold root
+        assert_eq!(cache.counters(), (1, 3));
+        assert_eq!(cache.miss_causes(), (2, 1));
     }
 
     #[test]

@@ -36,13 +36,14 @@ pub enum Goal {
 
 /// Observer of a sweep's settle events — the seam [`run_in_traced`] uses
 /// to record a [`SweepTrace`] without taxing the untraced hot path
-/// ([`run_in`] instantiates the no-op sink, which monomorphizes away), and
-/// the seam [`crate::range`] uses to stop a sweep at a radius.
+/// ([`run_in`] instantiates the no-op sink, which monomorphizes away), the
+/// seam [`crate::range`] uses to stop a sweep at a radius, and the seam
+/// [`run_tree`]'s plain misses use to record past their goal.
 pub(crate) trait SettleSink {
     /// Whether the sweep may settle a label at raw distance `dist`; `false`
     /// ends it there (sound under the zero potential, where labels pop in
     /// ascending distance). The constant default compiles out of the plain
-    /// and recording instantiations.
+    /// instantiation; the recorder uses it as a settle budget.
     #[inline]
     fn admits(&self, _dist: f64) -> bool {
         true
@@ -52,6 +53,16 @@ pub(crate) trait SettleSink {
     /// before the node expands its arcs, with the sweep's counters at
     /// that instant — exactly what a sweep stopping here would report.
     fn on_settle(&mut self, arena: &SearchArena, node: NodeId, stats: &SearchStats);
+
+    /// Called once, right after the [`on_settle`](SettleSink::on_settle)
+    /// of the node that met the goal; returns whether the sweep stops
+    /// there. Every sink but the deepening recorder behind [`run_tree`]
+    /// stops (the constant default compiles out); one that keeps going
+    /// ends the sweep later through [`admits`](SettleSink::admits).
+    #[inline]
+    fn on_goal(&mut self) -> bool {
+        true
+    }
 
     /// Called when the heap drains without an early stop (the sweep
     /// exhausted the root's component).
@@ -68,13 +79,48 @@ impl SettleSink for NoRecord {
     fn on_exhausted(&mut self) {}
 }
 
+/// What a plain cache miss records, as a multiple of the settles its goal
+/// needed: a miss whose goal is met at settle `k` keeps the sweep going to
+/// `2·k` settles (or until the component is exhausted). A miss thus
+/// costs at most twice the sweep it replaces, and each repeated miss of a
+/// root at least doubles the depth stored for it, so between evictions a
+/// root misses at most `log₂ n` times. A fixed constant, not a knob.
+const DEEPEN_FACTOR: usize = 2;
+
 /// Records every settle as a [`SettleEvent`] for a [`SweepTrace`].
 struct Recorder {
     events: Vec<SettleEvent>,
     exhausted: bool,
+    /// Whether to record past the goal ([`DEEPEN_FACTOR`]) instead of
+    /// stopping there — set for the plain sweeps of a cache miss.
+    deepen: bool,
+    /// Settles the sweep may record: unbounded until a deepening
+    /// recorder's goal is met, [`DEEPEN_FACTOR`] × the goal's depth after.
+    budget: usize,
+}
+
+impl Recorder {
+    fn new(nodes: usize, deepen: bool) -> Self {
+        // Reserve for the common deep-sweep case: one settle event per node
+        // keeps recording out of the reallocator on the misses a cache pays.
+        Recorder { events: Vec::with_capacity(nodes), exhausted: false, deepen, budget: usize::MAX }
+    }
 }
 
 impl SettleSink for Recorder {
+    #[inline]
+    fn admits(&self, _dist: f64) -> bool {
+        self.events.len() < self.budget
+    }
+
+    #[inline]
+    fn on_goal(&mut self) -> bool {
+        if self.deepen {
+            self.budget = DEEPEN_FACTOR * self.events.len();
+        }
+        !self.deepen
+    }
+
     #[inline]
     fn on_settle(&mut self, arena: &SearchArena, node: NodeId, stats: &SearchStats) {
         self.events.push(SettleEvent {
@@ -168,21 +214,24 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
         stats.settled += 1;
         sink.on_settle(arena, e.node, &stats);
 
-        match goal {
-            Goal::Single(t) if *t == e.node => {
-                stopped = true;
-                break;
-            }
-            Goal::Set(_) => {
-                if let Ok(pos) = remaining.binary_search(&e.node) {
+        // The goal rule: where a sweep for `goal` stops. It fires at most
+        // once — a single target settles once, and an emptied set never
+        // empties again — so a sink that keeps going past it never sees
+        // it again.
+        let met = match goal {
+            Goal::Single(t) => *t == e.node,
+            Goal::Set(_) => match remaining.binary_search(&e.node) {
+                Ok(pos) => {
                     remaining.remove(pos);
-                    if remaining.is_empty() {
-                        stopped = true;
-                        break;
-                    }
+                    remaining.is_empty()
                 }
-            }
-            _ => {}
+                Err(_) => false,
+            },
+            Goal::AllNodes => false,
+        };
+        if met && sink.on_goal() {
+            stopped = true;
+            break;
         }
         if pot.retire(e.node) {
             arena.rekey(|node| pot.eval(node));
@@ -230,21 +279,23 @@ fn grow<G: GraphView, K: SettleSink>(
 
 /// [`grow`], recording the sweep as a [`SweepTrace`] stamped with the
 /// potential's parameters — guided and plain settle orders (and thus
-/// counter snapshots) differ and must never be adopted across.
+/// counter snapshots) differ and must never be adopted across. With
+/// `deepen` the sweep records past its goal (see [`DEEPEN_FACTOR`]); the
+/// counters returned are always the goal-stopping sweep's.
 fn grow_traced<G: GraphView>(
     arena: &mut SearchArena,
     g: &G,
     root: NodeId,
     goal: &Goal,
     pot: Option<&GoalPotential<'_>>,
+    deepen: bool,
 ) -> (SearchStats, SweepTrace) {
-    // Reserve for the common deep-sweep case: one settle event per node
-    // keeps recording out of the reallocator on the misses a cache pays.
-    let mut rec = Recorder { events: Vec::with_capacity(g.num_nodes()), exhausted: false };
-    let stats = grow(arena, g, root, goal, pot, &mut rec);
+    let mut rec = Recorder::new(g.num_nodes(), deepen);
+    let end = grow(arena, g, root, goal, pot, &mut rec);
     let potential = pot.map(|p| p.params().clone());
     let trace =
-        SweepTrace::from_parts(root, g.num_nodes(), rec.events, stats, rec.exhausted, potential);
+        SweepTrace::from_parts(root, g.num_nodes(), rec.events, end, rec.exhausted, potential);
+    let stats = trace.stats_for(goal).expect("a recorded sweep answers its own goal");
     (stats, trace)
 }
 
@@ -278,7 +329,7 @@ pub fn run_in_traced<G: GraphView>(
     source: NodeId,
     goal: &Goal,
 ) -> (SearchStats, SweepTrace) {
-    grow_traced(arena, g, source, goal, None)
+    grow_traced(arena, g, source, goal, None, false)
 }
 
 /// The **adopt-or-grow** single-tree sweep — the one entry every MSMD
@@ -297,6 +348,19 @@ pub fn run_in_traced<G: GraphView>(
 ///   otherwise the tree is grown for real, recorded, and re-stored. Hit or
 ///   miss is reported through the store's counters. `None` grows the tree
 ///   unrecorded — nothing beyond the sweep itself is allocated.
+///
+/// A **plain** miss (`pot` is `None`) records past its goal: the same
+/// sweep keeps settling until it has settled `DEEPEN_FACTOR` (= 2) times
+/// the `k` nodes the goal needed, or exhausted the root's component, and
+/// stores all of it — the goal only decides where a plain tree stops,
+/// never its shape, so the next goal from that root up to twice as deep
+/// adopts instead of regrowing. The settle order is untouched, so every
+/// label the caller reads is the goal-stopping sweep's, and the returned
+/// counters are that sweep's too, read back from the trace's own
+/// snapshots: like an adoption, a miss reports the *logical* goal-stop
+/// work, not the deeper work it physically did. A guided miss stops at
+/// its goal — its trace only ever serves the goal set it was grown for,
+/// which it already answers.
 ///
 /// A stored trace is only adopted when it ran under *this* potential
 /// (parameters compared via [`SweepTrace::potential`]; plain sweeps carry
@@ -333,7 +397,7 @@ pub fn run_tree<G: GraphView, S: TreeStore + ?Sized>(
         }
         None => {
             store.note_miss();
-            let (stats, trace) = grow_traced(arena, g, root, goal, pot);
+            let (stats, trace) = grow_traced(arena, g, root, goal, pot, pot.is_none());
             store.store(root, trace);
             stats
         }

@@ -183,7 +183,10 @@ pub fn msmd_in_guided<G: GraphView>(
 /// sweep complete — see [`crate::trace::SweepTrace::adopt_into`]) the
 /// Dijkstra sweep is skipped entirely and the cached labels and
 /// *byte-identical* counters are replayed. Otherwise the tree is grown for
-/// real, recorded, and re-stored.
+/// real, recorded, and re-stored — an unguided one recorded to twice the
+/// depth its goal needed, so a somewhat deeper goal from the same root
+/// adopts next time, while the counters returned are still those of the
+/// sweep stopping at its goal (the logical work, as for an adoption).
 ///
 /// The answers and every counter are identical to [`msmd_in_guided`] under
 /// the same policy and `pre` — caching, like execution strategy, must
@@ -326,7 +329,7 @@ fn transpose(r: MsmdResult, num_sources: usize, num_targets: usize) -> MsmdResul
 #[allow(clippy::needless_range_loop)] // (i, j) index the result matrix and both sets in lockstep
 mod tests {
     use super::*;
-    use crate::trace::TreeStore;
+    use crate::trace::tests::MapStore;
     use roadnet::generators::{GridConfig, NetworkClass, grid_network};
 
     fn net() -> roadnet::RoadNetwork {
@@ -511,42 +514,6 @@ mod tests {
         }
     }
 
-    /// Unbounded map-backed [`TreeStore`] for cache-equivalence tests.
-    #[derive(Default)]
-    struct MapStore {
-        map: std::collections::HashMap<u32, crate::trace::SweepTrace>,
-        hits: u64,
-        misses: u64,
-    }
-
-    impl TreeStore for MapStore {
-        fn lookup(&mut self, root: NodeId) -> Option<&crate::trace::SweepTrace> {
-            self.map.get(&root.0)
-        }
-
-        fn store(&mut self, root: NodeId, trace: crate::trace::SweepTrace) {
-            match self.map.entry(root.0) {
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    // Depth only orders sweeps under one potential.
-                    if trace.potential() != o.get().potential() || trace.len() >= o.get().len() {
-                        o.insert(trace);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(trace);
-                }
-            }
-        }
-
-        fn note_hit(&mut self) {
-            self.hits += 1;
-        }
-
-        fn note_miss(&mut self) {
-            self.misses += 1;
-        }
-    }
-
     #[test]
     fn cached_msmd_is_byte_identical_to_uncached_and_hits_on_reuse() {
         let g = net();
@@ -554,6 +521,32 @@ mod tests {
         let alt = AltPreprocessing::try_build(&g, 5).unwrap();
         let mut plain_arena = SearchArena::new();
         let mut cached_arena = SearchArena::new();
+        // Round 4 adds one target that settles, from some source, past
+        // where round 1's plain per-source tree stopped, and from every
+        // source inside the trace that miss recorded (twice its stop, or
+        // the whole component).
+        let deeper = {
+            let n = g.num_nodes();
+            let full: Vec<_> = s
+                .iter()
+                .map(|&x| {
+                    crate::dijkstra::run_in_traced(&mut plain_arena, &g, x, &Goal::AllNodes).1
+                })
+                .collect();
+            let at = |i: usize, x: NodeId| full[i].position(x).unwrap();
+            let stop: Vec<usize> =
+                (0..s.len()).map(|i| t.iter().map(|&x| at(i, x)).max().unwrap() + 1).collect();
+            let x = (0..n as u32)
+                .map(NodeId)
+                .find(|&x| {
+                    (0..s.len()).all(|i| at(i, x) < (2 * stop[i]).min(n))
+                        && (0..s.len()).any(|i| at(i, x) >= stop[i])
+                })
+                .expect("a target between one stop and twice it");
+            let mut deeper = t.clone();
+            deeper.push(x);
+            deeper
+        };
         for pre in [None, Some(&alt)] {
             for policy in SharingPolicy::ALL {
                 let tag = format!("{} guided={}", policy.name(), pre.is_some());
@@ -561,13 +554,14 @@ mod tests {
                 // Round 1: cold cache — everything misses but must still
                 // match the uncached engine exactly, stats included.
                 // Rounds 2..: warm cache — hits replay the same bytes.
-                for round in 0..3 {
-                    let reference = msmd_in_guided(&mut plain_arena, &g, &s, &t, policy, pre);
+                for (round, t) in [&t, &t, &t, &deeper].into_iter().enumerate() {
+                    let hits_before = store.hits;
+                    let reference = msmd_in_guided(&mut plain_arena, &g, &s, t, policy, pre);
                     let cached = msmd_in_guided_cached(
                         &mut cached_arena,
                         &g,
                         &s,
-                        &t,
+                        t,
                         policy,
                         pre,
                         &mut store,
@@ -588,6 +582,11 @@ mod tests {
                                 "{tag} round {round} pair ({i},{j})"
                             );
                         }
+                    }
+                    // The plain per-source misses of round 1 recorded past
+                    // their goal sets, so the deeper round adopts every tree.
+                    if round == 3 && pre.is_none() && policy != SharingPolicy::None {
+                        assert_eq!(store.hits - hits_before, s.len() as u64, "{tag} round {round}");
                     }
                 }
                 // Guided `None` carries one potential per (root, target)

@@ -27,14 +27,17 @@
 //! recorded prefix: every goal node must be settled in the trace (the
 //! early-termination rule would have stopped within it), or the trace
 //! must be complete (the sweep exhausted the root's component, so absent
-//! nodes are proven unreachable). Anything else is a miss — the caller
-//! grows a fresh, deeper sweep and should re-store it.
+//! nodes are proven unreachable). Anything else is a miss. On a plain
+//! miss, [`crate::dijkstra::run_tree`] records the sweep to twice the
+//! depth its goal needed (or to exhaustion) and re-stores that, so the
+//! next, somewhat deeper goal from the same root adopts; the counters it
+//! reports are still the goal-stopping sweep's, read back from the trace
+//! (`SweepTrace::stats_for`, the same rule adoption replays).
 //!
 //! [`TreeStore`] is the minimal storage interface the adopt-or-grow entry
 //! point ([`crate::dijkstra::run_tree`]) drives; the capacity-bounded
 //! LRU over it lives in the service layer (`opaque::service::cache`),
-//! which also owns the `(map_epoch, root, policy-bits)` keying
-//! and invalidation story.
+//! which also owns the `(map_epoch, root)` keying and invalidation story.
 
 use crate::alt::PotentialParams;
 use crate::arena::{NIL, SearchArena};
@@ -210,6 +213,28 @@ impl SweepTrace {
         }
     }
 
+    /// The counters a fresh sweep with `goal` reports — the snapshot at the
+    /// settle where it would stop, or the exhausted sweep's final counters
+    /// — if that stop is provably inside this trace. The one stop→counters
+    /// rule: adoption replays it, and a recording sweep reports it, which
+    /// is what lets a plain cache miss ([`crate::dijkstra::run_tree`])
+    /// record past its goal and still report the goal's counters.
+    pub(crate) fn stats_for(&self, goal: &Goal) -> Option<SearchStats> {
+        Some(match self.stop_for(goal)? {
+            Stop::At(i) => {
+                let e = &self.events[i];
+                SearchStats {
+                    settled: i as u64 + 1,
+                    relaxed: e.relaxed,
+                    heap_pushes: e.heap_pushes,
+                    heap_pops: e.heap_pops,
+                    runs: 1,
+                }
+            }
+            Stop::Exhausted => self.final_stats,
+        })
+    }
+
     /// Adopt this trace into `arena` (tree 0) as the answer to `goal`,
     /// skipping the Dijkstra sweep entirely. On success the arena reads
     /// exactly like a fresh [`crate::dijkstra::run_in`] from the same
@@ -227,25 +252,11 @@ impl SweepTrace {
     /// bound. Settled reads — everything results are built from — are
     /// identical.
     pub fn adopt_into(&self, arena: &mut SearchArena, goal: &Goal) -> Option<SearchStats> {
-        let stop = self.stop_for(goal)?;
+        let stats = self.stats_for(goal)?;
         arena.begin(self.nodes, 1);
-        let (upto, stats) = match stop {
-            Stop::At(i) => {
-                let e = &self.events[i];
-                (
-                    i,
-                    SearchStats {
-                        settled: i as u64 + 1,
-                        relaxed: e.relaxed,
-                        heap_pushes: e.heap_pushes,
-                        heap_pops: e.heap_pops,
-                        runs: 1,
-                    },
-                )
-            }
-            Stop::Exhausted => (self.events.len() - 1, self.final_stats),
-        };
-        for e in &self.events[..=upto] {
+        // Every settle records one event, so the goal's stop settles
+        // exactly the first `settled` of them.
+        for e in &self.events[..stats.settled as usize] {
             let parent = (e.parent != NIL).then_some(NodeId(e.parent));
             arena.label(0, NodeId(e.node), e.dist, parent);
             arena.settle(0, NodeId(e.node));
@@ -294,11 +305,49 @@ pub trait TreeStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::dijkstra::{run_in, run_in_traced};
+    use crate::dijkstra::{run_in, run_in_traced, run_tree};
     use roadnet::generators::{GridConfig, grid_network};
     use roadnet::{GraphBuilder, Point};
+
+    /// Unbounded map-backed [`TreeStore`] for the crate's cache tests,
+    /// keeping the deeper of two traces under one potential like
+    /// `TreeCache` does.
+    #[derive(Default)]
+    pub(crate) struct MapStore {
+        pub(crate) map: std::collections::HashMap<u32, SweepTrace>,
+        pub(crate) hits: u64,
+        pub(crate) misses: u64,
+    }
+
+    impl TreeStore for MapStore {
+        fn lookup(&mut self, root: NodeId) -> Option<&SweepTrace> {
+            self.map.get(&root.0)
+        }
+
+        fn store(&mut self, root: NodeId, trace: SweepTrace) {
+            match self.map.entry(root.0) {
+                std::collections::hash_map::Entry::Occupied(mut o) => {
+                    // Depth only orders sweeps under one potential.
+                    if trace.potential() != o.get().potential() || trace.len() >= o.get().len() {
+                        o.insert(trace);
+                    }
+                }
+                std::collections::hash_map::Entry::Vacant(v) => {
+                    v.insert(trace);
+                }
+            }
+        }
+
+        fn note_hit(&mut self) {
+            self.hits += 1;
+        }
+
+        fn note_miss(&mut self) {
+            self.misses += 1;
+        }
+    }
 
     fn grid() -> roadnet::RoadNetwork {
         grid_network(&GridConfig { width: 12, height: 12, seed: 9, ..Default::default() }).unwrap()
@@ -446,6 +495,149 @@ mod tests {
         // touches nothing.
         assert!(partial.touches_any(&[(unsettled, unsettled2), (settled, settled)]));
         assert!(!partial.touches_any(&[]));
+    }
+
+    /// Two components: the chain 0–1–…–19 (unit weights, so it settles in
+    /// id order from 0) and the pair 20–21.
+    fn chain_and_pair() -> roadnet::RoadNetwork {
+        let mut b = GraphBuilder::new();
+        for i in 0..22 {
+            b.add_node(Point::new(i as f64, 0.0)).unwrap();
+        }
+        for i in 0..19 {
+            b.add_edge(NodeId(i), NodeId(i + 1), 1.0).unwrap();
+        }
+        b.add_edge(NodeId(20), NodeId(21), 1.0).unwrap();
+        b.build().unwrap()
+    }
+
+    /// One plain `run_tree` miss into an empty store: its counters, the
+    /// arena it left behind, and the trace it stored.
+    fn plain_miss(
+        g: &roadnet::RoadNetwork,
+        root: NodeId,
+        goal: &Goal,
+    ) -> (SearchStats, SearchArena, SweepTrace) {
+        let (mut arena, mut store) = (SearchArena::new(), MapStore::default());
+        let stats = run_tree(&mut arena, g, root, goal, None, Some(&mut store));
+        assert_eq!((store.hits, store.misses), (0, 1));
+        let trace = store.map.remove(&root.0).expect("a miss stores its sweep");
+        (stats, arena, trace)
+    }
+
+    #[test]
+    fn deepening_miss_stores_twice_the_goal_depth_or_the_component() {
+        let (g, chain) = (grid(), chain_and_pair());
+        for (g, root, goal, component) in [
+            (&g, NodeId(0), Goal::Single(NodeId(30)), 144),
+            (&g, NodeId(60), Goal::Set(vec![NodeId(61), NodeId(75)]), 144),
+            (&g, NodeId(0), Goal::Single(NodeId(143)), 144),
+            (&chain, NodeId(0), Goal::Single(NodeId(3)), 20),
+            // 2k lands exactly on the component's size: the heap drains.
+            (&chain, NodeId(0), Goal::Single(NodeId(9)), 20),
+            (&chain, NodeId(0), Goal::Single(NodeId(15)), 20),
+            (&chain, NodeId(20), Goal::Single(NodeId(21)), 2),
+        ] {
+            let k = run_in(&mut SearchArena::new(), g, root, &goal).settled as usize;
+            let (_, full) = run_in_traced(&mut SearchArena::new(), g, root, &Goal::AllNodes);
+            let (_, _, stored) = plain_miss(g, root, &goal);
+            let tag = format!("{goal:?} from {root}, k = {k}");
+            assert_eq!(stored.len(), (2 * k).min(component), "{tag}");
+            assert_eq!(stored.is_complete(), 2 * k >= component, "{tag}");
+            // Recording further never reorders: still a prefix of the full
+            // sweep, snapshots included.
+            for (a, b) in stored.events.iter().zip(&full.events) {
+                assert_eq!((a.node, a.dist, a.parent), (b.node, b.dist, b.parent), "{tag}");
+                assert_eq!(
+                    (a.relaxed, a.heap_pushes, a.heap_pops),
+                    (b.relaxed, b.heap_pushes, b.heap_pops),
+                    "{tag}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deepening_lets_a_deeper_goal_from_the_same_root_hit() {
+        let g = grid();
+        let root = NodeId(0);
+        let (_, full) = run_in_traced(&mut SearchArena::new(), &g, root, &Goal::AllNodes);
+        let k = full.position(NodeId(30)).unwrap() + 1;
+        assert!(2 * k < g.num_nodes(), "the first goal must leave room past 2k");
+        let (mut arena, mut store) = (SearchArena::new(), MapStore::default());
+        run_tree(&mut arena, &g, root, &Goal::Single(NodeId(30)), None, Some(&mut store));
+
+        // Goals settling past the first stop but inside 2k adopt the
+        // deepened trace (a trace stopped at k would miss every one).
+        for i in [k, 3 * k / 2, 2 * k - 1] {
+            let t = NodeId(full.events[i].node);
+            let goal = Goal::Set(vec![NodeId(30), t]);
+            let stats = run_tree(&mut arena, &g, root, &goal, None, Some(&mut store));
+            let mut fresh = SearchArena::new();
+            assert_eq!(stats, run_in(&mut fresh, &g, root, &goal), "goal settling at {i}");
+            assert_eq!(arena.path_to(0, t), fresh.path_to(0, t));
+        }
+        assert_eq!((store.hits, store.misses), (3, 1));
+
+        // One settle past 2k misses, and that miss deepens the entry again.
+        let goal = Goal::Single(NodeId(full.events[2 * k].node));
+        run_tree(&mut arena, &g, root, &goal, None, Some(&mut store));
+        assert_eq!((store.hits, store.misses), (3, 2));
+        assert_eq!(store.map[&root.0].len(), (2 * (2 * k + 1)).min(g.num_nodes()));
+    }
+
+    #[test]
+    fn deepening_skips_guided_sweeps() {
+        let g = grid();
+        let alt = crate::alt::AltPreprocessing::try_build(&g, 4).unwrap();
+        let root = NodeId(0);
+        for targets in [vec![NodeId(30)], vec![NodeId(30), NodeId(100)]] {
+            let pot = alt.goal_potential(&targets);
+            for goal in [Goal::Single(targets[0]), Goal::Set(targets.clone())] {
+                let mut arena = SearchArena::new();
+                let mut store = MapStore::default();
+                let stats = run_tree(&mut arena, &g, root, &goal, Some(&pot), Some(&mut store));
+                let uncached =
+                    run_tree::<_, MapStore>(&mut arena, &g, root, &goal, Some(&pot), None);
+                assert_eq!(stats, uncached, "{goal:?}");
+                let stored = &store.map[&root.0];
+                assert_eq!(stored.len() as u64, stats.settled, "{goal:?}: stops at its goal");
+                assert!(!stored.is_complete());
+            }
+        }
+    }
+
+    #[test]
+    fn deepening_miss_reports_the_goal_stop_stats_and_paths() {
+        let (g, chain) = (grid(), chain_and_pair());
+        let all: Vec<NodeId> = (0..g.num_nodes() as u32).map(NodeId).collect();
+        for (g, root, goal, targets) in [
+            (&g, NodeId(5), Goal::Single(NodeId(40)), vec![NodeId(40)]),
+            (
+                &g,
+                NodeId(5),
+                Goal::Set(vec![NodeId(40), NodeId(17), NodeId(17)]),
+                vec![NodeId(40), NodeId(17)],
+            ),
+            // An unreachable member: the sweep exhausts the component.
+            (
+                &chain,
+                NodeId(2),
+                Goal::Set(vec![NodeId(6), NodeId(21)]),
+                vec![NodeId(6), NodeId(21)],
+            ),
+            (&g, NodeId(5), Goal::AllNodes, all),
+        ] {
+            let mut fresh = SearchArena::new();
+            let expected = run_in(&mut fresh, g, root, &goal);
+            let (stats, arena, stored) = plain_miss(g, root, &goal);
+            assert_eq!(stats, expected, "{goal:?}: the logical, goal-stop counters");
+            assert!(stored.len() as u64 > stats.settled || stored.is_complete(), "{goal:?}");
+            assert_eq!(stored.stats_for(&goal), Some(expected));
+            for t in targets {
+                assert_eq!(arena.path_to(0, t), fresh.path_to(0, t), "{goal:?}: path to {t}");
+            }
+        }
     }
 
     #[test]
