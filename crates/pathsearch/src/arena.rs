@@ -6,15 +6,22 @@
 //! Lemma 1). A naive implementation pays `O(n)` initialization *and*
 //! `O(n)` allocation per tree. [`SearchArena`] removes both:
 //!
-//! * `dist` / `parent` / *labelled* / *settled* arrays are validated by an
+//! * `dist` / `parent` / *labelled* / *stamp* arrays are validated by an
 //!   **epoch stamp**, so starting a new search is `O(1)` — stale labels
 //!   from earlier queries are simply never current;
 //! * the arrays are laid out as `trees × nodes` slabs, so one arena hosts
-//!   several simultaneously growing trees (bidirectional search
+//!   the one or two trees a loop grows at once (bidirectional search
 //!   interleaves its forward and backward tree through one heap);
 //! * the binary heap and the goal scratch buffer are owned by the arena
 //!   and reused, so repeated queries on the same graph touch no allocator
 //!   once the high-water capacity is reached.
+//!
+//! The heap holds 16-byte `FrontierEntry`s ordered by integers alone: the
+//! float key is encoded once, at push, into a `u64` whose unsigned order is
+//! `f64::total_cmp`'s, and tree and node share one `u32` tag. Lazy deletion
+//! tells a fresh entry from a stale one by its stamp — the number of the
+//! label it was pushed for — which the slot's `stamp` slab holds until a
+//! better label or the settle overwrites it.
 //!
 //! [`crate::dijkstra::Searcher`] is the single-tree facade over an arena;
 //! [`crate::multi::msmd_in`] runs whole MSMD queries inside a
@@ -22,51 +29,91 @@
 
 use crate::path::Path;
 use roadnet::NodeId;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 pub(crate) const NIL: u32 = u32::MAX;
 
-/// One prioritized frontier entry: a tentative label of `node` in `tree`.
+/// Low bits of a [`FrontierEntry`] tag that hold the node; the bit above
+/// them holds the tree.
+const NODE_BITS: u32 = 31;
+const NODE_MASK: u32 = (1 << NODE_BITS) - 1;
+
+/// Trees one arena hosts at most: the tag spends one bit on the tree.
+const MAX_TREES: usize = 2;
+
+/// The `stamp` of a settled slot. Stamps are drawn from 1 up, so no entry
+/// carries it and a settled slot matches no entry.
+const SETTLED: u32 = 0;
+
+/// The `u64` whose unsigned order is `f64::total_cmp`'s order on `key`, for
+/// every `f64` (−0.0 before +0.0, negatives, infinities, NaNs): a set sign
+/// bit flips every bit, a clear one flips only the sign.
+#[inline]
+fn ord_of(key: f64) -> u64 {
+    let bits = key.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | 1 << 63)
+}
+
+/// One prioritized frontier entry: a tentative label of a node in a tree.
 ///
-/// Ordered so the globally *smallest* key pops first from a max-heap;
-/// ties break on `(tree, node)` for run-to-run determinism. Crate-internal
-/// like the raw heap operations that produce and consume it.
+/// Ordered so the globally *smallest* `(ord, tag)` pops first from a
+/// max-heap — integer compares only. `ord` is the heap key encoded by
+/// [`ord_of`] (the raw distance, or `dist + potential(node)` under a
+/// goal-directed sweep), and `tag` is `tree << 31 | node`, so the order is
+/// exactly `key` by `total_cmp`, then `tree`, then `node`: ties break on
+/// `(tree, node)` for run-to-run determinism. The key is never decoded —
+/// readers take the label from the slot once the entry proves fresh.
 ///
-/// `key` and `dist` coincide for plain Dijkstra; a goal-directed sweep
-/// orders the heap by `key = dist + potential(node)` while `dist` keeps the
-/// raw label the entry was pushed with. The ordering ignores `dist` on
-/// purpose: the potential is a pure function of `(tree, node)`, so within
-/// one slot key and dist determine each other.
+/// `stamp` is the number of the label the entry was pushed for (see
+/// [`SearchArena::is_fresh`]); it takes no part in the order.
+/// Crate-internal like the raw heap operations that produce and consume it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct FrontierEntry {
-    /// Heap priority (raw distance plus the tree's potential, if any).
-    pub key: f64,
-    /// Raw tentative distance of the label (what `dist[]` stores).
-    pub dist: f64,
+    /// The heap key, encoded once at push.
+    ord: u64,
+    /// `tree << 31 | node`.
+    tag: u32,
+    /// The label number this entry was pushed for.
+    stamp: u32,
+}
+
+const _: () = assert!(size_of::<FrontierEntry>() == 16);
+
+impl FrontierEntry {
+    #[inline]
+    fn new(key: f64, tree: usize, node: NodeId, stamp: u32) -> Self {
+        FrontierEntry { ord: ord_of(key), tag: (tree as u32) << NODE_BITS | node.0, stamp }
+    }
+
     /// Index of the tree the label belongs to.
-    pub tree: u32,
+    #[inline]
+    pub(crate) fn tree(&self) -> usize {
+        (self.tag >> NODE_BITS) as usize
+    }
+
     /// The labelled node.
-    pub node: NodeId,
+    #[inline]
+    pub(crate) fn node(&self) -> NodeId {
+        NodeId(self.tag & NODE_MASK)
+    }
 }
 
 impl PartialEq for FrontierEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.tree == other.tree && self.node == other.node
+        (self.ord, self.tag) == (other.ord, other.tag)
     }
 }
 impl Eq for FrontierEntry {}
 impl PartialOrd for FrontierEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 impl Ord for FrontierEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.tree.cmp(&self.tree))
-            .then_with(|| other.node.0.cmp(&self.node.0))
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.ord, other.tag).cmp(&(self.ord, self.tag))
     }
 }
 
@@ -83,10 +130,13 @@ pub struct SearchArena {
     parent: Vec<u32>,
     /// Label epoch stamps: a slot is labelled iff `labelled[i] == epoch`.
     labelled: Vec<u32>,
-    /// Settled epoch stamps: a slot is settled iff `settled[i] == epoch`.
-    settled: Vec<u32>,
+    /// Per labelled slot, the number of its current label ([`SETTLED`] once
+    /// settled). Meaningful only while the slot is labelled.
+    stamp: Vec<u32>,
     /// Current search generation. Epoch 0 means "never touched".
     epoch: u32,
+    /// The next label number of this generation; restarts at 1 in `begin`.
+    next_stamp: u32,
     /// The shared frontier heap (lazy deletion: stale entries are skipped
     /// at pop time).
     heap: BinaryHeap<FrontierEntry>,
@@ -107,6 +157,19 @@ const _: () = {
     assert_send::<SearchArena>();
 };
 
+/// Slots of a `trees × nodes` search, once the shape fits the entry tag.
+fn slots_for(nodes: usize, trees: usize) -> usize {
+    assert!(
+        trees <= MAX_TREES,
+        "an arena hosts at most two trees: the frontier tag holds the tree in one bit"
+    );
+    assert!(
+        nodes <= NODE_MASK as usize,
+        "a search covers fewer than 2^31 nodes: the frontier tag holds the node in 31 bits"
+    );
+    nodes.checked_mul(trees).expect("search space fits usize")
+}
+
 impl SearchArena {
     /// An empty arena; buffers grow to the largest `trees × nodes` search
     /// they ever host and are reused from then on.
@@ -122,38 +185,45 @@ impl SearchArena {
     /// up front and then serves its whole query stream allocation-free.
     /// Larger searches still grow the arena on demand, exactly as with
     /// [`SearchArena::new`].
+    ///
+    /// # Panics
+    /// Panics if `trees > 2` or `nodes ≥ 2³¹` (the frontier tag's limits).
     pub fn preallocated(nodes: usize, trees: usize) -> Self {
         let mut arena = Self::default();
-        let slots = nodes.checked_mul(trees).expect("search space fits usize");
-        arena.dist.resize(slots, f64::INFINITY);
-        arena.parent.resize(slots, NIL);
-        arena.labelled.resize(slots, 0);
-        arena.settled.resize(slots, 0);
+        arena.grow(slots_for(nodes, trees));
         arena
+    }
+
+    /// Grow every slab to `slots`, if it is shorter.
+    fn grow(&mut self, slots: usize) {
+        if self.dist.len() < slots {
+            self.dist.resize(slots, f64::INFINITY);
+            self.parent.resize(slots, NIL);
+            self.labelled.resize(slots, 0);
+            self.stamp.resize(slots, SETTLED);
+        }
     }
 
     /// Start a new search generation over `trees` trees of `nodes` nodes
     /// each. `O(1)` amortized: only grows buffers past the high-water
     /// mark, never clears them (the epoch stamp invalidates old labels).
+    ///
+    /// # Panics
+    /// Panics if `trees` is 0 or above 2, or `nodes ≥ 2³¹`.
     pub fn begin(&mut self, nodes: usize, trees: usize) {
         assert!(trees > 0, "a search grows at least one tree");
-        assert!(trees <= NIL as usize, "tree count must fit the entry tag");
-        let slots = nodes.checked_mul(trees).expect("search space fits usize");
-        if self.dist.len() < slots {
-            self.dist.resize(slots, f64::INFINITY);
-            self.parent.resize(slots, NIL);
-            self.labelled.resize(slots, 0);
-            self.settled.resize(slots, 0);
-        }
+        self.grow(slots_for(nodes, trees));
         self.nodes = nodes;
         self.trees = trees;
         self.heap.clear();
+        self.next_stamp = 1;
         // Epoch 0 is the "never touched" stamp; skip it on wrap-around so
         // labels from 2^32 generations ago cannot resurface as current.
+        // `stamp` needs no wipe: it is read only for labelled slots, and
+        // every label writes it.
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.labelled.iter_mut().for_each(|s| *s = 0);
-            self.settled.iter_mut().for_each(|s| *s = 0);
             self.epoch = 1;
         }
     }
@@ -181,6 +251,14 @@ impl SearchArena {
         tree * self.nodes + node.index()
     }
 
+    /// The next label number of this generation.
+    #[inline]
+    fn draw_stamp(&mut self) -> u32 {
+        let stamp = self.next_stamp;
+        self.next_stamp = stamp.checked_add(1).expect("fewer than 2^32 labels per search");
+        stamp
+    }
+
     /// Write a label: tentative distance `dist` reached via `parent`
     /// (`None` for roots).
     ///
@@ -198,6 +276,7 @@ impl SearchArena {
         self.dist[i] = dist;
         self.parent[i] = parent.map_or(NIL, |p| p.0);
         self.labelled[i] = self.epoch;
+        self.stamp[i] = self.draw_stamp();
     }
 
     /// Whether `node` carries a current-generation label in `tree`.
@@ -238,11 +317,9 @@ impl SearchArena {
     #[inline]
     pub(crate) fn settle(&mut self, tree: usize, node: NodeId) -> bool {
         let i = self.slot(tree, node);
-        if self.settled[i] == self.epoch {
-            return false;
-        }
-        self.settled[i] = self.epoch;
-        true
+        let was_settled = self.labelled[i] == self.epoch && self.stamp[i] == SETTLED;
+        self.stamp[i] = SETTLED;
+        !was_settled
     }
 
     /// Relax the arc `from → to` in `tree` with candidate distance `cand`:
@@ -251,9 +328,14 @@ impl SearchArena {
     /// comparison and storage use the *raw* distance `cand` (improvement
     /// stays a statement about real path lengths), while the frontier entry
     /// is prioritized by `key()` — a goal-directed sweep passes
-    /// `cand + potential(to)`, a plain one `cand`. The key is computed only
-    /// when the label improves: most relaxations improve nothing, and a
-    /// landmark potential is a table read per call.
+    /// `cand + potential(to)`, a plain one `cand` — encoded into the
+    /// entry's `ord` here, once. The key is computed only when the label
+    /// improves: most relaxations improve nothing, and a landmark potential
+    /// is a table read per call.
+    ///
+    /// The new label draws the next stamp, which the entry carries. A
+    /// settled slot keeps [`SETTLED`], so an entry pushed for it is stale
+    /// from birth and the node never settles twice.
     #[inline]
     pub(crate) fn relax_keyed(
         &mut self,
@@ -264,11 +346,16 @@ impl SearchArena {
         key: impl FnOnce() -> f64,
     ) -> bool {
         let i = self.slot(tree, to);
-        if self.labelled[i] != self.epoch || cand < self.dist[i] {
+        let unlabelled = self.labelled[i] != self.epoch;
+        if unlabelled || cand < self.dist[i] {
+            let stamp = self.draw_stamp();
             self.dist[i] = cand;
             self.parent[i] = from.0;
             self.labelled[i] = self.epoch;
-            self.heap.push(FrontierEntry { key: key(), dist: cand, tree: tree as u32, node: to });
+            if unlabelled || self.stamp[i] != SETTLED {
+                self.stamp[i] = stamp;
+            }
+            self.heap.push(FrontierEntry::new(key(), tree, to, stamp));
             true
         } else {
             false
@@ -277,7 +364,8 @@ impl SearchArena {
 
     /// Re-key the open frontier after the sweep's potential changed: drop
     /// the lazy-deletion residue, give every surviving entry the key
-    /// `dist + potential(node)`, and heapify — `O(frontier)`, in place.
+    /// `dist + potential(node)` — read from the slot and encoded afresh, so
+    /// an old `ord` is never decoded — and heapify: `O(frontier)`, in place.
     /// Sound for any *consistent* new potential: the settled labels are
     /// exact and their out-arcs relaxed, which is all a label-setting sweep
     /// assumes of its past. The single-tree loop is the one caller.
@@ -285,18 +373,20 @@ impl SearchArena {
         let mut open = std::mem::take(&mut self.heap).into_vec();
         open.retain(|e| self.is_fresh(e));
         for e in &mut open {
-            e.key = e.dist + potential(e.node);
+            let node = e.node();
+            e.ord = ord_of(self.dist_raw(e.tree(), node) + potential(node));
         }
         self.heap = BinaryHeap::from(open);
     }
 
-    /// Push a frontier entry (used to seed roots; relaxation goes through
-    /// [`SearchArena::relax_keyed`]). `key` is the heap priority, `dist` the
-    /// raw root distance (they coincide except under a goal-directed
-    /// potential).
+    /// Push a frontier entry for `node`'s current label in `tree`, keyed by
+    /// `key` (used to seed roots right after [`SearchArena::label`];
+    /// relaxation goes through [`SearchArena::relax_keyed`]).
     #[inline]
-    pub(crate) fn push(&mut self, key: f64, dist: f64, tree: usize, node: NodeId) {
-        self.heap.push(FrontierEntry { key, dist, tree: tree as u32, node });
+    pub(crate) fn push(&mut self, key: f64, tree: usize, node: NodeId) {
+        debug_assert!(self.is_labelled(tree, node), "push follows a label");
+        let stamp = self.stamp[self.slot(tree, node)];
+        self.heap.push(FrontierEntry::new(key, tree, node, stamp));
     }
 
     /// Pop the globally smallest frontier entry across all trees.
@@ -305,15 +395,20 @@ impl SearchArena {
         self.heap.pop()
     }
 
-    /// Whether a popped entry is *fresh*: not yet settled and still
-    /// carrying the best-known distance for its slot. Stale entries are
-    /// the lazy-deletion residue and must be skipped. Freshness compares
-    /// the entry's *raw* distance against the slot label — the heap key may
-    /// carry a potential offset and must not enter this test.
+    /// Whether a popped entry is *fresh*: not yet settled and pushed for
+    /// its slot's current label. Stale entries are the lazy-deletion
+    /// residue and must be skipped.
+    ///
+    /// The test is one stamp compare, and it is exact. A label is pushed
+    /// exactly once, when it is written (a slot is relabelled only on
+    /// strict improvement), so the slot's latest push is the one entry
+    /// whose stamp the slot still holds — the entry whose raw distance
+    /// equals the label. Settling overwrites the stamp with [`SETTLED`],
+    /// which no entry carries. A fresh entry's label is therefore read from
+    /// the slot bit for bit.
     #[inline]
     pub(crate) fn is_fresh(&self, e: &FrontierEntry) -> bool {
-        let i = self.slot(e.tree as usize, e.node);
-        self.settled[i] != self.epoch && e.dist <= self.dist[i]
+        self.stamp[self.slot(e.tree(), e.node())] == e.stamp
     }
 
     /// Reconstruct the path from `tree`'s root to `t` by walking parents.
@@ -369,6 +464,7 @@ impl SearchArena {
 mod tests {
     use super::*;
     use crate::dijkstra::{Goal, run_in};
+    use proptest::prelude::*;
     use roadnet::generators::{GridConfig, grid_network};
     use roadnet::{GraphBuilder, Point};
 
@@ -479,13 +575,89 @@ mod tests {
     #[test]
     fn frontier_orders_across_trees_deterministically() {
         let mut a = SearchArena::new();
-        a.begin(4, 3);
-        a.push(2.0, 2.0, 1, NodeId(0));
-        a.push(1.0, 1.0, 2, NodeId(3));
-        a.push(1.0, 1.0, 0, NodeId(3));
-        a.push(1.0, 1.0, 0, NodeId(1));
-        let order: Vec<(u32, u32)> =
-            std::iter::from_fn(|| a.pop()).map(|e| (e.tree, e.node.0)).collect();
-        assert_eq!(order, vec![(0, 1), (0, 3), (2, 3), (1, 0)]);
+        a.begin(4, 2);
+        for (key, tree, node) in [(2.0, 1, 0), (1.0, 1, 3), (1.0, 0, 3), (1.0, 0, 1)] {
+            a.label(tree, NodeId(node), key, None);
+            a.push(key, tree, NodeId(node));
+        }
+        let order: Vec<(usize, u32)> =
+            std::iter::from_fn(|| a.pop()).map(|e| (e.tree(), e.node().0)).collect();
+        assert_eq!(order, vec![(0, 1), (0, 3), (1, 3), (1, 0)]);
+    }
+
+    /// The frontier's order before its keys were integers: `total_cmp` on
+    /// the key, then tree, then node, reversed for the max-heap.
+    fn float_order(a: (f64, usize, u32), b: (f64, usize, u32)) -> Ordering {
+        b.0.total_cmp(&a.0).then_with(|| b.1.cmp(&a.1)).then_with(|| b.2.cmp(&a.2))
+    }
+
+    /// Whether the integer order agrees with [`float_order`] on `a` vs `b`.
+    fn orders_agree(a: (f64, usize, u32), b: (f64, usize, u32)) -> bool {
+        let entry = |(key, tree, node): (f64, usize, u32), stamp| {
+            FrontierEntry::new(key, tree, NodeId(node), stamp)
+        };
+        // Different stamps on purpose: the stamp takes no part in the order.
+        entry(a, 1).cmp(&entry(b, 7)) == float_order(a, b)
+    }
+
+    #[test]
+    fn integer_order_is_the_float_order_on_special_keys() {
+        let keys = [
+            0.0,
+            -0.0,
+            f64::from_bits(1), // the smallest subnormal
+            f64::MIN_POSITIVE,
+            1.0,
+            -1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut entries = Vec::new();
+        for key in keys {
+            for tree in 0..MAX_TREES {
+                for node in [0, 1, NODE_MASK] {
+                    entries.push((key, tree, node));
+                }
+            }
+        }
+        for &a in &entries {
+            for &b in &entries {
+                assert!(orders_agree(a, b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4096, ..Default::default() })]
+
+        #[test]
+        fn integer_order_is_the_float_order_on_any_bits(
+            bits in (proptest::num::u64::ANY, proptest::num::u64::ANY),
+            trees in (0..2usize, 0..2usize),
+            nodes in (proptest::num::u32::ANY, proptest::num::u32::ANY),
+        ) {
+            let (ka, kb) = (f64::from_bits(bits.0), f64::from_bits(bits.1));
+            let (na, nb) = (nodes.0 & NODE_MASK, nodes.1 & NODE_MASK);
+            prop_assert!(orders_agree((ka, trees.0, na), (kb, trees.1, nb)));
+            // Equal keys: the tie-break on (tree, node) decides.
+            prop_assert!(orders_agree((ka, trees.0, na), (ka, trees.1, nb)));
+        }
+    }
+
+    // `begin` and `preallocated` share one shape check; each test enters
+    // through a different one. Both panic before any slab grows.
+    #[test]
+    #[should_panic(expected = "an arena hosts at most two trees")]
+    fn three_trees_are_rejected() {
+        SearchArena::new().begin(4, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than 2^31 nodes")]
+    fn two_to_the_31_nodes_are_rejected() {
+        SearchArena::preallocated(1 << 31, 1);
     }
 }

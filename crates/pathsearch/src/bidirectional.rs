@@ -38,7 +38,7 @@ pub fn bidirectional<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>
     let mut stats = [SearchStats::one_run(); 2];
     for (tree, root) in [s, t].into_iter().enumerate() {
         arena.label(tree, root, 0.0, None);
-        arena.push(0.0, 0.0, tree, root);
+        arena.push(0.0, tree, root);
         stats[tree].heap_pushes += 1;
     }
 
@@ -48,18 +48,22 @@ pub fn bidirectional<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>
     let (mut mu, mut meet) = (f64::INFINITY, s);
     let mut radius = [0.0f64; 2];
     while let Some(e) = arena.pop() {
-        let tree = e.tree as usize;
+        let tree = e.tree();
         stats[tree].heap_pops += 1;
         if !arena.is_fresh(&e) {
             continue; // lazy-deletion residue
         }
-        arena.settle(tree, e.node);
+        let node = e.node();
+        // Fresh, so the slot holds exactly the distance the entry was
+        // pushed with.
+        let d_node = arena.dist_raw(tree, node);
+        arena.settle(tree, node);
         stats[tree].settled += 1;
-        radius[tree] = e.dist;
+        radius[tree] = d_node;
 
         // Settle-time meeting check: the settled node may already carry a
         // label in the opposite tree.
-        record_meeting(&arena, tree, e.node, &mut mu, &mut meet);
+        record_meeting(&arena, tree, node, &mut mu, &mut meet);
 
         // Expand. Label-time meeting checks are what make the stopping rule
         // exact: every label creation or improvement is a successful relax
@@ -68,10 +72,10 @@ pub fn bidirectional<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>
         // labels while skipping the check on the majority of arcs whose
         // relaxation changes nothing.
         let tree_stats = &mut stats[tree];
-        g.for_each_arc(e.node, &mut |to, w| {
+        g.for_each_arc(node, &mut |to, w| {
             tree_stats.relaxed += 1;
-            let cand = e.dist + w;
-            if arena.relax_keyed(tree, e.node, to, cand, || cand) {
+            let cand = d_node + w;
+            if arena.relax_keyed(tree, node, to, cand, || cand) {
                 tree_stats.heap_pushes += 1;
                 record_meeting(&arena, tree, to, &mut mu, &mut meet);
             }
