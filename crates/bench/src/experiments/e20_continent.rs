@@ -14,9 +14,9 @@
 //! * the DIMACS loader round trip ([`roadnet::io::read_dimacs`]): the
 //!   continent is written to `.gr`/`.co` text and re-loaded, proving the
 //!   fixture-free CI path reproduces the network exactly;
-//! * chunk-paged storage ([`roadnet::ChunkedCsr`]): the same guided batch
-//!   is answered over the spilled arc file with a bounded buffer, the
-//!   larger-than-RAM serving mode;
+//! * paged storage ([`roadnet::ChunkedCsr`]): the same guided batch is
+//!   answered over the arc file spilled in CCAM page order, through a
+//!   bounded page buffer — the larger-than-RAM serving mode;
 //! * ALT goal-directed pruning ([`pathsearch::AltPreprocessing`] via
 //!   `DirectionsServer::with_heuristic`): cross-continent obfuscated
 //!   units evaluated guided vs unguided, for two shapes of target set —
@@ -38,7 +38,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use roadnet::generators::{ContinentConfig, continent_network};
 use roadnet::io::{read_dimacs, write_dimacs_co, write_dimacs_gr};
-use roadnet::{ChunkConfig, ChunkedCsr, GraphView, NodeId, RoadNetwork};
+use roadnet::{ChunkedCsr, GraphView, NodeId, PageLayout, RoadNetwork};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -62,6 +62,9 @@ const WEIGHT_FACTOR: (f64, f64) = (1.0, 3.0);
 /// Sea gap between provinces (in street-spacing units): wide enough that
 /// inter-province travel visibly funnels through the highway lanes.
 const SEA_GAP: f64 = 20.0;
+/// Page buffer of the paged leg: 2 048 default pages of at most 128
+/// 12-byte records cap the resident arc set at 3 MiB on any tier.
+const BUFFER_PAGES: usize = 2048;
 
 /// Map tier for a given experiment scale: ≥10⁵ nodes at the quick tier,
 /// 10⁶ at full scale, and a debug-friendly reduction below quick (the
@@ -244,9 +247,11 @@ pub fn run(scale: &Scale) -> ExperimentTable {
     let spread_plain = drive(&g, &spread_units, None, reps);
     let spread_guided = drive(&g, &spread_units, Some(Arc::clone(&pre)), reps);
 
-    // Paged leg: the identical guided batch over the spilled CSR with a
-    // bounded chunk buffer — the serving mode for maps larger than RAM.
-    let csr = ChunkedCsr::spill_temp(&g, ChunkConfig::default()).expect("spill to temp");
+    // Paged leg: the identical guided batch over the CSR spilled in CCAM
+    // page order, with a bounded page buffer — the serving mode for maps
+    // larger than RAM.
+    let csr =
+        ChunkedCsr::spill_temp(&g, &PageLayout::ccam(&g), BUFFER_PAGES).expect("spill to temp");
     let paged = drive(&csr, &units, Some(Arc::clone(&pre)), 1);
     let io = csr.io_stats();
 
@@ -288,7 +293,8 @@ pub fn run(scale: &Scale) -> ExperimentTable {
     row(&mut t, "alt-guided, spread T", &spread_guided);
     t.note(format!(
         "settled ratio (guided/plain) {ratio:.3} clustered, {spread_ratio:.3} spread; \
-         paged leg: {} chunk faults over {} accesses ({} resident bytes cap)",
+         paged leg: {} page faults over {} accesses ({} arc bytes resident in \
+         {BUFFER_PAGES} buffer pages)",
         io.faults,
         io.accesses,
         csr.resident_bytes(),

@@ -5,7 +5,9 @@
 //! the pages its spanning tree touches. This experiment runs the same
 //! obfuscated-query workload over four page placements (CCAM connectivity
 //! clustering, global BFS order, node order, random) and a sweep of buffer
-//! sizes, reporting page faults per query — the I/O half of Lemma 1.
+//! sizes, reporting page faults per query — the I/O half of Lemma 1. Each
+//! configuration spills the map to a real page file ([`ChunkedCsr`]), so a
+//! fault is one page read from disk.
 
 use crate::setup::{Scale, network_with_index};
 use crate::table::{ExperimentTable, f3};
@@ -14,7 +16,7 @@ use pathsearch::{SharingPolicy, msmd};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use roadnet::generators::NetworkClass;
-use roadnet::{NodeId, PageLayout, PagePlacement, PagedGraph};
+use roadnet::{ChunkedCsr, NodeId, PageLayout, PagePlacement};
 
 /// Run E9.
 pub fn run(scale: &Scale) -> ExperimentTable {
@@ -58,16 +60,14 @@ pub fn run(scale: &Scale) -> ExperimentTable {
     // Buffer sizes relative to the file size, so contention exists at every
     // experiment scale: a starved buffer, a half-file buffer, and one that
     // holds everything.
-    let num_pages =
-        PageLayout::build(&g, PagePlacement::Connectivity, PageLayout::DEFAULT_SLOTS_PER_PAGE)
-            .num_pages();
+    let num_pages = PageLayout::ccam(&g).num_pages();
     let buffers = [(num_pages / 16).max(2), (num_pages / 2).max(4), num_pages * 2];
 
     for placement in placements {
         let layout = PageLayout::build(&g, placement, PageLayout::DEFAULT_SLOTS_PER_PAGE);
         let colocation = layout.colocation_ratio(&g);
         for &buffer in &buffers {
-            let paged = PagedGraph::new(&g, layout.clone(), buffer);
+            let paged = ChunkedCsr::spill_temp(&g, &layout, buffer).expect("spill to temp");
             for unit in &units {
                 let _ = msmd(
                     &paged,
@@ -111,6 +111,31 @@ mod tests {
             "starved buffer: ccam {} vs random {}",
             faults("ccam"),
             faults("random")
+        );
+    }
+
+    #[test]
+    fn e9_quick_table_is_pinned() {
+        // Every fault count is deterministic, so the whole quick table is
+        // pinned: a change to the store's charging shows up here first.
+        let t = run(&Scale::quick());
+        let rows: Vec<String> = t.rows.iter().map(|r| r.join(" ")).collect();
+        assert_eq!(
+            rows,
+            [
+                "ccam 0.7462 2 440.75 0.4091",
+                "ccam 0.7462 7 73.38 0.9016",
+                "ccam 0.7462 30 1.88 0.9975",
+                "bfs-order 0.4966 2 470.50 0.3692",
+                "bfs-order 0.4966 7 187.88 0.7481",
+                "bfs-order 0.4966 30 1.88 0.9975",
+                "node-order 0.6139 2 599.50 0.1962",
+                "node-order 0.6139 7 287.38 0.6147",
+                "node-order 0.6139 30 1.88 0.9975",
+                "random 0.0668 2 644.62 0.1357",
+                "random 0.0668 7 398.62 0.4656",
+                "random 0.0668 30 1.88 0.9975",
+            ]
         );
     }
 

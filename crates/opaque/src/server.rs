@@ -4,7 +4,8 @@
 //! The server is semi-trusted: it evaluates whatever queries it receives,
 //! honestly, but observes them all — which is why it receives only
 //! obfuscated queries. [`DirectionsServer`] wraps any [`GraphView`] (the
-//! plain in-memory network or the CCAM paged store), answers plain path
+//! plain in-memory network or the CCAM page store on disk,
+//! [`roadnet::ChunkedCsr`]), answers plain path
 //! queries with single-pair Dijkstra and obfuscated queries with the MSMD
 //! processor, and keeps cumulative load counters so experiments can compare
 //! what different obfuscation regimes cost the provider.
@@ -751,7 +752,8 @@ mod tests {
     fn server_works_over_paged_storage() {
         let g = grid_network(&GridConfig { width: 12, height: 12, seed: 9, ..Default::default() })
             .unwrap();
-        let paged = roadnet::PagedGraph::ccam(&g, 16);
+        let paged =
+            roadnet::ChunkedCsr::spill_temp(&g, &roadnet::PageLayout::ccam(&g), 16).unwrap();
         let mut sv = DirectionsServer::new(&paged, SharingPolicy::PerSource);
         let q = ObfuscatedPathQuery::new(vec![NodeId(0)], vec![NodeId(143)]);
         let r = sv.process(&q);

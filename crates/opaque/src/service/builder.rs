@@ -707,6 +707,31 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_tree_caches_from_config_build_and_serve() {
+        // The capacity is operator input: a huge one must not be reserved
+        // up front.
+        let config = ServiceConfig {
+            shards: 2,
+            cache: CachePolicy::Lru { trees: usize::MAX },
+            ..Default::default()
+        };
+        let config: ServiceConfig =
+            serde_json::from_str(&serde_json::to_string(&config).unwrap()).unwrap();
+        let mut svc = ServiceBuilder::from_config(config).map(map()).build().unwrap();
+        let req = ClientRequest::new(
+            ClientId(0),
+            PathQuery::new(NodeId(0), NodeId(143)),
+            ProtectionSettings::new(2, 2).unwrap(),
+        );
+        for _ in 0..2 {
+            assert_eq!(svc.process_batch(&[req]).unwrap().results.len(), 1);
+        }
+        for shard in svc.backend().shards() {
+            assert_eq!(shard.tree_cache().expect("cached fleet").capacity(), usize::MAX);
+        }
+    }
+
+    #[test]
     fn custom_backend_is_accepted() {
         let g = map();
         let backend = DirectionsServer::new(g.clone(), SharingPolicy::None);

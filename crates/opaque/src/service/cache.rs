@@ -5,7 +5,8 @@
 //! hotspot/commuter workloads (see `crates/workload`) many queries share
 //! roots, so the server keeps recomputing identical trees. [`TreeCache`]
 //! is the capacity-bounded, exact-LRU store of recorded sweeps
-//! ([`pathsearch::SweepTrace`]) a [`crate::server::DirectionsServer`]
+//! ([`pathsearch::SweepTrace`], held in a [`roadnet::LruBuffer`], the
+//! workspace's one LRU) that a [`crate::server::DirectionsServer`]
 //! consults through the adopt-or-grow entry point
 //! ([`pathsearch::run_tree`], once per tree of
 //! [`pathsearch::msmd_in_guided_cached`]): a query whose root already has a
@@ -59,8 +60,7 @@
 
 use crate::error::{OpaqueError, Result};
 use pathsearch::{SharingPolicy, SweepTrace, TreeStore};
-use roadnet::NodeId;
-use std::collections::HashMap;
+use roadnet::{LruBuffer, NodeId};
 
 /// Whether (and how) a backend server caches shortest-path trees.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -110,13 +110,6 @@ struct TreeKey {
     root: u32,
 }
 
-/// One cached sweep with its recency stamp.
-#[derive(Debug)]
-struct Entry {
-    trace: SweepTrace,
-    last_used: u64,
-}
-
 /// Capacity-bounded exact-LRU store of recorded shortest-path trees.
 ///
 /// Owned by one [`crate::server::DirectionsServer`] (one shard); never
@@ -124,20 +117,12 @@ struct Entry {
 /// the server folds their deltas into [`crate::ServerStats`] per query.
 #[derive(Debug)]
 pub struct TreeCache {
-    capacity: usize,
     map_epoch: u64,
-    entries: HashMap<TreeKey, Entry>,
-    /// Monotone use counter driving exact-LRU eviction (capacities are
-    /// small enough that a min-scan on eviction beats maintaining an
-    /// intrusive list).
-    tick: u64,
+    /// Every [`TreeStore::lookup`] is one counted access, so its fault
+    /// counter is the number of lookups that found no entry.
+    lru: LruBuffer<TreeKey, SweepTrace>,
     hits: u64,
     misses: u64,
-    /// Misses whose lookup found an entry that could not answer the goal.
-    shallow_misses: u64,
-    /// Whether the last [`TreeStore::lookup`] found an entry — what
-    /// [`TreeStore::note_miss`] reads to tell the two miss causes apart.
-    last_found: bool,
 }
 
 // The parallel service layer moves one cache per worker thread; like the
@@ -160,31 +145,22 @@ impl TreeCache {
     /// configuration time.
     pub fn new(trees: usize, _policy: SharingPolicy) -> Self {
         assert!(trees >= 1, "tree cache must hold at least one tree");
-        TreeCache {
-            capacity: trees,
-            map_epoch: 0,
-            entries: HashMap::with_capacity(trees.min(1024)),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            shallow_misses: 0,
-            last_found: false,
-        }
+        TreeCache { map_epoch: 0, lru: LruBuffer::new(trees), hits: 0, misses: 0 }
     }
 
     /// Capacity in trees.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lru.capacity()
     }
 
     /// Number of trees currently cached.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lru.len()
     }
 
     /// Whether the cache holds no trees.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lru.is_empty()
     }
 
     /// The map epoch entries are currently keyed under.
@@ -202,8 +178,13 @@ impl TreeCache {
     /// `(absent, shallow)` — no entry for the root, or an entry that could
     /// not answer the goal (it stopped short of a goal node, or ran under
     /// another potential). Observability only; reports never see it.
+    ///
+    /// *Absent* is the LRU's fault count: every lookup is one counted
+    /// access, and [`pathsearch::run_tree`] notes exactly one hit or miss
+    /// per lookup.
     pub fn miss_causes(&self) -> (u64, u64) {
-        (self.misses - self.shallow_misses, self.shallow_misses)
+        let absent = self.lru.stats().faults;
+        (absent, self.misses.saturating_sub(absent))
     }
 
     /// Fraction of lookups served from the cache (0 when untouched).
@@ -217,7 +198,7 @@ impl TreeCache {
     /// key afterwards; the hit/miss counters are not reset (they describe
     /// the cache's lifetime, like server counters).
     pub fn invalidate(&mut self, map_epoch: u64) {
-        self.entries.clear();
+        self.lru.clear();
         self.map_epoch = map_epoch;
     }
 
@@ -232,10 +213,7 @@ impl TreeCache {
         if endpoints.is_empty() {
             return;
         }
-        // lint: allow(hash-iter) — retain with a pure per-entry
-        // predicate: which traces survive is order-independent, and the
-        // map stays keyed afterwards.
-        self.entries.retain(|_, e| !e.trace.touches_any(endpoints));
+        self.lru.retain(|_, trace| !trace.touches_any(endpoints));
     }
 
     fn key(&self, root: NodeId) -> TreeKey {
@@ -245,44 +223,22 @@ impl TreeCache {
 
 impl TreeStore for TreeCache {
     fn lookup(&mut self, root: NodeId) -> Option<&SweepTrace> {
-        self.tick += 1;
-        let tick = self.tick;
         let key = self.key(root);
-        let entry = self.entries.get_mut(&key);
-        self.last_found = entry.is_some();
-        entry.map(|e| {
-            e.last_used = tick;
-            &e.trace
-        })
+        self.lru.get(&key)
     }
 
     fn store(&mut self, root: NodeId, trace: SweepTrace) {
-        self.tick += 1;
         let key = self.key(root);
-        if let Some(e) = self.entries.get_mut(&key) {
-            // Sweeps from one root *under one potential* are prefixes of
-            // each other: keep the deeper one, it answers strictly more
-            // goals. Across potentials (ALT potentials are per target
-            // set) depth compares nothing, and keeping the old trace
-            // would make this goal set miss on every repeat — the newer
-            // trace replaces it.
-            if trace.potential() != e.trace.potential() || trace.len() >= e.trace.len() {
-                e.trace = trace;
-            }
-            e.last_used = self.tick;
-            return;
+        let Some(old) = self.lru.insert(key, trace) else { return };
+        // Sweeps from one root *under one potential* are prefixes of each
+        // other: keep the deeper one, it answers strictly more goals.
+        // Across potentials (ALT potentials are per target set) depth
+        // compares nothing, and keeping the old trace would make this goal
+        // set miss on every repeat — the newer trace replaces it.
+        let new = self.lru.peek(&key).expect("just inserted");
+        if old.potential() == new.potential() && old.len() > new.len() {
+            self.lru.insert(key, old);
         }
-        if self.entries.len() >= self.capacity {
-            // lint: allow(hash-iter) — `last_used` ticks are unique
-            // (every lookup/store bumps the monotone counter before
-            // assigning it to exactly one entry), so the min is unique
-            // and iteration order cannot pick a different victim.
-            let victim = self.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                self.entries.remove(&victim);
-            }
-        }
-        self.entries.insert(key, Entry { trace, last_used: self.tick });
     }
 
     fn note_hit(&mut self) {
@@ -291,7 +247,6 @@ impl TreeStore for TreeCache {
 
     fn note_miss(&mut self) {
         self.misses += 1;
-        self.shallow_misses += u64::from(self.last_found);
     }
 }
 

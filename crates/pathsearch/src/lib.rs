@@ -5,9 +5,9 @@
 //! algorithms" (§I) and answers *obfuscated* path queries with
 //! multiple-source multiple-destination (MSMD) searches (§IV). This crate
 //! implements all of them over any [`roadnet::GraphView`] — so the same
-//! algorithms run against the plain in-memory network or the CCAM-style
-//! paged store, with computation counted by [`SearchStats`] and I/O counted
-//! by the storage layer:
+//! algorithms run against the plain in-memory network or the CCAM page
+//! file of a `roadnet::ChunkedCsr`, with computation counted by
+//! [`SearchStats`] and I/O counted by the storage layer:
 //!
 //! * [`arena`] — the reusable, generation-stamped [`SearchArena`] every
 //!   algorithm here runs in, and the only search heap in the crate;

@@ -3,8 +3,8 @@
 //! The paper's Lemma 1 bounds the processing cost of an obfuscated path
 //! query by the *area* covered by the Dijkstra spanning trees. The concrete
 //! proxies we record for that area are: nodes settled (computation) and —
-//! when searching through a [`roadnet::PagedGraph`] — page faults (I/O,
-//! reported separately by the storage layer). Every algorithm in this crate
+//! when searching through the page file of a [`roadnet::ChunkedCsr`] —
+//! page faults (I/O, reported separately by the storage layer). Every algorithm in this crate
 //! fills in a [`SearchStats`].
 
 /// Counters describing one (or an aggregate of several) search runs.

@@ -40,9 +40,10 @@ pub struct Edge {
 /// Read-only view of a graph sufficient for shortest-path search.
 ///
 /// Implemented by [`RoadNetwork`] (pure in-memory traversal) and by
-/// [`crate::storage::PagedGraph`] (traversal through a simulated disk-page
-/// buffer that counts I/O). Search algorithms are generic over this trait so
-/// the same code path is measured with and without storage costs.
+/// [`crate::storage::ChunkedCsr`] (traversal of a page file on disk
+/// through a bounded page buffer that counts I/O). Search algorithms are
+/// generic over this trait so the same code path is measured with and
+/// without storage costs.
 pub trait GraphView {
     /// Number of nodes; node ids are dense in `0..num_nodes()`.
     fn num_nodes(&self) -> usize;

@@ -8,9 +8,10 @@
 //!   ([`RoadNetwork`], [`GraphBuilder`]);
 //! * seeded synthetic network generators standing in for TIGER/Line maps
 //!   ([`generators`]);
-//! * a CCAM-style connectivity-clustered disk-page simulation with an exact
-//!   LRU buffer pool, so experiments can measure the I/O component of the
-//!   paper's Lemma 1 cost model ([`storage`]);
+//! * CCAM-style connectivity-clustered disk pages, spilled to a real page
+//!   file and served through an exact-LRU buffer pool, so experiments can
+//!   measure the I/O component of the paper's Lemma 1 cost model
+//!   ([`storage`]);
 //! * a uniform-grid spatial index used by the obfuscator to pick fake
 //!   endpoints ([`SpatialIndex`]);
 //! * a plain-text exchange format for networks ([`io`]).
@@ -51,6 +52,4 @@ pub use geo::{BoundingBox, Point};
 pub use graph::{Arc, Edge, GraphBuilder, GraphView, RoadNetwork};
 pub use ids::{EdgeId, NodeId};
 pub use spatial::{RingCover, SpatialIndex};
-pub use storage::{
-    ChunkConfig, ChunkedCsr, IoStats, LruBuffer, PageLayout, PagePlacement, PagedGraph,
-};
+pub use storage::{ChunkedCsr, IoStats, LruBuffer, PageLayout, PagePlacement};

@@ -1,22 +1,25 @@
-//! Exact LRU buffer pool over simulated disk pages.
+//! Exact LRU map: the one recency policy of the workspace.
 //!
 //! Fault counts must be deterministic and reproducible across runs (they are
 //! experiment outputs), so this is a textbook exact-LRU implementation — an
-//! intrusive doubly-linked list over a slot vector plus a page→slot map —
-//! rather than an approximation like CLOCK.
+//! intrusive doubly-linked list over a slot vector plus a key→slot map —
+//! rather than an approximation like CLOCK. The buffer owns its values, so
+//! a store that keeps per-key data (decoded pages, recorded sweeps) needs
+//! no side map that could drift from the residency decision.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Counters exposed by the buffer pool.
 ///
-/// `faults` is the simulated I/O cost: each fault stands for one disk page
-/// read. `accesses` counts logical page touches, so `faults / accesses`
+/// `faults` is the I/O cost: each fault stands for one disk page read.
+/// `accesses` counts logical page touches, so `faults / accesses`
 /// complements [`IoStats::hit_ratio`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct IoStats {
     /// Logical page touches.
     pub accesses: u64,
-    /// Touches that required a (simulated or real) disk read.
+    /// Touches that found the page absent and required a disk read.
     pub faults: u64,
     /// Resident pages displaced to make room.
     pub evictions: u64,
@@ -36,85 +39,170 @@ impl IoStats {
     }
 }
 
-const NIL: u32 = u32::MAX;
+const NIL: usize = usize::MAX;
 
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    page: u32,
-    prev: u32,
-    next: u32,
+#[derive(Clone, Debug)]
+struct Slot<K, V> {
+    key: K,
+    value: V,
+    prev: usize,
+    next: usize,
 }
 
-/// Fixed-capacity exact-LRU page buffer.
+/// Fixed-capacity exact-LRU map from keys to owned values.
+///
+/// [`LruBuffer::get`] is the counted access (it refreshes recency and
+/// charges a fault when the key is absent); [`LruBuffer::insert`] makes a
+/// key most recent, evicting the least recently used entry when full;
+/// [`LruBuffer::peek`] reads without touching either. Slots grow on
+/// demand, so a huge capacity costs nothing until it is used.
 #[derive(Clone, Debug)]
-pub struct LruBuffer {
+pub struct LruBuffer<K, V> {
     capacity: usize,
-    slots: Vec<Slot>,
-    map: HashMap<u32, u32>,
-    head: u32, // most recently used
-    tail: u32, // least recently used
+    slots: Vec<Slot<K, V>>,
+    map: HashMap<K, usize>,
+    head: usize, // most recently used
+    tail: usize, // least recently used
     stats: IoStats,
 }
 
-impl LruBuffer {
-    /// A buffer holding at most `capacity` pages (≥ 1).
+impl<K: Copy + Eq + Hash, V> LruBuffer<K, V> {
+    /// A buffer holding at most `capacity` entries (≥ 1).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "buffer must hold at least one page");
         LruBuffer {
             capacity,
-            slots: Vec::with_capacity(capacity),
-            map: HashMap::with_capacity(capacity),
+            slots: Vec::new(),
+            map: HashMap::new(),
             head: NIL,
             tail: NIL,
             stats: IoStats::default(),
         }
     }
 
-    /// Buffer capacity in pages.
+    /// Capacity in entries.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Number of pages currently resident.
-    pub fn resident(&self) -> usize {
-        self.map.len()
+    /// Number of entries currently resident.
+    pub fn len(&self) -> usize {
+        self.slots.len()
     }
 
-    /// True if `page` is currently buffered (does not count as an access).
-    pub fn contains(&self, page: u32) -> bool {
-        self.map.contains_key(&page)
+    /// Whether nothing is resident.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
     }
 
-    /// Counters since construction or the last [`LruBuffer::reset_stats`].
+    /// Counters since construction; [`LruBuffer::clear`] keeps them.
     pub fn stats(&self) -> IoStats {
         self.stats
     }
 
-    /// Zero the counters (resident pages stay resident — experiments reset
-    /// between queries to measure warm-buffer behaviour).
-    pub fn reset_stats(&mut self) {
-        self.stats = IoStats::default();
+    /// Counted access: the value under `key`, made most recent; `None`
+    /// (and one fault) when it is absent.
+    pub fn get(&mut self, key: &K) -> Option<&V> {
+        self.stats.accesses += 1;
+        let Some(&slot) = self.map.get(key) else {
+            self.stats.faults += 1;
+            return None;
+        };
+        self.promote(slot);
+        Some(&self.slots[slot].value)
     }
 
-    fn unlink(&mut self, slot: u32) {
-        let Slot { prev, next, .. } = self.slots[slot as usize];
+    /// The value under `key`, leaving counters and recency untouched.
+    pub fn peek(&self, key: &K) -> Option<&V> {
+        self.map.get(key).map(|&slot| &self.slots[slot].value)
+    }
+
+    /// Store `value` under `key` as the most recent entry, returning the
+    /// value it replaced. A new key at capacity evicts the least recently
+    /// used entry.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        if let Some(&slot) = self.map.get(&key) {
+            self.promote(slot);
+            return Some(std::mem::replace(&mut self.slots[slot].value, value));
+        }
+        let slot = if self.slots.len() < self.capacity {
+            self.slots.push(Slot { key, value, prev: NIL, next: NIL });
+            self.slots.len() - 1
+        } else {
+            // Reuse the LRU slot for the newcomer.
+            let victim = self.tail;
+            self.unlink(victim);
+            self.map.remove(&self.slots[victim].key);
+            self.stats.evictions += 1;
+            self.slots[victim].key = key;
+            self.slots[victim].value = value;
+            victim
+        };
+        self.map.insert(key, slot);
+        self.push_front(slot);
+        None
+    }
+
+    /// Keep only the entries `keep` accepts, visited in slot order;
+    /// survivors keep their relative recency.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
+        let mut slot = 0;
+        while slot < self.slots.len() {
+            if keep(&self.slots[slot].key, &self.slots[slot].value) {
+                slot += 1;
+            } else {
+                // The last slot moves into `slot`, which is visited next.
+                self.remove_slot(slot);
+            }
+        }
+    }
+
+    /// Drop every entry; the counters describe the buffer's lifetime and
+    /// stay.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.map.clear();
+        self.head = NIL;
+        self.tail = NIL;
+    }
+
+    /// Entries from most to least recently used.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        let mut cur = self.head;
+        std::iter::from_fn(move || {
+            // `NIL` is past every slot, so the walk ends at the tail.
+            let slot = self.slots.get(cur)?;
+            cur = slot.next;
+            Some((&slot.key, &slot.value))
+        })
+    }
+
+    fn promote(&mut self, slot: usize) {
+        if self.head != slot {
+            self.unlink(slot);
+            self.push_front(slot);
+        }
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let Slot { prev, next, .. } = self.slots[slot];
         if prev != NIL {
-            self.slots[prev as usize].next = next;
+            self.slots[prev].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.slots[next as usize].prev = prev;
+            self.slots[next].prev = prev;
         } else {
             self.tail = prev;
         }
     }
 
-    fn push_front(&mut self, slot: u32) {
-        self.slots[slot as usize].prev = NIL;
-        self.slots[slot as usize].next = self.head;
+    fn push_front(&mut self, slot: usize) {
+        self.slots[slot].prev = NIL;
+        self.slots[slot].next = self.head;
         if self.head != NIL {
-            self.slots[self.head as usize].prev = slot;
+            self.slots[self.head].prev = slot;
         }
         self.head = slot;
         if self.tail == NIL {
@@ -122,56 +210,28 @@ impl LruBuffer {
         }
     }
 
-    /// Access `page`: returns `true` if the access faulted (page was not
-    /// resident and a simulated disk read happened).
-    pub fn touch(&mut self, page: u32) -> bool {
-        self.touch_evicting(page).0
-    }
-
-    /// [`LruBuffer::touch`], also reporting the page a fault displaced —
-    /// for callers that keep per-page data beside the buffer and must drop
-    /// the victim's.
-    pub(crate) fn touch_evicting(&mut self, page: u32) -> (bool, Option<u32>) {
-        self.stats.accesses += 1;
-        if let Some(&slot) = self.map.get(&page) {
-            if self.head != slot {
-                self.unlink(slot);
-                self.push_front(slot);
-            }
-            return (false, None);
+    /// Remove `slot`, moving the last slot into its place.
+    fn remove_slot(&mut self, slot: usize) {
+        self.unlink(slot);
+        self.map.remove(&self.slots[slot].key);
+        let last = self.slots.len() - 1;
+        self.slots.swap_remove(slot);
+        if slot == last {
+            return;
         }
-        self.stats.faults += 1;
-        let mut evicted = None;
-        let slot = if self.map.len() < self.capacity {
-            let slot = self.slots.len() as u32;
-            self.slots.push(Slot { page, prev: NIL, next: NIL });
-            slot
+        // Re-point the moved slot's neighbours (or the ends) at its new index.
+        let Slot { key, prev, next, .. } = self.slots[slot];
+        self.map.insert(key, slot);
+        if prev != NIL {
+            self.slots[prev].next = slot;
         } else {
-            // Evict the LRU page and reuse its slot.
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL, "capacity >= 1 guarantees a victim");
-            self.unlink(victim);
-            let old_page = self.slots[victim as usize].page;
-            self.map.remove(&old_page);
-            self.stats.evictions += 1;
-            self.slots[victim as usize].page = page;
-            evicted = Some(old_page);
-            victim
-        };
-        self.map.insert(page, slot);
-        self.push_front(slot);
-        (true, evicted)
-    }
-
-    /// Pages from most- to least-recently used (test/debug helper).
-    pub fn lru_order(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut cur = self.head;
-        while cur != NIL {
-            out.push(self.slots[cur as usize].page);
-            cur = self.slots[cur as usize].next;
+            self.head = slot;
         }
-        out
+        if next != NIL {
+            self.slots[next].prev = slot;
+        } else {
+            self.tail = slot;
+        }
     }
 }
 
@@ -179,13 +239,27 @@ impl LruBuffer {
 mod tests {
     use super::*;
 
+    /// A page buffer with no payload: `touch` is a counted access that
+    /// loads the page on a fault, as a paged store does.
+    fn touch(b: &mut LruBuffer<u32, ()>, page: u32) -> bool {
+        let faulted = b.get(&page).is_none();
+        if faulted {
+            b.insert(page, ());
+        }
+        faulted
+    }
+
+    fn order<V>(b: &LruBuffer<u32, V>) -> Vec<u32> {
+        b.iter().map(|(&k, _)| k).collect()
+    }
+
     #[test]
     fn faults_only_on_first_touch_when_capacity_suffices() {
         let mut b = LruBuffer::new(4);
-        assert!(b.touch(1));
-        assert!(b.touch(2));
-        assert!(!b.touch(1));
-        assert!(!b.touch(2));
+        assert!(touch(&mut b, 1));
+        assert!(touch(&mut b, 2));
+        assert!(!touch(&mut b, 1));
+        assert!(!touch(&mut b, 2));
         let s = b.stats();
         assert_eq!(s.accesses, 4);
         assert_eq!(s.faults, 2);
@@ -196,36 +270,36 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let mut b = LruBuffer::new(2);
-        b.touch(1);
-        b.touch(2);
-        b.touch(1); // order now [1, 2]
-        assert_eq!(b.touch_evicting(3), (true, Some(2)));
-        assert!(b.contains(1));
-        assert!(!b.contains(2));
-        assert!(b.contains(3));
+        touch(&mut b, 1);
+        touch(&mut b, 2);
+        touch(&mut b, 1); // order now [1, 2]
+        assert!(touch(&mut b, 3));
+        assert!(b.peek(&1).is_some());
+        assert!(b.peek(&2).is_none());
+        assert!(b.peek(&3).is_some());
         assert_eq!(b.stats().evictions, 1);
-        assert_eq!(b.lru_order(), vec![3, 1]);
+        assert_eq!(order(&b), vec![3, 1]);
     }
 
     #[test]
     fn capacity_one_thrashes() {
         let mut b = LruBuffer::new(1);
-        assert!(b.touch(1));
-        assert!(b.touch(2));
-        assert!(b.touch(1));
+        assert!(touch(&mut b, 1));
+        assert!(touch(&mut b, 2));
+        assert!(touch(&mut b, 1));
         assert_eq!(b.stats().faults, 3);
-        assert_eq!(b.resident(), 1);
+        assert_eq!(b.len(), 1);
     }
 
     #[test]
     fn repeated_touch_of_head_is_cheap_and_correct() {
         let mut b = LruBuffer::new(3);
-        b.touch(7);
+        touch(&mut b, 7);
         for _ in 0..100 {
-            assert!(!b.touch(7));
+            assert!(!touch(&mut b, 7));
         }
         assert_eq!(b.stats().faults, 1);
-        assert_eq!(b.lru_order(), vec![7]);
+        assert_eq!(order(&b), vec![7]);
     }
 
     #[test]
@@ -234,21 +308,11 @@ mod tests {
         let mut b = LruBuffer::new(3);
         for round in 0..4 {
             for p in 0..4u32 {
-                let faulted = b.touch(p);
+                let faulted = touch(&mut b, p);
                 assert!(faulted, "round {round} page {p} should fault");
             }
         }
         assert_eq!(b.stats().faults, 16);
-    }
-
-    #[test]
-    fn reset_stats_keeps_residency() {
-        let mut b = LruBuffer::new(2);
-        b.touch(1);
-        b.reset_stats();
-        assert!(!b.touch(1), "page stayed resident across stats reset");
-        assert_eq!(b.stats().accesses, 1);
-        assert_eq!(b.stats().faults, 0);
     }
 
     #[test]
@@ -261,6 +325,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one page")]
     fn zero_capacity_panics() {
-        let _ = LruBuffer::new(0);
+        let _ = LruBuffer::<u32, ()>::new(0);
     }
 }

@@ -1,4 +1,4 @@
-//! CCAM-style paged storage simulation.
+//! CCAM-style paged storage.
 //!
 //! §III-B grounds the paper's cost model in Shekhar & Liu's CCAM access
 //! method \[9\]: "assuming that nodes and their edges are clustered and stored
@@ -10,33 +10,25 @@
 //!   [`PagePlacement::Connectivity`] is the CCAM policy (local BFS-ball
 //!   clustering, so neighbouring nodes share pages), with global-BFS-order,
 //!   node-order, and random placement as ablation baselines;
-//! * a [`PagedGraph`] wraps a [`RoadNetwork`] and serves adjacency through
-//!   an exact-LRU [`LruBuffer`], counting page faults as simulated I/O.
+//! * a [`ChunkedCsr`] spills a [`RoadNetwork`]'s arc records to a backing
+//!   file page by page, as a layout places them, and serves adjacency
+//!   through an exact-LRU [`LruBuffer`] of decoded pages, counting page
+//!   faults as I/O — each one a real read.
 //!
-//! The arc data itself is served from the in-memory CSR — what is simulated
-//! is the *cost*, which is exactly what the experiments measure (fault
-//! counts per query). Node coordinates are treated as part of a separate
-//! in-memory directory (as a spatial index would provide) and do not incur
-//! page touches.
-//!
-//! For maps that genuinely exceed RAM, [`ChunkedCsr`] complements the
-//! simulation with a real spill-to-disk store: the CSR arc array lives in
-//! a backing file and chunks fault in through the same exact-LRU policy,
-//! behind the same [`GraphView`] trait.
+//! Node coordinates are treated as part of a separate in-memory directory
+//! (as a spatial index would provide) and do not incur page touches.
 
 mod chunked;
 mod lru;
 
-pub use chunked::{ChunkConfig, ChunkedCsr};
+pub use chunked::ChunkedCsr;
 pub use lru::{IoStats, LruBuffer};
 
-use crate::geo::Point;
 use crate::graph::{GraphView, RoadNetwork};
 use crate::ids::NodeId;
 use rand::SeedableRng;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use std::cell::RefCell;
 
 /// Policy assigning node records to disk pages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -94,11 +86,8 @@ impl PageLayout {
     /// Compute a layout for `g` under `placement`.
     pub fn build(g: &RoadNetwork, placement: PagePlacement, slots_per_page: usize) -> Self {
         assert!(slots_per_page >= 2, "a page must fit at least a header and one arc");
-        if let PagePlacement::Connectivity = placement {
-            return Self::build_connectivity(g, slots_per_page);
-        }
         let order = match placement {
-            PagePlacement::Connectivity => unreachable!("handled above"),
+            PagePlacement::Connectivity => return Self::build_connectivity(g, slots_per_page),
             PagePlacement::BfsOrder => bfs_order(g),
             PagePlacement::NodeOrder => g.nodes().collect(),
             PagePlacement::Random { seed } => {
@@ -126,6 +115,11 @@ impl PageLayout {
         }
         let num_pages = if used > 0 { page as usize + 1 } else { page as usize };
         PageLayout { page_of, num_pages: num_pages.max(1), slots_per_page }
+    }
+
+    /// CCAM placement at the default page size.
+    pub fn ccam(g: &RoadNetwork) -> Self {
+        Self::build(g, PagePlacement::Connectivity, Self::DEFAULT_SLOTS_PER_PAGE)
     }
 
     /// CCAM-style clustering: grow each page as a local BFS ball. A page
@@ -219,7 +213,8 @@ impl PageLayout {
     }
 }
 
-fn bfs_order(g: &RoadNetwork) -> Vec<NodeId> {
+/// Nodes in breadth-first order, each component swept from its lowest id.
+fn bfs_order(g: &impl GraphView) -> Vec<NodeId> {
     let n = g.num_nodes();
     let mut order = Vec::with_capacity(n);
     let mut seen = vec![false; n];
@@ -232,85 +227,14 @@ fn bfs_order(g: &RoadNetwork) -> Vec<NodeId> {
         queue.push_back(NodeId::from_index(start));
         while let Some(u) = queue.pop_front() {
             order.push(u);
-            for a in g.arcs(u) {
-                if !seen[a.to.index()] {
-                    seen[a.to.index()] = true;
-                    queue.push_back(a.to);
+            g.for_each_arc(u, &mut |v, _| {
+                if !std::mem::replace(&mut seen[v.index()], true) {
+                    queue.push_back(v);
                 }
-            }
+            });
         }
     }
     order
-}
-
-/// A road network served through a simulated page buffer.
-///
-/// Implements [`GraphView`], so every search algorithm in `pathsearch` can
-/// run against it unchanged; page faults accumulate in the embedded
-/// [`LruBuffer`] and are read back via [`PagedGraph::io_stats`].
-pub struct PagedGraph<'g> {
-    graph: &'g RoadNetwork,
-    layout: PageLayout,
-    buffer: RefCell<LruBuffer>,
-}
-
-impl<'g> PagedGraph<'g> {
-    /// Wrap `graph` with the given layout and a buffer of `buffer_pages`.
-    pub fn new(graph: &'g RoadNetwork, layout: PageLayout, buffer_pages: usize) -> Self {
-        PagedGraph { graph, layout, buffer: RefCell::new(LruBuffer::new(buffer_pages)) }
-    }
-
-    /// Convenience constructor with CCAM placement and default page size.
-    pub fn ccam(graph: &'g RoadNetwork, buffer_pages: usize) -> Self {
-        let layout = PageLayout::build(
-            graph,
-            PagePlacement::Connectivity,
-            PageLayout::DEFAULT_SLOTS_PER_PAGE,
-        );
-        Self::new(graph, layout, buffer_pages)
-    }
-
-    /// The wrapped network.
-    pub fn graph(&self) -> &RoadNetwork {
-        self.graph
-    }
-
-    /// The page layout in use.
-    pub fn layout(&self) -> &PageLayout {
-        &self.layout
-    }
-
-    /// I/O counters accumulated so far.
-    pub fn io_stats(&self) -> IoStats {
-        self.buffer.borrow().stats()
-    }
-
-    /// Zero the I/O counters, keeping buffer contents (warm buffer).
-    pub fn reset_io_stats(&self) {
-        self.buffer.borrow_mut().reset_stats();
-    }
-}
-
-impl GraphView for PagedGraph<'_> {
-    fn num_nodes(&self) -> usize {
-        self.graph.num_nodes()
-    }
-
-    fn point(&self, n: NodeId) -> Point {
-        // Coordinates come from the in-memory directory; no page touch.
-        self.graph.point(n)
-    }
-
-    fn for_each_arc(&self, n: NodeId, f: &mut dyn FnMut(NodeId, f64)) {
-        self.buffer.borrow_mut().touch(self.layout.page_of(n));
-        for a in self.graph.arcs(n) {
-            f(a.to, a.weight);
-        }
-    }
-
-    fn is_symmetric(&self) -> bool {
-        self.graph.is_symmetric()
-    }
 }
 
 #[cfg(test)]
@@ -385,7 +309,7 @@ mod tests {
     #[test]
     fn paged_graph_counts_faults_and_serves_identical_arcs() {
         let g = net();
-        let pg = PagedGraph::ccam(&g, 8);
+        let pg = ChunkedCsr::spill_temp(&g, &PageLayout::ccam(&g), 8).unwrap();
         let n = NodeId(17);
         let mut via_paged = Vec::new();
         pg.for_each_arc(n, &mut |to, w| via_paged.push((to, w)));
@@ -402,7 +326,8 @@ mod tests {
     #[test]
     fn small_buffer_faults_more_than_large() {
         let g = net();
-        let touch_all = |pg: &PagedGraph| {
+        let layout = PageLayout::ccam(&g);
+        let touch_all = |pg: &ChunkedCsr| {
             for n in g.nodes() {
                 pg.for_each_arc(n, &mut |_, _| {});
             }
@@ -411,29 +336,20 @@ mod tests {
                 pg.for_each_arc(n, &mut |_, _| {});
             }
         };
-        let small = PagedGraph::ccam(&g, 2);
-        let large = PagedGraph::ccam(&g, 1024);
+        let small = ChunkedCsr::spill_temp(&g, &layout, 2).unwrap();
+        let large = ChunkedCsr::spill_temp(&g, &layout, 1024).unwrap();
+        assert!(1024 > layout.num_pages(), "the large buffer outsizes the file");
         touch_all(&small);
         touch_all(&large);
         assert!(small.io_stats().faults > large.io_stats().faults);
         // Large buffer never refetches: faults == distinct pages.
-        assert_eq!(large.io_stats().faults as usize, large.layout().num_pages());
-    }
-
-    #[test]
-    fn stats_reset_keeps_the_buffer_warm() {
-        let g = net();
-        let pg = PagedGraph::ccam(&g, 16);
-        pg.for_each_arc(NodeId(0), &mut |_, _| {});
-        pg.reset_io_stats();
-        pg.for_each_arc(NodeId(0), &mut |_, _| {});
-        assert_eq!(pg.io_stats().faults, 0, "warm buffer after stats reset");
+        assert_eq!(large.io_stats().faults as usize, layout.num_pages());
     }
 
     #[test]
     fn point_does_not_touch_pages() {
         let g = net();
-        let pg = PagedGraph::ccam(&g, 4);
+        let pg = ChunkedCsr::spill_temp(&g, &PageLayout::ccam(&g), 4).unwrap();
         let _ = pg.point(NodeId(5));
         assert_eq!(pg.io_stats().accesses, 0);
     }

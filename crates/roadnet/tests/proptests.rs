@@ -156,32 +156,60 @@ proptest! {
     #[test]
     fn lru_matches_reference_model(
         capacity in 1usize..8,
-        accesses in proptest::collection::vec(0u32..16, 1..200),
+        ops in proptest::collection::vec((0u32..20, 0u32..16, 0u32..1000), 1..200),
     ) {
         let mut lru = LruBuffer::new(capacity);
-        // Reference: Vec ordered most-recent-first.
-        let mut model: Vec<u32> = Vec::new();
-        let mut model_faults = 0u64;
-        for &page in &accesses {
-            let fault = match model.iter().position(|&p| p == page) {
-                Some(pos) => {
-                    let p = model.remove(pos);
-                    model.insert(0, p);
-                    false
+        // Reference: Vec of (key, value) ordered most-recent-first.
+        let mut model: Vec<(u32, u32)> = Vec::new();
+        let (mut model_accesses, mut model_faults, mut model_evictions) = (0u64, 0u64, 0u64);
+        for &(op, key, value) in &ops {
+            let pos = model.iter().position(|&(k, _)| k == key);
+            match op {
+                // Counted get: a hit moves the key to the front.
+                0..=7 => {
+                    model_accesses += 1;
+                    let want = pos.map(|pos| {
+                        let entry = model.remove(pos);
+                        model.insert(0, entry);
+                        entry.1
+                    });
+                    model_faults += u64::from(want.is_none());
+                    prop_assert_eq!(lru.get(&key).copied(), want, "get {}", key);
                 }
-                None => {
-                    model_faults += 1;
-                    model.insert(0, page);
-                    if model.len() > capacity {
+                // Insert: replace in place or evict the back at capacity.
+                8..=13 => {
+                    let old = pos.map(|pos| model.remove(pos).1);
+                    if old.is_none() && model.len() == capacity {
                         model.pop();
+                        model_evictions += 1;
                     }
-                    true
+                    model.insert(0, (key, value));
+                    prop_assert_eq!(lru.insert(key, value), old, "insert {}", key);
                 }
-            };
-            prop_assert_eq!(lru.touch(page), fault, "fault disagreement on page {}", page);
+                // Peek: the value, with recency left alone.
+                14..=17 => {
+                    let want = pos.map(|pos| model[pos].1);
+                    prop_assert_eq!(lru.peek(&key).copied(), want, "peek {}", key);
+                }
+                18 => {
+                    let keep = |k: u32, v: u32| (k + v + value) % 3 != 0;
+                    model.retain(|&(k, v)| keep(k, v));
+                    lru.retain(|&k, &v| keep(k, v));
+                }
+                _ => {
+                    model.clear();
+                    lru.clear();
+                }
+            }
+            let order: Vec<(u32, u32)> = lru.iter().map(|(&k, &v)| (k, v)).collect();
+            prop_assert_eq!(&order, &model);
+            prop_assert_eq!(lru.len(), model.len());
         }
-        prop_assert_eq!(lru.stats().faults, model_faults);
-        prop_assert_eq!(lru.lru_order(), model);
+        let stats = lru.stats();
+        prop_assert_eq!(
+            (stats.accesses, stats.faults, stats.evictions),
+            (model_accesses, model_faults, model_evictions)
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The operator-tooling path: a deployment generates (or imports) its road
 //! network once, archives it in the TLN exchange format, and serves it
-//! through the CCAM-style page store, with landmark tables precomputed for
+//! from a CCAM-ordered page file on disk, with landmark tables precomputed for
 //! fast single-pair queries.
 //!
 //! ```text
@@ -13,7 +13,7 @@
 use pathsearch::{AltPreprocessing, Goal, Searcher, alt};
 use roadnet::generators::{GeometricConfig, random_geometric};
 use roadnet::io::{load_tln, save_tln};
-use roadnet::{GraphView, NodeId, PagedGraph};
+use roadnet::{ChunkedCsr, GraphView, NodeId, PageLayout};
 
 fn main() {
     // 1. Generate a city-scale network (stands in for a TIGER/Line import).
@@ -35,14 +35,15 @@ fn main() {
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     println!("archived to {} ({bytes} bytes) and reloaded bit-exact", path.display());
 
-    // 3. Serve through the CCAM page store with a small buffer and measure
-    //    the I/O a long query costs.
-    let paged = PagedGraph::ccam(&reloaded, 16);
+    // 3. Spill to a CCAM-ordered page file, serve through a small buffer,
+    //    and measure the I/O a long query costs.
+    let layout = PageLayout::ccam(&reloaded);
+    let paged = ChunkedCsr::spill_temp(&reloaded, &layout, 16).expect("spill page file");
     println!(
         "paged store: {} pages of {} slots, buffer 16 pages, colocation {:.2}",
-        paged.layout().num_pages(),
-        paged.layout().slots_per_page(),
-        paged.layout().colocation_ratio(&reloaded),
+        layout.num_pages(),
+        layout.slots_per_page(),
+        layout.colocation_ratio(&reloaded),
     );
     let (s, t) = (NodeId(0), NodeId(reloaded.num_nodes() as u32 - 1));
     let mut searcher = Searcher::new();

@@ -79,7 +79,8 @@ fn every_class_and_mode_delivers_exact_shortest_paths() {
 fn pipeline_works_over_paged_storage() {
     let map = NetworkClass::Grid.generate(400, 3).expect("valid network");
     let index = SpatialIndex::build(&map);
-    let paged = roadnet::PagedGraph::ccam(&map, 8);
+    let layout = roadnet::PageLayout::ccam(&map);
+    let paged = roadnet::ChunkedCsr::spill_temp(&map, &layout, 8).expect("spill to temp");
     let requests = generate_requests(
         &map,
         &index,
