@@ -92,8 +92,6 @@ impl ServerStats {
             search: pathsearch::SearchStats {
                 settled: self.search.settled.saturating_sub(baseline.search.settled),
                 relaxed: self.search.relaxed.saturating_sub(baseline.search.relaxed),
-                heap_pushes: self.search.heap_pushes.saturating_sub(baseline.search.heap_pushes),
-                heap_pops: self.search.heap_pops.saturating_sub(baseline.search.heap_pops),
                 runs: self.search.runs.saturating_sub(baseline.search.runs),
             },
         }
@@ -169,8 +167,8 @@ impl<G: GraphView> DirectionsServer<G> {
     /// Attach (or remove) shared ALT landmark tables: obfuscated sweeps
     /// become goal-directed, settling fewer nodes while returning the
     /// same paths, costs, and logical counters as the unguided server
-    /// except for the work counters (`settled`/`relaxed`/heap traffic)
-    /// the pruning exists to shrink. Must have been built against this
+    /// except for the work counters (`settled`/`relaxed`) the pruning
+    /// exists to shrink. Must have been built against this
     /// server's map ([`SearchHeuristic::preprocess`](crate::SearchHeuristic::preprocess)
     /// does both in [`crate::ServiceBuilder::build`]); landmark bounds
     /// from another map would not be admissible.
@@ -298,14 +296,14 @@ impl<G: GraphView> DirectionsServer<G> {
     pub fn process_plain(&mut self, q: &PathQuery) -> Option<Path> {
         let goal = Goal::Single(q.destination);
         let before = self.cache_counters();
-        let run =
+        let (run, view) =
             run_tree(&mut self.arena, &self.graph, q.source, &goal, None, self.cache.as_mut());
+        let path = view.path_to(q.destination);
         self.account_cache_since(before);
         self.stats.plain_queries += 1;
         self.stats.pairs_evaluated += 1;
         self.stats.trees_grown += 1;
         self.stats.search.merge(run);
-        let path = self.arena.path_to(0, q.destination);
         if path.is_some() {
             self.stats.paths_returned += 1;
         }

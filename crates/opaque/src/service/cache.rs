@@ -11,12 +11,17 @@
 //! ([`pathsearch::run_tree`], once per tree of
 //! [`pathsearch::msmd_in_guided_cached`]): a query whose root already has a
 //! cached tree deep enough for its goal skips the Dijkstra sweep
-//! entirely; partial trees carry their settled radius implicitly (the
+//! entirely, and its paths are read straight from the cached trace
+//! ([`pathsearch::TreeView`]) — a hit writes nothing into the server's
+//! arena. Partial trees carry their settled radius implicitly (the
 //! recorded prefix) and are only reused when the early-termination rule
-//! is provably unaffected. A plain (unguided) miss records its sweep to
-//! twice the depth its goal needed, or to exhaustion, before storing it,
-//! so the next goal from that root up to twice as deep adopts instead of
-//! regrowing; [`crate::ServerStats`]`.search` still counts the logical,
+//! is provably unaffected. An entry costs 32 B per settled node: a
+//! 24 B settle event (node, parent settle index, distance, `relaxed`
+//! snapshot) and an 8 B settled-set index entry. A plain (unguided) miss
+//! records its sweep to twice the depth its goal needed, or to
+//! exhaustion, before storing it, so the next goal from that root up to
+//! twice as deep adopts instead of regrowing;
+//! [`crate::ServerStats`]`.search` still counts the logical,
 //! goal-stop work for it, exactly as it does for an adoption.
 //! [`TreeCache::miss_causes`] splits misses into *absent* (no entry) and
 //! *shallow* (an entry that could not answer the goal).
@@ -38,8 +43,8 @@
 //! pins one [`DirectionsServer`] (arena + cache) per worker thread, so
 //! the hot path takes no lock and [`crate::service::ExecutionPolicy`]
 //! stays a pure throughput knob. Correctness does not depend on which
-//! shard a unit lands on, because adoption replays counters
-//! byte-identical to the sweep it skips — `CachePolicy::Lru` produces
+//! shard a unit lands on, because a hit reports counters byte-identical
+//! to the sweep it skips — `CachePolicy::Lru` produces
 //! byte-identical [`crate::BatchReport`]s to `CachePolicy::Off`, the
 //! invariant `tests/cache_equivalence.rs` proves.
 //!
@@ -181,7 +186,8 @@ impl TreeCache {
     ///
     /// *Absent* is the LRU's fault count: every lookup is one counted
     /// access, and [`pathsearch::run_tree`] notes exactly one hit or miss
-    /// per lookup.
+    /// per lookup (a hit re-reads its entry through the uncounted
+    /// [`TreeStore::peek`]).
     pub fn miss_causes(&self) -> (u64, u64) {
         let absent = self.lru.stats().faults;
         (absent, self.misses.saturating_sub(absent))
@@ -225,6 +231,10 @@ impl TreeStore for TreeCache {
     fn lookup(&mut self, root: NodeId) -> Option<&SweepTrace> {
         let key = self.key(root);
         self.lru.get(&key)
+    }
+
+    fn peek(&self, root: NodeId) -> Option<&SweepTrace> {
+        self.lru.peek(&self.key(root))
     }
 
     fn store(&mut self, root: NodeId, trace: SweepTrace) {

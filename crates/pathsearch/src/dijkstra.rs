@@ -14,15 +14,17 @@
 //! which is the quantity Lemma 1 reasons about. [`Searcher`] is the
 //! single-tree facade over an owned arena; [`run_tree`] — the one
 //! adopt-or-grow entry, with the goal potential and the tree store as
-//! optional parameters — runs inside a caller-provided arena (e.g. the one
-//! a `DirectionsServer` shares with its MSMD processor), and [`run_in`] /
+//! optional parameters — grows its trees inside a caller-provided arena
+//! (e.g. the one a `DirectionsServer` shares with its MSMD processor),
+//! answers a tree-cache hit straight from the stored trace, and says which
+//! of the two holds the labels ([`TreeView`]); [`run_in`] /
 //! [`run_in_traced`] are its plain arities.
 
 use crate::alt::GoalPotential;
-use crate::arena::SearchArena;
+use crate::arena::{NIL, SearchArena};
 use crate::path::Path;
 use crate::stats::SearchStats;
-use crate::trace::{SettleEvent, SweepTrace, TreeStore};
+use crate::trace::{SettleEvent, SweepTrace, TreeStore, TreeView};
 use roadnet::{GraphView, NodeId};
 
 /// Search termination condition.
@@ -93,6 +95,10 @@ const DEEPEN_FACTOR: usize = 2;
 /// Records every settle as a [`SettleEvent`] for a [`SweepTrace`].
 struct Recorder {
     events: Vec<SettleEvent>,
+    /// Node → index of its settle event, the arena's reusable map (see
+    /// [`SearchArena::take_settle_index`]): how a settle finds its parent's
+    /// event, and how [`SweepTrace`] indexes the settled set unsorted.
+    index: Vec<u32>,
     exhausted: bool,
     /// Whether to record past the goal ([`DEEPEN_FACTOR`]) instead of
     /// stopping there — set for the plain sweeps of a cache miss.
@@ -103,10 +109,16 @@ struct Recorder {
 }
 
 impl Recorder {
-    fn new(nodes: usize, deepen: bool) -> Self {
+    fn new(nodes: usize, index: Vec<u32>, deepen: bool) -> Self {
         // Reserve for the common deep-sweep case: one settle event per node
         // keeps recording out of the reallocator on the misses a cache pays.
-        Recorder { events: Vec::with_capacity(nodes), exhausted: false, deepen, budget: usize::MAX }
+        Recorder {
+            events: Vec::with_capacity(nodes),
+            index,
+            exhausted: false,
+            deepen,
+            budget: usize::MAX,
+        }
     }
 }
 
@@ -126,13 +138,18 @@ impl SettleSink for Recorder {
 
     #[inline]
     fn on_settle(&mut self, arena: &SearchArena, node: NodeId, stats: &SearchStats) {
+        // A final label's parent relaxed it while expanding, so the parent
+        // settled earlier in this sweep and its index entry is current.
+        let parent = match arena.parent_raw(0, node) {
+            NIL => NIL,
+            p => self.index[p as usize],
+        };
+        self.index[node.index()] = self.events.len() as u32;
         self.events.push(SettleEvent {
             node: node.0,
+            parent,
             dist: arena.dist_raw(0, node),
-            parent: arena.parent_raw(0, node),
             relaxed: stats.relaxed,
-            heap_pushes: stats.heap_pushes,
-            heap_pops: stats.heap_pops,
         });
     }
 
@@ -199,11 +216,9 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
     }
     arena.label(0, source, 0.0, None);
     arena.push(0.0 + pot.eval(source), 0, source);
-    stats.heap_pushes += 1;
 
     let mut stopped = false;
     while let Some(e) = arena.pop() {
-        stats.heap_pops += 1;
         // Lazy deletion: skip entries for already-settled nodes or labels
         // that a shorter one has since overwritten.
         if !arena.is_fresh(&e) {
@@ -247,9 +262,7 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
         g.for_each_arc(node, &mut |to, w| {
             stats.relaxed += 1;
             let cand = d_node + w;
-            if arena.relax_keyed(0, node, to, cand, || cand + pot.eval(to)) {
-                stats.heap_pushes += 1;
-            }
+            arena.relax_keyed(0, node, to, cand, || cand + pot.eval(to));
         });
     }
     if !stopped {
@@ -296,11 +309,13 @@ fn grow_traced<G: GraphView>(
     pot: Option<&GoalPotential<'_>>,
     deepen: bool,
 ) -> (SearchStats, SweepTrace) {
-    let mut rec = Recorder::new(g.num_nodes(), deepen);
+    let n = g.num_nodes();
+    let mut rec = Recorder::new(n, arena.take_settle_index(n), deepen);
     let end = grow(arena, g, root, goal, pot, &mut rec);
     let potential = pot.map(|p| p.params().clone());
     let trace =
-        SweepTrace::from_parts(root, g.num_nodes(), rec.events, end, rec.exhausted, potential);
+        SweepTrace::from_parts(root, n, rec.events, &rec.index, end, rec.exhausted, potential);
+    arena.put_settle_index(rec.index);
     let stats = trace.stats_for(goal).expect("a recorded sweep answers its own goal");
     (stats, trace)
 }
@@ -340,20 +355,24 @@ pub fn run_in_traced<G: GraphView>(
 
 /// The **adopt-or-grow** single-tree sweep — the one entry every MSMD
 /// policy and the server's plain queries drive, with both policy axes as
-/// parameters:
+/// parameters. Returns the tree's counters and a [`TreeView`] of where its
+/// labels live, which is where every caller reads its paths:
 ///
 /// * `pot` — `Some(π)` keys the heap by `dist + π(node)` (A*-style goal
 ///   direction with exact settled labels, provided π is consistent —
 ///   [`GoalPotential`] is); `None` is plain Dijkstra, byte-identical to
 ///   [`run_in`]. Settled labels, parents, and paths are identical either
 ///   way whenever shortest paths are unique; only the settle order and the
-///   settled/relaxed/heap counters shrink.
-/// * `store` — `Some` consults it for a recorded sweep from `root` and
-///   adopts it when `goal` is provably inside the recorded prefix
-///   (skipping Dijkstra entirely, replaying byte-identical counters);
-///   otherwise the tree is grown for real, recorded, and re-stored. Hit or
-///   miss is reported through the store's counters. `None` grows the tree
-///   unrecorded — nothing beyond the sweep itself is allocated.
+///   settled/relaxed counters shrink.
+/// * `store` — `Some` consults it for a recorded sweep from `root` and,
+///   when `goal` is provably inside the recorded prefix, answers from it:
+///   no Dijkstra, no arena write — the view reads the stored trace's
+///   goal-stop prefix by chasing parent settle indices, and the counters
+///   are the trace's snapshot at that stop, byte-identical to the sweep
+///   skipped. Otherwise the tree is grown for real in `arena`, recorded,
+///   and re-stored, and the view reads the arena (tree 0). Hit or miss is
+///   reported through the store's counters. `None` grows the tree
+///   unrecorded in `arena` — nothing beyond the sweep itself is allocated.
 ///
 /// A **plain** miss (`pot` is `None`) records past its goal: the same
 /// sweep keeps settling until it has settled `DEEPEN_FACTOR` (= 2) times
@@ -377,16 +396,17 @@ pub fn run_in_traced<G: GraphView>(
 ///
 /// # Panics
 /// Panics if `root` is out of range for `g`.
-pub fn run_tree<G: GraphView, S: TreeStore + ?Sized>(
-    arena: &mut SearchArena,
+pub fn run_tree<'a, G: GraphView, S: TreeStore + ?Sized>(
+    arena: &'a mut SearchArena,
     g: &G,
     root: NodeId,
     goal: &Goal,
     pot: Option<&GoalPotential<'_>>,
-    store: Option<&mut S>,
-) -> SearchStats {
+    store: Option<&'a mut S>,
+) -> (SearchStats, TreeView<'a>) {
     let Some(store) = store else {
-        return grow(arena, g, root, goal, pot, &mut NoRecord);
+        let stats = grow(arena, g, root, goal, pot, &mut NoRecord);
+        return (stats, TreeView::Arena(arena));
     };
     let want = pot.map(|p| p.params());
     // A different node count can only mean a stale entry for another map;
@@ -395,17 +415,20 @@ pub fn run_tree<G: GraphView, S: TreeStore + ?Sized>(
     let adopted = store
         .lookup(root)
         .filter(|trace| trace.nodes() == g.num_nodes() && trace.potential() == want)
-        .and_then(|trace| trace.adopt_into(arena, goal));
+        .and_then(|trace| trace.stats_for(goal));
     match adopted {
         Some(stats) => {
             store.note_hit();
-            stats
+            // The counted lookup above already paid for this entry.
+            let store: &'a S = store;
+            let trace = store.peek(root).expect("the entry that just hit");
+            (stats, TreeView::Trace { trace, settled: stats.settled as usize })
         }
         None => {
             store.note_miss();
             let (stats, trace) = grow_traced(arena, g, root, goal, pot, pot.is_none());
             store.store(root, trace);
-            stats
+            (stats, TreeView::Arena(arena))
         }
     }
 }
@@ -642,29 +665,19 @@ mod tests {
         assert_eq!(st.runs, 1);
         assert_eq!(st.settled, 100);
         assert!(st.relaxed >= st.settled);
-        assert!(st.heap_pops <= st.heap_pushes);
     }
 
     #[test]
     fn counters_are_pinned() {
-        // Settle order and heap traffic of the single-tree loop, pinned per
-        // network class: a plain three-target set, a full sweep, and an
-        // ALT-guided sweep toward the same set, whose goals settle at
-        // different times so the open frontier is re-keyed on the way. Each
-        // row is (settled, relaxed, heap_pushes, heap_pops).
+        // Settle order of the single-tree loop, pinned per network class: a
+        // plain three-target set, a full sweep, and an ALT-guided sweep
+        // toward the same set, whose goals settle at different times so the
+        // open frontier is re-keyed on the way. Each row is (settled,
+        // relaxed).
         let pinned = [
-            (
-                NetworkClass::Grid,
-                [[286, 1057, 362, 335], [576, 2124, 693, 693], [87, 308, 155, 87]],
-            ),
-            (
-                NetworkClass::Geometric,
-                [[401, 1514, 476, 455], [600, 2264, 685, 685], [121, 447, 184, 129]],
-            ),
-            (
-                NetworkClass::Radial,
-                [[260, 872, 341, 305], [577, 1894, 735, 735], [108, 358, 170, 129]],
-            ),
+            (NetworkClass::Grid, [[286, 1057], [576, 2124], [87, 308]]),
+            (NetworkClass::Geometric, [[401, 1514], [600, 2264], [121, 447]]),
+            (NetworkClass::Radial, [[260, 872], [577, 1894], [108, 358]]),
         ];
         for (class, want) in pinned {
             let g = class.generate(600, 13).unwrap();
@@ -677,9 +690,9 @@ mod tests {
             let got = [
                 run_in(&mut arena, &g, NodeId(0), &set),
                 run_in(&mut arena, &g, NodeId(0), &Goal::AllNodes),
-                run_tree::<_, dyn TreeStore>(&mut arena, &g, NodeId(0), &set, Some(&pot), None),
+                run_tree::<_, dyn TreeStore>(&mut arena, &g, NodeId(0), &set, Some(&pot), None).0,
             ]
-            .map(|st| [st.settled, st.relaxed, st.heap_pushes, st.heap_pops]);
+            .map(|st| [st.settled, st.relaxed]);
             assert_eq!(got, want, "{}", class.name());
         }
     }

@@ -33,10 +33,10 @@
 //!   smaller side under `Auto`) through the one adopt-or-grow entry
 //!   ([`run_tree`]), with or without a tree store
 //!   ([`msmd_in_guided_cached`]);
-//! * [`trace`] — recorded, reusable sweeps ([`SweepTrace`]): extraction
-//!   and adoption of settled shortest-path trees with byte-identical
-//!   counter replay, the substrate of the service layer's shard-local
-//!   tree cache;
+//! * [`trace`] — recorded, reusable sweeps ([`SweepTrace`]): settled
+//!   shortest-path trees a cache hit reads in place ([`TreeView`]), with
+//!   byte-identical counters, the substrate of the service layer's
+//!   shard-local tree cache;
 //! * [`cost`] — the calibrated `O(‖s,t‖²)` cost model of Lemma 1.
 //!
 //! ## Quick example
@@ -85,4 +85,4 @@ pub use multi::{
 pub use path::Path;
 pub use range::{range_search, ring_search, ring_search_in};
 pub use stats::SearchStats;
-pub use trace::{SettleEvent, SweepTrace, TreeStore};
+pub use trace::{SweepTrace, TreeStore, TreeView};

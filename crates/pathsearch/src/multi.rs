@@ -20,8 +20,12 @@
 //!
 //! Every tree of every policy is one sweep of the adopt-or-grow entry
 //! [`run_tree`], so each can be guided by ALT and served from a tree store,
-//! inside a caller-provided [`SearchArena`] ([`msmd_in`]): a server
-//! evaluating a query stream touches no allocator beyond the result paths.
+//! and every answer is read from the [`crate::TreeView`] it returns. Trees
+//! grown for real run inside a caller-provided [`SearchArena`]
+//! ([`msmd_in`]): without a store, a server evaluating a query stream
+//! touches no allocator beyond the result paths. A tree-cache hit is read
+//! straight from the stored trace and writes no arena slot; a miss also
+//! allocates the trace it stores.
 
 use crate::alt::{AltPreprocessing, GoalPotential};
 use crate::arena::SearchArena;
@@ -156,8 +160,8 @@ pub fn msmd_in<G: GraphView>(
 /// tree however far apart the targets lie). Paths, distances, and
 /// per-pair answers are identical to the unguided evaluation whenever
 /// shortest paths are unique (relaxation still compares raw distances);
-/// only the settle order and the settled/relaxed/heap counters change. With `None` this *is*
-/// [`msmd_in`], byte-for-byte.
+/// only the settle order and the settled/relaxed counters change. With
+/// `None` this *is* [`msmd_in`], byte-for-byte.
 ///
 /// The preprocessing must come from this graph — landmark tables built on
 /// a symmetric view ([`AltPreprocessing::try_build`] enforces that).
@@ -180,13 +184,14 @@ pub fn msmd_in_guided<G: GraphView>(
 /// MSMD entry point. Before growing a spanning tree, the store is
 /// consulted for a recorded sweep from the same root; when the tree's goal
 /// is provably inside the recorded prefix (every goal node settled, or the
-/// sweep complete — see [`crate::trace::SweepTrace::adopt_into`]) the
-/// Dijkstra sweep is skipped entirely and the cached labels and
-/// *byte-identical* counters are replayed. Otherwise the tree is grown for
-/// real, recorded, and re-stored — an unguided one recorded to twice the
-/// depth its goal needed, so a somewhat deeper goal from the same root
-/// adopts next time, while the counters returned are still those of the
-/// sweep stopping at its goal (the logical work, as for an adoption).
+/// sweep complete — see [`crate::trace`]) the Dijkstra sweep is skipped
+/// entirely: the paths are read from the cached labels and the counters
+/// are the *byte-identical* snapshot at the goal's stop. Otherwise the
+/// tree is grown for real, recorded, and re-stored — an unguided one
+/// recorded to twice the depth its goal needed, so a somewhat deeper goal
+/// from the same root adopts next time, while the counters returned are
+/// still those of the sweep stopping at its goal (the logical work, as for
+/// an adoption).
 ///
 /// The answers and every counter are identical to [`msmd_in_guided`] under
 /// the same policy and `pre` — caching, like execution strategy, must
@@ -268,10 +273,10 @@ fn naive<G: GraphView>(
         let mut row = Vec::with_capacity(targets.len());
         for (j, &t) in targets.iter().enumerate() {
             let pot = pots.as_ref().map(|p| &p[j]);
-            let run = run_tree(arena, g, s, &Goal::Single(t), pot, store.as_deref_mut());
+            let (run, view) = run_tree(arena, g, s, &Goal::Single(t), pot, store.as_deref_mut());
+            row.push(view.path_to(t));
             stats.merge(run);
             per_tree.push(TreeStats { root: s, side: TreeSide::Source, stats: run });
-            row.push(arena.path_to(0, t));
         }
         paths.push(row);
     }
@@ -296,10 +301,10 @@ fn per_source<G: GraphView>(
     let goal = Goal::Set(targets.to_vec());
     let mut paths = Vec::with_capacity(sources.len());
     for &s in sources {
-        let run = run_tree(arena, g, s, &goal, pot.as_ref(), store.as_deref_mut());
+        let (run, view) = run_tree(arena, g, s, &goal, pot.as_ref(), store.as_deref_mut());
+        paths.push(targets.iter().map(|&t| view.path_to(t)).collect());
         stats.merge(run);
         per_tree.push(TreeStats { root: s, side: TreeSide::Source, stats: run });
-        paths.push(targets.iter().map(|&t| arena.path_to(0, t)).collect());
     }
     MsmdResult { paths, stats, per_tree }
 }

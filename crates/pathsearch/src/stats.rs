@@ -2,10 +2,16 @@
 //!
 //! The paper's Lemma 1 bounds the processing cost of an obfuscated path
 //! query by the *area* covered by the Dijkstra spanning trees. The concrete
-//! proxies we record for that area are: nodes settled (computation) and —
-//! when searching through the page file of a [`roadnet::ChunkedCsr`] —
-//! page faults (I/O, reported separately by the storage layer). Every algorithm in this crate
-//! fills in a [`SearchStats`].
+//! proxies we record for that area are: nodes settled (computation), arcs
+//! relaxed (the work per settled node) and — when searching through the
+//! page file of a [`roadnet::ChunkedCsr`] — page faults (I/O, reported
+//! separately by the storage layer). Every algorithm in this crate fills in
+//! a [`SearchStats`].
+//!
+//! Heap traffic (pushes and pops) is deliberately not counted: it reached
+//! no report and no benchmark, only tests, yet every recorded settle of a
+//! tree-cache trace had to carry a snapshot of it. Settle order — which the
+//! heap decides — is pinned by `settled` and `relaxed` alone.
 
 /// Counters describing one (or an aggregate of several) search runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -14,10 +20,6 @@ pub struct SearchStats {
     pub settled: u64,
     /// Arc relaxations attempted.
     pub relaxed: u64,
-    /// Heap insertions (lazy-deletion Dijkstra pushes duplicates).
-    pub heap_pushes: u64,
-    /// Heap removals, including stale entries.
-    pub heap_pops: u64,
     /// Number of individual search runs aggregated into this value.
     pub runs: u64,
 }
@@ -32,8 +34,6 @@ impl SearchStats {
     pub fn merge(&mut self, other: SearchStats) {
         self.settled += other.settled;
         self.relaxed += other.relaxed;
-        self.heap_pushes += other.heap_pushes;
-        self.heap_pops += other.heap_pops;
         self.runs += other.runs;
     }
 }
@@ -62,8 +62,8 @@ mod tests {
 
     #[test]
     fn merge_and_add_accumulate() {
-        let a = SearchStats { settled: 10, relaxed: 30, heap_pushes: 20, heap_pops: 15, runs: 1 };
-        let b = SearchStats { settled: 5, relaxed: 12, heap_pushes: 9, heap_pops: 9, runs: 1 };
+        let a = SearchStats { settled: 10, relaxed: 30, runs: 1 };
+        let b = SearchStats { settled: 5, relaxed: 12, runs: 1 };
         let c = a + b;
         assert_eq!(c.settled, 15);
         assert_eq!(c.relaxed, 42);

@@ -4,16 +4,21 @@
 //! Lemma 1 prices an obfuscated query by the spanning trees the server
 //! grows, and hotspot/commuter workloads make many queries share roots:
 //! the same tree gets recomputed over and over. A [`SweepTrace`] is the
-//! reusable form of one Dijkstra sweep: the settled `(node, dist, parent)`
-//! labels **in settle order**, each paired with a snapshot of the sweep's
-//! counters at that settle. Adoption ([`SweepTrace::adopt_into`]) replays
-//! a recorded sweep into a [`SearchArena`] without touching the heap at
-//! all — and, because Dijkstra from a fixed root is deterministic and its
-//! goal only ever decides *when to stop*, any two sweeps from the same
-//! root *under one heap potential* are prefixes of one another (a
-//! goal-directed potential reshapes the settle order, so traces are
-//! stamped with it — [`SweepTrace::potential`] — and never adopted
-//! across). That gives the two guarantees the cache needs:
+//! reusable form of one Dijkstra sweep: the settled `(node, dist)` labels
+//! **in settle order**, each naming its tree parent by the parent's
+//! *settle index* (its position in that order, which is always earlier),
+//! and each paired with the sweep's `relaxed` count at that settle.
+//! Because Dijkstra from a fixed root is deterministic and its goal only
+//! ever decides *when to stop*, any two sweeps from the same root *under
+//! one heap potential* are prefixes of one another (a goal-directed
+//! potential reshapes the settle order, so traces are stamped with it —
+//! [`SweepTrace::potential`] — and never adopted across). Adopting a
+//! trace for a goal is therefore a **read of its goal-stop prefix**: the
+//! events a fresh sweep with that goal would settle before stopping.
+//! [`crate::dijkstra::run_tree`] answers a hit with a [`TreeView`] over
+//! that prefix — a path is read by chasing parent indices from the
+//! target's event, and the arena is never touched — which gives the two
+//! guarantees the cache needs:
 //!
 //! * **answers** — adopted labels are settled, hence exact; paths read
 //!   back identically to a fresh run;
@@ -32,7 +37,12 @@
 //! depth its goal needed (or to exhaustion) and re-stores that, so the
 //! next, somewhat deeper goal from the same root adopts; the counters it
 //! reports are still the goal-stopping sweep's, read back from the trace
-//! (`SweepTrace::stats_for`, the same rule adoption replays).
+//! (`SweepTrace::stats_for`, the one stop→counters rule).
+//!
+//! Replaying a trace into a [`SearchArena`] survives only as
+//! [`SweepTrace::adopt_into`]: the benchmark's adoption probe times it,
+//! and tests use the replayed arena as the oracle the read is checked
+//! against.
 //!
 //! [`TreeStore`] is the minimal storage interface the adopt-or-grow entry
 //! point ([`crate::dijkstra::run_tree`]) drives; the capacity-bounded
@@ -42,30 +52,31 @@
 use crate::alt::PotentialParams;
 use crate::arena::{NIL, SearchArena};
 use crate::dijkstra::Goal;
+use crate::path::Path;
 use crate::stats::SearchStats;
 use roadnet::NodeId;
 
 /// One settle event of a recorded sweep: the final label plus the sweep's
 /// counter snapshot at the moment a goal check could have stopped there.
 #[derive(Clone, Copy, Debug)]
-pub struct SettleEvent {
+pub(crate) struct SettleEvent {
     /// The settled node.
-    pub node: u32,
+    pub(crate) node: u32,
+    /// Settle index of its tree parent — always an earlier event — or
+    /// [`NIL`] for the root.
+    pub(crate) parent: u32,
     /// Its final (exact) distance from the root.
-    pub dist: f64,
-    /// Parent node id in the spanning tree (`u32::MAX` for the root).
-    pub parent: u32,
+    pub(crate) dist: f64,
     /// Arc relaxations performed *before* this node expanded its arcs —
     /// what a sweep stopping here would report.
-    pub relaxed: u64,
-    /// Heap pushes before this node expanded its arcs.
-    pub heap_pushes: u64,
-    /// Heap pops up to and including the pop that settled this node.
-    pub heap_pops: u64,
+    pub(crate) relaxed: u64,
 }
 
+const _: () = assert!(size_of::<SettleEvent>() == 24);
+
 /// A recorded Dijkstra sweep: settle-ordered labels with per-event
-/// counter snapshots, reusable via [`SweepTrace::adopt_into`].
+/// counter snapshots, read by [`crate::dijkstra::run_tree`] through a
+/// [`TreeView`].
 #[derive(Clone, Debug)]
 pub struct SweepTrace {
     root: NodeId,
@@ -73,8 +84,7 @@ pub struct SweepTrace {
     events: Vec<SettleEvent>,
     /// `(node, event index)` sorted by node — the settled-set index.
     positions: Vec<(u32, u32)>,
-    /// Counters at sweep end (includes trailing stale pops when the heap
-    /// drained) — what a fresh exhausting sweep reports.
+    /// Counters at sweep end — what a fresh exhausting sweep reports.
     final_stats: SearchStats,
     /// Whether the sweep exhausted the root's component (no early stop),
     /// i.e. every reachable node is settled and absence proves
@@ -93,10 +103,13 @@ impl SweepTrace {
     /// potential it ran under (crate-internal: only the recording sweep
     /// behind [`crate::dijkstra::run_tree`] and
     /// [`crate::dijkstra::run_in_traced`] produces consistent ones).
+    /// `index` is the recorder's node → settle-index map, at least `nodes`
+    /// long; its entries for nodes this sweep did not settle are stale.
     pub(crate) fn from_parts(
         root: NodeId,
         nodes: usize,
         mut events: Vec<SettleEvent>,
+        index: &[u32],
         final_stats: SearchStats,
         complete: bool,
         potential: Option<PotentialParams>,
@@ -106,9 +119,8 @@ impl SweepTrace {
         // an early-stopped sweep must cost memory proportional to what it
         // settled, not to the map.
         events.shrink_to_fit();
-        let mut positions: Vec<(u32, u32)> =
-            events.iter().enumerate().map(|(i, e)| (e.node, i as u32)).collect();
-        positions.sort_unstable();
+        let positions = scan_positions(&events, &index[..nodes]);
+        debug_assert_eq!(positions.len(), events.len(), "every settle indexed once");
         SweepTrace { root, nodes, events, positions, final_stats, complete, potential }
     }
 
@@ -216,34 +228,48 @@ impl SweepTrace {
     /// The counters a fresh sweep with `goal` reports — the snapshot at the
     /// settle where it would stop, or the exhausted sweep's final counters
     /// — if that stop is provably inside this trace. The one stop→counters
-    /// rule: adoption replays it, and a recording sweep reports it, which
+    /// rule: a cache hit reads it, and a recording sweep reports it, which
     /// is what lets a plain cache miss ([`crate::dijkstra::run_tree`])
-    /// record past its goal and still report the goal's counters.
+    /// record past its goal and still report the goal's counters. Its
+    /// `settled` is the length of the goal-stop prefix: every settle
+    /// records one event.
     pub(crate) fn stats_for(&self, goal: &Goal) -> Option<SearchStats> {
         Some(match self.stop_for(goal)? {
             Stop::At(i) => {
-                let e = &self.events[i];
-                SearchStats {
-                    settled: i as u64 + 1,
-                    relaxed: e.relaxed,
-                    heap_pushes: e.heap_pushes,
-                    heap_pops: e.heap_pops,
-                    runs: 1,
-                }
+                SearchStats { settled: i as u64 + 1, relaxed: self.events[i].relaxed, runs: 1 }
             }
             Stop::Exhausted => self.final_stats,
         })
     }
 
-    /// Adopt this trace into `arena` (tree 0) as the answer to `goal`,
-    /// skipping the Dijkstra sweep entirely. On success the arena reads
-    /// exactly like a fresh [`crate::dijkstra::run_in`] from the same
-    /// root with the same goal — same settled labels, same paths — and
-    /// the returned counters are byte-identical to that run's (stats
-    /// replay from the per-settle snapshots). Returns `None` when the
-    /// goal is not provably inside the recorded prefix, in which case the
-    /// arena is left mid-generation and the caller must run the search
-    /// for real (which begins a fresh generation).
+    /// The path from the root to `t` inside the first `settled` events, by
+    /// chasing parent settle indices; `None` when `t` settles later or
+    /// never.
+    fn path_to(&self, settled: usize, t: NodeId) -> Option<Path> {
+        let i = self.position(t).filter(|&i| i < settled)?;
+        let mut nodes = vec![t];
+        let mut at = i;
+        while self.events[at].parent != NIL {
+            let parent = self.events[at].parent as usize;
+            debug_assert!(parent < at, "a parent settles before its child");
+            at = parent;
+            nodes.push(NodeId(self.events[at].node));
+        }
+        nodes.reverse();
+        Some(Path::new(nodes, self.events[i].dist))
+    }
+
+    /// Replay this trace into `arena` (tree 0) as the answer to `goal`.
+    /// On success the arena reads exactly like a fresh
+    /// [`crate::dijkstra::run_in`] from the same root with the same goal —
+    /// same settled labels, same paths — and the returned counters are
+    /// byte-identical to that run's. Returns `None`, with the arena
+    /// untouched, when the goal is not provably inside the recorded prefix.
+    ///
+    /// [`crate::dijkstra::run_tree`] never replays: it reads a hit through
+    /// a [`TreeView`] of the same prefix. The replay remains as the
+    /// operation the benchmark's adoption probe times and as the oracle the
+    /// tests hold that read to.
     ///
     /// One observable difference to a fresh run is intentional: frontier
     /// nodes beyond the stopping point carry *no* tentative labels after
@@ -254,10 +280,8 @@ impl SweepTrace {
     pub fn adopt_into(&self, arena: &mut SearchArena, goal: &Goal) -> Option<SearchStats> {
         let stats = self.stats_for(goal)?;
         arena.begin(self.nodes, 1);
-        // Every settle records one event, so the goal's stop settles
-        // exactly the first `settled` of them.
         for e in &self.events[..stats.settled as usize] {
-            let parent = (e.parent != NIL).then_some(NodeId(e.parent));
+            let parent = (e.parent != NIL).then(|| NodeId(self.events[e.parent as usize].node));
             arena.label(0, NodeId(e.node), e.dist, parent);
             arena.settle(0, NodeId(e.node));
         }
@@ -265,13 +289,60 @@ impl SweepTrace {
     }
 }
 
+/// The settled-set index of `events`, read off the recorder's node →
+/// settle-index map in node order: `O(nodes + len)`, sorted as it is
+/// built, exactly `len` long. An entry the sweep did not write is stale and
+/// can only point at another node's event, so the node check keeps exactly
+/// this sweep's settles. Sorting the `len` pairs instead is only cheaper
+/// for a trace shorter than about a twelfth of the map, and a plain cache
+/// miss records twice its goal's depth, so the cache rarely stores one.
+fn scan_positions(events: &[SettleEvent], index: &[u32]) -> Vec<(u32, u32)> {
+    let mut positions = Vec::with_capacity(events.len());
+    for (node, &i) in index.iter().enumerate() {
+        if events.get(i as usize).is_some_and(|e| e.node as usize == node) {
+            positions.push((node as u32, i));
+        }
+    }
+    positions
+}
+
 /// Where an adopted sweep stops.
 enum Stop {
     /// At settle event `i` (the goal's last node settles there).
     At(usize),
-    /// Never — the sweep exhausts the component, trailing stale pops
-    /// included.
+    /// Never — the sweep exhausts the component.
     Exhausted,
+}
+
+/// Where the labels of the tree [`crate::dijkstra::run_tree`] answered
+/// with live: read paths from here, not from the arena — a cache hit
+/// leaves the arena as it was.
+#[derive(Clone, Copy, Debug)]
+pub enum TreeView<'a> {
+    /// A tree grown for real: tree 0 of the arena.
+    Arena(&'a SearchArena),
+    /// A cache hit: the first `settled` events of a stored trace — the
+    /// prefix a fresh sweep with the same goal settles before stopping.
+    Trace {
+        /// The stored trace.
+        trace: &'a SweepTrace,
+        /// Length of the goal-stop prefix.
+        settled: usize,
+    },
+}
+
+impl TreeView<'_> {
+    /// The path from the root to `t`, or `None` when the tree did not
+    /// settle `t`. Equal, node for node and bit for bit in distance, to a
+    /// fresh sweep's [`SearchArena::path_to`] for every node that sweep
+    /// settled — in particular every goal node, and `None` for a goal
+    /// node a complete sweep proved unreachable.
+    pub fn path_to(&self, t: NodeId) -> Option<Path> {
+        match *self {
+            TreeView::Arena(arena) => arena.path_to(0, t),
+            TreeView::Trace { trace, settled } => trace.path_to(settled, t),
+        }
+    }
 }
 
 /// Storage interface the adopt-or-grow entry point
@@ -287,6 +358,11 @@ pub trait TreeStore {
     /// Borrow the stored trace for `root`, if any. Counts as a use for
     /// recency-based eviction.
     fn lookup(&mut self, root: NodeId) -> Option<&SweepTrace>;
+
+    /// Borrow the stored trace for `root` without counting a use — how a
+    /// hit, already counted by its [`TreeStore::lookup`], is read after
+    /// [`TreeStore::note_hit`].
+    fn peek(&self, root: NodeId) -> Option<&SweepTrace>;
 
     /// Store `trace` for `root`, replacing any previous entry. Between
     /// two traces under the same [`SweepTrace::potential`] stores should
@@ -307,9 +383,11 @@ pub trait TreeStore {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::alt::{AltPreprocessing, GoalPotential};
     use crate::dijkstra::{run_in, run_in_traced, run_tree};
-    use roadnet::generators::{GridConfig, grid_network};
-    use roadnet::{GraphBuilder, Point};
+    use proptest::prelude::*;
+    use roadnet::generators::{GridConfig, NetworkClass, grid_network};
+    use roadnet::{GraphBuilder, Point, RoadNetwork};
 
     /// Unbounded map-backed [`TreeStore`] for the crate's cache tests,
     /// keeping the deeper of two traces under one potential like
@@ -323,6 +401,10 @@ pub(crate) mod tests {
 
     impl TreeStore for MapStore {
         fn lookup(&mut self, root: NodeId) -> Option<&SweepTrace> {
+            self.map.get(&root.0)
+        }
+
+        fn peek(&self, root: NodeId) -> Option<&SweepTrace> {
             self.map.get(&root.0)
         }
 
@@ -449,7 +531,7 @@ pub(crate) mod tests {
         let mut fresh_arena = SearchArena::new();
         let fresh = run_in(&mut fresh_arena, &g, NodeId(0), &Goal::Single(NodeId(4)));
         let adopted = trace.adopt_into(&mut arena, &Goal::Single(NodeId(4))).unwrap();
-        assert_eq!(adopted, fresh, "exhausted stats replay, trailing stale pops included");
+        assert_eq!(adopted, fresh, "the exhausted sweep's counters replay");
         assert_eq!(arena.path_to(0, NodeId(4)), None);
         assert_eq!(arena.distance(0, NodeId(4)), None);
 
@@ -512,17 +594,19 @@ pub(crate) mod tests {
     }
 
     /// One plain `run_tree` miss into an empty store: its counters, the
-    /// arena it left behind, and the trace it stored.
+    /// paths to `targets` its view reads, and the trace it stored.
     fn plain_miss(
         g: &roadnet::RoadNetwork,
         root: NodeId,
         goal: &Goal,
-    ) -> (SearchStats, SearchArena, SweepTrace) {
+        targets: &[NodeId],
+    ) -> (SearchStats, Vec<Option<Path>>, SweepTrace) {
         let (mut arena, mut store) = (SearchArena::new(), MapStore::default());
-        let stats = run_tree(&mut arena, g, root, goal, None, Some(&mut store));
+        let (stats, view) = run_tree(&mut arena, g, root, goal, None, Some(&mut store));
+        let paths = targets.iter().map(|&t| view.path_to(t)).collect();
         assert_eq!((store.hits, store.misses), (0, 1));
         let trace = store.map.remove(&root.0).expect("a miss stores its sweep");
-        (stats, arena, trace)
+        (stats, paths, trace)
     }
 
     #[test]
@@ -540,7 +624,7 @@ pub(crate) mod tests {
         ] {
             let k = run_in(&mut SearchArena::new(), g, root, &goal).settled as usize;
             let (_, full) = run_in_traced(&mut SearchArena::new(), g, root, &Goal::AllNodes);
-            let (_, _, stored) = plain_miss(g, root, &goal);
+            let (_, _, stored) = plain_miss(g, root, &goal, &[]);
             let tag = format!("{goal:?} from {root}, k = {k}");
             assert_eq!(stored.len(), (2 * k).min(component), "{tag}");
             assert_eq!(stored.is_complete(), 2 * k >= component, "{tag}");
@@ -548,11 +632,7 @@ pub(crate) mod tests {
             // sweep, snapshots included.
             for (a, b) in stored.events.iter().zip(&full.events) {
                 assert_eq!((a.node, a.dist, a.parent), (b.node, b.dist, b.parent), "{tag}");
-                assert_eq!(
-                    (a.relaxed, a.heap_pushes, a.heap_pops),
-                    (b.relaxed, b.heap_pushes, b.heap_pops),
-                    "{tag}"
-                );
+                assert_eq!(a.relaxed, b.relaxed, "{tag}");
             }
         }
     }
@@ -572,10 +652,10 @@ pub(crate) mod tests {
         for i in [k, 3 * k / 2, 2 * k - 1] {
             let t = NodeId(full.events[i].node);
             let goal = Goal::Set(vec![NodeId(30), t]);
-            let stats = run_tree(&mut arena, &g, root, &goal, None, Some(&mut store));
+            let (stats, view) = run_tree(&mut arena, &g, root, &goal, None, Some(&mut store));
             let mut fresh = SearchArena::new();
             assert_eq!(stats, run_in(&mut fresh, &g, root, &goal), "goal settling at {i}");
-            assert_eq!(arena.path_to(0, t), fresh.path_to(0, t));
+            assert_eq!(view.path_to(t), fresh.path_to(0, t));
         }
         assert_eq!((store.hits, store.misses), (3, 1));
 
@@ -596,8 +676,9 @@ pub(crate) mod tests {
             for goal in [Goal::Single(targets[0]), Goal::Set(targets.clone())] {
                 let mut arena = SearchArena::new();
                 let mut store = MapStore::default();
-                let stats = run_tree(&mut arena, &g, root, &goal, Some(&pot), Some(&mut store));
-                let uncached =
+                let (stats, _) =
+                    run_tree(&mut arena, &g, root, &goal, Some(&pot), Some(&mut store));
+                let (uncached, _) =
                     run_tree::<_, MapStore>(&mut arena, &g, root, &goal, Some(&pot), None);
                 assert_eq!(stats, uncached, "{goal:?}");
                 let stored = &store.map[&root.0];
@@ -630,12 +711,12 @@ pub(crate) mod tests {
         ] {
             let mut fresh = SearchArena::new();
             let expected = run_in(&mut fresh, g, root, &goal);
-            let (stats, arena, stored) = plain_miss(g, root, &goal);
+            let (stats, paths, stored) = plain_miss(g, root, &goal, &targets);
             assert_eq!(stats, expected, "{goal:?}: the logical, goal-stop counters");
             assert!(stored.len() as u64 > stats.settled || stored.is_complete(), "{goal:?}");
             assert_eq!(stored.stats_for(&goal), Some(expected));
-            for t in targets {
-                assert_eq!(arena.path_to(0, t), fresh.path_to(0, t), "{goal:?}: path to {t}");
+            for (t, path) in targets.into_iter().zip(paths) {
+                assert_eq!(path, fresh.path_to(0, t), "{goal:?}: path to {t}");
             }
         }
     }
@@ -660,6 +741,136 @@ pub(crate) mod tests {
         assert_eq!(settled[0], NodeId(60));
         for (i, &n) in settled.iter().enumerate() {
             assert_eq!(trace.position(n), Some(i));
+        }
+    }
+
+    /// `g` plus a two-node island no root on `g` reaches.
+    fn with_island(g: &RoadNetwork) -> RoadNetwork {
+        let mut b = GraphBuilder::new();
+        for n in g.nodes() {
+            b.add_node(g.point(n)).unwrap();
+        }
+        for e in g.edges() {
+            b.add_edge(e.a, e.b, e.weight).unwrap();
+        }
+        let island =
+            [Point::new(-1e4, -1e4), Point::new(-1e4 + 1.0, -1e4)].map(|p| b.add_node(p).unwrap());
+        b.add_edge(island[0], island[1], 1.0).unwrap();
+        b.build().unwrap()
+    }
+
+    /// A path as the exact bits it is compared by: nodes, and the distance
+    /// bit for bit.
+    fn bits(p: Option<Path>) -> Option<(Vec<NodeId>, u64)> {
+        p.map(|p| (p.nodes().to_vec(), p.distance().to_bits()))
+    }
+
+    /// Warm `root`'s entry with one miss, then hit it: the hit's view must
+    /// read, for every target, the path a fresh uncached sweep reads, and
+    /// for every node what the replayed trace reads (`None` past the
+    /// goal-stop prefix), with equal counters — and leave the arena as the
+    /// last real sweep left it.
+    fn assert_hit_reads_fresh_and_replay(
+        g: &RoadNetwork,
+        root: NodeId,
+        goal: &Goal,
+        targets: &[NodeId],
+        pot: Option<&GoalPotential<'_>>,
+        tag: &str,
+    ) {
+        let (mut arena, mut store) = (SearchArena::new(), MapStore::default());
+        run_tree(&mut arena, g, root, goal, pot, Some(&mut store));
+        let other = NodeId((root.0 + 1) % g.num_nodes() as u32);
+        run_in(&mut arena, g, other, &Goal::AllNodes);
+        let before: Vec<_> = targets.iter().map(|&t| arena.path_to(0, t)).collect();
+
+        let (stats, view) = run_tree(&mut arena, g, root, goal, pot, Some(&mut store));
+        assert!(matches!(view, TreeView::Trace { .. }), "{tag}: the warm run hits");
+        let read: Vec<_> = g.nodes().map(|t| bits(view.path_to(t))).collect();
+        assert_eq!((store.hits, store.misses), (1, 1), "{tag}");
+        let after: Vec<_> = targets.iter().map(|&t| arena.path_to(0, t)).collect();
+        assert_eq!(before, after, "{tag}: a hit writes no arena slot");
+
+        let mut fresh = SearchArena::new();
+        let (fresh_stats, _) = run_tree::<_, MapStore>(&mut fresh, g, root, goal, pot, None);
+        let mut replay = SearchArena::new();
+        let replay_stats = store.map[&root.0].adopt_into(&mut replay, goal);
+        assert_eq!(stats, fresh_stats, "{tag}: counters");
+        assert_eq!(Some(stats), replay_stats, "{tag}: counters");
+        for &t in targets {
+            assert_eq!(read[t.index()], bits(fresh.path_to(0, t)), "{tag}: fresh path to {t}");
+        }
+        for (t, got) in g.nodes().zip(read) {
+            assert_eq!(got, bits(replay.path_to(0, t)), "{tag}: replayed path to {t}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16, ..Default::default() })]
+
+        #[test]
+        fn hit_view_reads_what_fresh_and_replayed_sweeps_read(
+            seed in 0..1_000u64,
+            picks in (proptest::num::u32::ANY, proptest::num::u32::ANY, proptest::num::u32::ANY),
+        ) {
+            for class in NetworkClass::ALL {
+                let g = with_island(&class.generate(300, seed).unwrap());
+                let n = g.num_nodes() as u32;
+                let island = NodeId(n - 1);
+                // Roots and targets on the main map.
+                let [root, a, b] = [picks.0, picks.1, picks.2].map(|x| NodeId(x % (n - 2)));
+                let alt = AltPreprocessing::try_build(&g, 4).unwrap();
+                let all: Vec<NodeId> = g.nodes().collect();
+                // Each guided sweep aims at its own goal set, as the MSMD
+                // loops do; `AllNodes` has none, so it borrows `{a, b}`.
+                for (goal, targets, aim) in [
+                    (Goal::Single(a), vec![a], vec![a]),
+                    (Goal::Set(vec![a, b, a]), vec![a, b], vec![a, b]),
+                    (Goal::Set(vec![a, island]), vec![a, island], vec![a, island]),
+                    (Goal::AllNodes, all, vec![a, b]),
+                ] {
+                    let pot = alt.goal_potential(&aim);
+                    for pot in [None, Some(&pot)] {
+                        let tag = format!(
+                            "{} seed {seed} root {root} {goal:?} guided={}",
+                            class.name(),
+                            pot.is_some()
+                        );
+                        assert_hit_reads_fresh_and_replay(&g, root, &goal, &targets, pot, &tag);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recorded_settles_cost_at_most_32_bytes_and_index_exactly() {
+        let g = NetworkClass::Geometric.generate(2_000, 7).unwrap();
+        let n = g.num_nodes();
+        // The short sweep grows from another root after a complete one, so
+        // most of the settle-index map it scans is the complete sweep's,
+        // stale.
+        let far = NodeId(n as u32 / 2);
+        let (_, from_far) = run_in_traced(&mut SearchArena::new(), &g, far, &Goal::AllNodes);
+        let mut arena = SearchArena::new();
+        let (_, complete) = run_in_traced(&mut arena, &g, NodeId(0), &Goal::AllNodes);
+        let goal = Goal::Single(NodeId(from_far.events[n / 20].node));
+        let (_, short) = run_in_traced(&mut arena, &g, far, &goal);
+        assert!(complete.is_complete());
+        assert!(short.len() * 16 <= n, "short: {} settles", short.len());
+
+        for (trace, tag) in [(&complete, "complete"), (&short, "short")] {
+            let reference: Vec<(u32, u32)> = (0..n as u32)
+                .filter_map(|node| {
+                    let i = trace.events.iter().position(|e| e.node == node)?;
+                    Some((node, i as u32))
+                })
+                .collect();
+            assert_eq!(trace.positions, reference, "{tag}: settled-set index");
+
+            let bytes = trace.events.capacity() * size_of::<SettleEvent>()
+                + trace.positions.capacity() * size_of::<(u32, u32)>();
+            assert!(bytes <= 32 * trace.len(), "{tag}: {bytes} B for {} settles", trace.len());
         }
     }
 }

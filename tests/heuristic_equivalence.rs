@@ -109,8 +109,6 @@ fn masked_stats(svc: &opaque::OpaqueService<opaque::DefaultBackend>) -> opaque::
     stats.tree_cache_misses = 0;
     stats.search.settled = 0;
     stats.search.relaxed = 0;
-    stats.search.heap_pushes = 0;
-    stats.search.heap_pops = 0;
     stats
 }
 

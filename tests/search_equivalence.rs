@@ -265,6 +265,9 @@ impl pathsearch::TreeStore for LastTrace {
     fn lookup(&mut self, _: NodeId) -> Option<&pathsearch::SweepTrace> {
         None
     }
+    fn peek(&self, _: NodeId) -> Option<&pathsearch::SweepTrace> {
+        None
+    }
     fn store(&mut self, _: NodeId, trace: pathsearch::SweepTrace) {
         self.0 = Some(trace);
     }
@@ -293,15 +296,16 @@ fn assert_guided_tree_is_plain(
 
     let pot = pre.goal_potential(goals);
     let (mut arena, mut store) = (SearchArena::new(), LastTrace::default());
-    let guided = run_tree(&mut arena, g, root, &goal, Some(&pot), Some(&mut store));
+    let (guided, view) = run_tree(&mut arena, g, root, &goal, Some(&pot), Some(&mut store));
+    let paths: Vec<_> = g.nodes().map(|n| view.path_to(n)).collect();
     let trace = store.0.expect("a grown tree is recorded");
     assert_eq!(guided.settled as usize, trace.len(), "{ctx}");
     assert!(guided.settled <= plain.settled, "{ctx}: {} > {}", guided.settled, plain.settled);
     for n in trace.settled() {
-        assert_eq!(arena.path_to(0, n), full.path_to(0, n), "{ctx}: settled label of {n}");
+        assert_eq!(paths[n.index()], full.path_to(0, n), "{ctx}: settled label of {n}");
     }
     for &t in goals {
-        assert_eq!(arena.path_to(0, t), full.path_to(0, t), "{ctx}: path to goal {t}");
+        assert_eq!(paths[t.index()], full.path_to(0, t), "{ctx}: path to goal {t}");
     }
     trace
 }
