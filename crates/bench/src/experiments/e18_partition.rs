@@ -29,7 +29,7 @@ use opaque::{
     CachePolicy, FakeSelection, ObfuscationMode, Obfuscator, Partition, PartitionPolicy, RouteKind,
     ServiceBuilder,
 };
-use pathsearch::{Goal, Searcher, SharingPolicy};
+use pathsearch::{Goal, SearchArena, SharingPolicy, run_in_traced};
 use roadnet::generators::NetworkClass;
 use workload::{ProtectionDistribution, QueryDistribution, WorkloadConfig, generate_requests};
 
@@ -62,7 +62,7 @@ fn settled_locality(
     requests: &[opaque::ClientRequest],
 ) -> (f64, f64, [usize; 3]) {
     let mut obfuscator = Obfuscator::new(g.clone(), FakeSelection::Uniform, 0xE18);
-    let mut searcher = Searcher::new();
+    let mut arena = SearchArena::new();
     let (mut region_sum, mut rr_sum, mut kinds) = (0.0, 0.0, [0usize; 3]);
     let sample = requests.len().min(LOCALITY_SAMPLE);
     for (i, request) in requests.iter().take(sample).enumerate() {
@@ -79,7 +79,7 @@ fn settled_locality(
         // until every source is settled — the sweep the server runs.
         let root = unit.query.targets()[0];
         let goal = Goal::Set(unit.query.sources().to_vec());
-        let (_, trace) = searcher.run_traced(g, root, &goal);
+        let (_, trace) = run_in_traced(&mut arena, g, root, &goal);
         let settled = trace.len().max(1) as f64;
         let in_shard = |shard: usize| {
             trace.settled().filter(|&n| partition.covers(shard, n)).count() as f64 / settled

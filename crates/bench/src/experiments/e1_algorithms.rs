@@ -8,7 +8,7 @@
 
 use crate::setup::{Scale, network};
 use crate::table::{ExperimentTable, f3};
-use pathsearch::{AltPreprocessing, Goal, Searcher, alt, astar, bidirectional};
+use pathsearch::{AltPreprocessing, Goal, SearchArena, alt, astar, bidirectional, run_in};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use roadnet::NodeId;
@@ -45,10 +45,10 @@ pub fn run(scale: &Scale) -> ExperimentTable {
         let mut bid = (0u64, 0u64, 0.0f64);
         let mut alt_acc = (0u64, 0u64, 0.0f64);
         let mut agree = true;
-        let mut searcher = Searcher::new();
+        let mut arena = SearchArena::new();
         for &(s, d) in &pairs {
-            let st = searcher.run(&g, s, &Goal::Single(d));
-            let dd = searcher.distance(d).expect("connected network");
+            let st = run_in(&mut arena, &g, s, &Goal::Single(d));
+            let dd = arena.distance(d).expect("connected network");
             dij.0 += st.settled;
             dij.1 += st.relaxed;
             dij.2 += dd;
@@ -107,6 +107,31 @@ mod tests {
         for row in &t.rows {
             assert_eq!(row[5], "yes", "algorithms disagreed: {row:?}");
         }
+    }
+
+    #[test]
+    fn e1_quick_table_is_pinned() {
+        // Every column is deterministic, so the whole quick table is pinned:
+        // a change to any of the four loops' settle order shows up here.
+        let t = run(&Scale::quick());
+        let rows: Vec<String> = t.rows.iter().map(|r| r.join(" ")).collect();
+        assert_eq!(
+            rows,
+            [
+                "grid dijkstra 143.50 532.00 11.14 yes",
+                "grid astar 44.00 162.62 11.14 yes",
+                "grid bidirectional 90.75 337.38 11.14 yes",
+                "grid alt-8 12.38 43.88 11.14 yes",
+                "geometric dijkstra 195.75 745.50 19.06 yes",
+                "geometric astar 70.62 266.00 19.06 yes",
+                "geometric bidirectional 127.75 488.88 19.06 yes",
+                "geometric alt-8 31.88 119.62 19.06 yes",
+                "radial dijkstra 195.38 642.38 21.16 yes",
+                "radial astar 56.00 183.00 21.16 yes",
+                "radial bidirectional 149.62 497.25 21.16 yes",
+                "radial alt-8 22.12 73.38 21.16 yes",
+            ]
+        );
     }
 
     #[test]

@@ -382,7 +382,7 @@ fn network_ring(
     // (the annulus widens on shortage anyway).
     run_in(&mut arena, ctx.map, ctx.anchor, &Goal::Single(ctx.counterpart));
     let d = arena
-        .distance(0, ctx.counterpart)
+        .distance(ctx.counterpart)
         .unwrap_or_else(|| ctx.map.euclidean(ctx.anchor, ctx.counterpart))
         .max(f64::EPSILON);
     // Network radii are not bounded by any coordinate length (travel-time

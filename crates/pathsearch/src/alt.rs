@@ -39,8 +39,9 @@
 //! reads the node's `L` contiguous entries — two cache lines for 16
 //! landmarks — against goal rows the potential copied out once.
 
+use crate::arena::SearchArena;
 use crate::astar::astar_with;
-use crate::dijkstra::{Goal, Potential, Searcher};
+use crate::dijkstra::{Goal, Potential, run_in};
 use crate::path::Path;
 use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
@@ -153,17 +154,17 @@ impl AltPreprocessing {
 
     fn build_unchecked<G: GraphView>(g: &G, num_landmarks: usize) -> Self {
         let n = g.num_nodes();
-        let mut searcher = Searcher::new();
+        let mut arena = SearchArena::new();
 
         // Bootstrap: full tree from node 0, take the farthest reachable
         // node as the first landmark (a graph periphery point). Ascending
         // scan with a strict `>` keeps ties on the lowest id.
-        searcher.run(g, NodeId(0), &Goal::AllNodes);
+        run_in(&mut arena, g, NodeId(0), &Goal::AllNodes);
         let mut first = NodeId(0);
         let mut first_d = f64::NEG_INFINITY;
         for i in 0..n {
             let node = NodeId::from_index(i);
-            if let Some(d) = searcher.distance(node).filter(|d| d.is_finite()) {
+            if let Some(d) = arena.distance(node).filter(|d| d.is_finite()) {
                 if d > first_d {
                     first_d = d;
                     first = node;
@@ -179,10 +180,10 @@ impl AltPreprocessing {
         let mut current = first;
         for l in 0..num_landmarks {
             landmarks.push(current);
-            searcher.run(g, current, &Goal::AllNodes);
+            run_in(&mut arena, g, current, &Goal::AllNodes);
             for (i, (row, m)) in flat.chunks_exact_mut(num_landmarks).zip(&mut min_dist).enumerate()
             {
-                let d = searcher.distance(NodeId::from_index(i)).unwrap_or(f64::INFINITY);
+                let d = arena.distance(NodeId::from_index(i)).unwrap_or(f64::INFINITY);
                 row[l] = d;
                 if d < *m {
                     *m = d;
@@ -377,13 +378,13 @@ mod tests {
         let g = NetworkClass::Radial.generate(800, 5).unwrap();
         let pre = AltPreprocessing::build(&g, 8);
         let n = g.num_nodes() as u32;
-        let mut searcher = Searcher::new();
+        let mut arena = SearchArena::new();
         let mut alt_total = 0u64;
         let mut dij_total = 0u64;
         for (s, t) in [(1, n - 2), (n / 3, 2 * n / 3), (10, n / 2)] {
             let (_, st) = alt(&g, &pre, NodeId(s), NodeId(t));
             alt_total += st.settled;
-            dij_total += searcher.run(&g, NodeId(s), &Goal::Single(NodeId(t))).settled;
+            dij_total += run_in(&mut arena, &g, NodeId(s), &Goal::Single(NodeId(t))).settled;
         }
         assert!(alt_total <= dij_total, "ALT {alt_total} vs Dijkstra {dij_total}");
     }

@@ -6,12 +6,11 @@
 //! Lemma 1). A naive implementation pays `O(n)` initialization *and*
 //! `O(n)` allocation per tree. [`SearchArena`] removes both:
 //!
-//! * `dist` / `parent` / *labelled* / *stamp* arrays are validated by an
-//!   **epoch stamp**, so starting a new search is `O(1)` — stale labels
-//!   from earlier queries are simply never current;
-//! * the arrays are laid out as `trees × nodes` slabs, so one arena hosts
-//!   the one or two trees a loop grows at once (bidirectional search
-//!   interleaves its forward and backward tree through one heap);
+//! * `dist` / `parent` / *labelled* / *stamp* arrays, one slot per node,
+//!   are validated by an **epoch stamp**, so starting a new search is
+//!   `O(1)` — stale labels from earlier queries are simply never current;
+//! * an arena holds **one tree**: every sweep the server runs grows exactly
+//!   one (Lemma 1), and bidirectional search pairs two arenas;
 //! * the binary heap, the goal scratch buffer and the sweep recorder's
 //!   node → settle-index map are owned by the arena and reused, so
 //!   repeated queries on the same graph touch no allocator once the
@@ -20,29 +19,24 @@
 //!
 //! The heap holds 16-byte `FrontierEntry`s ordered by integers alone: the
 //! float key is encoded once, at push, into a `u64` whose unsigned order is
-//! `f64::total_cmp`'s, and tree and node share one `u32` tag. Lazy deletion
-//! tells a fresh entry from a stale one by its stamp — the number of the
-//! label it was pushed for — which the slot's `stamp` slab holds until a
-//! better label or the settle overwrites it.
+//! `f64::total_cmp`'s, and ties break on the node. Lazy deletion tells a
+//! fresh entry from a stale one by its stamp — the number of the label it
+//! was pushed for — which the slot's `stamp` slab holds until a better
+//! label or the settle overwrites it.
 //!
-//! [`crate::dijkstra::Searcher`] is the single-tree facade over an arena;
-//! [`crate::multi::msmd_in`] runs whole MSMD queries inside a
-//! caller-provided arena.
+//! Callers hold an arena and drive it through [`crate::dijkstra::run_in`] /
+//! [`crate::dijkstra::run_in_traced`], reading the labels back with
+//! [`SearchArena::distance`] / [`SearchArena::path_to`];
+//! [`crate::multi::msmd_in`] runs whole MSMD queries inside one.
 
 use crate::path::Path;
 use roadnet::NodeId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// The parent of a root; no node carries this id, so a search covers fewer
+/// than `u32::MAX` nodes.
 pub(crate) const NIL: u32 = u32::MAX;
-
-/// Low bits of a [`FrontierEntry`] tag that hold the node; the bit above
-/// them holds the tree.
-const NODE_BITS: u32 = 31;
-const NODE_MASK: u32 = (1 << NODE_BITS) - 1;
-
-/// Trees one arena hosts at most: the tag spends one bit on the tree.
-const MAX_TREES: usize = 2;
 
 /// The `stamp` of a settled slot. Stamps are drawn from 1 up, so no entry
 /// carries it and a settled slot matches no entry.
@@ -57,15 +51,14 @@ fn ord_of(key: f64) -> u64 {
     bits ^ ((((bits as i64) >> 63) as u64) | 1 << 63)
 }
 
-/// One prioritized frontier entry: a tentative label of a node in a tree.
+/// One prioritized frontier entry: a tentative label of a node.
 ///
-/// Ordered so the globally *smallest* `(ord, tag)` pops first from a
-/// max-heap — integer compares only. `ord` is the heap key encoded by
-/// [`ord_of`] (the raw distance, or `dist + potential(node)` under a
-/// goal-directed sweep), and `tag` is `tree << 31 | node`, so the order is
-/// exactly `key` by `total_cmp`, then `tree`, then `node`: ties break on
-/// `(tree, node)` for run-to-run determinism. The key is never decoded —
-/// readers take the label from the slot once the entry proves fresh.
+/// Ordered so the *smallest* `(ord, node)` pops first from a max-heap —
+/// integer compares only. `ord` is the heap key encoded by [`ord_of`] (the
+/// raw distance, or `dist + potential(node)` under a goal-directed sweep),
+/// so the order is exactly `key` by `total_cmp`, then `node`: ties break on
+/// the node for run-to-run determinism. The key is never decoded — readers
+/// take the label from the slot once the entry proves fresh.
 ///
 /// `stamp` is the number of the label the entry was pushed for (see
 /// [`SearchArena::is_fresh`]); it takes no part in the order.
@@ -74,8 +67,8 @@ fn ord_of(key: f64) -> u64 {
 pub(crate) struct FrontierEntry {
     /// The heap key, encoded once at push.
     ord: u64,
-    /// `tree << 31 | node`.
-    tag: u32,
+    /// The labelled node.
+    node: u32,
     /// The label number this entry was pushed for.
     stamp: u32,
 }
@@ -84,26 +77,20 @@ const _: () = assert!(size_of::<FrontierEntry>() == 16);
 
 impl FrontierEntry {
     #[inline]
-    fn new(key: f64, tree: usize, node: NodeId, stamp: u32) -> Self {
-        FrontierEntry { ord: ord_of(key), tag: (tree as u32) << NODE_BITS | node.0, stamp }
-    }
-
-    /// Index of the tree the label belongs to.
-    #[inline]
-    pub(crate) fn tree(&self) -> usize {
-        (self.tag >> NODE_BITS) as usize
+    fn new(key: f64, node: NodeId, stamp: u32) -> Self {
+        FrontierEntry { ord: ord_of(key), node: node.0, stamp }
     }
 
     /// The labelled node.
     #[inline]
     pub(crate) fn node(&self) -> NodeId {
-        NodeId(self.tag & NODE_MASK)
+        NodeId(self.node)
     }
 }
 
 impl PartialEq for FrontierEntry {
     fn eq(&self, other: &Self) -> bool {
-        (self.ord, self.tag) == (other.ord, other.tag)
+        (self.ord, self.node) == (other.ord, other.node)
     }
 }
 impl Eq for FrontierEntry {}
@@ -115,20 +102,20 @@ impl PartialOrd for FrontierEntry {
 impl Ord for FrontierEntry {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.ord, other.tag).cmp(&(self.ord, self.tag))
+        (other.ord, other.node).cmp(&(self.ord, self.node))
     }
 }
 
-/// Generation-stamped multi-tree search space with a shared frontier heap.
+/// Generation-stamped search space of one tree, with its frontier heap.
 ///
 /// After a search finishes, the labels of the *last* search stay readable
 /// (via [`SearchArena::distance`] / [`SearchArena::path_to`]) until the
-/// next [`SearchArena::begin`].
+/// next search begins in the arena.
 #[derive(Debug, Default)]
 pub struct SearchArena {
-    /// Tentative/final distances, `trees × nodes`, epoch-validated.
+    /// Tentative/final distances per node, epoch-validated.
     dist: Vec<f64>,
-    /// Parent node ids ([`NIL`] for roots), `trees × nodes`.
+    /// Parent node ids per node ([`NIL`] for the root).
     parent: Vec<u32>,
     /// Label epoch stamps: a slot is labelled iff `labelled[i] == epoch`.
     labelled: Vec<u32>,
@@ -139,18 +126,16 @@ pub struct SearchArena {
     epoch: u32,
     /// The next label number of this generation; restarts at 1 in `begin`.
     next_stamp: u32,
-    /// The shared frontier heap (lazy deletion: stale entries are skipped
-    /// at pop time).
+    /// The frontier heap (lazy deletion: stale entries are skipped at pop
+    /// time).
     heap: BinaryHeap<FrontierEntry>,
     /// Reusable goal-set buffer (sorted, deduplicated target lists).
     goal_scratch: Vec<NodeId>,
     /// Reusable node → settle-index map of the sweep recorder (see
     /// [`SearchArena::take_settle_index`]).
     settle_index: Vec<u32>,
-    /// Nodes per tree of the current search.
+    /// Nodes of the current search.
     nodes: usize,
-    /// Number of trees of the current search.
-    trees: usize,
 }
 
 // One arena per worker thread is the parallel service layer's isolation
@@ -162,28 +147,18 @@ const _: () = {
     assert_send::<SearchArena>();
 };
 
-/// Slots of a `trees × nodes` search, once the shape fits the entry tag.
-fn slots_for(nodes: usize, trees: usize) -> usize {
-    assert!(
-        trees <= MAX_TREES,
-        "an arena hosts at most two trees: the frontier tag holds the tree in one bit"
-    );
-    assert!(
-        nodes <= NODE_MASK as usize,
-        "a search covers fewer than 2^31 nodes: the frontier tag holds the node in 31 bits"
-    );
-    nodes.checked_mul(trees).expect("search space fits usize")
-}
-
 impl SearchArena {
-    /// An empty arena; buffers grow to the largest `trees × nodes` search
-    /// they ever host and are reused from then on.
+    /// An empty arena; buffers grow to the largest search they ever host
+    /// and are reused from then on.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An arena whose label slabs are already grown to host `trees × nodes`
-    /// searches, so the first query pays no first-touch buffer growth.
+    /// An arena whose label slabs are already grown to host searches over
+    /// `nodes` nodes, so the first query pays no first-touch buffer growth.
+    ///
+    /// The tree count argument no longer sizes anything: an arena holds one
+    /// tree. It stays in the signature for existing callers.
     ///
     /// This is the *arena-per-worker handle*: a worker thread pinned to one
     /// arena (e.g. one shard of a parallel backend fleet) constructs it
@@ -192,34 +167,36 @@ impl SearchArena {
     /// [`SearchArena::new`].
     ///
     /// # Panics
-    /// Panics if `trees > 2` or `nodes ≥ 2³¹` (the frontier tag's limits).
-    pub fn preallocated(nodes: usize, trees: usize) -> Self {
+    /// Panics if `nodes ≥ u32::MAX` (the root's parent sentinel).
+    pub fn preallocated(nodes: usize, _trees: usize) -> Self {
         let mut arena = Self::default();
-        arena.grow(slots_for(nodes, trees));
+        arena.grow(nodes);
         arena
     }
 
-    /// Grow every slab to `slots`, if it is shorter.
-    fn grow(&mut self, slots: usize) {
-        if self.dist.len() < slots {
-            self.dist.resize(slots, f64::INFINITY);
-            self.parent.resize(slots, NIL);
-            self.labelled.resize(slots, 0);
-            self.stamp.resize(slots, SETTLED);
+    /// Grow every slab to `nodes` slots, if it is shorter.
+    fn grow(&mut self, nodes: usize) {
+        assert!(
+            nodes < NIL as usize,
+            "a search covers fewer than u32::MAX nodes: u32::MAX is the root's parent"
+        );
+        if self.dist.len() < nodes {
+            self.dist.resize(nodes, f64::INFINITY);
+            self.parent.resize(nodes, NIL);
+            self.labelled.resize(nodes, 0);
+            self.stamp.resize(nodes, SETTLED);
         }
     }
 
-    /// Start a new search generation over `trees` trees of `nodes` nodes
-    /// each. `O(1)` amortized: only grows buffers past the high-water
-    /// mark, never clears them (the epoch stamp invalidates old labels).
+    /// Start a new search generation over `nodes` nodes. `O(1)` amortized:
+    /// only grows buffers past the high-water mark, never clears them (the
+    /// epoch stamp invalidates old labels).
     ///
     /// # Panics
-    /// Panics if `trees` is 0 or above 2, or `nodes ≥ 2³¹`.
-    pub fn begin(&mut self, nodes: usize, trees: usize) {
-        assert!(trees > 0, "a search grows at least one tree");
-        self.grow(slots_for(nodes, trees));
+    /// Panics if `nodes ≥ u32::MAX`.
+    pub(crate) fn begin(&mut self, nodes: usize) {
+        self.grow(nodes);
         self.nodes = nodes;
-        self.trees = trees;
         self.heap.clear();
         self.next_stamp = 1;
         // Epoch 0 is the "never touched" stamp; skip it on wrap-around so
@@ -233,14 +210,9 @@ impl SearchArena {
         }
     }
 
-    /// Nodes per tree of the current search generation.
+    /// Nodes of the current search generation.
     pub fn num_nodes(&self) -> usize {
         self.nodes
-    }
-
-    /// Trees of the current search generation.
-    pub fn num_trees(&self) -> usize {
-        self.trees
     }
 
     /// Label slots currently allocated (the high-water mark) — exposed so
@@ -250,10 +222,9 @@ impl SearchArena {
     }
 
     #[inline]
-    fn slot(&self, tree: usize, node: NodeId) -> usize {
-        debug_assert!(tree < self.trees, "tree {tree} out of range");
+    fn slot(&self, node: NodeId) -> usize {
         debug_assert!(node.index() < self.nodes, "node {node} out of range");
-        tree * self.nodes + node.index()
+        node.index()
     }
 
     /// The next label number of this generation.
@@ -269,65 +240,62 @@ impl SearchArena {
     ///
     /// The raw label/heap operations (`label`, `settle`, `relax_keyed`,
     /// `rekey`, `push`, `pop`, `is_fresh`) are crate-internal: they index by
-    /// `tree * nodes + node` with debug-only bounds checks, so exposing
-    /// them would let out-of-range trees silently alias other trees'
-    /// slots in release builds. External callers drive searches through
+    /// node with debug-only bounds checks, so exposing them would let a
+    /// node beyond the current search read or write a stale slot in release
+    /// builds. External callers drive searches through
     /// [`crate::dijkstra::run_in`] / [`crate::multi::msmd_in`] and read
     /// results via the range-checked [`SearchArena::distance`] /
     /// [`SearchArena::path_to`].
     #[inline]
-    pub(crate) fn label(&mut self, tree: usize, node: NodeId, dist: f64, parent: Option<NodeId>) {
-        let i = self.slot(tree, node);
+    pub(crate) fn label(&mut self, node: NodeId, dist: f64, parent: Option<NodeId>) {
+        let i = self.slot(node);
         self.dist[i] = dist;
         self.parent[i] = parent.map_or(NIL, |p| p.0);
         self.labelled[i] = self.epoch;
         self.stamp[i] = self.draw_stamp();
     }
 
-    /// Whether `node` carries a current-generation label in `tree`.
+    /// Whether `node` carries a current-generation label.
     #[inline]
-    pub(crate) fn is_labelled(&self, tree: usize, node: NodeId) -> bool {
-        self.labelled[self.slot(tree, node)] == self.epoch
+    pub(crate) fn is_labelled(&self, node: NodeId) -> bool {
+        self.labelled[self.slot(node)] == self.epoch
     }
 
-    /// Current-generation distance label of `node` in `tree`, if any.
+    /// Current-generation distance label of `node`, if any.
     /// Final only for nodes the search settled before terminating;
     /// beyond the goal it is a tentative upper bound. Out-of-range reads
     /// return `None` (they are not part of the current search).
     #[inline]
-    pub fn distance(&self, tree: usize, node: NodeId) -> Option<f64> {
-        if tree >= self.trees || node.index() >= self.nodes {
+    pub fn distance(&self, node: NodeId) -> Option<f64> {
+        if node.index() >= self.nodes {
             return None;
         }
-        let i = self.slot(tree, node);
+        let i = self.slot(node);
         (self.labelled[i] == self.epoch).then(|| self.dist[i])
     }
 
     /// Unchecked distance read: call only when the label is known current.
     #[inline]
-    pub(crate) fn dist_raw(&self, tree: usize, node: NodeId) -> f64 {
-        self.dist[self.slot(tree, node)]
+    pub(crate) fn dist_raw(&self, node: NodeId) -> f64 {
+        self.dist[self.slot(node)]
     }
 
     /// Unchecked parent read ([`NIL`] for roots): call only when the label
     /// is known current. Used by the sweep recorder to snapshot final
     /// labels at settle time.
     #[inline]
-    pub(crate) fn parent_raw(&self, tree: usize, node: NodeId) -> u32 {
-        self.parent[self.slot(tree, node)]
+    pub(crate) fn parent_raw(&self, node: NodeId) -> u32 {
+        self.parent[self.slot(node)]
     }
 
-    /// Mark `node` settled in `tree`. Returns `false` when it already was
-    /// (a stale lazy-deletion pop).
+    /// Mark `node` settled: from now on its slot matches no frontier entry.
     #[inline]
-    pub(crate) fn settle(&mut self, tree: usize, node: NodeId) -> bool {
-        let i = self.slot(tree, node);
-        let was_settled = self.labelled[i] == self.epoch && self.stamp[i] == SETTLED;
+    pub(crate) fn settle(&mut self, node: NodeId) {
+        let i = self.slot(node);
         self.stamp[i] = SETTLED;
-        !was_settled
     }
 
-    /// Relax the arc `from → to` in `tree` with candidate distance `cand`:
+    /// Relax the arc `from → to` with candidate distance `cand`:
     /// labels `to` and pushes a frontier entry when `cand` improves on the
     /// current label (or none exists). Returns whether it did. The label
     /// comparison and storage use the *raw* distance `cand` (improvement
@@ -344,13 +312,12 @@ impl SearchArena {
     #[inline]
     pub(crate) fn relax_keyed(
         &mut self,
-        tree: usize,
         from: NodeId,
         to: NodeId,
         cand: f64,
         key: impl FnOnce() -> f64,
     ) -> bool {
-        let i = self.slot(tree, to);
+        let i = self.slot(to);
         let unlabelled = self.labelled[i] != self.epoch;
         if unlabelled || cand < self.dist[i] {
             let stamp = self.draw_stamp();
@@ -360,7 +327,7 @@ impl SearchArena {
             if unlabelled || self.stamp[i] != SETTLED {
                 self.stamp[i] = stamp;
             }
-            self.heap.push(FrontierEntry::new(key(), tree, to, stamp));
+            self.heap.push(FrontierEntry::new(key(), to, stamp));
             true
         } else {
             false
@@ -379,25 +346,33 @@ impl SearchArena {
         open.retain(|e| self.is_fresh(e));
         for e in &mut open {
             let node = e.node();
-            e.ord = ord_of(self.dist_raw(e.tree(), node) + potential(node));
+            e.ord = ord_of(self.dist_raw(node) + potential(node));
         }
         self.heap = BinaryHeap::from(open);
     }
 
-    /// Push a frontier entry for `node`'s current label in `tree`, keyed by
-    /// `key` (used to seed roots right after [`SearchArena::label`];
-    /// relaxation goes through [`SearchArena::relax_keyed`]).
+    /// Push a frontier entry for `node`'s current label, keyed by `key`
+    /// (used to seed the root right after [`SearchArena::label`]; relaxation
+    /// goes through [`SearchArena::relax_keyed`]).
     #[inline]
-    pub(crate) fn push(&mut self, key: f64, tree: usize, node: NodeId) {
-        debug_assert!(self.is_labelled(tree, node), "push follows a label");
-        let stamp = self.stamp[self.slot(tree, node)];
-        self.heap.push(FrontierEntry::new(key, tree, node, stamp));
+    pub(crate) fn push(&mut self, key: f64, node: NodeId) {
+        debug_assert!(self.is_labelled(node), "push follows a label");
+        let stamp = self.stamp[self.slot(node)];
+        self.heap.push(FrontierEntry::new(key, node, stamp));
     }
 
-    /// Pop the globally smallest frontier entry across all trees.
+    /// Pop the smallest frontier entry.
     #[inline]
     pub(crate) fn pop(&mut self) -> Option<FrontierEntry> {
         self.heap.pop()
+    }
+
+    /// The encoded key of the entry [`SearchArena::pop`] would return next,
+    /// fresh or stale: what bidirectional search compares across its two
+    /// arenas.
+    #[inline]
+    pub(crate) fn peek_ord(&self) -> Option<u64> {
+        self.heap.peek().map(|e| e.ord)
     }
 
     /// Whether a popped entry is *fresh*: not yet settled and pushed for
@@ -413,29 +388,29 @@ impl SearchArena {
     /// the slot bit for bit.
     #[inline]
     pub(crate) fn is_fresh(&self, e: &FrontierEntry) -> bool {
-        self.stamp[self.slot(e.tree(), e.node())] == e.stamp
+        self.stamp[self.slot(e.node())] == e.stamp
     }
 
-    /// Reconstruct the path from `tree`'s root to `t` by walking parents.
+    /// Reconstruct the path from the root to `t` by walking parents.
     /// `None` when `t` carries no current-generation label.
-    pub fn path_to(&self, tree: usize, t: NodeId) -> Option<Path> {
-        if tree >= self.trees || t.index() >= self.nodes || !self.is_labelled(tree, t) {
+    pub fn path_to(&self, t: NodeId) -> Option<Path> {
+        if t.index() >= self.nodes || !self.is_labelled(t) {
             return None;
         }
         let mut nodes = vec![t];
-        self.walk_parents(tree, t, &mut nodes);
+        self.walk_parents(t, &mut nodes);
         nodes.reverse();
-        Some(Path::new(nodes, self.dist[self.slot(tree, t)]))
+        Some(Path::new(nodes, self.dist[self.slot(t)]))
     }
 
-    /// Walk `tree`'s parent chain from `t` to the root, appending every
-    /// node *after* `t` itself to `out` (root last). Used by
+    /// Walk the parent chain from `t` to the root, appending every node
+    /// *after* `t` itself to `out` (root last). Used by
     /// [`SearchArena::path_to`] and by bidirectional search to stitch its
     /// two trees at their meeting node.
-    pub(crate) fn walk_parents(&self, tree: usize, t: NodeId, out: &mut Vec<NodeId>) {
+    pub(crate) fn walk_parents(&self, t: NodeId, out: &mut Vec<NodeId>) {
         let mut cur = t;
         loop {
-            let p = self.parent[self.slot(tree, cur)];
+            let p = self.parent[self.slot(cur)];
             if p == NIL {
                 break;
             }
@@ -528,18 +503,18 @@ mod tests {
         let small = line(4);
         let mut a = SearchArena::new();
         run_in(&mut a, &big, NodeId(0), &Goal::AllNodes);
-        assert!(a.distance(0, NodeId(143)).is_some());
+        assert!(a.distance(NodeId(143)).is_some());
 
         run_in(&mut a, &small, NodeId(3), &Goal::AllNodes);
-        assert_eq!(a.distance(0, NodeId(0)), Some(3.0));
-        assert_eq!(a.distance(0, NodeId(3)), Some(0.0));
+        assert_eq!(a.distance(NodeId(0)), Some(3.0));
+        assert_eq!(a.distance(NodeId(3)), Some(0.0));
         // Nodes beyond the small graph are out of this generation even
         // though the big run labelled those slots.
         assert_eq!(a.num_nodes(), 4);
 
         // And back: the small run's labels must not shadow the big run's.
         run_in(&mut a, &big, NodeId(143), &Goal::Single(NodeId(0)));
-        let p = a.path_to(0, NodeId(0)).unwrap();
+        let p = a.path_to(NodeId(0)).unwrap();
         assert_eq!(p.source(), NodeId(143));
         assert_eq!(p.destination(), NodeId(0));
         assert!(p.verify(&big, 1e-9));
@@ -550,7 +525,7 @@ mod tests {
         let g = line(5);
         let mut a = SearchArena::new();
         run_in(&mut a, &g, NodeId(0), &Goal::AllNodes);
-        assert_eq!(a.distance(0, NodeId(4)), Some(4.0));
+        assert_eq!(a.distance(NodeId(4)), Some(4.0));
 
         // Force the counter to the wrap boundary: the next begin() lands
         // on epoch 0, which must be skipped and every stamp wiped —
@@ -558,9 +533,9 @@ mod tests {
         // labelled.
         a.set_epoch_for_test(u32::MAX);
         run_in(&mut a, &g, NodeId(4), &Goal::AllNodes);
-        assert_eq!(a.distance(0, NodeId(0)), Some(4.0));
-        assert_eq!(a.distance(0, NodeId(4)), Some(0.0));
-        let p = a.path_to(0, NodeId(0)).unwrap();
+        assert_eq!(a.distance(NodeId(0)), Some(4.0));
+        assert_eq!(a.distance(NodeId(4)), Some(0.0));
+        let p = a.path_to(NodeId(0)).unwrap();
         assert!(p.verify(&g, 1e-9));
         assert_eq!(p.source(), NodeId(4));
     }
@@ -569,11 +544,11 @@ mod tests {
     fn preallocated_arena_starts_at_capacity_and_never_regrows() {
         let g = grid_network(&GridConfig { width: 10, height: 10, seed: 1, ..Default::default() })
             .unwrap();
-        let mut a = SearchArena::preallocated(100, 2);
+        let mut a = SearchArena::preallocated(100, 1);
         let cap = a.capacity();
-        assert_eq!(cap, 200, "slabs sized up front");
+        assert_eq!(cap, 100, "slabs sized up front");
         run_in(&mut a, &g, NodeId(0), &Goal::AllNodes);
-        assert!(a.distance(0, NodeId(99)).is_some());
+        assert!(a.distance(NodeId(99)).is_some());
         assert_eq!(a.capacity(), cap, "first query must not grow a preallocated arena");
         // And it behaves exactly like a grown arena on reuse.
         for _ in 0..10 {
@@ -583,44 +558,28 @@ mod tests {
     }
 
     #[test]
-    fn multi_tree_slots_are_independent() {
-        let mut a = SearchArena::new();
-        a.begin(6, 2);
-        a.label(0, NodeId(0), 0.0, None);
-        a.label(1, NodeId(5), 0.0, None);
-        assert!(a.is_labelled(0, NodeId(0)));
-        assert!(!a.is_labelled(1, NodeId(0)));
-        assert!(a.is_labelled(1, NodeId(5)));
-        assert!(!a.is_labelled(0, NodeId(5)));
-        assert!(a.settle(0, NodeId(0)));
-        assert!(!a.settle(0, NodeId(0)), "second settle is stale");
-        assert!(a.settle(1, NodeId(0)), "tree 1 settles independently");
-    }
-
-    #[test]
     fn frontier_orders_across_trees_deterministically() {
+        // Equal keys pop by node, whatever the push order. (Bidirectional
+        // search orders its two arenas' tops itself.)
         let mut a = SearchArena::new();
-        a.begin(4, 2);
-        for (key, tree, node) in [(2.0, 1, 0), (1.0, 1, 3), (1.0, 0, 3), (1.0, 0, 1)] {
-            a.label(tree, NodeId(node), key, None);
-            a.push(key, tree, NodeId(node));
+        a.begin(4);
+        for (key, node) in [(2.0, 0), (1.0, 3), (1.0, 2), (1.0, 1)] {
+            a.label(NodeId(node), key, None);
+            a.push(key, NodeId(node));
         }
-        let order: Vec<(usize, u32)> =
-            std::iter::from_fn(|| a.pop()).map(|e| (e.tree(), e.node().0)).collect();
-        assert_eq!(order, vec![(0, 1), (0, 3), (1, 3), (1, 0)]);
+        let order: Vec<u32> = std::iter::from_fn(|| a.pop()).map(|e| e.node().0).collect();
+        assert_eq!(order, vec![1, 2, 3, 0]);
     }
 
     /// The frontier's order before its keys were integers: `total_cmp` on
-    /// the key, then tree, then node, reversed for the max-heap.
-    fn float_order(a: (f64, usize, u32), b: (f64, usize, u32)) -> Ordering {
-        b.0.total_cmp(&a.0).then_with(|| b.1.cmp(&a.1)).then_with(|| b.2.cmp(&a.2))
+    /// the key, then node, reversed for the max-heap.
+    fn float_order(a: (f64, u32), b: (f64, u32)) -> Ordering {
+        b.0.total_cmp(&a.0).then_with(|| b.1.cmp(&a.1))
     }
 
     /// Whether the integer order agrees with [`float_order`] on `a` vs `b`.
-    fn orders_agree(a: (f64, usize, u32), b: (f64, usize, u32)) -> bool {
-        let entry = |(key, tree, node): (f64, usize, u32), stamp| {
-            FrontierEntry::new(key, tree, NodeId(node), stamp)
-        };
+    fn orders_agree(a: (f64, u32), b: (f64, u32)) -> bool {
+        let entry = |(key, node): (f64, u32), stamp| FrontierEntry::new(key, NodeId(node), stamp);
         // Different stamps on purpose: the stamp takes no part in the order.
         entry(a, 1).cmp(&entry(b, 7)) == float_order(a, b)
     }
@@ -642,10 +601,8 @@ mod tests {
         ];
         let mut entries = Vec::new();
         for key in keys {
-            for tree in 0..MAX_TREES {
-                for node in [0, 1, NODE_MASK] {
-                    entries.push((key, tree, node));
-                }
+            for node in [0, 1, NIL - 1] {
+                entries.push((key, node));
             }
         }
         for &a in &entries {
@@ -661,28 +618,20 @@ mod tests {
         #[test]
         fn integer_order_is_the_float_order_on_any_bits(
             bits in (proptest::num::u64::ANY, proptest::num::u64::ANY),
-            trees in (0..2usize, 0..2usize),
-            nodes in (proptest::num::u32::ANY, proptest::num::u32::ANY),
+            nodes in (0..NIL, 0..NIL),
         ) {
             let (ka, kb) = (f64::from_bits(bits.0), f64::from_bits(bits.1));
-            let (na, nb) = (nodes.0 & NODE_MASK, nodes.1 & NODE_MASK);
-            prop_assert!(orders_agree((ka, trees.0, na), (kb, trees.1, nb)));
-            // Equal keys: the tie-break on (tree, node) decides.
-            prop_assert!(orders_agree((ka, trees.0, na), (ka, trees.1, nb)));
+            prop_assert!(orders_agree((ka, nodes.0), (kb, nodes.1)));
+            // Equal keys: the tie-break on the node decides.
+            prop_assert!(orders_agree((ka, nodes.0), (ka, nodes.1)));
         }
     }
 
-    // `begin` and `preallocated` share one shape check; each test enters
-    // through a different one. Both panic before any slab grows.
+    // The limit was 2^31 while the entry spent a bit on the tree; it is now
+    // the `NIL` parent sentinel. Panics before any slab grows.
     #[test]
-    #[should_panic(expected = "an arena hosts at most two trees")]
-    fn three_trees_are_rejected() {
-        SearchArena::new().begin(4, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "fewer than 2^31 nodes")]
+    #[should_panic(expected = "fewer than u32::MAX nodes")]
     fn two_to_the_31_nodes_are_rejected() {
-        SearchArena::preallocated(1 << 31, 1);
+        SearchArena::preallocated(NIL as usize, 1);
     }
 }

@@ -32,7 +32,7 @@ where
     assert!(t.index() < g.num_nodes(), "endpoint out of range");
     let mut arena = SearchArena::new();
     let stats = run_in_sink(&mut arena, g, s, &Goal::Single(t), &mut h, &mut NoRecord);
-    (arena.path_to(0, t), stats)
+    (arena.path_to(t), stats)
 }
 
 /// A* with the Euclidean heuristic — admissible whenever edge weights are
@@ -46,7 +46,7 @@ pub fn astar<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>, Search
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::shortest_path;
+    use crate::dijkstra::{run_in, shortest_path};
     use roadnet::generators::{GeometricConfig, GridConfig, grid_network, random_geometric};
 
     #[test]
@@ -75,8 +75,7 @@ mod tests {
         let s = NodeId(0);
         let t = NodeId(1999);
         let (_, a_stats) = astar(&g, s, t);
-        let mut searcher = crate::dijkstra::Searcher::new();
-        let d_stats = searcher.run(&g, s, &crate::dijkstra::Goal::Single(t));
+        let d_stats = run_in(&mut SearchArena::new(), &g, s, &Goal::Single(t));
         assert!(
             a_stats.settled < d_stats.settled,
             "A* {} vs Dijkstra {}",
@@ -106,9 +105,9 @@ mod tests {
         let g = grid_network(&GridConfig { width: 10, height: 10, seed: 2, ..Default::default() })
             .unwrap();
         let (p, stats) = astar_with(&g, NodeId(0), NodeId(99), |_| 0.0);
-        let mut searcher = crate::dijkstra::Searcher::new();
-        let d_stats = searcher.run(&g, NodeId(0), &crate::dijkstra::Goal::Single(NodeId(99)));
-        assert_eq!(p, searcher.path_to(NodeId(99)));
+        let mut arena = SearchArena::new();
+        let d_stats = run_in(&mut arena, &g, NodeId(0), &Goal::Single(NodeId(99)));
+        assert_eq!(p, arena.path_to(NodeId(99)));
         assert_eq!(stats, d_stats);
     }
 

@@ -2,11 +2,11 @@
 //! its two label-setting loops (the other is the single-tree loop in
 //! `dijkstra.rs`).
 //!
-//! Two spanning trees grow from `s` and `t` simultaneously, their labels in
-//! one [`SearchArena`] competing in its one heap (the globally closest
-//! frontier node settles next, whichever tree owns it); the search stops
-//! when the sum of the two frontier radii reaches the best connecting
-//! distance found. On road networks this roughly halves the searched area
+//! Two spanning trees grow from `s` and `t` simultaneously, each in its own
+//! [`SearchArena`]; every step pops from the arena whose frontier top is
+//! closer, so the globally closest frontier node settles next, whichever
+//! tree owns it (the forward tree on a tie). The search stops when the sum
+//! of the two frontier radii reaches the best connecting distance found. On road networks this roughly halves the searched area
 //! (two circles of radius `d/2` instead of one of radius `d`), which makes
 //! it the strongest *single-pair* baseline to compare the multi-destination
 //! sharing of obfuscated query processing against.
@@ -20,8 +20,8 @@ use crate::path::{Path, arc_sum};
 use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
 
-/// Bidirectional Dijkstra from `s` to `t` on a symmetric graph, in a
-/// throwaway arena.
+/// Bidirectional Dijkstra from `s` to `t` on a symmetric graph, in two
+/// throwaway arenas.
 ///
 /// Returns the shortest path (or `None` if disconnected) and combined
 /// counters for both directions (`runs == 2`, one per tree).
@@ -33,12 +33,13 @@ pub fn bidirectional<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>
         "bidirectional search uses forward arcs for the backward tree and is \
          only exact on symmetric (undirected) graph views"
     );
-    let mut arena = SearchArena::new();
-    arena.begin(n, 2);
+    // Tree 0 grows forward from `s`, tree 1 backward from `t`.
+    let mut trees = [SearchArena::new(), SearchArena::new()];
     let mut stats = [SearchStats::one_run(); 2];
-    for (tree, root) in [s, t].into_iter().enumerate() {
-        arena.label(tree, root, 0.0, None);
-        arena.push(0.0, tree, root);
+    for (arena, root) in trees.iter_mut().zip([s, t]) {
+        arena.begin(n);
+        arena.label(root, 0.0, None);
+        arena.push(0.0, root);
     }
 
     // `mu` is the best connecting distance seen through any node both trees
@@ -46,22 +47,32 @@ pub fn bidirectional<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>
     // tree's largest settled distance (a lower bound on its future settles).
     let (mut mu, mut meet) = (f64::INFINITY, s);
     let mut radius = [0.0f64; 2];
-    while let Some(e) = arena.pop() {
-        let tree = e.tree();
+    loop {
+        // Pop from the tree whose top key is smaller, the forward one on a
+        // tie: within a tree entries order by (key, node), so this is the
+        // (key, tree, node) order of one heap shared by both trees.
+        let tree = match (trees[0].peek_ord(), trees[1].peek_ord()) {
+            (None, None) => break,
+            (Some(fwd), Some(bwd)) => usize::from(bwd < fwd),
+            (fwd, _) => usize::from(fwd.is_none()),
+        };
+        let [fwd, bwd] = &mut trees;
+        let (arena, other) = if tree == 0 { (fwd, &*bwd) } else { (bwd, &*fwd) };
+        let e = arena.pop().expect("the top just peeked");
         if !arena.is_fresh(&e) {
             continue; // lazy-deletion residue
         }
         let node = e.node();
         // Fresh, so the slot holds exactly the distance the entry was
         // pushed with.
-        let d_node = arena.dist_raw(tree, node);
-        arena.settle(tree, node);
+        let d_node = arena.dist_raw(node);
+        arena.settle(node);
         stats[tree].settled += 1;
         radius[tree] = d_node;
 
         // Settle-time meeting check: the settled node may already carry a
         // label in the opposite tree.
-        record_meeting(&arena, tree, node, &mut mu, &mut meet);
+        record_meeting(arena, other, node, &mut mu, &mut meet);
 
         // Expand. Label-time meeting checks are what make the stopping rule
         // exact: every label creation or improvement is a successful relax
@@ -73,8 +84,8 @@ pub fn bidirectional<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>
         g.for_each_arc(node, &mut |to, w| {
             tree_stats.relaxed += 1;
             let cand = d_node + w;
-            if arena.relax_keyed(tree, node, to, cand, || cand) {
-                record_meeting(&arena, tree, to, &mut mu, &mut meet);
+            if arena.relax_keyed(node, to, cand, || cand) {
+                record_meeting(arena, other, to, &mut mu, &mut meet);
             }
         });
 
@@ -94,9 +105,9 @@ pub fn bidirectional<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>
     // the forward re-sum matches that sum bit-for-bit.
     let path = mu.is_finite().then(|| {
         let mut nodes = vec![meet];
-        arena.walk_parents(0, meet, &mut nodes); // meet … s
+        trees[0].walk_parents(meet, &mut nodes); // meet … s
         nodes.reverse(); // s … meet
-        arena.walk_parents(1, meet, &mut nodes); // … t
+        trees[1].walk_parents(meet, &mut nodes); // … t
         let d = arc_sum(g, &nodes);
         Path::new(nodes, d)
     });
@@ -104,13 +115,18 @@ pub fn bidirectional<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>
 }
 
 /// Record a meeting through `node`, which just gained (or already carries)
-/// a label in `tree`: if the opposite tree has labelled `node` too, the sum
-/// of the two labels is a connecting-path length.
+/// a label in `own`: if the opposite tree `other` has labelled `node` too,
+/// the sum of the two labels is a connecting-path length.
 #[inline]
-fn record_meeting(arena: &SearchArena, tree: usize, node: NodeId, mu: &mut f64, meet: &mut NodeId) {
-    let other = 1 - tree;
-    if arena.is_labelled(other, node) {
-        let through = arena.dist_raw(tree, node) + arena.dist_raw(other, node);
+fn record_meeting(
+    own: &SearchArena,
+    other: &SearchArena,
+    node: NodeId,
+    mu: &mut f64,
+    meet: &mut NodeId,
+) {
+    if other.is_labelled(node) {
+        let through = own.dist_raw(node) + other.dist_raw(node);
         if through < *mu {
             *mu = through;
             *meet = node;
@@ -121,7 +137,7 @@ fn record_meeting(arena: &SearchArena, tree: usize, node: NodeId, mu: &mut f64, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::shortest_path;
+    use crate::dijkstra::{Goal, run_in, shortest_path};
     use roadnet::generators::{
         GeometricConfig, GridConfig, NetworkClass, grid_network, random_geometric,
     };
@@ -174,8 +190,7 @@ mod tests {
                 .unwrap();
         let (s, t) = (NodeId(0), NodeId(2999));
         let (_, b_stats) = bidirectional(&g, s, t);
-        let mut searcher = crate::dijkstra::Searcher::new();
-        let d_stats = searcher.run(&g, s, &crate::dijkstra::Goal::Single(t));
+        let d_stats = run_in(&mut SearchArena::new(), &g, s, &Goal::Single(t));
         assert!(
             b_stats.settled < d_stats.settled,
             "bidi {} vs dijkstra {}",
@@ -227,6 +242,24 @@ mod tests {
             .unwrap();
         assert_eq!(counters(&g, 100, 100), [1, 3], "s == t");
         assert_eq!(counters(&two_components(), 0, 3), [4, 4], "disconnected");
+    }
+
+    #[test]
+    fn ties_pop_the_forward_tree_first() {
+        // On the line 0 —1— 1 —1— 2 from 0 to 1, the first and the last pop
+        // choose between equal keys in the two trees. Forward first settles
+        // forward 0, backward 1, forward 1 and relaxes 1 + 2 + 2 arcs;
+        // backward first would settle backward 1, forward 0, backward 0 and
+        // relax 2 + 1 + 1.
+        let mut b = GraphBuilder::new();
+        for i in 0..3 {
+            b.add_node(Point::new(i as f64, 0.0)).unwrap();
+        }
+        b.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
+        b.add_edge(NodeId(1), NodeId(2), 1.0).unwrap();
+        let (p, st) = bidirectional(&b.build().unwrap(), NodeId(0), NodeId(1));
+        assert_eq!(p.unwrap().nodes(), &[NodeId(0), NodeId(1)]);
+        assert_eq!([st.settled, st.relaxed], [3, 5]);
     }
 
     #[test]

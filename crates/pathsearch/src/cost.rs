@@ -8,7 +8,8 @@
 //! then predict the cost of arbitrary (obfuscated) queries and compare with
 //! measurements (experiment E4).
 
-use crate::dijkstra::{Goal, Searcher};
+use crate::arena::SearchArena;
+use crate::dijkstra::{Goal, run_in};
 use rand::Rng;
 use roadnet::{GraphView, NodeId};
 
@@ -35,7 +36,7 @@ impl CostModel {
     {
         let n = g.num_nodes();
         assert!(n >= 2, "need at least two nodes to calibrate");
-        let mut searcher = Searcher::new();
+        let mut arena = SearchArena::new();
         let mut obs: Vec<(f64, f64)> = Vec::with_capacity(samples);
         while obs.len() < samples {
             let s = NodeId(rng.gen_range(0..n as u32));
@@ -43,8 +44,8 @@ impl CostModel {
             if s == t {
                 continue;
             }
-            let stats = searcher.run(g, s, &Goal::Single(t));
-            let Some(d) = searcher.distance(t) else { continue };
+            let stats = run_in(&mut arena, g, s, &Goal::Single(t));
+            let Some(d) = arena.distance(t) else { continue };
             if d <= 0.0 {
                 continue;
             }
@@ -160,10 +161,10 @@ mod tests {
         // model assumes the Dijkstra ball is not clipped by the network
         // boundary, so corner-to-corner pairs (clipped to a quarter-ball)
         // are exactly where the O(d²) bound is loose.
-        let mut searcher = Searcher::new();
+        let mut arena = SearchArena::new();
         let (s, t) = (NodeId(20 * 40 + 20), NodeId(28 * 40 + 28));
-        let stats = searcher.run(&g, s, &Goal::Single(t));
-        let d = searcher.distance(t).unwrap();
+        let stats = run_in(&mut arena, &g, s, &Goal::Single(t));
+        let d = arena.distance(t).unwrap();
         let obs = CostObservation { predicted: m.predict(d), measured: stats.settled as f64 };
         assert!(obs.relative_error() < 0.8, "relative error {}", obs.relative_error());
     }
@@ -179,7 +180,7 @@ mod tests {
         let g = grid_network(&GridConfig { width: 40, height: 40, seed: 17, ..Default::default() })
             .unwrap();
         let centre = NodeId(20 * 40 + 20);
-        let mut searcher = Searcher::new();
+        let mut arena = SearchArena::new();
         let mut obs: Vec<(f64, f64)> = Vec::new();
         for (dx, dy) in [
             (3i32, 1i32),
@@ -194,8 +195,8 @@ mod tests {
             (5, 11),
         ] {
             let t = NodeId(((20 + dy) * 40 + 20 + dx) as u32);
-            let stats = searcher.run(&g, centre, &Goal::Single(t));
-            let d = searcher.distance(t).expect("grid is connected");
+            let stats = run_in(&mut arena, &g, centre, &Goal::Single(t));
+            let d = arena.distance(t).expect("grid is connected");
             obs.push((d, stats.settled as f64));
         }
         let m = CostModel::fit(&obs);

@@ -11,14 +11,14 @@
 //! and the label is then read from the slot. Repeated queries on the same
 //! network pay no per-query `O(n)` initialization *or allocation* — the
 //! cost of a query is proportional to the area it actually explores,
-//! which is the quantity Lemma 1 reasons about. [`Searcher`] is the
-//! single-tree facade over an owned arena; [`run_tree`] — the one
-//! adopt-or-grow entry, with the goal potential and the tree store as
-//! optional parameters — grows its trees inside a caller-provided arena
-//! (e.g. the one a `DirectionsServer` shares with its MSMD processor),
+//! which is the quantity Lemma 1 reasons about. Every entry grows one tree
+//! in a caller-provided arena (e.g. the one a `DirectionsServer` shares
+//! with its MSMD processor): [`run_tree`] — the one adopt-or-grow entry,
+//! with the goal potential and the tree store as optional parameters —
 //! answers a tree-cache hit straight from the stored trace, and says which
 //! of the two holds the labels ([`TreeView`]); [`run_in`] /
-//! [`run_in_traced`] are its plain arities.
+//! [`run_in_traced`] are its plain arities, whose labels the caller reads
+//! from the arena.
 
 use crate::alt::GoalPotential;
 use crate::arena::{NIL, SearchArena};
@@ -140,7 +140,7 @@ impl SettleSink for Recorder {
     fn on_settle(&mut self, arena: &SearchArena, node: NodeId, stats: &SearchStats) {
         // A final label's parent relaxed it while expanding, so the parent
         // settled earlier in this sweep and its index entry is current.
-        let parent = match arena.parent_raw(0, node) {
+        let parent = match arena.parent_raw(node) {
             NIL => NIL,
             p => self.index[p as usize],
         };
@@ -148,7 +148,7 @@ impl SettleSink for Recorder {
         self.events.push(SettleEvent {
             node: node.0,
             parent,
-            dist: arena.dist_raw(0, node),
+            dist: arena.dist_raw(node),
             relaxed: stats.relaxed,
         });
     }
@@ -204,7 +204,7 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
 ) -> SearchStats {
     let n = g.num_nodes();
     assert!(source.index() < n, "source out of range");
-    arena.begin(n, 1);
+    arena.begin(n);
     let mut stats = SearchStats::one_run();
 
     // Sorted, deduplicated goal set in the arena's reusable buffer.
@@ -214,8 +214,8 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
         remaining.sort_unstable();
         remaining.dedup();
     }
-    arena.label(0, source, 0.0, None);
-    arena.push(0.0 + pot.eval(source), 0, source);
+    arena.label(source, 0.0, None);
+    arena.push(0.0 + pot.eval(source), source);
 
     let mut stopped = false;
     while let Some(e) = arena.pop() {
@@ -227,12 +227,12 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
         let node = e.node();
         // Fresh, so the slot holds exactly the distance the entry was
         // pushed with.
-        let d_node = arena.dist_raw(0, node);
+        let d_node = arena.dist_raw(node);
         if !sink.admits(d_node) {
             stopped = true;
             break;
         }
-        arena.settle(0, node);
+        arena.settle(node);
         stats.settled += 1;
         sink.on_settle(arena, node, &stats);
 
@@ -262,7 +262,7 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
         g.for_each_arc(node, &mut |to, w| {
             stats.relaxed += 1;
             let cand = d_node + w;
-            arena.relax_keyed(0, node, to, cand, || cand + pot.eval(to));
+            arena.relax_keyed(node, to, cand, || cand + pot.eval(to));
         });
     }
     if !stopped {
@@ -320,7 +320,7 @@ fn grow_traced<G: GraphView>(
     (stats, trace)
 }
 
-/// Run one Dijkstra sweep from `source` inside `arena` (tree 0) until
+/// Run one Dijkstra sweep from `source` inside `arena` until
 /// `goal` is met. Returns per-run counters; the labels stay readable via
 /// [`SearchArena::distance`] / [`SearchArena::path_to`] until the arena's
 /// next search begins. This is [`run_tree`] with no potential and no store.
@@ -370,7 +370,7 @@ pub fn run_in_traced<G: GraphView>(
 ///   goal-stop prefix by chasing parent settle indices, and the counters
 ///   are the trace's snapshot at that stop, byte-identical to the sweep
 ///   skipped. Otherwise the tree is grown for real in `arena`, recorded,
-///   and re-stored, and the view reads the arena (tree 0). Hit or miss is
+///   and re-stored, and the view reads the arena. Hit or miss is
 ///   reported through the store's counters. `None` grows the tree
 ///   unrecorded in `arena` — nothing beyond the sweep itself is allocated.
 ///
@@ -433,88 +433,18 @@ pub fn run_tree<'a, G: GraphView, S: TreeStore + ?Sized>(
     }
 }
 
-/// Reusable single-tree search space: a [`SearchArena`] behind the
-/// classic `run` / `distance` / `path_to` interface.
-///
-/// After [`Searcher::run`] the labels of the *last* search remain readable
-/// through [`Searcher::distance`] / [`Searcher::path_to`] until the next
-/// search starts. Like the arena it wraps, a `Searcher` is `Send`: worker
-/// threads of a parallel backend each own one and move it freely.
-#[derive(Debug, Default)]
-pub struct Searcher {
-    arena: SearchArena,
-}
-
-// Kept in lockstep with the arena's own Send guard: the parallel service
-// layer pins one searcher/arena per worker thread.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<Searcher>();
-};
-
-impl Searcher {
-    /// Create an empty searcher; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Run Dijkstra from `source` until `goal` is met. Returns per-run
-    /// counters; query labels afterwards via [`Searcher::distance`] and
-    /// [`Searcher::path_to`].
-    pub fn run<G: GraphView>(&mut self, g: &G, source: NodeId, goal: &Goal) -> SearchStats {
-        run_in(&mut self.arena, g, source, goal)
-    }
-
-    /// [`Searcher::run`], additionally recording the sweep as a reusable
-    /// [`SweepTrace`] for a tree cache (see [`crate::trace`]).
-    pub fn run_traced<G: GraphView>(
-        &mut self,
-        g: &G,
-        source: NodeId,
-        goal: &Goal,
-    ) -> (SearchStats, SweepTrace) {
-        run_in_traced(&mut self.arena, g, source, goal)
-    }
-
-    /// Final distance to `n` from the last run's source, if `n` was
-    /// labelled. Only exact (settled) for nodes the run settled before
-    /// terminating; for an early-terminated run, nodes beyond the goal may
-    /// carry tentative labels.
-    pub fn distance(&self, n: NodeId) -> Option<f64> {
-        self.arena.distance(0, n)
-    }
-
-    /// Reconstruct the path from the last run's source to `t`.
-    pub fn path_to(&self, t: NodeId) -> Option<Path> {
-        self.arena.path_to(0, t)
-    }
-}
-
 /// One-shot shortest path `P(s,t)`; `None` if `t` is unreachable.
 pub fn shortest_path<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> Option<Path> {
-    let mut searcher = Searcher::new();
-    searcher.run(g, s, &Goal::Single(t));
-    searcher.path_to(t)
+    let mut arena = SearchArena::new();
+    run_in(&mut arena, g, s, &Goal::Single(t));
+    arena.path_to(t)
 }
 
 /// One-shot shortest-path distance `‖s,t‖`.
 pub fn shortest_distance<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> Option<f64> {
-    let mut searcher = Searcher::new();
-    searcher.run(g, s, &Goal::Single(t));
-    searcher.distance(t)
-}
-
-/// One-shot single-source multi-destination search (§III-B): paths from `s`
-/// to each target, in target order, plus the run's counters.
-pub fn multi_destination<G: GraphView>(
-    g: &G,
-    s: NodeId,
-    targets: &[NodeId],
-) -> (Vec<Option<Path>>, SearchStats) {
-    let mut searcher = Searcher::new();
-    let stats = searcher.run(g, s, &Goal::Set(targets.to_vec()));
-    let paths = targets.iter().map(|&t| searcher.path_to(t)).collect();
-    (paths, stats)
+    let mut arena = SearchArena::new();
+    run_in(&mut arena, g, s, &Goal::Single(t));
+    arena.distance(t)
 }
 
 #[cfg(test)]
@@ -569,9 +499,9 @@ mod tests {
     fn early_termination_settles_fewer_nodes_than_full_tree() {
         let g = grid_network(&GridConfig { width: 24, height: 24, seed: 1, ..Default::default() })
             .unwrap();
-        let mut s = Searcher::new();
-        let full = s.run(&g, NodeId(0), &Goal::AllNodes);
-        let single = s.run(&g, NodeId(0), &Goal::Single(NodeId(25))); // a nearby node
+        let mut a = SearchArena::new();
+        let full = run_in(&mut a, &g, NodeId(0), &Goal::AllNodes);
+        let single = run_in(&mut a, &g, NodeId(0), &Goal::Single(NodeId(25))); // a nearby node
         assert!(single.settled < full.settled / 4, "{} vs {}", single.settled, full.settled);
         assert_eq!(full.settled, 24 * 24, "full tree settles every node");
     }
@@ -582,20 +512,18 @@ mod tests {
             .unwrap();
         let s = NodeId(5);
         let targets = [NodeId(100), NodeId(37), NodeId(143), NodeId(9)];
-        let (paths, stats) = multi_destination(&g, s, &targets);
-        for (i, &t) in targets.iter().enumerate() {
+        let mut a = SearchArena::new();
+        let stats = run_in(&mut a, &g, s, &Goal::Set(targets.to_vec()));
+        for &t in &targets {
             let solo = shortest_path(&g, s, t).unwrap();
-            let multi = paths[i].as_ref().unwrap();
+            let multi = a.path_to(t).unwrap();
             assert!((solo.distance() - multi.distance()).abs() < 1e-9, "target {t}");
             assert!(multi.verify(&g, 1e-9));
         }
         // Multi-destination cost ≤ sum of individual costs.
         let individual: u64 = targets
             .iter()
-            .map(|&t| {
-                let mut se = Searcher::new();
-                se.run(&g, s, &Goal::Single(t)).settled
-            })
+            .map(|&t| run_in(&mut SearchArena::new(), &g, s, &Goal::Single(t)).settled)
             .sum();
         assert!(stats.settled <= individual);
     }
@@ -607,10 +535,10 @@ mod tests {
             .unwrap();
         let s = NodeId(0);
         let far = NodeId(30 * 30 - 1);
-        let mut searcher = Searcher::new();
-        let far_only = searcher.run(&g, s, &Goal::Set(vec![far]));
+        let mut a = SearchArena::new();
+        let far_only = run_in(&mut a, &g, s, &Goal::Set(vec![far]));
         let with_near =
-            searcher.run(&g, s, &Goal::Set(vec![far, NodeId(31), NodeId(62), NodeId(100)]));
+            run_in(&mut a, &g, s, &Goal::Set(vec![far, NodeId(31), NodeId(62), NodeId(100)]));
         let ratio = with_near.settled as f64 / far_only.settled as f64;
         assert!(ratio <= 1.05, "near targets inflated cost by {ratio}");
     }
@@ -618,7 +546,10 @@ mod tests {
     #[test]
     fn duplicate_targets_are_handled() {
         let g = diamond();
-        let (paths, _) = multi_destination(&g, NodeId(0), &[NodeId(3), NodeId(3)]);
+        let targets = [NodeId(3), NodeId(3)];
+        let mut a = SearchArena::new();
+        run_in(&mut a, &g, NodeId(0), &Goal::Set(targets.to_vec()));
+        let paths: Vec<_> = targets.iter().map(|&t| a.path_to(t)).collect();
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0], paths[1]);
     }
@@ -626,14 +557,14 @@ mod tests {
     #[test]
     fn searcher_reuse_resets_labels() {
         let g = diamond();
-        let mut s = Searcher::new();
-        s.run(&g, NodeId(0), &Goal::AllNodes);
-        assert!(s.distance(NodeId(3)).is_some());
-        s.run(&g, NodeId(3), &Goal::Single(NodeId(2)));
+        let mut a = SearchArena::new();
+        run_in(&mut a, &g, NodeId(0), &Goal::AllNodes);
+        assert!(a.distance(NodeId(3)).is_some());
+        run_in(&mut a, &g, NodeId(3), &Goal::Single(NodeId(2)));
         // Distance now from node 3, not node 0.
-        assert!((s.distance(NodeId(2)).unwrap() - 0.5).abs() < 1e-12);
+        assert!((a.distance(NodeId(2)).unwrap() - 0.5).abs() < 1e-12);
         // Node 1 may or may not be labelled; if labelled, from the new source.
-        if let Some(d) = s.distance(NodeId(1)) {
+        if let Some(d) = a.distance(NodeId(1)) {
             assert!(d >= 0.5);
         }
     }
@@ -660,8 +591,7 @@ mod tests {
     fn stats_are_plausible() {
         let g = grid_network(&GridConfig { width: 10, height: 10, seed: 0, ..Default::default() })
             .unwrap();
-        let mut s = Searcher::new();
-        let st = s.run(&g, NodeId(0), &Goal::AllNodes);
+        let st = run_in(&mut SearchArena::new(), &g, NodeId(0), &Goal::AllNodes);
         assert_eq!(st.runs, 1);
         assert_eq!(st.settled, 100);
         assert!(st.relaxed >= st.settled);
@@ -703,11 +633,11 @@ mod tests {
             grid_network(&GridConfig { width: 10, height: 10, seed: 0, ..Default::default() })
                 .unwrap();
         let small = diamond();
-        let mut s = Searcher::new();
-        s.run(&big, NodeId(0), &Goal::AllNodes);
-        s.run(&small, NodeId(0), &Goal::AllNodes);
+        let mut a = SearchArena::new();
+        run_in(&mut a, &big, NodeId(0), &Goal::AllNodes);
+        run_in(&mut a, &small, NodeId(0), &Goal::AllNodes);
         // Node 50 exists only in the big graph; its old label must not leak.
-        assert_eq!(s.distance(NodeId(50)), None);
-        assert!(s.path_to(NodeId(50)).is_none());
+        assert_eq!(a.distance(NodeId(50)), None);
+        assert!(a.path_to(NodeId(50)).is_none());
     }
 }

@@ -10,14 +10,15 @@
 //! [`SearchStats`] and I/O counted by the storage layer:
 //!
 //! * [`arena`] — the reusable, generation-stamped [`SearchArena`] every
-//!   algorithm here runs in, and the only search heap in the crate;
+//!   algorithm here runs in: one tree's labels and the crate's only kind of
+//!   search heap;
 //! * [`dijkstra`] — the **single-tree loop**: lazy-deletion Dijkstra over
 //!   the arena, keyed by an optional consistent potential and observed by
 //!   a settle sink; single-destination, full-tree, and the paper's
-//!   multi-destination early-termination variant;
+//!   multi-destination early-termination variant ([`Goal::Set`]);
 //! * [`mod@bidirectional`] — the **interleaved loop**: bidirectional
 //!   Dijkstra, the strongest single-pair baseline, growing a forward and a
-//!   backward tree in one heap until their radii cover the best meeting.
+//!   backward tree in two arenas until their radii cover the best meeting.
 //!
 //! Those two loops are the only label-setting code; the rest call the
 //! single-tree loop:
@@ -74,10 +75,7 @@ pub use arena::SearchArena;
 pub use astar::{astar, astar_with};
 pub use bidirectional::bidirectional;
 pub use cost::{CostModel, CostObservation};
-pub use dijkstra::{
-    Goal, Searcher, multi_destination, run_in, run_in_traced, run_tree, shortest_distance,
-    shortest_path,
-};
+pub use dijkstra::{Goal, run_in, run_in_traced, run_tree, shortest_distance, shortest_path};
 pub use multi::{
     MsmdResult, SharingPolicy, TreeSide, TreeStats, msmd, msmd_in, msmd_in_guided,
     msmd_in_guided_cached,

@@ -113,11 +113,6 @@ impl MsmdResult {
     pub fn distance(&self, i: usize, j: usize) -> Option<f64> {
         self.paths[i][j].as_ref().map(|p| p.distance())
     }
-
-    /// Number of spanning trees grown.
-    pub fn num_trees(&self) -> usize {
-        self.per_tree.len()
-    }
 }
 
 /// Evaluate the MSMD query `(sources × targets)` under `policy` with a

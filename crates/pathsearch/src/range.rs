@@ -31,7 +31,7 @@ impl SettleSink for Band {
 
     #[inline]
     fn on_settle(&mut self, arena: &SearchArena, node: NodeId, _: &SearchStats) {
-        let d = arena.dist_raw(0, node);
+        let d = arena.dist_raw(node);
         if d >= self.lo {
             self.out.push((node, d));
         }
@@ -68,7 +68,7 @@ pub fn ring_search<G: GraphView>(
     (ring, stats)
 }
 
-/// [`ring_search`] inside a caller-provided arena (tree 0). The third value
+/// [`ring_search`] inside a caller-provided arena. The third value
 /// is whether the sweep drained its heap before meeting a label beyond
 /// `hi`: `source`'s whole component lies within `hi`, so no wider band can
 /// hold a node that `[0, hi]` does not.
@@ -92,7 +92,7 @@ pub fn ring_search_in<G: GraphView>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::{Goal, Searcher};
+    use crate::dijkstra::{Goal, run_in};
     use roadnet::generators::{GridConfig, grid_network};
 
     fn net() -> roadnet::RoadNetwork {
@@ -105,18 +105,18 @@ mod tests {
         let source = NodeId(90);
         let radius = 4.0;
         let (ball, _) = range_search(&g, source, radius);
-        let mut searcher = Searcher::new();
-        searcher.run(&g, source, &Goal::AllNodes);
+        let mut arena = SearchArena::new();
+        run_in(&mut arena, &g, source, &Goal::AllNodes);
         // Every returned node has the exact Dijkstra distance…
         for &(n, d) in &ball {
-            let truth = searcher.distance(n).unwrap();
+            let truth = arena.distance(n).unwrap();
             assert!((d - truth).abs() < 1e-9, "node {n}: {d} vs {truth}");
             assert!(d <= radius);
         }
         // …and no in-range node is missing.
         let in_ball: std::collections::HashSet<NodeId> = ball.iter().map(|&(n, _)| n).collect();
         for n in g.nodes() {
-            if searcher.distance(n).unwrap() <= radius {
+            if arena.distance(n).unwrap() <= radius {
                 assert!(in_ball.contains(&n), "missing node {n}");
             }
         }

@@ -259,7 +259,7 @@ impl SweepTrace {
         Some(Path::new(nodes, self.events[i].dist))
     }
 
-    /// Replay this trace into `arena` (tree 0) as the answer to `goal`.
+    /// Replay this trace into `arena` as the answer to `goal`.
     /// On success the arena reads exactly like a fresh
     /// [`crate::dijkstra::run_in`] from the same root with the same goal —
     /// same settled labels, same paths — and the returned counters are
@@ -279,11 +279,11 @@ impl SweepTrace {
     /// identical.
     pub fn adopt_into(&self, arena: &mut SearchArena, goal: &Goal) -> Option<SearchStats> {
         let stats = self.stats_for(goal)?;
-        arena.begin(self.nodes, 1);
+        arena.begin(self.nodes);
         for e in &self.events[..stats.settled as usize] {
             let parent = (e.parent != NIL).then(|| NodeId(self.events[e.parent as usize].node));
-            arena.label(0, NodeId(e.node), e.dist, parent);
-            arena.settle(0, NodeId(e.node));
+            arena.label(NodeId(e.node), e.dist, parent);
+            arena.settle(NodeId(e.node));
         }
         Some(stats)
     }
@@ -319,7 +319,7 @@ enum Stop {
 /// leaves the arena as it was.
 #[derive(Clone, Copy, Debug)]
 pub enum TreeView<'a> {
-    /// A tree grown for real: tree 0 of the arena.
+    /// A tree grown for real: the arena's.
     Arena(&'a SearchArena),
     /// A cache hit: the first `settled` events of a stored trace — the
     /// prefix a fresh sweep with the same goal settles before stopping.
@@ -339,7 +339,7 @@ impl TreeView<'_> {
     /// node a complete sweep proved unreachable.
     pub fn path_to(&self, t: NodeId) -> Option<Path> {
         match *self {
-            TreeView::Arena(arena) => arena.path_to(0, t),
+            TreeView::Arena(arena) => arena.path_to(t),
             TreeView::Trace { trace, settled } => trace.path_to(settled, t),
         }
     }
@@ -464,8 +464,8 @@ pub(crate) mod tests {
             };
             for t in targets {
                 assert_eq!(
-                    arena.path_to(0, t),
-                    fresh_arena.path_to(0, t),
+                    arena.path_to(t),
+                    fresh_arena.path_to(t),
                     "path to {t} diverged for {goal:?}"
                 );
             }
@@ -532,14 +532,14 @@ pub(crate) mod tests {
         let fresh = run_in(&mut fresh_arena, &g, NodeId(0), &Goal::Single(NodeId(4)));
         let adopted = trace.adopt_into(&mut arena, &Goal::Single(NodeId(4))).unwrap();
         assert_eq!(adopted, fresh, "the exhausted sweep's counters replay");
-        assert_eq!(arena.path_to(0, NodeId(4)), None);
-        assert_eq!(arena.distance(0, NodeId(4)), None);
+        assert_eq!(arena.path_to(NodeId(4)), None);
+        assert_eq!(arena.distance(NodeId(4)), None);
 
         // Mixed goal set: reachable + unreachable also exhausts.
         let fresh = run_in(&mut fresh_arena, &g, NodeId(0), &Goal::Set(vec![NodeId(2), NodeId(5)]));
         let adopted = trace.adopt_into(&mut arena, &Goal::Set(vec![NodeId(2), NodeId(5)])).unwrap();
         assert_eq!(adopted, fresh);
-        assert!(arena.path_to(0, NodeId(2)).is_some());
+        assert!(arena.path_to(NodeId(2)).is_some());
     }
 
     #[test]
@@ -655,7 +655,7 @@ pub(crate) mod tests {
             let (stats, view) = run_tree(&mut arena, &g, root, &goal, None, Some(&mut store));
             let mut fresh = SearchArena::new();
             assert_eq!(stats, run_in(&mut fresh, &g, root, &goal), "goal settling at {i}");
-            assert_eq!(view.path_to(t), fresh.path_to(0, t));
+            assert_eq!(view.path_to(t), fresh.path_to(t));
         }
         assert_eq!((store.hits, store.misses), (3, 1));
 
@@ -716,7 +716,7 @@ pub(crate) mod tests {
             assert!(stored.len() as u64 > stats.settled || stored.is_complete(), "{goal:?}");
             assert_eq!(stored.stats_for(&goal), Some(expected));
             for (t, path) in targets.into_iter().zip(paths) {
-                assert_eq!(path, fresh.path_to(0, t), "{goal:?}: path to {t}");
+                assert_eq!(path, fresh.path_to(t), "{goal:?}: path to {t}");
             }
         }
     }
@@ -782,13 +782,13 @@ pub(crate) mod tests {
         run_tree(&mut arena, g, root, goal, pot, Some(&mut store));
         let other = NodeId((root.0 + 1) % g.num_nodes() as u32);
         run_in(&mut arena, g, other, &Goal::AllNodes);
-        let before: Vec<_> = targets.iter().map(|&t| arena.path_to(0, t)).collect();
+        let before: Vec<_> = targets.iter().map(|&t| arena.path_to(t)).collect();
 
         let (stats, view) = run_tree(&mut arena, g, root, goal, pot, Some(&mut store));
         assert!(matches!(view, TreeView::Trace { .. }), "{tag}: the warm run hits");
         let read: Vec<_> = g.nodes().map(|t| bits(view.path_to(t))).collect();
         assert_eq!((store.hits, store.misses), (1, 1), "{tag}");
-        let after: Vec<_> = targets.iter().map(|&t| arena.path_to(0, t)).collect();
+        let after: Vec<_> = targets.iter().map(|&t| arena.path_to(t)).collect();
         assert_eq!(before, after, "{tag}: a hit writes no arena slot");
 
         let mut fresh = SearchArena::new();
@@ -798,10 +798,10 @@ pub(crate) mod tests {
         assert_eq!(stats, fresh_stats, "{tag}: counters");
         assert_eq!(Some(stats), replay_stats, "{tag}: counters");
         for &t in targets {
-            assert_eq!(read[t.index()], bits(fresh.path_to(0, t)), "{tag}: fresh path to {t}");
+            assert_eq!(read[t.index()], bits(fresh.path_to(t)), "{tag}: fresh path to {t}");
         }
         for (t, got) in g.nodes().zip(read) {
-            assert_eq!(got, bits(replay.path_to(0, t)), "{tag}: replayed path to {t}");
+            assert_eq!(got, bits(replay.path_to(t)), "{tag}: replayed path to {t}");
         }
     }
 

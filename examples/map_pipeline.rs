@@ -10,7 +10,7 @@
 //! cargo run --example map_pipeline
 //! ```
 
-use pathsearch::{AltPreprocessing, Goal, Searcher, alt};
+use pathsearch::{AltPreprocessing, Goal, SearchArena, alt, run_in};
 use roadnet::generators::{GeometricConfig, random_geometric};
 use roadnet::io::{load_tln, save_tln};
 use roadnet::{ChunkedCsr, GraphView, NodeId, PageLayout};
@@ -46,8 +46,8 @@ fn main() {
         layout.colocation_ratio(&reloaded),
     );
     let (s, t) = (NodeId(0), NodeId(reloaded.num_nodes() as u32 - 1));
-    let mut searcher = Searcher::new();
-    let stats = searcher.run(&paged, s, &Goal::Single(t));
+    let mut arena = SearchArena::new();
+    let stats = run_in(&mut arena, &paged, s, &Goal::Single(t));
     let io = paged.io_stats();
     println!(
         "dijkstra {s} → {t}: settled {} nodes, {} page faults ({:.0}% buffer hits)",
@@ -60,7 +60,7 @@ fn main() {
     let pre = AltPreprocessing::build(&reloaded, 8);
     let (path_alt, alt_stats) = alt(&reloaded, &pre, s, t);
     let path_alt = path_alt.expect("connected");
-    let d_direct = searcher.distance(t).expect("connected");
+    let d_direct = arena.distance(t).expect("connected");
     assert!((path_alt.distance() - d_direct).abs() < 1e-9);
     println!(
         "alt with {} landmarks ({} table entries): settled {} nodes ({}x fewer), same distance {:.2}",

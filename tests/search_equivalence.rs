@@ -302,10 +302,10 @@ fn assert_guided_tree_is_plain(
     assert_eq!(guided.settled as usize, trace.len(), "{ctx}");
     assert!(guided.settled <= plain.settled, "{ctx}: {} > {}", guided.settled, plain.settled);
     for n in trace.settled() {
-        assert_eq!(paths[n.index()], full.path_to(0, n), "{ctx}: settled label of {n}");
+        assert_eq!(paths[n.index()], full.path_to(n), "{ctx}: settled label of {n}");
     }
     for &t in goals {
-        assert_eq!(paths[t.index()], full.path_to(0, t), "{ctx}: path to goal {t}");
+        assert_eq!(paths[t.index()], full.path_to(t), "{ctx}: path to goal {t}");
     }
     trace
 }

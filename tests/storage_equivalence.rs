@@ -2,7 +2,7 @@
 //! results through the page buffer as against the in-memory CSR, while I/O
 //! counters behave monotonically and charge one page touch per arc scan.
 
-use pathsearch::{Goal, Searcher, SharingPolicy, msmd};
+use pathsearch::{Goal, SearchArena, SharingPolicy, msmd, run_in};
 use proptest::prelude::*;
 use roadnet::generators::{GridConfig, NetworkClass, grid_network};
 use roadnet::{ChunkedCsr, GraphBuilder, GraphView, NodeId, PageLayout, PagePlacement, Point};
@@ -21,12 +21,12 @@ fn searches_identical_through_every_placement() {
         ] {
             let layout = PageLayout::build(&g, placement, 64);
             let paged = ChunkedCsr::spill_temp(&g, &layout, 4).expect("spill to temp");
-            let mut searcher = Searcher::new();
+            let mut arena = SearchArena::new();
             for &(s, t) in &pairs {
                 let direct =
                     pathsearch::shortest_path(&g, NodeId(s), NodeId(t)).expect("connected");
-                searcher.run(&paged, NodeId(s), &Goal::Single(NodeId(t)));
-                let through = searcher.path_to(NodeId(t)).expect("connected");
+                run_in(&mut arena, &paged, NodeId(s), &Goal::Single(NodeId(t)));
+                let through = arena.path_to(NodeId(t)).expect("connected");
                 assert_eq!(
                     direct.nodes(),
                     through.nodes(),
@@ -81,8 +81,8 @@ fn an_isolated_node_costs_exactly_one_page_touch() {
     paged.for_each_arc(isolated, &mut |_, _| arcs += 1);
     assert_eq!((paged.io_stats().accesses, paged.io_stats().faults), (2, 1));
     // Searching from it settles the root alone, for one touch.
-    let mut searcher = Searcher::new();
-    let stats = searcher.run(&paged, isolated, &Goal::AllNodes);
+    let mut arena = SearchArena::new();
+    let stats = run_in(&mut arena, &paged, isolated, &Goal::AllNodes);
     assert_eq!(stats.settled, 1);
     assert_eq!(paged.io_stats().accesses, 3);
 }
@@ -99,9 +99,9 @@ proptest! {
         let layout = PageLayout::build(&g, PagePlacement::Connectivity, 64);
         let run = |pages: usize| {
             let paged = ChunkedCsr::spill_temp(&g, &layout, pages).expect("spill to temp");
-            let mut searcher = Searcher::new();
-            searcher.run(&paged, NodeId(0), &Goal::AllNodes);
-            searcher.run(&paged, NodeId((seed % 196) as u32), &Goal::AllNodes);
+            let mut arena = SearchArena::new();
+            run_in(&mut arena, &paged, NodeId(0), &Goal::AllNodes);
+            run_in(&mut arena, &paged, NodeId((seed % 196) as u32), &Goal::AllNodes);
             paged.io_stats().faults
         };
         let small = run(buffer_small);
@@ -115,8 +115,8 @@ proptest! {
             .expect("valid network");
         let layout = PageLayout::ccam(&g);
         let paged = ChunkedCsr::spill_temp(&g, &layout, buffer).expect("spill to temp");
-        let mut searcher = Searcher::new();
-        let stats = searcher.run(&paged, NodeId(0), &Goal::AllNodes);
+        let mut arena = SearchArena::new();
+        let stats = run_in(&mut arena, &paged, NodeId(0), &Goal::AllNodes);
         let io = paged.io_stats();
         prop_assert_eq!(io.accesses, stats.settled, "one page touch per settled node");
         prop_assert!(io.faults <= io.accesses);
