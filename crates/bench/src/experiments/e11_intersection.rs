@@ -1,14 +1,17 @@
-//! E11 — the repeated-query intersection attack and the consistent-fakes
+//! E11 — the repeated-query intersection attack and the keyed-fakes
 //! defense (extension; motivated by §IV's "satisfied requests are
 //! immediately discarded … for sake of security").
 //!
 //! Definition 2's guarantee is per-query. A client who re-issues the same
-//! request — a retry, or directions checked again the next day — receives a
-//! fresh obfuscation each time; a server that links the rounds intersects
-//! the represented pair sets and watches everything but the true pair
-//! drop out. The defense is for the obfuscator to memoize query → fakes.
-//! This experiment measures the breach trajectory with and without the
-//! defense, for two protection levels and two fake-selection strategies.
+//! request — a retry, or directions checked again the next day — and
+//! receives freshly drawn fakes each time loses it: a server that links the
+//! rounds intersects the represented pair sets and watches everything but
+//! the true pair drop out. The defense is that independent fakes are keyed
+//! by the obfuscator's seed and the request, so one obfuscator re-sends the
+//! same `Q(S,T)`. The "fresh" arm models the undefended client with a new
+//! obfuscator, under a new seed, for every round. This experiment measures
+//! the breach trajectory of both arms, for two protection levels and two
+//! fake-selection strategies.
 
 use crate::setup::{Scale, network_with_index};
 use crate::table::{ExperimentTable, f3};
@@ -23,7 +26,7 @@ use roadnet::generators::NetworkClass;
 pub fn run(scale: &Scale) -> ExperimentTable {
     let mut t = ExperimentTable::new(
         "E11",
-        "repeated-query intersection attack vs consistent fakes",
+        "repeated-query intersection attack vs keyed fakes",
         "extension of Definition 2 across repeated queries",
         &[
             "strategy",
@@ -42,8 +45,10 @@ pub fn run(scale: &Scale) -> ExperimentTable {
     let repeats = (scale.queries / 4).max(4);
 
     for strategy in [FakeSelection::Uniform, FakeSelection::default_ring()] {
+        // One obfuscator answers every keyed round.
+        let keyed_ob = Obfuscator::new(g.clone(), strategy, 0xE11);
         for f in [3u32, 6] {
-            for consistent in [false, true] {
+            for keyed in [false, true] {
                 let mut breach_at = [0.0f64; 3]; // rounds 1, 3, 6
                 let mut pinpointed = 0usize;
                 for rep in 0..repeats {
@@ -59,10 +64,17 @@ pub fn run(scale: &Scale) -> ExperimentTable {
                         PathQuery::new(s, d),
                         ProtectionSettings::new(f, f).expect("positive"),
                     );
-                    let mut ob = Obfuscator::new(g.clone(), strategy, 0xE11 ^ rep as u64)
-                        .with_consistent_fakes(consistent);
                     let units: Vec<_> = (0..rounds)
-                        .map(|_| ob.obfuscate_independent(&req).expect("map large enough"))
+                        .map(|round| {
+                            if keyed {
+                                keyed_ob.obfuscate_independent(&req)
+                            } else {
+                                let seed = 0xE11 ^ (rep * rounds + round + 1) as u64;
+                                Obfuscator::new(g.clone(), strategy, seed)
+                                    .obfuscate_independent(&req)
+                            }
+                            .expect("map large enough")
+                        })
                         .collect();
                     for (slot, upto) in [(0usize, 1usize), (1, 3), (2, 6)] {
                         let r = intersection_attack(&units[..upto], &req.query);
@@ -75,7 +87,7 @@ pub fn run(scale: &Scale) -> ExperimentTable {
                 t.row(vec![
                     strategy.name().into(),
                     f.to_string(),
-                    if consistent { "consistent" } else { "fresh" }.into(),
+                    if keyed { "keyed" } else { "fresh" }.into(),
                     f3(breach_at[0] / k),
                     f3(breach_at[1] / k),
                     f3(breach_at[2] / k),
@@ -85,9 +97,13 @@ pub fn run(scale: &Scale) -> ExperimentTable {
         }
     }
     t.note(
-        "fresh fakes: breach decays toward 1.0 as rounds accumulate (true pair always survives)",
+        "fresh: a new obfuscator seed every round; breach decays toward 1.0 as rounds accumulate \
+         (true pair always survives)",
     );
-    t.note("consistent fakes: every round is identical, breach stays at 1/f² indefinitely");
+    t.note(
+        "keyed: fakes are a function of (seed, query, protection); every round is identical, \
+         breach stays at 1/f² indefinitely",
+    );
     t
 }
 
@@ -106,7 +122,7 @@ mod tests {
             let f: f64 = row[1].parse().unwrap();
             let nominal = 1.0 / (f * f);
             assert!((round1 - nominal).abs() < 1e-3, "round 1 must match Definition 2: {row:?}");
-            if row[2] == "consistent" {
+            if row[2] == "keyed" {
                 assert!((round6 - nominal).abs() < 1e-3, "defense failed: {row:?}");
                 assert_eq!(pinpointed, 0.0, "defense must never pinpoint: {row:?}");
             } else {

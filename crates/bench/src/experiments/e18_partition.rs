@@ -61,7 +61,7 @@ fn settled_locality(
     partition: &Partition,
     requests: &[opaque::ClientRequest],
 ) -> (f64, f64, [usize; 3]) {
-    let mut obfuscator = Obfuscator::new(g.clone(), FakeSelection::Uniform, 0xE18);
+    let obfuscator = Obfuscator::new(g.clone(), FakeSelection::Uniform, 0xE18);
     let mut arena = SearchArena::new();
     let (mut region_sum, mut rr_sum, mut kinds) = (0.0, 0.0, [0usize; 3]);
     let sample = requests.len().min(LOCALITY_SAMPLE);

@@ -24,7 +24,7 @@ pub fn run(scale: &Scale) -> ExperimentTable {
     );
     let (g, _) = network_with_index(NetworkClass::Geometric, scale);
     let n = g.num_nodes() as u32;
-    let mut ob = Obfuscator::new(g.clone(), FakeSelection::default_ring(), 0xE3);
+    let ob = Obfuscator::new(g.clone(), FakeSelection::default_ring(), 0xE3);
     let mut rng = StdRng::seed_from_u64(0xE3);
 
     for f_s in [1u32, 2, 3, 4, 6, 8] {

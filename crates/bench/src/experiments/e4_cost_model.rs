@@ -42,7 +42,7 @@ pub fn run(scale: &Scale) -> ExperimentTable {
         model.samples
     ));
 
-    let mut ob = Obfuscator::new(g.clone(), FakeSelection::default_ring(), 0xE4);
+    let ob = Obfuscator::new(g.clone(), FakeSelection::default_ring(), 0xE4);
     let configs = [(1u32, 1u32), (1, 4), (4, 1), (2, 2), (4, 4), (8, 2), (2, 8), (8, 8)];
     let repeats = (scale.queries / 4).max(2);
 

@@ -72,7 +72,7 @@ pub fn run(scale: &Scale) -> ExperimentTable {
         FakeSelection::default_network_ring(),
         FakeSelection::Weighted,
     ] {
-        let mut ob = Obfuscator::new(g.clone(), strategy, 0xE7).with_weights(weights.clone());
+        let ob = Obfuscator::new(g.clone(), strategy, 0xE7).with_weights(weights.clone());
         let mut settled = 0u64;
         let mut nominal = 0.0;
         let mut posterior = 0.0;

@@ -29,7 +29,7 @@ pub fn run(scale: &Scale) -> ExperimentTable {
     let (g, _) = network_with_index(NetworkClass::Grid, scale);
     let n = g.num_nodes() as u32;
     let mut rng = StdRng::seed_from_u64(0xE9);
-    let mut ob = Obfuscator::new(g.clone(), FakeSelection::default_ring(), 0xE9);
+    let ob = Obfuscator::new(g.clone(), FakeSelection::default_ring(), 0xE9);
 
     // One fixed workload of obfuscated queries, reused for every storage
     // configuration.
@@ -123,18 +123,18 @@ mod tests {
         assert_eq!(
             rows,
             [
-                "ccam 0.7462 2 440.75 0.4091",
-                "ccam 0.7462 7 73.38 0.9016",
-                "ccam 0.7462 30 1.88 0.9975",
-                "bfs-order 0.4966 2 470.50 0.3692",
-                "bfs-order 0.4966 7 187.88 0.7481",
-                "bfs-order 0.4966 30 1.88 0.9975",
-                "node-order 0.6139 2 599.50 0.1962",
-                "node-order 0.6139 7 287.38 0.6147",
-                "node-order 0.6139 30 1.88 0.9975",
-                "random 0.0668 2 644.62 0.1357",
-                "random 0.0668 7 398.62 0.4656",
-                "random 0.0668 30 1.88 0.9975",
+                "ccam 0.7462 2 394.88 0.4350",
+                "ccam 0.7462 7 58.75 0.9159",
+                "ccam 0.7462 30 1.88 0.9973",
+                "bfs-order 0.4966 2 431.38 0.3828",
+                "bfs-order 0.4966 7 184.62 0.7358",
+                "bfs-order 0.4966 30 1.88 0.9973",
+                "node-order 0.6139 2 576.75 0.1747",
+                "node-order 0.6139 7 316.50 0.5471",
+                "node-order 0.6139 30 1.88 0.9973",
+                "random 0.0668 2 605.75 0.1332",
+                "random 0.0668 7 367.75 0.4738",
+                "random 0.0668 30 1.88 0.9973",
             ]
         );
     }

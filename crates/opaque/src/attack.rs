@@ -219,9 +219,9 @@ pub struct IntersectionReport {
 /// their represented pair sets. The true pair is in every set by
 /// Definition 1, so it always survives — fresh random fakes rarely do.
 ///
-/// This is the attack [`crate::Obfuscator::with_consistent_fakes`] defends
-/// against (with the defense, all rounds are identical and the intersection
-/// never shrinks).
+/// Keyed independent fakes defend against it: one obfuscator re-sends the
+/// same query every round (see [`crate::obfuscator`]), so the intersection
+/// never shrinks.
 ///
 /// # Panics
 /// Panics if `units` is empty or the victim's query is not covered by all
@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn uniform_attack_matches_definition_2() {
-        let mut ob = obfuscator();
+        let ob = obfuscator();
         let r = request(0, 0, 399, 3);
         let unit = ob.obfuscate_independent(&r).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
@@ -299,7 +299,7 @@ mod tests {
 
     #[test]
     fn informed_attack_uniform_weights_equals_nominal() {
-        let mut ob = obfuscator();
+        let ob = obfuscator();
         let r = request(0, 0, 399, 4);
         let unit = ob.obfuscate_independent(&r).unwrap();
         let weights = vec![1.0; 400];
@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn informed_attack_exploits_implausible_fakes() {
-        let mut ob = obfuscator();
+        let ob = obfuscator();
         let r = request(0, 0, 399, 4);
         let unit = ob.obfuscate_independent(&r).unwrap();
         // Adversary's background knowledge: only the true endpoints are
@@ -369,7 +369,7 @@ mod tests {
         // A colluder in a *different* unit reveals nothing about this one:
         // modelled by attacking an independent unit with zero colluders —
         // there is nobody to collude with inside the unit.
-        let mut ob = obfuscator();
+        let ob = obfuscator();
         let unit = ob.obfuscate_independent(&request(0, 0, 399, 3)).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let rep = collusion_attack(&unit, ClientId(0), &[], 10_000, &mut rng);
@@ -378,10 +378,18 @@ mod tests {
 
     #[test]
     fn intersection_attack_breaches_fresh_fakes() {
-        let mut ob = obfuscator();
+        let map =
+            grid_network(&GridConfig { width: 20, height: 20, seed: 2, ..Default::default() })
+                .unwrap();
         let r = request(0, 0, 399, 5);
-        let units: Vec<_> =
-            (0..6).map(|_| ob.obfuscate_independent(&r).expect("map large enough")).collect();
+        // Fresh fakes: every round comes from an obfuscator with a new seed.
+        let units: Vec<_> = (0..6)
+            .map(|round| {
+                Obfuscator::new(map.clone(), FakeSelection::Uniform, 31 + round)
+                    .obfuscate_independent(&r)
+                    .expect("map large enough")
+            })
+            .collect();
         let rep = intersection_attack(&units, &r.query);
         assert_eq!(rep.candidates_per_round[0], 25);
         // Candidates shrink monotonically…
@@ -394,11 +402,8 @@ mod tests {
     }
 
     #[test]
-    fn consistent_fakes_defeat_the_intersection_attack() {
-        let map =
-            grid_network(&GridConfig { width: 20, height: 20, seed: 2, ..Default::default() })
-                .unwrap();
-        let mut ob = Obfuscator::new(map, FakeSelection::Uniform, 31).with_consistent_fakes(true);
+    fn keyed_fakes_defeat_the_intersection_attack() {
+        let ob = obfuscator();
         let r = request(0, 0, 399, 5);
         let units: Vec<_> = (0..10).map(|_| ob.obfuscate_independent(&r).expect("ok")).collect();
         let rep = intersection_attack(&units, &r.query);
@@ -412,23 +417,9 @@ mod tests {
     }
 
     #[test]
-    fn consistency_cache_is_keyed_by_protection_too() {
-        let map =
-            grid_network(&GridConfig { width: 20, height: 20, seed: 2, ..Default::default() })
-                .unwrap();
-        let mut ob = Obfuscator::new(map, FakeSelection::Uniform, 31).with_consistent_fakes(true);
-        let weak = request(0, 0, 399, 2);
-        let strong = request(0, 0, 399, 5);
-        let a = ob.obfuscate_independent(&weak).unwrap();
-        let b = ob.obfuscate_independent(&strong).unwrap();
-        assert_ne!(a.query, b.query, "different protection must not share the memo entry");
-        assert_eq!(a.query, ob.obfuscate_independent(&weak).unwrap().query);
-    }
-
-    #[test]
     #[should_panic(expected = "does not cover")]
     fn intersection_attack_requires_consistent_truth() {
-        let mut ob = obfuscator();
+        let ob = obfuscator();
         let a = ob.obfuscate_independent(&request(0, 0, 399, 3)).unwrap();
         let b = ob.obfuscate_independent(&request(0, 5, 390, 3)).unwrap();
         let _ = intersection_attack(&[a, b], &PathQuery::new(NodeId(0), NodeId(399)));
@@ -437,7 +428,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot collude")]
     fn victim_colluding_with_itself_panics() {
-        let mut ob = obfuscator();
+        let ob = obfuscator();
         let unit = ob.obfuscate_independent(&request(0, 0, 399, 2)).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
         let _ = collusion_attack(&unit, ClientId(0), &[ClientId(0)], 10, &mut rng);
@@ -446,7 +437,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not carried")]
     fn unknown_victim_panics() {
-        let mut ob = obfuscator();
+        let ob = obfuscator();
         let unit = ob.obfuscate_independent(&request(0, 0, 399, 2)).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let _ = uniform_attack(&unit, ClientId(99), 10, &mut rng);

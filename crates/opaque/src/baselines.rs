@@ -248,7 +248,7 @@ pub fn run_technique(
         }
 
         Technique::Opaque { f_s, f_t } => {
-            let mut ob = Obfuscator::new(map.clone(), FakeSelection::default_ring(), seed ^ 0x6f70);
+            let ob = Obfuscator::new(map.clone(), FakeSelection::default_ring(), seed ^ 0x6f70);
             let request = ClientRequest::new(
                 ClientId(0),
                 *q,

@@ -19,6 +19,19 @@
 //!   [`crate::OpaqueService`] consumes its units and rejections;
 //!   [`Obfuscator::obfuscate_batch`] is the same call with any rejection
 //!   turned into `Err`.
+//!
+//! ## Keyed fakes
+//!
+//! Independent fakes are a function of the obfuscator's seed and the
+//! request's `(s, t, f_S, f_T)`: a retry, a second client with the same trip
+//! and protection, or a restarted obfuscator gets the same `Q(S,T)`, so
+//! linking rounds leaves nothing to intersect (experiment E11), and no
+//! state is kept. The seed is the key: whoever holds it can recompute every
+//! candidate pair's fakes and find the true one, so it never leaves the
+//! obfuscator. [`FakeSelection::NetworkRing`] draws from network-distance
+//! bands, which a weight update can move; the other strategies ignore
+//! weights. Shared groups draw from a running stream and a retry lands in
+//! a different group, so the shared modes promise Definition 2 per query.
 
 pub mod clustering;
 pub mod strategy;
@@ -119,54 +132,24 @@ pub struct ObfuscatedBatch {
 }
 
 /// The trusted obfuscator. Owns its map copy, a spatial index over it, the
-/// fake-selection strategy, optional plausibility weights, and a seeded RNG
-/// (all obfuscation is reproducible given the seed).
+/// fake-selection strategy, optional plausibility weights, and its seed:
+/// the key of every independent draw, and the start of the running stream
+/// shared groups draw from (all obfuscation is reproducible given the
+/// seed).
 pub struct Obfuscator {
     map: RoadNetwork,
     index: SpatialIndex,
     strategy: FakeSelection,
     weights: Option<Plausibility>,
+    seed: u64,
     rng: StdRng,
-    /// Memo of independently obfuscated queries, keyed by the true query
-    /// and its protection sizes. See [`Obfuscator::with_consistent_fakes`].
-    consistency_cache:
-        Option<std::collections::HashMap<(crate::query::PathQuery, u32, u32), ObfuscatedPathQuery>>,
 }
 
 impl Obfuscator {
     /// Build an obfuscator over `map` with the given strategy and RNG seed.
     pub fn new(map: RoadNetwork, strategy: FakeSelection, seed: u64) -> Self {
         let index = SpatialIndex::build(&map);
-        Obfuscator {
-            map,
-            index,
-            strategy,
-            weights: None,
-            rng: StdRng::seed_from_u64(seed),
-            consistency_cache: None,
-        }
-    }
-
-    /// Enable **consistent fakes**: the same true query (with the same
-    /// protection sizes) is always obfuscated into the same `Q(S,T)`.
-    ///
-    /// Without this, a client that re-issues a query — retrying after a
-    /// timeout, or checking directions again the next morning — receives a
-    /// fresh fake set each time. A server that links the requests (same
-    /// anonymous session, timing, or simply the only overlap between two
-    /// obfuscated queries) can *intersect* the represented pair sets; only
-    /// the true pair survives every round, so the breach probability decays
-    /// from `1/(|S|·|T|)` to 1 in a handful of repetitions (see
-    /// [`crate::attack::intersection_attack`] and experiment E11).
-    ///
-    /// The memo applies to *independent* obfuscation only: shared queries
-    /// mix batches, so their composition legitimately varies. The paper
-    /// discards satisfied requests "for sake of security" (§IV);
-    /// remembering only the query→fakes mapping (not who asked) preserves
-    /// that property while closing the intersection channel.
-    pub fn with_consistent_fakes(mut self, enabled: bool) -> Self {
-        self.consistency_cache = enabled.then(std::collections::HashMap::new);
-        self
+        Obfuscator { map, index, strategy, weights: None, seed, rng: StdRng::seed_from_u64(seed) }
     }
 
     /// Attach per-node plausibility weights (enables
@@ -193,12 +176,8 @@ impl Obfuscator {
     /// reject honest answers). Returns the edges whose weight actually
     /// changed.
     ///
-    /// Everything else the obfuscator owns is weight-independent and
-    /// survives untouched: the [`SpatialIndex`] is geometry-only, and the
-    /// consistency memo keys fake sets by the true query — reweighting
-    /// does not change which fakes keep a query plausible, and *re-rolling*
-    /// fakes on every traffic tick would reopen the intersection channel
-    /// the memo exists to close.
+    /// The [`SpatialIndex`] is geometry-only and survives untouched; only
+    /// [`FakeSelection::NetworkRing`]'s bands read the weights.
     ///
     /// # Errors
     /// Propagates [`roadnet::RoadNetError`] from
@@ -213,18 +192,13 @@ impl Obfuscator {
     /// Replace the obfuscator's map copy outright — the topology-change
     /// counterpart of [`Obfuscator::update_weights`], mirroring the
     /// serving side's `swap_map`. The spatial index is rebuilt and the
-    /// consistency memo cleared: old fake sets may reference nodes that no
-    /// longer exist. Plausibility weights are dropped for the same reason
-    /// — they describe the old map's node ids — so
-    /// [`FakeSelection::Weighted`] falls back to uniform until
+    /// plausibility weights dropped — they describe the old map's node
+    /// ids — so [`FakeSelection::Weighted`] falls back to uniform until
     /// [`Obfuscator::with_weights`] supplies weights for the new map.
     pub fn swap_map(&mut self, map: RoadNetwork) {
         self.index = SpatialIndex::build(&map);
         self.map = map;
         self.weights = None;
-        if let Some(cache) = &mut self.consistency_cache {
-            cache.clear();
-        }
     }
 
     /// The active fake-selection strategy.
@@ -275,7 +249,8 @@ impl Obfuscator {
     }
 
     fn pick(
-        &mut self,
+        &self,
+        rng: &mut StdRng,
         anchor: NodeId,
         counterpart: NodeId,
         exclude: &HashSet<NodeId>,
@@ -288,43 +263,36 @@ impl Obfuscator {
             anchor,
             counterpart,
         };
-        select_fakes(self.strategy, &ctx, exclude, count, &mut self.rng)
+        select_fakes(self.strategy, &ctx, exclude, count, rng)
     }
 
     /// Independently obfuscate one request (Figure 3): `|S| = f_S` and
-    /// `|T| = f_T`, with the true endpoints embedded.
-    pub fn obfuscate_independent(&mut self, request: &ClientRequest) -> Result<ObfuscationUnit> {
+    /// `|T| = f_T`, with the true endpoints embedded. Keyed: the same
+    /// request always gets the same unit (see the module docs).
+    pub fn obfuscate_independent(&self, request: &ClientRequest) -> Result<ObfuscationUnit> {
         self.check_request(request)?;
-        let cache_key = (request.query, request.protection.f_s, request.protection.f_t);
-        if let Some(cache) = &self.consistency_cache {
-            if let Some(query) = cache.get(&cache_key) {
-                return Ok(ObfuscationUnit { query: query.clone(), requests: vec![*request] });
-            }
-        }
-        let q = request.query;
+        let (q, p) = (request.query, request.protection);
+        // One SplitMix64 step per field: add the generator's increment,
+        // mix the field in, finalize.
+        let key =
+            [q.source.0, q.destination.0, p.f_s, p.f_t].into_iter().fold(self.seed, |h, x| {
+                splitmix64(h.wrapping_add(0x9E37_79B9_7F4A_7C15) ^ u64::from(x))
+            });
+        let rng = &mut StdRng::seed_from_u64(key);
         // Fakes may not collide with either true endpoint: a fake source
         // equal to the true destination (or vice versa) would shrink the
         // sorted sets below the requested sizes.
         let mut exclude: HashSet<NodeId> = [q.source, q.destination].into_iter().collect();
-
-        let fake_sources =
-            self.pick(q.source, q.destination, &exclude, request.protection.f_s as usize - 1)?;
-        exclude.extend(fake_sources.iter().copied());
-        let fake_targets =
-            self.pick(q.destination, q.source, &exclude, request.protection.f_t as usize - 1)?;
-
-        let mut sources = fake_sources;
+        let mut sources = self.pick(rng, q.source, q.destination, &exclude, p.f_s as usize - 1)?;
+        exclude.extend(sources.iter().copied());
+        let mut targets = self.pick(rng, q.destination, q.source, &exclude, p.f_t as usize - 1)?;
         sources.push(q.source);
-        let mut targets = fake_targets;
         targets.push(q.destination);
         let unit = ObfuscationUnit {
             query: ObfuscatedPathQuery::new(sources, targets),
             requests: vec![*request],
         };
         debug_assert!(unit.is_well_formed());
-        if let Some(cache) = &mut self.consistency_cache {
-            cache.insert(cache_key, unit.query.clone());
-        }
         Ok(unit)
     }
 
@@ -332,8 +300,16 @@ impl Obfuscator {
     /// every true source/destination is embedded and the *strictest*
     /// protection setting in the group is met. Requests whose endpoints
     /// overlap shrink the true sets — fakes are added until the size
-    /// constraints hold.
+    /// constraints hold. The draws advance the obfuscator's running
+    /// stream, a failed group's included.
     pub fn obfuscate_shared(&mut self, requests: &[ClientRequest]) -> Result<ObfuscationUnit> {
+        let mut rng = self.rng.clone();
+        let unit = self.draw_shared(&mut rng, requests);
+        self.rng = rng;
+        unit
+    }
+
+    fn draw_shared(&self, rng: &mut StdRng, requests: &[ClientRequest]) -> Result<ObfuscationUnit> {
         if requests.is_empty() {
             return Err(OpaqueError::EmptyBatch);
         }
@@ -357,13 +333,13 @@ impl Obfuscator {
         // plausible for every participant rather than clustering around one.
         let missing = need_s.saturating_sub(sources.len());
         for r in requests.iter().cycle().take(missing) {
-            let fake = self.pick(r.query.source, r.query.destination, &exclude, 1)?;
+            let fake = self.pick(rng, r.query.source, r.query.destination, &exclude, 1)?;
             exclude.extend(fake.iter().copied());
             sources.extend(fake);
         }
         let missing = need_t.saturating_sub(targets.len());
         for r in requests.iter().cycle().take(missing) {
-            let fake = self.pick(r.query.destination, r.query.source, &exclude, 1)?;
+            let fake = self.pick(rng, r.query.destination, r.query.source, &exclude, 1)?;
             exclude.extend(fake.iter().copied());
             targets.extend(fake);
         }
@@ -403,9 +379,9 @@ impl Obfuscator {
     /// the map. Both become [`Rejection`]s, attributed within the failing
     /// group — for [`ObfuscationMode::SharedClustered`] that is the
     /// individual cluster, so clients in healthy clusters are never blamed
-    /// for another cluster's infeasibility. Failure handling draws probe
-    /// samples from the RNG; a batch with no rejection draws exactly what
-    /// the groups' own obfuscation draws.
+    /// for another cluster's infeasibility. Failure handling probes
+    /// members through the keyed independent path, which leaves the
+    /// running stream alone.
     ///
     /// # Errors
     /// [`OpaqueError::EmptyBatch`], and any request error other than
@@ -517,6 +493,15 @@ impl Obfuscator {
     }
 }
 
+/// SplitMix64's output finalizer: the explicit integer arithmetic that
+/// folds a request into its draw seed, stable across Rust releases (unlike
+/// `std`'s hashers).
+fn splitmix64(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,7 +526,7 @@ mod tests {
     #[test]
     fn independent_meets_exact_sizes() {
         for strategy in [FakeSelection::Uniform, FakeSelection::default_ring()] {
-            let mut ob = obfuscator(strategy);
+            let ob = obfuscator(strategy);
             let r = request(0, 5, 390, 3, 4);
             let unit = ob.obfuscate_independent(&r).unwrap();
             assert_eq!(unit.query.sources().len(), 3, "{}", strategy.name());
@@ -554,7 +539,7 @@ mod tests {
 
     #[test]
     fn protection_of_one_means_no_fakes() {
-        let mut ob = obfuscator(FakeSelection::Uniform);
+        let ob = obfuscator(FakeSelection::Uniform);
         let r = request(0, 5, 390, 1, 1);
         let unit = ob.obfuscate_independent(&r).unwrap();
         assert_eq!(unit.query.sources(), &[NodeId(5)]);
@@ -663,12 +648,58 @@ mod tests {
     #[test]
     fn same_seed_reproduces_obfuscation() {
         let r = request(0, 5, 390, 3, 3);
-        let mut a = obfuscator(FakeSelection::default_ring());
-        let mut b = obfuscator(FakeSelection::default_ring());
+        let a = obfuscator(FakeSelection::default_ring());
+        let b = obfuscator(FakeSelection::default_ring());
         assert_eq!(
             a.obfuscate_independent(&r).unwrap().query,
             b.obfuscate_independent(&r).unwrap().query
         );
+    }
+
+    #[test]
+    fn independent_fakes_are_keyed_by_seed_query_and_protection() {
+        let r = request(0, 5, 390, 3, 4);
+        let weights: Vec<f64> = (0..400).map(|i| 1.0 + f64::from(i % 7)).collect();
+        for strategy in
+            [FakeSelection::default_ring(), FakeSelection::Uniform, FakeSelection::Weighted]
+        {
+            let mut ob = obfuscator(strategy).with_weights(weights.clone());
+            let first = ob.obfuscate_independent(&r).unwrap().query;
+            let again = |ob: &Obfuscator, case: &str| {
+                assert_eq!(ob.obfuscate_independent(&r).unwrap().query, first, "{case}");
+            };
+            for i in 0..5 {
+                ob.obfuscate_independent(&request(i, i * 31, 399 - i * 17, 4, 2)).unwrap();
+            }
+            again(&ob, "after interleaved requests");
+            let others: Vec<_> = (0..4).map(|i| request(i, i * 13, 399 - i * 29, 3, 3)).collect();
+            ob.obfuscate_batch(&others, ObfuscationMode::SharedGlobal).unwrap();
+            again(&ob, "after a shared batch");
+            ob.update_weights(&[(roadnet::EdgeId(0), 9.0), (roadnet::EdgeId(7), 0.5)]).unwrap();
+            again(&ob, "after a weight update");
+            again(&obfuscator(strategy).with_weights(weights.clone()), "from a second obfuscator");
+
+            // The key is the whole of (seed, s, t, f_S, f_T): changing any
+            // part redraws the fakes, not just the set sizes.
+            let fakes = |ob: &Obfuscator, r: &ClientRequest| {
+                let q = ob.obfuscate_independent(r).unwrap().query;
+                let fake = |set: &[NodeId]| -> Vec<NodeId> {
+                    set.iter()
+                        .copied()
+                        .filter(|n| ![r.query.source, r.query.destination].contains(n))
+                        .collect()
+                };
+                (fake(q.sources()), fake(q.targets()))
+            };
+            let (sources, targets) = fakes(&ob, &r);
+            let mut reseeded = obfuscator(strategy).with_weights(weights.clone());
+            reseeded.seed ^= 1;
+            assert_ne!(fakes(&reseeded, &r).0, sources, "seed");
+            assert_ne!(fakes(&ob, &request(0, 5, 391, 3, 4)).0, sources, "destination");
+            assert_ne!(fakes(&ob, &request(0, 6, 390, 3, 4)).1, targets, "source");
+            assert_ne!(fakes(&ob, &request(0, 5, 390, 3, 5)).0, sources, "f_T");
+            assert_ne!(fakes(&ob, &request(0, 5, 390, 4, 4)).1, targets, "f_S");
+        }
     }
 
     #[test]

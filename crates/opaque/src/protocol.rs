@@ -251,7 +251,7 @@ mod tests {
         let map =
             grid_network(&GridConfig { width: 12, height: 12, seed: 3, ..Default::default() })
                 .unwrap();
-        let mut ob = Obfuscator::new(map.clone(), FakeSelection::default_ring(), 5);
+        let ob = Obfuscator::new(map.clone(), FakeSelection::default_ring(), 5);
         let mut server = DirectionsServer::new(map, SharingPolicy::PerSource);
         let mut traffic = HopTraffic::default();
 

@@ -38,7 +38,8 @@ pub struct ServiceConfig {
     /// Fake-endpoint selection strategy for the obfuscator.
     pub strategy: FakeSelection,
     /// Seed for the obfuscator's RNG (obfuscation is reproducible per
-    /// seed).
+    /// seed), and the key of its independent fakes: a retried request is
+    /// re-sent with the same fakes.
     pub seed: u64,
     /// MSMD sharing policy the backend servers evaluate under.
     pub sharing: SharingPolicy,
@@ -46,9 +47,6 @@ pub struct ServiceConfig {
     pub mode: ObfuscationMode,
     /// Re-verify delivered paths against the obfuscator's map.
     pub verify_results: bool,
-    /// Memoize fakes per true query to close the intersection-attack
-    /// channel (see [`Obfuscator::with_consistent_fakes`]).
-    pub consistent_fakes: bool,
     /// Number of backend shards.
     pub shards: usize,
     /// How query units are placed on the shard fleet: the historical
@@ -85,7 +83,6 @@ impl Default for ServiceConfig {
             sharing: SharingPolicy::PerSource,
             mode: ObfuscationMode::Independent,
             verify_results: false,
-            consistent_fakes: false,
             shards: 1,
             partition: PartitionPolicy::RoundRobin,
             execution: ExecutionPolicy::Sequential,
@@ -190,12 +187,6 @@ impl ServiceBuilder {
     /// Re-verify delivered paths against the obfuscator's map.
     pub fn verify_results(mut self, on: bool) -> Self {
         self.config.verify_results = on;
-        self
-    }
-
-    /// Memoize fakes per true query (intersection-attack defence).
-    pub fn consistent_fakes(mut self, on: bool) -> Self {
-        self.config.consistent_fakes = on;
         self
     }
 
@@ -341,8 +332,7 @@ impl ServiceBuilder {
         weights: Option<Vec<f64>>,
         backend: B,
     ) -> Result<OpaqueService<B>> {
-        let mut obfuscator = Obfuscator::new(map, config.strategy, config.seed)
-            .with_consistent_fakes(config.consistent_fakes);
+        let mut obfuscator = Obfuscator::new(map, config.strategy, config.seed);
         if let Some(w) = weights {
             obfuscator = obfuscator.with_weights(w);
         }

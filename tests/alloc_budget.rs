@@ -230,7 +230,7 @@ fn ring_obfuscation_allocations(side: usize) -> u64 {
     let map =
         grid_network(&GridConfig { width: side, height: side, seed: 3, ..Default::default() })
             .unwrap();
-    let mut obfuscator = Obfuscator::new(map, FakeSelection::default_ring(), 14);
+    let obfuscator = Obfuscator::new(map, FakeSelection::default_ring(), 14);
     let node = |x: usize, y: usize| NodeId::from_index(y * side + x);
     let request = ClientRequest::new(
         ClientId(1),

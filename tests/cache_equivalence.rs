@@ -199,3 +199,58 @@ fn repeated_batches_actually_hit_the_cache() {
     let warm = stats_warm.delta_since(&stats_cold);
     assert_eq!((warm.tree_cache_hits, warm.tree_cache_misses), (6, 0));
 }
+
+/// A retry is a cache hit. Independent fakes are a function of the
+/// obfuscator's seed, the trip and its protection, so a client who re-sends
+/// a 3×3 request in the next window re-sends the same `Q(S,T)`: every tree
+/// the first window grew is adopted in the second, unguided or guided, and
+/// both windows report byte-identically to a cache-off service.
+#[test]
+fn a_retried_request_adopts_every_tree() {
+    use opaque::SearchHeuristic;
+    use roadnet::generators::{GridConfig, grid_network};
+    let map =
+        grid_network(&GridConfig { width: 30, height: 30, seed: 5, ..Default::default() }).unwrap();
+    let retry = [ClientRequest::new(
+        ClientId(0),
+        PathQuery::new(NodeId(62), NodeId(845)),
+        ProtectionSettings::new(3, 3).unwrap(),
+    )];
+    for heuristic in [SearchHeuristic::None, SearchHeuristic::Alt { landmarks: 4 }] {
+        let service = |cache| {
+            ServiceBuilder::new()
+                .map(map.clone())
+                .seed(7)
+                .cache_policy(cache)
+                .search_heuristic(heuristic)
+                .verify_results(true)
+                .build()
+                .expect("valid configuration")
+        };
+        let mut off = service(CachePolicy::Off);
+        let mut lru = service(CachePolicy::Lru { trees: 64 });
+        let mut reports = Vec::new();
+        for window in 0..2 {
+            let before = lru.backend().stats();
+            let cached = lru.process_batch(&retry).unwrap();
+            let hits = lru.backend().stats().delta_since(&before).tree_cache_hits;
+            assert_identical(
+                &off.process_batch(&retry).unwrap(),
+                &cached,
+                &format!("{heuristic:?} window {window}"),
+            );
+            if window == 1 {
+                assert_eq!(
+                    cached.report.server_trees_grown, 3,
+                    "{heuristic:?}: one tree per source"
+                );
+                assert_eq!(
+                    hits, cached.report.server_trees_grown,
+                    "{heuristic:?}: the retry adopts every tree"
+                );
+            }
+            reports.push(serde_json::to_string(&cached.report).unwrap());
+        }
+        assert_eq!(reports[0], reports[1], "{heuristic:?}: the retry re-sends its query");
+    }
+}

@@ -42,7 +42,7 @@ fn disconnected_true_pair_is_a_missing_result_not_a_panic() {
     b.add_edge(NodeId(4), NodeId(5), 1.0).expect("ok");
     let island_map = b.build().expect("non-empty");
 
-    let mut ob = Obfuscator::new(island_map.clone(), FakeSelection::Uniform, 1);
+    let ob = Obfuscator::new(island_map.clone(), FakeSelection::Uniform, 1);
     let req = request(0, 5, 2);
     let unit = ob.obfuscate_independent(&req).expect("fakes exist");
     let mut server = DirectionsServer::new(island_map, SharingPolicy::PerSource);
@@ -121,14 +121,14 @@ fn server_returning_detour_is_accepted_but_measurable() {
 fn map_too_small_for_protection_level() {
     let tiny = grid_network(&GridConfig { width: 2, height: 2, ..Default::default() })
         .expect("valid network");
-    let mut ob = Obfuscator::new(tiny, FakeSelection::Uniform, 1);
+    let ob = Obfuscator::new(tiny, FakeSelection::Uniform, 1);
     let err = ob.obfuscate_independent(&request(0, 3, 10)).expect_err("4-node map, f=10");
     assert!(matches!(err, OpaqueError::NotEnoughFakes { .. }));
 }
 
 #[test]
 fn endpoints_off_the_map_are_rejected() {
-    let mut ob = Obfuscator::new(map(), FakeSelection::Uniform, 1);
+    let ob = Obfuscator::new(map(), FakeSelection::Uniform, 1);
     let err = ob.obfuscate_independent(&request(0, 9999, 2)).expect_err("node 9999 unknown");
     assert!(matches!(err, OpaqueError::UnknownNode { node } if node == NodeId(9999)));
 }

@@ -129,7 +129,7 @@ proptest! {
         seed in proptest::num::u64::ANY,
     ) {
         prop_assume!(s != t);
-        let mut ob = Obfuscator::new(map(), strategy, seed);
+        let ob = Obfuscator::new(map(), strategy, seed);
         let req = ClientRequest::new(
             ClientId(0),
             PathQuery::new(NodeId(s), NodeId(t)),
