@@ -1,13 +1,15 @@
-//! E19 — live-traffic maps: surgical invalidation vs drop-all refresh
-//! under rush-hour churn (extends the §IV server cost model to maps whose
-//! weights move while the fleet is serving).
+//! E19 — live-traffic maps: repair vs drop-all refresh under rush-hour
+//! churn (extends the §IV server cost model to maps whose weights move
+//! while the fleet is serving).
 //!
-//! PR 7 left the fleet with one blunt refresh tool: `swap_map`, which
-//! bumps every shard's map epoch and empties every tree cache even when a
-//! traffic tick touched a handful of streets. This experiment measures
-//! what the surgical path (`OpaqueService::update_weights`, which evicts
-//! only traces whose recorded sweep settled an endpoint of an updated
-//! edge) buys over that drop-all baseline on an identical stream.
+//! The blunt refresh tool is `swap_map`, which bumps every shard's map
+//! epoch and empties every tree cache even when a traffic tick touched a
+//! handful of streets. This experiment measures what the repairing path
+//! (`OpaqueService::update_weights`) buys over that drop-all baseline on
+//! an identical stream. It keeps every trace whose recorded sweep settled
+//! no endpoint of an updated edge as it is, rewrites each touched complete
+//! trace into the sweep the new map records, and evicts only the touched
+//! early-stopped ones.
 //!
 //! The workload is "district errands": each trip starts near one of a few
 //! district centres and ends at the district's mall node, so the fleet
@@ -15,7 +17,8 @@
 //! batch after batch. Between batches a [`workload::rush_hour_schedule`]
 //! round reweights a congestion zone around one epicenter. Districts away
 //! from the epicenter never cross the zone, so their trees stay valid —
-//! value only the surgical path can keep.
+//! value only the repairing path can keep; the trees that do cross it are
+//! repaired when their sweeps were complete.
 //!
 //! Three claims, checked on every run:
 //!
@@ -23,8 +26,8 @@
 //!   byte-identical serialized `BatchReport`s and identical delivered
 //!   paths to an uncached reference driven through the same interleaved
 //!   updates (a cache may only skip work, never serve a stale tree);
-//! * **surgical retention pays** — the surgical fleet ends the run with a
-//!   strictly higher tree-cache hit rate than the drop-all fleet;
+//! * **repair pays** — the repairing fleet ends the run with a strictly
+//!   higher tree-cache hit rate than the drop-all fleet;
 //! * **updates agree** — `update_weights` reports the same changed-edge
 //!   set to the fleet and to the obfuscator's trust-domain copy.
 
@@ -51,8 +54,9 @@ const DISTRICT_SIZE: usize = 12;
 /// How the service learns about a churn round.
 #[derive(Clone, Copy, PartialEq)]
 enum Refresh {
-    /// `update_weights`: reweight in place, evict only touched traces.
-    Surgical,
+    /// `update_weights`: reweight in place, repair touched complete
+    /// traces, evict the other touched ones.
+    Repair,
     /// `swap_map` with the reweighted map: epoch bump, every cache emptied.
     DropAll,
 }
@@ -86,7 +90,7 @@ fn replay(
     drive(fleet, batches, |svc, b| {
         let Some(round) = schedule.get(b) else { return };
         match refresh {
-            Refresh::Surgical => {
+            Refresh::Repair => {
                 svc.update_weights(round).expect("schedule updates are valid");
             }
             Refresh::DropAll => {
@@ -136,8 +140,8 @@ fn errand_batches(
 pub fn run(scale: &Scale) -> ExperimentTable {
     let mut t = ExperimentTable::new(
         "E19",
-        "surgical invalidation vs drop-all refresh under rush-hour churn",
-        "weight updates evict only traces that crossed an updated edge (extends §IV)",
+        "repair vs drop-all refresh under rush-hour churn",
+        "weight updates repair the traces that crossed an updated edge (extends §IV)",
         &["refresh", "batches", "pairs", "ms/batch", "hit rate"],
     );
     let (g, idx) = network_with_index(NetworkClass::Geometric, scale);
@@ -161,14 +165,13 @@ pub fn run(scale: &Scale) -> ExperimentTable {
         churn.zone_fraction * 100.0
     ));
 
-    let reference = replay(&g, &batches, &schedule, CachePolicy::Off, Refresh::Surgical);
-    let surgical =
-        replay(&g, &batches, &schedule, CachePolicy::Lru { trees: 64 }, Refresh::Surgical);
+    let reference = replay(&g, &batches, &schedule, CachePolicy::Off, Refresh::Repair);
+    let repair = replay(&g, &batches, &schedule, CachePolicy::Lru { trees: 64 }, Refresh::Repair);
     let dropall = replay(&g, &batches, &schedule, CachePolicy::Lru { trees: 64 }, Refresh::DropAll);
 
     // Correctness under churn: neither refresh strategy may change a
     // report byte or a delivered path relative to the uncached reference.
-    for (name, m) in [("surgical", &surgical), ("drop-all", &dropall)] {
+    for (name, m) in [("repair", &repair), ("drop-all", &dropall)] {
         assert_eq!(
             m.report_json, reference.report_json,
             "{name} refresh must not change a single report byte under churn"
@@ -180,11 +183,11 @@ pub fn run(scale: &Scale) -> ExperimentTable {
     }
 
     // The payoff: identical stream, identical caches, strictly more
-    // retained value when only touched traces are evicted.
+    // retained value when touched traces are repaired.
     assert!(
-        surgical.hit_rate > dropall.hit_rate,
-        "surgical hit rate {:.4} must strictly beat drop-all {:.4}",
-        surgical.hit_rate,
+        repair.hit_rate > dropall.hit_rate,
+        "repair hit rate {:.4} must strictly beat drop-all {:.4}",
+        repair.hit_rate,
         dropall.hit_rate
     );
 
@@ -199,14 +202,14 @@ pub fn run(scale: &Scale) -> ExperimentTable {
     };
     row(&mut t, "uncached reference", &reference);
     row(&mut t, "drop-all (swap_map)", &dropall);
-    row(&mut t, "surgical (update_weights)", &surgical);
+    row(&mut t, "repair (update_weights)", &repair);
     t.note(format!(
-        "hit rate under churn: drop-all {:.0}% -> surgical {:.0}%",
+        "hit rate under churn: drop-all {:.0}% -> repair {:.0}%",
         dropall.hit_rate * 100.0,
-        surgical.hit_rate * 100.0
+        repair.hit_rate * 100.0
     ));
 
-    t.metric("churn_hit_rate_surgical", surgical.hit_rate);
+    t.metric("churn_hit_rate_repair", repair.hit_rate);
     t.metric("churn_hit_rate_dropall", dropall.hit_rate);
     t
 }
@@ -220,10 +223,10 @@ mod tests {
         // run() itself asserts byte-identical reports and delivered paths
         // across refresh strategies, and the strict hit-rate win.
         let t = run(&Scale::quick());
-        assert_eq!(t.rows.len(), 3, "reference + drop-all + surgical");
+        assert_eq!(t.rows.len(), 3, "reference + drop-all + repair");
         assert_eq!(t.rows[0][2], t.rows[1][2], "identical pair workload");
-        let surgical = t.metric_value("churn_hit_rate_surgical").unwrap();
+        let repair = t.metric_value("churn_hit_rate_repair").unwrap();
         let dropall = t.metric_value("churn_hit_rate_dropall").unwrap();
-        assert!(surgical > dropall, "metrics carry the win: {surgical} vs {dropall}");
+        assert!(repair > dropall, "metrics carry the win: {repair} vs {dropall}");
     }
 }

@@ -13,7 +13,7 @@
 use crate::query::{ObfuscatedPathQuery, PathQuery};
 use crate::service::cache::{CachePolicy, TreeCache};
 use pathsearch::{
-    AltPreprocessing, Goal, MsmdResult, Path, SearchArena, SearchStats, SharingPolicy,
+    AltPreprocessing, EdgeChange, Goal, MsmdResult, Path, SearchArena, SearchStats, SharingPolicy,
     msmd_in_guided, msmd_in_guided_cached, run_tree,
 };
 use roadnet::{GraphView, NodeId};
@@ -224,12 +224,14 @@ impl<G: GraphView> DirectionsServer<G> {
 
     /// Adopt a live-traffic weight update: install the reweighted view
     /// (same topology — typically a fresh `Arc` of the fleet's shared
-    /// map) and surgically evict only the cached trees whose recorded
-    /// sweep touched one of the `affected` edges, each given by its
-    /// endpoint pair. The map epoch does **not** move: untouched traces
-    /// replay byte-identically on the reweighted map (see
-    /// [`pathsearch::SweepTrace::touches_any`]), so dropping them would
-    /// just re-cool the cache. Topology changes must keep going through
+    /// map) and bring the cached trees along. A tree whose recorded sweep
+    /// touched one of the `affected` edges (each given by its endpoint
+    /// pair) is repaired in place into the sweep the new map records, or
+    /// evicted when repair does not cover it
+    /// ([`TreeCache::repair_edges`]); untouched trees replay
+    /// byte-identically as they are (see
+    /// [`pathsearch::SweepTrace::touches_any`]). The map epoch does
+    /// **not** move. Topology changes must keep going through
     /// [`DirectionsServer::swap_map`].
     ///
     /// Attached ALT tables survive the update iff no affected edge got
@@ -239,30 +241,16 @@ impl<G: GraphView> DirectionsServer<G> {
     /// induction over successive rising updates. One lowered edge drops
     /// the tables, as [`DirectionsServer::swap_map`] always does.
     pub fn apply_weight_update(&mut self, graph: G, affected: &[(NodeId, NodeId)]) {
-        let fell = |&(a, b): &(NodeId, NodeId)| {
-            cheapest_arc(&graph, a, b) < cheapest_arc(&self.graph, a, b)
-                || cheapest_arc(&graph, b, a) < cheapest_arc(&self.graph, b, a)
-        };
-        if self.heuristic.is_some() && affected.iter().any(fell) {
+        let changes: Vec<EdgeChange> =
+            affected.iter().map(|&(a, b)| EdgeChange::before(&self.graph, a, b)).collect();
+        if self.heuristic.is_some() && changes.iter().any(|c| c.fell_on(&graph)) {
             self.heuristic = None;
         }
         self.graph = graph;
         if let Some(cache) = &mut self.cache {
-            cache.invalidate_edges(affected);
+            cache.repair_edges(&self.graph, &changes);
         }
     }
-}
-
-/// Weight of the cheapest arc `a → b` (`∞` when there is none) — what any
-/// shortest-path sweep relaxes across parallel arcs.
-fn cheapest_arc<G: GraphView>(g: &G, a: NodeId, b: NodeId) -> f64 {
-    let mut best = f64::INFINITY;
-    g.for_each_arc(a, &mut |to, w| {
-        if to == b && w < best {
-            best = w;
-        }
-    });
-    best
 }
 
 impl<G: GraphView> DirectionsServer<G> {
@@ -336,6 +324,7 @@ impl<G: GraphView> DirectionsServer<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathsearch::TreeStore;
     use roadnet::generators::{GridConfig, grid_network};
     use roadnet::{EdgeId, NodeId};
 
@@ -662,7 +651,7 @@ mod tests {
     }
 
     #[test]
-    fn weight_update_evicts_touched_trees_and_never_adopts_stale() {
+    fn weight_update_repairs_touched_trees_and_the_next_query_hits_fresh() {
         let g = grid_network(&GridConfig { width: 12, height: 12, seed: 9, ..Default::default() })
             .unwrap();
         let q = ObfuscatedPathQuery::new(vec![NodeId(0)], vec![NodeId(143)]);
@@ -671,10 +660,11 @@ mod tests {
         let r0 = sv.process(&q);
         sv.process(&q);
         assert_eq!(sv.stats().tree_cache_hits, 1, "warm repeat hits");
+        assert!(sv.tree_cache().unwrap().peek(NodeId(0)).unwrap().is_complete());
 
         // Congest an edge on the answered path: the cached tree touched
-        // it, so it must be evicted — adopting it would serve a stale
-        // distance.
+        // it, so adopting it as recorded would serve a stale distance. It
+        // is complete and plain, so it is repaired instead of evicted.
         let path = r0.paths[0][0].as_ref().unwrap();
         let (pa, pb) = (path.nodes()[0], path.nodes()[1]);
         let edge = g
@@ -687,28 +677,31 @@ mod tests {
         let changed = reweight(&mut sv, &[(edge, 1000.0)]);
         assert_eq!(changed, vec![edge]);
         assert_eq!(sv.map_epoch(), 0, "weight updates do not bump the epoch");
+        assert_eq!(sv.tree_cache().unwrap().len(), 1, "the touched tree is kept");
 
+        // The post-update query hits the repaired tree, and its paths and
+        // counters are a fresh server's on the new map.
         let r = sv.process(&q);
-        assert_eq!(sv.stats().tree_cache_hits, 1, "post-update query must miss, not adopt stale");
+        assert_eq!(sv.stats().tree_cache_hits, 2, "post-update query hits the repaired tree");
         let mut fresh_map = g.clone();
         fresh_map.update_weights(&[(edge, 1000.0)]).unwrap();
         let mut fresh = DirectionsServer::new(fresh_map, SharingPolicy::PerSource);
         let expected = fresh.process(&q);
         assert_eq!(r.paths, expected.paths, "answer reflects the congested edge");
+        assert_ne!(r.paths, r0.paths, "the congested edge moved the answer");
         assert_eq!(r.stats, expected.stats);
 
-        // An update far from any cached sweep keeps the (re-stored) tree:
-        // a trace is only evicted when its sweep touched the edge. The
-        // re-grown tree above is complete (single-target sweeps can
-        // exhaust), so instead warm a *shallow* adjacent-pair tree and
-        // update an edge outside its settled prefix.
+        // Shallow traces are not repaired. An update outside a shallow
+        // adjacent-pair tree's settled prefix keeps it; one inside evicts
+        // it.
         let mut sv = DirectionsServer::new(g.clone(), SharingPolicy::PerSource)
             .with_tree_cache(CachePolicy::Lru { trees: 4 });
         let near = ObfuscatedPathQuery::new(vec![NodeId(0)], vec![NodeId(1)]);
         sv.process(&near);
-        let trace_len = {
+        let warm = {
             let cache = sv.tree_cache().unwrap();
             assert_eq!(cache.len(), 1);
+            assert!(!cache.peek(NodeId(0)).unwrap().is_complete());
             cache.counters()
         };
         let far_edge = g
@@ -722,7 +715,10 @@ mod tests {
         reweight(&mut sv, &[(far_edge, 999.0)]);
         sv.process(&near);
         let (hits, _) = sv.tree_cache().unwrap().counters();
-        assert!(hits > trace_len.0, "untouched tree survived the far update and hit");
+        assert!(hits > warm.0, "untouched tree survived the far update and hit");
+        let at_root = g.edges().iter().position(|e| e.a == NodeId(0) || e.b == NodeId(0)).unwrap();
+        reweight(&mut sv, &[(EdgeId::from_index(at_root), 999.0)]);
+        assert!(sv.tree_cache().unwrap().is_empty(), "a touched shallow tree is evicted");
     }
 
     #[test]

@@ -158,11 +158,12 @@ impl<B: DirectionsBackend> ShardedBackend<B> {
 /// shard.
 impl ShardedBackend<DirectionsServer<std::sync::Arc<roadnet::RoadNetwork>>> {
     /// Apply live-traffic weight updates fleet-wide. Each shard installs
-    /// the reweighted map and surgically evicts only the cached trees
-    /// whose recorded sweep touched a changed edge
-    /// ([`DirectionsServer::apply_weight_update`]) — region-owned shards
-    /// whose cached sweeps stay clear of the congestion keep their whole
-    /// cache. Returns the edges whose weight actually changed. The region
+    /// the reweighted map and repairs (or, for early-stopped sweeps,
+    /// evicts) only the cached trees whose recorded sweep touched a
+    /// changed edge ([`DirectionsServer::apply_weight_update`]) —
+    /// region-owned shards whose cached sweeps stay clear of the
+    /// congestion keep their whole cache untouched. Returns the edges
+    /// whose weight actually changed. The region
     /// partition (if any) is untouched: it is built from hop distances,
     /// which weight updates cannot move.
     ///

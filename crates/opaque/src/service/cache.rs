@@ -31,9 +31,14 @@
 //! * **map_epoch** — bumped by [`crate::server::DirectionsServer::swap_map`];
 //!   entries of older epochs can never be returned (and the swap clears
 //!   them outright — the key is defence in depth); live-traffic weight
-//!   updates instead go through [`TreeCache::invalidate_edges`], which
-//!   keeps the epoch (the topology did not change) and surgically evicts
-//!   only the traces whose recorded sweep touched an updated edge;
+//!   updates instead go through [`TreeCache::repair_edges`], which keeps
+//!   the epoch (the topology did not change), leaves the traces whose
+//!   recorded sweep stayed clear of every updated edge alone, and
+//!   *repairs* the touched ones in place — each becomes exactly the trace
+//!   a fresh sweep records on the reweighted map
+//!   ([`pathsearch::SweepTrace::repair`]), so the next query from that
+//!   root hits instead of regrowing. Only a touched trace repair does not
+//!   cover (an early-stopped or goal-directed sweep) is evicted;
 //! * **root** — the node the sweep grew from. Every
 //!   [`pathsearch::SharingPolicy`] drives the same single-tree sweep
 //!   machine, so entries are shared across policies; the potential a sweep
@@ -64,8 +69,8 @@
 //! [`DirectionsServer`]: crate::server::DirectionsServer
 
 use crate::error::{OpaqueError, Result};
-use pathsearch::{SharingPolicy, SweepTrace, TreeStore};
-use roadnet::{LruBuffer, NodeId};
+use pathsearch::{EdgeChange, RepairScratch, SharingPolicy, SweepTrace, TreeStore};
+use roadnet::{GraphView, LruBuffer, NodeId};
 
 /// Whether (and how) a backend server caches shortest-path trees.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -128,6 +133,9 @@ pub struct TreeCache {
     lru: LruBuffer<TreeKey, SweepTrace>,
     hits: u64,
     misses: u64,
+    /// Working memory of [`TreeCache::repair_edges`], reused across
+    /// updates.
+    repair: RepairScratch,
 }
 
 // The parallel service layer moves one cache per worker thread; like the
@@ -150,7 +158,13 @@ impl TreeCache {
     /// configuration time.
     pub fn new(trees: usize, _policy: SharingPolicy) -> Self {
         assert!(trees >= 1, "tree cache must hold at least one tree");
-        TreeCache { map_epoch: 0, lru: LruBuffer::new(trees), hits: 0, misses: 0 }
+        TreeCache {
+            map_epoch: 0,
+            lru: LruBuffer::new(trees),
+            hits: 0,
+            misses: 0,
+            repair: RepairScratch::default(),
+        }
     }
 
     /// Capacity in trees.
@@ -208,18 +222,36 @@ impl TreeCache {
         self.map_epoch = map_epoch;
     }
 
-    /// Surgical invalidation for a live-traffic weight update: evict only
-    /// the traces whose recorded sweep touched one of the updated edges
-    /// (each given by its endpoint pair — see
+    /// Evict the traces whose recorded sweep touched one of the updated
+    /// edges (each given by its endpoint pair — see
     /// [`pathsearch::SweepTrace::touches_any`] for the soundness
-    /// argument). Untouched traces replay byte-identically on the updated
-    /// map, so they stay; the epoch does not move (the topology did not
-    /// change), and lifetime counters are untouched.
+    /// argument), without repairing any. Untouched traces replay
+    /// byte-identically on the updated map, so they stay; the epoch does
+    /// not move (the topology did not change), and lifetime counters are
+    /// untouched. [`TreeCache::repair_edges`] is the same scan, repairing
+    /// what it can instead of evicting it.
     pub fn invalidate_edges(&mut self, endpoints: &[(NodeId, NodeId)]) {
         if endpoints.is_empty() {
             return;
         }
         self.lru.retain(|_, trace| !trace.touches_any(endpoints));
+    }
+
+    /// Adopt a live-traffic weight update: every trace whose recorded
+    /// sweep touched a changed edge is rewritten in place into the trace a
+    /// fresh sweep would record on `g`, the updated map
+    /// ([`pathsearch::SweepTrace::repair`] — complete plain traces); a
+    /// touched trace it cannot repair is evicted, as
+    /// [`TreeCache::invalidate_edges`] does. Untouched traces stay as they
+    /// are, and the epoch and lifetime counters do not move.
+    pub fn repair_edges<G: GraphView>(&mut self, g: &G, changes: &[EdgeChange]) {
+        if changes.is_empty() {
+            return;
+        }
+        let endpoints: Vec<(NodeId, NodeId)> = changes.iter().map(|c| (c.a, c.b)).collect();
+        let scratch = &mut self.repair;
+        self.lru
+            .retain(|_, trace| !trace.touches_any(&endpoints) || trace.repair(g, changes, scratch));
     }
 
     fn key(&self, root: NodeId) -> TreeKey {
@@ -483,6 +515,38 @@ mod tests {
         // An empty update set is a no-op.
         cache.invalidate_edges(&[]);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn repair_edges_rewrites_complete_traces_and_evicts_touched_partial_ones() {
+        let g = grid();
+        let mut cache = TreeCache::new(4, SharingPolicy::PerSource);
+        let mut arena = SearchArena::new();
+        let (_, near) = run_in_traced(&mut arena, &g, NodeId(50), &Goal::Single(NodeId(51)));
+        let (_, far) = run_in_traced(&mut arena, &g, NodeId(99), &Goal::Single(NodeId(98)));
+        cache.store(NodeId(0), trace_from(&g, 0));
+        cache.store(NodeId(50), near.clone());
+        cache.store(NodeId(99), far.clone());
+
+        // An edge at node 50: the complete trace and the partial trace
+        // from 50 touch it, the partial trace from 99 does not.
+        let e = g.edges().iter().position(|e| e.a == NodeId(50) || e.b == NodeId(50)).unwrap();
+        let (a, b) = (g.edges()[e].a, g.edges()[e].b);
+        assert!(far.position(a).is_none() && far.position(b).is_none());
+        let change = EdgeChange::before(&g, a, b);
+        let mut next = g.clone();
+        next.update_weights(&[(roadnet::EdgeId::from_index(e), 77.0)]).unwrap();
+        cache.repair_edges(&next, &[change]);
+
+        assert_eq!(cache.len(), 2);
+        let fresh = trace_from(&next, 0);
+        let repaired = cache.peek(NodeId(0)).expect("the complete trace is repaired, not evicted");
+        assert!(repaired.settled().eq(fresh.settled()), "settle order of the fresh sweep");
+        assert!(cache.peek(NodeId(50)).is_none(), "a touched partial trace is evicted");
+        assert!(cache.peek(NodeId(99)).is_some(), "an untouched trace stays");
+        assert_eq!((cache.map_epoch(), cache.counters()), (0, (0, 0)));
+        cache.repair_edges(&next, &[]);
+        assert_eq!(cache.len(), 2, "an empty update is a no-op");
     }
 
     #[test]

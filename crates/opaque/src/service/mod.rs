@@ -535,8 +535,8 @@ impl<B: DirectionsBackend> OpaqueService<B> {
 /// side by hand would break the lockstep that `verify_results` depends on.
 impl OpaqueService<DefaultBackend> {
     /// Apply live-traffic weight updates to both trust domains: the shard
-    /// fleet (which surgically invalidates only the cached trees touching
-    /// a changed edge — [`ShardedBackend::update_weights`]) and the
+    /// fleet (which repairs or evicts only the cached trees touching a
+    /// changed edge — [`ShardedBackend::update_weights`]) and the
     /// obfuscator's own copy (so result verification keeps accepting
     /// honest answers). Returns the edges whose weight actually changed.
     ///

@@ -46,7 +46,7 @@ const SETTLED: u32 = 0;
 /// every `f64` (−0.0 before +0.0, negatives, infinities, NaNs): a set sign
 /// bit flips every bit, a clear one flips only the sign.
 #[inline]
-fn ord_of(key: f64) -> u64 {
+pub(crate) fn ord_of(key: f64) -> u64 {
     let bits = key.to_bits();
     bits ^ ((((bits as i64) >> 63) as u64) | 1 << 63)
 }

@@ -83,4 +83,4 @@ pub use multi::{
 pub use path::Path;
 pub use range::{range_search, ring_search, ring_search_in};
 pub use stats::SearchStats;
-pub use trace::{SweepTrace, TreeStore, TreeView};
+pub use trace::{EdgeChange, RepairScratch, SweepTrace, TreeStore, TreeView};

@@ -44,17 +44,24 @@
 //! and tests use the replayed arena as the oracle the read is checked
 //! against.
 //!
+//! A live-traffic weight update need not cost a stored trace its value:
+//! [`SweepTrace::repair`] rewrites a complete plain trace in place into
+//! exactly the trace a fresh sweep records on the reweighted map,
+//! recomputing only the labels that move.
+//!
 //! [`TreeStore`] is the minimal storage interface the adopt-or-grow entry
 //! point ([`crate::dijkstra::run_tree`]) drives; the capacity-bounded
 //! LRU over it lives in the service layer (`opaque::service::cache`),
 //! which also owns the `(map_epoch, root)` keying and invalidation story.
 
 use crate::alt::PotentialParams;
-use crate::arena::{NIL, SearchArena};
+use crate::arena::{NIL, SearchArena, ord_of};
 use crate::dijkstra::Goal;
 use crate::path::Path;
 use crate::stats::SearchStats;
-use roadnet::NodeId;
+use roadnet::{GraphView, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One settle event of a recorded sweep: the final label plus the sweep's
 /// counter snapshot at the moment a goal check could have stopped there.
@@ -176,8 +183,8 @@ impl SweepTrace {
     }
 
     /// Whether this recorded sweep depends on any of the given edges, each
-    /// described by its endpoint pair — the surgical-invalidation predicate
-    /// for live-traffic weight updates.
+    /// described by its endpoint pair — which cached traces a live-traffic
+    /// weight update must repair or evict.
     ///
     /// A sweep is affected by an edge `(a, b)` iff it settled `a` or `b`.
     /// Soundness: every arc a sweep relaxes leaves a settled node, so an
@@ -189,9 +196,290 @@ impl SweepTrace {
     /// the root, and finite non-negative reweighting cannot change
     /// reachability, so the exhausted sweep replays too. A trace that
     /// returns `false` here therefore stays exact under the update; one
-    /// that returns `true` must be evicted before it can be adopted.
+    /// that returns `true` must be repaired ([`SweepTrace::repair`]) or
+    /// evicted before it can be adopted.
     pub fn touches_any(&self, endpoints: &[(NodeId, NodeId)]) -> bool {
         endpoints.iter().any(|&(a, b)| self.position(a).is_some() || self.position(b).is_some())
+    }
+
+    /// Settle index of `node` through the dense map in `at`, whose entries
+    /// for nodes this trace did not settle are stale (checked against the
+    /// event they point at, as [`scan_positions`] does).
+    #[inline]
+    fn slot(&self, at: &[u32], node: NodeId) -> Option<usize> {
+        let i = at[node.index()] as usize;
+        self.events.get(i).is_some_and(|e| e.node == node.0).then_some(i)
+    }
+
+    /// Rewrite this trace in place into exactly the trace a fresh
+    /// [`Goal::AllNodes`] sweep from the same root records on `g`, the map
+    /// after a weight update whose changed edges are `changes` — the same
+    /// events (node, parent index, distance bits, `relaxed` snapshot), the
+    /// same settled-set index, the same final counters. Returns `false`
+    /// when the trace cannot be repaired; it must then be dropped.
+    ///
+    /// Only a complete, plain (unguided) trace recorded on a map of `g`'s
+    /// size is repaired, and only on a symmetric `g` (a node's in-arcs are
+    /// its out-arcs). Anything else returns `false` untouched.
+    ///
+    /// The repair is incremental (after Ramalingam & Reps): it recomputes
+    /// only the labels that can move and rebuilds the rest from the trace.
+    ///
+    /// * **Rises.** When the cheapest arc `x → y` got dearer and `x` is
+    ///   `y`'s recorded parent, `y`'s recorded subtree is a candidate set:
+    ///   its labels restart at ∞ and are seeded from their non-candidate
+    ///   neighbours. Every other label keeps a recorded tree path that
+    ///   avoids each risen arc, so it cannot grow.
+    /// * **Falls.** A cheaper arc out of a non-candidate seeds its head
+    ///   when it improves the head's label.
+    /// * A Dijkstra from the seeds, relaxing with the sweep's strict `<`
+    ///   and its float expression `d + w`, reaches the new fixed point.
+    /// * **Order.** A plain sweep settles in the `(dist, node)` order its
+    ///   integer frontier pops, so the nodes whose distance did not move
+    ///   keep their relative order and the moved ones merge in, sorted.
+    /// * **Parents.** A node's parent is the earliest-settled neighbour `u`
+    ///   with `d_u + w == d_v` (the first strict improver wins). It is
+    ///   recomputed for moved nodes, their neighbours and the changed
+    ///   endpoints; every other parent keeps its node.
+    /// * **Counters.** `relaxed` snapshots are prefix sums of out-degree in
+    ///   settle order, and the degrees are differences of the old
+    ///   snapshots. Reweighting keeps reachability, so the final counters
+    ///   and completeness stay.
+    ///
+    /// The premise of the order rule — every node has a tight neighbour
+    /// that settles before it — can fail only on zero-weight arcs (or sums
+    /// that absorb a weight); the repair checks it and returns `false`
+    /// instead, with the trace untouched.
+    pub fn repair<G: GraphView>(
+        &mut self,
+        g: &G,
+        changes: &[EdgeChange],
+        scratch: &mut RepairScratch,
+    ) -> bool {
+        if !self.complete
+            || self.potential.is_some()
+            || !g.is_symmetric()
+            || self.nodes != g.num_nodes()
+        {
+            return false;
+        }
+        let s = scratch;
+        s.begin(self.nodes, self.events.len());
+        for (i, e) in self.events.iter().enumerate() {
+            s.at[e.node as usize] = i as u32;
+        }
+        if !self.events.windows(2).all(|w| settle_key(&w[0]) < settle_key(&w[1])) {
+            return false;
+        }
+        let reached = self.relabel(g, changes, s);
+        self.reorder(s);
+        if !(reached && s.new_idx[0] == 0 && self.reparent(g, s)) {
+            for &(i, old) in &s.touched {
+                self.events[i as usize].dist = old;
+            }
+            return false;
+        }
+        self.rewrite(s);
+        true
+    }
+
+    /// [`SweepTrace::repair`]'s labels: every event's `dist` becomes its
+    /// distance on `g`, with the overwritten ones logged in `s.touched`.
+    /// Returns whether every candidate was reached again — finite
+    /// reweighting keeps reachability, so anything else is a stale trace.
+    fn relabel<G: GraphView>(
+        &mut self,
+        g: &G,
+        changes: &[EdgeChange],
+        s: &mut RepairScratch,
+    ) -> bool {
+        // The changed arcs inside the trace, with their old and new
+        // cheapest weights; both endpoints need their parents rechecked.
+        for c in changes {
+            for (x, y, old) in [(c.a, c.b, c.old_ab), (c.b, c.a, c.old_ba)] {
+                let (Some(ix), Some(iy)) = (self.slot(&s.at, x), self.slot(&s.at, y)) else {
+                    continue;
+                };
+                s.arcs.push((ix as u32, iy as u32, old, cheapest_arc(g, x, y)));
+                s.mark_recheck(ix);
+                s.mark_recheck(iy);
+            }
+        }
+        for &(ix, iy, old, new) in &s.arcs {
+            if new > old && self.events[iy as usize].parent == ix {
+                s.flags[iy as usize] |= CANDIDATE;
+            }
+        }
+        // Parents precede children, so one forward pass closes the rise
+        // roots under the tree; each candidate restarts at ∞.
+        for i in 0..self.events.len() {
+            let parent = self.events[i].parent;
+            if parent != NIL && s.flags[parent as usize] & CANDIDATE != 0 {
+                s.flags[i] |= CANDIDATE;
+            }
+            if s.flags[i] & CANDIDATE != 0 {
+                s.touch(i, &mut self.events[i], f64::INFINITY);
+            }
+        }
+        // Seeds: the candidates from their non-candidate neighbours, then
+        // the heads of fallen arcs.
+        for k in 0..s.touched.len() {
+            let i = s.touched[k].0 as usize;
+            let mut best = f64::INFINITY;
+            g.for_each_arc(NodeId(self.events[i].node), &mut |u, w| {
+                let j = s.at[u.index()] as usize;
+                if s.flags[j] & CANDIDATE == 0 {
+                    let cand = self.events[j].dist + w;
+                    if cand < best {
+                        best = cand;
+                    }
+                }
+            });
+            self.events[i].dist = best;
+            if best < f64::INFINITY {
+                s.heap.push(Reverse((ord_of(best), i as u32)));
+            }
+        }
+        for k in 0..s.arcs.len() {
+            let (ix, iy, old, new) = s.arcs[k];
+            let (ix, iy) = (ix as usize, iy as usize);
+            if new < old && s.flags[ix] & CANDIDATE == 0 {
+                let cand = self.events[ix].dist + new;
+                if cand < self.events[iy].dist {
+                    s.touch(iy, &mut self.events[iy], cand);
+                }
+            }
+        }
+        // The Dijkstra from the seeds: a popped label is final.
+        while let Some(Reverse((key, i))) = s.heap.pop() {
+            let i = i as usize;
+            if s.flags[i] & DONE != 0 || key != ord_of(self.events[i].dist) {
+                continue;
+            }
+            s.flags[i] |= DONE;
+            let d = self.events[i].dist;
+            g.for_each_arc(NodeId(self.events[i].node), &mut |u, w| {
+                let j = s.at[u.index()] as usize;
+                let cand = d + w;
+                if s.flags[j] & DONE == 0 && cand < self.events[j].dist {
+                    s.touch(j, &mut self.events[j], cand);
+                }
+            });
+        }
+        s.touched.iter().all(|&(i, _)| self.events[i as usize].dist < f64::INFINITY)
+    }
+
+    /// [`SweepTrace::repair`]'s settle order: the events whose distance
+    /// moved, sorted into `s.moved`, and every event's new index in
+    /// `s.new_idx` — unmoved events keep their relative order.
+    fn reorder(&self, s: &mut RepairScratch) {
+        for &(i, old) in &s.touched {
+            if self.events[i as usize].dist.to_bits() != old.to_bits() {
+                s.moved.push(i);
+            }
+        }
+        s.moved.sort_unstable_by_key(|&i| settle_key(&self.events[i as usize]));
+        for &i in &s.moved {
+            s.flags[i as usize] |= MOVED;
+        }
+        let (mut next, mut m) = (0u32, 0);
+        for i in 0..self.events.len() {
+            if s.flags[i] & MOVED != 0 {
+                continue;
+            }
+            let key = settle_key(&self.events[i]);
+            while m < s.moved.len() && settle_key(&self.events[s.moved[m] as usize]) < key {
+                s.new_idx[s.moved[m] as usize] = next;
+                (next, m) = (next + 1, m + 1);
+            }
+            s.new_idx[i] = next;
+            next += 1;
+        }
+        for &i in &s.moved[m..] {
+            s.new_idx[i as usize] = next;
+            next += 1;
+        }
+    }
+
+    /// [`SweepTrace::repair`]'s parents for the moved events, their
+    /// neighbours and the changed endpoints: the earliest tight neighbour,
+    /// into `s.reparent`. Returns `false` when one settles no earlier than
+    /// the event itself — the order rule's premise fails.
+    fn reparent<G: GraphView>(&self, g: &G, s: &mut RepairScratch) -> bool {
+        for k in 0..s.moved.len() {
+            let i = s.moved[k] as usize;
+            s.mark_recheck(i);
+            g.for_each_arc(NodeId(self.events[i].node), &mut |u, _| {
+                let j = s.at[u.index()] as usize;
+                s.mark_recheck(j);
+            });
+        }
+        for k in 0..s.rechecks.len() {
+            let i = s.rechecks[k] as usize;
+            if i == 0 {
+                continue;
+            }
+            let d = self.events[i].dist;
+            let mut best: Option<(u32, u32)> = None;
+            g.for_each_arc(NodeId(self.events[i].node), &mut |u, w| {
+                let j = s.at[u.index()];
+                if self.events[j as usize].dist + w == d {
+                    let at = s.new_idx[j as usize];
+                    if best.is_none_or(|(b, _)| at < b) {
+                        best = Some((at, j));
+                    }
+                }
+            });
+            match best {
+                Some((at, j)) if at < s.new_idx[i] => s.reparent.push((i as u32, j)),
+                _ => return false,
+            }
+        }
+        true
+    }
+
+    /// [`SweepTrace::repair`]'s rewrite: parents by old index, then
+    /// degrees and new parent indices in place, then the permutation, then
+    /// the prefix sums.
+    fn rewrite(&mut self, s: &mut RepairScratch) {
+        for &(i, j) in &s.reparent {
+            self.events[i as usize].parent = j;
+        }
+        for i in 0..self.events.len() {
+            let next = self.events.get(i + 1).map_or(self.final_stats.relaxed, |e| e.relaxed);
+            let e = &mut self.events[i];
+            e.relaxed = next - e.relaxed;
+            if e.parent != NIL {
+                e.parent = s.new_idx[e.parent as usize];
+            }
+        }
+        if !s.moved.is_empty() {
+            // Follow each cycle of the permutation; a position is written
+            // once, so `PLACED` marks it done.
+            for start in 0..self.events.len() {
+                if s.flags[start] & PLACED != 0 || s.new_idx[start] as usize == start {
+                    continue;
+                }
+                let (mut carry, mut from) = (self.events[start], start);
+                loop {
+                    let to = s.new_idx[from] as usize;
+                    std::mem::swap(&mut carry, &mut self.events[to]);
+                    s.flags[to] |= PLACED;
+                    if to == start {
+                        break;
+                    }
+                    from = to;
+                }
+            }
+            for p in &mut self.positions {
+                p.1 = s.new_idx[p.1 as usize];
+            }
+        }
+        let mut relaxed = 0;
+        for e in &mut self.events {
+            (e.relaxed, relaxed) = (relaxed, relaxed + e.relaxed);
+        }
+        debug_assert_eq!(relaxed, self.final_stats.relaxed, "degrees sum to the final count");
     }
 
     /// Where a fresh sweep with `goal` would stop, if that point is
@@ -304,6 +592,129 @@ fn scan_positions(events: &[SettleEvent], index: &[u32]) -> Vec<(u32, u32)> {
         }
     }
     positions
+}
+
+/// The `(dist, node)` order a plain sweep settles in: its frontier's
+/// integer key, then the node.
+#[inline]
+fn settle_key(e: &SettleEvent) -> (u64, u32) {
+    (ord_of(e.dist), e.node)
+}
+
+/// Weight of the cheapest arc `a → b` (`∞` when there is none) — what any
+/// shortest-path sweep relaxes across parallel arcs.
+fn cheapest_arc<G: GraphView>(g: &G, a: NodeId, b: NodeId) -> f64 {
+    let mut best = f64::INFINITY;
+    g.for_each_arc(a, &mut |to, w| {
+        if to == b && w < best {
+            best = w;
+        }
+    });
+    best
+}
+
+/// One edge a live-traffic weight update changed: its endpoints and the
+/// cheapest arc weight in each direction on the map *before* the update.
+/// [`SweepTrace::repair`] reads the new weights from the new map.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct EdgeChange {
+    /// One endpoint.
+    pub a: NodeId,
+    /// The other endpoint.
+    pub b: NodeId,
+    /// The cheapest `a → b` weight before the update (`∞` for none).
+    pub old_ab: f64,
+    /// The cheapest `b → a` weight before the update (`∞` for none).
+    pub old_ba: f64,
+}
+
+impl EdgeChange {
+    /// The edge `(a, b)` as measured on `old`, the map before the update.
+    pub fn before<G: GraphView>(old: &G, a: NodeId, b: NodeId) -> Self {
+        EdgeChange { a, b, old_ab: cheapest_arc(old, a, b), old_ba: cheapest_arc(old, b, a) }
+    }
+
+    /// Whether either direction's cheapest arc is cheaper on `new`.
+    pub fn fell_on<G: GraphView>(&self, new: &G) -> bool {
+        cheapest_arc(new, self.a, self.b) < self.old_ab
+            || cheapest_arc(new, self.b, self.a) < self.old_ba
+    }
+}
+
+/// [`RepairScratch`] flag: in the subtree of a risen tree arc.
+const CANDIDATE: u8 = 1;
+/// Label overwritten; its old distance is in `touched`.
+const TOUCHED: u8 = 1 << 1;
+/// Popped by the repair's Dijkstra: the label is final.
+const DONE: u8 = 1 << 2;
+/// Distance changed: the event moves in settle order.
+const MOVED: u8 = 1 << 3;
+/// Parent to recompute.
+const RECHECK: u8 = 1 << 4;
+/// Written by the permutation.
+const PLACED: u8 = 1 << 5;
+
+/// The reusable working memory of [`SweepTrace::repair`]: a dense node →
+/// settle-index map and a few per-event slabs, grown to the largest trace
+/// repaired and reused, so a shard that repairs on every update allocates
+/// nothing once warm.
+#[derive(Debug, Default)]
+pub struct RepairScratch {
+    /// Node → settle index; entries for nodes outside the trace are stale.
+    at: Vec<u32>,
+    /// Per event, the flags above.
+    flags: Vec<u8>,
+    /// Per old settle index, the new one.
+    new_idx: Vec<u32>,
+    /// Changed arcs inside the trace: `(tail, head, old, new)` weights.
+    arcs: Vec<(u32, u32, f64, f64)>,
+    /// Events whose label was overwritten, with the old distance.
+    touched: Vec<(u32, f64)>,
+    /// Events whose distance changed, sorted into settle order.
+    moved: Vec<u32>,
+    /// Events whose parent is recomputed.
+    rechecks: Vec<u32>,
+    /// `(event, parent's old settle index)` for the recomputed parents.
+    reparent: Vec<(u32, u32)>,
+    /// The repair's frontier: `(key, event)`, smallest first.
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl RepairScratch {
+    fn begin(&mut self, nodes: usize, len: usize) {
+        if self.at.len() < nodes {
+            self.at.resize(nodes, 0);
+        }
+        self.flags.clear();
+        self.flags.resize(len, 0);
+        self.new_idx.resize(len, 0);
+        self.arcs.clear();
+        self.touched.clear();
+        self.moved.clear();
+        self.rechecks.clear();
+        self.reparent.clear();
+        self.heap.clear();
+    }
+
+    fn mark_recheck(&mut self, i: usize) {
+        if self.flags[i] & RECHECK == 0 {
+            self.flags[i] |= RECHECK;
+            self.rechecks.push(i as u32);
+        }
+    }
+
+    /// Set event `i`'s label to `dist`, remembering its old distance the
+    /// first time, and queue it when finite.
+    fn touch(&mut self, i: usize, e: &mut SettleEvent, dist: f64) {
+        if self.flags[i] & TOUCHED == 0 {
+            self.flags[i] |= TOUCHED;
+            self.touched.push((i as u32, e.dist));
+        }
+        e.dist = dist;
+        if dist < f64::INFINITY {
+            self.heap.push(Reverse((ord_of(dist), i as u32)));
+        }
+    }
 }
 
 /// Where an adopted sweep stops.
@@ -840,6 +1251,185 @@ pub(crate) mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `g` with a parallel copy of every 13th edge, dearer and cheaper than
+    /// the original in turn, plus the unreachable island of [`with_island`]
+    /// (its edge is the last one). `weigh` rewrites every weight.
+    fn with_parallels(g: &RoadNetwork, weigh: impl Fn(f64) -> f64) -> RoadNetwork {
+        let mut b = GraphBuilder::new();
+        for n in g.nodes() {
+            b.add_node(g.point(n)).unwrap();
+        }
+        for (i, e) in g.edges().iter().enumerate() {
+            b.add_edge(e.a, e.b, weigh(e.weight)).unwrap();
+            if i % 13 == 0 {
+                let factor = if i % 26 == 0 { 1.25 } else { 0.8 };
+                b.add_edge(e.a, e.b, weigh(e.weight * factor)).unwrap();
+            }
+        }
+        with_island(&b.build().unwrap())
+    }
+
+    /// Every event (node, parent index, distance bits, `relaxed`), the
+    /// settled-set index and the final counters.
+    fn assert_same_trace(got: &SweepTrace, want: &SweepTrace, tag: &str) {
+        assert_eq!(got.len(), want.len(), "{tag}: settles");
+        for (i, (a, b)) in got.events.iter().zip(&want.events).enumerate() {
+            assert_eq!(
+                (a.node, a.parent, a.dist.to_bits(), a.relaxed),
+                (b.node, b.parent, b.dist.to_bits(), b.relaxed),
+                "{tag}: event {i}"
+            );
+        }
+        assert_eq!(got.positions, want.positions, "{tag}: settled-set index");
+        assert_eq!(got.final_stats, want.final_stats, "{tag}: final counters");
+        assert_eq!(got.complete, want.complete, "{tag}: completeness");
+    }
+
+    /// The changes of `updates` as a caller lists them: every entry, changed
+    /// or a no-op rewrite, measured on the map before the update.
+    fn changes_of(g: &RoadNetwork, updates: &[(roadnet::EdgeId, f64)]) -> Vec<EdgeChange> {
+        updates.iter().map(|&(e, _)| EdgeChange::before(g, g.edge(e).a, g.edge(e).b)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 20, ..Default::default() })]
+
+        /// Rounds of updates mixing rises, falls and no-op rewrites, each
+        /// with an edge at the root, the island's edge and its first edge
+        /// listed twice, on maps with parallel arcs — with the generator's
+        /// weights, and rounded to small integers so that equal-length
+        /// paths (parent ties) abound. Every round repairs the previous
+        /// round's repaired trace.
+        #[test]
+        fn repair_equals_a_fresh_sweep_on_the_new_map(
+            seed in 0..1_000u64,
+            root_pick in proptest::num::u32::ANY,
+            rounds in proptest::collection::vec(
+                proptest::collection::vec((proptest::num::u32::ANY, 0..6usize), 1..9),
+                1..4,
+            ),
+        ) {
+            let factors = [0.25, 0.6, 1.0, 1.0, 1.7, 4.0];
+            let mut scratch = RepairScratch::default();
+            for (class, integral) in NetworkClass::ALL.into_iter().flat_map(|c| [(c, false), (c, true)]) {
+                let base = class.generate(400, seed).unwrap();
+                let unit = base.edges().iter().map(|e| e.weight).sum::<f64>()
+                    / (3 * base.num_edges()) as f64;
+                let weigh = |w: f64| if integral { (w / unit).round().max(1.0) } else { w };
+                let mut g = with_parallels(&base, weigh);
+                let (n, m) = (g.num_nodes() as u32, g.num_edges());
+                let root = NodeId(root_pick % (n - 2));
+                let (_, mut trace) =
+                    run_in_traced(&mut SearchArena::new(), &g, root, &Goal::AllNodes);
+                let at_root = g.edges().iter().position(|e| e.a == root || e.b == root).unwrap();
+                for (r, picks) in rounds.iter().enumerate() {
+                    let edge = |i: usize| roadnet::EdgeId::from_index(i);
+                    let scaled = |e, f: f64| {
+                        let w: f64 = g.edge(e).weight * f;
+                        if integral { w.round().max(1.0) } else { w }
+                    };
+                    let mut updates: Vec<(roadnet::EdgeId, f64)> = picks
+                        .iter()
+                        .map(|&(e, f)| (edge(e as usize % m), factors[f]))
+                        .map(|(e, f)| (e, scaled(e, f)))
+                        .collect();
+                    let root_factor = if r % 2 == 0 { 3.0 } else { 0.5 };
+                    updates.push((edge(at_root), scaled(edge(at_root), root_factor)));
+                    updates.push((edge(m - 1), 2.0 + r as f64));
+                    let mut changes = changes_of(&g, &updates);
+                    changes.push(changes[0]);
+                    g.update_weights(&updates).unwrap();
+
+                    let tag = format!(
+                        "{} integral={integral} seed {seed} root {root} round {r}",
+                        class.name()
+                    );
+                    prop_assert!(trace.repair(&g, &changes, &mut scratch), "{}", tag);
+                    let (_, fresh) =
+                        run_in_traced(&mut SearchArena::new(), &g, root, &Goal::AllNodes);
+                    assert_same_trace(&trace, &fresh, &tag);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repair_refuses_incomplete_guided_and_directed_traces() {
+        let g = grid();
+        let updates = [(roadnet::EdgeId(0), 50.0)];
+        let changes = changes_of(&g, &updates);
+        let mut next = g.clone();
+        next.update_weights(&updates).unwrap();
+        let mut scratch = RepairScratch::default();
+
+        let (_, partial) =
+            run_in_traced(&mut SearchArena::new(), &g, NodeId(0), &Goal::Single(NodeId(30)));
+        assert!(!partial.is_complete());
+        let alt = AltPreprocessing::try_build(&g, 4).unwrap();
+        let pot = alt.goal_potential(&[NodeId(30)]);
+        let mut store = MapStore::default();
+        run_tree(
+            &mut SearchArena::new(),
+            &g,
+            NodeId(0),
+            &Goal::AllNodes,
+            Some(&pot),
+            Some(&mut store),
+        );
+        let guided = store.map.remove(&0).unwrap();
+        assert!(guided.is_complete() && guided.potential().is_some());
+
+        for (trace, tag) in [(partial, "incomplete"), (guided, "guided")] {
+            let mut repaired = trace.clone();
+            assert!(!repaired.repair(&next, &changes, &mut scratch), "{tag}");
+            assert_same_trace(&repaired, &trace, tag);
+        }
+
+        // A directed map's in-arcs are not its out-arcs.
+        let mut b = GraphBuilder::directed();
+        for i in 0..3 {
+            b.add_node(Point::new(i as f64, 0.0)).unwrap();
+        }
+        b.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
+        b.add_edge(NodeId(1), NodeId(2), 1.0).unwrap();
+        let directed = b.build().unwrap();
+        let (_, mut trace) =
+            run_in_traced(&mut SearchArena::new(), &directed, NodeId(0), &Goal::AllNodes);
+        assert!(!trace.repair(&directed, &[], &mut scratch));
+    }
+
+    #[test]
+    fn repair_on_zero_weights_is_exact_or_refused_untouched() {
+        // The path 0 – 1 – 2 at unit weights.
+        let mut b = GraphBuilder::new();
+        for i in 0..3 {
+            b.add_node(Point::new(i as f64, 0.0)).unwrap();
+        }
+        b.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
+        b.add_edge(NodeId(1), NodeId(2), 1.0).unwrap();
+        let g = b.build().unwrap();
+        let mut scratch = RepairScratch::default();
+        for (root, edge, exact) in [
+            // Node 1 ties the root at 0 but settles after it, in node
+            // order as well: repaired exactly.
+            (NodeId(0), roadnet::EdgeId(0), true),
+            // Node 1 ties root 2 but would sort before it: the fresh sweep
+            // still settles the root first, so the order rule cannot
+            // rebuild it, and the repair refuses.
+            (NodeId(2), roadnet::EdgeId(1), false),
+        ] {
+            let updates = [(edge, 0.0)];
+            let changes = changes_of(&g, &updates);
+            let mut next = g.clone();
+            next.update_weights(&updates).unwrap();
+            let (_, before) = run_in_traced(&mut SearchArena::new(), &g, root, &Goal::AllNodes);
+            let mut trace = before.clone();
+            assert_eq!(trace.repair(&next, &changes, &mut scratch), exact, "root {root}");
+            let (_, fresh) = run_in_traced(&mut SearchArena::new(), &next, root, &Goal::AllNodes);
+            assert_same_trace(&trace, if exact { &fresh } else { &before }, "zero weight");
         }
     }
 

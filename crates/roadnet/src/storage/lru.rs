@@ -144,11 +144,13 @@ impl<K: Copy + Eq + Hash, V> LruBuffer<K, V> {
     }
 
     /// Keep only the entries `keep` accepts, visited in slot order;
-    /// survivors keep their relative recency.
-    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
+    /// survivors keep their relative recency. `keep` may rewrite the value
+    /// it keeps (a store repairing its entries in place).
+    pub fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
         let mut slot = 0;
         while slot < self.slots.len() {
-            if keep(&self.slots[slot].key, &self.slots[slot].value) {
+            let Slot { key, value, .. } = &mut self.slots[slot];
+            if keep(key, value) {
                 slot += 1;
             } else {
                 // The last slot moves into `slot`, which is visited next.

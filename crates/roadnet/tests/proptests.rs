@@ -193,8 +193,14 @@ proptest! {
                 }
                 18 => {
                     let keep = |k: u32, v: u32| (k + v + value) % 3 != 0;
+                    // Survivors are rewritten in place, recency untouched.
                     model.retain(|&(k, v)| keep(k, v));
-                    lru.retain(|&k, &v| keep(k, v));
+                    model.iter_mut().for_each(|(_, v)| *v += 1);
+                    lru.retain(|&k, v| {
+                        let kept = keep(k, *v);
+                        *v += u32::from(kept);
+                        kept
+                    });
                 }
                 _ => {
                     model.clear();

@@ -5,11 +5,13 @@
 //! few ticks. Real congestion is *spatially localized* — a surge builds
 //! around an epicenter (an incident, a stadium emptying) and decays —
 //! so the schedule this module generates congests a compact zone of the
-//! map rather than sprinkling random edges everywhere. That locality is
-//! exactly what surgical cache invalidation
-//! (`opaque::service::TreeCache::invalidate_edges`) exploits: cached
-//! trees whose sweeps stay clear of the zone survive every tick, while
-//! a drop-all policy re-cools the whole fleet each time.
+//! map rather than sprinkling random edges everywhere. The tree cache's
+//! weight-update path (`opaque::service::TreeCache::repair_edges`)
+//! exploits that locality twice: cached trees whose sweeps stay clear of
+//! the zone survive every tick untouched, and complete trees that cross it
+//! are repaired in place — only the few labels the surge moved are
+//! recomputed — while a drop-all policy re-cools the whole fleet each
+//! time.
 //!
 //! Schedules are pure data (`Vec` of per-round update batches), fully
 //! determined by the seed, and independent of how the consumer

@@ -1,4 +1,5 @@
-//! The live-map guarantee, as a property: surgical invalidation is
+//! The live-map guarantee, as a property: repairing cached trees on weight
+//! updates is
 //! **invisible to every observable byte**. For random maps, random
 //! batches, random interleaved weight churn, random obfuscator seeds, any
 //! LRU capacity, either execution policy, and either placement policy, a
@@ -7,18 +8,24 @@
 //! every tree fresh on the same churned map — the same delivered paths,
 //! the same per-client outcomes, and the same serialized `BatchReport`.
 //!
-//! `update_weights` may only *evict* — never keep a trace whose recorded
-//! sweep crossed an updated edge (the stale tree a drop-all `swap_map`
-//! could never serve). Any divergence this harness could catch would be a
-//! real invalidation bug: a touched trace surviving the edge-set scan, a
-//! shard missing an update, or the obfuscator's trust-domain map falling
-//! out of lockstep with the fleet's (path verification re-walks delivered
-//! paths against the obfuscator's copy, so drift turns into rejections).
+//! `update_weights` may keep a trace whose recorded sweep crossed an
+//! updated edge only by *repairing* it — rewriting it into exactly the
+//! trace a fresh sweep records on the new map — and must evict any touched
+//! trace it does not repair (the stale tree a drop-all `swap_map` could
+//! never serve). Any divergence this harness could catch would be a real
+//! invalidation bug: a repair that differs from the fresh sweep, a touched
+//! trace surviving the edge-set scan unrepaired, a shard missing an
+//! update, or the obfuscator's trust-domain map falling out of lockstep
+//! with the fleet's (path verification re-walks delivered paths against
+//! the obfuscator's copy, so drift turns into rejections).
 //!
 //! The first deterministic regression below pins the stale-adoption
 //! case on a ring where the weight update flips the shortest side: a
-//! warm cache must deliver the *new* detour, not the cached short way.
-//! The second drives an `Alt{8}` fleet through a rising-then-falling
+//! warm cache must deliver the *new* detour, not the cached short way —
+//! from the repaired tree. The second pins that repaired trees are
+//! adopted: after a churn round touching every cached trace, the repeat
+//! batch hits exactly the complete ones. The third drives an `Alt{8}`
+//! fleet through a rising-then-falling
 //! schedule: landmark tables measured before the congestion keep guiding
 //! — with the unguided answers — while weights only rise, and are gone
 //! after the first round that lowers one.
@@ -138,9 +145,11 @@ proptest! {
 /// (protection 1/1) the delivered path is the true shortest path, and the
 /// ring gives the query exactly two candidate routes — so when churn
 /// flips which side is shorter, a stale cached tree would deliver the
-/// *old* side verbatim. The warm cache must deliver the new detour.
+/// *old* side verbatim. The warm cache must deliver the new detour, and it
+/// delivers it from a hit: the cached tree is complete, so the update
+/// repairs it instead of evicting it.
 #[test]
-fn a_trace_touching_an_updated_edge_is_never_adopted() {
+fn a_touched_trace_is_repaired_and_delivers_the_detour_from_a_hit() {
     const N: u32 = 12;
     let mut b = GraphBuilder::new();
     for i in 0..N {
@@ -187,7 +196,8 @@ fn a_trace_touching_an_updated_edge_is_never_adopted() {
     assert!(warmed.tree_cache_hits > 0, "round 2 must adopt the cached tree");
 
     // Rush hour on edge (2,3): the cached tree settled both endpoints, so
-    // it must be evicted — a stale adoption would re-deliver the short way.
+    // it must not be adopted as recorded — a stale adoption would
+    // re-deliver the short way.
     let congested = map
         .edges()
         .iter()
@@ -208,9 +218,79 @@ fn a_trace_touching_an_updated_edge_is_never_adopted() {
     );
     let after = lru.backend().stats();
     assert_eq!(
-        after.tree_cache_hits, warmed.tree_cache_hits,
-        "the touched tree was evicted, so the post-churn batch cannot hit"
+        after.tree_cache_hits,
+        warmed.tree_cache_hits + 1,
+        "the touched tree was repaired, so the post-churn batch hits it"
     );
+}
+
+/// Repaired trees are adopted. A repeated batch of 3×3 requests warms a
+/// one-shard cache; a churn round then raises an edge at every cached
+/// root — so every cached trace is touched — and lowers one more. A
+/// complete trace is repaired and an early-stopped one evicted, so the
+/// repeat after the round hits exactly the trees whose traces were
+/// complete before it, with reports byte-identical to cache-off.
+#[test]
+fn repaired_trees_are_adopted_after_a_churn_round() {
+    use opaque::FakeSelection;
+    use pathsearch::TreeStore;
+    use roadnet::generators::{GridConfig, grid_network};
+    let map =
+        grid_network(&GridConfig { width: 14, height: 14, seed: 3, ..Default::default() }).unwrap();
+    let requests: Vec<ClientRequest> = (0..3)
+        .map(|i| {
+            ClientRequest::new(
+                ClientId(i),
+                PathQuery::new(NodeId(i * 29 + 7), NodeId(190 - i * 41)),
+                ProtectionSettings::new(3, 3).unwrap(),
+            )
+        })
+        .collect();
+    let build = |cache| {
+        ServiceBuilder::new()
+            .map(map.clone())
+            .seed(5)
+            .shards(1)
+            .fake_selection(FakeSelection::Uniform)
+            .sharing_policy(SharingPolicy::PerSource)
+            .cache_policy(cache)
+            .verify_results(true)
+            .build()
+            .expect("valid configuration")
+    };
+    let mut off = build(CachePolicy::Off);
+    let mut lru = build(CachePolicy::Lru { trees: 64 });
+    for repeat in 0..2 {
+        let (a, b) = (off.process_batch(&requests).unwrap(), lru.process_batch(&requests).unwrap());
+        assert_identical(&a, &b, &format!("warm-up {repeat}"));
+    }
+
+    // The cached roots, and which of their traces are complete.
+    let cache = lru.backend().shards()[0].tree_cache().unwrap();
+    let roots: Vec<NodeId> = map.nodes().filter(|&n| cache.peek(n).is_some()).collect();
+    let complete = roots.iter().filter(|&&n| cache.peek(n).unwrap().is_complete()).count();
+    let trees = lru.backend().stats().trees_grown / 2;
+    assert_eq!(roots.len() as u64, trees, "one cached trace per tree: every root is distinct");
+    assert!(complete > 0 && complete < roots.len(), "{complete} of {} complete", roots.len());
+
+    // Rises at every cached root, and one fall away from them.
+    let mut updates: Vec<(EdgeId, f64)> = roots
+        .iter()
+        .map(|&r| {
+            let e = map.edges().iter().position(|e| e.a == r || e.b == r).unwrap();
+            (EdgeId::from_index(e), map.edges()[e].weight * 3.0)
+        })
+        .collect();
+    let fall = map.edges().iter().position(|e| !roots.contains(&e.a) && !roots.contains(&e.b));
+    let fall = EdgeId::from_index(fall.unwrap());
+    updates.push((fall, map.edge(fall).weight * 0.25));
+    assert_eq!(off.update_weights(&updates).unwrap(), lru.update_weights(&updates).unwrap());
+
+    let before = lru.backend().stats();
+    let (a, b) = (off.process_batch(&requests).unwrap(), lru.process_batch(&requests).unwrap());
+    assert_identical(&a, &b, "after the churn round");
+    let hits = lru.backend().stats().tree_cache_hits - before.tree_cache_hits;
+    assert_eq!(hits, complete as u64, "exactly the repaired (complete) traces are adopted");
 }
 
 /// Landmark tables across live traffic. Bounds measured under smaller
