@@ -173,4 +173,15 @@ mod tests {
         assert!(shallow < t.rows[1][3].parse().unwrap());
         assert_eq!(t.rows[0][8], "0", "no cache, no misses");
     }
+
+    #[test]
+    fn e15_quick_table_is_pinned() {
+        // Every column but the wall-clock ones (ms/batch, pairs/s,
+        // speedup) is deterministic, so it is pinned: a change to what the
+        // cache keeps or adopts shows up here first.
+        let t = run(&Scale::quick());
+        let rows: Vec<String> =
+            t.rows.iter().map(|r| [0, 1, 2, 3, 6, 8].map(|i| r[i].as_str()).join(" ")).collect();
+        assert_eq!(rows, ["off 4 128 32 0 0", "lru(64) 4 128 32 0.6562 0"]);
+    }
 }

@@ -210,4 +210,18 @@ mod tests {
         let rr = t.metric_value("cache_hit_rate_rr").unwrap();
         assert!(region > rr, "metrics carry the win: {region} vs {rr}");
     }
+
+    #[test]
+    fn e18_quick_table_is_pinned() {
+        // Every column but ms/batch is deterministic (the fleet runs
+        // sequentially), so hit rates and settled-in-shard locality are
+        // pinned.
+        let t = run(&Scale::quick());
+        let rows: Vec<String> =
+            t.rows.iter().map(|r| [0, 1, 2, 4, 5].map(|i| r[i].as_str()).join(" ")).collect();
+        assert_eq!(
+            rows,
+            ["round-robin 4 128 0.1250 0.2482", "region-owned(halo=2) 4 128 0.4688 0.4823"]
+        );
+    }
 }

@@ -229,4 +229,21 @@ mod tests {
         let dropall = t.metric_value("churn_hit_rate_dropall").unwrap();
         assert!(repair > dropall, "metrics carry the win: {repair} vs {dropall}");
     }
+
+    #[test]
+    fn e19_quick_table_is_pinned() {
+        // Every column but ms/batch is deterministic, so each refresh's
+        // hit rate under churn is pinned.
+        let t = run(&Scale::quick());
+        let rows: Vec<String> =
+            t.rows.iter().map(|r| [0, 1, 2, 4].map(|i| r[i].as_str()).join(" ")).collect();
+        assert_eq!(
+            rows,
+            [
+                "uncached reference 5 80 0",
+                "drop-all (swap_map) 5 80 0.3250",
+                "repair (update_weights) 5 80 0.5750",
+            ]
+        );
+    }
 }

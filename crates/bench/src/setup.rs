@@ -56,7 +56,7 @@ pub struct Measured {
     /// Tree-cache hits over consultations, fleet-wide (0 without a cache).
     pub hit_rate: f64,
     /// Tree-cache misses that found an entry too shallow for their goal,
-    /// fleet-wide (see `TreeCache::miss_causes`).
+    /// fleet-wide (see `pathsearch::TreeCache::miss_causes`).
     pub shallow_misses: u64,
     /// Every batch's serialized report, in order: the determinism oracle.
     pub report_json: Vec<String>,

@@ -113,9 +113,8 @@ pub struct DirectionsServer<G> {
     policy: SharingPolicy,
     arena: SearchArena,
     stats: ServerStats,
-    /// Bumped by [`DirectionsServer::swap_map`]; keys every cache entry,
-    /// so no tree recorded on an old map can survive a swap.
-    map_epoch: u64,
+    /// The shard-local tree cache; it keys entries by its own map epoch,
+    /// which [`DirectionsServer::swap_map`] bumps.
     cache: Option<TreeCache>,
     /// ALT landmark tables guiding obfuscated sweeps, shared across the
     /// fleet behind an `Arc` (`None` = unguided, the historical regime).
@@ -139,14 +138,13 @@ impl<G: GraphView> DirectionsServer<G> {
             policy,
             arena,
             stats: ServerStats::default(),
-            map_epoch: 0,
             cache: None,
             heuristic: None,
         }
     }
 
     /// Attach (or remove) a shard-local tree cache per `policy`. The
-    /// cache starts cold at the server's current map epoch.
+    /// cache starts cold, at map epoch 0.
     ///
     /// # Panics
     /// Panics on `CachePolicy::Lru { trees: 0 }` — configuration-level
@@ -155,11 +153,7 @@ impl<G: GraphView> DirectionsServer<G> {
     pub fn with_tree_cache(mut self, cache: CachePolicy) -> Self {
         self.cache = match cache {
             CachePolicy::Off => None,
-            CachePolicy::Lru { trees } => {
-                let mut cache = TreeCache::new(trees, self.policy);
-                cache.invalidate(self.map_epoch);
-                Some(cache)
-            }
+            CachePolicy::Lru { trees } => Some(TreeCache::new(trees, self.policy)),
         };
         self
     }
@@ -192,29 +186,23 @@ impl<G: GraphView> DirectionsServer<G> {
         &self.graph
     }
 
-    /// The attached tree cache, if any (e.g. to read its hit rate).
+    /// The attached tree cache, if any (e.g. to read its counters or its
+    /// map epoch).
     pub fn tree_cache(&self) -> Option<&TreeCache> {
         self.cache.as_ref()
     }
 
-    /// The current map epoch (starts at 0, bumped by each
-    /// [`DirectionsServer::swap_map`]).
-    pub fn map_epoch(&self) -> u64 {
-        self.map_epoch
-    }
-
-    /// Replace the served map, bumping the map epoch and invalidating
-    /// every cached tree — the **invalidation invariant**: no tree
-    /// recorded against an old map is ever adopted after a swap (entries
-    /// are dropped *and* keyed under the old epoch, so even a
-    /// hypothetical survivor could not be looked up). Cumulative load
-    /// counters are kept; the arena needs no reset (its generation stamps
-    /// already isolate searches).
+    /// Replace the served map, invalidating every cached tree
+    /// ([`TreeCache::invalidate`] bumps the cache's map epoch) — the
+    /// **invalidation invariant**: no tree recorded against an old map is
+    /// ever adopted after a swap (entries are dropped *and* keyed under
+    /// the old epoch, so even a hypothetical survivor could not be looked
+    /// up). Cumulative load counters are kept; the arena needs no reset
+    /// (its generation stamps already isolate searches).
     pub fn swap_map(&mut self, graph: G) {
         self.graph = graph;
-        self.map_epoch += 1;
         if let Some(cache) = &mut self.cache {
-            cache.invalidate(self.map_epoch);
+            cache.invalidate();
         }
         // Landmark distances were measured on the old map; their triangle
         // bounds need not be admissible on the new one. Guidance resumes
@@ -230,8 +218,8 @@ impl<G: GraphView> DirectionsServer<G> {
     /// evicted when repair does not cover it
     /// ([`TreeCache::repair_edges`]); untouched trees replay
     /// byte-identically as they are (see
-    /// [`pathsearch::SweepTrace::touches_any`]). The map epoch does
-    /// **not** move. Topology changes must keep going through
+    /// [`pathsearch::SweepTrace::touches_any`]). The cache's map epoch
+    /// does **not** move. Topology changes must keep going through
     /// [`DirectionsServer::swap_map`].
     ///
     /// Attached ALT tables survive the update iff no affected edge got
@@ -324,7 +312,6 @@ impl<G: GraphView> DirectionsServer<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathsearch::TreeStore;
     use roadnet::generators::{GridConfig, grid_network};
     use roadnet::{EdgeId, NodeId};
 
@@ -628,15 +615,14 @@ mod tests {
 
         let mut sv = DirectionsServer::new(old, SharingPolicy::PerSource)
             .with_tree_cache(CachePolicy::Lru { trees: 4 });
-        assert_eq!(sv.map_epoch(), 0);
+        assert_eq!(sv.tree_cache().unwrap().map_epoch(), 0);
         sv.process(&q);
         sv.process(&q);
         assert_eq!(sv.stats().tree_cache_hits, 1, "warm repeat hits");
 
         sv.swap_map(new.clone());
-        assert_eq!(sv.map_epoch(), 1);
-        assert!(sv.tree_cache().unwrap().is_empty(), "swap dropped every entry");
         assert_eq!(sv.tree_cache().unwrap().map_epoch(), 1);
+        assert!(sv.tree_cache().unwrap().is_empty(), "swap dropped every entry");
         let r = sv.process(&q);
         assert_eq!(
             sv.stats().tree_cache_hits,
@@ -676,7 +662,7 @@ mod tests {
             .unwrap();
         let changed = reweight(&mut sv, &[(edge, 1000.0)]);
         assert_eq!(changed, vec![edge]);
-        assert_eq!(sv.map_epoch(), 0, "weight updates do not bump the epoch");
+        assert_eq!(sv.tree_cache().unwrap().map_epoch(), 0, "weight updates do not bump the epoch");
         assert_eq!(sv.tree_cache().unwrap().len(), 1, "the touched tree is kept");
 
         // The post-update query hits the repaired tree, and its paths and

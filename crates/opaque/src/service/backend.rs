@@ -192,7 +192,7 @@ impl ShardedBackend<DirectionsServer<std::sync::Arc<roadnet::RoadNetwork>>> {
     }
 
     /// Replace the served map fleet-wide — the topology-change path. Every
-    /// shard bumps its epoch and drops its whole cache
+    /// shard's cache bumps its epoch and drops every tree
     /// ([`DirectionsServer::swap_map`]); use
     /// [`ShardedBackend::update_weights`] for traffic.
     pub fn swap_map(&mut self, map: roadnet::RoadNetwork) {
@@ -338,7 +338,7 @@ mod tests {
         assert_eq!(first.edge(roadnet::EdgeId(0)).weight, 123.0);
         for shard in fleet.shards() {
             assert!(Arc::ptr_eq(first, shard.graph()), "fleet must share one Arc");
-            assert_eq!(shard.map_epoch(), 0, "weight updates keep the epoch");
+            assert_eq!(shard.tree_cache().unwrap().map_epoch(), 0, "weight updates keep the epoch");
         }
         // The hop-distance partition is weight-independent and untouched.
         assert_eq!(fleet.partition().unwrap().owners(), &before_regions[..]);
@@ -350,7 +350,7 @@ mod tests {
         // swap_map is the epoch-bumping topology path.
         fleet.swap_map(g);
         for shard in fleet.shards() {
-            assert_eq!(shard.map_epoch(), 1);
+            assert_eq!(shard.tree_cache().unwrap().map_epoch(), 1);
             assert!(shard.tree_cache().unwrap().is_empty());
         }
     }

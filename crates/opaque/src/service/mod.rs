@@ -565,7 +565,7 @@ impl OpaqueService<DefaultBackend> {
     }
 
     /// Replace the map in both trust domains — the topology-change path.
-    /// The fleet bumps its epoch and drops every cached tree; the
+    /// Every shard's tree cache bumps its epoch and drops every tree; the
     /// obfuscator rebuilds its spatial index and drops its plausibility
     /// weights (they describe the old map's node ids), so
     /// [`FakeSelection::Weighted`](crate::FakeSelection::Weighted) falls

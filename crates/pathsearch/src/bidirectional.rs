@@ -1,6 +1,7 @@
 //! Bidirectional Dijkstra — the crate's **interleaved loop**, the second of
-//! its two label-setting loops (the other is the single-tree loop in
-//! `dijkstra.rs`).
+//! its three label-setting loops (the others are the single-tree loop in
+//! `dijkstra.rs` and the relabel loop of `SweepTrace::repair` in
+//! `trace.rs`).
 //!
 //! Two spanning trees grow from `s` and `t` simultaneously, each in its own
 //! [`SearchArena`]; every step pops from the arena whose frontier top is

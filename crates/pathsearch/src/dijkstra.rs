@@ -14,7 +14,7 @@
 //! which is the quantity Lemma 1 reasons about. Every entry grows one tree
 //! in a caller-provided arena (e.g. the one a `DirectionsServer` shares
 //! with its MSMD processor): [`run_tree`] — the one adopt-or-grow entry,
-//! with the goal potential and the tree store as optional parameters —
+//! with the goal potential and the tree cache as optional parameters —
 //! answers a tree-cache hit straight from the stored trace, and says which
 //! of the two holds the labels ([`TreeView`]); [`run_in`] /
 //! [`run_in_traced`] are its plain arities, whose labels the caller reads
@@ -22,9 +22,10 @@
 
 use crate::alt::GoalPotential;
 use crate::arena::{NIL, SearchArena};
+use crate::cache::TreeCache;
 use crate::path::Path;
 use crate::stats::SearchStats;
-use crate::trace::{SettleEvent, SweepTrace, TreeStore, TreeView};
+use crate::trace::{SettleEvent, SweepTrace, TreeView};
 use roadnet::{GraphView, NodeId};
 
 /// Search termination condition.
@@ -364,14 +365,14 @@ pub fn run_in_traced<G: GraphView>(
 ///   [`run_in`]. Settled labels, parents, and paths are identical either
 ///   way whenever shortest paths are unique; only the settle order and the
 ///   settled/relaxed counters shrink.
-/// * `store` — `Some` consults it for a recorded sweep from `root` and,
+/// * `cache` — `Some` consults it for a recorded sweep from `root` and,
 ///   when `goal` is provably inside the recorded prefix, answers from it:
 ///   no Dijkstra, no arena write — the view reads the stored trace's
 ///   goal-stop prefix by chasing parent settle indices, and the counters
 ///   are the trace's snapshot at that stop, byte-identical to the sweep
 ///   skipped. Otherwise the tree is grown for real in `arena`, recorded,
 ///   and re-stored, and the view reads the arena. Hit or miss is
-///   reported through the store's counters. `None` grows the tree
+///   reported through [`TreeCache::counters`]. `None` grows the tree
 ///   unrecorded in `arena` — nothing beyond the sweep itself is allocated.
 ///
 /// A **plain** miss (`pot` is `None`) records past its goal: the same
@@ -396,38 +397,31 @@ pub fn run_in_traced<G: GraphView>(
 ///
 /// # Panics
 /// Panics if `root` is out of range for `g`.
-pub fn run_tree<'a, G: GraphView, S: TreeStore + ?Sized>(
+pub fn run_tree<'a, G: GraphView>(
     arena: &'a mut SearchArena,
     g: &G,
     root: NodeId,
     goal: &Goal,
     pot: Option<&GoalPotential<'_>>,
-    store: Option<&'a mut S>,
+    cache: Option<&'a mut TreeCache>,
 ) -> (SearchStats, TreeView<'a>) {
-    let Some(store) = store else {
+    let Some(cache) = cache else {
         let stats = grow(arena, g, root, goal, pot, &mut NoRecord);
         return (stats, TreeView::Arena(arena));
     };
-    let want = pot.map(|p| p.params());
-    // A different node count can only mean a stale entry for another map;
-    // the store's epoch keying should already prevent this. The potential
-    // check keeps guided and plain sweeps from aliasing.
-    let adopted = store
-        .lookup(root)
-        .filter(|trace| trace.nodes() == g.num_nodes() && trace.potential() == want)
-        .and_then(|trace| trace.stats_for(goal));
-    match adopted {
+    match cache.adopt(root, g.num_nodes(), pot.map(|p| p.params()), goal) {
         Some(stats) => {
-            store.note_hit();
-            // The counted lookup above already paid for this entry.
-            let store: &'a S = store;
-            let trace = store.peek(root).expect("the entry that just hit");
+            // The counted lookup inside `adopt` already paid for this
+            // entry. The view re-borrows it uncounted: returning the
+            // lookup's borrow from this arm would keep the cache borrowed
+            // in the miss arm's `store`, which the borrow checker rejects.
+            let cache: &'a TreeCache = cache;
+            let trace = cache.peek(root).expect("the entry that just hit");
             (stats, TreeView::Trace { trace, settled: stats.settled as usize })
         }
         None => {
-            store.note_miss();
             let (stats, trace) = grow_traced(arena, g, root, goal, pot, pot.is_none());
-            store.store(root, trace);
+            cache.store(root, trace);
             (stats, TreeView::Arena(arena))
         }
     }
@@ -620,7 +614,7 @@ mod tests {
             let got = [
                 run_in(&mut arena, &g, NodeId(0), &set),
                 run_in(&mut arena, &g, NodeId(0), &Goal::AllNodes),
-                run_tree::<_, dyn TreeStore>(&mut arena, &g, NodeId(0), &set, Some(&pot), None).0,
+                run_tree(&mut arena, &g, NodeId(0), &set, Some(&pot), None).0,
             ]
             .map(|st| [st.settled, st.relaxed]);
             assert_eq!(got, want, "{}", class.name());

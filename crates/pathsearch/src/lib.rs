@@ -18,9 +18,13 @@
 //!   multi-destination early-termination variant ([`Goal::Set`]);
 //! * [`mod@bidirectional`] — the **interleaved loop**: bidirectional
 //!   Dijkstra, the strongest single-pair baseline, growing a forward and a
-//!   backward tree in two arenas until their radii cover the best meeting.
+//!   backward tree in two arenas until their radii cover the best meeting;
+//! * [`SweepTrace::repair`] — the **relabel loop**: a Dijkstra seeded at
+//!   the labels a weight update can move, over a recorded trace's events
+//!   and its own small heap, rewriting a cached tree into the sweep the
+//!   new map records.
 //!
-//! Those two loops are the only label-setting code; the rest call the
+//! Those three loops are the only label-setting code; the rest call the
 //! single-tree loop:
 //!
 //! * [`mod@astar`] — A* is the single-tree loop under the caller's potential
@@ -32,12 +36,13 @@
 //! * [`multi`] — the MSMD processor with the paper's three sharing
 //!   policies: per-pair and per-source trees (the latter transposed to the
 //!   smaller side under `Auto`) through the one adopt-or-grow entry
-//!   ([`run_tree`]), with or without a tree store
+//!   ([`run_tree`]), with or without a tree cache
 //!   ([`msmd_in_guided_cached`]);
 //! * [`trace`] — recorded, reusable sweeps ([`SweepTrace`]): settled
 //!   shortest-path trees a cache hit reads in place ([`TreeView`]), with
-//!   byte-identical counters, the substrate of the service layer's
-//!   shard-local tree cache;
+//!   byte-identical counters;
+//! * [`cache`] — the shard-local [`TreeCache`] of those sweeps, an
+//!   epoch-keyed LRU that [`run_tree`] adopts from and stores into;
 //! * [`cost`] — the calibrated `O(‖s,t‖²)` cost model of Lemma 1.
 //!
 //! ## Quick example
@@ -62,6 +67,7 @@ pub mod alt;
 pub mod arena;
 pub mod astar;
 pub mod bidirectional;
+pub mod cache;
 pub mod cost;
 pub mod dijkstra;
 pub mod multi;
@@ -74,6 +80,7 @@ pub use alt::{AltError, AltPreprocessing, GoalPotential, PotentialParams, alt};
 pub use arena::SearchArena;
 pub use astar::{astar, astar_with};
 pub use bidirectional::bidirectional;
+pub use cache::TreeCache;
 pub use cost::{CostModel, CostObservation};
 pub use dijkstra::{Goal, run_in, run_in_traced, run_tree, shortest_distance, shortest_path};
 pub use multi::{
@@ -83,4 +90,4 @@ pub use multi::{
 pub use path::Path;
 pub use range::{range_search, ring_search, ring_search_in};
 pub use stats::SearchStats;
-pub use trace::{EdgeChange, RepairScratch, SweepTrace, TreeStore, TreeView};
+pub use trace::{EdgeChange, RepairScratch, SweepTrace, TreeView};

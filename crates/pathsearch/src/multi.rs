@@ -19,20 +19,21 @@
 //!   reducing the spanning-tree count from `|S|` to `min(|S|, |T|)`.
 //!
 //! Every tree of every policy is one sweep of the adopt-or-grow entry
-//! [`run_tree`], so each can be guided by ALT and served from a tree store,
-//! and every answer is read from the [`crate::TreeView`] it returns. Trees
+//! [`run_tree`], so each can be guided by ALT and served from a
+//! [`TreeCache`], and every answer is read from the [`crate::TreeView`] it
+//! returns. Trees
 //! grown for real run inside a caller-provided [`SearchArena`]
-//! ([`msmd_in`]): without a store, a server evaluating a query stream
+//! ([`msmd_in`]): without a cache, a server evaluating a query stream
 //! touches no allocator beyond the result paths. A tree-cache hit is read
 //! straight from the stored trace and writes no arena slot; a miss also
 //! allocates the trace it stores.
 
 use crate::alt::{AltPreprocessing, GoalPotential};
 use crate::arena::SearchArena;
+use crate::cache::TreeCache;
 use crate::dijkstra::{Goal, run_tree};
 use crate::path::Path;
 use crate::stats::SearchStats;
-use crate::trace::TreeStore;
 use roadnet::{GraphView, NodeId};
 
 /// Evaluation strategy for an MSMD query.
@@ -175,46 +176,46 @@ pub fn msmd_in_guided<G: GraphView>(
     evaluate(arena, g, sources, targets, policy, pre, None)
 }
 
-/// [`msmd_in_guided`] with a shard-local tree store: the **adopt-or-grow**
-/// MSMD entry point. Before growing a spanning tree, the store is
-/// consulted for a recorded sweep from the same root; when the tree's goal
-/// is provably inside the recorded prefix (every goal node settled, or the
-/// sweep complete — see [`crate::trace`]) the Dijkstra sweep is skipped
-/// entirely: the paths are read from the cached labels and the counters
-/// are the *byte-identical* snapshot at the goal's stop. Otherwise the
-/// tree is grown for real, recorded, and re-stored — an unguided one
-/// recorded to twice the depth its goal needed, so a somewhat deeper goal
-/// from the same root adopts next time, while the counters returned are
-/// still those of the sweep stopping at its goal (the logical work, as for
-/// an adoption).
+/// [`msmd_in_guided`] with a shard-local [`TreeCache`]: the
+/// **adopt-or-grow** MSMD entry point. Before growing a spanning tree, the
+/// cache is consulted for a recorded sweep from the same root; when the
+/// tree's goal is provably inside the recorded prefix (every goal node
+/// settled, or the sweep complete — see [`crate::trace`]) the Dijkstra
+/// sweep is skipped entirely: the paths are read from the cached labels and
+/// the counters are the *byte-identical* snapshot at the goal's stop.
+/// Otherwise the tree is grown for real, recorded, and re-stored — an
+/// unguided one recorded to twice the depth its goal needed, so a somewhat
+/// deeper goal from the same root adopts next time, while the counters
+/// returned are still those of the sweep stopping at its goal (the logical
+/// work, as for an adoption).
 ///
 /// The answers and every counter are identical to [`msmd_in_guided`] under
-/// the same policy and `pre` — caching, like execution strategy, must
-/// never change a report byte. Only hit/miss counts (reported through
-/// [`TreeStore::note_hit`] / [`TreeStore::note_miss`]) reveal that a cache
-/// was present. Stored traces are stamped with the potential they ran
-/// under — landmarks and goal set — and only adopted on an exact match
-/// (see [`crate::dijkstra::run_tree`]), so guided and plain traces sharing
-/// a root never alias, nor do guided traces toward different goal sets.
+/// the same policy and `pre` — caching, like execution strategy, must never
+/// change a report byte. Only hit/miss counts ([`TreeCache::counters`])
+/// reveal that a cache was present. Stored traces are stamped with the
+/// potential they ran under — landmarks and goal set — and only adopted on
+/// an exact match (see [`crate::dijkstra::run_tree`]), so guided and plain
+/// traces sharing a root never alias, nor do guided traces toward different
+/// goal sets.
 ///
 /// # Panics
 /// Panics if `sources` or `targets` is empty or contains an out-of-range
 /// node — an obfuscated query always carries at least the true endpoints.
-pub fn msmd_in_guided_cached<G: GraphView, S: TreeStore>(
+pub fn msmd_in_guided_cached<G: GraphView>(
     arena: &mut SearchArena,
     g: &G,
     sources: &[NodeId],
     targets: &[NodeId],
     policy: SharingPolicy,
     pre: Option<&AltPreprocessing>,
-    store: &mut S,
+    cache: &mut TreeCache,
 ) -> MsmdResult {
-    evaluate(arena, g, sources, targets, policy, pre, Some(store))
+    evaluate(arena, g, sources, targets, policy, pre, Some(cache))
 }
 
 /// The one MSMD evaluator behind every public arity: validate once, pick
 /// the policy's loop once, and let each tree go through
-/// [`run_tree`] with whatever potential and store the caller supplied.
+/// [`run_tree`] with whatever potential and cache the caller supplied.
 fn evaluate<G: GraphView>(
     arena: &mut SearchArena,
     g: &G,
@@ -222,7 +223,7 @@ fn evaluate<G: GraphView>(
     targets: &[NodeId],
     policy: SharingPolicy,
     pre: Option<&AltPreprocessing>,
-    store: Option<&mut dyn TreeStore>,
+    cache: Option<&mut TreeCache>,
 ) -> MsmdResult {
     assert!(!sources.is_empty() && !targets.is_empty(), "S and T must be non-empty");
     let n = g.num_nodes();
@@ -231,18 +232,18 @@ fn evaluate<G: GraphView>(
     }
 
     match policy {
-        SharingPolicy::None => naive(arena, g, sources, targets, pre, store),
+        SharingPolicy::None => naive(arena, g, sources, targets, pre, cache),
         // Transposed trees really grow from the targets, but the sweep
         // itself is an ordinary forward sweep (the view is symmetric), so
         // they share cache entries with source-rooted trees at the same
         // node.
         SharingPolicy::Auto if targets.len() < sources.len() && g.is_symmetric() => transpose(
-            per_source(arena, g, targets, sources, pre, store),
+            per_source(arena, g, targets, sources, pre, cache),
             sources.len(),
             targets.len(),
         ),
         SharingPolicy::PerSource | SharingPolicy::Auto => {
-            per_source(arena, g, sources, targets, pre, store)
+            per_source(arena, g, sources, targets, pre, cache)
         }
     }
 }
@@ -257,7 +258,7 @@ fn naive<G: GraphView>(
     sources: &[NodeId],
     targets: &[NodeId],
     pre: Option<&AltPreprocessing>,
-    mut store: Option<&mut dyn TreeStore>,
+    mut cache: Option<&mut TreeCache>,
 ) -> MsmdResult {
     let pots: Option<Vec<GoalPotential<'_>>> =
         pre.map(|p| targets.iter().map(|t| p.goal_potential(std::slice::from_ref(t))).collect());
@@ -268,7 +269,7 @@ fn naive<G: GraphView>(
         let mut row = Vec::with_capacity(targets.len());
         for (j, &t) in targets.iter().enumerate() {
             let pot = pots.as_ref().map(|p| &p[j]);
-            let (run, view) = run_tree(arena, g, s, &Goal::Single(t), pot, store.as_deref_mut());
+            let (run, view) = run_tree(arena, g, s, &Goal::Single(t), pot, cache.as_deref_mut());
             row.push(view.path_to(t));
             stats.merge(run);
             per_tree.push(TreeStats { root: s, side: TreeSide::Source, stats: run });
@@ -288,7 +289,7 @@ fn per_source<G: GraphView>(
     sources: &[NodeId],
     targets: &[NodeId],
     pre: Option<&AltPreprocessing>,
-    mut store: Option<&mut dyn TreeStore>,
+    mut cache: Option<&mut TreeCache>,
 ) -> MsmdResult {
     let pot = pre.map(|p| p.goal_potential(targets));
     let mut stats = SearchStats::default();
@@ -296,7 +297,7 @@ fn per_source<G: GraphView>(
     let goal = Goal::Set(targets.to_vec());
     let mut paths = Vec::with_capacity(sources.len());
     for &s in sources {
-        let (run, view) = run_tree(arena, g, s, &goal, pot.as_ref(), store.as_deref_mut());
+        let (run, view) = run_tree(arena, g, s, &goal, pot.as_ref(), cache.as_deref_mut());
         paths.push(targets.iter().map(|&t| view.path_to(t)).collect());
         stats.merge(run);
         per_tree.push(TreeStats { root: s, side: TreeSide::Source, stats: run });
@@ -329,7 +330,7 @@ fn transpose(r: MsmdResult, num_sources: usize, num_targets: usize) -> MsmdResul
 #[allow(clippy::needless_range_loop)] // (i, j) index the result matrix and both sets in lockstep
 mod tests {
     use super::*;
-    use crate::trace::tests::MapStore;
+    use crate::cache::tests::unbounded;
     use roadnet::generators::{GridConfig, NetworkClass, grid_network};
 
     fn net() -> roadnet::RoadNetwork {
@@ -550,12 +551,12 @@ mod tests {
         for pre in [None, Some(&alt)] {
             for policy in SharingPolicy::ALL {
                 let tag = format!("{} guided={}", policy.name(), pre.is_some());
-                let mut store = MapStore::default();
+                let mut cache = unbounded();
                 // Round 1: cold cache — everything misses but must still
                 // match the uncached engine exactly, stats included.
                 // Rounds 2..: warm cache — hits replay the same bytes.
                 for (round, t) in [&t, &t, &t, &deeper].into_iter().enumerate() {
-                    let hits_before = store.hits;
+                    let hits_before = cache.counters().0;
                     let reference = msmd_in_guided(&mut plain_arena, &g, &s, t, policy, pre);
                     let cached = msmd_in_guided_cached(
                         &mut cached_arena,
@@ -564,7 +565,7 @@ mod tests {
                         t,
                         policy,
                         pre,
-                        &mut store,
+                        &mut cache,
                     );
                     assert_eq!(cached.stats, reference.stats, "{tag} round {round}");
                     assert_eq!(
@@ -586,16 +587,20 @@ mod tests {
                     // The plain per-source misses of round 1 recorded past
                     // their goal sets, so the deeper round adopts every tree.
                     if round == 3 && pre.is_none() && policy != SharingPolicy::None {
-                        assert_eq!(store.hits - hits_before, s.len() as u64, "{tag} round {round}");
+                        assert_eq!(
+                            cache.counters().0 - hits_before,
+                            s.len() as u64,
+                            "{tag} round {round}"
+                        );
                     }
                 }
                 // Guided `None` carries one potential per (root, target)
-                // pair, so a single-slot-per-root store may churn between
+                // pair, so a single-slot-per-root cache may churn between
                 // them and warm rounds are not guaranteed to hit.
                 if pre.is_none() || policy != SharingPolicy::None {
-                    assert!(store.hits > 0, "{tag}: warm rounds must hit");
+                    assert!(cache.counters().0 > 0, "{tag}: warm rounds must hit");
                 }
-                assert!(store.misses > 0, "{tag}: the cold round must miss");
+                assert!(cache.counters().1 > 0, "{tag}: the cold round must miss");
             }
         }
     }
@@ -609,7 +614,7 @@ mod tests {
         let sources: Vec<NodeId> = (0..5).map(|i| NodeId(i * 40)).collect();
         let targets = vec![NodeId(255), NodeId(17)];
         let mut arena = SearchArena::new();
-        let mut store = MapStore::default();
+        let mut cache = unbounded();
         let auto = msmd_in_guided_cached(
             &mut arena,
             &g,
@@ -617,10 +622,10 @@ mod tests {
             &targets,
             SharingPolicy::Auto,
             None,
-            &mut store,
+            &mut cache,
         );
         assert_eq!(auto.per_tree.len(), 2);
-        assert_eq!(store.misses, 2);
+        assert_eq!(cache.counters().1, 2);
 
         // Same roots, now as sources of a PerSource query with nearby
         // goals: both trees adopt (the transposed sweeps covered the whole
@@ -633,9 +638,9 @@ mod tests {
             &[NodeId(0), NodeId(80)],
             SharingPolicy::PerSource,
             None,
-            &mut store,
+            &mut cache,
         );
-        assert_eq!(store.hits, 2, "transposed trees are reusable as forward trees");
+        assert_eq!(cache.counters().0, 2, "transposed trees are reusable as forward trees");
         assert_eq!(cached.stats, reference.stats);
         for i in 0..2 {
             for j in 0..2 {
@@ -657,7 +662,7 @@ mod tests {
         let g = b.build().unwrap();
         let s = [NodeId(0), NodeId(4)];
         let t = [NodeId(2), NodeId(5)];
-        let mut store = MapStore::default();
+        let mut cache = unbounded();
         let mut arena = SearchArena::new();
         for round in 0..2 {
             let reference = msmd(&g, &s, &t, SharingPolicy::PerSource);
@@ -668,7 +673,7 @@ mod tests {
                 &t,
                 SharingPolicy::PerSource,
                 None,
-                &mut store,
+                &mut cache,
             );
             assert_eq!(cached.stats, reference.stats, "round {round}");
             for i in 0..2 {
@@ -679,7 +684,7 @@ mod tests {
         }
         // Unreachable targets force complete sweeps, which are adoptable:
         // the second round is all hits.
-        assert_eq!((store.hits, store.misses), (2, 2));
+        assert_eq!(cache.counters(), (2, 2));
     }
 
     #[test]
@@ -723,12 +728,11 @@ mod tests {
         let mut arena = SearchArena::new();
         let mut cached_arena = SearchArena::new();
         for policy in SharingPolicy::ALL {
-            let mut store = MapStore::default();
-            // Seed the store with PLAIN traces for the same roots: the
+            let mut cache = unbounded();
+            // Seed the cache with PLAIN traces for the same roots: the
             // guided runner must refuse them all (potential mismatch).
-            let _ = msmd_in_guided_cached(&mut cached_arena, &g, &s, &t, policy, None, &mut store);
-            let plain_misses = store.misses;
-            store.hits = 0;
+            let _ = msmd_in_guided_cached(&mut cached_arena, &g, &s, &t, policy, None, &mut cache);
+            let (plain_hits, plain_misses) = cache.counters();
             for round in 0..2 {
                 let reference = msmd_in_guided(&mut arena, &g, &s, &t, policy, Some(&pre));
                 let cached = msmd_in_guided_cached(
@@ -738,7 +742,7 @@ mod tests {
                     &t,
                     policy,
                     Some(&pre),
-                    &mut store,
+                    &mut cache,
                 );
                 assert_eq!(cached.stats, reference.stats, "{} round {round}", policy.name());
                 for (a, b) in cached.per_tree.iter().zip(&reference.per_tree) {
@@ -751,21 +755,29 @@ mod tests {
                 }
                 if round == 0 {
                     assert_eq!(
-                        store.hits,
-                        0,
+                        cache.counters().0,
+                        plain_hits,
                         "{}: plain traces must never serve guided sweeps",
                         policy.name()
                     );
                 }
             }
             // Under None each (root, target) pair carries its own potential
-            // params, so a single-slot-per-root store may churn between them
+            // params, so a single-slot-per-root cache may churn between them
             // and a second round is not guaranteed to hit; set-potential
             // policies share one params value per batch and must hit.
             if policy != SharingPolicy::None {
-                assert!(store.hits > 0, "{}: guided round 2 must hit guided traces", policy.name());
+                assert!(
+                    cache.counters().0 > plain_hits,
+                    "{}: guided round 2 must hit guided traces",
+                    policy.name()
+                );
             }
-            assert!(store.misses > plain_misses, "{}: guided round 1 must miss", policy.name());
+            assert!(
+                cache.counters().1 > plain_misses,
+                "{}: guided round 1 must miss",
+                policy.name()
+            );
         }
     }
 }

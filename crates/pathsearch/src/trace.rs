@@ -49,10 +49,11 @@
 //! exactly the trace a fresh sweep records on the reweighted map,
 //! recomputing only the labels that move.
 //!
-//! [`TreeStore`] is the minimal storage interface the adopt-or-grow entry
-//! point ([`crate::dijkstra::run_tree`]) drives; the capacity-bounded
-//! LRU over it lives in the service layer (`opaque::service::cache`),
-//! which also owns the `(map_epoch, root)` keying and invalidation story.
+//! The traces live in a [`crate::TreeCache`] ([`crate::cache`]), the
+//! capacity-bounded LRU the adopt-or-grow entry point
+//! ([`crate::dijkstra::run_tree`]) adopts from and stores into; it owns
+//! the `(map_epoch, root)` keying, the keep-the-deeper rule and the
+//! invalidation and repair story.
 
 use crate::alt::PotentialParams;
 use crate::arena::{NIL, SearchArena, ord_of};
@@ -756,91 +757,15 @@ impl TreeView<'_> {
     }
 }
 
-/// Storage interface the adopt-or-grow entry point
-/// ([`crate::dijkstra::run_tree`]) drives. One implementation lives in
-/// the service layer (`opaque::service::cache::TreeCache` — the
-/// capacity-bounded, epoch-keyed LRU); tests use ad-hoc map-backed
-/// stores.
-///
-/// Implementations are shard-local by design: the parallel service layer
-/// pins one store per worker thread next to its [`SearchArena`], so no
-/// locking is ever needed on the hot path.
-pub trait TreeStore {
-    /// Borrow the stored trace for `root`, if any. Counts as a use for
-    /// recency-based eviction.
-    fn lookup(&mut self, root: NodeId) -> Option<&SweepTrace>;
-
-    /// Borrow the stored trace for `root` without counting a use — how a
-    /// hit, already counted by its [`TreeStore::lookup`], is read after
-    /// [`TreeStore::note_hit`].
-    fn peek(&self, root: NodeId) -> Option<&SweepTrace>;
-
-    /// Store `trace` for `root`, replacing any previous entry. Between
-    /// two traces under the same [`SweepTrace::potential`] stores should
-    /// keep the *deeper* — such sweeps are prefixes of each other, so the
-    /// longer one answers strictly more goals. Depth says nothing across
-    /// potentials: there the newer trace should win, or the goal set that
-    /// just missed would miss again on every repeat.
-    fn store(&mut self, root: NodeId, trace: SweepTrace);
-
-    /// A lookup whose trace satisfied the goal (the sweep was skipped).
-    fn note_hit(&mut self);
-
-    /// A tree that had to be grown for real (no entry, or the goal lay
-    /// beyond the recorded prefix).
-    fn note_miss(&mut self);
-}
-
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::alt::{AltPreprocessing, GoalPotential};
+    use crate::cache::tests::unbounded;
     use crate::dijkstra::{run_in, run_in_traced, run_tree};
     use proptest::prelude::*;
     use roadnet::generators::{GridConfig, NetworkClass, grid_network};
     use roadnet::{GraphBuilder, Point, RoadNetwork};
-
-    /// Unbounded map-backed [`TreeStore`] for the crate's cache tests,
-    /// keeping the deeper of two traces under one potential like
-    /// `TreeCache` does.
-    #[derive(Default)]
-    pub(crate) struct MapStore {
-        pub(crate) map: std::collections::HashMap<u32, SweepTrace>,
-        pub(crate) hits: u64,
-        pub(crate) misses: u64,
-    }
-
-    impl TreeStore for MapStore {
-        fn lookup(&mut self, root: NodeId) -> Option<&SweepTrace> {
-            self.map.get(&root.0)
-        }
-
-        fn peek(&self, root: NodeId) -> Option<&SweepTrace> {
-            self.map.get(&root.0)
-        }
-
-        fn store(&mut self, root: NodeId, trace: SweepTrace) {
-            match self.map.entry(root.0) {
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    // Depth only orders sweeps under one potential.
-                    if trace.potential() != o.get().potential() || trace.len() >= o.get().len() {
-                        o.insert(trace);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(trace);
-                }
-            }
-        }
-
-        fn note_hit(&mut self) {
-            self.hits += 1;
-        }
-
-        fn note_miss(&mut self) {
-            self.misses += 1;
-        }
-    }
 
     fn grid() -> roadnet::RoadNetwork {
         grid_network(&GridConfig { width: 12, height: 12, seed: 9, ..Default::default() }).unwrap()
@@ -1012,11 +937,11 @@ pub(crate) mod tests {
         goal: &Goal,
         targets: &[NodeId],
     ) -> (SearchStats, Vec<Option<Path>>, SweepTrace) {
-        let (mut arena, mut store) = (SearchArena::new(), MapStore::default());
-        let (stats, view) = run_tree(&mut arena, g, root, goal, None, Some(&mut store));
+        let (mut arena, mut cache) = (SearchArena::new(), unbounded());
+        let (stats, view) = run_tree(&mut arena, g, root, goal, None, Some(&mut cache));
         let paths = targets.iter().map(|&t| view.path_to(t)).collect();
-        assert_eq!((store.hits, store.misses), (0, 1));
-        let trace = store.map.remove(&root.0).expect("a miss stores its sweep");
+        assert_eq!(cache.counters(), (0, 1));
+        let trace = cache.peek(root).expect("a miss stores its sweep").clone();
         (stats, paths, trace)
     }
 
@@ -1055,26 +980,26 @@ pub(crate) mod tests {
         let (_, full) = run_in_traced(&mut SearchArena::new(), &g, root, &Goal::AllNodes);
         let k = full.position(NodeId(30)).unwrap() + 1;
         assert!(2 * k < g.num_nodes(), "the first goal must leave room past 2k");
-        let (mut arena, mut store) = (SearchArena::new(), MapStore::default());
-        run_tree(&mut arena, &g, root, &Goal::Single(NodeId(30)), None, Some(&mut store));
+        let (mut arena, mut cache) = (SearchArena::new(), unbounded());
+        run_tree(&mut arena, &g, root, &Goal::Single(NodeId(30)), None, Some(&mut cache));
 
         // Goals settling past the first stop but inside 2k adopt the
         // deepened trace (a trace stopped at k would miss every one).
         for i in [k, 3 * k / 2, 2 * k - 1] {
             let t = NodeId(full.events[i].node);
             let goal = Goal::Set(vec![NodeId(30), t]);
-            let (stats, view) = run_tree(&mut arena, &g, root, &goal, None, Some(&mut store));
+            let (stats, view) = run_tree(&mut arena, &g, root, &goal, None, Some(&mut cache));
             let mut fresh = SearchArena::new();
             assert_eq!(stats, run_in(&mut fresh, &g, root, &goal), "goal settling at {i}");
             assert_eq!(view.path_to(t), fresh.path_to(t));
         }
-        assert_eq!((store.hits, store.misses), (3, 1));
+        assert_eq!(cache.counters(), (3, 1));
 
         // One settle past 2k misses, and that miss deepens the entry again.
         let goal = Goal::Single(NodeId(full.events[2 * k].node));
-        run_tree(&mut arena, &g, root, &goal, None, Some(&mut store));
-        assert_eq!((store.hits, store.misses), (3, 2));
-        assert_eq!(store.map[&root.0].len(), (2 * (2 * k + 1)).min(g.num_nodes()));
+        run_tree(&mut arena, &g, root, &goal, None, Some(&mut cache));
+        assert_eq!(cache.counters(), (3, 2));
+        assert_eq!(cache.peek(root).unwrap().len(), (2 * (2 * k + 1)).min(g.num_nodes()));
     }
 
     #[test]
@@ -1086,13 +1011,12 @@ pub(crate) mod tests {
             let pot = alt.goal_potential(&targets);
             for goal in [Goal::Single(targets[0]), Goal::Set(targets.clone())] {
                 let mut arena = SearchArena::new();
-                let mut store = MapStore::default();
+                let mut cache = unbounded();
                 let (stats, _) =
-                    run_tree(&mut arena, &g, root, &goal, Some(&pot), Some(&mut store));
-                let (uncached, _) =
-                    run_tree::<_, MapStore>(&mut arena, &g, root, &goal, Some(&pot), None);
+                    run_tree(&mut arena, &g, root, &goal, Some(&pot), Some(&mut cache));
+                let (uncached, _) = run_tree(&mut arena, &g, root, &goal, Some(&pot), None);
                 assert_eq!(stats, uncached, "{goal:?}");
-                let stored = &store.map[&root.0];
+                let stored = cache.peek(root).unwrap();
                 assert_eq!(stored.len() as u64, stats.settled, "{goal:?}: stops at its goal");
                 assert!(!stored.is_complete());
             }
@@ -1189,23 +1113,23 @@ pub(crate) mod tests {
         pot: Option<&GoalPotential<'_>>,
         tag: &str,
     ) {
-        let (mut arena, mut store) = (SearchArena::new(), MapStore::default());
-        run_tree(&mut arena, g, root, goal, pot, Some(&mut store));
+        let (mut arena, mut cache) = (SearchArena::new(), unbounded());
+        run_tree(&mut arena, g, root, goal, pot, Some(&mut cache));
         let other = NodeId((root.0 + 1) % g.num_nodes() as u32);
         run_in(&mut arena, g, other, &Goal::AllNodes);
         let before: Vec<_> = targets.iter().map(|&t| arena.path_to(t)).collect();
 
-        let (stats, view) = run_tree(&mut arena, g, root, goal, pot, Some(&mut store));
+        let (stats, view) = run_tree(&mut arena, g, root, goal, pot, Some(&mut cache));
         assert!(matches!(view, TreeView::Trace { .. }), "{tag}: the warm run hits");
         let read: Vec<_> = g.nodes().map(|t| bits(view.path_to(t))).collect();
-        assert_eq!((store.hits, store.misses), (1, 1), "{tag}");
+        assert_eq!(cache.counters(), (1, 1), "{tag}");
         let after: Vec<_> = targets.iter().map(|&t| arena.path_to(t)).collect();
         assert_eq!(before, after, "{tag}: a hit writes no arena slot");
 
         let mut fresh = SearchArena::new();
-        let (fresh_stats, _) = run_tree::<_, MapStore>(&mut fresh, g, root, goal, pot, None);
+        let (fresh_stats, _) = run_tree(&mut fresh, g, root, goal, pot, None);
         let mut replay = SearchArena::new();
-        let replay_stats = store.map[&root.0].adopt_into(&mut replay, goal);
+        let replay_stats = cache.peek(root).unwrap().adopt_into(&mut replay, goal);
         assert_eq!(stats, fresh_stats, "{tag}: counters");
         assert_eq!(Some(stats), replay_stats, "{tag}: counters");
         for &t in targets {
@@ -1370,16 +1294,16 @@ pub(crate) mod tests {
         assert!(!partial.is_complete());
         let alt = AltPreprocessing::try_build(&g, 4).unwrap();
         let pot = alt.goal_potential(&[NodeId(30)]);
-        let mut store = MapStore::default();
+        let mut cache = unbounded();
         run_tree(
             &mut SearchArena::new(),
             &g,
             NodeId(0),
             &Goal::AllNodes,
             Some(&pot),
-            Some(&mut store),
+            Some(&mut cache),
         );
-        let guided = store.map.remove(&0).unwrap();
+        let guided = cache.peek(NodeId(0)).unwrap().clone();
         assert!(guided.is_complete() && guided.potential().is_some());
 
         for (trace, tag) in [(partial, "incomplete"), (guided, "guided")] {

@@ -6,7 +6,7 @@
 //! around an epicenter (an incident, a stadium emptying) and decays —
 //! so the schedule this module generates congests a compact zone of the
 //! map rather than sprinkling random edges everywhere. The tree cache's
-//! weight-update path (`opaque::service::TreeCache::repair_edges`)
+//! weight-update path (`pathsearch::TreeCache::repair_edges`)
 //! exploits that locality twice: cached trees whose sweeps stay clear of
 //! the zone survive every tick untouched, and complete trees that cross it
 //! are repaired in place — only the few labels the surge moved are

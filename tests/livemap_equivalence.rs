@@ -233,7 +233,6 @@ fn a_touched_trace_is_repaired_and_delivers_the_detour_from_a_hit() {
 #[test]
 fn repaired_trees_are_adopted_after_a_churn_round() {
     use opaque::FakeSelection;
-    use pathsearch::TreeStore;
     use roadnet::generators::{GridConfig, grid_network};
     let map =
         grid_network(&GridConfig { width: 14, height: 14, seed: 3, ..Default::default() }).unwrap();

@@ -256,25 +256,6 @@ proptest! {
     }
 }
 
-/// Keeps the last sweep `run_tree` recorded and never offers one back, so
-/// every tree is grown for real and the test can read what it settled.
-#[derive(Default)]
-struct LastTrace(Option<pathsearch::SweepTrace>);
-
-impl pathsearch::TreeStore for LastTrace {
-    fn lookup(&mut self, _: NodeId) -> Option<&pathsearch::SweepTrace> {
-        None
-    }
-    fn peek(&self, _: NodeId) -> Option<&pathsearch::SweepTrace> {
-        None
-    }
-    fn store(&mut self, _: NodeId, trace: pathsearch::SweepTrace) {
-        self.0 = Some(trace);
-    }
-    fn note_hit(&mut self) {}
-    fn note_miss(&mut self) {}
-}
-
 /// Grow `root`'s tree toward `goals` under the live ALT potential and
 /// check it against plain Dijkstra: every settled node carries the plain
 /// label and parent chain, every goal reads the plain path (or `None`),
@@ -287,7 +268,9 @@ fn assert_guided_tree_is_plain(
     goals: &[NodeId],
     ctx: &str,
 ) -> pathsearch::SweepTrace {
-    use pathsearch::{AltPreprocessing, Goal, SearchArena, run_in, run_tree};
+    use pathsearch::{
+        AltPreprocessing, Goal, SearchArena, SharingPolicy, TreeCache, run_in, run_tree,
+    };
     let pre = AltPreprocessing::try_build(g, landmarks).unwrap();
     let goal = Goal::Set(goals.to_vec());
     let mut full = SearchArena::new();
@@ -295,10 +278,13 @@ fn assert_guided_tree_is_plain(
     let plain = run_in(&mut SearchArena::new(), g, root, &goal);
 
     let pot = pre.goal_potential(goals);
-    let (mut arena, mut store) = (SearchArena::new(), LastTrace::default());
-    let (guided, view) = run_tree(&mut arena, g, root, &goal, Some(&pot), Some(&mut store));
+    // A cold cache: the tree is grown for real, and recorded.
+    let mut cache = TreeCache::new(1, SharingPolicy::PerSource);
+    let mut arena = SearchArena::new();
+    let (guided, view) = run_tree(&mut arena, g, root, &goal, Some(&pot), Some(&mut cache));
     let paths: Vec<_> = g.nodes().map(|n| view.path_to(n)).collect();
-    let trace = store.0.expect("a grown tree is recorded");
+    assert_eq!(cache.counters(), (0, 1), "{ctx}: a cold cache misses");
+    let trace = cache.peek(root).expect("a grown tree is recorded").clone();
     assert_eq!(guided.settled as usize, trace.len(), "{ctx}");
     assert!(guided.settled <= plain.settled, "{ctx}: {} > {}", guided.settled, plain.settled);
     for n in trace.settled() {
