@@ -45,6 +45,7 @@ use rand::SeedableRng;
 use rand::rngs::StdRng;
 use roadnet::{NodeId, RoadNetwork, SpatialIndex};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// How a batch of requests is turned into obfuscated queries.
 ///
@@ -131,13 +132,13 @@ pub struct ObfuscatedBatch {
     pub rejected: Vec<Rejection>,
 }
 
-/// The trusted obfuscator. Owns its map copy, a spatial index over it, the
+/// The trusted obfuscator. Holds a snapshot of the public map (a built
+/// service's fleet reads the same one), a spatial index over it, the
 /// fake-selection strategy, optional plausibility weights, and its seed:
 /// the key of every independent draw, and the start of the running stream
-/// shared groups draw from (all obfuscation is reproducible given the
-/// seed).
+/// shared groups draw from (all obfuscation is reproducible given the seed).
 pub struct Obfuscator {
-    map: RoadNetwork,
+    map: Arc<RoadNetwork>,
     index: SpatialIndex,
     strategy: FakeSelection,
     weights: Option<Plausibility>,
@@ -146,8 +147,10 @@ pub struct Obfuscator {
 }
 
 impl Obfuscator {
-    /// Build an obfuscator over `map` with the given strategy and RNG seed.
-    pub fn new(map: RoadNetwork, strategy: FakeSelection, seed: u64) -> Self {
+    /// Build an obfuscator over `map` (owned, or a snapshot already shared
+    /// behind an [`Arc`]) with the given strategy and RNG seed.
+    pub fn new(map: impl Into<Arc<RoadNetwork>>, strategy: FakeSelection, seed: u64) -> Self {
+        let map = map.into();
         let index = SpatialIndex::build(&map);
         Obfuscator { map, index, strategy, weights: None, seed, rng: StdRng::seed_from_u64(seed) }
     }
@@ -170,32 +173,40 @@ impl Obfuscator {
         &self.map
     }
 
-    /// Apply live-traffic weight updates to the obfuscator's own map copy,
-    /// keeping it in lockstep with the serving side (result verification
-    /// re-walks returned paths against this map, so a drifted copy would
-    /// reject honest answers). Returns the edges whose weight actually
-    /// changed.
+    /// Apply live-traffic weight updates to the obfuscator's map;
+    /// copy-on-write, so other holders of a shared snapshot keep the old
+    /// weights. A built service never calls this: its obfuscator adopts the
+    /// fleet's reweighted snapshot ([`crate::OpaqueService::update_weights`]).
+    /// Returns the edges whose weight actually changed.
     ///
     /// The [`SpatialIndex`] is geometry-only and survives untouched; only
     /// [`FakeSelection::NetworkRing`]'s bands read the weights.
     ///
     /// # Errors
     /// Propagates [`roadnet::RoadNetError`] from
-    /// [`RoadNetwork::update_weights`]; the map is untouched on error.
+    /// [`RoadNetwork::update_weights`]; the weights are untouched on error.
     pub fn update_weights(
         &mut self,
         updates: &[(roadnet::EdgeId, f64)],
     ) -> std::result::Result<Vec<roadnet::EdgeId>, roadnet::RoadNetError> {
-        self.map.update_weights(updates)
+        Arc::make_mut(&mut self.map).update_weights(updates)
     }
 
-    /// Replace the obfuscator's map copy outright — the topology-change
-    /// counterpart of [`Obfuscator::update_weights`], mirroring the
-    /// serving side's `swap_map`. The spatial index is rebuilt and the
-    /// plausibility weights dropped — they describe the old map's node
-    /// ids — so [`FakeSelection::Weighted`] falls back to uniform until
-    /// [`Obfuscator::with_weights`] supplies weights for the new map.
-    pub fn swap_map(&mut self, map: RoadNetwork) {
+    /// Adopt a reweighted snapshot of the same map. A weight update moves
+    /// no geometry and renumbers no node, so the spatial index and the
+    /// plausibility weights stay.
+    pub(crate) fn adopt_reweighted(&mut self, map: Arc<RoadNetwork>) {
+        self.map = map;
+    }
+
+    /// Replace the obfuscator's map outright — the topology-change
+    /// counterpart of [`Obfuscator::update_weights`]. The spatial index is
+    /// rebuilt and the plausibility weights dropped — they describe the old
+    /// map's node ids — so [`FakeSelection::Weighted`] falls back to
+    /// uniform until [`Obfuscator::with_weights`] supplies weights for the
+    /// new map.
+    pub fn swap_map(&mut self, map: impl Into<Arc<RoadNetwork>>) {
+        let map = map.into();
         self.index = SpatialIndex::build(&map);
         self.map = map;
         self.weights = None;

@@ -78,8 +78,8 @@ impl ServerStats {
     }
 
     /// The counter growth since `baseline` — the per-batch view of a
-    /// cumulative counter set. Saturating per field, so a reset between
-    /// the two snapshots yields zeros rather than wrapping.
+    /// cumulative counter set. Saturating per field, so a baseline taken
+    /// after `self` yields zeros rather than wrapping.
     pub fn delta_since(&self, baseline: &ServerStats) -> ServerStats {
         ServerStats {
             obfuscated_queries: self.obfuscated_queries.saturating_sub(baseline.obfuscated_queries),
@@ -92,7 +92,6 @@ impl ServerStats {
             search: pathsearch::SearchStats {
                 settled: self.search.settled.saturating_sub(baseline.search.settled),
                 relaxed: self.search.relaxed.saturating_sub(baseline.search.relaxed),
-                runs: self.search.runs.saturating_sub(baseline.search.runs),
             },
         }
     }
@@ -112,6 +111,8 @@ pub struct DirectionsServer<G> {
     graph: G,
     policy: SharingPolicy,
     arena: SearchArena,
+    /// Load counters; the tree-cache pair stays 0 here and is read off
+    /// the cache in [`DirectionsServer::stats`].
     stats: ServerStats,
     /// The shard-local tree cache; it keys entries by its own map epoch,
     /// which [`DirectionsServer::swap_map`] bumps.
@@ -242,28 +243,13 @@ impl<G: GraphView> DirectionsServer<G> {
 }
 
 impl<G: GraphView> DirectionsServer<G> {
-    /// Cumulative counters since construction (or the last reset).
+    /// Cumulative counters since construction. The tree-cache hit/miss
+    /// pair is the attached cache's own lifetime count
+    /// ([`TreeCache::counters`]); `(0, 0)` without one.
     pub fn stats(&self) -> ServerStats {
-        self.stats
-    }
-
-    /// Zero the counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = ServerStats::default();
-    }
-
-    /// The attached cache's cumulative `(hits, misses)`; `(0, 0)` without
-    /// one, so the fold below is a no-op under [`CachePolicy::Off`].
-    fn cache_counters(&self) -> (u64, u64) {
-        self.cache.as_ref().map_or((0, 0), TreeCache::counters)
-    }
-
-    /// Fold the cache's hit/miss growth since `before` into the load
-    /// counters — the one place a query's adoptions are accounted.
-    fn account_cache_since(&mut self, (hits, misses): (u64, u64)) {
-        let (h, m) = self.cache_counters();
-        self.stats.tree_cache_hits += h - hits;
-        self.stats.tree_cache_misses += m - misses;
+        let (tree_cache_hits, tree_cache_misses) =
+            self.cache.as_ref().map_or((0, 0), TreeCache::counters);
+        ServerStats { tree_cache_hits, tree_cache_misses, ..self.stats }
     }
 
     /// Evaluate a *plain* path query — what an unprotected client would
@@ -271,11 +257,9 @@ impl<G: GraphView> DirectionsServer<G> {
     /// Returns the shortest path, or `None` when disconnected.
     pub fn process_plain(&mut self, q: &PathQuery) -> Option<Path> {
         let goal = Goal::Single(q.destination);
-        let before = self.cache_counters();
         let (run, view) =
             run_tree(&mut self.arena, &self.graph, q.source, &goal, None, self.cache.as_mut());
         let path = view.path_to(q.destination);
-        self.account_cache_since(before);
         self.stats.plain_queries += 1;
         self.stats.pairs_evaluated += 1;
         self.stats.trees_grown += 1;
@@ -292,14 +276,12 @@ impl<G: GraphView> DirectionsServer<G> {
     /// ([`DirectionsServer::with_heuristic`]). The full candidate matrix
     /// goes back to the obfuscator.
     pub fn process(&mut self, q: &ObfuscatedPathQuery) -> MsmdResult {
-        let before = self.cache_counters();
         let (arena, g, pre) = (&mut self.arena, &self.graph, self.heuristic.as_deref());
         let (s, t) = (q.sources(), q.targets());
         let result = match &mut self.cache {
             Some(cache) => msmd_in_guided_cached(arena, g, s, t, self.policy, pre, cache),
             None => msmd_in_guided(arena, g, s, t, self.policy, pre),
         };
-        self.account_cache_since(before);
         self.stats.obfuscated_queries += 1;
         self.stats.pairs_evaluated += q.num_pairs() as u64;
         self.stats.paths_returned += result.num_paths() as u64;
@@ -379,8 +361,6 @@ mod tests {
         assert_eq!(st.obfuscated_queries, 1);
         assert_eq!(st.pairs_evaluated, 3);
         assert!(st.search.settled > 0);
-        sv.reset_stats();
-        assert_eq!(sv.stats(), ServerStats::default());
     }
 
     #[test]
@@ -471,9 +451,6 @@ mod tests {
         recomposed.merge(&first);
         recomposed.merge(&second);
         assert_eq!(recomposed, after);
-        // A reset between snapshots saturates to zero instead of wrapping.
-        sv.reset_stats();
-        assert_eq!(sv.stats().delta_since(&after), ServerStats::default());
     }
 
     #[test]

@@ -153,9 +153,10 @@ impl<B: DirectionsBackend> ShardedBackend<B> {
 
 /// Live-map maintenance for the standard fleet shape — shards sharing one
 /// map through an `Arc` (what [`crate::ServiceBuilder`] assembles). Both
-/// entry points keep the one-map-per-fleet memory property: the map is
-/// cloned **once**, mutated, and the fresh `Arc` is distributed to every
-/// shard.
+/// entry points keep the one-map-per-fleet memory property: a weight
+/// update clones the map **once**, reweights it, and distributes the fresh
+/// `Arc` to every shard; a swap distributes the one `Arc` it is given.
+/// [`crate::OpaqueService`] hands its obfuscator the same snapshot.
 impl ShardedBackend<DirectionsServer<std::sync::Arc<roadnet::RoadNetwork>>> {
     /// Apply live-traffic weight updates fleet-wide. Each shard installs
     /// the reweighted map and repairs (or, for early-stopped sweeps,
@@ -195,8 +196,8 @@ impl ShardedBackend<DirectionsServer<std::sync::Arc<roadnet::RoadNetwork>>> {
     /// shard's cache bumps its epoch and drops every tree
     /// ([`DirectionsServer::swap_map`]); use
     /// [`ShardedBackend::update_weights`] for traffic.
-    pub fn swap_map(&mut self, map: roadnet::RoadNetwork) {
-        let shared = std::sync::Arc::new(map);
+    pub fn swap_map(&mut self, map: impl Into<std::sync::Arc<roadnet::RoadNetwork>>) {
+        let shared = map.into();
         for shard in &mut self.shards {
             shard.swap_map(std::sync::Arc::clone(&shared));
         }

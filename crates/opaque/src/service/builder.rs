@@ -262,12 +262,12 @@ impl ServiceBuilder {
     pub fn build(self) -> Result<OpaqueService<DefaultBackend>> {
         self.config.validate_execution_fits_fleet()?;
         let (config, map, weights) = self.into_validated_parts()?;
-        // One shared map for the whole shard fleet; the obfuscator keeps
-        // its own copy (it is a separate trust domain in Figure 5). Each
-        // shard gets its own arena with its single-tree slab pre-grown to
-        // the map: every sweep a shard runs, plain or obfuscated, under
+        // One map for the whole service: the map is public, so the
+        // obfuscator and every shard read this one immutable snapshot.
+        // Each shard gets its own arena with its single-tree slab pre-grown
+        // to the map: every sweep a shard runs, plain or obfuscated, under
         // every sharing policy, grows one tree at a time in it.
-        let shared = Arc::new(map.clone());
+        let shared = Arc::new(map);
         let nodes = shared.num_nodes();
         // One landmark table for the whole fleet, too: ALT preprocessing
         // is the expensive part (|landmarks| full sweeps), so shards share
@@ -295,16 +295,18 @@ impl ServiceBuilder {
                 ShardedBackend::with_partition(servers, partition)?
             }
         };
-        Self::assemble(config, map, weights, backend)
+        Self::assemble(config, shared, weights, backend)
     }
 
     /// Validate and assemble around a caller-supplied backend (paged
-    /// storage, custom shard fleets, test fakes). The map still seeds the
-    /// obfuscator; the backend is used as given and
-    /// [`ServiceConfig::shards`] / [`ServiceConfig::sharing`] are ignored.
+    /// storage, custom shard fleets, test fakes). The map becomes the
+    /// obfuscator's own, and verification checks answers against it: the
+    /// backend may serve a different view of the map, or a dishonest one.
+    /// The backend is used as given and [`ServiceConfig::shards`] /
+    /// [`ServiceConfig::sharing`] are ignored.
     pub fn build_with_backend<B: DirectionsBackend>(self, backend: B) -> Result<OpaqueService<B>> {
         let (config, map, weights) = self.into_validated_parts()?;
-        Self::assemble(config, map, weights, backend)
+        Self::assemble(config, Arc::new(map), weights, backend)
     }
 
     fn into_validated_parts(self) -> Result<(ServiceConfig, RoadNetwork, Option<Vec<f64>>)> {
@@ -328,7 +330,7 @@ impl ServiceBuilder {
 
     fn assemble<B: DirectionsBackend>(
         config: ServiceConfig,
-        map: RoadNetwork,
+        map: Arc<RoadNetwork>,
         weights: Option<Vec<f64>>,
         backend: B,
     ) -> Result<OpaqueService<B>> {

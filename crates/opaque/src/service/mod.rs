@@ -71,6 +71,7 @@ use crate::protocol::{RequestMsg, ResultMsg};
 use crate::query::{ClientId, ClientRequest};
 use roadnet::NodeId;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Everything a processed batch produced: delivered paths, one outcome per
 /// request of the processed batch (in request order, including requests
@@ -178,15 +179,6 @@ impl<B: DirectionsBackend> OpaqueService<B> {
     /// The configured obfuscation mode.
     pub fn mode(&self) -> ObfuscationMode {
         self.mode
-    }
-
-    /// Check the obfuscator's trust-domain map copy agrees edge-for-edge
-    /// with `serving` — the lockstep invariant behind result verification
-    /// (`verify_results` re-walks delivered paths against the obfuscator's
-    /// copy, so any drift would reject honest answers).
-    fn maps_in_lockstep(obfuscator: &Obfuscator, serving: &roadnet::RoadNetwork) -> bool {
-        obfuscator.map().num_nodes() == serving.num_nodes()
-            && obfuscator.map().edges() == serving.edges()
     }
 
     /// Number of requests waiting in the admission queue (both lanes plus
@@ -529,16 +521,18 @@ impl<B: DirectionsBackend> OpaqueService<B> {
 }
 
 /// Live-map maintenance for the standard deployment shape assembled by
-/// [`ServiceBuilder`] — a shard fleet sharing one map. The service owns
-/// *two* trust-domain map copies (the obfuscator's and the fleet's), and
-/// these entry points are the only place both move together; updating one
-/// side by hand would break the lockstep that `verify_results` depends on.
+/// [`ServiceBuilder`] — a shard fleet sharing one map. The obfuscator
+/// reads the same immutable `Arc<RoadNetwork>` snapshot as every shard:
+/// the map is public data, so the two sides share it without revealing
+/// anything, and result verification on this fleet checks delivered
+/// paths against the one snapshot the fleet searched.
 impl OpaqueService<DefaultBackend> {
-    /// Apply live-traffic weight updates to both trust domains: the shard
-    /// fleet (which repairs or evicts only the cached trees touching a
-    /// changed edge — [`ShardedBackend::update_weights`]) and the
-    /// obfuscator's own copy (so result verification keeps accepting
-    /// honest answers). Returns the edges whose weight actually changed.
+    /// Apply live-traffic weight updates. The fleet builds the reweighted
+    /// snapshot once and repairs or evicts only the cached trees touching
+    /// a changed edge ([`ShardedBackend::update_weights`]); the obfuscator
+    /// then adopts that same snapshot, keeping its spatial index and
+    /// plausibility weights (a weight update moves no geometry). Returns
+    /// the edges whose weight actually changed.
     ///
     /// This is the gateway entry point for the rush-hour regime: traffic
     /// ticks every few seconds must not re-cool the whole fleet cache the
@@ -547,33 +541,30 @@ impl OpaqueService<DefaultBackend> {
     ///
     /// # Errors
     /// Propagates [`roadnet::RoadNetError`] for an unknown edge id or
-    /// invalid weight; neither map is touched on error.
+    /// invalid weight; the map is not touched on error.
     pub fn update_weights(
         &mut self,
         updates: &[(roadnet::EdgeId, f64)],
     ) -> std::result::Result<Vec<roadnet::EdgeId>, roadnet::RoadNetError> {
         let changed = self.backend.update_weights(updates)?;
-        // Same topology, same validation rules: a batch the fleet accepted
-        // cannot fail on the obfuscator's identical copy.
-        let also = self.obfuscator.update_weights(updates)?;
-        debug_assert_eq!(changed, also);
-        // lint: allow(panic-path) — inside debug_assert!, compiled out
-        // of release builds, and shards() is non-empty by
-        // ServiceBuilder construction.
-        debug_assert!(Self::maps_in_lockstep(&self.obfuscator, self.backend.shards()[0].graph()));
+        if let Some(shard) = self.backend.shards().first() {
+            self.obfuscator.adopt_reweighted(Arc::clone(shard.graph()));
+        }
         Ok(changed)
     }
 
-    /// Replace the map in both trust domains — the topology-change path.
-    /// Every shard's tree cache bumps its epoch and drops every tree; the
-    /// obfuscator rebuilds its spatial index and drops its plausibility
-    /// weights (they describe the old map's node ids), so
+    /// Replace the map — the topology-change path. The new map is wrapped
+    /// once and shared by the obfuscator and every shard. Every shard's
+    /// tree cache bumps its epoch and drops every tree; the obfuscator
+    /// rebuilds its spatial index and drops its plausibility weights (they
+    /// describe the old map's node ids), so
     /// [`FakeSelection::Weighted`](crate::FakeSelection::Weighted) falls
     /// back to uniform fakes on the new map. Use
     /// [`OpaqueService::update_weights`] for traffic.
     pub fn swap_map(&mut self, map: roadnet::RoadNetwork) {
-        self.obfuscator.swap_map(map.clone());
-        self.backend.swap_map(map);
+        let shared = Arc::new(map);
+        self.obfuscator.swap_map(Arc::clone(&shared));
+        self.backend.swap_map(shared);
     }
 }
 

@@ -25,7 +25,7 @@ use roadnet::{GraphView, NodeId};
 /// throwaway arenas.
 ///
 /// Returns the shortest path (or `None` if disconnected) and combined
-/// counters for both directions (`runs == 2`, one per tree).
+/// counters for both directions.
 pub fn bidirectional<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>, SearchStats) {
     let n = g.num_nodes();
     assert!(s.index() < n && t.index() < n, "endpoint out of range");
@@ -36,7 +36,7 @@ pub fn bidirectional<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>
     );
     // Tree 0 grows forward from `s`, tree 1 backward from `t`.
     let mut trees = [SearchArena::new(), SearchArena::new()];
-    let mut stats = [SearchStats::one_run(); 2];
+    let mut stats = [SearchStats::default(); 2];
     for (arena, root) in trees.iter_mut().zip([s, t]) {
         arena.begin(n);
         arena.label(root, 0.0, None);
@@ -221,10 +221,9 @@ mod tests {
         // Settle order and the stopping rule, pinned case by case: one long
         // and one mid-range pair per network class, a trivial pair, and a
         // disconnected one (both trees exhaust). Each row is (settled,
-        // relaxed); runs is 2.
+        // relaxed).
         let counters = |g: &roadnet::RoadNetwork, s, t| {
             let (_, st) = bidirectional(g, NodeId(s), NodeId(t));
-            assert_eq!(st.runs, 2, "one run per tree");
             [st.settled, st.relaxed]
         };
         let pinned = [

@@ -13,28 +13,21 @@
 //! tree-cache trace had to carry a snapshot of it. Settle order — which the
 //! heap decides — is pinned by `settled` and `relaxed` alone.
 
-/// Counters describing one (or an aggregate of several) search runs.
+/// Counters describing one (or an aggregate of several) search runs; the
+/// run count is the owner's tree count (`MsmdResult::per_tree`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SearchStats {
     /// Nodes permanently labelled (popped with their final distance).
     pub settled: u64,
     /// Arc relaxations attempted.
     pub relaxed: u64,
-    /// Number of individual search runs aggregated into this value.
-    pub runs: u64,
 }
 
 impl SearchStats {
-    /// A zeroed counter describing a single run.
-    pub fn one_run() -> Self {
-        SearchStats { runs: 1, ..Default::default() }
-    }
-
     /// Accumulate another run's counters into this aggregate.
     pub fn merge(&mut self, other: SearchStats) {
         self.settled += other.settled;
         self.relaxed += other.relaxed;
-        self.runs += other.runs;
     }
 }
 
@@ -62,23 +55,21 @@ mod tests {
 
     #[test]
     fn merge_and_add_accumulate() {
-        let a = SearchStats { settled: 10, relaxed: 30, runs: 1 };
-        let b = SearchStats { settled: 5, relaxed: 12, runs: 1 };
+        let a = SearchStats { settled: 10, relaxed: 30 };
+        let b = SearchStats { settled: 5, relaxed: 12 };
         let c = a + b;
         assert_eq!(c.settled, 15);
         assert_eq!(c.relaxed, 42);
-        assert_eq!(c.runs, 2);
     }
 
     #[test]
     fn sum_over_iterator() {
         let parts = vec![
-            SearchStats { settled: 1, runs: 1, ..Default::default() },
-            SearchStats { settled: 2, runs: 1, ..Default::default() },
-            SearchStats { settled: 3, runs: 1, ..Default::default() },
+            SearchStats { settled: 1, ..Default::default() },
+            SearchStats { settled: 2, ..Default::default() },
+            SearchStats { settled: 3, ..Default::default() },
         ];
         let total: SearchStats = parts.into_iter().sum();
         assert_eq!(total.settled, 6);
-        assert_eq!(total.runs, 3);
     }
 }

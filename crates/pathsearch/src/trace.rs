@@ -524,9 +524,7 @@ impl SweepTrace {
     /// records one event.
     pub(crate) fn stats_for(&self, goal: &Goal) -> Option<SearchStats> {
         Some(match self.stop_for(goal)? {
-            Stop::At(i) => {
-                SearchStats { settled: i as u64 + 1, relaxed: self.events[i].relaxed, runs: 1 }
-            }
+            Stop::At(i) => SearchStats { settled: i as u64 + 1, relaxed: self.events[i].relaxed },
             Stop::Exhausted => self.final_stats,
         })
     }

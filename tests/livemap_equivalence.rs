@@ -14,10 +14,10 @@
 //! trace it does not repair (the stale tree a drop-all `swap_map` could
 //! never serve). Any divergence this harness could catch would be a real
 //! invalidation bug: a repair that differs from the fresh sweep, a touched
-//! trace surviving the edge-set scan unrepaired, a shard missing an
-//! update, or the obfuscator's trust-domain map falling out of lockstep
-//! with the fleet's (path verification re-walks delivered paths against
-//! the obfuscator's copy, so drift turns into rejections).
+//! trace surviving the edge-set scan unrepaired, or a shard missing an
+//! update. The obfuscator reads the fleet's own snapshot, so path
+//! verification checks delivered paths against the one immutable map the
+//! fleet searched.
 //!
 //! The first deterministic regression below pins the stale-adoption
 //! case on a ring where the weight update flips the shortest side: a

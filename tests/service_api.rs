@@ -5,13 +5,13 @@
 
 use opaque::{
     AdmissionPolicy, BatchPolicy, ClientId, ClientOutcome, ClientRequest, ClusteringConfig,
-    DirectionsServer, FakeSelection, ObfuscationMode, OpaqueError, PathQuery, Priority,
-    ProtectionSettings, RejectReason, ServiceBuilder, ServiceConfig, ServiceEvent, ShardedBackend,
-    SubmitOutcome,
+    DefaultBackend, DirectionsServer, FakeSelection, ObfuscationMode, OpaqueError, OpaqueService,
+    PartitionPolicy, PathQuery, Priority, ProtectionSettings, RejectReason, ServiceBuilder,
+    ServiceConfig, ServiceEvent, ShardedBackend, SubmitOutcome,
 };
 use pathsearch::SharingPolicy;
 use roadnet::generators::{GridConfig, grid_network};
-use roadnet::{NodeId, SpatialIndex};
+use roadnet::{EdgeId, NodeId, SpatialIndex};
 use workload::{ProtectionDistribution, QueryDistribution, WorkloadConfig, generate_requests};
 
 fn map() -> roadnet::RoadNetwork {
@@ -431,4 +431,58 @@ fn service_mode_is_used_unless_overridden() {
     let resp = svc.process_batch_with_mode(&requests, ObfuscationMode::Independent).expect("ok");
     assert_eq!(resp.report.mode, ObfuscationMode::Independent);
     assert_eq!(resp.report.num_units, requests.len());
+}
+
+#[test]
+fn a_built_service_holds_one_map_shared_by_obfuscator_and_fleet() {
+    // Every shard of a built fleet and the obfuscator read one snapshot:
+    // after build, after a weight update, and after a map swap.
+    fn assert_one_map(svc: &OpaqueService<DefaultBackend>, when: &str) {
+        let obfuscator_map = svc.obfuscator().map();
+        for (i, shard) in svc.backend().shards().iter().enumerate() {
+            assert!(std::ptr::eq(obfuscator_map, &**shard.graph()), "{when}: shard {i}");
+        }
+    }
+    let reqs: Vec<ClientRequest> = (0..4).map(request).collect();
+    let mut svc = ServiceBuilder::new()
+        .map(map())
+        .shards(3)
+        .partition_policy(PartitionPolicy::RegionOwned { halo: 1 })
+        .verify_results(true)
+        .build()
+        .unwrap();
+    assert_one_map(&svc, "after build");
+
+    assert_eq!(svc.update_weights(&[(EdgeId(0), 50.0)]).unwrap(), vec![EdgeId(0)]);
+    assert_one_map(&svc, "after update_weights");
+    assert_eq!(svc.obfuscator().map().edge(EdgeId(0)).weight, 50.0);
+    let resp = svc.process_batch(&reqs).unwrap();
+    assert!(resp.outcomes.iter().all(|(_, o)| *o == ClientOutcome::Delivered), "{resp:?}");
+
+    svc.swap_map(map());
+    assert_one_map(&svc, "after swap_map");
+    assert_ne!(svc.obfuscator().map().edge(EdgeId(0)).weight, 50.0);
+    let resp = svc.process_batch(&reqs).unwrap();
+    assert!(resp.outcomes.iter().all(|(_, o)| *o == ClientOutcome::Delivered), "{resp:?}");
+
+    // A custom backend may serve another view of the map: the obfuscator
+    // keeps the builder's map and verifies answers against it. A server
+    // on doubled weights returns paths whose costs that map refutes.
+    let mut doubled = map();
+    let updates: Vec<(EdgeId, f64)> = doubled
+        .edges()
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (EdgeId(i as u32), 2.0 * e.weight))
+        .collect();
+    doubled.update_weights(&updates).unwrap();
+    let custom = |server: DirectionsServer<roadnet::RoadNetwork>| {
+        ServiceBuilder::new().map(map()).verify_results(true).build_with_backend(server).unwrap()
+    };
+    let mut honest = custom(DirectionsServer::new(map(), SharingPolicy::PerSource));
+    assert!(!std::ptr::eq(honest.obfuscator().map(), honest.backend().graph()));
+    let resp = honest.process_batch(&reqs).unwrap();
+    assert!(resp.outcomes.iter().all(|(_, o)| *o == ClientOutcome::Delivered), "{resp:?}");
+    let mut other_view = custom(DirectionsServer::new(doubled, SharingPolicy::PerSource));
+    assert!(matches!(other_view.process_batch(&reqs), Err(OpaqueError::CorruptResult { .. })));
 }
