@@ -7,9 +7,12 @@
 //! LRU) that the adopt-or-grow entry point [`crate::run_tree`] consults
 //! once per tree: a root with a cached tree deep enough for its goal skips
 //! the sweep, and its paths are read straight from the trace
-//! ([`crate::TreeView`]). An entry costs 32 B per settled node. A plain
-//! miss stores its sweep recorded to twice the depth its goal needed (or
-//! to exhaustion), so the next goal up to twice as deep adopts.
+//! ([`crate::TreeView`]). An entry costs at most 32 B per settled node:
+//! 24 B per event, plus its settled-set index — 4 B per map node for a
+//! complete trace that settled at least half the map (28 B per settle
+//! when it spans the map), 8 B per settle otherwise. A plain miss stores
+//! its sweep recorded to twice the depth its goal needed (or to
+//! exhaustion), so the next goal up to twice as deep adopts.
 //!
 //! Entries are keyed by `(map_epoch, root)`:
 //!
@@ -19,8 +22,9 @@
 //!   and go through [`TreeCache::repair_edges`]: traces whose sweep stayed
 //!   clear of every updated edge stay as they are, touched complete plain
 //!   ones are rewritten into the trace a fresh sweep records on the new
-//!   map ([`SweepTrace::repair`]), and only the other touched ones are
-//!   evicted;
+//!   map ([`SweepTrace::repair`], at the cost of the labels that move and
+//!   the stretch of settle order they cross), and only the other touched
+//!   ones are evicted;
 //! * **root** — the node the sweep grew from. Every
 //!   [`crate::SharingPolicy`] grows the same single-tree sweeps, so
 //!   entries are shared across policies; the potential a sweep ran under

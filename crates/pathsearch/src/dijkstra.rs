@@ -25,7 +25,7 @@ use crate::arena::{NIL, SearchArena};
 use crate::cache::TreeCache;
 use crate::path::Path;
 use crate::stats::SearchStats;
-use crate::trace::{SettleEvent, SweepTrace, TreeView};
+use crate::trace::{SettleEvent, SweepTrace, TreeView, settle_key};
 use roadnet::{GraphView, NodeId};
 
 /// Search termination condition.
@@ -100,6 +100,9 @@ struct Recorder {
     /// [`SearchArena::take_settle_index`]): how a settle finds its parent's
     /// event, and how [`SweepTrace`] indexes the settled set unsorted.
     index: Vec<u32>,
+    /// Whether every event so far came strictly after the one before in
+    /// settle-key order — checked here, as each event is written.
+    ordered: bool,
     exhausted: bool,
     /// Whether to record past the goal ([`DEEPEN_FACTOR`]) instead of
     /// stopping there — set for the plain sweeps of a cache miss.
@@ -116,6 +119,7 @@ impl Recorder {
         Recorder {
             events: Vec::with_capacity(nodes),
             index,
+            ordered: true,
             exhausted: false,
             deepen,
             budget: usize::MAX,
@@ -146,12 +150,14 @@ impl SettleSink for Recorder {
             p => self.index[p as usize],
         };
         self.index[node.index()] = self.events.len() as u32;
-        self.events.push(SettleEvent {
+        let event = SettleEvent {
             node: node.0,
             parent,
             dist: arena.dist_raw(node),
             relaxed: stats.relaxed,
-        });
+        };
+        self.ordered &= self.events.last().is_none_or(|last| settle_key(last) < settle_key(&event));
+        self.events.push(event);
     }
 
     #[inline]
@@ -314,8 +320,15 @@ fn grow_traced<G: GraphView>(
     let mut rec = Recorder::new(n, arena.take_settle_index(n), deepen);
     let end = grow(arena, g, root, goal, pot, &mut rec);
     let potential = pot.map(|p| p.params().clone());
-    let trace =
-        SweepTrace::from_parts(root, n, rec.events, &rec.index, end, rec.exhausted, potential);
+    let trace = SweepTrace::from_parts(
+        root,
+        rec.events,
+        rec.ordered,
+        &rec.index[..n],
+        end,
+        rec.exhausted,
+        potential,
+    );
     arena.put_settle_index(rec.index);
     let stats = trace.stats_for(goal).expect("a recorded sweep answers its own goal");
     (stats, trace)
