@@ -1,12 +1,15 @@
-//! An allocation budget for the per-request accounting and encoding
-//! paths: counts, not timings, so it reads the same on every host.
+//! An allocation budget for the per-request accounting, encoding and
+//! decoding paths: counts, not timings, so it reads the same on every
+//! host.
 //!
 //! The JSON writer streams a message's events into its output; it builds
 //! no `serde::Value` tree and formats no intermediate `String`. Over a
 //! counting output (`wire_size`) or a buffer that already has room
-//! (`Connection::queue_reply`) that means **zero** allocations — so a
-//! tree, a `format!` or a clone-to-count coming back fails here by name,
-//! long before it shows as a few microseconds on the benchmark.
+//! (`Connection::queue_reply`) that means **zero** allocations. The
+//! parser hands a decoded type the same events, keys borrowed from the
+//! text, so a decode allocates only what the message owns. A tree, a
+//! `format!` or a clone-to-count coming back fails here by name, long
+//! before it shows as a few microseconds on the benchmark.
 //!
 //! This file is its own test binary because it installs a counting
 //! `#[global_allocator]`; no other test pays for it. The counter is per
@@ -16,9 +19,11 @@
 use opaque::{
     AdmissionPolicy, BatchPolicy, CandidateResultsMsg, ClientId, ClientRequest, FakeSelection,
     HopTraffic, ObfuscatedPathQuery, ObfuscatedQueryMsg, Obfuscator, OpaqueService, PathQuery,
-    ProtectionSettings, RequestMsg, ResultMsg, ServiceBuilder, ServiceEvent, Ticket, wire_size,
+    Priority, ProtectionSettings, RequestMsg, ResultMsg, ServiceBuilder, ServiceEvent, Ticket,
+    wire_size,
 };
-use opaque_net::{Connection, DEFAULT_MAX_FRAME, WireReply};
+use opaque_net::wire::{decode_message, encode_message};
+use opaque_net::{Connection, DEFAULT_MAX_FRAME, WireReply, WireRequest};
 use pathsearch::Path;
 use roadnet::NodeId;
 use roadnet::generators::{GridConfig, grid_network};
@@ -171,6 +176,41 @@ fn queue_reply_into_a_warm_outbound_buffer_allocates_nothing() {
     queued.unwrap();
     assert_eq!(n, 0, "a reply is serialised in place behind its header");
     assert!(conn.pending_out() > 0);
+}
+
+#[test]
+fn decoding_allocates_only_what_the_message_owns() {
+    // A request owns nothing on the heap. This measured 14 allocations
+    // while decoding built a `Value` tree first (every key a `String`,
+    // every object and array a `Vec`).
+    let request = WireRequest { request: request_msg(), priority: Priority::Interactive };
+    let payload = encode_message(&request).unwrap();
+    decode_message::<WireRequest>(&payload).unwrap();
+    let (n, decoded) = allocations(|| decode_message::<WireRequest>(&payload));
+    assert_eq!(decoded.unwrap(), request);
+    assert_eq!(n, 0, "a warm request decode allocates nothing");
+
+    // A delivered path owns its node buffer, which grows as its elements
+    // arrive: 3 allocations for 11 nodes (capacity 4, 8, 16), where the
+    // tree made 18.
+    let nodes: Vec<u32> = (0..11).map(|i| i * 10 + 3).collect();
+    let reply = WireReply::Result {
+        ticket: Ticket(5),
+        result: ResultMsg { client: ClientId(7), path: path(&nodes, 10.5) },
+        waited: 0.25,
+    };
+    let payload = encode_message(&reply).unwrap();
+    decode_message::<WireReply>(&payload).unwrap();
+    let (n, decoded) = allocations(|| decode_message::<WireReply>(&payload));
+    assert_eq!(decoded.unwrap(), reply);
+    let (growth, _) = allocations(|| {
+        let mut buffer = Vec::new();
+        for &node in &nodes {
+            buffer.push(NodeId(node));
+        }
+        buffer
+    });
+    assert_eq!((n, growth), (3, 3), "a reply decode allocates its path's node buffer only");
 }
 
 /// The `wire_bare` deployment of the benchmark, in process: 10×10 grid,

@@ -10,7 +10,10 @@
 //!    message (the borrowed views themselves are private to
 //!    `opaque::protocol`, whose unit tests pin their bytes);
 //! 4. `decode_message(encode_message(m)) == m` wherever every float is
-//!    finite (JSON has no NaN or infinity: they print as `null`).
+//!    finite (JSON has no NaN or infinity: they print as `null`);
+//! 5. the decode outcome table: `WireRequest` and every `WireReply`
+//!    variant, each edited the ways a peer may legally or hostilely write
+//!    it, decode to the value or the `Malformed` the table pins.
 //!
 //! Integers stay within 2^53, the range the stand-in's `f64` number model
 //! round-trips exactly (see `vendor/serde`).
@@ -21,11 +24,12 @@ use opaque::{
     RequestMsg, ResultMsg, Ticket, wire_size,
 };
 use opaque_net::wire::{decode_message, encode_message};
-use opaque_net::{WireReply, WireRequest};
+use opaque_net::{NetError, WireReply, WireRequest};
 use pathsearch::Path;
 use proptest::prelude::*;
 use roadnet::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::fmt::Debug;
 
 /// Checks 1, 2 and — when `finite` — 4 for one message.
 fn check<M: Serialize + Deserialize + PartialEq + std::fmt::Debug>(m: &M, finite: bool) {
@@ -235,4 +239,285 @@ proptest! {
     fn batch_reports_have_one_encoding((report, finite) in report()) {
         check(&report, finite);
     }
+}
+
+/// A message the decode table edits, by text substitution on its compact
+/// encoding.
+struct Sample<M> {
+    msg: M,
+    /// A field with a scalar value, named once in the encoding: the table
+    /// duplicates, escapes and drops it, and puts unknown fields and
+    /// nesting floods beside it.
+    key: &'static str,
+    /// How to set that value, when it is an integer.
+    int: Option<fn(&mut M, u64)>,
+    /// Whether that integer is a `u64` (else a `u32`).
+    wide: bool,
+    /// How to set the `waited` field, when there is one.
+    waited: Option<fn(&mut M, f64)>,
+    /// The reply's variant tag: its object must hold exactly one entry.
+    tag: Option<&'static str>,
+}
+
+/// One row of the table: what was done, the payload, and the outcome —
+/// `Some` the decoded value, `None` `NetError::Malformed`.
+type Row<M> = (String, Vec<u8>, Option<M>);
+
+/// `text` with the first `from` replaced by `to`; `from` must occur.
+fn edit(text: &str, from: &str, to: &str) -> String {
+    assert!(text.contains(from), "{from} not in {text}");
+    text.replacen(from, to, 1)
+}
+
+/// The `"key":value` entry of a scalar value in `text`.
+fn entry_of<'t>(text: &'t str, key: &str) -> &'t str {
+    let at = text.find(&format!("\"{key}\":")).unwrap();
+    let len = text[at..].find([',', '}']).unwrap();
+    &text[at..at + len]
+}
+
+/// Every object's entries in reverse order, all the way down.
+fn reversed(v: Value) -> Value {
+    match v {
+        Value::Object(entries) => {
+            Value::Object(entries.into_iter().rev().map(|(k, v)| (k, reversed(v))).collect())
+        }
+        Value::Array(items) => Value::Array(items.into_iter().map(reversed).collect()),
+        other => other,
+    }
+}
+
+/// The numbers the table writes into an integer and into a float field:
+/// the text, the integer it is (if any), and the float.
+const NUMBERS: [(&str, Option<u64>, f64); 7] = [
+    ("3.0", Some(3), 3.0),
+    ("1e2", Some(100), 100.0),
+    ("-0", Some(0), -0.0),
+    ("1.5", None, 1.5),
+    ("-3", None, -3.0),
+    ("4294967297", Some(4_294_967_297), 4_294_967_297.0),
+    ("1e300", None, 1e300),
+];
+
+fn rows<M: Serialize + Clone>(s: &Sample<M>) -> Vec<Row<M>> {
+    let text = String::from_utf8(encode_message(&s.msg).unwrap()).unwrap();
+    let same = || Some(s.msg.clone());
+    let with = |set: &dyn Fn(&mut M)| {
+        let mut m = s.msg.clone();
+        set(&mut m);
+        Some(m)
+    };
+    let mut rows: Vec<Row<M>> = Vec::new();
+    let mut row = |what: &str, input: String, expect: Option<M>| {
+        rows.push((what.to_string(), input.into_bytes(), expect));
+    };
+    row("as encoded", text.clone(), same());
+    let pretty = serde_json::to_string_pretty(&reversed(s.msg.to_value())).unwrap();
+    row("keys reordered, whitespace added", format!(" \n{pretty}\t\r\n"), same());
+
+    let key = format!("\"{}\":", s.key);
+    let entry = entry_of(&text, s.key);
+    let unknown = r#""unknown":{"deep":[null,true,-1.5e3,"\"\u0041"]},"#;
+    row("an unknown field", edit(&text, &key, &format!("{unknown}{key}")), same());
+    // An externally tagged enum is an object of exactly one entry.
+    let beside_tag = s.tag.is_none().then(same).flatten();
+    row("an unknown field at the top", format!("{{{unknown}{}", &text[1..]), beside_tag);
+    row("a duplicated key", edit(&text, entry, &format!("{entry},{entry}")), same());
+    row("a duplicate that is bad", edit(&text, entry, &format!("{entry},{key}null")), same());
+    row("a duplicate after a bad one", edit(&text, entry, &format!("{key}null,{entry}")), None);
+    let escape = |name: &str, at: usize| {
+        format!("\"{}\\u{:04x}{}\":", &name[..at], name.as_bytes()[at], &name[at + 1..])
+    };
+    row("an escaped key", edit(&text, &key, &escape(s.key, 2)), same());
+    if let Some(tag) = s.tag {
+        row("an escaped variant tag", edit(&text, &format!("\"{tag}\":"), &escape(tag, 1)), same());
+    }
+    let missing = [format!("{entry},"), format!(",{entry}")]
+        .into_iter()
+        .find(|e| text.contains(e.as_str()))
+        .map_or_else(|| edit(&text, entry, ""), |e| edit(&text, &e, ""));
+    row("a missing required field", missing, None);
+
+    for (number, int, float) in NUMBERS {
+        if let Some(set) = s.int {
+            let expect = int.filter(|&n| s.wide || n <= u64::from(u32::MAX));
+            let expect = expect.and_then(|n| with(&|m| set(m, n)));
+            row(
+                &format!("{} = {number}", s.key),
+                edit(&text, entry, &format!("{key}{number}")),
+                expect,
+            );
+        }
+        if let Some(set) = s.waited {
+            let input = edit(&text, entry_of(&text, "waited"), &format!("\"waited\":{number}"));
+            row(&format!("waited = {number}"), input, with(&|m| set(m, float)));
+        }
+    }
+    if let Some(set) = s.int {
+        let first_wins = edit(&text, entry, &format!("{key}12,{entry}"));
+        row("a duplicated integer: the first wins", first_wins, with(&|m| set(m, 12)));
+    }
+
+    row("trailing whitespace", format!("{text} \n\t"), same());
+    row("trailing data", format!("{text} x"), None);
+    row("a trailing comma", format!("{text},"), None);
+    row("a second value", format!("{text}{{}}"), None);
+
+    // Nesting: the cap counts every open array and object, so an unknown
+    // field may hold as many levels as the key's own depth leaves.
+    let before = &text[..text.find(&key).unwrap()];
+    let depth = before.matches(['{', '[']).count() - before.matches(['}', ']']).count();
+    let flood = |levels: usize| format!("\"flood\":{}{},", "[".repeat(levels), "]".repeat(levels));
+    let at_cap = 128 - depth;
+    row("nesting at 128 levels", edit(&text, &key, &format!("{}{key}", flood(at_cap))), same());
+    row("nesting past 128 levels", edit(&text, &key, &format!("{}{key}", flood(at_cap + 1))), None);
+    let flood_value = format!("{key}{}{}", "[".repeat(200), "]".repeat(200));
+    row("a nested flood as the value", edit(&text, entry, &flood_value), None);
+
+    // Cuts inside `é` leave a payload that is not UTF-8.
+    for cut in 0..text.len() {
+        rows.push((format!("truncated at byte {cut}"), text.as_bytes()[..cut].to_vec(), None));
+    }
+    rows
+}
+
+/// Decode every row and compare with its pinned outcome; values compare
+/// by `Debug`, so `-0.0` and `0.0` differ. Returns the number of rows.
+fn check_rows<M: Serialize + Deserialize + Clone + Debug>(sample: &Sample<M>) -> usize {
+    let rows = rows(sample);
+    for (what, input, expect) in &rows {
+        let input_text = String::from_utf8_lossy(input);
+        match (decode_message::<M>(input), expect) {
+            (Ok(got), Some(expect)) => {
+                assert_eq!(format!("{got:?}"), format!("{expect:?}"), "{what}: {input_text}")
+            }
+            (Err(NetError::Malformed { .. }), None) => {}
+            (got, expect) => {
+                panic!("{what}: {input_text}\n  got {got:?}\n  expected {expect:?}")
+            }
+        }
+    }
+    rows.len()
+}
+
+#[test]
+fn decode_outcome_table() {
+    let request = RequestMsg {
+        client: ClientId(7),
+        query: PathQuery::new(NodeId(1), NodeId(2)),
+        protection: ProtectionSettings::new(3, 3).unwrap(),
+    };
+    let mut n = check_rows(&Sample {
+        msg: WireRequest { request, priority: Priority::Bulk },
+        key: "client",
+        wide: false,
+        int: Some(|m, n| m.request.client = ClientId(n as u32)),
+        waited: None,
+        tag: None,
+    });
+
+    fn ticket(m: &mut WireReply, n: u64) {
+        match m {
+            WireReply::Result { ticket, .. }
+            | WireReply::Unreachable { ticket, .. }
+            | WireReply::Cancelled { ticket, .. } => *ticket = Ticket(n),
+            _ => unreachable!("only these samples set a ticket"),
+        }
+    }
+    fn client(m: &mut WireReply, n: u64) {
+        match m {
+            WireReply::Unreachable { client, .. } | WireReply::Rejected { client, .. } => {
+                *client = ClientId(n as u32)
+            }
+            _ => unreachable!("only these samples set a client"),
+        }
+    }
+    fn waited(m: &mut WireReply, w: f64) {
+        match m {
+            WireReply::Result { waited, .. }
+            | WireReply::Unreachable { waited, .. }
+            | WireReply::Rejected { waited, .. } => *waited = w,
+            _ => unreachable!("only these samples set a wait"),
+        }
+    }
+    fn depth(m: &mut WireReply, n: u64) {
+        match m {
+            WireReply::Rejected { reason, .. } => {
+                *reason = RejectReason::QueueFull { depth: n as usize }
+            }
+            _ => unreachable!("only the rejection sets a depth"),
+        }
+    }
+    let result =
+        ResultMsg { client: ClientId(7), path: Path::new(vec![NodeId(1), NodeId(8)], 2.25) };
+    let rejected = |ticket: Option<Ticket>| WireReply::Rejected {
+        ticket,
+        client: ClientId(3),
+        reason: RejectReason::QueueFull { depth: 8 },
+        waited: 2.0,
+    };
+    let replies = [
+        Sample {
+            msg: WireReply::Result { ticket: Ticket(3), result, waited: 0.125 },
+            key: "ticket",
+            wide: true,
+            int: Some(ticket),
+            waited: Some(waited),
+            tag: Some("Result"),
+        },
+        Sample {
+            msg: WireReply::Unreachable { ticket: Ticket(4), client: ClientId(1), waited: 0.5 },
+            key: "client",
+            wide: false,
+            int: Some(client),
+            waited: Some(waited),
+            tag: Some("Unreachable"),
+        },
+        Sample {
+            msg: rejected(Some(Ticket(9))),
+            key: "client",
+            wide: false,
+            int: Some(client),
+            waited: Some(waited),
+            tag: Some("Rejected"),
+        },
+        Sample {
+            msg: rejected(None),
+            key: "depth",
+            wide: true,
+            int: Some(depth),
+            waited: None,
+            tag: Some("Rejected"),
+        },
+        Sample {
+            msg: WireReply::Cancelled { ticket: Ticket(11), client: ClientId(4) },
+            key: "ticket",
+            wide: true,
+            int: Some(ticket),
+            waited: None,
+            tag: Some("Cancelled"),
+        },
+        Sample {
+            msg: WireReply::Error { reason: "bad \"version\" é".to_string() },
+            key: "reason",
+            int: None,
+            wide: false,
+            waited: None,
+            tag: Some("Error"),
+        },
+    ];
+    for sample in &replies {
+        n += check_rows(sample);
+    }
+
+    // A missing `Option` field reads as `None`; any other missing field
+    // is `Malformed` (the rows above).
+    let text = String::from_utf8(encode_message(&rejected(Some(Ticket(9)))).unwrap()).unwrap();
+    for input in
+        [edit(&text, r#""ticket":9,"#, ""), edit(&text, r#""ticket":9"#, r#""ticket":null"#)]
+    {
+        let got = decode_message::<WireReply>(input.as_bytes()).unwrap();
+        assert_eq!(got, rejected(None), "{input}");
+    }
+    assert!(n > 600, "the table shrank to {n} rows");
 }
