@@ -8,9 +8,11 @@
 //! once per tree: a root with a cached tree deep enough for its goal skips
 //! the sweep, and its paths are read straight from the trace
 //! ([`crate::TreeView`]). An entry costs at most 32 B per settled node:
-//! 24 B per event, plus its settled-set index — 4 B per map node for a
-//! complete trace that settled at least half the map (28 B per settle
-//! when it spans the map), 8 B per settle otherwise. A plain miss stores
+//! a 16-byte event and a 4-byte `relaxed` snapshot, plus its settled-set
+//! index — for a complete trace that settled at least two thirds of the
+//! map, 4 B per map node and a 4-byte parent node per map node (28 B per
+//! settle when it spans the map), 8 B per settle otherwise (28 B in
+//! all). A plain miss stores
 //! its sweep recorded to twice the depth its goal needed (or to
 //! exhaustion), so the next goal up to twice as deep adopts.
 //!

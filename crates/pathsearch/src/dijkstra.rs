@@ -93,9 +93,12 @@ impl SettleSink for NoRecord {
 /// root misses at most `log₂ n` times. A fixed constant, not a knob.
 const DEEPEN_FACTOR: usize = 2;
 
-/// Records every settle as a [`SettleEvent`] for a [`SweepTrace`].
+/// Records every settle as a [`SettleEvent`] and its counter snapshot for
+/// a [`SweepTrace`].
 struct Recorder {
     events: Vec<SettleEvent>,
+    /// Per event, the sweep's `relaxed` count at that settle.
+    relaxed: Vec<u32>,
     /// Node → index of its settle event, the arena's reusable map (see
     /// [`SearchArena::take_settle_index`]): how a settle finds its parent's
     /// event, and how [`SweepTrace`] indexes the settled set unsorted.
@@ -118,6 +121,7 @@ impl Recorder {
         // keeps recording out of the reallocator on the misses a cache pays.
         Recorder {
             events: Vec::with_capacity(nodes),
+            relaxed: Vec::with_capacity(nodes),
             index,
             ordered: true,
             exhausted: false,
@@ -150,14 +154,11 @@ impl SettleSink for Recorder {
             p => self.index[p as usize],
         };
         self.index[node.index()] = self.events.len() as u32;
-        let event = SettleEvent {
-            node: node.0,
-            parent,
-            dist: arena.dist_raw(node),
-            relaxed: stats.relaxed,
-        };
+        let event = SettleEvent { node: node.0, parent, dist: arena.dist_raw(node) };
         self.ordered &= self.events.last().is_none_or(|last| settle_key(last) < settle_key(&event));
         self.events.push(event);
+        // A sweep relaxes each arc at most once, and arc offsets are `u32`.
+        self.relaxed.push(u32::try_from(stats.relaxed).expect("relaxations fit the arc offsets"));
     }
 
     #[inline]
@@ -321,8 +322,8 @@ fn grow_traced<G: GraphView>(
     let end = grow(arena, g, root, goal, pot, &mut rec);
     let potential = pot.map(|p| p.params().clone());
     let trace = SweepTrace::from_parts(
-        root,
         rec.events,
+        rec.relaxed,
         rec.ordered,
         &rec.index[..n],
         end,
@@ -381,12 +382,14 @@ pub fn run_in_traced<G: GraphView>(
 /// * `cache` — `Some` consults it for a recorded sweep from `root` and,
 ///   when `goal` is provably inside the recorded prefix, answers from it:
 ///   no Dijkstra, no arena write — the view reads the stored trace's
-///   goal-stop prefix by chasing parent settle indices, and the counters
-///   are the trace's snapshot at that stop, byte-identical to the sweep
-///   skipped. Otherwise the tree is grown for real in `arena`, recorded,
-///   and re-stored, and the view reads the arena. Hit or miss is
-///   reported through [`TreeCache::counters`]. `None` grows the tree
-///   unrecorded in `arena` — nothing beyond the sweep itself is allocated.
+///   goal-stop prefix by chasing each target's parents (through a dense
+///   trace's parent-node column, else its events' parent settle indices),
+///   and the counters are the trace's snapshot at that stop,
+///   byte-identical to the sweep skipped. Otherwise the tree is grown for
+///   real in `arena`, recorded, and re-stored, and the view reads the
+///   arena. Hit or miss is reported through [`TreeCache::counters`].
+///   `None` grows the tree unrecorded in `arena` — nothing beyond the
+///   sweep itself is allocated.
 ///
 /// A **plain** miss (`pot` is `None`) records past its goal: the same
 /// sweep keeps settling until it has settled `DEEPEN_FACTOR` (= 2) times

@@ -7,7 +7,10 @@
 //! reusable form of one Dijkstra sweep: the settled `(node, dist)` labels
 //! **in settle order**, each naming its tree parent by the parent's
 //! *settle index* (its position in that order, which is always earlier),
-//! and each paired with the sweep's `relaxed` count at that settle.
+//! with a column beside them of the sweep's `relaxed` count at each
+//! settle. A trace that settled most of its map also keeps its tree *by
+//! node*: one parent-node entry per map node, which a path is read from
+//! hop by hop.
 //! Because Dijkstra from a fixed root is deterministic and its goal only
 //! ever decides *when to stop*, any two sweeps from the same root *under
 //! one heap potential* are prefixes of one another (a goal-directed
@@ -16,9 +19,10 @@
 //! trace for a goal is therefore a **read of its goal-stop prefix**: the
 //! events a fresh sweep with that goal would settle before stopping.
 //! [`crate::dijkstra::run_tree`] answers a hit with a [`TreeView`] over
-//! that prefix — a path is read by chasing parent indices from the
-//! target's event, and the arena is never touched — which gives the two
-//! guarantees the cache needs:
+//! that prefix — a path is read by chasing the target's parents, through
+//! the parent column where the trace keeps one and through the events'
+//! parent indices otherwise, and the arena is never touched — which gives
+//! the two guarantees the cache needs:
 //!
 //! * **answers** — adopted labels are settled, hence exact; paths read
 //!   back identically to a fresh run;
@@ -65,8 +69,9 @@ use roadnet::{GraphView, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// One settle event of a recorded sweep: the final label plus the sweep's
-/// counter snapshot at the moment a goal check could have stopped there.
+/// One settle event of a recorded sweep: the final label and where its
+/// tree parent settled. The counter snapshot at this settle is the
+/// trace's `relaxed` column.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SettleEvent {
     /// The settled node.
@@ -76,12 +81,9 @@ pub(crate) struct SettleEvent {
     pub(crate) parent: u32,
     /// Its final (exact) distance from the root.
     pub(crate) dist: f64,
-    /// Arc relaxations performed *before* this node expanded its arcs —
-    /// what a sweep stopping here would report.
-    pub(crate) relaxed: u64,
 }
 
-const _: () = assert!(size_of::<SettleEvent>() == 24);
+const _: () = assert!(size_of::<SettleEvent>() == 16);
 
 /// A recorded Dijkstra sweep: settle-ordered labels with per-event
 /// counter snapshots, read by [`crate::dijkstra::run_tree`] through a
@@ -91,7 +93,13 @@ pub struct SweepTrace {
     root: NodeId,
     nodes: usize,
     events: Vec<SettleEvent>,
-    /// The settled-set index: node → settle index.
+    /// Per event, the arc relaxations performed *before* its node expanded
+    /// its arcs — what a sweep stopping there would report. A `u32` holds
+    /// it: a sweep relaxes each arc at most once, and a map's arc offsets
+    /// are `u32`.
+    relaxed: Vec<u32>,
+    /// The settled-set index: node → settle index (and, when dense, the
+    /// tree by node).
     index: SettledIndex,
     /// Counters at sweep end — what a fresh exhausting sweep reports.
     final_stats: SearchStats,
@@ -119,11 +127,13 @@ impl SweepTrace {
     /// [`crate::dijkstra::run_in_traced`] produces consistent ones).
     /// `index` is the recorder's node → settle-index map, one entry per
     /// map node; its entries for nodes this sweep did not settle are
-    /// stale. `ordered` is whether the recorder wrote the events strictly
-    /// increasing in [`settle_key`].
+    /// stale. `relaxed` holds each event's counter snapshot. `ordered` is
+    /// whether the recorder wrote the events strictly increasing in
+    /// [`settle_key`]. The root is the first event's node: a sweep settles
+    /// its root first.
     pub(crate) fn from_parts(
-        root: NodeId,
         mut events: Vec<SettleEvent>,
+        mut relaxed: Vec<u32>,
         ordered: bool,
         index: &[u32],
         final_stats: SearchStats,
@@ -135,9 +145,20 @@ impl SweepTrace {
         // an early-stopped sweep must cost memory proportional to what it
         // settled, not to the map.
         events.shrink_to_fit();
-        let nodes = index.len();
+        relaxed.shrink_to_fit();
+        let (root, nodes) = (NodeId(events[0].node), index.len());
         let index = SettledIndex::scan(&events, index, complete);
-        SweepTrace { root, nodes, events, index, final_stats, complete, ordered, potential }
+        SweepTrace {
+            root,
+            nodes,
+            events,
+            relaxed,
+            index,
+            final_stats,
+            complete,
+            ordered,
+            potential,
+        }
     }
 
     /// The goal-directed potential the recorded sweep ran under, if any.
@@ -214,9 +235,10 @@ impl SweepTrace {
     /// Rewrite this trace in place into exactly the trace a fresh
     /// [`Goal::AllNodes`] sweep from the same root records on `g`, the map
     /// after a weight update whose changed edges are `changes` — the same
-    /// events (node, parent index, distance bits, `relaxed` snapshot), the
-    /// same settled-set index, the same final counters. Returns `false`
-    /// when the trace cannot be repaired; it must then be dropped.
+    /// events (node, parent index, distance bits), `relaxed` snapshots,
+    /// settled-set index and parent column, the same final counters.
+    /// Returns `false` when the trace cannot be repaired; it must then be
+    /// dropped.
     ///
     /// Only a complete, plain (unguided) trace recorded in settle-key
     /// order on a map of `g`'s size is repaired, and only on a symmetric
@@ -247,7 +269,8 @@ impl SweepTrace {
     /// * **Parents.** A node's parent is the earliest-settled neighbour `u`
     ///   with `d_u + w == d_v` (the first strict improver wins). It is
     ///   recomputed for moved nodes, their neighbours and the changed
-    ///   endpoints; every other parent keeps its node. Parent indices are
+    ///   endpoints; every other parent keeps its node, so the parent
+    ///   column changes exactly at the recomputed ones. Parent indices are
     ///   re-mapped inside the window and by one sequential scan of the
     ///   events after it — those before it cannot point into it.
     /// * **Counters.** `relaxed` snapshots are prefix sums of out-degree in
@@ -470,22 +493,29 @@ impl SweepTrace {
         true
     }
 
-    /// [`SweepTrace::repair`]'s rewrite: parents by old index; degrees and
-    /// new parent indices inside the window, then new parent indices after
-    /// it; then the window's permutation, prefix sums and index entries.
+    /// [`SweepTrace::repair`]'s rewrite: parents by old index, and the
+    /// parent column; degrees and new parent indices inside the window,
+    /// then new parent indices after it; then the window's permutation,
+    /// prefix sums and index entries.
     fn rewrite(&mut self, s: &mut RepairScratch) {
         for &(i, j) in &s.reparent {
             self.events[i as usize].parent = j;
+            if let SettledIndex::Dense { parent, .. } = &mut self.index {
+                parent[self.events[i as usize].node as usize] = self.events[j as usize].node;
+            }
         }
         let (lo, hi) = (s.lo, s.lo + s.new_idx.len());
         if lo == hi {
             return;
         }
-        let base = self.events[lo].relaxed;
+        let snapshot = |relaxed: &[u32], i: usize| {
+            relaxed.get(i).map_or(self.final_stats.relaxed, |&r| u64::from(r))
+        };
+        let base = self.relaxed[lo];
         for i in lo..hi {
-            let next = self.events.get(i + 1).map_or(self.final_stats.relaxed, |e| e.relaxed);
+            // A degree: the difference of two snapshots, so it fits.
+            self.relaxed[i] = (snapshot(&self.relaxed, i + 1) - u64::from(self.relaxed[i])) as u32;
             let e = &mut self.events[i];
-            e.relaxed = next - e.relaxed;
             e.parent = s.new_index(e.parent as usize);
         }
         // After the window only a parent inside it changes index; before
@@ -493,16 +523,19 @@ impl SweepTrace {
         for e in &mut self.events[hi..] {
             e.parent = s.new_index(e.parent as usize);
         }
-        // Follow each cycle of the permutation; a slot of `new_idx` is
-        // reset to its own index once its event is placed.
+        // Follow each cycle of the permutation, carrying each event with
+        // its degree; a slot of `new_idx` is reset to its own index once
+        // its event is placed.
         for start in lo..hi {
             if s.new_idx[start - lo] as usize == start {
                 continue;
             }
-            let (mut carry, mut from) = (self.events[start], start);
+            let (mut carry, mut degree, mut from) =
+                (self.events[start], self.relaxed[start], start);
             loop {
                 let to = std::mem::replace(&mut s.new_idx[from - lo], from as u32) as usize;
                 std::mem::swap(&mut carry, &mut self.events[to]);
+                std::mem::swap(&mut degree, &mut self.relaxed[to]);
                 if to == start {
                     break;
                 }
@@ -510,13 +543,13 @@ impl SweepTrace {
             }
         }
         let mut relaxed = base;
-        for (i, e) in self.events[lo..hi].iter_mut().enumerate() {
-            (e.relaxed, relaxed) = (relaxed, relaxed + e.relaxed);
-            self.index.set(e.node, (lo + i) as u32);
+        for i in lo..hi {
+            (self.relaxed[i], relaxed) = (relaxed, relaxed + self.relaxed[i]);
+            self.index.set(self.events[i].node, i as u32);
         }
         debug_assert_eq!(
-            relaxed,
-            self.events.get(hi).map_or(self.final_stats.relaxed, |e| e.relaxed),
+            u64::from(relaxed),
+            snapshot(&self.relaxed, hi),
             "the window's degrees sum to the snapshot after it"
         );
     }
@@ -562,25 +595,30 @@ impl SweepTrace {
     /// records one event.
     pub(crate) fn stats_for(&self, goal: &Goal) -> Option<SearchStats> {
         Some(match self.stop_for(goal)? {
-            Stop::At(i) => SearchStats { settled: i as u64 + 1, relaxed: self.events[i].relaxed },
+            Stop::At(i) => SearchStats { settled: i as u64 + 1, relaxed: self.relaxed[i].into() },
             Stop::Exhausted => self.final_stats,
         })
     }
 
     /// The path from the root to `t` inside the first `settled` events, by
-    /// chasing parent settle indices; `None` when `t` settles later or
-    /// never.
+    /// chasing `t`'s parents — node by node through the parent column of a
+    /// dense trace, event by event through the parent settle indices of
+    /// any other — into one buffer sized by a first walk; `None` when `t`
+    /// settles later or never.
     fn path_to(&self, settled: usize, t: NodeId) -> Option<Path> {
         let i = self.position(t).filter(|&i| i < settled)?;
-        let mut nodes = vec![t];
-        let mut at = i;
-        while self.events[at].parent != NIL {
-            let parent = self.events[at].parent as usize;
-            debug_assert!(parent < at, "a parent settles before its child");
-            at = parent;
-            nodes.push(NodeId(self.events[at].node));
-        }
-        nodes.reverse();
+        let nodes = match &self.index {
+            SettledIndex::Dense { parent, .. } => chase(t.0, |v| parent[v as usize], |v| v),
+            SettledIndex::Sorted(_) => chase(
+                i as u32,
+                |k| {
+                    let parent = self.events[k as usize].parent;
+                    debug_assert!(parent == NIL || parent < k, "a parent settles before its child");
+                    parent
+                },
+                |k| self.events[k as usize].node,
+            ),
+        };
         Some(Path::new(nodes, self.events[i].dist))
     }
 
@@ -618,10 +656,18 @@ impl SweepTrace {
 #[derive(Clone, Debug, PartialEq)]
 enum SettledIndex {
     /// One entry per map node, [`NIL`] for a node the sweep did not
-    /// settle. A complete trace that settled at least half the map keeps
-    /// this form: at most 8 B per settle, 4 B for a map-spanning one, and
-    /// a lookup is one load.
-    Dense(Vec<u32>),
+    /// settle, and beside it the tree by node: each node's parent node
+    /// ([`NIL`] for the root and for unsettled nodes), which a path is
+    /// read from without touching an event. A complete trace that settled
+    /// at least two thirds of the map keeps this form: at most 12 B per
+    /// settle on top of its events, 8 B for a map-spanning one, and a
+    /// lookup or a hop is one load.
+    Dense {
+        /// Node → settle index.
+        at: Vec<u32>,
+        /// Node → its parent node.
+        parent: Vec<u32>,
+    },
     /// `(node, settle index)` sorted by node: every other trace, so an
     /// early-stopped one (or one of a small component) costs memory in
     /// proportion to what it settled.
@@ -636,13 +682,19 @@ impl SettledIndex {
     /// settles. Sorting the `len` pairs instead is only cheaper for a
     /// trace shorter than about a twelfth of the map, and a plain cache
     /// miss records twice its goal's depth, so the cache rarely stores one.
+    /// A dense index's parent column is written from the events, each
+    /// naming its parent's node through the parent's event.
     fn scan(events: &[SettleEvent], recorded: &[u32], complete: bool) -> Self {
         let settled = |(node, &i): (usize, &u32)| {
             events.get(i as usize).is_some_and(|e| e.node as usize == node)
         };
-        if complete && 2 * events.len() >= recorded.len() {
-            let dense = recorded.iter().enumerate().map(|p| if settled(p) { *p.1 } else { NIL });
-            SettledIndex::Dense(dense.collect())
+        if complete && 3 * events.len() >= 2 * recorded.len() {
+            let at = recorded.iter().enumerate().map(|p| if settled(p) { *p.1 } else { NIL });
+            let mut parent = vec![NIL; recorded.len()];
+            for e in events.iter().filter(|e| e.parent != NIL) {
+                parent[e.node as usize] = events[e.parent as usize].node;
+            }
+            SettledIndex::Dense { at: at.collect(), parent }
         } else {
             let mut pairs = Vec::with_capacity(events.len());
             pairs.extend(
@@ -657,7 +709,7 @@ impl SettledIndex {
     #[inline]
     fn at(&self, node: u32) -> u32 {
         match self {
-            SettledIndex::Dense(at) => at.get(node as usize).copied().unwrap_or(NIL),
+            SettledIndex::Dense { at, .. } => at.get(node as usize).copied().unwrap_or(NIL),
             SettledIndex::Sorted(pairs) => {
                 pairs.binary_search_by_key(&node, |&(n, _)| n).map_or(NIL, |k| pairs[k].1)
             }
@@ -667,7 +719,7 @@ impl SettledIndex {
     /// Move settled `node` to settle index `i`.
     fn set(&mut self, node: u32, i: u32) {
         match self {
-            SettledIndex::Dense(at) => at[node as usize] = i,
+            SettledIndex::Dense { at, .. } => at[node as usize] = i,
             SettledIndex::Sorted(pairs) => {
                 if let Ok(k) = pairs.binary_search_by_key(&node, |&(n, _)| n) {
                     pairs[k].1 = i;
@@ -682,6 +734,24 @@ impl SettledIndex {
 #[inline]
 pub(crate) fn settle_key(e: &SettleEvent) -> (u64, u32) {
     (ord_of(e.dist), e.node)
+}
+
+/// The nodes of a tree path, root first, from link `from` up: `up` steps
+/// to a link's parent ([`NIL`] above the root) and `node` names a link's
+/// node. Counts the hops first, so the buffer is allocated once.
+fn chase(from: u32, up: impl Fn(u32) -> u32, node: impl Fn(u32) -> u32) -> Vec<NodeId> {
+    let (mut hops, mut at) = (0, from);
+    while at != NIL {
+        (hops, at) = (hops + 1, up(at));
+    }
+    let mut nodes = Vec::with_capacity(hops);
+    let mut at = from;
+    while at != NIL {
+        nodes.push(NodeId(node(at)));
+        at = up(at);
+    }
+    nodes.reverse();
+    nodes
 }
 
 /// Weight of the cheapest arc `a → b` (`∞` when there is none) — what any
@@ -1066,9 +1136,9 @@ mod tests {
             assert_eq!(stored.is_complete(), 2 * k >= component, "{tag}");
             // Recording further never reorders: still a prefix of the full
             // sweep, snapshots included.
-            for (a, b) in stored.events.iter().zip(&full.events) {
+            for (i, (a, b)) in stored.events.iter().zip(&full.events).enumerate() {
                 assert_eq!((a.node, a.dist, a.parent), (b.node, b.dist, b.parent), "{tag}");
-                assert_eq!(a.relaxed, b.relaxed, "{tag}");
+                assert_eq!(stored.relaxed[i], full.relaxed[i], "{tag}");
             }
         }
     }
@@ -1296,17 +1366,28 @@ mod tests {
         with_island(&b.build().unwrap())
     }
 
-    /// Every event (node, parent index, distance bits, `relaxed`), the
-    /// settled-set index and the final counters.
+    /// A dense trace's parent-node column.
+    fn parent_column(t: &SweepTrace) -> Option<&[u32]> {
+        match &t.index {
+            SettledIndex::Dense { parent, .. } => Some(parent),
+            SettledIndex::Sorted(_) => None,
+        }
+    }
+
+    /// Every event (node, parent index, distance bits) with its `relaxed`
+    /// snapshot, the parent column, the settled-set index and the final
+    /// counters.
     fn assert_same_trace(got: &SweepTrace, want: &SweepTrace, tag: &str) {
         assert_eq!(got.len(), want.len(), "{tag}: settles");
+        assert_eq!(got.relaxed.len(), got.len(), "{tag}: one snapshot per event");
         for (i, (a, b)) in got.events.iter().zip(&want.events).enumerate() {
             assert_eq!(
-                (a.node, a.parent, a.dist.to_bits(), a.relaxed),
-                (b.node, b.parent, b.dist.to_bits(), b.relaxed),
+                (a.node, a.parent, a.dist.to_bits(), got.relaxed[i]),
+                (b.node, b.parent, b.dist.to_bits(), want.relaxed[i]),
                 "{tag}: event {i}"
             );
         }
+        assert_eq!(parent_column(got), parent_column(want), "{tag}: parent column");
         assert_eq!(got.index, want.index, "{tag}: settled-set index");
         assert_eq!(got.final_stats, want.final_stats, "{tag}: final counters");
         assert_eq!(got.complete, want.complete, "{tag}: completeness");
@@ -1495,7 +1576,7 @@ mod tests {
             let updates = [(roadnet::EdgeId::from_index(edge), 3.0)];
             let (before, after) = repair_once(&g, root, &updates, &mut scratch, "component");
             assert!(before.is_complete());
-            assert_eq!(matches!(after.index, SettledIndex::Dense(_)), dense, "root {root}");
+            assert_eq!(matches!(after.index, SettledIndex::Dense { .. }), dense, "root {root}");
         }
     }
 
@@ -1577,7 +1658,7 @@ mod tests {
     }
 
     #[test]
-    fn recorded_settles_cost_at_most_32_bytes_and_index_exactly() {
+    fn recorded_settles_cost_at_most_28_bytes_and_index_exactly() {
         let g = NetworkClass::Geometric.generate(2_000, 7).unwrap();
         let n = g.num_nodes();
         // The short sweep grows from another root after a complete one, so
@@ -1591,19 +1672,42 @@ mod tests {
         let (_, short) = run_in_traced(&mut arena, &g, far, &goal);
         assert!(complete.is_complete() && complete.len() == n, "a map-spanning sweep");
         assert!(short.len() * 16 <= n, "short: {} settles", short.len());
+        // The same map beside `n / 2` isolated nodes: a complete sweep
+        // settles two thirds of it, the least a dense trace settles.
+        let mut b = GraphBuilder::new();
+        for v in g.nodes() {
+            b.add_node(g.point(v)).unwrap();
+        }
+        for e in g.edges() {
+            b.add_edge(e.a, e.b, e.weight).unwrap();
+        }
+        for i in 0..n / 2 {
+            b.add_node(Point::new(-1e4 - i as f64, -1e4)).unwrap();
+        }
+        let wide = b.build().unwrap();
+        let (_, two_thirds) = run_in_traced(&mut arena, &wide, NodeId(0), &Goal::AllNodes);
+        assert!(two_thirds.is_complete() && 3 * two_thirds.len() == 2 * wide.num_nodes());
 
-        for (trace, tag, per_settle) in [(&complete, "complete", 28), (&short, "short", 32)] {
-            let reference: Vec<Option<usize>> = (0..n as u32)
-                .map(|node| trace.events.iter().position(|e| e.node == node))
-                .collect();
-            let read: Vec<Option<usize>> = g.nodes().map(|v| trace.position(v)).collect();
+        for (trace, map, tag, dense, per_settle) in [
+            (&complete, &g, "complete", true, 28),
+            (&short, &g, "short", false, 28),
+            (&two_thirds, &wide, "two thirds", true, 32),
+        ] {
+            let reference: Vec<Option<usize>> =
+                map.nodes().map(|v| trace.events.iter().position(|e| e.node == v.0)).collect();
+            let read: Vec<Option<usize>> = map.nodes().map(|v| trace.position(v)).collect();
             assert_eq!(read, reference, "{tag}: settled-set index");
 
             let index = match &trace.index {
-                SettledIndex::Dense(at) => at.capacity() * size_of::<u32>(),
+                SettledIndex::Dense { at, parent } => {
+                    (at.capacity() + parent.capacity()) * size_of::<u32>()
+                }
                 SettledIndex::Sorted(pairs) => pairs.capacity() * size_of::<(u32, u32)>(),
             };
-            let bytes = trace.events.capacity() * size_of::<SettleEvent>() + index;
+            assert_eq!(matches!(trace.index, SettledIndex::Dense { .. }), dense, "{tag}");
+            let bytes = trace.events.capacity() * size_of::<SettleEvent>()
+                + trace.relaxed.capacity() * size_of::<u32>()
+                + index;
             assert!(
                 bytes <= per_settle * trace.len(),
                 "{tag}: {bytes} B for {} settles",

@@ -9,7 +9,9 @@
 //! parser hands a decoded type the same events, keys borrowed from the
 //! text, so a decode allocates only what the message owns. A tree, a
 //! `format!` or a clone-to-count coming back fails here by name, long
-//! before it shows as a few microseconds on the benchmark.
+//! before it shows as a few microseconds on the benchmark. The same holds
+//! for a tree-cache hit, which reads its paths off the stored trace: one
+//! node buffer per path, however many hops it has.
 //!
 //! This file is its own test binary because it installs a counting
 //! `#[global_allocator]`; no other test pays for it. The counter is per
@@ -24,7 +26,7 @@ use opaque::{
 };
 use opaque_net::wire::{decode_message, encode_message};
 use opaque_net::{Connection, DEFAULT_MAX_FRAME, WireReply, WireRequest};
-use pathsearch::Path;
+use pathsearch::{Goal, Path, SearchArena, SharingPolicy, TreeCache, run_tree};
 use roadnet::NodeId;
 use roadnet::generators::{GridConfig, grid_network};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -291,4 +293,43 @@ fn ring_fakes_allocate_the_same_on_any_map_size() {
     let small = ring_obfuscation_allocations(30);
     let large = ring_obfuscation_allocations(300);
     assert_eq!(small, large, "a 300x300 grid made {large} allocations, a 30x30 one {small}");
+}
+
+#[test]
+fn a_cache_hit_allocates_one_buffer_per_path() {
+    // A hit reads a path by chasing the target's parents — through a
+    // map-spanning trace's parent column, or through an early-stopped
+    // trace's events — and counts the hops before it allocates, so a long
+    // path costs the one node buffer a short one does. Pushing the hops
+    // into a growing buffer made 2 allocations for 1 hop and 6 for 58.
+    let side = 30;
+    let map =
+        grid_network(&GridConfig { width: side, height: side, seed: 3, ..Default::default() })
+            .unwrap();
+    let node = |x: usize, y: usize| NodeId::from_index(y * side + x);
+    let (mut arena, mut cache) = (SearchArena::new(), TreeCache::new(4, SharingPolicy::PerSource));
+    let (spanning, stopped) = (node(0, 0), node(side - 1, side - 1));
+    let deep = node(side - 9, side - 9);
+    run_tree(&mut arena, &map, spanning, &Goal::AllNodes, None, Some(&mut cache));
+    run_tree(&mut arena, &map, stopped, &Goal::Single(deep), None, Some(&mut cache));
+    assert!(cache.peek(spanning).unwrap().is_complete());
+    assert!(!cache.peek(stopped).unwrap().is_complete());
+
+    for (root, near, far) in
+        [(spanning, node(1, 0), stopped), (stopped, node(side - 2, side - 1), deep)]
+    {
+        let mut read = |t: NodeId| {
+            let goal = Goal::Single(t);
+            let (hits, _) = cache.counters();
+            let (n, path) = allocations(|| {
+                let (_, view) = run_tree(&mut arena, &map, root, &goal, None, Some(&mut cache));
+                view.path_to(t)
+            });
+            assert_eq!(cache.counters().0, hits + 1, "root {root}: a warm hit");
+            (n, path.unwrap().num_edges())
+        };
+        let ((short, near_hops), (long, far_hops)) = (read(near), read(far));
+        assert!(far_hops >= 8 * near_hops, "root {root}: {near_hops} vs {far_hops} hops");
+        assert_eq!((short, long), (1, 1), "root {root}: one node buffer per path");
+    }
 }
