@@ -7,12 +7,17 @@
 //! LRU) that the adopt-or-grow entry point [`crate::run_tree`] consults
 //! once per tree: a root with a cached tree deep enough for its goal skips
 //! the sweep, and its paths are read straight from the trace
-//! ([`crate::TreeView`]). An entry costs at most 32 B per settled node:
-//! a 16-byte event and a 4-byte `relaxed` snapshot, plus its settled-set
-//! index — for a complete trace that settled at least two thirds of the
-//! map, 4 B per map node and a 4-byte parent node per map node (28 B per
-//! settle when it spans the map), 8 B per settle otherwise (28 B in
-//! all). A plain miss stores
+//! ([`crate::TreeView`]). An entry costs at most 32 B per settled node.
+//! A complete plain trace keeps a 16-byte `{dist, node, out-degree}`
+//! entry per settle in settle-key buckets (plus a directory of a few
+//! words per bucket of about 128 settles) and, when it settled at least
+//! two thirds of the map, 4 B per map node of index and 4 B of parent
+//! node: 24 B per settle when it spans the map, as recorded. A repair
+//! lets each bucket keep up to 32 entries of room to grow (at most 8 B
+//! more per settle, ≈ 1.4 B on a 2 000-node map after one round of
+//! reweighting). Any other trace keeps a
+//! 16-byte event and a 4-byte `relaxed` snapshot per settle, and 8 B of
+//! sorted index (28 B in all). A plain miss stores
 //! its sweep recorded to twice the depth its goal needed (or to
 //! exhaustion), so the next goal up to twice as deep adopts.
 //!
@@ -25,8 +30,8 @@
 //!   clear of every updated edge stay as they are, touched complete plain
 //!   ones are rewritten into the trace a fresh sweep records on the new
 //!   map ([`SweepTrace::repair`], at the cost of the labels that move and
-//!   the stretch of settle order they cross), and only the other touched
-//!   ones are evicted;
+//!   one pass over the trace's buckets), and only the other touched ones
+//!   are evicted;
 //! * **root** — the node the sweep grew from. Every
 //!   [`crate::SharingPolicy`] grows the same single-tree sweeps, so
 //!   entries are shared across policies; the potential a sweep ran under
@@ -35,8 +40,7 @@
 use crate::alt::PotentialParams;
 use crate::dijkstra::Goal;
 use crate::multi::SharingPolicy;
-use crate::stats::SearchStats;
-use crate::trace::{EdgeChange, RepairScratch, SweepTrace};
+use crate::trace::{EdgeChange, RepairScratch, Stop, SweepTrace};
 use roadnet::{GraphView, LruBuffer, NodeId};
 
 /// Full cache key; see the module docs for the role of each component.
@@ -185,26 +189,26 @@ impl TreeCache {
         self.lru.get(&key)
     }
 
-    /// The counters a fresh sweep from `root` toward `goal` under the
-    /// potential `want` reports on a map of `nodes` nodes, if the stored
-    /// trace ran under that potential on a map that size and provably
-    /// holds the goal's stop — one lookup, counted as one hit or miss.
+    /// Where a fresh sweep from `root` toward `goal` under the potential
+    /// `want` stops on a map of `nodes` nodes, if the stored trace ran
+    /// under that potential on a map that size and provably holds that
+    /// stop — one lookup, counted as one hit or miss.
     pub(crate) fn adopt(
         &mut self,
         root: NodeId,
         nodes: usize,
         want: Option<&PotentialParams>,
         goal: &Goal,
-    ) -> Option<SearchStats> {
-        let stats = self
+    ) -> Option<Stop> {
+        let stop = self
             .lookup(root)
             .filter(|trace| trace.nodes() == nodes && trace.potential() == want)
-            .and_then(|trace| trace.stats_for(goal));
-        match stats {
+            .and_then(|trace| trace.stop_for(goal));
+        match stop {
             Some(_) => self.hits += 1,
             None => self.misses += 1,
         }
-        stats
+        stop
     }
 
     /// Store `trace` for `root`. Sweeps under one potential are prefixes

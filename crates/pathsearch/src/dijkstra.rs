@@ -382,12 +382,12 @@ pub fn run_in_traced<G: GraphView>(
 /// * `cache` — `Some` consults it for a recorded sweep from `root` and,
 ///   when `goal` is provably inside the recorded prefix, answers from it:
 ///   no Dijkstra, no arena write — the view reads the stored trace's
-///   goal-stop prefix by chasing each target's parents (through a dense
-///   trace's parent-node column, else its events' parent settle indices),
-///   and the counters are the trace's snapshot at that stop,
-///   byte-identical to the sweep skipped. Otherwise the tree is grown for
-///   real in `arena`, recorded, and re-stored, and the view reads the
-///   arena. Hit or miss is reported through [`TreeCache::counters`].
+///   goal-stop prefix by chasing each target's parents (through the
+///   trace's parent-node column, else its log's parent settle indices),
+///   and the counters are the trace's at that stop (one rank query of a
+///   bucketed trace), byte-identical to the sweep skipped. Otherwise the
+///   tree is grown for real in `arena`, recorded, and re-stored, and the
+///   view reads the arena. Hit or miss is reported through [`TreeCache::counters`].
 ///   `None` grows the tree unrecorded in `arena` — nothing beyond the
 ///   sweep itself is allocated.
 ///
@@ -426,14 +426,14 @@ pub fn run_tree<'a, G: GraphView>(
         return (stats, TreeView::Arena(arena));
     };
     match cache.adopt(root, g.num_nodes(), pot.map(|p| p.params()), goal) {
-        Some(stats) => {
+        Some(stop) => {
             // The counted lookup inside `adopt` already paid for this
             // entry. The view re-borrows it uncounted: returning the
             // lookup's borrow from this arm would keep the cache borrowed
             // in the miss arm's `store`, which the borrow checker rejects.
             let cache: &'a TreeCache = cache;
             let trace = cache.peek(root).expect("the entry that just hit");
-            (stats, TreeView::Trace { trace, settled: stats.settled as usize })
+            (trace.stats_at(stop), trace.view(stop))
         }
         None => {
             let (stats, trace) = grow_traced(arena, g, root, goal, pot, pot.is_none());

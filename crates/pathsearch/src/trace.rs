@@ -4,29 +4,41 @@
 //! Lemma 1 prices an obfuscated query by the spanning trees the server
 //! grows, and hotspot/commuter workloads make many queries share roots:
 //! the same tree gets recomputed over and over. A [`SweepTrace`] is the
-//! reusable form of one Dijkstra sweep: the settled `(node, dist)` labels
-//! **in settle order**, each naming its tree parent by the parent's
-//! *settle index* (its position in that order, which is always earlier),
-//! with a column beside them of the sweep's `relaxed` count at each
-//! settle. A trace that settled most of its map also keeps its tree *by
-//! node*: one parent-node entry per map node, which a path is read from
-//! hop by hop.
+//! reusable form of one Dijkstra sweep: its settled `(node, dist)` labels,
+//! the tree that links them, and enough of the sweep's counters to give
+//! the `relaxed` count at any settle. It keeps its settles in one of two
+//! forms:
+//!
+//! * **a log** — the labels **in settle order**, each naming its tree
+//!   parent by the parent's *settle index* (its position in that order,
+//!   which is always earlier), with a column beside them of the sweep's
+//!   `relaxed` count at each settle. Early-stopped, guided and unordered
+//!   sweeps keep this form;
+//! * **key buckets** — a complete, plain sweep recorded in `(dist, node)`
+//!   order (`settle_key`) keeps its settles in consecutive settle-key
+//!   ranges, each an unordered bag of `{dist, node, out-degree}` entries
+//!   with its count and degree sum. A settle's position is the settles of
+//!   the buckets before its own plus the members of its own with a smaller
+//!   key, and its `relaxed` snapshot is read the same way from degrees.
+//!
+//! A trace that settled most of its map also keeps its tree *by node*: one
+//! parent-node entry per map node, which a path is read from hop by hop.
 //! Because Dijkstra from a fixed root is deterministic and its goal only
 //! ever decides *when to stop*, any two sweeps from the same root *under
 //! one heap potential* are prefixes of one another (a goal-directed
 //! potential reshapes the settle order, so traces are stamped with it —
 //! [`SweepTrace::potential`] — and never adopted across). Adopting a
 //! trace for a goal is therefore a **read of its goal-stop prefix**: the
-//! events a fresh sweep with that goal would settle before stopping.
+//! settles a fresh sweep with that goal would make before stopping.
 //! [`crate::dijkstra::run_tree`] answers a hit with a [`TreeView`] over
 //! that prefix — a path is read by chasing the target's parents, through
-//! the parent column where the trace keeps one and through the events'
+//! the parent-node column where the trace keeps one and through the log's
 //! parent indices otherwise, and the arena is never touched — which gives
 //! the two guarantees the cache needs:
 //!
 //! * **answers** — adopted labels are settled, hence exact; paths read
 //!   back identically to a fresh run;
-//! * **accounting** — the per-settle counter snapshots are exactly the
+//! * **accounting** — the counters read at the stop are exactly the
 //!   values a fresh sweep would report when stopping there, so a cache
 //!   hit is *byte-identical* in every stats field to the sweep it
 //!   replaced. Execution strategy and cache policy both stay invisible
@@ -49,10 +61,11 @@
 //! against.
 //!
 //! A live-traffic weight update need not cost a stored trace its value:
-//! [`SweepTrace::repair`] rewrites a complete plain trace in place into
-//! exactly the trace a fresh sweep records on the reweighted map,
-//! recomputing only the labels that move and rewriting only the window of
-//! settle order they cross.
+//! [`SweepTrace::repair`] rewrites a bucketed trace in place into exactly
+//! the trace a fresh sweep records on the reweighted map, recomputing only
+//! the labels that move and moving each into the bucket its new key falls
+//! in, so a repair costs the labels that move plus one pass over the
+//! buckets.
 //!
 //! The traces live in a [`crate::TreeCache`] ([`crate::cache`]), the
 //! capacity-bounded LRU the adopt-or-grow entry point
@@ -68,6 +81,11 @@ use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// A key whose order is a trace's settle order: `(ord_of(dist), node)`
+/// for a bucket entry ([`settle_key`]), `(settle index, 0)` for a log
+/// event.
+type Key = (u64, u32);
 
 /// One settle event of a recorded sweep: the final label and where its
 /// tree parent settled. The counter snapshot at this settle is the
@@ -85,21 +103,451 @@ pub(crate) struct SettleEvent {
 
 const _: () = assert!(size_of::<SettleEvent>() == 16);
 
-/// A recorded Dijkstra sweep: settle-ordered labels with per-event
-/// counter snapshots, read by [`crate::dijkstra::run_tree`] through a
-/// [`TreeView`].
+/// One settle of a bucketed trace: its final label and its out-degree —
+/// the relaxations its expansion adds to every later settle's `relaxed`
+/// snapshot (reweighting never changes it).
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    dist: f64,
+    node: u32,
+    degree: u32,
+}
+
+const _: () = assert!(size_of::<Entry>() == 16);
+
+impl Entry {
+    #[inline]
+    fn key(&self) -> Key {
+        (ord_of(self.dist), self.node)
+    }
+}
+
+/// The settles a fresh bucket takes, and half the most a bucket holds
+/// before it splits: a rank query scans one bucket, a repair walks every
+/// bucket once. A measured constant, not a knob.
+const BUCKET: usize = 128;
+
+/// How many entries a full bucket grows by. A trace lives long in a
+/// cache: a bucket that a repair pushes one settle onto must not double
+/// its memory, so it grows by this much instead, and gives back what it
+/// holds beyond twice this.
+const SLACK: usize = BUCKET / 8;
+
+/// An entry's slot: its bucket's handle in the high bits, its position in
+/// the bucket in the low [`POS_BITS`].
+const POS_BITS: u32 = 9;
+const _: () = assert!(2 * BUCKET < 1 << POS_BITS, "a bucket about to split fits its positions");
+
+/// The longest trace kept in buckets: with at most three buckets per
+/// [`BUCKET`] settles during a repair, its handles fit the slot's high
+/// bits. A longer one (≈ 6 GB) keeps its log and is never repaired.
+const MAX_BUCKETED: usize = 1 << 28;
+
+#[inline]
+fn slot(handle: usize, pos: usize) -> u32 {
+    (handle << POS_BITS | pos) as u32
+}
+
+#[inline]
+fn unslot(slot: u32) -> (usize, usize) {
+    ((slot >> POS_BITS) as usize, (slot & ((1 << POS_BITS) - 1)) as usize)
+}
+
+/// One bucket of a [`KeyBuckets`]: an unordered bag of entries, its count
+/// (the bag's length) and degree sum, and the prefix before it.
+#[derive(Clone, Debug, Default)]
+struct Bucket {
+    entries: Vec<Entry>,
+    /// Sum of its entries' out-degrees.
+    degrees: u32,
+    /// Settles in every earlier bucket.
+    before: u32,
+    /// The `relaxed` snapshot at its first settle: the degree sum of
+    /// every earlier bucket.
+    relaxed: u32,
+}
+
+impl Bucket {
+    /// Append `e`, growing by [`SLACK`].
+    fn push(&mut self, e: Entry) {
+        if self.entries.len() == self.entries.capacity() {
+            self.entries.reserve_exact(SLACK);
+        }
+        self.entries.push(e);
+        self.degrees += e.degree;
+    }
+
+    /// Give back the room beyond twice [`SLACK`].
+    fn trim(&mut self) {
+        if self.entries.capacity() > self.entries.len() + 2 * SLACK {
+            self.entries.shrink_to(self.entries.len() + SLACK);
+        }
+    }
+}
+
+/// Where a bucket starts in key order: its least key and its handle.
+#[derive(Clone, Copy, Debug)]
+struct Lo {
+    ord: u64,
+    node: u32,
+    handle: u32,
+}
+
+impl Lo {
+    #[inline]
+    fn key(&self) -> Key {
+        (self.ord, self.node)
+    }
+}
+
+/// The settles of a complete, plain, key-ordered trace, in consecutive
+/// settle-key ranges ("buckets").
+#[derive(Clone, Debug)]
+struct KeyBuckets {
+    /// The buckets by handle; a freed handle holds an empty one.
+    buckets: Vec<Bucket>,
+    /// The buckets in key order: each range runs from its `Lo` to the
+    /// next one's, and the first takes every key.
+    order: Vec<Lo>,
+    /// Handles of buckets merged away, reused by the next split.
+    free: Vec<u32>,
+    /// Settles in all buckets.
+    len: usize,
+}
+
+impl KeyBuckets {
+    /// The buckets of a settle-key-ordered event log, [`BUCKET`]
+    /// consecutive events each: event `i` lands in slot
+    /// [`KeyBuckets::first_slot`]`(i)`. `relaxed` holds each event's
+    /// snapshot and `total` the sweep's final count, so degrees are their
+    /// differences.
+    fn new(events: &[SettleEvent], relaxed: &[u32], total: u64) -> Self {
+        let len = events.len();
+        let degree = |i: usize| {
+            // A difference of two snapshots of one sweep, so it fits.
+            (relaxed.get(i + 1).map_or(total, |&r| u64::from(r)) - u64::from(relaxed[i])) as u32
+        };
+        let (mut buckets, mut order) = (Vec::new(), Vec::new());
+        for (handle, start) in (0..len).step_by(BUCKET).enumerate() {
+            let end = (start + BUCKET).min(len);
+            let entries: Vec<Entry> = (start..end)
+                .map(|i| Entry { dist: events[i].dist, node: events[i].node, degree: degree(i) })
+                .collect();
+            let (ord, node) = if start == 0 { (0, 0) } else { entries[0].key() };
+            order.push(Lo { ord, node, handle: handle as u32 });
+            buckets.push(Bucket {
+                degrees: entries.iter().map(|e| e.degree).sum(),
+                before: start as u32,
+                relaxed: relaxed[start],
+                entries,
+            });
+        }
+        KeyBuckets { buckets, order, free: Vec::new(), len }
+    }
+
+    /// The slot [`KeyBuckets::new`] puts event `i` in.
+    fn first_slot(i: usize) -> u32 {
+        slot(i / BUCKET, i % BUCKET)
+    }
+
+    #[inline]
+    fn entry(&self, at: u32) -> &Entry {
+        let (h, pos) = unslot(at);
+        &self.buckets[h].entries[pos]
+    }
+
+    #[inline]
+    fn entry_mut(&mut self, at: u32) -> &mut Entry {
+        let (h, pos) = unslot(at);
+        &mut self.buckets[h].entries[pos]
+    }
+
+    /// The settles before the one in slot `at`, and the `relaxed` snapshot
+    /// at it: its bucket's prefix plus the members with a smaller key.
+    fn rank(&self, at: u32) -> (u64, u64) {
+        let (h, pos) = unslot(at);
+        let b = &self.buckets[h];
+        let key = b.entries[pos].key();
+        let (mut before, mut relaxed) = (u64::from(b.before), u64::from(b.relaxed));
+        for e in &b.entries {
+            let less = u64::from(e.key() < key);
+            before += less;
+            relaxed += less * u64::from(e.degree);
+        }
+        (before, relaxed)
+    }
+
+    /// Position in `order` of the bucket whose range holds `key`.
+    fn bucket_for(&self, key: Key) -> usize {
+        self.order.partition_point(|lo| lo.key() <= key) - 1
+    }
+
+    /// Move the settles in `moved`, whose labels changed, into the buckets
+    /// their new keys fall in, in two passes: first swap-remove by slot
+    /// every one that leaves its bucket, then push each onto its new
+    /// bucket, splitting one that grows past twice [`BUCKET`]. Lifting
+    /// them all out first leaves every bucket holding only keys of its
+    /// range, so a split's median falls inside it. Prefixes are left for
+    /// [`KeyBuckets::rebalance`].
+    fn relocate(&mut self, index: &mut SettledIndex, moved: &[u32], lifted: &mut Vec<Entry>) {
+        lifted.clear();
+        for &node in moved {
+            let (h, pos) = unslot(index.at(node));
+            let e = self.buckets[h].entries[pos];
+            if self.order[self.bucket_for(e.key())].handle as usize == h {
+                continue;
+            }
+            let from = &mut self.buckets[h];
+            from.entries.swap_remove(pos);
+            from.degrees -= e.degree;
+            if let Some(m) = from.entries.get(pos) {
+                index.set(m.node, slot(h, pos));
+            }
+            lifted.push(e);
+        }
+        for &e in lifted.iter() {
+            let k = self.bucket_for(e.key());
+            let to = self.order[k].handle as usize;
+            let into = &mut self.buckets[to];
+            index.set(e.node, slot(to, into.entries.len()));
+            into.push(e);
+            if into.entries.len() > 2 * BUCKET {
+                self.split(index, k);
+            }
+        }
+    }
+
+    /// Split the bucket at `order[k]` at its median key into two.
+    fn split(&mut self, index: &mut SettledIndex, k: usize) {
+        let h = self.order[k].handle as usize;
+        let entries = &mut self.buckets[h].entries;
+        let mid = entries.len() / 2;
+        entries.select_nth_unstable_by_key(mid, Entry::key);
+        let upper = entries.split_off(mid);
+        let degrees = upper.iter().map(|e| e.degree).sum();
+        self.buckets[h].degrees -= degrees;
+        let (ord, node) = upper[0].key();
+        let new = match self.free.pop() {
+            Some(handle) => handle as usize,
+            None => {
+                self.buckets.push(Bucket::default());
+                self.buckets.len() - 1
+            }
+        };
+        for (handle, entries) in [(h, &self.buckets[h].entries), (new, &upper)] {
+            for (pos, e) in entries.iter().enumerate() {
+                index.set(e.node, slot(handle, pos));
+            }
+        }
+        self.buckets[new] = Bucket { entries: upper, degrees, before: 0, relaxed: 0 };
+        let lo = Lo { ord, node, handle: new as u32 };
+        debug_assert!(
+            self.order[k].key() < lo.key()
+                && self.order.get(k + 1).is_none_or(|next| lo.key() < next.key()),
+            "a split's median lies inside its bucket's range, so `order` stays sorted"
+        );
+        self.order.insert(k + 1, lo);
+    }
+
+    /// One pass over the buckets in key order after a repair's moves:
+    /// merge each bucket into the one before it while the two hold at most
+    /// [`BUCKET`] settles together, so there are never more than about
+    /// two buckets per [`BUCKET`] settles, trim each, and rebuild every
+    /// prefix.
+    fn rebalance(&mut self, index: &mut SettledIndex) {
+        let (mut kept, mut before, mut relaxed) = (0, 0, 0);
+        for k in 0..self.order.len() {
+            let h = self.order[k].handle as usize;
+            let count = self.buckets[h].entries.len();
+            if kept > 0 {
+                let p = self.order[kept - 1].handle as usize;
+                if self.buckets[p].entries.len() + count <= BUCKET {
+                    let merged = std::mem::take(&mut self.buckets[h]);
+                    let into = &mut self.buckets[p];
+                    for e in merged.entries {
+                        index.set(e.node, slot(p, into.entries.len()));
+                        into.push(e);
+                    }
+                    (before, relaxed) = (before + count as u32, relaxed + merged.degrees);
+                    self.free.push(h as u32);
+                    continue;
+                }
+            }
+            let b = &mut self.buckets[h];
+            b.trim();
+            (b.before, b.relaxed) = (before, relaxed);
+            (before, relaxed) = (before + count as u32, relaxed + b.degrees);
+            self.order[kept] = self.order[k];
+            kept += 1;
+        }
+        self.order.truncate(kept);
+        debug_assert_eq!(before as usize, self.len, "every settle in one bucket");
+    }
+
+    /// [`SweepTrace::repair`]'s labels: every entry's `dist` becomes its
+    /// distance on `g`, with the overwritten ones logged in `s.touched`.
+    /// Returns whether every candidate was reached again — finite
+    /// reweighting keeps reachability, so anything else is a stale trace.
+    fn relabel<G: GraphView>(
+        &mut self,
+        index: &SettledIndex,
+        g: &G,
+        changes: &[EdgeChange],
+        s: &mut RepairScratch,
+    ) -> bool {
+        // The changed arcs inside the trace, with their old and new
+        // cheapest weights; both endpoints need their parents rechecked.
+        for c in changes {
+            for (x, y, old) in [(c.a, c.b, c.old_ab), (c.b, c.a, c.old_ba)] {
+                if index.at(x.0) == NIL || index.at(y.0) == NIL {
+                    continue;
+                }
+                s.arcs.push((x.0, y.0, old, cheapest_arc(g, x, y)));
+                s.mark_recheck(x.0);
+                s.mark_recheck(y.0);
+            }
+        }
+        // The rise roots, then their subtrees: `touched` is the walk's
+        // queue, and each candidate restarts at ∞.
+        for k in 0..s.arcs.len() {
+            let (x, y, old, new) = s.arcs[k];
+            if new > old && index.parent(y) == x && s.flags[y as usize] & CANDIDATE == 0 {
+                s.flags[y as usize] |= CANDIDATE;
+                s.touch(y, self.entry_mut(index.at(y)), f64::INFINITY);
+            }
+        }
+        let mut k = 0;
+        while k < s.touched.len() {
+            let v = s.touched[k].0;
+            g.for_each_arc(NodeId(v), &mut |u, _| {
+                if index.parent(u.0) == v && s.flags[u.index()] & CANDIDATE == 0 {
+                    s.flags[u.index()] |= CANDIDATE;
+                    s.touch(u.0, self.entry_mut(index.at(u.0)), f64::INFINITY);
+                }
+            });
+            k += 1;
+        }
+        // Seeds: the candidates from their non-candidate neighbours, then
+        // the heads of fallen arcs.
+        for k in 0..s.touched.len() {
+            let v = s.touched[k].0;
+            let mut best = f64::INFINITY;
+            g.for_each_arc(NodeId(v), &mut |u, w| {
+                if s.flags[u.index()] & CANDIDATE == 0 {
+                    let cand = self.entry(index.at(u.0)).dist + w;
+                    if cand < best {
+                        best = cand;
+                    }
+                }
+            });
+            self.entry_mut(index.at(v)).dist = best;
+            if best < f64::INFINITY {
+                s.heap.push(Reverse((ord_of(best), v)));
+            }
+        }
+        for k in 0..s.arcs.len() {
+            let (x, y, old, new) = s.arcs[k];
+            if new < old && s.flags[x as usize] & CANDIDATE == 0 {
+                let cand = self.entry(index.at(x)).dist + new;
+                let head = self.entry_mut(index.at(y));
+                if cand < head.dist {
+                    s.touch(y, head, cand);
+                }
+            }
+        }
+        // The Dijkstra from the seeds: a popped label is final.
+        while let Some(Reverse((key, v))) = s.heap.pop() {
+            let d = self.entry(index.at(v)).dist;
+            if s.flags[v as usize] & DONE != 0 || key != ord_of(d) {
+                continue;
+            }
+            s.flags[v as usize] |= DONE;
+            g.for_each_arc(NodeId(v), &mut |u, w| {
+                if s.flags[u.index()] & DONE == 0 {
+                    let (cand, e) = (d + w, self.entry_mut(index.at(u.0)));
+                    if cand < e.dist {
+                        s.touch(u.0, e, cand);
+                    }
+                }
+            });
+        }
+        s.touched.iter().all(|&(v, _)| self.entry(index.at(v)).dist < f64::INFINITY)
+    }
+
+    /// [`SweepTrace::repair`]'s parents for the moved settles, the
+    /// neighbours they held or are tight for, and the changed endpoints:
+    /// the tight neighbour with the smallest settle key, into
+    /// `s.reparent`. Returns `false` when one
+    /// settles no earlier than the node itself, or a moved node would
+    /// settle before the root — the order rule's premise fails.
+    fn reparent<G: GraphView>(
+        &self,
+        index: &SettledIndex,
+        root: u32,
+        g: &G,
+        s: &mut RepairScratch,
+    ) -> bool {
+        let first = self.entry(index.at(root)).key();
+        for k in 0..s.moved.len() {
+            let v = s.moved[k];
+            let e = *self.entry(index.at(v));
+            if e.key() < first {
+                return false;
+            }
+            s.mark_recheck(v);
+            // An unmoved neighbour off the changed arcs keeps its tight
+            // neighbours but the moved ones, so its parent changes only
+            // if it hung from `v` or `v` is tight for it now.
+            g.for_each_arc(NodeId(v), &mut |u, w| {
+                if index.parent(u.0) == v || e.dist + w == self.entry(index.at(u.0)).dist {
+                    s.mark_recheck(u.0);
+                }
+            });
+        }
+        for k in 0..s.rechecks.len() {
+            let v = s.rechecks[k];
+            if v == root {
+                continue;
+            }
+            let me = *self.entry(index.at(v));
+            let mut best: Option<Key> = None;
+            g.for_each_arc(NodeId(v), &mut |u, w| {
+                let p = self.entry(index.at(u.0));
+                if p.dist + w == me.dist && best.is_none_or(|b| p.key() < b) {
+                    best = Some(p.key());
+                }
+            });
+            match best {
+                Some(b) if b < me.key() => s.reparent.push((v, b.1)),
+                _ => return false,
+            }
+        }
+        true
+    }
+}
+
+/// How a trace keeps its settles (see the module docs). A settle's *slot*
+/// is where it lives here, and the settled-set index maps nodes to slots.
+#[derive(Clone, Debug)]
+enum Settles {
+    /// Settle-ordered events, slot = settle index, each with the `relaxed`
+    /// snapshot at it. A `u32` holds a snapshot: a sweep relaxes each arc
+    /// at most once, and a map's arc offsets are `u32`.
+    Log { events: Vec<SettleEvent>, relaxed: Vec<u32> },
+    /// Settle-key buckets: a complete, plain, key-ordered trace — the
+    /// only kind [`SweepTrace::repair`] rewrites.
+    Buckets(KeyBuckets),
+}
+
+/// A recorded Dijkstra sweep: its labels, tree and counters, read by
+/// [`crate::dijkstra::run_tree`] through a [`TreeView`].
 #[derive(Clone, Debug)]
 pub struct SweepTrace {
     root: NodeId,
     nodes: usize,
-    events: Vec<SettleEvent>,
-    /// Per event, the arc relaxations performed *before* its node expanded
-    /// its arcs — what a sweep stopping there would report. A `u32` holds
-    /// it: a sweep relaxes each arc at most once, and a map's arc offsets
-    /// are `u32`.
-    relaxed: Vec<u32>,
-    /// The settled-set index: node → settle index (and, when dense, the
-    /// tree by node).
+    settles: Settles,
+    /// The settled-set index: node → slot (and the tree by node where
+    /// the trace keeps it).
     index: SettledIndex,
     /// Counters at sweep end — what a fresh exhausting sweep reports.
     final_stats: SearchStats,
@@ -107,11 +555,6 @@ pub struct SweepTrace {
     /// i.e. every reachable node is settled and absence proves
     /// unreachability.
     complete: bool,
-    /// Whether the events are strictly increasing in [`settle_key`] — the
-    /// premise [`SweepTrace::repair`]'s order rule needs. Checked once, as
-    /// the recorder writes the events; a repair merges sorted runs, so a
-    /// repaired trace keeps it.
-    ordered: bool,
     /// The goal-directed potential the sweep ran under — its landmarks and
     /// goal set (`None` for plain Dijkstra). Guided sweeps settle in
     /// potential-key order, re-keyed as goals of that set settle, so their
@@ -130,7 +573,8 @@ impl SweepTrace {
     /// stale. `relaxed` holds each event's counter snapshot. `ordered` is
     /// whether the recorder wrote the events strictly increasing in
     /// [`settle_key`]. The root is the first event's node: a sweep settles
-    /// its root first.
+    /// its root first. A complete, plain, ordered sweep goes into key
+    /// buckets; any other keeps its log.
     pub(crate) fn from_parts(
         mut events: Vec<SettleEvent>,
         mut relaxed: Vec<u32>,
@@ -140,25 +584,21 @@ impl SweepTrace {
         complete: bool,
         potential: Option<PotentialParams>,
     ) -> Self {
-        // The recorder reserves one slot per node up front; a trace can
-        // live in a cache for a long time, so give back the unused tail —
-        // an early-stopped sweep must cost memory proportional to what it
-        // settled, not to the map.
-        events.shrink_to_fit();
-        relaxed.shrink_to_fit();
         let (root, nodes) = (NodeId(events[0].node), index.len());
-        let index = SettledIndex::scan(&events, index, complete);
-        SweepTrace {
-            root,
-            nodes,
-            events,
-            relaxed,
-            index,
-            final_stats,
-            complete,
-            ordered,
-            potential,
-        }
+        let bucketed = complete && ordered && potential.is_none() && events.len() <= MAX_BUCKETED;
+        let index = SettledIndex::scan(&events, index, complete, bucketed);
+        let settles = if bucketed {
+            Settles::Buckets(KeyBuckets::new(&events, &relaxed, final_stats.relaxed))
+        } else {
+            // The recorder reserves one slot per node up front; a trace can
+            // live in a cache for a long time, so give back the unused
+            // tail — an early-stopped sweep must cost memory proportional
+            // to what it settled, not to the map.
+            events.shrink_to_fit();
+            relaxed.shrink_to_fit();
+            Settles::Log { events, relaxed }
+        };
+        SweepTrace { root, nodes, settles, index, final_stats, complete, potential }
     }
 
     /// The goal-directed potential the recorded sweep ran under, if any.
@@ -182,13 +622,16 @@ impl SweepTrace {
 
     /// Number of settled nodes recorded.
     pub fn len(&self) -> usize {
-        self.events.len()
+        match &self.settles {
+            Settles::Log { events, .. } => events.len(),
+            Settles::Buckets(b) => b.len,
+        }
     }
 
     /// Whether the trace is empty (never — sweeps settle their root — but
     /// the conventional pair to [`SweepTrace::len`]).
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
     /// Whether the sweep exhausted its component.
@@ -199,16 +642,40 @@ impl SweepTrace {
     /// The settled nodes in settle order (nearest-first). Lets callers
     /// measure a sweep's *spatial footprint* — e.g. how much of it falls
     /// inside one shard's region under region-owned placement — without
-    /// exposing the per-event counter snapshots.
+    /// exposing the per-settle counters.
     pub fn settled(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.events.iter().map(|e| NodeId(e.node))
+        self.in_settle_order().into_iter().map(|(node, _, _)| NodeId(node))
     }
 
     /// Settle-order index of `node`, if the sweep settled it.
     pub fn position(&self, node: NodeId) -> Option<usize> {
+        let at = self.slot(node)?;
+        Some(self.stats_at(Stop(Some(at))).settled as usize - 1)
+    }
+
+    /// Slot of `node`'s settle, if the sweep settled it.
+    #[inline]
+    fn slot(&self, node: NodeId) -> Option<u32> {
         match self.index.at(node.0) {
             NIL => None,
-            i => Some(i as usize),
+            at => Some(at),
+        }
+    }
+
+    /// The settle-order key of the settle in slot `at`.
+    #[inline]
+    fn key_at(&self, at: u32) -> Key {
+        match &self.settles {
+            Settles::Log { .. } => (u64::from(at), 0),
+            Settles::Buckets(b) => b.entry(at).key(),
+        }
+    }
+
+    #[inline]
+    fn dist_at(&self, at: u32) -> f64 {
+        match &self.settles {
+            Settles::Log { events, .. } => events[at as usize].dist,
+            Settles::Buckets(b) => b.entry(at).dist,
         }
     }
 
@@ -229,25 +696,23 @@ impl SweepTrace {
     /// that returns `true` must be repaired ([`SweepTrace::repair`]) or
     /// evicted before it can be adopted.
     pub fn touches_any(&self, endpoints: &[(NodeId, NodeId)]) -> bool {
-        endpoints.iter().any(|&(a, b)| self.position(a).is_some() || self.position(b).is_some())
+        endpoints.iter().any(|&(a, b)| self.slot(a).is_some() || self.slot(b).is_some())
     }
 
     /// Rewrite this trace in place into exactly the trace a fresh
     /// [`Goal::AllNodes`] sweep from the same root records on `g`, the map
     /// after a weight update whose changed edges are `changes` — the same
-    /// events (node, parent index, distance bits), `relaxed` snapshots,
-    /// settled-set index and parent column, the same final counters.
-    /// Returns `false` when the trace cannot be repaired; it must then be
-    /// dropped.
+    /// labels (distance bits), tree parents, settle positions and
+    /// `relaxed` snapshots, the same final counters. Returns `false` when
+    /// the trace cannot be repaired; it must then be dropped.
     ///
-    /// Only a complete, plain (unguided) trace recorded in settle-key
-    /// order on a map of `g`'s size is repaired, and only on a symmetric
-    /// `g` (a node's in-arcs are its out-arcs). Anything else returns
-    /// `false` untouched.
+    /// Only a bucketed trace — complete, plain (unguided), recorded in
+    /// settle-key order — on a map of `g`'s size is repaired, and only on
+    /// a symmetric `g` (a node's in-arcs are its out-arcs). Anything else
+    /// returns `false` untouched.
     ///
     /// The repair is incremental (after Ramalingam & Reps): it recomputes
-    /// only the labels that can move and rewrites only the stretch of
-    /// settle order they cross.
+    /// only the labels that can move and moves only their entries.
     ///
     /// * **Rises.** When the cheapest arc `x → y` got dearer and `x` is
     ///   `y`'s recorded parent, `y`'s recorded subtree is a candidate set,
@@ -260,329 +725,107 @@ impl SweepTrace {
     /// * A Dijkstra from the seeds, relaxing with the sweep's strict `<`
     ///   and its float expression `d + w`, reaches the new fixed point.
     /// * **Order.** A plain sweep settles in the `(dist, node)` order its
-    ///   integer frontier pops, so the nodes whose distance did not move
-    ///   keep their relative order and the moved ones merge in, sorted.
-    ///   Only the window of settle indices spanning the moved events' old
-    ///   and new positions changes; its ends are binary searches of the
-    ///   sorted, unmoved events before and after it. An event outside the
-    ///   window keeps its index.
-    /// * **Parents.** A node's parent is the earliest-settled neighbour `u`
-    ///   with `d_u + w == d_v` (the first strict improver wins). It is
-    ///   recomputed for moved nodes, their neighbours and the changed
-    ///   endpoints; every other parent keeps its node, so the parent
-    ///   column changes exactly at the recomputed ones. Parent indices are
-    ///   re-mapped inside the window and by one sequential scan of the
-    ///   events after it — those before it cannot point into it.
-    /// * **Counters.** `relaxed` snapshots are prefix sums of out-degree in
-    ///   settle order, and the degrees are differences of the old
-    ///   snapshots; outside the window each snapshot sums the same events,
-    ///   so only the window's are rewritten. Reweighting keeps
-    ///   reachability, so the final counters and completeness stay.
+    ///   integer frontier pops, which is the order the buckets rank by:
+    ///   every settle whose distance moved out of its bucket's range is
+    ///   first swap-removed from it by slot, then each joins the bucket its
+    ///   new key falls in (a bucket grown past twice its target of 128
+    ///   splits at its median key, over keys of its range only), and
+    ///   nothing else moves.
+    /// * **Parents.** A node's parent is the tight neighbour `u` (`d_u + w
+    ///   == d_v`) with the smallest settle key (the first strict improver
+    ///   wins). It is recomputed for moved nodes, the neighbours that hung
+    ///   from one or that one is now tight for, and the changed endpoints;
+    ///   every other node keeps its tight neighbours but the moved ones,
+    ///   so its parent stays, and the tree changes exactly at the
+    ///   recomputed ones.
+    /// * **Counters.** A position is the settles of the earlier buckets
+    ///   plus the smaller keys in its own, and a `relaxed` snapshot the
+    ///   out-degrees of the same settles. A move carries its entry's
+    ///   degree from one bucket's sum to the other's, and one pass over
+    ///   the buckets rebuilds the prefixes. Reweighting keeps reachability
+    ///   and degrees, so the final counters and completeness stay.
     ///
-    /// A repair costs the labels that move (and their arcs) plus the
-    /// window and the events after it, not a pass over the whole trace.
+    /// Every check runs before anything is applied. A repair costs the
+    /// labels that move (and their arcs) plus one pass over the buckets,
+    /// not a pass over the trace.
     ///
     /// The premise of the order rule — every node has a tight neighbour
-    /// that settles before it — can fail only on zero-weight arcs (or sums
-    /// that absorb a weight); the repair checks it and returns `false`
-    /// instead, with the trace untouched.
+    /// that settles before it, and the root settles first — can fail only
+    /// on zero-weight arcs (or sums that absorb a weight); the repair
+    /// checks it and returns `false` instead, with the trace untouched.
     pub fn repair<G: GraphView>(
         &mut self,
         g: &G,
         changes: &[EdgeChange],
         scratch: &mut RepairScratch,
     ) -> bool {
-        if !self.complete
-            || !self.ordered
-            || self.potential.is_some()
-            || !g.is_symmetric()
-            || self.nodes != g.num_nodes()
-        {
+        let Settles::Buckets(b) = &mut self.settles else { return false };
+        if !g.is_symmetric() || self.nodes != g.num_nodes() {
             return false;
         }
-        let s = scratch;
-        s.begin(self.events.len());
-        let repaired = self.relabel(g, changes, s) && {
-            self.reorder(s);
-            s.new_index(0) == 0 && self.reparent(g, s)
+        let (s, index) = (scratch, &mut self.index);
+        s.begin(self.nodes);
+        let repaired = b.relabel(index, g, changes, s) && {
+            for &(v, old) in &s.touched {
+                if b.entry(index.at(v)).dist.to_bits() != old.to_bits() {
+                    s.moved.push(v);
+                }
+            }
+            b.reparent(index, self.root.0, g, s)
         };
         if repaired {
-            self.rewrite(s);
+            for &(v, p) in &s.reparent {
+                index.set_parent(v, p);
+            }
+            b.relocate(index, &s.moved, &mut s.lifted);
+            b.rebalance(index);
         } else {
-            for &(i, old) in &s.touched {
-                self.events[i as usize].dist = old;
+            for &(v, old) in &s.touched {
+                b.entry_mut(index.at(v)).dist = old;
             }
         }
         s.end();
         repaired
     }
 
-    /// [`SweepTrace::repair`]'s labels: every event's `dist` becomes its
-    /// distance on `g`, with the overwritten ones logged in `s.touched`.
-    /// Returns whether every candidate was reached again — finite
-    /// reweighting keeps reachability, so anything else is a stale trace.
-    fn relabel<G: GraphView>(
-        &mut self,
-        g: &G,
-        changes: &[EdgeChange],
-        s: &mut RepairScratch,
-    ) -> bool {
-        // The changed arcs inside the trace, with their old and new
-        // cheapest weights; both endpoints need their parents rechecked.
-        for c in changes {
-            for (x, y, old) in [(c.a, c.b, c.old_ab), (c.b, c.a, c.old_ba)] {
-                let (Some(ix), Some(iy)) = (self.position(x), self.position(y)) else {
-                    continue;
-                };
-                s.arcs.push((ix as u32, iy as u32, old, cheapest_arc(g, x, y)));
-                s.mark_recheck(ix);
-                s.mark_recheck(iy);
-            }
-        }
-        // The rise roots, then their subtrees: `touched` is the walk's
-        // queue, and each candidate restarts at ∞.
-        for k in 0..s.arcs.len() {
-            let (ix, iy, old, new) = s.arcs[k];
-            let iy = iy as usize;
-            if new > old && self.events[iy].parent == ix && s.flags[iy] & CANDIDATE == 0 {
-                s.flags[iy] |= CANDIDATE;
-                s.touch(iy, &mut self.events[iy], f64::INFINITY);
-            }
-        }
-        let mut k = 0;
-        while k < s.touched.len() {
-            let i = s.touched[k].0;
-            g.for_each_arc(NodeId(self.events[i as usize].node), &mut |u, _| {
-                let j = self.index.at(u.0) as usize;
-                if self.events[j].parent == i && s.flags[j] & CANDIDATE == 0 {
-                    s.flags[j] |= CANDIDATE;
-                    s.touch(j, &mut self.events[j], f64::INFINITY);
-                }
-            });
-            k += 1;
-        }
-        // Seeds: the candidates from their non-candidate neighbours, then
-        // the heads of fallen arcs.
-        for k in 0..s.touched.len() {
-            let i = s.touched[k].0 as usize;
-            let mut best = f64::INFINITY;
-            g.for_each_arc(NodeId(self.events[i].node), &mut |u, w| {
-                let j = self.index.at(u.0) as usize;
-                if s.flags[j] & CANDIDATE == 0 {
-                    let cand = self.events[j].dist + w;
-                    if cand < best {
-                        best = cand;
-                    }
-                }
-            });
-            self.events[i].dist = best;
-            if best < f64::INFINITY {
-                s.heap.push(Reverse((ord_of(best), i as u32)));
-            }
-        }
-        for k in 0..s.arcs.len() {
-            let (ix, iy, old, new) = s.arcs[k];
-            let (ix, iy) = (ix as usize, iy as usize);
-            if new < old && s.flags[ix] & CANDIDATE == 0 {
-                let cand = self.events[ix].dist + new;
-                if cand < self.events[iy].dist {
-                    s.touch(iy, &mut self.events[iy], cand);
-                }
-            }
-        }
-        // The Dijkstra from the seeds: a popped label is final.
-        while let Some(Reverse((key, i))) = s.heap.pop() {
-            let i = i as usize;
-            if s.flags[i] & DONE != 0 || key != ord_of(self.events[i].dist) {
-                continue;
-            }
-            s.flags[i] |= DONE;
-            let d = self.events[i].dist;
-            g.for_each_arc(NodeId(self.events[i].node), &mut |u, w| {
-                let j = self.index.at(u.0) as usize;
-                let cand = d + w;
-                if s.flags[j] & DONE == 0 && cand < self.events[j].dist {
-                    s.touch(j, &mut self.events[j], cand);
-                }
-            });
-        }
-        s.touched.iter().all(|&(i, _)| self.events[i as usize].dist < f64::INFINITY)
-    }
-
-    /// [`SweepTrace::repair`]'s settle order: the events whose distance
-    /// moved, sorted into `s.moved`; the window `[s.lo, s.lo +
-    /// s.new_idx.len())` of old indices their old and new positions span;
-    /// and the new index of every event in it, in `s.new_idx`. Unmoved
-    /// events keep their relative order, and those outside the window
-    /// keep their index.
-    fn reorder(&self, s: &mut RepairScratch) {
-        let (mut first, mut last) = (usize::MAX, 0);
-        for &(i, old) in &s.touched {
-            if self.events[i as usize].dist.to_bits() != old.to_bits() {
-                s.moved.push(i);
-                s.flags[i as usize] |= MOVED;
-                (first, last) = (first.min(i as usize), last.max(i as usize));
-            }
-        }
-        s.moved.sort_unstable_by_key(|&i| settle_key(&self.events[i as usize]));
-        let (Some(&low), Some(&high)) = (s.moved.first(), s.moved.last()) else {
-            return;
-        };
-        let (low, high) =
-            (settle_key(&self.events[low as usize]), settle_key(&self.events[high as usize]));
-        // Events outside `[first, last]` are unmoved, hence sorted: the
-        // window opens where the first moved event lands among them and
-        // closes where the last one does.
-        let lo = self.events[..first].partition_point(|e| settle_key(e) < low);
-        let hi = last + 1 + self.events[last + 1..].partition_point(|e| settle_key(e) < high);
-        s.lo = lo;
-        s.new_idx.resize(hi - lo, 0);
-        let (mut next, mut m) = (lo as u32, 0);
-        for i in lo..hi {
-            if s.flags[i] & MOVED != 0 {
-                continue;
-            }
-            let key = settle_key(&self.events[i]);
-            while m < s.moved.len() && settle_key(&self.events[s.moved[m] as usize]) < key {
-                s.new_idx[s.moved[m] as usize - lo] = next;
-                (next, m) = (next + 1, m + 1);
-            }
-            s.new_idx[i - lo] = next;
-            next += 1;
-        }
-        for &i in &s.moved[m..] {
-            s.new_idx[i as usize - lo] = next;
-            next += 1;
-        }
-        debug_assert_eq!(next as usize, hi, "the window maps onto itself");
-    }
-
-    /// [`SweepTrace::repair`]'s parents for the moved events, their
-    /// neighbours and the changed endpoints: the earliest tight neighbour,
-    /// into `s.reparent`. Returns `false` when one settles no earlier than
-    /// the event itself — the order rule's premise fails.
-    fn reparent<G: GraphView>(&self, g: &G, s: &mut RepairScratch) -> bool {
-        for k in 0..s.moved.len() {
-            let i = s.moved[k] as usize;
-            s.mark_recheck(i);
-            g.for_each_arc(NodeId(self.events[i].node), &mut |u, _| {
-                s.mark_recheck(self.index.at(u.0) as usize);
-            });
-        }
-        for k in 0..s.rechecks.len() {
-            let i = s.rechecks[k] as usize;
-            if i == 0 {
-                continue;
-            }
-            let d = self.events[i].dist;
-            let mut best: Option<(u32, u32)> = None;
-            g.for_each_arc(NodeId(self.events[i].node), &mut |u, w| {
-                let j = self.index.at(u.0);
-                if self.events[j as usize].dist + w == d {
-                    let at = s.new_index(j as usize);
-                    if best.is_none_or(|(b, _)| at < b) {
-                        best = Some((at, j));
-                    }
-                }
-            });
-            match best {
-                Some((at, j)) if at < s.new_index(i) => s.reparent.push((i as u32, j)),
-                _ => return false,
-            }
-        }
-        true
-    }
-
-    /// [`SweepTrace::repair`]'s rewrite: parents by old index, and the
-    /// parent column; degrees and new parent indices inside the window,
-    /// then new parent indices after it; then the window's permutation,
-    /// prefix sums and index entries.
-    fn rewrite(&mut self, s: &mut RepairScratch) {
-        for &(i, j) in &s.reparent {
-            self.events[i as usize].parent = j;
-            if let SettledIndex::Dense { parent, .. } = &mut self.index {
-                parent[self.events[i as usize].node as usize] = self.events[j as usize].node;
-            }
-        }
-        let (lo, hi) = (s.lo, s.lo + s.new_idx.len());
-        if lo == hi {
-            return;
-        }
-        let snapshot = |relaxed: &[u32], i: usize| {
-            relaxed.get(i).map_or(self.final_stats.relaxed, |&r| u64::from(r))
-        };
-        let base = self.relaxed[lo];
-        for i in lo..hi {
-            // A degree: the difference of two snapshots, so it fits.
-            self.relaxed[i] = (snapshot(&self.relaxed, i + 1) - u64::from(self.relaxed[i])) as u32;
-            let e = &mut self.events[i];
-            e.parent = s.new_index(e.parent as usize);
-        }
-        // After the window only a parent inside it changes index; before
-        // it, no parent points in.
-        for e in &mut self.events[hi..] {
-            e.parent = s.new_index(e.parent as usize);
-        }
-        // Follow each cycle of the permutation, carrying each event with
-        // its degree; a slot of `new_idx` is reset to its own index once
-        // its event is placed.
-        for start in lo..hi {
-            if s.new_idx[start - lo] as usize == start {
-                continue;
-            }
-            let (mut carry, mut degree, mut from) =
-                (self.events[start], self.relaxed[start], start);
-            loop {
-                let to = std::mem::replace(&mut s.new_idx[from - lo], from as u32) as usize;
-                std::mem::swap(&mut carry, &mut self.events[to]);
-                std::mem::swap(&mut degree, &mut self.relaxed[to]);
-                if to == start {
-                    break;
-                }
-                from = to;
-            }
-        }
-        let mut relaxed = base;
-        for i in lo..hi {
-            (self.relaxed[i], relaxed) = (relaxed, relaxed + self.relaxed[i]);
-            self.index.set(self.events[i].node, i as u32);
-        }
-        debug_assert_eq!(
-            u64::from(relaxed),
-            snapshot(&self.relaxed, hi),
-            "the window's degrees sum to the snapshot after it"
-        );
-    }
-
     /// Where a fresh sweep with `goal` would stop, if that point is
     /// provably inside this trace; `None` means the trace cannot answer
     /// the goal (some goal node lies beyond the settled radius of an
-    /// incomplete sweep).
-    fn stop_for(&self, goal: &Goal) -> Option<Stop> {
+    /// incomplete sweep). A goal set stops at the member with the largest
+    /// settle key, found without a rank query.
+    pub(crate) fn stop_for(&self, goal: &Goal) -> Option<Stop> {
+        let exhausted = self.complete.then_some(Stop(None));
         match goal {
-            Goal::AllNodes => self.complete.then_some(Stop::Exhausted),
-            Goal::Single(t) => match self.position(*t) {
-                Some(i) => Some(Stop::At(i)),
-                None => self.complete.then_some(Stop::Exhausted),
-            },
+            Goal::AllNodes => exhausted,
+            Goal::Single(t) => self.slot(*t).map(|at| Stop(Some(at))).or(exhausted),
             Goal::Set(ts) => {
-                let mut last = None;
+                let mut last: Option<(Key, u32)> = None;
                 for t in ts {
-                    match self.position(*t) {
-                        Some(i) => last = Some(last.map_or(i, |l: usize| l.max(i))),
-                        // One unsettled target: only a complete sweep can
-                        // answer it (by proving it unreachable), and then
-                        // the fresh sweep would exhaust too.
-                        None => return self.complete.then_some(Stop::Exhausted),
+                    // One unsettled target: only a complete sweep can
+                    // answer it (by proving it unreachable), and then the
+                    // fresh sweep would exhaust too.
+                    let Some(at) = self.slot(*t) else { return exhausted };
+                    let key = self.key_at(at);
+                    if last.is_none_or(|(k, _)| key > k) {
+                        last = Some((key, at));
                     }
                 }
-                match last {
-                    Some(i) => Some(Stop::At(i)),
-                    // Empty goal set never triggers the stop rule.
-                    None => self.complete.then_some(Stop::Exhausted),
-                }
+                // An empty goal set never triggers the stop rule.
+                last.map(|(_, at)| Stop(Some(at))).or(exhausted)
             }
         }
+    }
+
+    /// The counters a fresh sweep reports when it stops at `stop`: the
+    /// settles up to it and the `relaxed` snapshot there, or the exhausted
+    /// sweep's final counters.
+    pub(crate) fn stats_at(&self, stop: Stop) -> SearchStats {
+        let Stop(Some(at)) = stop else { return self.final_stats };
+        let (before, relaxed) = match &self.settles {
+            Settles::Log { relaxed, .. } => (u64::from(at), u64::from(relaxed[at as usize])),
+            Settles::Buckets(b) => b.rank(at),
+        };
+        SearchStats { settled: before + 1, relaxed }
     }
 
     /// The counters a fresh sweep with `goal` reports — the snapshot at the
@@ -592,34 +835,55 @@ impl SweepTrace {
     /// is what lets a plain cache miss ([`crate::dijkstra::run_tree`])
     /// record past its goal and still report the goal's counters. Its
     /// `settled` is the length of the goal-stop prefix: every settle
-    /// records one event.
+    /// records one label.
     pub(crate) fn stats_for(&self, goal: &Goal) -> Option<SearchStats> {
-        Some(match self.stop_for(goal)? {
-            Stop::At(i) => SearchStats { settled: i as u64 + 1, relaxed: self.relaxed[i].into() },
-            Stop::Exhausted => self.final_stats,
-        })
+        self.stop_for(goal).map(|stop| self.stats_at(stop))
     }
 
-    /// The path from the root to `t` inside the first `settled` events, by
-    /// chasing `t`'s parents — node by node through the parent column of a
-    /// dense trace, event by event through the parent settle indices of
-    /// any other — into one buffer sized by a first walk; `None` when `t`
-    /// settles later or never.
-    fn path_to(&self, settled: usize, t: NodeId) -> Option<Path> {
-        let i = self.position(t).filter(|&i| i < settled)?;
-        let nodes = match &self.index {
-            SettledIndex::Dense { parent, .. } => chase(t.0, |v| parent[v as usize], |v| v),
-            SettledIndex::Sorted(_) => chase(
-                i as u32,
+    /// The view a hit answers with: this trace's prefix up to `stop`.
+    pub(crate) fn view(&self, stop: Stop) -> TreeView<'_> {
+        TreeView::Trace { trace: self, stop }
+    }
+
+    /// The path from the root to `t` if `t` settled at or before `stop`,
+    /// by chasing `t`'s parents — node by node through a parent-node
+    /// column, event by event through a log's parent settle indices
+    /// otherwise — into one buffer sized by a first walk; `None` when `t`
+    /// settles later or never. Whether `t` settled in time is one compare
+    /// of settle-order keys, not a rank query.
+    fn path_to(&self, stop: Stop, t: NodeId) -> Option<Path> {
+        let at = self.slot(t)?;
+        if stop.0.is_some_and(|last| self.key_at(at) > self.key_at(last)) {
+            return None;
+        }
+        let nodes = match (&self.index, &self.settles) {
+            (SettledIndex::Dense { parent, .. }, _) => chase(t.0, |v| parent[v as usize], |v| v),
+            (_, Settles::Buckets(_)) => chase(t.0, |v| self.index.parent(v), |v| v),
+            (_, Settles::Log { events, .. }) => chase(
+                at,
                 |k| {
-                    let parent = self.events[k as usize].parent;
+                    let parent = events[k as usize].parent;
                     debug_assert!(parent == NIL || parent < k, "a parent settles before its child");
                     parent
                 },
-                |k| self.events[k as usize].node,
+                |k| events[k as usize].node,
             ),
         };
-        Some(Path::new(nodes, self.events[i].dist))
+        Some(Path::new(nodes, self.dist_at(at)))
+    }
+
+    /// Every settle as `(node, dist, parent node)` ([`NIL`] for the root),
+    /// in settle order: a log's events as they are, a bucketed trace's
+    /// entries sorted by key.
+    fn in_settle_order(&self) -> Vec<(u32, f64, u32)> {
+        match &self.settles {
+            Settles::Log { events, .. } => events.iter().map(|e| log_settle(events, e)).collect(),
+            Settles::Buckets(b) => {
+                let mut entries: Vec<&Entry> = b.buckets.iter().flat_map(|b| &b.entries).collect();
+                entries.sort_unstable_by_key(|e| e.key());
+                entries.iter().map(|e| (e.node, e.dist, self.index.parent(e.node))).collect()
+            }
+        }
     }
 
     /// Replay this trace into `arena` as the answer to `goal`.
@@ -632,7 +896,7 @@ impl SweepTrace {
     /// [`crate::dijkstra::run_tree`] never replays: it reads a hit through
     /// a [`TreeView`] of the same prefix. The replay remains as the
     /// operation the benchmark's adoption probe times and as the oracle the
-    /// tests hold that read to.
+    /// tests hold that read to; a bucketed trace sorts its settles first.
     ///
     /// One observable difference to a fresh run is intentional: frontier
     /// nodes beyond the stopping point carry *no* tentative labels after
@@ -643,35 +907,47 @@ impl SweepTrace {
     pub fn adopt_into(&self, arena: &mut SearchArena, goal: &Goal) -> Option<SearchStats> {
         let stats = self.stats_for(goal)?;
         arena.begin(self.nodes);
-        for e in &self.events[..stats.settled as usize] {
-            let parent = (e.parent != NIL).then(|| NodeId(self.events[e.parent as usize].node));
-            arena.label(NodeId(e.node), e.dist, parent);
-            arena.settle(NodeId(e.node));
+        let mut replay = |(node, dist, parent): (u32, f64, u32)| {
+            arena.label(NodeId(node), dist, (parent != NIL).then_some(NodeId(parent)));
+            arena.settle(NodeId(node));
+        };
+        let prefix = stats.settled as usize;
+        match &self.settles {
+            Settles::Log { events, .. } => {
+                events[..prefix].iter().for_each(|e| replay(log_settle(events, e)));
+            }
+            Settles::Buckets(_) => self.in_settle_order().into_iter().take(prefix).for_each(replay),
         }
         Some(stats)
     }
 }
 
-/// A trace's settled-set index: node → settle index.
+/// A trace's settled-set index: node → slot.
 #[derive(Clone, Debug, PartialEq)]
 enum SettledIndex {
     /// One entry per map node, [`NIL`] for a node the sweep did not
     /// settle, and beside it the tree by node: each node's parent node
     /// ([`NIL`] for the root and for unsettled nodes), which a path is
-    /// read from without touching an event. A complete trace that settled
+    /// read from without touching a settle. A complete trace that settled
     /// at least two thirds of the map keeps this form: at most 12 B per
-    /// settle on top of its events, 8 B for a map-spanning one, and a
-    /// lookup or a hop is one load.
+    /// settle, 8 B for a map-spanning one, and a lookup or a hop is one
+    /// load.
     Dense {
-        /// Node → settle index.
+        /// Node → slot.
         at: Vec<u32>,
         /// Node → its parent node.
         parent: Vec<u32>,
     },
-    /// `(node, settle index)` sorted by node: every other trace, so an
+    /// `(node, slot)` sorted by node: every other trace, so an
     /// early-stopped one (or one of a small component) costs memory in
     /// proportion to what it settled.
-    Sorted(Vec<(u32, u32)>),
+    Sorted {
+        /// `(node, slot)`, sorted by node.
+        pairs: Vec<(u32, u32)>,
+        /// Each pair's parent node, for a bucketed trace; empty for a log,
+        /// whose events name their parents.
+        parent: Vec<u32>,
+    },
 }
 
 impl SettledIndex {
@@ -682,51 +958,105 @@ impl SettledIndex {
     /// settles. Sorting the `len` pairs instead is only cheaper for a
     /// trace shorter than about a twelfth of the map, and a plain cache
     /// miss records twice its goal's depth, so the cache rarely stores one.
-    /// A dense index's parent column is written from the events, each
-    /// naming its parent's node through the parent's event.
-    fn scan(events: &[SettleEvent], recorded: &[u32], complete: bool) -> Self {
+    /// Parent nodes are written from the events, each naming its parent's
+    /// node through the parent's event: for a dense index always, for
+    /// sorted pairs only when `bucketed`, whose slots are
+    /// [`KeyBuckets::first_slot`]s rather than settle indices.
+    fn scan(events: &[SettleEvent], recorded: &[u32], complete: bool, bucketed: bool) -> Self {
         let settled = |(node, &i): (usize, &u32)| {
             events.get(i as usize).is_some_and(|e| e.node as usize == node)
         };
+        let slot = |i: u32| if bucketed { KeyBuckets::first_slot(i as usize) } else { i };
+        let parent_of = |e: &SettleEvent| log_settle(events, e).2;
         if complete && 3 * events.len() >= 2 * recorded.len() {
-            let at = recorded.iter().enumerate().map(|p| if settled(p) { *p.1 } else { NIL });
+            let at = recorded.iter().enumerate().map(|p| if settled(p) { slot(*p.1) } else { NIL });
             let mut parent = vec![NIL; recorded.len()];
-            for e in events.iter().filter(|e| e.parent != NIL) {
-                parent[e.node as usize] = events[e.parent as usize].node;
+            for e in events {
+                parent[e.node as usize] = parent_of(e);
             }
             SettledIndex::Dense { at: at.collect(), parent }
         } else {
             let mut pairs = Vec::with_capacity(events.len());
             pairs.extend(
-                recorded.iter().enumerate().filter(|&p| settled(p)).map(|(n, &i)| (n as u32, i)),
+                recorded
+                    .iter()
+                    .enumerate()
+                    .filter(|&p| settled(p))
+                    .map(|(n, &i)| (n as u32, slot(i))),
             );
             debug_assert_eq!(pairs.len(), events.len(), "every settle indexed once");
-            SettledIndex::Sorted(pairs)
+            let parent = if bucketed {
+                recorded
+                    .iter()
+                    .enumerate()
+                    .filter(|&p| settled(p))
+                    .map(|(_, &i)| parent_of(&events[i as usize]))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            SettledIndex::Sorted { pairs, parent }
         }
     }
 
-    /// Settle index of `node`, or [`NIL`] when the sweep did not settle it.
+    /// Position of `node` in sorted pairs.
+    #[inline]
+    fn find(pairs: &[(u32, u32)], node: u32) -> Option<usize> {
+        pairs.binary_search_by_key(&node, |&(n, _)| n).ok()
+    }
+
+    /// Slot of `node`, or [`NIL`] when the sweep did not settle it.
     #[inline]
     fn at(&self, node: u32) -> u32 {
         match self {
             SettledIndex::Dense { at, .. } => at.get(node as usize).copied().unwrap_or(NIL),
-            SettledIndex::Sorted(pairs) => {
-                pairs.binary_search_by_key(&node, |&(n, _)| n).map_or(NIL, |k| pairs[k].1)
+            SettledIndex::Sorted { pairs, .. } => {
+                Self::find(pairs, node).map_or(NIL, |k| pairs[k].1)
             }
         }
     }
 
-    /// Move settled `node` to settle index `i`.
-    fn set(&mut self, node: u32, i: u32) {
+    /// Move settled `node` to slot `at`.
+    fn set(&mut self, node: u32, slot: u32) {
         match self {
-            SettledIndex::Dense { at, .. } => at[node as usize] = i,
-            SettledIndex::Sorted(pairs) => {
-                if let Ok(k) = pairs.binary_search_by_key(&node, |&(n, _)| n) {
-                    pairs[k].1 = i;
+            SettledIndex::Dense { at, .. } => at[node as usize] = slot,
+            SettledIndex::Sorted { pairs, .. } => {
+                if let Some(k) = Self::find(pairs, node) {
+                    pairs[k].1 = slot;
                 }
             }
         }
     }
+
+    /// Parent node of settled `node` ([`NIL`] for the root), for an index
+    /// that keeps parents: a dense one, or a bucketed trace's pairs.
+    #[inline]
+    fn parent(&self, node: u32) -> u32 {
+        match self {
+            SettledIndex::Dense { parent, .. } => parent[node as usize],
+            SettledIndex::Sorted { pairs, parent } => {
+                Self::find(pairs, node).map_or(NIL, |k| parent[k])
+            }
+        }
+    }
+
+    /// Make `p` the parent node of settled `node`.
+    fn set_parent(&mut self, node: u32, p: u32) {
+        match self {
+            SettledIndex::Dense { parent, .. } => parent[node as usize] = p,
+            SettledIndex::Sorted { pairs, parent } => {
+                if let Some(k) = Self::find(pairs, node) {
+                    parent[k] = p;
+                }
+            }
+        }
+    }
+}
+
+/// Event `e` of `events` as `(node, dist, parent node)`.
+fn log_settle(events: &[SettleEvent], e: &SettleEvent) -> (u32, f64, u32) {
+    let parent = if e.parent == NIL { NIL } else { events[e.parent as usize].node };
+    (e.node, e.dist, parent)
 }
 
 /// The `(dist, node)` order a plain sweep settles in: its frontier's
@@ -800,47 +1130,42 @@ const CANDIDATE: u8 = 1;
 const TOUCHED: u8 = 1 << 1;
 /// Popped by the repair's Dijkstra: the label is final.
 const DONE: u8 = 1 << 2;
-/// Distance changed: the event moves in settle order.
-const MOVED: u8 = 1 << 3;
 /// Parent to recompute.
-const RECHECK: u8 = 1 << 4;
+const RECHECK: u8 = 1 << 3;
 
-/// The reusable working memory of [`SweepTrace::repair`]: per-event flags
+/// The reusable working memory of [`SweepTrace::repair`]: per-node flags
 /// and a few lists sized by what moves, grown to the largest repair and
 /// reused, so a shard that repairs on every update allocates nothing once
-/// warm. The trace's own resident index maps nodes to events, so nothing
+/// warm. The trace's own resident index maps nodes to settles, so nothing
 /// here is refilled per repair; the flags are cleared through the lists
 /// that set them.
 #[derive(Debug, Default)]
 pub struct RepairScratch {
-    /// Per event, the flags above; all clear between repairs.
+    /// Per map node, the flags above; all clear between repairs.
     flags: Vec<u8>,
-    /// First old settle index of the window the moved events span.
-    lo: usize,
-    /// Per old settle index in the window, the new one; empty when no
-    /// event moves.
-    new_idx: Vec<u32>,
     /// Changed arcs inside the trace: `(tail, head, old, new)` weights.
     arcs: Vec<(u32, u32, f64, f64)>,
-    /// Events whose label was overwritten, with the old distance.
+    /// Nodes whose label was overwritten, with the old distance.
     touched: Vec<(u32, f64)>,
-    /// Events whose distance changed, sorted into settle order.
+    /// Nodes whose distance changed.
     moved: Vec<u32>,
-    /// Events whose parent is recomputed.
+    /// The moved settles that leave their bucket, between the two passes
+    /// of a relocation.
+    lifted: Vec<Entry>,
+    /// Nodes whose parent is recomputed.
     rechecks: Vec<u32>,
-    /// `(event, parent's old settle index)` for the recomputed parents.
+    /// `(node, parent node)` for the recomputed parents.
     reparent: Vec<(u32, u32)>,
-    /// The repair's frontier: `(key, event)`, smallest first.
+    /// The repair's frontier: `(key, node)`, smallest first.
     heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 impl RepairScratch {
-    fn begin(&mut self, len: usize) {
-        if self.flags.len() < len {
-            self.flags.resize(len, 0);
+    fn begin(&mut self, nodes: usize) {
+        if self.flags.len() < nodes {
+            self.flags.resize(nodes, 0);
         }
         debug_assert!(self.flags.iter().all(|&f| f == 0), "the last repair cleared its flags");
-        self.new_idx.clear();
         self.arcs.clear();
         self.touched.clear();
         self.moved.clear();
@@ -850,51 +1175,46 @@ impl RepairScratch {
     }
 
     /// Clear every flag the repair set: each is on a touched or rechecked
-    /// event.
+    /// node.
     fn end(&mut self) {
-        for &(i, _) in &self.touched {
-            self.flags[i as usize] = 0;
+        for &(v, _) in &self.touched {
+            self.flags[v as usize] = 0;
         }
-        for &i in &self.rechecks {
-            self.flags[i as usize] = 0;
-        }
-    }
-
-    /// The new settle index of the event at old index `i`: its window
-    /// slot, or `i` itself outside the window ([`NIL`] stays [`NIL`]).
-    #[inline]
-    fn new_index(&self, i: usize) -> u32 {
-        self.new_idx.get(i.wrapping_sub(self.lo)).map_or(i as u32, |&k| k)
-    }
-
-    fn mark_recheck(&mut self, i: usize) {
-        if self.flags[i] & RECHECK == 0 {
-            self.flags[i] |= RECHECK;
-            self.rechecks.push(i as u32);
+        for &v in &self.rechecks {
+            self.flags[v as usize] = 0;
         }
     }
 
-    /// Set event `i`'s label to `dist`, remembering its old distance the
-    /// first time, and queue it when finite.
-    fn touch(&mut self, i: usize, e: &mut SettleEvent, dist: f64) {
-        if self.flags[i] & TOUCHED == 0 {
-            self.flags[i] |= TOUCHED;
-            self.touched.push((i as u32, e.dist));
+    fn mark_recheck(&mut self, v: u32) {
+        if self.flags[v as usize] & RECHECK == 0 {
+            self.flags[v as usize] |= RECHECK;
+            self.rechecks.push(v);
+        }
+    }
+
+    /// Set node `v`'s label `e` to `dist`, remembering its old distance
+    /// the first time, and queue it when finite.
+    fn touch(&mut self, v: u32, e: &mut Entry, dist: f64) {
+        if self.flags[v as usize] & TOUCHED == 0 {
+            self.flags[v as usize] |= TOUCHED;
+            self.touched.push((v, e.dist));
         }
         e.dist = dist;
         if dist < f64::INFINITY {
-            self.heap.push(Reverse((ord_of(dist), i as u32)));
+            self.heap.push(Reverse((ord_of(dist), v)));
         }
     }
 }
 
-/// Where an adopted sweep stops.
-enum Stop {
-    /// At settle event `i` (the goal's last node settles there).
-    At(usize),
-    /// Never — the sweep exhausts the component.
-    Exhausted,
-}
+/// Where a sweep adopted from a trace stops: at one of that trace's
+/// settles (the goal's last node settles there), or never (the sweep
+/// exhausts the component). Opaque: only the trace it was found in reads
+/// it.
+#[derive(Clone, Copy, Debug)]
+pub struct Stop(
+    /// The slot of that settle, or `None` when the sweep exhausts.
+    Option<u32>,
+);
 
 /// Where the labels of the tree [`crate::dijkstra::run_tree`] answered
 /// with live: read paths from here, not from the arena — a cache hit
@@ -903,13 +1223,13 @@ enum Stop {
 pub enum TreeView<'a> {
     /// A tree grown for real: the arena's.
     Arena(&'a SearchArena),
-    /// A cache hit: the first `settled` events of a stored trace — the
-    /// prefix a fresh sweep with the same goal settles before stopping.
+    /// A cache hit: the settles of a stored trace up to the one a fresh
+    /// sweep with the same goal stops at.
     Trace {
         /// The stored trace.
         trace: &'a SweepTrace,
-        /// Length of the goal-stop prefix.
-        settled: usize,
+        /// Where that sweep stops, as only `trace` reads it.
+        stop: Stop,
     },
 }
 
@@ -922,7 +1242,7 @@ impl TreeView<'_> {
     pub fn path_to(&self, t: NodeId) -> Option<Path> {
         match *self {
             TreeView::Arena(arena) => arena.path_to(t),
-            TreeView::Trace { trace, settled } => trace.path_to(settled, t),
+            TreeView::Trace { trace, stop } => trace.path_to(stop, t),
         }
     }
 }
@@ -939,6 +1259,18 @@ mod tests {
 
     fn grid() -> roadnet::RoadNetwork {
         grid_network(&GridConfig { width: 12, height: 12, seed: 9, ..Default::default() }).unwrap()
+    }
+
+    /// Every settle in settle order: node, distance bits, parent node and
+    /// the `relaxed` snapshot at it.
+    fn snapshots(t: &SweepTrace) -> Vec<(u32, u64, u32, u64)> {
+        t.in_settle_order()
+            .into_iter()
+            .map(|(node, dist, parent)| {
+                let at = Stop(Some(t.slot(NodeId(node)).unwrap()));
+                (node, dist.to_bits(), parent, t.stats_at(at).relaxed)
+            })
+            .collect()
     }
 
     #[test]
@@ -989,15 +1321,16 @@ mod tests {
         assert!(!partial.is_complete());
         assert_eq!(partial_stats.settled, partial.len() as u64);
         let (_, full) = run_in_traced(&mut arena, &g, root, &Goal::AllNodes);
+        let (partial_order, full_order) = (partial.in_settle_order(), full.in_settle_order());
         // Prefix property: the partial sweep is the full sweep truncated.
-        for (i, e) in partial.events.iter().enumerate() {
-            assert_eq!(e.node, full.events[i].node, "settle order diverged at {i}");
-            assert_eq!(e.dist, full.events[i].dist);
+        for (i, e) in partial_order.iter().enumerate() {
+            assert_eq!(e.0, full_order[i].0, "settle order diverged at {i}");
+            assert_eq!(e.1, full_order[i].1);
         }
-        assert!(partial.events.last().unwrap().dist <= full.events.last().unwrap().dist);
+        assert!(partial_order.last().unwrap().1 <= full_order.last().unwrap().1);
 
         // Inside the radius: adoptable, byte-identical to a fresh run.
-        let inside = partial.events[partial.len() / 2].node;
+        let inside = partial_order[partial.len() / 2].0;
         let mut fresh_arena = SearchArena::new();
         let fresh = run_in(&mut fresh_arena, &g, root, &Goal::Single(NodeId(inside)));
         let adopted = partial.adopt_into(&mut arena, &Goal::Single(NodeId(inside))).unwrap();
@@ -1065,7 +1398,7 @@ mod tests {
         let mut arena = SearchArena::new();
         let (_, partial) = run_in_traced(&mut arena, &g, NodeId(0), &Goal::Single(NodeId(30)));
         assert!(!partial.is_complete());
-        let settled = NodeId(partial.events[partial.len() / 2].node);
+        let settled = NodeId(partial.in_settle_order()[partial.len() / 2].0);
         let unsettled =
             (0..g.num_nodes() as u32).map(NodeId).find(|n| partial.position(*n).is_none()).unwrap();
         // One settled endpoint is enough; order of the pair is irrelevant.
@@ -1136,9 +1469,8 @@ mod tests {
             assert_eq!(stored.is_complete(), 2 * k >= component, "{tag}");
             // Recording further never reorders: still a prefix of the full
             // sweep, snapshots included.
-            for (i, (a, b)) in stored.events.iter().zip(&full.events).enumerate() {
-                assert_eq!((a.node, a.dist, a.parent), (b.node, b.dist, b.parent), "{tag}");
-                assert_eq!(stored.relaxed[i], full.relaxed[i], "{tag}");
+            for (a, b) in snapshots(&stored).iter().zip(&snapshots(&full)) {
+                assert_eq!(a, b, "{tag}");
             }
         }
     }
@@ -1156,7 +1488,7 @@ mod tests {
         // Goals settling past the first stop but inside 2k adopt the
         // deepened trace (a trace stopped at k would miss every one).
         for i in [k, 3 * k / 2, 2 * k - 1] {
-            let t = NodeId(full.events[i].node);
+            let t = NodeId(full.in_settle_order()[i].0);
             let goal = Goal::Set(vec![NodeId(30), t]);
             let (stats, view) = run_tree(&mut arena, &g, root, &goal, None, Some(&mut cache));
             let mut fresh = SearchArena::new();
@@ -1166,7 +1498,7 @@ mod tests {
         assert_eq!(cache.counters(), (3, 1));
 
         // One settle past 2k misses, and that miss deepens the entry again.
-        let goal = Goal::Single(NodeId(full.events[2 * k].node));
+        let goal = Goal::Single(NodeId(full.in_settle_order()[2 * k].0));
         run_tree(&mut arena, &g, root, &goal, None, Some(&mut cache));
         assert_eq!(cache.counters(), (3, 2));
         assert_eq!(cache.peek(root).unwrap().len(), (2 * (2 * k + 1)).min(g.num_nodes()));
@@ -1235,10 +1567,11 @@ mod tests {
         assert_eq!(trace.nodes(), g.num_nodes());
         assert!(!trace.is_empty());
         assert_eq!(trace.position(NodeId(60)), Some(0), "the root settles first");
-        let r = trace.events.last().unwrap().dist;
-        for e in &trace.events {
-            assert!(e.dist <= r + 1e-12, "settle order is nondecreasing in distance");
-            assert_eq!(trace.position(NodeId(e.node)).map(|i| trace.events[i].node), Some(e.node));
+        let order = trace.in_settle_order();
+        let r = order.last().unwrap().1;
+        for &(node, dist, _) in &order {
+            assert!(dist <= r + 1e-12, "settle order is nondecreasing in distance");
+            assert_eq!(trace.position(NodeId(node)).map(|i| order[i].0), Some(node));
         }
         // The public settled-nodes view mirrors the event log exactly.
         let settled: Vec<NodeId> = trace.settled().collect();
@@ -1370,28 +1703,74 @@ mod tests {
     fn parent_column(t: &SweepTrace) -> Option<&[u32]> {
         match &t.index {
             SettledIndex::Dense { parent, .. } => Some(parent),
-            SettledIndex::Sorted(_) => None,
+            SettledIndex::Sorted { .. } => None,
         }
     }
 
-    /// Every event (node, parent index, distance bits) with its `relaxed`
-    /// snapshot, the parent column, the settled-set index and the final
-    /// counters.
+    /// The bucket invariants: `order` strictly increasing, every bucket
+    /// within twice [`BUCKET`] and its room within twice [`SLACK`], its
+    /// keys inside its range, its count and degree sum, the prefixes, and
+    /// every member's index entry pointing at it.
+    fn assert_buckets_hold(t: &SweepTrace, tag: &str) {
+        let Settles::Buckets(b) = &t.settles else { panic!("{tag}: a log") };
+        let (mut before, mut relaxed) = (0, 0);
+        for (k, lo) in b.order.iter().enumerate() {
+            let bucket = &b.buckets[lo.handle as usize];
+            let end = b.order.get(k + 1).map(Lo::key);
+            assert!(end.is_none_or(|end| lo.key() < end), "{tag}: order at bucket {k}");
+            let (len, cap) = (bucket.entries.len(), bucket.entries.capacity());
+            assert!(len <= 2 * BUCKET && cap <= len + 2 * SLACK, "{tag}: bucket {k}: {len}/{cap}");
+            for (pos, e) in bucket.entries.iter().enumerate() {
+                assert!(lo.key() <= e.key() && end.is_none_or(|end| e.key() < end), "{tag}");
+                assert_eq!(t.index.at(e.node), slot(lo.handle as usize, pos), "{tag}: slot");
+            }
+            assert_eq!((bucket.before, bucket.relaxed), (before, relaxed), "{tag}: prefix {k}");
+            let degrees: u32 = bucket.entries.iter().map(|e| e.degree).sum();
+            assert_eq!(bucket.degrees, degrees, "{tag}: degree sum {k}");
+            (before, relaxed) = (before + bucket.entries.len() as u32, relaxed + degrees);
+        }
+        assert_eq!(before as usize, t.len(), "{tag}: count");
+    }
+
+    /// What a hit reads, compared between two traces: a log's every event
+    /// (node, parent index, distance bits) with its `relaxed` snapshot and
+    /// its settled-set index; a bucketed trace's position, distance bits,
+    /// parent node and `Goal::Single` counters of every map node, and its
+    /// buckets' invariants. Then the parent column and the final counters.
     fn assert_same_trace(got: &SweepTrace, want: &SweepTrace, tag: &str) {
         assert_eq!(got.len(), want.len(), "{tag}: settles");
-        assert_eq!(got.relaxed.len(), got.len(), "{tag}: one snapshot per event");
-        for (i, (a, b)) in got.events.iter().zip(&want.events).enumerate() {
-            assert_eq!(
-                (a.node, a.parent, a.dist.to_bits(), got.relaxed[i]),
-                (b.node, b.parent, b.dist.to_bits(), want.relaxed[i]),
-                "{tag}: event {i}"
-            );
+        match (&got.settles, &want.settles) {
+            (Settles::Log { events: a, relaxed: ra }, Settles::Log { events: b, relaxed: rb }) => {
+                assert_eq!(ra.len(), a.len(), "{tag}: one snapshot per event");
+                for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                    assert_eq!(
+                        (x.node, x.parent, x.dist.to_bits(), ra[i]),
+                        (y.node, y.parent, y.dist.to_bits(), rb[i]),
+                        "{tag}: event {i}"
+                    );
+                }
+                assert_eq!(got.index, want.index, "{tag}: settled-set index");
+            }
+            (Settles::Buckets(_), Settles::Buckets(_)) => {
+                assert_buckets_hold(got, tag);
+                let read = |t: &SweepTrace, v: NodeId| {
+                    let at = t.slot(v);
+                    (
+                        t.position(v),
+                        at.map(|at| t.dist_at(at).to_bits()),
+                        at.map(|_| t.index.parent(v.0)),
+                        t.stats_for(&Goal::Single(v)),
+                    )
+                };
+                for v in (0..got.nodes as u32).map(NodeId) {
+                    assert_eq!(read(got, v), read(want, v), "{tag}: node {v}");
+                }
+            }
+            _ => panic!("{tag}: a log against buckets"),
         }
         assert_eq!(parent_column(got), parent_column(want), "{tag}: parent column");
-        assert_eq!(got.index, want.index, "{tag}: settled-set index");
         assert_eq!(got.final_stats, want.final_stats, "{tag}: final counters");
         assert_eq!(got.complete, want.complete, "{tag}: completeness");
-        assert_eq!(got.ordered, want.ordered, "{tag}: settle-key order");
     }
 
     /// The changes of `updates` as a caller lists them: every entry, changed
@@ -1498,7 +1877,7 @@ mod tests {
 
     /// Repair `root`'s complete trace on `g` across `updates`: it must
     /// repair, equal a fresh sweep on the new map, and leave in `scratch`
-    /// the window it rewrote. Returns the trace before and after.
+    /// the nodes whose label moved. Returns the trace before and after.
     fn repair_once(
         g: &RoadNetwork,
         root: NodeId,
@@ -1517,6 +1896,12 @@ mod tests {
         (before, trace)
     }
 
+    fn sorted(nodes: &[u32]) -> Vec<u32> {
+        let mut nodes = nodes.to_vec();
+        nodes.sort_unstable();
+        nodes
+    }
+
     #[test]
     fn repair_window_reaches_the_end_when_a_rise_moves_a_subtree_past_every_event() {
         // Root 0 with the branches 0 – 1 – 2 (unit arcs) and 0 – 3 – 4 – 5
@@ -1531,7 +1916,7 @@ mod tests {
             (order(&before), order(&after)),
             (vec![0, 1, 3, 2, 4, 5], vec![0, 3, 4, 5, 1, 2])
         );
-        assert_eq!((scratch.lo, scratch.lo + scratch.new_idx.len()), (1, 6), "hi == len");
+        assert_eq!(sorted(&scratch.moved), [1, 2], "the subtree moves, nothing else");
     }
 
     #[test]
@@ -1546,10 +1931,13 @@ mod tests {
         let (before, after) =
             repair_once(&g, NodeId(0), &[(roadnet::EdgeId(5), 0.5)], &mut scratch, "fall");
         assert_eq!(after.position(NodeId(5)), Some(1));
-        let first_moved = scratch.moved.iter().map(|&i| i as usize).min().unwrap();
-        assert_eq!(first_moved, before.position(NodeId(4)).unwrap());
-        assert!(scratch.lo < first_moved, "lo {} vs first moved {first_moved}", scratch.lo);
-        assert_eq!(scratch.lo, 1);
+        assert_eq!(sorted(&scratch.moved), [4, 5], "1 keeps its label");
+        let order = |t: &SweepTrace| t.settled().map(|v| v.0).collect::<Vec<_>>();
+        assert_eq!(
+            (order(&before), order(&after)),
+            (vec![0, 1, 3, 2, 4, 5], vec![0, 5, 1, 3, 2, 4]),
+            "5 overtakes 1, which keeps its label"
+        );
     }
 
     #[test]
@@ -1560,8 +1948,8 @@ mod tests {
         let mut scratch = RepairScratch::default();
         let (before, after) =
             repair_once(&g, NodeId(0), &[(roadnet::EdgeId(2), 1.0)], &mut scratch, "tie");
-        assert!(scratch.moved.is_empty() && scratch.new_idx.is_empty(), "an empty window");
-        let parent = |t: &SweepTrace| t.events[t.position(NodeId(3)).unwrap()].parent;
+        assert!(scratch.moved.is_empty(), "no label moves");
+        let parent = |t: &SweepTrace| t.index.parent(3);
         assert_eq!((parent(&before), parent(&after)), (2, 1));
     }
 
@@ -1658,7 +2046,98 @@ mod tests {
     }
 
     #[test]
-    fn recorded_settles_cost_at_most_28_bytes_and_index_exactly() {
+    fn repair_splits_a_bucket_a_fall_crowds_and_merges_it_back() {
+        // A 30 × 30 lattice of unit arcs rooted in a corner, and a hub
+        // tied by 0.5 to every node of the far third (x ≥ 20) and by 100
+        // to the root. Lowering the root's arc to 1 pulls the far third,
+        // 300 labels, to the one distance 1.5: one key range takes more
+        // than twice a bucket. Raising it back spreads them out again.
+        let k = 30;
+        let mut b = GraphBuilder::new();
+        for i in 0..=k * k {
+            b.add_node(Point::new((i % k) as f64, (i / k) as f64)).unwrap();
+        }
+        for i in 0..k * k {
+            let (x, y) = (i % k, i / k);
+            if x + 1 < k {
+                b.add_edge(NodeId(i), NodeId(i + 1), 1.0).unwrap();
+            }
+            if y + 1 < k {
+                b.add_edge(NodeId(i), NodeId(i + k), 1.0).unwrap();
+            }
+            if x >= 20 {
+                b.add_edge(NodeId(k * k), NodeId(i), 0.5).unwrap();
+            }
+        }
+        b.add_edge(NodeId(0), NodeId(k * k), 100.0).unwrap();
+        let g = b.build().unwrap();
+        let shortcut = roadnet::EdgeId::from_index(g.num_edges() - 1);
+        let (_, mut trace) = run_in_traced(&mut SearchArena::new(), &g, NodeId(0), &Goal::AllNodes);
+        let mut scratch = RepairScratch::default();
+        let mut map = g;
+        for (weight, tag) in [(1.0, "fall"), (100.0, "rise")] {
+            let changes = changes_of(&map, &[(shortcut, weight)]);
+            map.update_weights(&[(shortcut, weight)]).unwrap();
+            assert!(trace.repair(&map, &changes, &mut scratch), "{tag}");
+            let (_, fresh) =
+                run_in_traced(&mut SearchArena::new(), &map, NodeId(0), &Goal::AllNodes);
+            assert_same_trace(&trace, &fresh, tag);
+            // More settles than a bucket may hold share one key range
+            // after the fall, so it split there (`assert_same_trace` holds
+            // every bucket to its bound); merges keep the count of buckets
+            // near what a fresh trace has.
+            let crowded = trace.in_settle_order().iter().filter(|e| e.1 == 1.5).count();
+            assert_eq!(crowded, if weight == 1.0 { 300 } else { 0 }, "{tag}");
+            const { assert!(300 > 2 * BUCKET) };
+            let Settles::Buckets(b) = &trace.settles else { panic!("{tag}: a log") };
+            let most = 2 * trace.len().div_ceil(BUCKET);
+            assert!(b.order.len() <= most, "{tag}: {} buckets", b.order.len());
+        }
+    }
+
+    #[test]
+    fn repair_lifts_the_leaving_labels_before_a_grown_bucket_splits() {
+        // A star: leaf `v` hangs from root 0 by an arc of weight `v`, so it
+        // settles at position `v`, the third bucket holds leaves 256..384,
+        // and a repair moves exactly the leaves of the listed arcs, in list
+        // order.
+        let n = 1_024;
+        let star: Vec<(u32, u32, f64)> = (1..=n).map(|v| (0, v, f64::from(v))).collect();
+        let mut map = tiny(n + 1, &star);
+        let arc = |v: u32| roadnet::EdgeId::from_index(v as usize - 1);
+        let (_, mut trace) =
+            run_in_traced(&mut SearchArena::new(), &map, NodeId(0), &Goal::AllNodes);
+        // A fall lands 72 far leaves among the third bucket's keys: it
+        // grows to 200 settles without splitting.
+        let fall: Vec<_> = (800..872).map(|v| (arc(v), 300.5 + f64::from(v) / 1e3)).collect();
+        // A rise lands 151 leaves of the first two buckets there, listed
+        // first, and sends the third bucket's 200 past every key. Moved one
+        // at a time, the arrivals would split it at 257 settles, 200 of
+        // them already keyed past its range: a median outside it, and a
+        // bucket out of key order that outlives the repair.
+        let rise: Vec<_> = (100..251)
+            .map(|v| (arc(v), 310.5 + f64::from(v) / 1e3))
+            .chain((256..384).chain(800..872).map(|v| (arc(v), 5_000.0 + f64::from(v))))
+            .collect();
+        let mut scratch = RepairScratch::default();
+        for (updates, tag) in [(fall, "fall"), (rise, "rise")] {
+            let changes = changes_of(&map, &updates);
+            map.update_weights(&updates).unwrap();
+            assert!(trace.repair(&map, &changes, &mut scratch), "{tag}");
+            let (_, fresh) =
+                run_in_traced(&mut SearchArena::new(), &map, NodeId(0), &Goal::AllNodes);
+            assert_same_trace(&trace, &fresh, tag);
+            assert_eq!(scratch.moved.len(), updates.len(), "{tag}: every listed leaf moves");
+            if tag == "fall" {
+                let Settles::Buckets(b) = &trace.settles else { panic!("a log") };
+                let third = &b.buckets[b.order[2].handle as usize];
+                assert_eq!(third.entries.len(), 200, "the third bucket grew past a bucket");
+            }
+        }
+    }
+
+    #[test]
+    fn recorded_settles_cost_at_most_24_bytes_and_index_exactly() {
         let g = NetworkClass::Geometric.generate(2_000, 7).unwrap();
         let n = g.num_nodes();
         // The short sweep grows from another root after a complete one, so
@@ -1668,7 +2147,7 @@ mod tests {
         let (_, from_far) = run_in_traced(&mut SearchArena::new(), &g, far, &Goal::AllNodes);
         let mut arena = SearchArena::new();
         let (_, complete) = run_in_traced(&mut arena, &g, NodeId(0), &Goal::AllNodes);
-        let goal = Goal::Single(NodeId(from_far.events[n / 20].node));
+        let goal = Goal::Single(NodeId(from_far.in_settle_order()[n / 20].0));
         let (_, short) = run_in_traced(&mut arena, &g, far, &goal);
         assert!(complete.is_complete() && complete.len() == n, "a map-spanning sweep");
         assert!(short.len() * 16 <= n, "short: {} settles", short.len());
@@ -1687,14 +2166,30 @@ mod tests {
         let wide = b.build().unwrap();
         let (_, two_thirds) = run_in_traced(&mut arena, &wide, NodeId(0), &Goal::AllNodes);
         assert!(two_thirds.is_complete() && 3 * two_thirds.len() == 2 * wide.num_nodes());
+        // The complete trace repaired across a round that halves or
+        // doubles every fifth edge: its buckets may keep room to grow.
+        let updates: Vec<_> = (0..g.num_edges())
+            .step_by(5)
+            .map(roadnet::EdgeId::from_index)
+            .map(|e| (e, g.edge(e).weight * if e.index() % 2 == 0 { 0.5 } else { 2.0 }))
+            .collect();
+        let mut reweighed = g.clone();
+        reweighed.update_weights(&updates).unwrap();
+        let mut repaired = complete.clone();
+        let changes = changes_of(&g, &updates);
+        assert!(repaired.repair(&reweighed, &changes, &mut RepairScratch::default()));
 
-        for (trace, map, tag, dense, per_settle) in [
-            (&complete, &g, "complete", true, 28),
-            (&short, &g, "short", false, 28),
-            (&two_thirds, &wide, "two thirds", true, 32),
+        // Per trace: its map, whether it is dense, its bytes per settle,
+        // and the entries of room a bucket may keep beyond them.
+        for (trace, map, tag, dense, per_settle, room) in [
+            (&complete, &g, "complete", true, 24, 0),
+            (&short, &g, "short", false, 28, 0),
+            (&two_thirds, &wide, "two thirds", true, 32, 0),
+            (&repaired, &reweighed, "repaired", true, 24, 2 * SLACK),
         ] {
+            let order = trace.in_settle_order();
             let reference: Vec<Option<usize>> =
-                map.nodes().map(|v| trace.events.iter().position(|e| e.node == v.0)).collect();
+                map.nodes().map(|v| order.iter().position(|e| e.0 == v.0)).collect();
             let read: Vec<Option<usize>> = map.nodes().map(|v| trace.position(v)).collect();
             assert_eq!(read, reference, "{tag}: settled-set index");
 
@@ -1702,17 +2197,41 @@ mod tests {
                 SettledIndex::Dense { at, parent } => {
                     (at.capacity() + parent.capacity()) * size_of::<u32>()
                 }
-                SettledIndex::Sorted(pairs) => pairs.capacity() * size_of::<(u32, u32)>(),
+                SettledIndex::Sorted { pairs, parent } => {
+                    pairs.capacity() * size_of::<(u32, u32)>()
+                        + parent.capacity() * size_of::<u32>()
+                }
             };
             assert_eq!(matches!(trace.index, SettledIndex::Dense { .. }), dense, "{tag}");
-            let bytes = trace.events.capacity() * size_of::<SettleEvent>()
-                + trace.relaxed.capacity() * size_of::<u32>()
-                + index;
+            // A complete trace is bucketed: 16-byte entries, and beside
+            // them a directory of a few words per bucket.
+            let (settles, directory, buckets) = match &trace.settles {
+                Settles::Log { events, relaxed } => (
+                    events.capacity() * size_of::<SettleEvent>()
+                        + relaxed.capacity() * size_of::<u32>(),
+                    0,
+                    0,
+                ),
+                Settles::Buckets(b) => (
+                    b.buckets.iter().map(|b| b.entries.capacity()).sum::<usize>()
+                        * size_of::<Entry>(),
+                    b.buckets.capacity() * size_of::<Bucket>()
+                        + b.order.capacity() * size_of::<Lo>()
+                        + b.free.capacity() * size_of::<u32>(),
+                    b.order.len(),
+                ),
+            };
+            assert_eq!(matches!(trace.settles, Settles::Buckets(_)), trace.is_complete(), "{tag}");
+            // Rebalancing leaves at most two buckets per `BUCKET` settles,
+            // so a repaired trace's room costs at most 8 B more per settle.
+            assert!(buckets <= 2 * trace.len().div_ceil(BUCKET), "{tag}: {buckets} buckets");
+            let bytes = settles + index;
             assert!(
-                bytes <= per_settle * trace.len(),
+                bytes <= per_settle * trace.len() + buckets * room * size_of::<Entry>(),
                 "{tag}: {bytes} B for {} settles",
                 trace.len()
             );
+            assert!(2 * directory <= trace.len(), "{tag}: a {directory}-byte bucket directory");
         }
     }
 }
