@@ -531,7 +531,8 @@ mod tests {
         assert_eq!(p.paths_returned, gd.paths_returned);
         assert_eq!(p.trees_grown, gd.trees_grown);
 
-        // Cached guided evaluation stays byte-identical to uncached guided.
+        // Cached guided evaluation stays byte-identical to uncached guided,
+        // and never touches the cache.
         let mut cached = DirectionsServer::new(g.clone(), SharingPolicy::PerSource)
             .with_tree_cache(CachePolicy::Lru { trees: 8 })
             .with_heuristic(Some(Arc::clone(&pre)));
@@ -545,7 +546,7 @@ mod tests {
                 assert_eq!(a.stats, b.stats);
             }
         }
-        assert!(cached.stats().tree_cache_hits > 0, "repeat round adopts guided traces");
+        assert_eq!(cached.stats().tree_cache_hits, 0, "guided trees bypass the cache");
 
         // A new map drops the (now unprovably admissible) tables.
         let mut sv = DirectionsServer::new(g.clone(), SharingPolicy::PerSource)

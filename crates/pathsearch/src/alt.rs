@@ -236,12 +236,12 @@ impl AltPreprocessing {
     ///
     /// Each `lb(·, t)` is 1-Lipschitz along the edges of a symmetric graph
     /// and so is their min, for every non-empty goal set: a sweep keyed by
-    /// `dist + π` settles exact labels in every prefix — the property the
-    /// trace/adopt layer relies on — and stays exact when a per-source
-    /// sweep narrows the set to the goals it has not settled yet (see the
-    /// module docs). Duplicate targets and their order do not matter: the
-    /// potential, and the [`PotentialParams`] identifying it, are functions
-    /// of the goal *set*.
+    /// `dist + π` settles exact labels in every prefix, and stays exact
+    /// when a per-source sweep narrows the set to the goals it has not
+    /// settled yet (see the module docs). Duplicate targets and their order
+    /// do not matter: the potential is a function of the goal *set*, kept
+    /// sorted. Its settle order is not a plain sweep's, so a guided tree
+    /// never enters the tree cache ([`crate::dijkstra::run_tree`]).
     ///
     /// # Panics
     /// Panics if a target is out of range for the preprocessed graph.
@@ -250,25 +250,8 @@ impl AltPreprocessing {
         goals.sort_unstable();
         goals.dedup();
         let rows = goals.iter().flat_map(|&t| self.row(t)).copied().collect();
-        GoalPotential {
-            pre: self,
-            rows,
-            params: PotentialParams { landmarks: self.landmarks.clone(), goals },
-        }
+        GoalPotential { pre: self, rows, goals }
     }
-}
-
-/// The parameters a [`GoalPotential`] was built from — the identity a
-/// cached [`crate::trace::SweepTrace`] carries so adoption can insist the
-/// stored sweep used *the same* heuristic (guided and plain sweeps from
-/// one root settle in different orders and must never alias; so do guided
-/// sweeps toward different goal sets).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PotentialParams {
-    /// The landmark set of the preprocessing the potential came from.
-    landmarks: Vec<NodeId>,
-    /// The goal set, sorted and deduplicated.
-    goals: Vec<NodeId>,
 }
 
 /// The ALT lower bound to the nearest goal of a set,
@@ -277,9 +260,10 @@ pub struct PotentialParams {
 #[derive(Clone, Debug)]
 pub struct GoalPotential<'a> {
     pre: &'a AltPreprocessing,
-    /// The goals' table rows, goal-major, in `params.goals` order.
+    /// The goals' table rows, goal-major, in `goals` order.
     rows: Vec<f64>,
-    params: PotentialParams,
+    /// The goal set, sorted and deduplicated.
+    goals: Vec<NodeId>,
 }
 
 impl GoalPotential<'_> {
@@ -291,16 +275,10 @@ impl GoalPotential<'_> {
         nearest_bound(self.rows.chunks_exact(node.len()), node)
     }
 
-    /// The parameters identifying this potential (for trace adoption
-    /// checks).
-    pub fn params(&self) -> &PotentialParams {
-        &self.params
-    }
-
     /// This potential as one per-source sweep consumes it: all goals live,
     /// retired one by one as the sweep settles them.
     pub(crate) fn live(&self) -> LivePotential<'_> {
-        LivePotential { pot: self, live: (0..self.params.goals.len()).collect() }
+        LivePotential { pot: self, live: (0..self.goals.len()).collect() }
     }
 }
 
@@ -308,7 +286,7 @@ impl GoalPotential<'_> {
 /// sweep has not settled yet.
 pub(crate) struct LivePotential<'a> {
     pot: &'a GoalPotential<'a>,
-    /// Indices into `pot.params.goals` of the goals still live, ascending.
+    /// Indices into `pot.goals` of the goals still live, ascending.
     live: Vec<usize>,
 }
 
@@ -327,7 +305,7 @@ impl Potential for LivePotential<'_> {
         if self.live.len() < 2 {
             return false;
         }
-        let goals = &self.pot.params.goals;
+        let goals = &self.pot.goals;
         let Some(at) = self.live.iter().position(|&i| goals[i] == settled) else { return false };
         self.live.remove(at);
         true
@@ -558,25 +536,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn potential_params_distinguish_goal_sets() {
-        let g = grid_network(&GridConfig { width: 10, height: 10, seed: 8, ..Default::default() })
-            .unwrap();
-        let pre = AltPreprocessing::build(&g, 3);
-        let a = pre.goal_potential(&[NodeId(99)]);
-        let b = pre.goal_potential(&[NodeId(99)]);
-        let c = pre.goal_potential(&[NodeId(42)]);
-        assert_eq!(a.params(), b.params());
-        assert_ne!(a.params(), c.params());
-        // Identity is the goal *set*: order and repeats do not matter, a
-        // subset does.
-        let abc = pre.goal_potential(&[NodeId(5), NodeId(42), NodeId(99)]);
-        assert_eq!(
-            abc.params(),
-            pre.goal_potential(&[NodeId(99), NodeId(5), NodeId(42), NodeId(5)]).params()
-        );
-        assert_ne!(abc.params(), pre.goal_potential(&[NodeId(5), NodeId(42)]).params());
     }
 }

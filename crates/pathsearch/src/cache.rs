@@ -8,18 +8,17 @@
 //! once per tree: a root with a cached tree deep enough for its goal skips
 //! the sweep, and its paths are read straight from the trace
 //! ([`crate::TreeView`]). An entry costs at most 32 B per settled node.
-//! A complete plain trace keeps a 16-byte `{dist, node, out-degree}`
-//! entry per settle in settle-key buckets (plus a directory of a few
-//! words per bucket of about 128 settles) and, when it settled at least
-//! two thirds of the map, 4 B per map node of index and 4 B of parent
-//! node: 24 B per settle when it spans the map, as recorded. A repair
-//! lets each bucket keep up to 32 entries of room to grow (at most 8 B
-//! more per settle, ≈ 1.4 B on a 2 000-node map after one round of
-//! reweighting). Any other trace keeps a
-//! 16-byte event and a 4-byte `relaxed` snapshot per settle, and 8 B of
-//! sorted index (28 B in all). A plain miss stores
-//! its sweep recorded to twice the depth its goal needed (or to
-//! exhaustion), so the next goal up to twice as deep adopts.
+//! Every trace keeps a 16-byte `{dist, node, out-degree}` entry per settle
+//! in settle-key buckets (plus a 56-byte directory entry per bucket of
+//! about 128 settles). A complete trace that settled at least two thirds
+//! of the map adds 4 B per map node of index and 4 B of parent node: 24 B
+//! per settle when it spans the map, as recorded. Any other adds 8 B of
+//! sorted `(node, slot)` pair and 4 B of parent node per settle (28 B in
+//! all). A repair lets each bucket keep up to 32 entries of room to grow
+//! (at most 8 B more per settle, ≈ 1.4 B on a 2 000-node map after one
+//! round of reweighting). A miss stores its sweep recorded to twice the
+//! depth its goal needed (or to exhaustion), so the next goal up to twice
+//! as deep adopts. Guided trees never enter the cache.
 //!
 //! Entries are keyed by `(map_epoch, root)`:
 //!
@@ -34,10 +33,8 @@
 //!   are evicted;
 //! * **root** — the node the sweep grew from. Every
 //!   [`crate::SharingPolicy`] grows the same single-tree sweeps, so
-//!   entries are shared across policies; the potential a sweep ran under
-//!   is checked at adoption.
+//!   entries are shared across policies.
 
-use crate::alt::PotentialParams;
 use crate::dijkstra::Goal;
 use crate::multi::SharingPolicy;
 use crate::trace::{EdgeChange, RepairScratch, Stop, SweepTrace};
@@ -123,8 +120,8 @@ impl TreeCache {
 
     /// The misses of [`TreeCache::counters`] split by cause, cumulative:
     /// `(absent, shallow)` — no entry for the root, or an entry that could
-    /// not answer the goal (it stopped short of a goal node, or ran under
-    /// another potential). Observability only; reports never see it.
+    /// not answer the goal (it stopped short of a goal node). Observability
+    /// only; reports never see it.
     ///
     /// *Absent* is the LRU's fault count: every lookup is one counted
     /// access, and [`crate::run_tree`] counts exactly one hit or miss per
@@ -189,20 +186,13 @@ impl TreeCache {
         self.lru.get(&key)
     }
 
-    /// Where a fresh sweep from `root` toward `goal` under the potential
-    /// `want` stops on a map of `nodes` nodes, if the stored trace ran
-    /// under that potential on a map that size and provably holds that
-    /// stop — one lookup, counted as one hit or miss.
-    pub(crate) fn adopt(
-        &mut self,
-        root: NodeId,
-        nodes: usize,
-        want: Option<&PotentialParams>,
-        goal: &Goal,
-    ) -> Option<Stop> {
+    /// Where a fresh plain sweep from `root` toward `goal` stops on a map
+    /// of `nodes` nodes, if the stored trace ran on a map that size and
+    /// provably holds that stop — one lookup, counted as one hit or miss.
+    pub(crate) fn adopt(&mut self, root: NodeId, nodes: usize, goal: &Goal) -> Option<Stop> {
         let stop = self
             .lookup(root)
-            .filter(|trace| trace.nodes() == nodes && trace.potential() == want)
+            .filter(|trace| trace.nodes() == nodes)
             .and_then(|trace| trace.stop_for(goal));
         match stop {
             Some(_) => self.hits += 1,
@@ -211,14 +201,12 @@ impl TreeCache {
         stop
     }
 
-    /// Store `trace` for `root`. Sweeps under one potential are prefixes
-    /// of each other, so the deeper is kept; across potentials the newer
-    /// wins, or the goal set that just missed would miss on every repeat.
+    /// Store `trace` for `root`. Sweeps from one root are prefixes of each
+    /// other, so the deeper is kept.
     pub(crate) fn store(&mut self, root: NodeId, trace: SweepTrace) {
         let key = self.key(root);
         let Some(old) = self.lru.insert(key, trace) else { return };
-        let new = self.lru.peek(&key).expect("just inserted");
-        if old.potential() == new.potential() && old.len() > new.len() {
+        if old.len() > self.lru.peek(&key).expect("just inserted").len() {
             self.lru.insert(key, old);
         }
     }
@@ -279,78 +267,34 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn store_compares_depth_only_under_one_potential() {
-        use crate::{AltPreprocessing, msmd_in_guided_cached};
-        let g = grid_network(&GridConfig { width: 40, height: 40, seed: 4, ..Default::default() })
-            .unwrap();
+    fn guided_trees_bypass_the_cache() {
+        use crate::{AltPreprocessing, TreeView};
+        let g = grid();
         let alt = AltPreprocessing::try_build(&g, 4).unwrap();
+        let (root, targets) = (NodeId(0), [NodeId(99), NodeId(59)]);
+        let (goal, pot) = (Goal::Set(targets.to_vec()), alt.goal_potential(&targets));
         let mut arena = SearchArena::new();
-        let (root, far, near) = (NodeId(0), NodeId(1599), NodeId(45));
+        let fresh = run_tree(&mut arena, &g, root, &goal, Some(&pot), None).0;
 
-        // ALT potentials are per target set: a far set's long guided trace
-        // must not pin the slot against a near set at the same root, or
-        // the near set re-grows its tree on every repeat.
+        // A cold cache: the guided tree is neither counted nor stored.
         let mut cache = TreeCache::new(4, SharingPolicy::PerSource);
-        let (policy, pre) = (SharingPolicy::PerSource, Some(&alt));
-        for targets in [[far], [near], [near], [near], [near], [near]] {
-            msmd_in_guided_cached(&mut arena, &g, &[root], &targets, policy, pre, &mut cache);
-        }
-        let (hits, misses) = cache.counters();
-        assert!(hits >= 4, "near repeats must adopt their own trace: {hits} hits, {misses} misses");
+        let (guided, _) = run_tree(&mut arena, &g, root, &goal, Some(&pot), Some(&mut cache));
+        assert_eq!(guided, fresh);
+        assert_eq!(cache.counters(), (0, 0));
+        assert!(cache.is_empty());
 
-        // Under ONE potential the plain-sweep rule holds unweakened: a
-        // shallower re-store never clobbers the deeper trace.
-        let pot = alt.goal_potential(&[far]);
-        let mut guided_trace = |goal: Goal| {
-            let mut scratch = TreeCache::new(1, SharingPolicy::PerSource);
-            run_tree(&mut arena, &g, root, &goal, Some(&pot), Some(&mut scratch));
-            scratch.lookup(root).unwrap().clone()
-        };
-        // (A goal one diagonal step towards `far` settles early under
-        // `far`'s potential.)
-        let (deep, shallow) =
-            (guided_trace(Goal::Single(far)), guided_trace(Goal::Single(NodeId(41))));
-        assert_eq!(deep.potential(), shallow.potential());
-        assert!(shallow.len() < deep.len());
-        let mut cache = TreeCache::new(4, SharingPolicy::PerSource);
-        cache.store(root, deep.clone());
-        cache.store(root, shallow);
-        assert_eq!(cache.lookup(root).unwrap().len(), deep.len());
-    }
-
-    #[test]
-    fn guided_traces_are_adopted_by_goal_set_not_goal_order() {
-        use crate::{AltPreprocessing, msmd_in_guided, msmd_in_guided_cached};
-        let g = grid_network(&GridConfig { width: 40, height: 40, seed: 4, ..Default::default() })
-            .unwrap();
-        let alt = AltPreprocessing::try_build(&g, 4).unwrap();
-        let (policy, pre) = (SharingPolicy::PerSource, Some(&alt));
-        let (root, a, b, c) = (NodeId(820), NodeId(39), NodeId(1560), NodeId(1599));
-        let mut arena = SearchArena::new();
-        let mut cache = TreeCache::new(4, policy);
-
-        let recorded =
-            msmd_in_guided_cached(&mut arena, &g, &[root], &[a, b, c], policy, pre, &mut cache);
-        assert_eq!(cache.counters(), (0, 1));
-        // The same set in another order is the same potential: adopted,
-        // with the counters a fresh guided sweep reports, byte for byte.
-        let adopted =
-            msmd_in_guided_cached(&mut arena, &g, &[root], &[c, a, b], policy, pre, &mut cache);
+        // A plain trace stored earlier from the same root, shallower than
+        // the guided tree: the guided tree neither adopts nor replaces it.
+        run_tree(&mut arena, &g, root, &Goal::Single(NodeId(11)), None, Some(&mut cache));
+        let plain: Vec<NodeId> = cache.peek(root).unwrap().settled().collect();
+        assert!((plain.len() as u64) < guided.settled);
+        let (again, view) = run_tree(&mut arena, &g, root, &goal, Some(&pot), Some(&mut cache));
+        assert!(matches!(view, TreeView::Arena(_)), "grown in the arena");
+        assert_eq!((again, cache.counters()), (fresh, (0, 1)));
+        assert!(cache.peek(root).unwrap().settled().eq(plain), "the plain trace stays");
+        // The plain tree still adopts it.
+        run_tree(&mut arena, &g, root, &Goal::Single(NodeId(10)), None, Some(&mut cache));
         assert_eq!(cache.counters(), (1, 1));
-        let fresh = msmd_in_guided(&mut arena, &g, &[root], &[c, a, b], policy, pre);
-        assert_eq!(adopted.stats, fresh.stats);
-        assert_eq!(adopted.stats, recorded.stats);
-        assert_eq!(adopted.paths, fresh.paths);
-        // A subset aims elsewhere once `c` is out of the potential: its
-        // settle order is not a prefix of the recorded one, so it misses
-        // even though the recorded sweep settled both goals.
-        let subset =
-            msmd_in_guided_cached(&mut arena, &g, &[root], &[a, b], policy, pre, &mut cache);
-        assert_eq!(cache.counters(), (1, 2));
-        assert_eq!(
-            subset.stats,
-            msmd_in_guided(&mut arena, &g, &[root], &[a, b], policy, pre).stats
-        );
     }
 
     #[test]
@@ -358,7 +302,7 @@ pub(crate) mod tests {
         let g = grid();
         let mut cache = TreeCache::new(4, SharingPolicy::PerSource);
         cache.store(NodeId(0), trace_from(&g, 0));
-        assert!(cache.adopt(NodeId(0), g.num_nodes(), None, &Goal::AllNodes).is_some());
+        assert!(cache.adopt(NodeId(0), g.num_nodes(), &Goal::AllNodes).is_some());
         assert_eq!(cache.map_epoch(), 0);
         cache.invalidate();
         assert_eq!(cache.map_epoch(), 1);

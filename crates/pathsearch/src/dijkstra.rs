@@ -21,11 +21,11 @@
 //! from the arena.
 
 use crate::alt::GoalPotential;
-use crate::arena::{NIL, SearchArena};
+use crate::arena::SearchArena;
 use crate::cache::TreeCache;
 use crate::path::Path;
 use crate::stats::SearchStats;
-use crate::trace::{SettleEvent, SweepTrace, TreeView, settle_key};
+use crate::trace::{MAX_BUCKETED, SettleEvent, SweepTrace, TreeView, settle_key};
 use roadnet::{GraphView, NodeId};
 
 /// Search termination condition.
@@ -61,12 +61,13 @@ pub(crate) trait SettleSink {
     fn on_settle(&mut self, arena: &SearchArena, node: NodeId, stats: &SearchStats);
 
     /// Called once, right after the [`on_settle`](SettleSink::on_settle)
-    /// of the node that met the goal; returns whether the sweep stops
-    /// there. Every sink but the deepening recorder behind [`run_tree`]
-    /// stops (the constant default compiles out); one that keeps going
-    /// ends the sweep later through [`admits`](SettleSink::admits).
+    /// of the node that met the goal, with the same counters; returns
+    /// whether the sweep stops there. Every sink but the deepening
+    /// recorder behind [`run_tree`] stops (the constant default compiles
+    /// out); one that keeps going ends the sweep later through
+    /// [`admits`](SettleSink::admits).
     #[inline]
-    fn on_goal(&mut self) -> bool {
+    fn on_goal(&mut self, _stats: &SearchStats) -> bool {
         true
     }
 
@@ -93,22 +94,28 @@ impl SettleSink for NoRecord {
 /// root misses at most `log₂ n` times. A fixed constant, not a knob.
 const DEEPEN_FACTOR: usize = 2;
 
-/// Records every settle as a [`SettleEvent`] and its counter snapshot for
-/// a [`SweepTrace`].
+/// Records a plain sweep's key-ordered prefix for a [`SweepTrace`]: each
+/// settle as a [`SettleEvent`] with its counter snapshot, until the first
+/// settle that does not strictly follow the one before in [`settle_key`]
+/// order — only a zero-weight tie or a sum that absorbs a weight makes
+/// one — or the [`MAX_BUCKETED`]th.
 struct Recorder {
     events: Vec<SettleEvent>,
-    /// Per event, the sweep's `relaxed` count at that settle.
+    /// Per event, the sweep's `relaxed` count at that settle. A `u32` holds
+    /// it: a sweep relaxes each arc at most once, and arc offsets are `u32`.
     relaxed: Vec<u32>,
     /// Node → index of its settle event, the arena's reusable map (see
-    /// [`SearchArena::take_settle_index`]): how a settle finds its parent's
-    /// event, and how [`SweepTrace`] indexes the settled set unsorted.
+    /// [`SearchArena::take_settle_index`]): how [`SweepTrace`] indexes the
+    /// settled set unsorted.
     index: Vec<u32>,
-    /// Whether every event so far came strictly after the one before in
-    /// settle-key order — checked here, as each event is written.
-    ordered: bool,
+    /// The counters at the first settle not recorded, once recording
+    /// stopped there.
+    cut: Option<SearchStats>,
+    /// The counters when the goal settled.
+    goal: Option<SearchStats>,
     exhausted: bool,
     /// Whether to record past the goal ([`DEEPEN_FACTOR`]) instead of
-    /// stopping there — set for the plain sweeps of a cache miss.
+    /// stopping there — set for the sweeps of a cache miss.
     deepen: bool,
     /// Settles the sweep may record: unbounded until a deepening
     /// recorder's goal is met, [`DEEPEN_FACTOR`] × the goal's depth after.
@@ -123,7 +130,8 @@ impl Recorder {
             events: Vec::with_capacity(nodes),
             relaxed: Vec::with_capacity(nodes),
             index,
-            ordered: true,
+            cut: None,
+            goal: None,
             exhausted: false,
             deepen,
             budget: usize::MAX,
@@ -132,32 +140,39 @@ impl Recorder {
 }
 
 impl SettleSink for Recorder {
+    /// Once recording is cut, the sweep only runs on to its goal.
     #[inline]
     fn admits(&self, _dist: f64) -> bool {
-        self.events.len() < self.budget
+        match self.cut {
+            Some(_) => self.goal.is_none(),
+            None => self.events.len() < self.budget,
+        }
     }
 
     #[inline]
-    fn on_goal(&mut self) -> bool {
+    fn on_goal(&mut self, stats: &SearchStats) -> bool {
+        self.goal = Some(*stats);
         if self.deepen {
             self.budget = DEEPEN_FACTOR * self.events.len();
         }
-        !self.deepen
+        !self.deepen || self.cut.is_some()
     }
 
     #[inline]
     fn on_settle(&mut self, arena: &SearchArena, node: NodeId, stats: &SearchStats) {
-        // A final label's parent relaxed it while expanding, so the parent
-        // settled earlier in this sweep and its index entry is current.
-        let parent = match arena.parent_raw(node) {
-            NIL => NIL,
-            p => self.index[p as usize],
-        };
+        if self.cut.is_some() {
+            return;
+        }
+        let (parent, dist) = (arena.parent_raw(node), arena.dist_raw(node));
+        let event = SettleEvent { node: node.0, parent, dist };
+        if self.events.len() == MAX_BUCKETED
+            || self.events.last().is_some_and(|last| settle_key(&event) <= settle_key(last))
+        {
+            self.cut = Some(*stats);
+            return;
+        }
         self.index[node.index()] = self.events.len() as u32;
-        let event = SettleEvent { node: node.0, parent, dist: arena.dist_raw(node) };
-        self.ordered &= self.events.last().is_none_or(|last| settle_key(last) < settle_key(&event));
         self.events.push(event);
-        // A sweep relaxes each arc at most once, and arc offsets are `u32`.
         self.relaxed.push(u32::try_from(stats.relaxed).expect("relaxations fit the arc offsets"));
     }
 
@@ -259,7 +274,7 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
             },
             Goal::AllNodes => false,
         };
-        if met && sink.on_goal() {
+        if met && sink.on_goal(&stats) {
             stopped = true;
             break;
         }
@@ -304,35 +319,25 @@ fn grow<G: GraphView, K: SettleSink>(
     }
 }
 
-/// [`grow`], recording the sweep as a [`SweepTrace`] stamped with the
-/// potential's parameters — guided and plain settle orders (and thus
-/// counter snapshots) differ and must never be adopted across. With
-/// `deepen` the sweep records past its goal (see [`DEEPEN_FACTOR`]); the
-/// counters returned are always the goal-stopping sweep's.
+/// Grow one plain tree, recording it as a [`SweepTrace`]. With `deepen`
+/// the sweep records past its goal (see [`DEEPEN_FACTOR`]); the counters
+/// returned are always the goal-stopping sweep's: those at the goal's
+/// settle, or the end counters when the goal never settles.
 fn grow_traced<G: GraphView>(
     arena: &mut SearchArena,
     g: &G,
     root: NodeId,
     goal: &Goal,
-    pot: Option<&GoalPotential<'_>>,
     deepen: bool,
 ) -> (SearchStats, SweepTrace) {
     let n = g.num_nodes();
     let mut rec = Recorder::new(n, arena.take_settle_index(n), deepen);
-    let end = grow(arena, g, root, goal, pot, &mut rec);
-    let potential = pot.map(|p| p.params().clone());
-    let trace = SweepTrace::from_parts(
-        rec.events,
-        rec.relaxed,
-        rec.ordered,
-        &rec.index[..n],
-        end,
-        rec.exhausted,
-        potential,
-    );
+    let end = run_in_sink(arena, g, root, goal, &mut zero_pot, &mut rec);
+    let (recorded, complete) = (rec.cut.unwrap_or(end), rec.exhausted && rec.cut.is_none());
+    let trace =
+        SweepTrace::from_parts(rec.events, rec.relaxed, &rec.index[..n], recorded, complete);
     arena.put_settle_index(rec.index);
-    let stats = trace.stats_for(goal).expect("a recorded sweep answers its own goal");
-    (stats, trace)
+    (rec.goal.unwrap_or(end), trace)
 }
 
 /// Run one Dijkstra sweep from `source` inside `arena` until
@@ -365,7 +370,7 @@ pub fn run_in_traced<G: GraphView>(
     source: NodeId,
     goal: &Goal,
 ) -> (SearchStats, SweepTrace) {
-    grow_traced(arena, g, source, goal, None, false)
+    grow_traced(arena, g, source, goal, false)
 }
 
 /// The **adopt-or-grow** single-tree sweep — the one entry every MSMD
@@ -379,37 +384,32 @@ pub fn run_in_traced<G: GraphView>(
 ///   [`run_in`]. Settled labels, parents, and paths are identical either
 ///   way whenever shortest paths are unique; only the settle order and the
 ///   settled/relaxed counters shrink.
-/// * `cache` — `Some` consults it for a recorded sweep from `root` and,
-///   when `goal` is provably inside the recorded prefix, answers from it:
-///   no Dijkstra, no arena write — the view reads the stored trace's
-///   goal-stop prefix by chasing each target's parents (through the
-///   trace's parent-node column, else its log's parent settle indices),
-///   and the counters are the trace's at that stop (one rank query of a
-///   bucketed trace), byte-identical to the sweep skipped. Otherwise the
-///   tree is grown for real in `arena`, recorded, and re-stored, and the
-///   view reads the arena. Hit or miss is reported through [`TreeCache::counters`].
-///   `None` grows the tree unrecorded in `arena` — nothing beyond the
-///   sweep itself is allocated.
+/// * `cache` — with no potential, `Some` consults it for a recorded sweep
+///   from `root` and, when `goal` is provably inside the recorded prefix,
+///   answers from it: no Dijkstra, no arena write — the view reads the
+///   stored trace's goal-stop prefix by chasing each target's parent
+///   nodes, and the counters are the trace's at that stop (one rank
+///   query), byte-identical to the sweep skipped. Otherwise the tree is
+///   grown for real in `arena`, recorded, and re-stored, and the view
+///   reads the arena. Hit or miss is reported through
+///   [`TreeCache::counters`]. `None` grows the tree unrecorded in `arena`
+///   — nothing beyond the sweep itself is allocated.
 ///
-/// A **plain** miss (`pot` is `None`) records past its goal: the same
-/// sweep keeps settling until it has settled `DEEPEN_FACTOR` (= 2) times
-/// the `k` nodes the goal needed, or exhausted the root's component, and
-/// stores all of it — the goal only decides where a plain tree stops,
-/// never its shape, so the next goal from that root up to twice as deep
-/// adopts instead of regrowing. The settle order is untouched, so every
-/// label the caller reads is the goal-stopping sweep's, and the returned
-/// counters are that sweep's too, read back from the trace's own
-/// snapshots: like an adoption, a miss reports the *logical* goal-stop
-/// work, not the deeper work it physically did. A guided miss stops at
-/// its goal — its trace only ever serves the goal set it was grown for,
-/// which it already answers.
+/// A miss records past its goal: the same sweep keeps settling until it
+/// has settled `DEEPEN_FACTOR` (= 2) times the `k` nodes the goal needed,
+/// or exhausted the root's component, and stores all of it — the goal only
+/// decides where a plain tree stops, never its shape, so the next goal
+/// from that root up to twice as deep adopts instead of regrowing. The
+/// settle order is untouched, so every label the caller reads is the
+/// goal-stopping sweep's, and the returned counters are that sweep's too:
+/// like an adoption, a miss reports the *logical* goal-stop work, not the
+/// deeper work it physically did. A sweep whose settle-key order breaks
+/// (a zero-weight tie) stores only its ordered prefix and stops at its
+/// goal.
 ///
-/// A stored trace is only adopted when it ran under *this* potential
-/// (parameters compared via [`SweepTrace::potential`]; plain sweeps carry
-/// `None`): a sweep's counter snapshots replay its settle order, which the
-/// potential shapes. A mismatch is a miss like any other, so the cache
-/// stays byte-identical to cache-off under whichever heuristic the caller
-/// fixed.
+/// A guided tree (`pot` is `Some`) bypasses the cache: its potential
+/// reshapes the settle order, so no stored trace replays it. It grows in
+/// the arena unrecorded and counts neither a hit nor a miss.
 ///
 /// # Panics
 /// Panics if `root` is out of range for `g`.
@@ -421,11 +421,11 @@ pub fn run_tree<'a, G: GraphView>(
     pot: Option<&GoalPotential<'_>>,
     cache: Option<&'a mut TreeCache>,
 ) -> (SearchStats, TreeView<'a>) {
-    let Some(cache) = cache else {
+    let (Some(cache), None) = (cache, pot) else {
         let stats = grow(arena, g, root, goal, pot, &mut NoRecord);
         return (stats, TreeView::Arena(arena));
     };
-    match cache.adopt(root, g.num_nodes(), pot.map(|p| p.params()), goal) {
+    match cache.adopt(root, g.num_nodes(), goal) {
         Some(stop) => {
             // The counted lookup inside `adopt` already paid for this
             // entry. The view re-borrows it uncounted: returning the
@@ -436,7 +436,7 @@ pub fn run_tree<'a, G: GraphView>(
             (trace.stats_at(stop), trace.view(stop))
         }
         None => {
-            let (stats, trace) = grow_traced(arena, g, root, goal, pot, pot.is_none());
+            let (stats, trace) = grow_traced(arena, g, root, goal, true);
             cache.store(root, trace);
             (stats, TreeView::Arena(arena))
         }

@@ -20,7 +20,7 @@
 //!   Dijkstra, the strongest single-pair baseline, growing a forward and a
 //!   backward tree in two arenas until their radii cover the best meeting;
 //! * [`SweepTrace::repair`] — the **relabel loop**: a Dijkstra seeded at
-//!   the labels a weight update can move, over a recorded trace's events
+//!   the labels a weight update can move, over a recorded trace's buckets
 //!   and its own small heap, rewriting a cached tree into the sweep the
 //!   new map records.
 //!
@@ -76,7 +76,7 @@ pub mod range;
 pub mod stats;
 pub mod trace;
 
-pub use alt::{AltError, AltPreprocessing, GoalPotential, PotentialParams, alt};
+pub use alt::{AltError, AltPreprocessing, GoalPotential, alt};
 pub use arena::SearchArena;
 pub use astar::{astar, astar_with};
 pub use bidirectional::bidirectional;

@@ -257,17 +257,20 @@ proptest! {
 }
 
 /// Grow `root`'s tree toward `goals` under the live ALT potential and
-/// check it against plain Dijkstra: every settled node carries the plain
-/// label and parent chain, every goal reads the plain path (or `None`),
-/// and the guided sweep settled no more than the plain one stopping on the
-/// same goals. Returns the recorded sweep.
+/// check it against plain Dijkstra, reading it from the arena: every node
+/// the guided sweep labelled carries at least its plain distance, and the
+/// plain path wherever it carries the plain distance — which every settled
+/// node does, so there are at least as many such nodes as the sweep
+/// settled — every goal reads the plain path (or `None`), and the guided
+/// sweep settled no more than the plain one stopping on the same goals.
+/// Returns the guided sweep's counters.
 fn assert_guided_tree_is_plain(
     g: &RoadNetwork,
     landmarks: usize,
     root: NodeId,
     goals: &[NodeId],
     ctx: &str,
-) -> pathsearch::SweepTrace {
+) -> pathsearch::SearchStats {
     use pathsearch::{
         AltPreprocessing, Goal, SearchArena, SharingPolicy, TreeCache, run_in, run_tree,
     };
@@ -278,22 +281,28 @@ fn assert_guided_tree_is_plain(
     let plain = run_in(&mut SearchArena::new(), g, root, &goal);
 
     let pot = pre.goal_potential(goals);
-    // A cold cache: the tree is grown for real, and recorded.
+    // A guided tree bypasses the cache: it is grown in the arena.
     let mut cache = TreeCache::new(1, SharingPolicy::PerSource);
     let mut arena = SearchArena::new();
     let (guided, view) = run_tree(&mut arena, g, root, &goal, Some(&pot), Some(&mut cache));
     let paths: Vec<_> = g.nodes().map(|n| view.path_to(n)).collect();
-    assert_eq!(cache.counters(), (0, 1), "{ctx}: a cold cache misses");
-    let trace = cache.peek(root).expect("a grown tree is recorded").clone();
-    assert_eq!(guided.settled as usize, trace.len(), "{ctx}");
+    assert_eq!(cache.counters(), (0, 0), "{ctx}: a guided tree is never cached");
     assert!(guided.settled <= plain.settled, "{ctx}: {} > {}", guided.settled, plain.settled);
-    for n in trace.settled() {
-        assert_eq!(paths[n.index()], full.path_to(n), "{ctx}: settled label of {n}");
+    let mut exact = 0;
+    for (n, path) in g.nodes().zip(&paths) {
+        let Some(path) = path else { continue };
+        let want = full.path_to(n).expect("a labelled node is reachable");
+        assert!(path.distance() >= want.distance(), "{ctx}: label of {n} under its distance");
+        if path.distance() == want.distance() {
+            assert_eq!(path, &want, "{ctx}: exact label of {n}");
+            exact += 1;
+        }
     }
+    assert!(exact >= guided.settled, "{ctx}: {exact} exact labels, {} settled", guided.settled);
     for &t in goals {
         assert_eq!(paths[t.index()], full.path_to(t), "{ctx}: path to goal {t}");
     }
-    trace
+    guided
 }
 
 #[test]
@@ -311,8 +320,8 @@ fn guided_per_source_trees_equal_plain_dijkstra_on_spread_goal_sets() {
                 vec![root, NodeId(n - 1), NodeId(n / 4)],
             ] {
                 let ctx = format!("{} root={root} goals={goals:?}", class.name());
-                let trace = assert_guided_tree_is_plain(&g, 6, root, &goals, &ctx);
-                assert!(!trace.is_complete(), "{ctx}: stops at its last goal");
+                let guided = assert_guided_tree_is_plain(&g, 6, root, &goals, &ctx);
+                assert!(guided.settled < u64::from(n), "{ctx}: stops at its last goal");
             }
         }
     }
@@ -335,7 +344,6 @@ fn guided_per_source_trees_equal_plain_dijkstra_on_spread_goal_sets() {
     b.add_edge(NodeId(26), NodeId(27), 1.0).unwrap();
     let islands = b.build().unwrap();
     let goals = [NodeId(24), NodeId(27), NodeId(4)];
-    let trace = assert_guided_tree_is_plain(&islands, 3, NodeId(0), &goals, "islands");
-    assert!(trace.is_complete(), "an unreachable goal exhausts the component");
-    assert_eq!(trace.len(), 25);
+    let guided = assert_guided_tree_is_plain(&islands, 3, NodeId(0), &goals, "islands");
+    assert_eq!(guided.settled, 25, "an unreachable goal exhausts the component");
 }
