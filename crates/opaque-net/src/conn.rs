@@ -1,21 +1,13 @@
 //! Per-connection state machine.
 //!
-//! A connection moves through four phases:
-//!
-//! ```text
-//! Reading ──frame──▶ Submitted(Ticket) ──event──▶ Writing ──error──▶ Draining
-//!    ▲                                               │
-//!    └───────────────── outbound flushed ◀───────────┘
-//! ```
-//!
-//! The phases overlap freely — a pipelining client can have requests in
-//! flight while replies stream back — so [`Connection`] tracks them as
-//! orthogonal facts (`in_flight`, outbound bytes, `draining`) and reports
-//! the dominant one via [`Connection::phase`]. Backpressure is the one
-//! coupling: when the outbound buffer crosses its cap the connection
-//! stops reading ([`Connection::wants_read`] goes false), which stops
-//! submitting, which lets the gateway's own admission control see the
-//! slow consumer instead of buffering for it without bound.
+//! A pipelining client can have requests inside the gateway while replies
+//! stream back, so [`Connection`] tracks its reading, writing and
+//! draining as orthogonal facts (outbound bytes, `draining`, `closed`).
+//! Backpressure is the one coupling: when the outbound buffer crosses its
+//! cap the connection stops reading ([`Connection::wants_read`] goes
+//! false), which stops submitting, which lets the gateway's own admission
+//! control see the slow consumer instead of buffering for it without
+//! bound.
 
 use crate::error::{NetError, Result};
 use crate::frame::FrameDecoder;
@@ -26,21 +18,7 @@ use std::net::TcpStream;
 /// Socket read granularity.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// The dominant activity of a connection, for observability.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ConnPhase {
-    /// Waiting for (or parsing) request frames.
-    Reading,
-    /// At least one request is inside the gateway awaiting its event.
-    Submitted,
-    /// Replies are buffered and being flushed to the socket.
-    Writing,
-    /// A protocol error was queued; flushing then closing.
-    Draining,
-}
-
-/// One client connection: socket, frame decoder, outbound buffer, and
-/// the in-flight ledger.
+/// One client connection: socket, frame decoder and outbound buffer.
 #[derive(Debug)]
 pub struct Connection {
     stream: TcpStream,
@@ -48,8 +26,6 @@ pub struct Connection {
     outbound: Vec<u8>,
     /// Flushed prefix of `outbound`.
     out_pos: usize,
-    /// Requests submitted to the gateway but not yet answered.
-    in_flight: usize,
     draining: bool,
     closed: bool,
     outbound_cap: usize,
@@ -65,7 +41,6 @@ impl Connection {
             decoder: FrameDecoder::new(max_frame),
             outbound: Vec::new(),
             out_pos: 0,
-            in_flight: 0,
             draining: false,
             closed: false,
             outbound_cap,
@@ -98,29 +73,6 @@ impl Connection {
     /// reaped.
     pub fn is_closed(&self) -> bool {
         self.closed
-    }
-
-    /// Dominant phase, for stats and debugging.
-    pub fn phase(&self) -> ConnPhase {
-        if self.draining {
-            ConnPhase::Draining
-        } else if !self.wants_read() {
-            ConnPhase::Writing
-        } else if self.in_flight > 0 {
-            ConnPhase::Submitted
-        } else {
-            ConnPhase::Reading
-        }
-    }
-
-    /// Record a request handed to the gateway.
-    pub fn note_submitted(&mut self) {
-        self.in_flight += 1;
-    }
-
-    /// Requests currently inside the gateway.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
     }
 
     /// Drain the socket into the decoder and return the complete frame
@@ -166,23 +118,18 @@ impl Connection {
         Ok(frames)
     }
 
-    /// Serialize one reply into the outbound buffer, framed in place;
-    /// terminal replies settle an in-flight request.
+    /// Serialize one reply into the outbound buffer, framed in place.
     ///
     /// # Errors
     /// [`NetError::Malformed`] when the reply fails to serialize and
     /// [`NetError::PayloadTooLarge`] when it cannot be framed at all. The
-    /// reply is not buffered (the in-flight settle still happens — the
-    /// request *was* answered, delivery failed); the caller decides
-    /// whether to drain the connection.
+    /// reply is not buffered; the caller decides whether to drain the
+    /// connection.
     pub fn queue_reply(&mut self, reply: &WireReply) -> Result<()> {
-        if reply.is_terminal() {
-            self.in_flight = self.in_flight.saturating_sub(1);
-        }
         frame_message(reply, &mut self.outbound)
     }
 
-    /// Queue the fatal error notice and switch to Draining: pending
+    /// Queue the fatal error notice and start draining: pending
     /// replies flush, then the socket closes. No further reads happen.
     pub fn begin_drain(&mut self, error: &NetError) {
         if self.draining || self.closed {
@@ -270,20 +217,15 @@ mod tests {
         client.write_all(&frame_vec(b"two").unwrap()).unwrap();
         let frames = wait_frames(&mut conn);
         assert_eq!(frames, vec![b"one".to_vec(), b"two".to_vec()]);
-        assert_eq!(conn.phase(), ConnPhase::Reading);
     }
 
     #[test]
     fn submitted_then_writing_then_reading_again() {
         let (mut conn, mut client) = pair();
-        conn.note_submitted();
-        assert_eq!(conn.phase(), ConnPhase::Submitted);
         conn.queue_reply(&WireReply::Cancelled { ticket: Ticket(1), client: ClientId(0) }).unwrap();
-        assert_eq!(conn.in_flight(), 0);
         assert!(conn.wants_write());
         conn.flush().unwrap();
         assert!(!conn.wants_write());
-        assert_eq!(conn.phase(), ConnPhase::Reading);
         // The reply is readable on the client side.
         client.set_nonblocking(false).unwrap();
         let mut buf = [0u8; 256];
@@ -298,7 +240,6 @@ mod tests {
         conn.queue_reply(&WireReply::Cancelled { ticket: Ticket(1), client: ClientId(0) }).unwrap();
         assert!(conn.pending_out() > 8);
         assert!(!conn.wants_read(), "a full outbound buffer must pause reads");
-        assert_eq!(conn.phase(), ConnPhase::Writing);
         conn.flush().unwrap();
         assert!(conn.wants_read());
     }
@@ -308,7 +249,6 @@ mod tests {
         let (mut conn, mut client) = pair();
         let err = NetError::BadVersion { got: 42 };
         conn.begin_drain(&err);
-        assert_eq!(conn.phase(), ConnPhase::Draining);
         assert!(!conn.wants_read());
         conn.flush().unwrap();
         assert!(conn.is_closed());

@@ -29,7 +29,7 @@ pub mod server;
 pub mod wire;
 
 pub use client::{FleetConfig, FleetOutcome, NetClient, run_fleet};
-pub use conn::{ConnPhase, Connection};
+pub use conn::Connection;
 pub use error::{NetError, Result};
 pub use frame::{DEFAULT_MAX_FRAME, FrameDecoder, PROTOCOL_VERSION};
 pub use server::{NetServer, NetStats, ServerConfig};

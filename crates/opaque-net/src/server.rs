@@ -312,16 +312,10 @@ impl NetServer {
             SubmitOutcome::Accepted(ticket) => {
                 self.stats.submitted += 1;
                 self.routes.insert(ticket, id);
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.note_submitted();
-                }
             }
             SubmitOutcome::Deferred(ticket) => {
                 self.stats.deferred += 1;
                 self.routes.insert(ticket, id);
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.note_submitted();
-                }
             }
             SubmitOutcome::Rejected(reason) => {
                 self.stats.rejected_at_door += 1;

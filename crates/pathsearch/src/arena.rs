@@ -11,11 +11,11 @@
 //!   `O(1)` — stale labels from earlier queries are simply never current;
 //! * an arena holds **one tree**: every sweep the server runs grows exactly
 //!   one (Lemma 1), and bidirectional search pairs two arenas;
-//! * the binary heap, the goal scratch buffer and the sweep recorder's
-//!   node → settle-index map are owned by the arena and reused, so
-//!   repeated queries on the same graph touch no allocator once the
-//!   high-water capacity is reached (a recorded sweep still allocates the
-//!   trace it hands to a tree cache).
+//! * the binary heap and the goal scratch buffer are owned by the arena
+//!   and reused, so repeated queries on the same graph touch no allocator
+//!   once the high-water capacity is reached. A recorded sweep allocates
+//!   only the trace it hands to a tree cache, which its recording writes
+//!   in place (`trace::Recording`).
 //!
 //! The heap holds 16-byte `FrontierEntry`s ordered by integers alone: the
 //! float key is encoded once, at push, into a `u64` whose unsigned order is
@@ -131,9 +131,6 @@ pub struct SearchArena {
     heap: BinaryHeap<FrontierEntry>,
     /// Reusable goal-set buffer (sorted, deduplicated target lists).
     goal_scratch: Vec<NodeId>,
-    /// Reusable node → settle-index map of the sweep recorder (see
-    /// [`SearchArena::take_settle_index`]).
-    settle_index: Vec<u32>,
     /// Nodes of the current search.
     nodes: usize,
 }
@@ -430,26 +427,6 @@ impl SearchArena {
     pub(crate) fn put_goal_scratch(&mut self, mut buf: Vec<NodeId>) {
         buf.clear();
         self.goal_scratch = buf;
-    }
-
-    /// Take the sweep recorder's node → settle-index map, at least `nodes`
-    /// long (restore it with [`SearchArena::put_settle_index`] so its
-    /// capacity is kept). It is never cleared: a recording sweep writes a
-    /// node's entry when the node settles and reads only entries it wrote
-    /// itself, so whatever earlier sweeps left behind is never read as
-    /// current by the recorder. Other readers must check an entry against
-    /// the trace it claims to index.
-    pub(crate) fn take_settle_index(&mut self, nodes: usize) -> Vec<u32> {
-        let mut index = std::mem::take(&mut self.settle_index);
-        if index.len() < nodes {
-            index.resize(nodes, 0);
-        }
-        index
-    }
-
-    /// Return the map taken by [`SearchArena::take_settle_index`].
-    pub(crate) fn put_settle_index(&mut self, index: Vec<u32>) {
-        self.settle_index = index;
     }
 
     /// Test hook: jump the generation counter to exercise epoch

@@ -25,7 +25,7 @@ use crate::arena::SearchArena;
 use crate::cache::TreeCache;
 use crate::path::Path;
 use crate::stats::SearchStats;
-use crate::trace::{MAX_BUCKETED, SettleEvent, SweepTrace, TreeView, settle_key};
+use crate::trace::{Recording, SweepTrace, TreeView};
 use roadnet::{GraphView, NodeId};
 
 /// Search termination condition.
@@ -94,20 +94,12 @@ impl SettleSink for NoRecord {
 /// root misses at most `log₂ n` times. A fixed constant, not a knob.
 const DEEPEN_FACTOR: usize = 2;
 
-/// Records a plain sweep's key-ordered prefix for a [`SweepTrace`]: each
-/// settle as a [`SettleEvent`] with its counter snapshot, until the first
-/// settle that does not strictly follow the one before in [`settle_key`]
-/// order — only a zero-weight tie or a sum that absorbs a weight makes
-/// one — or the [`MAX_BUCKETED`]th.
+/// The sweep policy of a recording: how far a plain sweep records, and the
+/// counters at its goal and where its recording was cut. Each settle goes
+/// to [`Recording::push`], which writes it into the stored form and cuts
+/// the recording at the sweep's key-ordered prefix.
 struct Recorder {
-    events: Vec<SettleEvent>,
-    /// Per event, the sweep's `relaxed` count at that settle. A `u32` holds
-    /// it: a sweep relaxes each arc at most once, and arc offsets are `u32`.
-    relaxed: Vec<u32>,
-    /// Node → index of its settle event, the arena's reusable map (see
-    /// [`SearchArena::take_settle_index`]): how [`SweepTrace`] indexes the
-    /// settled set unsorted.
-    index: Vec<u32>,
+    recording: Recording,
     /// The counters at the first settle not recorded, once recording
     /// stopped there.
     cut: Option<SearchStats>,
@@ -122,30 +114,13 @@ struct Recorder {
     budget: usize,
 }
 
-impl Recorder {
-    fn new(nodes: usize, index: Vec<u32>, deepen: bool) -> Self {
-        // Reserve for the common deep-sweep case: one settle event per node
-        // keeps recording out of the reallocator on the misses a cache pays.
-        Recorder {
-            events: Vec::with_capacity(nodes),
-            relaxed: Vec::with_capacity(nodes),
-            index,
-            cut: None,
-            goal: None,
-            exhausted: false,
-            deepen,
-            budget: usize::MAX,
-        }
-    }
-}
-
 impl SettleSink for Recorder {
     /// Once recording is cut, the sweep only runs on to its goal.
     #[inline]
     fn admits(&self, _dist: f64) -> bool {
         match self.cut {
             Some(_) => self.goal.is_none(),
-            None => self.events.len() < self.budget,
+            None => self.recording.len() < self.budget,
         }
     }
 
@@ -153,27 +128,23 @@ impl SettleSink for Recorder {
     fn on_goal(&mut self, stats: &SearchStats) -> bool {
         self.goal = Some(*stats);
         if self.deepen {
-            self.budget = DEEPEN_FACTOR * self.events.len();
+            self.budget = DEEPEN_FACTOR * self.recording.len();
         }
         !self.deepen || self.cut.is_some()
     }
 
     #[inline]
     fn on_settle(&mut self, arena: &SearchArena, node: NodeId, stats: &SearchStats) {
-        if self.cut.is_some() {
-            return;
-        }
-        let (parent, dist) = (arena.parent_raw(node), arena.dist_raw(node));
-        let event = SettleEvent { node: node.0, parent, dist };
-        if self.events.len() == MAX_BUCKETED
-            || self.events.last().is_some_and(|last| settle_key(&event) <= settle_key(last))
+        if self.cut.is_none()
+            && !self.recording.push(
+                node.0,
+                arena.parent_raw(node),
+                arena.dist_raw(node),
+                stats.relaxed,
+            )
         {
             self.cut = Some(*stats);
-            return;
         }
-        self.index[node.index()] = self.events.len() as u32;
-        self.events.push(event);
-        self.relaxed.push(u32::try_from(stats.relaxed).expect("relaxations fit the arc offsets"));
     }
 
     #[inline]
@@ -330,14 +301,17 @@ fn grow_traced<G: GraphView>(
     goal: &Goal,
     deepen: bool,
 ) -> (SearchStats, SweepTrace) {
-    let n = g.num_nodes();
-    let mut rec = Recorder::new(n, arena.take_settle_index(n), deepen);
+    let mut rec = Recorder {
+        recording: Recording::new(g.num_nodes()),
+        cut: None,
+        goal: None,
+        exhausted: false,
+        deepen,
+        budget: usize::MAX,
+    };
     let end = run_in_sink(arena, g, root, goal, &mut zero_pot, &mut rec);
     let (recorded, complete) = (rec.cut.unwrap_or(end), rec.exhausted && rec.cut.is_none());
-    let trace =
-        SweepTrace::from_parts(rec.events, rec.relaxed, &rec.index[..n], recorded, complete);
-    arena.put_settle_index(rec.index);
-    (rec.goal.unwrap_or(end), trace)
+    (rec.goal.unwrap_or(end), rec.recording.finish(recorded, complete))
 }
 
 /// Run one Dijkstra sweep from `source` inside `arena` until
@@ -358,7 +332,7 @@ pub fn run_in<G: GraphView>(
 
 /// [`run_in`], additionally recording the sweep as a reusable
 /// [`SweepTrace`] (see [`crate::trace`]). The sweep itself is identical —
-/// same labels, same counters — recording only appends one event per
+/// same labels, same counters — recording only writes one entry per
 /// settle, so tracing is safe to leave on whenever a tree cache might
 /// want the result.
 ///

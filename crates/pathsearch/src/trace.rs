@@ -8,15 +8,17 @@
 //! labels, the tree that links them, and enough of the sweep's counters to
 //! give the `relaxed` count at any settle. It keeps the sweep's
 //! **key-ordered prefix** — the settles that came strictly increasing in
-//! `(dist, node)` order (`settle_key`), which is every settle but on a
-//! zero-weight tie or a sum that absorbs a weight — in consecutive
-//! settle-key ranges (**key buckets**), each an unordered bag of `{dist,
-//! node, out-degree}` entries with its count and degree sum. A settle's
-//! position is the settles of the buckets before its own plus the members
-//! of its own with a smaller key, and its `relaxed` snapshot is read the
-//! same way from degrees. Beside the buckets it keeps its tree by node:
-//! each settle's parent node, one entry per map node for a trace that
-//! settled most of its map, sorted pairs otherwise.
+//! `(dist, node)` order, which is every settle but on a zero-weight tie
+//! or a sum that absorbs a weight — in consecutive settle-key ranges
+//! (**key buckets**), each an unordered bag of `{dist, node, out-degree}`
+//! entries with its count and degree sum. A settle's position is the
+//! settles of the buckets before its own plus the members of its own with
+//! a smaller key, and its `relaxed` snapshot is read the same way from
+//! degrees. Beside the buckets it keeps its tree by node: each settle's
+//! parent node, one entry per map node for a trace that settled most of
+//! its map, sorted pairs otherwise. The recording sweep writes that form
+//! as it settles (`Recording`): each settle lands in its bucket and its
+//! node's columns once, and nothing is copied after.
 //!
 //! Because plain Dijkstra from a fixed root is deterministic and its goal
 //! only ever decides *when to stop*, any two sweeps from the same root are
@@ -71,24 +73,9 @@ use roadnet::{GraphView, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A key whose order is a trace's settle order: `(ord_of(dist), node)`
-/// ([`settle_key`]).
+/// A key whose order is a trace's settle order: `(ord_of(dist), node)`,
+/// the order a plain sweep's integer frontier pops in.
 type Key = (u64, u32);
-
-/// One settle event of a recording sweep: the final label and its tree
-/// parent. The recorder keeps the sweep's `relaxed` count at each settle
-/// beside it.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SettleEvent {
-    /// The settled node.
-    pub(crate) node: u32,
-    /// Its tree parent node, or [`NIL`] for the root.
-    pub(crate) parent: u32,
-    /// Its final (exact) distance from the root.
-    pub(crate) dist: f64,
-}
-
-const _: () = assert!(size_of::<SettleEvent>() == 16);
 
 /// One settle of a bucketed trace: its final label and its out-degree —
 /// the relaxations its expansion adds to every later settle's `relaxed`
@@ -128,7 +115,7 @@ const _: () = assert!(2 * BUCKET < 1 << POS_BITS, "a bucket about to split fits 
 /// The most settles a trace records: with at most three buckets per
 /// [`BUCKET`] settles during a repair, its handles fit the slot's high
 /// bits. A longer sweep (≈ 6 GB) is recorded up to here, incomplete.
-pub(crate) const MAX_BUCKETED: usize = 1 << 28;
+const MAX_BUCKETED: usize = 1 << 28;
 
 #[inline]
 fn slot(handle: usize, pos: usize) -> u32 {
@@ -188,7 +175,7 @@ impl Lo {
 }
 
 /// The settles of a trace, in consecutive settle-key ranges ("buckets").
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct KeyBuckets {
     /// The buckets by handle; a freed handle holds an empty one.
     buckets: Vec<Bucket>,
@@ -202,41 +189,6 @@ struct KeyBuckets {
 }
 
 impl KeyBuckets {
-    /// The buckets of a settle-key-ordered event log, [`BUCKET`]
-    /// consecutive events each: event `i` lands in slot
-    /// [`KeyBuckets::first_slot`]`(i)`. `relaxed` holds each event's
-    /// snapshot and `total` the count where the recording ended, so
-    /// degrees are their differences.
-    fn new(events: &[SettleEvent], relaxed: &[u32], total: u64) -> Self {
-        let len = events.len();
-        let degree = |i: usize| {
-            // A difference of two snapshots of one sweep, so it fits.
-            (relaxed.get(i + 1).map_or(total, |&r| u64::from(r)) - u64::from(relaxed[i])) as u32
-        };
-        let count = len.div_ceil(BUCKET);
-        let (mut buckets, mut order) = (Vec::with_capacity(count), Vec::with_capacity(count));
-        for (handle, start) in (0..len).step_by(BUCKET).enumerate() {
-            let end = (start + BUCKET).min(len);
-            let entries: Vec<Entry> = (start..end)
-                .map(|i| Entry { dist: events[i].dist, node: events[i].node, degree: degree(i) })
-                .collect();
-            let (ord, node) = if start == 0 { (0, 0) } else { entries[0].key() };
-            order.push(Lo { ord, node, handle: handle as u32 });
-            buckets.push(Bucket {
-                degrees: entries.iter().map(|e| e.degree).sum(),
-                before: start as u32,
-                relaxed: relaxed[start],
-                entries,
-            });
-        }
-        KeyBuckets { buckets, order, free: Vec::new(), len }
-    }
-
-    /// The slot [`KeyBuckets::new`] puts event `i` in.
-    fn first_slot(i: usize) -> u32 {
-        slot(i / BUCKET, i % BUCKET)
-    }
-
     #[inline]
     fn entry(&self, at: u32) -> &Entry {
         let (h, pos) = unslot(at);
@@ -513,6 +465,112 @@ impl KeyBuckets {
     }
 }
 
+/// A plain sweep being recorded, written one settle at a time straight into
+/// the form a [`SweepTrace`] keeps: [`BUCKET`] consecutive settles per key
+/// bucket, and node → slot and node → parent columns, one entry per map
+/// node. Only the recording sweep behind [`crate::dijkstra::run_tree`] and
+/// [`crate::dijkstra::run_in_traced`] writes one.
+pub(crate) struct Recording {
+    buckets: KeyBuckets,
+    /// Node → slot, [`NIL`] for a node not recorded.
+    at: Vec<u32>,
+    /// Node → its parent node ([`NIL`] for the root and unrecorded nodes).
+    parent: Vec<u32>,
+    /// The sweep's `relaxed` count at the last settle recorded: its
+    /// out-degree is the count at the next settle, or at the end, minus
+    /// this.
+    last_relaxed: u32,
+}
+
+impl Recording {
+    /// An empty recording of a sweep over `nodes` map nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        Recording {
+            buckets: KeyBuckets::default(),
+            at: vec![NIL; nodes],
+            parent: vec![NIL; nodes],
+            last_relaxed: 0,
+        }
+    }
+
+    /// Settles recorded.
+    pub(crate) fn len(&self) -> usize {
+        self.buckets.len
+    }
+
+    /// Record the settle of `node` at `dist` under `parent` ([`NIL`] for the
+    /// root), with the sweep's `relaxed` count at it. Records nothing and
+    /// returns `false` on a settle that does not strictly follow the last
+    /// one in `(dist, node)` order — only a zero-weight tie or a sum that
+    /// absorbs a weight makes one — or with [`MAX_BUCKETED`] recorded: the
+    /// recording ends at the sweep's key-ordered prefix.
+    pub(crate) fn push(&mut self, node: u32, parent: u32, dist: f64, relaxed: u64) -> bool {
+        let (key, len) = ((ord_of(dist), node), self.buckets.len);
+        let last = self.buckets.buckets.last().and_then(|b| b.entries.last());
+        if len == MAX_BUCKETED || last.is_some_and(|e| key <= e.key()) {
+            return false;
+        }
+        // A sweep relaxes each arc at most once, and arc offsets are `u32`.
+        self.close(u32::try_from(relaxed).expect("relaxations fit the arc offsets"));
+        let b = &mut self.buckets;
+        if len % BUCKET == 0 {
+            let (ord, lo) = if len == 0 { (0, 0) } else { key };
+            b.order.push(Lo { ord, node: lo, handle: b.buckets.len() as u32 });
+            b.buckets.push(Bucket {
+                entries: Vec::with_capacity(BUCKET),
+                degrees: 0,
+                before: len as u32,
+                relaxed: self.last_relaxed,
+            });
+        }
+        let handle = b.buckets.len() - 1;
+        b.buckets[handle].entries.push(Entry { dist, node, degree: 0 });
+        b.len += 1;
+        self.at[node as usize] = slot(handle, len % BUCKET);
+        self.parent[node as usize] = parent;
+        true
+    }
+
+    /// Fill the last settle's out-degree, the relaxations up to `relaxed`,
+    /// into its entry and its bucket's sum.
+    fn close(&mut self, relaxed: u32) {
+        if let Some(b) = self.buckets.buckets.last_mut() {
+            let e = b.entries.last_mut().expect("a bucket is opened by its first settle");
+            e.degree = relaxed - self.last_relaxed;
+            b.degrees += e.degree;
+        }
+        self.last_relaxed = relaxed;
+    }
+
+    /// The trace of this recording, given the counters where it ended and
+    /// whether the sweep exhausted the root's component in key order. A
+    /// complete trace that settled at least two thirds of its map keeps the
+    /// columns as its [`SettledIndex::Dense`] index; any other compacts
+    /// them into [`SettledIndex::Sorted`] pairs. The root is the first
+    /// settle: a sweep settles its root first.
+    pub(crate) fn finish(mut self, final_stats: SearchStats, complete: bool) -> SweepTrace {
+        self.close(u32::try_from(final_stats.relaxed).expect("relaxations fit the arc offsets"));
+        let b = &mut self.buckets;
+        if let Some(last) = b.buckets.last_mut() {
+            last.entries.shrink_to_fit();
+        }
+        b.buckets.shrink_to_fit();
+        b.order.shrink_to_fit();
+        let (root, nodes, len) = (NodeId(b.buckets[0].entries[0].node), self.at.len(), b.len);
+        let index = if complete && 3 * len >= 2 * nodes {
+            SettledIndex::Dense { at: self.at, parent: self.parent }
+        } else {
+            let (mut pairs, mut parent) = (Vec::with_capacity(len), Vec::with_capacity(len));
+            for (node, &at) in self.at.iter().enumerate().filter(|&(_, &at)| at != NIL) {
+                pairs.push((node as u32, at));
+                parent.push(self.parent[node]);
+            }
+            SettledIndex::Sorted { pairs, parent }
+        };
+        SweepTrace { root, nodes, buckets: self.buckets, index, final_stats, complete }
+    }
+}
+
 /// A recorded Dijkstra sweep: its labels, tree and counters, read by
 /// [`crate::dijkstra::run_tree`] through a [`TreeView`].
 #[derive(Clone, Debug)]
@@ -533,28 +591,6 @@ pub struct SweepTrace {
 }
 
 impl SweepTrace {
-    /// Assemble a trace from a finished recording's parts (crate-internal:
-    /// only the recording sweep behind [`crate::dijkstra::run_tree`] and
-    /// [`crate::dijkstra::run_in_traced`] produces consistent ones).
-    /// `events` are strictly increasing in [`settle_key`], at most
-    /// [`MAX_BUCKETED`] of them, with each one's counter snapshot in
-    /// `relaxed`. `index` is the recorder's node → settle-index map, one
-    /// entry per map node; its entries for nodes this sweep did not record
-    /// are stale. The root is the first event's node: a sweep settles its
-    /// root first.
-    pub(crate) fn from_parts(
-        events: Vec<SettleEvent>,
-        relaxed: Vec<u32>,
-        index: &[u32],
-        final_stats: SearchStats,
-        complete: bool,
-    ) -> Self {
-        let (root, nodes) = (NodeId(events[0].node), index.len());
-        let buckets = KeyBuckets::new(&events, &relaxed, final_stats.relaxed);
-        let index = SettledIndex::scan(&events, index, complete);
-        SweepTrace { root, nodes, buckets, index, final_stats, complete }
-    }
-
     /// The node the sweep grew from.
     pub fn root(&self) -> NodeId {
         self.root
@@ -851,37 +887,6 @@ enum SettledIndex {
 }
 
 impl SettledIndex {
-    /// The index of `events`, read off the recorder's node → settle-index
-    /// map in node order: `O(nodes + len)`, sorted as it is built. An
-    /// entry the sweep did not write is stale and can only point at
-    /// another node's event, so the node check keeps exactly this sweep's
-    /// settles. Sorting the `len` pairs instead is only cheaper for a
-    /// trace shorter than about a twelfth of the map, and a cache miss
-    /// records twice its goal's depth, so the cache rarely stores one.
-    /// Slots are [`KeyBuckets::first_slot`]s.
-    fn scan(events: &[SettleEvent], recorded: &[u32], complete: bool) -> Self {
-        let settled = recorded.iter().enumerate().filter_map(|(node, &i)| {
-            events.get(i as usize).filter(|e| e.node as usize == node).map(|e| (i, e))
-        });
-        if complete && 3 * events.len() >= 2 * recorded.len() {
-            let (mut at, mut parent) = (vec![NIL; recorded.len()], vec![NIL; recorded.len()]);
-            for (i, e) in settled {
-                (at[e.node as usize], parent[e.node as usize]) =
-                    (KeyBuckets::first_slot(i as usize), e.parent);
-            }
-            SettledIndex::Dense { at, parent }
-        } else {
-            let (mut pairs, mut parent) =
-                (Vec::with_capacity(events.len()), Vec::with_capacity(events.len()));
-            for (i, e) in settled {
-                pairs.push((e.node, KeyBuckets::first_slot(i as usize)));
-                parent.push(e.parent);
-            }
-            debug_assert_eq!(pairs.len(), events.len(), "every settle indexed once");
-            SettledIndex::Sorted { pairs, parent }
-        }
-    }
-
     /// Position of `node` in sorted pairs.
     #[inline]
     fn find(pairs: &[(u32, u32)], node: u32) -> Option<usize> {
@@ -933,13 +938,6 @@ impl SettledIndex {
             }
         }
     }
-}
-
-/// The `(dist, node)` order a plain sweep settles in: its frontier's
-/// integer key, then the node.
-#[inline]
-pub(crate) fn settle_key(e: &SettleEvent) -> (u64, u32) {
-    (ord_of(e.dist), e.node)
 }
 
 /// The nodes of a tree path, root first, from node `from` up: `up` steps
@@ -1516,7 +1514,7 @@ mod tests {
             assert!(dist <= r + 1e-12, "settle order is nondecreasing in distance");
             assert_eq!(trace.position(NodeId(node)).map(|i| order[i].0), Some(node));
         }
-        // The public settled-nodes view mirrors the event log exactly.
+        // The public settled-nodes view mirrors the settle order exactly.
         let settled: Vec<NodeId> = trace.settled().collect();
         assert_eq!(settled.len(), trace.len());
         assert_eq!(settled[0], NodeId(60));
@@ -2057,9 +2055,9 @@ mod tests {
     fn recorded_settles_cost_at_most_24_bytes_and_index_exactly() {
         let g = NetworkClass::Geometric.generate(2_000, 7).unwrap();
         let n = g.num_nodes();
-        // The short sweep grows from another root after a complete one, so
-        // most of the settle-index map it scans is the complete sweep's,
-        // stale.
+        // The short sweep grows in the same arena after a complete one from
+        // another root; its recording writes fresh columns, so none of the
+        // complete sweep's settles shows in its index.
         let far = NodeId(n as u32 / 2);
         let (_, from_far) = run_in_traced(&mut SearchArena::new(), &g, far, &Goal::AllNodes);
         let mut arena = SearchArena::new();

@@ -86,7 +86,7 @@ pub fn read_tln<R: BufRead>(r: &mut R) -> Result<RoadNetwork> {
         }
     };
 
-    let mut points: Vec<Option<Point>> = Vec::new();
+    let mut nodes: Vec<(usize, Point, usize)> = Vec::new();
     let mut edges: Vec<(u32, u32, f64)> = Vec::new();
     for (no, line) in lines {
         let no = no + 1;
@@ -110,16 +110,7 @@ pub fn read_tln<R: BufRead>(r: &mut R) -> Result<RoadNetwork> {
                 let id = parse_u(parts.next(), "node id")? as usize;
                 let x = parse_f(parts.next(), "x coordinate")?;
                 let y = parse_f(parts.next(), "y coordinate")?;
-                if points.len() <= id {
-                    points.resize(id + 1, None);
-                }
-                if points[id].is_some() {
-                    return Err(RoadNetError::Parse {
-                        line: no,
-                        message: format!("duplicate node id {id}"),
-                    });
-                }
-                points[id] = Some(Point::new(x, y));
+                nodes.push((id, Point::new(x, y), no));
             }
             "E" => {
                 let a = parse_u(parts.next(), "edge endpoint")?;
@@ -139,20 +130,18 @@ pub fn read_tln<R: BufRead>(r: &mut R) -> Result<RoadNetwork> {
         }
     }
 
+    let points = dense_points(&nodes, nodes.len()).map_err(|defect| match defect {
+        Defect::Duplicate { id, line } => {
+            RoadNetError::Parse { line, message: format!("duplicate node id {id}") }
+        }
+        Defect::Missing(i) => {
+            RoadNetError::Parse { line: 0, message: format!("node ids not dense: id {i} missing") }
+        }
+    })?;
     let mut b = if directed { GraphBuilder::directed() } else { GraphBuilder::new() };
     b.reserve(points.len(), edges.len());
-    for (i, p) in points.iter().enumerate() {
-        match p {
-            Some(p) => {
-                b.add_node(*p)?;
-            }
-            None => {
-                return Err(RoadNetError::Parse {
-                    line: 0,
-                    message: format!("node ids not dense: id {i} missing"),
-                });
-            }
-        }
+    for p in points {
+        b.add_node(p)?;
     }
     for (a, bb, w) in edges {
         b.add_edge(NodeId(a), NodeId(bb), w)?;
@@ -279,7 +268,6 @@ pub fn read_dimacs<R1: BufRead, R2: BufRead>(gr: &mut R1, co: &mut R2) -> Result
                     return Err(fail(no, "node count must be positive".into()));
                 }
                 header = Some((n, m));
-                arcs.reserve(m);
             }
             Some("a") => {
                 let (n, _) =
@@ -313,7 +301,7 @@ pub fn read_dimacs<R1: BufRead, R2: BufRead>(gr: &mut R1, co: &mut R2) -> Result
     }
 
     // --- .co pass: one coordinate per node -------------------------------
-    let mut points: Vec<Option<Point>> = vec![None; n];
+    let mut vertices: Vec<(usize, Point, usize)> = Vec::new();
     let mut co_header = false;
     for (no, line) in co.lines().enumerate() {
         let no = no + 1;
@@ -353,10 +341,7 @@ pub fn read_dimacs<R1: BufRead, R2: BufRead>(gr: &mut R1, co: &mut R2) -> Result
                 if id == 0 || id > n {
                     return Err(fail(no, format!("vertex id out of range 1..={n}")));
                 }
-                if points[id - 1].is_some() {
-                    return Err(fail(no, format!("duplicate vertex id {id}")));
-                }
-                points[id - 1] = Some(Point::new(x, y));
+                vertices.push((id - 1, Point::new(x, y), no));
             }
             Some(other) => {
                 return Err(fail(no, format!("unknown record tag '{other}' in .co")));
@@ -370,9 +355,10 @@ pub fn read_dimacs<R1: BufRead, R2: BufRead>(gr: &mut R1, co: &mut R2) -> Result
     if !co_header {
         return Err(fail(0, "missing 'p aux sp co' problem line in .co".into()));
     }
-    if let Some(missing) = points.iter().position(Option::is_none) {
-        return Err(fail(0, format!("no coordinates for node {}", missing + 1)));
-    }
+    let points = dense_points(&vertices, n).map_err(|defect| match defect {
+        Defect::Duplicate { id, line } => fail(line, format!("duplicate vertex id {}", id + 1)),
+        Defect::Missing(i) => fail(0, format!("no coordinates for node {}", i + 1)),
+    })?;
 
     // --- direction recovery ----------------------------------------------
     // Greedily pair each arc with the earliest unmatched bit-equal reverse.
@@ -399,13 +385,40 @@ pub fn read_dimacs<R1: BufRead, R2: BufRead>(gr: &mut R1, co: &mut R2) -> Result
     let mut b = if all_paired { GraphBuilder::new() } else { GraphBuilder::directed() };
     b.reserve(n, if all_paired { undirected.len() } else { arcs.len() });
     for p in points {
-        b.add_node(p.expect("density checked above"))?;
+        b.add_node(p)?;
     }
     let edge_list = if all_paired { &undirected } else { &arcs };
     for &(u, v, w) in edge_list {
         b.add_edge(NodeId(u), NodeId(v), w)?;
     }
     b.build()
+}
+
+/// What keeps node records from covering ids `0..n` exactly once.
+enum Defect {
+    /// The second record of `id`, on `line`.
+    Duplicate { id: usize, line: usize },
+    /// The least id without a record.
+    Missing(usize),
+}
+
+/// The points of `(id, point, line)` node records, read in file order, for
+/// ids `0..n`. The table grows only with the records read, never with `n`
+/// or an id a file claims: `k < n` records leave an id of `0..=k` without
+/// one, so a table of `k + 1` finds it.
+fn dense_points(
+    records: &[(usize, Point, usize)],
+    n: usize,
+) -> std::result::Result<Vec<Point>, Defect> {
+    let mut table: Vec<Option<Point>> = vec![None; n.min(records.len() + 1)];
+    for &(id, p, line) in records {
+        match table.get_mut(id) {
+            Some(Some(_)) => return Err(Defect::Duplicate { id, line }),
+            Some(slot) => *slot = Some(p),
+            None => {}
+        }
+    }
+    table.into_iter().enumerate().map(|(i, p)| p.ok_or(Defect::Missing(i))).collect()
 }
 
 /// Parse a positive-or-zero count token, mapping failure to a line error.
@@ -493,13 +506,16 @@ mod tests {
     #[test]
     fn rejects_malformed_records() {
         let cases = [
-            "TLN 1 undirected\nN 0 0.0\n",                     // missing y
-            "TLN 1 undirected\nN 0 0.0 0.0 extra\n",           // trailing token
-            "TLN 1 undirected\nQ 0\n",                         // unknown tag
-            "TLN 1 undirected\nN 0 a 0.0\n",                   // bad float
-            "TLN 1 undirected\nN 0 0 0\nN 0 1 1\n",            // duplicate id
-            "TLN 1 undirected\nN 1 0 0\n",                     // non-dense ids
-            "TLN 1 undirected\nN 0 0 0\nN 1 1 1\nE 0 5 1.0\n", // edge to unknown node
+            "TLN 1 undirected\nN 0 0.0\n",                            // missing y
+            "TLN 1 undirected\nN 0 0.0 0.0 extra\n",                  // trailing token
+            "TLN 1 undirected\nQ 0\n",                                // unknown tag
+            "TLN 1 undirected\nN 0 a 0.0\n",                          // bad float
+            "TLN 1 undirected\nN 0 0 0\nN 0 1 1\n",                   // duplicate id
+            "TLN 1 undirected\nN 1 0 0\n",                            // non-dense ids
+            "TLN 1 undirected\nN 0 0 0\nN 1 1 1\nE 0 5 1.0\n",        // edge to unknown node
+            "TLN 1 undirected\nN 4294967295 0 0\n",                   // id claims ≈ 100 GB
+            "TLN 1 undirected\nN 0 0 0\nN 4294967295 1 1\n",          // a huge id beside a real one
+            "TLN 1 undirected\nN 4294967295 0 0\nN 4294967295 1 1\n", // twice
         ];
         for doc in cases {
             let err = read_tln(&mut std::io::Cursor::new(doc)).unwrap_err();
@@ -583,6 +599,8 @@ mod tests {
             ("p sp 2 2\na 1 2 1.0\n", "promised 2 arcs"),
             ("p sp 2 2\na 1 2 1.0 extra\n", "trailing"),
             ("p sp 2 2\nz 1 2\n", "unknown record tag"),
+            ("p sp 1 18446744073709551615\n", "promised 18446744073709551615 arcs, found 0"),
+            ("p sp 18446744073709551615 0\n", ".co has 2 nodes"),
         ];
         for (gr, want) in bad_gr {
             let err = read_dimacs(&mut std::io::Cursor::new(gr), &mut std::io::Cursor::new(co_ok))
@@ -603,6 +621,27 @@ mod tests {
                 .unwrap_err();
             let msg = err.to_string();
             assert!(msg.contains(want), "co {co:?} gave {msg:?}, wanted {want:?}");
+        }
+        // Both halves claim a node count no memory holds: only the
+        // vertices read are allocated.
+        let gr_huge = "p sp 18446744073709551615 0\n";
+        let bad_pair = [
+            ("p aux sp co 18446744073709551615\n", "no coordinates for node 1"),
+            ("p aux sp co 18446744073709551615\nv 1 0 0\nv 3 0 0\n", "no coordinates for node 2"),
+            (
+                "p aux sp co 18446744073709551615\nv 1 0 0\nv 1 0 0\n",
+                "line 3: duplicate vertex id 1",
+            ),
+        ];
+        for (co, want) in bad_pair {
+            let err =
+                read_dimacs(&mut std::io::Cursor::new(gr_huge), &mut std::io::Cursor::new(co))
+                    .unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                matches!(err, RoadNetError::Parse { .. }) && msg.contains(want),
+                "co {co:?} gave {msg:?}, wanted {want:?}"
+            );
         }
     }
 

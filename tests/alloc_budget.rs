@@ -11,7 +11,8 @@
 //! `format!` or a clone-to-count coming back fails here by name, long
 //! before it shows as a few microseconds on the benchmark. The same holds
 //! for a tree-cache hit, which reads its paths off the stored trace: one
-//! node buffer per path, however many hops it has.
+//! node buffer per path, however many hops it has. A miss is held to bytes
+//! instead: it allocates the trace it stores and little else.
 //!
 //! This file is its own test binary because it installs a counting
 //! `#[global_allocator]`; no other test pays for it. The counter is per
@@ -26,7 +27,7 @@ use opaque::{
 };
 use opaque_net::wire::{decode_message, encode_message};
 use opaque_net::{Connection, DEFAULT_MAX_FRAME, WireReply, WireRequest};
-use pathsearch::{Goal, Path, SearchArena, SharingPolicy, TreeCache, run_tree};
+use pathsearch::{Goal, Path, SearchArena, SharingPolicy, TreeCache, run_in, run_tree};
 use roadnet::NodeId;
 use roadnet::generators::{GridConfig, grid_network};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -36,26 +37,30 @@ use std::net::{TcpListener, TcpStream};
 thread_local! {
     /// Allocations (and growing reallocations) made by this thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated: whole blocks, and what a reallocation
+    /// grew one by.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
 
 impl CountingAlloc {
-    fn count() {
+    fn count(bytes: usize) {
         // `try_with`: a thread's last frees can run after its locals are
-        // gone. The cell is const-initialised and has no destructor, so
-        // touching it never allocates.
+        // gone. The cells are const-initialised and have no destructor, so
+        // touching them never allocates.
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
 // `GlobalAlloc` contract the caller already upholds; the counter is a
-// thread-local `Cell` touched only before the forwarded call, and touching
-// it neither allocates nor unwinds.
+// thread-local `Cell` pair touched only before the forwarded call, and
+// touching it neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -67,13 +72,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
+        Self::count(new_size.saturating_sub(layout.size()));
         // SAFETY: `ptr`/`layout` describe a live `System` block and
         // `new_size` is the caller-checked new size.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -88,6 +93,13 @@ fn allocations<T>(work: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = work();
     (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// Bytes `work` allocates on this thread.
+fn bytes<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = BYTES.with(Cell::get);
+    let out = work();
+    (BYTES.with(Cell::get) - before, out)
 }
 
 fn path(nodes: &[u32], distance: f64) -> Path {
@@ -331,5 +343,41 @@ fn a_cache_hit_allocates_one_buffer_per_path() {
         let ((short, near_hops), (long, far_hops)) = (read(near), read(far));
         assert!(far_hops >= 8 * near_hops, "root {root}: {near_hops} vs {far_hops} hops");
         assert_eq!((short, long), (1, 1), "root {root}: one node buffer per path");
+    }
+}
+
+#[test]
+fn a_cache_miss_allocates_what_its_trace_keeps() {
+    // A miss records its sweep straight into the trace it stores: 16-B
+    // bucket entries, node → slot and node → parent columns (8 B per map
+    // node), compacted into sorted pairs when the sweep stopped early. A
+    // settle log reserved for every map node and copied into the trace
+    // afterwards made the 780-settle miss below allocate 2.2 MB; it
+    // allocates 0.75 MB.
+    let side = 300;
+    let map =
+        grid_network(&GridConfig { width: side, height: side, seed: 3, ..Default::default() })
+            .unwrap();
+    let n = map.num_nodes();
+    let node = |x: usize, y: usize| NodeId::from_index(y * side + x);
+    let (spanning, stopped) = (node(0, 0), node(side / 2, side / 2));
+    // A warm arena: its heap and goal buffer have hosted a map-spanning
+    // sweep from the same root.
+    let mut arena = SearchArena::preallocated(n, 1);
+    run_in(&mut arena, &map, spanning, &Goal::AllNodes);
+    let mut cache = TreeCache::new(4, SharingPolicy::PerSource);
+    for (root, goal) in
+        [(stopped, Goal::Single(node(side / 2 + 12, side / 2))), (spanning, Goal::AllNodes)]
+    {
+        let (got, _) = bytes(|| run_tree(&mut arena, &map, root, &goal, None, Some(&mut cache)).0);
+        assert_eq!(cache.counters().1, 1 + u64::from(root == spanning), "root {root}: a miss");
+        let trace = cache.peek(root).unwrap();
+        assert_eq!(trace.is_complete(), root == spanning, "root {root}");
+        let bound = 8 * n + 48 * trace.len() + 4096;
+        assert!(
+            got <= bound as u64,
+            "root {root}: {got} B for {} settles on {n} nodes, over {bound} B",
+            trace.len()
+        );
     }
 }
