@@ -3,12 +3,15 @@
 //!
 //! [`NetClient`] is the reference implementation of the protocol — one
 //! blocking socket, one frame decoder — used by the loopback
-//! determinism test and the `--smoke` binary. [`run_fleet`] multiplexes
-//! many *simulated* clients over a handful of real sockets (each socket
-//! carries a slice of the fleet, requests tagged by [`ClientId`]), so a
-//! single process can drive 10⁵–10⁶ logical clients against a loopback
-//! server without 10⁵ file descriptors.
+//! determinism test. [`run_fleet`] multiplexes many *simulated* clients
+//! over a handful of real sockets (each socket carries a slice of the
+//! fleet, requests tagged by [`ClientId`]), so a single process can
+//! drive 10⁵–10⁶ logical clients against a loopback server without 10⁵
+//! file descriptors. Each fleet socket is a [`Connection`], the type the
+//! server drives its own end with, so both ends buffer, frame, read and
+//! flush through one piece of code.
 
+use crate::conn::Connection;
 use crate::error::{NetError, Result};
 use crate::frame::{DEFAULT_MAX_FRAME, FrameDecoder};
 use crate::reactor::{POLLIN, POLLOUT, PollFd, poll};
@@ -130,17 +133,9 @@ pub fn run_fleet(
         .next()
         .ok_or_else(|| NetError::Malformed { reason: "no address resolved".to_string() })?;
     let connections = cfg.connections.max(1);
-    let mut streams = Vec::with_capacity(connections);
+    let mut conns = Vec::with_capacity(connections);
     for _ in 0..connections {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
-        streams.push(FleetConn {
-            stream,
-            decoder: FrameDecoder::new(DEFAULT_MAX_FRAME),
-            outbox: Vec::new(),
-            out_pos: 0,
-        });
+        conns.push(Connection::new(TcpStream::connect(addr)?, DEFAULT_MAX_FRAME, usize::MAX)?);
     }
 
     let mut outcome = FleetOutcome::default();
@@ -158,109 +153,40 @@ pub fn run_fleet(
                     reason: format!("duplicate client id {:?} in fleet", request.client),
                 });
             }
-            let wire = WireRequest { request, priority };
-            let conn = &mut streams[next % connections];
-            frame_message(&wire, &mut conn.outbox)?;
+            conns[next % connections].queue(&WireRequest { request, priority })?;
             next += 1;
             outcome.sent += 1;
         }
 
         // Poll every socket: always for readability, for writability
         // only while bytes wait.
-        let mut fds: Vec<PollFd> = streams
+        let mut fds: Vec<PollFd> = conns
             .iter()
             .map(|c| {
-                let mut events = POLLIN;
-                if c.pending_out() > 0 {
-                    events |= POLLOUT;
-                }
-                PollFd::new(c.stream.as_raw_fd(), events)
+                let events = if c.wants_write() { POLLIN | POLLOUT } else { POLLIN };
+                PollFd::new(c.stream().as_raw_fd(), events)
             })
             .collect();
-        match poll(&mut fds, 10) {
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
+        poll(&mut fds, 10)?;
 
-        for (conn, fd) in streams.iter_mut().zip(&fds) {
+        for (conn, fd) in conns.iter_mut().zip(&fds) {
             if fd.writable() {
                 conn.flush()?;
             }
             if fd.readable() {
-                conn.read_replies(&mut outcome, &mut started)?;
-            }
-        }
-    }
-    Ok(outcome)
-}
-
-/// One real socket carrying a slice of the fleet.
-struct FleetConn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    outbox: Vec<u8>,
-    out_pos: usize,
-}
-
-impl FleetConn {
-    fn pending_out(&self) -> usize {
-        self.outbox.len() - self.out_pos
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        while self.out_pos < self.outbox.len() {
-            match self.stream.write(&self.outbox[self.out_pos..]) {
-                Ok(0) => {
-                    return Err(NetError::Io(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "server stopped accepting bytes",
-                    )));
+                for payload in conn.read_frames()? {
+                    settle(&decode_message(&payload)?, &mut outcome, &mut started)?;
                 }
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        if self.out_pos >= self.outbox.len() {
-            self.outbox.clear();
-            self.out_pos = 0;
-        } else if self.out_pos > self.outbox.len() / 2 {
-            self.outbox.drain(..self.out_pos);
-            self.out_pos = 0;
-        }
-        Ok(())
-    }
-
-    fn read_replies(
-        &mut self,
-        outcome: &mut FleetOutcome,
-        started: &mut HashMap<ClientId, Instant>,
-    ) -> Result<()> {
-        let mut buf = [0u8; 64 * 1024];
-        loop {
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    self.decoder.finish()?;
+                if !conn.wants_read() {
                     return Err(NetError::Io(std::io::Error::new(
                         std::io::ErrorKind::UnexpectedEof,
                         "server closed mid-run",
                     )));
                 }
-                Ok(n) => {
-                    self.decoder.push(&buf[..n]);
-                    while let Some(payload) = self.decoder.next_frame()? {
-                        let reply: WireReply = decode_message(&payload)?;
-                        settle(&reply, outcome, started)?;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
             }
         }
     }
+    Ok(outcome)
 }
 
 fn settle(
@@ -371,6 +297,43 @@ mod tests {
         stop.store(true, Ordering::Release);
         let server = handle.join().unwrap();
         assert_eq!(server.stats().dropped_replies, 0);
+    }
+
+    #[test]
+    fn fleet_fails_when_the_server_closes_mid_run() {
+        // A bare listener takes all four requests, answers none and closes.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
+            let mut buf = [0u8; 4096];
+            let mut frames = 0;
+            while frames < 4 {
+                let n = stream.read(&mut buf).unwrap();
+                assert!(n > 0, "the fleet closed with {frames} of 4 requests sent");
+                dec.push(&buf[..n]);
+                while dec.next_frame().unwrap().is_some() {
+                    frames += 1;
+                }
+            }
+        });
+        let requests: Vec<(RequestMsg, Priority)> =
+            (0..4).map(|i| (request(i, i, 100), Priority::Interactive)).collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let fleet = std::thread::spawn(move || {
+            let cfg = FleetConfig { connections: 1, max_in_flight: 4 };
+            tx.send(run_fleet(addr, &requests, cfg)).unwrap();
+        });
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("run_fleet hung after the server closed");
+        match result {
+            Err(NetError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}"),
+            other => panic!("expected UnexpectedEof, got {other:?}"),
+        }
+        fleet.join().unwrap();
+        server.join().unwrap();
     }
 
     #[test]

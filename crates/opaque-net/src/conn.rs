@@ -1,13 +1,16 @@
-//! Per-connection state machine.
+//! Per-connection state machine, one type for both ends of the wire.
 //!
-//! A pipelining client can have requests inside the gateway while replies
-//! stream back, so [`Connection`] tracks its reading, writing and
-//! draining as orthogonal facts (outbound bytes, `draining`, `closed`).
-//! Backpressure is the one coupling: when the outbound buffer crosses its
-//! cap the connection stops reading ([`Connection::wants_read`] goes
-//! false), which stops submitting, which lets the gateway's own admission
-//! control see the slow consumer instead of buffering for it without
-//! bound.
+//! A [`Connection`] owns a non-blocking stream — accepted by the server
+//! or connected by the load fleet ([`crate::client::run_fleet`]) — with
+//! its frame decoder and outbound buffer, so how a peer buffers, frames,
+//! reads and flushes is written once. A pipelining client can have
+//! requests inside the gateway while replies stream back, so the
+//! connection tracks its reading, writing and draining as orthogonal
+//! facts (outbound bytes, `draining`, `closed`). Backpressure is the one
+//! coupling: when the outbound buffer crosses its cap the connection
+//! stops reading ([`Connection::wants_read`] goes false), which stops
+//! submitting, which lets the gateway's own admission control see the
+//! slow consumer instead of buffering for it without bound.
 
 use crate::error::{NetError, Result};
 use crate::frame::FrameDecoder;
@@ -18,7 +21,7 @@ use std::net::TcpStream;
 /// Socket read granularity.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// One client connection: socket, frame decoder and outbound buffer.
+/// One framed connection: socket, frame decoder and outbound buffer.
 #[derive(Debug)]
 pub struct Connection {
     stream: TcpStream,
@@ -32,7 +35,7 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Adopt an accepted stream (made non-blocking here).
+    /// Adopt a connected or accepted stream (made non-blocking here).
     pub fn new(stream: TcpStream, max_frame: u32, outbound_cap: usize) -> std::io::Result<Self> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
@@ -76,7 +79,8 @@ impl Connection {
     }
 
     /// Drain the socket into the decoder and return the complete frame
-    /// payloads received.
+    /// payloads received — none once the connection is draining or
+    /// closed.
     ///
     /// # Errors
     /// Codec errors ([`NetError::FrameTooLarge`], [`NetError::BadVersion`],
@@ -84,6 +88,9 @@ impl Connection {
     /// errors. The caller routes these to [`Connection::begin_drain`].
     pub fn read_frames(&mut self) -> Result<Vec<Vec<u8>>> {
         let mut frames = Vec::new();
+        if self.draining || self.closed {
+            return Ok(frames);
+        }
         let mut chunk = [0u8; READ_CHUNK];
         loop {
             match self.stream.read(&mut chunk) {
@@ -118,15 +125,16 @@ impl Connection {
         Ok(frames)
     }
 
-    /// Serialize one reply into the outbound buffer, framed in place.
+    /// Serialize one message into the outbound buffer, framed in place:
+    /// a reply on the server's end, a request on the fleet's.
     ///
     /// # Errors
-    /// [`NetError::Malformed`] when the reply fails to serialize and
+    /// [`NetError::Malformed`] when the message fails to serialize and
     /// [`NetError::PayloadTooLarge`] when it cannot be framed at all. The
-    /// reply is not buffered; the caller decides whether to drain the
+    /// message is not buffered; the caller decides whether to drain the
     /// connection.
-    pub fn queue_reply(&mut self, reply: &WireReply) -> Result<()> {
-        frame_message(reply, &mut self.outbound)
+    pub fn queue<M: serde::Serialize>(&mut self, msg: &M) -> Result<()> {
+        frame_message(msg, &mut self.outbound)
     }
 
     /// Queue the fatal error notice and start draining: pending
@@ -137,7 +145,7 @@ impl Connection {
         }
         // The notice is a short string and always frames; if it somehow
         // could not, the connection still drains — just silently.
-        let _ = self.queue_reply(&WireReply::Error { reason: error.to_string() });
+        let _ = self.queue(&WireReply::Error { reason: error.to_string() });
         self.draining = true;
     }
 
@@ -187,9 +195,12 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{DEFAULT_MAX_FRAME, frame_vec};
+    use crate::frame::DEFAULT_MAX_FRAME;
+    use crate::frame::tests::framed;
+    use crate::reactor::{POLLIN, PollFd, poll};
     use opaque::{ClientId, Ticket};
     use std::net::TcpListener;
+    use std::os::fd::AsRawFd;
 
     fn pair() -> (Connection, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -213,8 +224,8 @@ mod tests {
     #[test]
     fn frames_cross_the_socket() {
         let (mut conn, mut client) = pair();
-        client.write_all(&frame_vec(b"one").unwrap()).unwrap();
-        client.write_all(&frame_vec(b"two").unwrap()).unwrap();
+        client.write_all(&framed(b"one")).unwrap();
+        client.write_all(&framed(b"two")).unwrap();
         let frames = wait_frames(&mut conn);
         assert_eq!(frames, vec![b"one".to_vec(), b"two".to_vec()]);
     }
@@ -222,7 +233,7 @@ mod tests {
     #[test]
     fn submitted_then_writing_then_reading_again() {
         let (mut conn, mut client) = pair();
-        conn.queue_reply(&WireReply::Cancelled { ticket: Ticket(1), client: ClientId(0) }).unwrap();
+        conn.queue(&WireReply::Cancelled { ticket: Ticket(1), client: ClientId(0) }).unwrap();
         assert!(conn.wants_write());
         conn.flush().unwrap();
         assert!(!conn.wants_write());
@@ -237,7 +248,7 @@ mod tests {
     fn backpressure_stops_reading_until_flushed() {
         let (mut conn, _client) = pair();
         conn.outbound_cap = 8;
-        conn.queue_reply(&WireReply::Cancelled { ticket: Ticket(1), client: ClientId(0) }).unwrap();
+        conn.queue(&WireReply::Cancelled { ticket: Ticket(1), client: ClientId(0) }).unwrap();
         assert!(conn.pending_out() > 8);
         assert!(!conn.wants_read(), "a full outbound buffer must pause reads");
         conn.flush().unwrap();
@@ -267,9 +278,26 @@ mod tests {
     }
 
     #[test]
+    fn a_draining_connection_reads_nothing() {
+        let (mut conn, mut client) = pair();
+        conn.begin_drain(&NetError::BadVersion { got: 42 });
+        client.write_all(&framed(b"late")).unwrap();
+        // Wait until the frame is readable, so a read would find it.
+        let mut fds = [PollFd::new(conn.stream().as_raw_fd(), POLLIN)];
+        for _ in 0..100 {
+            if poll(&mut fds, 50).unwrap() > 0 {
+                break;
+            }
+        }
+        assert!(fds[0].readable(), "the peer's frame never arrived");
+        let frames = conn.read_frames().unwrap();
+        assert!(frames.is_empty(), "read {} frames after begin_drain", frames.len());
+    }
+
+    #[test]
     fn peer_eof_mid_frame_is_truncated() {
         let (mut conn, mut client) = pair();
-        let wire = frame_vec(b"chopped").unwrap();
+        let wire = framed(b"chopped");
         client.write_all(&wire[..wire.len() - 3]).unwrap();
         drop(client);
         let mut result = Ok(Vec::new());

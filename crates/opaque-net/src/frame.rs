@@ -86,16 +86,6 @@ pub(crate) fn encode_frame_with(
     }
 }
 
-/// One framed payload as a fresh buffer.
-///
-/// # Errors
-/// [`NetError::PayloadTooLarge`] — see [`encode_frame`].
-pub fn frame_vec(payload: &[u8]) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    encode_frame(payload, &mut out)?;
-    Ok(out)
-}
-
 /// Incremental frame decoder over a byte stream.
 #[derive(Debug)]
 pub struct FrameDecoder {
@@ -143,19 +133,10 @@ impl FrameDecoder {
     /// must close the connection (resynchronizing an untrusted stream is
     /// not attempted).
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
-        let live = self.live();
-        let Some(&[l0, l1, l2, l3, version]) = live.first_chunk::<HEADER_LEN>() else {
+        let Some(total) = self.frame_len()? else {
             return Ok(None); // header not complete yet
         };
-        let len = u32::from_le_bytes([l0, l1, l2, l3]);
-        if len > self.max_frame {
-            return Err(NetError::FrameTooLarge { len, max: self.max_frame });
-        }
-        if version != PROTOCOL_VERSION {
-            return Err(NetError::BadVersion { got: version });
-        }
-        let total = HEADER_LEN + len as usize;
-        let Some(payload) = live.get(HEADER_LEN..total) else {
+        let Some(payload) = self.live().get(HEADER_LEN..total) else {
             return Ok(None); // payload not complete yet
         };
         let payload = payload.to_vec();
@@ -174,13 +155,20 @@ impl FrameDecoder {
     /// refused. Only an honestly incomplete frame reports
     /// [`NetError::TruncatedFrame`].
     pub fn finish(&self) -> Result<()> {
-        let live = self.live();
-        if live.is_empty() {
+        let buffered = self.buffered();
+        if buffered == 0 {
             return Ok(());
         }
-        // Same validation order as next_frame: length cap, then version.
-        let Some(&[l0, l1, l2, l3, version]) = live.first_chunk::<HEADER_LEN>() else {
-            return Err(NetError::TruncatedFrame { missing: HEADER_LEN - live.len() });
+        let total = self.frame_len()?.unwrap_or(HEADER_LEN);
+        Err(NetError::TruncatedFrame { missing: total.saturating_sub(buffered) })
+    }
+
+    /// The whole length (header included) of the frame the buffered
+    /// header announces, or `None` until the header is complete. The one
+    /// place a header is checked: the length cap first, then the version.
+    fn frame_len(&self) -> Result<Option<usize>> {
+        let Some(&[l0, l1, l2, l3, version]) = self.live().first_chunk::<HEADER_LEN>() else {
+            return Ok(None);
         };
         let len = u32::from_le_bytes([l0, l1, l2, l3]);
         if len > self.max_frame {
@@ -189,15 +177,21 @@ impl FrameDecoder {
         if version != PROTOCOL_VERSION {
             return Err(NetError::BadVersion { got: version });
         }
-        let missing = (HEADER_LEN + len as usize).saturating_sub(live.len());
-        Err(NetError::TruncatedFrame { missing })
+        Ok(Some(HEADER_LEN + len as usize))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// One framed payload as a fresh buffer.
+    pub(crate) fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_frame(payload, &mut out).unwrap();
+        out
+    }
 
     fn drain(dec: &mut FrameDecoder) -> Result<Vec<Vec<u8>>> {
         let mut out = Vec::new();
@@ -212,7 +206,7 @@ mod tests {
         let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
         let payloads: Vec<&[u8]> = vec![b"hello", b"", b"world"];
         for p in &payloads {
-            dec.push(&frame_vec(p).unwrap());
+            dec.push(&framed(p));
         }
         let got = drain(&mut dec).unwrap();
         assert_eq!(got, payloads);
@@ -223,7 +217,7 @@ mod tests {
     #[test]
     fn partial_frames_wait_for_more_bytes() {
         let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
-        let wire = frame_vec(b"split me").unwrap();
+        let wire = framed(b"split me");
         // Byte-at-a-time delivery: only the final byte completes a frame.
         for (i, b) in wire.iter().enumerate() {
             dec.push(&[*b]);
@@ -254,7 +248,7 @@ mod tests {
     #[test]
     fn bad_version_byte_is_a_typed_error() {
         let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
-        let mut wire = frame_vec(b"x").unwrap();
+        let mut wire = framed(b"x");
         wire[4] = 99;
         dec.push(&wire);
         match dec.next_frame() {
@@ -267,7 +261,7 @@ mod tests {
     fn truncated_stream_fails_finish_with_missing_count() {
         // Mid-payload close.
         let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
-        let wire = frame_vec(b"abcdef").unwrap();
+        let wire = framed(b"abcdef");
         dec.push(&wire[..HEADER_LEN + 2]);
         assert!(dec.next_frame().unwrap().is_none());
         match dec.finish() {
@@ -301,12 +295,12 @@ mod tests {
         assert_eq!(payload_len_prefix(u32::MAX as usize).unwrap(), u32::MAX);
         assert_eq!(payload_len_prefix(0).unwrap(), 0);
         // And the public entry points propagate it.
-        assert!(frame_vec(b"ok").is_ok());
+        assert!(encode_frame(b"ok", &mut Vec::new()).is_ok());
     }
 
     #[test]
     fn frames_written_in_place_match_and_vanish_on_error() {
-        let mut out = frame_vec(b"first").unwrap();
+        let mut out = framed(b"first");
         let mut expected = out.clone();
         for payload in [&b"second, written in place"[..], b""] {
             encode_frame(payload, &mut expected).unwrap();
@@ -342,7 +336,7 @@ mod tests {
 
         // Wrong-version header buffered at close.
         let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
-        let mut wire = frame_vec(b"x").unwrap();
+        let mut wire = framed(b"x");
         wire[4] = 99;
         dec.push(&wire[..HEADER_LEN]);
         match dec.finish() {
@@ -360,7 +354,7 @@ mod tests {
     #[test]
     fn compaction_keeps_the_buffer_bounded() {
         let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
-        let wire = frame_vec(&[7u8; 128]).unwrap();
+        let wire = framed(&[7u8; 128]);
         for _ in 0..1_000 {
             dec.push(&wire);
             assert_eq!(drain(&mut dec).unwrap().len(), 1);

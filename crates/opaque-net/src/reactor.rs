@@ -57,11 +57,11 @@ impl PollFd {
 }
 
 /// Wait up to `timeout_ms` for readiness on `fds`; returns how many
-/// entries have non-zero `revents`.
+/// entries have non-zero `revents`. A wait a signal cuts short (EINTR)
+/// reads as a timeout: zero ready.
 ///
 /// # Errors
-/// The kernel's errno as an [`io::Error`] (EINTR included — callers
-/// treat it like a zero-ready timeout and loop).
+/// The kernel's errno as an [`io::Error`], EINTR excepted.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     // x86_64 syscall 7 = poll(struct pollfd *fds, nfds_t nfds, int timeout).
@@ -96,7 +96,11 @@ pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
             options(nostack),
         );
     }
-    if ret < 0 { Err(io::Error::from_raw_os_error(-ret as i32)) } else { Ok(ret as usize) }
+    if ret >= 0 {
+        return Ok(ret as usize);
+    }
+    let err = io::Error::from_raw_os_error(-ret as i32);
+    if err.kind() == io::ErrorKind::Interrupted { Ok(0) } else { Err(err) }
 }
 
 /// Portable fallback: sleep a slice of the timeout, then report every fd

@@ -15,7 +15,7 @@
 //!    [`opaque::ServiceEvent::BatchFlushed`] reports stay server-side
 //!    (see [`NetServer::reports`]) — they aggregate other clients'
 //!    requests and are the determinism oracle, not client data.
-//! 4. Flush writable connections; reap closed ones.
+//! 4. Flush every connection with bytes waiting; reap closed ones.
 //!
 //! Failure domains stay separate: a protocol error drains and closes
 //! *one* connection (its queued batches still run); a batch-fatal
@@ -181,11 +181,7 @@ impl NetServer {
                 self.ids.push(id);
             }
         }
-        match poll(&mut self.fds, self.config.poll_timeout_ms) {
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
+        poll(&mut self.fds, self.config.poll_timeout_ms)?;
 
         if self.fds.first().is_some_and(PollFd::readable) {
             self.accept_ready()?;
@@ -197,14 +193,10 @@ impl NetServer {
         }
 
         self.pump_gateway();
-
-        for i in 0..self.ids.len() {
-            if let Some((id, _)) = self.watched(i).filter(|(_, fd)| fd.writable()) {
-                self.flush_conn(id);
-            }
-        }
-        // Replies queued by this iteration's events get an eager flush
-        // attempt too — loopback sockets are almost always writable.
+        // Every connection with bytes waiting gets a flush attempt, not
+        // only those poll(2) saw writable: replies queued by this
+        // iteration's events are pending too, and loopback sockets are
+        // almost always writable.
         self.flush_pending();
 
         self.conns.retain(|_, c| !c.is_closed());
@@ -388,7 +380,7 @@ impl NetServer {
                 self.stats.dropped_replies += 1;
                 return;
             }
-            match conn.queue_reply(reply) {
+            match conn.queue(reply) {
                 Ok(()) => self.stats.replies_sent += 1,
                 // An unframeable reply is a server-side failure: the
                 // client must not hang waiting, so the connection drains
@@ -410,16 +402,9 @@ impl NetServer {
         Some((*self.ids.get(i)?, *self.fds.get(i + 1)?))
     }
 
-    fn flush_conn(&mut self, id: u64) {
-        if let Some(conn) = self.conns.get_mut(&id) {
-            // Flush errors mark the connection closed; the reaper
-            // removes it and later replies count as dropped.
-            let _ = conn.flush();
-        }
-    }
-
-    /// Flush every connection with bytes waiting (errors as in
-    /// [`NetServer::flush_conn`]).
+    /// Flush every connection with bytes waiting. Flush errors mark the
+    /// connection closed; the reaper removes it and later replies count
+    /// as dropped.
     fn flush_pending(&mut self) {
         for conn in self.conns.values_mut().filter(|c| c.wants_write()) {
             let _ = conn.flush();
@@ -440,7 +425,8 @@ impl std::fmt::Debug for NetServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{DEFAULT_MAX_FRAME, FrameDecoder, frame_vec};
+    use crate::frame::tests::framed;
+    use crate::frame::{DEFAULT_MAX_FRAME, FrameDecoder};
     use crate::wire::encode_message;
     use opaque::{
         BatchPolicy, ClientId, DirectionsServer, PathQuery, Priority, ProtectionSettings,
@@ -474,7 +460,7 @@ mod tests {
             },
             priority: Priority::Interactive,
         };
-        frame_vec(&encode_message(&msg).unwrap()).unwrap()
+        framed(&encode_message(&msg).unwrap())
     }
 
     fn read_replies(stream: &mut TcpStream, n: usize) -> Vec<WireReply> {
@@ -592,7 +578,7 @@ mod tests {
             },
             priority: Priority::Interactive,
         };
-        client.write_all(&frame_vec(&encode_message(&msg).unwrap()).unwrap()).unwrap();
+        client.write_all(&framed(&encode_message(&msg).unwrap())).unwrap();
         let reader = std::thread::spawn(move || read_replies(&mut client, 1));
         for _ in 0..3_000 {
             srv.poll_once().unwrap();
@@ -615,13 +601,12 @@ mod tests {
         // Three hostile frames, one per run: a bad version byte, a nesting
         // flood aimed at the JSON parser's recursion, and a well-formed
         // request whose client id is not an integer.
-        let mut bad_version = frame_vec(b"{}").unwrap();
+        let mut bad_version = framed(b"{}");
         bad_version[4] = 0xEE;
-        let nested = frame_vec(&vec![b'['; 100_000]).unwrap();
-        let fractional_id = frame_vec(
+        let nested = framed(&vec![b'['; 100_000]);
+        let fractional_id = framed(
             br#"{"request":{"client":1.9,"query":{"source":0,"destination":5},"protection":{"f_s":2,"f_t":2}},"priority":"Interactive"}"#,
-        )
-        .unwrap();
+        );
         for evil in [bad_version, nested, fractional_id] {
             let mut srv = server(1);
             let addr = srv.local_addr().unwrap();

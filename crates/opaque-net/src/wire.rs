@@ -91,11 +91,6 @@ impl WireReply {
             WireReply::Error { .. } => None,
         }
     }
-
-    /// True for replies that resolve exactly one submitted request.
-    pub fn is_terminal(&self) -> bool {
-        !matches!(self, WireReply::Error { .. })
-    }
 }
 
 /// Serialize a message into its frame payload (compact JSON, like every
@@ -184,7 +179,6 @@ mod tests {
         for reply in replies {
             let back: WireReply = decode_message(&encode_message(&reply).unwrap()).unwrap();
             assert_eq!(back, reply);
-            assert_eq!(back.is_terminal(), !matches!(reply, WireReply::Error { .. }));
         }
     }
 

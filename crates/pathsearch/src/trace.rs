@@ -1834,7 +1834,7 @@ mod tests {
     }
 
     #[test]
-    fn repair_window_reaches_the_end_when_a_rise_moves_a_subtree_past_every_event() {
+    fn repair_moves_a_risen_subtree_behind_every_other_settle() {
         // Root 0 with the branches 0 – 1 – 2 (unit arcs) and 0 – 3 – 4 – 5
         // (arcs of 1.5): settle order 0 1 3 2 4 5. Raising 0 – 1 sends 1
         // and 2 behind 5.
@@ -1851,7 +1851,7 @@ mod tests {
     }
 
     #[test]
-    fn repair_window_opens_before_every_moved_event_when_a_fall_jumps_ahead() {
+    fn repair_moves_only_the_labels_a_fall_brings_ahead() {
         // As above plus a slack arc 0 – 5; lowering it to 0.5 moves 5
         // (and 4 through it) ahead of 1, which never moves.
         let g = tiny(
@@ -1872,7 +1872,7 @@ mod tests {
     }
 
     #[test]
-    fn repair_repicks_parents_on_a_tie_without_moving_any_event() {
+    fn repair_repicks_parents_on_a_tie_without_moving_any_label() {
         // 3 is reached at 2 through 2 only; lowering 1 – 3 to 1 ties it
         // through 1, which settles earlier and becomes its parent.
         let g = tiny(4, &[(0, 1, 1.0), (0, 2, 1.0), (1, 3, 2.0), (2, 3, 1.0)]);

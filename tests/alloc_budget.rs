@@ -5,7 +5,7 @@
 //! The JSON writer streams a message's events into its output; it builds
 //! no `serde::Value` tree and formats no intermediate `String`. Over a
 //! counting output (`wire_size`) or a buffer that already has room
-//! (`Connection::queue_reply`) that means **zero** allocations. The
+//! (`Connection::queue`) that means **zero** allocations. The
 //! parser hands a decoded type the same events, keys borrowed from the
 //! text, so a decode allocates only what the message owns. A tree, a
 //! `format!` or a clone-to-count coming back fails here by name, long
@@ -183,10 +183,10 @@ fn queue_reply_into_a_warm_outbound_buffer_allocates_nothing() {
     };
     let (first, second) = (reply(1), reply(2));
     // The first reply sizes the buffer; flushing empties it, capacity kept.
-    conn.queue_reply(&first).unwrap();
+    conn.queue(&first).unwrap();
     conn.flush().unwrap();
     assert_eq!(conn.pending_out(), 0);
-    let (n, queued) = allocations(|| conn.queue_reply(&second));
+    let (n, queued) = allocations(|| conn.queue(&second));
     queued.unwrap();
     assert_eq!(n, 0, "a reply is serialised in place behind its header");
     assert!(conn.pending_out() > 0);
