@@ -17,7 +17,8 @@
 //!
 //! Messages serialize with serde; [`wire_size`] measures their JSON
 //! encoding *without producing it* (the JSON writer over an output that
-//! only counts), so experiments can report real bytes per hop rather than
+//! only counts, which counts a whole number's digits instead of printing
+//! them), so experiments can report real bytes per hop rather than
 //! node-count proxies and the service can afford to do so on every
 //! request. The obfuscator–server hops are in-process calls, so
 //! [`HopTraffic`] measures them through borrowed views of what the
@@ -97,8 +98,9 @@ struct ResultView<'a> {
 /// Serialized size of a message in bytes (compact JSON encoding — a
 /// reasonable stand-in for any self-describing wire format; experiments
 /// compare hops, not codecs). Measures the encoding without producing it:
-/// the message streams through the JSON writer into a byte counter, so
-/// nothing is allocated and nothing can fail.
+/// the message streams through the JSON writer into a byte counter, which
+/// takes a whole number's length from its digit count without printing
+/// it, so nothing is allocated and nothing can fail.
 pub fn wire_size<M: Serialize>(msg: &M) -> usize {
     serde_json::serialized_len(msg)
 }

@@ -361,11 +361,11 @@ pub fn run_in_traced<G: GraphView>(
 /// * `cache` — with no potential, `Some` consults it for a recorded sweep
 ///   from `root` and, when `goal` is provably inside the recorded prefix,
 ///   answers from it: no Dijkstra, no arena write — the view reads the
-///   stored trace's goal-stop prefix by chasing each target's parent
-///   nodes, and the counters are the trace's at that stop (one rank
-///   query), byte-identical to the sweep skipped. Otherwise the tree is
-///   grown for real in `arena`, recorded, and re-stored, and the view
-///   reads the arena. Hit or miss is reported through
+///   stored trace's goal-stop prefix by walking the targets' parent
+///   nodes side by side, and the counters are the trace's at that stop
+///   (one rank query), byte-identical to the sweep skipped. Otherwise the
+///   tree is grown for real in `arena`, recorded, and re-stored, and the
+///   view reads the arena. Hit or miss is reported through
 ///   [`TreeCache::counters`]. `None` grows the tree unrecorded in `arena`
 ///   — nothing beyond the sweep itself is allocated.
 ///

@@ -296,7 +296,7 @@ fn per_source<G: GraphView>(
     let mut paths = Vec::with_capacity(sources.len());
     for &s in sources {
         let (run, view) = run_tree(arena, g, s, &goal, pot.as_ref(), cache.as_deref_mut());
-        paths.push(targets.iter().map(|&t| view.path_to(t)).collect());
+        paths.push(view.paths_to(targets));
         stats.merge(run);
         per_tree.push(TreeStats { root: s, side: TreeSide::Source, stats: run });
     }

@@ -25,9 +25,9 @@
 //! prefixes of one another. Adopting a trace for a goal is therefore a
 //! **read of its goal-stop prefix**: the settles a fresh sweep with that
 //! goal would make before stopping. [`crate::dijkstra::run_tree`] answers
-//! a hit with a [`TreeView`] over that prefix — a path is read by chasing
-//! the target's parent nodes, and the arena is never touched — which gives
-//! the two guarantees the cache needs:
+//! a hit with a [`TreeView`] over that prefix — a path is read by walking
+//! the target's parent nodes, several targets side by side, and the arena
+//! is never touched — which gives the two guarantees the cache needs:
 //!
 //! * **answers** — adopted labels are settled, hence exact; paths read
 //!   back identically to a fresh run;
@@ -116,6 +116,10 @@ const _: () = assert!(2 * BUCKET < 1 << POS_BITS, "a bucket about to split fits 
 /// [`BUCKET`] settles during a repair, its handles fit the slot's high
 /// bits. A longer sweep (≈ 6 GB) is recorded up to here, incomplete.
 const MAX_BUCKETED: usize = 1 << 28;
+
+/// How many targets' parent chains a hit's path read advances side by
+/// side (see [`SweepTrace::walk`]).
+const LANES: usize = 8;
 
 #[inline]
 fn slot(handle: usize, pos: usize) -> u32 {
@@ -805,19 +809,64 @@ impl SweepTrace {
     }
 
     /// The path from the root to `t` if `t` settled at or before `stop`,
-    /// by chasing `t`'s parent nodes into one buffer sized by a first walk;
-    /// `None` when `t` settles later or never. Whether `t` settled in time
-    /// is one compare of settle-order keys, not a rank query.
+    /// `None` when `t` settles later or never: a [`SweepTrace::walk`] with
+    /// one lane.
     fn path_to(&self, stop: Stop, t: NodeId) -> Option<Path> {
-        let at = self.slot(t)?;
-        if stop.0.is_some_and(|last| self.key_at(at) > self.key_at(last)) {
-            return None;
+        let mut path = None;
+        self.walk(stop, std::slice::from_ref(&t), |p| path = p);
+        path
+    }
+
+    /// Hand `emit`, target by target, the path from the root to each of
+    /// `targets` that settled at or before `stop`, and `None` for one that
+    /// settles later or never. Whether a target settled in time is one
+    /// compare of settle-order keys, not a rank query.
+    ///
+    /// The parent chains of up to [`LANES`] targets advance side by side:
+    /// the hop loads of different targets do not wait on one another, so
+    /// their cache misses overlap. That walk counts each chain's hops, so
+    /// each path gets one node buffer of exact capacity, and a second walk
+    /// fills it from the lines the first brought into cache.
+    fn walk(&self, stop: Stop, targets: &[NodeId], mut emit: impl FnMut(Option<Path>)) {
+        let last = stop.0.map(|last| self.key_at(last));
+        for chunk in targets.chunks(LANES) {
+            // Each lane's target if it settled in time, else `NIL`.
+            let (mut from, mut dist) = ([NIL; LANES], [0.0; LANES]);
+            for (k, &t) in chunk.iter().enumerate() {
+                let Some(at) = self.slot(t) else { continue };
+                let e = self.buckets.entry(at);
+                if last.is_none_or(|last| e.key() <= last) {
+                    (from[k], dist[k]) = (t.0, e.dist);
+                }
+            }
+            // Count: one hop of every live chain per round.
+            let (mut at, mut hops) = (from, [0usize; LANES]);
+            let mut live = from.iter().filter(|&&v| v != NIL).count();
+            while live > 0 {
+                for k in 0..chunk.len() {
+                    if at[k] != NIL {
+                        hops[k] += 1;
+                        debug_assert!(hops[k] <= self.nodes, "parent cycle");
+                        at[k] = self.index.parent(at[k]);
+                        live -= usize::from(at[k] == NIL);
+                    }
+                }
+            }
+            // Fill: each chain again, into its buffer back to front.
+            for k in 0..chunk.len() {
+                if from[k] == NIL {
+                    emit(None);
+                    continue;
+                }
+                let mut nodes = vec![NodeId(NIL); hops[k]];
+                let mut v = from[k];
+                for node in nodes.iter_mut().rev() {
+                    *node = NodeId(v);
+                    v = self.index.parent(v);
+                }
+                emit(Some(Path::new(nodes, dist[k])));
+            }
         }
-        let nodes = match &self.index {
-            SettledIndex::Dense { parent, .. } => chase(t.0, |v| parent[v as usize]),
-            SettledIndex::Sorted { .. } => chase(t.0, |v| self.index.parent(v)),
-        };
-        Some(Path::new(nodes, self.buckets.entry(at).dist))
     }
 
     /// Every settle as `(node, dist, parent node)` ([`NIL`] for the root),
@@ -938,24 +987,6 @@ impl SettledIndex {
             }
         }
     }
-}
-
-/// The nodes of a tree path, root first, from node `from` up: `up` steps
-/// to a node's parent ([`NIL`] above the root). Counts the hops first, so
-/// the buffer is allocated once.
-fn chase(from: u32, up: impl Fn(u32) -> u32) -> Vec<NodeId> {
-    let (mut hops, mut at) = (0, from);
-    while at != NIL {
-        (hops, at) = (hops + 1, up(at));
-    }
-    let mut nodes = Vec::with_capacity(hops);
-    let mut at = from;
-    while at != NIL {
-        nodes.push(NodeId(at));
-        at = up(at);
-    }
-    nodes.reverse();
-    nodes
 }
 
 /// Weight of the cheapest arc `a → b` (`∞` when there is none) — what any
@@ -1117,6 +1148,20 @@ impl TreeView<'_> {
         match *self {
             TreeView::Arena(arena) => arena.path_to(t),
             TreeView::Trace { trace, stop } => trace.path_to(stop, t),
+        }
+    }
+
+    /// [`TreeView::path_to`] for each of `targets`, in order. A hit reads
+    /// them in one [`SweepTrace::walk`], its targets' parent chains side
+    /// by side.
+    pub(crate) fn paths_to(&self, targets: &[NodeId]) -> Vec<Option<Path>> {
+        match *self {
+            TreeView::Arena(arena) => targets.iter().map(|&t| arena.path_to(t)).collect(),
+            TreeView::Trace { trace, stop } => {
+                let mut paths = Vec::with_capacity(targets.len());
+                trace.walk(stop, targets, |p| paths.push(p));
+                paths
+            }
         }
     }
 }
@@ -1497,6 +1542,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn lockstep_paths_equal_paths_read_one_by_one() {
+        let g = grid();
+        let n = g.num_nodes() as u32;
+        // The grid beside as many isolated nodes: a complete sweep settles
+        // half of it, so its trace keeps sorted pairs.
+        let mut b = GraphBuilder::new();
+        for v in g.nodes() {
+            b.add_node(g.point(v)).unwrap();
+        }
+        for e in g.edges() {
+            b.add_edge(e.a, e.b, e.weight).unwrap();
+        }
+        for i in 0..n {
+            b.add_node(Point::new(-1e4 - f64::from(i), -1e4)).unwrap();
+        }
+        let half = b.build().unwrap();
+        let root = NodeId(5);
+        let mut arena = SearchArena::new();
+        let (_, dense) = run_in_traced(&mut arena, &g, root, &Goal::AllNodes);
+        let (_, sparse) = run_in_traced(&mut arena, &half, root, &Goal::AllNodes);
+        let (_, short) = run_in_traced(&mut arena, &g, root, &Goal::Single(NodeId(100)));
+        for (trace, dense_form, complete) in
+            [(&dense, true, true), (&sparse, false, true), (&short, false, false)]
+        {
+            assert_eq!(matches!(trace.index, SettledIndex::Dense { .. }), dense_form);
+            assert_eq!(trace.is_complete(), complete);
+        }
+
+        for (trace, tag) in [(&dense, "dense"), (&sparse, "sorted"), (&short, "short")] {
+            let order = trace.in_settle_order();
+            let (early, last) = (NodeId(order[order.len() / 3].0), NodeId(order.last().unwrap().0));
+            // More than two chunks of lanes: the root, nodes across the map
+            // and past it, a duplicate, the last settle (after the early
+            // stop) and a node out of range.
+            let mut targets: Vec<NodeId> = (0..2 * n).step_by(11).map(NodeId).collect();
+            targets.extend([root, NodeId(17), NodeId(17), last, early, NodeId(3 * n)]);
+            assert!(targets.len() > 2 * LANES);
+            let mut goals = vec![Goal::Single(early), Goal::Single(last)];
+            if trace.is_complete() {
+                goals.push(Goal::AllNodes);
+            }
+            for goal in goals {
+                let tag = format!("{tag} {goal:?}");
+                let view = trace.view(trace.stop_for(&goal).unwrap());
+                let lockstep: Vec<_> = view.paths_to(&targets).into_iter().map(bits).collect();
+                let one_by_one: Vec<_> = targets.iter().map(|&t| bits(view.path_to(t))).collect();
+                assert_eq!(lockstep, one_by_one, "{tag}");
+                let mut replay = SearchArena::new();
+                trace.adopt_into(&mut replay, &goal).unwrap();
+                for (&t, got) in targets.iter().zip(&lockstep) {
+                    assert_eq!(*got, bits(replay.path_to(t)), "{tag}: path to {t}");
+                }
+                let early_stop = goal == Goal::Single(early);
+                assert_eq!(lockstep[lockstep.len() - 3].is_none(), early_stop, "{tag}: last");
+            }
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "parent cycle")]
+    fn a_parent_cycle_fails_a_path_read_instead_of_spinning() {
+        let g = grid();
+        let (_, mut trace) = run_in_traced(&mut SearchArena::new(), &g, NodeId(0), &Goal::AllNodes);
+        assert!(parent_column(&trace).is_some(), "a dense trace");
+        // The far corner's parent made its child's child: the chain loops.
+        let corner = NodeId(g.num_nodes() as u32 - 1);
+        let parent = trace.index.parent(corner.0);
+        trace.index.set_parent(parent, corner.0);
+        trace.view(Stop(None)).path_to(corner);
     }
 
     #[test]

@@ -309,10 +309,10 @@ fn ring_fakes_allocate_the_same_on_any_map_size() {
 
 #[test]
 fn a_cache_hit_allocates_one_buffer_per_path() {
-    // A hit reads a path by chasing the target's parents — through a
+    // A hit reads a path by walking the target's parents — through a
     // map-spanning trace's parent column, or through an early-stopped
-    // trace's events — and counts the hops before it allocates, so a long
-    // path costs the one node buffer a short one does. Pushing the hops
+    // trace's sorted pairs — and counts the hops before it allocates, so a
+    // long path costs the one node buffer a short one does. Pushing the hops
     // into a growing buffer made 2 allocations for 1 hop and 6 for 58.
     let side = 30;
     let map =
