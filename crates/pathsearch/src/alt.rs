@@ -12,7 +12,14 @@
 //!
 //! Landmarks are chosen by farthest-point ("avoid") selection with
 //! lowest-id tie-breaks (the same determinism idiom as
-//! `opaque::service::partition::Partition::build`). The preprocessing
+//! `opaque::service::partition::Partition::build`); a landmark never
+//! repeats, and once every reached node lies at distance 0 from the chosen
+//! set the next one opens an unreached component. The tables come from
+//! one full sweep per landmark that needs no settle order and so no heap:
+//! it drains a ring of distance buckets `Δ` wide (the map's mean arc
+//! weight ÷ 3), label-correcting within a bucket, and ends at the unique
+//! fixpoint Dijkstra's labels are — bit for bit, the argument is on
+//! `BucketSweep`. The preprocessing
 //! requires a **symmetric** (undirected) network — the triangle-inequality
 //! bound `|d(L,t) − d(L,n)|` uses one distance table per landmark in both
 //! roles, which is only sound when `d(L,·)` equals `d(·,L)`. Every
@@ -39,9 +46,8 @@
 //! reads the node's `L` contiguous entries — two cache lines for 16
 //! landmarks — against goal rows the potential copied out once.
 
-use crate::arena::SearchArena;
 use crate::astar::astar_with;
-use crate::dijkstra::{Goal, Potential, run_in};
+use crate::dijkstra::Potential;
 use crate::path::Path;
 use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
@@ -115,12 +121,160 @@ fn nearest_bound<'r>(goals: impl Iterator<Item = &'r [f64]>, node: &[f64]) -> f6
     goals.map(|goal| row_bound(goal, node)).reduce(f64::min).unwrap_or(0.0)
 }
 
+/// The lowest id at the largest finite label above `floor`.
+fn farthest(labels: &[f64], floor: f64) -> Option<NodeId> {
+    let mut best = None;
+    let mut best_d = floor;
+    for (i, &d) in labels.iter().enumerate() {
+        if d.is_finite() && d > best_d {
+            best_d = d;
+            best = Some(NodeId::from_index(i));
+        }
+    }
+    best
+}
+
+/// A bucket is the mean arc weight over this divisor wide.
+const WIDTH_DIVISOR: f64 = 3.0;
+/// The most slots the bucket ring may have; a map whose longest arc would
+/// span more gets wider buckets instead.
+const MAX_SLOTS: usize = 1 << 16;
+
+/// Scratch for the build's full sweeps: distance-only, heap-free, over a
+/// ring of distance buckets.
+///
+/// A relaxation that lowers `d[v]` pushes `v` into bucket `⌊d[v] / Δ⌋`,
+/// clamped up to the current bucket, in slot `bucket mod slots`. The
+/// current bucket is drained in rounds until it is empty: a round takes
+/// every entry the bucket holds, and what its relaxations push into the
+/// bucket waits for the next round. Within a bucket the sweep is thus
+/// *label-correcting* (Bellman–Ford by rounds): a taken node is expanded
+/// unless it was already expanded at its current label, and a node
+/// lowered after its expansion is expanded again. The sweep ends when no
+/// entry is pending, that is when no relaxation can lower a label.
+/// Rounds, not a LIFO drain: where one bucket holds a whole region (a
+/// 110 × 110 unit grid whose one 1e12 arc binds [`MAX_SLOTS`]) a LIFO
+/// drain re-expanded each node ≈ 1 500 times; rounds expand it once.
+///
+/// **The labels are Dijkstra's, bit for bit.** Dijkstra's label of `v` is
+/// `min` over `v`'s in-arcs `(u, w)` of `fl(d(u) + w)`: an arc from a node
+/// settled after `v` cannot lower it, since that node's label is
+/// `≥ d(v)`, `w ≥ 0` and rounding is monotone. Every label this sweep
+/// assigns is `fl(x + w)` for an earlier label `x` of `u`, so by
+/// induction it is never below Dijkstra's. When it stops, every reached
+/// node was expanded at its final label, so no arc can lower any label;
+/// following Dijkstra's parent chain of a node down from the root, each
+/// hop then keeps this sweep's label at or below Dijkstra's. Both bounds
+/// hold, so every label — `∞` for an unreached node or an overflowing sum
+/// alike — is Dijkstra's. Zero weights, weights below `Δ`, an entry in a
+/// slot it does not belong to (a saturated or rounded index) cost at most
+/// a re-expansion, never a wrong label. Termination needs finite,
+/// non-negative weights, which `RoadNetwork` enforces at build time and on
+/// weight updates: each push strictly lowers a label.
+///
+/// **`Δ` comes from the map.** The one arc scan in [`BucketSweep::new`]
+/// sets it to the mean arc weight ÷ [`WIDTH_DIVISOR`] (the smallest
+/// positive weight did about as well on the continent but far worse on
+/// the geometric map, where one tiny arc sits among near-unit ones). The
+/// ring has `⌊max_arc / Δ⌋ + 2` slots, so no relaxation wraps past the
+/// current bucket; where that exceeds [`MAX_SLOTS`], `Δ` rises to
+/// `max_arc / (MAX_SLOTS − 2)`. With no arcs or only zero weights, `Δ = 1`.
+struct BucketSweep {
+    /// Bucket width `Δ`.
+    width: f64,
+    /// Expanded at its current label, per node.
+    expanded: Vec<bool>,
+    /// Pending nodes by bucket, slot `bucket mod ring.len()`.
+    ring: Vec<Vec<u32>>,
+    /// The round being expanded, taken from the current bucket.
+    round: Vec<u32>,
+}
+
+impl BucketSweep {
+    fn new<G: GraphView>(g: &G) -> Self {
+        let n = g.num_nodes();
+        let (mut arcs, mut sum, mut longest) = (0usize, 0.0f64, 0.0f64);
+        for u in 0..n {
+            g.for_each_arc(NodeId::from_index(u), &mut |_, w| {
+                debug_assert!(w.is_finite() && w >= 0.0, "arc weight {w}");
+                arcs += 1;
+                sum += w;
+                longest = longest.max(w);
+            });
+        }
+        // `min(longest)` binds only where the sum overflowed, and drops the
+        // NaN of a map without arcs; a zero width (no arcs, or only zero
+        // weights) becomes 1.
+        let mut width =
+            (sum / arcs as f64 / WIDTH_DIVISOR).min(longest).max(longest / (MAX_SLOTS - 2) as f64);
+        if width == 0.0 {
+            width = 1.0;
+        }
+        let slots = ((longest / width) as usize + 2).min(MAX_SLOTS);
+        BucketSweep {
+            width,
+            expanded: vec![false; n],
+            ring: vec![Vec::new(); slots],
+            round: Vec::new(),
+        }
+    }
+
+    /// Write every node's distance from `root` into `labels` (`∞` where
+    /// unreached).
+    fn run<G: GraphView>(&mut self, g: &G, root: NodeId, labels: &mut [f64]) {
+        let BucketSweep { width, expanded, ring, round } = self;
+        let (width, slots) = (*width, ring.len());
+        labels.fill(f64::INFINITY);
+        expanded.fill(false);
+        labels[root.index()] = 0.0;
+        ring[0].push(root.0);
+        let mut pending = 1usize;
+        let mut bucket = 0usize;
+        while pending > 0 {
+            let slot = bucket % slots;
+            while !ring[slot].is_empty() {
+                std::mem::swap(&mut ring[slot], round);
+                for u in round.drain(..) {
+                    pending -= 1;
+                    let u = u as usize;
+                    if expanded[u] {
+                        continue;
+                    }
+                    expanded[u] = true;
+                    let du = labels[u];
+                    g.for_each_arc(NodeId::from_index(u), &mut |v, w| {
+                        let cand = du + w;
+                        let v = v.index();
+                        if cand < labels[v] {
+                            labels[v] = cand;
+                            expanded[v] = false;
+                            let b = ((cand / width) as usize).max(bucket);
+                            ring[b % slots].push(v as u32);
+                            pending += 1;
+                        }
+                    });
+                }
+            }
+            bucket += 1;
+        }
+    }
+}
+
 impl AltPreprocessing {
     /// Select `num_landmarks` landmarks by farthest-point selection (first
     /// landmark = node 0's farthest reachable node, then iteratively the
     /// node maximizing the minimum distance to the chosen set; distance
-    /// ties break to the lowest node id) and run one full Dijkstra per
-    /// landmark.
+    /// ties break to the lowest node id) and run one full sweep per
+    /// landmark. Where no unchosen node lies at a positive distance from
+    /// the chosen set, the next landmark is the lowest-id node no sweep has
+    /// reached (the next component), else the lowest-id unchosen node, so
+    /// a landmark never repeats.
+    ///
+    /// The sweeps are heap-free and distance-only: they drain a ring of
+    /// distance buckets `Δ` wide, `Δ` being the map's mean arc weight ÷ 3,
+    /// label-correcting within a bucket. They end at the one fixpoint of
+    /// `d(v) = min over in-arcs of fl(d(u) + w)`, which is what Dijkstra
+    /// computes, so every table entry is Dijkstra's distance bit for bit.
     ///
     /// # Panics
     /// Panics if `num_landmarks` is 0 or exceeds the node count. Use
@@ -153,51 +307,53 @@ impl AltPreprocessing {
     }
 
     fn build_unchecked<G: GraphView>(g: &G, num_landmarks: usize) -> Self {
-        let n = g.num_nodes();
-        let mut arena = SearchArena::new();
+        let mut sweep = BucketSweep::new(g);
+        Self::select(g.num_nodes(), num_landmarks, |root, labels| sweep.run(g, root, labels))
+    }
+
+    /// Farthest-point selection over full sweeps: `sweep(root, labels)`
+    /// writes every node's distance from `root` into `labels` (`∞` where
+    /// unreached).
+    fn select(n: usize, num_landmarks: usize, mut sweep: impl FnMut(NodeId, &mut [f64])) -> Self {
+        let mut labels = vec![f64::INFINITY; n];
 
         // Bootstrap: full tree from node 0, take the farthest reachable
-        // node as the first landmark (a graph periphery point). Ascending
-        // scan with a strict `>` keeps ties on the lowest id.
-        run_in(&mut arena, g, NodeId(0), &Goal::AllNodes);
-        let mut first = NodeId(0);
-        let mut first_d = f64::NEG_INFINITY;
-        for i in 0..n {
-            let node = NodeId::from_index(i);
-            if let Some(d) = arena.distance(node).filter(|d| d.is_finite()) {
-                if d > first_d {
-                    first_d = d;
-                    first = node;
-                }
-            }
-        }
+        // node as the first landmark (a graph periphery point).
+        sweep(NodeId(0), &mut labels);
+        let mut current = farthest(&labels, f64::NEG_INFINITY).expect("the root is reached");
 
-        // Each landmark's sweep is written straight into its column of the
-        // one `n × L` slab; `min_dist` is the only other `O(n)` buffer.
+        // Each landmark's sweep is copied straight into its column of the
+        // one `n × L` slab; `labels` and `min_dist` are the only other
+        // `O(n)` buffers beside the sweep's scratch.
         let mut landmarks = Vec::with_capacity(num_landmarks);
         let mut flat = vec![f64::INFINITY; n * num_landmarks];
         let mut min_dist = vec![f64::INFINITY; n];
-        let mut current = first;
-        for l in 0..num_landmarks {
+        loop {
+            let l = landmarks.len();
             landmarks.push(current);
-            run_in(&mut arena, g, current, &Goal::AllNodes);
-            for (i, (row, m)) in flat.chunks_exact_mut(num_landmarks).zip(&mut min_dist).enumerate()
+            sweep(current, &mut labels);
+            for ((row, m), &d) in
+                flat.chunks_exact_mut(num_landmarks).zip(&mut min_dist).zip(&labels)
             {
-                let d = arena.distance(NodeId::from_index(i)).unwrap_or(f64::INFINITY);
                 row[l] = d;
                 if d < *m {
                     *m = d;
                 }
             }
-            // Next landmark: farthest from the chosen set (finite only,
-            // lowest id on ties).
-            let mut best_d = f64::NEG_INFINITY;
-            for (i, &d) in min_dist.iter().enumerate() {
-                if d.is_finite() && d > best_d {
-                    best_d = d;
-                    current = NodeId::from_index(i);
-                }
+            if landmarks.len() == num_landmarks {
+                break;
             }
+            // Next landmark: farthest from the chosen set. Where every
+            // reached node is at distance 0 from it (an island's worth of
+            // landmarks, or zero-weight edges), the lowest-id node no sweep
+            // has reached opens the next component; failing that, the
+            // lowest-id node not yet chosen. A landmark never repeats.
+            current = farthest(&min_dist, 0.0)
+                .or_else(|| {
+                    min_dist.iter().position(|&d| d == f64::INFINITY).map(NodeId::from_index)
+                })
+                .or_else(|| (0..n).map(NodeId::from_index).find(|v| !landmarks.contains(v)))
+                .expect("fewer landmarks than nodes");
         }
         AltPreprocessing { landmarks, flat }
     }
@@ -325,9 +481,12 @@ pub fn alt<G: GraphView>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::SearchArena;
     use crate::astar::astar;
-    use crate::dijkstra::shortest_path;
+    use crate::dijkstra::{Goal, run_in, shortest_path};
+    use proptest::prelude::*;
     use roadnet::generators::{GridConfig, NetworkClass, grid_network};
+    use roadnet::{GraphBuilder, Point, RoadNetwork};
 
     #[test]
     fn alt_matches_dijkstra_on_all_classes() {
@@ -458,6 +617,266 @@ mod tests {
         fn eq(&self, other: &Self) -> bool {
             self.landmarks == other.landmarks && self.flat == other.flat
         }
+    }
+
+    /// FNV-1a over the landmark ids and every table entry's bits.
+    fn table_digest(pre: &AltPreprocessing) -> u64 {
+        let words = pre.landmarks.iter().map(|l| u64::from(l.0));
+        words.chain(pre.flat.iter().map(|d| d.to_bits())).fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            w.to_le_bytes().iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        })
+    }
+
+    /// One small map of each class the benchmark runs on.
+    fn benchmark_class_maps() -> [(&'static str, RoadNetwork); 3] {
+        use roadnet::generators::{ContinentConfig, continent_network};
+        let continent = ContinentConfig {
+            province_width: 12,
+            province_height: 12,
+            weight_factor: (1.0, 3.0),
+            sea_gap: 20.0,
+            seed: 14,
+            ..Default::default()
+        };
+        [
+            ("continent", continent_network(&continent).unwrap()),
+            ("geometric", NetworkClass::Geometric.generate(2_000, 14).unwrap()),
+            (
+                "grid",
+                grid_network(&GridConfig { width: 16, height: 16, seed: 21, ..Default::default() })
+                    .unwrap(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn benchmark_class_tables_are_pinned() {
+        // Landmarks and every table bit, recorded with the heap-driven
+        // build. No landmark repeats on these maps, so the choice among
+        // already-covered nodes never runs here.
+        let pinned = [
+            ("continent", 0xc50e_c914_5d14_8d66),
+            ("geometric", 0xfecc_3937_20d3_b89b),
+            ("grid", 0x51f6_a624_3042_7753),
+        ];
+        for ((name, g), (pinned_name, digest)) in benchmark_class_maps().iter().zip(pinned) {
+            assert_eq!(*name, pinned_name);
+            let pre = AltPreprocessing::build(g, 16);
+            let distinct: std::collections::HashSet<_> = pre.landmarks().iter().collect();
+            assert_eq!(distinct.len(), 16, "{name}: a landmark repeats");
+            assert_eq!(table_digest(&pre), digest, "{name}: landmarks or table bits moved");
+        }
+    }
+
+    /// The reference the bucketed sweep is held to: `run_in`'s
+    /// `AllNodes` labels, `∞` where unreached.
+    fn heap_sweep<G: GraphView>(arena: &mut SearchArena, g: &G, root: NodeId, labels: &mut [f64]) {
+        run_in(arena, g, root, &Goal::AllNodes);
+        for (i, d) in labels.iter_mut().enumerate() {
+            *d = arena.distance(NodeId::from_index(i)).unwrap_or(f64::INFINITY);
+        }
+    }
+
+    /// Every root's bucketed labels equal the heap's, bit for bit.
+    fn assert_bucketed_equals_heap(name: &str, g: &RoadNetwork, roots: &[NodeId]) {
+        let n = g.num_nodes();
+        let mut sweep = BucketSweep::new(g);
+        let mut arena = SearchArena::new();
+        let (mut got, mut want) = (vec![0.0; n], vec![0.0; n]);
+        for &root in roots {
+            sweep.run(g, root, &mut got);
+            heap_sweep(&mut arena, g, root, &mut want);
+            for (v, (a, b)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{name}: d({root}, n{v}) {a} vs {b}");
+            }
+        }
+    }
+
+    /// A map from an edge list, its nodes on a line.
+    fn edge_map(nodes: usize, edges: &[(u32, u32, f64)]) -> RoadNetwork {
+        let mut b = GraphBuilder::new();
+        for i in 0..nodes {
+            b.add_node(Point::new(i as f64, 0.0)).unwrap();
+        }
+        for &(u, v, w) in edges {
+            b.add_edge(NodeId(u), NodeId(v), w).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// A `side × side` unit grid after `before` leading nodes, unjoined to them.
+    fn unit_grid_after(b: &mut GraphBuilder, before: u32, side: u32) {
+        for i in 0..side * side {
+            b.add_node(Point::new((i % side) as f64, 100.0 + (i / side) as f64)).unwrap();
+        }
+        for i in 0..side * side {
+            let u = NodeId(before + i);
+            if i % side + 1 < side {
+                b.add_edge(u, NodeId(u.0 + 1), 1.0).unwrap();
+            }
+            if i / side + 1 < side {
+                b.add_edge(u, NodeId(u.0 + side), 1.0).unwrap();
+            }
+        }
+    }
+
+    /// Nodes 0–1 joined by one arc, beside a 10×10 unit grid they never
+    /// reach.
+    fn island_beside_a_grid() -> RoadNetwork {
+        let mut b = GraphBuilder::new();
+        b.add_node(Point::new(-50.0, 0.0)).unwrap();
+        b.add_node(Point::new(-49.0, 0.0)).unwrap();
+        b.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
+        unit_grid_after(&mut b, 2, 10);
+        b.build().unwrap()
+    }
+
+    const SPAN: &str = "weights from 1e-12 to 1e12";
+
+    /// Hand-built maps that stress the ring.
+    fn ring_stress_maps() -> Vec<(&'static str, RoadNetwork)> {
+        // Unit arcs, a few of 1e-12 and one of 1e12: the ring's cap binds.
+        let mut span = GraphBuilder::new();
+        unit_grid_after(&mut span, 0, 110);
+        for (u, v, w) in [(0, 111, 1e-12), (5, 116, 1e-12), (60, 171, 3e-7), (40, 12_050, 1e12)] {
+            span.add_edge(NodeId(u), NodeId(v), w).unwrap();
+        }
+        vec![
+            (
+                "zero weights and a zero-weight cycle",
+                edge_map(
+                    7,
+                    &[
+                        (0, 1, 0.0),
+                        (1, 2, 0.0),
+                        (2, 0, 0.0),
+                        (2, 3, 1.5),
+                        (3, 4, 0.0),
+                        (4, 5, 0.0),
+                        (5, 3, 0.0),
+                        (1, 4, 1.5),
+                        (5, 6, 0.1),
+                        (0, 6, 1.6),
+                    ],
+                ),
+            ),
+            (
+                "parallel edges",
+                edge_map(
+                    4,
+                    &[
+                        (0, 1, 3.0),
+                        (0, 1, 1.0),
+                        (1, 0, 1.0),
+                        (1, 2, 0.5),
+                        (1, 2, 0.25),
+                        (0, 2, 1.3),
+                        (2, 3, 0.1),
+                        (2, 3, 7.0),
+                    ],
+                ),
+            ),
+            (SPAN, span.build().unwrap()),
+            (
+                "sums overflowing to +inf",
+                edge_map(
+                    5,
+                    &[(0, 1, 1e308), (1, 2, 1e308), (2, 3, 1.0), (0, 3, 1.7e308), (3, 4, 1e308)],
+                ),
+            ),
+            ("an island", island_beside_a_grid()),
+            ("only zero weights", edge_map(3, &[(0, 1, 0.0), (1, 2, 0.0), (2, 0, 0.0)])),
+            ("one node", edge_map(1, &[])),
+            ("two nodes", edge_map(2, &[(0, 1, 0.75)])),
+        ]
+    }
+
+    #[test]
+    fn bucketed_sweep_equals_dijkstra_labels_on_ring_stress_maps() {
+        for (name, g) in ring_stress_maps() {
+            let n = g.num_nodes() as u32;
+            let roots: Vec<NodeId> = [0, 1, n / 2, n - 1].map(|r| NodeId(r.min(n - 1))).to_vec();
+            assert_bucketed_equals_heap(name, &g, &roots);
+            let capped = BucketSweep::new(&g).ring.len() == MAX_SLOTS;
+            assert_eq!(capped, name == SPAN, "{name}: only the 1e12 arc binds the cap");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..Default::default() })]
+
+        /// Random grid, geometric, radial and continent maps, as generated or
+        /// reweighted to integers in `0..4` (zero weights and ties).
+        #[test]
+        fn bucketed_sweep_equals_dijkstra_labels_bit_for_bit(
+            seed in 0..1_000u64,
+            class in 0..4usize,
+            tie_heavy in 0..2u8,
+            picks in proptest::collection::vec(proptest::num::u32::ANY, 1..4),
+        ) {
+            use roadnet::EdgeId;
+            use roadnet::generators::{ContinentConfig, continent_network};
+            let mut g = match NetworkClass::ALL.get(class) {
+                Some(c) => c.generate(300, seed).unwrap(),
+                None => continent_network(&ContinentConfig {
+                    provinces_x: 2,
+                    provinces_y: 2,
+                    province_width: 8,
+                    province_height: 8,
+                    weight_factor: (1.0, 3.0),
+                    seed,
+                    ..Default::default()
+                })
+                .unwrap(),
+            };
+            if tie_heavy == 1 {
+                let updates: Vec<(EdgeId, f64)> = (0..g.num_edges())
+                    .map(|e| (EdgeId::from_index(e), ((e as u64 * 7 + seed) % 4) as f64))
+                    .collect();
+                g.update_weights(&updates).unwrap();
+            }
+            let n = g.num_nodes() as u32;
+            let roots: Vec<NodeId> = picks.iter().map(|p| NodeId(p % n)).collect();
+            assert_bucketed_equals_heap("random map", &g, &roots);
+        }
+    }
+
+    /// The builder's landmark rule over the heap sweep.
+    fn heap_build<G: GraphView>(g: &G, num_landmarks: usize) -> AltPreprocessing {
+        let mut arena = SearchArena::new();
+        AltPreprocessing::select(g.num_nodes(), num_landmarks, |root, labels| {
+            heap_sweep(&mut arena, g, root, labels)
+        })
+    }
+
+    #[test]
+    fn bucketed_build_equals_the_heap_build() {
+        let stress = ring_stress_maps().into_iter().map(|(_, g)| g);
+        let classes = NetworkClass::ALL.iter().map(|c| c.generate(400, 5).unwrap());
+        let benchmark = benchmark_class_maps().into_iter().map(|(_, g)| g);
+        for g in stress.chain(classes).chain(benchmark) {
+            let l = g.num_nodes().min(8);
+            let (bucketed, heap) = (AltPreprocessing::build(&g, l), heap_build(&g, l));
+            assert_eq!(bucketed.landmarks, heap.landmarks);
+            assert!(
+                bucketed.flat.iter().map(|d| d.to_bits()).eq(heap.flat.iter().map(|d| d.to_bits()))
+            );
+        }
+    }
+
+    #[test]
+    fn landmarks_never_repeat_and_reach_every_component() {
+        // Once the island holds two landmarks the grid must get the rest.
+        let g = island_beside_a_grid();
+        let pre = AltPreprocessing::try_build(&g, 4).unwrap();
+        assert_eq!(pre.landmarks(), [NodeId(1), NodeId(0), NodeId(2), NodeId(101)]);
+        assert_eq!(pre.lower_bound(NodeId(2), NodeId(101)), 18.0, "corner to corner");
+
+        // Connected, but zero-weight edges put non-landmarks at distance 0
+        // from the chosen set: the lowest-id unchosen node comes next.
+        let g = edge_map(4, &[(0, 1, 0.0), (1, 2, 1.0), (2, 3, 0.0)]);
+        let pre = AltPreprocessing::build(&g, 4);
+        assert_eq!(pre.landmarks(), [NodeId(2), NodeId(0), NodeId(1), NodeId(3)]);
     }
 
     #[test]
