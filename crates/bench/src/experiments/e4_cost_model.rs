@@ -129,4 +129,26 @@ mod tests {
         // With one target there is nothing to share.
         assert!((narrow - 1.0).abs() < 0.2, "1x1 speedup should be ~1, got {narrow}");
     }
+
+    #[test]
+    fn e4_quick_table_is_pinned() {
+        // Every column is deterministic — settled counts and their ratios — and
+        // the settled columns come from plain trees, so a change to a plain
+        // tree's counters shows up here.
+        let t = run(&Scale::quick());
+        let rows: Vec<String> = t.rows.iter().map(|r| r.join(" ")).collect();
+        assert_eq!(
+            rows,
+            [
+                "1 1 396.33 190.00 1.09 190.00 1.00",
+                "1 4 696.10 369.00 0.8865 684.00 1.85",
+                "4 1 1261 1272 0.0083 1272 1.00",
+                "2 2 1152 724.50 0.5904 1116 1.54",
+                "4 4 1403 1396 0.0045 3790 2.71",
+                "8 2 2963 2642 0.1213 3433 1.30",
+                "2 8 691.55 676.50 0.0222 2648 3.91",
+                "8 8 1193 1782 0.3308 8524 4.78",
+            ]
+        );
+    }
 }

@@ -97,4 +97,33 @@ mod tests {
         assert_eq!(indep[3], shared[3]);
         assert_eq!(indep[6], shared[6]);
     }
+
+    #[test]
+    fn e5_quick_table_is_pinned() {
+        // Every column is deterministic — counts, settled nodes, breach and
+        // redundancy — and the settled column comes from plain trees, so a
+        // change to a plain tree's counters shows up here.
+        let t = run(&Scale::quick());
+        let rows: Vec<String> = t.rows.iter().map(|r| r.join(" ")).collect();
+        assert_eq!(
+            rows,
+            [
+                "1 independent 1 16 6 1151 0.0625 8.00",
+                "1 shared-clustered 1 16 6 1384 0.0625 9.64",
+                "1 shared-global 1 16 6 1384 0.0625 9.64",
+                "2 independent 2 32 12 2312 0.0625 16.33",
+                "2 shared-clustered 1 16 4 1323 0.0625 8.42",
+                "2 shared-global 1 16 4 1323 0.0625 8.42",
+                "4 independent 4 64 24 3601 0.0625 17.55",
+                "4 shared-clustered 2 32 8 1887 0.0625 8.90",
+                "4 shared-global 1 16 0 960 0.0625 4.65",
+                "8 independent 8 128 48 8045 0.0625 14.59",
+                "8 shared-clustered 4 64 16 3229 0.0625 6.85",
+                "8 shared-global 1 56 0 2120 0.0179 7.64",
+                "16 independent 16 256 96 13582 0.0625 14.14",
+                "16 shared-clustered 6 116 20 5819 0.0495 7.34",
+                "16 shared-global 1 224 0 5643 0.0045 18.15",
+            ]
+        );
+    }
 }

@@ -113,4 +113,27 @@ mod tests {
             assert!(breach("shared-global") <= breach("shared-clustered") + 1e-9, "{w}");
         }
     }
+
+    #[test]
+    fn e8_quick_table_is_pinned() {
+        // Every column is deterministic — counts, settled nodes and breach —
+        // and the settled columns come from plain trees, so a change to a
+        // plain tree's counters shows up here.
+        let t = run(&Scale::quick());
+        let rows: Vec<String> = t.rows.iter().map(|r| r.join(" ")).collect();
+        assert_eq!(
+            rows,
+            [
+                "uniform independent 24 384 27491 1145 0.0625",
+                "uniform shared-clustered 13 241 15013 625.54 0.0502",
+                "uniform shared-global 1 576 9265 386.04 0.0017",
+                "hotspot independent 24 384 26062 1086 0.0625",
+                "hotspot shared-clustered 7 132 8981 374.21 0.0484",
+                "hotspot shared-global 1 276 8140 339.17 0.0036",
+                "commuter independent 24 384 27075 1128 0.0625",
+                "commuter shared-clustered 7 165 7772 323.83 0.0398",
+                "commuter shared-global 1 330 4325 180.21 0.0030",
+            ]
+        );
+    }
 }

@@ -16,10 +16,10 @@
 //! repeats, and once every reached node lies at distance 0 from the chosen
 //! set the next one opens an unreached component. The tables come from
 //! one full sweep per landmark that needs no settle order and so no heap:
-//! it drains a ring of distance buckets `Δ` wide (the map's mean arc
-//! weight ÷ 3), label-correcting within a bucket, and ends at the unique
-//! fixpoint Dijkstra's labels are — bit for bit, the argument is on
-//! `BucketSweep`. The preprocessing
+//! it drains `crate::bucket`'s ring of distance buckets `Δ` wide (the
+//! map's mean arc weight ÷ 3), label-correcting within a bucket, and ends
+//! at the unique fixpoint Dijkstra's labels are — bit for bit, the
+//! argument is in that module. The preprocessing
 //! requires a **symmetric** (undirected) network — the triangle-inequality
 //! bound `|d(L,t) − d(L,n)|` uses one distance table per landmark in both
 //! roles, which is only sound when `d(L,·)` equals `d(·,L)`. Every
@@ -47,6 +47,7 @@
 //! landmarks — against goal rows the potential copied out once.
 
 use crate::astar::astar_with;
+use crate::bucket::DistanceSweep;
 use crate::dijkstra::Potential;
 use crate::path::Path;
 use crate::stats::SearchStats;
@@ -134,132 +135,6 @@ fn farthest(labels: &[f64], floor: f64) -> Option<NodeId> {
     best
 }
 
-/// A bucket is the mean arc weight over this divisor wide.
-const WIDTH_DIVISOR: f64 = 3.0;
-/// The most slots the bucket ring may have; a map whose longest arc would
-/// span more gets wider buckets instead.
-const MAX_SLOTS: usize = 1 << 16;
-
-/// Scratch for the build's full sweeps: distance-only, heap-free, over a
-/// ring of distance buckets.
-///
-/// A relaxation that lowers `d[v]` pushes `v` into bucket `⌊d[v] / Δ⌋`,
-/// clamped up to the current bucket, in slot `bucket mod slots`. The
-/// current bucket is drained in rounds until it is empty: a round takes
-/// every entry the bucket holds, and what its relaxations push into the
-/// bucket waits for the next round. Within a bucket the sweep is thus
-/// *label-correcting* (Bellman–Ford by rounds): a taken node is expanded
-/// unless it was already expanded at its current label, and a node
-/// lowered after its expansion is expanded again. The sweep ends when no
-/// entry is pending, that is when no relaxation can lower a label.
-/// Rounds, not a LIFO drain: where one bucket holds a whole region (a
-/// 110 × 110 unit grid whose one 1e12 arc binds [`MAX_SLOTS`]) a LIFO
-/// drain re-expanded each node ≈ 1 500 times; rounds expand it once.
-///
-/// **The labels are Dijkstra's, bit for bit.** Dijkstra's label of `v` is
-/// `min` over `v`'s in-arcs `(u, w)` of `fl(d(u) + w)`: an arc from a node
-/// settled after `v` cannot lower it, since that node's label is
-/// `≥ d(v)`, `w ≥ 0` and rounding is monotone. Every label this sweep
-/// assigns is `fl(x + w)` for an earlier label `x` of `u`, so by
-/// induction it is never below Dijkstra's. When it stops, every reached
-/// node was expanded at its final label, so no arc can lower any label;
-/// following Dijkstra's parent chain of a node down from the root, each
-/// hop then keeps this sweep's label at or below Dijkstra's. Both bounds
-/// hold, so every label — `∞` for an unreached node or an overflowing sum
-/// alike — is Dijkstra's. Zero weights, weights below `Δ`, an entry in a
-/// slot it does not belong to (a saturated or rounded index) cost at most
-/// a re-expansion, never a wrong label. Termination needs finite,
-/// non-negative weights, which `RoadNetwork` enforces at build time and on
-/// weight updates: each push strictly lowers a label.
-///
-/// **`Δ` comes from the map.** The one arc scan in [`BucketSweep::new`]
-/// sets it to the mean arc weight ÷ [`WIDTH_DIVISOR`] (the smallest
-/// positive weight did about as well on the continent but far worse on
-/// the geometric map, where one tiny arc sits among near-unit ones). The
-/// ring has `⌊max_arc / Δ⌋ + 2` slots, so no relaxation wraps past the
-/// current bucket; where that exceeds [`MAX_SLOTS`], `Δ` rises to
-/// `max_arc / (MAX_SLOTS − 2)`. With no arcs or only zero weights, `Δ = 1`.
-struct BucketSweep {
-    /// Bucket width `Δ`.
-    width: f64,
-    /// Expanded at its current label, per node.
-    expanded: Vec<bool>,
-    /// Pending nodes by bucket, slot `bucket mod ring.len()`.
-    ring: Vec<Vec<u32>>,
-    /// The round being expanded, taken from the current bucket.
-    round: Vec<u32>,
-}
-
-impl BucketSweep {
-    fn new<G: GraphView>(g: &G) -> Self {
-        let n = g.num_nodes();
-        let (mut arcs, mut sum, mut longest) = (0usize, 0.0f64, 0.0f64);
-        for u in 0..n {
-            g.for_each_arc(NodeId::from_index(u), &mut |_, w| {
-                debug_assert!(w.is_finite() && w >= 0.0, "arc weight {w}");
-                arcs += 1;
-                sum += w;
-                longest = longest.max(w);
-            });
-        }
-        // `min(longest)` binds only where the sum overflowed, and drops the
-        // NaN of a map without arcs; a zero width (no arcs, or only zero
-        // weights) becomes 1.
-        let mut width =
-            (sum / arcs as f64 / WIDTH_DIVISOR).min(longest).max(longest / (MAX_SLOTS - 2) as f64);
-        if width == 0.0 {
-            width = 1.0;
-        }
-        let slots = ((longest / width) as usize + 2).min(MAX_SLOTS);
-        BucketSweep {
-            width,
-            expanded: vec![false; n],
-            ring: vec![Vec::new(); slots],
-            round: Vec::new(),
-        }
-    }
-
-    /// Write every node's distance from `root` into `labels` (`∞` where
-    /// unreached).
-    fn run<G: GraphView>(&mut self, g: &G, root: NodeId, labels: &mut [f64]) {
-        let BucketSweep { width, expanded, ring, round } = self;
-        let (width, slots) = (*width, ring.len());
-        labels.fill(f64::INFINITY);
-        expanded.fill(false);
-        labels[root.index()] = 0.0;
-        ring[0].push(root.0);
-        let mut pending = 1usize;
-        let mut bucket = 0usize;
-        while pending > 0 {
-            let slot = bucket % slots;
-            while !ring[slot].is_empty() {
-                std::mem::swap(&mut ring[slot], round);
-                for u in round.drain(..) {
-                    pending -= 1;
-                    let u = u as usize;
-                    if expanded[u] {
-                        continue;
-                    }
-                    expanded[u] = true;
-                    let du = labels[u];
-                    g.for_each_arc(NodeId::from_index(u), &mut |v, w| {
-                        let cand = du + w;
-                        let v = v.index();
-                        if cand < labels[v] {
-                            labels[v] = cand;
-                            expanded[v] = false;
-                            let b = ((cand / width) as usize).max(bucket);
-                            ring[b % slots].push(v as u32);
-                            pending += 1;
-                        }
-                    });
-                }
-            }
-            bucket += 1;
-        }
-    }
-}
-
 impl AltPreprocessing {
     /// Select `num_landmarks` landmarks by farthest-point selection (first
     /// landmark = node 0's farthest reachable node, then iteratively the
@@ -307,7 +182,7 @@ impl AltPreprocessing {
     }
 
     fn build_unchecked<G: GraphView>(g: &G, num_landmarks: usize) -> Self {
-        let mut sweep = BucketSweep::new(g);
+        let mut sweep = DistanceSweep::new(g);
         Self::select(g.num_nodes(), num_landmarks, |root, labels| sweep.run(g, root, labels))
     }
 
@@ -479,11 +354,11 @@ pub fn alt<G: GraphView>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::arena::SearchArena;
     use crate::astar::astar;
-    use crate::dijkstra::{Goal, run_in, shortest_path};
+    use crate::dijkstra::{Goal, run_in, run_in_traced, shortest_path};
     use proptest::prelude::*;
     use roadnet::generators::{GridConfig, NetworkClass, grid_network};
     use roadnet::{GraphBuilder, Point, RoadNetwork};
@@ -668,10 +543,10 @@ mod tests {
         }
     }
 
-    /// The reference the bucketed sweep is held to: `run_in`'s
-    /// `AllNodes` labels, `∞` where unreached.
+    /// The reference the bucketed sweep is held to: the heap's `AllNodes`
+    /// labels (a recorded tree never runs on the ring), `∞` where unreached.
     fn heap_sweep<G: GraphView>(arena: &mut SearchArena, g: &G, root: NodeId, labels: &mut [f64]) {
-        run_in(arena, g, root, &Goal::AllNodes);
+        run_in_traced(arena, g, root, &Goal::AllNodes);
         for (i, d) in labels.iter_mut().enumerate() {
             *d = arena.distance(NodeId::from_index(i)).unwrap_or(f64::INFINITY);
         }
@@ -680,7 +555,7 @@ mod tests {
     /// Every root's bucketed labels equal the heap's, bit for bit.
     fn assert_bucketed_equals_heap(name: &str, g: &RoadNetwork, roots: &[NodeId]) {
         let n = g.num_nodes();
-        let mut sweep = BucketSweep::new(g);
+        let mut sweep = DistanceSweep::new(g);
         let mut arena = SearchArena::new();
         let (mut got, mut want) = (vec![0.0; n], vec![0.0; n]);
         for &root in roots {
@@ -734,7 +609,7 @@ mod tests {
     const SPAN: &str = "weights from 1e-12 to 1e12";
 
     /// Hand-built maps that stress the ring.
-    fn ring_stress_maps() -> Vec<(&'static str, RoadNetwork)> {
+    pub(crate) fn ring_stress_maps() -> Vec<(&'static str, RoadNetwork)> {
         // Unit arcs, a few of 1e-12 and one of 1e12: the ring's cap binds.
         let mut span = GraphBuilder::new();
         unit_grid_after(&mut span, 0, 110);
@@ -797,7 +672,8 @@ mod tests {
             let n = g.num_nodes() as u32;
             let roots: Vec<NodeId> = [0, 1, n / 2, n - 1].map(|r| NodeId(r.min(n - 1))).to_vec();
             assert_bucketed_equals_heap(name, &g, &roots);
-            let capped = BucketSweep::new(&g).ring.len() == MAX_SLOTS;
+            let shape = crate::bucket::Ring::of(&g.arc_weights().unwrap());
+            let capped = shape.slots == crate::bucket::MAX_SLOTS;
             assert_eq!(capped, name == SPAN, "{name}: only the 1e12 arc binds the cap");
         }
     }

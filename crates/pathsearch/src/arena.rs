@@ -11,11 +11,11 @@
 //!   `O(1)` — stale labels from earlier queries are simply never current;
 //! * an arena holds **one tree**: every sweep the server runs grows exactly
 //!   one (Lemma 1), and bidirectional search pairs two arenas;
-//! * the binary heap and the goal scratch buffer are owned by the arena
-//!   and reused, so repeated queries on the same graph touch no allocator
-//!   once the high-water capacity is reached. A recorded sweep allocates
-//!   only the trace it hands to a tree cache, which its recording writes
-//!   in place (`trace::Recording`).
+//! * the binary heap, the bucket ring's scratch and the goal scratch buffer
+//!   are owned by the arena and reused, so repeated queries on the same
+//!   graph touch no allocator once the high-water capacity is reached. A
+//!   recorded sweep allocates only the trace it hands to a tree cache,
+//!   which its recording writes in place (`trace::Recording`).
 //!
 //! The heap holds 16-byte `FrontierEntry`s ordered by integers alone: the
 //! float key is encoded once, at push, into a `u64` whose unsigned order is
@@ -29,7 +29,9 @@
 //! [`SearchArena::distance`] / [`SearchArena::path_to`];
 //! [`crate::multi::msmd_in`] runs whole MSMD queries inside one.
 
+use crate::bucket::{Buckets, Labels};
 use crate::path::Path;
+use crate::stats::SearchStats;
 use roadnet::NodeId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -41,6 +43,10 @@ pub(crate) const NIL: u32 = u32::MAX;
 /// The `stamp` of a settled slot. Stamps are drawn from 1 up, so no entry
 /// carries it and a settled slot matches no entry.
 const SETTLED: u32 = 0;
+
+/// Under the bucket ring, the `stamp` bit of a node expanded at its
+/// current label; the bits above it hold the node's out-degree.
+const EXPANDED: u32 = 1;
 
 /// The `u64` whose unsigned order is `f64::total_cmp`'s order on `key`, for
 /// every `f64` (−0.0 before +0.0, negatives, infinities, NaNs): a set sign
@@ -120,7 +126,8 @@ pub struct SearchArena {
     /// Label epoch stamps: a slot is labelled iff `labelled[i] == epoch`.
     labelled: Vec<u32>,
     /// Per labelled slot, the number of its current label ([`SETTLED`] once
-    /// settled). Meaningful only while the slot is labelled.
+    /// settled). Meaningful only while the slot is labelled. A tree on the
+    /// bucket ring numbers no labels: there it holds [`EXPANDED`].
     stamp: Vec<u32>,
     /// Current search generation. Epoch 0 means "never touched".
     epoch: u32,
@@ -131,6 +138,10 @@ pub struct SearchArena {
     heap: BinaryHeap<FrontierEntry>,
     /// Reusable goal-set buffer (sorted, deduplicated target lists).
     goal_scratch: Vec<NodeId>,
+    /// The bucket ring's scratch, taken out while a tree sweeps on it.
+    pub(crate) buckets: Buckets,
+    /// Every node a ring-grown tree labelled, in labelling order.
+    reached: Vec<u32>,
     /// Nodes of the current search.
     nodes: usize,
 }
@@ -259,9 +270,9 @@ impl SearchArena {
     }
 
     /// Current-generation distance label of `node`, if any.
-    /// Final only for nodes the search settled before terminating;
-    /// beyond the goal it is a tentative upper bound. Out-of-range reads
-    /// return `None` (they are not part of the current search).
+    /// Final for every node the heap would settle; beyond the goal it is a
+    /// tentative upper bound on whichever nodes the sweep (heap or bucket
+    /// ring) reached. Out-of-range reads return `None`.
     #[inline]
     pub fn distance(&self, node: NodeId) -> Option<f64> {
         if node.index() >= self.nodes {
@@ -388,6 +399,29 @@ impl SearchArena {
         self.stamp[self.slot(e.node())] == e.stamp
     }
 
+    /// Start a tree on the bucket ring over `nodes` nodes: a new
+    /// generation whose one label is `root`'s, at 0.
+    pub(crate) fn ring_begin(&mut self, nodes: usize, root: NodeId) {
+        self.begin(nodes);
+        self.reached.clear();
+        self.label(root, 0.0, None);
+        self.stamp[root.index()] = 0;
+        self.reached.push(root.0);
+    }
+
+    /// The heap's counters off the ring's labels, `last` being the goal's
+    /// last target key (`None`: every labelled node; see `crate::bucket`).
+    pub(crate) fn ring_counters(&self, last: Option<(u64, u32)>) -> SearchStats {
+        let last = last.unwrap_or((u64::MAX, NIL));
+        let mut stats = SearchStats::default();
+        for &v in &self.reached {
+            let key = (ord_of(self.dist[v as usize]), v);
+            stats.settled += u64::from(key <= last);
+            stats.relaxed += if key < last { u64::from(self.stamp[v as usize] >> 1) } else { 0 };
+        }
+        stats
+    }
+
     /// Reconstruct the path from the root to `t` by walking parents.
     /// `None` when `t` carries no current-generation label.
     pub fn path_to(&self, t: NodeId) -> Option<Path> {
@@ -434,6 +468,49 @@ impl SearchArena {
     #[cfg(test)]
     pub(crate) fn set_epoch_for_test(&mut self, epoch: u32) {
         self.epoch = epoch;
+    }
+}
+
+/// A tree on the bucket ring keeps its labels in the arena's slabs.
+impl Labels for SearchArena {
+    #[inline]
+    fn take(&mut self, u: u32) -> Option<f64> {
+        let i = u as usize;
+        (self.stamp[i] & EXPANDED == 0).then(|| self.dist[i])
+    }
+
+    #[inline]
+    fn expanded(&mut self, u: u32, degree: u32) {
+        debug_assert!(degree < 1 << 31, "out-degree {degree}");
+        self.stamp[u as usize] = degree << 1 | EXPANDED;
+    }
+
+    /// Label `v` when `cand` improves on its label; on a tie keep the
+    /// parent of lesser `(d, node)` key; `None` when `cand == d(u)`.
+    #[inline]
+    fn relax(&mut self, u: u32, du: f64, v: u32, cand: f64) -> Option<bool> {
+        let i = v as usize;
+        let fresh = self.labelled[i] != self.epoch;
+        if !fresh && cand > self.dist[i] {
+            return Some(false);
+        }
+        if cand == du {
+            return None;
+        }
+        if fresh || cand < self.dist[i] {
+            if fresh {
+                self.labelled[i] = self.epoch;
+                self.reached.push(v);
+            }
+            (self.dist[i], self.parent[i], self.stamp[i]) = (cand, u, 0);
+            return Some(true);
+        }
+        // A tie, so `v` is not the root (which ties only at `cand == du`).
+        let p = self.parent[i];
+        if (ord_of(du), u) < (ord_of(self.dist[p as usize]), p) {
+            self.parent[i] = u;
+        }
+        Some(false)
     }
 }
 

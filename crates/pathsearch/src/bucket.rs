@@ -1,0 +1,399 @@
+//! The one loop in `pathsearch` without a heap: a ring of distance buckets
+//! `Δ` wide, drained in order, label-correcting within a bucket. It grows
+//! the landmark build's sweeps ([`DistanceSweep`]) and every unguided,
+//! unrecorded tree ([`tree`]) except over a view without [`ArcWeights`]
+//! (paged storage) or with a zero-weight arc; a relaxation with
+//! `d(u) + w == d(u)` breaks the sweep off and reruns the tree on the heap.
+//!
+//! **The labels are Dijkstra's, bit for bit.** Dijkstra's label of `v` is
+//! `min` over `v`'s in-arcs `(u, w)` of `fl(d(u) + w)`: an arc from a node
+//! settled after `v` cannot lower it (its label is `≥ d(v)`, `w ≥ 0`, and
+//! rounding is monotone). Every label the ring assigns is `fl(x + w)` for
+//! an earlier label `x` of `u`, so it is never below Dijkstra's. When the
+//! ring ends, every reached node was expanded at its final label, so down
+//! Dijkstra's parent chain each hop keeps the ring's label at or below
+//! Dijkstra's — `∞` for an overflowing sum alike. A stop after bucket `b`
+//! leaves every label in buckets `≤ b` final, since an entry is drained no
+//! later than its bucket. Zero weights or a wrong slot (a saturated or
+//! rounded index) cost at most a re-expansion.
+//!
+//! **So are the heap's counters and parents.** Without a relaxation
+//! `fl(d(u) + w) == d(u)` the heap settles in `(dist, node)` key order and
+//! stops after the goal's target of greatest key, `t*`: `settled` counts
+//! the labelled nodes keyed `≤ key(t*)`, `relaxed` sums the out-degrees of
+//! those keyed `< key(t*)` (every labelled node, for both, with a target
+//! unreached, `AllNodes` or an empty set) — read off the final labels,
+//! never off where the ring stopped. The heap's parent of `v` is the
+//! least-key `u` with `fl(d(u) + w) == d(v)`, which `relax` keeps inline.
+
+use crate::arena::{SearchArena, ord_of};
+use crate::dijkstra::Goal;
+use crate::stats::SearchStats;
+use roadnet::{ArcWeights, GraphView, NodeId};
+
+/// A bucket is the mean arc weight over this divisor wide.
+const WIDTH_DIVISOR: f64 = 3.0;
+/// The most slots the bucket ring may have; a map whose longest arc would
+/// span more gets wider buckets instead.
+pub(crate) const MAX_SLOTS: usize = 1 << 16;
+
+/// The ring's shape on one map. `Δ` is the mean arc weight ÷
+/// [`WIDTH_DIVISOR`] (the smallest positive weight did far worse on the
+/// geometric map), with `⌊max_arc / Δ⌋ + 2` slots, so no relaxation wraps
+/// past the current bucket; where that exceeds [`MAX_SLOTS`], `Δ` rises to
+/// `max_arc / (MAX_SLOTS − 2)`. It is read off the map's [`ArcWeights`]
+/// per sweep, never kept: a weight update can lengthen the longest arc.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Ring {
+    width: f64,
+    pub(crate) slots: usize,
+}
+
+impl Ring {
+    pub(crate) fn of(w: &ArcWeights) -> Self {
+        debug_assert!(w.shortest >= 0.0 && w.longest.is_finite(), "arc weights {w:?}");
+        // `min(longest)` binds only where the sum overflowed, and drops the
+        // NaN of a map without arcs; a zero width (zero weights) becomes 1.
+        let mut width = (w.sum / w.arcs as f64 / WIDTH_DIVISOR)
+            .min(w.longest)
+            .max(w.longest / (MAX_SLOTS - 2) as f64);
+        if width == 0.0 {
+            width = 1.0;
+        }
+        let slots = ((w.longest / width) as usize + 2).min(MAX_SLOTS);
+        Ring { width, slots }
+    }
+
+    /// The bucket of label `d` (saturating at `usize::MAX` for `∞`).
+    #[inline]
+    fn bucket(&self, d: f64) -> usize {
+        (d / self.width) as usize
+    }
+}
+
+/// The per-node state of a sweep: distance columns for the landmark build,
+/// the arena's slabs for a tree.
+pub(crate) trait Labels {
+    /// `u`'s label, unless `u` was already expanded at it.
+    fn take(&mut self, u: u32) -> Option<f64>;
+    /// `u` was expanded over `degree` arcs.
+    fn expanded(&mut self, _u: u32, _degree: u32) {}
+    /// Relax `u → v` at `cand = d(u) + w`: whether `v`'s label fell to
+    /// `cand`, or `None` to break the sweep off.
+    fn relax(&mut self, u: u32, du: f64, v: u32, cand: f64) -> Option<bool>;
+}
+
+/// The ring's scratch: pending nodes by bucket, slot `bucket mod slots`,
+/// and the round being expanded. Empty between sweeps.
+#[derive(Debug, Default)]
+pub(crate) struct Buckets {
+    ring: Vec<Vec<u32>>,
+    round: Vec<u32>,
+}
+
+impl Buckets {
+    /// Sweep from `root`, labelled 0 by the caller. A relaxation that lowers
+    /// `d[v]` pushes `v` into bucket `⌊d[v] / Δ⌋`, clamped up to the current
+    /// bucket, which is drained in rounds until empty: a round takes every
+    /// entry the bucket holds, and what it pushes there waits for the next
+    /// (a LIFO drain re-expanded each node ≈ 1 500 times where one bucket
+    /// held a whole region). After each bucket `b`, `stop(labels, b)` may
+    /// end the sweep; otherwise it ends when nothing is pending. Returns
+    /// `false` when a relaxation broke it off.
+    pub(crate) fn sweep<G: GraphView, L: Labels>(
+        &mut self,
+        shape: Ring,
+        g: &G,
+        root: NodeId,
+        labels: &mut L,
+        mut stop: impl FnMut(&mut L, usize) -> bool,
+    ) -> bool {
+        let Buckets { ring, round } = self;
+        let slots = shape.slots;
+        // The ring only grows: an arena may alternate between maps.
+        if ring.len() < slots {
+            ring.resize_with(slots, Vec::new);
+        }
+        ring[0].push(root.0);
+        let (mut pending, mut bucket, mut broken) = (1usize, 0usize, false);
+        'sweep: while pending > 0 {
+            let slot = bucket % slots;
+            while !ring[slot].is_empty() {
+                std::mem::swap(&mut ring[slot], round);
+                pending -= round.len();
+                // Leaving the drain early drops what the round still holds.
+                for u in round.drain(..) {
+                    let Some(du) = labels.take(u) else { continue };
+                    let mut degree = 0u32;
+                    g.for_each_arc(NodeId(u), &mut |v, w| {
+                        degree += 1;
+                        let cand = du + w;
+                        match labels.relax(u, du, v.0, cand) {
+                            Some(true) => {
+                                ring[shape.bucket(cand).max(bucket) % slots].push(v.0);
+                                pending += 1;
+                            }
+                            Some(false) => {}
+                            None => broken = true,
+                        }
+                    });
+                    labels.expanded(u, degree);
+                    if broken {
+                        break 'sweep;
+                    }
+                }
+            }
+            if stop(labels, bucket) {
+                break;
+            }
+            bucket += 1;
+        }
+        // A stopped or broken sweep leaves `pending` entries from here on.
+        while pending > 0 {
+            pending -= ring[bucket % slots].len();
+            ring[bucket % slots].clear();
+            bucket += 1;
+        }
+        !broken
+    }
+}
+
+/// Distance-only labels over caller-owned columns.
+struct Distances<'a>(&'a mut [f64], &'a mut [bool]);
+
+impl Labels for Distances<'_> {
+    #[inline]
+    fn take(&mut self, u: u32) -> Option<f64> {
+        let u = u as usize;
+        (!std::mem::replace(&mut self.1[u], true)).then(|| self.0[u])
+    }
+
+    #[inline]
+    fn relax(&mut self, _: u32, _: f64, v: u32, cand: f64) -> Option<bool> {
+        let v = v as usize;
+        let lower = cand < self.0[v];
+        if lower {
+            (self.0[v], self.1[v]) = (cand, false);
+        }
+        Some(lower)
+    }
+}
+
+/// Scratch for the landmark build's full sweeps over one map, allocated
+/// once per build.
+pub(crate) struct DistanceSweep {
+    shape: Ring,
+    expanded: Vec<bool>,
+    buckets: Buckets,
+}
+
+impl DistanceSweep {
+    pub(crate) fn new<G: GraphView>(g: &G) -> Self {
+        let shape = Ring::of(&g.arc_weights().unwrap_or_else(|| ArcWeights::scan(g)));
+        DistanceSweep { shape, expanded: vec![false; g.num_nodes()], buckets: Buckets::default() }
+    }
+
+    /// Write every node's distance from `root` into `labels` (`∞` where
+    /// unreached).
+    pub(crate) fn run<G: GraphView>(&mut self, g: &G, root: NodeId, labels: &mut [f64]) {
+        labels.fill(f64::INFINITY);
+        self.expanded.fill(false);
+        labels[root.index()] = 0.0;
+        let mut columns = Distances(labels, &mut self.expanded);
+        self.buckets.sweep(self.shape, g, root, &mut columns, |_, _| false);
+    }
+}
+
+/// Grow `crate::dijkstra::run_in`'s plain tree on the ring and return the
+/// heap's counters, or `None` to leave it to the heap (see the module
+/// docs). The ring stops once every target's bucket is drained.
+#[inline(never)]
+pub(crate) fn tree<G: GraphView>(
+    arena: &mut SearchArena,
+    g: &G,
+    root: NodeId,
+    goal: &Goal,
+) -> Option<SearchStats> {
+    assert!(root.index() < g.num_nodes(), "source out of range");
+    let weights = g.arc_weights().filter(|w| w.shortest > 0.0)?;
+    let shape = Ring::of(&weights);
+    let targets: &[NodeId] = match goal {
+        Goal::AllNodes => &[],
+        Goal::Single(t) => std::slice::from_ref(t),
+        Goal::Set(set) => set,
+    };
+    arena.ring_begin(g.num_nodes(), root);
+    let mut buckets = std::mem::take(&mut arena.buckets);
+    let whole = buckets.sweep(shape, g, root, arena, |arena, b| {
+        let drained = |&t| arena.distance(t).is_some_and(|d| shape.bucket(d) <= b);
+        !targets.is_empty() && targets.iter().all(drained)
+    });
+    arena.buckets = buckets;
+    // The key of the goal's last target, when every target was reached.
+    let last = targets.iter().try_fold(None, |last: Option<(u64, u32)>, &t| {
+        Some(last.max(Some((ord_of(arena.distance(t)?), t.0))))
+    });
+    whole.then(|| arena.ring_counters(last.flatten()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::alt::tests::ring_stress_maps;
+    use crate::dijkstra::{run_in, run_in_traced};
+    use proptest::prelude::*;
+    use roadnet::generators::{ContinentConfig, NetworkClass, continent_network};
+    use roadnet::{EdgeId, GraphBuilder, RoadNetwork};
+
+    /// The bits of `v`'s label and of its path, as `arena` reads them
+    /// (no path for a sum that overflowed: `Path` holds finite lengths).
+    fn read(arena: &SearchArena, v: NodeId) -> (Option<u64>, Option<(Vec<NodeId>, u64)>) {
+        let d = arena.distance(v);
+        let path = d.is_some_and(f64::is_finite).then(|| arena.path_to(v)).flatten();
+        (d.map(f64::to_bits), path.map(|p| (p.nodes().to_vec(), p.distance().to_bits())))
+    }
+
+    /// Grow `goal`'s tree in `arena` through `run_in` and hold it to the
+    /// heap's (`run_in_traced` in a fresh arena): counters, and each
+    /// target's — for `AllNodes` every node's — label bits and path.
+    /// Returns whether the ring grew it.
+    fn assert_tree_equals_heap(
+        name: &str,
+        g: &RoadNetwork,
+        arena: &mut SearchArena,
+        root: NodeId,
+        goal: &Goal,
+    ) -> bool {
+        let mut heap = SearchArena::new();
+        let (want, _) = run_in_traced(&mut heap, g, root, goal);
+        let ring = tree(arena, g, root, goal).is_some();
+        let got = run_in(arena, g, root, goal);
+        assert_eq!(got, want, "{name}: counters from {root} for {goal:?}");
+        let checked: Vec<NodeId> = match goal {
+            Goal::AllNodes => g.nodes().collect(),
+            Goal::Single(t) => vec![*t],
+            Goal::Set(set) => set.clone(),
+        };
+        for v in checked {
+            assert_eq!(read(arena, v), read(&heap, v), "{name}: {v} from {root} for {goal:?}");
+        }
+        ring
+    }
+
+    /// `map` with each edge kept one way, oriented by `seed`: many nodes
+    /// become unreachable.
+    fn one_way(map: &RoadNetwork, seed: u64) -> RoadNetwork {
+        let mut b = GraphBuilder::directed();
+        for &p in map.points() {
+            b.add_node(p).unwrap();
+        }
+        for (i, e) in map.edges().iter().enumerate() {
+            let (a, c) = if (i as u64 ^ seed) % 3 == 0 { (e.b, e.a) } else { (e.a, e.b) };
+            b.add_edge(a, c, e.weight).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// Rescale every `step`-th edge by `factor`, short of `∞`.
+    fn rescale(map: &mut RoadNetwork, step: usize, factor: f64) {
+        let updates: Vec<(EdgeId, f64)> = (0..map.num_edges())
+            .step_by(step)
+            .map(|e| (EdgeId::from_index(e), (map.edges()[e].weight * factor).min(f64::MAX)))
+            .collect();
+        map.update_weights(&updates).unwrap();
+    }
+
+    /// Single, Set (duplicates, the root, a node the root may not reach,
+    /// the empty set) and AllNodes goals from `root` over `picks`.
+    fn goals(root: NodeId, picks: &[NodeId]) -> Vec<Goal> {
+        let mut set = picks.to_vec();
+        set.extend([picks[0], root]);
+        vec![Goal::Single(picks[0]), Goal::Set(set), Goal::Set(Vec::new()), Goal::AllNodes]
+    }
+
+    /// Every goal from every root, in one arena, as generated and after
+    /// rounds of weight updates: a rise on half the edges (2.5×), a rise
+    /// on a third (1.5×), then a fall on one edge. Returns how many trees
+    /// the ring grew.
+    fn rounds(name: &str, mut g: RoadNetwork, roots: &[NodeId], picks: &[NodeId]) -> usize {
+        let mut arena = SearchArena::new();
+        let mut ring = 0;
+        for round in 0..4 {
+            match round {
+                1 => rescale(&mut g, 2, 2.5),
+                2 => rescale(&mut g, 3, 1.5),
+                3 => rescale(&mut g, usize::MAX, 0.25),
+                _ => {}
+            }
+            for &root in roots {
+                for goal in goals(root, picks) {
+                    ring += usize::from(assert_tree_equals_heap(name, &g, &mut arena, root, &goal));
+                }
+            }
+        }
+        ring
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..Default::default() })]
+
+        /// Random grid, geometric, radial and continent maps: as generated,
+        /// reweighted to integers in `1..4` (ties: parents by least key) or
+        /// `0..4` (zero weights: the heap grows every tree), or kept one way
+        /// each (directed, unreachable nodes).
+        #[test]
+        fn bucket_tree_equals_the_heap_tree(
+            seed in 0..1_000u64,
+            class in 0..4usize,
+            variant in 0..4u8,
+            raw_roots in proptest::collection::vec(proptest::num::u32::ANY, 1..3),
+            raw_picks in proptest::collection::vec(proptest::num::u32::ANY, 1..4),
+        ) {
+            let mut g = match NetworkClass::ALL.get(class) {
+                Some(c) => c.generate(300, seed).unwrap(),
+                None => continent_network(&ContinentConfig {
+                    provinces_x: 2,
+                    provinces_y: 2,
+                    province_width: 8,
+                    province_height: 8,
+                    weight_factor: (1.0, 3.0),
+                    seed,
+                    ..Default::default()
+                })
+                .unwrap(),
+            };
+            match variant {
+                1 | 2 => {
+                    let lowest = u64::from(variant == 2);
+                    let updates: Vec<(EdgeId, f64)> = (0..g.num_edges())
+                        .map(|e| (e as u64 * 7 + seed) % (4 - lowest) + lowest)
+                        .enumerate()
+                        .map(|(e, w)| (EdgeId::from_index(e), w as f64))
+                        .collect();
+                    g.update_weights(&updates).unwrap();
+                }
+                3 => g = one_way(&g, seed),
+                _ => {}
+            }
+            let n = g.num_nodes() as u32;
+            let roots: Vec<NodeId> = raw_roots.iter().map(|r| NodeId(r % n)).collect();
+            let picks: Vec<NodeId> = raw_picks.iter().map(|p| NodeId(p % n)).collect();
+            let trees = 4 * roots.len() * goals(roots[0], &picks).len();
+            let ring = rounds("random map", g, &roots, &picks);
+            // Only the zero weights send a tree back to the heap.
+            prop_assert_eq!(ring, if variant == 1 { 0 } else { trees });
+        }
+    }
+
+    #[test]
+    fn bucket_tree_equals_the_heap_tree_on_ring_stress_maps() {
+        for (name, g) in ring_stress_maps() {
+            let n = g.num_nodes() as u32;
+            let roots: Vec<NodeId> = [0, 1, n / 2].map(|r| NodeId(r.min(n - 1))).to_vec();
+            let picks: Vec<NodeId> = [n - 1, n / 3, 2].map(|p| NodeId(p.min(n - 1))).to_vec();
+            let ring = rounds(name, g, &roots, &picks);
+            let zero = name.contains("zero");
+            assert_eq!(ring > 0, !zero, "{name}: {ring} trees on the ring");
+        }
+    }
+}

@@ -7,21 +7,22 @@
 //! The implementation is a lazy-deletion binary-heap Dijkstra over the
 //! reusable, generation-stamped [`SearchArena`]. Its heap entries are 16
 //! bytes ordered by integer compares alone (the key is encoded once, at
-//! push); a popped entry is fresh iff its slot still holds its push stamp,
-//! and the label is then read from the slot. Repeated queries on the same
-//! network pay no per-query `O(n)` initialization *or allocation* — the
-//! cost of a query is proportional to the area it actually explores,
-//! which is the quantity Lemma 1 reasons about. Every entry grows one tree
-//! in a caller-provided arena (e.g. the one a `DirectionsServer` shares
-//! with its MSMD processor): [`run_tree`] — the one adopt-or-grow entry,
-//! with the goal potential and the tree cache as optional parameters —
-//! answers a tree-cache hit straight from the stored trace, and says which
-//! of the two holds the labels ([`TreeView`]); [`run_in`] /
-//! [`run_in_traced`] are its plain arities, whose labels the caller reads
-//! from the arena.
+//! push); a popped entry is fresh iff its slot still holds its push stamp.
+//! Most plain trees drain `crate::bucket`'s heap-free ring instead, to the
+//! same labels, parents and counters. Repeated queries on the same network
+//! pay no per-query `O(n)` initialization *or allocation* — the cost of a
+//! query is proportional to the area it actually explores, which is the
+//! quantity Lemma 1 reasons about. Every entry grows one tree in a
+//! caller-provided arena (e.g. the one a `DirectionsServer` shares with its
+//! MSMD processor): [`run_tree`] — the one adopt-or-grow entry, with the
+//! goal potential and the tree cache as optional parameters — answers a
+//! tree-cache hit straight from the stored trace, and says which of the two
+//! holds the labels ([`TreeView`]); [`run_in`] / [`run_in_traced`] are its
+//! plain arities, whose labels the caller reads from the arena.
 
 use crate::alt::GoalPotential;
 use crate::arena::SearchArena;
+use crate::bucket;
 use crate::cache::TreeCache;
 use crate::path::Path;
 use crate::stats::SearchStats;
@@ -272,21 +273,21 @@ pub(crate) fn zero_pot(_: NodeId) -> f64 {
     0.0
 }
 
-/// Grow one tree for real, selecting the loop's instantiation **once per
-/// tree**: the zero potential monomorphizes away (no `Option` test per
-/// relaxed arc), a [`GoalPotential`] keys the heap by `dist + π_R(node)`
-/// over the goals `R` this tree has not settled yet.
-fn grow<G: GraphView, K: SettleSink>(
+/// Grow one unrecorded tree for real, selecting the loop **once per
+/// tree**: a [`GoalPotential`] keys the heap by `dist + π_R(node)` over the
+/// goals `R` this tree has not settled yet; a plain tree tries the bucket
+/// ring, else the heap under the zero potential (which monomorphizes away).
+fn grow<G: GraphView>(
     arena: &mut SearchArena,
     g: &G,
     root: NodeId,
     goal: &Goal,
     pot: Option<&GoalPotential<'_>>,
-    sink: &mut K,
 ) -> SearchStats {
     match pot {
-        Some(p) => run_in_sink(arena, g, root, goal, &mut p.live(), sink),
-        None => run_in_sink(arena, g, root, goal, &mut zero_pot, sink),
+        Some(p) => run_in_sink(arena, g, root, goal, &mut p.live(), &mut NoRecord),
+        None => bucket::tree(arena, g, root, goal)
+            .unwrap_or_else(|| run_in_sink(arena, g, root, goal, &mut zero_pot, &mut NoRecord)),
     }
 }
 
@@ -327,7 +328,7 @@ pub fn run_in<G: GraphView>(
     source: NodeId,
     goal: &Goal,
 ) -> SearchStats {
-    grow(arena, g, source, goal, None, &mut NoRecord)
+    grow(arena, g, source, goal, None)
 }
 
 /// [`run_in`], additionally recording the sweep as a reusable
@@ -364,10 +365,11 @@ pub fn run_in_traced<G: GraphView>(
 ///   stored trace's goal-stop prefix by walking the targets' parent
 ///   nodes side by side, and the counters are the trace's at that stop
 ///   (one rank query), byte-identical to the sweep skipped. Otherwise the
-///   tree is grown for real in `arena`, recorded, and re-stored, and the
-///   view reads the arena. Hit or miss is reported through
-///   [`TreeCache::counters`]. `None` grows the tree unrecorded in `arena`
-///   — nothing beyond the sweep itself is allocated.
+///   tree is grown for real in `arena` on the heap, recorded, and
+///   re-stored, and the view reads the arena. Hit or miss is reported
+///   through [`TreeCache::counters`]. `None` grows the tree unrecorded in
+///   `arena` — nothing beyond the sweep itself is allocated — and, with no
+///   potential either, mostly on the bucket ring (see the module docs).
 ///
 /// A miss records past its goal: the same sweep keeps settling until it
 /// has settled `DEEPEN_FACTOR` (= 2) times the `k` nodes the goal needed,
@@ -396,7 +398,7 @@ pub fn run_tree<'a, G: GraphView>(
     cache: Option<&'a mut TreeCache>,
 ) -> (SearchStats, TreeView<'a>) {
     let (Some(cache), None) = (cache, pot) else {
-        let stats = grow(arena, g, root, goal, pot, &mut NoRecord);
+        let stats = grow(arena, g, root, goal, pot);
         return (stats, TreeView::Arena(arena));
     };
     match cache.adopt(root, g.num_nodes(), goal) {

@@ -24,8 +24,8 @@
 //!   and its own small heap, rewriting a cached tree into the sweep the
 //!   new map records.
 //!
-//! Those three loops are the only label-setting code; the rest call the
-//! single-tree loop:
+//! Those three loops are the only label-setting code (plain trees mostly
+//! run a heap-free ring of buckets); the rest call the single-tree loop:
 //!
 //! * [`mod@astar`] — A* is the single-tree loop under the caller's potential
 //!   (Euclidean by default);
@@ -67,6 +67,7 @@ pub mod alt;
 pub mod arena;
 pub mod astar;
 pub mod bidirectional;
+mod bucket;
 pub mod cache;
 pub mod cost;
 pub mod dijkstra;

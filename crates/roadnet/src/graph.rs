@@ -13,6 +13,7 @@
 use crate::error::{Result, RoadNetError};
 use crate::geo::{BoundingBox, Point};
 use crate::ids::{EdgeId, NodeId};
+use std::sync::OnceLock;
 
 /// One directed adjacency entry: `to` is reachable at cost `weight` via the
 /// underlying undirected [`EdgeId`] `edge`.
@@ -62,6 +63,46 @@ pub trait GraphView {
     fn is_symmetric(&self) -> bool {
         false
     }
+
+    /// A summary of every arc's weight, where the view holds its arcs in
+    /// memory and keeps the summary beside them ([`RoadNetwork`] does,
+    /// computed once per weight state). The default is `None`: a view
+    /// that pages its arcs in ([`crate::storage::ChunkedCsr`]) would pay
+    /// storage traffic for it, and searches over such a view keep the
+    /// access pattern its I/O counts are measured against.
+    fn arc_weights(&self) -> Option<ArcWeights> {
+        None
+    }
+}
+
+/// Count, sum and extremes of a view's arc weights, in one arc scan.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ArcWeights {
+    /// Arcs scanned.
+    pub arcs: usize,
+    /// The weights' sum, added in node order, each node's arcs in
+    /// [`GraphView::for_each_arc`] order.
+    pub sum: f64,
+    /// The smallest weight; `+∞` with no arcs.
+    pub shortest: f64,
+    /// The largest weight; `0` with no arcs.
+    pub longest: f64,
+}
+
+impl ArcWeights {
+    /// Scan every arc of `g`.
+    pub fn scan<G: GraphView + ?Sized>(g: &G) -> Self {
+        let mut w = ArcWeights { arcs: 0, sum: 0.0, shortest: f64::INFINITY, longest: 0.0 };
+        for u in 0..g.num_nodes() {
+            g.for_each_arc(NodeId::from_index(u), &mut |_, weight| {
+                w.arcs += 1;
+                w.sum += weight;
+                w.shortest = w.shortest.min(weight);
+                w.longest = w.longest.max(weight);
+            });
+        }
+        w
+    }
 }
 
 impl<G: GraphView + ?Sized> GraphView for &G {
@@ -79,6 +120,9 @@ impl<G: GraphView + ?Sized> GraphView for &G {
     }
     fn is_symmetric(&self) -> bool {
         (**self).is_symmetric()
+    }
+    fn arc_weights(&self) -> Option<ArcWeights> {
+        (**self).arc_weights()
     }
 }
 
@@ -99,6 +143,9 @@ impl<G: GraphView + ?Sized> GraphView for std::sync::Arc<G> {
     }
     fn is_symmetric(&self) -> bool {
         (**self).is_symmetric()
+    }
+    fn arc_weights(&self) -> Option<ArcWeights> {
+        (**self).arc_weights()
     }
 }
 
@@ -232,6 +279,7 @@ impl GraphBuilder {
             edges: self.edges,
             directed: self.directed,
             bbox,
+            weights: OnceLock::new(),
         })
     }
 }
@@ -254,6 +302,9 @@ pub struct RoadNetwork {
     edges: Vec<Edge>,
     directed: bool,
     bbox: BoundingBox,
+    /// [`ArcWeights`] of the current weights: scanned on first request,
+    /// dropped by every weight change.
+    weights: OnceLock<ArcWeights>,
 }
 
 impl RoadNetwork {
@@ -442,6 +493,7 @@ impl RoadNetwork {
                 continue;
             }
             self.edges[e.index()].weight = w;
+            self.weights.take();
             // Both CSR arc ranges can carry the edge (one for directed
             // networks); matching on the edge id covers either layout.
             for node in [rec.a, rec.b] {
@@ -479,6 +531,10 @@ impl GraphView for RoadNetwork {
 
     fn is_symmetric(&self) -> bool {
         !self.directed
+    }
+
+    fn arc_weights(&self) -> Option<ArcWeights> {
+        Some(*self.weights.get_or_init(|| ArcWeights::scan(self)))
     }
 }
 

@@ -49,7 +49,7 @@ pub mod storage;
 
 pub use error::{Result, RoadNetError};
 pub use geo::{BoundingBox, Point};
-pub use graph::{Arc, Edge, GraphBuilder, GraphView, RoadNetwork};
+pub use graph::{Arc, ArcWeights, Edge, GraphBuilder, GraphView, RoadNetwork};
 pub use ids::{EdgeId, NodeId};
 pub use spatial::{RingCover, SpatialIndex};
 pub use storage::{ChunkedCsr, IoStats, LruBuffer, PageLayout, PagePlacement};
