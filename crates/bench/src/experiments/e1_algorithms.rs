@@ -39,7 +39,7 @@ pub fn run(scale: &Scale) -> ExperimentTable {
             })
             .collect();
 
-        let pre = AltPreprocessing::build(&g, 8);
+        let pre = AltPreprocessing::try_build(&g, 8).expect("a symmetric map");
         let mut dij = (0u64, 0u64, 0.0f64);
         let mut ast = (0u64, 0u64, 0.0f64);
         let mut bid = (0u64, 0u64, 0.0f64);

@@ -151,20 +151,11 @@ impl AltPreprocessing {
     /// `d(v) = min over in-arcs of fl(d(u) + w)`, which is what Dijkstra
     /// computes, so every table entry is Dijkstra's distance bit for bit.
     ///
-    /// # Panics
-    /// Panics if `num_landmarks` is 0 or exceeds the node count. Use
-    /// [`Self::try_build`] for the non-panicking form, which additionally
-    /// rejects directed graphs with [`AltError::DirectedGraph`].
-    pub fn build<G: GraphView>(g: &G, num_landmarks: usize) -> Self {
-        assert!(num_landmarks >= 1, "need at least one landmark");
-        assert!(num_landmarks <= g.num_nodes(), "more landmarks than nodes");
-        Self::build_unchecked(g, num_landmarks)
-    }
-
-    /// [`Self::build`] with every precondition reported as a typed
-    /// [`AltError`] instead of a panic — including the symmetric-only
-    /// contract, which `build` (predating directed views reaching this
-    /// layer) leaves to the caller.
+    /// # Errors
+    /// [`AltError::DirectedGraph`] for a view that is not symmetric (a
+    /// landmark's distances *from* it bound nothing *to* it there),
+    /// [`AltError::ZeroLandmarks`] for no landmark and
+    /// [`AltError::TooManyLandmarks`] for more landmarks than nodes.
     pub fn try_build<G: GraphView>(g: &G, num_landmarks: usize) -> Result<Self, AltError> {
         if !g.is_symmetric() {
             return Err(AltError::DirectedGraph);
@@ -178,12 +169,8 @@ impl AltPreprocessing {
                 nodes: g.num_nodes(),
             });
         }
-        Ok(Self::build_unchecked(g, num_landmarks))
-    }
-
-    fn build_unchecked<G: GraphView>(g: &G, num_landmarks: usize) -> Self {
         let mut sweep = DistanceSweep::new(g);
-        Self::select(g.num_nodes(), num_landmarks, |root, labels| sweep.run(g, root, labels))
+        Ok(Self::select(g.num_nodes(), num_landmarks, |root, labels| sweep.run(g, root, labels)))
     }
 
     /// Farthest-point selection over full sweeps: `sweep(root, labels)`
@@ -367,7 +354,7 @@ pub(crate) mod tests {
     fn alt_matches_dijkstra_on_all_classes() {
         for class in NetworkClass::ALL {
             let g = class.generate(600, 3).unwrap();
-            let pre = AltPreprocessing::build(&g, 6);
+            let pre = AltPreprocessing::try_build(&g, 6).unwrap();
             let n = g.num_nodes() as u32;
             for (s, t) in [(0, n - 1), (n / 4, 3 * n / 4), (5, 5)] {
                 let (p, _) = alt(&g, &pre, NodeId(s), NodeId(t));
@@ -388,7 +375,7 @@ pub(crate) mod tests {
     #[test]
     fn alt_settles_no_more_than_dijkstra() {
         let g = NetworkClass::Radial.generate(800, 5).unwrap();
-        let pre = AltPreprocessing::build(&g, 8);
+        let pre = AltPreprocessing::try_build(&g, 8).unwrap();
         let n = g.num_nodes() as u32;
         let mut arena = SearchArena::new();
         let mut alt_total = 0u64;
@@ -406,7 +393,7 @@ pub(crate) mod tests {
         // Straight-line distance is a poor bound when paths must follow
         // rings; landmark bounds reason in network distance.
         let g = NetworkClass::Radial.generate(800, 7).unwrap();
-        let pre = AltPreprocessing::build(&g, 8);
+        let pre = AltPreprocessing::try_build(&g, 8).unwrap();
         let n = g.num_nodes() as u32;
         let mut alt_total = 0u64;
         let mut astar_total = 0u64;
@@ -426,7 +413,7 @@ pub(crate) mod tests {
     fn landmarks_are_distinct_and_spread() {
         let g = grid_network(&GridConfig { width: 20, height: 20, seed: 1, ..Default::default() })
             .unwrap();
-        let pre = AltPreprocessing::build(&g, 4);
+        let pre = AltPreprocessing::try_build(&g, 4).unwrap();
         let set: std::collections::HashSet<_> = pre.landmarks().iter().collect();
         assert_eq!(set.len(), 4, "landmarks must be distinct");
         assert_eq!(pre.table_entries(), 4 * 400);
@@ -436,7 +423,7 @@ pub(crate) mod tests {
     fn lower_bound_is_admissible() {
         let g = grid_network(&GridConfig { width: 12, height: 12, seed: 2, ..Default::default() })
             .unwrap();
-        let pre = AltPreprocessing::build(&g, 5);
+        let pre = AltPreprocessing::try_build(&g, 5).unwrap();
         for (a, b) in [(0u32, 143u32), (7, 100), (50, 51), (12, 12)] {
             let truth = crate::dijkstra::shortest_distance(&g, NodeId(a), NodeId(b)).unwrap();
             let bound = pre.lower_bound(NodeId(a), NodeId(b));
@@ -450,17 +437,10 @@ pub(crate) mod tests {
     #[test]
     fn single_landmark_works() {
         let g = grid_network(&GridConfig { width: 6, height: 6, ..Default::default() }).unwrap();
-        let pre = AltPreprocessing::build(&g, 1);
+        let pre = AltPreprocessing::try_build(&g, 1).unwrap();
         let (p, _) = alt(&g, &pre, NodeId(0), NodeId(35));
         let d = shortest_path(&g, NodeId(0), NodeId(35)).unwrap();
         assert!((p.unwrap().distance() - d.distance()).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one landmark")]
-    fn zero_landmarks_panics() {
-        let g = grid_network(&GridConfig { width: 4, height: 4, ..Default::default() }).unwrap();
-        let _ = AltPreprocessing::build(&g, 0);
     }
 
     #[test]
@@ -536,7 +516,7 @@ pub(crate) mod tests {
         ];
         for ((name, g), (pinned_name, digest)) in benchmark_class_maps().iter().zip(pinned) {
             assert_eq!(*name, pinned_name);
-            let pre = AltPreprocessing::build(g, 16);
+            let pre = AltPreprocessing::try_build(g, 16).unwrap();
             let distinct: std::collections::HashSet<_> = pre.landmarks().iter().collect();
             assert_eq!(distinct.len(), 16, "{name}: a landmark repeats");
             assert_eq!(table_digest(&pre), digest, "{name}: landmarks or table bits moved");
@@ -606,7 +586,10 @@ pub(crate) mod tests {
         b.build().unwrap()
     }
 
-    const SPAN: &str = "weights from 1e-12 to 1e12";
+    /// The stress map whose 1e-12 arcs fail `bucket::exact_on_ring`.
+    pub(crate) const SPAN: &str = "weights from 1e-12 to 1e12";
+    /// The stress map whose trees run on a ring at its slot cap.
+    pub(crate) const CAPPED: &str = "unit weights and one of 1e6";
 
     /// Hand-built maps that stress the ring.
     pub(crate) fn ring_stress_maps() -> Vec<(&'static str, RoadNetwork)> {
@@ -616,6 +599,11 @@ pub(crate) mod tests {
         for (u, v, w) in [(0, 111, 1e-12), (5, 116, 1e-12), (60, 171, 3e-7), (40, 12_050, 1e12)] {
             span.add_edge(NodeId(u), NodeId(v), w).unwrap();
         }
+        // Unit arcs and one of 1e6: the cap binds, and every arc raises
+        // every label.
+        let mut capped = GraphBuilder::new();
+        unit_grid_after(&mut capped, 0, 110);
+        capped.add_edge(NodeId(40), NodeId(12_050), 1e6).unwrap();
         vec![
             (
                 "zero weights and a zero-weight cycle",
@@ -652,13 +640,7 @@ pub(crate) mod tests {
                 ),
             ),
             (SPAN, span.build().unwrap()),
-            (
-                "sums overflowing to +inf",
-                edge_map(
-                    5,
-                    &[(0, 1, 1e308), (1, 2, 1e308), (2, 3, 1.0), (0, 3, 1.7e308), (3, 4, 1e308)],
-                ),
-            ),
+            (CAPPED, capped.build().unwrap()),
             ("an island", island_beside_a_grid()),
             ("only zero weights", edge_map(3, &[(0, 1, 0.0), (1, 2, 0.0), (2, 0, 0.0)])),
             ("one node", edge_map(1, &[])),
@@ -674,7 +656,11 @@ pub(crate) mod tests {
             assert_bucketed_equals_heap(name, &g, &roots);
             let shape = crate::bucket::Ring::of(&g.arc_weights().unwrap());
             let capped = shape.slots == crate::bucket::MAX_SLOTS;
-            assert_eq!(capped, name == SPAN, "{name}: only the 1e12 arc binds the cap");
+            assert_eq!(
+                capped,
+                [SPAN, CAPPED].contains(&name),
+                "{name}: the long arc binds the cap"
+            );
         }
     }
 
@@ -732,7 +718,7 @@ pub(crate) mod tests {
         let benchmark = benchmark_class_maps().into_iter().map(|(_, g)| g);
         for g in stress.chain(classes).chain(benchmark) {
             let l = g.num_nodes().min(8);
-            let (bucketed, heap) = (AltPreprocessing::build(&g, l), heap_build(&g, l));
+            let (bucketed, heap) = (AltPreprocessing::try_build(&g, l).unwrap(), heap_build(&g, l));
             assert_eq!(bucketed.landmarks, heap.landmarks);
             assert!(
                 bucketed.flat.iter().map(|d| d.to_bits()).eq(heap.flat.iter().map(|d| d.to_bits()))
@@ -751,23 +737,23 @@ pub(crate) mod tests {
         // Connected, but zero-weight edges put non-landmarks at distance 0
         // from the chosen set: the lowest-id unchosen node comes next.
         let g = edge_map(4, &[(0, 1, 0.0), (1, 2, 1.0), (2, 3, 0.0)]);
-        let pre = AltPreprocessing::build(&g, 4);
+        let pre = AltPreprocessing::try_build(&g, 4).unwrap();
         assert_eq!(pre.landmarks(), [NodeId(2), NodeId(0), NodeId(1), NodeId(3)]);
     }
 
     #[test]
     fn landmark_selection_is_deterministic() {
         let g = NetworkClass::Geometric.generate(300, 11).unwrap();
-        let a = AltPreprocessing::build(&g, 5);
+        let a = AltPreprocessing::try_build(&g, 5).unwrap();
         let b = AltPreprocessing::try_build(&g, 5).unwrap();
-        assert_eq!(a, b, "build and try_build must select identically");
+        assert_eq!(a, b, "two builds must select identically");
     }
 
     #[test]
     fn goal_potential_matches_min_over_live_targets() {
         let g = grid_network(&GridConfig { width: 12, height: 12, seed: 4, ..Default::default() })
             .unwrap();
-        let pre = AltPreprocessing::build(&g, 5);
+        let pre = AltPreprocessing::try_build(&g, 5).unwrap();
         // Unsorted, with a duplicate: the potential is a function of the set.
         let targets = [NodeId(143), NodeId(7), NodeId(60), NodeId(7)];
         let pot = pre.goal_potential(&targets);
@@ -796,7 +782,7 @@ pub(crate) mod tests {
         for class in NetworkClass::ALL {
             let g = class.generate(400, 9).unwrap();
             let n = g.num_nodes() as u32;
-            let pre = AltPreprocessing::build(&g, 6);
+            let pre = AltPreprocessing::try_build(&g, 6).unwrap();
             let goals = [NodeId(3), NodeId(n / 2), NodeId(n - 2)];
             let full = pre.goal_potential(&goals);
             for mask in 1u32..8 {

@@ -486,16 +486,14 @@ impl Labels for SearchArena {
     }
 
     /// Label `v` when `cand` improves on its label; on a tie keep the
-    /// parent of lesser `(d, node)` key; `None` when `cand == d(u)`.
+    /// parent of lesser `(d, node)` key.
     #[inline]
-    fn relax(&mut self, u: u32, du: f64, v: u32, cand: f64) -> Option<bool> {
+    fn relax(&mut self, u: u32, du: f64, v: u32, cand: f64) -> bool {
+        debug_assert!(cand > du, "an arc that passes `exact_on_ring` raises every label");
         let i = v as usize;
         let fresh = self.labelled[i] != self.epoch;
         if !fresh && cand > self.dist[i] {
-            return Some(false);
-        }
-        if cand == du {
-            return None;
+            return false;
         }
         if fresh || cand < self.dist[i] {
             if fresh {
@@ -503,14 +501,14 @@ impl Labels for SearchArena {
                 self.reached.push(v);
             }
             (self.dist[i], self.parent[i], self.stamp[i]) = (cand, u, 0);
-            return Some(true);
+            return true;
         }
-        // A tie, so `v` is not the root (which ties only at `cand == du`).
+        // A tie, so `v` is not the root (its label 0 is below `cand`).
         let p = self.parent[i];
         if (ord_of(du), u) < (ord_of(self.dist[p as usize]), p) {
             self.parent[i] = u;
         }
-        Some(false)
+        false
     }
 }
 

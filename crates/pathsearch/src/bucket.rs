@@ -1,9 +1,11 @@
 //! The one loop in `pathsearch` without a heap: a ring of distance buckets
 //! `Δ` wide, drained in order, label-correcting within a bucket. It grows
 //! the landmark build's sweeps ([`DistanceSweep`]) and every unguided,
-//! unrecorded tree ([`tree`]) except over a view without [`ArcWeights`]
-//! (paged storage) or with a zero-weight arc; a relaxation with
-//! `d(u) + w == d(u)` breaks the sweep off and reruns the tree on the heap.
+//! unrecorded tree ([`tree`]) over a map whose [`ArcWeights`] pass
+//! [`exact_on_ring`]: every arc positive and at least `2 · sum · ε`. A
+//! label is a rounded simple-path sum, at most `2 · sum`, so its ulp is at
+//! most `2 · sum · ε` and such an arc always raises it. Other maps and
+//! paged views (no [`ArcWeights`]) grow their trees on the heap.
 //!
 //! **The labels are Dijkstra's, bit for bit.** Dijkstra's label of `v` is
 //! `min` over `v`'s in-arcs `(u, w)` of `fl(d(u) + w)`: an arc from a node
@@ -12,19 +14,19 @@
 //! an earlier label `x` of `u`, so it is never below Dijkstra's. When the
 //! ring ends, every reached node was expanded at its final label, so down
 //! Dijkstra's parent chain each hop keeps the ring's label at or below
-//! Dijkstra's — `∞` for an overflowing sum alike. A stop after bucket `b`
-//! leaves every label in buckets `≤ b` final, since an entry is drained no
-//! later than its bucket. Zero weights or a wrong slot (a saturated or
-//! rounded index) cost at most a re-expansion.
+//! Dijkstra's. A stop after bucket `b` leaves every label in buckets `≤ b`
+//! final, since an entry is drained no later than its bucket. Zero weights
+//! (distance sweeps only) or a wrong slot (a saturated or rounded index)
+//! cost at most a re-expansion.
 //!
-//! **So are the heap's counters and parents.** Without a relaxation
-//! `fl(d(u) + w) == d(u)` the heap settles in `(dist, node)` key order and
-//! stops after the goal's target of greatest key, `t*`: `settled` counts
-//! the labelled nodes keyed `≤ key(t*)`, `relaxed` sums the out-degrees of
-//! those keyed `< key(t*)` (every labelled node, for both, with a target
-//! unreached, `AllNodes` or an empty set) — read off the final labels,
-//! never off where the ring stopped. The heap's parent of `v` is the
-//! least-key `u` with `fl(d(u) + w) == d(v)`, which `relax` keeps inline.
+//! **So are the heap's counters and parents.** As every relaxation raises
+//! its label, the heap settles in `(dist, node)` key order and stops after
+//! the goal's target of greatest key, `t*`: `settled` counts the labelled
+//! nodes keyed `≤ key(t*)`, `relaxed` sums the out-degrees of those keyed
+//! `< key(t*)` (every labelled node, for both, with a target unreached,
+//! `AllNodes` or an empty set) — read off the final labels, never off where
+//! the ring stopped. The heap's parent of `v` is the least-key `u` with
+//! `fl(d(u) + w) == d(v)`, which `relax` keeps inline.
 
 use crate::arena::{SearchArena, ord_of};
 use crate::dijkstra::Goal;
@@ -36,6 +38,11 @@ const WIDTH_DIVISOR: f64 = 3.0;
 /// The most slots the bucket ring may have; a map whose longest arc would
 /// span more gets wider buckets instead.
 pub(crate) const MAX_SLOTS: usize = 1 << 16;
+
+/// Whether a map with these weights grows its plain trees on the ring.
+pub(crate) fn exact_on_ring(w: &ArcWeights) -> bool {
+    w.shortest > 0.0 && w.shortest >= 2.0 * w.sum * f64::EPSILON
+}
 
 /// The ring's shape on one map. `Δ` is the mean arc weight ÷
 /// [`WIDTH_DIVISOR`] (the smallest positive weight did far worse on the
@@ -51,12 +58,11 @@ pub(crate) struct Ring {
 
 impl Ring {
     pub(crate) fn of(w: &ArcWeights) -> Self {
-        debug_assert!(w.shortest >= 0.0 && w.longest.is_finite(), "arc weights {w:?}");
-        // `min(longest)` binds only where the sum overflowed, and drops the
-        // NaN of a map without arcs; a zero width (zero weights) becomes 1.
-        let mut width = (w.sum / w.arcs as f64 / WIDTH_DIVISOR)
-            .min(w.longest)
-            .max(w.longest / (MAX_SLOTS - 2) as f64);
+        debug_assert!(w.shortest >= 0.0 && w.sum.is_finite(), "arc weights {w:?}");
+        // A zero width (zero weights, or no arcs: `max` drops the NaN
+        // mean) becomes 1.
+        let mut width =
+            (w.sum / w.arcs as f64 / WIDTH_DIVISOR).max(w.longest / (MAX_SLOTS - 2) as f64);
         if width == 0.0 {
             width = 1.0;
         }
@@ -79,8 +85,8 @@ pub(crate) trait Labels {
     /// `u` was expanded over `degree` arcs.
     fn expanded(&mut self, _u: u32, _degree: u32) {}
     /// Relax `u → v` at `cand = d(u) + w`: whether `v`'s label fell to
-    /// `cand`, or `None` to break the sweep off.
-    fn relax(&mut self, u: u32, du: f64, v: u32, cand: f64) -> Option<bool>;
+    /// `cand`.
+    fn relax(&mut self, u: u32, du: f64, v: u32, cand: f64) -> bool;
 }
 
 /// The ring's scratch: pending nodes by bucket, slot `bucket mod slots`,
@@ -98,8 +104,7 @@ impl Buckets {
     /// entry the bucket holds, and what it pushes there waits for the next
     /// (a LIFO drain re-expanded each node ≈ 1 500 times where one bucket
     /// held a whole region). After each bucket `b`, `stop(labels, b)` may
-    /// end the sweep; otherwise it ends when nothing is pending. Returns
-    /// `false` when a relaxation broke it off.
+    /// end the sweep; otherwise it ends when nothing is pending.
     pub(crate) fn sweep<G: GraphView, L: Labels>(
         &mut self,
         shape: Ring,
@@ -107,7 +112,7 @@ impl Buckets {
         root: NodeId,
         labels: &mut L,
         mut stop: impl FnMut(&mut L, usize) -> bool,
-    ) -> bool {
+    ) {
         let Buckets { ring, round } = self;
         let slots = shape.slots;
         // The ring only grows: an arena may alternate between maps.
@@ -115,32 +120,24 @@ impl Buckets {
             ring.resize_with(slots, Vec::new);
         }
         ring[0].push(root.0);
-        let (mut pending, mut bucket, mut broken) = (1usize, 0usize, false);
-        'sweep: while pending > 0 {
+        let (mut pending, mut bucket) = (1usize, 0usize);
+        while pending > 0 {
             let slot = bucket % slots;
             while !ring[slot].is_empty() {
                 std::mem::swap(&mut ring[slot], round);
                 pending -= round.len();
-                // Leaving the drain early drops what the round still holds.
                 for u in round.drain(..) {
                     let Some(du) = labels.take(u) else { continue };
                     let mut degree = 0u32;
                     g.for_each_arc(NodeId(u), &mut |v, w| {
                         degree += 1;
                         let cand = du + w;
-                        match labels.relax(u, du, v.0, cand) {
-                            Some(true) => {
-                                ring[shape.bucket(cand).max(bucket) % slots].push(v.0);
-                                pending += 1;
-                            }
-                            Some(false) => {}
-                            None => broken = true,
+                        if labels.relax(u, du, v.0, cand) {
+                            ring[shape.bucket(cand).max(bucket) % slots].push(v.0);
+                            pending += 1;
                         }
                     });
                     labels.expanded(u, degree);
-                    if broken {
-                        break 'sweep;
-                    }
                 }
             }
             if stop(labels, bucket) {
@@ -148,13 +145,12 @@ impl Buckets {
             }
             bucket += 1;
         }
-        // A stopped or broken sweep leaves `pending` entries from here on.
+        // A stopped sweep leaves `pending` entries from here on.
         while pending > 0 {
             pending -= ring[bucket % slots].len();
             ring[bucket % slots].clear();
             bucket += 1;
         }
-        !broken
     }
 }
 
@@ -169,13 +165,13 @@ impl Labels for Distances<'_> {
     }
 
     #[inline]
-    fn relax(&mut self, _: u32, _: f64, v: u32, cand: f64) -> Option<bool> {
+    fn relax(&mut self, _: u32, _: f64, v: u32, cand: f64) -> bool {
         let v = v as usize;
         let lower = cand < self.0[v];
         if lower {
             (self.0[v], self.1[v]) = (cand, false);
         }
-        Some(lower)
+        lower
     }
 }
 
@@ -205,8 +201,9 @@ impl DistanceSweep {
 }
 
 /// Grow `crate::dijkstra::run_in`'s plain tree on the ring and return the
-/// heap's counters, or `None` to leave it to the heap (see the module
-/// docs). The ring stops once every target's bucket is drained.
+/// heap's counters, or `None` to leave it to the heap: a view without
+/// [`ArcWeights`], or weights that fail [`exact_on_ring`]. The ring stops
+/// once every target's bucket is drained.
 #[inline(never)]
 pub(crate) fn tree<G: GraphView>(
     arena: &mut SearchArena,
@@ -215,7 +212,7 @@ pub(crate) fn tree<G: GraphView>(
     goal: &Goal,
 ) -> Option<SearchStats> {
     assert!(root.index() < g.num_nodes(), "source out of range");
-    let weights = g.arc_weights().filter(|w| w.shortest > 0.0)?;
+    let weights = g.arc_weights().filter(exact_on_ring)?;
     let shape = Ring::of(&weights);
     let targets: &[NodeId] = match goal {
         Goal::AllNodes => &[],
@@ -224,7 +221,7 @@ pub(crate) fn tree<G: GraphView>(
     };
     arena.ring_begin(g.num_nodes(), root);
     let mut buckets = std::mem::take(&mut arena.buckets);
-    let whole = buckets.sweep(shape, g, root, arena, |arena, b| {
+    buckets.sweep(shape, g, root, arena, |arena, b| {
         let drained = |&t| arena.distance(t).is_some_and(|d| shape.bucket(d) <= b);
         !targets.is_empty() && targets.iter().all(drained)
     });
@@ -233,24 +230,22 @@ pub(crate) fn tree<G: GraphView>(
     let last = targets.iter().try_fold(None, |last: Option<(u64, u32)>, &t| {
         Some(last.max(Some((ord_of(arena.distance(t)?), t.0))))
     });
-    whole.then(|| arena.ring_counters(last.flatten()))
+    Some(arena.ring_counters(last.flatten()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alt::tests::ring_stress_maps;
+    use crate::alt::tests::{CAPPED, SPAN, ring_stress_maps};
     use crate::dijkstra::{run_in, run_in_traced};
     use proptest::prelude::*;
     use roadnet::generators::{ContinentConfig, NetworkClass, continent_network};
     use roadnet::{EdgeId, GraphBuilder, RoadNetwork};
 
-    /// The bits of `v`'s label and of its path, as `arena` reads them
-    /// (no path for a sum that overflowed: `Path` holds finite lengths).
+    /// The bits of `v`'s label and of its path, as `arena` reads them.
     fn read(arena: &SearchArena, v: NodeId) -> (Option<u64>, Option<(Vec<NodeId>, u64)>) {
-        let d = arena.distance(v);
-        let path = d.is_some_and(f64::is_finite).then(|| arena.path_to(v)).flatten();
-        (d.map(f64::to_bits), path.map(|p| (p.nodes().to_vec(), p.distance().to_bits())))
+        let path = arena.path_to(v).map(|p| (p.nodes().to_vec(), p.distance().to_bits()));
+        (arena.distance(v).map(f64::to_bits), path)
     }
 
     /// Grow `goal`'s tree in `arena` through `run_in` and hold it to the
@@ -294,11 +289,11 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Rescale every `step`-th edge by `factor`, short of `∞`.
+    /// Rescale every `step`-th edge by `factor`.
     fn rescale(map: &mut RoadNetwork, step: usize, factor: f64) {
         let updates: Vec<(EdgeId, f64)> = (0..map.num_edges())
             .step_by(step)
-            .map(|e| (EdgeId::from_index(e), (map.edges()[e].weight * factor).min(f64::MAX)))
+            .map(|e| (EdgeId::from_index(e), map.edges()[e].weight * factor))
             .collect();
         map.update_weights(&updates).unwrap();
     }
@@ -385,15 +380,74 @@ mod tests {
         }
     }
 
+    /// Every tree of a map whose weights pass [`exact_on_ring`] runs on the
+    /// ring, the capped map's too; none of a map with a zero-weight arc or
+    /// with arcs of 1e-12 beside one of 1e12 does.
     #[test]
     fn bucket_tree_equals_the_heap_tree_on_ring_stress_maps() {
         for (name, g) in ring_stress_maps() {
             let n = g.num_nodes() as u32;
             let roots: Vec<NodeId> = [0, 1, n / 2].map(|r| NodeId(r.min(n - 1))).to_vec();
             let picks: Vec<NodeId> = [n - 1, n / 3, 2].map(|p| NodeId(p.min(n - 1))).to_vec();
+            let trees = 4 * roots.len() * goals(roots[0], &picks).len();
+            let shape = Ring::of(&g.arc_weights().unwrap());
+            assert_eq!(shape.slots == MAX_SLOTS, [SPAN, CAPPED].contains(&name), "{name}");
             let ring = rounds(name, g, &roots, &picks);
-            let zero = name.contains("zero");
-            assert_eq!(ring > 0, !zero, "{name}: {ring} trees on the ring");
+            let heap = name.contains("zero") || name == SPAN;
+            assert_eq!(ring, if heap { 0 } else { trees }, "{name}: trees on the ring");
         }
+    }
+
+    /// [`exact_on_ring`] admits an arc of exactly `2 · sum · ε` and refuses
+    /// one a float step lighter, or a zero-weight arc; at a quarter of the
+    /// bound an arc no longer raises the largest label it allows.
+    #[test]
+    fn ring_eligibility_holds_at_the_bound_and_fails_below_it() {
+        let sum = 1024.0;
+        let bound = 2.0 * sum * f64::EPSILON;
+        let weights = |shortest: f64| ArcWeights { arcs: 8, sum, shortest, longest: 400.0 };
+        assert!(exact_on_ring(&weights(bound)));
+        assert!(exact_on_ring(&weights(1.0)));
+        assert!(!exact_on_ring(&weights(bound.next_down())));
+        assert!(!exact_on_ring(&weights(0.0)));
+        // The largest label the proof allows, plus the bound, rises; plus
+        // a quarter of it, it is absorbed.
+        let top = 2.0 * sum;
+        assert!(top + bound > top);
+        assert_eq!(top + bound / 4.0, top);
+    }
+
+    /// A weight past `f64::MAX / (2 × arc count)` is refused where it
+    /// enters the map, at build and at update, leaving the map as it was;
+    /// at that bound every path sum stays finite, and `shortest_path` reads
+    /// it.
+    #[test]
+    fn weights_that_could_overflow_a_path_sum_are_refused() {
+        use roadnet::{Point, RoadNetError};
+        let path = |w: f64| {
+            let mut b = GraphBuilder::new();
+            for i in 0..3 {
+                b.add_node(Point::new(f64::from(i), 0.0)).unwrap();
+            }
+            b.add_edge(NodeId(0), NodeId(1), w).unwrap();
+            b.add_edge(NodeId(1), NodeId(2), w).unwrap();
+            b.build()
+        };
+        // Two edges, four arcs.
+        let heaviest = f64::MAX / 8.0;
+        assert!(matches!(path(1e308), Err(RoadNetError::InvalidWeight { weight: 1e308, .. })));
+        assert!(matches!(path(heaviest.next_up()), Err(RoadNetError::InvalidWeight { .. })));
+        let g = path(heaviest).unwrap();
+        let far = crate::dijkstra::shortest_path(&g, NodeId(0), NodeId(2)).unwrap();
+        assert_eq!(far.distance(), 2.0 * heaviest);
+        assert_eq!(run_in(&mut SearchArena::new(), &g, NodeId(0), &Goal::AllNodes).settled, 3);
+
+        let mut g = path(1.0).unwrap();
+        for w in [1e308, heaviest.next_up(), f64::INFINITY] {
+            let refused = g.update_weights(&[(EdgeId(1), 2.0), (EdgeId(0), w)]);
+            assert!(matches!(refused, Err(RoadNetError::InvalidWeight { .. })), "{w}");
+            assert_eq!(g.edges().iter().map(|e| e.weight).collect::<Vec<_>>(), [1.0, 1.0]);
+        }
+        assert_eq!(g.update_weights(&[(EdgeId(0), heaviest)]).unwrap(), [EdgeId(0)]);
     }
 }

@@ -45,7 +45,8 @@ pub enum Goal {
 /// to record a [`SweepTrace`] without taxing the untraced hot path
 /// ([`run_in`] instantiates the no-op sink, which monomorphizes away), the
 /// seam [`crate::range`] uses to stop a sweep at a radius, and the seam
-/// [`run_tree`]'s plain misses use to record past their goal.
+/// [`run_tree`]'s plain misses use to record past their goal. It sees no
+/// counters: they are its settles and the degrees of its expansions.
 pub(crate) trait SettleSink {
     /// Whether the sweep may settle a label at raw distance `dist`; `false`
     /// ends it there (sound under the zero potential, where labels pop in
@@ -57,18 +58,21 @@ pub(crate) trait SettleSink {
     }
 
     /// Called right after `node` settles, **before** the goal check and
-    /// before the node expands its arcs, with the sweep's counters at
-    /// that instant — exactly what a sweep stopping here would report.
-    fn on_settle(&mut self, arena: &SearchArena, node: NodeId, stats: &SearchStats);
+    /// before the node expands its arcs.
+    fn on_settle(&mut self, arena: &SearchArena, node: NodeId);
+
+    /// Called once `node` has relaxed its `degree` out-arcs, as the ring's
+    /// `Labels::expanded` is; a node that stops the sweep never expands.
+    #[inline]
+    fn on_expanded(&mut self, _node: NodeId, _degree: u32) {}
 
     /// Called once, right after the [`on_settle`](SettleSink::on_settle)
-    /// of the node that met the goal, with the same counters; returns
-    /// whether the sweep stops there. Every sink but the deepening
-    /// recorder behind [`run_tree`] stops (the constant default compiles
-    /// out); one that keeps going ends the sweep later through
-    /// [`admits`](SettleSink::admits).
+    /// of the node that met the goal; returns whether the sweep stops
+    /// there. Every sink but the deepening recorder behind [`run_tree`]
+    /// stops (the constant default compiles out); one that keeps going
+    /// ends the sweep later through [`admits`](SettleSink::admits).
     #[inline]
-    fn on_goal(&mut self, _stats: &SearchStats) -> bool {
+    fn on_goal(&mut self) -> bool {
         true
     }
 
@@ -82,7 +86,7 @@ pub(crate) struct NoRecord;
 
 impl SettleSink for NoRecord {
     #[inline]
-    fn on_settle(&mut self, _: &SearchArena, _: NodeId, _: &SearchStats) {}
+    fn on_settle(&mut self, _: &SearchArena, _: NodeId) {}
     #[inline]
     fn on_exhausted(&mut self) {}
 }
@@ -95,17 +99,16 @@ impl SettleSink for NoRecord {
 /// root misses at most `log₂ n` times. A fixed constant, not a knob.
 const DEEPEN_FACTOR: usize = 2;
 
-/// The sweep policy of a recording: how far a plain sweep records, and the
-/// counters at its goal and where its recording was cut. Each settle goes
-/// to [`Recording::push`], which writes it into the stored form and cuts
-/// the recording at the sweep's key-ordered prefix.
+/// The sweep policy of a recording: how far a plain sweep records. Each
+/// settle goes to [`Recording::push`], which writes it into the stored
+/// form and cuts the recording at the sweep's key-ordered prefix, and each
+/// expansion's degree to [`Recording::expanded`].
 struct Recorder {
     recording: Recording,
-    /// The counters at the first settle not recorded, once recording
-    /// stopped there.
-    cut: Option<SearchStats>,
-    /// The counters when the goal settled.
-    goal: Option<SearchStats>,
+    /// Whether recording stopped at a settle it could not record.
+    cut: bool,
+    /// Whether the goal has settled.
+    goal: bool,
     exhausted: bool,
     /// Whether to record past the goal ([`DEEPEN_FACTOR`]) instead of
     /// stopping there — set for the sweeps of a cache miss.
@@ -119,32 +122,29 @@ impl SettleSink for Recorder {
     /// Once recording is cut, the sweep only runs on to its goal.
     #[inline]
     fn admits(&self, _dist: f64) -> bool {
-        match self.cut {
-            Some(_) => self.goal.is_none(),
-            None => self.recording.len() < self.budget,
-        }
+        if self.cut { !self.goal } else { self.recording.len() < self.budget }
     }
 
     #[inline]
-    fn on_goal(&mut self, stats: &SearchStats) -> bool {
-        self.goal = Some(*stats);
+    fn on_goal(&mut self) -> bool {
+        self.goal = true;
         if self.deepen {
             self.budget = DEEPEN_FACTOR * self.recording.len();
         }
-        !self.deepen || self.cut.is_some()
+        !self.deepen || self.cut
     }
 
     #[inline]
-    fn on_settle(&mut self, arena: &SearchArena, node: NodeId, stats: &SearchStats) {
-        if self.cut.is_none()
-            && !self.recording.push(
-                node.0,
-                arena.parent_raw(node),
-                arena.dist_raw(node),
-                stats.relaxed,
-            )
-        {
-            self.cut = Some(*stats);
+    fn on_settle(&mut self, arena: &SearchArena, node: NodeId) {
+        if !self.cut {
+            self.cut = !self.recording.push(node.0, arena.parent_raw(node), arena.dist_raw(node));
+        }
+    }
+
+    #[inline]
+    fn on_expanded(&mut self, _: NodeId, degree: u32) {
+        if !self.cut {
+            self.recording.expanded(degree);
         }
     }
 
@@ -229,7 +229,7 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
         }
         arena.settle(node);
         stats.settled += 1;
-        sink.on_settle(arena, node, &stats);
+        sink.on_settle(arena, node);
 
         // The goal rule: where a sweep for `goal` stops. It fires at most
         // once — a single target settles once, and an emptied set never
@@ -246,7 +246,7 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
             },
             Goal::AllNodes => false,
         };
-        if met && sink.on_goal(&stats) {
+        if met && sink.on_goal() {
             stopped = true;
             break;
         }
@@ -254,11 +254,14 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
             arena.rekey(|n| pot.eval(n));
         }
 
+        let mut degree = 0u32;
         g.for_each_arc(node, &mut |to, w| {
-            stats.relaxed += 1;
+            degree += 1;
             let cand = d_node + w;
             arena.relax_keyed(node, to, cand, || cand + pot.eval(to));
         });
+        stats.relaxed += u64::from(degree);
+        sink.on_expanded(node, degree);
     }
     if !stopped {
         sink.on_exhausted();
@@ -275,8 +278,9 @@ pub(crate) fn zero_pot(_: NodeId) -> f64 {
 
 /// Grow one unrecorded tree for real, selecting the loop **once per
 /// tree**: a [`GoalPotential`] keys the heap by `dist + π_R(node)` over the
-/// goals `R` this tree has not settled yet; a plain tree tries the bucket
-/// ring, else the heap under the zero potential (which monomorphizes away).
+/// goals `R` this tree has not settled yet; a plain tree runs on the bucket
+/// ring where the map's weights allow it (`bucket::exact_on_ring`), else on
+/// the heap under the zero potential (which monomorphizes away).
 fn grow<G: GraphView>(
     arena: &mut SearchArena,
     g: &G,
@@ -293,8 +297,10 @@ fn grow<G: GraphView>(
 
 /// Grow one plain tree, recording it as a [`SweepTrace`]. With `deepen`
 /// the sweep records past its goal (see [`DEEPEN_FACTOR`]); the counters
-/// returned are always the goal-stopping sweep's: those at the goal's
-/// settle, or the end counters when the goal never settles.
+/// returned are always the goal-stopping sweep's. They are read off the
+/// finished trace where the goal's stop lies inside it; past a cut they are
+/// the end counters, where the sweep stopped at its goal or exhausted its
+/// component.
 fn grow_traced<G: GraphView>(
     arena: &mut SearchArena,
     g: &G,
@@ -304,15 +310,15 @@ fn grow_traced<G: GraphView>(
 ) -> (SearchStats, SweepTrace) {
     let mut rec = Recorder {
         recording: Recording::new(g.num_nodes()),
-        cut: None,
-        goal: None,
+        cut: false,
+        goal: false,
         exhausted: false,
         deepen,
         budget: usize::MAX,
     };
     let end = run_in_sink(arena, g, root, goal, &mut zero_pot, &mut rec);
-    let (recorded, complete) = (rec.cut.unwrap_or(end), rec.exhausted && rec.cut.is_none());
-    (rec.goal.unwrap_or(end), rec.recording.finish(recorded, complete))
+    let trace = rec.recording.finish(rec.exhausted && !rec.cut);
+    (trace.stats_for(goal).unwrap_or(end), trace)
 }
 
 /// Run one Dijkstra sweep from `source` inside `arena` until
@@ -599,7 +605,7 @@ mod tests {
             let n = g.num_nodes() as u32;
             let targets = [NodeId(n / 5), NodeId(n / 3), NodeId(n / 2)];
             let set = Goal::Set(targets.to_vec());
-            let alt = AltPreprocessing::build(&g, 4);
+            let alt = AltPreprocessing::try_build(&g, 4).expect("a symmetric map");
             let pot = alt.goal_potential(&targets);
             let mut arena = SearchArena::new();
             let got = [

@@ -30,7 +30,7 @@ impl SettleSink for Band {
     }
 
     #[inline]
-    fn on_settle(&mut self, arena: &SearchArena, node: NodeId, _: &SearchStats) {
+    fn on_settle(&mut self, arena: &SearchArena, node: NodeId) {
         let d = arena.dist_raw(node);
         if d >= self.lo {
             self.out.push((node, d));

@@ -16,9 +16,9 @@
 //! a smaller key, and its `relaxed` snapshot is read the same way from
 //! degrees. Beside the buckets it keeps its tree by node: each settle's
 //! parent node, one entry per map node for a trace that settled most of
-//! its map, sorted pairs otherwise. The recording sweep writes that form
-//! as it settles (`Recording`): each settle lands in its bucket and its
-//! node's columns once, and nothing is copied after.
+//! its map, ranked by the settled nodes otherwise. The recording sweep
+//! writes that form as it settles (`Recording`): each settle lands in its
+//! bucket and its node's columns once, and nothing is copied after.
 //!
 //! Because plain Dijkstra from a fixed root is deterministic and its goal
 //! only ever decides *when to stop*, any two sweeps from the same root are
@@ -218,6 +218,14 @@ impl KeyBuckets {
             relaxed += less * u64::from(e.degree);
         }
         (before, relaxed)
+    }
+
+    /// Every settle, and the sum of every degree: the last bucket's prefix
+    /// and its own.
+    fn totals(&self) -> SearchStats {
+        let last =
+            &self.buckets[self.order.last().expect("a trace settles its root").handle as usize];
+        SearchStats { settled: self.len as u64, relaxed: u64::from(last.relaxed + last.degrees) }
     }
 
     /// Position in `order` of the bucket whose range holds `key`.
@@ -472,29 +480,23 @@ impl KeyBuckets {
 /// A plain sweep being recorded, written one settle at a time straight into
 /// the form a [`SweepTrace`] keeps: [`BUCKET`] consecutive settles per key
 /// bucket, and node → slot and node → parent columns, one entry per map
-/// node. Only the recording sweep behind [`crate::dijkstra::run_tree`] and
-/// [`crate::dijkstra::run_in_traced`] writes one.
+/// node. Each settle's out-degree is written when the sweep expands it, so
+/// the recording holds no counter: a position and a `relaxed` snapshot are
+/// read back from settles and degrees. Only the recording sweep behind
+/// [`crate::dijkstra::run_tree`] and [`crate::dijkstra::run_in_traced`]
+/// writes one.
 pub(crate) struct Recording {
     buckets: KeyBuckets,
     /// Node → slot, [`NIL`] for a node not recorded.
     at: Vec<u32>,
     /// Node → its parent node ([`NIL`] for the root and unrecorded nodes).
     parent: Vec<u32>,
-    /// The sweep's `relaxed` count at the last settle recorded: its
-    /// out-degree is the count at the next settle, or at the end, minus
-    /// this.
-    last_relaxed: u32,
 }
 
 impl Recording {
     /// An empty recording of a sweep over `nodes` map nodes.
     pub(crate) fn new(nodes: usize) -> Self {
-        Recording {
-            buckets: KeyBuckets::default(),
-            at: vec![NIL; nodes],
-            parent: vec![NIL; nodes],
-            last_relaxed: 0,
-        }
+        Recording { buckets: KeyBuckets::default(), at: vec![NIL; nodes], parent: vec![NIL; nodes] }
     }
 
     /// Settles recorded.
@@ -503,28 +505,28 @@ impl Recording {
     }
 
     /// Record the settle of `node` at `dist` under `parent` ([`NIL`] for the
-    /// root), with the sweep's `relaxed` count at it. Records nothing and
-    /// returns `false` on a settle that does not strictly follow the last
-    /// one in `(dist, node)` order — only a zero-weight tie or a sum that
-    /// absorbs a weight makes one — or with [`MAX_BUCKETED`] recorded: the
-    /// recording ends at the sweep's key-ordered prefix.
-    pub(crate) fn push(&mut self, node: u32, parent: u32, dist: f64, relaxed: u64) -> bool {
+    /// root). Records nothing and returns `false` on a settle that does not
+    /// strictly follow the last one in `(dist, node)` order — only a
+    /// zero-weight tie or a sum that absorbs a weight makes one — or with
+    /// [`MAX_BUCKETED`] recorded: the recording ends at the sweep's
+    /// key-ordered prefix.
+    pub(crate) fn push(&mut self, node: u32, parent: u32, dist: f64) -> bool {
         let (key, len) = ((ord_of(dist), node), self.buckets.len);
         let last = self.buckets.buckets.last().and_then(|b| b.entries.last());
         if len == MAX_BUCKETED || last.is_some_and(|e| key <= e.key()) {
             return false;
         }
-        // A sweep relaxes each arc at most once, and arc offsets are `u32`.
-        self.close(u32::try_from(relaxed).expect("relaxations fit the arc offsets"));
         let b = &mut self.buckets;
         if len % BUCKET == 0 {
             let (ord, lo) = if len == 0 { (0, 0) } else { key };
+            // Every earlier settle was expanded before this one settled.
+            let relaxed = b.buckets.last().map_or(0, |p| p.relaxed + p.degrees);
             b.order.push(Lo { ord, node: lo, handle: b.buckets.len() as u32 });
             b.buckets.push(Bucket {
                 entries: Vec::with_capacity(BUCKET),
                 degrees: 0,
                 before: len as u32,
-                relaxed: self.last_relaxed,
+                relaxed,
             });
         }
         let handle = b.buckets.len() - 1;
@@ -535,25 +537,21 @@ impl Recording {
         true
     }
 
-    /// Fill the last settle's out-degree, the relaxations up to `relaxed`,
-    /// into its entry and its bucket's sum.
-    fn close(&mut self, relaxed: u32) {
-        if let Some(b) = self.buckets.buckets.last_mut() {
-            let e = b.entries.last_mut().expect("a bucket is opened by its first settle");
-            e.degree = relaxed - self.last_relaxed;
-            b.degrees += e.degree;
-        }
-        self.last_relaxed = relaxed;
+    /// The last settle recorded was expanded over `degree` arcs: its
+    /// out-degree, added to its bucket's sum. A settle never expanded (the
+    /// one that stopped the sweep) keeps degree 0.
+    pub(crate) fn expanded(&mut self, degree: u32) {
+        let b = self.buckets.buckets.last_mut().expect("an expansion follows its settle");
+        b.entries.last_mut().expect("a bucket is opened by its first settle").degree = degree;
+        b.degrees += degree;
     }
 
-    /// The trace of this recording, given the counters where it ended and
-    /// whether the sweep exhausted the root's component in key order. A
-    /// complete trace that settled at least two thirds of its map keeps the
-    /// columns as its [`SettledIndex::Dense`] index; any other compacts
-    /// them into [`SettledIndex::Sorted`] pairs. The root is the first
-    /// settle: a sweep settles its root first.
-    pub(crate) fn finish(mut self, final_stats: SearchStats, complete: bool) -> SweepTrace {
-        self.close(u32::try_from(final_stats.relaxed).expect("relaxations fit the arc offsets"));
+    /// The trace of this recording, given whether the sweep exhausted the
+    /// root's component in key order. A complete trace that settled at
+    /// least two thirds of its map keeps the columns as its node-addressed
+    /// [`SettledIndex`]; any other ranks them by its settled nodes. The
+    /// root is the first settle: a sweep settles its root first.
+    pub(crate) fn finish(mut self, complete: bool) -> SweepTrace {
         let b = &mut self.buckets;
         if let Some(last) = b.buckets.last_mut() {
             last.entries.shrink_to_fit();
@@ -562,16 +560,18 @@ impl Recording {
         b.order.shrink_to_fit();
         let (root, nodes, len) = (NodeId(b.buckets[0].entries[0].node), self.at.len(), b.len);
         let index = if complete && 3 * len >= 2 * nodes {
-            SettledIndex::Dense { at: self.at, parent: self.parent }
+            SettledIndex { sorted: None, at: self.at, parent: self.parent }
         } else {
-            let (mut pairs, mut parent) = (Vec::with_capacity(len), Vec::with_capacity(len));
-            for (node, &at) in self.at.iter().enumerate().filter(|&(_, &at)| at != NIL) {
-                pairs.push((node as u32, at));
-                parent.push(self.parent[node]);
+            let mut settled = Vec::with_capacity(len);
+            settled.extend((0..nodes as u32).filter(|&v| self.at[v as usize] != NIL));
+            let ranked = |column: &[u32]| settled.iter().map(|&v| column[v as usize]).collect();
+            SettledIndex {
+                at: ranked(&self.at),
+                parent: ranked(&self.parent),
+                sorted: Some(settled),
             }
-            SettledIndex::Sorted { pairs, parent }
         };
-        SweepTrace { root, nodes, buckets: self.buckets, index, final_stats, complete }
+        SweepTrace { root, nodes, buckets: self.buckets, index, complete }
     }
 }
 
@@ -585,9 +585,6 @@ pub struct SweepTrace {
     buckets: KeyBuckets,
     /// The settled-set index: node → slot, and the tree by node.
     index: SettledIndex,
-    /// Counters where the recording ended — for a complete trace, what a
-    /// fresh exhausting sweep reports.
-    final_stats: SearchStats,
     /// Whether the sweep exhausted the root's component in key order (no
     /// early stop, nothing cut), i.e. every reachable node is settled and
     /// absence proves unreachability.
@@ -787,10 +784,11 @@ impl SweepTrace {
     }
 
     /// The counters a fresh sweep reports when it stops at `stop`: the
-    /// settles up to it and the `relaxed` snapshot there, or the exhausted
-    /// sweep's final counters.
+    /// settles up to it and the `relaxed` snapshot there, or — for the
+    /// exhausted sweep of a complete trace — every settle and the sum of
+    /// every degree.
     pub(crate) fn stats_at(&self, stop: Stop) -> SearchStats {
-        let Stop(Some(at)) = stop else { return self.final_stats };
+        let Stop(Some(at)) = stop else { return self.buckets.totals() };
         let (before, relaxed) = self.buckets.rank(at);
         SearchStats { settled: before + 1, relaxed }
     }
@@ -908,83 +906,68 @@ impl SweepTrace {
     }
 }
 
-/// A trace's settled-set index: node → slot.
+/// A trace's settled-set index: for each settled node its slot, and the
+/// tree by node — its parent node ([`NIL`] for the root), which a path is
+/// read from without touching a settle. The two columns are addressed by
+/// node, one entry per map node ([`NIL`] where the sweep did not settle),
+/// or by rank in `sorted`, the settled nodes in ascending order. A
+/// complete trace that settled at least two thirds of its map is addressed
+/// by node: at most 12 B per settle, 8 B for a map-spanning one, and a
+/// lookup or a hop is one load. Every other trace — an early stop, a small
+/// component — is ranked, at 12 B per settle.
 #[derive(Clone, Debug, PartialEq)]
-enum SettledIndex {
-    /// One entry per map node, [`NIL`] for a node the sweep did not
-    /// settle, and beside it the tree by node: each node's parent node
-    /// ([`NIL`] for the root and for unsettled nodes), which a path is
-    /// read from without touching a settle. A complete trace that settled
-    /// at least two thirds of the map keeps this form: at most 12 B per
-    /// settle, 8 B for a map-spanning one, and a lookup or a hop is one
-    /// load.
-    Dense {
-        /// Node → slot.
-        at: Vec<u32>,
-        /// Node → its parent node.
-        parent: Vec<u32>,
-    },
-    /// `(node, slot)` sorted by node: every other trace, so an
-    /// early-stopped one (or one of a small component) costs memory in
-    /// proportion to what it settled.
-    Sorted {
-        /// `(node, slot)`, sorted by node.
-        pairs: Vec<(u32, u32)>,
-        /// Each pair's parent node.
-        parent: Vec<u32>,
-    },
+struct SettledIndex {
+    /// The settled nodes, ascending, when the columns are ranked by them.
+    sorted: Option<Vec<u32>>,
+    /// Each node's slot.
+    at: Vec<u32>,
+    /// Each node's parent node.
+    parent: Vec<u32>,
 }
 
 impl SettledIndex {
-    /// Position of `node` in sorted pairs.
+    /// Where `node`'s entries lie in the columns: its rank among the
+    /// settled nodes, or the node itself where the columns are addressed by
+    /// node.
     #[inline]
-    fn find(pairs: &[(u32, u32)], node: u32) -> Option<usize> {
-        pairs.binary_search_by_key(&node, |&(n, _)| n).ok()
-    }
-
-    /// Slot of `node`, or [`NIL`] when the sweep did not settle it.
-    #[inline]
-    fn at(&self, node: u32) -> u32 {
-        match self {
-            SettledIndex::Dense { at, .. } => at.get(node as usize).copied().unwrap_or(NIL),
-            SettledIndex::Sorted { pairs, .. } => {
-                Self::find(pairs, node).map_or(NIL, |k| pairs[k].1)
-            }
+    fn position(&self, node: u32) -> Option<usize> {
+        match &self.sorted {
+            None => Some(node as usize),
+            Some(settled) => settled.binary_search(&node).ok(),
         }
     }
 
-    /// Move settled `node` to slot `at`.
-    fn set(&mut self, node: u32, slot: u32) {
-        match self {
-            SettledIndex::Dense { at, .. } => at[node as usize] = slot,
-            SettledIndex::Sorted { pairs, .. } => {
-                if let Some(k) = Self::find(pairs, node) {
-                    pairs[k].1 = slot;
-                }
-            }
+    /// Slot of `node`, or [`NIL`] when the sweep did not settle it. The
+    /// node-addressed read stays one load: a hit's path read is made of
+    /// these and [`SettledIndex::parent`].
+    #[inline]
+    fn at(&self, node: u32) -> u32 {
+        match &self.sorted {
+            None => self.at.get(node as usize).copied().unwrap_or(NIL),
+            Some(_) => self.position(node).map_or(NIL, |k| self.at[k]),
         }
     }
 
     /// Parent node of settled `node` ([`NIL`] for the root).
     #[inline]
     fn parent(&self, node: u32) -> u32 {
-        match self {
-            SettledIndex::Dense { parent, .. } => parent[node as usize],
-            SettledIndex::Sorted { pairs, parent } => {
-                Self::find(pairs, node).map_or(NIL, |k| parent[k])
-            }
+        match &self.sorted {
+            None => self.parent[node as usize],
+            Some(_) => self.position(node).map_or(NIL, |k| self.parent[k]),
+        }
+    }
+
+    /// Move settled `node` to slot `at`.
+    fn set(&mut self, node: u32, at: u32) {
+        if let Some(k) = self.position(node) {
+            self.at[k] = at;
         }
     }
 
     /// Make `p` the parent node of settled `node`.
     fn set_parent(&mut self, node: u32, p: u32) {
-        match self {
-            SettledIndex::Dense { parent, .. } => parent[node as usize] = p,
-            SettledIndex::Sorted { pairs, parent } => {
-                if let Some(k) = Self::find(pairs, node) {
-                    parent[k] = p;
-                }
-            }
+        if let Some(k) = self.position(node) {
+            self.parent[k] = p;
         }
     }
 }
@@ -1549,7 +1532,7 @@ mod tests {
         let g = grid();
         let n = g.num_nodes() as u32;
         // The grid beside as many isolated nodes: a complete sweep settles
-        // half of it, so its trace keeps sorted pairs.
+        // half of it, so its trace ranks its columns by settled node.
         let mut b = GraphBuilder::new();
         for v in g.nodes() {
             b.add_node(g.point(v)).unwrap();
@@ -1569,7 +1552,7 @@ mod tests {
         for (trace, dense_form, complete) in
             [(&dense, true, true), (&sparse, false, true), (&short, false, false)]
         {
-            assert_eq!(matches!(trace.index, SettledIndex::Dense { .. }), dense_form);
+            assert_eq!(trace.index.sorted.is_none(), dense_form);
             assert_eq!(trace.is_complete(), complete);
         }
 
@@ -1767,10 +1750,7 @@ mod tests {
 
     /// A dense trace's parent-node column.
     fn parent_column(t: &SweepTrace) -> Option<&[u32]> {
-        match &t.index {
-            SettledIndex::Dense { parent, .. } => Some(parent),
-            SettledIndex::Sorted { .. } => None,
-        }
+        t.index.sorted.is_none().then_some(&t.index.parent[..])
     }
 
     /// The bucket invariants: `order` strictly increasing, every bucket
@@ -1818,7 +1798,7 @@ mod tests {
             assert_eq!(read(got, v), read(want, v), "{tag}: node {v}");
         }
         assert_eq!(parent_column(got), parent_column(want), "{tag}: parent column");
-        assert_eq!(got.final_stats, want.final_stats, "{tag}: final counters");
+        assert_eq!(got.stats_at(Stop(None)), want.stats_at(Stop(None)), "{tag}: final counters");
         assert_eq!(got.complete, want.complete, "{tag}: completeness");
     }
 
@@ -2013,7 +1993,7 @@ mod tests {
             let updates = [(roadnet::EdgeId::from_index(edge), 3.0)];
             let (before, after) = repair_once(&g, root, &updates, &mut scratch, "component");
             assert!(before.is_complete());
-            assert_eq!(matches!(after.index, SettledIndex::Dense { .. }), dense, "root {root}");
+            assert_eq!(after.index.sorted.is_none(), dense, "root {root}");
         }
     }
 
@@ -2226,16 +2206,10 @@ mod tests {
             let read: Vec<Option<usize>> = map.nodes().map(|v| trace.position(v)).collect();
             assert_eq!(read, reference, "{tag}: settled-set index");
 
-            let index = match &trace.index {
-                SettledIndex::Dense { at, parent } => {
-                    (at.capacity() + parent.capacity()) * size_of::<u32>()
-                }
-                SettledIndex::Sorted { pairs, parent } => {
-                    pairs.capacity() * size_of::<(u32, u32)>()
-                        + parent.capacity() * size_of::<u32>()
-                }
-            };
-            assert_eq!(matches!(trace.index, SettledIndex::Dense { .. }), dense, "{tag}");
+            let SettledIndex { sorted, at, parent } = &trace.index;
+            let sorted = sorted.as_ref().map_or(0, Vec::capacity);
+            let index = (sorted + at.capacity() + parent.capacity()) * size_of::<u32>();
+            assert_eq!(trace.index.sorted.is_none(), dense, "{tag}");
             // Every trace is bucketed: 16-byte entries, and beside them a
             // directory of a few words per bucket.
             assert_buckets_hold(trace, tag);

@@ -49,7 +49,7 @@ proptest! {
     ) {
         let n = g.num_nodes() as u32;
         let (a, b) = (NodeId(a_raw % n), NodeId(b_raw % n));
-        let pre = AltPreprocessing::build(&g, landmarks.min(g.num_nodes()));
+        let pre = AltPreprocessing::try_build(&g, landmarks.min(g.num_nodes())).expect("a symmetric map");
         let truth = shortest_distance(&g, a, b).expect("connected by construction");
         let bound = pre.lower_bound(a, b);
         prop_assert!(bound <= truth + 1e-9, "bound {bound} > distance {truth}");
@@ -68,7 +68,7 @@ proptest! {
         // the A* stale-entry check relies on.
         let n = g.num_nodes() as u32;
         let t = NodeId(t_raw % n);
-        let pre = AltPreprocessing::build(&g, landmarks.min(g.num_nodes()));
+        let pre = AltPreprocessing::try_build(&g, landmarks.min(g.num_nodes())).expect("a symmetric map");
         for u in g.nodes() {
             let hu = pre.lower_bound(u, t);
             let mut ok = true;
@@ -91,7 +91,7 @@ proptest! {
     ) {
         let n = g.num_nodes() as u32;
         let (a, b) = (NodeId(a_raw % n), NodeId(b_raw % n));
-        let pre = AltPreprocessing::build(&g, landmarks.min(g.num_nodes()));
+        let pre = AltPreprocessing::try_build(&g, landmarks.min(g.num_nodes())).expect("a symmetric map");
         let (path, stats) = alt(&g, &pre, a, b);
         let truth = shortest_distance(&g, a, b).expect("connected");
         let path = path.expect("connected");

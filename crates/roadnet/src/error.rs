@@ -20,7 +20,8 @@ pub enum RoadNetError {
         /// Size of the network the id was checked against.
         num_edges: usize,
     },
-    /// An edge weight was negative, NaN, or infinite.
+    /// An edge weight was negative, NaN, infinite, or above
+    /// `f64::MAX / (2 × arc count)`, past which a path sum could overflow.
     InvalidWeight {
         /// Edge tail.
         from: NodeId,
@@ -73,7 +74,7 @@ impl fmt::Display for RoadNetError {
             RoadNetError::InvalidWeight { from, to, weight } => {
                 write!(
                     f,
-                    "edge ({from}, {to}) has invalid weight {weight}; weights must be finite and non-negative"
+                    "edge ({from}, {to}) has invalid weight {weight}; weights must be non-negative and at most f64::MAX / (2 × arc count), so that every path sum is finite"
                 )
             }
             RoadNetError::SelfLoop { node } => {

@@ -232,12 +232,21 @@ impl GraphBuilder {
     }
 
     /// Finalize into a CSR [`RoadNetwork`].
+    ///
+    /// # Errors
+    /// [`RoadNetError::EmptyNetwork`] without nodes, and
+    /// [`RoadNetError::InvalidWeight`] for a weight above
+    /// `f64::MAX / (2 × arc count)`, past which a path sum could overflow.
     pub fn build(self) -> Result<RoadNetwork> {
         if self.points.is_empty() {
             return Err(RoadNetError::EmptyNetwork);
         }
         let n = self.points.len();
         let arcs_per_edge = if self.directed { 1 } else { 2 };
+        let heaviest = max_weight(self.edges.len() * arcs_per_edge);
+        if let Some(e) = self.edges.iter().find(|e| e.weight > heaviest) {
+            return Err(RoadNetError::InvalidWeight { from: e.a, to: e.b, weight: e.weight });
+        }
 
         // Counting sort of arcs into CSR order.
         let mut degree = vec![0u32; n];
@@ -282,6 +291,13 @@ impl GraphBuilder {
             weights: OnceLock::new(),
         })
     }
+}
+
+/// The heaviest weight a map of `arcs` arcs holds: all its arcs then sum
+/// to at most half of `f64::MAX`, so every path sum — a simple path's, and
+/// its rounded running sums — stays finite.
+fn max_weight(arcs: usize) -> f64 {
+    f64::MAX / (2 * arcs) as f64
 }
 
 impl Default for GraphBuilder {
@@ -475,13 +491,16 @@ impl RoadNetwork {
     ///
     /// # Errors
     /// [`RoadNetError::EdgeOutOfRange`] for an unknown edge id,
-    /// [`RoadNetError::InvalidWeight`] for a negative or non-finite weight.
+    /// [`RoadNetError::InvalidWeight`] for a negative or non-finite weight,
+    /// or one above `f64::MAX / (2 × arc count)` (as
+    /// [`GraphBuilder::build`] refuses).
     pub fn update_weights(&mut self, updates: &[(EdgeId, f64)]) -> Result<Vec<EdgeId>> {
+        let heaviest = max_weight(self.arcs.len());
         for &(e, w) in updates {
             if e.index() >= self.edges.len() {
                 return Err(RoadNetError::EdgeOutOfRange { edge: e, num_edges: self.edges.len() });
             }
-            if !w.is_finite() || w < 0.0 {
+            if !w.is_finite() || w < 0.0 || w > heaviest {
                 let edge = self.edges[e.index()];
                 return Err(RoadNetError::InvalidWeight { from: edge.a, to: edge.b, weight: w });
             }

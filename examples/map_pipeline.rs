@@ -57,7 +57,7 @@ fn main() {
     );
 
     // 4. Precompute ALT landmarks and run the same query goal-directed.
-    let pre = AltPreprocessing::build(&reloaded, 8);
+    let pre = AltPreprocessing::try_build(&reloaded, 8).expect("a symmetric map");
     let (path_alt, alt_stats) = alt(&reloaded, &pre, s, t);
     let path_alt = path_alt.expect("connected");
     let d_direct = arena.distance(t).expect("connected");
