@@ -98,4 +98,22 @@ mod tests {
         let settled: Vec<f64> = t.rows.iter().map(|r| r[4].parse().unwrap()).collect();
         assert!(settled[2] > settled[0], "bigger networks mean bigger search trees: {settled:?}");
     }
+
+    #[test]
+    fn e10_quick_table_is_pinned() {
+        // Every column but the two wall-clock ones is deterministic: nodes,
+        // clients, settled, pairs, wire KB (all four hops, counted by
+        // `wire_size`) and mean breach.
+        let t = run(&Scale::quick());
+        let rows: Vec<String> =
+            t.rows.iter().map(|r| [0, 1, 4, 5, 6, 7].map(|c| r[c].as_str()).join(" ")).collect();
+        assert_eq!(
+            rows,
+            [
+                "100 24 2700 163 15.28 0.0512",
+                "400 24 10765 192 24.22 0.0486",
+                "1600 24 43067 202 43.54 0.0455",
+            ]
+        );
+    }
 }

@@ -74,6 +74,38 @@ pub fn extract_path(
     candidates: &MsmdResult,
     verify_on: Option<&RoadNetwork>,
 ) -> Result<Option<Path>> {
+    let at = locate_path(unit, request, candidates, verify_on)?;
+    Ok(at.and_then(|(i, j)| candidates.paths[i][j].clone()))
+}
+
+/// [`extract_path`] for the unit's `k`-th request, moving the path out of
+/// its candidate row instead of cloning it. A later request of the unit
+/// that asks for the same pair reads the same entry, so for all but the
+/// last such request the path is cloned and left in place.
+pub(crate) fn take_path(
+    unit: &ObfuscationUnit,
+    k: usize,
+    candidates: &mut MsmdResult,
+    verify_on: Option<&RoadNetwork>,
+) -> Result<Option<Path>> {
+    let request = &unit.requests[k];
+    let Some((i, j)) = locate_path(unit, request, candidates, verify_on)? else {
+        return Ok(None);
+    };
+    let entry = &mut candidates.paths[i][j];
+    let asked_again = unit.requests[k + 1..].iter().any(|r| r.query == request.query);
+    Ok(if asked_again { entry.clone() } else { entry.take() })
+}
+
+/// Where the checked path answering `request` sits in `candidates`, as
+/// `paths[i][j]`; `None` when that entry is absent. Errors as
+/// [`extract_path`].
+fn locate_path(
+    unit: &ObfuscationUnit,
+    request: &crate::query::ClientRequest,
+    candidates: &MsmdResult,
+    verify_on: Option<&RoadNetwork>,
+) -> Result<Option<(usize, usize)>> {
     let q = request.query;
     let (i, j) = match (unit.query.source_index(q.source), unit.query.target_index(q.destination)) {
         (Some(i), Some(j)) => (i, j),
@@ -99,7 +131,7 @@ pub fn extract_path(
             });
         }
     }
-    Ok(Some(path.clone()))
+    Ok(Some((i, j)))
 }
 
 #[cfg(test)]

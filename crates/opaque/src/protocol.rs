@@ -18,9 +18,9 @@
 //! Messages serialize with serde; [`wire_size`] measures their JSON
 //! encoding *without producing it* (the JSON writer over an output that
 //! only counts, which counts a whole number's digits instead of printing
-//! them), so experiments can report real bytes per hop rather than
-//! node-count proxies and the service can afford to do so on every
-//! request. The obfuscator–server hops are in-process calls, so
+//! them, and a run of node ids in one pass), so experiments can report
+//! real bytes per hop rather than node-count proxies and the service can
+//! afford to do so on every request. The obfuscator–server hops are in-process calls, so
 //! [`HopTraffic`] measures them through borrowed views of what the
 //! service already holds — same bytes as the owned messages, nothing
 //! cloned to be counted. The secure channel itself is modelled, not
@@ -100,7 +100,11 @@ struct ResultView<'a> {
 /// compare hops, not codecs). Measures the encoding without producing it:
 /// the message streams through the JSON writer into a byte counter, which
 /// takes a whole number's length from its digit count without printing
-/// it, so nothing is allocated and nothing can fail.
+/// it, so nothing is allocated and nothing can fail. Node ids — every
+/// path's nodes and both endpoint sets — reach the counter as one run per
+/// sequence ([`serde::Sink::uints`]), whose digits, commas and brackets it
+/// sums in one vectorised pass: counting a candidate matrix costs about a
+/// nanosecond per id, not a float conversion and a branch per id.
 pub fn wire_size<M: Serialize>(msg: &M) -> usize {
     serde_json::serialized_len(msg)
 }

@@ -65,12 +65,12 @@ pub use partition::{Partition, PartitionPolicy, RouteKind};
 pub use report::{BatchReport, ClientOutcome};
 
 use crate::error::{OpaqueError, Result};
-use crate::filter::{ClientResult, extract_path};
+use crate::filter::{ClientResult, take_path};
 use crate::obfuscator::{ObfuscationMode, ObfuscationUnit, Obfuscator};
 use crate::protocol::{RequestMsg, ResultMsg};
 use crate::query::{ClientId, ClientRequest};
 use roadnet::NodeId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Everything a processed batch produced: delivered paths, one outcome per
@@ -469,8 +469,8 @@ impl<B: DirectionsBackend> OpaqueService<B> {
             );
 
             let verify_on = self.verify_results.then(|| self.obfuscator.map());
-            for ((query_id, (query, members)), candidates) in
-                queries.into_iter().zip(carried).enumerate().zip(&answers)
+            for ((query_id, (query, members)), mut candidates) in
+                queries.into_iter().zip(carried).enumerate().zip(answers)
             {
                 let unit = ObfuscationUnit { query, requests: members };
                 report.total_pairs += unit.query.num_pairs() as u64;
@@ -487,8 +487,8 @@ impl<B: DirectionsBackend> OpaqueService<B> {
                     .sum::<u64>();
                 report.traffic.record_candidates(query_id as u64, &candidates.paths);
 
-                for request in &unit.requests {
-                    let path = extract_path(&unit, request, candidates, verify_on)?;
+                for (k, request) in unit.requests.iter().enumerate() {
+                    let path = take_path(&unit, k, &mut candidates, verify_on)?;
                     let Some(slot) = slot_mut(&slot_of, &mut slots, request.client) else {
                         continue;
                     };
@@ -581,13 +581,13 @@ fn slot_mut<'a>(
 }
 
 /// Number of endpoints in the unit's sets that are not true endpoints of
-/// any carried request.
+/// any carried request. A unit carries few requests, so each endpoint is
+/// checked against theirs in turn, with no set built to hold them.
 pub(crate) fn count_fakes(unit: &ObfuscationUnit) -> u64 {
-    let truth: HashSet<NodeId> =
-        unit.requests.iter().flat_map(|r| [r.query.source, r.query.destination]).collect();
-    let fake_sources = unit.query.sources().iter().filter(|s| !truth.contains(s)).count();
-    let fake_targets = unit.query.targets().iter().filter(|t| !truth.contains(t)).count();
-    (fake_sources + fake_targets) as u64
+    let is_true =
+        |v: NodeId| unit.requests.iter().any(|r| r.query.source == v || r.query.destination == v);
+    let endpoints = unit.query.sources().iter().chain(unit.query.targets());
+    endpoints.filter(|&&v| !is_true(v)).count() as u64
 }
 
 #[cfg(test)]
@@ -1151,7 +1151,8 @@ mod tests {
         fn process(&mut self, query: &ObfuscatedPathQuery) -> pathsearch::MsmdResult {
             let mut answer = self.0.process(query);
             for path in answer.paths.iter_mut().flatten().flatten() {
-                path.reverse();
+                let nodes = path.nodes().iter().rev().copied().collect();
+                *path = pathsearch::Path::new(nodes, path.distance());
             }
             answer
         }

@@ -30,7 +30,7 @@
 //! [`crate::multi::msmd_in`] runs whole MSMD queries inside one.
 
 use crate::bucket::{Buckets, Labels};
-use crate::path::Path;
+use crate::path::{Path, PathOrder};
 use crate::stats::SearchStats;
 use roadnet::NodeId;
 use std::cmp::Ordering;
@@ -425,12 +425,20 @@ impl SearchArena {
     /// Reconstruct the path from the root to `t` by walking parents.
     /// `None` when `t` carries no current-generation label.
     pub fn path_to(&self, t: NodeId) -> Option<Path> {
+        self.read_path(t, PathOrder::RootFirst)
+    }
+
+    /// The path between the root and `t`, in `order`: the parent walk
+    /// gives it root last, so only a root-first read reverses it.
+    pub(crate) fn read_path(&self, t: NodeId, order: PathOrder) -> Option<Path> {
         if t.index() >= self.nodes || !self.is_labelled(t) {
             return None;
         }
         let mut nodes = vec![t];
         self.walk_parents(t, &mut nodes);
-        nodes.reverse();
+        if order == PathOrder::RootFirst {
+            nodes.reverse();
+        }
         Some(Path::new(nodes, self.dist[self.slot(t)]))
     }
 

@@ -32,7 +32,7 @@ use crate::alt::{AltPreprocessing, GoalPotential};
 use crate::arena::SearchArena;
 use crate::cache::TreeCache;
 use crate::dijkstra::{Goal, run_tree};
-use crate::path::Path;
+use crate::path::{Path, PathOrder};
 use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
 
@@ -234,14 +234,13 @@ fn evaluate<G: GraphView>(
         // Transposed trees really grow from the targets, but the sweep
         // itself is an ordinary forward sweep (the view is symmetric), so
         // they share cache entries with source-rooted trees at the same
-        // node.
+        // node. Their paths are read root last: source to target.
         SharingPolicy::Auto if targets.len() < sources.len() && g.is_symmetric() => transpose(
-            per_source(arena, g, targets, sources, pre, cache),
+            per_source(arena, g, targets, sources, pre, cache, PathOrder::RootLast),
             sources.len(),
-            targets.len(),
         ),
         SharingPolicy::PerSource | SharingPolicy::Auto => {
-            per_source(arena, g, sources, targets, pre, cache)
+            per_source(arena, g, sources, targets, pre, cache, PathOrder::RootFirst)
         }
     }
 }
@@ -280,7 +279,8 @@ fn naive<G: GraphView>(
 /// One (possibly adopted) multi-destination tree per source. All share
 /// one [`GoalPotential`] over the target set; each tree retires from its
 /// own live copy the targets it settles, so the sweep that has reached the
-/// near targets aims at the far ones instead of at their spread.
+/// near targets aims at the far ones instead of at their spread. Each
+/// path is read in `order`.
 fn per_source<G: GraphView>(
     arena: &mut SearchArena,
     g: &G,
@@ -288,6 +288,7 @@ fn per_source<G: GraphView>(
     targets: &[NodeId],
     pre: Option<&AltPreprocessing>,
     mut cache: Option<&mut TreeCache>,
+    order: PathOrder,
 ) -> MsmdResult {
     let pot = pre.map(|p| p.goal_potential(targets));
     let mut stats = SearchStats::default();
@@ -296,7 +297,7 @@ fn per_source<G: GraphView>(
     let mut paths = Vec::with_capacity(sources.len());
     for &s in sources {
         let (run, view) = run_tree(arena, g, s, &goal, pot.as_ref(), cache.as_deref_mut());
-        paths.push(view.paths_to(targets));
+        paths.push(view.paths_to(targets, order));
         stats.merge(run);
         per_tree.push(TreeStats { root: s, side: TreeSide::Source, stats: run });
     }
@@ -304,19 +305,19 @@ fn per_source<G: GraphView>(
 }
 
 /// Transpose a result computed with sources/targets swapped (undirected
-/// networks only; paths are reversed back into `s → t` orientation, and
-/// the per-tree attribution is flipped to [`TreeSide::Target`] — the trees
-/// really grew from the original query's *targets*).
-fn transpose(r: MsmdResult, num_sources: usize, num_targets: usize) -> MsmdResult {
-    debug_assert_eq!(r.paths.len(), num_targets);
+/// networks only): row `j` of `r` answers target `j` for every source, so
+/// its `i`-th path moves to row `i`, column `j`. The paths were read root
+/// last ([`PathOrder::RootLast`]), already oriented `s → t`, so this only
+/// reshapes the matrix. The per-tree attribution is flipped to
+/// [`TreeSide::Target`] — the trees really grew from the original query's
+/// *targets*.
+fn transpose(r: MsmdResult, num_sources: usize) -> MsmdResult {
     let mut paths: Vec<Vec<Option<Path>>> =
-        (0..num_sources).map(|_| vec![None; num_targets]).collect();
-    for (j, row) in r.paths.into_iter().enumerate() {
-        for (i, p) in row.into_iter().enumerate() {
-            paths[i][j] = p.map(|mut p| {
-                p.reverse();
-                p
-            });
+        (0..num_sources).map(|_| Vec::with_capacity(r.paths.len())).collect();
+    for row in r.paths {
+        debug_assert_eq!(row.len(), num_sources);
+        for (to, p) in paths.iter_mut().zip(row) {
+            to.push(p);
         }
     }
     let per_tree =

@@ -69,11 +69,18 @@ impl Path {
         // Non-adjacent consecutive nodes sum to ∞, which no distance meets.
         (arc_sum(g, &self.nodes) - self.distance).abs() <= eps * (1.0 + self.distance)
     }
+}
 
-    /// Reverse the path in place (valid on undirected networks).
-    pub fn reverse(&mut self) {
-        self.nodes.reverse();
-    }
+/// Which end of a tree's path a read puts first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PathOrder {
+    /// The tree's root first: a path out of a source-rooted tree, source
+    /// to target.
+    RootFirst,
+    /// The tree's root last: a path out of a tree rooted at a target (an
+    /// [`crate::SharingPolicy::Auto`] transposition), read straight in the
+    /// order it is delivered, source to target.
+    RootLast,
 }
 
 /// Left-to-right sum of the cheapest arc of every hop along `nodes` —
@@ -161,14 +168,6 @@ mod tests {
         let g = line_graph();
         let p = Path::new(vec![NodeId(0), NodeId(2)], 3.0);
         assert!(!p.verify(&g, 1e-9));
-    }
-
-    #[test]
-    fn reverse_swaps_endpoints() {
-        let mut p = Path::new(vec![NodeId(0), NodeId(1), NodeId(2)], 3.0);
-        p.reverse();
-        assert_eq!(p.source(), NodeId(2));
-        assert_eq!(p.destination(), NodeId(0));
     }
 
     #[test]

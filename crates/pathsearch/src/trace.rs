@@ -67,7 +67,7 @@
 
 use crate::arena::{NIL, SearchArena, ord_of};
 use crate::dijkstra::Goal;
-use crate::path::Path;
+use crate::path::{Path, PathOrder};
 use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
 use std::cmp::Reverse;
@@ -811,21 +811,29 @@ impl SweepTrace {
     /// one lane.
     fn path_to(&self, stop: Stop, t: NodeId) -> Option<Path> {
         let mut path = None;
-        self.walk(stop, std::slice::from_ref(&t), |p| path = p);
+        self.walk(stop, std::slice::from_ref(&t), PathOrder::RootFirst, |p| path = p);
         path
     }
 
-    /// Hand `emit`, target by target, the path from the root to each of
-    /// `targets` that settled at or before `stop`, and `None` for one that
-    /// settles later or never. Whether a target settled in time is one
-    /// compare of settle-order keys, not a rank query.
+    /// Hand `emit`, target by target, the path between the root and each
+    /// of `targets` that settled at or before `stop`, in `order`, and
+    /// `None` for one that settles later or never. Whether a target
+    /// settled in time is one compare of settle-order keys, not a rank
+    /// query.
     ///
     /// The parent chains of up to [`LANES`] targets advance side by side:
     /// the hop loads of different targets do not wait on one another, so
     /// their cache misses overlap. That walk counts each chain's hops, so
     /// each path gets one node buffer of exact capacity, and a second walk
-    /// fills it from the lines the first brought into cache.
-    fn walk(&self, stop: Stop, targets: &[NodeId], mut emit: impl FnMut(Option<Path>)) {
+    /// fills it from the lines the first brought into cache: back to front
+    /// for a root-first read, front to back for a root-last one.
+    fn walk(
+        &self,
+        stop: Stop,
+        targets: &[NodeId],
+        order: PathOrder,
+        mut emit: impl FnMut(Option<Path>),
+    ) {
         let last = stop.0.map(|last| self.key_at(last));
         for chunk in targets.chunks(LANES) {
             // Each lane's target if it settled in time, else `NIL`.
@@ -850,7 +858,7 @@ impl SweepTrace {
                     }
                 }
             }
-            // Fill: each chain again, into its buffer back to front.
+            // Fill: each chain again, from the target up.
             for k in 0..chunk.len() {
                 if from[k] == NIL {
                     emit(None);
@@ -858,9 +866,13 @@ impl SweepTrace {
                 }
                 let mut nodes = vec![NodeId(NIL); hops[k]];
                 let mut v = from[k];
-                for node in nodes.iter_mut().rev() {
+                let hop = |node: &mut NodeId| {
                     *node = NodeId(v);
                     v = self.index.parent(v);
+                };
+                match order {
+                    PathOrder::RootFirst => nodes.iter_mut().rev().for_each(hop),
+                    PathOrder::RootLast => nodes.iter_mut().for_each(hop),
                 }
                 emit(Some(Path::new(nodes, dist[k])));
             }
@@ -1134,15 +1146,17 @@ impl TreeView<'_> {
         }
     }
 
-    /// [`TreeView::path_to`] for each of `targets`, in order. A hit reads
-    /// them in one [`SweepTrace::walk`], its targets' parent chains side
-    /// by side.
-    pub(crate) fn paths_to(&self, targets: &[NodeId]) -> Vec<Option<Path>> {
+    /// [`TreeView::path_to`] for each of `targets`, in order, each path
+    /// read in `order`: root first for a source-rooted tree, root last for
+    /// a transposed one, so either comes out source to target as it is
+    /// delivered and nothing reverses it afterwards. A hit reads them in
+    /// one [`SweepTrace::walk`], its targets' parent chains side by side.
+    pub(crate) fn paths_to(&self, targets: &[NodeId], order: PathOrder) -> Vec<Option<Path>> {
         match *self {
-            TreeView::Arena(arena) => targets.iter().map(|&t| arena.path_to(t)).collect(),
+            TreeView::Arena(arena) => targets.iter().map(|&t| arena.read_path(t, order)).collect(),
             TreeView::Trace { trace, stop } => {
                 let mut paths = Vec::with_capacity(targets.len());
-                trace.walk(stop, targets, |p| paths.push(p));
+                trace.walk(stop, targets, order, |p| paths.push(p));
                 paths
             }
         }
@@ -1155,9 +1169,10 @@ mod tests {
     use crate::alt::{AltPreprocessing, GoalPotential};
     use crate::cache::tests::unbounded;
     use crate::dijkstra::{run_in, run_in_traced, run_tree};
+    use crate::multi::{SharingPolicy, TreeSide, msmd, msmd_in_guided_cached};
     use proptest::prelude::*;
     use roadnet::generators::{GridConfig, NetworkClass, grid_network};
-    use roadnet::{GraphBuilder, Point, RoadNetwork};
+    use roadnet::{EdgeId, GraphBuilder, Point, RoadNetwork};
 
     fn grid() -> roadnet::RoadNetwork {
         grid_network(&GridConfig { width: 12, height: 12, seed: 9, ..Default::default() }).unwrap()
@@ -1527,12 +1542,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lockstep_paths_equal_paths_read_one_by_one() {
-        let g = grid();
-        let n = g.num_nodes() as u32;
-        // The grid beside as many isolated nodes: a complete sweep settles
-        // half of it, so its trace ranks its columns by settled node.
+    /// `g` beside as many isolated nodes: a complete sweep settles half of
+    /// it, so its trace ranks its columns by settled node.
+    fn beside_as_many_isolated(g: &RoadNetwork) -> RoadNetwork {
         let mut b = GraphBuilder::new();
         for v in g.nodes() {
             b.add_node(g.point(v)).unwrap();
@@ -1540,10 +1552,17 @@ mod tests {
         for e in g.edges() {
             b.add_edge(e.a, e.b, e.weight).unwrap();
         }
-        for i in 0..n {
-            b.add_node(Point::new(-1e4 - f64::from(i), -1e4)).unwrap();
+        for i in 0..g.num_nodes() {
+            b.add_node(Point::new(-1e4 - i as f64, -1e4)).unwrap();
         }
-        let half = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn lockstep_paths_equal_paths_read_one_by_one() {
+        let g = grid();
+        let n = g.num_nodes() as u32;
+        let half = beside_as_many_isolated(&g);
         let root = NodeId(5);
         let mut arena = SearchArena::new();
         let (_, dense) = run_in_traced(&mut arena, &g, root, &Goal::AllNodes);
@@ -1572,7 +1591,8 @@ mod tests {
             for goal in goals {
                 let tag = format!("{tag} {goal:?}");
                 let view = trace.view(trace.stop_for(&goal).unwrap());
-                let lockstep: Vec<_> = view.paths_to(&targets).into_iter().map(bits).collect();
+                let lockstep: Vec<_> =
+                    view.paths_to(&targets, PathOrder::RootFirst).into_iter().map(bits).collect();
                 let one_by_one: Vec<_> = targets.iter().map(|&t| bits(view.path_to(t))).collect();
                 assert_eq!(lockstep, one_by_one, "{tag}");
                 let mut replay = SearchArena::new();
@@ -1583,6 +1603,85 @@ mod tests {
                 let early_stop = goal == Goal::Single(early);
                 assert_eq!(lockstep[lockstep.len() - 3].is_none(), early_stop, "{tag}: last");
             }
+        }
+    }
+
+    #[test]
+    fn delivery_order_reads_are_root_first_reads_reversed() {
+        let g = grid();
+        let mut ties = g.clone();
+        let integer: Vec<(EdgeId, f64)> =
+            (0..g.num_edges()).map(|e| (EdgeId::from_index(e), (e % 3 + 1) as f64)).collect();
+        ties.update_weights(&integer).unwrap();
+        let root = NodeId(5);
+        let reversed = |p: Option<Path>| {
+            bits(p.map(|p| Path::new(p.nodes().iter().rev().copied().collect(), p.distance())))
+        };
+        for (map, weights) in [(&g, "grid"), (&ties, "tie-heavy")] {
+            let n = map.num_nodes() as u32;
+            let half = beside_as_many_isolated(map);
+            // Nodes across the map, the isolated ones beside it on `half`
+            // (out of range on `map`), the root, a duplicate and one out of
+            // range on both: more than two chunks of lanes.
+            let mut targets: Vec<NodeId> = (0..2 * n).step_by(7).map(NodeId).collect();
+            targets.extend([root, NodeId(17), NodeId(17), NodeId(2 * n + 1)]);
+            let check = |view: TreeView<'_>, tag: &str| {
+                let first = view.paths_to(&targets, PathOrder::RootFirst);
+                let last = view.paths_to(&targets, PathOrder::RootLast);
+                assert!(first.iter().any(Option::is_none), "{tag}: an unread target");
+                assert!(first.iter().flatten().any(|p| p.num_edges() > 2), "{tag}: long paths");
+                for ((t, first), last) in targets.iter().zip(first).zip(last) {
+                    assert_eq!(bits(last), reversed(first), "{tag}: path to {t}");
+                }
+            };
+
+            let mut arena = SearchArena::new();
+            let early = Goal::Single(NodeId(100));
+            let (_, dense) = run_in_traced(&mut arena, map, root, &Goal::AllNodes);
+            let (_, sorted) = run_in_traced(&mut arena, &half, root, &Goal::AllNodes);
+            let (_, short) = run_in_traced(&mut arena, map, root, &early);
+            for (trace, form) in [(&dense, "dense"), (&sorted, "sorted"), (&short, "short")] {
+                assert_eq!(trace.index.sorted.is_none(), form == "dense");
+                for goal in [&early, &Goal::AllNodes] {
+                    if let Some(stop) = trace.stop_for(goal) {
+                        check(trace.view(stop), &format!("{weights} {form} trace, {goal:?}"));
+                    }
+                }
+            }
+            for m in [map, &half] {
+                for goal in [&early, &Goal::AllNodes] {
+                    run_in(&mut arena, m, root, goal);
+                    let tag = format!("{weights} arena, {} nodes, {goal:?}", m.num_nodes());
+                    check(TreeView::Arena(&arena), &tag);
+                }
+            }
+
+            // An `Auto` unit answers from trees rooted at its targets: its
+            // matrix is the swapped sets' `PerSource` matrix, transposed,
+            // each path reversed — grown, then adopted from the cache.
+            let sources: Vec<NodeId> = [0, 7, 31, 77, 100, 143].map(NodeId).to_vec();
+            let targets = vec![NodeId(66), NodeId(n + 3), NodeId(130)];
+            let mut cache = unbounded();
+            for round in 0..2 {
+                let auto = msmd_in_guided_cached(
+                    &mut arena,
+                    &half,
+                    &sources,
+                    &targets,
+                    SharingPolicy::Auto,
+                    None,
+                    &mut cache,
+                );
+                let swapped = msmd(&half, &targets, &sources, SharingPolicy::PerSource);
+                assert!(auto.per_tree.iter().all(|t| t.side == TreeSide::Target));
+                for (i, row) in auto.paths.into_iter().enumerate() {
+                    for (j, p) in row.into_iter().enumerate() {
+                        let expected = reversed(swapped.paths[j][i].clone());
+                        assert_eq!(bits(p), expected, "{weights} round {round}: ({i}, {j})");
+                    }
+                }
+            }
+            assert_eq!(cache.counters().0, targets.len() as u64, "{weights}: round 1 adopts");
         }
     }
 

@@ -9,10 +9,33 @@ use std::fmt;
 /// Identifier of a node (road junction / endpoint) in a [`crate::RoadNetwork`].
 ///
 /// Node ids are dense: a network with `n` nodes uses ids `0..n`.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Deserialize)]
 pub struct NodeId(pub u32);
+
+/// Serialized as its `u32`, as a derive would. A run of ids — a path's
+/// nodes, an endpoint set — goes to the sink as one
+/// [`serde::Sink::uints`], so the JSON writer prints and counts it without
+/// a float per id.
+impl serde::Serialize for NodeId {
+    fn to_value(&self) -> serde::Value {
+        self.0.to_value()
+    }
+
+    fn stream<S: serde::Sink>(&self, sink: &mut S) {
+        self.0.stream(sink)
+    }
+
+    fn stream_slice<S: serde::Sink>(ids: &[Self], sink: &mut S) {
+        sink.uints(ids)
+    }
+}
+
+impl From<NodeId> for u32 {
+    #[inline]
+    fn from(n: NodeId) -> u32 {
+        n.0
+    }
+}
 
 impl NodeId {
     /// The id as a `usize` index into node-indexed arrays.
@@ -107,6 +130,19 @@ mod tests {
         assert_eq!(format!("{}", NodeId(3)), "3");
         assert_eq!(format!("{:?}", EdgeId(9)), "e9");
         assert_eq!(format!("{}", EdgeId(9)), "9");
+    }
+
+    #[test]
+    fn a_run_of_node_ids_streams_what_its_tree_streams() {
+        use serde::Serialize;
+        let runs = [vec![], vec![NodeId(0)], vec![NodeId(9), NodeId(10), NodeId(u32::MAX)]];
+        for ids in runs {
+            let tree = ids.to_value();
+            assert_eq!(serde_json::to_string(&ids), serde_json::to_string(&tree));
+            assert_eq!(serde_json::to_string_pretty(&ids), serde_json::to_string_pretty(&tree));
+            assert_eq!(serde_json::serialized_len(&ids), serde_json::serialized_len(&tree));
+        }
+        assert_eq!(serde_json::to_string(&[NodeId(3), NodeId(14)][..]).unwrap(), "[3,14]");
     }
 
     #[test]

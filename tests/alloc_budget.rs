@@ -20,10 +20,10 @@
 //! see each other's (or the harness's) allocations.
 
 use opaque::{
-    AdmissionPolicy, BatchPolicy, CandidateResultsMsg, ClientId, ClientRequest, FakeSelection,
-    HopTraffic, ObfuscatedPathQuery, ObfuscatedQueryMsg, Obfuscator, OpaqueService, PathQuery,
-    Priority, ProtectionSettings, RequestMsg, ResultMsg, ServiceBuilder, ServiceEvent, Ticket,
-    wire_size,
+    AdmissionPolicy, BatchPolicy, CachePolicy, CandidateResultsMsg, ClientId, ClientRequest,
+    DirectionsBackend, FakeSelection, HopTraffic, ObfuscatedPathQuery, ObfuscatedQueryMsg,
+    Obfuscator, OpaqueService, PathQuery, Priority, ProtectionSettings, RequestMsg, ResultMsg,
+    ServiceBuilder, ServiceEvent, Ticket, wire_size,
 };
 use opaque_net::wire::{decode_message, encode_message};
 use opaque_net::{Connection, DEFAULT_MAX_FRAME, WireReply, WireRequest};
@@ -275,6 +275,59 @@ fn one_warm_request_stays_under_its_allocation_ceiling() {
     (0..8).for_each(&mut serve);
     let (n, ()) = allocations(|| serve(8));
     assert!(n <= CEILING, "one warm 1x1 request made {n} allocations (ceiling {CEILING})");
+}
+
+#[test]
+fn a_warm_auto_request_that_hits_a_cached_tree_stays_under_its_ceiling() {
+    // One 4×1 `Auto` request on a cached service, the shape of the
+    // benchmark's hotspot windows: its one tree is rooted at the target
+    // and adopted from the cache, its four paths read source to target
+    // straight off the trace. This test measured 34 while `count_fakes`
+    // built a hash set of the unit's true endpoints and the delivered path
+    // was cloned out of its candidate row; it measures 32 with both gone.
+    // The ceiling is that count: one more allocation per hit fails here.
+    const CEILING: u64 = 32;
+    let map =
+        grid_network(&GridConfig { width: 30, height: 30, seed: 3, ..Default::default() }).unwrap();
+    let mut service = ServiceBuilder::new()
+        .map(map)
+        .seed(14)
+        .fake_selection(FakeSelection::Uniform)
+        .sharing_policy(SharingPolicy::Auto)
+        .cache_policy(CachePolicy::Lru { trees: 64 })
+        .verify_results(false)
+        .batch_policy(BatchPolicy { max_batch: 1, max_delay: 3600.0 })
+        .admission_policy(AdmissionPolicy { queue_depth: 4, deadline: None })
+        .build()
+        .unwrap();
+    // Every trip ends at the hotspot; its fakes are keyed by the trip, so
+    // the same trip sent again sends the same query.
+    let request = |client: u32, trip: u32| {
+        ClientRequest::new(
+            ClientId(client),
+            PathQuery::new(NodeId(trip * 97 % 900), NodeId(465)),
+            ProtectionSettings::new(4, 1).unwrap(),
+        )
+    };
+    let serve = |service: &mut OpaqueService<opaque::DefaultBackend>, client: u32, trip: u32| {
+        let now = f64::from(client);
+        let _ = service.submit(request(client, trip), now);
+        let events = service.tick(now).expect("a valid request is no batch-fatal error");
+        assert!(
+            matches!(events.first(), Some(ServiceEvent::ResponseReady { .. })),
+            "request {client} was not delivered: {events:?}"
+        );
+    };
+    (0..8).for_each(|i| serve(&mut service, i, i));
+    serve(&mut service, 8, 3);
+    let hits = service.backend().stats().tree_cache_hits;
+    let (n, ()) = allocations(|| serve(&mut service, 9, 3));
+    assert_eq!(
+        service.backend().stats().tree_cache_hits,
+        hits + 1,
+        "the retried trip adopts its tree"
+    );
+    assert!(n <= CEILING, "one warm 4x1 Auto hit made {n} allocations (ceiling {CEILING})");
 }
 
 /// Allocations one independent 3×3 ring obfuscation makes on a

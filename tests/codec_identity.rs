@@ -19,17 +19,20 @@
 //! round-trips exactly (see `vendor/serde`).
 
 use opaque::{
-    BatchReport, CandidateResultsMsg, ClientId, ClusteringConfig, HopTraffic, ObfuscatedPathQuery,
-    ObfuscatedQueryMsg, ObfuscationMode, PathQuery, Priority, ProtectionSettings, RejectReason,
-    RequestMsg, ResultMsg, Ticket, wire_size,
+    BatchReport, CachePolicy, CandidateResultsMsg, ClientId, ClusteringConfig, DirectionsBackend,
+    FakeSelection, HopTraffic, ObfuscatedPathQuery, ObfuscatedQueryMsg, ObfuscationMode,
+    PartitionPolicy, PathQuery, Priority, ProtectionSettings, RejectReason, RequestMsg, ResultMsg,
+    ServiceBuilder, Ticket, wire_size,
 };
 use opaque_net::wire::{decode_message, encode_message};
 use opaque_net::{NetError, WireReply, WireRequest};
-use pathsearch::Path;
+use pathsearch::{Path, SharingPolicy};
 use proptest::prelude::*;
-use roadnet::NodeId;
+use roadnet::generators::{GeometricConfig, random_geometric};
+use roadnet::{NodeId, SpatialIndex};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt::Debug;
+use workload::{ProtectionDistribution, QueryDistribution, WorkloadConfig, generate_requests};
 
 /// Checks 1, 2 and — when `finite` — 4 for one message.
 fn check<M: Serialize + Deserialize + PartialEq + std::fmt::Debug>(m: &M, finite: bool) {
@@ -520,4 +523,56 @@ fn decode_outcome_table() {
         assert_eq!(got, rejected(None), "{input}");
     }
     assert!(n > 600, "the table shrank to {n} rows");
+}
+
+#[test]
+fn hop_traffic_of_fixed_service_windows_is_pinned() {
+    // Every byte a batch report prices, pinned on two windows of the
+    // benchmark's cached 20 000-node geometric deployment (uniform fakes,
+    // 2 region-owned shards, `Lru{64}`): a warm `Auto` 4×1 hotspot window
+    // of 16, whose one-target trees are transposed and almost all adopted
+    // from the first window's, and a 3×3 `PerSource` window of 4.
+    let map =
+        random_geometric(&GeometricConfig { num_nodes: 20_000, seed: 14, ..Default::default() })
+            .unwrap();
+    let index = SpatialIndex::build(&map);
+    let requests = |queries, (f_s, f_t), num_requests| {
+        let protection = ProtectionDistribution::Fixed { f_s, f_t };
+        generate_requests(
+            &map,
+            &index,
+            &WorkloadConfig { num_requests, queries, protection, seed: 14 },
+        )
+    };
+    let traffic = |sharing, windows: &[&[opaque::ClientRequest]]| {
+        let mut service = ServiceBuilder::new()
+            .map(map.clone())
+            .seed(14)
+            .fake_selection(FakeSelection::Uniform)
+            .sharing_policy(sharing)
+            .obfuscation_mode(ObfuscationMode::Independent)
+            .shards(2)
+            .partition_policy(PartitionPolicy::RegionOwned { halo: 2 })
+            .cache_policy(CachePolicy::Lru { trees: 64 })
+            .build()
+            .unwrap();
+        let mut last = HopTraffic::default();
+        for window in windows {
+            let response = service.process_batch(window).unwrap();
+            assert_eq!(response.results.len(), window.len(), "every request is delivered");
+            last = response.report.traffic;
+        }
+        let hits = service.backend().stats().tree_cache_hits;
+        let t = last;
+        ([t.requests_bytes, t.queries_bytes, t.candidates_bytes, t.results_bytes], hits)
+    };
+    let hotspot = QueryDistribution::Hotspot { hotspots: 4, exponent: 1.0, spread: 0.003 };
+    let trips = requests(hotspot, (4, 1), 32);
+    let (warm, hits) = traffic(SharingPolicy::Auto, &[&trips[..16], &trips[16..]]);
+    assert!(hits > 0, "the warm window adopts trees");
+    let (per_source, _) =
+        traffic(SharingPolicy::PerSource, &[&requests(QueryDistribution::Uniform, (3, 3), 4)]);
+    // Requests, queries, candidates and results, in bytes.
+    assert_eq!(warm, [1402, 1198, 50668, 12051]);
+    assert_eq!(per_source, [348, 323, 24438, 2082]);
 }
