@@ -15,7 +15,8 @@
 //!   are owned by the arena and reused, so repeated queries on the same
 //!   graph touch no allocator once the high-water capacity is reached. A
 //!   recorded sweep allocates only the trace it hands to a tree cache,
-//!   which its recording writes in place (`trace::Recording`).
+//!   which its recording writes in place (`trace::Recording`), reading
+//!   each settle's parent back from this arena when it finishes.
 //!
 //! The heap holds 16-byte `FrontierEntry`s ordered by integers alone: the
 //! float key is encoded once, at push, into a `u64` whose unsigned order is
@@ -27,11 +28,15 @@
 //! Callers hold an arena and drive it through [`crate::dijkstra::run_in`] /
 //! [`crate::dijkstra::run_in_traced`], reading the labels back with
 //! [`SearchArena::distance`] / [`SearchArena::path_to`];
-//! [`crate::multi::msmd_in`] runs whole MSMD queries inside one.
+//! [`crate::multi::msmd_in`] runs whole MSMD queries inside one. A path is
+//! read by the crate's one counted parent walk (`path::walk`), which a
+//! cache hit's stored trace is read by too: the hops are counted first, so
+//! each path gets one node buffer of exact size, root first or root last.
 
 use crate::bucket::{Buckets, Labels};
-use crate::path::{Path, PathOrder};
+use crate::path::{Path, PathOrder, walk};
 use crate::stats::SearchStats;
+use crate::trace::TreeView;
 use roadnet::NodeId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -289,8 +294,8 @@ impl SearchArena {
     }
 
     /// Unchecked parent read ([`NIL`] for roots): call only when the label
-    /// is known current. Used by the sweep recorder to snapshot final
-    /// labels at settle time.
+    /// is known current. A finished recording reads its settles' parents
+    /// here: a settled label never changes afterwards.
     #[inline]
     pub(crate) fn parent_raw(&self, node: NodeId) -> u32 {
         self.parent[self.slot(node)]
@@ -422,41 +427,22 @@ impl SearchArena {
         stats
     }
 
-    /// Reconstruct the path from the root to `t` by walking parents.
-    /// `None` when `t` carries no current-generation label.
+    /// The path from the root to `t`, read by the crate's one parent walk:
+    /// `None` when `t` is out of range or carries no current-generation
+    /// label. A node labelled beyond the goal but not settled reads its
+    /// tentative path.
     pub fn path_to(&self, t: NodeId) -> Option<Path> {
-        self.read_path(t, PathOrder::RootFirst)
+        TreeView::Arena(self).path_to(t)
     }
 
-    /// The path between the root and `t`, in `order`: the parent walk
-    /// gives it root last, so only a root-first read reverses it.
-    pub(crate) fn read_path(&self, t: NodeId, order: PathOrder) -> Option<Path> {
-        if t.index() >= self.nodes || !self.is_labelled(t) {
-            return None;
-        }
-        let mut nodes = vec![t];
-        self.walk_parents(t, &mut nodes);
-        if order == PathOrder::RootFirst {
-            nodes.reverse();
-        }
-        Some(Path::new(nodes, self.dist[self.slot(t)]))
-    }
-
-    /// Walk the parent chain from `t` to the root, appending every node
-    /// *after* `t` itself to `out` (root last). Used by
-    /// [`SearchArena::path_to`] and by bidirectional search to stitch its
-    /// two trees at their meeting node.
-    pub(crate) fn walk_parents(&self, t: NodeId, out: &mut Vec<NodeId>) {
-        let mut cur = t;
-        loop {
-            let p = self.parent[self.slot(cur)];
-            if p == NIL {
-                break;
-            }
-            cur = NodeId(p);
-            out.push(cur);
-            debug_assert!(out.len() <= self.nodes + 1, "parent cycle");
-        }
+    /// The paths to `targets`, read by [`walk`] off this arena's labels.
+    pub(crate) fn read_paths(
+        &self,
+        targets: &[NodeId],
+        order: PathOrder,
+        emit: impl FnMut(usize, Option<Path>),
+    ) {
+        walk(targets, order, self.nodes, |t| self.distance(t), |v| self.parent[v as usize], emit);
     }
 
     /// Take the reusable goal buffer (restore it with
@@ -523,7 +509,7 @@ impl Labels for SearchArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::{Goal, run_in};
+    use crate::dijkstra::{Goal, run_in, run_in_traced};
     use proptest::prelude::*;
     use roadnet::generators::{GridConfig, grid_network};
     use roadnet::{GraphBuilder, Point};
@@ -684,6 +670,34 @@ mod tests {
             prop_assert!(orders_agree((ka, nodes.0), (kb, nodes.1)));
             // Equal keys: the tie-break on the node decides.
             prop_assert!(orders_agree((ka, nodes.0), (ka, nodes.1)));
+        }
+    }
+
+    #[test]
+    fn path_reads_hold_their_contract() {
+        // 0 —1— 1 —10— 3 —1— 4 and 0 —2— 2 —1— 3: the heap sweep for node 2
+        // settles 0, 1 and 2 and stops with node 3 labelled at 11 through
+        // node 1 (its final label is 3, through node 2) and node 4 unlabelled.
+        let mut b = GraphBuilder::new();
+        for i in 0..5 {
+            b.add_node(Point::new(i as f64, 0.0)).unwrap();
+        }
+        for (x, y, w) in [(0, 1, 1.0), (1, 3, 10.0), (0, 2, 2.0), (2, 3, 1.0), (3, 4, 1.0)] {
+            b.add_edge(NodeId(x), NodeId(y), w).unwrap();
+        }
+        let g = b.build().unwrap();
+        let mut a = SearchArena::new();
+        // The generation before labels every slot of a larger map.
+        run_in(&mut a, &line(8), NodeId(0), &Goal::AllNodes);
+        run_in_traced(&mut a, &g, NodeId(0), &Goal::Single(NodeId(2)));
+        let path =
+            |nodes: &[u32], d| Some(Path::new(nodes.iter().map(|&v| NodeId(v)).collect(), d));
+        assert_eq!(a.path_to(NodeId(2)), path(&[0, 2], 2.0), "the goal");
+        assert_eq!(a.path_to(NodeId(0)), path(&[0], 0.0), "the root");
+        assert_eq!(a.path_to(NodeId(3)), path(&[0, 1, 3], 11.0), "a tentative label");
+        assert_eq!(a.path_to(NodeId(4)), None, "labelled only by the generation before");
+        for out in [5, 7, NIL - 1] {
+            assert_eq!(a.path_to(NodeId(out)), None, "node {out} is out of range");
         }
     }
 

@@ -17,7 +17,7 @@
 //! search then uses the same adjacency as the forward one.
 
 use crate::arena::SearchArena;
-use crate::path::{Path, arc_sum};
+use crate::path::{Path, PathOrder, arc_sum};
 use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
 
@@ -98,17 +98,18 @@ pub fn bidirectional<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> (Option<Path>
         }
     }
 
-    // Stitch at the meeting node: the forward chain s … meet, then the
-    // backward chain out to t (its parents lead *to* t; weights are
-    // symmetric). The distance is re-summed source→target, not taken from
-    // `mu`: `mu` adds two half-distances at whichever meeting node was found
-    // first and can differ from the single-tree Dijkstra sum in the last ulp;
-    // the forward re-sum matches that sum bit-for-bit.
+    // Stitch at the meeting node: the forward tree's path s … meet, then
+    // the backward tree's read root last, meet … t (its parents lead *to*
+    // t; weights are symmetric). The distance is re-summed source→target,
+    // not taken from `mu`: `mu` adds two half-distances at whichever meeting
+    // node was found first and can differ from the single-tree Dijkstra sum
+    // in the last ulp; the forward re-sum matches that sum bit-for-bit.
     let path = mu.is_finite().then(|| {
-        let mut nodes = vec![meet];
-        trees[0].walk_parents(meet, &mut nodes); // meet … s
-        nodes.reverse(); // s … meet
-        trees[1].walk_parents(meet, &mut nodes); // … t
+        let (mut head, mut tail) = (None, None);
+        trees[0].read_paths(&[meet], PathOrder::RootFirst, |_, p| head = p);
+        trees[1].read_paths(&[meet], PathOrder::RootLast, |_, p| tail = p);
+        let (head, tail) = (head.expect("meet is labelled"), tail.expect("meet is labelled"));
+        let nodes: Vec<NodeId> = head.nodes().iter().chain(&tail.nodes()[1..]).copied().collect();
         let d = arc_sum(g, &nodes);
         Path::new(nodes, d)
     });

@@ -137,7 +137,7 @@ impl SettleSink for Recorder {
     #[inline]
     fn on_settle(&mut self, arena: &SearchArena, node: NodeId) {
         if !self.cut {
-            self.cut = !self.recording.push(node.0, arena.parent_raw(node), arena.dist_raw(node));
+            self.cut = !self.recording.push(node.0, arena.dist_raw(node));
         }
     }
 
@@ -317,7 +317,7 @@ fn grow_traced<G: GraphView>(
         budget: usize::MAX,
     };
     let end = run_in_sink(arena, g, root, goal, &mut zero_pot, &mut rec);
-    let trace = rec.recording.finish(rec.exhausted && !rec.cut);
+    let trace = rec.recording.finish(arena, rec.exhausted && !rec.cut);
     (trace.stats_for(goal).unwrap_or(end), trace)
 }
 

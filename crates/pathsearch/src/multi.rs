@@ -15,18 +15,21 @@
 //!   `O(Σ_{s∈S} max_{t∈T} ‖s,t‖²)` bound;
 //! * [`SharingPolicy::Auto`] — per-source sharing over the smaller of the
 //!   two sides: when `|T| < |S|` and the network is symmetric (undirected),
-//!   run one multi-destination search per *target* instead and transpose,
-//!   reducing the spanning-tree count from `|S|` to `min(|S|, |T|)`.
+//!   run one multi-destination search per *target* instead, reducing the
+//!   spanning-tree count from `|S|` to `min(|S|, |T|)`; each target tree's
+//!   paths are read root last, source to target, straight into the source
+//!   rows of the result.
 //!
 //! Every tree of every policy is one sweep of the adopt-or-grow entry
 //! [`run_tree`], so each can be guided by ALT and served from a
 //! [`TreeCache`], and every answer is read from the [`crate::TreeView`] it
-//! returns. Trees
-//! grown for real run inside a caller-provided [`SearchArena`]
-//! ([`msmd_in`]): without a cache, a server evaluating a query stream
-//! touches no allocator beyond the result paths. A tree-cache hit is read
-//! straight from the stored trace and writes no arena slot; a miss also
-//! allocates the trace it stores.
+//! returns — grown or adopted, through the crate's one counted parent walk,
+//! which writes each path, in one node buffer of exact size, straight into
+//! its row of the result. Trees grown for real run inside a caller-provided
+//! [`SearchArena`] ([`msmd_in`]): without a cache, a server evaluating a
+//! query stream touches no allocator beyond the result matrix. A tree-cache
+//! hit is read straight from the stored trace and writes no arena slot; a
+//! miss also allocates the trace it stores.
 
 use crate::alt::{AltPreprocessing, GoalPotential};
 use crate::arena::SearchArena;
@@ -234,13 +237,12 @@ fn evaluate<G: GraphView>(
         // Transposed trees really grow from the targets, but the sweep
         // itself is an ordinary forward sweep (the view is symmetric), so
         // they share cache entries with source-rooted trees at the same
-        // node. Their paths are read root last: source to target.
-        SharingPolicy::Auto if targets.len() < sources.len() && g.is_symmetric() => transpose(
-            per_source(arena, g, targets, sources, pre, cache, PathOrder::RootLast),
-            sources.len(),
-        ),
+        // node.
+        SharingPolicy::Auto if targets.len() < sources.len() && g.is_symmetric() => {
+            per_source(arena, g, targets, sources, pre, cache, TreeSide::Target)
+        }
         SharingPolicy::PerSource | SharingPolicy::Auto => {
-            per_source(arena, g, sources, targets, pre, cache, PathOrder::RootFirst)
+            per_source(arena, g, sources, targets, pre, cache, TreeSide::Source)
         }
     }
 }
@@ -276,53 +278,42 @@ fn naive<G: GraphView>(
     MsmdResult { paths, stats, per_tree }
 }
 
-/// One (possibly adopted) multi-destination tree per source. All share
-/// one [`GoalPotential`] over the target set; each tree retires from its
-/// own live copy the targets it settles, so the sweep that has reached the
-/// near targets aims at the far ones instead of at their spread. Each
-/// path is read in `order`.
+/// One (possibly adopted) multi-destination tree per root, each goaled at
+/// every leaf. All share one [`GoalPotential`] over the leaves; each tree
+/// retires from its own live copy the leaves it settles, so the sweep that
+/// has reached the near leaves aims at the far ones instead of at their
+/// spread. `side` says which of the query's sets the roots are. Source
+/// trees are read root first, one source row each. Target trees (an
+/// [`SharingPolicy::Auto`] transposition) are read root last, source to
+/// target, and tree `j`'s path from source `k` goes straight onto source
+/// row `k`, column `j`, so nothing reshapes the matrix afterwards.
 fn per_source<G: GraphView>(
     arena: &mut SearchArena,
     g: &G,
-    sources: &[NodeId],
-    targets: &[NodeId],
+    roots: &[NodeId],
+    leaves: &[NodeId],
     pre: Option<&AltPreprocessing>,
     mut cache: Option<&mut TreeCache>,
-    order: PathOrder,
+    side: TreeSide,
 ) -> MsmdResult {
-    let pot = pre.map(|p| p.goal_potential(targets));
+    let pot = pre.map(|p| p.goal_potential(leaves));
     let mut stats = SearchStats::default();
-    let mut per_tree = Vec::with_capacity(sources.len());
-    let goal = Goal::Set(targets.to_vec());
-    let mut paths = Vec::with_capacity(sources.len());
-    for &s in sources {
-        let (run, view) = run_tree(arena, g, s, &goal, pot.as_ref(), cache.as_deref_mut());
-        paths.push(view.paths_to(targets, order));
+    let mut per_tree = Vec::with_capacity(roots.len());
+    let goal = Goal::Set(leaves.to_vec());
+    let (order, rows, columns) = match side {
+        TreeSide::Source => (PathOrder::RootFirst, roots.len(), leaves.len()),
+        TreeSide::Target => (PathOrder::RootLast, leaves.len(), roots.len()),
+    };
+    let mut paths: Vec<Vec<Option<Path>>> =
+        (0..rows).map(|_| Vec::with_capacity(columns)).collect();
+    for (i, &root) in roots.iter().enumerate() {
+        let (run, view) = run_tree(arena, g, root, &goal, pot.as_ref(), cache.as_deref_mut());
+        let row = |k| if side == TreeSide::Source { i } else { k };
+        view.paths_to(leaves, order, |k, p| paths[row(k)].push(p));
         stats.merge(run);
-        per_tree.push(TreeStats { root: s, side: TreeSide::Source, stats: run });
+        per_tree.push(TreeStats { root, side, stats: run });
     }
     MsmdResult { paths, stats, per_tree }
-}
-
-/// Transpose a result computed with sources/targets swapped (undirected
-/// networks only): row `j` of `r` answers target `j` for every source, so
-/// its `i`-th path moves to row `i`, column `j`. The paths were read root
-/// last ([`PathOrder::RootLast`]), already oriented `s → t`, so this only
-/// reshapes the matrix. The per-tree attribution is flipped to
-/// [`TreeSide::Target`] — the trees really grew from the original query's
-/// *targets*.
-fn transpose(r: MsmdResult, num_sources: usize) -> MsmdResult {
-    let mut paths: Vec<Vec<Option<Path>>> =
-        (0..num_sources).map(|_| Vec::with_capacity(r.paths.len())).collect();
-    for row in r.paths {
-        debug_assert_eq!(row.len(), num_sources);
-        for (to, p) in paths.iter_mut().zip(row) {
-            to.push(p);
-        }
-    }
-    let per_tree =
-        r.per_tree.into_iter().map(|t| TreeStats { side: TreeSide::Target, ..t }).collect();
-    MsmdResult { paths, stats: r.stats, per_tree }
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
-//! The result-path type returned by every search algorithm.
+//! The result-path type returned by every search algorithm, and the one
+//! walk that reads a path out of a shortest-path tree.
 
+use crate::arena::NIL;
 use roadnet::{GraphView, NodeId};
 
 /// A path `⟨(s, n₀), (n₀, n₁), … (n_y, t)⟩` (§III-A) with its total
@@ -81,6 +83,71 @@ pub(crate) enum PathOrder {
     /// [`crate::SharingPolicy::Auto`] transposition), read straight in the
     /// order it is delivered, source to target.
     RootLast,
+}
+
+/// How many targets' parent chains [`walk`] advances side by side.
+pub(crate) const LANES: usize = 8;
+
+/// The one root-to-target path reader, over a tree of a `nodes`-node map
+/// wherever its labels live: `held` gives a target's distance if the tree
+/// holds it (`None` for a node out of range, unlabelled or past the read's
+/// stop), and `parent` the next node up a held chain ([`NIL`] past the
+/// root). Hands `emit`, target by target, each target's index in `targets`
+/// and the path between the root and it in `order`, or `None`.
+///
+/// The parent chains of up to [`LANES`] targets advance side by side: the
+/// hop loads of different targets do not wait on one another, so their
+/// cache misses overlap. That walk counts each chain's hops, so each path
+/// gets one node buffer of exact capacity, and a second walk fills it from
+/// the lines the first brought into cache: back to front for a root-first
+/// read, front to back for a root-last one.
+pub(crate) fn walk(
+    targets: &[NodeId],
+    order: PathOrder,
+    nodes: usize,
+    held: impl Fn(NodeId) -> Option<f64>,
+    parent: impl Fn(u32) -> u32,
+    mut emit: impl FnMut(usize, Option<Path>),
+) {
+    for (c, chunk) in targets.chunks(LANES).enumerate() {
+        // Each lane's target if the tree holds it, else `NIL`.
+        let (mut from, mut dist) = ([NIL; LANES], [0.0; LANES]);
+        for (k, &t) in chunk.iter().enumerate() {
+            if let Some(d) = held(t) {
+                (from[k], dist[k]) = (t.0, d);
+            }
+        }
+        // Count: one hop of every live chain per round.
+        let (mut at, mut hops) = (from, [0usize; LANES]);
+        let mut live = from.iter().filter(|&&v| v != NIL).count();
+        while live > 0 {
+            for k in 0..chunk.len() {
+                if at[k] != NIL {
+                    hops[k] += 1;
+                    debug_assert!(hops[k] <= nodes, "parent cycle");
+                    at[k] = parent(at[k]);
+                    live -= usize::from(at[k] == NIL);
+                }
+            }
+        }
+        // Fill: each chain again, from the target up.
+        for k in 0..chunk.len() {
+            let path = (from[k] != NIL).then(|| {
+                let mut nodes = vec![NodeId(NIL); hops[k]];
+                let mut v = from[k];
+                let hop = |node: &mut NodeId| {
+                    *node = NodeId(v);
+                    v = parent(v);
+                };
+                match order {
+                    PathOrder::RootFirst => nodes.iter_mut().rev().for_each(hop),
+                    PathOrder::RootLast => nodes.iter_mut().for_each(hop),
+                }
+                Path::new(nodes, dist[k])
+            });
+            emit(c * LANES + k, path);
+        }
+    }
 }
 
 /// Left-to-right sum of the cheapest arc of every hop along `nodes` —

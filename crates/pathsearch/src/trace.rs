@@ -18,16 +18,19 @@
 //! parent node, one entry per map node for a trace that settled most of
 //! its map, ranked by the settled nodes otherwise. The recording sweep
 //! writes that form as it settles (`Recording`): each settle lands in its
-//! bucket and its node's columns once, and nothing is copied after.
+//! bucket and its node's slot once. Its parent is not copied as it settles:
+//! the arena the sweep grew in holds it, and the finished recording reads
+//! it from there.
 //!
 //! Because plain Dijkstra from a fixed root is deterministic and its goal
 //! only ever decides *when to stop*, any two sweeps from the same root are
 //! prefixes of one another. Adopting a trace for a goal is therefore a
 //! **read of its goal-stop prefix**: the settles a fresh sweep with that
 //! goal would make before stopping. [`crate::dijkstra::run_tree`] answers
-//! a hit with a [`TreeView`] over that prefix — a path is read by walking
-//! the target's parent nodes, several targets side by side, and the arena
-//! is never touched — which gives the two guarantees the cache needs:
+//! a hit with a [`TreeView`] over that prefix — a path is read by the
+//! crate's one counted parent walk, the one a grown tree in the arena is
+//! read by, several targets side by side, and the arena is never touched —
+//! which gives the two guarantees the cache needs:
 //!
 //! * **answers** — adopted labels are settled, hence exact; paths read
 //!   back identically to a fresh run;
@@ -67,7 +70,7 @@
 
 use crate::arena::{NIL, SearchArena, ord_of};
 use crate::dijkstra::Goal;
-use crate::path::{Path, PathOrder};
+use crate::path::{Path, PathOrder, walk};
 use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
 use std::cmp::Reverse;
@@ -116,10 +119,6 @@ const _: () = assert!(2 * BUCKET < 1 << POS_BITS, "a bucket about to split fits 
 /// [`BUCKET`] settles during a repair, its handles fit the slot's high
 /// bits. A longer sweep (≈ 6 GB) is recorded up to here, incomplete.
 const MAX_BUCKETED: usize = 1 << 28;
-
-/// How many targets' parent chains a hit's path read advances side by
-/// side (see [`SweepTrace::walk`]).
-const LANES: usize = 8;
 
 #[inline]
 fn slot(handle: usize, pos: usize) -> u32 {
@@ -479,24 +478,24 @@ impl KeyBuckets {
 
 /// A plain sweep being recorded, written one settle at a time straight into
 /// the form a [`SweepTrace`] keeps: [`BUCKET`] consecutive settles per key
-/// bucket, and node → slot and node → parent columns, one entry per map
-/// node. Each settle's out-degree is written when the sweep expands it, so
-/// the recording holds no counter: a position and a `relaxed` snapshot are
-/// read back from settles and degrees. Only the recording sweep behind
+/// bucket, and a node → slot column, one entry per map node. Each settle's
+/// out-degree is written when the sweep expands it, so the recording holds
+/// no counter: a position and a `relaxed` snapshot are read back from
+/// settles and degrees. Nor does it copy the tree: the arena the sweep
+/// grew in already holds each settle's parent, and
+/// [`Recording::finish`] reads it there. Only the recording sweep behind
 /// [`crate::dijkstra::run_tree`] and [`crate::dijkstra::run_in_traced`]
 /// writes one.
 pub(crate) struct Recording {
     buckets: KeyBuckets,
     /// Node → slot, [`NIL`] for a node not recorded.
     at: Vec<u32>,
-    /// Node → its parent node ([`NIL`] for the root and unrecorded nodes).
-    parent: Vec<u32>,
 }
 
 impl Recording {
     /// An empty recording of a sweep over `nodes` map nodes.
     pub(crate) fn new(nodes: usize) -> Self {
-        Recording { buckets: KeyBuckets::default(), at: vec![NIL; nodes], parent: vec![NIL; nodes] }
+        Recording { buckets: KeyBuckets::default(), at: vec![NIL; nodes] }
     }
 
     /// Settles recorded.
@@ -504,13 +503,12 @@ impl Recording {
         self.buckets.len
     }
 
-    /// Record the settle of `node` at `dist` under `parent` ([`NIL`] for the
-    /// root). Records nothing and returns `false` on a settle that does not
-    /// strictly follow the last one in `(dist, node)` order — only a
-    /// zero-weight tie or a sum that absorbs a weight makes one — or with
-    /// [`MAX_BUCKETED`] recorded: the recording ends at the sweep's
-    /// key-ordered prefix.
-    pub(crate) fn push(&mut self, node: u32, parent: u32, dist: f64) -> bool {
+    /// Record the settle of `node` at `dist`. Records nothing and returns
+    /// `false` on a settle that does not strictly follow the last one in
+    /// `(dist, node)` order — only a zero-weight tie or a sum that absorbs a
+    /// weight makes one — or with [`MAX_BUCKETED`] recorded: the recording
+    /// ends at the sweep's key-ordered prefix.
+    pub(crate) fn push(&mut self, node: u32, dist: f64) -> bool {
         let (key, len) = ((ord_of(dist), node), self.buckets.len);
         let last = self.buckets.buckets.last().and_then(|b| b.entries.last());
         if len == MAX_BUCKETED || last.is_some_and(|e| key <= e.key()) {
@@ -533,7 +531,6 @@ impl Recording {
         b.buckets[handle].entries.push(Entry { dist, node, degree: 0 });
         b.len += 1;
         self.at[node as usize] = slot(handle, len % BUCKET);
-        self.parent[node as usize] = parent;
         true
     }
 
@@ -546,12 +543,16 @@ impl Recording {
         b.degrees += degree;
     }
 
-    /// The trace of this recording, given whether the sweep exhausted the
-    /// root's component in key order. A complete trace that settled at
-    /// least two thirds of its map keeps the columns as its node-addressed
-    /// [`SettledIndex`]; any other ranks them by its settled nodes. The
-    /// root is the first settle: a sweep settles its root first.
-    pub(crate) fn finish(mut self, complete: bool) -> SweepTrace {
+    /// The trace of this recording, given `arena`, which the sweep grew in,
+    /// and whether the sweep exhausted the root's component in key order.
+    /// Each recorded settle's parent is read from `arena`: a settled label
+    /// never changes afterwards. A complete trace that settled at least two
+    /// thirds of its map keeps the slot column, and a parent column beside
+    /// it ([`NIL`] where nothing settled), as its node-addressed
+    /// [`SettledIndex`]; any other ranks both by its settled nodes, found by
+    /// a scan of the slot column. The root is the first settle: a sweep
+    /// settles its root first.
+    pub(crate) fn finish(mut self, arena: &SearchArena, complete: bool) -> SweepTrace {
         let b = &mut self.buckets;
         if let Some(last) = b.buckets.last_mut() {
             last.entries.shrink_to_fit();
@@ -559,15 +560,17 @@ impl Recording {
         b.buckets.shrink_to_fit();
         b.order.shrink_to_fit();
         let (root, nodes, len) = (NodeId(b.buckets[0].entries[0].node), self.at.len(), b.len);
+        let parent = |v: u32| arena.parent_raw(NodeId(v));
         let index = if complete && 3 * len >= 2 * nodes {
-            SettledIndex { sorted: None, at: self.at, parent: self.parent }
+            let parents = self.at.iter().zip(0..);
+            let parent = parents.map(|(&at, v)| if at == NIL { NIL } else { parent(v) }).collect();
+            SettledIndex { sorted: None, at: self.at, parent }
         } else {
             let mut settled = Vec::with_capacity(len);
             settled.extend((0..nodes as u32).filter(|&v| self.at[v as usize] != NIL));
-            let ranked = |column: &[u32]| settled.iter().map(|&v| column[v as usize]).collect();
             SettledIndex {
-                at: ranked(&self.at),
-                parent: ranked(&self.parent),
+                at: settled.iter().map(|&v| self.at[v as usize]).collect(),
+                parent: settled.iter().map(|&v| parent(v)).collect(),
                 sorted: Some(settled),
             }
         };
@@ -804,79 +807,6 @@ impl SweepTrace {
     /// The view a hit answers with: this trace's prefix up to `stop`.
     pub(crate) fn view(&self, stop: Stop) -> TreeView<'_> {
         TreeView::Trace { trace: self, stop }
-    }
-
-    /// The path from the root to `t` if `t` settled at or before `stop`,
-    /// `None` when `t` settles later or never: a [`SweepTrace::walk`] with
-    /// one lane.
-    fn path_to(&self, stop: Stop, t: NodeId) -> Option<Path> {
-        let mut path = None;
-        self.walk(stop, std::slice::from_ref(&t), PathOrder::RootFirst, |p| path = p);
-        path
-    }
-
-    /// Hand `emit`, target by target, the path between the root and each
-    /// of `targets` that settled at or before `stop`, in `order`, and
-    /// `None` for one that settles later or never. Whether a target
-    /// settled in time is one compare of settle-order keys, not a rank
-    /// query.
-    ///
-    /// The parent chains of up to [`LANES`] targets advance side by side:
-    /// the hop loads of different targets do not wait on one another, so
-    /// their cache misses overlap. That walk counts each chain's hops, so
-    /// each path gets one node buffer of exact capacity, and a second walk
-    /// fills it from the lines the first brought into cache: back to front
-    /// for a root-first read, front to back for a root-last one.
-    fn walk(
-        &self,
-        stop: Stop,
-        targets: &[NodeId],
-        order: PathOrder,
-        mut emit: impl FnMut(Option<Path>),
-    ) {
-        let last = stop.0.map(|last| self.key_at(last));
-        for chunk in targets.chunks(LANES) {
-            // Each lane's target if it settled in time, else `NIL`.
-            let (mut from, mut dist) = ([NIL; LANES], [0.0; LANES]);
-            for (k, &t) in chunk.iter().enumerate() {
-                let Some(at) = self.slot(t) else { continue };
-                let e = self.buckets.entry(at);
-                if last.is_none_or(|last| e.key() <= last) {
-                    (from[k], dist[k]) = (t.0, e.dist);
-                }
-            }
-            // Count: one hop of every live chain per round.
-            let (mut at, mut hops) = (from, [0usize; LANES]);
-            let mut live = from.iter().filter(|&&v| v != NIL).count();
-            while live > 0 {
-                for k in 0..chunk.len() {
-                    if at[k] != NIL {
-                        hops[k] += 1;
-                        debug_assert!(hops[k] <= self.nodes, "parent cycle");
-                        at[k] = self.index.parent(at[k]);
-                        live -= usize::from(at[k] == NIL);
-                    }
-                }
-            }
-            // Fill: each chain again, from the target up.
-            for k in 0..chunk.len() {
-                if from[k] == NIL {
-                    emit(None);
-                    continue;
-                }
-                let mut nodes = vec![NodeId(NIL); hops[k]];
-                let mut v = from[k];
-                let hop = |node: &mut NodeId| {
-                    *node = NodeId(v);
-                    v = self.index.parent(v);
-                };
-                match order {
-                    PathOrder::RootFirst => nodes.iter_mut().rev().for_each(hop),
-                    PathOrder::RootLast => nodes.iter_mut().for_each(hop),
-                }
-                emit(Some(Path::new(nodes, dist[k])));
-            }
-        }
     }
 
     /// Every settle as `(node, dist, parent node)` ([`NIL`] for the root),
@@ -1138,26 +1068,38 @@ impl TreeView<'_> {
     /// settle `t`. Equal, node for node and bit for bit in distance, to a
     /// fresh sweep's [`SearchArena::path_to`] for every node that sweep
     /// settled — in particular every goal node, and `None` for a goal
-    /// node a complete sweep proved unreachable.
+    /// node a complete sweep proved unreachable. Read, like every path in
+    /// this crate, by one counted parent walk into one exact node buffer.
     pub fn path_to(&self, t: NodeId) -> Option<Path> {
-        match *self {
-            TreeView::Arena(arena) => arena.path_to(t),
-            TreeView::Trace { trace, stop } => trace.path_to(stop, t),
-        }
+        let mut path = None;
+        self.paths_to(std::slice::from_ref(&t), PathOrder::RootFirst, |_, p| path = p);
+        path
     }
 
-    /// [`TreeView::path_to`] for each of `targets`, in order, each path
-    /// read in `order`: root first for a source-rooted tree, root last for
-    /// a transposed one, so either comes out source to target as it is
-    /// delivered and nothing reverses it afterwards. A hit reads them in
-    /// one [`SweepTrace::walk`], its targets' parent chains side by side.
-    pub(crate) fn paths_to(&self, targets: &[NodeId], order: PathOrder) -> Vec<Option<Path>> {
+    /// [`TreeView::path_to`] for each of `targets`, handed to `emit` in
+    /// order with the target's index, each path read in `order`: root first
+    /// for a source-rooted tree, root last for a transposed one, so either
+    /// comes out source to target as it is delivered and nothing reverses
+    /// it afterwards. Arena and trace alike are read by the one counted
+    /// parent walk ([`walk`]), up to [`crate::path::LANES`] targets' chains
+    /// side by side, one exact node buffer per path.
+    pub(crate) fn paths_to(
+        &self,
+        targets: &[NodeId],
+        order: PathOrder,
+        emit: impl FnMut(usize, Option<Path>),
+    ) {
         match *self {
-            TreeView::Arena(arena) => targets.iter().map(|&t| arena.read_path(t, order)).collect(),
+            TreeView::Arena(arena) => arena.read_paths(targets, order, emit),
             TreeView::Trace { trace, stop } => {
-                let mut paths = Vec::with_capacity(targets.len());
-                trace.walk(stop, targets, order, |p| paths.push(p));
-                paths
+                // Whether a target settled by the stop is one compare of
+                // settle keys, not a rank query.
+                let last = stop.0.map(|at| trace.key_at(at));
+                let held = |t| {
+                    let e = trace.buckets.entry(trace.slot(t)?);
+                    last.is_none_or(|last| e.key() <= last).then_some(e.dist)
+                };
+                walk(targets, order, trace.nodes, held, |v| trace.index.parent(v), emit);
             }
         }
     }
@@ -1170,6 +1112,7 @@ mod tests {
     use crate::cache::tests::unbounded;
     use crate::dijkstra::{run_in, run_in_traced, run_tree};
     use crate::multi::{SharingPolicy, TreeSide, msmd, msmd_in_guided_cached};
+    use crate::path::LANES;
     use proptest::prelude::*;
     use roadnet::generators::{GridConfig, NetworkClass, grid_network};
     use roadnet::{EdgeId, GraphBuilder, Point, RoadNetwork};
@@ -1592,7 +1535,7 @@ mod tests {
                 let tag = format!("{tag} {goal:?}");
                 let view = trace.view(trace.stop_for(&goal).unwrap());
                 let lockstep: Vec<_> =
-                    view.paths_to(&targets, PathOrder::RootFirst).into_iter().map(bits).collect();
+                    read_all(view, &targets, PathOrder::RootFirst).into_iter().map(bits).collect();
                 let one_by_one: Vec<_> = targets.iter().map(|&t| bits(view.path_to(t))).collect();
                 assert_eq!(lockstep, one_by_one, "{tag}");
                 let mut replay = SearchArena::new();
@@ -1604,6 +1547,64 @@ mod tests {
                 assert_eq!(lockstep[lockstep.len() - 3].is_none(), early_stop, "{tag}: last");
             }
         }
+
+        // A grown tree, read where it grew: on the ring and on the heap,
+        // stopped early (tentative labels past the goal) and exhausted, each
+        // path equal to a plain parent walk over the arena's labels.
+        let mut targets: Vec<NodeId> = (0..2 * n).step_by(11).map(NodeId).collect();
+        targets.extend([root, NodeId(17), NodeId(17), NodeId(3 * n)]);
+        let mut arena = SearchArena::new();
+        for m in [&g, &half] {
+            for goal in [Goal::Single(NodeId(100)), Goal::AllNodes] {
+                for traced in [false, true] {
+                    if traced {
+                        run_in_traced(&mut arena, m, root, &goal);
+                    } else {
+                        run_in(&mut arena, m, root, &goal);
+                    }
+                    let tag = format!("arena, {} nodes, {goal:?}, traced {traced}", m.num_nodes());
+                    let view = TreeView::Arena(&arena);
+                    let lockstep: Vec<_> = read_all(view, &targets, PathOrder::RootFirst)
+                        .into_iter()
+                        .map(bits)
+                        .collect();
+                    let one_by_one: Vec<_> =
+                        targets.iter().map(|&t| bits(view.path_to(t))).collect();
+                    assert_eq!(lockstep, one_by_one, "{tag}");
+                    for (&t, got) in targets.iter().zip(&lockstep) {
+                        assert_eq!(*got, parent_chain(&arena, t), "{tag}: path to {t}");
+                    }
+                    assert!(lockstep.iter().flatten().any(|p| p.0.len() > 10), "{tag}: long paths");
+                }
+            }
+        }
+    }
+
+    /// Every target's path through [`TreeView::paths_to`], emitted in
+    /// target order.
+    fn read_all(view: TreeView<'_>, targets: &[NodeId], order: PathOrder) -> Vec<Option<Path>> {
+        let mut paths = Vec::new();
+        view.paths_to(targets, order, |k, p| {
+            assert_eq!(k, paths.len(), "paths are emitted in target order");
+            paths.push(p);
+        });
+        paths
+    }
+
+    /// The path to `t` by a plain parent walk over the arena's labels,
+    /// pushed target first and reversed: the oracle the counted walk is
+    /// held to.
+    fn parent_chain(arena: &SearchArena, t: NodeId) -> Option<(Vec<NodeId>, u64)> {
+        let d = arena.distance(t)?;
+        let mut nodes = vec![t];
+        loop {
+            match arena.parent_raw(*nodes.last().unwrap()) {
+                NIL => break,
+                p => nodes.push(NodeId(p)),
+            }
+        }
+        nodes.reverse();
+        Some((nodes, d.to_bits()))
     }
 
     #[test]
@@ -1626,8 +1627,8 @@ mod tests {
             let mut targets: Vec<NodeId> = (0..2 * n).step_by(7).map(NodeId).collect();
             targets.extend([root, NodeId(17), NodeId(17), NodeId(2 * n + 1)]);
             let check = |view: TreeView<'_>, tag: &str| {
-                let first = view.paths_to(&targets, PathOrder::RootFirst);
-                let last = view.paths_to(&targets, PathOrder::RootLast);
+                let first = read_all(view, &targets, PathOrder::RootFirst);
+                let last = read_all(view, &targets, PathOrder::RootLast);
                 assert!(first.iter().any(Option::is_none), "{tag}: an unread target");
                 assert!(first.iter().flatten().any(|p| p.num_edges() > 2), "{tag}: long paths");
                 for ((t, first), last) in targets.iter().zip(first).zip(last) {
@@ -2253,7 +2254,8 @@ mod tests {
         let g = NetworkClass::Geometric.generate(2_000, 7).unwrap();
         let n = g.num_nodes();
         // The short sweep grows in the same arena after a complete one from
-        // another root; its recording writes fresh columns, so none of the
+        // another root; its recording writes a fresh slot column and reads
+        // only its own settles' parents from the arena, so none of the
         // complete sweep's settles shows in its index.
         let far = NodeId(n as u32 / 2);
         let (_, from_far) = run_in_traced(&mut SearchArena::new(), &g, far, &Goal::AllNodes);
