@@ -123,6 +123,44 @@ mod tests {
         assert_ne!(a.points()[0], b.points()[0]);
     }
 
+    /// FNV-1a over every edge's `(a, b, weight bits)`, in edge order.
+    fn edge_digest(g: &RoadNetwork) -> u64 {
+        let words =
+            g.edges().iter().flat_map(|e| [u64::from(e.a.0), u64::from(e.b.0), e.weight.to_bits()]);
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            w.to_le_bytes().iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        })
+    }
+
+    #[test]
+    fn benchmark_maps_are_pinned() {
+        // The maps the benchmark's workloads run on at seed 14, generated
+        // with its configs: a generator change that moves one of them moves
+        // every counter of its workloads, and fails here by name first.
+        let seed = 14;
+        let metro =
+            random_geometric(&GeometricConfig { num_nodes: 20_000, seed, ..Default::default() });
+        let continent = continent_network(&ContinentConfig {
+            province_width: 80,
+            province_height: 80,
+            weight_factor: (1.0, 3.0),
+            sea_gap: 20.0,
+            seed,
+            ..Default::default()
+        });
+        let grid = grid_network(&GridConfig { width: 10, height: 10, seed, ..Default::default() });
+        let pinned = [
+            ("metro", metro, 37_386, 0x272d_4362_12f1_5d66),
+            ("continent", continent, 194_200, 0x2823_4d4c_ed6c_0438),
+            ("grid", grid, 173, 0x6407_fb93_59b3_e97f),
+        ];
+        for (name, g, edges, digest) in pinned {
+            let g = g.unwrap();
+            assert_eq!(g.num_edges(), edges, "{name}: edge count moved");
+            assert_eq!(edge_digest(&g), digest, "{name}: an edge, its order or its weight moved");
+        }
+    }
+
     #[test]
     fn names_are_stable() {
         assert_eq!(NetworkClass::Grid.name(), "grid");
