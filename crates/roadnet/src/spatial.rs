@@ -133,36 +133,40 @@ impl SpatialIndex {
 
     /// The indexed node nearest to `p` (ties broken by lower id).
     pub fn nearest(&self, p: Point) -> NodeId {
+        self.nearest_ranked(p, |id| Some(id.0)).expect("index is non-empty").0
+    }
+
+    /// The node nearest to `p` among those `rank` admits (`Some`), ties
+    /// broken by the lower rank, with its distance; `None` if `rank` admits
+    /// no node. Rings are read outward from `p`'s cell until the best
+    /// distance lies inside the rings read: every node of ring `d + 1` is
+    /// at least `d` cells away, and the search stops only once that bound
+    /// clears the best distance by a millionth of a cell, far above the
+    /// rounding of the cell assignment, so no node at the winning distance
+    /// is left unread.
+    pub(crate) fn nearest_ranked(
+        &self,
+        p: Point,
+        rank: impl Fn(NodeId) -> Option<u32>,
+    ) -> Option<(NodeId, f64)> {
         let (cx, cy) = self.cell_coords(p);
         let max_d = self.cols.max(self.rows) as isize;
-        let mut best: Option<(f64, NodeId)> = None;
-        let mut d = 0isize;
-        loop {
+        let mut best: Option<(f64, u32, NodeId)> = None;
+        for d in 0..=max_d {
             self.for_ring_cells(cx, cy, d, &mut |ids| {
                 for &id in ids {
+                    let Some(r) = rank(id) else { continue };
                     let dist = p.distance(self.points[id.index()]);
-                    let better = match best {
-                        None => true,
-                        Some((bd, bid)) => dist < bd || (dist == bd && id < bid),
-                    };
-                    if better {
-                        best = Some((dist, id));
+                    if best.is_none_or(|(bd, br, _)| dist < bd || (dist == bd && r < br)) {
+                        best = Some((dist, r, id));
                     }
                 }
             });
-            // Once a candidate exists, any point in rings beyond
-            // `best_dist / cell + 1` must be farther; stop there.
-            if let Some((bd, _)) = best {
-                if (d as f64) * self.cell > bd || d >= max_d {
-                    break;
-                }
-            }
-            d += 1;
-            if d > max_d && best.is_some() {
+            if best.is_some_and(|(bd, _, _)| (d as f64 - 1e-6) * self.cell > bd) {
                 break;
             }
         }
-        best.expect("index is non-empty").1
+        best.map(|(dist, _, id)| (id, dist))
     }
 
     /// All nodes with distance to `p` in `[r_min, r_max]`.
@@ -231,13 +235,22 @@ impl SpatialIndex {
 
     /// The `k` nearest nodes to `p`, closest first.
     pub fn k_nearest(&self, p: Point, k: usize) -> Vec<NodeId> {
+        let mut best = Vec::with_capacity(k + 1);
+        self.k_nearest_into(p, k, &mut best);
+        best.into_iter().map(|(_, id)| id).collect()
+    }
+
+    /// [`SpatialIndex::k_nearest`] into a buffer the caller reuses: `best`
+    /// ends holding the `min(k, len)` nearest nodes with their distances,
+    /// closest first (equal distances in the order their cells were read).
+    pub(crate) fn k_nearest_into(&self, p: Point, k: usize, best: &mut Vec<(f64, NodeId)>) {
+        best.clear();
         if k == 0 {
-            return Vec::new();
+            return;
         }
         let (cx, cy) = self.cell_coords(p);
         let max_d = self.cols.max(self.rows) as isize;
         // (distance, id) max-heap via sorted Vec; k is small in practice.
-        let mut best: Vec<(f64, NodeId)> = Vec::with_capacity(k + 1);
         let mut d = 0isize;
         loop {
             self.for_ring_cells(cx, cy, d, &mut |ids| {
@@ -261,7 +274,6 @@ impl SpatialIndex {
             }
             d += 1;
         }
-        best.into_iter().map(|(_, id)| id).collect()
     }
 }
 
@@ -367,6 +379,22 @@ mod tests {
         ] {
             assert_eq!(idx.nearest(probe), brute_nearest(&pts, probe), "probe {probe}");
         }
+    }
+
+    #[test]
+    fn nearest_ranked_skips_unranked_nodes_and_breaks_ties_by_rank() {
+        // 10×10 lattice; (4.5, 4.5) is equally far from 44, 45, 54, 55.
+        let idx = SpatialIndex::from_points(grid_points(10));
+        let probe = Point::new(4.5, 4.5);
+        let reversed = |id: NodeId| Some(1000 - id.0);
+        assert_eq!(idx.nearest_ranked(probe, reversed).unwrap().0, NodeId(55));
+        assert_eq!(idx.nearest(probe), NodeId(44));
+        // Only the lattice's last row is admitted: 94 and 95 are nearest,
+        // at one distance, and the lower rank decides against the lower id.
+        let last_row = |id: NodeId| (id.0 >= 90).then_some(1 - id.0 % 2);
+        let (id, dist) = idx.nearest_ranked(probe, last_row).unwrap();
+        assert_eq!((id, dist), (NodeId(95), probe.distance(Point::new(5.0, 9.0))));
+        assert_eq!(idx.nearest_ranked(probe, |_| None), None);
     }
 
     #[test]
