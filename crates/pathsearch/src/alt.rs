@@ -184,22 +184,35 @@ impl AltPreprocessing {
         sweep(NodeId(0), &mut labels);
         let mut current = farthest(&labels, f64::NEG_INFINITY).expect("the root is reached");
 
-        // Each landmark's sweep is copied straight into its column of the
-        // one `n × L` slab; `labels` and `min_dist` are the only other
-        // `O(n)` buffers beside the sweep's scratch.
+        // Each landmark's sweep is copied into its column of a node-major
+        // block of `BLOCK` columns, and each full block (or the last, part
+        // full) into the one `n × L` slab in one pass: the slab's 128-B
+        // rows (16 landmarks) are then written a 32-B run at a time rather
+        // than one 8-B entry per pass. `labels`, `block` and `min_dist` are
+        // the only other `O(n)` buffers beside the sweep's scratch.
+        const BLOCK: usize = 4;
+        let width = BLOCK.min(num_landmarks);
         let mut landmarks = Vec::with_capacity(num_landmarks);
         let mut flat = vec![f64::INFINITY; n * num_landmarks];
+        let mut block = vec![f64::INFINITY; n * width];
         let mut min_dist = vec![f64::INFINITY; n];
         loop {
             let l = landmarks.len();
             landmarks.push(current);
             sweep(current, &mut labels);
-            for ((row, m), &d) in
-                flat.chunks_exact_mut(num_landmarks).zip(&mut min_dist).zip(&labels)
-            {
-                row[l] = d;
+            for ((cells, m), &d) in block.chunks_exact_mut(width).zip(&mut min_dist).zip(&labels) {
+                cells[l % width] = d;
                 if d < *m {
                     *m = d;
+                }
+            }
+            let filled = l % width + 1;
+            if filled == width || landmarks.len() == num_landmarks {
+                let first = l + 1 - filled;
+                for (row, cells) in
+                    flat.chunks_exact_mut(num_landmarks).zip(block.chunks_exact(width))
+                {
+                    row[first..=l].copy_from_slice(&cells[..filled]);
                 }
             }
             if landmarks.len() == num_landmarks {
@@ -723,6 +736,27 @@ pub(crate) mod tests {
             assert!(
                 bucketed.flat.iter().map(|d| d.to_bits()).eq(heap.flat.iter().map(|d| d.to_bits()))
             );
+        }
+    }
+
+    #[test]
+    fn every_table_column_is_its_landmarks_sweep() {
+        // Counts on each side of the 4-column block, so full blocks, a
+        // part-full last block and a single part-full block are all
+        // written into the slab. Selection is greedy: fewer landmarks are
+        // a prefix of more.
+        let g = NetworkClass::Geometric.generate(400, 9).unwrap();
+        let most = AltPreprocessing::try_build(&g, 9).unwrap();
+        let mut arena = SearchArena::new();
+        let mut labels = vec![0.0; g.num_nodes()];
+        for count in 1..=9 {
+            let pre = AltPreprocessing::try_build(&g, count).unwrap();
+            assert_eq!(pre.landmarks, most.landmarks[..count]);
+            for (l, &landmark) in pre.landmarks.iter().enumerate() {
+                heap_sweep(&mut arena, &g, landmark, &mut labels);
+                let column = pre.flat.iter().skip(l).step_by(count).map(|d| d.to_bits());
+                assert!(column.eq(labels.iter().map(|d| d.to_bits())), "{count}: column {l}");
+            }
         }
     }
 
