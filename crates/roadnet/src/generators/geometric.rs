@@ -142,12 +142,12 @@ impl Components {
         let mut next = 0;
         for i in 0..labels.len() {
             let root = self.find(i);
-            labels[i] = if root == i {
+            if root == i {
+                labels[i] = next;
                 next += 1;
-                next - 1
             } else {
-                labels[root]
-            };
+                labels[i] = labels[root];
+            }
         }
         labels
     }
@@ -188,26 +188,24 @@ fn links(index: &SpatialIndex, labels: &[u32]) -> Vec<(NodeId, NodeId)> {
     // Each node's position in `main`, `u32::MAX` outside it.
     let mut position = vec![u32::MAX; labels.len()];
     let mut main_len = 0u32;
-    let mut join = |nodes: &[NodeId], position: &mut [u32]| {
-        for &v in nodes {
+    let mut out = Vec::with_capacity(num - 1);
+    for (i, &c) in order.iter().enumerate() {
+        if i > 0 {
+            let mut best: Option<(f64, NodeId, NodeId)> = None;
+            for &u in component(c) {
+                let in_main = |v: NodeId| Some(position[v.index()]).filter(|&at| at != u32::MAX);
+                let (v, d) = index.nearest_ranked(index.point(u), in_main).expect("main is set");
+                if best.is_none_or(|(bd, _, _)| d < bd) {
+                    best = Some((d, u, v));
+                }
+            }
+            let (_, u, v) = best.expect("a component is not empty");
+            out.push((u, v));
+        }
+        for &v in component(c) {
             position[v.index()] = main_len;
             main_len += 1;
         }
-    };
-    join(component(order[0]), &mut position);
-    let mut out = Vec::with_capacity(num - 1);
-    for &c in &order[1..] {
-        let mut best: Option<(f64, NodeId, NodeId)> = None;
-        for &u in component(c) {
-            let in_main = |v: NodeId| Some(position[v.index()]).filter(|&at| at != u32::MAX);
-            let (v, d) = index.nearest_ranked(index.point(u), in_main).expect("main is not empty");
-            if best.is_none_or(|(bd, _, _)| d < bd) {
-                best = Some((d, u, v));
-            }
-        }
-        let (_, u, v) = best.expect("a component is not empty");
-        out.push((u, v));
-        join(component(c), &mut position);
     }
     out
 }
