@@ -188,8 +188,10 @@ impl AltPreprocessing {
         // block of `BLOCK` columns, and each full block (or the last, part
         // full) into the one `n × L` slab in one pass: the slab's 128-B
         // rows (16 landmarks) are then written a 32-B run at a time rather
-        // than one 8-B entry per pass. `labels`, `block` and `min_dist` are
-        // the only other `O(n)` buffers beside the sweep's scratch.
+        // than one 8-B entry per pass. Each further column of block costs
+        // `8n` B at the build's peak, so the block is no wider than that
+        // run. `labels`, `block` and `min_dist` are the only other `O(n)`
+        // buffers beside the sweep's scratch.
         const BLOCK: usize = 4;
         let width = BLOCK.min(num_landmarks);
         let mut landmarks = Vec::with_capacity(num_landmarks);
