@@ -1109,6 +1109,7 @@ impl TreeView<'_> {
 mod tests {
     use super::*;
     use crate::alt::{AltPreprocessing, GoalPotential};
+    use crate::cache::TreeCache;
     use crate::cache::tests::unbounded;
     use crate::dijkstra::{run_in, run_in_traced, run_tree};
     use crate::multi::{SharingPolicy, TreeSide, msmd, msmd_in_guided_cached};
@@ -2338,5 +2339,105 @@ mod tests {
                 "{tag}: a {directory}-byte bucket directory"
             );
         }
+    }
+
+    /// FNV-1a over the bytes of `words`, continuing from `h`.
+    fn fnv(h: u64, words: &[u64]) -> u64 {
+        words.iter().fold(h, |h, w| {
+            w.to_le_bytes().iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        })
+    }
+
+    /// A stored trace and the counters its sweep returned, as the words
+    /// the trace pins compare: every settle in rank order as its node,
+    /// distance bits, out-degree and parent node, then completeness, the
+    /// index form and the counters.
+    pub(crate) fn trace_words(t: &SweepTrace, stats: SearchStats) -> Vec<u64> {
+        let mut entries: Vec<&Entry> = t.buckets.buckets.iter().flat_map(|b| &b.entries).collect();
+        entries.sort_unstable_by_key(|e| e.key());
+        let mut words = Vec::with_capacity(4 * entries.len() + 4);
+        for e in entries {
+            let parent = t.index.parent(e.node);
+            words.extend([e.node, e.degree, parent].map(u64::from));
+            words.push(e.dist.to_bits());
+        }
+        words.extend([u64::from(t.complete), u64::from(t.index.sorted.is_none())]);
+        words.extend([stats.settled, stats.relaxed]);
+        words
+    }
+
+    /// A seeded stream of picks below a bound (splitmix64).
+    fn picker(mut state: u64) -> impl FnMut(u32) -> u32 {
+        move |bound| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % u64::from(bound)) as u32
+        }
+    }
+
+    #[test]
+    fn stored_traces_are_pinned() {
+        // A geometric map beside an island no root reaches, as generated
+        // and with integer weights in 1..4 but for a zero on every 997th
+        // edge (zero-weight ties: a trace is cut to its key-ordered prefix,
+        // before or after its goal). Misses from a pool of roots into
+        // one small cache, so entries deepen and are evicted; then traces
+        // recorded without deepening.
+        let base = NetworkClass::Geometric.generate(3_000, 21).unwrap();
+        let mut ties = base.clone();
+        let integer: Vec<(EdgeId, f64)> = (0..base.num_edges())
+            .map(|e| {
+                (EdgeId::from_index(e), if e % 997 == 0 { 0.0 } else { (e * 7 % 3 + 1) as f64 })
+            })
+            .collect();
+        ties.update_weights(&integer).unwrap();
+        let mut pick = picker(52);
+        let (mut digest, mut misses, mut traced) = (0xcbf2_9ce4_8422_2325, 0, 0);
+        let mut cut = [0; 2];
+        for (map, grown) in [(with_island(&base), 200), (with_island(&ties), 40)] {
+            let n = map.num_nodes() as u32;
+            let island = NodeId(n - 1);
+            let roots: Vec<NodeId> = (0..40).map(|_| NodeId(pick(n - 2))).collect();
+            let goal = |i: usize, pick: &mut dyn FnMut(u32) -> u32| {
+                let mut set: Vec<NodeId> = (0..4).map(|_| NodeId(pick(n - 2))).collect();
+                match i % 10 {
+                    0 => Goal::AllNodes,
+                    1 | 2 => {
+                        set[3] = island;
+                        Goal::Set(set)
+                    }
+                    3..=5 => Goal::Set(set),
+                    _ => Goal::Single(set[0]),
+                }
+            };
+            let (mut arena, mut cache) =
+                (SearchArena::new(), TreeCache::new(16, SharingPolicy::PerSource));
+            for i in 0..grown {
+                let root = roots[pick(40) as usize];
+                let goal = goal(i, &mut pick);
+                let before = cache.counters().1;
+                let (stats, _) = run_tree(&mut arena, &map, root, &goal, None, Some(&mut cache));
+                if cache.counters().1 > before {
+                    let stored = cache.peek(root).unwrap();
+                    // Cut before its goal, or past it short of twice its depth.
+                    let (len, k) = (stored.len() as u64, stats.settled);
+                    cut[0] += usize::from(len < k);
+                    cut[1] += usize::from(k < len && len < 2 * k && !stored.is_complete());
+                    misses += 1;
+                    digest = fnv(digest, &trace_words(stored, stats));
+                }
+            }
+            for i in 0..grown / 8 {
+                let root = roots[pick(40) as usize];
+                let goal = goal(i, &mut pick);
+                let (stats, trace) = run_in_traced(&mut arena, &map, root, &goal);
+                traced += 1;
+                digest = fnv(digest, &trace_words(&trace, stats));
+            }
+        }
+        assert!(misses >= 100 && cut[0] > 0 && cut[1] > 0, "{misses} misses, {cut:?} cut");
+        assert_eq!((misses, traced, cut, digest), (171, 30, [32, 3], 0xf22a_f5ee_f302_419b));
     }
 }
