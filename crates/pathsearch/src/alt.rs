@@ -360,7 +360,8 @@ pub(crate) mod tests {
     use super::*;
     use crate::arena::SearchArena;
     use crate::astar::astar;
-    use crate::dijkstra::{Goal, run_in, run_in_traced, shortest_path};
+    use crate::dijkstra::tests::OnHeap;
+    use crate::dijkstra::{Goal, run_in, shortest_path};
     use proptest::prelude::*;
     use roadnet::generators::{GridConfig, NetworkClass, grid_network};
     use roadnet::{GraphBuilder, Point, RoadNetwork};
@@ -539,9 +540,9 @@ pub(crate) mod tests {
     }
 
     /// The reference the bucketed sweep is held to: the heap's `AllNodes`
-    /// labels (a recorded tree never runs on the ring), `∞` where unreached.
+    /// labels (over a view without arc weights), `∞` where unreached.
     fn heap_sweep<G: GraphView>(arena: &mut SearchArena, g: &G, root: NodeId, labels: &mut [f64]) {
-        run_in_traced(arena, g, root, &Goal::AllNodes);
+        run_in(arena, &OnHeap(g), root, &Goal::AllNodes);
         for (i, d) in labels.iter_mut().enumerate() {
             *d = arena.distance(NodeId::from_index(i)).unwrap_or(f64::INFINITY);
         }

@@ -13,10 +13,12 @@
 //!   one (Lemma 1), and bidirectional search pairs two arenas;
 //! * the binary heap, the bucket ring's scratch and the goal scratch buffer
 //!   are owned by the arena and reused, so repeated queries on the same
-//!   graph touch no allocator once the high-water capacity is reached. A
-//!   recorded sweep allocates only the trace it hands to a tree cache,
-//!   which its recording writes in place (`trace::Recording`), reading
-//!   each settle's parent back from this arena when it finishes.
+//!   graph touch no allocator once the high-water capacity is reached;
+//! * a sweep logs its settles in settle order, and leaves each settled
+//!   node's out-degree in its stamp slot, so a recorded sweep's trace is
+//!   built after it from this arena alone (`SweepTrace::build`): labels,
+//!   parents, degrees and that log. It allocates only the trace it hands
+//!   to a tree cache.
 //!
 //! The heap holds 16-byte `FrontierEntry`s ordered by integers alone: the
 //! float key is encoded once, at push, into a `u64` whose unsigned order is
@@ -45,12 +47,10 @@ use std::collections::BinaryHeap;
 /// than `u32::MAX` nodes.
 pub(crate) const NIL: u32 = u32::MAX;
 
-/// The `stamp` of a settled slot. Stamps are drawn from 1 up, so no entry
-/// carries it and a settled slot matches no entry.
-const SETTLED: u32 = 0;
-
-/// Under the bucket ring, the `stamp` bit of a node expanded at its
-/// current label; the bits above it hold the node's out-degree.
+/// The `stamp` bit of a node settled (on the heap) or expanded at its
+/// current label (on the bucket ring); the bits above it hold the node's
+/// out-degree once it has relaxed its arcs. Label numbers are even, so no
+/// frontier entry carries it and a settled slot matches no entry.
 const EXPANDED: u32 = 1;
 
 /// The `u64` whose unsigned order is `f64::total_cmp`'s order on `key`, for
@@ -130,13 +130,14 @@ pub struct SearchArena {
     parent: Vec<u32>,
     /// Label epoch stamps: a slot is labelled iff `labelled[i] == epoch`.
     labelled: Vec<u32>,
-    /// Per labelled slot, the number of its current label ([`SETTLED`] once
-    /// settled). Meaningful only while the slot is labelled. A tree on the
-    /// bucket ring numbers no labels: there it holds [`EXPANDED`].
+    /// Per labelled slot, the (even) number of its current label, or its
+    /// out-degree under [`EXPANDED`] once settled. Meaningful only while
+    /// the slot is labelled. A tree on the bucket ring numbers no labels:
+    /// there it holds 0 until the node expands.
     stamp: Vec<u32>,
     /// Current search generation. Epoch 0 means "never touched".
     epoch: u32,
-    /// The next label number of this generation; restarts at 1 in `begin`.
+    /// The next label number of this generation; restarts at 2 in `begin`.
     next_stamp: u32,
     /// The frontier heap (lazy deletion: stale entries are skipped at pop
     /// time).
@@ -147,6 +148,9 @@ pub struct SearchArena {
     pub(crate) buckets: Buckets,
     /// Every node a ring-grown tree labelled, in labelling order.
     reached: Vec<u32>,
+    /// The sweep's settles in settle order: every settle of the heap, and
+    /// the drained buckets of a logged ring tree, each in key order.
+    settled: Vec<u32>,
     /// Nodes of the current search.
     nodes: usize,
 }
@@ -197,7 +201,7 @@ impl SearchArena {
             self.dist.resize(nodes, f64::INFINITY);
             self.parent.resize(nodes, NIL);
             self.labelled.resize(nodes, 0);
-            self.stamp.resize(nodes, SETTLED);
+            self.stamp.resize(nodes, 0);
         }
     }
 
@@ -211,7 +215,8 @@ impl SearchArena {
         self.grow(nodes);
         self.nodes = nodes;
         self.heap.clear();
-        self.next_stamp = 1;
+        self.settled.clear();
+        self.next_stamp = 2;
         // Epoch 0 is the "never touched" stamp; skip it on wrap-around so
         // labels from 2^32 generations ago cannot resurface as current.
         // `stamp` needs no wipe: it is read only for labelled slots, and
@@ -240,11 +245,12 @@ impl SearchArena {
         node.index()
     }
 
-    /// The next label number of this generation.
+    /// The next label number of this generation: even, so it never reads
+    /// as [`EXPANDED`].
     #[inline]
     fn draw_stamp(&mut self) -> u32 {
         let stamp = self.next_stamp;
-        self.next_stamp = stamp.checked_add(1).expect("fewer than 2^32 labels per search");
+        self.next_stamp = stamp.checked_add(2).expect("fewer than 2^31 labels per search");
         stamp
     }
 
@@ -294,18 +300,67 @@ impl SearchArena {
     }
 
     /// Unchecked parent read ([`NIL`] for roots): call only when the label
-    /// is known current. A finished recording reads its settles' parents
-    /// here: a settled label never changes afterwards.
+    /// is known current. A trace built after its sweep reads its settles'
+    /// parents here: a plain sweep's settled label never changes afterwards.
     #[inline]
     pub(crate) fn parent_raw(&self, node: NodeId) -> u32 {
         self.parent[self.slot(node)]
     }
 
-    /// Mark `node` settled: from now on its slot matches no frontier entry.
+    /// Mark `node` settled and log it: from now on its slot matches no
+    /// frontier entry, and reads out-degree 0 until it expands.
     #[inline]
     pub(crate) fn settle(&mut self, node: NodeId) {
         let i = self.slot(node);
-        self.stamp[i] = SETTLED;
+        self.stamp[i] = EXPANDED;
+        self.settled.push(node.0);
+    }
+
+    /// `node`, settled, has relaxed its `degree` out-arcs.
+    #[inline]
+    pub(crate) fn set_degree(&mut self, node: NodeId, degree: u32) {
+        debug_assert!(degree < 1 << 31, "out-degree {degree}");
+        let i = self.slot(node);
+        self.stamp[i] = degree << 1 | EXPANDED;
+    }
+
+    /// The out-degree settled `node` expanded over: 0 for a settle that
+    /// stopped its sweep before expanding.
+    #[inline]
+    pub(crate) fn degree(&self, node: NodeId) -> u32 {
+        self.stamp[self.slot(node)] >> 1
+    }
+
+    /// The sweep's settles in settle order (see `settled`).
+    #[inline]
+    pub(crate) fn settled(&self) -> &[u32] {
+        &self.settled
+    }
+
+    /// Log `node`, expanded on the ring. [`SearchArena::seal_bucket`] turns
+    /// a bucket's expansions into its settles.
+    #[inline]
+    pub(crate) fn log_expanded(&mut self, node: u32) {
+        self.settled.push(node);
+    }
+
+    /// The ring has drained a bucket whose expansions were logged past the
+    /// first `from` settles: each node expanded there holds its final
+    /// label, so sort them by `(ord_of(dist), node)` — the heap's settle
+    /// order — and keep one of a node expanded more than once. Returns the
+    /// settles logged.
+    pub(crate) fn seal_bucket(&mut self, from: usize) -> usize {
+        let (dist, log) = (&self.dist, &mut self.settled);
+        log[from..].sort_unstable_by_key(|&v| (ord_of(dist[v as usize]), v));
+        let mut kept = from;
+        for i in from..log.len() {
+            if kept == from || log[i] != log[kept - 1] {
+                log[kept] = log[i];
+                kept += 1;
+            }
+        }
+        log.truncate(kept);
+        kept
     }
 
     /// Relax the arc `from → to` with candidate distance `cand`:
@@ -320,7 +375,7 @@ impl SearchArena {
     /// is a table read per call.
     ///
     /// The new label draws the next stamp, which the entry carries. A
-    /// settled slot keeps [`SETTLED`], so an entry pushed for it is stale
+    /// settled slot keeps [`EXPANDED`], so an entry pushed for it is stale
     /// from birth and the node never settles twice.
     #[inline]
     pub(crate) fn relax_keyed(
@@ -337,7 +392,7 @@ impl SearchArena {
             self.dist[i] = cand;
             self.parent[i] = from.0;
             self.labelled[i] = self.epoch;
-            if unlabelled || self.stamp[i] != SETTLED {
+            if unlabelled || self.stamp[i] & EXPANDED == 0 {
                 self.stamp[i] = stamp;
             }
             self.heap.push(FrontierEntry::new(key(), to, stamp));
@@ -396,8 +451,8 @@ impl SearchArena {
     /// exactly once, when it is written (a slot is relabelled only on
     /// strict improvement), so the slot's latest push is the one entry
     /// whose stamp the slot still holds — the entry whose raw distance
-    /// equals the label. Settling overwrites the stamp with [`SETTLED`],
-    /// which no entry carries. A fresh entry's label is therefore read from
+    /// equals the label. Settling sets [`EXPANDED`], which no entry
+    /// carries. A fresh entry's label is therefore read from
     /// the slot bit for bit.
     #[inline]
     pub(crate) fn is_fresh(&self, e: &FrontierEntry) -> bool {
@@ -425,6 +480,12 @@ impl SearchArena {
             stats.relaxed += if key < last { u64::from(self.stamp[v as usize] >> 1) } else { 0 };
         }
         stats
+    }
+
+    /// Whether a logged ring tree settled every node it labelled: then
+    /// nothing is left to reach, and it exhausted the root's component.
+    pub(crate) fn ring_exhausted(&self) -> bool {
+        self.settled.len() == self.reached.len()
     }
 
     /// The path from the root to `t`, read by the crate's one parent walk:
@@ -475,8 +536,7 @@ impl Labels for SearchArena {
 
     #[inline]
     fn expanded(&mut self, u: u32, degree: u32) {
-        debug_assert!(degree < 1 << 31, "out-degree {degree}");
-        self.stamp[u as usize] = degree << 1 | EXPANDED;
+        self.set_degree(NodeId(u), degree);
     }
 
     /// Label `v` when `cand` improves on its label; on a tie keep the
@@ -509,6 +569,7 @@ impl Labels for SearchArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dijkstra::tests::OnHeap;
     use crate::dijkstra::{Goal, run_in, run_in_traced};
     use proptest::prelude::*;
     use roadnet::generators::{GridConfig, grid_network};
@@ -689,7 +750,7 @@ mod tests {
         let mut a = SearchArena::new();
         // The generation before labels every slot of a larger map.
         run_in(&mut a, &line(8), NodeId(0), &Goal::AllNodes);
-        run_in_traced(&mut a, &g, NodeId(0), &Goal::Single(NodeId(2)));
+        run_in_traced(&mut a, &OnHeap(&g), NodeId(0), &Goal::Single(NodeId(2)));
         let path =
             |nodes: &[u32], d| Some(Path::new(nodes.iter().map(|&v| NodeId(v)).collect(), d));
         assert_eq!(a.path_to(NodeId(2)), path(&[0, 2], 2.0), "the goal");

@@ -10,7 +10,7 @@
 //! obfuscated query processing faces).
 
 use crate::arena::SearchArena;
-use crate::dijkstra::{Goal, NoRecord, run_in_sink};
+use crate::dijkstra::{Goal, Until, heap_tree};
 use crate::path::Path;
 use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
@@ -31,8 +31,8 @@ where
 {
     assert!(t.index() < g.num_nodes(), "endpoint out of range");
     let mut arena = SearchArena::new();
-    let stats = run_in_sink(&mut arena, g, s, &Goal::Single(t), &mut h, &mut NoRecord);
-    (arena.path_to(t), stats)
+    let swept = heap_tree(&mut arena, g, s, &Goal::Single(t), Until::Goal, &mut h);
+    (arena.path_to(t), swept.stats)
 }
 
 /// A* with the Euclidean heuristic — admissible whenever edge weights are

@@ -1,11 +1,12 @@
 //! The one loop in `pathsearch` without a heap: a ring of distance buckets
 //! `Δ` wide, drained in order, label-correcting within a bucket. It grows
-//! the landmark build's sweeps ([`DistanceSweep`]) and every unguided,
-//! unrecorded tree ([`tree`]) over a map whose [`ArcWeights`] pass
-//! [`exact_on_ring`]: every arc positive and at least `2 · sum · ε`. A
-//! label is a rounded simple-path sum, at most `2 · sum`, so its ulp is at
-//! most `2 · sum · ε` and such an arc always raises it. Other maps and
-//! paged views (no [`ArcWeights`]) grow their trees on the heap.
+//! the landmark build's sweeps ([`DistanceSweep`]) and every unguided
+//! tree, unrecorded ([`tree`]) or recorded ([`logged_tree`]), over a map
+//! whose [`ArcWeights`] pass [`exact_on_ring`]: every arc positive and at
+//! least `2 · sum · ε`. A label is a rounded simple-path sum, at most
+//! `2 · sum`, so its ulp is at most `2 · sum · ε` and such an arc always
+//! raises it. Other maps and paged views (no [`ArcWeights`]) grow their
+//! trees on the heap.
 //!
 //! **The labels are Dijkstra's, bit for bit.** Dijkstra's label of `v` is
 //! `min` over `v`'s in-arcs `(u, w)` of `fl(d(u) + w)`: an arc from a node
@@ -27,9 +28,16 @@
 //! `AllNodes` or an empty set) — read off the final labels, never off where
 //! the ring stopped. The heap's parent of `v` is the least-key `u` with
 //! `fl(d(u) + w) == d(v)`, which `relax` keeps inline.
+//!
+//! **And its settle order.** A node is expanded at its final label in the
+//! bucket that label falls in, and every later label is larger. So once a
+//! bucket is drained, the nodes it expanded, sorted by `(dist, node)` and
+//! each kept once, are the heap's next settles. A recorded tree appends
+//! them to the arena's settle log there, which is all its trace is built
+//! from.
 
 use crate::arena::{SearchArena, ord_of};
-use crate::dijkstra::Goal;
+use crate::dijkstra::{DEEPEN_FACTOR, Goal, Swept};
 use crate::stats::SearchStats;
 use roadnet::{ArcWeights, GraphView, NodeId};
 
@@ -211,6 +219,56 @@ pub(crate) fn tree<G: GraphView>(
     root: NodeId,
     goal: &Goal,
 ) -> Option<SearchStats> {
+    ring_tree::<false, G>(arena, g, root, goal, false).map(|swept| swept.stats)
+}
+
+/// [`tree`], logged for a trace: when a bucket is drained, its settles join
+/// the arena's settle log in key order. Ring buckets are monotone in
+/// distance, so the log is the heap's settle order. With `deepen` the ring
+/// goes on past the goal's buckets until the log holds [`DEEPEN_FACTOR`] ×
+/// the goal's settles, or the component is exhausted.
+#[inline(never)]
+pub(crate) fn logged_tree<G: GraphView>(
+    arena: &mut SearchArena,
+    g: &G,
+    root: NodeId,
+    goal: &Goal,
+    deepen: bool,
+) -> Option<Swept> {
+    ring_tree::<true, G>(arena, g, root, goal, deepen)
+}
+
+/// The arena as a ring tree's labels, logging each expansion when `LOG`.
+struct Logged<'a, const LOG: bool>(&'a mut SearchArena);
+
+impl<const LOG: bool> Labels for Logged<'_, LOG> {
+    #[inline]
+    fn take(&mut self, u: u32) -> Option<f64> {
+        self.0.take(u)
+    }
+
+    #[inline]
+    fn expanded(&mut self, u: u32, degree: u32) {
+        self.0.expanded(u, degree);
+        if LOG {
+            self.0.log_expanded(u);
+        }
+    }
+
+    #[inline]
+    fn relax(&mut self, u: u32, du: f64, v: u32, cand: f64) -> bool {
+        self.0.relax(u, du, v, cand)
+    }
+}
+
+/// [`tree`] and [`logged_tree`]: the sweep, and what it reports.
+fn ring_tree<const LOG: bool, G: GraphView>(
+    arena: &mut SearchArena,
+    g: &G,
+    root: NodeId,
+    goal: &Goal,
+    deepen: bool,
+) -> Option<Swept> {
     assert!(root.index() < g.num_nodes(), "source out of range");
     let weights = g.arc_weights().filter(exact_on_ring)?;
     let shape = Ring::of(&weights);
@@ -219,22 +277,39 @@ pub(crate) fn tree<G: GraphView>(
         Goal::Single(t) => std::slice::from_ref(t),
         Goal::Set(set) => set,
     };
+    // The key of the goal's last target, when every target was reached.
+    let last_key = |arena: &SearchArena| {
+        let last = targets.iter().try_fold(None, |last: Option<(u64, u32)>, &t| {
+            Some(last.max(Some((ord_of(arena.distance(t)?), t.0))))
+        });
+        last.flatten()
+    };
     arena.ring_begin(g.num_nodes(), root);
     let mut buckets = std::mem::take(&mut arena.buckets);
-    buckets.sweep(shape, g, root, arena, |arena, b| {
+    // Once the goal's buckets are drained: the settles the goal needs
+    // (read off a logged tree's settles only).
+    let (mut goal_settles, mut sealed) = (None, 0);
+    buckets.sweep(shape, g, root, &mut Logged::<LOG>(arena), |logged, b| {
+        let arena = &mut *logged.0;
+        if LOG {
+            sealed = arena.seal_bucket(sealed);
+        }
         let drained = |&t| arena.distance(t).is_some_and(|d| shape.bucket(d) <= b);
-        !targets.is_empty() && targets.iter().all(drained)
+        if goal_settles.is_none() && !targets.is_empty() && targets.iter().all(drained) {
+            let last = last_key(arena).expect("every target drained");
+            let key = |&v: &u32| (ord_of(arena.dist_raw(NodeId(v))), v);
+            goal_settles = Some(arena.settled().partition_point(|v| key(v) <= last));
+        }
+        goal_settles.is_some_and(|k| !deepen || sealed >= DEEPEN_FACTOR * k)
     });
     arena.buckets = buckets;
-    // The key of the goal's last target, when every target was reached.
-    let last = targets.iter().try_fold(None, |last: Option<(u64, u32)>, &t| {
-        Some(last.max(Some((ord_of(arena.distance(t)?), t.0))))
-    });
-    Some(arena.ring_counters(last.flatten()))
+    let last = last_key(arena);
+    let stats = arena.ring_counters(last);
+    Some(Swept { stats, met: last.is_some(), exhausted: arena.ring_exhausted() })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::alt::tests::{CAPPED, SPAN, ring_stress_maps};
     use crate::dijkstra::{run_in, run_in_traced};
@@ -277,7 +352,7 @@ mod tests {
 
     /// `map` with each edge kept one way, oriented by `seed`: many nodes
     /// become unreachable.
-    fn one_way(map: &RoadNetwork, seed: u64) -> RoadNetwork {
+    pub(crate) fn one_way(map: &RoadNetwork, seed: u64) -> RoadNetwork {
         let mut b = GraphBuilder::directed();
         for &p in map.points() {
             b.add_node(p).unwrap();
@@ -290,7 +365,7 @@ mod tests {
     }
 
     /// Rescale every `step`-th edge by `factor`.
-    fn rescale(map: &mut RoadNetwork, step: usize, factor: f64) {
+    pub(crate) fn rescale(map: &mut RoadNetwork, step: usize, factor: f64) {
         let updates: Vec<(EdgeId, f64)> = (0..map.num_edges())
             .step_by(step)
             .map(|e| (EdgeId::from_index(e), map.edges()[e].weight * factor))

@@ -8,8 +8,11 @@
 //! reusable, generation-stamped [`SearchArena`]. Its heap entries are 16
 //! bytes ordered by integer compares alone (the key is encoded once, at
 //! push); a popped entry is fresh iff its slot still holds its push stamp.
-//! Most plain trees drain `crate::bucket`'s heap-free ring instead, to the
-//! same labels, parents and counters. Repeated queries on the same network
+//! Every plain tree on a map whose weights allow it, recorded or not,
+//! drains `crate::bucket`'s heap-free ring instead, to the same labels,
+//! parents, counters and traces. Either loop logs its settles in the
+//! arena, and a recorded tree's [`SweepTrace`] is built from the arena
+//! after the sweep. Repeated queries on the same network
 //! pay no per-query `O(n)` initialization *or allocation* — the cost of a
 //! query is proportional to the area it actually explores, which is the
 //! quantity Lemma 1 reasons about. Every entry grows one tree in a
@@ -21,12 +24,12 @@
 //! plain arities, whose labels the caller reads from the arena.
 
 use crate::alt::GoalPotential;
-use crate::arena::SearchArena;
+use crate::arena::{SearchArena, ord_of};
 use crate::bucket;
 use crate::cache::TreeCache;
 use crate::path::Path;
 use crate::stats::SearchStats;
-use crate::trace::{Recording, SweepTrace, TreeView};
+use crate::trace::{SweepTrace, TreeView};
 use roadnet::{GraphView, NodeId};
 
 /// Search termination condition.
@@ -41,117 +44,38 @@ pub enum Goal {
     Set(Vec<NodeId>),
 }
 
-/// Observer of a sweep's settle events — the seam [`run_in_traced`] uses
-/// to record a [`SweepTrace`] without taxing the untraced hot path
-/// ([`run_in`] instantiates the no-op sink, which monomorphizes away), the
-/// seam [`crate::range`] uses to stop a sweep at a radius, and the seam
-/// [`run_tree`]'s plain misses use to record past their goal. It sees no
-/// counters: they are its settles and the degrees of its expansions.
-pub(crate) trait SettleSink {
-    /// Whether the sweep may settle a label at raw distance `dist`; `false`
-    /// ends it there (sound under the zero potential, where labels pop in
-    /// ascending distance). The constant default compiles out of the plain
-    /// instantiation; the recorder uses it as a settle budget.
-    #[inline]
-    fn admits(&self, _dist: f64) -> bool {
-        true
-    }
-
-    /// Called right after `node` settles, **before** the goal check and
-    /// before the node expands its arcs.
-    fn on_settle(&mut self, arena: &SearchArena, node: NodeId);
-
-    /// Called once `node` has relaxed its `degree` out-arcs, as the ring's
-    /// `Labels::expanded` is; a node that stops the sweep never expands.
-    #[inline]
-    fn on_expanded(&mut self, _node: NodeId, _degree: u32) {}
-
-    /// Called once, right after the [`on_settle`](SettleSink::on_settle)
-    /// of the node that met the goal; returns whether the sweep stops
-    /// there. Every sink but the deepening recorder behind [`run_tree`]
-    /// stops (the constant default compiles out); one that keeps going
-    /// ends the sweep later through [`admits`](SettleSink::admits).
-    #[inline]
-    fn on_goal(&mut self) -> bool {
-        true
-    }
-
-    /// Called when the heap drains without an early stop (the sweep
-    /// exhausted the root's component).
-    fn on_exhausted(&mut self);
-}
-
-/// The zero-cost sink behind [`run_in`].
-pub(crate) struct NoRecord;
-
-impl SettleSink for NoRecord {
-    #[inline]
-    fn on_settle(&mut self, _: &SearchArena, _: NodeId) {}
-    #[inline]
-    fn on_exhausted(&mut self) {}
-}
-
 /// What a plain cache miss records, as a multiple of the settles its goal
 /// needed: a miss whose goal is met at settle `k` keeps the sweep going to
 /// `2·k` settles (or until the component is exhausted). A miss thus
 /// costs at most twice the sweep it replaces, and each repeated miss of a
 /// root at least doubles the depth stored for it, so between evictions a
 /// root misses at most `log₂ n` times. A fixed constant, not a knob.
-const DEEPEN_FACTOR: usize = 2;
+pub(crate) const DEEPEN_FACTOR: usize = 2;
 
-/// The sweep policy of a recording: how far a plain sweep records. Each
-/// settle goes to [`Recording::push`], which writes it into the stored
-/// form and cuts the recording at the sweep's key-ordered prefix, and each
-/// expansion's degree to [`Recording::expanded`].
-struct Recorder {
-    recording: Recording,
-    /// Whether recording stopped at a settle it could not record.
-    cut: bool,
-    /// Whether the goal has settled.
-    goal: bool,
-    exhausted: bool,
-    /// Whether to record past the goal ([`DEEPEN_FACTOR`]) instead of
-    /// stopping there — set for the sweeps of a cache miss.
-    deepen: bool,
-    /// Settles the sweep may record: unbounded until a deepening
-    /// recorder's goal is met, [`DEEPEN_FACTOR`] × the goal's depth after.
-    budget: usize,
+/// Where the heap loop stops.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Until {
+    /// At the settle that meets the goal.
+    Goal,
+    /// Past the goal, a cache miss's depth: before the settle after
+    /// [`DEEPEN_FACTOR`] × the goal's settles, or after the first settle
+    /// that breaks the strict `(dist, node)` order (a trace keeps no more;
+    /// at the goal itself when one came before it).
+    Deepened,
+    /// Before the first label beyond this distance.
+    Radius(f64),
 }
 
-impl SettleSink for Recorder {
-    /// Once recording is cut, the sweep only runs on to its goal.
-    #[inline]
-    fn admits(&self, _dist: f64) -> bool {
-        if self.cut { !self.goal } else { self.recording.len() < self.budget }
-    }
-
-    #[inline]
-    fn on_goal(&mut self) -> bool {
-        self.goal = true;
-        if self.deepen {
-            self.budget = DEEPEN_FACTOR * self.recording.len();
-        }
-        !self.deepen || self.cut
-    }
-
-    #[inline]
-    fn on_settle(&mut self, arena: &SearchArena, node: NodeId) {
-        if !self.cut {
-            self.cut = !self.recording.push(node.0, arena.dist_raw(node));
-        }
-    }
-
-    #[inline]
-    fn on_expanded(&mut self, _: NodeId, degree: u32) {
-        if !self.cut {
-            self.recording.expanded(degree);
-        }
-    }
-
-    #[inline]
-    fn on_exhausted(&mut self) {
-        self.exhausted = true;
-    }
+/// What one sweep reports.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Swept {
+    /// The counters where the goal was met: the goal-stopping sweep's,
+    /// however far it went on. The end counters when it never was.
+    pub(crate) stats: SearchStats,
+    /// Whether the goal was met.
+    pub(crate) met: bool,
+    /// Whether the sweep exhausted the root's component.
+    pub(crate) exhausted: bool,
 }
 
 /// The heap potential of one sweep: keys are `dist + eval(node)`. Closures
@@ -177,26 +101,27 @@ impl<F: Fn(NodeId) -> f64> Potential for F {
     }
 }
 
-/// The one Dijkstra loop, parameterized over the settle observer and the
-/// heap potential. With the zero potential (`|_| 0.0`) every key equals
-/// its raw distance bit-for-bit (`x + 0.0 == x` for the non-negative
-/// distances a sweep produces), so the plain entry points behave exactly
-/// as before this parameter existed. With a *consistent* potential π
-/// (1-Lipschitz along edges, e.g. [`GoalPotential::eval`]), keys
-/// `dist + π(node)` pop in nondecreasing order, every settled label is
-/// still exact, and the goal checks below stop at the same (now
-/// earlier-reached) conditions — only the settle *order* and the explored
-/// region change. A potential that narrows as its goals settle
-/// ([`Potential::retire`]) has the open frontier re-keyed on the spot; the
-/// settled prefix needs nothing (see [`SearchArena`]'s `rekey`).
-pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
+/// The one Dijkstra loop on the heap, parameterized over the heap
+/// potential, stopped where `until` says. With the zero potential
+/// (`|_| 0.0`) every key equals its raw distance bit-for-bit (`x + 0.0 ==
+/// x` for the non-negative distances a sweep produces). With a
+/// *consistent* potential π (1-Lipschitz along edges, e.g.
+/// [`GoalPotential::eval`]), keys `dist + π(node)` pop in nondecreasing
+/// order, every settled label is still exact, and the goal checks below
+/// stop at the same (now earlier-reached) conditions — only the settle
+/// *order* and the explored region change. A potential that narrows as its
+/// goals settle ([`Potential::retire`]) has the open frontier re-keyed on
+/// the spot; the settled prefix needs nothing (see [`SearchArena`]'s
+/// `rekey`). Every settle is logged in the arena with its out-degree, which
+/// is all a trace is built from afterwards.
+pub(crate) fn heap_tree<G: GraphView, P: Potential>(
     arena: &mut SearchArena,
     g: &G,
     source: NodeId,
     goal: &Goal,
+    until: Until,
     pot: &mut P,
-    sink: &mut S,
-) -> SearchStats {
+) -> Swept {
     let n = g.num_nodes();
     assert!(source.index() < n, "source out of range");
     arena.begin(n);
@@ -212,7 +137,10 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
     arena.label(source, 0.0, None);
     arena.push(0.0 + pot.eval(source), source);
 
-    let mut stopped = false;
+    let (mut at_goal, mut exhausted) = (None::<SearchStats>, true);
+    // Deepening only: the last settle's key, and whether every settle came
+    // strictly after the one before it.
+    let (mut last, mut ordered) = (None, true);
     while let Some(e) = arena.pop() {
         // Lazy deletion: skip entries for already-settled nodes or labels
         // that a shorter one has since overwritten.
@@ -223,17 +151,27 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
         // Fresh, so the slot holds exactly the distance the entry was
         // pushed with.
         let d_node = arena.dist_raw(node);
-        if !sink.admits(d_node) {
-            stopped = true;
+        let stop = match until {
+            Until::Goal => false,
+            Until::Deepened => at_goal
+                .is_some_and(|k| !ordered || stats.settled == (DEEPEN_FACTOR as u64) * k.settled),
+            Until::Radius(hi) => d_node > hi,
+        };
+        if stop {
+            exhausted = false;
             break;
         }
         arena.settle(node);
         stats.settled += 1;
-        sink.on_settle(arena, node);
+        if until == Until::Deepened {
+            let key = Some((ord_of(d_node), node.0));
+            ordered &= last < key;
+            last = key;
+        }
 
         // The goal rule: where a sweep for `goal` stops. It fires at most
         // once — a single target settles once, and an emptied set never
-        // empties again — so a sink that keeps going past it never sees
+        // empties again — so a sweep that keeps going past it never sees
         // it again.
         let met = match goal {
             Goal::Single(t) => *t == node,
@@ -246,9 +184,12 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
             },
             Goal::AllNodes => false,
         };
-        if met && sink.on_goal() {
-            stopped = true;
-            break;
+        if met {
+            at_goal = Some(stats);
+            if until != Until::Deepened || !ordered {
+                exhausted = false;
+                break;
+            }
         }
         if pot.retire(node) {
             arena.rekey(|n| pot.eval(n));
@@ -261,13 +202,10 @@ pub(crate) fn run_in_sink<G: GraphView, S: SettleSink, P: Potential>(
             arena.relax_keyed(node, to, cand, || cand + pot.eval(to));
         });
         stats.relaxed += u64::from(degree);
-        sink.on_expanded(node, degree);
-    }
-    if !stopped {
-        sink.on_exhausted();
+        arena.set_degree(node, degree);
     }
     arena.put_goal_scratch(remaining);
-    stats
+    Swept { stats: at_goal.unwrap_or(stats), met: at_goal.is_some(), exhausted }
 }
 
 /// The zero potential behind the plain entry points — inlines to nothing.
@@ -289,18 +227,16 @@ fn grow<G: GraphView>(
     pot: Option<&GoalPotential<'_>>,
 ) -> SearchStats {
     match pot {
-        Some(p) => run_in_sink(arena, g, root, goal, &mut p.live(), &mut NoRecord),
+        Some(p) => heap_tree(arena, g, root, goal, Until::Goal, &mut p.live()).stats,
         None => bucket::tree(arena, g, root, goal)
-            .unwrap_or_else(|| run_in_sink(arena, g, root, goal, &mut zero_pot, &mut NoRecord)),
+            .unwrap_or_else(|| heap_tree(arena, g, root, goal, Until::Goal, &mut zero_pot).stats),
     }
 }
 
-/// Grow one plain tree, recording it as a [`SweepTrace`]. With `deepen`
-/// the sweep records past its goal (see [`DEEPEN_FACTOR`]); the counters
-/// returned are always the goal-stopping sweep's. They are read off the
-/// finished trace where the goal's stop lies inside it; past a cut they are
-/// the end counters, where the sweep stopped at its goal or exhausted its
-/// component.
+/// Grow one plain tree, on the ring where [`grow`] would, and build its
+/// [`SweepTrace`] from the finished sweep. With `deepen` the sweep goes on
+/// past its goal (see [`DEEPEN_FACTOR`]); the counters returned are always
+/// the goal-stopping sweep's.
 fn grow_traced<G: GraphView>(
     arena: &mut SearchArena,
     g: &G,
@@ -308,17 +244,10 @@ fn grow_traced<G: GraphView>(
     goal: &Goal,
     deepen: bool,
 ) -> (SearchStats, SweepTrace) {
-    let mut rec = Recorder {
-        recording: Recording::new(g.num_nodes()),
-        cut: false,
-        goal: false,
-        exhausted: false,
-        deepen,
-        budget: usize::MAX,
-    };
-    let end = run_in_sink(arena, g, root, goal, &mut zero_pot, &mut rec);
-    let trace = rec.recording.finish(arena, rec.exhausted && !rec.cut);
-    (trace.stats_for(goal).unwrap_or(end), trace)
+    let until = if deepen { Until::Deepened } else { Until::Goal };
+    let swept = bucket::logged_tree(arena, g, root, goal, deepen)
+        .unwrap_or_else(|| heap_tree(arena, g, root, goal, until, &mut zero_pot));
+    (swept.stats, SweepTrace::build(arena, &swept, deepen))
 }
 
 /// Run one Dijkstra sweep from `source` inside `arena` until
@@ -338,10 +267,10 @@ pub fn run_in<G: GraphView>(
 }
 
 /// [`run_in`], additionally recording the sweep as a reusable
-/// [`SweepTrace`] (see [`crate::trace`]). The sweep itself is identical —
-/// same labels, same counters — recording only writes one entry per
-/// settle, so tracing is safe to leave on whenever a tree cache might
-/// want the result.
+/// [`SweepTrace`] (see [`crate::trace`]). The tree is the same — same
+/// settled labels, same counters — and its trace is built from the arena
+/// once it has grown, so tracing is safe to leave on whenever a tree cache
+/// might want the result.
 ///
 /// # Panics
 /// Panics if `source` is out of range for `g`.
@@ -371,11 +300,12 @@ pub fn run_in_traced<G: GraphView>(
 ///   stored trace's goal-stop prefix by walking the targets' parent
 ///   nodes side by side, and the counters are the trace's at that stop
 ///   (one rank query), byte-identical to the sweep skipped. Otherwise the
-///   tree is grown for real in `arena` on the heap, recorded, and
-///   re-stored, and the view reads the arena. Hit or miss is reported
-///   through [`TreeCache::counters`]. `None` grows the tree unrecorded in
-///   `arena` — nothing beyond the sweep itself is allocated — and, with no
-///   potential either, mostly on the bucket ring (see the module docs).
+///   tree is grown for real in `arena`, recorded, and re-stored, and the
+///   view reads the arena. Hit or miss is reported through
+///   [`TreeCache::counters`]. `None` grows the tree unrecorded in `arena`
+///   — nothing beyond the sweep itself is allocated. Either way a plain
+///   tree grows on the bucket ring wherever the map's weights allow it
+///   (see the module docs).
 ///
 /// A miss records past its goal: the same sweep keeps settling until it
 /// has settled `DEEPEN_FACTOR` (= 2) times the `k` nodes the goal needed,
@@ -386,8 +316,8 @@ pub fn run_in_traced<G: GraphView>(
 /// goal-stopping sweep's, and the returned counters are that sweep's too:
 /// like an adoption, a miss reports the *logical* goal-stop work, not the
 /// deeper work it physically did. A sweep whose settle-key order breaks
-/// (a zero-weight tie) stores only its ordered prefix and stops at its
-/// goal.
+/// (a zero-weight tie) stores only its ordered prefix, and stops at its
+/// goal, or past it at the first settle out of order.
 ///
 /// A guided tree (`pot` is `Some`) bypasses the cache: its potential
 /// reshapes the settle order, so no stored trace replays it. It grows in
@@ -440,11 +370,33 @@ pub fn shortest_distance<G: GraphView>(g: &G, s: NodeId, t: NodeId) -> Option<f6
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::alt::AltPreprocessing;
     use roadnet::generators::{GridConfig, NetworkClass, grid_network};
     use roadnet::{GraphBuilder, Point};
+
+    /// `g` as a view that keeps no arc weights, as a paged one: every plain
+    /// tree over it grows on the heap.
+    pub(crate) struct OnHeap<'a, G>(pub(crate) &'a G);
+
+    impl<G: GraphView> GraphView for OnHeap<'_, G> {
+        fn num_nodes(&self) -> usize {
+            self.0.num_nodes()
+        }
+
+        fn point(&self, n: NodeId) -> Point {
+            self.0.point(n)
+        }
+
+        fn for_each_arc(&self, n: NodeId, f: &mut dyn FnMut(NodeId, f64)) {
+            self.0.for_each_arc(n, f);
+        }
+
+        fn is_symmetric(&self) -> bool {
+            self.0.is_symmetric()
+        }
+    }
 
     fn diamond() -> roadnet::RoadNetwork {
         // 0 —1→ 1 —1→ 3 ; 0 —3→ 2 —0.5→ 3 : best 0→1→3 = 2.0

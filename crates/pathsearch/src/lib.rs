@@ -13,9 +13,10 @@
 //!   algorithm here runs in: one tree's labels and the crate's only kind of
 //!   search heap;
 //! * [`dijkstra`] — the **single-tree loop**: lazy-deletion Dijkstra over
-//!   the arena, keyed by an optional consistent potential and observed by
-//!   a settle sink; single-destination, full-tree, and the paper's
-//!   multi-destination early-termination variant ([`Goal::Set`]);
+//!   the arena, keyed by an optional consistent potential and stopped
+//!   where a plain value says (the goal, a cache miss's depth, a radius);
+//!   single-destination, full-tree, and the paper's multi-destination
+//!   early-termination variant ([`Goal::Set`]);
 //! * [`mod@bidirectional`] — the **interleaved loop**: bidirectional
 //!   Dijkstra, the strongest single-pair baseline, growing a forward and a
 //!   backward tree in two arenas until their radii cover the best meeting;
@@ -24,15 +25,16 @@
 //!   and its own small heap, rewriting a cached tree into the sweep the
 //!   new map records.
 //!
-//! Those three loops are the only label-setting code (plain trees mostly
-//! run a heap-free ring of buckets); the rest call the single-tree loop:
+//! Those three loops are the only label-setting code (plain trees,
+//! recorded or not, run a heap-free ring of buckets wherever the map's
+//! weights allow); the rest call the single-tree loop:
 //!
 //! * [`mod@astar`] — A* is the single-tree loop under the caller's potential
 //!   (Euclidean by default);
 //! * [`mod@alt`] — ALT (A* with landmarks + triangle inequality), an extension
 //!   whose heuristic reasons in network distance;
 //! * [`range`] — network-distance balls and bands: the single-tree loop
-//!   stopped at a radius by its sink;
+//!   stopped at a radius;
 //! * [`multi`] — the MSMD processor with the paper's three sharing
 //!   policies: per-pair and per-source trees (the latter transposed to the
 //!   smaller side under `Auto`) through the one adopt-or-grow entry

@@ -6,42 +6,13 @@
 //! with detours the two can disagree badly. Range search gives the
 //! obfuscator the exact tool: the set of candidate fakes whose network
 //! distance from the anchor lies in a chosen band. It is the crate's
-//! single-tree Dijkstra loop in a [`SearchArena`], with the radius stop
-//! supplied by the settle sink.
+//! single-tree Dijkstra loop in a [`SearchArena`], stopped at the radius;
+//! the band is read off the sweep's settle log afterwards.
 
 use crate::arena::SearchArena;
-use crate::dijkstra::{Goal, SettleSink, run_in_sink, zero_pot};
+use crate::dijkstra::{Goal, Until, heap_tree, zero_pot};
 use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
-
-/// Turns the single-tree loop into a band search: ends the sweep at the
-/// first label beyond `hi`, keeps every settled node at `lo` or more.
-struct Band {
-    lo: f64,
-    hi: f64,
-    out: Vec<(NodeId, f64)>,
-    exhausted: bool,
-}
-
-impl SettleSink for Band {
-    #[inline]
-    fn admits(&self, dist: f64) -> bool {
-        dist <= self.hi
-    }
-
-    #[inline]
-    fn on_settle(&mut self, arena: &SearchArena, node: NodeId) {
-        let d = arena.dist_raw(node);
-        if d >= self.lo {
-            self.out.push((node, d));
-        }
-    }
-
-    #[inline]
-    fn on_exhausted(&mut self) {
-        self.exhausted = true;
-    }
-}
 
 /// All nodes with network distance ≤ `radius` from `source` (including the
 /// source at distance 0), in ascending distance order, plus run counters.
@@ -84,9 +55,9 @@ pub fn ring_search_in<G: GraphView>(
 ) -> (Vec<(NodeId, f64)>, SearchStats, bool) {
     assert!(lo >= 0.0 && hi >= lo, "invalid ring bounds");
     assert!(hi.is_finite(), "radius must be finite");
-    let mut band = Band { lo, hi, out: Vec::new(), exhausted: false };
-    let stats = run_in_sink(arena, g, source, &Goal::AllNodes, &mut zero_pot, &mut band);
-    (band.out, stats, band.exhausted)
+    let swept = heap_tree(arena, g, source, &Goal::AllNodes, Until::Radius(hi), &mut zero_pot);
+    let settled = arena.settled().iter().map(|&v| (NodeId(v), arena.dist_raw(NodeId(v))));
+    (settled.filter(|&(_, d)| d >= lo).collect(), swept.stats, swept.exhausted)
 }
 
 #[cfg(test)]

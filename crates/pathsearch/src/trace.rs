@@ -16,11 +16,11 @@
 //! a smaller key, and its `relaxed` snapshot is read the same way from
 //! degrees. Beside the buckets it keeps its tree by node: each settle's
 //! parent node, one entry per map node for a trace that settled most of
-//! its map, ranked by the settled nodes otherwise. The recording sweep
-//! writes that form as it settles (`Recording`): each settle lands in its
-//! bucket and its node's slot once. Its parent is not copied as it settles:
-//! the arena the sweep grew in holds it, and the finished recording reads
-//! it from there.
+//! its map, ranked by the settled nodes otherwise. A trace is built after
+//! its sweep, by one builder for both loops ([`SweepTrace::build`]), from
+//! what the arena the sweep grew in holds: the sweep's settle log in
+//! settle order, and each settle's label, parent and out-degree. Nothing
+//! watches the sweep while it runs.
 //!
 //! Because plain Dijkstra from a fixed root is deterministic and its goal
 //! only ever decides *when to stop*, any two sweeps from the same root are
@@ -69,7 +69,7 @@
 //! invalidation and repair story.
 
 use crate::arena::{NIL, SearchArena, ord_of};
-use crate::dijkstra::Goal;
+use crate::dijkstra::{DEEPEN_FACTOR, Goal, Swept};
 use crate::path::{Path, PathOrder, walk};
 use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
@@ -476,108 +476,6 @@ impl KeyBuckets {
     }
 }
 
-/// A plain sweep being recorded, written one settle at a time straight into
-/// the form a [`SweepTrace`] keeps: [`BUCKET`] consecutive settles per key
-/// bucket, and a node → slot column, one entry per map node. Each settle's
-/// out-degree is written when the sweep expands it, so the recording holds
-/// no counter: a position and a `relaxed` snapshot are read back from
-/// settles and degrees. Nor does it copy the tree: the arena the sweep
-/// grew in already holds each settle's parent, and
-/// [`Recording::finish`] reads it there. Only the recording sweep behind
-/// [`crate::dijkstra::run_tree`] and [`crate::dijkstra::run_in_traced`]
-/// writes one.
-pub(crate) struct Recording {
-    buckets: KeyBuckets,
-    /// Node → slot, [`NIL`] for a node not recorded.
-    at: Vec<u32>,
-}
-
-impl Recording {
-    /// An empty recording of a sweep over `nodes` map nodes.
-    pub(crate) fn new(nodes: usize) -> Self {
-        Recording { buckets: KeyBuckets::default(), at: vec![NIL; nodes] }
-    }
-
-    /// Settles recorded.
-    pub(crate) fn len(&self) -> usize {
-        self.buckets.len
-    }
-
-    /// Record the settle of `node` at `dist`. Records nothing and returns
-    /// `false` on a settle that does not strictly follow the last one in
-    /// `(dist, node)` order — only a zero-weight tie or a sum that absorbs a
-    /// weight makes one — or with [`MAX_BUCKETED`] recorded: the recording
-    /// ends at the sweep's key-ordered prefix.
-    pub(crate) fn push(&mut self, node: u32, dist: f64) -> bool {
-        let (key, len) = ((ord_of(dist), node), self.buckets.len);
-        let last = self.buckets.buckets.last().and_then(|b| b.entries.last());
-        if len == MAX_BUCKETED || last.is_some_and(|e| key <= e.key()) {
-            return false;
-        }
-        let b = &mut self.buckets;
-        if len % BUCKET == 0 {
-            let (ord, lo) = if len == 0 { (0, 0) } else { key };
-            // Every earlier settle was expanded before this one settled.
-            let relaxed = b.buckets.last().map_or(0, |p| p.relaxed + p.degrees);
-            b.order.push(Lo { ord, node: lo, handle: b.buckets.len() as u32 });
-            b.buckets.push(Bucket {
-                entries: Vec::with_capacity(BUCKET),
-                degrees: 0,
-                before: len as u32,
-                relaxed,
-            });
-        }
-        let handle = b.buckets.len() - 1;
-        b.buckets[handle].entries.push(Entry { dist, node, degree: 0 });
-        b.len += 1;
-        self.at[node as usize] = slot(handle, len % BUCKET);
-        true
-    }
-
-    /// The last settle recorded was expanded over `degree` arcs: its
-    /// out-degree, added to its bucket's sum. A settle never expanded (the
-    /// one that stopped the sweep) keeps degree 0.
-    pub(crate) fn expanded(&mut self, degree: u32) {
-        let b = self.buckets.buckets.last_mut().expect("an expansion follows its settle");
-        b.entries.last_mut().expect("a bucket is opened by its first settle").degree = degree;
-        b.degrees += degree;
-    }
-
-    /// The trace of this recording, given `arena`, which the sweep grew in,
-    /// and whether the sweep exhausted the root's component in key order.
-    /// Each recorded settle's parent is read from `arena`: a settled label
-    /// never changes afterwards. A complete trace that settled at least two
-    /// thirds of its map keeps the slot column, and a parent column beside
-    /// it ([`NIL`] where nothing settled), as its node-addressed
-    /// [`SettledIndex`]; any other ranks both by its settled nodes, found by
-    /// a scan of the slot column. The root is the first settle: a sweep
-    /// settles its root first.
-    pub(crate) fn finish(mut self, arena: &SearchArena, complete: bool) -> SweepTrace {
-        let b = &mut self.buckets;
-        if let Some(last) = b.buckets.last_mut() {
-            last.entries.shrink_to_fit();
-        }
-        b.buckets.shrink_to_fit();
-        b.order.shrink_to_fit();
-        let (root, nodes, len) = (NodeId(b.buckets[0].entries[0].node), self.at.len(), b.len);
-        let parent = |v: u32| arena.parent_raw(NodeId(v));
-        let index = if complete && 3 * len >= 2 * nodes {
-            let parents = self.at.iter().zip(0..);
-            let parent = parents.map(|(&at, v)| if at == NIL { NIL } else { parent(v) }).collect();
-            SettledIndex { sorted: None, at: self.at, parent }
-        } else {
-            let mut settled = Vec::with_capacity(len);
-            settled.extend((0..nodes as u32).filter(|&v| self.at[v as usize] != NIL));
-            SettledIndex {
-                at: settled.iter().map(|&v| self.at[v as usize]).collect(),
-                parent: settled.iter().map(|&v| parent(v)).collect(),
-                sorted: Some(settled),
-            }
-        };
-        SweepTrace { root, nodes, buckets: self.buckets, index, complete }
-    }
-}
-
 /// A recorded Dijkstra sweep: its labels, tree and counters, read by
 /// [`crate::dijkstra::run_tree`] through a [`TreeView`].
 #[derive(Clone, Debug)]
@@ -595,6 +493,74 @@ pub struct SweepTrace {
 }
 
 impl SweepTrace {
+    /// The trace of the plain sweep that just grew in `arena` and reported
+    /// `swept`, read off the arena: its settle log, each settle's label,
+    /// parent and out-degree. The log is cut at the first settle whose
+    /// `(dist, node)` key does not strictly rise (only a zero-weight tie or
+    /// a sum that absorbs a weight makes one) or at [`MAX_BUCKETED`], and a
+    /// sweep whose goal stop lies inside it is kept up to that stop, or with
+    /// `deepen` up to [`DEEPEN_FACTOR`] times it. The goal's own settle
+    /// keeps degree 0 where the sweep stops there: a sweep never expands
+    /// the settle that stops it. [`BUCKET`] consecutive settles make a key
+    /// bucket. A complete trace that settled at least two thirds of its map
+    /// keeps a node-addressed [`SettledIndex`] (a slot column, and a parent
+    /// column beside it, [`NIL`] where nothing settled); any other ranks
+    /// both by its settled nodes, sorted. The root is the first settle.
+    pub(crate) fn build(arena: &SearchArena, swept: &Swept, deepen: bool) -> SweepTrace {
+        let log = arena.settled();
+        let dist = |v: u32| arena.dist_raw(NodeId(v));
+        let key = |v: u32| (ord_of(dist(v)), v);
+        let ordered =
+            log[..log.len().min(MAX_BUCKETED)].windows(2).position(|w| key(w[1]) <= key(w[0]));
+        let mut len = ordered.map_or(log.len().min(MAX_BUCKETED), |i| i + 1);
+        let stop = swept.met.then_some(swept.stats.settled as usize).filter(|&k| k <= len);
+        if let Some(k) = stop {
+            len = len.min(if deepen { DEEPEN_FACTOR * k } else { k });
+        }
+        let complete = swept.exhausted && len == log.len() && (deepen || !swept.met);
+        let unexpanded = if deepen { None } else { stop.map(|k| k - 1) };
+        let degree =
+            |i: usize| if unexpanded == Some(i) { 0 } else { arena.degree(NodeId(log[i])) };
+
+        let mut buckets = Vec::with_capacity(len.div_ceil(BUCKET));
+        let mut order = Vec::with_capacity(buckets.capacity());
+        let mut relaxed = 0;
+        for (h, chunk) in log[..len].chunks(BUCKET).enumerate() {
+            let first = h * BUCKET;
+            let entries: Vec<Entry> = (first..first + chunk.len())
+                .map(|i| Entry { dist: dist(log[i]), node: log[i], degree: degree(i) })
+                .collect();
+            let degrees = entries.iter().map(|e| e.degree).sum();
+            let (ord, node) = if h == 0 { (0, 0) } else { entries[0].key() };
+            order.push(Lo { ord, node, handle: h as u32 });
+            buckets.push(Bucket { entries, degrees, before: first as u32, relaxed });
+            relaxed += degrees;
+        }
+        let at = |i: usize| slot(i / BUCKET, i % BUCKET);
+        let parent = |v: u32| arena.parent_raw(NodeId(v));
+        let nodes = arena.num_nodes();
+        let index = if complete && 3 * len >= 2 * nodes {
+            let (mut slots, mut parents) = (vec![NIL; nodes], vec![NIL; nodes]);
+            for (i, &v) in log[..len].iter().enumerate() {
+                (slots[v as usize], parents[v as usize]) = (at(i), parent(v));
+            }
+            SettledIndex { sorted: None, at: slots, parent: parents }
+        } else {
+            // The settles' ranks sorted by node, turned into their slots.
+            let mut slots: Vec<u32> = (0..len as u32).collect();
+            slots.sort_unstable_by_key(|&i| log[i as usize]);
+            let sorted: Vec<u32> = slots.iter().map(|&i| log[i as usize]).collect();
+            slots.iter_mut().for_each(|i| *i = at(*i as usize));
+            SettledIndex {
+                parent: sorted.iter().map(|&v| parent(v)).collect(),
+                sorted: Some(sorted),
+                at: slots,
+            }
+        };
+        let buckets = KeyBuckets { buckets, order, free: Vec::new(), len };
+        SweepTrace { root: NodeId(log[0]), nodes, buckets, index, complete }
+    }
+
     /// The node the sweep grew from.
     pub fn root(&self) -> NodeId {
         self.root
@@ -1111,11 +1077,14 @@ mod tests {
     use crate::alt::{AltPreprocessing, GoalPotential};
     use crate::cache::TreeCache;
     use crate::cache::tests::unbounded;
+    use crate::dijkstra::tests::OnHeap;
     use crate::dijkstra::{run_in, run_in_traced, run_tree};
     use crate::multi::{SharingPolicy, TreeSide, msmd, msmd_in_guided_cached};
     use crate::path::LANES;
     use proptest::prelude::*;
-    use roadnet::generators::{GridConfig, NetworkClass, grid_network};
+    use roadnet::generators::{
+        ContinentConfig, GridConfig, NetworkClass, continent_network, grid_network,
+    };
     use roadnet::{EdgeId, GraphBuilder, Point, RoadNetwork};
 
     fn grid() -> roadnet::RoadNetwork {
@@ -2439,5 +2408,152 @@ mod tests {
         }
         assert!(misses >= 100 && cut[0] > 0 && cut[1] > 0, "{misses} misses, {cut:?} cut");
         assert_eq!((misses, traced, cut, digest), (171, 30, [32, 3], 0xf22a_f5ee_f302_419b));
+    }
+
+    /// What one tree reads: its counters or trace words, and the bits of
+    /// its paths to the targets.
+    type Read = (Vec<u64>, Vec<Option<(Vec<NodeId>, u64)>>);
+
+    /// `goal`'s tree from `root` on `g`, grown in `arena` three ways:
+    /// untraced, traced without deepening, and as a deepening cache miss.
+    fn grown_three_ways<G: GraphView>(
+        arena: &mut SearchArena,
+        g: &G,
+        root: NodeId,
+        goal: &Goal,
+        targets: &[NodeId],
+    ) -> [Read; 3] {
+        let paths = |view: TreeView<'_>| targets.iter().map(|&t| bits(view.path_to(t))).collect();
+        let stats = run_in(arena, g, root, goal);
+        let untraced = (vec![stats.settled, stats.relaxed], paths(TreeView::Arena(arena)));
+        let (stats, trace) = run_in_traced(arena, g, root, goal);
+        let traced = (trace_words(&trace, stats), paths(TreeView::Arena(arena)));
+        let mut cache = unbounded();
+        let (stats, view) = run_tree(arena, g, root, goal, None, Some(&mut cache));
+        let read = paths(view);
+        let missed = (trace_words(cache.peek(root).unwrap(), stats), read);
+        [untraced, traced, missed]
+    }
+
+    /// `goal`'s tree from `root` grown on the ring and on the heap reads the
+    /// same, all three ways: counters, traces and paths.
+    fn assert_ring_equals_heap(
+        g: &RoadNetwork,
+        arenas: &mut [SearchArena; 2],
+        root: NodeId,
+        goal: &Goal,
+        targets: &[NodeId],
+        tag: &str,
+    ) {
+        assert!(g.arc_weights().is_some_and(|w| crate::bucket::exact_on_ring(&w)), "{tag}: ring");
+        let [ring, heap] = arenas;
+        let ring = grown_three_ways(ring, g, root, goal, targets);
+        let heap = grown_three_ways(heap, &OnHeap(g), root, goal, targets);
+        for (way, (r, h)) in
+            ["untraced", "traced", "missed"].into_iter().zip(ring.iter().zip(&heap))
+        {
+            let first = r.0.iter().zip(&h.0).position(|(a, b)| a != b);
+            assert!(
+                r.0 == h.0,
+                "{tag}: {way} {goal:?} from {root}: {} vs {} words, first difference at {first:?}",
+                r.0.len(),
+                h.0.len()
+            );
+            assert_eq!(r.1, h.1, "{tag}: {way} {goal:?} from {root}: paths");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..Default::default() })]
+
+        /// Random grid, geometric, radial and continent maps, kept two-way or
+        /// one way (`variant` bit 0), beside an island (an unreachable
+        /// target) and, with bit 1, as many isolated nodes again (complete
+        /// traces ranked by node). One pair of arenas serves every tree, as
+        /// generated and across two rounds of weight updates.
+        #[test]
+        fn ring_trace_equals_heap_trace(
+            seed in 0..1_000u64,
+            class in 0..4usize,
+            variant in 0..4u8,
+            raw_roots in proptest::collection::vec(proptest::num::u32::ANY, 1..3),
+            raw_picks in proptest::collection::vec(proptest::num::u32::ANY, 1..4),
+        ) {
+            let base = match NetworkClass::ALL.get(class) {
+                Some(c) => c.generate(300, seed).unwrap(),
+                None => continent_network(&ContinentConfig {
+                    provinces_x: 2,
+                    provinces_y: 2,
+                    province_width: 8,
+                    province_height: 8,
+                    weight_factor: (1.0, 3.0),
+                    seed,
+                    ..Default::default()
+                })
+                .unwrap(),
+            };
+            let (one_way, wide) = (variant & 1 != 0, variant & 2 != 0);
+            let n = base.num_nodes() as u32;
+            let island = NodeId(n + 1);
+            let mut g = with_island(&base);
+            if wide {
+                g = beside_as_many_isolated(&g);
+            }
+            if one_way {
+                g = crate::bucket::tests::one_way(&g, seed);
+            }
+            let roots: Vec<NodeId> = raw_roots.iter().map(|r| NodeId(r % n)).collect();
+            let picks: Vec<NodeId> = raw_picks.iter().map(|p| NodeId(p % n)).collect();
+            let mut arenas = [SearchArena::new(), SearchArena::new()];
+            for round in 0..3 {
+                match round {
+                    1 => crate::bucket::tests::rescale(&mut g, 2, 2.5),
+                    2 => crate::bucket::tests::rescale(&mut g, 3, 0.4),
+                    _ => {}
+                }
+                let tag = format!("class {class} seed {seed} variant {variant} round {round}");
+                for &root in &roots {
+                    let mut set = picks.clone();
+                    set.extend([picks[0], root, island]);
+                    let all: Vec<NodeId> = g.nodes().collect();
+                    for (goal, targets) in [
+                        (Goal::Single(picks[0]), &picks[..1]),
+                        (Goal::Set(picks.clone()), &picks[..]),
+                        (Goal::Set(set.clone()), &set[..]),
+                        (Goal::Set(Vec::new()), &[root][..]),
+                        (Goal::AllNodes, &all[..]),
+                    ] {
+                        assert_ring_equals_heap(&g, &mut arenas, root, &goal, targets, &tag);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_trace_equals_heap_trace_on_a_component_of_twice_the_goal() {
+        // From 0 the goal 9 settles 10th on a chain of 20: the deepened
+        // miss stores exactly the component, on either loop.
+        let (g, chain) = (grid(), chain_and_pair());
+        let mut arenas = [SearchArena::new(), SearchArena::new()];
+        for (map, root, goal) in [
+            (&chain, NodeId(0), Goal::Single(NodeId(9))),
+            (&chain, NodeId(0), Goal::Single(NodeId(3))),
+            (&chain, NodeId(0), Goal::Set(vec![NodeId(5), NodeId(9), NodeId(5)])),
+            (&chain, NodeId(20), Goal::Single(NodeId(21))),
+            (&chain, NodeId(2), Goal::Set(vec![NodeId(6), NodeId(21)])),
+            (&g, NodeId(0), Goal::Single(NodeId(30))),
+            (&g, NodeId(60), Goal::Set(vec![NodeId(61), NodeId(75)])),
+            (&g, NodeId(5), Goal::AllNodes),
+        ] {
+            let targets = match &goal {
+                Goal::Single(t) => vec![*t],
+                Goal::Set(set) => set.clone(),
+                Goal::AllNodes => map.nodes().collect(),
+            };
+            assert_ring_equals_heap(map, &mut arenas, root, &goal, &targets, "fixed");
+        }
+        let (_, _, stored) = plain_miss(&chain, NodeId(0), &Goal::Single(NodeId(9)), &[]);
+        assert_eq!((stored.len(), stored.is_complete()), (20, true));
     }
 }
