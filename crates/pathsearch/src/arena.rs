@@ -36,6 +36,7 @@
 //! each path gets one node buffer of exact size, root first or root last.
 
 use crate::bucket::{Buckets, Labels};
+use crate::dijkstra::Swept;
 use crate::path::{Path, PathOrder, walk};
 use crate::stats::SearchStats;
 use crate::trace::TreeView;
@@ -150,7 +151,7 @@ pub struct SearchArena {
     reached: Vec<u32>,
     /// The sweep's settles in settle order: every settle of the heap, and
     /// the drained buckets of a logged ring tree, each in key order.
-    settled: Vec<u32>,
+    pub(crate) settled: Vec<u32>,
     /// Nodes of the current search.
     nodes: usize,
 }
@@ -331,19 +332,6 @@ impl SearchArena {
         self.stamp[self.slot(node)] >> 1
     }
 
-    /// The sweep's settles in settle order (see `settled`).
-    #[inline]
-    pub(crate) fn settled(&self) -> &[u32] {
-        &self.settled
-    }
-
-    /// Log `node`, expanded on the ring. [`SearchArena::seal_bucket`] turns
-    /// a bucket's expansions into its settles.
-    #[inline]
-    pub(crate) fn log_expanded(&mut self, node: u32) {
-        self.settled.push(node);
-    }
-
     /// The ring has drained a bucket whose expansions were logged past the
     /// first `from` settles: each node expanded there holds its final
     /// label, so sort them by `(ord_of(dist), node)` — the heap's settle
@@ -469,23 +457,19 @@ impl SearchArena {
         self.reached.push(root.0);
     }
 
-    /// The heap's counters off the ring's labels, `last` being the goal's
-    /// last target key (`None`: every labelled node; see `crate::bucket`).
-    pub(crate) fn ring_counters(&self, last: Option<(u64, u32)>) -> SearchStats {
-        let last = last.unwrap_or((u64::MAX, NIL));
+    /// What a ring tree reports: the heap's counters off its labels, `last`
+    /// being the goal's last target key (`None`: every labelled node; see
+    /// `crate::bucket`). A logged tree that settled every node it labelled
+    /// has nothing left to reach: it exhausted the root's component.
+    pub(crate) fn ring_swept(&self, last: Option<(u64, u32)>) -> Swept {
         let mut stats = SearchStats::default();
+        let end = last.unwrap_or((u64::MAX, NIL));
         for &v in &self.reached {
             let key = (ord_of(self.dist[v as usize]), v);
-            stats.settled += u64::from(key <= last);
-            stats.relaxed += if key < last { u64::from(self.stamp[v as usize] >> 1) } else { 0 };
+            stats.settled += u64::from(key <= end);
+            stats.relaxed += if key < end { u64::from(self.stamp[v as usize] >> 1) } else { 0 };
         }
-        stats
-    }
-
-    /// Whether a logged ring tree settled every node it labelled: then
-    /// nothing is left to reach, and it exhausted the root's component.
-    pub(crate) fn ring_exhausted(&self) -> bool {
-        self.settled.len() == self.reached.len()
+        Swept { stats, met: last.is_some(), exhausted: self.settled.len() == self.reached.len() }
     }
 
     /// The path from the root to `t`, read by the crate's one parent walk:

@@ -1,7 +1,7 @@
 //! The one loop in `pathsearch` without a heap: a ring of distance buckets
 //! `Δ` wide, drained in order, label-correcting within a bucket. It grows
 //! the landmark build's sweeps ([`DistanceSweep`]) and every unguided
-//! tree, unrecorded ([`tree`]) or recorded ([`logged_tree`]), over a map
+//! tree, unrecorded ([`tree`]) or recorded ([`ring_tree`]), over a map
 //! whose [`ArcWeights`] pass [`exact_on_ring`]: every arc positive and at
 //! least `2 · sum · ε`. A label is a rounded simple-path sum, at most
 //! `2 · sum`, so its ulp is at most `2 · sum · ε` and such an arc always
@@ -222,22 +222,6 @@ pub(crate) fn tree<G: GraphView>(
     ring_tree::<false, G>(arena, g, root, goal, false).map(|swept| swept.stats)
 }
 
-/// [`tree`], logged for a trace: when a bucket is drained, its settles join
-/// the arena's settle log in key order. Ring buckets are monotone in
-/// distance, so the log is the heap's settle order. With `deepen` the ring
-/// goes on past the goal's buckets until the log holds [`DEEPEN_FACTOR`] ×
-/// the goal's settles, or the component is exhausted.
-#[inline(never)]
-pub(crate) fn logged_tree<G: GraphView>(
-    arena: &mut SearchArena,
-    g: &G,
-    root: NodeId,
-    goal: &Goal,
-    deepen: bool,
-) -> Option<Swept> {
-    ring_tree::<true, G>(arena, g, root, goal, deepen)
-}
-
 /// The arena as a ring tree's labels, logging each expansion when `LOG`.
 struct Logged<'a, const LOG: bool>(&'a mut SearchArena);
 
@@ -251,7 +235,7 @@ impl<const LOG: bool> Labels for Logged<'_, LOG> {
     fn expanded(&mut self, u: u32, degree: u32) {
         self.0.expanded(u, degree);
         if LOG {
-            self.0.log_expanded(u);
+            self.0.settled.push(u);
         }
     }
 
@@ -261,8 +245,12 @@ impl<const LOG: bool> Labels for Logged<'_, LOG> {
     }
 }
 
-/// [`tree`] and [`logged_tree`]: the sweep, and what it reports.
-fn ring_tree<const LOG: bool, G: GraphView>(
+/// [`tree`], and with `LOG` logged for a trace: when a bucket is drained,
+/// its settles join the arena's settle log in key order, which is the
+/// heap's settle order. With `deepen` the ring goes on past the goal's
+/// buckets until the log holds [`DEEPEN_FACTOR`] × the goal's settles, or
+/// the component is exhausted.
+pub(crate) fn ring_tree<const LOG: bool, G: GraphView>(
     arena: &mut SearchArena,
     g: &G,
     root: NodeId,
@@ -298,14 +286,12 @@ fn ring_tree<const LOG: bool, G: GraphView>(
         if goal_settles.is_none() && !targets.is_empty() && targets.iter().all(drained) {
             let last = last_key(arena).expect("every target drained");
             let key = |&v: &u32| (ord_of(arena.dist_raw(NodeId(v))), v);
-            goal_settles = Some(arena.settled().partition_point(|v| key(v) <= last));
+            goal_settles = Some(arena.settled.partition_point(|v| key(v) <= last));
         }
         goal_settles.is_some_and(|k| !deepen || sealed >= DEEPEN_FACTOR * k)
     });
     arena.buckets = buckets;
-    let last = last_key(arena);
-    let stats = arena.ring_counters(last);
-    Some(Swept { stats, met: last.is_some(), exhausted: arena.ring_exhausted() })
+    Some(arena.ring_swept(last_key(arena)))
 }
 
 #[cfg(test)]

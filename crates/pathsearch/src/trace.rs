@@ -507,7 +507,7 @@ impl SweepTrace {
     /// column beside it, [`NIL`] where nothing settled); any other ranks
     /// both by its settled nodes, sorted. The root is the first settle.
     pub(crate) fn build(arena: &SearchArena, swept: &Swept, deepen: bool) -> SweepTrace {
-        let log = arena.settled();
+        let log = &arena.settled;
         let dist = |v: u32| arena.dist_raw(NodeId(v));
         let key = |v: u32| (ord_of(dist(v)), v);
         let ordered =
