@@ -17,7 +17,7 @@
 //! degrees. Beside the buckets it keeps its tree by node: each settle's
 //! parent node, one entry per map node for a trace that settled most of
 //! its map, ranked by the settled nodes otherwise. A trace is built after
-//! its sweep, by one builder for both loops ([`SweepTrace::build`]), from
+//! its sweep, by one builder for both loops (`SweepTrace::build`), from
 //! what the arena the sweep grew in holds: the sweep's settle log in
 //! settle order, and each settle's label, parent and out-degree. Nothing
 //! watches the sweep while it runs.

@@ -430,14 +430,15 @@ fn an_arena_tree_allocates_one_buffer_per_path() {
 
 #[test]
 fn a_cache_miss_allocates_what_its_trace_keeps() {
-    // A miss records its sweep straight into the trace it stores: 16-B
-    // bucket entries and a node → slot column (4 B per map node), compacted
-    // with each settle's parent, read from the arena, into sorted pairs when
-    // the sweep stopped early; a map-spanning trace keeps the slot column
-    // and a node → parent column beside it (8 B per map node). A settle log
-    // reserved for every map node and copied into the trace afterwards made
-    // the 780-settle miss below allocate 2.2 MB; it allocated 0.75 MB while
-    // the recording copied each parent into a second node column too.
+    // A miss builds its trace from the arena once the sweep is done:
+    // 16-B bucket entries, and an index of 12 B per settle — a slot and a
+    // parent beside each settled node, sorted when the sweep stopped early.
+    // A map-spanning trace keeps a slot and a parent column instead (8 B
+    // per map node). The sweep's settle log grows in the arena. A settle
+    // log reserved for every map node and copied into the trace afterwards
+    // made the 780-settle miss below allocate 2.2 MB; it allocated 0.75 MB
+    // while the recording copied each parent into a second node column too,
+    // and 4 B per map node more while it wrote a node → slot column.
     let side = 300;
     let map =
         grid_network(&GridConfig { width: side, height: side, seed: 3, ..Default::default() })
@@ -445,8 +446,8 @@ fn a_cache_miss_allocates_what_its_trace_keeps() {
     let n = map.num_nodes();
     let node = |x: usize, y: usize| NodeId::from_index(y * side + x);
     let (spanning, stopped) = (node(0, 0), node(side / 2, side / 2));
-    // A warm arena: its heap and goal buffer have hosted a map-spanning
-    // sweep from the same root.
+    // A warm arena: its bucket ring has hosted a map-spanning tree from the
+    // same root.
     let mut arena = SearchArena::preallocated(n, 1);
     run_in(&mut arena, &map, spanning, &Goal::AllNodes);
     let mut cache = TreeCache::new(4, SharingPolicy::PerSource);
@@ -457,7 +458,7 @@ fn a_cache_miss_allocates_what_its_trace_keeps() {
         assert_eq!(cache.counters().1, 1 + u64::from(root == spanning), "root {root}: a miss");
         let trace = cache.peek(root).unwrap();
         assert_eq!(trace.is_complete(), root == spanning, "root {root}");
-        let per_node = if root == spanning { 8 } else { 4 };
+        let per_node = if root == spanning { 8 } else { 0 };
         let bound = per_node * n + 48 * trace.len() + 4096;
         assert!(
             got <= bound as u64,
@@ -465,4 +466,41 @@ fn a_cache_miss_allocates_what_its_trace_keeps() {
             trace.len()
         );
     }
+}
+
+/// Bytes and allocations one early-stopped cache miss makes on a
+/// `side × side` lattice of unit arcs — from 20 steps in from a corner to
+/// 12 steps further along the row, so the same miss on any map size — and
+/// the settles it stores. The arena is preallocated: its label slabs are
+/// the map's, and not counted.
+fn miss_allocations(side: usize) -> (u64, u64, usize) {
+    let lattice = GridConfig {
+        width: side,
+        height: side,
+        jitter: 0.0,
+        weight_factor: (1.0, 1.0),
+        knockout: 0.0,
+        ..Default::default()
+    };
+    let map = grid_network(&lattice).unwrap();
+    let node = |x: usize, y: usize| NodeId::from_index(y * side + x);
+    let mut arena = SearchArena::preallocated(map.num_nodes(), 1);
+    let mut cache = TreeCache::new(4, SharingPolicy::PerSource);
+    let (root, goal) = (node(20, 20), Goal::Single(node(32, 20)));
+    let (got, (count, _)) =
+        bytes(|| allocations(|| run_tree(&mut arena, &map, root, &goal, None, Some(&mut cache)).0));
+    let trace = cache.peek(root).expect("a miss stores its trace");
+    assert!(!trace.is_complete(), "{side}: an early stop");
+    (got, count, trace.len())
+}
+
+#[test]
+fn a_cache_miss_allocates_the_same_on_any_map_size() {
+    // Nothing a miss allocates is sized by the map: its trace and the
+    // arena's settle log are sized by its settles. The node → slot column
+    // a recording used to fill made the same miss allocate 4 B per map node
+    // more on the larger map.
+    let small = miss_allocations(300);
+    let large = miss_allocations(1_000);
+    assert_eq!(small, large, "the same miss on a 300x300 and a 1000x1000 lattice");
 }
