@@ -14,11 +14,11 @@
 //! * the binary heap, the bucket ring's scratch and the goal scratch buffer
 //!   are owned by the arena and reused, so repeated queries on the same
 //!   graph touch no allocator once the high-water capacity is reached;
-//! * a sweep logs its settles in settle order, and leaves each settled
-//!   node's out-degree in its stamp slot, so a recorded sweep's trace is
-//!   built after it from this arena alone (`SweepTrace::build`): labels,
-//!   parents, degrees and that log. It allocates only the trace it hands
-//!   to a tree cache.
+//! * a settled node's out-degree stays in its stamp slot, and a recorded
+//!   sweep logs its settles in settle order, so its trace is built after
+//!   it from this arena alone (`SweepTrace::build`): labels, parents,
+//!   degrees and that log. It allocates only the trace it hands to a tree
+//!   cache.
 //!
 //! The heap holds 16-byte `FrontierEntry`s ordered by integers alone: the
 //! float key is encoded once, at push, into a `u64` whose unsigned order is
@@ -36,7 +36,6 @@
 //! each path gets one node buffer of exact size, root first or root last.
 
 use crate::bucket::{Buckets, Labels};
-use crate::dijkstra::Swept;
 use crate::path::{Path, PathOrder, walk};
 use crate::stats::SearchStats;
 use crate::trace::TreeView;
@@ -147,11 +146,10 @@ pub struct SearchArena {
     goal_scratch: Vec<NodeId>,
     /// The bucket ring's scratch, taken out while a tree sweeps on it.
     pub(crate) buckets: Buckets,
-    /// Every node a ring-grown tree labelled, in labelling order.
-    reached: Vec<u32>,
-    /// The sweep's settles in settle order: every settle of the heap, and
-    /// the drained buckets of a logged ring tree, each in key order.
-    pub(crate) settled: Vec<u32>,
+    /// The sweep's log: every node an unrecorded tree on the bucket ring
+    /// labelled, in labelling order; for a recorded sweep or a band, its
+    /// settles in settle order (on the ring, each drained bucket's).
+    pub(crate) log: Vec<u32>,
     /// Nodes of the current search.
     nodes: usize,
 }
@@ -216,7 +214,7 @@ impl SearchArena {
         self.grow(nodes);
         self.nodes = nodes;
         self.heap.clear();
-        self.settled.clear();
+        self.log.clear();
         self.next_stamp = 2;
         // Epoch 0 is the "never touched" stamp; skip it on wrap-around so
         // labels from 2^32 generations ago cannot resurface as current.
@@ -308,13 +306,12 @@ impl SearchArena {
         self.parent[self.slot(node)]
     }
 
-    /// Mark `node` settled and log it: from now on its slot matches no
-    /// frontier entry, and reads out-degree 0 until it expands.
+    /// Mark `node` settled: from now on its slot matches no frontier
+    /// entry, and reads out-degree 0 until it expands.
     #[inline]
     pub(crate) fn settle(&mut self, node: NodeId) {
         let i = self.slot(node);
         self.stamp[i] = EXPANDED;
-        self.settled.push(node.0);
     }
 
     /// `node`, settled, has relaxed its `degree` out-arcs.
@@ -335,10 +332,10 @@ impl SearchArena {
     /// The ring has drained a bucket whose expansions were logged past the
     /// first `from` settles: each node expanded there holds its final
     /// label, so sort them by `(ord_of(dist), node)` — the heap's settle
-    /// order — and keep one of a node expanded more than once. Returns the
+    /// order — and keep one of a node logged more than once. Returns the
     /// settles logged.
     pub(crate) fn seal_bucket(&mut self, from: usize) -> usize {
-        let (dist, log) = (&self.dist, &mut self.settled);
+        let (dist, log) = (&self.dist, &mut self.log);
         log[from..].sort_unstable_by_key(|&v| (ord_of(dist[v as usize]), v));
         let mut kept = from;
         for i in from..log.len() {
@@ -448,28 +445,29 @@ impl SearchArena {
     }
 
     /// Start a tree on the bucket ring over `nodes` nodes: a new
-    /// generation whose one label is `root`'s, at 0.
+    /// generation whose one label, and logged node, is `root`'s, at 0.
     pub(crate) fn ring_begin(&mut self, nodes: usize, root: NodeId) {
         self.begin(nodes);
-        self.reached.clear();
         self.label(root, 0.0, None);
         self.stamp[root.index()] = 0;
-        self.reached.push(root.0);
+        self.log.push(root.0);
     }
 
-    /// What a ring tree reports: the heap's counters off its labels, `last`
-    /// being the goal's last target key (`None`: every labelled node; see
-    /// `crate::bucket`). A logged tree that settled every node it labelled
-    /// has nothing left to reach: it exhausted the root's component.
-    pub(crate) fn ring_swept(&self, last: Option<(u64, u32)>) -> Swept {
+    /// The heap's counters off the ring's labels, `last` being the goal's
+    /// last target key (`None`: every logged node; see `crate::bucket`).
+    /// The log holds every node keyed up to `last`: an unrecorded tree logs
+    /// every node it labels, and a recorded one every node of its drained
+    /// buckets, which hold `last` or, when the goal is never met, the
+    /// component.
+    pub(crate) fn ring_counters(&self, last: Option<(u64, u32)>) -> SearchStats {
+        let last = last.unwrap_or((u64::MAX, NIL));
         let mut stats = SearchStats::default();
-        let end = last.unwrap_or((u64::MAX, NIL));
-        for &v in &self.reached {
+        for &v in &self.log {
             let key = (ord_of(self.dist[v as usize]), v);
-            stats.settled += u64::from(key <= end);
-            stats.relaxed += if key < end { u64::from(self.stamp[v as usize] >> 1) } else { 0 };
+            stats.settled += u64::from(key <= last);
+            stats.relaxed += if key < last { u64::from(self.stamp[v as usize] >> 1) } else { 0 };
         }
-        Swept { stats, met: last.is_some(), exhausted: self.settled.len() == self.reached.len() }
+        stats
     }
 
     /// The path from the root to `t`, read by the crate's one parent walk:
@@ -536,7 +534,6 @@ impl Labels for SearchArena {
         if fresh || cand < self.dist[i] {
             if fresh {
                 self.labelled[i] = self.epoch;
-                self.reached.push(v);
             }
             (self.dist[i], self.parent[i], self.stamp[i]) = (cand, u, 0);
             return true;

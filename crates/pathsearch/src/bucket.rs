@@ -222,34 +222,48 @@ pub(crate) fn tree<G: GraphView>(
     ring_tree::<false, G>(arena, g, root, goal, false).map(|swept| swept.stats)
 }
 
-/// The arena as a ring tree's labels, logging each expansion when `LOG`.
-struct Logged<'a, const LOG: bool>(&'a mut SearchArena);
+/// The arena as a ring tree's labels. It logs each node labelled, or with
+/// `LOG` each expansion, and counts the nodes labelled.
+struct Logged<'a, const LOG: bool> {
+    arena: &'a mut SearchArena,
+    labelled: usize,
+}
 
 impl<const LOG: bool> Labels for Logged<'_, LOG> {
     #[inline]
     fn take(&mut self, u: u32) -> Option<f64> {
-        self.0.take(u)
+        self.arena.take(u)
     }
 
     #[inline]
     fn expanded(&mut self, u: u32, degree: u32) {
-        self.0.expanded(u, degree);
+        self.arena.expanded(u, degree);
         if LOG {
-            self.0.settled.push(u);
+            self.arena.log.push(u);
         }
     }
 
     #[inline]
     fn relax(&mut self, u: u32, du: f64, v: u32, cand: f64) -> bool {
-        self.0.relax(u, du, v, cand)
+        let fresh = !self.arena.is_labelled(NodeId(v));
+        let lower = self.arena.relax(u, du, v, cand);
+        if fresh {
+            self.labelled += 1;
+            if !LOG {
+                self.arena.log.push(v);
+            }
+        }
+        lower
     }
 }
 
 /// [`tree`], and with `LOG` logged for a trace: when a bucket is drained,
-/// its settles join the arena's settle log in key order, which is the
-/// heap's settle order. With `deepen` the ring goes on past the goal's
-/// buckets until the log holds [`DEEPEN_FACTOR`] × the goal's settles, or
-/// the component is exhausted.
+/// its settles replace its expansions in the arena's log, in key order,
+/// which is the heap's settle order (the root, logged when the ring
+/// begins, is logged again when it expands). With `deepen` the ring goes on
+/// past the goal's buckets until the log holds [`DEEPEN_FACTOR`] × the
+/// goal's settles, or the component is exhausted: every node labelled is
+/// settled.
 pub(crate) fn ring_tree<const LOG: bool, G: GraphView>(
     arena: &mut SearchArena,
     g: &G,
@@ -277,8 +291,9 @@ pub(crate) fn ring_tree<const LOG: bool, G: GraphView>(
     // Once the goal's buckets are drained: the settles the goal needs
     // (read off a logged tree's settles only).
     let (mut goal_settles, mut sealed) = (None, 0);
-    buckets.sweep(shape, g, root, &mut Logged::<LOG>(arena), |logged, b| {
-        let arena = &mut *logged.0;
+    let mut logged = Logged::<LOG> { arena, labelled: 1 };
+    buckets.sweep(shape, g, root, &mut logged, |logged, b| {
+        let arena = &mut *logged.arena;
         if LOG {
             sealed = arena.seal_bucket(sealed);
         }
@@ -286,12 +301,14 @@ pub(crate) fn ring_tree<const LOG: bool, G: GraphView>(
         if goal_settles.is_none() && !targets.is_empty() && targets.iter().all(drained) {
             let last = last_key(arena).expect("every target drained");
             let key = |&v: &u32| (ord_of(arena.dist_raw(NodeId(v))), v);
-            goal_settles = Some(arena.settled.partition_point(|v| key(v) <= last));
+            goal_settles = Some(arena.log.partition_point(|v| key(v) <= last));
         }
         goal_settles.is_some_and(|k| !deepen || sealed >= DEEPEN_FACTOR * k)
     });
+    let exhausted = LOG && logged.labelled == logged.arena.log.len();
     arena.buckets = buckets;
-    Some(arena.ring_swept(last_key(arena)))
+    let last = last_key(arena);
+    Some(Swept { stats: arena.ring_counters(last), met: last.is_some(), exhausted })
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@
 //! push); a popped entry is fresh iff its slot still holds its push stamp.
 //! Every plain tree on a map whose weights allow it, recorded or not,
 //! drains `crate::bucket`'s heap-free ring instead, to the same labels,
-//! parents, counters and traces. Either loop logs its settles in the
-//! arena, and a recorded tree's [`SweepTrace`] is built from the arena
+//! parents, counters and traces. A recorded tree, on either loop, logs its
+//! settles in the arena, and its [`SweepTrace`] is built from the arena
 //! after the sweep. Repeated queries on the same network
 //! pay no per-query `O(n)` initialization *or allocation* — the cost of a
 //! query is proportional to the area it actually explores, which is the
@@ -52,11 +52,14 @@ pub enum Goal {
 /// root misses at most `log₂ n` times. A fixed constant, not a knob.
 pub(crate) const DEEPEN_FACTOR: usize = 2;
 
-/// Where the heap loop stops.
+/// Where the heap loop stops, and whether it logs its settles in the arena:
+/// every rule but an unrecorded tree's does.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum Until {
-    /// At the settle that meets the goal.
+    /// At the settle that meets the goal, unlogged.
     Goal,
+    /// At the settle that meets the goal, for a trace.
+    Traced,
     /// Past the goal, a cache miss's depth: before the settle after
     /// [`DEEPEN_FACTOR`] × the goal's settles, or after the first settle
     /// that breaks the strict `(dist, node)` order (a trace keeps no more;
@@ -112,8 +115,8 @@ impl<F: Fn(NodeId) -> f64> Potential for F {
 /// *order* and the explored region change. A potential that narrows as its
 /// goals settle ([`Potential::retire`]) has the open frontier re-keyed on
 /// the spot; the settled prefix needs nothing (see [`SearchArena`]'s
-/// `rekey`). Every settle is logged in the arena with its out-degree, which
-/// is all a trace is built from afterwards.
+/// `rekey`). Each settle leaves its out-degree in the arena, and every rule
+/// but [`Until::Goal`] logs it there: all a trace is built from afterwards.
 pub(crate) fn heap_tree<G: GraphView, P: Potential>(
     arena: &mut SearchArena,
     g: &G,
@@ -137,11 +140,13 @@ pub(crate) fn heap_tree<G: GraphView, P: Potential>(
     arena.label(source, 0.0, None);
     arena.push(0.0 + pot.eval(source), source);
 
-    let (mut at_goal, mut exhausted) = (None::<SearchStats>, true);
+    let mut at_goal = None::<SearchStats>;
     // Deepening only: the last settle's key, and whether every settle came
     // strictly after the one before it.
     let (mut last, mut ordered) = (None, true);
-    while let Some(e) = arena.pop() {
+    // Whether the heap drained: the sweep exhausted the root's component.
+    let exhausted = loop {
+        let Some(e) = arena.pop() else { break true };
         // Lazy deletion: skip entries for already-settled nodes or labels
         // that a shorter one has since overwritten.
         if !arena.is_fresh(&e) {
@@ -152,16 +157,18 @@ pub(crate) fn heap_tree<G: GraphView, P: Potential>(
         // pushed with.
         let d_node = arena.dist_raw(node);
         let stop = match until {
-            Until::Goal => false,
+            Until::Goal | Until::Traced => false,
             Until::Deepened => at_goal
                 .is_some_and(|k| !ordered || stats.settled == (DEEPEN_FACTOR as u64) * k.settled),
             Until::Radius(hi) => d_node > hi,
         };
         if stop {
-            exhausted = false;
-            break;
+            break false;
         }
         arena.settle(node);
+        if until != Until::Goal {
+            arena.log.push(node.0);
+        }
         stats.settled += 1;
         if until == Until::Deepened {
             let key = Some((ord_of(d_node), node.0));
@@ -187,8 +194,7 @@ pub(crate) fn heap_tree<G: GraphView, P: Potential>(
         if met {
             at_goal = Some(stats);
             if until != Until::Deepened || !ordered {
-                exhausted = false;
-                break;
+                break false;
             }
         }
         if pot.retire(node) {
@@ -203,7 +209,7 @@ pub(crate) fn heap_tree<G: GraphView, P: Potential>(
         });
         stats.relaxed += u64::from(degree);
         arena.set_degree(node, degree);
-    }
+    };
     arena.put_goal_scratch(remaining);
     Swept { stats: at_goal.unwrap_or(stats), met: at_goal.is_some(), exhausted }
 }
@@ -244,7 +250,7 @@ fn grow_traced<G: GraphView>(
     goal: &Goal,
     deepen: bool,
 ) -> (SearchStats, SweepTrace) {
-    let until = if deepen { Until::Deepened } else { Until::Goal };
+    let until = if deepen { Until::Deepened } else { Until::Traced };
     let swept = bucket::ring_tree::<true, G>(arena, g, root, goal, deepen)
         .unwrap_or_else(|| heap_tree(arena, g, root, goal, until, &mut zero_pot));
     (swept.stats, SweepTrace::build(arena, &swept, deepen))

@@ -56,7 +56,7 @@ pub fn ring_search_in<G: GraphView>(
     assert!(lo >= 0.0 && hi >= lo, "invalid ring bounds");
     assert!(hi.is_finite(), "radius must be finite");
     let swept = heap_tree(arena, g, source, &Goal::AllNodes, Until::Radius(hi), &mut zero_pot);
-    let settled = arena.settled.iter().map(|&v| (NodeId(v), arena.dist_raw(NodeId(v))));
+    let settled = arena.log.iter().map(|&v| (NodeId(v), arena.dist_raw(NodeId(v))));
     (settled.filter(|&(_, d)| d >= lo).collect(), swept.stats, swept.exhausted)
 }
 

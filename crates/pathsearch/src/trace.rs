@@ -507,12 +507,12 @@ impl SweepTrace {
     /// column beside it, [`NIL`] where nothing settled); any other ranks
     /// both by its settled nodes, sorted. The root is the first settle.
     pub(crate) fn build(arena: &SearchArena, swept: &Swept, deepen: bool) -> SweepTrace {
-        let log = &arena.settled;
+        let log = &arena.log;
         let dist = |v: u32| arena.dist_raw(NodeId(v));
         let key = |v: u32| (ord_of(dist(v)), v);
-        let ordered =
-            log[..log.len().min(MAX_BUCKETED)].windows(2).position(|w| key(w[1]) <= key(w[0]));
-        let mut len = ordered.map_or(log.len().min(MAX_BUCKETED), |i| i + 1);
+        let cap = log.len().min(MAX_BUCKETED);
+        let cut = log[..cap].windows(2).position(|w| key(w[1]) <= key(w[0]));
+        let mut len = cut.map_or(cap, |i| i + 1);
         let stop = swept.met.then_some(swept.stats.settled as usize).filter(|&k| k <= len);
         if let Some(k) = stop {
             len = len.min(if deepen { DEEPEN_FACTOR * k } else { k });
