@@ -150,6 +150,9 @@ pub struct SearchArena {
     /// labelled, in labelling order; for a recorded sweep or a band, its
     /// settles in settle order (on the ring, each drained bucket's).
     pub(crate) log: Vec<u32>,
+    /// A drained bucket's settles under their keys, while a recorded ring
+    /// tree sorts them.
+    keys: Vec<(u64, u32)>,
     /// Nodes of the current search.
     nodes: usize,
 }
@@ -335,17 +338,13 @@ impl SearchArena {
     /// order — and keep one of a node logged more than once. Returns the
     /// settles logged.
     pub(crate) fn seal_bucket(&mut self, from: usize) -> usize {
-        let (dist, log) = (&self.dist, &mut self.log);
-        log[from..].sort_unstable_by_key(|&v| (ord_of(dist[v as usize]), v));
-        let mut kept = from;
-        for i in from..log.len() {
-            if kept == from || log[i] != log[kept - 1] {
-                log[kept] = log[i];
-                kept += 1;
-            }
-        }
-        log.truncate(kept);
-        kept
+        let (dist, log, keys) = (&self.dist, &mut self.log, &mut self.keys);
+        keys.clear();
+        keys.extend(log.drain(from..).map(|v| (ord_of(dist[v as usize]), v)));
+        keys.sort_unstable();
+        keys.dedup();
+        log.extend(keys.iter().map(|&(_, v)| v));
+        log.len()
     }
 
     /// Relax the arc `from → to` with candidate distance `cand`:
@@ -437,8 +436,8 @@ impl SearchArena {
     /// strict improvement), so the slot's latest push is the one entry
     /// whose stamp the slot still holds — the entry whose raw distance
     /// equals the label. Settling sets [`EXPANDED`], which no entry
-    /// carries. A fresh entry's label is therefore read from
-    /// the slot bit for bit.
+    /// carries. A fresh entry's label is therefore read from the slot bit
+    /// for bit.
     #[inline]
     pub(crate) fn is_fresh(&self, e: &FrontierEntry) -> bool {
         self.stamp[self.slot(e.node())] == e.stamp
@@ -521,10 +520,25 @@ impl Labels for SearchArena {
         self.set_degree(NodeId(u), degree);
     }
 
-    /// Label `v` when `cand` improves on its label; on a tie keep the
-    /// parent of lesser `(d, node)` key.
+    /// An unrecorded tree logs each node it labels.
     #[inline]
     fn relax(&mut self, u: u32, du: f64, v: u32, cand: f64) -> bool {
+        self.ring_relax::<true>(u, du, v, cand)
+    }
+}
+
+impl SearchArena {
+    /// Label `v` when `cand` improves on its label, logging it the first
+    /// time with `LOG_LABELS`; on a tie keep the parent of lesser `(d,
+    /// node)` key.
+    #[inline]
+    pub(crate) fn ring_relax<const LOG_LABELS: bool>(
+        &mut self,
+        u: u32,
+        du: f64,
+        v: u32,
+        cand: f64,
+    ) -> bool {
         debug_assert!(cand > du, "an arc that passes `exact_on_ring` raises every label");
         let i = v as usize;
         let fresh = self.labelled[i] != self.epoch;
@@ -534,6 +548,9 @@ impl Labels for SearchArena {
         if fresh || cand < self.dist[i] {
             if fresh {
                 self.labelled[i] = self.epoch;
+                if LOG_LABELS {
+                    self.log.push(v);
+                }
             }
             (self.dist[i], self.parent[i], self.stamp[i]) = (cand, u, 0);
             return true;

@@ -222,14 +222,14 @@ pub(crate) fn tree<G: GraphView>(
     ring_tree::<false, G>(arena, g, root, goal, false).map(|swept| swept.stats)
 }
 
-/// The arena as a ring tree's labels. It logs each node labelled, or with
-/// `LOG` each expansion, and counts the nodes labelled.
-struct Logged<'a, const LOG: bool> {
+/// The arena as a recorded ring tree's labels: it logs each expansion, not
+/// each label, and counts the nodes labelled.
+struct Logged<'a> {
     arena: &'a mut SearchArena,
     labelled: usize,
 }
 
-impl<const LOG: bool> Labels for Logged<'_, LOG> {
+impl Labels for Logged<'_> {
     #[inline]
     fn take(&mut self, u: u32) -> Option<f64> {
         self.arena.take(u)
@@ -238,22 +238,14 @@ impl<const LOG: bool> Labels for Logged<'_, LOG> {
     #[inline]
     fn expanded(&mut self, u: u32, degree: u32) {
         self.arena.expanded(u, degree);
-        if LOG {
-            self.arena.log.push(u);
-        }
+        self.arena.log.push(u);
     }
 
     #[inline]
     fn relax(&mut self, u: u32, du: f64, v: u32, cand: f64) -> bool {
-        let fresh = !self.arena.is_labelled(NodeId(v));
-        let lower = self.arena.relax(u, du, v, cand);
-        if fresh {
-            self.labelled += 1;
-            if !LOG {
-                self.arena.log.push(v);
-            }
-        }
-        lower
+        // A node labelled for the first time is labelled by this call.
+        self.labelled += usize::from(!self.arena.is_labelled(NodeId(v)));
+        self.arena.ring_relax::<false>(u, du, v, cand)
     }
 }
 
@@ -286,26 +278,31 @@ pub(crate) fn ring_tree<const LOG: bool, G: GraphView>(
         });
         last.flatten()
     };
+    let drained = |arena: &SearchArena, b: usize| {
+        let drained = |&t| arena.distance(t).is_some_and(|d| shape.bucket(d) <= b);
+        !targets.is_empty() && targets.iter().all(drained)
+    };
     arena.ring_begin(g.num_nodes(), root);
     let mut buckets = std::mem::take(&mut arena.buckets);
-    // Once the goal's buckets are drained: the settles the goal needs
-    // (read off a logged tree's settles only).
-    let (mut goal_settles, mut sealed) = (None, 0);
-    let mut logged = Logged::<LOG> { arena, labelled: 1 };
-    buckets.sweep(shape, g, root, &mut logged, |logged, b| {
-        let arena = &mut *logged.arena;
-        if LOG {
+    let exhausted = if LOG {
+        // Once the goal's buckets are drained: the settles the goal needs.
+        let (mut goal_settles, mut sealed) = (None, 0);
+        let mut logged = Logged { arena, labelled: 1 };
+        buckets.sweep(shape, g, root, &mut logged, |logged, b| {
+            let arena = &mut *logged.arena;
             sealed = arena.seal_bucket(sealed);
-        }
-        let drained = |&t| arena.distance(t).is_some_and(|d| shape.bucket(d) <= b);
-        if goal_settles.is_none() && !targets.is_empty() && targets.iter().all(drained) {
-            let last = last_key(arena).expect("every target drained");
-            let key = |&v: &u32| (ord_of(arena.dist_raw(NodeId(v))), v);
-            goal_settles = Some(arena.log.partition_point(|v| key(v) <= last));
-        }
-        goal_settles.is_some_and(|k| !deepen || sealed >= DEEPEN_FACTOR * k)
-    });
-    let exhausted = LOG && logged.labelled == logged.arena.log.len();
+            if goal_settles.is_none() && drained(arena, b) {
+                let last = last_key(arena).expect("every target drained");
+                let key = |&v: &u32| (ord_of(arena.dist_raw(NodeId(v))), v);
+                goal_settles = Some(arena.log.partition_point(|v| key(v) <= last));
+            }
+            goal_settles.is_some_and(|k| !deepen || sealed >= DEEPEN_FACTOR * k)
+        });
+        logged.labelled == logged.arena.log.len()
+    } else {
+        buckets.sweep(shape, g, root, arena, |arena, b| drained(arena, b));
+        false
+    };
     arena.buckets = buckets;
     let last = last_key(arena);
     Some(Swept { stats: arena.ring_counters(last), met: last.is_some(), exhausted })

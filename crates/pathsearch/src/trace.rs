@@ -546,15 +546,15 @@ impl SweepTrace {
             }
             SettledIndex { sorted: None, at: slots, parent: parents }
         } else {
-            // The settles' ranks sorted by node, turned into their slots.
-            let mut slots: Vec<u32> = (0..len as u32).collect();
-            slots.sort_unstable_by_key(|&i| log[i as usize]);
-            let sorted: Vec<u32> = slots.iter().map(|&i| log[i as usize]).collect();
-            slots.iter_mut().for_each(|i| *i = at(*i as usize));
+            // Each settle's node above its rank, sorted.
+            let mut ranked: Vec<u64> =
+                log[..len].iter().zip(0..).map(|(&v, i)| u64::from(v) << 32 | i).collect();
+            ranked.sort_unstable();
+            let sorted: Vec<u32> = ranked.iter().map(|&r| (r >> 32) as u32).collect();
             SettledIndex {
+                at: ranked.iter().map(|&r| at(r as u32 as usize)).collect(),
                 parent: sorted.iter().map(|&v| parent(v)).collect(),
                 sorted: Some(sorted),
-                at: slots,
             }
         };
         let buckets = KeyBuckets { buckets, order, free: Vec::new(), len };
