@@ -150,9 +150,6 @@ pub struct SearchArena {
     /// labelled, in labelling order; for a recorded sweep or a band, its
     /// settles in settle order (on the ring, each drained bucket's).
     pub(crate) log: Vec<u32>,
-    /// A drained bucket's settles under their keys, while a recorded ring
-    /// tree sorts them.
-    keys: Vec<(u64, u32)>,
     /// Nodes of the current search.
     nodes: usize,
 }
@@ -338,13 +335,17 @@ impl SearchArena {
     /// order — and keep one of a node logged more than once. Returns the
     /// settles logged.
     pub(crate) fn seal_bucket(&mut self, from: usize) -> usize {
-        let (dist, log, keys) = (&self.dist, &mut self.log, &mut self.keys);
-        keys.clear();
-        keys.extend(log.drain(from..).map(|v| (ord_of(dist[v as usize]), v)));
-        keys.sort_unstable();
-        keys.dedup();
-        log.extend(keys.iter().map(|&(_, v)| v));
-        log.len()
+        let (dist, log) = (&self.dist, &mut self.log);
+        log[from..].sort_unstable_by_key(|&v| (ord_of(dist[v as usize]), v));
+        let mut kept = from;
+        for i in from..log.len() {
+            if kept == from || log[i] != log[kept - 1] {
+                log[kept] = log[i];
+                kept += 1;
+            }
+        }
+        log.truncate(kept);
+        kept
     }
 
     /// Relax the arc `from → to` with candidate distance `cand`:
