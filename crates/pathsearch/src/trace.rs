@@ -517,6 +517,7 @@ impl SweepTrace {
         if let Some(k) = stop {
             len = len.min(if deepen { DEEPEN_FACTOR * k } else { k });
         }
+        // A sweep that stopped at its goal proves nothing past it.
         let complete = swept.exhausted && len == log.len() && (deepen || !swept.met);
         let unexpanded = if deepen { None } else { stop.map(|k| k - 1) };
         let degree =
