@@ -2534,10 +2534,16 @@ mod tests {
     #[test]
     fn ring_trace_equals_heap_trace_on_a_component_of_twice_the_goal() {
         // From 0 the goal 9 settles 10th on a chain of 20: the deepened
-        // miss stores exactly the component, on either loop.
+        // miss stores exactly the component, on either loop. A root beside
+        // the grid has no arcs at all.
         let (g, chain) = (grid(), chain_and_pair());
+        let half = beside_as_many_isolated(&g);
+        let lone = NodeId(g.num_nodes() as u32 + 3);
         let mut arenas = [SearchArena::new(), SearchArena::new()];
         for (map, root, goal) in [
+            (&half, lone, Goal::Single(NodeId(0))),
+            (&half, lone, Goal::Single(lone)),
+            (&half, lone, Goal::AllNodes),
             (&chain, NodeId(0), Goal::Single(NodeId(9))),
             (&chain, NodeId(0), Goal::Single(NodeId(3))),
             (&chain, NodeId(0), Goal::Set(vec![NodeId(5), NodeId(9), NodeId(5)])),
