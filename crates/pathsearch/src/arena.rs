@@ -524,21 +524,22 @@ impl Labels for SearchArena {
     /// An unrecorded tree logs each node it labels.
     #[inline]
     fn relax(&mut self, u: u32, du: f64, v: u32, cand: f64) -> bool {
-        self.ring_relax::<true>(u, du, v, cand)
+        self.ring_relax(u, du, v, cand, |arena| arena.log.push(v))
     }
 }
 
 impl SearchArena {
-    /// Label `v` when `cand` improves on its label, logging it the first
-    /// time with `LOG_LABELS`; on a tie keep the parent of lesser `(d,
-    /// node)` key.
+    /// Label `v` when `cand` improves on its label, calling `first` when
+    /// this is its first label of the generation; on a tie keep the parent
+    /// of lesser `(d, node)` key.
     #[inline]
-    pub(crate) fn ring_relax<const LOG_LABELS: bool>(
+    pub(crate) fn ring_relax(
         &mut self,
         u: u32,
         du: f64,
         v: u32,
         cand: f64,
+        first: impl FnOnce(&mut Self),
     ) -> bool {
         debug_assert!(cand > du, "an arc that passes `exact_on_ring` raises every label");
         let i = v as usize;
@@ -549,9 +550,7 @@ impl SearchArena {
         if fresh || cand < self.dist[i] {
             if fresh {
                 self.labelled[i] = self.epoch;
-                if LOG_LABELS {
-                    self.log.push(v);
-                }
+                first(self);
             }
             (self.dist[i], self.parent[i], self.stamp[i]) = (cand, u, 0);
             return true;

@@ -1,7 +1,7 @@
 //! The one loop in `pathsearch` without a heap: a ring of distance buckets
 //! `Δ` wide, drained in order, label-correcting within a bucket. It grows
 //! the landmark build's sweeps ([`DistanceSweep`]) and every unguided
-//! tree, unrecorded ([`tree`]) or recorded ([`ring_tree`]), over a map
+//! tree, unrecorded ([`tree`]) or recorded ([`recorded_tree`]), over a map
 //! whose [`ArcWeights`] pass [`exact_on_ring`]: every arc positive and at
 //! least `2 · sum · ε`. A label is a rounded simple-path sum, at most
 //! `2 · sum`, so its ulp is at most `2 · sum · ε` and such an arc always
@@ -208,10 +208,35 @@ impl DistanceSweep {
     }
 }
 
+/// The ring's shape over `g`, with `arena` begun from `root`, or `None` to
+/// leave the tree to the heap: a view without [`ArcWeights`], or weights
+/// that fail [`exact_on_ring`].
+fn begin<G: GraphView>(arena: &mut SearchArena, g: &G, root: NodeId) -> Option<Ring> {
+    assert!(root.index() < g.num_nodes(), "source out of range");
+    let shape = Ring::of(&g.arc_weights().filter(exact_on_ring)?);
+    arena.ring_begin(g.num_nodes(), root);
+    Some(shape)
+}
+
+/// The key of `goal`'s last target, once every target is labelled in a
+/// bucket up to `b` (`usize::MAX`: at all); never for `AllNodes`.
+#[inline]
+fn last_key(arena: &SearchArena, shape: Ring, goal: &Goal, b: usize) -> Option<(u64, u32)> {
+    let targets: &[NodeId] = match goal {
+        Goal::AllNodes => &[],
+        Goal::Single(t) => std::slice::from_ref(t),
+        Goal::Set(set) => set,
+    };
+    let last = targets.iter().try_fold(None, |last: Option<(u64, u32)>, &t| {
+        let d = arena.distance(t).filter(|&d| shape.bucket(d) <= b)?;
+        Some(last.max(Some((ord_of(d), t.0))))
+    });
+    last.flatten()
+}
+
 /// Grow `crate::dijkstra::run_in`'s plain tree on the ring and return the
-/// heap's counters, or `None` to leave it to the heap: a view without
-/// [`ArcWeights`], or weights that fail [`exact_on_ring`]. The ring stops
-/// once every target's bucket is drained.
+/// heap's counters, or `None` to leave it to the heap (see [`begin`]). The
+/// ring stops once every target's bucket is drained.
 #[inline(never)]
 pub(crate) fn tree<G: GraphView>(
     arena: &mut SearchArena,
@@ -219,7 +244,11 @@ pub(crate) fn tree<G: GraphView>(
     root: NodeId,
     goal: &Goal,
 ) -> Option<SearchStats> {
-    ring_tree::<false, G>(arena, g, root, goal, false).map(|swept| swept.stats)
+    let shape = begin(arena, g, root)?;
+    let mut buckets = std::mem::take(&mut arena.buckets);
+    buckets.sweep(shape, g, root, arena, |arena, b| last_key(arena, shape, goal, b).is_some());
+    arena.buckets = buckets;
+    Some(arena.ring_counters(last_key(arena, shape, goal, usize::MAX)))
 }
 
 /// The arena as a recorded ring tree's labels: it logs each expansion, not
@@ -243,68 +272,42 @@ impl Labels for Logged<'_> {
 
     #[inline]
     fn relax(&mut self, u: u32, du: f64, v: u32, cand: f64) -> bool {
-        // A node labelled for the first time is labelled by this call.
-        self.labelled += usize::from(!self.arena.is_labelled(NodeId(v)));
-        self.arena.ring_relax::<false>(u, du, v, cand)
+        let labelled = &mut self.labelled;
+        self.arena.ring_relax(u, du, v, cand, |_| *labelled += 1)
     }
 }
 
-/// [`tree`], and with `LOG` logged for a trace: when a bucket is drained,
-/// its settles replace its expansions in the arena's log, in key order,
-/// which is the heap's settle order (the root, logged when the ring
-/// begins, is logged again when it expands). With `deepen` the ring goes on
-/// past the goal's buckets until the log holds [`DEEPEN_FACTOR`] × the
-/// goal's settles, or the component is exhausted: every node labelled is
-/// settled.
-pub(crate) fn ring_tree<const LOG: bool, G: GraphView>(
+/// [`tree`], logged for a trace: when a bucket is drained, its settles
+/// replace its expansions in the arena's log, in key order, which is the
+/// heap's settle order (the root, logged when the ring begins, is logged
+/// again when it expands). With `deepen` the ring goes on past the goal's
+/// buckets until the log holds [`DEEPEN_FACTOR`] × the goal's settles, or
+/// the component is exhausted: every node labelled is settled.
+pub(crate) fn recorded_tree<G: GraphView>(
     arena: &mut SearchArena,
     g: &G,
     root: NodeId,
     goal: &Goal,
     deepen: bool,
 ) -> Option<Swept> {
-    assert!(root.index() < g.num_nodes(), "source out of range");
-    let weights = g.arc_weights().filter(exact_on_ring)?;
-    let shape = Ring::of(&weights);
-    let targets: &[NodeId] = match goal {
-        Goal::AllNodes => &[],
-        Goal::Single(t) => std::slice::from_ref(t),
-        Goal::Set(set) => set,
-    };
-    // The key of the goal's last target, when every target was reached.
-    let last_key = |arena: &SearchArena| {
-        let last = targets.iter().try_fold(None, |last: Option<(u64, u32)>, &t| {
-            Some(last.max(Some((ord_of(arena.distance(t)?), t.0))))
-        });
-        last.flatten()
-    };
-    let drained = |arena: &SearchArena, b: usize| {
-        let drained = |&t| arena.distance(t).is_some_and(|d| shape.bucket(d) <= b);
-        !targets.is_empty() && targets.iter().all(drained)
-    };
-    arena.ring_begin(g.num_nodes(), root);
+    let shape = begin(arena, g, root)?;
     let mut buckets = std::mem::take(&mut arena.buckets);
-    let exhausted = if LOG {
-        // Once the goal's buckets are drained: the settles the goal needs.
-        let (mut goal_settles, mut sealed) = (None, 0);
-        let mut logged = Logged { arena, labelled: 1 };
-        buckets.sweep(shape, g, root, &mut logged, |logged, b| {
-            let arena = &mut *logged.arena;
-            sealed = arena.seal_bucket(sealed);
-            if goal_settles.is_none() && drained(arena, b) {
-                let last = last_key(arena).expect("every target drained");
-                let key = |&v: &u32| (ord_of(arena.dist_raw(NodeId(v))), v);
-                goal_settles = Some(arena.log.partition_point(|v| key(v) <= last));
-            }
-            goal_settles.is_some_and(|k| !deepen || sealed >= DEEPEN_FACTOR * k)
-        });
-        logged.labelled == logged.arena.log.len()
-    } else {
-        buckets.sweep(shape, g, root, arena, |arena, b| drained(arena, b));
-        false
-    };
+    // Once the goal's buckets are drained: the settles the goal needs.
+    let (mut goal_settles, mut sealed) = (None, 0);
+    let mut logged = Logged { arena, labelled: 1 };
+    buckets.sweep(shape, g, root, &mut logged, |logged, b| {
+        let arena = &mut *logged.arena;
+        sealed = arena.seal_bucket(sealed);
+        if goal_settles.is_none() {
+            let key = |&v: &u32| (ord_of(arena.dist_raw(NodeId(v))), v);
+            let last = last_key(arena, shape, goal, b);
+            goal_settles = last.map(|last| arena.log.partition_point(|v| key(v) <= last));
+        }
+        goal_settles.is_some_and(|k| !deepen || sealed >= DEEPEN_FACTOR * k)
+    });
+    let exhausted = logged.labelled == logged.arena.log.len();
     arena.buckets = buckets;
-    let last = last_key(arena);
+    let last = last_key(arena, shape, goal, usize::MAX);
     Some(Swept { stats: arena.ring_counters(last), met: last.is_some(), exhausted })
 }
 
@@ -312,7 +315,10 @@ pub(crate) fn ring_tree<const LOG: bool, G: GraphView>(
 pub(crate) mod tests {
     use super::*;
     use crate::alt::tests::{CAPPED, SPAN, ring_stress_maps};
-    use crate::dijkstra::{run_in, run_in_traced};
+    use crate::cache::tests::unbounded;
+    use crate::dijkstra::tests::OnHeap;
+    use crate::dijkstra::{run_in, run_in_traced, run_tree};
+    use crate::trace::tests::trace_words;
     use proptest::prelude::*;
     use roadnet::generators::{ContinentConfig, NetworkClass, continent_network};
     use roadnet::{EdgeId, GraphBuilder, RoadNetwork};
@@ -323,9 +329,25 @@ pub(crate) mod tests {
         (arena.distance(v).map(f64::to_bits), path)
     }
 
+    /// The words of the traces `goal`'s tree records in `arena`: traced,
+    /// and as a deepening cache miss.
+    fn traces<G: GraphView>(
+        arena: &mut SearchArena,
+        g: &G,
+        root: NodeId,
+        goal: &Goal,
+    ) -> [Vec<u64>; 2] {
+        let (stats, trace) = run_in_traced(arena, g, root, goal);
+        let traced = trace_words(&trace, stats);
+        let mut cache = unbounded();
+        let (stats, _) = run_tree(arena, g, root, goal, None, Some(&mut cache));
+        [traced, trace_words(cache.peek(root).unwrap(), stats)]
+    }
+
     /// Grow `goal`'s tree in `arena` through `run_in` and hold it to the
-    /// heap's (`run_in_traced` in a fresh arena): counters, and each
-    /// target's — for `AllNodes` every node's — label bits and path.
+    /// heap's (`run_in` over [`OnHeap`] in a fresh arena): counters, and
+    /// each target's — for `AllNodes` every node's — label bits and path;
+    /// then the traces both record, traced and as a deepening miss.
     /// Returns whether the ring grew it.
     fn assert_tree_equals_heap(
         name: &str,
@@ -335,7 +357,7 @@ pub(crate) mod tests {
         goal: &Goal,
     ) -> bool {
         let mut heap = SearchArena::new();
-        let (want, _) = run_in_traced(&mut heap, g, root, goal);
+        let want = run_in(&mut heap, &OnHeap(g), root, goal);
         let ring = tree(arena, g, root, goal).is_some();
         let got = run_in(arena, g, root, goal);
         assert_eq!(got, want, "{name}: counters from {root} for {goal:?}");
@@ -346,6 +368,12 @@ pub(crate) mod tests {
         };
         for v in checked {
             assert_eq!(read(arena, v), read(&heap, v), "{name}: {v} from {root} for {goal:?}");
+        }
+        let want = traces(&mut heap, &OnHeap(g), root, goal);
+        for (way, (got, want)) in
+            ["traced", "missed"].iter().zip(traces(arena, g, root, goal).iter().zip(&want))
+        {
+            assert!(got == want, "{name}: {way} trace from {root} for {goal:?}");
         }
         ring
     }

@@ -251,7 +251,7 @@ fn grow_traced<G: GraphView>(
     deepen: bool,
 ) -> (SearchStats, SweepTrace) {
     let until = if deepen { Until::Deepened } else { Until::Traced };
-    let swept = bucket::ring_tree::<true, G>(arena, g, root, goal, deepen)
+    let swept = bucket::recorded_tree(arena, g, root, goal, deepen)
         .unwrap_or_else(|| heap_tree(arena, g, root, goal, until, &mut zero_pot));
     (swept.stats, SweepTrace::build(arena, &swept, deepen))
 }

@@ -1073,7 +1073,7 @@ impl TreeView<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::alt::{AltPreprocessing, GoalPotential};
     use crate::cache::TreeCache;
