@@ -280,9 +280,71 @@ mod tests {
         ArrivalProcess::Bursty { multiplier: 6.0, mean_burst_secs: 3.0, mean_quiet_secs: 9.0 };
     const DIURNAL: ArrivalProcess = ArrivalProcess::Diurnal { period_secs: 100.0, amplitude: 0.9 };
 
+    /// FNV-1a over every request's arrival bits, endpoints and protection,
+    /// in stream order.
+    fn stream_digest(stream: &[TimedRequest]) -> u64 {
+        stream.iter().fold(0xcbf2_9ce4_8422_2325, |h, tr| {
+            let (q, p) = (tr.request.query, tr.request.protection);
+            let words = [
+                tr.arrival.to_bits(),
+                u64::from(q.source.0),
+                u64::from(q.destination.0),
+                u64::from(p.f_s),
+                u64::from(p.f_t),
+            ];
+            words.iter().fold(h, |h, w| {
+                w.to_le_bytes()
+                    .iter()
+                    .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+            })
+        })
+    }
+
+    /// The Poisson streams E12 and E16 draw (their workload and arrival
+    /// configs over this module's map, at E12's full-scale horizon and
+    /// E16's quick-scale one), and a plain `(3 /s, 60 s, seed 7)` stream,
+    /// pinned by length and digest as the legacy stream drew them.
     #[test]
     fn poisson_process_reproduces_the_legacy_stream_draw_for_draw() {
-        assert_eq!(process_stream(ArrivalProcess::Poisson, 3.0, 60.0, 7), stream(3.0, 60.0, 7));
+        let hotspot =
+            crate::QueryDistribution::Hotspot { hotspots: 3, exponent: 1.0, spread: 0.08 };
+        let e12 = WorkloadConfig {
+            num_requests: 0,
+            queries: hotspot,
+            protection: ProtectionDistribution::Fixed { f_s: 4, f_t: 4 },
+            seed: 0xE12,
+        };
+        let e16 = WorkloadConfig {
+            protection: ProtectionDistribution::Fixed { f_s: 3, f_t: 3 },
+            seed: 0xE16,
+            ..e12
+        };
+        let plain = WorkloadConfig { seed: 7, ..Default::default() };
+        let (g, idx) = setup();
+        let cases = [
+            (
+                e12,
+                ArrivalConfig { rate_per_sec: 1.0, horizon_secs: 40.0 },
+                40,
+                0x6924_6b6a_e9cc_317a,
+            ),
+            (
+                e16,
+                ArrivalConfig { rate_per_sec: 8.0, horizon_secs: 24.0 },
+                189,
+                0xca69_c7aa_31b7_4030,
+            ),
+            (
+                plain,
+                ArrivalConfig { rate_per_sec: 3.0, horizon_secs: 60.0 },
+                165,
+                0xf77a_a1c8_8ade_c7ba,
+            ),
+        ];
+        for (workload, arrivals, len, digest) in cases {
+            let s = arrival_stream(&g, &idx, &workload, &arrivals, ArrivalProcess::Poisson);
+            assert_eq!((s.len(), stream_digest(&s)), (len, digest), "{workload:?} {arrivals:?}");
+        }
     }
 
     #[test]
