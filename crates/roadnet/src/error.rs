@@ -43,7 +43,7 @@ pub enum RoadNetError {
     },
     /// The network has no nodes.
     EmptyNetwork,
-    /// A parse error in a network text format (TLN or the DIMACS subset).
+    /// A parse error in a DIMACS `.gr`/`.co` map file.
     Parse {
         /// 1-based line number of the offending line; 0 for whole-file
         /// defects (missing sections, count mismatches).

@@ -1,30 +1,16 @@
-//! Plain-text network exchange formats: TLN and a DIMACS-shortest-path
-//! subset.
+//! The road-map exchange format: the file layout of the [9th DIMACS
+//! Implementation Challenge], a `.gr` distance graph plus a `.co`
+//! coordinate file.
 //!
 //! The paper's obfuscator keeps "a simple road map (e.g., obtained from
-//! Tiger/Line)" (§IV). Real TIGER/Line files are unavailable offline, so
-//! this module defines a minimal line-oriented format (TLN) carrying exactly
-//! what the system needs — node coordinates and weighted segments — and
-//! readers/writers for it. Generated networks can be exported, archived with
-//! experiment results, and re-imported bit-exactly (coordinates and weights
-//! round-trip through `{:.17e}` formatting).
-//!
-//! ```text
-//! TLN 1 undirected
-//! # comment lines and blank lines are ignored
-//! N <id> <x> <y>
-//! E <a> <b> <weight>
-//! ```
-//!
-//! Node ids must be dense (`0..n`) but may appear in any order; edges may
-//! only reference declared ids.
-//!
-//! For continent-scale maps the crate also speaks the file layout of the
-//! [9th DIMACS Implementation Challenge] — the de-facto interchange for
-//! published road networks (TIGER/Line USA, Europe): a `.gr` distance graph
-//! plus a `.co` coordinate file. See [`read_dimacs`] for the exact grammar
-//! subset and [`write_dimacs_gr`]/[`write_dimacs_co`] for the emitters.
-//! `docs/formats.md` at the repository root documents both formats in full.
+//! Tiger/Line)" (§IV), and DIMACS is the layout published road networks
+//! (TIGER/Line USA, Europe) ship in. Generated networks are exported,
+//! archived with experiment results, and re-imported bit-exactly
+//! (coordinates and weights round-trip through `{:.17e}` formatting, and a
+//! directed map is marked as one). See [`read_dimacs`] for the exact
+//! grammar subset and [`write_dimacs_gr`]/[`write_dimacs_co`] for the
+//! emitters; `docs/formats.md` at the repository root documents the
+//! format in full.
 //!
 //! [9th DIMACS Implementation Challenge]: http://www.diag.uniroma1.it/challenge9/
 
@@ -34,138 +20,9 @@ use crate::graph::{GraphBuilder, RoadNetwork};
 use crate::ids::NodeId;
 use std::io::{BufRead, Write};
 
-const MAGIC: &str = "TLN";
-const VERSION: &str = "1";
-
-/// Serialize `g` in TLN format.
-pub fn write_tln<W: Write>(g: &RoadNetwork, w: &mut W) -> Result<()> {
-    let mode = if g.is_directed() { "directed" } else { "undirected" };
-    writeln!(w, "{MAGIC} {VERSION} {mode}")?;
-    writeln!(w, "# nodes={} edges={}", g.num_nodes(), g.num_edges())?;
-    for n in g.nodes() {
-        let p = g.point(n);
-        writeln!(w, "N {} {:.17e} {:.17e}", n, p.x, p.y)?;
-    }
-    for e in g.edges() {
-        writeln!(w, "E {} {} {:.17e}", e.a, e.b, e.weight)?;
-    }
-    Ok(())
-}
-
-/// Parse a TLN document into a [`RoadNetwork`].
-pub fn read_tln<R: BufRead>(r: &mut R) -> Result<RoadNetwork> {
-    let mut lines = r.lines().enumerate();
-
-    let (first_no, first) = loop {
-        match lines.next() {
-            Some((no, line)) => {
-                let line = line?;
-                let t = line.trim();
-                if !t.is_empty() && !t.starts_with('#') {
-                    break (no + 1, t.to_string());
-                }
-            }
-            None => return Err(RoadNetError::Parse { line: 0, message: "empty document".into() }),
-        }
-    };
-    let mut hdr = first.split_whitespace();
-    if hdr.next() != Some(MAGIC) || hdr.next() != Some(VERSION) {
-        return Err(RoadNetError::Parse {
-            line: first_no,
-            message: format!("expected header '{MAGIC} {VERSION} <mode>', got '{first}'"),
-        });
-    }
-    let directed = match hdr.next() {
-        Some("directed") => true,
-        Some("undirected") => false,
-        other => {
-            return Err(RoadNetError::Parse {
-                line: first_no,
-                message: format!("expected mode directed|undirected, got {other:?}"),
-            });
-        }
-    };
-
-    let mut nodes: Vec<(usize, Point, usize)> = Vec::new();
-    let mut edges: Vec<(u32, u32, f64)> = Vec::new();
-    for (no, line) in lines {
-        let no = no + 1;
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let mut parts = t.split_whitespace();
-        let tag = parts.next().expect("non-empty line has a token");
-        let parse_f = |s: Option<&str>, what: &str| -> Result<f64> {
-            s.and_then(|v| v.parse::<f64>().ok())
-                .ok_or_else(|| RoadNetError::Parse { line: no, message: format!("bad {what}") })
-        };
-        let parse_u = |s: Option<&str>, what: &str| -> Result<u32> {
-            s.and_then(|v| v.parse::<u32>().ok())
-                .ok_or_else(|| RoadNetError::Parse { line: no, message: format!("bad {what}") })
-        };
-        match tag {
-            "N" => {
-                let id = parse_u(parts.next(), "node id")? as usize;
-                let x = parse_f(parts.next(), "x coordinate")?;
-                let y = parse_f(parts.next(), "y coordinate")?;
-                nodes.push((id, Point::new(x, y), no));
-            }
-            "E" => {
-                let a = parse_u(parts.next(), "edge endpoint")?;
-                let b = parse_u(parts.next(), "edge endpoint")?;
-                let w = parse_f(parts.next(), "edge weight")?;
-                edges.push((a, b, w));
-            }
-            other => {
-                return Err(RoadNetError::Parse {
-                    line: no,
-                    message: format!("unknown record tag '{other}'"),
-                });
-            }
-        }
-        if parts.next().is_some() {
-            return Err(RoadNetError::Parse { line: no, message: "trailing tokens".into() });
-        }
-    }
-
-    let points = dense_points(&nodes, nodes.len()).map_err(|defect| match defect {
-        Defect::Duplicate { id, line } => {
-            RoadNetError::Parse { line, message: format!("duplicate node id {id}") }
-        }
-        Defect::Missing(i) => {
-            RoadNetError::Parse { line: 0, message: format!("node ids not dense: id {i} missing") }
-        }
-    })?;
-    let mut b = if directed { GraphBuilder::directed() } else { GraphBuilder::new() };
-    b.reserve(points.len(), edges.len());
-    for p in points {
-        b.add_node(p)?;
-    }
-    for (a, bb, w) in edges {
-        b.add_edge(NodeId(a), NodeId(bb), w)?;
-    }
-    b.build()
-}
-
-/// Write `g` to a file at `path` in TLN format.
-pub fn save_tln(g: &RoadNetwork, path: &std::path::Path) -> Result<()> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_tln(g, &mut f)?;
-    f.flush()?;
-    Ok(())
-}
-
-/// Read a TLN file from `path`.
-pub fn load_tln(path: &std::path::Path) -> Result<RoadNetwork> {
-    let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-    read_tln(&mut f)
-}
-
-// ---------------------------------------------------------------------------
-// DIMACS shortest-path subset (.gr distance graph + .co coordinates)
-// ---------------------------------------------------------------------------
+/// The `.gr` comment line that marks a directed map: its arcs are kept as
+/// written, never paired into undirected edges.
+const DIRECTED: &str = "c directed";
 
 /// Write the `.gr` (distance graph) half of a DIMACS pair.
 ///
@@ -173,18 +30,24 @@ pub fn load_tln(path: &std::path::Path) -> Result<RoadNetwork> {
 ///
 /// ```text
 /// c <comment>
+/// c directed            (directed networks only)
 /// p sp <nodes> <arcs>
 /// a <from> <to> <weight>
 /// ```
 ///
 /// Undirected networks emit **both** arc directions, as published DIMACS
-/// road graphs do; [`read_dimacs`] re-pairs them. Weights are written
+/// road graphs do; [`read_dimacs`] re-pairs them. A directed network
+/// emits each arc once, after a `c directed` line that tells
+/// [`read_dimacs`] to keep them as written. Weights are written
 /// `{:.17e}` so they reload bit-exactly (the challenge files use integer
 /// deci-meters; this subset generalizes to the float weights the OPAQUE
 /// cost model needs).
 pub fn write_dimacs_gr<W: Write>(g: &RoadNetwork, w: &mut W) -> Result<()> {
     let arcs = if g.is_directed() { g.num_arcs() } else { 2 * g.num_edges() };
     writeln!(w, "c OPAQUE reproduction road network (DIMACS sp subset)")?;
+    if g.is_directed() {
+        writeln!(w, "{DIRECTED}")?;
+    }
     writeln!(w, "p sp {} {}", g.num_nodes(), arcs)?;
     for e in g.edges() {
         writeln!(w, "a {} {} {:.17e}", e.a.0 + 1, e.b.0 + 1, e.weight)?;
@@ -232,11 +95,15 @@ pub fn write_dimacs_co<W: Write>(g: &RoadNetwork, w: &mut W) -> Result<()> {
 /// line and `line: 0` for whole-file defects (missing nodes, arc-count
 /// mismatch).
 ///
-/// **Direction recovery.** DIMACS graphs are arc lists. If every arc has a
-/// bit-equal reverse partner the network is rebuilt *undirected* — each
-/// pair collapses to one edge oriented as its first-seen arc, preserving
-/// generator edge order across a write/read cycle. Any unmatched arc makes
-/// the whole network directed, keeping every arc verbatim.
+/// **Direction.** DIMACS graphs are arc lists. A `.gr` with a comment line
+/// reading exactly `c directed` (what [`write_dimacs_gr`] writes for a
+/// directed network) is rebuilt directed, every arc verbatim. Otherwise —
+/// a published file carries no such line — direction is recovered: if
+/// every arc has a bit-equal reverse partner the network is rebuilt
+/// *undirected*, each pair collapsing to one edge oriented as its
+/// first-seen arc, preserving generator edge order across a write/read
+/// cycle; any unmatched arc makes the whole network directed, keeping
+/// every arc verbatim.
 ///
 /// # Errors
 /// [`RoadNetError::Parse`] on any grammar violation; I/O errors propagate.
@@ -245,11 +112,13 @@ pub fn read_dimacs<R1: BufRead, R2: BufRead>(gr: &mut R1, co: &mut R2) -> Result
 
     // --- .gr pass: header then arcs -------------------------------------
     let mut header: Option<(usize, usize)> = None; // (n, m)
+    let mut marked_directed = false;
     let mut arcs: Vec<(u32, u32, f64)> = Vec::new();
     for (no, line) in gr.lines().enumerate() {
         let no = no + 1;
         let line = line?;
         let t = line.trim();
+        marked_directed |= t == DIRECTED;
         if t.is_empty() || t.starts_with('c') {
             continue;
         }
@@ -355,70 +224,72 @@ pub fn read_dimacs<R1: BufRead, R2: BufRead>(gr: &mut R1, co: &mut R2) -> Result
     if !co_header {
         return Err(fail(0, "missing 'p aux sp co' problem line in .co".into()));
     }
-    let points = dense_points(&vertices, n).map_err(|defect| match defect {
-        Defect::Duplicate { id, line } => fail(line, format!("duplicate vertex id {}", id + 1)),
-        Defect::Missing(i) => fail(0, format!("no coordinates for node {}", i + 1)),
-    })?;
+    let points = dense_points(&vertices, n)?;
 
-    // --- direction recovery ----------------------------------------------
-    // Greedily pair each arc with the earliest unmatched bit-equal reverse.
-    // All arcs paired ⇒ undirected (one edge per pair, oriented and ordered
-    // by first occurrence); otherwise the graph is directed as written.
-    let mut pending: std::collections::HashMap<(u32, u32, u64), Vec<usize>> =
-        std::collections::HashMap::new();
-    let mut matched = vec![false; arcs.len()];
-    let mut undirected: Vec<(u32, u32, f64)> = Vec::with_capacity(arcs.len() / 2);
-    for (i, &(u, v, w)) in arcs.iter().enumerate() {
-        if let Some(slot) = pending.get_mut(&(v, u, w.to_bits())) {
-            if let Some(j) = slot.pop() {
-                matched[i] = true;
-                matched[j] = true;
-                let (fu, fv, fw) = arcs[j];
-                undirected.push((fu, fv, fw));
-                continue;
-            }
-        }
-        pending.entry((u, v, w.to_bits())).or_default().push(i);
-    }
-    let all_paired = matched.iter().all(|&m| m);
-
-    let mut b = if all_paired { GraphBuilder::new() } else { GraphBuilder::directed() };
-    b.reserve(n, if all_paired { undirected.len() } else { arcs.len() });
+    // --- direction ---------------------------------------------------------
+    let undirected = if marked_directed { None } else { pair_reverse_arcs(&arcs) };
+    let mut b = if undirected.is_some() { GraphBuilder::new() } else { GraphBuilder::directed() };
+    let edge_list = undirected.as_ref().unwrap_or(&arcs);
+    b.reserve(n, edge_list.len());
     for p in points {
         b.add_node(p)?;
     }
-    let edge_list = if all_paired { &undirected } else { &arcs };
     for &(u, v, w) in edge_list {
         b.add_edge(NodeId(u), NodeId(v), w)?;
     }
     b.build()
 }
 
-/// What keeps node records from covering ids `0..n` exactly once.
-enum Defect {
-    /// The second record of `id`, on `line`.
-    Duplicate { id: usize, line: usize },
-    /// The least id without a record.
-    Missing(usize),
+/// The undirected edges of `arcs` if every arc pairs with a bit-equal
+/// reverse, `None` if any arc is left unmatched. Each arc is paired
+/// greedily with an unmatched reverse seen before it; a pair becomes one
+/// edge, oriented and ordered by its first-seen arc.
+fn pair_reverse_arcs(arcs: &[(u32, u32, f64)]) -> Option<Vec<(u32, u32, f64)>> {
+    let mut pending: std::collections::HashMap<(u32, u32, u64), Vec<usize>> =
+        std::collections::HashMap::new();
+    let mut unmatched = 0usize;
+    let mut undirected = Vec::with_capacity(arcs.len() / 2);
+    for (i, &(u, v, w)) in arcs.iter().enumerate() {
+        if let Some(j) = pending.get_mut(&(v, u, w.to_bits())).and_then(Vec::pop) {
+            unmatched -= 1;
+            undirected.push(arcs[j]);
+            continue;
+        }
+        unmatched += 1;
+        pending.entry((u, v, w.to_bits())).or_default().push(i);
+    }
+    (unmatched == 0).then_some(undirected)
 }
 
-/// The points of `(id, point, line)` node records, read in file order, for
-/// ids `0..n`. The table grows only with the records read, never with `n`
-/// or an id a file claims: `k < n` records leave an id of `0..=k` without
-/// one, so a table of `k + 1` finds it.
-fn dense_points(
-    records: &[(usize, Point, usize)],
-    n: usize,
-) -> std::result::Result<Vec<Point>, Defect> {
+/// The points of `(id, point, line)` vertex records (0-based ids), read in
+/// file order, for ids `0..n`: an error names the second record of an id,
+/// or the least id without one. The table grows only with the records
+/// read, never with `n` or an id a file claims: `k < n` records leave an
+/// id of `0..=k` without one, so a table of `k + 1` finds it.
+fn dense_points(records: &[(usize, Point, usize)], n: usize) -> Result<Vec<Point>> {
     let mut table: Vec<Option<Point>> = vec![None; n.min(records.len() + 1)];
     for &(id, p, line) in records {
         match table.get_mut(id) {
-            Some(Some(_)) => return Err(Defect::Duplicate { id, line }),
+            Some(Some(_)) => {
+                return Err(RoadNetError::Parse {
+                    line,
+                    message: format!("duplicate vertex id {}", id + 1),
+                });
+            }
             Some(slot) => *slot = Some(p),
             None => {}
         }
     }
-    table.into_iter().enumerate().map(|(i, p)| p.ok_or(Defect::Missing(i))).collect()
+    table
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| {
+            p.ok_or_else(|| RoadNetError::Parse {
+                line: 0,
+                message: format!("no coordinates for node {}", i + 1),
+            })
+        })
+        .collect()
 }
 
 /// Parse a positive-or-zero count token, mapping failure to a line error.
@@ -453,90 +324,6 @@ pub fn load_dimacs(gr_path: &std::path::Path, co_path: &std::path::Path) -> Resu
 mod tests {
     use super::*;
     use crate::generators::{GridConfig, grid_network};
-
-    fn round_trip(g: &RoadNetwork) -> RoadNetwork {
-        let mut buf = Vec::new();
-        write_tln(g, &mut buf).unwrap();
-        read_tln(&mut std::io::Cursor::new(buf)).unwrap()
-    }
-
-    #[test]
-    fn round_trip_preserves_structure_exactly() {
-        let g = grid_network(&GridConfig { width: 6, height: 5, seed: 11, ..Default::default() })
-            .unwrap();
-        let h = round_trip(&g);
-        assert_eq!(g.num_nodes(), h.num_nodes());
-        assert_eq!(g.num_edges(), h.num_edges());
-        for n in g.nodes() {
-            assert_eq!(g.point(n), h.point(n));
-        }
-        assert_eq!(g.edges(), h.edges());
-        assert_eq!(g.is_directed(), h.is_directed());
-    }
-
-    #[test]
-    fn directed_flag_round_trips() {
-        let mut b = GraphBuilder::directed();
-        let a = b.add_node(Point::new(0.0, 0.0)).unwrap();
-        let c = b.add_node(Point::new(1.0, 1.0)).unwrap();
-        b.add_edge(a, c, 2.0).unwrap();
-        let g = b.build().unwrap();
-        let h = round_trip(&g);
-        assert!(h.is_directed());
-        assert_eq!(h.num_arcs(), 1);
-    }
-
-    #[test]
-    fn comments_blanks_and_order_are_tolerated() {
-        let doc = "\n# preamble\nTLN 1 undirected\n\nE 0 1 2.5\nN 1 1.0 0.0\n# interleaved\nN 0 0.0 0.0\n";
-        let g = read_tln(&mut std::io::Cursor::new(doc)).unwrap();
-        assert_eq!(g.num_nodes(), 2);
-        assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.edges()[0].weight, 2.5);
-    }
-
-    #[test]
-    fn rejects_bad_header() {
-        for doc in ["XYZ 1 undirected\n", "TLN 2 undirected\n", "TLN 1 sideways\n", ""] {
-            let err = read_tln(&mut std::io::Cursor::new(doc)).unwrap_err();
-            assert!(matches!(err, RoadNetError::Parse { .. }), "doc {doc:?} gave {err}");
-        }
-    }
-
-    #[test]
-    fn rejects_malformed_records() {
-        let cases = [
-            "TLN 1 undirected\nN 0 0.0\n",                            // missing y
-            "TLN 1 undirected\nN 0 0.0 0.0 extra\n",                  // trailing token
-            "TLN 1 undirected\nQ 0\n",                                // unknown tag
-            "TLN 1 undirected\nN 0 a 0.0\n",                          // bad float
-            "TLN 1 undirected\nN 0 0 0\nN 0 1 1\n",                   // duplicate id
-            "TLN 1 undirected\nN 1 0 0\n",                            // non-dense ids
-            "TLN 1 undirected\nN 0 0 0\nN 1 1 1\nE 0 5 1.0\n",        // edge to unknown node
-            "TLN 1 undirected\nN 4294967295 0 0\n",                   // id claims ≈ 100 GB
-            "TLN 1 undirected\nN 0 0 0\nN 4294967295 1 1\n",          // a huge id beside a real one
-            "TLN 1 undirected\nN 4294967295 0 0\nN 4294967295 1 1\n", // twice
-        ];
-        for doc in cases {
-            let err = read_tln(&mut std::io::Cursor::new(doc)).unwrap_err();
-            assert!(
-                matches!(err, RoadNetError::Parse { .. } | RoadNetError::NodeOutOfRange { .. }),
-                "doc {doc:?} gave {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("roadnet_tln_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("net.tln");
-        let g = grid_network(&GridConfig { width: 4, height: 4, ..Default::default() }).unwrap();
-        save_tln(&g, &path).unwrap();
-        let h = load_tln(&path).unwrap();
-        assert_eq!(g.edges(), h.edges());
-        std::fs::remove_file(&path).ok();
-    }
 
     fn dimacs_round_trip(g: &RoadNetwork) -> (RoadNetwork, Vec<u8>, Vec<u8>) {
         let mut gr = Vec::new();
@@ -641,6 +428,61 @@ mod tests {
             assert!(
                 matches!(err, RoadNetError::Parse { .. }) && msg.contains(want),
                 "co {co:?} gave {msg:?}, wanted {want:?}"
+            );
+        }
+    }
+
+    /// `c directed` keeps a directed map directed through a round trip,
+    /// even where its arcs pair up or it has none.
+    #[test]
+    fn directed_flag_round_trips() {
+        let directed = |arcs: &[(u32, u32, f64)]| {
+            let mut b = GraphBuilder::directed();
+            b.add_node(Point::new(0.0, 0.0)).unwrap();
+            b.add_node(Point::new(1.0, 1.0)).unwrap();
+            for &(u, v, w) in arcs {
+                b.add_edge(NodeId(u), NodeId(v), w).unwrap();
+            }
+            b.build().unwrap()
+        };
+        for g in [directed(&[(0, 1, 2.0)]), directed(&[(0, 1, 2.0), (1, 0, 2.0)]), directed(&[])] {
+            let (h, gr, _) = dimacs_round_trip(&g);
+            assert!(h.is_directed(), "{:?}", String::from_utf8_lossy(&gr));
+            assert_eq!(g.edges(), h.edges());
+            assert_eq!(g.num_arcs(), h.num_arcs());
+        }
+    }
+
+    #[test]
+    fn comments_blanks_and_order_are_tolerated() {
+        let gr = "\nc preamble\np sp 2 2\n\nc interleaved\na 2 1 2.5\n  a 1 2 2.5\n";
+        let co = "c coordinates\n\np aux sp co 2\nv 2 1.0 0.0\nc interleaved\nv 1 0.0 0.0\n";
+        let g = read_dimacs(&mut std::io::Cursor::new(gr), &mut std::io::Cursor::new(co)).unwrap();
+        assert!(!g.is_directed());
+        assert_eq!(g.num_nodes(), 2);
+        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.edges()[0].weight, 2.5);
+        assert_eq!(g.point(NodeId(1)), Point::new(1.0, 0.0));
+    }
+
+    #[test]
+    fn rejects_bad_header() {
+        let (gr_ok, co_ok) = ("p sp 1 0\n", "p aux sp co 1\nv 1 0 0\n");
+        let cases = [
+            ("", co_ok, "missing 'p sp'"),
+            ("c only a comment\n", co_ok, "missing 'p sp'"),
+            ("p sp 1\n", co_ok, "bad arc count"),
+            ("p sp x 0\n", co_ok, "bad node count"),
+            (gr_ok, "", "missing 'p aux sp co'"),
+            (gr_ok, "p aux sp 1\n", "expected 'p aux sp co"),
+        ];
+        for (gr, co, want) in cases {
+            let err = read_dimacs(&mut std::io::Cursor::new(gr), &mut std::io::Cursor::new(co))
+                .unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                matches!(err, RoadNetError::Parse { .. }) && msg.contains(want),
+                "gr {gr:?} co {co:?} gave {msg:?}, wanted {want:?}"
             );
         }
     }

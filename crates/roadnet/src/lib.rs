@@ -14,7 +14,7 @@
 //!   ([`storage`]);
 //! * a uniform-grid spatial index used by the obfuscator to pick fake
 //!   endpoints ([`SpatialIndex`]);
-//! * a plain-text exchange format for networks ([`io`]).
+//! * the DIMACS `.gr`/`.co` exchange format for networks ([`io`]).
 //!
 //! ## Quick example
 //!

@@ -1,8 +1,8 @@
-//! Map pipeline: generate → export (TLN) → reload → serve from paged
+//! Map pipeline: generate → export (DIMACS) → reload → serve from paged
 //! storage with ALT acceleration.
 //!
 //! The operator-tooling path: a deployment generates (or imports) its road
-//! network once, archives it in the TLN exchange format, and serves it
+//! network once, archives it as a DIMACS `.gr`/`.co` pair, and serves it
 //! from a CCAM-ordered page file on disk, with landmark tables precomputed for
 //! fast single-pair queries.
 //!
@@ -12,7 +12,7 @@
 
 use pathsearch::{AltPreprocessing, Goal, SearchArena, alt, run_in};
 use roadnet::generators::{GeometricConfig, random_geometric};
-use roadnet::io::{load_tln, save_tln};
+use roadnet::io::{load_dimacs, save_dimacs};
 use roadnet::{ChunkedCsr, GraphView, NodeId, PageLayout};
 
 fn main() {
@@ -27,13 +27,14 @@ fn main() {
         net.avg_degree()
     );
 
-    // 2. Archive and reload through the TLN text format (bit-exact).
-    let path = std::env::temp_dir().join("opaque_map_pipeline.tln");
-    save_tln(&net, &path).expect("write TLN");
-    let reloaded = load_tln(&path).expect("read TLN");
+    // 2. Archive and reload through the DIMACS text pair (bit-exact).
+    let dir = std::env::temp_dir();
+    let (gr, co) = (dir.join("opaque_map_pipeline.gr"), dir.join("opaque_map_pipeline.co"));
+    save_dimacs(&net, &gr, &co).expect("write DIMACS");
+    let reloaded = load_dimacs(&gr, &co).expect("read DIMACS");
     assert_eq!(net.edges(), reloaded.edges(), "round trip must be exact");
-    let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    println!("archived to {} ({bytes} bytes) and reloaded bit-exact", path.display());
+    let bytes: u64 = [&gr, &co].iter().map(|p| std::fs::metadata(p).map_or(0, |m| m.len())).sum();
+    println!("archived to {} + .co ({bytes} bytes) and reloaded bit-exact", gr.display());
 
     // 3. Spill to a CCAM-ordered page file, serve through a small buffer,
     //    and measure the I/O a long query costs.
@@ -78,5 +79,6 @@ fn main() {
     assert_eq!(deg_mem, deg_paged);
     println!("in-memory and paged views agree — same GraphView, different cost model");
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&gr).ok();
+    std::fs::remove_file(&co).ok();
 }

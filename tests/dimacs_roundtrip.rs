@@ -56,6 +56,14 @@ proptest! {
     }
 
     #[test]
+    fn directed_round_trip_is_exact(g in arb_network(true)) {
+        let h = read(&write(&g));
+        prop_assert!(h.is_directed());
+        prop_assert_eq!(g.edges(), h.edges());
+        prop_assert_eq!(g.num_arcs(), h.num_arcs());
+    }
+
+    #[test]
     fn double_round_trip_is_stable(g in arb_network(false)) {
         // write(read(write(g))) == write(g): the format is canonical.
         let first = write(&g);
