@@ -91,6 +91,6 @@ pub use multi::{
     msmd_in_guided_cached,
 };
 pub use path::Path;
-pub use range::{range_search, ring_search, ring_search_in};
+pub use range::ring_search_in;
 pub use stats::SearchStats;
 pub use trace::{EdgeChange, RepairScratch, SweepTrace, TreeView};

@@ -14,35 +14,13 @@ use crate::dijkstra::{Goal, Until, heap_tree, zero_pot};
 use crate::stats::SearchStats;
 use roadnet::{GraphView, NodeId};
 
-/// All nodes with network distance ≤ `radius` from `source` (including the
-/// source at distance 0), in ascending distance order, plus run counters.
-///
-/// Cost is proportional to the ball's area — `O(radius²)` on road networks —
-/// plus a throwaway arena's `O(n)` label slabs ([`ring_search_in`] reuses one).
-pub fn range_search<G: GraphView>(
-    g: &G,
-    source: NodeId,
-    radius: f64,
-) -> (Vec<(NodeId, f64)>, SearchStats) {
-    ring_search(g, source, 0.0, radius)
-}
-
 /// Nodes whose network distance from `source` lies in `[lo, hi]`, ascending
-/// by distance.
-pub fn ring_search<G: GraphView>(
-    g: &G,
-    source: NodeId,
-    lo: f64,
-    hi: f64,
-) -> (Vec<(NodeId, f64)>, SearchStats) {
-    let (ring, stats, _) = ring_search_in(&mut SearchArena::new(), g, source, lo, hi);
-    (ring, stats)
-}
-
-/// [`ring_search`] inside a caller-provided arena. The third value
-/// is whether the sweep drained its heap before meeting a label beyond
-/// `hi`: `source`'s whole component lies within `hi`, so no wider band can
-/// hold a node that `[0, hi]` does not.
+/// by distance, plus run counters, swept in a caller-provided arena. The
+/// third value is whether the sweep drained its heap before meeting a
+/// label beyond `hi`: `source`'s whole component lies within `hi`, so no
+/// wider band can hold a node that `[0, hi]` does not.
+///
+/// Cost is proportional to the ball's area — `O(hi²)` on road networks.
 ///
 /// # Panics
 /// Panics unless `0 <= lo <= hi < ∞`, or if `source` is out of range.
@@ -66,6 +44,17 @@ mod tests {
     use crate::dijkstra::{Goal, run_in};
     use roadnet::generators::{GridConfig, grid_network};
 
+    /// The band `[lo, hi]` around `source`, swept in a fresh arena.
+    fn band<G: GraphView>(
+        g: &G,
+        source: NodeId,
+        lo: f64,
+        hi: f64,
+    ) -> (Vec<(NodeId, f64)>, SearchStats) {
+        let (ring, stats, _) = ring_search_in(&mut SearchArena::new(), g, source, lo, hi);
+        (ring, stats)
+    }
+
     fn net() -> roadnet::RoadNetwork {
         grid_network(&GridConfig { width: 14, height: 14, seed: 6, ..Default::default() }).unwrap()
     }
@@ -75,7 +64,7 @@ mod tests {
         let g = net();
         let source = NodeId(90);
         let radius = 4.0;
-        let (ball, _) = range_search(&g, source, radius);
+        let (ball, _) = band(&g, source, 0.0, radius);
         let mut arena = SearchArena::new();
         run_in(&mut arena, &g, source, &Goal::AllNodes);
         // Every returned node has the exact Dijkstra distance…
@@ -96,7 +85,7 @@ mod tests {
     #[test]
     fn output_is_sorted_by_distance_and_starts_at_source() {
         let g = net();
-        let (ball, _) = range_search(&g, NodeId(0), 3.0);
+        let (ball, _) = band(&g, NodeId(0), 0.0, 3.0);
         assert_eq!(ball[0], (NodeId(0), 0.0));
         for w in ball.windows(2) {
             assert!(w[0].1 <= w[1].1);
@@ -106,7 +95,7 @@ mod tests {
     #[test]
     fn zero_radius_returns_only_source() {
         let g = net();
-        let (ball, stats) = range_search(&g, NodeId(5), 0.0);
+        let (ball, stats) = band(&g, NodeId(5), 0.0, 0.0);
         assert_eq!(ball, vec![(NodeId(5), 0.0)]);
         assert_eq!(stats.settled, 1);
     }
@@ -115,8 +104,8 @@ mod tests {
     fn cost_is_output_sensitive() {
         let g = grid_network(&GridConfig { width: 40, height: 40, seed: 1, ..Default::default() })
             .unwrap();
-        let (_, small) = range_search(&g, NodeId(820), 2.0);
-        let (_, large) = range_search(&g, NodeId(820), 10.0);
+        let (_, small) = band(&g, NodeId(820), 0.0, 2.0);
+        let (_, large) = band(&g, NodeId(820), 0.0, 10.0);
         assert!(small.settled * 4 < large.settled, "{} vs {}", small.settled, large.settled);
         assert!((large.settled as usize) < g.num_nodes());
     }
@@ -124,7 +113,7 @@ mod tests {
     #[test]
     fn ring_filters_lower_bound() {
         let g = net();
-        let (ring, _) = ring_search(&g, NodeId(90), 2.0, 4.0);
+        let (ring, _) = band(&g, NodeId(90), 2.0, 4.0);
         assert!(!ring.is_empty());
         for &(_, d) in &ring {
             assert!((2.0..=4.0).contains(&d));
@@ -135,6 +124,6 @@ mod tests {
     #[should_panic(expected = "invalid ring bounds")]
     fn inverted_ring_panics() {
         let g = net();
-        let _ = ring_search(&g, NodeId(0), 5.0, 1.0);
+        let _ = band(&g, NodeId(0), 5.0, 1.0);
     }
 }

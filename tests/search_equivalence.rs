@@ -116,15 +116,16 @@ proptest! {
             }
         }
 
-        // Range and ring search ride the same loop; their reference is the
-        // oracle's ball `{n : bellman_ford[n] <= hi}`. The two sum weights
-        // in different orders, so membership is only checked 1e-9 away
-        // from the rim.
+        // Band search rides the same loop; its reference is the oracle's
+        // ball `{n : bellman_ford[n] <= hi}`. The two sum weights in
+        // different orders, so membership is only checked 1e-9 away from
+        // the rim. One arena sweeps the ball, then the band `[lo, hi]`.
         let oracle = bellman_ford(&g, s);
         let reach = oracle.iter().copied().filter(|d| d.is_finite()).fold(0.0, f64::max);
         let hi = reach * hi_frac;
         let lo = hi * lo_frac;
-        let (ball, _) = pathsearch::range_search(&g, s, hi);
+        let mut arena = pathsearch::SearchArena::new();
+        let (ball, _, _) = pathsearch::ring_search_in(&mut arena, &g, s, 0.0, hi);
         prop_assert!(ball.windows(2).all(|w| w[0].1 <= w[1].1), "ball not ascending: {ball:?}");
         let mut seen = std::collections::HashSet::new();
         for &(node, d) in &ball {
@@ -136,7 +137,7 @@ proptest! {
             prop_assert!(oracle[node.index()] > hi - 1e-9 || seen.contains(&node),
                 "{node} at {} missing from ball({hi})", oracle[node.index()]);
         }
-        let (ring, _) = pathsearch::ring_search(&g, s, lo, hi);
+        let (ring, _, _) = pathsearch::ring_search_in(&mut arena, &g, s, lo, hi);
         let want: Vec<(NodeId, f64)> = ball.into_iter().filter(|&(_, d)| d >= lo).collect();
         prop_assert_eq!(ring, want);
     }
