@@ -15,7 +15,8 @@ use crate::table::{ExperimentTable, f3};
 use opaque::{BatchPolicy, ClusteringConfig, ObfuscationMode, ServiceBuilder, ServiceEvent};
 use roadnet::generators::NetworkClass;
 use workload::{
-    ArrivalConfig, ProtectionDistribution, QueryDistribution, WorkloadConfig, poisson_stream,
+    ArrivalConfig, ArrivalProcess, ProtectionDistribution, QueryDistribution, WorkloadConfig,
+    arrival_stream,
 };
 
 /// Run E12.
@@ -36,7 +37,7 @@ pub fn run(scale: &Scale) -> ExperimentTable {
     );
     let (g, idx) = network_with_index(NetworkClass::Grid, scale);
     let horizon = scale.queries as f64;
-    let stream = poisson_stream(
+    let stream = arrival_stream(
         &g,
         &idx,
         &WorkloadConfig {
@@ -46,6 +47,7 @@ pub fn run(scale: &Scale) -> ExperimentTable {
             seed: 0xE12,
         },
         &ArrivalConfig { rate_per_sec: 1.0, horizon_secs: horizon },
+        ArrivalProcess::Poisson,
     );
     t.note(format!("poisson stream: {} requests at 1 req/s", stream.len()));
 

@@ -31,8 +31,8 @@ use opaque::{
 };
 use std::collections::HashMap;
 use workload::{
-    ArrivalConfig, LatencyHistogram, ProtectionDistribution, QueryDistribution, WorkloadConfig,
-    poisson_stream,
+    ArrivalConfig, ArrivalProcess, LatencyHistogram, ProtectionDistribution, QueryDistribution,
+    WorkloadConfig, arrival_stream,
 };
 
 /// Arrivals per simulated second — twice the drain capacity below.
@@ -80,7 +80,7 @@ pub fn run(scale: &Scale) -> ExperimentTable {
     );
     let (g, idx) = network_with_index(roadnet::generators::NetworkClass::Grid, scale);
     let horizon = (scale.queries as f64 * 3.0).max(24.0);
-    let stream = poisson_stream(
+    let stream = arrival_stream(
         &g,
         &idx,
         &WorkloadConfig {
@@ -90,6 +90,7 @@ pub fn run(scale: &Scale) -> ExperimentTable {
             seed: 0xE16,
         },
         &ArrivalConfig { rate_per_sec: ARRIVAL_RATE, horizon_secs: horizon },
+        ArrivalProcess::Poisson,
     );
     t.note(format!(
         "poisson stream: {} arrivals at {ARRIVAL_RATE}/s vs {MAX_BATCH} per {WINDOW}s drain \

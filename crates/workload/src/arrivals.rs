@@ -35,7 +35,7 @@ pub struct TimedRequest {
     pub request: ClientRequest,
 }
 
-/// Parameters for [`poisson_stream`].
+/// The mean rate and horizon of an [`arrival_stream`].
 #[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ArrivalConfig {
     /// Mean request arrivals per second (λ of the Poisson process).
@@ -76,23 +76,6 @@ pub enum ArrivalProcess {
         /// Swing of the modulation, in `[0, 1)`.
         amplitude: f64,
     },
-}
-
-/// Generate a Poisson request stream over `map`. Spatial/protection
-/// characteristics come from `workload` (its `num_requests` is ignored —
-/// the stream length is governed by the horizon); timing from `arrivals`.
-///
-/// Equivalent to [`arrival_stream`] with [`ArrivalProcess::Poisson`] —
-/// and pinned to it draw-for-draw by a regression test, so the streams
-/// seeded experiments recorded before the process enum existed never
-/// shift.
-pub fn poisson_stream(
-    map: &RoadNetwork,
-    index: &SpatialIndex,
-    workload: &WorkloadConfig,
-    arrivals: &ArrivalConfig,
-) -> Vec<TimedRequest> {
-    arrival_stream(map, index, workload, arrivals, ArrivalProcess::Poisson)
 }
 
 /// Generate a request stream whose timing follows `process`.
@@ -139,7 +122,8 @@ pub fn arrival_stream(
     loop {
         match process {
             // Exponential inter-arrival times: -ln(U)/λ. This arm's draw
-            // sequence IS the legacy `poisson_stream` — do not reorder.
+            // sequence is pinned by the Poisson stream digests — do not
+            // reorder.
             ArrivalProcess::Poisson => {
                 let u: f64 = rng.gen_range(f64::EPSILON..1.0);
                 t += -u.ln() / arrivals.rate_per_sec;
@@ -192,7 +176,7 @@ pub fn arrival_stream(
             break;
         }
         let (s, d) = sampler.sample(&mut rng);
-        let protection = sample_protection(workload, &mut rng);
+        let protection = workload.protection.sample(&mut rng);
         out.push(TimedRequest {
             arrival: t,
             request: ClientRequest::new(ClientId(id), PathQuery::new(s, d), protection),
@@ -200,19 +184,6 @@ pub fn arrival_stream(
         id += 1;
     }
     out
-}
-
-fn sample_protection(workload: &WorkloadConfig, rng: &mut StdRng) -> opaque::ProtectionSettings {
-    use crate::generator::ProtectionDistribution;
-    match workload.protection {
-        ProtectionDistribution::Fixed { f_s, f_t } => {
-            opaque::ProtectionSettings::new(f_s, f_t).expect("validated at construction")
-        }
-        ProtectionDistribution::UniformRange { lo, hi } => {
-            opaque::ProtectionSettings::new(rng.gen_range(lo..=hi), rng.gen_range(lo..=hi))
-                .expect("range >= 1")
-        }
-    }
 }
 
 #[cfg(test)]
@@ -229,13 +200,7 @@ mod tests {
     }
 
     fn stream(rate: f64, horizon: f64, seed: u64) -> Vec<TimedRequest> {
-        let (g, idx) = setup();
-        poisson_stream(
-            &g,
-            &idx,
-            &WorkloadConfig { seed, ..Default::default() },
-            &ArrivalConfig { rate_per_sec: rate, horizon_secs: horizon },
-        )
+        process_stream(ArrivalProcess::Poisson, rate, horizon, seed)
     }
 
     #[test]
@@ -421,7 +386,7 @@ mod tests {
     #[test]
     fn protection_range_respected_in_stream() {
         let (g, idx) = setup();
-        let s = poisson_stream(
+        let s = arrival_stream(
             &g,
             &idx,
             &WorkloadConfig {
@@ -430,6 +395,7 @@ mod tests {
                 ..Default::default()
             },
             &ArrivalConfig { rate_per_sec: 3.0, horizon_secs: 40.0 },
+            ArrivalProcess::Poisson,
         );
         for tr in &s {
             assert!((2..=4).contains(&tr.request.protection.f_s));

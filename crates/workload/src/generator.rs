@@ -30,7 +30,8 @@ pub enum ProtectionDistribution {
 }
 
 impl ProtectionDistribution {
-    fn sample(&self, rng: &mut StdRng) -> ProtectionSettings {
+    /// One client's protection settings.
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> ProtectionSettings {
         match *self {
             ProtectionDistribution::Fixed { f_s, f_t } => {
                 ProtectionSettings::new(f_s, f_t).expect("validated at construction")

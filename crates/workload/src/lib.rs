@@ -37,7 +37,7 @@ pub mod generator;
 pub mod histogram;
 pub mod plausibility;
 
-pub use arrivals::{ArrivalConfig, ArrivalProcess, TimedRequest, arrival_stream, poisson_stream};
+pub use arrivals::{ArrivalConfig, ArrivalProcess, TimedRequest, arrival_stream};
 pub use churn::{ChurnConfig, rush_hour_schedule};
 pub use distributions::{QueryDistribution, QuerySampler};
 pub use generator::{ProtectionDistribution, WorkloadConfig, generate_requests};
