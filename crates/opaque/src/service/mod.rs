@@ -118,9 +118,9 @@ enum Fate {
 /// The assembled OPAQUE deployment: trusted obfuscator, pluggable
 /// directions backend, admission queue, and a configured obfuscation mode.
 ///
-/// Built via [`ServiceBuilder`]; or from pre-assembled parts with
-/// [`OpaqueService::from_parts`] when a custom backend or obfuscator is
-/// needed.
+/// Built via [`ServiceBuilder::build`], or
+/// [`ServiceBuilder::build_with_backend`] around a custom backend; its
+/// configuration is fixed from then on.
 pub struct OpaqueService<B> {
     obfuscator: Obfuscator,
     backend: B,
@@ -128,12 +128,12 @@ pub struct OpaqueService<B> {
     batcher: Batcher,
     /// Re-verify delivered paths against the obfuscator's map, turning
     /// tampering into [`OpaqueError::CorruptResult`].
-    pub verify_results: bool,
+    verify_results: bool,
     /// How each batch's obfuscated queries are executed against the
     /// backend: sequentially (the default) or fanned out across a worker
     /// pool of pinned shards — with byte-identical results and reports
     /// either way (the determinism harness's guarantee).
-    pub execution: ExecutionPolicy,
+    execution: ExecutionPolicy,
 }
 
 impl<B> std::fmt::Debug for OpaqueService<B> {
@@ -148,24 +148,6 @@ impl<B> std::fmt::Debug for OpaqueService<B> {
 }
 
 impl<B: DirectionsBackend> OpaqueService<B> {
-    /// Assemble a service from pre-built parts with the default batch
-    /// policy.
-    pub fn from_parts(obfuscator: Obfuscator, backend: B, mode: ObfuscationMode) -> Self {
-        OpaqueService {
-            obfuscator,
-            backend,
-            mode,
-            batcher: Batcher::new(BatchPolicy::default(), AdmissionPolicy::default())
-                // lint: allow(panic-path) — construction-time, not the
-                // submit/tick path, and the default policies are
-                // compile-time constants whose validity is pinned by
-                // the batcher's own tests.
-                .expect("default policies are valid"),
-            verify_results: false,
-            execution: ExecutionPolicy::Sequential,
-        }
-    }
-
     /// The trusted obfuscator (e.g. to inspect its map).
     pub fn obfuscator(&self) -> &Obfuscator {
         &self.obfuscator
@@ -605,11 +587,11 @@ mod tests {
 
     fn service() -> OpaqueService<DirectionsServer<roadnet::RoadNetwork>> {
         let g = map();
-        OpaqueService::from_parts(
-            Obfuscator::new(g.clone(), FakeSelection::default_ring(), 11),
-            DirectionsServer::new(g, SharingPolicy::PerSource),
-            ObfuscationMode::Independent,
-        )
+        ServiceBuilder::new()
+            .map(g.clone())
+            .seed(11)
+            .build_with_backend(DirectionsServer::new(g, SharingPolicy::PerSource))
+            .unwrap()
     }
 
     /// [`service`] (or any backend over [`map`]) behind explicit queue
@@ -638,8 +620,13 @@ mod tests {
 
     #[test]
     fn delivers_in_request_order_with_outcomes() {
-        let mut svc = service();
-        svc.verify_results = true;
+        let g = map();
+        let mut svc = ServiceBuilder::new()
+            .map(g.clone())
+            .seed(11)
+            .verify_results(true)
+            .build_with_backend(DirectionsServer::new(g, SharingPolicy::PerSource))
+            .unwrap();
         let reqs = vec![request(10, 0, 255, 3), request(11, 16, 240, 3), request(12, 32, 200, 2)];
         let resp = svc.process_batch(&reqs).unwrap();
         assert_eq!(resp.results.len(), 3);
@@ -716,11 +703,13 @@ mod tests {
         // max f_T = 130 at once — 260 > 256. No single probe fails, so
         // the greediest request is evicted and the rest are served.
         let g = map();
-        let mut svc = OpaqueService::from_parts(
-            Obfuscator::new(g.clone(), FakeSelection::Uniform, 3),
-            DirectionsServer::new(g, SharingPolicy::PerSource),
-            ObfuscationMode::SharedGlobal,
-        );
+        let mut svc = ServiceBuilder::new()
+            .map(g.clone())
+            .fake_selection(FakeSelection::Uniform)
+            .seed(3)
+            .obfuscation_mode(ObfuscationMode::SharedGlobal)
+            .build_with_backend(DirectionsServer::new(g, SharingPolicy::PerSource))
+            .unwrap();
         let reqs = vec![
             ClientRequest::new(
                 ClientId(0),
@@ -753,14 +742,16 @@ mod tests {
         // high-demand client holds no binding max of its group and must be
         // served; exactly one of the infeasible pair is rejected.
         let g = map();
-        let mut svc = OpaqueService::from_parts(
-            Obfuscator::new(g.clone(), FakeSelection::Uniform, 3),
-            DirectionsServer::new(g, SharingPolicy::PerSource),
-            ObfuscationMode::SharedClustered(ClusteringConfig {
+        let mut svc = ServiceBuilder::new()
+            .map(g.clone())
+            .fake_selection(FakeSelection::Uniform)
+            .seed(3)
+            .obfuscation_mode(ObfuscationMode::SharedClustered(ClusteringConfig {
                 radius_scale: 2.0,
                 max_cluster_size: 8,
-            }),
-        );
+            }))
+            .build_with_backend(DirectionsServer::new(g, SharingPolicy::PerSource))
+            .unwrap();
         let reqs = vec![
             ClientRequest::new(
                 ClientId(0),
@@ -795,11 +786,13 @@ mod tests {
         // would wrongly evict it (and then need a second eviction); the
         // binding-max rule serves it.
         let g = map();
-        let mut svc = OpaqueService::from_parts(
-            Obfuscator::new(g.clone(), FakeSelection::Uniform, 3),
-            DirectionsServer::new(g, SharingPolicy::PerSource),
-            ObfuscationMode::SharedGlobal,
-        );
+        let mut svc = ServiceBuilder::new()
+            .map(g.clone())
+            .fake_selection(FakeSelection::Uniform)
+            .seed(3)
+            .obfuscation_mode(ObfuscationMode::SharedGlobal)
+            .build_with_backend(DirectionsServer::new(g, SharingPolicy::PerSource))
+            .unwrap();
         let reqs = vec![
             ClientRequest::new(
                 ClientId(0),
@@ -842,11 +835,12 @@ mod tests {
         b.add_edge(NodeId(9), NodeId(10), 1.0).unwrap();
         let g = b.build().unwrap();
 
-        let mut svc = OpaqueService::from_parts(
-            Obfuscator::new(g.clone(), crate::obfuscator::FakeSelection::default_network_ring(), 7),
-            DirectionsServer::new(g, SharingPolicy::PerSource),
-            ObfuscationMode::Independent,
-        );
+        let mut svc = ServiceBuilder::new()
+            .map(g.clone())
+            .fake_selection(FakeSelection::default_network_ring())
+            .seed(7)
+            .build_with_backend(DirectionsServer::new(g, SharingPolicy::PerSource))
+            .unwrap();
         let good = ClientRequest::new(
             ClientId(0),
             PathQuery::new(NodeId(0), NodeId(8)),
@@ -1001,14 +995,14 @@ mod tests {
         let g = map();
         let servers: Vec<_> =
             (0..4).map(|_| DirectionsServer::new(g.clone(), SharingPolicy::PerSource)).collect();
-        let mut svc = OpaqueService::from_parts(
-            Obfuscator::new(g, FakeSelection::default_ring(), 23),
-            ShardedBackend::new(servers).unwrap(),
-            mode,
-        );
-        svc.execution = execution;
-        svc.verify_results = true;
-        svc
+        ServiceBuilder::new()
+            .map(g)
+            .seed(23)
+            .obfuscation_mode(mode)
+            .execution_policy(execution)
+            .verify_results(true)
+            .build_with_backend(ShardedBackend::new(servers).unwrap())
+            .unwrap()
     }
 
     #[test]
