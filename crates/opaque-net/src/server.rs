@@ -27,6 +27,7 @@
 
 use crate::conn::Connection;
 use crate::error::Result;
+use crate::frame::DEFAULT_MAX_FRAME;
 use crate::reactor::{POLLIN, POLLOUT, PollFd, poll};
 use crate::wire::{WireReply, WireRequest, decode_message};
 use opaque::{ClientRequest, DefaultBackend, OpaqueService, ServiceEvent, SubmitOutcome, Ticket};
@@ -36,24 +37,20 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// Tunables of the wire layer (the gateway has its own policies).
+/// Outbound bytes buffered per connection before its reads pause.
+const OUTBOUND_CAP: usize = 256 * 1024;
+
+/// Tunables of the wire layer (the gateway has its own policies). Every
+/// connection's decoder caps frame payloads at [`DEFAULT_MAX_FRAME`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Frame payload cap handed to every connection's decoder.
-    pub max_frame: u32,
-    /// Outbound bytes buffered per connection before reads pause.
-    pub outbound_cap: usize,
     /// poll(2) timeout — the latency floor for `max_delay` batch windows.
     pub poll_timeout_ms: i32,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            max_frame: crate::frame::DEFAULT_MAX_FRAME,
-            outbound_cap: 256 * 1024,
-            poll_timeout_ms: 10,
-        }
+        ServerConfig { poll_timeout_ms: 10 }
     }
 }
 
@@ -248,7 +245,7 @@ impl NetServer {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    match Connection::new(stream, self.config.max_frame, self.config.outbound_cap) {
+                    match Connection::new(stream, DEFAULT_MAX_FRAME, OUTBOUND_CAP) {
                         Ok(conn) => {
                             let id = self.next_conn;
                             self.next_conn += 1;
