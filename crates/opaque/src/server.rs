@@ -16,7 +16,7 @@ use pathsearch::{
     AltPreprocessing, EdgeChange, Goal, MsmdResult, Path, SearchArena, SearchStats, SharingPolicy,
     msmd_in_guided, msmd_in_guided_cached, run_tree,
 };
-use roadnet::{GraphView, NodeId};
+use roadnet::GraphView;
 use std::sync::Arc;
 
 /// Cumulative server-side load counters.
@@ -213,9 +213,10 @@ impl<G: GraphView> DirectionsServer<G> {
 
     /// Adopt a live-traffic weight update: install the reweighted view
     /// (same topology — typically a fresh `Arc` of the fleet's shared
-    /// map) and bring the cached trees along. A tree whose recorded sweep
-    /// touched one of the `affected` edges (each given by its endpoint
-    /// pair) is repaired in place into the sweep the new map records, or
+    /// map) and bring the cached trees along. `changes` names every edge
+    /// the update changed, measured on the map before it
+    /// ([`EdgeChange::before`]). A tree whose recorded sweep touched one
+    /// of them is repaired in place into the sweep the new map records, or
     /// evicted when repair does not cover it
     /// ([`TreeCache::repair_edges`]); untouched trees replay
     /// byte-identically as they are (see
@@ -229,15 +230,13 @@ impl<G: GraphView> DirectionsServer<G> {
     /// zero at its goals — consistent and admissible on the new map, by
     /// induction over successive rising updates. One lowered edge drops
     /// the tables, as [`DirectionsServer::swap_map`] always does.
-    pub fn apply_weight_update(&mut self, graph: G, affected: &[(NodeId, NodeId)]) {
-        let changes: Vec<EdgeChange> =
-            affected.iter().map(|&(a, b)| EdgeChange::before(&self.graph, a, b)).collect();
+    pub fn apply_weight_update(&mut self, graph: G, changes: &[EdgeChange]) {
         if self.heuristic.is_some() && changes.iter().any(|c| c.fell_on(&graph)) {
             self.heuristic = None;
         }
         self.graph = graph;
         if let Some(cache) = &mut self.cache {
-            cache.repair_edges(&self.graph, &changes);
+            cache.repair_edges(&self.graph, changes);
         }
     }
 }
@@ -304,16 +303,18 @@ mod tests {
     }
 
     /// One shard's share of a fleet-wide weight update: install the
-    /// reweighted map and name the changed edges by their endpoints.
+    /// reweighted map with the changed edges measured on the old one.
     fn reweight(
         sv: &mut DirectionsServer<roadnet::RoadNetwork>,
         updates: &[(EdgeId, f64)],
     ) -> Vec<EdgeId> {
         let mut map = sv.graph().clone();
         let changed = map.update_weights(updates).unwrap();
-        let endpoints: Vec<(NodeId, NodeId)> =
-            changed.iter().map(|&e| (map.edge(e).a, map.edge(e).b)).collect();
-        sv.apply_weight_update(map, &endpoints);
+        let changes: Vec<EdgeChange> = changed
+            .iter()
+            .map(|&e| EdgeChange::before(sv.graph(), map.edge(e).a, map.edge(e).b))
+            .collect();
+        sv.apply_weight_update(map, &changes);
         changed
     }
 

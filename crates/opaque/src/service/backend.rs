@@ -17,7 +17,7 @@ use crate::query::ObfuscatedPathQuery;
 use crate::server::{DirectionsServer, ServerStats};
 use crate::service::parallel::{self, ExecutionPolicy, Queue};
 use crate::service::partition::Partition;
-use pathsearch::MsmdResult;
+use pathsearch::{EdgeChange, MsmdResult};
 use roadnet::GraphView;
 
 /// Anything that can answer directions queries for the OPAQUE pipeline.
@@ -158,8 +158,9 @@ impl<B: DirectionsBackend> ShardedBackend<B> {
 /// `Arc` to every shard; a swap distributes the one `Arc` it is given.
 /// [`crate::OpaqueService`] hands its obfuscator the same snapshot.
 impl ShardedBackend<DirectionsServer<std::sync::Arc<roadnet::RoadNetwork>>> {
-    /// Apply live-traffic weight updates fleet-wide. Each shard installs
-    /// the reweighted map and repairs (or, for early-stopped sweeps,
+    /// Apply live-traffic weight updates fleet-wide. The changed edges are
+    /// measured once, on the map the fleet served until now, and every
+    /// shard installs the reweighted map and repairs (or, for early-stopped sweeps,
     /// evicts) only the cached trees whose recorded sweep touched a
     /// changed edge ([`DirectionsServer::apply_weight_update`]) —
     /// region-owned shards whose cached sweeps stay clear of the
@@ -176,18 +177,19 @@ impl ShardedBackend<DirectionsServer<std::sync::Arc<roadnet::RoadNetwork>>> {
         &mut self,
         updates: &[(roadnet::EdgeId, f64)],
     ) -> std::result::Result<Vec<roadnet::EdgeId>, roadnet::RoadNetError> {
-        let mut map = (**self.shards[0].graph()).clone();
+        let old = self.shards[0].graph();
+        let mut map = (**old).clone();
         let changed = map.update_weights(updates)?;
-        let endpoints: Vec<(roadnet::NodeId, roadnet::NodeId)> = changed
+        let changes: Vec<EdgeChange> = changed
             .iter()
             .map(|&e| {
                 let edge = map.edge(e);
-                (edge.a, edge.b)
+                EdgeChange::before(old, edge.a, edge.b)
             })
             .collect();
         let shared = std::sync::Arc::new(map);
         for shard in &mut self.shards {
-            shard.apply_weight_update(std::sync::Arc::clone(&shared), &endpoints);
+            shard.apply_weight_update(std::sync::Arc::clone(&shared), &changes);
         }
         Ok(changed)
     }
