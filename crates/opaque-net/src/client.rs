@@ -135,7 +135,7 @@ pub fn run_fleet(
     let connections = cfg.connections.max(1);
     let mut conns = Vec::with_capacity(connections);
     for _ in 0..connections {
-        conns.push(Connection::new(TcpStream::connect(addr)?, DEFAULT_MAX_FRAME, usize::MAX)?);
+        conns.push(Connection::new(TcpStream::connect(addr)?, usize::MAX)?);
     }
 
     let mut outcome = FleetOutcome::default();

@@ -13,7 +13,7 @@
 //! slow consumer instead of buffering for it without bound.
 
 use crate::error::{NetError, Result};
-use crate::frame::FrameDecoder;
+use crate::frame::{DEFAULT_MAX_FRAME, FrameDecoder};
 use crate::wire::{WireReply, frame_message};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -35,13 +35,14 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Adopt a connected or accepted stream (made non-blocking here).
-    pub fn new(stream: TcpStream, max_frame: u32, outbound_cap: usize) -> std::io::Result<Self> {
+    /// Adopt a connected or accepted stream (made non-blocking here). Its
+    /// decoder caps frame payloads at [`DEFAULT_MAX_FRAME`].
+    pub fn new(stream: TcpStream, outbound_cap: usize) -> std::io::Result<Self> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
         Ok(Connection {
             stream,
-            decoder: FrameDecoder::new(max_frame),
+            decoder: FrameDecoder::new(DEFAULT_MAX_FRAME),
             outbound: Vec::new(),
             out_pos: 0,
             draining: false,
@@ -195,7 +196,6 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::DEFAULT_MAX_FRAME;
     use crate::frame::tests::framed;
     use crate::reactor::{POLLIN, PollFd, poll};
     use opaque::{ClientId, Ticket};
@@ -207,7 +207,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
         let (accepted, _) = listener.accept().unwrap();
-        (Connection::new(accepted, DEFAULT_MAX_FRAME, 1024).unwrap(), client)
+        (Connection::new(accepted, 1024).unwrap(), client)
     }
 
     fn wait_frames(conn: &mut Connection) -> Vec<Vec<u8>> {

@@ -27,7 +27,6 @@
 
 use crate::conn::Connection;
 use crate::error::Result;
-use crate::frame::DEFAULT_MAX_FRAME;
 use crate::reactor::{POLLIN, POLLOUT, PollFd, poll};
 use crate::wire::{WireReply, WireRequest, decode_message};
 use opaque::{ClientRequest, DefaultBackend, OpaqueService, ServiceEvent, SubmitOutcome, Ticket};
@@ -40,8 +39,7 @@ use std::time::Instant;
 /// Outbound bytes buffered per connection before its reads pause.
 const OUTBOUND_CAP: usize = 256 * 1024;
 
-/// Tunables of the wire layer (the gateway has its own policies). Every
-/// connection's decoder caps frame payloads at [`DEFAULT_MAX_FRAME`].
+/// Tunables of the wire layer (the gateway has its own policies).
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     /// poll(2) timeout — the latency floor for `max_delay` batch windows.
@@ -245,7 +243,7 @@ impl NetServer {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    match Connection::new(stream, DEFAULT_MAX_FRAME, OUTBOUND_CAP) {
+                    match Connection::new(stream, OUTBOUND_CAP) {
                         Ok(conn) => {
                             let id = self.next_conn;
                             self.next_conn += 1;

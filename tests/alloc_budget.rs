@@ -26,7 +26,7 @@ use opaque::{
     ServiceBuilder, ServiceEvent, Ticket, wire_size,
 };
 use opaque_net::wire::{decode_message, encode_message};
-use opaque_net::{Connection, DEFAULT_MAX_FRAME, WireReply, WireRequest};
+use opaque_net::{Connection, WireReply, WireRequest};
 use pathsearch::{Goal, Path, SearchArena, SharingPolicy, TreeCache, run_in, run_tree};
 use roadnet::NodeId;
 use roadnet::generators::{GridConfig, grid_network};
@@ -175,7 +175,7 @@ fn queue_reply_into_a_warm_outbound_buffer_allocates_nothing() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
     let (accepted, _) = listener.accept().unwrap();
-    let mut conn = Connection::new(accepted, DEFAULT_MAX_FRAME, 256 * 1024).unwrap();
+    let mut conn = Connection::new(accepted, 256 * 1024).unwrap();
     let reply = |ticket: u64| WireReply::Result {
         ticket: Ticket(ticket),
         result: ResultMsg { client: ClientId(7), path: path(&[12, 13, 23, 88], 4.5) },
