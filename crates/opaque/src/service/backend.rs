@@ -160,9 +160,10 @@ impl<B: DirectionsBackend> ShardedBackend<B> {
 impl ShardedBackend<DirectionsServer<std::sync::Arc<roadnet::RoadNetwork>>> {
     /// Apply live-traffic weight updates fleet-wide. The changed edges are
     /// measured once, on the map the fleet served until now, and every
-    /// shard installs the reweighted map and repairs (or, for early-stopped sweeps,
-    /// evicts) only the cached trees whose recorded sweep touched a
-    /// changed edge ([`DirectionsServer::apply_weight_update`]) —
+    /// shard installs the reweighted map and repairs (or, for
+    /// early-stopped sweeps, evicts) only the cached trees whose recorded
+    /// sweep touched a changed edge
+    /// ([`DirectionsServer::apply_weight_update`]) —
     /// region-owned shards whose cached sweeps stay clear of the
     /// congestion keep their whole cache untouched. Returns the edges
     /// whose weight actually changed. The region
