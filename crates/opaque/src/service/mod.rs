@@ -1250,6 +1250,96 @@ mod tests {
         assert!(svc.flush(8.0).unwrap().is_empty(), "acks must not emit a second time");
     }
 
+    /// FNV-1a over the `serde_json` bytes of every event, in order.
+    fn event_digest(events: &[ServiceEvent]) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for event in events {
+            for byte in serde_json::to_string(event).unwrap().bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Submit `r` and record its ticket in `issued`.
+    fn ticketed<B: DirectionsBackend>(
+        svc: &mut OpaqueService<B>,
+        issued: &mut Vec<Ticket>,
+        r: ClientRequest,
+        lane: Priority,
+        now: f64,
+    ) -> Ticket {
+        let ticket = svc.submit_with_priority(r, lane, now).ticket().expect("ticketed");
+        issued.push(ticket);
+        ticket
+    }
+
+    #[test]
+    fn gateway_event_stream_is_pinned() {
+        // One scripted session through both gateway passes, pinned by
+        // digest: lanes, deferral, cancellation of a lane and a deferred
+        // entry, a deadline shed cascading through a promoted duplicate,
+        // two consecutive failed windows and the recovery that emits their
+        // acknowledgements, and shutdown drains to an empty queue.
+        let (i, b) = (Priority::Interactive, Priority::Bulk);
+        let (mut events, mut issued) = (Vec::new(), Vec::new());
+
+        let mut svc = queued(
+            DirectionsServer::new(map(), SharingPolicy::PerSource),
+            BatchPolicy { max_batch: 4, max_delay: 2.0 },
+            AdmissionPolicy { queue_depth: 16, deadline: Some(3.0) },
+        );
+        let t = &mut issued;
+        ticketed(&mut svc, t, request(0, 0, 255, 2), i, 0.0);
+        let lane = ticketed(&mut svc, t, request(1, 16, 240, 2), b, 0.0);
+        ticketed(&mut svc, t, request(0, 5, 250, 2), b, 0.1); // deferred
+        ticketed(&mut svc, t, request(2, 32, 200, 2), i, 0.2);
+        let deferred = ticketed(&mut svc, t, request(2, 40, 190, 2), i, 0.3);
+        ticketed(&mut svc, t, request(5, 60, 180, 3), b, 0.2);
+        assert!(svc.cancel(deferred) && svc.cancel(lane));
+        events.extend(svc.tick(0.5).unwrap()); // acknowledgements only
+        events.extend(svc.tick(2.0).unwrap()); // deadline window, both lanes
+        ticketed(&mut svc, t, request(3, 70, 170, 2), i, 2.0);
+        ticketed(&mut svc, t, request(3, 75, 160, 2), b, 2.1); // deferred
+        ticketed(&mut svc, t, request(4, 80, 150, 2), b, 5.5);
+        ticketed(&mut svc, t, request(4, 85, 140, 2), i, 5.6); // deferred
+        // Client 0's promoted duplicate and client 3's lane entry are
+        // overdue; shedding the latter promotes its overdue duplicate.
+        events.extend(svc.tick(6.0).unwrap());
+        let mut now = 6.5;
+        while svc.pending() > 0 {
+            events.extend(svc.flush(now).unwrap());
+            now += 0.25;
+        }
+
+        let mut svc = tampered_service();
+        let cancelled = ticketed(&mut svc, t, request(0, 0, 255, 2), i, 0.0);
+        ticketed(&mut svc, t, request(1, 16, 240, 2), i, 0.0); // overdue at 5.0
+        ticketed(&mut svc, t, request(2, 32, 200, 2), b, 4.0);
+        assert!(svc.cancel(cancelled));
+        assert!(svc.flush(5.0).is_err());
+        // The second failed window drains out of ticket order.
+        ticketed(&mut svc, t, request(6, 60, 180, 2), b, 5.5);
+        ticketed(&mut svc, t, request(3, 48, 180, 2), i, 6.0);
+        ticketed(&mut svc, t, request(3, 9999, 255, 2), b, 6.0); // deferred, unknown node
+        assert!(svc.flush(6.0).is_err());
+        // Recovery: a window of one admission-rejected request needs no
+        // backend answer, so it succeeds and emits every parked ticket.
+        let mut now = 7.0;
+        while svc.pending() > 0 {
+            events.extend(svc.flush(now).unwrap());
+            now += 0.25;
+        }
+        events.extend(svc.flush(now).unwrap());
+
+        let mut resolved = event_tickets(&events);
+        resolved.sort_by_key(|t| t.0);
+        issued.sort_by_key(|t| t.0);
+        assert_eq!(resolved, issued, "every ticket resolves exactly once");
+        assert_eq!(events.len(), 20, "{events:?}");
+        assert_eq!(event_digest(&events), 0xede1_aeff_6e0f_2b44);
+    }
+
     #[test]
     fn per_mode_override_matches_configured_mode() {
         let mut svc = service();
