@@ -44,9 +44,10 @@ pub fn run(scale: &Scale) -> ExperimentTable {
                 .fake_selection(FakeSelection::default_ring())
                 .seed(0xE5)
                 .sharing_policy(SharingPolicy::PerSource)
+                .obfuscation_mode(mode)
                 .build()
                 .expect("valid service configuration");
-            let response = svc.process_batch_with_mode(&requests, mode).expect("pipeline succeeds");
+            let response = svc.process_batch(&requests).expect("pipeline succeeds");
             let report = response.report;
             assert_eq!(response.results.len(), k, "every client must be answered");
             t.row(vec![

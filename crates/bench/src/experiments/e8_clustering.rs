@@ -49,10 +49,10 @@ pub fn run(scale: &Scale) -> ExperimentTable {
                 .fake_selection(FakeSelection::default_ring())
                 .seed(0xE8)
                 .sharing_policy(SharingPolicy::PerSource)
+                .obfuscation_mode(mode)
                 .build()
                 .expect("valid service configuration");
-            let report =
-                svc.process_batch_with_mode(&requests, mode).expect("pipeline succeeds").report;
+            let report = svc.process_batch(&requests).expect("pipeline succeeds").report;
             t.row(vec![
                 wname.into(),
                 mode.to_string(),

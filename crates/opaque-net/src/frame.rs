@@ -26,7 +26,7 @@ use crate::error::{NetError, Result};
 pub const PROTOCOL_VERSION: u8 = 1;
 
 /// Bytes of the frame header (u32-LE payload length + version byte).
-pub const HEADER_LEN: usize = 5;
+pub(crate) const HEADER_LEN: usize = 5;
 
 /// Default payload cap: far above any legitimate message (a delivered
 /// path on the bench maps serializes to a few KiB) while keeping a
@@ -112,7 +112,7 @@ impl FrameDecoder {
     }
 
     /// Unconsumed bytes currently buffered.
-    pub fn buffered(&self) -> usize {
+    fn buffered(&self) -> usize {
         self.live().len()
     }
 

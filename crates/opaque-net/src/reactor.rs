@@ -21,9 +21,9 @@ pub const POLLIN: i16 = 0x001;
 /// Writable readiness (`POLLOUT`).
 pub const POLLOUT: i16 = 0x004;
 /// Error condition (`POLLERR`, revents only).
-pub const POLLERR: i16 = 0x008;
+const POLLERR: i16 = 0x008;
 /// Peer hung up (`POLLHUP`, revents only).
-pub const POLLHUP: i16 = 0x010;
+const POLLHUP: i16 = 0x010;
 
 /// Mirror of the kernel's `struct pollfd`.
 #[repr(C)]

@@ -20,7 +20,7 @@
 //! Failure domains stay separate: a protocol error drains and closes
 //! *one* connection (its queued batches still run); a batch-fatal
 //! gateway error discards *one* window (connections stay up; the next
-//! tick re-emits the acks and answers the window's own requests with
+//! tick emits the waiting acks and answers the window's own requests with
 //! `Rejected`, and [`NetStats::batch_failures`] counts it); a reply
 //! whose connection died is dropped and counted
 //! ([`NetStats::dropped_replies`]), never redirected.
@@ -38,6 +38,10 @@ use std::time::Instant;
 
 /// Outbound bytes buffered per connection before its reads pause.
 const OUTBOUND_CAP: usize = 256 * 1024;
+
+/// Rounds [`NetServer::drain`] waits, once the queue is empty, for peers
+/// to read the replies still buffered for them.
+const DRAIN_WRITE_ROUNDS: usize = 64;
 
 /// Tunables of the wire layer (the gateway has its own policies).
 #[derive(Clone, Copy, Debug)]
@@ -212,12 +216,17 @@ impl NetServer {
     /// Flush the gateway's pending work and push the replies out, so a
     /// shutdown honors the one-terminal-reply-per-request contract.
     ///
+    /// Every window removes at least one queued request, so flushing
+    /// until the queue is empty ends; once it is, at most
+    /// `DRAIN_WRITE_ROUNDS` (64) more rounds wait for peers to read what is
+    /// queued for them.
+    ///
     /// # Errors
     /// Listener-level failures; batch-fatal errors are counted and the
-    /// failed window's rejections collected by the next round, up to a
-    /// bounded number of rounds.
+    /// failed window's rejections collected by the next round.
     pub fn drain(&mut self) -> Result<()> {
-        for _ in 0..64 {
+        let mut write_rounds = 0;
+        while write_rounds < DRAIN_WRITE_ROUNDS {
             let now = self.now();
             match self.service.flush(now) {
                 Ok(events) => self.route_events(events),
@@ -230,11 +239,13 @@ impl NetServer {
             }
             self.flush_pending();
             self.conns.retain(|_, c| !c.is_closed());
-            let quiet =
-                self.service.pending() == 0 && self.conns.values().all(|c| !c.wants_write());
-            if quiet {
+            if self.service.pending() > 0 {
+                continue;
+            }
+            if self.conns.values().all(|c| !c.wants_write()) {
                 break;
             }
+            write_rounds += 1;
         }
         Ok(())
     }
@@ -319,9 +330,10 @@ impl NetServer {
         match self.service.tick(now) {
             Ok(events) => self.route_events(events),
             Err(_) => {
-                // Batch-fatal: the window is discarded; the gateway parked
-                // its tickets (and the acks taken with it) and emits them
-                // on the next tick. Connections are unaffected.
+                // Batch-fatal: the window is discarded; the gateway owes
+                // its tickets a rejection and emits them, with the acks
+                // still waiting, on the next tick. Connections are
+                // unaffected.
                 self.stats.batch_failures += 1;
             }
         }
@@ -556,6 +568,35 @@ mod tests {
         assert_eq!(srv.stats().batch_failures, 1);
         assert_eq!(srv.stats().batches_flushed, 0);
         assert!(srv.routes.is_empty(), "every ticket resolved: {:?}", srv.routes);
+    }
+
+    #[test]
+    fn drain_answers_every_same_client_request() {
+        // One window serves one request per client id, and a peer picks
+        // its own ids: 100 same-id requests need 100 windows to drain.
+        let map =
+            grid_network(&GridConfig { width: 12, height: 12, seed: 5, ..Default::default() })
+                .unwrap();
+        let service = ServiceBuilder::new()
+            .map(map)
+            .seed(41)
+            .batch_policy(BatchPolicy { max_batch: 1024, max_delay: 1e9 })
+            .build()
+            .unwrap();
+        let mut srv = NetServer::bind("127.0.0.1:0", service, ServerConfig::default()).unwrap();
+        let mut client = TcpStream::connect(srv.local_addr().unwrap()).unwrap();
+        let frames: Vec<u8> = (0..100).flat_map(|i| wire_request(7, i, 143 - i)).collect();
+        client.write_all(&frames).unwrap();
+        for _ in 0..3_000 {
+            srv.poll_once().unwrap();
+            if srv.stats().frames_in == 100 {
+                break;
+            }
+        }
+        assert_eq!(srv.stats().frames_in, 100);
+        srv.drain().unwrap();
+        assert_eq!(srv.stats().replies_sent, 100, "{:?}", srv.stats());
+        assert_eq!(srv.service.pending(), 0);
     }
 
     #[test]

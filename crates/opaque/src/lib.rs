@@ -121,8 +121,8 @@ pub use protocol::{
 pub use query::{ClientId, ClientRequest, ObfuscatedPathQuery, PathQuery, ProtectionSettings};
 pub use server::{DirectionsServer, ServerStats};
 pub use service::{
-    AdmissionPolicy, BatchPolicy, BatchReport, Batcher, CachePolicy, ClientOutcome, DefaultBackend,
-    DirectionsBackend, DrainedBatch, ExecutionPolicy, OpaqueService, Partition, PartitionPolicy,
-    Priority, RejectReason, RouteKind, SearchHeuristic, ServiceBuilder, ServiceConfig,
-    ServiceEvent, ServiceResponse, ShardedBackend, ShedRequest, SubmitOutcome, Ticket, TreeCache,
+    AdmissionPolicy, BatchPolicy, BatchReport, CachePolicy, ClientOutcome, DefaultBackend,
+    DirectionsBackend, ExecutionPolicy, OpaqueService, Partition, PartitionPolicy, Priority,
+    RejectReason, RouteKind, SearchHeuristic, ServiceBuilder, ServiceConfig, ServiceEvent,
+    ServiceResponse, ShardedBackend, SubmitOutcome, Ticket, TreeCache,
 };

@@ -3,14 +3,14 @@
 //! The paper's obfuscator operates on batches ("partitions the received
 //! queries", §IV), but a live deployment receives a *stream*: requests must
 //! be collected for some window before shared obfuscation can help. The
-//! [`Batcher`] is that admission path, and it is where the gateway's
-//! admission control lives:
+//! crate-private `Batcher` is that admission path, and it is where the
+//! gateway's admission control lives:
 //!
 //! * **lanes** — each request is submitted with a [`Priority`]; when a
 //!   batch forms, the interactive lane drains before the bulk lane
 //!   (oldest first within a lane);
 //! * **backpressure** — at most [`AdmissionPolicy::queue_depth`] requests
-//!   may queue at once; beyond that [`Batcher::submit`] answers
+//!   may queue at once; beyond that a submit is answered
 //!   [`SubmitOutcome::Rejected`] with [`RejectReason::QueueFull`];
 //! * **deferral** — a client with a request already pending gets
 //!   [`SubmitOutcome::Deferred`]: the duplicate is parked and joins the
@@ -19,23 +19,31 @@
 //!   the direct [`crate::OpaqueService::process_batch`] path, where there
 //!   is no next window to defer to);
 //! * **shedding** — with an [`AdmissionPolicy::deadline`] configured,
-//!   requests that have waited longer are dropped from the queue by
-//!   [`Batcher::expire`] (the gateway turns them into
-//!   [`crate::ServiceEvent::Rejected`] events) rather than served stale;
-//! * **cancellation** — [`Batcher::cancel`] removes a queued request by
-//!   ticket before it is ever obfuscated.
+//!   requests that have waited longer are dropped from the queue rather
+//!   than served stale;
+//! * **cancellation** — a queued request can be removed by ticket before
+//!   it is ever obfuscated.
+//!
+//! The batcher keeps the gateway's only books of what it owes: every
+//! cancellation and shedding waits in one of its two ledgers as the
+//! [`ServiceEvent`] that acknowledges it, and the ledgers empty into the
+//! event list of the next tick whose window succeeds. A window that fails
+//! owes its own requests a [`RejectReason::Infeasible`] each, added to the
+//! shedding ledger, so every ticket still resolves exactly once.
 //!
 //! The pending window drains when either [`BatchPolicy`] trigger fires:
 //! **size** (the lanes reached [`BatchPolicy::max_batch`]) or **deadline**
 //! (the oldest lane request has waited [`BatchPolicy::max_delay`]
 //! seconds). Time is explicit (seconds as `f64`, matching `workload`'s
-//! arrival clocks): callers pass `now` into [`Batcher::submit`] and
-//! [`Batcher::tick`], which keeps the batcher deterministic and testable —
-//! and lets experiments replay recorded streams exactly.
+//! arrival clocks): callers pass `now` into every submit and tick, which
+//! keeps the batcher deterministic and testable — and lets experiments
+//! replay recorded streams exactly.
 
 use crate::error::{OpaqueError, Result};
 use crate::query::{ClientId, ClientRequest};
-use crate::service::gateway::{AdmissionPolicy, Priority, RejectReason, SubmitOutcome};
+use crate::service::gateway::{
+    AdmissionPolicy, Priority, RejectReason, ServiceEvent, SubmitOutcome,
+};
 use std::collections::{HashSet, VecDeque};
 
 /// When a pending batch is flushed.
@@ -77,48 +85,30 @@ impl BatchPolicy {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Ticket(pub u64);
 
-/// One queued request with its admission metadata.
+/// One queued request with its admission metadata. A drained window is
+/// a list of these in drain order (interactive lane first, oldest first
+/// within a lane).
 #[derive(Clone, Copy, Debug)]
-struct Pending {
-    ticket: Ticket,
-    request: ClientRequest,
-    arrival: f64,
+pub(crate) struct Pending {
+    pub(crate) ticket: Ticket,
+    pub(crate) request: ClientRequest,
+    /// Submission clock, for `waited`.
+    pub(crate) arrival: f64,
     priority: Priority,
 }
 
-/// A ticketed request that will never be served: shed from the queue by
-/// [`Batcher::expire`], or drained into a window whose processing failed
-/// (the gateway parks those through [`Batcher::restore_acks`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShedRequest {
-    /// The shed request's ticket.
-    pub ticket: Ticket,
-    /// The client whose request was shed.
-    pub client: ClientId,
-    /// Seconds it had waited when it was shed.
-    pub waited: f64,
-    /// Why: [`RejectReason::DeadlineExpired`] from [`Batcher::expire`],
-    /// [`RejectReason::Infeasible`] with the error text for a failed
-    /// window.
-    pub reason: RejectReason,
-}
-
-/// One drained batch: the requests in drain order (interactive lane
-/// first, oldest first within a lane), their tickets, and their arrival
-/// clocks (for latency accounting).
-#[derive(Clone, Debug)]
-pub struct DrainedBatch {
-    /// Requests in drain order.
-    pub requests: Vec<ClientRequest>,
-    /// `tickets[i]` was issued for `requests[i]`.
-    pub tickets: Vec<Ticket>,
-    /// `arrivals[i]` is the submission clock of `requests[i]`.
-    pub arrivals: Vec<f64>,
+impl Pending {
+    /// The rejection this request is owed after waiting until `now`.
+    fn rejected(&self, reason: RejectReason, now: f64) -> ServiceEvent {
+        let (ticket, client, waited) = (self.ticket, self.request.client, now - self.arrival);
+        ServiceEvent::Rejected { ticket, client, reason, waited }
+    }
 }
 
 /// The request queue in front of the obfuscator: two priority lanes, a
-/// deferred set for duplicate clients, and a cancellation ledger.
-pub struct Batcher {
+/// deferred set for duplicate clients, and the two acknowledgement
+/// ledgers.
+pub(crate) struct Batcher {
     policy: BatchPolicy,
     admission: AdmissionPolicy,
     interactive: VecDeque<Pending>,
@@ -130,19 +120,11 @@ pub struct Batcher {
     /// `promote_deferred` after every removal.
     deferred: Vec<Pending>,
     pending_clients: HashSet<ClientId>,
-    /// Cancelled requests awaiting event acknowledgement (drained by
-    /// [`Batcher::take_cancelled`], restored by [`Batcher::restore_acks`]
-    /// when a batch failure discards the events built from them).
-    cancelled: Vec<(Ticket, ClientId)>,
-    /// Sheddings whose events a failed tick discarded, and the failed
-    /// window's own requests; re-emitted with the fresh expiries (see
-    /// [`Batcher::restore_acks`]).
-    shed_backlog: Vec<ShedRequest>,
-    /// Tracked minimum arrival over the two lanes (`INFINITY` when both
-    /// are empty): min-updated on insertion, recomputed after removals,
-    /// so the per-tick trigger checks stay O(1) even for non-monotonic
-    /// submit clocks.
-    oldest_lane: f64,
+    /// `Cancelled` acknowledgements owed, in cancellation order.
+    cancelled: Vec<ServiceEvent>,
+    /// `Rejected` events owed: deadline sheddings, and the requests of
+    /// failed windows.
+    shed: Vec<ServiceEvent>,
     next_ticket: u64,
 }
 
@@ -151,7 +133,7 @@ impl Batcher {
     ///
     /// # Errors
     /// [`OpaqueError::InvalidConfig`] when either policy is unsatisfiable.
-    pub fn new(policy: BatchPolicy, admission: AdmissionPolicy) -> Result<Self> {
+    pub(crate) fn new(policy: BatchPolicy, admission: AdmissionPolicy) -> Result<Self> {
         policy.validate()?;
         admission.validate()?;
         Ok(Batcher {
@@ -164,20 +146,14 @@ impl Batcher {
             deferred: Vec::new(),
             pending_clients: HashSet::new(),
             cancelled: Vec::new(),
-            shed_backlog: Vec::new(),
-            oldest_lane: f64::INFINITY,
+            shed: Vec::new(),
             next_ticket: 0,
         })
     }
 
     /// Number of requests queued (both lanes plus the deferred set).
-    pub fn len(&self) -> usize {
-        self.interactive.len() + self.bulk.len() + self.deferred.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub(crate) fn len(&self) -> usize {
+        self.lane_len() + self.deferred.len()
     }
 
     /// Requests drainable into the *current* window (lanes only — the
@@ -192,7 +168,7 @@ impl Batcher {
     /// as [`SubmitOutcome::Rejected`] (no ticket issued), and a duplicate
     /// client is answered as [`SubmitOutcome::Deferred`] (ticketed; joins
     /// the next window).
-    pub fn submit(
+    pub(crate) fn submit(
         &mut self,
         request: ClientRequest,
         priority: Priority,
@@ -213,7 +189,6 @@ impl Batcher {
         self.next_ticket += 1;
         let pending = Pending { ticket, request, arrival: now, priority };
         if self.pending_clients.insert(request.client) {
-            self.oldest_lane = self.oldest_lane.min(now);
             self.lane_mut(priority).push_back(pending);
             SubmitOutcome::Accepted(ticket)
         } else {
@@ -229,187 +204,133 @@ impl Batcher {
         }
     }
 
-    /// Remove a queued request by ticket before it is processed. Returns
-    /// the owning client when the ticket was still queued (the gateway
-    /// emits the [`crate::ServiceEvent::Cancelled`] acknowledgement on
-    /// its next tick), `None` when it was unknown or already drained.
-    pub fn cancel(&mut self, ticket: Ticket) -> Option<ClientId> {
-        for priority in [Priority::Interactive, Priority::Bulk] {
-            let lane = self.lane_mut(priority);
-            let pos = lane.iter().position(|p| p.ticket == ticket);
-            // The position came from the same lane one line up, so the
-            // remove cannot miss — and if it somehow did, the ticket
-            // reads as already-drained rather than aborting the tick.
-            if let Some(p) = pos.and_then(|pos| lane.remove(pos)) {
+    /// Remove a queued request by ticket before it is processed, and owe
+    /// it a [`ServiceEvent::Cancelled`]. Returns the owning client when
+    /// the ticket was still queued, `None` when it was unknown or already
+    /// drained.
+    pub(crate) fn cancel(&mut self, ticket: Ticket) -> Option<ClientId> {
+        let in_lane = [&mut self.interactive, &mut self.bulk].into_iter().find_map(|lane| {
+            lane.iter().position(|p| p.ticket == ticket).and_then(|pos| lane.remove(pos))
+        });
+        let client = match in_lane {
+            Some(p) => {
                 self.pending_clients.remove(&p.request.client);
-                self.cancelled.push((ticket, p.request.client));
-                self.recompute_oldest_lane();
                 // A deferred duplicate of this client may now enter the
                 // current window.
                 self.promote_deferred();
-                return Some(p.request.client);
+                p.request.client
             }
-        }
-        if let Some(pos) = self.deferred.iter().position(|p| p.ticket == ticket) {
-            let p = self.deferred.remove(pos);
-            self.cancelled.push((ticket, p.request.client));
-            return Some(p.request.client);
-        }
-        None
-    }
-
-    /// Drain the cancellation ledger (cancelled since the last call), in
-    /// cancellation order.
-    pub fn take_cancelled(&mut self) -> Vec<(Ticket, ClientId)> {
-        std::mem::take(&mut self.cancelled)
-    }
-
-    /// Put taken acknowledgements back at the head of their ledgers. The
-    /// gateway calls this when a batch-processing error discards a
-    /// tick's event list: the cancellations and sheddings taken for that
-    /// list are unrelated to the failed batch and must re-emit on the
-    /// next tick, or their tickets would never resolve. The failed
-    /// window's own requests ride along in `shed` (reason
-    /// [`RejectReason::Infeasible`]), so they resolve the same way.
-    pub fn restore_acks(&mut self, cancelled: Vec<(Ticket, ClientId)>, shed: Vec<ShedRequest>) {
-        if !cancelled.is_empty() {
-            let newer = std::mem::replace(&mut self.cancelled, cancelled);
-            self.cancelled.extend(newer);
-        }
-        if !shed.is_empty() {
-            let newer = std::mem::replace(&mut self.shed_backlog, shed);
-            self.shed_backlog.extend(newer);
-        }
+            None => {
+                let pos = self.deferred.iter().position(|p| p.ticket == ticket)?;
+                self.deferred.remove(pos).request.client
+            }
+        };
+        self.cancelled.push(ServiceEvent::Cancelled { ticket, client });
+        Some(client)
     }
 
     /// Shed every queued request that has waited past
     /// [`AdmissionPolicy::deadline`] at clock `now`, in both lanes and
-    /// the deferred set. Returns restored-then-fresh sheddings in ticket
-    /// order; empty when no deadline is configured and nothing was
-    /// restored.
-    pub fn expire(&mut self, now: f64) -> Vec<ShedRequest> {
-        let mut shed = std::mem::take(&mut self.shed_backlog);
+    /// the deferred set, into the shedding ledger, which is then sorted
+    /// by ticket. A no-op when no deadline is configured.
+    pub(crate) fn expire(&mut self, now: f64) {
         let Some(deadline) = self.admission.deadline else {
-            return shed;
+            return;
+        };
+        let overdue = |p: &Pending, shed: &mut Vec<ServiceEvent>| {
+            let waited = now - p.arrival;
+            let late = waited > deadline;
+            if late {
+                shed.push(p.rejected(RejectReason::DeadlineExpired { waited }, now));
+            }
+            late
         };
         // Shedding a lane entry can promote a deferred duplicate which
         // may itself already be overdue, so iterate to a fixpoint (each
         // pass strictly shrinks the queue or stops).
         loop {
-            let before = shed.len();
+            let before = self.shed.len();
             for lane in [&mut self.interactive, &mut self.bulk] {
                 lane.retain(|p| {
-                    let waited = now - p.arrival;
-                    if waited > deadline {
+                    let shed = overdue(p, &mut self.shed);
+                    if shed {
                         self.pending_clients.remove(&p.request.client);
-                        shed.push(ShedRequest {
-                            ticket: p.ticket,
-                            client: p.request.client,
-                            waited,
-                            reason: RejectReason::DeadlineExpired { waited },
-                        });
-                        false
-                    } else {
-                        true
                     }
+                    !shed
                 });
             }
-            self.deferred.retain(|p| {
-                let waited = now - p.arrival;
-                if waited > deadline {
-                    shed.push(ShedRequest {
-                        ticket: p.ticket,
-                        client: p.request.client,
-                        waited,
-                        reason: RejectReason::DeadlineExpired { waited },
-                    });
-                    false
-                } else {
-                    true
-                }
-            });
+            self.deferred.retain(|p| !overdue(p, &mut self.shed));
             self.promote_deferred();
-            if shed.len() == before {
+            if self.shed.len() == before {
                 break;
             }
         }
-        self.recompute_oldest_lane();
-        shed.sort_by_key(|e| e.ticket.0);
-        shed
+        self.shed.sort_by_key(|e| e.ticket().map(|t| t.0));
+    }
+
+    /// Owe every request of a window whose processing failed a
+    /// rejection carrying `reason`, after the sheddings already owed.
+    pub(crate) fn reject_window(&mut self, window: &[Pending], reason: &RejectReason, now: f64) {
+        self.shed.extend(window.iter().map(|p| p.rejected(reason.clone(), now)));
+    }
+
+    /// Empty both ledgers into a new event list — cancellations in
+    /// cancellation order, then sheddings — with room for `more` events
+    /// after them. Called only once a tick's window has succeeded.
+    pub(crate) fn take_acks(&mut self, more: usize) -> Vec<ServiceEvent> {
+        let mut events = Vec::with_capacity(self.cancelled.len() + self.shed.len() + more);
+        events.append(&mut self.cancelled);
+        events.append(&mut self.shed);
+        events
     }
 
     /// Move deferred requests whose client no longer has a pending lane
     /// entry into their lanes (in deferral order; later duplicates of the
     /// same client stay deferred behind the promoted one).
     fn promote_deferred(&mut self) {
-        let mut i = 0;
-        while i < self.deferred.len() {
-            // lint: allow(panic-path) — i < deferred.len() is the loop
-            // condition, and this arm shrinks the vec while the other
-            // advances i, so the bound holds on every iteration.
-            if self.pending_clients.insert(self.deferred[i].request.client) {
-                let p = self.deferred.remove(i);
-                self.oldest_lane = self.oldest_lane.min(p.arrival);
-                self.lane_mut(p.priority).push_back(p);
-            } else {
-                i += 1;
+        let (interactive, bulk) = (&mut self.interactive, &mut self.bulk);
+        let clients = &mut self.pending_clients;
+        self.deferred.retain(|&p| {
+            if !clients.insert(p.request.client) {
+                return true;
             }
-        }
-    }
-
-    /// Rescan both lanes for the minimum arrival — called after removals
-    /// (drain, cancel, expire), which are already O(lane) operations;
-    /// insertions min-update instead, keeping `ready`/`next_deadline`
-    /// O(1).
-    fn recompute_oldest_lane(&mut self) {
-        self.oldest_lane = self
-            .interactive
-            .iter()
-            .chain(self.bulk.iter())
-            .map(|p| p.arrival)
-            .fold(f64::INFINITY, f64::min);
-    }
-
-    /// Oldest arrival across the drainable lanes (`INFINITY` when both
-    /// are empty), read from the tracked minimum. Deferred requests do
-    /// not key flush deadlines — they cannot join the current window
-    /// anyway.
-    fn oldest_lane_arrival(&self) -> f64 {
-        self.oldest_lane
+            match p.priority {
+                Priority::Interactive => interactive.push_back(p),
+                Priority::Bulk => bulk.push_back(p),
+            }
+            false
+        });
     }
 
     /// Clock at which the *deadline* trigger fires for the current
-    /// pending set (oldest lane arrival + `max_delay`); `None` when the
-    /// lanes are empty. Lets drivers advance a simulated clock straight
-    /// to the next deadline instant instead of shadow-tracking arrivals.
+    /// pending set (oldest lane arrival + `max_delay`, the oldest found
+    /// when asked); `None` when the lanes are empty. Deferred requests do
+    /// not key it — they cannot join the current window anyway. Lets
+    /// drivers advance a simulated clock straight to the next deadline
+    /// instant instead of shadow-tracking arrivals.
     ///
     /// This reports the deadline trigger only: the *size* trigger needs no
     /// clock and fires on [`Batcher::tick`] at any `now`, so drivers
     /// should tick right after a submission fills the batch rather than
     /// jumping ahead to this deadline.
-    pub fn next_deadline(&self) -> Option<f64> {
+    pub(crate) fn next_deadline(&self) -> Option<f64> {
         if self.lane_len() == 0 {
-            None
-        } else {
-            Some(self.oldest_lane_arrival() + self.policy.max_delay)
-        }
-    }
-
-    /// Whether a flush trigger has fired at clock `now`.
-    pub fn ready(&self, now: f64) -> bool {
-        if self.lane_len() == 0 {
-            return false;
-        }
-        if self.lane_len() >= self.policy.max_batch {
-            return true;
+            return None;
         }
         // Min over lane arrivals, not insertion order: callers replaying
         // merged or unsorted recorded streams may submit with
-        // non-monotonic clocks. Compared as `now >= oldest + delay` — the
-        // exact expression `next_deadline` reports — so
-        // `tick(next_deadline())` fires by construction, with no rounding
-        // gap between the reported and effective trigger instant.
-        now >= self.oldest_lane_arrival() + self.policy.max_delay
+        // non-monotonic clocks.
+        let lanes = self.interactive.iter().chain(&self.bulk);
+        let oldest = lanes.map(|p| p.arrival).fold(f64::INFINITY, f64::min);
+        Some(oldest + self.policy.max_delay)
+    }
+
+    /// Whether a flush trigger has fired at clock `now`. The deadline is
+    /// compared as `now >= next_deadline()`, so `tick(next_deadline())`
+    /// fires by construction, with no rounding gap between the reported
+    /// and effective trigger instant.
+    fn ready(&self, now: f64) -> bool {
+        self.lane_len() >= self.policy.max_batch || self.next_deadline().is_some_and(|d| now >= d)
     }
 
     /// Drain a batch if a trigger has fired at clock `now`. At most
@@ -417,7 +338,7 @@ impl Batcher {
     /// interactive lane first (oldest first), then bulk — so a backlog
     /// that grew past the cap between ticks drains in policy-sized
     /// chunks — `ready` stays true until the backlog is gone.
-    pub fn tick(&mut self, now: f64) -> Option<DrainedBatch> {
+    pub(crate) fn tick(&mut self, now: f64) -> Option<Vec<Pending>> {
         if self.ready(now) { self.drain(self.policy.max_batch) } else { None }
     }
 
@@ -425,37 +346,29 @@ impl Batcher {
     /// cap (e.g. at shutdown); `None` when the lanes are empty. Deferred
     /// requests are promoted *after* the drain (they join the next
     /// window — they cannot share a batch with their duplicate), so a
-    /// full shutdown drain is a loop: flush until [`Batcher::is_empty`].
-    pub fn flush(&mut self) -> Option<DrainedBatch> {
+    /// full shutdown drain is a loop: flush until [`Batcher::len`] is 0.
+    pub(crate) fn flush(&mut self) -> Option<Vec<Pending>> {
         self.drain(usize::MAX)
     }
 
-    fn drain(&mut self, limit: usize) -> Option<DrainedBatch> {
+    fn drain(&mut self, limit: usize) -> Option<Vec<Pending>> {
         let take = self.lane_len().min(limit);
         if take == 0 {
             return None;
         }
-        let mut batch = DrainedBatch {
-            requests: Vec::with_capacity(take),
-            tickets: Vec::with_capacity(take),
-            arrivals: Vec::with_capacity(take),
-        };
         let from_interactive = self.interactive.len().min(take);
-        for p in self
+        let window: Vec<Pending> = self
             .interactive
             .drain(..from_interactive)
             .chain(self.bulk.drain(..take - from_interactive))
-        {
+            .collect();
+        for p in &window {
             self.pending_clients.remove(&p.request.client);
-            batch.tickets.push(p.ticket);
-            batch.requests.push(p.request);
-            batch.arrivals.push(p.arrival);
         }
         // Drained clients unblock their deferred duplicates: those join
         // the (new) current window.
-        self.recompute_oldest_lane();
         self.promote_deferred();
-        Some(batch)
+        Some(window)
     }
 }
 
@@ -477,6 +390,25 @@ mod tests {
         )
     }
 
+    fn tickets(window: &[Pending]) -> Vec<Ticket> {
+        window.iter().map(|p| p.ticket).collect()
+    }
+
+    /// Run `expire` and return the sheddings it owed, as
+    /// `(ticket, client, waited)`.
+    fn expire(b: &mut Batcher, now: f64) -> Vec<(Ticket, ClientId, f64)> {
+        b.expire(now);
+        b.take_acks(0)
+            .into_iter()
+            .filter_map(|e| match e {
+                ServiceEvent::Rejected { ticket, client, waited, .. } => {
+                    Some((ticket, client, waited))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
     fn accept(b: &mut Batcher, r: ClientRequest, now: f64) -> Ticket {
         match b.submit(r, Priority::Interactive, now) {
             SubmitOutcome::Accepted(t) => t,
@@ -492,9 +424,9 @@ mod tests {
         assert!(b.tick(0.2).is_none(), "2 of 3: not ready");
         accept(&mut b, request(2), 0.2);
         let batch = b.tick(0.2).expect("size trigger");
-        assert_eq!(batch.requests.len(), 3);
-        assert_eq!(batch.tickets, vec![Ticket(0), Ticket(1), Ticket(2)]);
-        assert!(b.is_empty());
+        assert_eq!(batch.len(), 3);
+        assert_eq!(tickets(&batch), vec![Ticket(0), Ticket(1), Ticket(2)]);
+        assert_eq!(b.len(), 0);
     }
 
     #[test]
@@ -504,8 +436,9 @@ mod tests {
         accept(&mut b, request(1), 12.0);
         assert!(b.tick(14.9).is_none(), "oldest waited 4.9s < 5s");
         let batch = b.tick(15.0).expect("deadline trigger");
-        assert_eq!(batch.requests.len(), 2);
-        assert_eq!(batch.arrivals, vec![10.0, 12.0], "waits 5s and 3s");
+        assert_eq!(batch.len(), 2);
+        let arrivals: Vec<f64> = batch.iter().map(|p| p.arrival).collect();
+        assert_eq!(arrivals, vec![10.0, 12.0], "waits 5s and 3s");
     }
 
     #[test]
@@ -525,11 +458,11 @@ mod tests {
 
         // The first window carries only the first request…
         let batch = b.flush().expect("one drainable request");
-        assert_eq!(batch.tickets, vec![first]);
+        assert_eq!(tickets(&batch), vec![first]);
         // …and the deferred duplicate was promoted into the next one.
         let batch = b.flush().expect("promoted deferred request");
-        assert_eq!(batch.tickets, vec![second]);
-        assert!(b.is_empty());
+        assert_eq!(tickets(&batch), vec![second]);
+        assert_eq!(b.len(), 0);
     }
 
     #[test]
@@ -542,7 +475,7 @@ mod tests {
         let t2 = b.submit(request(3), Priority::Bulk, 0.2).ticket().unwrap();
         for expected in [t0, t1, t2] {
             let batch = b.flush().expect("one request per window");
-            assert_eq!(batch.tickets, vec![expected]);
+            assert_eq!(tickets(&batch), vec![expected]);
         }
         assert!(b.flush().is_none());
     }
@@ -555,14 +488,14 @@ mod tests {
         assert!(b.submit(request(2), Priority::Interactive, 0.2).is_accepted());
         let batch = b.tick(0.2).expect("size trigger");
         // Interactive first despite arriving last; bulk keeps FIFO order.
-        assert_eq!(batch.tickets, vec![Ticket(2), Ticket(0), Ticket(1)]);
+        assert_eq!(tickets(&batch), vec![Ticket(2), Ticket(0), Ticket(1)]);
         // The size cap still limits mixed drains: 1 interactive + 1 bulk.
         let mut b = batcher(BatchPolicy { max_batch: 2, max_delay: 100.0 });
         assert!(b.submit(request(3), Priority::Bulk, 1.0).is_accepted());
         assert!(b.submit(request(4), Priority::Bulk, 1.1).is_accepted());
         assert!(b.submit(request(5), Priority::Interactive, 1.2).is_accepted());
         let batch = b.tick(1.2).expect("size trigger");
-        assert_eq!(batch.tickets, vec![Ticket(2), Ticket(0)]);
+        assert_eq!(tickets(&batch), vec![Ticket(2), Ticket(0)]);
     }
 
     #[test]
@@ -599,19 +532,22 @@ mod tests {
         // into the *current* window.
         assert_eq!(b.cancel(t0), Some(ClientId(5)));
         let batch = b.flush().expect("promoted duplicate is drainable");
-        assert_eq!(batch.tickets, vec![t1]);
-        assert_eq!(b.take_cancelled(), vec![(t0, ClientId(5))]);
+        assert_eq!(tickets(&batch), vec![t1]);
+        assert_eq!(
+            b.take_acks(0),
+            vec![ServiceEvent::Cancelled { ticket: t0, client: ClientId(5) }]
+        );
         // A drained (or unknown) ticket cannot be cancelled.
         assert_eq!(b.cancel(t1), None);
         assert_eq!(b.cancel(Ticket(999)), None);
-        assert!(b.take_cancelled().is_empty());
+        assert!(b.take_acks(0).is_empty());
         // Cancelling a deferred request leaves the pending one alone.
         let t2 = accept(&mut b, request(5), 1.0);
         let t3 = b.submit(request(5), Priority::Bulk, 1.1).ticket().unwrap();
         assert_eq!(b.cancel(t3), Some(ClientId(5)));
         let batch = b.flush().expect("pending request unaffected");
-        assert_eq!(batch.tickets, vec![t2]);
-        assert!(b.is_empty());
+        assert_eq!(tickets(&batch), vec![t2]);
+        assert_eq!(b.len(), 0);
     }
 
     #[test]
@@ -627,17 +563,17 @@ mod tests {
         // At t=5 nothing has waited *longer* than 5s (t0 is exactly at
         // the deadline: kept — `waited > deadline` sheds, mirroring the
         // flush trigger's closed boundary).
-        assert!(b.expire(5.0).is_empty());
+        assert!(expire(&mut b, 5.0).is_empty());
         // At t=6: t0 (waited 6s) is shed; its duplicate t1 (waited 2s)
         // is promoted and survives; t2 (waited 1.5s) survives.
-        let shed = b.expire(6.0);
+        let shed = expire(&mut b, 6.0);
         assert_eq!(shed.len(), 1);
-        assert_eq!((shed[0].ticket, shed[0].client), (t0, ClientId(1)));
-        assert!((shed[0].waited - 6.0).abs() < 1e-12);
+        assert_eq!((shed[0].0, shed[0].1), (t0, ClientId(1)));
+        assert!((shed[0].2 - 6.0).abs() < 1e-12);
         // Promotion joins the back of the lane, behind the already-queued
         // t2.
         let batch = b.flush().expect("survivors drain");
-        assert_eq!(batch.tickets, vec![t2, t1]);
+        assert_eq!(tickets(&batch), vec![t2, t1]);
     }
 
     #[test]
@@ -651,13 +587,13 @@ mod tests {
         .unwrap();
         let t0 = accept(&mut b, request(1), 0.0);
         let t1 = b.submit(request(1), Priority::Bulk, 0.1).ticket().unwrap();
-        let shed = b.expire(10.0);
-        assert_eq!(shed.iter().map(|e| e.ticket).collect::<Vec<_>>(), vec![t0, t1]);
-        assert!(b.is_empty());
+        let shed = expire(&mut b, 10.0);
+        assert_eq!(shed.iter().map(|e| e.0).collect::<Vec<_>>(), vec![t0, t1]);
+        assert_eq!(b.len(), 0);
         // No deadline configured → expire is a no-op.
         let mut b = batcher(BatchPolicy::default());
         accept(&mut b, request(0), 0.0);
-        assert!(b.expire(1e12).is_empty());
+        assert!(expire(&mut b, 1e12).is_empty());
         assert_eq!(b.len(), 1);
     }
 
@@ -670,10 +606,10 @@ mod tests {
             accept(&mut b, request(i), 0.0);
         }
         let first = b.tick(0.0).expect("size trigger");
-        assert_eq!(first.requests.len(), 2);
-        assert_eq!(first.tickets, vec![Ticket(0), Ticket(1)]);
+        assert_eq!(first.len(), 2);
+        assert_eq!(tickets(&first), vec![Ticket(0), Ticket(1)]);
         let second = b.tick(0.0).expect("still over the cap");
-        assert_eq!(second.requests.len(), 2);
+        assert_eq!(second.len(), 2);
         // One left: below the size cap, so only deadline or flush drains it.
         assert!(b.tick(0.0).is_none());
         assert_eq!(b.len(), 1);
@@ -685,9 +621,9 @@ mod tests {
             SubmitOutcome::Deferred(_)
         ));
         let rest = b.flush().expect("flush ignores the cap");
-        assert_eq!(rest.requests.len(), 2);
+        assert_eq!(rest.len(), 2);
         // The deferred duplicate needs one more window.
-        assert_eq!(b.flush().expect("deferred window").requests.len(), 1);
+        assert_eq!(b.flush().expect("deferred window").len(), 1);
     }
 
     #[test]
@@ -699,7 +635,7 @@ mod tests {
         accept(&mut b, request(1), 3.0); // older than the first submission
         assert!(b.ready(8.0), "oldest arrival 3.0 has waited 5s by t=8");
         let batch = b.tick(8.0).expect("deadline trigger");
-        assert_eq!(batch.requests.len(), 2);
+        assert_eq!(batch.len(), 2);
     }
 
     #[test]
@@ -738,7 +674,7 @@ mod tests {
             b.submit(bad, Priority::Interactive, 0.0),
             SubmitOutcome::Rejected(RejectReason::InvalidProtection { f_s: 0, f_t: 2 })
         ));
-        assert!(b.is_empty(), "refusals must not queue anything");
+        assert_eq!(b.len(), 0, "refusals must not queue anything");
     }
 
     #[test]
@@ -761,7 +697,7 @@ mod tests {
         let just_before = f64::from_bits(deadline.to_bits() - 1);
         assert!(b.tick(just_before).is_none(), "one ulp early must not fire");
         let batch = b.tick(deadline).expect("exact deadline tick fires");
-        assert_eq!(batch.requests.len(), 1);
+        assert_eq!(batch.len(), 1);
         assert_eq!(b.next_deadline(), None, "drained queue reports no deadline");
     }
 
@@ -790,8 +726,8 @@ mod tests {
         assert_eq!(b.next_deadline(), Some(105.0));
         assert!(b.tick(104.9).is_none(), "not due before its own window");
         let batch = b.tick(105.0).expect("deadline keyed on the new arrival");
-        assert_eq!(batch.tickets, vec![t]);
-        assert_eq!(batch.arrivals, vec![100.0]);
+        assert_eq!(tickets(&batch), vec![t]);
+        assert_eq!(batch.iter().map(|p| p.arrival).collect::<Vec<_>>(), vec![100.0]);
     }
 
     #[test]
@@ -803,6 +739,6 @@ mod tests {
         let _ = b.submit(request(0), Priority::Interactive, 2.0); // deferred, older clock
         assert_eq!(b.next_deadline(), Some(15.0), "keyed on the lane entry");
         assert!(b.tick(14.9).is_none());
-        assert_eq!(b.tick(15.0).expect("lane deadline").requests.len(), 1);
+        assert_eq!(b.tick(15.0).expect("lane deadline").len(), 1);
     }
 }

@@ -17,7 +17,8 @@
 //! [`AdmissionPolicy`]: a bounded queue depth (backpressure), an optional
 //! per-request deadline (requests that wait too long are shed, not
 //! served stale), and two [`Priority`] lanes with interactive draining
-//! first.
+//! first. The crate-private queue behind them holds every owed
+//! acknowledgement until a window succeeds.
 //!
 //! [`ResultMsg`]: crate::protocol::ResultMsg
 //! [`ClientId`]: crate::query::ClientId
@@ -196,20 +197,19 @@ impl SubmitOutcome {
 /// One event of the gateway's ordered output stream.
 ///
 /// [`crate::OpaqueService::tick`] / [`crate::OpaqueService::flush`] emit:
-/// pending [`ServiceEvent::Cancelled`] acknowledgements first, then any
-/// deadline [`ServiceEvent::Rejected`] sheddings, then — when a batch
+/// pending [`ServiceEvent::Cancelled`] acknowledgements first, in
+/// cancellation order, then the owed [`ServiceEvent::Rejected`] events
+/// (sorted by ticket when a deadline is configured), then — when a batch
 /// flushed — one terminal event per request of the batch *in batch
 /// request order* (interactive lane before bulk), closed by a trailing
 /// [`ServiceEvent::BatchFlushed`]. Every ticketed request resolves to
 /// exactly one terminal event — `ResponseReady`, `Unreachable`,
 /// `Rejected`, or `Cancelled` — even through a *batch-fatal* processing
 /// error (result verification caught tampering): the failing tick
-/// returns the error and discards the drained window, and the next tick
-/// emits one `Rejected` per ticket of that window
-/// ([`RejectReason::Infeasible`] carrying the error text) along with the
-/// cancellation and shedding acknowledgements taken by the failed tick —
-/// all parked again if that tick fails too, so consecutive failed
-/// windows never consume a ticket.
+/// returns the error and discards the drained window, whose tickets are
+/// owed one `Rejected` each ([`RejectReason::Infeasible`] carrying the
+/// error text), after the sheddings already owed. Owed events stay
+/// queued until a window succeeds, so failed windows consume no ticket.
 ///
 /// Batch-fatal errors are distinct from **connection-level** failures,
 /// which the gateway never sees: when a transport endpoint vanishes

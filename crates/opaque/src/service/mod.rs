@@ -9,15 +9,17 @@
 //! * [`DirectionsBackend`] — the pluggable server side: a single
 //!   [`crate::server::DirectionsServer`] over any graph view, or a
 //!   round-robin [`ShardedBackend`] fleet;
-//! * [`Batcher`] / [`gateway`] — the admission path: streamed requests
-//!   enter through [`OpaqueService::submit`], which answers with a typed
-//!   [`SubmitOutcome`] under a configured [`AdmissionPolicy`] (bounded
-//!   queue depth, per-request deadline, [`Priority`] lanes with
-//!   interactive draining first); pending batches drain on size or
-//!   deadline triggers into an ordered [`ServiceEvent`] stream — one
-//!   per-client delivery event per request (the paper's hop 4), a
-//!   trailing [`BatchFlushed`](ServiceEvent::BatchFlushed) report, and
-//!   explicit cancellation via [`OpaqueService::cancel`];
+//! * the crate-private queue (`batcher`) and [`gateway`] — the admission
+//!   path: streamed requests enter through [`OpaqueService::submit`],
+//!   which answers with a typed [`SubmitOutcome`] under a configured
+//!   [`AdmissionPolicy`] (bounded queue depth, per-request deadline,
+//!   [`Priority`] lanes with interactive draining first); pending batches
+//!   drain on size or deadline triggers into an ordered [`ServiceEvent`]
+//!   stream — one per-client delivery event per request (the paper's hop
+//!   4), a trailing [`BatchFlushed`](ServiceEvent::BatchFlushed) report,
+//!   and explicit cancellation via [`OpaqueService::cancel`]. The queue
+//!   keeps the only books of acknowledgements owed: they leave it only
+//!   when a window succeeds;
 //! * [`parallel`] / [`ExecutionPolicy`] — the execution layer: obfuscated
 //!   queries of a batch run sequentially or through the one worker-pool
 //!   loop (every shard bound to a queue of units, one pinned search arena
@@ -55,7 +57,7 @@ pub mod partition;
 mod report;
 
 pub use backend::{DirectionsBackend, ShardedBackend};
-pub use batcher::{BatchPolicy, Batcher, DrainedBatch, ShedRequest, Ticket};
+pub use batcher::{BatchPolicy, Ticket};
 pub use builder::{DefaultBackend, ServiceBuilder, ServiceConfig};
 pub use cache::{CachePolicy, TreeCache};
 pub use gateway::{AdmissionPolicy, Priority, RejectReason, ServiceEvent, SubmitOutcome};
@@ -69,6 +71,7 @@ use crate::filter::{ClientResult, take_path};
 use crate::obfuscator::{ObfuscationMode, ObfuscationUnit, Obfuscator};
 use crate::protocol::{RequestMsg, ResultMsg};
 use crate::query::{ClientId, ClientRequest};
+use batcher::Batcher;
 use roadnet::NodeId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -169,8 +172,12 @@ impl<B: DirectionsBackend> OpaqueService<B> {
         self.batcher.len()
     }
 
-    /// Clock at which the queue's deadline trigger fires (`None` when
-    /// empty) — see [`Batcher::next_deadline`].
+    /// Clock at which the queue's deadline trigger fires: the oldest
+    /// arrival in the two lanes plus [`BatchPolicy::max_delay`], `None`
+    /// when the lanes are empty. Deferred duplicates do not key it. A
+    /// [`OpaqueService::tick`] at exactly this clock fires; the size
+    /// trigger needs no clock, so tick right after a submission fills the
+    /// window instead of waiting for this deadline.
     pub fn next_deadline(&self) -> Option<f64> {
         self.batcher.next_deadline()
     }
@@ -209,27 +216,20 @@ impl<B: DirectionsBackend> OpaqueService<B> {
     }
 
     /// Advance the clock and emit the gateway's events: pending
-    /// [`ServiceEvent::Cancelled`] acknowledgements, then deadline
-    /// sheddings ([`ServiceEvent::Rejected`] with
-    /// [`RejectReason::DeadlineExpired`]), then — if a flush trigger
-    /// (size or deadline) has fired — one terminal event per request of
-    /// the drained batch in batch order, closed by a
+    /// [`ServiceEvent::Cancelled`] acknowledgements, then owed
+    /// [`ServiceEvent::Rejected`] sheddings, then — if a flush
+    /// trigger (size or deadline) has fired — one terminal event per
+    /// request of the drained batch in batch order, closed by a
     /// [`ServiceEvent::BatchFlushed`]. Empty when nothing happened.
     ///
     /// On a processing error the drained requests are *not* re-queued
     /// (re-queueing would re-trigger the same failure on every tick) and
     /// the caller sees the error. Every ticket must still resolve exactly
-    /// once, so nothing taken for the discarded event list is lost: the
-    /// cancellation/shedding acknowledgements go back to the queue's
-    /// ledgers, the failed window's own tickets join them as sheddings
-    /// carrying the error text, and the next tick emits them all.
+    /// once: the acknowledgements stay queued, the failed window's own
+    /// tickets join them as sheddings carrying the error text, and the
+    /// next tick emits them all.
     pub fn tick(&mut self, now: f64) -> Result<Vec<ServiceEvent>> {
-        // Acks and expiry first: an overdue request must be shed, never
-        // drained into the batch.
-        let cancelled = self.batcher.take_cancelled();
-        let shed = self.batcher.expire(now);
-        let batch = self.batcher.tick(now);
-        self.emit(cancelled, shed, batch, now)
+        self.pass(now, false)
     }
 
     /// Drain and process one pending window at clock `now`, regardless of
@@ -238,75 +238,34 @@ impl<B: DirectionsBackend> OpaqueService<B> {
     /// window, so a full shutdown drain loops until
     /// [`OpaqueService::pending`] reaches zero.
     pub fn flush(&mut self, now: f64) -> Result<Vec<ServiceEvent>> {
-        let cancelled = self.batcher.take_cancelled();
-        let shed = self.batcher.expire(now);
-        let batch = self.batcher.flush();
-        self.emit(cancelled, shed, batch, now)
+        self.pass(now, true)
     }
 
-    /// Build one tick's event list: cancellation acknowledgements, then
-    /// sheddings, then the drained window's events (if any). On a batch
-    /// failure the acknowledgements — and the failed window's tickets,
-    /// as sheddings — are parked for the next tick before the error
-    /// propagates.
-    fn emit(
-        &mut self,
-        cancelled: Vec<(Ticket, ClientId)>,
-        mut shed: Vec<batcher::ShedRequest>,
-        batch: Option<DrainedBatch>,
-        now: f64,
-    ) -> Result<Vec<ServiceEvent>> {
-        let mut events: Vec<ServiceEvent> = cancelled
-            .iter()
-            .map(|&(ticket, client)| ServiceEvent::Cancelled { ticket, client })
-            .collect();
-        for e in &shed {
-            events.push(ServiceEvent::Rejected {
-                ticket: e.ticket,
-                client: e.client,
-                reason: e.reason.clone(),
-                waited: e.waited,
-            });
-        }
-        if let Some(batch) = batch {
-            if let Err(error) = self.batch_events(&mut events, &batch, now) {
+    /// One gateway pass at clock `now`: shed overdue requests, drain a
+    /// window if a trigger has fired (any non-empty one when `force`),
+    /// and on success emit the owed acknowledgements, then the window's
+    /// events. A failed window owes its tickets a rejection instead.
+    fn pass(&mut self, now: f64, force: bool) -> Result<Vec<ServiceEvent>> {
+        // Expiry first: an overdue request must be shed, never drained
+        // into the window.
+        self.batcher.expire(now);
+        let window = if force { self.batcher.flush() } else { self.batcher.tick(now) };
+        let Some(window) = window else {
+            return Ok(self.batcher.take_acks(0));
+        };
+        let requests: Vec<ClientRequest> = window.iter().map(|p| p.request).collect();
+        let (slots, report) = match self.run_batch(&requests) {
+            Ok(done) => done,
+            Err(error) => {
                 let reason = RejectReason::Infeasible { reason: error.to_string() };
-                // tickets / requests / arrivals are parallel by
-                // construction (one entry per drained request).
-                for ((&ticket, r), &arrival) in
-                    batch.tickets.iter().zip(&batch.requests).zip(&batch.arrivals)
-                {
-                    shed.push(batcher::ShedRequest {
-                        ticket,
-                        client: r.client,
-                        waited: now - arrival,
-                        reason: reason.clone(),
-                    });
-                }
-                self.batcher.restore_acks(cancelled, shed);
+                self.batcher.reject_window(&window, &reason, now);
                 return Err(error);
             }
-        }
-        Ok(events)
-    }
-
-    /// Process one drained window and append its per-request events (in
-    /// batch request order) plus the trailing
-    /// [`ServiceEvent::BatchFlushed`].
-    fn batch_events(
-        &mut self,
-        events: &mut Vec<ServiceEvent>,
-        batch: &DrainedBatch,
-        now: f64,
-    ) -> Result<()> {
-        let (slots, report) = self.run_batch(&batch.requests, self.mode)?;
-        // slots / tickets / arrivals are parallel by construction (one
-        // entry per drained request, same order); zip keeps the pairing
-        // panic-free even if that invariant ever breaks.
-        for (slot, (&ticket, &arrival)) in
-            slots.into_iter().zip(batch.tickets.iter().zip(&batch.arrivals))
-        {
-            let (client, waited) = (slot.client, now - arrival);
+        };
+        let mut events = self.batcher.take_acks(window.len() + 1);
+        // One slot per drained request, in drain order.
+        for (slot, p) in slots.into_iter().zip(&window) {
+            let (ticket, client, waited) = (p.ticket, slot.client, now - p.arrival);
             events.push(match slot.fate {
                 Fate::Delivered(path) => ServiceEvent::ResponseReady {
                     ticket,
@@ -324,15 +283,10 @@ impl<B: DirectionsBackend> OpaqueService<B> {
             });
         }
         events.push(ServiceEvent::BatchFlushed(report));
-        Ok(())
+        Ok(events)
     }
 
     /// Process one batch end to end under the configured mode.
-    pub fn process_batch(&mut self, requests: &[ClientRequest]) -> Result<ServiceResponse> {
-        self.process_batch_with_mode(requests, self.mode)
-    }
-
-    /// Process one batch end to end under an explicit mode.
     ///
     /// Satisfied requests are *not* retained anywhere in the service (§IV:
     /// "the satisfied requests are immediately discarded in the
@@ -354,12 +308,8 @@ impl<B: DirectionsBackend> OpaqueService<B> {
     /// individual clients as [`ClientOutcome::Rejected`] (see
     /// [`Obfuscator::obfuscate_attributed`]), and a disconnected true pair
     /// as [`ClientOutcome::Unreachable`]; the rest of the batch is served.
-    pub fn process_batch_with_mode(
-        &mut self,
-        requests: &[ClientRequest],
-        mode: ObfuscationMode,
-    ) -> Result<ServiceResponse> {
-        let (slots, report) = self.run_batch(requests, mode)?;
+    pub fn process_batch(&mut self, requests: &[ClientRequest]) -> Result<ServiceResponse> {
+        let (slots, report) = self.run_batch(requests)?;
         let mut results = Vec::with_capacity(slots.len());
         let mut outcomes = Vec::with_capacity(slots.len());
         for Slot { client, fate, .. } in slots {
@@ -379,14 +329,11 @@ impl<B: DirectionsBackend> OpaqueService<B> {
     /// The one batch pass behind both views: admission, the obfuscator's
     /// §IV pipeline, backend execution, filtering and accounting. Returns
     /// one [`Slot`] per request, in request order, and the batch's report.
-    fn run_batch(
-        &mut self,
-        requests: &[ClientRequest],
-        mode: ObfuscationMode,
-    ) -> Result<(Vec<Slot>, BatchReport)> {
+    fn run_batch(&mut self, requests: &[ClientRequest]) -> Result<(Vec<Slot>, BatchReport)> {
         if requests.is_empty() {
             return Err(OpaqueError::EmptyBatch);
         }
+        let mode = self.mode;
         let mut report =
             BatchReport { mode, num_requests: requests.len(), ..BatchReport::default() };
 
@@ -590,6 +537,17 @@ mod tests {
         ServiceBuilder::new()
             .map(g.clone())
             .seed(11)
+            .build_with_backend(DirectionsServer::new(g, SharingPolicy::PerSource))
+            .unwrap()
+    }
+
+    /// [`service`] under [`ObfuscationMode::SharedGlobal`].
+    fn shared_service() -> OpaqueService<DirectionsServer<roadnet::RoadNetwork>> {
+        let g = map();
+        ServiceBuilder::new()
+            .map(g.clone())
+            .seed(11)
+            .obfuscation_mode(ObfuscationMode::SharedGlobal)
             .build_with_backend(DirectionsServer::new(g, SharingPolicy::PerSource))
             .unwrap()
     }
@@ -1074,10 +1032,10 @@ mod tests {
         // more pairs, add strictly fewer fakes, and improve breach.
         let reqs: Vec<ClientRequest> =
             (0..6).map(|i| request(i, i * 17 % 256, (i * 31 + 128) % 256, 4)).collect();
-        let indep =
-            service().process_batch_with_mode(&reqs, ObfuscationMode::Independent).unwrap().report;
-        let shared =
-            service().process_batch_with_mode(&reqs, ObfuscationMode::SharedGlobal).unwrap().report;
+        let indep = service().process_batch(&reqs).unwrap().report;
+        let shared = shared_service().process_batch(&reqs).unwrap().report;
+        assert_eq!(shared.mode, ObfuscationMode::SharedGlobal);
+        assert_eq!(shared.num_units, 1, "the shared batch forms one unit");
         assert!(shared.total_pairs <= indep.total_pairs);
         assert!(shared.fakes_added < indep.fakes_added);
         // Shared |S|,|T| ≥ 6 true endpoints each, so breach ≤ 1/36 < 1/16.
@@ -1090,8 +1048,7 @@ mod tests {
         // dominate deliveries — the measurable §II overconsumption
         // (ported from the removed OpaqueSystem shim tests).
         let reqs = vec![request(0, 0, 255, 4), request(1, 16, 240, 4)];
-        let report =
-            service().process_batch_with_mode(&reqs, ObfuscationMode::SharedGlobal).unwrap().report;
+        let report = shared_service().process_batch(&reqs).unwrap().report;
         let t = report.traffic;
         assert!(t.requests_bytes > 0);
         assert!(t.queries_bytes > 0);
@@ -1338,15 +1295,5 @@ mod tests {
         assert_eq!(resolved, issued, "every ticket resolves exactly once");
         assert_eq!(events.len(), 20, "{events:?}");
         assert_eq!(event_digest(&events), 0xede1_aeff_6e0f_2b44);
-    }
-
-    #[test]
-    fn per_mode_override_matches_configured_mode() {
-        let mut svc = service();
-        let reqs: Vec<ClientRequest> =
-            (0..4).map(|i| request(i, i * 17 % 256, (i * 31 + 128) % 256, 3)).collect();
-        let shared = svc.process_batch_with_mode(&reqs, ObfuscationMode::SharedGlobal).unwrap();
-        assert_eq!(shared.report.mode, ObfuscationMode::SharedGlobal);
-        assert_eq!(shared.report.num_units, 1);
     }
 }

@@ -4,7 +4,7 @@
 //! "the received queries" (§IV) — which implicitly requires collecting
 //! requests for some window before obfuscating them together. This module
 //! models the stream: arrival processes over a time horizon, which
-//! `opaque::service::Batcher` cuts into batches. Experiment E12 sweeps the
+//! the `opaque` gateway's queue cuts into batches. Experiment E12 sweeps the
 //! window length to expose the deployment trade-off (bigger windows →
 //! bigger batches → better sharing and breach probability, but higher
 //! answer latency).

@@ -38,10 +38,11 @@ fn every_class_and_mode_delivers_exact_shortest_paths() {
                 .seed(7)
                 .sharing_policy(SharingPolicy::Auto)
                 .verify_results(true)
+                .obfuscation_mode(mode)
                 .build()
                 .expect("valid configuration");
             let response = svc
-                .process_batch_with_mode(&requests, mode)
+                .process_batch(&requests)
                 .unwrap_or_else(|e| panic!("{} / {}: {e}", class.name(), mode));
             let (results, report) = (response.results, response.report);
             assert_eq!(results.len(), requests.len());

@@ -114,9 +114,10 @@ proptest! {
             .map(map())
             .fake_selection(strategy)
             .seed(seed)
+            .obfuscation_mode(mode)
             .build_with_backend(Recording { server, seen: Vec::new() })
             .expect("valid configuration");
-        let response = svc.process_batch_with_mode(&requests, mode).expect("pipeline ok");
+        let response = svc.process_batch(&requests).expect("pipeline ok");
         prop_assert_eq!(response.results.len(), requests.len());
         let sent: Vec<ObfuscatedPathQuery> = units.into_iter().map(|u| u.query).collect();
         prop_assert_eq!(&svc.backend().seen, &sent);
@@ -154,9 +155,10 @@ proptest! {
             .seed(seed)
             .sharing_policy(SharingPolicy::PerSource)
             .verify_results(true)
+            .obfuscation_mode(mode)
             .build()
             .expect("valid configuration");
-        let results = svc.process_batch_with_mode(&requests, mode).expect("pipeline ok").results;
+        let results = svc.process_batch(&requests).expect("pipeline ok").results;
         prop_assert_eq!(results.len(), requests.len());
         for (res, req) in results.iter().zip(&requests) {
             prop_assert_eq!(res.client, req.client);

@@ -428,7 +428,13 @@ fn service_mode_is_used_unless_overridden() {
     assert_eq!(resp.report.mode, ObfuscationMode::SharedGlobal);
     assert_eq!(resp.report.num_units, 1);
 
-    let resp = svc.process_batch_with_mode(&requests, ObfuscationMode::Independent).expect("ok");
+    // The mode is fixed at build: overriding it means building again.
+    let mut svc = ServiceBuilder::new()
+        .map(map())
+        .obfuscation_mode(ObfuscationMode::Independent)
+        .build()
+        .expect("valid");
+    let resp = svc.process_batch(&requests).expect("ok");
     assert_eq!(resp.report.mode, ObfuscationMode::Independent);
     assert_eq!(resp.report.num_units, requests.len());
 }
