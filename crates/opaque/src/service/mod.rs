@@ -1034,12 +1034,23 @@ mod tests {
             (0..6).map(|i| request(i, i * 17 % 256, (i * 31 + 128) % 256, 4)).collect();
         let indep = service().process_batch(&reqs).unwrap().report;
         let shared = shared_service().process_batch(&reqs).unwrap().report;
-        assert_eq!(shared.mode, ObfuscationMode::SharedGlobal);
-        assert_eq!(shared.num_units, 1, "the shared batch forms one unit");
         assert!(shared.total_pairs <= indep.total_pairs);
         assert!(shared.fakes_added < indep.fakes_added);
         // Shared |S|,|T| ≥ 6 true endpoints each, so breach ≤ 1/36 < 1/16.
         assert!(shared.mean_breach() < indep.mean_breach());
+    }
+
+    #[test]
+    fn per_mode_override_matches_configured_mode() {
+        // The mode is fixed when the service is built; each batch runs
+        // under it and its report says so.
+        let reqs: Vec<ClientRequest> =
+            (0..4).map(|i| request(i, i * 17 % 256, (i * 31 + 128) % 256, 3)).collect();
+        let indep = service().process_batch(&reqs).unwrap().report;
+        assert_eq!(indep.mode, ObfuscationMode::Independent);
+        let shared = shared_service().process_batch(&reqs).unwrap().report;
+        assert_eq!(shared.mode, ObfuscationMode::SharedGlobal);
+        assert_eq!(shared.num_units, 1, "the shared batch forms one unit");
     }
 
     #[test]
