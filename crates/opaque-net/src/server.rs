@@ -92,7 +92,7 @@ pub struct NetServer {
     /// terminal event.
     routes: HashMap<Ticket, u64>,
     /// Serialized [`opaque::BatchReport`]s in flush order — the bytes
-    /// the loopback determinism test compares.
+    /// the loopback determinism test compares — each held at its length.
     reports: Vec<String>,
     stats: NetStats,
     started: Instant,
@@ -146,7 +146,9 @@ impl NetServer {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// Serialized batch reports, in flush order.
+    /// Serialized batch reports, in flush order. Each is kept at exactly
+    /// its length, so a long-running server holds its reports' bytes and
+    /// no serializer slack.
     pub fn reports(&self) -> &[String] {
         &self.reports
     }
@@ -350,8 +352,11 @@ impl NetServer {
                     // this arm is dead in practice — but asserting that
                     // here would put a process abort on the hot path.
                     match serde_json::to_string(&report) {
-                        Ok(json) => {
+                        Ok(mut json) => {
                             self.stats.batches_flushed += 1;
+                            // A kept report costs its length, not the
+                            // buffer the serializer grew to write it.
+                            json.shrink_to_fit();
                             self.reports.push(json);
                         }
                         Err(_) => self.stats.batch_failures += 1,
@@ -521,6 +526,26 @@ mod tests {
         assert_eq!(stats.dropped_replies, 0);
         assert_eq!(srv.reports().len(), 1);
         assert!(srv.reports()[0].contains("\"num_requests\""), "{}", srv.reports()[0]);
+    }
+
+    #[test]
+    fn a_kept_report_costs_its_length() {
+        let mut srv = server(2);
+        let mut client = TcpStream::connect(srv.local_addr().unwrap()).unwrap();
+        let frames: Vec<u8> = (0..6).flat_map(|i| wire_request(i, i * 11, 143 - i * 13)).collect();
+        client.write_all(&frames).unwrap();
+        let reader = std::thread::spawn(move || read_replies(&mut client, 6));
+        for _ in 0..3_000 {
+            srv.poll_once().unwrap();
+            if srv.stats().replies_sent == 6 {
+                break;
+            }
+        }
+        assert_eq!(reader.join().unwrap().len(), 6);
+        assert_eq!(srv.reports().len(), 3, "three windows of two");
+        for report in srv.reports() {
+            assert_eq!(report.capacity(), report.len(), "{report}");
+        }
     }
 
     #[test]

@@ -192,7 +192,9 @@ impl Obfuscator {
         Arc::make_mut(&mut self.map).update_weights(updates)
     }
 
-    /// Adopt a reweighted snapshot of the same map. A weight update moves
+    /// Adopt a reweighted snapshot of the same map — or hold a
+    /// placeholder while the fleet writes that map in place
+    /// ([`crate::OpaqueService::update_weights`]). A weight update moves
     /// no geometry and renumbers no node, so the spatial index and the
     /// plausibility weights stay.
     pub(crate) fn adopt_reweighted(&mut self, map: Arc<RoadNetwork>) {

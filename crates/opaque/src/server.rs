@@ -211,6 +211,14 @@ impl<G: GraphView> DirectionsServer<G> {
         self.heuristic = None;
     }
 
+    /// Put `graph` in the served view's place and return the view, with
+    /// the cache and the landmark tables untouched: how a fleet lends its
+    /// shared map out to be reweighted in place
+    /// ([`crate::ShardedBackend::update_weights`]).
+    pub(crate) fn replace_graph(&mut self, graph: G) -> G {
+        std::mem::replace(&mut self.graph, graph)
+    }
+
     /// Adopt a live-traffic weight update: install the reweighted view
     /// (same topology — typically a fresh `Arc` of the fleet's shared
     /// map) and bring the cached trees along. `changes` names every edge

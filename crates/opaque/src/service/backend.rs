@@ -18,7 +18,8 @@ use crate::server::{DirectionsServer, ServerStats};
 use crate::service::parallel::{self, ExecutionPolicy, Queue};
 use crate::service::partition::Partition;
 use pathsearch::{EdgeChange, MsmdResult};
-use roadnet::GraphView;
+use roadnet::{GraphView, RoadNetwork};
+use std::sync::{Arc, OnceLock};
 
 /// Anything that can answer directions queries for the OPAQUE pipeline.
 ///
@@ -154,15 +155,16 @@ impl<B: DirectionsBackend> ShardedBackend<B> {
 /// Live-map maintenance for the standard fleet shape — shards sharing one
 /// map through an `Arc` (what [`crate::ServiceBuilder`] assembles). Both
 /// entry points keep the one-map-per-fleet memory property: a weight
-/// update clones the map **once**, reweights it, and distributes the fresh
-/// `Arc` to every shard; a swap distributes the one `Arc` it is given.
+/// update reweights the shared map **in place** and hands the same `Arc`
+/// back to every shard, copying the map only for a snapshot held outside
+/// the fleet; a swap distributes the one `Arc` it is given.
 /// [`crate::OpaqueService`] hands its obfuscator the same snapshot.
-impl ShardedBackend<DirectionsServer<std::sync::Arc<roadnet::RoadNetwork>>> {
+impl ShardedBackend<DirectionsServer<Arc<RoadNetwork>>> {
     /// Apply live-traffic weight updates fleet-wide. The changed edges are
-    /// measured once, on the map the fleet served until now, and every
-    /// shard installs the reweighted map and repairs (or, for
-    /// early-stopped sweeps, evicts) only the cached trees whose recorded
-    /// sweep touched a changed edge
+    /// measured once, on the map the fleet served until now, before it is
+    /// written, and every shard installs the reweighted map and repairs
+    /// (or, for early-stopped sweeps, evicts) only the cached trees whose
+    /// recorded sweep touched a changed edge
     /// ([`DirectionsServer::apply_weight_update`]) —
     /// region-owned shards whose cached sweeps stay clear of the
     /// congestion keep their whole cache untouched. Returns the edges
@@ -170,41 +172,76 @@ impl ShardedBackend<DirectionsServer<std::sync::Arc<roadnet::RoadNetwork>>> {
     /// partition (if any) is untouched: it is built from hop distances,
     /// which weight updates cannot move.
     ///
+    /// Every shard lets go of the map while it is written, so the write
+    /// goes through [`Arc::make_mut`] in place unless a caller outside the
+    /// fleet still holds the map; that holder's snapshot keeps the old
+    /// weights.
+    ///
     /// # Errors
     /// Propagates [`roadnet::RoadNetError`] from
-    /// [`roadnet::RoadNetwork::update_weights`]; no shard is touched on
-    /// error.
+    /// [`roadnet::RoadNetwork::update_weights`]; no weight changes and no
+    /// cached tree is touched on error.
     pub fn update_weights(
         &mut self,
         updates: &[(roadnet::EdgeId, f64)],
     ) -> std::result::Result<Vec<roadnet::EdgeId>, roadnet::RoadNetError> {
-        let old = self.shards[0].graph();
-        let mut map = (**old).clone();
-        let changed = map.update_weights(updates)?;
-        let changes: Vec<EdgeChange> = changed
+        let mut map = self.shards[0].replace_graph(placeholder_map());
+        for shard in &mut self.shards[1..] {
+            shard.replace_graph(placeholder_map());
+        }
+        // An edge's change is measured before the write overwrites its
+        // old weight: every updated edge is measured (an unknown id is
+        // the write's error to report), and those the write left
+        // unchanged are dropped after it.
+        let mut measured: Vec<(roadnet::EdgeId, EdgeChange)> = updates
             .iter()
-            .map(|&e| {
+            .filter(|(e, _)| e.index() < map.num_edges())
+            .map(|&(e, _)| {
                 let edge = map.edge(e);
-                EdgeChange::before(old, edge.a, edge.b)
+                (e, EdgeChange::before(&*map, edge.a, edge.b))
             })
             .collect();
-        let shared = std::sync::Arc::new(map);
+        measured.sort_unstable_by_key(|&(e, _)| e);
+        measured.dedup_by_key(|&mut (e, _)| e);
+        let written = Arc::make_mut(&mut map).update_weights(updates);
+        // A failed write changed nothing, so every shard gets the map back
+        // with no change to repair.
+        let changed = written.as_deref().unwrap_or(&[]);
+        let changes: Vec<EdgeChange> = measured
+            .into_iter()
+            .filter(|(e, _)| changed.binary_search(e).is_ok())
+            .map(|(_, change)| change)
+            .collect();
         for shard in &mut self.shards {
-            shard.apply_weight_update(std::sync::Arc::clone(&shared), &changes);
+            shard.apply_weight_update(Arc::clone(&map), &changes);
         }
-        Ok(changed)
+        written
     }
 
     /// Replace the served map fleet-wide — the topology-change path. Every
     /// shard's cache bumps its epoch and drops every tree
     /// ([`DirectionsServer::swap_map`]); use
     /// [`ShardedBackend::update_weights`] for traffic.
-    pub fn swap_map(&mut self, map: impl Into<std::sync::Arc<roadnet::RoadNetwork>>) {
+    pub fn swap_map(&mut self, map: impl Into<Arc<RoadNetwork>>) {
         let shared = map.into();
         for shard in &mut self.shards {
-            shard.swap_map(std::sync::Arc::clone(&shared));
+            shard.swap_map(Arc::clone(&shared));
         }
     }
+}
+
+/// A one-node map that a holder of the fleet's map keeps in its place
+/// while the map is written, so the write need not copy it. Nothing
+/// searches it: every holder gets the written map back before the
+/// update returns.
+pub(crate) fn placeholder_map() -> Arc<RoadNetwork> {
+    static ONE_NODE: OnceLock<Arc<RoadNetwork>> = OnceLock::new();
+    let map = ONE_NODE.get_or_init(|| {
+        let mut builder = roadnet::GraphBuilder::new();
+        builder.add_node(roadnet::Point::new(0.0, 0.0)).expect("a finite point");
+        Arc::new(builder.build().expect("a one-node map"))
+    });
+    Arc::clone(map)
 }
 
 impl<B: DirectionsBackend + Send> DirectionsBackend for ShardedBackend<B> {

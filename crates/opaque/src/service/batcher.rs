@@ -231,8 +231,8 @@ impl Batcher {
 
     /// Shed every queued request that has waited past
     /// [`AdmissionPolicy::deadline`] at clock `now`, in both lanes and
-    /// the deferred set, into the shedding ledger, which is then sorted
-    /// by ticket. A no-op when no deadline is configured.
+    /// the deferred set, into the shedding ledger. A no-op when no
+    /// deadline is configured.
     pub(crate) fn expire(&mut self, now: f64) {
         let Some(deadline) = self.admission.deadline else {
             return;
@@ -265,20 +265,20 @@ impl Batcher {
                 break;
             }
         }
-        self.shed.sort_by_key(|e| e.ticket().map(|t| t.0));
     }
 
     /// Owe every request of a window whose processing failed a
-    /// rejection carrying `reason`, after the sheddings already owed.
+    /// rejection carrying `reason`, in the shedding ledger.
     pub(crate) fn reject_window(&mut self, window: &[Pending], reason: &RejectReason, now: f64) {
         self.shed.extend(window.iter().map(|p| p.rejected(reason.clone(), now)));
     }
 
     /// Empty both ledgers into a new event list — cancellations in
-    /// cancellation order, then sheddings — with room for `more` events
-    /// after them. Called only once a tick's window has succeeded.
+    /// cancellation order, then sheddings by ticket — with room for `more`
+    /// events after them. Called only once a tick's window has succeeded.
     pub(crate) fn take_acks(&mut self, more: usize) -> Vec<ServiceEvent> {
         let mut events = Vec::with_capacity(self.cancelled.len() + self.shed.len() + more);
+        self.shed.sort_by_key(|e| e.ticket().map(|t| t.0));
         events.append(&mut self.cancelled);
         events.append(&mut self.shed);
         events

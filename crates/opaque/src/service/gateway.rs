@@ -199,16 +199,16 @@ impl SubmitOutcome {
 /// [`crate::OpaqueService::tick`] / [`crate::OpaqueService::flush`] emit:
 /// pending [`ServiceEvent::Cancelled`] acknowledgements first, in
 /// cancellation order, then the owed [`ServiceEvent::Rejected`] events
-/// (sorted by ticket when a deadline is configured), then — when a batch
-/// flushed — one terminal event per request of the batch *in batch
-/// request order* (interactive lane before bulk), closed by a trailing
+/// by ticket, then — when a batch flushed — one terminal event per
+/// request of the batch *in batch request order* (interactive lane
+/// before bulk), closed by a trailing
 /// [`ServiceEvent::BatchFlushed`]. Every ticketed request resolves to
 /// exactly one terminal event — `ResponseReady`, `Unreachable`,
 /// `Rejected`, or `Cancelled` — even through a *batch-fatal* processing
 /// error (result verification caught tampering): the failing tick
 /// returns the error and discards the drained window, whose tickets are
 /// owed one `Rejected` each ([`RejectReason::Infeasible`] carrying the
-/// error text), after the sheddings already owed. Owed events stay
+/// error text), among the sheddings by ticket. Owed events stay
 /// queued until a window succeeds, so failed windows consume no ticket.
 ///
 /// Batch-fatal errors are distinct from **connection-level** failures,

@@ -451,17 +451,19 @@ impl<B: DirectionsBackend> OpaqueService<B> {
 
 /// Live-map maintenance for the standard deployment shape assembled by
 /// [`ServiceBuilder`] — a shard fleet sharing one map. The obfuscator
-/// reads the same immutable `Arc<RoadNetwork>` snapshot as every shard:
+/// reads the same `Arc<RoadNetwork>` snapshot as every shard:
 /// the map is public data, so the two sides share it without revealing
 /// anything, and result verification on this fleet checks delivered
 /// paths against the one snapshot the fleet searched.
 impl OpaqueService<DefaultBackend> {
-    /// Apply live-traffic weight updates. The fleet builds the reweighted
-    /// snapshot once and repairs or evicts only the cached trees touching
-    /// a changed edge ([`ShardedBackend::update_weights`]); the obfuscator
-    /// then adopts that same snapshot, keeping its spatial index and
-    /// plausibility weights (a weight update moves no geometry). Returns
-    /// the edges whose weight actually changed.
+    /// Apply live-traffic weight updates. The obfuscator lets go of the
+    /// map while the fleet reweights it in place and repairs or evicts
+    /// only the cached trees touching a changed edge
+    /// ([`ShardedBackend::update_weights`]), so the map is copied only for
+    /// a snapshot held outside the service; the obfuscator then adopts the
+    /// fleet's map, keeping its spatial index and plausibility weights (a
+    /// weight update moves no geometry). Returns the edges whose weight
+    /// actually changed.
     ///
     /// This is the gateway entry point for the rush-hour regime: traffic
     /// ticks every few seconds must not re-cool the whole fleet cache the
@@ -475,11 +477,12 @@ impl OpaqueService<DefaultBackend> {
         &mut self,
         updates: &[(roadnet::EdgeId, f64)],
     ) -> std::result::Result<Vec<roadnet::EdgeId>, roadnet::RoadNetError> {
-        let changed = self.backend.update_weights(updates)?;
+        self.obfuscator.adopt_reweighted(backend::placeholder_map());
+        let changed = self.backend.update_weights(updates);
         if let Some(shard) = self.backend.shards().first() {
             self.obfuscator.adopt_reweighted(Arc::clone(shard.graph()));
         }
-        Ok(changed)
+        changed
     }
 
     /// Replace the map — the topology-change path. The new map is wrapped
@@ -1177,6 +1180,38 @@ mod tests {
         }
         assert_eq!(svc.pending(), 0);
         assert!(svc.flush(7.0).unwrap().is_empty(), "every ticket resolves exactly once");
+    }
+
+    #[test]
+    fn a_failed_window_is_rejected_by_ticket_without_a_deadline() {
+        // No deadline, so no shedding runs: the failed window's rejections
+        // still come out by ticket, not in its drain order (interactive
+        // lane first), after the cancellation.
+        let mut svc = queued(
+            Tampering(DirectionsServer::new(map(), SharingPolicy::PerSource)),
+            BatchPolicy::default(),
+            AdmissionPolicy { queue_depth: 16, deadline: None },
+        );
+        let cancelled = svc.submit(request(0, 0, 255, 2), 0.0).ticket().unwrap();
+        let bulk = svc.submit_with_priority(request(1, 16, 240, 2), Priority::Bulk, 0.0);
+        let interactive =
+            svc.submit_with_priority(request(2, 32, 200, 2), Priority::Interactive, 1.0);
+        let (bulk, interactive) = (bulk.ticket().unwrap(), interactive.ticket().unwrap());
+        assert!(svc.cancel(cancelled));
+        assert!(matches!(svc.flush(2.0), Err(OpaqueError::CorruptResult { .. })));
+        let events = svc.flush(3.0).unwrap();
+        assert_eq!(
+            events.iter().filter_map(ServiceEvent::ticket).collect::<Vec<_>>(),
+            vec![cancelled, bulk, interactive],
+            "{events:?}"
+        );
+        assert!(matches!(events[0], ServiceEvent::Cancelled { .. }));
+        assert!(events[1..].iter().all(|e| matches!(
+            e,
+            ServiceEvent::Rejected { reason: RejectReason::Infeasible { .. }, .. }
+        )));
+        assert_eq!(svc.pending(), 0);
+        assert!(svc.flush(4.0).unwrap().is_empty(), "every ticket resolves exactly once");
     }
 
     #[test]

@@ -440,6 +440,43 @@ fn service_mode_is_used_unless_overridden() {
 }
 
 #[test]
+fn a_weight_update_rewrites_the_one_map_in_place() {
+    let reqs: Vec<ClientRequest> = (0..4).map(request).collect();
+    let mut svc = ServiceBuilder::new().map(map()).shards(3).verify_results(true).build().unwrap();
+    let served = |svc: &OpaqueService<DefaultBackend>| {
+        let map = svc.obfuscator().map();
+        for (i, shard) in svc.backend().shards().iter().enumerate() {
+            assert!(std::ptr::eq(map, &**shard.graph()), "shard {i} left the service's map");
+        }
+        map as *const roadnet::RoadNetwork
+    };
+    let at_build = served(&svc);
+    let old = svc.obfuscator().map().edge(EdgeId(0)).weight;
+
+    // No snapshot outside the service: the map is written where it lies.
+    assert_eq!(svc.update_weights(&[(EdgeId(0), old + 7.0)]).unwrap(), vec![EdgeId(0)]);
+    assert!(std::ptr::eq(at_build, served(&svc)), "the update copied the map");
+    assert_eq!(svc.obfuscator().map().edge(EdgeId(0)).weight, old + 7.0);
+    // A rejected update leaves the map where and as it was.
+    assert!(svc.update_weights(&[(EdgeId(0), f64::NAN)]).is_err());
+    assert!(std::ptr::eq(at_build, served(&svc)));
+    assert_eq!(svc.obfuscator().map().edge(EdgeId(0)).weight, old + 7.0);
+
+    // A snapshot taken before an update keeps its weights; the service
+    // serves the new ones from one fresh map.
+    let snapshot = std::sync::Arc::clone(svc.backend().shards()[0].graph());
+    svc.update_weights(&[(EdgeId(0), old + 9.0)]).unwrap();
+    assert_eq!(snapshot.edge(EdgeId(0)).weight, old + 7.0);
+    assert!(!std::ptr::eq(&*snapshot, served(&svc)));
+    for shard in svc.backend().shards() {
+        assert_eq!(shard.graph().edge(EdgeId(0)).weight, old + 9.0);
+    }
+    assert_eq!(svc.obfuscator().map().edge(EdgeId(0)).weight, old + 9.0);
+    let resp = svc.process_batch(&reqs).unwrap();
+    assert!(resp.outcomes.iter().all(|(_, o)| *o == ClientOutcome::Delivered), "{resp:?}");
+}
+
+#[test]
 fn a_built_service_holds_one_map_shared_by_obfuscator_and_fleet() {
     // Every shard of a built fleet and the obfuscator read one snapshot:
     // after build, after a weight update, and after a map swap.
