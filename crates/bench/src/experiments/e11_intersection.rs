@@ -139,4 +139,25 @@ mod tests {
         let pin: f64 = uniform_fresh_f3[6].parse().unwrap();
         assert!(pin > 0.5, "expected frequent pinpointing, got {pin}");
     }
+
+    #[test]
+    fn e11_quick_table_is_pinned() {
+        // Every column is deterministic: the mean breach over the surviving
+        // pairs after rounds 1, 3 and 6, and the share of repeats pinpointed.
+        let t = run(&Scale::quick());
+        let rows: Vec<String> = t.rows.iter().map(|r| r.join(" ")).collect();
+        assert_eq!(
+            rows,
+            [
+                "uniform 3 fresh 0.1111 1.00 1.00 1.00",
+                "uniform 3 keyed 0.1111 0.1111 0.1111 0",
+                "uniform 6 fresh 0.0278 1.00 1.00 1.00",
+                "uniform 6 keyed 0.0278 0.0278 0.0278 0",
+                "ring 3 fresh 0.1111 1.00 1.00 1.00",
+                "ring 3 keyed 0.1111 0.1111 0.1111 0",
+                "ring 6 fresh 0.0278 1.00 1.00 1.00",
+                "ring 6 keyed 0.0278 0.0278 0.0278 0",
+            ]
+        );
+    }
 }

@@ -96,4 +96,25 @@ mod tests {
             assert!((a - e).abs() < 0.02, "Monte-Carlo mismatch: {row:?}");
         }
     }
+
+    #[test]
+    fn e6_quick_table_is_pinned() {
+        // Every column is deterministic: the colluders' residual sets fix the
+        // analytic breach, and one seeded RNG shared across rows draws the
+        // simulated guesses.
+        let t = run(&Scale::quick());
+        let rows: Vec<String> = t.rows.iter().map(|r| r.join(" ")).collect();
+        assert_eq!(
+            rows,
+            [
+                "0 0.0156 0.0152 0.0625 yes",
+                "1 0.0204 0.0217 0.0625 yes",
+                "2 0.0278 0.0272 0.0625 yes",
+                "3 0.0400 0.0387 0.0625 yes",
+                "4 0.0625 0.0611 0.0625 yes",
+                "5 0.1111 0.1121 0.0625 NO",
+                "6 0.2500 0.2511 0.0625 NO",
+            ]
+        );
+    }
 }

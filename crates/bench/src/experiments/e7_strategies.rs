@@ -144,4 +144,21 @@ mod tests {
             "weighted {weighted_post} vs uniform {uniform_post}"
         );
     }
+
+    #[test]
+    fn e7_quick_table_is_pinned() {
+        // Every column is deterministic: settled counts, the nominal breach and
+        // the informed adversary's posterior, MAP and anonymity means.
+        let t = run(&Scale::quick());
+        let rows: Vec<String> = t.rows.iter().map(|r| r.join(" ")).collect();
+        assert_eq!(
+            rows,
+            [
+                "uniform 1380 0.0625 0.1388 0.2508 8.83",
+                "ring 1141 0.0625 0.1657 0.2272 9.70",
+                "net-ring 1186 0.0625 0.1286 0.2288 10.13",
+                "weighted 1358 0.0625 0.0612 0.1540 12.63",
+            ]
+        );
+    }
 }

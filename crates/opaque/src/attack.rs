@@ -327,6 +327,20 @@ mod tests {
     }
 
     #[test]
+    fn informed_attack_bits_are_pinned() {
+        // E7's cells print four decimals, which would hide last-bit drift in
+        // the posterior's arithmetic; the raw bits of one skewed unit would not.
+        let ob = obfuscator();
+        let unit = ob.obfuscate_independent(&request(0, 0, 399, 3)).unwrap();
+        let weights: Vec<f64> = (0..400).map(|n| 1.0 + (n % 7) as f64 * 0.37).collect();
+        let rep = informed_attack(&unit, ClientId(0), &weights);
+        let bits =
+            [rep.victim_posterior, rep.map_success, rep.effective_anonymity].map(f64::to_bits);
+        // 0.043525760721483016, 0.22776160070337628, 7.8953436969278625
+        assert_eq!(bits, [0x3fa6_4902_2daa_2209, 0x3fcd_274a_c927_1e49, 0x401f_94d4_fa63_f08b]);
+    }
+
+    #[test]
     fn collusion_shrinks_the_anonymity_set() {
         let mut ob = obfuscator();
         let reqs = vec![request(0, 0, 399, 4), request(1, 21, 378, 4), request(2, 42, 357, 4)];
