@@ -15,7 +15,7 @@
 
 use crate::setup::{Scale, network_with_index};
 use crate::table::{ExperimentTable, f3};
-use opaque::attack::intersection_attack;
+use opaque::attack::Posterior;
 use opaque::{ClientId, ClientRequest, FakeSelection, Obfuscator, PathQuery, ProtectionSettings};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,12 +76,14 @@ pub fn run(scale: &Scale) -> ExperimentTable {
                             .expect("map large enough")
                         })
                         .collect();
-                    for (slot, upto) in [(0usize, 1usize), (1, 3), (2, 6)] {
-                        let r = intersection_attack(&units[..upto], &req.query);
-                        breach_at[slot] += r.final_breach;
+                    let mut post = Posterior::new(&units[0], ClientId(0));
+                    for (round, unit) in units.iter().enumerate() {
+                        post = post.intersect(&unit.query);
+                        if let Some(slot) = [1, 3, 6].iter().position(|&r| r == round + 1) {
+                            breach_at[slot] += post.breach().truth_mass;
+                        }
                     }
-                    let full = intersection_attack(&units, &req.query);
-                    pinpointed += full.pinpointed as usize;
+                    pinpointed += usize::from(post.breach().candidates == 1);
                 }
                 let k = repeats as f64;
                 t.row(vec![

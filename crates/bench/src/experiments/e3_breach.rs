@@ -7,7 +7,7 @@
 
 use crate::setup::{Scale, network_with_index};
 use crate::table::{ExperimentTable, f3};
-use opaque::attack::uniform_attack;
+use opaque::attack::Posterior;
 use opaque::{ClientId, ClientRequest, FakeSelection, Obfuscator, PathQuery, ProtectionSettings};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,13 +42,15 @@ pub fn run(scale: &Scale) -> ExperimentTable {
                 ProtectionSettings::new(f_s, f_t).expect("positive"),
             );
             let unit = ob.obfuscate_independent(&req).expect("map large enough");
-            let rep = uniform_attack(&unit, ClientId(0), scale.trials, &mut rng);
+            let post = Posterior::new(&unit, ClientId(0));
+            let analytic = post.breach().truth_mass;
+            let empirical = post.hit_rate(scale.trials, &mut rng);
             t.row(vec![
                 f_s.to_string(),
                 f_t.to_string(),
-                f3(rep.analytic),
-                f3(rep.empirical),
-                f3((rep.analytic - rep.empirical).abs()),
+                f3(analytic),
+                f3(empirical),
+                f3((analytic - empirical).abs()),
             ]);
         }
     }

@@ -10,7 +10,7 @@
 
 use crate::setup::{Scale, network_with_index};
 use crate::table::{ExperimentTable, f3};
-use opaque::attack::collusion_attack;
+use opaque::attack::Posterior;
 use opaque::{ClientId, FakeSelection, ObfuscationMode, Obfuscator};
 use rand::SeedableRng;
 use rand::rngs::StdRng;
@@ -51,13 +51,14 @@ pub fn run(scale: &Scale) -> ExperimentTable {
 
     for colluders in 0..=(k - 2) {
         let conspirators: Vec<ClientId> = (1..=colluders as u32).map(ClientId).collect();
-        let rep = collusion_attack(unit, victim, &conspirators, scale.trials, &mut rng);
+        let post = Posterior::new(unit, victim).reveal(&conspirators);
+        let analytic = post.breach().truth_mass;
         t.row(vec![
             colluders.to_string(),
-            f3(rep.analytic),
-            f3(rep.empirical),
+            f3(analytic),
+            f3(post.hit_rate(scale.trials, &mut rng)),
             f3(independent_breach),
-            if rep.analytic <= independent_breach { "yes" } else { "NO" }.into(),
+            if analytic <= independent_breach { "yes" } else { "NO" }.into(),
         ]);
     }
     t.note(format!(

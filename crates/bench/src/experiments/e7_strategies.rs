@@ -10,7 +10,7 @@
 
 use crate::setup::{Scale, network_with_index};
 use crate::table::{ExperimentTable, f3};
-use opaque::attack::informed_attack;
+use opaque::attack::Posterior;
 use opaque::{ClientId, ClientRequest, FakeSelection, Obfuscator, PathQuery, ProtectionSettings};
 use pathsearch::{SharingPolicy, msmd};
 use rand::rngs::StdRng;
@@ -88,10 +88,10 @@ pub fn run(scale: &Scale) -> ExperimentTable {
             let r = msmd(&g, unit.query.sources(), unit.query.targets(), SharingPolicy::PerSource);
             settled += r.stats.settled;
             nominal += unit.query.breach_probability();
-            let rep = informed_attack(&unit, ClientId(0), &weights);
-            posterior += rep.victim_posterior;
-            map_success += rep.map_success;
-            anonymity += rep.effective_anonymity;
+            let b = Posterior::new(&unit, ClientId(0)).weigh(&weights).breach();
+            posterior += b.truth_mass;
+            map_success += b.map_success;
+            anonymity += b.effective_anonymity;
         }
         let qn = queries.len() as f64;
         t.row(vec![

@@ -1,260 +1,209 @@
-//! Adversary models quantifying what OPAQUE actually protects.
+//! The adversary that measures what OPAQUE actually protects.
 //!
-//! Definition 2's breach probability assumes an adversary that picks
-//! uniformly among the `|S|×|T|` represented pairs. This module implements
-//! that adversary (to validate the formula empirically, E3) plus the two
-//! stronger adversaries the paper's threat discussion motivates:
+//! Every attack here computes one thing: a [`Posterior`] over the
+//! `|S|×|T|` pairs a unit represents, narrowed by evidence. It starts
+//! uniform, which is Definition 2's adversary: its mass on the true pair is
+//! `1/(|S|·|T|)`. Each kind of evidence multiplies into it:
 //!
-//! * the **background-knowledge adversary** (§II: "with the help of some
-//!   public information such as voter registration list and yellow pages"),
-//!   which weighs endpoints by plausibility before guessing;
-//! * the **collusion attack** (abstract: shared obfuscated queries "enhance
-//!   privacy protection against collusion attacks" only up to a point),
-//!   where clients embedded in the same shared query pool their knowledge
-//!   to unmask a victim.
+//! * **plausibility weights** ([`Posterior::weigh`]): §II's
+//!   background-knowledge server ("with the help of some public
+//!   information such as voter registration list and yellow pages")
+//!   weighs each pair by how plausible its endpoints are;
+//! * **colluders' endpoints** ([`Posterior::reveal`]): clients embedded in
+//!   the same shared query pool their true queries to unmask a victim (the
+//!   abstract's collusion attack), and every pair using a revealed
+//!   endpoint drops out;
+//! * **further rounds of the same request** ([`Posterior::intersect`]): a
+//!   server that links re-issued queries keeps only the pairs every round
+//!   represents. The true pair is in every round by Definition 1, so it
+//!   always survives; fresh random fakes rarely do. Keyed fakes defend
+//!   against it: one obfuscator re-sends the same query every round (see
+//!   [`crate::obfuscator`]).
+//!
+//! [`Posterior::breach`] reads what the evidence gave away as one
+//! [`Breach`], and [`Posterior::hit_rate`] checks it by Monte Carlo.
 
-use crate::metrics::{effective_anonymity, endpoint_posterior, map_success_probability};
 use crate::obfuscator::ObfuscationUnit;
-use crate::query::{ClientId, PathQuery};
+use crate::query::{ClientId, ObfuscatedPathQuery, PathQuery};
 use rand::Rng;
 use rand::rngs::StdRng;
 use roadnet::NodeId;
-use std::collections::HashSet;
 
-/// Result of a Monte-Carlo attack simulation against one victim.
-#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
-pub struct AttackReport {
-    /// Closed-form success probability of the modelled adversary.
-    pub analytic: f64,
-    /// Fraction of simulation trials in which the adversary's guess was
-    /// exactly the victim's true query.
-    pub empirical: f64,
-    /// Number of trials behind `empirical`.
-    pub trials: u32,
-}
-
-fn victim_query(unit: &ObfuscationUnit, victim: ClientId) -> PathQuery {
-    unit.requests
-        .iter()
-        .find(|r| r.client == victim)
-        .unwrap_or_else(|| panic!("victim {victim:?} not carried by this unit"))
-        .query
-}
-
-/// The Definition 2 adversary: guess one of the `|S|×|T|` pairs uniformly.
-///
-/// # Panics
-/// Panics if `victim` is not one of the unit's clients or `trials` is 0.
-pub fn uniform_attack(
-    unit: &ObfuscationUnit,
+/// An adversary's belief about which of a unit's represented pairs is the
+/// victim's: an unnormalised mass per pair, source-major in the unit's
+/// sorted order.
+#[derive(Clone, Debug)]
+pub struct Posterior<'a> {
+    unit: &'a ObfuscationUnit,
     victim: ClientId,
-    trials: u32,
-    rng: &mut StdRng,
-) -> AttackReport {
-    assert!(trials > 0, "need at least one trial");
-    let truth = victim_query(unit, victim);
-    let sources = unit.query.sources();
-    let targets = unit.query.targets();
-    let mut hits = 0u32;
-    for _ in 0..trials {
-        let s = sources[rng.gen_range(0..sources.len())];
-        let t = targets[rng.gen_range(0..targets.len())];
-        if s == truth.source && t == truth.destination {
-            hits += 1;
-        }
-    }
-    AttackReport {
-        analytic: unit.query.breach_probability(),
-        empirical: hits as f64 / trials as f64,
-        trials,
-    }
+    /// Index of the victim's true pair in `mass`.
+    truth: usize,
+    mass: Vec<f64>,
 }
 
-/// What the background-knowledge adversary learns from one unit.
-#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
-pub struct InformedAttackReport {
+/// What a [`Posterior`] gives away about the victim's pair.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Breach {
     /// Success probability of the adversary's best (MAP) guess.
     pub map_success: f64,
-    /// Posterior probability the adversary assigns to the victim's true
-    /// pair.
-    pub victim_posterior: f64,
-    /// Effective anonymity-set size `2^H` of the posterior.
+    /// Posterior probability of the victim's true pair. It is Definition 2's
+    /// breach probability while the posterior is uniform, and 0 when
+    /// evidence wrongly ruled the pair out.
+    pub truth_mass: f64,
+    /// Effective anonymity-set size `2^H` of the posterior: the number of
+    /// equally likely pairs that would leave the adversary as uncertain.
     pub effective_anonymity: f64,
-    /// The nominal `|S|×|T|` the posterior is defined over.
-    pub nominal_pairs: usize,
+    /// Pairs left with positive mass.
+    pub candidates: usize,
 }
 
-/// The background-knowledge adversary: endpoint plausibility weights induce
-/// a posterior `P(s,t) ∝ w(s)·w(t)` over represented pairs.
-///
-/// `weights[n]` is the plausibility of node `n` (e.g. population density);
-/// it must cover every node id appearing in the unit.
-pub fn informed_attack(
-    unit: &ObfuscationUnit,
-    victim: ClientId,
-    weights: &[f64],
-) -> InformedAttackReport {
-    let truth = victim_query(unit, victim);
-    let w = |n: NodeId| {
-        assert!(n.index() < weights.len(), "weight missing for node {n}");
-        weights[n.index()]
-    };
-    let source_w: Vec<f64> = unit.query.sources().iter().map(|&s| w(s)).collect();
-    let target_w: Vec<f64> = unit.query.targets().iter().map(|&t| w(t)).collect();
-    let posterior = endpoint_posterior(&source_w, &target_w);
-
-    let i = unit.query.source_index(truth.source).expect("victim source embedded");
-    let j = unit.query.target_index(truth.destination).expect("victim target embedded");
-    let victim_posterior = posterior[i * unit.query.targets().len() + j];
-
-    InformedAttackReport {
-        map_success: map_success_probability(&posterior),
-        victim_posterior,
-        effective_anonymity: effective_anonymity(&posterior),
-        nominal_pairs: unit.query.num_pairs(),
-    }
-}
-
-/// Result of a collusion attack against a shared obfuscated query.
-#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
-pub struct CollusionReport {
-    /// Number of colluding clients.
-    pub colluders: usize,
-    /// Source candidates left after removing everything colluders revealed.
-    pub residual_sources: usize,
-    /// Target candidates left after removal.
-    pub residual_targets: usize,
-    /// Analytic breach probability over the residual candidate set — 0 when
-    /// the victim's pair was (wrongly) excluded because it shares an
-    /// endpoint with a colluder.
-    pub analytic: f64,
-    /// Monte-Carlo success rate of the residual-uniform adversary.
-    pub empirical: f64,
-    /// Trials behind `empirical`.
-    pub trials: u32,
-}
-
-/// The collusion attack: `colluders` ⊆ the unit's clients reveal their true
-/// queries to the adversary, who removes every revealed endpoint from the
-/// candidate sets and guesses uniformly over what remains.
-///
-/// If the victim shares an endpoint with a colluder, the adversary's
-/// exclusion is wrong and the attack cannot succeed — modelled honestly
-/// (the adversary does not know it failed).
-///
-/// # Panics
-/// Panics if the victim is listed as a colluder, is not carried by the
-/// unit, or `trials` is 0.
-pub fn collusion_attack(
-    unit: &ObfuscationUnit,
-    victim: ClientId,
-    colluders: &[ClientId],
-    trials: u32,
-    rng: &mut StdRng,
-) -> CollusionReport {
-    assert!(trials > 0, "need at least one trial");
-    assert!(!colluders.contains(&victim), "the victim cannot collude against itself");
-    let truth = victim_query(unit, victim);
-
-    let colluder_set: HashSet<ClientId> = colluders.iter().copied().collect();
-    let mut revealed_s: HashSet<NodeId> = HashSet::new();
-    let mut revealed_t: HashSet<NodeId> = HashSet::new();
-    for r in &unit.requests {
-        if colluder_set.contains(&r.client) {
-            revealed_s.insert(r.query.source);
-            revealed_t.insert(r.query.destination);
-        }
+impl<'a> Posterior<'a> {
+    /// The uniform prior over `unit`'s pairs, with `victim`'s pair as the
+    /// truth.
+    ///
+    /// # Panics
+    /// Panics if `victim` is not one of the unit's clients.
+    pub fn new(unit: &'a ObfuscationUnit, victim: ClientId) -> Self {
+        let truth = unit
+            .requests
+            .iter()
+            .find(|r| r.client == victim)
+            .unwrap_or_else(|| panic!("victim {victim:?} not carried by this unit"))
+            .query;
+        let q = &unit.query;
+        let i = q.source_index(truth.source).expect("victim source embedded");
+        let j = q.target_index(truth.destination).expect("victim target embedded");
+        Posterior { unit, victim, truth: i * q.targets().len() + j, mass: vec![1.0; q.num_pairs()] }
     }
 
-    let residual_s: Vec<NodeId> =
-        unit.query.sources().iter().copied().filter(|s| !revealed_s.contains(s)).collect();
-    let residual_t: Vec<NodeId> =
-        unit.query.targets().iter().copied().filter(|t| !revealed_t.contains(t)).collect();
-
-    let victim_in_play =
-        residual_s.contains(&truth.source) && residual_t.contains(&truth.destination);
-    let analytic = if victim_in_play && !residual_s.is_empty() && !residual_t.is_empty() {
-        1.0 / (residual_s.len() as f64 * residual_t.len() as f64)
-    } else {
-        0.0
-    };
-
-    let mut hits = 0u32;
-    if !residual_s.is_empty() && !residual_t.is_empty() {
-        for _ in 0..trials {
-            let s = residual_s[rng.gen_range(0..residual_s.len())];
-            let t = residual_t[rng.gen_range(0..residual_t.len())];
-            if s == truth.source && t == truth.destination {
-                hits += 1;
+    /// Background knowledge: the mass of pair `(s, t)` is multiplied by
+    /// `weights[s] · weights[t]`, clamped at 0. `weights[n]` is the
+    /// plausibility of node `n`, e.g. its population density.
+    ///
+    /// # Panics
+    /// Panics if `weights` does not cover a node of the unit.
+    pub fn weigh(mut self, weights: &[f64]) -> Self {
+        let w = |n: NodeId| {
+            assert!(n.index() < weights.len(), "weight missing for node {n}");
+            weights[n.index()]
+        };
+        let q = &self.unit.query;
+        let target_w: Vec<f64> = q.targets().iter().map(|&t| w(t)).collect();
+        for (row, &s) in self.mass.chunks_mut(target_w.len()).zip(q.sources()) {
+            let ws = w(s);
+            for (m, &wt) in row.iter_mut().zip(&target_w) {
+                *m *= (ws * wt).max(0.0);
             }
         }
+        self
     }
 
-    CollusionReport {
-        colluders: colluders.len(),
-        residual_sources: residual_s.len(),
-        residual_targets: residual_t.len(),
-        analytic,
-        empirical: hits as f64 / trials as f64,
-        trials,
-    }
-}
-
-/// Result of an intersection attack over repeated obfuscations of the same
-/// true query.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct IntersectionReport {
-    /// Candidate pairs remaining after each observed round (starting with
-    /// the first round's full `|S|·|T|`).
-    pub candidates_per_round: Vec<usize>,
-    /// Breach probability after the last round (`1 / candidates`), assuming
-    /// a uniform guess over the surviving intersection.
-    pub final_breach: f64,
-    /// True when the intersection collapsed to exactly the victim's pair.
-    pub pinpointed: bool,
-}
-
-/// The **intersection attack**: a client re-issues the same query over
-/// time; the server links the resulting obfuscated queries and intersects
-/// their represented pair sets. The true pair is in every set by
-/// Definition 1, so it always survives — fresh random fakes rarely do.
-///
-/// Keyed independent fakes defend against it: one obfuscator re-sends the
-/// same query every round (see [`crate::obfuscator`]), so the intersection
-/// never shrinks.
-///
-/// # Panics
-/// Panics if `units` is empty or the victim's query is not covered by all
-/// units (the attack presumes the same underlying request each round).
-pub fn intersection_attack(units: &[ObfuscationUnit], truth: &PathQuery) -> IntersectionReport {
-    assert!(!units.is_empty(), "need at least one observed round");
-    for (i, u) in units.iter().enumerate() {
-        assert!(
-            u.query.covers(truth),
-            "round {i} does not cover the true query — not the same request"
-        );
+    /// Collusion: `colluders` among the unit's clients reveal their true
+    /// queries, and every pair using a revealed source or target drops out.
+    /// If the victim shares an endpoint with a colluder, its own pair drops
+    /// out too; the adversary does not know it went wrong.
+    ///
+    /// # Panics
+    /// Panics if the victim is listed as a colluder.
+    pub fn reveal(self, colluders: &[ClientId]) -> Self {
+        assert!(!colluders.contains(&self.victim), "the victim cannot collude against itself");
+        let revealed: Vec<PathQuery> = self
+            .unit
+            .requests
+            .iter()
+            .filter(|r| colluders.contains(&r.client))
+            .map(|r| r.query)
+            .collect();
+        self.keep(
+            |s| revealed.iter().all(|q| q.source != s),
+            |t| revealed.iter().all(|q| q.destination != t),
+        )
     }
 
-    let mut survivors: HashSet<(NodeId, NodeId)> =
-        units[0].query.represented_queries().map(|q| (q.source, q.destination)).collect();
-    let mut candidates_per_round = vec![survivors.len()];
-    for u in &units[1..] {
-        let round: HashSet<(NodeId, NodeId)> =
-            u.query.represented_queries().map(|q| (q.source, q.destination)).collect();
-        // lint: allow(hash-iter) — retain with a pure membership
-        // predicate: the surviving *set* is order-independent, and the
-        // report reads only its size.
-        survivors.retain(|pair| round.contains(pair));
-        candidates_per_round.push(survivors.len());
+    /// A further round of the same request: only the pairs `round` also
+    /// represents survive.
+    ///
+    /// # Panics
+    /// Panics if `round` does not cover the victim's true query, so it
+    /// cannot be the same request.
+    pub fn intersect(self, round: &ObfuscatedPathQuery) -> Self {
+        let q = &self.unit.query;
+        let width = q.targets().len();
+        let truth =
+            PathQuery::new(q.sources()[self.truth / width], q.targets()[self.truth % width]);
+        assert!(round.covers(&truth), "round does not cover the true query — not the same request");
+        self.keep(|s| round.source_index(s).is_some(), |t| round.target_index(t).is_some())
     }
-    debug_assert!(
-        survivors.contains(&(truth.source, truth.destination)),
-        "the true pair survives every intersection by Definition 1"
-    );
-    IntersectionReport {
-        final_breach: 1.0 / survivors.len() as f64,
-        pinpointed: survivors.len() == 1,
-        candidates_per_round,
+
+    /// Zeroes every pair whose source or target fails its side's test.
+    fn keep(mut self, source: impl Fn(NodeId) -> bool, target: impl Fn(NodeId) -> bool) -> Self {
+        let q = &self.unit.query;
+        let target_kept: Vec<bool> = q.targets().iter().map(|&t| target(t)).collect();
+        for (row, &s) in self.mass.chunks_mut(target_kept.len()).zip(q.sources()) {
+            let source_kept = source(s);
+            for (m, &target_kept) in row.iter_mut().zip(&target_kept) {
+                if !(source_kept && target_kept) {
+                    *m = 0.0;
+                }
+            }
+        }
+        self
+    }
+
+    /// What the evidence so far gives away. Every field reads 0 when no
+    /// pair has mass left, e.g. when colluders revealed every source.
+    pub fn breach(&self) -> Breach {
+        let total: f64 = self.mass.iter().sum();
+        if total <= 0.0 {
+            return Breach {
+                map_success: 0.0,
+                truth_mass: 0.0,
+                effective_anonymity: 0.0,
+                candidates: 0,
+            };
+        }
+        let p = || self.mass.iter().map(move |m| m / total).filter(|&p| p > 0.0);
+        // The entropy normalises the normalised mass once more: the last
+        // bits of `effective_anonymity` depend on that second division.
+        let norm: f64 = p().sum();
+        let mut entropy = 0.0;
+        for p in p() {
+            let p = p / norm;
+            entropy -= p * p.log2();
+        }
+        Breach {
+            map_success: p().fold(0.0, f64::max),
+            truth_mass: self.mass[self.truth] / total,
+            effective_anonymity: entropy.exp2(),
+            candidates: self.mass.iter().filter(|&&m| m > 0.0).count(),
+        }
+    }
+
+    /// Monte-Carlo check: each of `trials` guesses draws a source uniformly
+    /// from those with mass left, then a target likewise, both in the
+    /// unit's order. Returns the fraction of guesses that hit the victim's
+    /// true pair. Nothing is drawn when no pair has mass left.
+    ///
+    /// # Panics
+    /// Panics if `trials` is 0.
+    pub fn hit_rate(&self, trials: u32, rng: &mut StdRng) -> f64 {
+        assert!(trials > 0, "need at least one trial");
+        let width = self.unit.query.targets().len();
+        let alive = |m: &f64| *m > 0.0;
+        let sources: Vec<usize> = (0..self.mass.len() / width)
+            .filter(|&i| self.mass[i * width..][..width].iter().any(alive))
+            .collect();
+        let targets: Vec<usize> =
+            (0..width).filter(|&j| self.mass[j..].iter().step_by(width).any(alive)).collect();
+        let mut hits = 0u32;
+        if !sources.is_empty() && !targets.is_empty() {
+            for _ in 0..trials {
+                let i = sources[rng.gen_range(0..sources.len())];
+                let j = targets[rng.gen_range(0..targets.len())];
+                hits += u32::from(i * width + j == self.truth);
+            }
+        }
+        hits as f64 / trials as f64
     }
 }
 
@@ -281,19 +230,147 @@ mod tests {
         )
     }
 
+    fn query(sources: &[u32], targets: &[u32]) -> ObfuscatedPathQuery {
+        let nodes = |ns: &[u32]| ns.iter().map(|&n| NodeId(n)).collect();
+        ObfuscatedPathQuery::new(nodes(sources), nodes(targets))
+    }
+
+    /// A hand-built unit: client `i` asks for `pairs[i]`.
+    fn unit(sources: &[u32], targets: &[u32], pairs: &[(u32, u32)]) -> ObfuscationUnit {
+        ObfuscationUnit {
+            query: query(sources, targets),
+            requests: (0..).zip(pairs).map(|(i, &(s, t))| request(i, s, t, 1)).collect(),
+        }
+    }
+
+    /// `2^H` of a distribution given as masses.
+    fn anonymity(masses: &[f64]) -> f64 {
+        let total: f64 = masses.iter().sum();
+        masses.iter().map(|m| m / total).map(|p| -p * p.log2()).sum::<f64>().exp2()
+    }
+
+    /// The 2×3 unit the hand-computed posteriors below run on: the victim
+    /// (client 0) asks for (1, 4), client 1 for (2, 5).
+    fn two_by_three() -> ObfuscationUnit {
+        unit(&[1, 2], &[3, 4, 5], &[(1, 4), (2, 5)])
+    }
+
+    #[test]
+    fn the_uniform_prior_is_definition_2() {
+        let u = two_by_three();
+        let b = Posterior::new(&u, ClientId(0)).breach();
+        assert_eq!(b.truth_mass, u.query.breach_probability());
+        assert_eq!(b.map_success, 1.0 / 6.0);
+        assert!((b.effective_anonymity - 6.0).abs() < 1e-12);
+        assert_eq!(b.candidates, 6);
+    }
+
+    #[test]
+    fn weights_multiply_per_endpoint() {
+        let u = two_by_three();
+        // Node:         0    1    2    3    4    5
+        let weights = [0.0, 1.0, 3.0, 1.0, 2.0, 1.0];
+        // Source-major masses w(s)·w(t): (1, ·) = 1 2 1, (2, ·) = 3 6 3.
+        let b = Posterior::new(&u, ClientId(0)).weigh(&weights).breach();
+        assert_eq!(b.truth_mass, 2.0 / 16.0);
+        assert_eq!(b.map_success, 6.0 / 16.0);
+        assert!((b.effective_anonymity - anonymity(&[1.0, 2.0, 1.0, 3.0, 6.0, 3.0])).abs() < 1e-12);
+        assert_eq!(b.candidates, 6);
+
+        // A negative product clamps to zero: target 5 drops out.
+        let b = Posterior::new(&u, ClientId(0)).weigh(&[0.0, 1.0, 3.0, 1.0, 2.0, -1.0]).breach();
+        assert_eq!(b.truth_mass, 2.0 / 12.0);
+        assert_eq!(b.candidates, 4);
+    }
+
+    #[test]
+    fn colluders_remove_their_endpoints() {
+        let u = two_by_three();
+        // Client 1 reveals source 2 and target 5: (1, 3) and (1, 4) are left.
+        let post = Posterior::new(&u, ClientId(0)).reveal(&[ClientId(1)]);
+        let b = post.breach();
+        assert_eq!(
+            b,
+            Breach { map_success: 0.5, truth_mass: 0.5, effective_anonymity: 2.0, candidates: 2 }
+        );
+        let rate = post.hit_rate(20_000, &mut StdRng::seed_from_u64(4));
+        assert!((rate - 0.5).abs() < 0.02, "hit rate {rate}");
+        // A colluder the unit does not carry reveals nothing.
+        let b = Posterior::new(&u, ClientId(0)).reveal(&[ClientId(7)]).breach();
+        assert_eq!(b.candidates, 6);
+    }
+
+    #[test]
+    fn a_round_keeps_only_the_pairs_it_represents() {
+        let u = two_by_three();
+        let post = Posterior::new(&u, ClientId(0)).intersect(&query(&[1, 7], &[4, 5, 9]));
+        let b = post.breach();
+        assert_eq!(
+            b,
+            Breach { map_success: 0.5, truth_mass: 0.5, effective_anonymity: 2.0, candidates: 2 }
+        );
+        // A second round that shares only the true pair pinpoints it.
+        let b = post.intersect(&query(&[1, 2], &[4])).breach();
+        assert_eq!(
+            b,
+            Breach { map_success: 1.0, truth_mass: 1.0, effective_anonymity: 1.0, candidates: 1 }
+        );
+    }
+
+    #[test]
+    fn evidence_composes_in_any_order() {
+        // 3×3: the victim asks for (1, 4), client 1 for (3, 6).
+        let u = unit(&[1, 2, 3], &[4, 5, 6], &[(1, 4), (3, 6)]);
+        let weights = [0.0, 1.0, 2.0, 1.0, 1.0, 3.0, 1.0];
+        let round = query(&[1, 2], &[4, 6]);
+        // Weights give (1, ·) = 1 3 1, (2, ·) = 2 6 2, (3, ·) = 1 3 1. The
+        // colluder removes source 3 and target 6, the round target 5: (1, 4)
+        // with mass 1 and (2, 4) with mass 2 are left.
+        let b = Posterior::new(&u, ClientId(0))
+            .weigh(&weights)
+            .reveal(&[ClientId(1)])
+            .intersect(&round)
+            .breach();
+        assert_eq!(b.truth_mass, 1.0 / 3.0);
+        assert_eq!(b.map_success, 2.0 / 3.0);
+        assert!((b.effective_anonymity - anonymity(&[1.0, 2.0])).abs() < 1e-12);
+        assert_eq!(b.candidates, 2);
+        let reordered = Posterior::new(&u, ClientId(0))
+            .intersect(&round)
+            .reveal(&[ClientId(1)])
+            .weigh(&weights)
+            .breach();
+        assert_eq!(reordered, b);
+    }
+
+    #[test]
+    fn zero_mass_reads_zero_and_draws_nothing() {
+        // Clients 1 and 2 between them reveal both sources.
+        let u = unit(&[1, 2], &[3, 4], &[(1, 3), (2, 4), (1, 4)]);
+        let zero =
+            Breach { map_success: 0.0, truth_mass: 0.0, effective_anonymity: 0.0, candidates: 0 };
+        let post = Posterior::new(&u, ClientId(0)).reveal(&[ClientId(1), ClientId(2)]);
+        assert_eq!(post.breach(), zero);
+        let mut rng = StdRng::seed_from_u64(3);
+        assert_eq!(post.hit_rate(100, &mut rng), 0.0);
+        assert_eq!(rng.gen_range(0..u32::MAX), StdRng::seed_from_u64(3).gen_range(0..u32::MAX));
+        // So do weights that are all zero.
+        assert_eq!(Posterior::new(&u, ClientId(0)).weigh(&[0.0; 5]).breach(), zero);
+    }
+
     #[test]
     fn uniform_attack_matches_definition_2() {
         let ob = obfuscator();
         let r = request(0, 0, 399, 3);
         let unit = ob.obfuscate_independent(&r).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let report = uniform_attack(&unit, ClientId(0), 200_000, &mut rng);
-        assert!((report.analytic - 1.0 / 9.0).abs() < 1e-12);
+        let post = Posterior::new(&unit, ClientId(0));
+        let analytic = post.breach().truth_mass;
+        let empirical = post.hit_rate(200_000, &mut rng);
+        assert!((analytic - 1.0 / 9.0).abs() < 1e-12);
         assert!(
-            (report.empirical - report.analytic).abs() < 0.01,
-            "empirical {} vs analytic {}",
-            report.empirical,
-            report.analytic
+            (empirical - analytic).abs() < 0.01,
+            "empirical {empirical} vs analytic {analytic}"
         );
     }
 
@@ -303,10 +380,10 @@ mod tests {
         let r = request(0, 0, 399, 4);
         let unit = ob.obfuscate_independent(&r).unwrap();
         let weights = vec![1.0; 400];
-        let rep = informed_attack(&unit, ClientId(0), &weights);
-        assert!((rep.map_success - 1.0 / 16.0).abs() < 1e-12);
-        assert!((rep.victim_posterior - 1.0 / 16.0).abs() < 1e-12);
-        assert!((rep.effective_anonymity - 16.0).abs() < 1e-6);
+        let b = Posterior::new(&unit, ClientId(0)).weigh(&weights).breach();
+        assert!((b.map_success - 1.0 / 16.0).abs() < 1e-12);
+        assert!((b.truth_mass - 1.0 / 16.0).abs() < 1e-12);
+        assert!((b.effective_anonymity - 16.0).abs() < 1e-6);
     }
 
     #[test]
@@ -319,11 +396,12 @@ mod tests {
         let mut weights = vec![1.0; 400];
         weights[0] = 100.0;
         weights[399] = 100.0;
-        let rep = informed_attack(&unit, ClientId(0), &weights);
-        assert!(rep.victim_posterior > 0.5, "posterior {}", rep.victim_posterior);
-        assert!(rep.effective_anonymity < 4.0, "anonymity {}", rep.effective_anonymity);
+        let b = Posterior::new(&unit, ClientId(0)).weigh(&weights).breach();
+        assert!(b.truth_mass > 0.5, "posterior {}", b.truth_mass);
+        assert!(b.effective_anonymity < 4.0, "anonymity {}", b.effective_anonymity);
         // The nominal guarantee is unchanged — that is the point.
-        assert_eq!(rep.nominal_pairs, 16);
+        assert_eq!(unit.query.num_pairs(), 16);
+        assert_eq!(b.candidates, 16);
     }
 
     #[test]
@@ -333,11 +411,22 @@ mod tests {
         let ob = obfuscator();
         let unit = ob.obfuscate_independent(&request(0, 0, 399, 3)).unwrap();
         let weights: Vec<f64> = (0..400).map(|n| 1.0 + (n % 7) as f64 * 0.37).collect();
-        let rep = informed_attack(&unit, ClientId(0), &weights);
-        let bits =
-            [rep.victim_posterior, rep.map_success, rep.effective_anonymity].map(f64::to_bits);
+        let b = Posterior::new(&unit, ClientId(0)).weigh(&weights).breach();
+        let bits = [b.truth_mass, b.map_success, b.effective_anonymity].map(f64::to_bits);
         // 0.043525760721483016, 0.22776160070337628, 7.8953436969278625
         assert_eq!(bits, [0x3fa6_4902_2daa_2209, 0x3fcd_274a_c927_1e49, 0x401f_94d4_fa63_f08b]);
+    }
+
+    /// Breach probability and simulated hit rate against client 0 with
+    /// `colluders` revealing their queries.
+    fn collude(
+        unit: &ObfuscationUnit,
+        colluders: &[ClientId],
+        trials: u32,
+        rng: &mut StdRng,
+    ) -> (f64, f64) {
+        let post = Posterior::new(unit, ClientId(0)).reveal(colluders);
+        (post.breach().truth_mass, post.hit_rate(trials, rng))
     }
 
     #[test]
@@ -347,20 +436,17 @@ mod tests {
         let unit = ob.obfuscate_shared(&reqs).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
 
-        let none = collusion_attack(&unit, ClientId(0), &[], 100_000, &mut rng);
-        let one = collusion_attack(&unit, ClientId(0), &[ClientId(1)], 100_000, &mut rng);
-        let two =
-            collusion_attack(&unit, ClientId(0), &[ClientId(1), ClientId(2)], 100_000, &mut rng);
+        let none = collude(&unit, &[], 100_000, &mut rng);
+        let one = collude(&unit, &[ClientId(1)], 100_000, &mut rng);
+        let two = collude(&unit, &[ClientId(1), ClientId(2)], 100_000, &mut rng);
 
-        assert!((none.analytic - unit.query.breach_probability()).abs() < 1e-12);
-        assert!(one.analytic > none.analytic);
-        assert!(two.analytic > one.analytic);
-        for rep in [none, one, two] {
+        assert!((none.0 - unit.query.breach_probability()).abs() < 1e-12);
+        assert!(one.0 > none.0);
+        assert!(two.0 > one.0);
+        for (analytic, empirical) in [none, one, two] {
             assert!(
-                (rep.empirical - rep.analytic).abs() < 0.01,
-                "empirical {} vs analytic {}",
-                rep.empirical,
-                rep.analytic
+                (empirical - analytic).abs() < 0.01,
+                "empirical {empirical} vs analytic {analytic}"
             );
         }
     }
@@ -372,10 +458,8 @@ mod tests {
         let reqs = vec![request(0, 0, 399, 3), request(1, 0, 380, 3)];
         let unit = ob.obfuscate_shared(&reqs).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
-        let rep = collusion_attack(&unit, ClientId(0), &[ClientId(1)], 10_000, &mut rng);
         // The colluder's revealed source removes the victim's source too.
-        assert_eq!(rep.analytic, 0.0);
-        assert_eq!(rep.empirical, 0.0);
+        assert_eq!(collude(&unit, &[ClientId(1)], 10_000, &mut rng), (0.0, 0.0));
     }
 
     #[test]
@@ -386,8 +470,20 @@ mod tests {
         let ob = obfuscator();
         let unit = ob.obfuscate_independent(&request(0, 0, 399, 3)).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        let rep = collusion_attack(&unit, ClientId(0), &[], 10_000, &mut rng);
-        assert!((rep.analytic - unit.query.breach_probability()).abs() < 1e-12);
+        let (analytic, _) = collude(&unit, &[], 10_000, &mut rng);
+        assert!((analytic - unit.query.breach_probability()).abs() < 1e-12);
+    }
+
+    /// The candidate pairs left after each observed round, and the breach
+    /// after the last.
+    fn intersect_rounds(units: &[ObfuscationUnit]) -> (Vec<usize>, Breach) {
+        let mut post = Posterior::new(&units[0], ClientId(0));
+        let mut candidates = Vec::new();
+        for u in units {
+            post = post.intersect(&u.query);
+            candidates.push(post.breach().candidates);
+        }
+        (candidates, post.breach())
     }
 
     #[test]
@@ -404,15 +500,15 @@ mod tests {
                     .expect("map large enough")
             })
             .collect();
-        let rep = intersection_attack(&units, &r.query);
-        assert_eq!(rep.candidates_per_round[0], 25);
+        let (candidates, last) = intersect_rounds(&units);
+        assert_eq!(candidates[0], 25);
         // Candidates shrink monotonically…
-        for w in rep.candidates_per_round.windows(2) {
+        for w in candidates.windows(2) {
             assert!(w[1] <= w[0]);
         }
         // …and with uniform fakes on a 400-node map, six rounds pinpoint.
-        assert!(rep.pinpointed, "survivors: {:?}", rep.candidates_per_round);
-        assert_eq!(rep.final_breach, 1.0);
+        assert_eq!(last.candidates, 1, "survivors: {candidates:?}");
+        assert_eq!(last.truth_mass, 1.0);
     }
 
     #[test]
@@ -420,10 +516,9 @@ mod tests {
         let ob = obfuscator();
         let r = request(0, 0, 399, 5);
         let units: Vec<_> = (0..10).map(|_| ob.obfuscate_independent(&r).expect("ok")).collect();
-        let rep = intersection_attack(&units, &r.query);
-        assert!(!rep.pinpointed);
-        assert_eq!(rep.candidates_per_round.last(), Some(&25), "intersection never shrinks");
-        assert!((rep.final_breach - 1.0 / 25.0).abs() < 1e-12);
+        let (candidates, last) = intersect_rounds(&units);
+        assert_eq!(candidates.last(), Some(&25), "intersection never shrinks");
+        assert!((last.truth_mass - 1.0 / 25.0).abs() < 1e-12);
         // All rounds are literally the same query.
         for u in &units[1..] {
             assert_eq!(u.query, units[0].query);
@@ -436,7 +531,7 @@ mod tests {
         let ob = obfuscator();
         let a = ob.obfuscate_independent(&request(0, 0, 399, 3)).unwrap();
         let b = ob.obfuscate_independent(&request(0, 5, 390, 3)).unwrap();
-        let _ = intersection_attack(&[a, b], &PathQuery::new(NodeId(0), NodeId(399)));
+        let _ = intersect_rounds(&[a, b]);
     }
 
     #[test]
@@ -444,8 +539,7 @@ mod tests {
     fn victim_colluding_with_itself_panics() {
         let ob = obfuscator();
         let unit = ob.obfuscate_independent(&request(0, 0, 399, 2)).unwrap();
-        let mut rng = StdRng::seed_from_u64(8);
-        let _ = collusion_attack(&unit, ClientId(0), &[ClientId(0)], 10, &mut rng);
+        let _ = Posterior::new(&unit, ClientId(0)).reveal(&[ClientId(0)]);
     }
 
     #[test]
@@ -453,7 +547,20 @@ mod tests {
     fn unknown_victim_panics() {
         let ob = obfuscator();
         let unit = ob.obfuscate_independent(&request(0, 0, 399, 2)).unwrap();
-        let mut rng = StdRng::seed_from_u64(9);
-        let _ = uniform_attack(&unit, ClientId(99), 10, &mut rng);
+        let _ = Posterior::new(&unit, ClientId(99));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one trial")]
+    fn zero_trials_panic() {
+        let u = two_by_three();
+        let _ = Posterior::new(&u, ClientId(0)).hit_rate(0, &mut StdRng::seed_from_u64(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "weight missing for node 5")]
+    fn weights_must_cover_every_endpoint() {
+        let u = two_by_three();
+        let _ = Posterior::new(&u, ClientId(0)).weigh(&[1.0; 5]);
     }
 }

@@ -30,10 +30,11 @@
 //!   reusable shortest-path trees ([`CachePolicy`] — provably
 //!   report-identical to running uncached), and the builder-configured
 //!   [`OpaqueService`] with typed accounting;
-//! * [`attack`] — uniform, background-knowledge, and collusion adversaries;
+//! * [`attack`] — one adversary: a posterior over a unit's pairs, narrowed
+//!   by background knowledge, colluders and repeated rounds, read as breach
+//!   probability, MAP success and effective anonymity;
 //! * [`baselines`] — the §II location-privacy techniques (landmark,
-//!   cloaking, naive fakes) for measured comparison;
-//! * [`metrics`] — breach probability, entropy, effective anonymity.
+//!   cloaking, naive fakes) for measured comparison.
 //!
 //! ## Quick example
 //!
@@ -100,14 +101,12 @@ pub mod attack;
 pub mod baselines;
 pub mod error;
 pub mod filter;
-pub mod metrics;
 pub mod obfuscator;
 pub mod protocol;
 pub mod query;
 pub mod server;
 pub mod service;
 
-pub use attack::{AttackReport, CollusionReport, InformedAttackReport, IntersectionReport};
 pub use baselines::{Technique, TechniqueReport, run_technique};
 pub use error::{OpaqueError, Result};
 pub use filter::{ClientResult, filter_candidates};

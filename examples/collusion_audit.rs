@@ -10,7 +10,7 @@
 //! cargo run --example collusion_audit
 //! ```
 
-use opaque::attack::collusion_attack;
+use opaque::attack::Posterior;
 use opaque::{ClientId, FakeSelection, ObfuscationMode, Obfuscator};
 use rand::SeedableRng;
 use rand::rngs::StdRng;
@@ -50,20 +50,22 @@ fn main() {
     let independent_breach = 1.0 / (protection as f64 * protection as f64);
     println!("independent baseline at f={protection}: breach {independent_breach:.4}\n");
 
-    println!("colluders  residual |S|x|T|  breach (analytic)  breach (simulated)  verdict");
+    println!("colluders  residual pairs  breach (analytic)  breach (simulated)  verdict");
     let victim = ClientId(0);
     let mut rng = StdRng::seed_from_u64(7);
     for colluders in 0..=(clients - 2) {
         let conspirators: Vec<ClientId> = (1..=colluders as u32).map(ClientId).collect();
-        let rep = collusion_attack(unit, victim, &conspirators, 100_000, &mut rng);
-        let verdict = if rep.analytic <= independent_breach {
+        let post = Posterior::new(unit, victim).reveal(&conspirators);
+        let breach = post.breach();
+        let simulated = post.hit_rate(100_000, &mut rng);
+        let verdict = if breach.truth_mass <= independent_breach {
             "shared still safer"
         } else {
             "INDEPENDENT would be safer"
         };
         println!(
-            "{:>9}  {:>7}x{:<7}  {:>17.4}  {:>18.4}  {verdict}",
-            colluders, rep.residual_sources, rep.residual_targets, rep.analytic, rep.empirical
+            "{colluders:>9}  {:>14}  {:>17.4}  {simulated:>18.4}  {verdict}",
+            breach.candidates, breach.truth_mass
         );
     }
 

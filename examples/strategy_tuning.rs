@@ -11,7 +11,7 @@
 //! cargo run --example strategy_tuning
 //! ```
 
-use opaque::attack::informed_attack;
+use opaque::attack::Posterior;
 use opaque::{ClientId, ClientRequest, FakeSelection, Obfuscator, PathQuery, ProtectionSettings};
 use pathsearch::{SharingPolicy, msmd};
 use rand::rngs::StdRng;
@@ -60,9 +60,9 @@ fn main() {
             let r =
                 msmd(&map, unit.query.sources(), unit.query.targets(), SharingPolicy::PerSource);
             settled += r.stats.settled;
-            let attack = informed_attack(&unit, ClientId(0), &weights);
-            posterior += attack.victim_posterior;
-            anonymity += attack.effective_anonymity;
+            let b = Posterior::new(&unit, ClientId(0)).weigh(&weights).breach();
+            posterior += b.truth_mass;
+            anonymity += b.effective_anonymity;
         }
         let cost = settled as f64 / queries as f64;
         let post = posterior / queries as f64;
