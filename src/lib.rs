@@ -17,6 +17,9 @@ pub use pathsearch;
 pub use roadnet;
 pub use workload;
 
+#[cfg(test)]
+mod metrics;
+
 /// The README's code blocks, compiled and run as doctests so the
 /// quick-start can never rot. (Hidden from rustdoc output; `cargo test`
 /// executes it.)
