@@ -11,7 +11,7 @@
 //! Two claims, checked on every run:
 //!
 //! * **determinism** — every batch's `BatchReport` is byte-identical
-//!   across execution policies (the equivalence harness's guarantee,
+//!   across execution policies (the lattice oracle's guarantee,
 //!   re-proven here at bench scale);
 //! * **scaling** — with ≥ 4 hardware threads at bench scale, 4 workers
 //!   deliver ≥ 1.5× the sequential throughput. The scaling assertion is

@@ -14,7 +14,7 @@
 //!
 //! * **determinism** — every batch's `BatchReport` is byte-identical
 //!   across cache policies, and the cached service delivers identical
-//!   paths (the cache-equivalence harness's guarantee, re-proven at bench
+//!   paths (the lattice oracle's guarantee, re-proven at bench
 //!   scale); the warm cache must also actually *hit* (hit rate > 0 —
 //!   otherwise the experiment is vacuous);
 //! * **throughput** — at bench scale the cached service clears ≥ 1.3×

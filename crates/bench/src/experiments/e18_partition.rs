@@ -14,7 +14,7 @@
 //!
 //! * **determinism** — every batch's `BatchReport` is byte-identical
 //!   across placements and the delivered paths are identical (the
-//!   partition-equivalence harness's guarantee, re-proven at bench
+//!   lattice oracle's guarantee, re-proven at bench
 //!   scale);
 //! * **locality pays** — the region-owned fleet ends the run with a
 //!   strictly higher aggregate tree-cache hit rate than round-robin;

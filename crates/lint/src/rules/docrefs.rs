@@ -39,7 +39,7 @@ pub struct DocIndex {
 
 impl DocIndex {
     /// Does `path` name a real file — exactly, or as a suffix of one
-    /// (docs refer to `tests/parallel_equivalence.rs` without the crate
+    /// (docs refer to `tests/lattice.rs` without the crate
     /// prefix), or as a directory prefix (trailing-slash refs)?
     fn resolves_file(&self, path: &str) -> bool {
         let p = path.trim_start_matches("./");

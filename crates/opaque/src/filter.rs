@@ -220,7 +220,7 @@ mod tests {
         let mut candidates = sv.process(&unit.query);
         let i = unit.query.source_index(NodeId(0)).unwrap();
         let j = unit.query.target_index(NodeId(224)).unwrap();
-        candidates.paths[i][j] = Some(Path::trivial(NodeId(3)));
+        candidates.paths[i][j] = Some(Path::new(vec![NodeId(3)], 0.0));
         let err = filter_candidates(&unit, &candidates, None).unwrap_err();
         assert!(matches!(err, OpaqueError::CorruptResult { .. }));
     }

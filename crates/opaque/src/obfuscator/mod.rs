@@ -8,7 +8,7 @@
 //!
 //! * [`Obfuscator::obfuscate_independent`] — one `Q(S,T)` per request with
 //!   `|S| = f_S`, `|T| = f_T` (Figure 3);
-//! * [`Obfuscator::obfuscate_shared`] — one `Q(S,T)` for a group of
+//! * `Obfuscator::obfuscate_shared` (crate-private) — one `Q(S,T)` for a group of
 //!   requests with `{sᵢ} ⊆ S`, `{tᵢ} ⊆ T`, `|S| ≥ max f_Sᵢ`,
 //!   `|T| ≥ max f_Tᵢ` (Figure 4);
 //! * [`Obfuscator::obfuscate_attributed`] — the full §IV pipeline, and the
@@ -315,7 +315,10 @@ impl Obfuscator {
     /// overlap shrink the true sets — fakes are added until the size
     /// constraints hold. The draws advance the obfuscator's running
     /// stream, a failed group's included.
-    pub fn obfuscate_shared(&mut self, requests: &[ClientRequest]) -> Result<ObfuscationUnit> {
+    pub(crate) fn obfuscate_shared(
+        &mut self,
+        requests: &[ClientRequest],
+    ) -> Result<ObfuscationUnit> {
         let mut rng = self.rng.clone();
         let unit = self.draw_shared(&mut rng, requests);
         self.rng = rng;

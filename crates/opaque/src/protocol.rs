@@ -147,17 +147,6 @@ impl HopTraffic {
         self.results_bytes += wire_size(&ResultView { client, path }) as u64;
     }
 
-    /// Download amplification at the obfuscator: candidate bytes received
-    /// per result byte delivered — the measurable form of §II's
-    /// "overconsumption of … network resources".
-    pub fn candidate_amplification(&self) -> f64 {
-        if self.results_bytes == 0 {
-            0.0
-        } else {
-            self.candidates_bytes as f64 / self.results_bytes as f64
-        }
-    }
-
     /// Total bytes over all hops.
     pub fn total_bytes(&self) -> u64 {
         self.requests_bytes + self.queries_bytes + self.candidates_bytes + self.results_bytes
@@ -287,9 +276,6 @@ mod tests {
             traffic.candidates_bytes > traffic.results_bytes,
             "9 candidate paths outweigh 1 delivered path"
         );
-        // Amplification for a 3×3 query is roughly the candidate count.
-        let amp = traffic.candidate_amplification();
-        assert!(amp > 2.0 && amp < 40.0, "amplification {amp} implausible");
         assert_eq!(
             traffic.total_bytes(),
             traffic.requests_bytes
@@ -297,10 +283,5 @@ mod tests {
                 + traffic.candidates_bytes
                 + traffic.results_bytes
         );
-    }
-
-    #[test]
-    fn empty_traffic_has_zero_amplification() {
-        assert_eq!(HopTraffic::default().candidate_amplification(), 0.0);
     }
 }

@@ -9,7 +9,7 @@
 //! stays a pure throughput knob. A hit reports counters byte-identical to
 //! the sweep it skips, so `CachePolicy::Lru` produces byte-identical
 //! [`crate::BatchReport`]s to `CachePolicy::Off`, the invariant
-//! `tests/cache_equivalence.rs` proves. The hit rate is hostage to
+//! `tests/lattice.rs` proves. The hit rate is hostage to
 //! *placement* instead: under round-robin rotation a popular root visits
 //! every shard, each paying its own cold miss, while
 //! [`crate::PartitionPolicy::RegionOwned`] grows and stores each root once
@@ -26,7 +26,7 @@ pub use pathsearch::TreeCache;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum CachePolicy {
     /// No cache: every tree is grown for real (the historical behavior
-    /// and the reference the cache-equivalence harness compares against).
+    /// and the reference the lattice oracle compares against).
     #[default]
     Off,
     /// A shard-local exact-LRU [`TreeCache`] holding at most `trees`

@@ -8,7 +8,7 @@
 //! reached yet — the sweep aims at each target in turn, so the pruning
 //! holds for the spread-out sets the obfuscator produces — while keeping
 //! answers — paths, costs, outcomes, reports — byte-identical to the
-//! unguided evaluation (the `tests/heuristic_equivalence.rs` guarantee).
+//! unguided evaluation (the `tests/lattice.rs` guarantee).
 //! [`SearchHeuristic`] is the serializable knob selecting between the two
 //! regimes; the actual landmark tables are built once in
 //! [`crate::ServiceBuilder::build`] and shared across the whole shard

@@ -29,9 +29,8 @@
 //!   counters, and [`crate::server::ServerStats::merge`] is commutative —
 //!   so scheduling order cannot leak into any report.
 //!
-//! The equivalence proptest (`tests/parallel_equivalence.rs`) holds the
-//! whole layer to byte-identical `BatchReport`s against sequential
-//! execution.
+//! The lattice proptest (`tests/lattice.rs`) holds the whole layer to
+//! byte-identical `BatchReport`s against sequential execution.
 
 use crate::error::{OpaqueError, Result};
 use crate::query::ObfuscatedPathQuery;

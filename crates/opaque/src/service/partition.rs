@@ -13,8 +13,7 @@
 //! reports only ever read fleet-merged counters through the commutative
 //! [`crate::server::ServerStats::merge`], so routing cannot leak into a
 //! single report byte: `RegionOwned ≡ RoundRobin ≡ Sequential`,
-//! byte-identical, which `tests/partition_equivalence.rs` holds the
-//! module to.
+//! byte-identical, which `tests/lattice.rs` holds the module to.
 //!
 //! ## Partitioning
 //!
@@ -148,11 +147,6 @@ impl Partition {
     /// Whether shard `s`'s owned-plus-halo coverage includes node `n`.
     pub fn covers(&self, s: usize, n: NodeId) -> bool {
         self.covers.get(s).and_then(|c| c.get(n.index())).copied().unwrap_or(false)
-    }
-
-    /// The owning shard per node id, for inspection and tests.
-    pub fn owners(&self) -> &[u32] {
-        &self.owner
     }
 
     /// The shard that should serve `query`.
@@ -386,14 +380,19 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The owning shard of every node, in node order.
+    fn owners(p: &Partition, g: &RoadNetwork) -> Vec<usize> {
+        g.nodes().map(|n| p.owner_of(n).expect("every node is owned")).collect()
+    }
+
     fn check_invariants(p: &Partition, g: &RoadNetwork, halo: u32) {
         let n = g.num_nodes();
-        assert_eq!(p.owners().len(), n);
+        assert_eq!(p.owner_of(NodeId::from_index(n)), None, "no owner past the last node");
         // Every node owned exactly once, by a real shard.
         let mut counts = vec![0usize; p.shards()];
-        for (i, &o) in p.owners().iter().enumerate() {
-            assert!((o as usize) < p.shards(), "node {i} owned by ghost shard {o}");
-            counts[o as usize] += 1;
+        for (i, o) in owners(p, g).into_iter().enumerate() {
+            assert!(o < p.shards(), "node {i} owned by ghost shard {o}");
+            counts[o] += 1;
         }
         assert_eq!(counts.iter().sum::<usize>(), n);
         for (s, &owned) in counts.iter().enumerate() {
@@ -423,7 +422,7 @@ mod tests {
         ));
         // One shard owns everything and covers everything.
         let p = Partition::build(&g, 1, 0).unwrap();
-        assert!(p.owners().iter().all(|&o| o == 0));
+        assert!(owners(&p, &g).iter().all(|&o| o == 0));
         check_invariants(&p, &g, 0);
     }
 
@@ -436,7 +435,7 @@ mod tests {
             for halo in [0u32, 1, 3] {
                 let a = Partition::build(&g, shards, halo).unwrap();
                 let b = Partition::build(&g, shards, halo).unwrap();
-                assert_eq!(a.owners(), b.owners(), "shards={shards} halo={halo}");
+                assert_eq!(owners(&a, &g), owners(&b, &g), "shards={shards} halo={halo}");
                 for s in 0..shards {
                     for i in 0..g.num_nodes() {
                         let node = NodeId::from_index(i);
@@ -465,7 +464,7 @@ mod tests {
         let g = grid(8, 8);
         let narrow = Partition::build(&g, 3, 1).unwrap();
         let wide = Partition::build(&g, 3, 2).unwrap();
-        assert_eq!(narrow.owners(), wide.owners(), "halo must not change ownership");
+        assert_eq!(owners(&narrow, &g), owners(&wide, &g), "halo must not change ownership");
         let mut strictly_more = false;
         for s in 0..3 {
             for i in 0..g.num_nodes() {

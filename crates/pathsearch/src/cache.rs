@@ -106,12 +106,6 @@ impl TreeCache {
         self.lru.is_empty()
     }
 
-    /// The map epoch entries are currently keyed under: 0 at construction,
-    /// bumped by each [`TreeCache::invalidate`].
-    pub fn map_epoch(&self) -> u64 {
-        self.map_epoch
-    }
-
     /// Cumulative `(hits, misses)` since construction. Monotone — callers
     /// wanting per-query counts take deltas around the call.
     pub fn counters(&self) -> (u64, u64) {
@@ -303,9 +297,7 @@ pub(crate) mod tests {
         let mut cache = TreeCache::new(4, SharingPolicy::PerSource);
         cache.store(NodeId(0), trace_from(&g, 0));
         assert!(cache.adopt(NodeId(0), g.num_nodes(), &Goal::AllNodes).is_some());
-        assert_eq!(cache.map_epoch(), 0);
         cache.invalidate();
-        assert_eq!(cache.map_epoch(), 1);
         assert!(cache.is_empty());
         assert!(cache.lookup(NodeId(0)).is_none());
         assert_eq!(cache.counters(), (1, 0), "lifetime counters survive invalidation");
@@ -372,9 +364,6 @@ pub(crate) mod tests {
         cache.invalidate_edges(&[(far_edge.a, far_edge.b)]);
         assert!(cache.lookup(NodeId(0)).is_none(), "full trace touched");
         assert!(cache.lookup(NodeId(50)).is_some(), "untouched partial trace survives");
-
-        // Epoch never moves: this is a weight update, not a topology swap.
-        assert_eq!(cache.map_epoch(), 0);
         // An empty update set is a no-op.
         cache.invalidate_edges(&[]);
         assert_eq!(cache.len(), 1);
@@ -407,7 +396,7 @@ pub(crate) mod tests {
         assert!(repaired.settled().eq(fresh.settled()), "settle order of the fresh sweep");
         assert!(cache.peek(NodeId(50)).is_none(), "a touched partial trace is evicted");
         assert!(cache.peek(NodeId(99)).is_some(), "an untouched trace stays");
-        assert_eq!((cache.map_epoch(), cache.counters()), (0, (0, 0)));
+        assert_eq!(cache.counters(), (0, 0));
         cache.repair_edges(&next, &[]);
         assert_eq!(cache.len(), 2, "an empty update is a no-op");
     }
@@ -429,8 +418,8 @@ pub(crate) mod tests {
             // Whole-map cycle interleaved: epoch bump also clears.
             cache.store(NodeId(0), trace_from(&g, 0));
             cache.invalidate();
+            assert!(cache.is_empty());
             assert!(cache.lookup(NodeId(0)).is_none());
-            assert_eq!(cache.map_epoch(), round + 1);
         }
         // The cache still works after the churn.
         cache.store(NodeId(3), trace_from(&g, 3));

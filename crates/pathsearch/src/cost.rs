@@ -81,7 +81,7 @@ impl CostModel {
     }
 
     /// Predicted settled nodes for a single-pair query of network distance `d`.
-    pub fn predict(&self, d: f64) -> f64 {
+    pub(crate) fn predict(&self, d: f64) -> f64 {
         self.coeff * d * d
     }
 

@@ -26,11 +26,6 @@ impl Path {
         Path { nodes, distance }
     }
 
-    /// The trivial path from a node to itself.
-    pub fn trivial(node: NodeId) -> Self {
-        Path { nodes: vec![node], distance: 0.0 }
-    }
-
     /// Source node.
     pub fn source(&self) -> NodeId {
         self.nodes[0]
@@ -54,11 +49,6 @@ impl Path {
     /// Number of edges (hops).
     pub fn num_edges(&self) -> usize {
         self.nodes.len() - 1
-    }
-
-    /// True when the path only consists of its source.
-    pub fn is_trivial(&self) -> bool {
-        self.nodes.len() == 1
     }
 
     /// Check the path against a graph: every consecutive pair must be
@@ -204,13 +194,11 @@ mod tests {
         assert_eq!(p.destination(), NodeId(2));
         assert_eq!(p.num_edges(), 2);
         assert_eq!(p.distance(), 3.0);
-        assert!(!p.is_trivial());
     }
 
     #[test]
     fn trivial_path() {
-        let p = Path::trivial(NodeId(5));
-        assert!(p.is_trivial());
+        let p = Path::new(vec![NodeId(5)], 0.0);
         assert_eq!(p.source(), p.destination());
         assert_eq!(p.distance(), 0.0);
         assert_eq!(p.num_edges(), 0);

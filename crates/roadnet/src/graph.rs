@@ -402,6 +402,7 @@ impl RoadNetwork {
     /// Check that every arc's weight is at least the Euclidean distance
     /// between its endpoints (within `eps`). When true, the Euclidean
     /// heuristic is admissible for A*.
+    #[cfg(test)]
     pub fn euclidean_admissible(&self, eps: f64) -> bool {
         self.nodes().all(|n| self.arcs(n).iter().all(|a| a.weight + eps >= self.euclidean(n, a.to)))
     }

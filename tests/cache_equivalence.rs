@@ -1,65 +1,30 @@
 //! The tree cache's headline guarantee, as a property: for random maps,
-//! random batches, random obfuscator seeds, any sharing policy the cache
-//! serves, and any LRU capacity, `CachePolicy::Lru` produces
-//! **byte-identical** batch output to `CachePolicy::Off` — the same
-//! delivered paths, the same per-client outcomes, and the same serialized
-//! `BatchReport` — including under `ExecutionPolicy::WorkerPool`, where
-//! the nondeterministic unit-to-shard assignment decides which shard-local
-//! cache sees which root.
+//! batches, seeds, any sharing policy and any LRU capacity,
+//! `CachePolicy::Lru` produces **byte-identical** batch output to
+//! `CachePolicy::Off` — on one shard, and under a worker pool, where the
+//! nondeterministic unit-to-shard assignment decides which shard-local
+//! cache sees which root. Batches repeat across rounds on purpose: round
+//! 1 populates the caches, later rounds adopt. The lattice
+//! (`tests/lattice.rs`) holds every cached composition, under weight
+//! churn, to the same reference.
 //!
-//! A cache may only skip work, never change it. Adoption replays the
-//! skipped sweep's counters byte-for-byte (per-settle snapshots in
-//! `pathsearch::trace`), and the physical hit/miss pair is deliberately
-//! excluded from the serialized report, so any divergence this test could
-//! catch would be a real reuse bug: a stale tree adopted past its radius,
-//! a transposed tree mis-keyed, stats replayed from the wrong prefix.
-//!
-//! Batches repeat across rounds on purpose — round 1 populates the
-//! caches, later rounds adopt — so the property is exercised on warm
-//! caches, not just cold ones.
+//! The regressions below pin that the cache is really used: a repeated
+//! stream hits it, and a retried request adopts every plain tree its first
+//! window grew.
 
 mod common;
 
-use common::{arb_batch, arb_map, assert_identical, requests_on};
+use common::{
+    Mask, arb_batch, arb_map, assert_rounds_agree, assert_same_output, build_service, requests_on,
+};
 use opaque::{
     CachePolicy, ClientId, ClientRequest, ClusteringConfig, DirectionsBackend, ExecutionPolicy,
-    ObfuscationMode, PathQuery, ProtectionSettings, ServiceBuilder,
+    ObfuscationMode, PathQuery, ProtectionSettings, SearchHeuristic, ServiceConfig,
 };
 use pathsearch::SharingPolicy;
 use proptest::prelude::*;
-use roadnet::{NodeId, RoadNetwork};
-
-#[allow(clippy::too_many_arguments)]
-fn build_service(
-    map: RoadNetwork,
-    seed: u64,
-    mode: ObfuscationMode,
-    sharing: SharingPolicy,
-    shards: usize,
-    execution: ExecutionPolicy,
-    cache: CachePolicy,
-) -> opaque::OpaqueService<opaque::DefaultBackend> {
-    ServiceBuilder::new()
-        .map(map)
-        .seed(seed)
-        .shards(shards)
-        .obfuscation_mode(mode)
-        .sharing_policy(sharing)
-        .execution_policy(execution)
-        .cache_policy(cache)
-        .verify_results(true)
-        .build()
-        .expect("valid configuration")
-}
-
-/// Logical fleet counters: everything except the physical hit/miss pair,
-/// which is the one thing allowed to differ between cache policies.
-fn logical_stats(svc: &opaque::OpaqueService<opaque::DefaultBackend>) -> opaque::ServerStats {
-    let mut stats = svc.backend().stats();
-    stats.tree_cache_hits = 0;
-    stats.tree_cache_misses = 0;
-    stats
-}
+use roadnet::NodeId;
+use roadnet::generators::{GridConfig, grid_network};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
@@ -83,41 +48,15 @@ proptest! {
             1 => SharingPolicy::PerSource,
             _ => SharingPolicy::Auto,
         };
-        let requests = requests_on(&map, &raw_batch);
-        let mut off = build_service(
-            map.clone(), seed, mode, sharing, 1,
-            ExecutionPolicy::Sequential, CachePolicy::Off,
-        );
-        let mut lru = build_service(
-            map.clone(), seed, mode, sharing, 1,
-            ExecutionPolicy::Sequential, CachePolicy::Lru { trees },
-        );
-
-        // Repeated rounds: round 1 is cold, later rounds adopt. The
-        // obfuscator RNG advances identically (caching is downstream of
-        // obfuscation), so both services see identical units each round.
-        for round in 0..3 {
-            let ctx = format!(
-                "n={} requests={} seed={seed} trees={trees} mode={mode:?} \
-                 sharing={sharing:?} round={round}",
-                map.num_nodes(),
-                requests.len()
-            );
-            match (off.process_batch(&requests), lru.process_batch(&requests)) {
-                (Ok(a), Ok(b)) => assert_identical(&a, &b, &ctx),
-                (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}: errors diverged", ctx),
-                (a, b) => prop_assert!(
-                    false,
-                    "{}: one cache policy failed, the other did not: {:?} vs {:?}",
-                    ctx,
-                    a.map(|r| r.outcomes),
-                    b.map(|r| r.outcomes)
-                ),
-            }
-        }
-        prop_assert_eq!(logical_stats(&off), logical_stats(&lru), "logical fleet stats diverged");
+        let off = ServiceConfig { seed, mode, sharing, ..ServiceConfig::default() };
+        let lru = ServiceConfig { cache: CachePolicy::Lru { trees }, ..off };
+        let ctx = format!("n={} {lru:?}", map.num_nodes());
+        assert_rounds_agree(&map, &requests_on(&map, &raw_batch), (off, lru), 3, Mask::Exact, &ctx);
     }
 
+    /// The adversarial composition: per-shard caches and nondeterministic
+    /// unit-to-shard assignment. Which cache sees which root varies run to
+    /// run; reports must not.
     #[test]
     fn lru_under_a_worker_pool_is_byte_identical_to_off_sequential(
         map in arb_map(30),
@@ -126,38 +65,28 @@ proptest! {
         threads in 2usize..6,
         trees in 1usize..8,
     ) {
-        // The adversarial composition: per-shard caches + nondeterministic
-        // unit-to-shard assignment. Which cache sees which root varies run
-        // to run; reports must not.
-        let requests = requests_on(&map, &raw_batch);
-        let mode = ObfuscationMode::Independent;
-        let mut off = build_service(
-            map.clone(), seed, mode, SharingPolicy::PerSource, threads,
-            ExecutionPolicy::Sequential, CachePolicy::Off,
-        );
-        let mut lru = build_service(
-            map.clone(), seed, mode, SharingPolicy::PerSource, threads,
-            ExecutionPolicy::WorkerPool { threads }, CachePolicy::Lru { trees },
-        );
-        for round in 0..3 {
-            let ctx = format!("seed={seed} threads={threads} trees={trees} round={round}");
-            match (off.process_batch(&requests), lru.process_batch(&requests)) {
-                (Ok(a), Ok(b)) => assert_identical(&a, &b, &ctx),
-                (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}", ctx),
-                (a, b) => prop_assert!(false, "{}: {:?} vs {:?}", ctx, a.is_ok(), b.is_ok()),
-            }
-        }
-        prop_assert_eq!(logical_stats(&off), logical_stats(&lru));
+        let off = ServiceConfig {
+            seed,
+            sharing: SharingPolicy::PerSource,
+            shards: threads,
+            ..ServiceConfig::default()
+        };
+        let lru = ServiceConfig {
+            execution: ExecutionPolicy::WorkerPool { threads },
+            cache: CachePolicy::Lru { trees },
+            ..off
+        };
+        let ctx = format!("n={} {lru:?}", map.num_nodes());
+        assert_rounds_agree(&map, &requests_on(&map, &raw_batch), (off, lru), 3, Mask::Exact, &ctx);
     }
 }
 
-/// Deterministic pin: the equivalence above is not vacuous — repeated
+/// Deterministic pin: the cache is not idle — repeated
 /// batches on a hotspot-style stream really do hit the cache, and hits
 /// really do skip settled work (the cached service is doing *less*, not
 /// the same work twice).
 #[test]
 fn repeated_batches_actually_hit_the_cache() {
-    use roadnet::generators::{GridConfig, grid_network};
     let map =
         grid_network(&GridConfig { width: 16, height: 16, seed: 3, ..Default::default() }).unwrap();
     let requests: Vec<ClientRequest> = (0..6)
@@ -171,14 +100,15 @@ fn repeated_batches_actually_hit_the_cache() {
             )
         })
         .collect();
-    let mut svc = ServiceBuilder::new()
-        .map(map)
-        .seed(11)
-        .sharing_policy(SharingPolicy::PerSource)
-        .cache_policy(CachePolicy::Lru { trees: 32 })
-        .verify_results(true)
-        .build()
-        .unwrap();
+    let mut svc = build_service(
+        &map,
+        ServiceConfig {
+            seed: 11,
+            sharing: SharingPolicy::PerSource,
+            cache: CachePolicy::Lru { trees: 32 },
+            ..ServiceConfig::default()
+        },
+    );
 
     let first = svc.process_batch(&requests).unwrap();
     let stats_cold = svc.backend().stats();
@@ -208,8 +138,6 @@ fn repeated_batches_actually_hit_the_cache() {
 /// cache-off service.
 #[test]
 fn a_retried_request_adopts_every_tree() {
-    use opaque::SearchHeuristic;
-    use roadnet::generators::{GridConfig, grid_network};
     let map =
         grid_network(&GridConfig { width: 30, height: 30, seed: 5, ..Default::default() }).unwrap();
     let retry = [ClientRequest::new(
@@ -219,14 +147,10 @@ fn a_retried_request_adopts_every_tree() {
     )];
     for heuristic in [SearchHeuristic::None, SearchHeuristic::Alt { landmarks: 4 }] {
         let service = |cache| {
-            ServiceBuilder::new()
-                .map(map.clone())
-                .seed(7)
-                .cache_policy(cache)
-                .search_heuristic(heuristic)
-                .verify_results(true)
-                .build()
-                .expect("valid configuration")
+            build_service(
+                &map,
+                ServiceConfig { seed: 7, cache, heuristic, ..ServiceConfig::default() },
+            )
         };
         let mut off = service(CachePolicy::Off);
         let mut lru = service(CachePolicy::Lru { trees: 64 });
@@ -235,9 +159,10 @@ fn a_retried_request_adopts_every_tree() {
             let before = lru.backend().stats();
             let cached = lru.process_batch(&retry).unwrap();
             let hits = lru.backend().stats().delta_since(&before).tree_cache_hits;
-            assert_identical(
+            assert_same_output(
                 &off.process_batch(&retry).unwrap(),
                 &cached,
+                Mask::Exact,
                 &format!("{heuristic:?} window {window}"),
             );
             if window == 1 {

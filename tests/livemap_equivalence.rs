@@ -1,81 +1,46 @@
-//! The live-map guarantee, as a property: repairing cached trees on weight
-//! updates is
-//! **invisible to every observable byte**. For random maps, random
-//! batches, random interleaved weight churn, random obfuscator seeds, any
-//! LRU capacity, either execution policy, and either placement policy, a
+//! The live-map guarantee, as a property: repairing cached trees on
+//! weight updates is **invisible to every observable byte**. For random
+//! maps, batches, interleaved weight churn, seeds, any LRU capacity,
+//! either execution policy and either placement policy, a
 //! `CachePolicy::Lru` service driven through `update_weights` produces
-//! byte-identical output to a `CachePolicy::Off` service recomputing
-//! every tree fresh on the same churned map — the same delivered paths,
-//! the same per-client outcomes, and the same serialized `BatchReport`.
+//! byte-identical output to a `CachePolicy::Off` service recomputing every
+//! tree fresh on the same churned map, and reports the same changed-edge
+//! sets. A weight update may keep a trace whose sweep crossed an updated
+//! edge only by *repairing* it into exactly the trace a fresh sweep
+//! records on the new map. The lattice (`tests/lattice.rs`) drives every
+//! composition through churn against the plain reference as well.
 //!
-//! `update_weights` may keep a trace whose recorded sweep crossed an
-//! updated edge only by *repairing* it — rewriting it into exactly the
-//! trace a fresh sweep records on the new map — and must evict any touched
-//! trace it does not repair (the stale tree a drop-all `swap_map` could
-//! never serve). Any divergence this harness could catch would be a real
-//! invalidation bug: a repair that differs from the fresh sweep, a touched
-//! trace surviving the edge-set scan unrepaired, or a shard missing an
-//! update. The obfuscator reads the fleet's own snapshot, so path
-//! verification checks delivered paths against the one immutable map the
-//! fleet searched.
-//!
-//! The first deterministic regression below pins the stale-adoption
-//! case on a ring where the weight update flips the shortest side: a
-//! warm cache must deliver the *new* detour, not the cached short way —
-//! from the repaired tree. The second pins that repaired trees are
-//! adopted: after a churn round touching every cached trace, the repeat
-//! batch hits exactly the complete ones. The third drives an `Alt{8}`
-//! fleet through a rising-then-falling
-//! schedule: landmark tables measured before the congestion keep guiding
-//! — with the unguided answers — while weights only rise, and are gone
-//! after the first round that lowers one.
+//! The first regression below pins the stale-adoption case on a ring
+//! where the weight update flips the shortest side: a warm cache must
+//! deliver the *new* detour, not the cached short way — from the repaired
+//! tree. The second pins that repaired trees are adopted: after a churn
+//! round touching every cached trace, the repeat batch hits exactly the
+//! complete ones. The third drives an `Alt{8}` fleet through a
+//! rising-then-falling schedule: landmark tables measured before the
+//! congestion keep guiding — with the unguided answers — while weights
+//! only rise, and are gone after the first round that lowers one.
 
 mod common;
 
-use common::{arb_batch, arb_map, assert_identical, assert_same_deliveries, requests_on};
+use common::{
+    Mask, arb_batch, arb_churn, arb_map, assert_same_output, build_service, requests_on, updates_on,
+};
 use opaque::{
-    CachePolicy, ClientId, ClientRequest, DirectionsBackend, ExecutionPolicy, ObfuscationMode,
-    PartitionPolicy, PathQuery, ProtectionSettings, SearchHeuristic, ServiceBuilder,
+    CachePolicy, ClientId, ClientRequest, DirectionsBackend, ExecutionPolicy, FakeSelection,
+    PartitionPolicy, PathQuery, ProtectionSettings, SearchHeuristic, ServiceConfig,
 };
 use pathsearch::SharingPolicy;
 use proptest::prelude::*;
+use roadnet::generators::{GridConfig, grid_network};
 use roadnet::{EdgeId, GraphBuilder, NodeId, Point, RoadNetwork};
 
-/// Interleaved churn: between consecutive batches, a round of raw
-/// `(edge, weight)` updates (edge picks are taken modulo the edge count;
-/// repeats and no-op rewrites are all legal traffic).
-fn arb_churn() -> impl Strategy<Value = Vec<Vec<(u32, f64)>>> {
-    proptest::collection::vec(
-        proptest::collection::vec((proptest::num::u32::ANY, 0.5f64..5.0), 1..6),
-        1..4,
+/// The regressions' service: one shard, independent fakes, `Auto`
+/// sharing.
+fn service(map: &RoadNetwork, cache: CachePolicy) -> common::Service {
+    build_service(
+        map,
+        ServiceConfig { seed: 7, sharing: SharingPolicy::Auto, cache, ..ServiceConfig::default() },
     )
-}
-
-fn updates_on(map: &RoadNetwork, raw: &[(u32, f64)]) -> Vec<(EdgeId, f64)> {
-    let m = map.edges().len() as u32;
-    raw.iter().map(|&(e, w)| (EdgeId(e % m), w)).collect()
-}
-
-fn build_service(
-    map: RoadNetwork,
-    seed: u64,
-    partition: PartitionPolicy,
-    shards: usize,
-    execution: ExecutionPolicy,
-    cache: CachePolicy,
-) -> opaque::OpaqueService<opaque::DefaultBackend> {
-    ServiceBuilder::new()
-        .map(map)
-        .seed(seed)
-        .shards(shards)
-        .obfuscation_mode(ObfuscationMode::Independent)
-        .sharing_policy(SharingPolicy::Auto)
-        .partition_policy(partition)
-        .execution_policy(execution)
-        .cache_policy(cache)
-        .verify_results(true)
-        .build()
-        .expect("valid configuration")
 }
 
 proptest! {
@@ -85,7 +50,7 @@ proptest! {
     fn cached_service_under_churn_is_byte_identical_to_fresh_recompute(
         map in arb_map(30),
         raw_batch in arb_batch(8),
-        raw_churn in arb_churn(),
+        raw_churn in arb_churn((0.5f64..5.0).boxed(), 1..4, 1..6),
         seed in proptest::num::u64::ANY,
         trees in 1usize..10,
         exec_pick in 0u8..2,
@@ -99,38 +64,20 @@ proptest! {
             0 => PartitionPolicy::RoundRobin,
             _ => PartitionPolicy::RegionOwned { halo: 1 },
         };
+        let off = ServiceConfig { seed, sharing: SharingPolicy::Auto, shards: 3, ..ServiceConfig::default() };
+        let lru = ServiceConfig { execution, partition, cache: CachePolicy::Lru { trees }, ..off };
         let requests = requests_on(&map, &raw_batch);
-        // The reference recomputes every tree fresh on whatever the map
-        // currently is; the cached service must match it byte-for-byte
-        // through every interleaved weight update.
-        let mut off = build_service(
-            map.clone(), seed, PartitionPolicy::RoundRobin, 3,
-            ExecutionPolicy::Sequential, CachePolicy::Off,
-        );
-        let mut lru = build_service(
-            map.clone(), seed, partition, 3, execution, CachePolicy::Lru { trees },
-        );
+        let (mut off, mut lru) = (build_service(&map, off), build_service(&map, lru));
 
         // One batch before the first churn round (populating the caches),
         // one after each round (re-adopting survivors on the new map).
         for (round, raw) in raw_churn.iter().map(Some).chain([None]).enumerate() {
             let ctx = format!(
-                "n={} requests={} seed={seed} trees={trees} execution={execution:?} \
-                 partition={partition:?} round={round}",
-                map.num_nodes(),
-                requests.len()
+                "n={} seed={seed} trees={trees} {execution:?} {partition:?} round={round}",
+                map.num_nodes()
             );
-            match (off.process_batch(&requests), lru.process_batch(&requests)) {
-                (Ok(a), Ok(b)) => assert_identical(&a, &b, &ctx),
-                (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}: errors diverged", ctx),
-                (a, b) => prop_assert!(
-                    false,
-                    "{}: one service failed, the other did not: {:?} vs {:?}",
-                    ctx,
-                    a.map(|r| r.outcomes),
-                    b.map(|r| r.outcomes)
-                ),
-            }
+            let (a, b) = (off.process_batch(&requests), lru.process_batch(&requests));
+            assert_same_output(&a, &b, Mask::Exact, &ctx);
             if let Some(raw) = raw {
                 let updates = updates_on(&map, raw);
                 let changed_off = off.update_weights(&updates).expect("valid updates");
@@ -165,22 +112,8 @@ fn a_touched_trace_is_repaired_and_delivers_the_detour_from_a_hit() {
         PathQuery::new(NodeId(0), NodeId(5)),
         ProtectionSettings::new(1, 1).unwrap(),
     )];
-    let mut lru = build_service(
-        map.clone(),
-        7,
-        PartitionPolicy::RoundRobin,
-        1,
-        ExecutionPolicy::Sequential,
-        CachePolicy::Lru { trees: 8 },
-    );
-    let mut off = build_service(
-        map.clone(),
-        7,
-        PartitionPolicy::RoundRobin,
-        1,
-        ExecutionPolicy::Sequential,
-        CachePolicy::Off,
-    );
+    let mut lru = service(&map, CachePolicy::Lru { trees: 8 });
+    let mut off = service(&map, CachePolicy::Off);
 
     let short_way: Vec<NodeId> = (0..=5).map(NodeId).collect();
     let long_way: Vec<NodeId> = [0, 11, 10, 9, 8, 7, 6, 5].map(NodeId).to_vec();
@@ -189,7 +122,7 @@ fn a_touched_trace_is_repaired_and_delivers_the_detour_from_a_hit() {
     for round in 0..2 {
         let a = off.process_batch(&requests).unwrap();
         let b = lru.process_batch(&requests).unwrap();
-        assert_identical(&a, &b, &format!("pre-churn round {round}"));
+        assert_same_output(&a, &b, Mask::Exact, &format!("pre-churn round {round}"));
         assert_eq!(b.results[0].path.nodes(), short_way.as_slice());
     }
     let warmed = lru.backend().stats();
@@ -210,7 +143,7 @@ fn a_touched_trace_is_repaired_and_delivers_the_detour_from_a_hit() {
 
     let a = off.process_batch(&requests).unwrap();
     let b = lru.process_batch(&requests).unwrap();
-    assert_identical(&a, &b, "post-churn round");
+    assert_same_output(&a, &b, Mask::Exact, "post-churn round");
     assert_eq!(
         b.results[0].path.nodes(),
         long_way.as_slice(),
@@ -232,8 +165,6 @@ fn a_touched_trace_is_repaired_and_delivers_the_detour_from_a_hit() {
 /// complete before it, with reports byte-identical to cache-off.
 #[test]
 fn repaired_trees_are_adopted_after_a_churn_round() {
-    use opaque::FakeSelection;
-    use roadnet::generators::{GridConfig, grid_network};
     let map =
         grid_network(&GridConfig { width: 14, height: 14, seed: 3, ..Default::default() }).unwrap();
     let requests: Vec<ClientRequest> = (0..3)
@@ -246,22 +177,14 @@ fn repaired_trees_are_adopted_after_a_churn_round() {
         })
         .collect();
     let build = |cache| {
-        ServiceBuilder::new()
-            .map(map.clone())
-            .seed(5)
-            .shards(1)
-            .fake_selection(FakeSelection::Uniform)
-            .sharing_policy(SharingPolicy::PerSource)
-            .cache_policy(cache)
-            .verify_results(true)
-            .build()
-            .expect("valid configuration")
+        let strategy = FakeSelection::Uniform;
+        build_service(&map, ServiceConfig { strategy, seed: 5, cache, ..ServiceConfig::default() })
     };
     let mut off = build(CachePolicy::Off);
     let mut lru = build(CachePolicy::Lru { trees: 64 });
     for repeat in 0..2 {
         let (a, b) = (off.process_batch(&requests).unwrap(), lru.process_batch(&requests).unwrap());
-        assert_identical(&a, &b, &format!("warm-up {repeat}"));
+        assert_same_output(&a, &b, Mask::Exact, &format!("warm-up {repeat}"));
     }
 
     // The cached roots, and which of their traces are complete.
@@ -287,7 +210,7 @@ fn repaired_trees_are_adopted_after_a_churn_round() {
 
     let before = lru.backend().stats();
     let (a, b) = (off.process_batch(&requests).unwrap(), lru.process_batch(&requests).unwrap());
-    assert_identical(&a, &b, "after the churn round");
+    assert_same_output(&a, &b, Mask::Exact, "after the churn round");
     let hits = lru.backend().stats().tree_cache_hits - before.tree_cache_hits;
     assert_eq!(hits, complete as u64, "exactly the repaired (complete) traces are adopted");
 }
@@ -299,7 +222,6 @@ fn repaired_trees_are_adopted_after_a_churn_round() {
 /// fleet is the unguided one from then on, report bytes included.
 #[test]
 fn landmark_tables_survive_rising_weights_and_drop_with_a_falling_one() {
-    use roadnet::generators::{GridConfig, grid_network};
     let mut map =
         grid_network(&GridConfig { width: 14, height: 14, seed: 6, ..Default::default() }).unwrap();
     let requests: Vec<ClientRequest> = (0..6)
@@ -312,16 +234,9 @@ fn landmark_tables_survive_rising_weights_and_drop_with_a_falling_one() {
         })
         .collect();
     let build = |heuristic, cache| {
-        ServiceBuilder::new()
-            .map(map.clone())
-            .seed(11)
-            .shards(2)
-            .sharing_policy(SharingPolicy::PerSource)
-            .cache_policy(cache)
-            .search_heuristic(heuristic)
-            .verify_results(true)
-            .build()
-            .expect("valid configuration")
+        let config =
+            ServiceConfig { seed: 11, shards: 2, cache, heuristic, ..ServiceConfig::default() };
+        build_service(&map, config)
     };
     let mut plain = build(SearchHeuristic::None, CachePolicy::Off);
     let mut guided = build(SearchHeuristic::Alt { landmarks: 8 }, CachePolicy::Lru { trees: 16 });
@@ -348,7 +263,7 @@ fn landmark_tables_survive_rising_weights_and_drop_with_a_falling_one() {
         for repeat in 0..2 {
             let a = plain.process_batch(&requests).unwrap();
             let b = guided.process_batch(&requests).unwrap();
-            assert_same_deliveries(&a, &b, &format!("round {round} repeat {repeat}"));
+            assert_same_output(&a, &b, Mask::Work, &format!("round {round} repeat {repeat}"));
         }
         let (p, g) = (plain.backend().stats().search, guided.backend().stats().search);
         assert!(
@@ -368,5 +283,5 @@ fn landmark_tables_survive_rising_weights_and_drop_with_a_falling_one() {
     // is the reference fleet's (the cache only ever adopts exact replays).
     let a = plain.process_batch(&requests).unwrap();
     let b = guided.process_batch(&requests).unwrap();
-    assert_identical(&a, &b, "after the falling round");
+    assert_same_output(&a, &b, Mask::Exact, "after the falling round");
 }

@@ -1,44 +1,24 @@
 //! The parallel execution layer's headline guarantee, as a property:
-//! for random maps, random batches, random obfuscator seeds, and any
-//! worker-pool width, `ExecutionPolicy::WorkerPool` produces
-//! **byte-identical** batch output to `ExecutionPolicy::Sequential` —
-//! the same delivered paths, the same per-client outcomes, the same
-//! serialized `BatchReport`, and the same fleet-merged server counters.
+//! for random maps, batches, seeds and any worker-pool width,
+//! `ExecutionPolicy::WorkerPool` produces **byte-identical** batch output
+//! to `ExecutionPolicy::Sequential` on the same shards — the same
+//! delivered paths, outcomes, serialized `BatchReport` and fleet-merged
+//! server counters, over multi-batch streams where the obfuscator RNG
+//! advances and shard counters accumulate.
 //!
-//! Parallelism here may only move work between shards; it must never
-//! change a single answer or report byte. Each obfuscated query is a pure
-//! function of `(map, query, sharing policy)` and the service accounts
-//! units in unit order regardless of which worker answered them, so any
-//! divergence this test could catch would be a real scheduling leak
-//! (results landing in the wrong slot, stats double-counted or lost,
-//! order-dependent accounting).
+//! Parallelism may only move work between shards. A divergence here is a
+//! scheduling leak: a result landing in the wrong slot, stats lost or
+//! counted twice, order-dependent accounting. The lattice
+//! (`tests/lattice.rs`) holds every pooled composition to the one-shard
+//! reference as well.
 
 mod common;
 
-use common::{arb_batch, arb_map, assert_identical, requests_on};
+use common::{Mask, arb_batch, arb_map, assert_rounds_agree, requests_on};
 use opaque::{
-    ClusteringConfig, DirectionsBackend, ExecutionPolicy, ObfuscationMode, ServiceBuilder,
+    ClusteringConfig, DirectionsBackend, ExecutionPolicy, ObfuscationMode, ServiceConfig,
 };
 use proptest::prelude::*;
-use roadnet::RoadNetwork;
-
-fn build_service(
-    map: RoadNetwork,
-    seed: u64,
-    mode: ObfuscationMode,
-    shards: usize,
-    execution: ExecutionPolicy,
-) -> opaque::OpaqueService<opaque::DefaultBackend> {
-    ServiceBuilder::new()
-        .map(map)
-        .seed(seed)
-        .shards(shards)
-        .obfuscation_mode(mode)
-        .execution_policy(execution)
-        .verify_results(true)
-        .build()
-        .expect("valid configuration")
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -56,44 +36,15 @@ proptest! {
             1 => ObfuscationMode::SharedGlobal,
             _ => ObfuscationMode::SharedClustered(ClusteringConfig::default()),
         };
+        let sequential = ServiceConfig { seed, mode, shards: threads, ..ServiceConfig::default() };
+        let pooled =
+            ServiceConfig { execution: ExecutionPolicy::WorkerPool { threads }, ..sequential };
+        let ctx = format!("n={} {pooled:?}", map.num_nodes());
         let requests = requests_on(&map, &raw_batch);
-        let ctx = format!(
-            "n={} requests={} seed={seed} threads={threads} mode={mode:?}",
-            map.num_nodes(),
-            requests.len()
-        );
-
-        let mut sequential =
-            build_service(map.clone(), seed, mode, threads, ExecutionPolicy::Sequential);
-        let mut pooled = build_service(
-            map.clone(),
-            seed,
-            mode,
-            threads,
-            ExecutionPolicy::WorkerPool { threads },
-        );
-
-        match (sequential.process_batch(&requests), pooled.process_batch(&requests)) {
-            (Ok(a), Ok(b)) => {
-                assert_identical(&a, &b, &ctx);
-                // Fleet-merged cumulative counters agree as well: the
-                // commutative merge erases scheduling.
-                prop_assert_eq!(
-                    sequential.backend().stats(),
-                    pooled.backend().stats(),
-                    "{}: fleet stats diverged",
-                    ctx
-                );
-            }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}: errors diverged", ctx),
-            (a, b) => prop_assert!(
-                false,
-                "{}: one policy failed, the other did not: {:?} vs {:?}",
-                ctx,
-                a.map(|r| r.outcomes),
-                b.map(|r| r.outcomes)
-            ),
-        }
+        let (a, b) = assert_rounds_agree(&map, &requests, (sequential, pooled), 1, Mask::Exact, &ctx);
+        // Every counter, the cache's pair included: the commutative merge
+        // erases scheduling.
+        prop_assert_eq!(a.backend().stats(), b.backend().stats(), "{}: fleet stats diverged", ctx);
     }
 
     #[test]
@@ -102,28 +53,17 @@ proptest! {
         raw_batch in arb_batch(6),
         seed in proptest::num::u64::ANY,
     ) {
-        // Multi-batch streams: the obfuscator RNG advances between
-        // batches, shard counters accumulate — equivalence must hold at
-        // every step, not just on a fresh service.
-        let requests = requests_on(&map, &raw_batch);
-        let mode = ObfuscationMode::SharedGlobal;
-        let mut sequential =
-            build_service(map.clone(), seed, mode, 3, ExecutionPolicy::Sequential);
-        let mut pooled = build_service(
-            map.clone(),
+        let sequential = ServiceConfig {
             seed,
-            mode,
-            3,
-            ExecutionPolicy::WorkerPool { threads: 3 },
-        );
-        for round in 0..3 {
-            let ctx = format!("seed={seed} round={round}");
-            match (sequential.process_batch(&requests), pooled.process_batch(&requests)) {
-                (Ok(a), Ok(b)) => assert_identical(&a, &b, &ctx),
-                (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}", ctx),
-                (a, b) => prop_assert!(false, "{}: {:?} vs {:?}", ctx, a.is_ok(), b.is_ok()),
-            }
-        }
-        prop_assert_eq!(sequential.backend().stats(), pooled.backend().stats());
+            mode: ObfuscationMode::SharedGlobal,
+            shards: 3,
+            ..ServiceConfig::default()
+        };
+        let pooled =
+            ServiceConfig { execution: ExecutionPolicy::WorkerPool { threads: 3 }, ..sequential };
+        let ctx = format!("n={} seed={seed}", map.num_nodes());
+        let requests = requests_on(&map, &raw_batch);
+        let (a, b) = assert_rounds_agree(&map, &requests, (sequential, pooled), 3, Mask::Exact, &ctx);
+        prop_assert_eq!(a.backend().stats(), b.backend().stats(), "{}: fleet stats diverged", ctx);
     }
 }

@@ -1,58 +1,37 @@
 //! The partition layer's headline guarantee, as a property: region-owned
 //! placement is **invisible to every observable byte**. For random maps,
-//! random batches, random obfuscator seeds, random halos, and any
-//! worker-pool width, `PartitionPolicy::RegionOwned` produces the same
-//! delivered paths, the same per-client outcomes, the same serialized
-//! `BatchReport`, the same gateway `ServiceEvent` stream, and the same
-//! fleet-merged server counters as `PartitionPolicy::RoundRobin` and as
-//! single-threaded sequential execution — across `CachePolicy::{Off,Lru}`.
+//! batches, seeds, halos and any worker-pool width,
+//! `PartitionPolicy::RegionOwned` produces the same delivered paths,
+//! outcomes, serialized `BatchReport`, gateway `ServiceEvent` stream and
+//! fleet-merged counters as `PartitionPolicy::RoundRobin` and as
+//! sequential execution, across `CachePolicy::{Off,Lru}`. Routing may only
+//! move units between shards; a divergence is a routing leak — a unit
+//! dropped or answered twice at a region boundary, stats landing outside
+//! the merge. The lattice (`tests/lattice.rs`) holds every region-owned
+//! composition to the plain single-shard reference as well.
 //!
-//! Routing may only move units between shards; every shard searches the
-//! whole (Arc-shared) map, each MSMD evaluation is a pure function of
-//! `(map, query, sharing policy)`, and reports read only fleet-merged
-//! commutative counters — so any divergence this harness could catch
-//! would be a real routing leak (a unit dropped or answered twice at a
-//! region boundary, stats landing outside the merge, order-dependent
-//! accounting).
-//!
-//! The deterministic regression tests at the bottom pin the boundary
-//! cases: pairs straddling partition cuts (resolved via the halo, and via
-//! the fallback when the span exceeds it), directed maps, and
-//! disconnected components — always against a whole-map single-shard
-//! oracle, asserting zero *new* `Unreachable` outcomes.
+//! A third property drives the backend directly: every unit of a batch is
+//! answered exactly once, as the whole-map server answers it. The
+//! deterministic regressions below pin the boundary cases — pairs
+//! straddling partition cuts (resolved via the halo, and via the fallback
+//! when the span exceeds it), directed maps, and disconnected components —
+//! always against a whole-map single-shard oracle, asserting zero *new*
+//! `Unreachable` outcomes.
 
 mod common;
 
-use common::{arb_batch, arb_map, assert_identical, requests_on};
+use common::{
+    Mask, arb_batch, arb_map, assert_rounds_agree, assert_same_output, build_service, requests_on,
+};
 use opaque::{
-    CachePolicy, ClientId, ClientOutcome, ClientRequest, DirectionsBackend, DirectionsServer,
-    ExecutionPolicy, ObfuscatedPathQuery, Partition, PartitionPolicy, PathQuery,
-    ProtectionSettings, RouteKind, ServiceBuilder, ShardedBackend,
+    BatchPolicy, CachePolicy, ClientId, ClientOutcome, ClientRequest, DirectionsBackend,
+    DirectionsServer, ExecutionPolicy, ObfuscatedPathQuery, Partition, PartitionPolicy, PathQuery,
+    ProtectionSettings, RouteKind, ServiceConfig, ShardedBackend,
 };
 use pathsearch::SharingPolicy;
 use proptest::prelude::*;
 use roadnet::{GraphBuilder, NodeId, Point, RoadNetwork};
 use std::sync::Arc;
-
-fn build_service(
-    map: RoadNetwork,
-    seed: u64,
-    shards: usize,
-    partition: PartitionPolicy,
-    execution: ExecutionPolicy,
-    cache: CachePolicy,
-) -> opaque::OpaqueService<opaque::DefaultBackend> {
-    ServiceBuilder::new()
-        .map(map)
-        .seed(seed)
-        .shards(shards)
-        .partition_policy(partition)
-        .execution_policy(execution)
-        .cache_policy(cache)
-        .verify_results(true)
-        .build()
-        .expect("valid configuration")
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -77,80 +56,24 @@ proptest! {
             _ => CachePolicy::Lru { trees: 4 },
         };
         let requests = requests_on(&map, &raw_batch);
-        let ctx = format!(
-            "n={} requests={} seed={seed} shards={shards} halo={halo} threads={threads} cache={cache:?}",
-            map.num_nodes(),
-            requests.len()
+        // The reference: round-robin, sequential, cache off.
+        let reference = ServiceConfig { seed, shards, ..ServiceConfig::default() };
+        let region_seq =
+            ServiceConfig { partition: PartitionPolicy::RegionOwned { halo }, cache, ..reference };
+        let region_pool =
+            ServiceConfig { execution: ExecutionPolicy::WorkerPool { threads }, ..region_seq };
+        let ctx = format!("n={} {region_pool:?}", map.num_nodes());
+        let (_, seq) = assert_rounds_agree(
+            &map, &requests, (reference, region_seq), 2, Mask::Exact, &format!("{ctx} [seq]"),
         );
-
-        // The reference: round-robin, sequential, cache off — the
-        // historical pipeline every prior oracle is pinned to.
-        let mut reference = build_service(
-            map.clone(), seed, shards,
-            PartitionPolicy::RoundRobin, ExecutionPolicy::Sequential, CachePolicy::Off,
+        let (_, pool) = assert_rounds_agree(
+            &map, &requests, (reference, region_pool), 2, Mask::Exact, &format!("{ctx} [pool]"),
         );
-        // Region-owned, sequential.
-        let mut region_seq = build_service(
-            map.clone(), seed, shards,
-            PartitionPolicy::RegionOwned { halo }, ExecutionPolicy::Sequential, cache,
-        );
-        // Region-owned, worker pool pulling from per-shard queues.
-        let mut region_pool = build_service(
-            map.clone(), seed, shards,
-            PartitionPolicy::RegionOwned { halo },
-            ExecutionPolicy::WorkerPool { threads }, cache,
-        );
-
-        for round in 0..2 {
-            let rctx = format!("{ctx} round={round}");
-            match (
-                reference.process_batch(&requests),
-                region_seq.process_batch(&requests),
-                region_pool.process_batch(&requests),
-            ) {
-                (Ok(a), Ok(b), Ok(c)) => {
-                    assert_identical(&a, &b, &format!("{rctx} [rr/seq vs region/seq]"));
-                    assert_identical(&a, &c, &format!("{rctx} [rr/seq vs region/pool]"));
-                }
-                (Err(a), Err(b), Err(c)) => {
-                    prop_assert_eq!(&a, &b, "{}: errors diverged", rctx);
-                    prop_assert_eq!(&a, &c, "{}: errors diverged", rctx);
-                }
-                (a, b, c) => prop_assert!(
-                    false,
-                    "{}: policies disagreed on failure: {:?} / {:?} / {:?}",
-                    rctx, a.is_ok(), b.is_ok(), c.is_ok()
-                ),
-            }
-        }
-        // Fleet-merged cumulative counters agree as well: the commutative
-        // merge erases placement entirely. The two physical cache
-        // counters are the one deliberate exception — they are off every
-        // report and *should* move with cache policy and placement (that
-        // is the whole payoff) — so normalize them before comparing
-        // across the cache-off reference.
-        let logical = |mut s: opaque::ServerStats| {
-            s.tree_cache_hits = 0;
-            s.tree_cache_misses = 0;
-            s
-        };
-        prop_assert_eq!(
-            logical(reference.backend().stats()),
-            logical(region_seq.backend().stats()),
-            "{}: fleet stats diverged (sequential)",
-            ctx
-        );
-        prop_assert_eq!(
-            logical(reference.backend().stats()),
-            logical(region_pool.backend().stats()),
-            "{}: fleet stats diverged (pool)",
-            ctx
-        );
-        // Same cache policy and same routing ⇒ even the physical cache
+        // Same cache policy and same routing: even the physical cache
         // counters agree between sequential and pooled execution.
         prop_assert_eq!(
-            region_seq.backend().stats(),
-            region_pool.backend().stats(),
+            seq.backend().stats(),
+            pool.backend().stats(),
             "{}: region fleets diverged across pool widths",
             ctx
         );
@@ -170,16 +93,10 @@ proptest! {
     ) {
         let shards = 3usize.min(map.num_nodes());
         let drive = |partition: PartitionPolicy, execution: ExecutionPolicy| {
-            let mut svc = ServiceBuilder::new()
-                .map(map.clone())
-                .seed(seed)
-                .shards(shards)
-                .partition_policy(partition)
-                .execution_policy(execution)
-                .verify_results(true)
-                .batch_policy(opaque::BatchPolicy { max_batch, max_delay: 1e6 })
-                .build()
-                .expect("valid configuration");
+            let batch = BatchPolicy { max_batch, max_delay: 1e6 };
+            let config =
+                ServiceConfig { seed, shards, partition, execution, batch, ..ServiceConfig::default() };
+            let mut svc = build_service(&map, config);
             let mut events = Vec::new();
             for (i, request) in requests_on(&map, &raw_batch).into_iter().enumerate() {
                 let now = i as f64 * 0.25;
@@ -191,19 +108,16 @@ proptest! {
                 events.extend(svc.flush(clock).expect("pipeline succeeds"));
                 clock += 0.25;
             }
-            serde_json::to_string(&events).expect("events serialize")
+            events
         };
 
         let ctx = format!("n={} seed={seed} halo={halo} max_batch={max_batch}", map.num_nodes());
+        let region = PartitionPolicy::RegionOwned { halo };
         let reference = drive(PartitionPolicy::RoundRobin, ExecutionPolicy::Sequential);
-        let region_seq =
-            drive(PartitionPolicy::RegionOwned { halo }, ExecutionPolicy::Sequential);
-        let region_pool = drive(
-            PartitionPolicy::RegionOwned { halo },
-            ExecutionPolicy::WorkerPool { threads: shards },
-        );
-        prop_assert_eq!(&reference, &region_seq, "{}: event stream diverged (sequential)", ctx);
-        prop_assert_eq!(&reference, &region_pool, "{}: event stream diverged (pool)", ctx);
+        let region_seq = drive(region, ExecutionPolicy::Sequential);
+        let region_pool = drive(region, ExecutionPolicy::WorkerPool { threads: shards });
+        assert_same_output(&reference, &region_seq, Mask::Exact, &format!("{ctx} (sequential)"));
+        assert_same_output(&reference, &region_pool, Mask::Exact, &format!("{ctx} (pool)"));
     }
 
     /// Routing conservation at the backend boundary: every unit of a
@@ -280,24 +194,20 @@ fn path_map(len: u32) -> RoadNetwork {
 fn assert_matches_whole_map_oracle(map: &RoadNetwork, requests: &[ClientRequest], halo: u32) {
     let shards = 4.min(map.num_nodes());
     let mut region = build_service(
-        map.clone(),
-        7,
-        shards,
-        PartitionPolicy::RegionOwned { halo },
-        ExecutionPolicy::WorkerPool { threads: shards },
-        CachePolicy::Lru { trees: 8 },
+        map,
+        ServiceConfig {
+            seed: 7,
+            shards,
+            partition: PartitionPolicy::RegionOwned { halo },
+            execution: ExecutionPolicy::WorkerPool { threads: shards },
+            cache: CachePolicy::Lru { trees: 8 },
+            ..ServiceConfig::default()
+        },
     );
-    let mut oracle = build_service(
-        map.clone(),
-        7,
-        1,
-        PartitionPolicy::RoundRobin,
-        ExecutionPolicy::Sequential,
-        CachePolicy::Off,
-    );
+    let mut oracle = build_service(map, ServiceConfig { seed: 7, ..ServiceConfig::default() });
     let a = region.process_batch(requests).expect("region-owned batch succeeds");
     let b = oracle.process_batch(requests).expect("oracle batch succeeds");
-    assert_identical(&a, &b, &format!("halo={halo} vs whole-map oracle"));
+    assert_same_output(&a, &b, Mask::Exact, &format!("halo={halo} vs whole-map oracle"));
     let region_unreachable =
         a.outcomes.iter().filter(|(_, o)| matches!(o, ClientOutcome::Unreachable)).count();
     let oracle_unreachable =

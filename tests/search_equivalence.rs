@@ -1,38 +1,15 @@
 //! Property-based equivalence of all shortest-path algorithms.
 //!
 //! Strategy: generate random connected weighted graphs, compare every
-//! algorithm in `pathsearch` against a simple Bellman–Ford oracle written
-//! here (different algorithm, independently coded — a real oracle, not a
-//! mirror of the implementation under test).
+//! algorithm in `pathsearch` against the Bellman–Ford oracle in
+//! `tests/common` (different algorithm, independently coded — a real
+//! oracle, not a mirror of the implementation under test).
 
+mod common;
+
+use common::bellman_ford;
 use proptest::prelude::*;
-use roadnet::{GraphBuilder, GraphView, NodeId, Point, RoadNetwork};
-
-/// Bellman–Ford distances from `s` — the test oracle.
-fn bellman_ford(g: &RoadNetwork, s: NodeId) -> Vec<f64> {
-    let n = g.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    dist[s.index()] = 0.0;
-    for _ in 0..n {
-        let mut changed = false;
-        for u in g.nodes() {
-            if dist[u.index()].is_infinite() {
-                continue;
-            }
-            let du = dist[u.index()];
-            g.for_each_arc(u, &mut |v, w| {
-                if du + w < dist[v.index()] {
-                    dist[v.index()] = du + w;
-                    changed = true;
-                }
-            });
-        }
-        if !changed {
-            break;
-        }
-    }
-    dist
-}
+use roadnet::{GraphBuilder, NodeId, Point, RoadNetwork};
 
 /// Random connected graph: a random spanning tree plus extra random edges,
 /// with positive weights that dominate Euclidean distance (keeps A*
